@@ -49,9 +49,9 @@ pub struct Dcsnet {
     encoder_opt: Optimizer,
     decoder_opt: Optimizer,
     input_dim: usize,
-    /// Reusable transposed-weight workspace for the batched encode path
+    /// The decoder's second ping-pong buffer on the batched decode path
     /// (not a parameter).
-    wt_scratch: Matrix,
+    decode_scratch: Matrix,
 }
 
 impl Dcsnet {
@@ -122,7 +122,7 @@ impl Dcsnet {
             encoder_opt: Optimizer::adam(1e-3).with_grad_clip(10.0),
             decoder_opt: Optimizer::adam(1e-3).with_grad_clip(10.0),
             input_dim,
-            wt_scratch: Matrix::zeros(0, 0),
+            decode_scratch: Matrix::zeros(0, 0),
         }
     }
 
@@ -210,23 +210,23 @@ impl Codec for Dcsnet {
         Ok(self.decoder.forward(&Matrix::row_vector(code), false).into_vec())
     }
 
-    /// One blocked GEMM + bias broadcast + sigmoid over the whole round
-    /// (the fixed 1024-dim dense encoder), into the caller-owned buffer.
+    /// One packed-panel GEMM + bias broadcast + sigmoid over the whole
+    /// round (the fixed 1024-dim dense encoder), into the caller-owned
+    /// buffer.
     // orco-lint: region(no-alloc)
     fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_frames(Codec::name(self), frames)?;
-        self.encoder.forward_into(frames, &mut self.wt_scratch, out);
+        self.encoder.forward_into(frames, out);
         Ok(())
     }
     // orco-lint: endregion
 
-    /// One batch forward of the 4-conv-layer decoder stack instead of a
-    /// per-frame loop; the forward pass allocates its result regardless,
-    /// so it is moved into `out` rather than copied.
+    /// One batch pass of the 4-conv-layer decoder stack instead of a
+    /// per-frame loop. `Conv2d` and `Crop2d` keep [`Layer::infer_into`]'s
+    /// default, so each layer still allocates its result and moves it on.
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
-        let y = codes.to_matrix();
-        *out = self.decoder.forward(&y, false);
+        self.decoder.infer_into(codes, &mut self.decode_scratch, out);
         Ok(())
     }
 

@@ -143,6 +143,11 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"frame_throughput\",");
     let _ = writeln!(json, "  \"scale\": \"{}\",", if quick { "quick" } else { "default" });
     let _ = writeln!(json, "  \"threads\": 1,");
+    let _ = writeln!(
+        json,
+        "  \"host_cores\": {},",
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    );
     let _ = writeln!(json, "  \"pivot_batch\": {PIVOT_BATCH},");
     let _ =
         writeln!(json, "  \"ae_batch{PIVOT_BATCH}_encode_speedup_vs_per_frame\": {ae_speedup:.4},");

@@ -264,8 +264,14 @@ fn main() {
     let _ = writeln!(json, "  \"threads\": 1,");
     let _ = writeln!(
         json,
-        "  \"note\": \"single-core run: the shard-count sweep (batch-64 vs -2shard vs -4shard) \
-         measures sharding overhead, not scaling; expect flat numbers on 1-core CI\","
+        "  \"host_cores\": {},",
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    );
+    let _ = writeln!(
+        json,
+        "  \"note\": \"one driving thread, kernel threads pinned to 1, whatever host_cores says: \
+         the shard-count sweep (batch-64 vs -2shard vs -4shard) measures sharding overhead, not \
+         scaling; expect flat numbers\","
     );
     let _ = writeln!(json, "  \"frames\": {total},");
     let _ = writeln!(json, "  \"batched64_vs_batch1_speedup\": {speedup:.4},");

@@ -48,9 +48,9 @@ pub struct AsymmetricAutoencoder {
     latent_dim: usize,
     input_dim: usize,
     loss: Loss,
-    /// Reusable transposed-weight workspace for the batched encode path
+    /// The decoder's second ping-pong buffer on the batched decode path
     /// (not a parameter; excluded from snapshots and checkpoints).
-    wt_scratch: Matrix,
+    decode_scratch: Matrix,
 }
 
 impl AsymmetricAutoencoder {
@@ -77,7 +77,7 @@ impl AsymmetricAutoencoder {
             latent_dim: config.latent_dim,
             input_dim: config.input_dim,
             loss: config.loss(),
-            wt_scratch: Matrix::zeros(0, 0),
+            decode_scratch: Matrix::zeros(0, 0),
         })
     }
 
@@ -197,25 +197,25 @@ impl AsymmetricAutoencoder {
     }
 
     /// Batched inference encode into a caller-owned buffer — the native
-    /// `Codec::encode_batch` path: one blocked GEMM against the
-    /// transposed encoder weight, a bias broadcast, and the sigmoid in
-    /// place. Bit-identical to encoding each row through
+    /// `Codec::encode_batch` path: one packed-panel GEMM against the
+    /// encoder weight, a bias broadcast, and the sigmoid in place.
+    /// Bit-identical to encoding each row through
     /// [`AsymmetricAutoencoder::encode`], without the per-frame
     /// allocations and activation caching.
     // orco-lint: region(no-alloc)
     pub fn encode_batch_into(&mut self, frames: MatView<'_>, out: &mut Matrix) {
-        self.encoder.forward_into(frames, &mut self.wt_scratch, out);
+        self.encoder.forward_into(frames, out);
+    }
+
+    /// Batched inference decode into a caller-owned buffer — the native
+    /// `Codec::decode_batch` path: the decoder stack's
+    /// [`Sequential::infer_into`] over the whole batch. Bit-identical to
+    /// decoding each row through [`AsymmetricAutoencoder::decode`], and
+    /// allocation-free once `out` has grown to size.
+    pub fn decode_batch_into(&mut self, codes: MatView<'_>, out: &mut Matrix) {
+        self.decoder.infer_into(codes, &mut self.decode_scratch, out);
     }
     // orco-lint: endregion
-
-    /// Batched inference decode into a caller-owned slot: one forward
-    /// pass of the decoder stack over the whole batch. The forward pass
-    /// allocates its result regardless, so the buffer is **moved** into
-    /// `out` (replacing its previous allocation) rather than copied.
-    pub fn decode_batch_into(&mut self, codes: MatView<'_>, out: &mut Matrix) {
-        let y = codes.to_matrix();
-        *out = self.decoder.forward(&y, false);
-    }
 
     /// Mean reconstruction loss on a batch (inference).
     pub fn evaluate(&mut self, x: &Matrix, loss: &Loss) -> f32 {

@@ -126,21 +126,19 @@ impl Dense {
     }
 
     /// Inference-mode forward over a borrowed batch into a caller-owned
-    /// buffer: `out = σ(x·Wᵀ + b)` as one blocked GEMM, a bias broadcast,
-    /// and an in-place activation.
+    /// buffer: `out = σ(x·Wᵀ + b)` as one packed-panel GEMM
+    /// ([`MatView::matmul_t_into`]), a bias broadcast, and an in-place
+    /// activation.
     ///
     /// Unlike [`Layer::forward`] this caches nothing for backprop and
-    /// allocates nothing once the two caller-owned buffers have grown to
-    /// size: `wt_scratch` holds the transposed weight (materialized per
-    /// call so the row-streaming [`Matrix::matmul`] kernel — much faster
-    /// than per-row dot products on large batches — can be used) and
-    /// `out` receives the result. Bit-identical to `forward(x, false)`.
+    /// allocates nothing once `out` has grown to size. Bit-identical to
+    /// `forward(x, false)`; [`Layer::infer_into`] on a `Dense` is this.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols()` differs from the layer's input dimension.
     // orco-lint: region(no-alloc)
-    pub fn forward_into(&self, x: MatView<'_>, wt_scratch: &mut Matrix, out: &mut Matrix) {
+    pub fn forward_into(&self, x: MatView<'_>, out: &mut Matrix) {
         assert_eq!(
             x.cols(),
             self.weight.cols(),
@@ -148,9 +146,8 @@ impl Dense {
             x.cols(),
             self.weight.cols()
         );
-        self.weight.transpose_into(wt_scratch);
         out.reset(x.rows(), self.weight.rows());
-        x.matmul_into(wt_scratch.as_view(), out.as_view_mut());
+        x.matmul_t_into(self.weight.as_view(), out.as_view_mut());
         let bias = self.bias.row(0);
         for r in 0..out.rows() {
             for (v, &b) in out.row_mut(r).iter_mut().zip(bias) {
@@ -191,6 +188,12 @@ impl Layer for Dense {
         self.cached_pre = Some(pre);
         out
     }
+
+    // orco-lint: region(no-alloc)
+    fn infer_into(&mut self, x: MatView<'_>, out: &mut Matrix) {
+        self.forward_into(x, out);
+    }
+    // orco-lint: endregion
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         let input = self.cached_input.as_ref().expect("Dense::backward called before forward");
@@ -310,13 +313,14 @@ mod tests {
             let mut layer = Dense::new(7, 4, activation, &mut rng);
             let x = Matrix::from_fn(9, 7, |r, c| ((r * 11 + c) as f32 * 0.13).sin());
             let reference = layer.forward(&x, false);
-            let mut wt = Matrix::zeros(0, 0);
             let mut out = Matrix::filled(1, 1, f32::NAN); // dirty reused buffer
-            layer.forward_into(x.as_view(), &mut wt, &mut out);
+            layer.forward_into(x.as_view(), &mut out);
             assert_eq!(out, reference, "{activation:?} batched forward diverged");
+            layer.infer_into(x.as_view(), &mut out);
+            assert_eq!(out, reference, "{activation:?} infer_into diverged");
             // Per-row views must reproduce the batch rows exactly.
             for r in 0..x.rows() {
-                layer.forward_into(MatView::from_row(x.row(r)), &mut wt, &mut out);
+                layer.forward_into(MatView::from_row(x.row(r)), &mut out);
                 assert_eq!(out.row(0), reference.row(r));
             }
         }

@@ -1,6 +1,6 @@
 //! The [`Layer`] abstraction shared by every trainable component.
 
-use orco_tensor::Matrix;
+use orco_tensor::{MatView, Matrix};
 
 /// A mutable view over one parameter tensor and its accumulated gradient.
 ///
@@ -23,6 +23,8 @@ pub struct Param<'a> {
 ///   row) and caches whatever the backward pass needs. `train` distinguishes
 ///   training from inference (e.g. [`crate::GaussianNoise`] is inactive at
 ///   inference).
+/// * [`infer_into`](Layer::infer_into) is `forward(x, false)` into a reused
+///   buffer; it need not leave anything behind for `backward`.
 /// * [`backward`](Layer::backward) receives `∂L/∂output`, **accumulates**
 ///   `∂L/∂params` into the layer's gradient buffers, and returns
 ///   `∂L/∂input`. It must be called after a `forward` with matching batch
@@ -37,6 +39,16 @@ pub struct Param<'a> {
 pub trait Layer: std::fmt::Debug + Send {
     /// Runs the layer on a batch, caching state for backward.
     fn forward(&mut self, input: &Matrix, train: bool) -> Matrix;
+
+    /// Inference-mode forward over a borrowed batch into a caller-owned
+    /// buffer, bit-identical to `forward(x, false)`.
+    ///
+    /// The default copies `x` and moves `forward`'s result into `out`;
+    /// layers on a serving path override it to reuse `out`'s allocation
+    /// and cache nothing for a backward pass that will not come.
+    fn infer_into(&mut self, x: MatView<'_>, out: &mut Matrix) {
+        *out = self.forward(&x.to_matrix(), false);
+    }
 
     /// Backpropagates `grad_output`, accumulating parameter gradients, and
     /// returns the gradient with respect to the layer's input.

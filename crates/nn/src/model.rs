@@ -1,4 +1,4 @@
-use orco_tensor::Matrix;
+use orco_tensor::{MatView, Matrix};
 
 use crate::layer::{Layer, Param};
 use crate::loss::Loss;
@@ -140,19 +140,47 @@ impl Sequential {
     ///
     /// Panics if the model is empty.
     pub fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
-        assert!(!self.layers.is_empty(), "Sequential::forward on empty model");
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let (first, rest) =
+            self.layers.split_first_mut().expect("Sequential::forward on empty model");
+        let mut x = first.forward(input, train);
+        for layer in rest {
             x = layer.forward(&x, train);
         }
         x
     }
 
+    /// Inference-mode forward over a borrowed batch, ping-ponging between
+    /// two caller-owned buffers so the last layer lands in `out`:
+    /// bit-identical to `forward(&x.to_matrix(), false)`, and — when every
+    /// layer overrides [`Layer::infer_into`], as [`crate::Dense`] does —
+    /// allocation-free once `scratch` and `out` have grown to size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is empty.
+    // orco-lint: region(no-alloc)
+    pub fn infer_into(&mut self, x: MatView<'_>, scratch: &mut Matrix, out: &mut Matrix) {
+        let (first, rest) =
+            self.layers.split_first_mut().expect("Sequential::infer_into on empty model");
+        // Layers alternate buffers; start on the one that puts the last in `out`.
+        let (mut src, mut dst) = if rest.len() % 2 == 0 { (scratch, out) } else { (out, scratch) };
+        first.infer_into(x, dst);
+        for layer in rest {
+            std::mem::swap(&mut src, &mut dst);
+            layer.infer_into(src.as_view(), dst);
+        }
+    }
+    // orco-lint: endregion
+
     /// Backpropagates a gradient through every layer (reverse order),
     /// accumulating parameter gradients, and returns `∂L/∂input`.
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return grad_output.clone();
+        };
+        let mut g = last.backward(grad_output);
+        for layer in layers {
             g = layer.backward(&g);
         }
         g
@@ -297,6 +325,31 @@ mod tests {
         let fb = b.flops_forward();
         let model = Sequential::new().with(a).with(b);
         assert_eq!(model.flops_forward(), fa + fb);
+    }
+
+    #[test]
+    fn infer_into_bit_identical_to_forward_at_every_depth() {
+        let mut rng = OrcoRng::from_label("seq-infer", 0);
+        let x = Matrix::from_fn(9, 6, |r, c| ((r * 13 + c) as f32 * 0.21).sin());
+        let widths = [6usize, 11, 3, 8, 5];
+        for depth in 1..widths.len() {
+            // A noise layer has no `infer_into` of its own: the default
+            // must behave as inference-mode `forward` inside a stack.
+            let mut model = Sequential::new()
+                .with(Dense::new(widths[0], widths[1], Activation::Tanh, &mut rng))
+                .with(crate::GaussianNoise::new(widths[1], 0.5, rng.derive("noise")));
+            for w in widths[1..].windows(2).take(depth - 1) {
+                model.push(Dense::new(w[0], w[1], Activation::Tanh, &mut rng));
+            }
+            let reference = model.forward(&x, false);
+            // Dirty, wrongly-shaped reused buffers.
+            let mut scratch = Matrix::filled(2, 3, f32::NAN);
+            let mut out = Matrix::filled(1, 1, f32::NAN);
+            for _ in 0..2 {
+                model.infer_into(x.as_view(), &mut scratch, &mut out);
+                assert_eq!(out, reference, "depth {depth}");
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! * the service's **background workers** (one deadline flusher per
 //!   gateway shard; the directory's heartbeat sweeper) run on their own
 //!   threads via [`Service::run_worker`];
-//! * `Shutdown` sets the service flag, then the handling connection pokes
-//!   the acceptor awake with a throwaway connect so `accept` returns and
-//!   the loop observes the flag (the standard `std::net` unblock idiom).
+//! * `Shutdown` sets the service flag; the handling connection drains its
+//!   outbox, writes the ack to the socket itself, then pokes the acceptor
+//!   awake with a throwaway connect so `accept` returns and the loop
+//!   observes the flag (the standard `std::net` unblock idiom).
 
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -164,12 +165,27 @@ fn writer_loop(mut stream: TcpStream, outbox: &Outbox) {
     }
 }
 
+/// How a connection's read loop ended.
+struct ReadEnd {
+    /// The reply that closes the conversation (a `ShutdownAck`, or the
+    /// `ErrorReply` to a malformed frame); `None` after a clean EOF.
+    last_reply: Option<Vec<u8>>,
+    /// The last frame was a `Shutdown` request.
+    shutdown: bool,
+}
+
 /// Reads frames off one connection until EOF or `Shutdown`, replying to
 /// each through the same [`Service::handle_frame`] path the loopback
 /// transport uses — a malformed frame draws an `ErrorReply` before the
 /// connection closes, exactly as in-process callers see it. Replies are
 /// routed through the connection's outbox so they interleave safely with
 /// streamed frames.
+///
+/// The reply that ends the connection is not queued but written to the
+/// socket here, after the outbox has closed and the writer has drained
+/// it: `Shutdown` ends every subscription by closing the subscriber's
+/// outbox, the requester's own included, and a frame pushed to a closed
+/// outbox is dropped — the peer would read EOF instead of its ack.
 fn serve_connection<S: Service + ?Sized>(
     mut stream: TcpStream,
     svc: &Arc<S>,
@@ -184,41 +200,47 @@ fn serve_connection<S: Service + ?Sized>(
             .name("orco-serve-write".into())
             .spawn(move || writer_loop(stream, &outbox))?
     };
-    let result = read_loop(&mut stream, svc, &outbox, addr);
+    let end = read_loop(&mut stream, svc, &outbox);
     outbox.close();
     let _ = writer.join();
-    result
+    let end = end?;
+    if let Some(reply) = end.last_reply {
+        // As in `writer_loop`: a failed write means the peer is gone.
+        let _ = stream.write_all(&reply);
+    }
+    if end.shutdown {
+        // Poke the acceptor out of `accept` so it observes the shutdown
+        // flag — after the ack is on the socket, so a process that exits
+        // once `TcpServer::join` returns cannot cut the ack off.
+        drop(TcpStream::connect(poke_addr(addr)));
+    }
+    Ok(())
 }
 
 fn read_loop<S: Service + ?Sized>(
     stream: &mut TcpStream,
     svc: &Arc<S>,
     outbox: &Arc<Outbox>,
-    addr: SocketAddr,
-) -> Result<(), OrcoError> {
+) -> Result<ReadEnd, OrcoError> {
     let mut frame = Vec::new();
     let mut reply = Vec::new();
     loop {
         match read_frame(stream, &mut frame)? {
-            FrameRead::Eof => return Ok(()),
+            FrameRead::Eof => return Ok(ReadEnd { last_reply: None, shutdown: false }),
             FrameRead::Malformed(e) => {
                 // Framing is lost: answer with the typed rejection, then
                 // close — the wire never goes silent.
                 Message::ErrorReply { code: ErrorCode::BadRequest, detail: e.to_string() }
                     .encode_into(&mut reply);
-                outbox.push_frame(reply.clone());
-                return Ok(());
+                return Ok(ReadEnd { last_reply: Some(reply), shutdown: false });
             }
             FrameRead::Frame => {
                 svc.handle_frame(&frame, &mut reply, Some(outbox));
-                outbox.push_frame(reply.clone());
                 // Type bytes 6..8: was this frame a Shutdown request?
                 if frame[6..8] == 10u16.to_le_bytes() {
-                    // Poke the acceptor out of `accept` so it observes
-                    // the shutdown flag.
-                    drop(TcpStream::connect(poke_addr(addr)));
-                    return Ok(());
+                    return Ok(ReadEnd { last_reply: Some(reply), shutdown: true });
                 }
+                outbox.push_frame(reply.clone());
             }
         }
     }

@@ -99,3 +99,44 @@ fn tcp_gateway_serves_and_shuts_down() {
     server.join();
     assert!(gateway.is_shutting_down());
 }
+
+/// A `Shutdown` sent on a connection that holds a subscription must still
+/// be acked: shutdown ends every subscription, the requester's included,
+/// and the ack used to be dropped on the closed outbox, so the client read
+/// EOF instead. 200 fresh servers, the ack required every time.
+#[test]
+fn shutdown_on_a_subscribed_connection_is_acked() {
+    let config = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_seed(5);
+    let frames = Matrix::from_fn(3, 784, |r, c| ((r * 784 + c) % 17) as f32 / 17.0);
+    for round in 0..200 {
+        let gateway = Arc::new(
+            Gateway::new(
+                GatewayConfig {
+                    shards: 1,
+                    batch_max_frames: 8,
+                    batch_deadline: Duration::from_millis(1),
+                    ..GatewayConfig::default()
+                },
+                Clock::real(),
+                |_| {
+                    Box::new(AsymmetricAutoencoder::new(&config).expect("valid config"))
+                        as Box<dyn Codec>
+                },
+            )
+            .expect("valid gateway"),
+        );
+        let server = TcpServer::spawn(Arc::clone(&gateway), "127.0.0.1:0").expect("binds");
+        let transport = Tcp::new(server.local_addr().to_string());
+        let mut client = Client::connect(&transport).expect("connects");
+        client.hello(7).expect("hello");
+        client.subscribe(7).expect("subscribes");
+        // Rows still pending at Shutdown are drained to the subscriber
+        // ahead of the ack, so the ack is not the only frame in flight.
+        match client.push(7, frames.as_view()).expect("push") {
+            PushOutcome::Accepted(3) => {}
+            other => panic!("round {round}: push refused: {other:?}"),
+        }
+        client.shutdown().unwrap_or_else(|e| panic!("round {round}: Shutdown not acked: {e}"));
+        server.join();
+    }
+}

@@ -485,9 +485,13 @@ impl Matrix {
 
     /// Matrix product `self * otherᵀ` without materializing the transpose.
     ///
-    /// Row-parallel; each output element is one dot product computed in
-    /// ascending-`k` order, bit-identical at any thread count. Shares its
-    /// kernel with [`crate::MatView::matmul_t_into`].
+    /// Row-parallel over packed panels of `otherᵀ` (a small tile is
+    /// transposed onto the stack, then output rows stream over it as in
+    /// [`Matrix::matmul`]). Each output element is still one accumulator
+    /// summed in ascending-`k` order with no zero-skip — the naive dot
+    /// product bit for bit, NaN and ±inf included — so results are
+    /// bit-identical at any thread count. Shares its kernel with
+    /// [`crate::MatView::matmul_t_into`].
     ///
     /// # Panics
     ///
@@ -544,20 +548,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Writes the transpose into a caller-owned matrix (reusing its
-    /// allocation) instead of allocating like [`Matrix::transpose`].
-    ///
-    /// Batched encoders use this to materialize `Wᵀ` once per batch so the
-    /// blocked [`Matrix::matmul`] kernel can stream it row-wise.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        out.reset(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
     }
 
     /// `out = self · v` into a caller-owned buffer; see

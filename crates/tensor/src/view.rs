@@ -16,6 +16,14 @@
 //! at any thread count, while the output lands in a buffer the caller
 //! reuses across batches.
 //!
+//! What the kernels promise is a **summation order**, not a loop nest:
+//! every output element is one `f32` accumulator that starts at `+0.0`
+//! and takes its terms in ascending `k`. `matmul` and `t_matmul` skip a
+//! term whose left factor is zero; `matmul_t` (the `x·Wᵀ` of every dense
+//! layer) skips nothing. Tile and panel sizes may be retuned freely; the
+//! per-element order and the two zero-skips may not — the unit tests hold
+//! all three products bitwise to scalar oracles that spell this out.
+//!
 //! ```
 //! use orco_tensor::{MatView, Matrix};
 //!
@@ -97,27 +105,64 @@ pub(crate) fn t_matmul_kernel(a: &[f32], m: usize, k: usize, b: &[f32], n: usize
     });
 }
 
+/// Panel depth (`k` extent) of the packed `Bᵀ` tile in [`matmul_t_kernel`].
+/// Free to retune: each output element still sums in ascending `k`.
+pub(crate) const MATMUL_T_PANEL_K: usize = 32;
+
+/// Panel width (`n` extent) of the packed `Bᵀ` tile in [`matmul_t_kernel`].
+/// Free to retune, like [`MATMUL_T_PANEL_K`].
+pub(crate) const MATMUL_T_PANEL_N: usize = 128;
+
 /// `out[m×n] = a · bᵀ` where `a` is `m×k` and `b` is `n×k`, row-parallel.
-/// Overwrites `out` (each element is one complete dot product).
+/// `out` must be zeroed by the caller (the kernel accumulates).
+///
+/// Packed-panel: a `PANEL_K × PANEL_N` tile of `bᵀ` is transposed into a
+/// stack array, then output rows stream over it in [`GEMM_ROW_TILE`] tiles
+/// exactly as [`matmul_kernel`] streams `b` — so the inner loop is a
+/// contiguous `o += av · panel_row` that vectorises, instead of one
+/// dependent scalar accumulator chain per element.
+///
+/// Summation-order contract: every output element is one accumulator that
+/// starts at `+0.0` and adds `a[i][kk] · b[j][kk]` for `kk` ascending, with
+/// **no** zero-skip — bit for bit the naive dot product (NaN and ±inf
+/// included), whatever the panel sizes or the thread count.
+// orco-lint: region(no-alloc)
 pub(crate) fn matmul_t_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    const KB: usize = MATMUL_T_PANEL_K;
+    const NB: usize = MATMUL_T_PANEL_N;
     if n == 0 {
         return;
     }
     crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
-        for (r, o_row) in block.chunks_exact_mut(n).enumerate() {
-            let i = first_row + r;
-            let a_row = &a[i * k..(i + 1) * k];
-            for (j, o) in o_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (av, bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
+        let mut panel = [0.0f32; KB * NB];
+        for j0 in (0..n).step_by(NB) {
+            let nb = NB.min(n - j0);
+            // Ascending k0 inside a fixed column panel keeps each element's
+            // additions in ascending k across panels.
+            for k0 in (0..k).step_by(KB) {
+                let kb = KB.min(k - k0);
+                for (jj, b_row) in b[j0 * k..(j0 + nb) * k].chunks_exact(k).enumerate() {
+                    for (kk, &bv) in b_row[k0..k0 + kb].iter().enumerate() {
+                        panel[kk * NB + jj] = bv;
+                    }
                 }
-                *o = acc;
+                for (tile_idx, o_tile) in block.chunks_mut(GEMM_ROW_TILE * n).enumerate() {
+                    let i0 = first_row + tile_idx * GEMM_ROW_TILE;
+                    for (kk, p_row) in panel.chunks_exact(NB).take(kb).enumerate() {
+                        let p_row = &p_row[..nb];
+                        for (r, o_row) in o_tile.chunks_exact_mut(n).enumerate() {
+                            let av = a[(i0 + r) * k + k0 + kk];
+                            for (o, &bv) in o_row[j0..j0 + nb].iter_mut().zip(p_row) {
+                                *o += av * bv;
+                            }
+                        }
+                    }
+                }
             }
         }
     });
 }
+// orco-lint: endregion
 
 // ----------------------------------------------------------------------
 // MatView
@@ -315,6 +360,7 @@ impl<'a> MatView<'a> {
             self.rows,
             other.rows
         );
+        out.data.fill(0.0);
         matmul_t_kernel(self.data, self.cols, other.data, other.rows, out.data);
     }
 
@@ -487,6 +533,153 @@ impl<'a> MatViewMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    // Scalar oracles: the products as their summation-order contracts state
+    // them, one element and one accumulator at a time, on one thread.
+
+    /// `a[m×k] · b[k×n]`; terms whose `a` factor is zero are skipped.
+    fn matmul_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            let mut acc = 0.0f32;
+            for kk in 0..a.cols() {
+                if a[(i, kk)] != 0.0 {
+                    acc += a[(i, kk)] * b[(kk, j)];
+                }
+            }
+            acc
+        })
+    }
+
+    /// `aᵀ · b` for `a[k×m]`, `b[k×n]`; same zero-skip as `matmul`.
+    fn t_matmul_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.cols(), b.cols(), |i, j| {
+            let mut acc = 0.0f32;
+            for kk in 0..a.rows() {
+                if a[(kk, i)] != 0.0 {
+                    acc += a[(kk, i)] * b[(kk, j)];
+                }
+            }
+            acc
+        })
+    }
+
+    /// `a[m×k] · bᵀ` for `b[n×k]`: the dot product `matmul_t_kernel` was
+    /// before it packed panels. No zero-skip.
+    fn matmul_t_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+            let mut acc = 0.0f32;
+            for (av, bv) in a.row(i).iter().zip(b.row(j)) {
+                acc += av * bv;
+            }
+            acc
+        })
+    }
+
+    /// Bit equality, except that any NaN equals any NaN: which operand's
+    /// payload an `x + y` of two NaNs keeps is not specified.
+    fn assert_bitwise(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {i} is {g:?} ({:#x}), oracle {w:?} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// Holds the three products, owning and `_into` (into a dirty buffer),
+    /// to their oracles at thread budgets 1, 2 and 4.
+    fn check_kernel_contract(a: &Matrix, b: &Matrix, at: &Matrix, bt: &Matrix) {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let want_mm = matmul_oracle(a, b);
+        let want_tm = t_matmul_oracle(at, b);
+        let want_mt = matmul_t_oracle(a, bt);
+        for threads in [1, 2, 4] {
+            crate::parallel::with_thread_budget(threads, || {
+                let what = |name: &str| format!("{name} {m}x{k}x{n} at {threads} threads");
+                assert_bitwise(&a.matmul(b), &want_mm, &what("matmul"));
+                assert_bitwise(&at.t_matmul(b), &want_tm, &what("t_matmul"));
+                assert_bitwise(&a.matmul_t(bt), &want_mt, &what("matmul_t"));
+                let mut out = Matrix::filled(m, n, f32::NAN);
+                a.as_view().matmul_into(b.as_view(), out.as_view_mut());
+                assert_bitwise(&out, &want_mm, &what("matmul_into"));
+                out.as_mut_slice().fill(f32::NAN);
+                at.as_view().t_matmul_into(b.as_view(), out.as_view_mut());
+                assert_bitwise(&out, &want_tm, &what("t_matmul_into"));
+                out.as_mut_slice().fill(f32::NAN);
+                a.as_view().matmul_t_into(bt.as_view(), out.as_view_mut());
+                assert_bitwise(&out, &want_mt, &what("matmul_t_into"));
+            });
+        }
+    }
+
+    /// The codecs' dominant shapes and shapes one off each edge of the
+    /// row tile and the packed panel (single and multiple panels).
+    const EDGE_SHAPES: [(usize, usize, usize); 8] = [
+        (64, 128, 784),
+        (32, 784, 128),
+        (16, 1024, 144),
+        (GEMM_ROW_TILE - 1, MATMUL_T_PANEL_K - 1, MATMUL_T_PANEL_N - 1),
+        (GEMM_ROW_TILE, MATMUL_T_PANEL_K, MATMUL_T_PANEL_N),
+        (GEMM_ROW_TILE + 1, MATMUL_T_PANEL_K + 1, MATMUL_T_PANEL_N + 1),
+        (2 * GEMM_MIN_ROWS_PER_THREAD - 1, 2 * MATMUL_T_PANEL_K - 1, 2 * MATMUL_T_PANEL_N - 1),
+        (2 * GEMM_MIN_ROWS_PER_THREAD + 1, 2 * MATMUL_T_PANEL_K + 1, 2 * MATMUL_T_PANEL_N + 1),
+    ];
+
+    /// Three ragged shapes for every one drawn from [`EDGE_SHAPES`].
+    fn shape_strategy() -> impl Strategy<Value = (usize, usize, usize)> {
+        (0..4 * EDGE_SHAPES.len(), 0usize..=70, 0usize..=70, 0usize..=70)
+            .prop_map(|(pick, m, k, n)| EDGE_SHAPES.get(pick).copied().unwrap_or((m, k, n)))
+    }
+
+    /// Mostly ordinary values, one in eight a signed zero (the zero-skip),
+    /// and a sprinkle of NaN and ±inf rare enough that most dot products
+    /// of length 70 stay finite.
+    fn element_strategy() -> impl Strategy<Value = f32> {
+        (0u32..1024, -2.0f32..2.0).prop_map(|(tag, v)| match tag {
+            0..=95 => 0.0,
+            96..=127 => -0.0,
+            128..=129 => f32::NAN,
+            130..=131 => f32::INFINITY,
+            132..=133 => f32::NEG_INFINITY,
+            _ => v,
+        })
+    }
+
+    fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
+        prop::collection::vec(element_strategy(), rows * cols)
+            .prop_map(move |data| Matrix::from_vec(rows, cols, data).unwrap())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn products_are_bitwise_their_scalar_oracles(
+            (a, b, at, bt) in shape_strategy().prop_flat_map(|(m, k, n)| (
+                matrix_strategy(m, k),
+                matrix_strategy(k, n),
+                matrix_strategy(k, m),
+                matrix_strategy(n, k),
+            ))
+        ) {
+            check_kernel_contract(&a, &b, &at, &bt);
+        }
+    }
+
+    #[test]
+    fn every_edge_shape_meets_the_kernel_contract() {
+        let mut rng = crate::OrcoRng::from_label("kernel-contract", 0);
+        for (m, k, n) in EDGE_SHAPES {
+            let mut random =
+                |rows, cols| Matrix::from_fn(rows, cols, |_, _| rng.uniform(-1.0, 1.0));
+            let (a, b, at, bt) = (random(m, k), random(k, n), random(k, m), random(n, k));
+            check_kernel_contract(&a, &b, &at, &bt);
+        }
+    }
 
     fn a() -> Matrix {
         Matrix::from_fn(5, 3, |r, c| ((r * 7 + c) as f32 * 0.31).sin())

@@ -38,13 +38,21 @@ fn assert_batch_matches_per_frame(codec: &mut dyn Codec, frames: &Matrix) {
         let frame = codec.decode_frame(codes.row(r)).expect("code width is valid");
         assert_eq!(recon.row(r), &frame[..], "{}: decode row {r} diverged", codec.name());
     }
+    // The same `out` again, now dirty with the full batch and too tall for
+    // its first half: decode must resize and fully overwrite it.
+    let full = recon.clone();
+    let head = 0..frames.rows().div_ceil(2);
+    codec.decode_batch(codes.view_rows(head.clone()), &mut recon).expect("codes fit the codec");
+    assert_eq!(recon, full.slice_rows(head), "{}: decode into a reused out diverged", codec.name());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// OrcoDCS autoencoder: random latent dims, batch sizes, seeds, and
-    /// a little training in between (the batch path must track the live
+    /// OrcoDCS autoencoder: random latent dims, batch sizes, seeds,
+    /// decoder depths 1 and 3 (the decode ping-pong ends in `out` after an
+    /// odd walk either way, through zero or one pair of swaps), and a
+    /// little training in between (the batch path must track the live
     /// weights, not a stale cache).
     #[test]
     fn autoencoder_batch_bit_identical(
@@ -52,9 +60,11 @@ proptest! {
         batch in 1usize..12,
         seed in 0u64..500,
         train_steps in 0usize..3,
+        decoder_layers in prop_oneof![Just(1usize), Just(3usize)],
     ) {
         let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike)
             .with_latent_dim(latent)
+            .with_decoder_layers(decoder_layers)
             .with_seed(seed);
         let mut codec = AsymmetricAutoencoder::new(&cfg).unwrap();
         let ds = mnist_like::generate(batch, seed);

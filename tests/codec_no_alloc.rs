@@ -1,0 +1,98 @@
+//! The autoencoder's batched codec path allocates nothing in steady state
+//! (ROADMAP item 2(a)'s bar, pulled forward for the codec): after one
+//! warm-up batch has grown the caller's buffers and the decoder's
+//! ping-pong scratch, `encode_batch` + `decode_batch` at batch 64 make
+//! **zero** calls into the allocator — counted, not inferred.
+//!
+//! The file is its own test binary because `#[global_allocator]` is
+//! process-wide. Only the test's own thread is counted, and the kernels
+//! run on a thread budget of 1: spawning a scoped worker allocates, and
+//! the serving layer runs each shard's codec on the calling thread.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig};
+use orcodcs_repro::datasets::{gtsrb_like, mnist_like, DatasetKind};
+use orcodcs_repro::tensor::{parallel, Matrix};
+
+thread_local! {
+    /// `Some(n)` while this thread is counting its allocator calls.
+    static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+struct CountingAllocator;
+
+fn count_one() {
+    ALLOCATIONS.with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialised thread-local
+// `Cell` with no destructor, so touching it neither allocates nor re-enters.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` obligations pass through to `System`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Allocator calls this thread makes while running `f`.
+fn allocations_during(f: impl FnOnce()) -> usize {
+    ALLOCATIONS.with(|c| c.set(Some(0)));
+    f();
+    ALLOCATIONS.with(|c| c.take()).expect("counting was on")
+}
+
+#[test]
+fn steady_state_autoencoder_codec_allocates_nothing() {
+    const BATCH: usize = 64;
+    let cases = [
+        (DatasetKind::MnistLike, mnist_like::generate(BATCH, 3)),
+        (DatasetKind::GtsrbLike, gtsrb_like::generate(BATCH, 3)),
+    ];
+    for (kind, dataset) in cases {
+        for decoder_layers in [1, 3] {
+            let config = OrcoConfig::for_dataset(kind).with_decoder_layers(decoder_layers);
+            let mut codec = AsymmetricAutoencoder::new(&config).expect("valid config");
+            let frames = dataset.x();
+            let (mut codes, mut decoded) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            let mut round_trip = |codec: &mut AsymmetricAutoencoder| {
+                codec.encode_batch(frames.as_view(), &mut codes).expect("frames fit");
+                codec.decode_batch(codes.as_view(), &mut decoded).expect("codes fit");
+            };
+            parallel::with_thread_budget(1, || {
+                // The counter counts: the warm-up grows every buffer.
+                assert!(allocations_during(|| round_trip(&mut codec)) > 0);
+                let steady = allocations_during(|| round_trip(&mut codec));
+                assert_eq!(
+                    steady, 0,
+                    "{kind:?}, {decoder_layers} decoder layer(s): a steady-state batch-{BATCH} \
+                     encode + decode made {steady} allocator calls"
+                );
+            });
+            assert_eq!(decoded.shape(), frames.shape());
+        }
+    }
+}

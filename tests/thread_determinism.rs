@@ -20,7 +20,18 @@ fn results_are_bit_identical_across_thread_counts() {
     // --- GEMM kernels: 1 thread vs several, including ragged shapes that
     // exercise uneven row blocks and partial tiles.
     let mut rng = OrcoRng::from_label("thread-det", 0);
-    let shapes = [(1usize, 1usize, 1usize), (7, 5, 3), (33, 17, 9), (128, 96, 64), (257, 130, 67)];
+    // The last three straddle `matmul_t`'s packed 32×128 panel: one short
+    // of an edge, one past it, and several panels with ragged remainders.
+    let shapes = [
+        (1usize, 1usize, 1usize),
+        (7, 5, 3),
+        (33, 17, 9),
+        (128, 96, 64),
+        (257, 130, 67),
+        (19, 31, 127),
+        (35, 33, 129),
+        (70, 97, 300),
+    ];
     for &(m, k, n) in &shapes {
         let a = random_matrix(m, k, &mut rng);
         let b = random_matrix(k, n, &mut rng);
