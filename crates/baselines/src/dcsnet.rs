@@ -8,9 +8,10 @@
 //! (identity for 32×32 GTSRB).
 //!
 //! [`Dcsnet`] implements [`SplitModel`], so it can be trained (a) offline
-//! and centrally via [`crate::offline_trainer`], the scheme DCSNet was
-//! designed for, or (b) through the same IoT-Edge orchestrated protocol as
-//! OrcoDCS — which is how the paper obtains its time-to-loss comparison.
+//! and centrally (`ExperimentBuilder` in `TrainingMode::Local`, on the
+//! paper's 30/50/70% data fractions), the scheme DCSNet was designed for,
+//! or (b) through the same IoT-Edge orchestrated protocol as OrcoDCS —
+//! which is how the paper obtains its time-to-loss comparison.
 
 use orco_nn::{Activation, Conv2d, Dense, Layer, Loss, Optimizer, Sequential};
 use orco_tensor::{MatView, Matrix, OrcoRng};

@@ -13,8 +13,6 @@
 //!   convex sparse reconstruction (ISTA, plus OMP) in a DCT basis. Its
 //!   computational cost and dimension/sparsity-limited quality are exactly
 //!   the drawbacks the paper cites.
-//! * [`offline_trainer`] — the legacy offline (cloud-style) training
-//!   drivers for DCSNet, kept as deprecated wrappers.
 //!
 //! Both baselines implement [`orcodcs::Codec`] — [`Dcsnet`] directly, the
 //! classical stack through [`cs::ClassicalCodec`] — so every comparison in
@@ -27,7 +25,6 @@
 pub mod crop;
 pub mod cs;
 pub mod dcsnet;
-pub mod offline_trainer;
 
 pub use crop::Crop2d;
 pub use cs::{ClassicalCodec, CsSolver};

@@ -30,7 +30,7 @@
 //! | §III-C encoder distribution | [`distribution`] |
 //! | §III-C compressed aggregation | [`aggregation`] |
 //! | §III-D model fine-tuning | [`monitor`] |
-//! | §IV experiment pipeline | [`codec`], [`pipeline`] (legacy drivers: [`experiment`]) |
+//! | §IV experiment pipeline | [`codec`], [`pipeline`] |
 //!
 //! ## Quick start
 //!
@@ -75,7 +75,6 @@ pub mod codec;
 pub mod compression;
 pub mod decoder;
 pub mod distribution;
-pub mod experiment;
 pub mod monitor;
 pub mod multi_cluster;
 pub mod noise;
@@ -91,9 +90,10 @@ pub use compression::GradCompression;
 pub use config::OrcoConfig;
 pub use distribution::EncoderColumns;
 pub use error::OrcoError;
-pub use experiment::ClusterScale;
 pub use monitor::FineTuneMonitor;
 pub use online_trainer::{OnlineTrainer, RoundStats, TrainingHistory};
 pub use orchestrator::Orchestrator;
-pub use pipeline::{DeploymentSpec, Experiment, ExperimentBuilder, Report, TrainingMode};
+pub use pipeline::{
+    ClusterScale, DeploymentSpec, Experiment, ExperimentBuilder, Report, TrainingMode,
+};
 pub use split::SplitModel;

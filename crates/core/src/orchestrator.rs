@@ -72,20 +72,6 @@ impl Orchestrator<AsymmetricAutoencoder> {
         let autoencoder = AsymmetricAutoencoder::new(&config)?;
         Ok(Self::with_model(autoencoder, config, net_config))
     }
-
-    /// The autoencoder.
-    #[deprecated(since = "0.2.0", note = "use the generic `Orchestrator::model` instead")]
-    #[must_use]
-    pub fn autoencoder(&self) -> &AsymmetricAutoencoder {
-        &self.model
-    }
-
-    /// Mutable access to the autoencoder (sweeps adjust noise variance).
-    #[deprecated(since = "0.2.0", note = "use the generic `Orchestrator::model_mut` instead")]
-    #[must_use]
-    pub fn autoencoder_mut(&mut self) -> &mut AsymmetricAutoencoder {
-        &mut self.model
-    }
 }
 
 impl<D: DeploymentBackend> Orchestrator<AsymmetricAutoencoder, D> {

@@ -44,7 +44,6 @@ use crate::codec::{fraction_rows, Codec, TrainSpec};
 use crate::compression::GradCompression;
 use crate::config::OrcoConfig;
 use crate::error::OrcoError;
-use crate::experiment::ClusterScale;
 use crate::monitor::FineTuneMonitor;
 use crate::online_trainer::{RoundStats, TrainingHistory};
 use crate::orchestrator::Orchestrator;
@@ -189,6 +188,29 @@ pub struct ObserveOutcome {
     pub reconstruction_error: f32,
     /// Training history of the relaunched run, if the monitor triggered.
     pub retraining: Option<TrainingHistory>,
+}
+
+/// How many devices to simulate for a run. Faithful deployments set this to
+/// `N` (one device per reading, as the paper's formulation assumes);
+/// figure sweeps that only need training curves can use a smaller cluster
+/// to keep wall-clock time down without changing any training math.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClusterScale {
+    /// One IoT device per input dimension (the paper's model).
+    Faithful,
+    /// A fixed number of devices (data-plane bytes still scale with `M`).
+    Devices(usize),
+}
+
+impl ClusterScale {
+    /// Resolves the device count for a frame of `input_dim` readings.
+    #[must_use]
+    pub fn device_count(self, input_dim: usize) -> usize {
+        match self {
+            ClusterScale::Faithful => input_dim,
+            ClusterScale::Devices(n) => n.max(1),
+        }
+    }
 }
 
 /// Builds an [`Experiment`]. `dataset` and `codec` are required; every
@@ -899,6 +921,9 @@ mod tests {
         // Missing dataset.
         let codec = AsymmetricAutoencoder::new(&cfg).unwrap();
         assert!(ExperimentBuilder::new().codec(codec).build().is_err());
+        // Empty dataset.
+        let codec = AsymmetricAutoencoder::new(&cfg).unwrap();
+        assert!(ExperimentBuilder::new().dataset(&ds.subset(&[])).codec(codec).build().is_err());
         // Dimension mismatch.
         let gtsrb_cfg = OrcoConfig::for_dataset(DatasetKind::GtsrbLike);
         let codec = AsymmetricAutoencoder::new(&gtsrb_cfg).unwrap();
@@ -929,6 +954,20 @@ mod tests {
         let mut exp = builder.epochs(1).scale(ClusterScale::Faithful).build().unwrap();
         let _ = exp.run().unwrap();
         assert_eq!(exp.network().expect("orchestrated").devices().len(), 784);
+    }
+
+    #[test]
+    fn longer_training_reaches_lower_loss() {
+        let (_ds, short) = tiny_builder(32, 2);
+        let short = short.epochs(1).build().unwrap().run().unwrap();
+        let (_ds, long) = tiny_builder(32, 2);
+        let long = long.epochs(8).build().unwrap().run().unwrap();
+        assert!(
+            long.final_loss < short.final_loss,
+            "8 epochs ({}) should beat 1 epoch ({})",
+            long.final_loss,
+            short.final_loss
+        );
     }
 
     #[test]

@@ -22,10 +22,15 @@
 //!   directory, routes pushes to locally-computed owners, and chases
 //!   redirects. A stale epoch costs one extra round trip, never a
 //!   misdelivered frame.
-//! * [`run_fleet_scenario`] — the fleet gauntlet: directory + four
-//!   gateways + six clients over the [`orco_serve::DesNet`] impaired-link
-//!   simulation, with a scripted mid-run gateway kill and join, pinned to
-//!   exactly-once delivery and bit-identical decode
+//! * [`scenarios`] — the fleet **cast** of the chaos-gauntlet harness
+//!   ([`orco_serve::scenarios`]): the directory, the gateway agents and
+//!   the window-streaming, redirect-chasing clients as simulation actors
+//!   over the [`orco_serve::DesNet`] impaired links, shared with
+//!   `orco-rollout`. On it, `fleet_kill`: four gateways + six clients
+//!   with a scripted mid-run gateway kill and join, pinned to
+//!   exactly-once delivery and bit-identical decode. [`run_scenario`] /
+//!   [`replay_scenario`] run it (and hand the serve layer's names down)
+//!   and return the gauntlet's one [`orco_serve::Outcome`]
 //!   (`cargo run -p orco-rollout --bin chaos`).
 //!
 //! ## Quickstart (in-process directory)
@@ -66,4 +71,4 @@ pub mod scenarios;
 pub use agent::{AgentConfig, GatewayAgent};
 pub use client::{DirectoryClient, FleetClient};
 pub use directory::{Directory, DirectoryConfig};
-pub use scenarios::{replay_fleet_scenario, run_fleet_scenario, FleetOutcome, FLEET_GAUNTLET};
+pub use scenarios::{replay_scenario, run_scenario, FLEET_GAUNTLET};

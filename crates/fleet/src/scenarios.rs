@@ -1,8 +1,33 @@
-//! The fleet gauntlet: a scripted, deterministic, replayable run of a
-//! whole fleet — directory + gateways + clients — over the
-//! [`DesNet`] impaired-link simulation, with a **mid-run gateway kill**
-//! and a **mid-run join**, asserting the contracts the fleet design
-//! promises:
+//! The fleet cast of the chaos-gauntlet harness
+//! ([`orco_serve::scenarios`]) and the scenario built on it here,
+//! `fleet_kill`.
+//!
+//! ## The cast
+//!
+//! [`Fleet`] is a whole simulated fleet over a [`DesNet`]: the
+//! [`Directory`] at endpoint 0, gateways at endpoints `1..=n`, one
+//! [`Agent`] per gateway (register, heartbeat with piggybacked stats,
+//! re-register on eviction — the DES twin of [`crate::GatewayAgent`]'s
+//! thread), and [`ClientActor`]s that bootstrap from the directory, greet
+//! their cluster's owner, and stream **window by window** (push three
+//! rows, pull them back, repeat), chasing `Redirect`s and failing over
+//! through the directory when their owner dies. Every owner a client
+//! observes — from a directory view or a [`Message::Redirect`] — is
+//! recorded under its epoch; two different owners under one
+//! `(epoch, cluster)` key fail the run.
+//!
+//! A scenario script wraps a `Fleet` in its own [`Cast`]: it forwards
+//! events to [`Fleet::on_reply`] / [`Fleet::on_gave_up`] /
+//! [`Fleet::on_wakeup`] and triggers on the [`Step`] that comes back,
+//! keeping for itself the connections it bound as [`Role::Script`] and
+//! the timer tokens from [`TOKEN_SCRIPT`] up (the rollout controller's).
+//! The scripts differ only in which clients hold their
+//! tail back and where ([`Fleet::cast_clients`]), in whether the per-row
+//! version tape enters the digest, and in their triggers.
+//!
+//! ## `fleet_kill`
+//!
+//! A **mid-run gateway kill** and a **mid-run join**, asserting:
 //!
 //! * **Exactly-once across failover.** Every client's stream is
 //!   delivered back complete and unduplicated even though its owner was
@@ -16,184 +41,184 @@
 //!   `encode_batch` + `decode_batch` of the stream on a reference codec:
 //!   failover must not perturb the data plane, because every gateway
 //!   builds the same codec from the same config.
-//! * **No two owners at one epoch.** Every owner observation a client
-//!   makes — from an adopted directory view or a [`Message::Redirect`] —
-//!   is recorded under its epoch; two different owners under one
-//!   `(epoch, cluster)` key fail the run.
+//! * **No two owners at one epoch** (above).
 //! * **Liveness and cleanliness.** The run terminates, the kill and the
 //!   join both actually happened, and every *surviving* gateway ends
 //!   drained (zero queue depth, zero stored codes).
 //!
 //! The kill and the join are triggered by **delivery progress**, not
 //! wall-clock hacks, so a run is a pure function of its seed; the
-//! recorded [`RunLog`] replays it bit-identically
-//! ([`replay_fleet_scenario`]).
+//! recorded [`RunLog`] replays it bit-identically ([`replay_scenario`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use orco_serve::fleet_view::owner_of;
+use orco_serve::scenarios::{
+    self as serve, check_drained, client_backoff, codec_config, exactly_once, gateway_config, play,
+    pull_chunk, push_window, reference_decode, row_digest, stats_frame, uniform_frames, Cast,
+    Outcome, Roles, Run, ROWS_PER_PUSH,
+};
 use orco_serve::{
     auth, Backoff, Clock, DesConfig, DesNet, FleetView, Gateway, GatewayConfig, GatewayEntry,
-    Message, NetEvent, RunLog, ScenarioError,
+    Message, RunLog, ScenarioError, Service, StatsSnapshot,
 };
-use orco_sim::{LinkParams, SendRecord};
-use orco_tensor::{fnv1a64, Matrix, OrcoRng};
-use orcodcs::{AsymmetricAutoencoder, Codec, GradCompression, OrcoConfig};
+use orco_sim::LinkParams;
+use orco_tensor::Matrix;
+use orcodcs::{AsymmetricAutoencoder, Codec, OrcoConfig};
 
 use crate::directory::{Directory, DirectoryConfig};
 
-/// The fleet scenario names [`run_fleet_scenario`] accepts.
+/// The scenario names this layer adds to [`orco_serve::GAUNTLET`].
 pub const FLEET_GAUNTLET: [&str; 1] = ["fleet_kill"];
 
+/// Runs one gauntlet scenario live, drawing impairments from `seed`:
+/// `fleet_kill` here, any of [`orco_serve::GAUNTLET`] in the layer below.
+/// `quick` shrinks the per-client stream for CI; the topology and the
+/// kill/join schedule are the same either way.
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError`] (with its replay log) when a contract is
+/// violated, and on an unknown scenario name.
+pub fn run_scenario(name: &str, seed: u64, quick: bool) -> Result<Outcome, ScenarioError> {
+    drive(&Run::live(name, seed, quick))
+}
+
+/// Re-runs a recorded scenario, consuming the logged impairment schedule
+/// instead of drawing randomness. A correct replay reproduces the
+/// original [`Outcome`] bit for bit.
+///
+/// # Errors
+///
+/// As [`run_scenario`]; additionally, a replay whose send sequence
+/// diverges from the tape panics with a `replay divergence` diagnostic.
+pub fn replay_scenario(log: &RunLog) -> Result<Outcome, ScenarioError> {
+    drive(&Run::replay(log))
+}
+
+/// Runs `run` if this layer knows its name, else hands it down to
+/// [`orco_serve::scenarios::drive`].
+///
+/// # Errors
+///
+/// As [`run_scenario`].
+pub fn drive(run: &Run) -> Result<Outcome, ScenarioError> {
+    if run.name != "fleet_kill" {
+        return serve::drive(run);
+    }
+    let net = run.arm(DesNet::new_multi(lossy_des(), run.seed));
+    run.conclude(&net, fleet_kill(run, &net))
+}
+
+// ---- The shared cast --------------------------------------------------
+
 /// Shared secret every party in the simulated fleet is keyed with.
-const SECRET: u64 = 0x0f1e_2d3c_4b5a_6978;
+pub const SECRET: u64 = 0x0f1e_2d3c_4b5a_6978;
 
 /// Golden-ratio multiplier shared with the TCP clients' nonce schedule.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// What a completed fleet scenario run measured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetOutcome {
-    /// Scenario name (one of [`FLEET_GAUNTLET`]).
-    pub name: String,
-    /// Seed the impairment randomness was drawn from.
-    pub seed: u64,
-    /// Client actors driven.
-    pub clients: usize,
-    /// Frames each client pushed (and pulled back).
-    pub frames_per_client: usize,
-    /// Decoded rows delivered back across all clients (must equal
-    /// `clients * frames_per_client`: exactly once).
-    pub delivered_rows: usize,
-    /// `Redirect` replies chased by clients.
-    pub redirects: usize,
-    /// Requests whose ARQ exhausted its attempts (the kill guarantees
-    /// at least one).
-    pub gave_ups: usize,
-    /// Data connections re-opened (same-endpoint resume or failover).
-    pub reconnects: usize,
-    /// The directory's epoch when the run settled.
-    pub final_epoch: u64,
-    /// Encoded `StatsReply` of every *surviving* gateway, ascending id —
-    /// the determinism contract is on the wire image.
-    pub stats_frames: Vec<Vec<u8>>,
-    /// Concatenated trace exports of every surviving gateway, ascending
-    /// id, each section prefixed `gateway <id>` — byte-identical between
-    /// a live run and its replay.
-    pub trace_export: String,
-    /// FNV-1a over every delivered row's little-endian bytes, client
-    /// order — one u64 pinning the entire decoded output.
-    pub decoded_fnv: u64,
-    /// The impairment schedule the run drew (replay tape).
-    pub trace: Vec<SendRecord>,
-}
-
-/// Runs one fleet gauntlet scenario live, drawing impairments from
-/// `seed`. `quick` shrinks the per-client stream for CI; the topology
-/// and the kill/join schedule are the same either way.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] (with its replay log) when a fleet
-/// contract is violated, and on an unknown scenario name.
-pub fn run_fleet_scenario(
-    name: &str,
-    seed: u64,
-    quick: bool,
-) -> Result<FleetOutcome, ScenarioError> {
-    drive(name, seed, quick, None)
-}
-
-/// Re-runs a recorded fleet scenario, consuming the logged impairment
-/// schedule instead of drawing randomness. A correct replay reproduces
-/// the original outcome bit for bit (`stats_frames`, `decoded_fnv`,
-/// trace).
-///
-/// # Errors
-///
-/// As [`run_fleet_scenario`]; additionally, a replay whose send sequence
-/// diverges from the tape panics with a `replay divergence` diagnostic.
-pub fn replay_fleet_scenario(log: &RunLog) -> Result<FleetOutcome, ScenarioError> {
-    drive(&log.name, log.seed, log.quick, Some(log.trace.clone()))
-}
-
-/// The same small, fast codec geometry as the serve gauntlet — the fleet
-/// gauntlet stresses membership and failover, not the autoencoder.
-fn codec_config(seed: u64) -> OrcoConfig {
-    OrcoConfig {
-        input_dim: 32,
-        latent_dim: 8,
-        decoder_layers: 1,
-        noise_variance: 0.1,
-        huber_delta: 0.5,
-        vector_huber: false,
-        learning_rate: 1e-2,
-        batch_size: 32,
-        epochs: 1,
-        finetune_threshold: 0.05,
-        grad_compression: GradCompression::default(),
-        seed,
-    }
-}
+pub const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Endpoint layout: the directory is endpoint 0, gateway id `g` is
 /// endpoint `g` (ids start at 1), advertised as `des:<endpoint>`.
+pub const DIRECTORY_EP: usize = 0;
+
 fn ep_of_addr(addr: &str) -> usize {
     addr.strip_prefix("des:")
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("non-DES gateway address {addr:?} in a DES fleet"))
 }
 
-const DIRECTORY_EP: usize = 0;
-/// Gateway id (== endpoint) killed mid-run.
-const VICTIM: u64 = 2;
-/// Gateway id (== endpoint) that joins mid-run.
-const JOINER: u64 = 4;
-
 /// Heartbeat cadence; the timeout leaves room for a 3-retransmit beat.
 const BEAT_EVERY: Duration = Duration::from_millis(20);
 const BEAT_TIMEOUT: Duration = Duration::from_millis(120);
 
-const ROWS_PER_PUSH: usize = 3;
-const PULL_CHUNK: u32 = 8;
-
-/// Wakeup-token namespaces (client tokens are the client index).
+/// Wakeup-token namespaces: client tokens are the client index, agent
+/// `i` beats on `TOKEN_AGENT + i`, [`TOKEN_RELEASE`] lets the held
+/// clients go, and everything from [`TOKEN_SCRIPT`] up is the script's.
 const TOKEN_AGENT: u64 = 1000;
-const TOKEN_LATE_RELEASE: u64 = 2000;
+/// Schedule this token to release every client parked at its hold point.
+pub const TOKEN_RELEASE: u64 = 2000;
+/// First wakeup token [`Fleet::on_wakeup`] leaves to the scenario script.
+pub const TOKEN_SCRIPT: u64 = 3000;
+
+/// The fleet scenarios' links: lossy and jittered enough that ARQ
+/// retransmits, reordering and the odd give-up all occur.
+#[must_use]
+pub fn lossy_des() -> DesConfig {
+    DesConfig {
+        link: LinkParams { delay_s: 0.002, jitter_s: 0.001, loss_prob: 0.02 },
+        rto: Duration::from_millis(10),
+        rto_cap: Duration::from_millis(80),
+        max_attempts: 5,
+    }
+}
 
 /// Who a [`DesNet`] connection belongs to.
 #[derive(Debug, Clone, Copy)]
-enum Role {
+pub enum Role {
     /// Gateway agent `i`'s directory connection.
     Agent(usize),
     /// Client `i`'s directory connection.
     ClientDir(usize),
     /// Client `i`'s data-plane connection.
     ClientData(usize),
+    /// Connection `i` of the scenario script's own actor (the rollout
+    /// controller): the script routes these itself and never hands their
+    /// events to [`Fleet`].
+    Script(usize),
+}
+
+/// What a reply did, for the script's triggers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Nothing a script triggers on.
+    Quiet,
+    /// Agent `i`'s directory connection answered.
+    AgentReply(usize),
+    /// A client pulled rows back: delivery progressed.
+    Delivered,
 }
 
 /// A gateway-side fleet agent, scripted as a simulation actor (the DES
 /// twin of [`crate::GatewayAgent`]'s thread).
-struct Agent {
-    id: u64,
-    ep: usize,
-    gateway: Arc<Gateway>,
+#[derive(Debug)]
+pub struct Agent {
+    /// Gateway id (== endpoint).
+    pub id: u64,
+    /// The gateway this agent speaks for.
+    pub gateway: Arc<Gateway>,
     conn: usize,
-    /// Dead agents submit nothing and ignore stray replies.
-    alive: bool,
+    /// Dead (or not yet joined) agents submit nothing and ignore stray
+    /// replies.
+    pub alive: bool,
     epoch: u64,
 }
 
 impl Agent {
-    fn install_view(&self, epoch: u64, members: Vec<GatewayEntry>) {
-        self.gateway.set_fleet_view(Some(FleetView::new(Some(self.id), epoch, members)));
+    /// Submits this gateway's MAC'd `Register` to the directory.
+    pub fn register(&self, net: &DesNet) {
+        let addr = format!("des:{}", self.id);
+        let nonce = self.id.wrapping_mul(GOLDEN) ^ 0x666C_6565;
+        let mac = auth::register_mac(SECRET, self.id, &addr, nonce);
+        net.submit(self.conn, &Message::Register { gateway_id: self.id, addr, nonce, mac });
+    }
+
+    /// Every beat piggybacks the gateway's live stats, feeding the
+    /// directory's fleet view.
+    fn heartbeat(&self) -> Message {
+        Message::Heartbeat {
+            gateway_id: self.id,
+            epoch: self.epoch,
+            stats: Some(self.gateway.stats()),
+        }
     }
 }
 
+/// Where a [`ClientActor`] is in its script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CState {
+pub enum CState {
     /// Waiting for the bootstrap `DirectoryReply`.
     Boot,
     /// Greeting the owner (`HelloAck` pending).
@@ -202,8 +227,9 @@ enum CState {
     Stream,
     /// Owner died: waiting for a post-eviction `DirectoryReply`.
     AwaitDir,
-    /// The late client parks here until the join releases it.
+    /// Parked at the hold point until [`TOKEN_RELEASE`] fires.
     Held,
+    /// Whole stream delivered back.
     Done,
 }
 
@@ -215,28 +241,32 @@ enum CKind {
     Pull,
 }
 
-struct ClientActor {
-    cluster: u64,
-    frames: Matrix,
+/// A fleet client, scripted as a simulation actor.
+#[derive(Debug)]
+pub struct ClientActor {
+    /// The cluster this client streams for.
+    pub cluster: u64,
+    /// The stream; the reference codec is run over exactly these rows.
+    pub frames: Matrix,
+    /// The client parks once this many rows are delivered, until released
+    /// — so its tail runs against whatever the script changed meanwhile.
+    hold_at: Option<usize>,
     /// Rows offered and acked (windows are drained before the next push,
     /// so outside an in-flight window `offset == acked`).
-    offset: usize,
+    pub offset: usize,
     acked: usize,
     pulled: Vec<f32>,
+    /// Producing model version of each delivered row, in pull order.
+    pulled_versions: Vec<u64>,
     pulled_rows: usize,
-    state: CState,
+    /// Script position.
+    pub state: CState,
     /// The in-flight request (one per client; dir and data sessions are
     /// never concurrently outstanding by construction).
     pending: Option<(u64, CKind)>,
     dir_conn: usize,
     data_conn: Option<usize>,
     data_ep: usize,
-    /// The owner address the client currently routes pushes to.
-    cur_addr: String,
-    view_epoch: u64,
-    members: Vec<GatewayEntry>,
-    /// The late client holds after its first window until released.
-    late: bool,
     released: bool,
     backoff: Backoff,
     redirects: usize,
@@ -248,127 +278,653 @@ struct ClientActor {
 }
 
 impl ClientActor {
-    fn done(&self) -> bool {
-        self.state == CState::Done
+    fn query_directory(&mut self, net: &DesNet) {
+        let seq = net.submit(self.dir_conn, &Message::DirectoryQuery);
+        self.pending = Some((seq, CKind::Query));
+    }
+
+    /// Dials (or fails over the existing data session to) `owner_ep` and
+    /// submits the MAC'd `Hello`.
+    fn greet(&mut self, net: &DesNet, roles: &mut Roles<Role>, i: usize, owner_ep: usize) {
+        let conn = match self.data_conn {
+            // Failover keeps the session: sequence state rides to the new
+            // owner, dedup memory resets there (DesNet::reconnect_to).
+            Some(old) => {
+                self.reconnects += 1;
+                net.reconnect_to(old, owner_ep)
+            }
+            None => net.connect_to(owner_ep),
+        };
+        roles.bind(conn, Role::ClientData(i));
+        self.data_conn = Some(conn);
+        self.data_ep = owner_ep;
+        self.state = CState::Greet;
+        let client_id = self.cluster;
+        let nonce = client_id.wrapping_mul(GOLDEN) ^ 0x6F72_636F;
+        let mac = auth::hello_mac(SECRET, client_id, nonce);
+        let seq = net.submit(conn, &Message::Hello { client_id, nonce, mac });
+        self.pending = Some((seq, CKind::Hello));
+    }
+
+    /// Drives the window loop: drain the last window, push the next, park
+    /// at the hold point, or finish. Only valid in `Stream` with nothing
+    /// pending.
+    fn advance(&mut self, net: &DesNet) {
+        debug_assert_eq!(self.state, CState::Stream);
+        debug_assert!(self.pending.is_none());
+        let conn = self.data_conn.expect("streaming requires a data connection");
+        if self.pulled_rows < self.offset {
+            let seq = net.submit(conn, &pull_chunk(self.cluster));
+            self.pending = Some((seq, CKind::Pull));
+        } else if self.offset < self.frames.rows() {
+            if !self.released && self.hold_at.is_some_and(|at| self.offset >= at) {
+                self.state = CState::Held;
+                return;
+            }
+            let (lo, hi) = (self.offset, (self.offset + ROWS_PER_PUSH).min(self.frames.rows()));
+            let seq = net.submit(conn, &push_window(self.cluster, &self.frames, lo, hi));
+            self.pending = Some((seq, CKind::Push { lo, hi }));
+        } else {
+            self.state = CState::Done;
+        }
     }
 }
 
-/// Picks a cluster id whose rendezvous owner under `initial` is `want`,
-/// scanning deterministically from `from`.
-fn cluster_owned_by(initial: &[GatewayEntry], want: u64, from: u64) -> u64 {
-    (from..from + 10_000)
-        .find(|&c| owner_of(initial, c).map(|g| g.id) == Some(want))
-        .expect("rendezvous hashing starves no gateway within 10k clusters")
+/// A simulated fleet — directory, gateways with their agents, clients —
+/// and the event handling every fleet scenario shares.
+#[derive(Debug)]
+pub struct Fleet {
+    /// The network everything runs over.
+    pub net: DesNet,
+    /// The directory service at [`DIRECTORY_EP`].
+    pub directory: Arc<Directory>,
+    /// One agent per gateway, index `id - 1`.
+    pub agents: Vec<Agent>,
+    /// The clients, in casting order.
+    pub clients: Vec<ClientActor>,
+    /// Connection routing; scripts bind their own as [`Role::Script`].
+    pub roles: Roles<Role>,
+    /// Every owner observation, keyed by (epoch, cluster): a second,
+    /// different owner under one key is the split-brain the epochs exist
+    /// to prevent.
+    owners_seen: BTreeMap<(u64, u64), String>,
 }
 
-/// Picks a cluster owned by `a` under `initial` that moves to the joiner
-/// once it registers (and is not owned by the victim meanwhile).
-fn cluster_moving_to_joiner(
-    initial: &[GatewayEntry],
-    survivors: &[GatewayEntry],
-    joined: &[GatewayEntry],
-    from: u64,
-) -> u64 {
-    (from..from + 10_000)
-        .find(|&c| {
-            let o0 = owner_of(initial, c).map(|g| g.id);
-            o0 == owner_of(survivors, c).map(|g| g.id)
-                && o0 != Some(VICTIM)
-                && owner_of(joined, c).map(|g| g.id) == Some(JOINER)
-        })
-        .expect("some cluster rebalances onto a 4th gateway within 10k clusters")
-}
-
-fn drive(
-    name: &str,
-    seed: u64,
-    quick: bool,
-    replay: Option<Vec<SendRecord>>,
-) -> Result<FleetOutcome, ScenarioError> {
-    let fail = |detail: String, trace: Vec<SendRecord>| ScenarioError {
-        detail,
-        log: RunLog { name: name.to_string(), seed, quick, trace },
-    };
-    if name != "fleet_kill" {
-        return Err(fail(
-            format!("unknown fleet scenario (gauntlet: {FLEET_GAUNTLET:?})"),
-            Vec::new(),
-        ));
-    }
-    let frames_per_client = if quick { 9 } else { 24 };
-
-    let des = DesConfig {
-        link: LinkParams { delay_s: 0.002, jitter_s: 0.001, loss_prob: 0.02 },
-        rto: Duration::from_millis(10),
-        rto_cap: Duration::from_millis(80),
-        max_attempts: 5,
-    };
-    let net = DesNet::new_multi(des, seed);
-    if let Some(trace) = replay {
-        net.begin_replay(trace);
-    }
-
-    let directory = Arc::new(
-        Directory::new(
+impl Fleet {
+    /// Stands up the directory and `gateways` identical gateways (ids
+    /// `1..=gateways`, all keyed with [`SECRET`]) on `net`, each agent
+    /// dialed into the directory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` already has endpoints or connections.
+    #[must_use]
+    pub fn new(net: &DesNet, gateways: u64, cfg: GatewayConfig, codec: &OrcoConfig) -> Fleet {
+        let directory = Directory::new(
             DirectoryConfig {
                 auth_secret: Some(SECRET),
                 heartbeat_timeout: BEAT_TIMEOUT,
                 sweep_interval: Duration::from_millis(100),
             },
             Clock::manual(Duration::ZERO),
-        )
-        .expect("valid directory config"),
-    );
-    let dir_ep = net.add_service(Arc::clone(&directory) as Arc<dyn orco_serve::Service>);
-    assert_eq!(dir_ep, DIRECTORY_EP);
-
-    // Four identical gateways (ids 1..=4); every one builds the same
-    // codec from the same config, which is what makes failover
-    // bit-transparent to the data plane.
-    let codec_cfg = codec_config(11);
-    let mut agents: Vec<Agent> = (1..=4u64)
-        .map(|id| {
-            let gateway = Arc::new(
-                Gateway::new(
-                    GatewayConfig {
-                        shards: 2,
-                        batch_max_frames: 8,
-                        batch_deadline: Duration::from_millis(5),
-                        queue_capacity: 4096,
-                        auth_secret: Some(SECRET),
-                        trace_capacity: 1 << 16,
-                        ..GatewayConfig::default()
-                    },
-                    Clock::manual(Duration::ZERO),
-                    |_| {
-                        Box::new(AsymmetricAutoencoder::new(&codec_cfg).expect("valid codec"))
-                            as Box<dyn Codec>
-                    },
-                )
-                .expect("valid gateway config"),
-            );
-            let ep = net.add_service(Arc::clone(&gateway) as Arc<dyn orco_serve::Service>);
-            assert_eq!(ep, id as usize);
-            Agent {
-                id,
-                ep,
-                gateway,
-                conn: 0,             // assigned below
-                alive: id != JOINER, // the joiner idles until released
-                epoch: 0,
-            }
-        })
-        .collect();
-
-    let mut roles: Vec<Role> = Vec::new();
-    let push_role = |roles: &mut Vec<Role>, conn: usize, role: Role| {
-        assert_eq!(conn, roles.len(), "connection ids must stay dense");
-        roles.push(role);
-    };
-    for (i, a) in agents.iter_mut().enumerate() {
-        a.conn = net.connect_to(DIRECTORY_EP);
-        push_role(&mut roles, a.conn, Role::Agent(i));
+        );
+        let directory = Arc::new(directory.expect("valid directory config"));
+        assert_eq!(net.add_service(Arc::clone(&directory) as Arc<dyn Service>), DIRECTORY_EP);
+        let mut roles = Roles::new();
+        let agents = (1..=gateways)
+            .map(|id| {
+                let cfg = GatewayConfig { auth_secret: Some(SECRET), ..cfg };
+                let gateway = serve::gateway(cfg, codec);
+                let ep = net.add_service(Arc::clone(&gateway) as Arc<dyn Service>);
+                assert_eq!(ep, id as usize);
+                let conn = net.connect_to(DIRECTORY_EP);
+                roles.bind(conn, Role::Agent(id as usize - 1));
+                Agent { id, gateway, conn, alive: true, epoch: 0 }
+            })
+            .collect();
+        let (net, clients, owners_seen) = (net.clone(), Vec::new(), BTreeMap::new());
+        Fleet { net, directory, agents, clients, roles, owners_seen }
     }
+
+    /// The agent of gateway `id`.
+    #[must_use]
+    pub fn agent(&self, id: u64) -> &Agent {
+        &self.agents[id as usize - 1]
+    }
+
+    /// The agent of gateway `id`, mutably.
+    pub fn agent_mut(&mut self, id: u64) -> &mut Agent {
+        &mut self.agents[id as usize - 1]
+    }
+
+    /// Casts one client per cluster, each with a `frames_per_client`-row
+    /// uniform stream drawn from `seed` and a directory connection;
+    /// client `i` parks after `hold_at(i)` delivered rows, if any.
+    pub fn cast_clients(
+        &mut self,
+        seed: u64,
+        clusters: &[u64],
+        frames_per_client: usize,
+        hold_at: impl Fn(usize) -> Option<usize>,
+    ) {
+        let input_dim = self.agents[0].gateway.frame_dims().input;
+        for (i, &cluster) in clusters.iter().enumerate() {
+            let dir_conn = self.net.connect_to(DIRECTORY_EP);
+            self.roles.bind(dir_conn, Role::ClientDir(i));
+            self.clients.push(ClientActor {
+                cluster,
+                frames: uniform_frames(seed ^ (0xFEE7 + i as u64), frames_per_client, input_dim),
+                hold_at: hold_at(i),
+                offset: 0,
+                acked: 0,
+                pulled: Vec::new(),
+                pulled_versions: Vec::new(),
+                pulled_rows: 0,
+                state: CState::Boot,
+                pending: None,
+                dir_conn,
+                data_conn: None,
+                data_ep: 0,
+                released: false,
+                backoff: client_backoff(seed, i),
+                redirects: 0,
+                gave_ups: 0,
+                reconnects: 0,
+                delivered_by_ep: BTreeMap::new(),
+            });
+        }
+    }
+
+    /// Kick-off: every live agent registers at t=0; clients boot staggered
+    /// so the directory has members by the time they query.
+    pub fn kick_off(&self) {
+        for a in self.agents.iter().filter(|a| a.alive) {
+            a.register(&self.net);
+        }
+        for i in 0..self.clients.len() {
+            self.net.schedule_wakeup(Duration::from_millis(10 + i as u64), i as u64);
+        }
+    }
+
+    /// Crashes gateway `id`: its endpoint drops every request from now on
+    /// and its agent falls silent.
+    pub fn kill(&mut self, id: u64) {
+        self.net.kill_endpoint(id as usize);
+        self.agent_mut(id).alive = false;
+    }
+
+    /// Rows delivered back so far, all clients.
+    #[must_use]
+    pub fn delivered_rows(&self) -> usize {
+        self.clients.iter().map(|c| c.pulled_rows).sum()
+    }
+
+    /// Whether every client has its whole stream back.
+    #[must_use]
+    pub fn done(&self) -> bool {
+        self.clients.iter().all(|c| c.state == CState::Done)
+    }
+
+    /// The unfinished clients, for [`Cast::unfinished`].
+    #[must_use]
+    pub fn unfinished(&self) -> String {
+        let stuck: Vec<usize> =
+            (0..self.clients.len()).filter(|&i| self.clients[i].state != CState::Done).collect();
+        format!("clients {stuck:?}")
+    }
+
+    /// Routes a reply to the agent or client it belongs to.
+    ///
+    /// # Errors
+    ///
+    /// A contract violation, as its description.
+    pub fn on_reply(&mut self, conn: usize, seq: u64, reply: Message) -> Result<Step, String> {
+        match self.roles.of(conn) {
+            Role::Agent(i) => {
+                self.on_agent_reply(i, reply)?;
+                Ok(Step::AgentReply(i))
+            }
+            Role::ClientDir(i) => self.on_dir_reply(i, seq, reply).map(|()| Step::Quiet),
+            Role::ClientData(i) => self.on_data_reply(i, seq, reply).map(|progressed| {
+                if progressed {
+                    Step::Delivered
+                } else {
+                    Step::Quiet
+                }
+            }),
+            Role::Script(idx) => unreachable!("script connection {idx} routed to the fleet cast"),
+        }
+    }
+
+    /// Handles a reply on agent `i`'s directory connection and schedules
+    /// its next beat.
+    fn on_agent_reply(&mut self, i: usize, reply: Message) -> Result<(), String> {
+        let (net, a) = (&self.net, &mut self.agents[i]);
+        if !a.alive {
+            return Ok(()); // a straggler reply to a gateway that died meanwhile
+        }
+        match reply {
+            Message::RegisterAck { epoch, members } | Message::HeartbeatAck { epoch, members } => {
+                if epoch != a.epoch || a.gateway.fleet_view().is_none() {
+                    a.epoch = epoch;
+                    let view = FleetView::new(Some(a.id), epoch, members);
+                    a.gateway.set_fleet_view(Some(view));
+                }
+            }
+            Message::ErrorReply { .. } => {
+                // Evicted (a heartbeat outlasted the timeout): re-register.
+                a.register(net);
+                return Ok(()); // the ack of that register schedules the next beat
+            }
+            other => return Err(format!("agent {}: unexpected {}", a.id, other.kind())),
+        }
+        net.schedule_wakeup(BEAT_EVERY, TOKEN_AGENT + i as u64);
+        Ok(())
+    }
+
+    /// Records an owner observation, failing on a second owner under the
+    /// same `(epoch, cluster)`.
+    fn observe_owner(&mut self, epoch: u64, cluster: u64, addr: &str) -> Result<(), String> {
+        match self.owners_seen.get(&(epoch, cluster)) {
+            Some(prev) if prev != addr => Err(format!(
+                "split brain: cluster {cluster} at epoch {epoch} claimed by both {prev} and {addr}"
+            )),
+            Some(_) => Ok(()),
+            None => {
+                self.owners_seen.insert((epoch, cluster), addr.to_string());
+                Ok(())
+            }
+        }
+    }
+
+    /// Handles a reply on client `i`'s directory connection: adopt the
+    /// view and (re)greet the owner.
+    fn on_dir_reply(&mut self, i: usize, seq: u64, reply: Message) -> Result<(), String> {
+        let Some((want, CKind::Query)) = self.clients[i].pending.take() else {
+            return Err(format!("client {i}: directory reply with no query pending"));
+        };
+        if want != seq {
+            return Err(format!("client {i}: expected dir reply seq {want}, got {seq}"));
+        }
+        let Message::DirectoryReply { epoch, members } = reply else {
+            return Err(format!("client {i}: expected DirectoryReply, got {}", reply.kind()));
+        };
+        let Some(owner) = owner_of(&members, self.clients[i].cluster) else {
+            // The fleet has no members yet (we queried before the first
+            // register landed): back off and ask again.
+            let c = &mut self.clients[i];
+            self.net.schedule_wakeup(c.backoff.next_delay(), i as u64);
+            return Ok(());
+        };
+        self.observe_owner(epoch, self.clients[i].cluster, &owner.addr)?;
+        let owner_ep = ep_of_addr(&owner.addr);
+        let c = &mut self.clients[i];
+        if !self.net.endpoint_alive(owner_ep) {
+            // The directory has not noticed the death yet (its epoch still
+            // names the corpse): requery after a backoff.
+            c.state = CState::AwaitDir;
+            self.net.schedule_wakeup(c.backoff.next_delay(), i as u64);
+            return Ok(());
+        }
+        c.greet(&self.net, &mut self.roles, i, owner_ep);
+        Ok(())
+    }
+
+    /// Handles a reply on client `i`'s data connection. `Ok(true)` means
+    /// delivery progressed.
+    fn on_data_reply(&mut self, i: usize, seq: u64, reply: Message) -> Result<bool, String> {
+        let Some((want, kind)) = self.clients[i].pending.take() else {
+            // A straggler from a connection this client already failed away
+            // from (e.g. the dead owner's cached reply raced the failover).
+            return Ok(false);
+        };
+        if want != seq {
+            return Err(format!("client {i}: expected data reply seq {want}, got {seq}"));
+        }
+        let net = &self.net;
+        let c = &mut self.clients[i];
+        match (kind, reply) {
+            (CKind::Hello, Message::HelloAck { .. }) => {
+                c.state = CState::Stream;
+                c.advance(net);
+                Ok(false)
+            }
+            (CKind::Push { lo, hi }, Message::PushAck { accepted }) => {
+                if accepted as usize != hi - lo {
+                    return Err(format!(
+                        "client {i}: partial ack {accepted} for a {}-row push",
+                        hi - lo
+                    ));
+                }
+                c.offset = hi;
+                c.acked += accepted as usize;
+                c.backoff.reset();
+                c.advance(net);
+                Ok(false)
+            }
+            (CKind::Push { .. }, Message::Redirect { cluster_id, epoch, addr }) => {
+                if cluster_id != c.cluster {
+                    return Err(format!(
+                        "client {i}: redirect for cluster {cluster_id}, pushed {}",
+                        c.cluster
+                    ));
+                }
+                // Every window is drained before the next push, so at
+                // redirect time this client stores no rows on the old owner
+                // — chase immediately. (A client with undrained rows would
+                // drain first: pulls are never redirected.)
+                debug_assert_eq!(c.pulled_rows, c.offset);
+                c.redirects += 1;
+                self.observe_owner(epoch, cluster_id, &addr)?;
+                let owner_ep = ep_of_addr(&addr);
+                if !self.net.endpoint_alive(owner_ep) {
+                    return Err(format!(
+                        "client {i}: redirected to {addr}, which is dead — the redirecting \
+                         gateway's view names a corpse at epoch {epoch}"
+                    ));
+                }
+                self.clients[i].greet(&self.net, &mut self.roles, i, owner_ep);
+                Ok(false)
+            }
+            (CKind::Pull, Message::Decoded { cluster_id, version, frames }) => {
+                if cluster_id != c.cluster {
+                    return Err(format!(
+                        "client {i}: pulled cluster {} got cluster {cluster_id}",
+                        c.cluster
+                    ));
+                }
+                if frames.rows() == 0 {
+                    // Batch still pending its deadline flush: poll again
+                    // after a backoff.
+                    net.schedule_wakeup(c.backoff.next_delay(), i as u64);
+                    return Ok(false);
+                }
+                c.pulled.extend_from_slice(frames.as_slice());
+                c.pulled_versions.extend(std::iter::repeat_n(version, frames.rows()));
+                c.pulled_rows += frames.rows();
+                *c.delivered_by_ep.entry(c.data_ep).or_insert(0) += frames.rows();
+                if c.pulled_rows > c.acked {
+                    return Err(format!(
+                        "client {i}: pulled {} rows with only {} acked (duplication)",
+                        c.pulled_rows, c.acked
+                    ));
+                }
+                c.backoff.reset();
+                c.advance(net);
+                Ok(true)
+            }
+            (kind, Message::Busy { .. }) => Err(format!(
+                "client {i}: {kind:?} drew Busy — the gauntlet sizes queues to never backpressure"
+            )),
+            (kind, Message::ErrorReply { code, detail }) => {
+                Err(format!("client {i}: {kind:?} drew {code:?}: {detail}"))
+            }
+            (kind, other) => Err(format!("client {i}: {kind:?} drew unexpected {}", other.kind())),
+        }
+    }
+
+    /// Handles an ARQ give-up on an agent's or client's connection.
+    pub fn on_gave_up(&mut self, conn: usize) {
+        let net = &self.net;
+        match self.roles.of(conn) {
+            Role::Agent(i) => {
+                // Directory unreachable this instant: resume the session
+                // (the ARQ re-offers the beat) on fresh links.
+                if self.agents[i].alive {
+                    self.agents[i].conn = self.roles.reconnect(net, conn);
+                }
+            }
+            Role::ClientDir(i) => self.clients[i].dir_conn = self.roles.reconnect(net, conn),
+            Role::ClientData(i) => {
+                let c = &mut self.clients[i];
+                c.gave_ups += 1;
+                if net.endpoint_alive(c.data_ep) {
+                    // Transient loss streak: resume the session on the
+                    // same gateway; dedup state survives, the re-offered
+                    // request executes at most once.
+                    c.reconnects += 1;
+                    c.data_conn = Some(self.roles.reconnect(net, conn));
+                } else {
+                    // Owner crashed. Drop the doomed request, rewind to
+                    // the delivered watermark (rows the dead owner held
+                    // but never served must be re-pushed — it cannot
+                    // deliver them, so this cannot duplicate), and go
+                    // find the new owner.
+                    net.cancel_outstanding(conn);
+                    c.acked = c.pulled_rows;
+                    c.offset = c.pulled_rows;
+                    c.state = CState::AwaitDir;
+                    c.query_directory(net);
+                }
+            }
+            Role::Script(idx) => unreachable!("script connection {idx} routed to the fleet cast"),
+        }
+    }
+
+    /// Handles a client, agent or release timer; returns `false` for a
+    /// token from [`TOKEN_SCRIPT`] up, which is the script's.
+    pub fn on_wakeup(&mut self, token: u64) -> bool {
+        let net = &self.net;
+        if token >= TOKEN_SCRIPT {
+            return false;
+        } else if token == TOKEN_RELEASE {
+            for c in &mut self.clients {
+                c.released = true;
+                if c.state == CState::Held {
+                    c.state = CState::Stream;
+                    c.advance(net);
+                }
+            }
+        } else if token >= TOKEN_AGENT {
+            let a = &self.agents[(token - TOKEN_AGENT) as usize];
+            if a.alive {
+                net.submit(a.conn, &a.heartbeat());
+            }
+        } else {
+            let c = &mut self.clients[token as usize];
+            if c.pending.is_none() {
+                match c.state {
+                    CState::Boot | CState::AwaitDir => c.query_directory(net),
+                    CState::Stream => c.advance(net),
+                    CState::Greet | CState::Held | CState::Done => {}
+                }
+            }
+        }
+        true
+    }
+
+    // ---- Shared contracts ---------------------------------------------
+
+    /// The delivery contracts: exactly once `across` the scenario's chaos;
+    /// per client a non-decreasing version tape (old rows drain before new
+    /// rows appear, never interleaved); every row bit-identical to
+    /// [`reference_decode`] of the stream under `refs[version]`. Returns
+    /// the rows each version produced.
+    ///
+    /// # Errors
+    ///
+    /// The first violated contract.
+    pub fn check_streams(
+        &self,
+        across: &str,
+        refs: &mut [Box<dyn Codec>],
+    ) -> Result<Vec<usize>, String> {
+        let total: usize = self.clients.iter().map(|c| c.frames.rows()).sum();
+        exactly_once(self.delivered_rows(), total, &format!("pushed across {across}"))?;
+        let mut rows_by_version = vec![0usize; refs.len()];
+        for (i, c) in self.clients.iter().enumerate() {
+            if c.pulled_versions.windows(2).any(|w| w[0] > w[1]) {
+                return Err(format!("client {i}: version tape {:?} regressed", c.pulled_versions));
+            }
+            let recons: Vec<Matrix> =
+                refs.iter_mut().map(|codec| reference_decode(codec.as_mut(), &c.frames)).collect();
+            let rows = c.pulled.chunks(c.frames.cols());
+            for (r, (row, &v)) in rows.zip(&c.pulled_versions).enumerate() {
+                let Some(recon) = recons.get(v as usize) else {
+                    return Err(format!("client {i}: row {r} claims unknown version {v}"));
+                };
+                if row != recon.row(r) {
+                    return Err(format!(
+                        "client {i}: row {r} (version {v}) diverges from the direct codec path \
+                         of that version"
+                    ));
+                }
+                rows_by_version[v as usize] += 1;
+            }
+        }
+        Ok(rows_by_version)
+    }
+
+    /// The aftermath of killing `victim`: every other gateway (the
+    /// victim's orphaned rows died with it) passes the script's own
+    /// `check`, ends drained, and contributes its stats frame, trace
+    /// export and drift trips to `out`; and the directory evicted someone.
+    ///
+    /// # Errors
+    ///
+    /// The first survivor to fail `check` or the drained contract, or the
+    /// missing eviction.
+    pub fn check_survivors(
+        &self,
+        victim: u64,
+        out: &mut Outcome,
+        check: impl Fn(&Agent, &StatsSnapshot) -> Result<(), String>,
+    ) -> Result<(), String> {
+        for a in self.agents.iter().filter(|a| a.id != victim) {
+            let snap = a.gateway.stats();
+            check(a, &snap)?;
+            check_drained(&format!("gateway {}", a.id), &snap)?;
+            out.drift_trips += snap.drift_trips;
+            out.stats_frames.push(stats_frame(snap));
+            out.trace_export.push_str(&format!("gateway {}\n", a.id));
+            out.trace_export.push_str(&a.gateway.trace_export());
+        }
+        if self.directory.fleet_stats().1 == 0 {
+            return Err("the directory never recorded an eviction despite the kill".into());
+        }
+        Ok(())
+    }
+
+    /// The counters, final epoch and decoded digest of a finished run;
+    /// `versioned` folds each row's producing version into the digest.
+    #[must_use]
+    pub fn outcome(&self, versioned: bool) -> Outcome {
+        let clients = &self.clients;
+        let row_len = clients[0].frames.cols();
+        Outcome {
+            clients: clients.len(),
+            frames_per_client: clients[0].frames.rows(),
+            delivered_rows: self.delivered_rows(),
+            redirects: clients.iter().map(|c| c.redirects).sum(),
+            gave_ups: clients.iter().map(|c| c.gave_ups).sum(),
+            reconnects: clients.iter().map(|c| c.reconnects).sum(),
+            final_epoch: self.directory.epoch(),
+            decoded_fnv: row_digest(
+                clients.iter().map(|c| {
+                    (c.pulled.as_slice(), versioned.then_some(c.pulled_versions.as_slice()))
+                }),
+                row_len,
+            ),
+            ..Outcome::default()
+        }
+    }
+}
+
+// ---- fleet_kill -------------------------------------------------------
+
+/// Gateway id (== endpoint) killed mid-run.
+const VICTIM: u64 = 2;
+/// Gateway id (== endpoint) that joins mid-run.
+const JOINER: u64 = 4;
+
+/// Scans clusters deterministically from `from` for the first whose
+/// rendezvous owners are the `wanted` ones.
+fn find_cluster(from: u64, wanted: impl Fn(u64) -> bool) -> u64 {
+    (from..from + 10_000).find(|&c| wanted(c)).expect(
+        "rendezvous hashing starves no ownership pattern the casts ask for within 10k clusters",
+    )
+}
+
+/// Picks a cluster id whose rendezvous owner under `members` is `want`,
+/// scanning deterministically from `from`.
+#[must_use]
+pub fn cluster_owned_by(members: &[GatewayEntry], want: u64, from: u64) -> u64 {
+    find_cluster(from, |c| owner_of(members, c).map(|g| g.id) == Some(want))
+}
+
+/// The `fleet_kill` script: a [`Fleet`] plus progress-triggered chaos.
+struct FleetKill {
+    fleet: Fleet,
+    total: usize,
+    /// The client whose stale-view tail guarantees a `Redirect` chase.
+    late: usize,
+    killed: bool,
+    join_submitted: bool,
+}
+
+impl Cast for FleetKill {
+    fn done(&self) -> bool {
+        self.fleet.done()
+    }
+
+    fn unfinished(&self) -> String {
+        self.fleet.unfinished()
+    }
+
+    fn on_reply(
+        &mut self,
+        net: &DesNet,
+        conn: usize,
+        seq: u64,
+        reply: Message,
+    ) -> Result<(), String> {
+        let fleet = &mut self.fleet;
+        match fleet.on_reply(conn, seq, reply)? {
+            // The join is live once the joiner holds its first view:
+            // release the late client soon after, so its stale-view push
+            // draws a Redirect from an owner that has heartbeat-synced
+            // meanwhile.
+            Step::AgentReply(i)
+                if fleet.agents[i].id == JOINER
+                    && fleet.clients[self.late].state == CState::Held =>
+            {
+                net.schedule_wakeup(Duration::from_millis(100), TOKEN_RELEASE);
+            }
+            // At 1/3 delivered, kill the victim; at 2/3, admit the joiner.
+            Step::Delivered => {
+                let delivered = fleet.delivered_rows();
+                if !self.killed && delivered * 3 >= self.total {
+                    self.killed = true;
+                    fleet.kill(VICTIM);
+                }
+                if self.killed && !self.join_submitted && delivered * 3 >= 2 * self.total {
+                    self.join_submitted = true;
+                    let joiner = fleet.agent_mut(JOINER);
+                    joiner.alive = true;
+                    joiner.register(net);
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn on_gave_up(&mut self, _: &DesNet, conn: usize) {
+        self.fleet.on_gave_up(conn);
+    }
+
+    fn on_wakeup(&mut self, _: &DesNet, token: u64) {
+        self.fleet.on_wakeup(token);
+    }
+}
+
+fn fleet_kill(run: &Run, net: &DesNet) -> Result<Outcome, String> {
+    let frames_per_client = if run.quick { 9 } else { 24 };
+    let codec = codec_config(11);
+
+    // Four identical gateways; the joiner idles until admitted.
+    let mut fleet = Fleet::new(net, 4, gateway_config(), &codec);
+    fleet.agent_mut(JOINER).alive = false;
 
     // Cluster casting, computed from the same rendezvous function every
     // party uses. `initial` = gateways 1..3, `survivors` = after the
@@ -377,678 +933,82 @@ fn drive(
     let initial: Vec<GatewayEntry> = (1..=3).map(entry).collect();
     let survivors: Vec<GatewayEntry> = [1, 3].into_iter().map(entry).collect();
     let joined: Vec<GatewayEntry> = [1, 3, 4].into_iter().map(entry).collect();
-    let mut clusters = Vec::new();
+    let owner = |members: &[GatewayEntry], c: u64| owner_of(members, c).map(|g| g.id);
+    // Keeps its owner through the kill, and is not the victim's.
+    let outlives_kill =
+        |c: u64| owner(&initial, c) != Some(VICTIM) && owner(&initial, c) == owner(&survivors, c);
+    let stable = |c: u64| outlives_kill(c) && owner(&initial, c) == owner(&joined, c);
+    let mover = |c: u64| outlives_kill(c) && owner(&joined, c) == Some(JOINER);
     // Two clients on the victim (exercise kill-failover), ...
-    clusters.push(cluster_owned_by(&initial, VICTIM, 100));
-    clusters.push(cluster_owned_by(&initial, VICTIM, clusters[0] + 1));
+    let victim_a = cluster_owned_by(&initial, VICTIM, 100);
+    let victim_b = cluster_owned_by(&initial, VICTIM, victim_a + 1);
     // ... two stable clients (never rebalanced), ...
-    let mut stable_from = 100;
-    for _ in 0..2 {
-        let c = (stable_from..stable_from + 10_000)
-            .find(|&c| {
-                let o0 = owner_of(&initial, c).map(|g| g.id);
-                o0 != Some(VICTIM)
-                    && o0 == owner_of(&survivors, c).map(|g| g.id)
-                    && o0 == owner_of(&joined, c).map(|g| g.id)
-            })
-            .expect("some cluster keeps its owner through kill and join");
-        clusters.push(c);
-        stable_from = c + 1;
-    }
+    let stable_a = find_cluster(100, stable);
+    let stable_b = find_cluster(stable_a + 1, stable);
     // ... one mover (rebalances onto the joiner mid-stream), and one
-    // *late* client that pushes its remainder with a stale view after the
-    // join, guaranteeing a Redirect chase.
-    clusters.push(cluster_moving_to_joiner(&initial, &survivors, &joined, 100));
-    clusters.push(cluster_moving_to_joiner(&initial, &survivors, &joined, clusters[4] + 1));
-    let late_idx = clusters.len() - 1;
+    // *late* client that parks after its first window and pushes its
+    // remainder with a stale view after the join, guaranteeing a
+    // Redirect chase.
+    let mover_a = find_cluster(100, mover);
+    let mover_late = find_cluster(mover_a + 1, mover);
+    let clusters = [victim_a, victim_b, stable_a, stable_b, mover_a, mover_late];
+    let late = clusters.len() - 1;
+    fleet.cast_clients(run.seed, &clusters, frames_per_client, |i| {
+        (i == late).then_some(ROWS_PER_PUSH.min(frames_per_client))
+    });
+    let total = clusters.len() * frames_per_client;
 
-    let input_dim = codec_cfg.input_dim;
-    let mut clients: Vec<ClientActor> = clusters
-        .iter()
-        .enumerate()
-        .map(|(i, &cluster)| {
-            let mut rng = OrcoRng::from_seed_u64(seed ^ (0xFEE7 + i as u64));
-            let dir_conn = net.connect_to(DIRECTORY_EP);
-            push_role(&mut roles, dir_conn, Role::ClientDir(i));
-            ClientActor {
-                cluster,
-                frames: Matrix::from_fn(frames_per_client, input_dim, |_, _| rng.uniform(0.0, 1.0)),
-                offset: 0,
-                acked: 0,
-                pulled: Vec::new(),
-                pulled_rows: 0,
-                state: CState::Boot,
-                pending: None,
-                dir_conn,
-                data_conn: None,
-                data_ep: 0,
-                cur_addr: String::new(),
-                view_epoch: 0,
-                members: Vec::new(),
-                late: i == late_idx,
-                released: false,
-                backoff: Backoff::new(
-                    Duration::from_millis(2),
-                    Duration::from_millis(64),
-                    seed.wrapping_mul(GOLDEN) ^ i as u64,
-                ),
-                redirects: 0,
-                gave_ups: 0,
-                reconnects: 0,
-                delivered_by_ep: BTreeMap::new(),
-            }
-        })
-        .collect();
-    let total = clients.len() * frames_per_client;
-
-    // Kick off: gateways 1..3 register at t=0; clients boot staggered so
-    // the directory has members by the time they query.
-    for (i, a) in agents.iter().enumerate() {
-        if a.alive {
-            let addr = format!("des:{}", a.ep);
-            let nonce = a.id.wrapping_mul(GOLDEN) ^ 0x666C_6565;
-            let mac = auth::register_mac(SECRET, a.id, &addr, nonce);
-            net.submit(a.conn, &Message::Register { gateway_id: a.id, addr, nonce, mac });
-        }
-        let _ = i;
-    }
-    for i in 0..clients.len() {
-        net.schedule_wakeup(Duration::from_millis(10 + i as u64), i as u64);
-    }
-
-    // Every owner observation, keyed by (epoch, cluster): a second,
-    // different owner under one key is the split-brain the epochs exist
-    // to prevent.
-    let mut owners_seen: BTreeMap<(u64, u64), String> = BTreeMap::new();
-    let mut killed = false;
-    let mut join_submitted = false;
-
-    let mut events = 0u64;
-    const EVENT_CAP: u64 = 5_000_000;
-    while clients.iter().any(|c| !c.done()) {
-        events += 1;
-        if events > EVENT_CAP {
-            return Err(fail(
-                format!(
-                    "no convergence after {EVENT_CAP} events: {} of {} clients still live",
-                    clients.iter().filter(|c| !c.done()).count(),
-                    clients.len()
-                ),
-                net.trace(),
-            ));
-        }
-        match net.poll() {
-            NetEvent::Reply { conn, seq } => {
-                let reply = net.take_reply(conn, seq).expect("announced reply present");
-                match roles[conn] {
-                    Role::Agent(i) => {
-                        if let Err(d) = on_agent_reply(&net, &mut agents[i], reply) {
-                            return Err(fail(d, net.trace()));
-                        }
-                        // The join is live once the joiner holds its
-                        // first view: release the late client soon after,
-                        // so its stale-view push draws a Redirect from an
-                        // owner that has heartbeat-synced meanwhile.
-                        if agents[i].id == JOINER && clients[late_idx].state == CState::Held {
-                            net.schedule_wakeup(Duration::from_millis(100), TOKEN_LATE_RELEASE);
-                        }
-                    }
-                    Role::ClientDir(i) => {
-                        let r = on_dir_reply(
-                            &net,
-                            &mut clients[i],
-                            i,
-                            seq,
-                            reply,
-                            &mut roles,
-                            &mut owners_seen,
-                        );
-                        if let Err(d) = r {
-                            return Err(fail(d, net.trace()));
-                        }
-                    }
-                    Role::ClientData(i) => {
-                        let r = on_data_reply(
-                            &net,
-                            &mut clients[i],
-                            i,
-                            seq,
-                            reply,
-                            &mut roles,
-                            &mut owners_seen,
-                        );
-                        match r {
-                            Err(d) => return Err(fail(d, net.trace())),
-                            Ok(false) => {}
-                            Ok(true) => {
-                                // Delivery progressed: at 1/3 delivered,
-                                // kill the victim; at 2/3, admit the
-                                // joiner.
-                                let delivered: usize = clients.iter().map(|c| c.pulled_rows).sum();
-                                if !killed && delivered * 3 >= total {
-                                    killed = true;
-                                    net.kill_endpoint(VICTIM as usize);
-                                    let victim =
-                                        agents.iter_mut().find(|a| a.id == VICTIM).expect("cast");
-                                    victim.alive = false;
-                                }
-                                if killed && !join_submitted && delivered * 3 >= 2 * total {
-                                    join_submitted = true;
-                                    let joiner =
-                                        agents.iter_mut().find(|a| a.id == JOINER).expect("cast");
-                                    joiner.alive = true;
-                                    let addr = format!("des:{}", joiner.ep);
-                                    let nonce = joiner.id.wrapping_mul(GOLDEN) ^ 0x666C_6565;
-                                    let mac = auth::register_mac(SECRET, joiner.id, &addr, nonce);
-                                    net.submit(
-                                        joiner.conn,
-                                        &Message::Register {
-                                            gateway_id: joiner.id,
-                                            addr,
-                                            nonce,
-                                            mac,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            NetEvent::GaveUp { conn, seq: _ } => match roles[conn] {
-                Role::Agent(i) => {
-                    // Directory unreachable this instant: resume the
-                    // session (the ARQ re-offers the beat) on fresh links.
-                    if agents[i].alive {
-                        agents[i].conn = net.reconnect(conn);
-                        push_role(&mut roles, agents[i].conn, Role::Agent(i));
-                    }
-                }
-                Role::ClientDir(i) => {
-                    clients[i].dir_conn = net.reconnect(conn);
-                    push_role(&mut roles, clients[i].dir_conn, Role::ClientDir(i));
-                }
-                Role::ClientData(i) => {
-                    let c = &mut clients[i];
-                    c.gave_ups += 1;
-                    if net.endpoint_alive(c.data_ep) {
-                        // Transient loss streak: resume the session on the
-                        // same gateway; dedup state survives, the
-                        // re-offered request executes at most once.
-                        c.reconnects += 1;
-                        let new = net.reconnect(conn);
-                        c.data_conn = Some(new);
-                        push_role(&mut roles, new, Role::ClientData(i));
-                    } else {
-                        // Owner crashed. Drop the doomed request, rewind
-                        // to the delivered watermark (rows the dead owner
-                        // held but never served must be re-pushed — it
-                        // cannot deliver them, so this cannot duplicate),
-                        // and go find the new owner.
-                        net.cancel_outstanding(conn);
-                        c.pending = None;
-                        c.acked = c.pulled_rows;
-                        c.offset = c.pulled_rows;
-                        c.state = CState::AwaitDir;
-                        let seq = net.submit(c.dir_conn, &Message::DirectoryQuery);
-                        c.pending = Some((seq, CKind::Query));
-                    }
-                }
-            },
-            NetEvent::Wakeup { token } => {
-                if token == TOKEN_LATE_RELEASE {
-                    let c = &mut clients[late_idx];
-                    c.released = true;
-                    if c.state == CState::Held {
-                        c.state = CState::Stream;
-                        advance(&net, c);
-                    }
-                } else if token >= TOKEN_AGENT {
-                    let i = (token - TOKEN_AGENT) as usize;
-                    let a = &agents[i];
-                    if a.alive {
-                        // Every beat piggybacks the gateway's live stats,
-                        // feeding the directory's fleet view.
-                        net.submit(
-                            a.conn,
-                            &Message::Heartbeat {
-                                gateway_id: a.id,
-                                epoch: a.epoch,
-                                stats: Some(a.gateway.stats()),
-                            },
-                        );
-                    }
-                } else {
-                    let i = token as usize;
-                    let c = &mut clients[i];
-                    if c.pending.is_some() {
-                        continue;
-                    }
-                    match c.state {
-                        CState::Boot | CState::AwaitDir => {
-                            let seq = net.submit(c.dir_conn, &Message::DirectoryQuery);
-                            c.pending = Some((seq, CKind::Query));
-                        }
-                        CState::Stream => advance(&net, c),
-                        CState::Greet | CState::Held | CState::Done => {}
-                    }
-                }
-            }
-            NetEvent::Idle => {
-                let stuck: Vec<usize> =
-                    clients.iter().enumerate().filter(|(_, c)| !c.done()).map(|(i, _)| i).collect();
-                return Err(fail(
-                    format!(
-                        "event queue drained with clients {stuck:?} unfinished — a request \
-                         or timer was lost (liveness violation)"
-                    ),
-                    net.trace(),
-                ));
-            }
-        }
-    }
+    fleet.kick_off();
+    let mut cast = FleetKill { fleet, total, late, killed: false, join_submitted: false };
+    play(net, &mut cast)?;
+    let FleetKill { fleet, killed, join_submitted, .. } = cast;
 
     // ---- Contracts ----------------------------------------------------
     if !killed || !join_submitted {
-        return Err(fail(
-            format!(
-                "the run finished without its chaos: killed={killed} joined={join_submitted} \
-                 (progress triggers never fired)"
-            ),
-            net.trace(),
+        return Err(format!(
+            "the run finished without its chaos: killed={killed} joined={join_submitted} \
+             (progress triggers never fired)"
         ));
     }
-    let delivered_rows: usize = clients.iter().map(|c| c.pulled_rows).sum();
-    if delivered_rows != total {
-        return Err(fail(
-            format!(
-                "delivered {delivered_rows} rows for {total} pushed — {} (exactly-once \
-                 violated across the kill)",
-                if delivered_rows < total { "frames lost" } else { "frames duplicated" }
-            ),
-            net.trace(),
-        ));
-    }
-
-    // Bit-identity: each client's delivered rows equal one direct
-    // encode_batch + decode_batch of its stream, no matter which
-    // gateways served which windows.
-    let mut reference = AsymmetricAutoencoder::new(&codec_cfg).expect("valid codec config");
-    for (i, c) in clients.iter().enumerate() {
-        let mut codes = Matrix::zeros(0, 0);
-        let mut recon = Matrix::zeros(0, 0);
-        reference.encode_batch(c.frames.as_view(), &mut codes).expect("geometry fits");
-        reference.decode_batch(codes.as_view(), &mut recon).expect("geometry fits");
-        if c.pulled != recon.as_slice() {
-            return Err(fail(
-                format!("client {i}: decoded bytes diverge from the direct codec path"),
-                net.trace(),
-            ));
-        }
-    }
-
-    // Surviving gateways end drained; the victim's orphaned rows died
-    // with it.
-    let mut stats_frames = Vec::new();
-    let mut trace_export = String::new();
-    for a in &agents {
-        if a.id == VICTIM {
-            continue;
-        }
-        let snap = a.gateway.stats();
-        if snap.queue_depth != 0 || snap.stored_codes != 0 {
-            return Err(fail(
-                format!(
-                    "gateway {} not drained: queue_depth {} stored_codes {}",
-                    a.id, snap.queue_depth, snap.stored_codes
-                ),
-                net.trace(),
-            ));
-        }
-        let mut frame = Vec::new();
-        Message::StatsReply(snap).encode_into(&mut frame);
-        stats_frames.push(frame);
-        trace_export.push_str(&format!("gateway {}\n", a.id));
-        trace_export.push_str(&a.gateway.trace_export());
-    }
+    let reference = AsymmetricAutoencoder::new(&codec).expect("valid codec config");
+    fleet.check_streams("the kill", &mut [Box::new(reference)])?;
+    let mut out = fleet.outcome(false);
+    fleet.check_survivors(VICTIM, &mut out, |_, _| Ok(()))?;
 
     // The directory's aggregated fleet view converges: feed one final
     // in-process beat per survivor (deterministic — no wire hop), then
     // the victim's entry must sit frozen while the survivors' live
     // counters account for every row they delivered.
-    for a in &agents {
-        if a.id != VICTIM && a.alive {
-            match directory.handle(Message::Heartbeat {
-                gateway_id: a.id,
-                epoch: a.epoch,
-                stats: Some(a.gateway.stats()),
-            }) {
-                Message::HeartbeatAck { .. } => {}
-                other => {
-                    return Err(fail(
-                        format!("settle beat for gateway {} drew {other:?}", a.id),
-                        net.trace(),
-                    ));
-                }
-            }
+    for a in fleet.agents.iter().filter(|a| a.id != VICTIM && a.alive) {
+        match fleet.directory.handle(a.heartbeat()) {
+            Message::HeartbeatAck { .. } => {}
+            other => return Err(format!("settle beat for gateway {} drew {other:?}", a.id)),
         }
     }
-    let victim_delivered: usize = clients
+    let victim_delivered: usize = fleet
+        .clients
         .iter()
         .map(|c| c.delivered_by_ep.get(&(VICTIM as usize)).copied().unwrap_or(0))
         .sum();
-    let (_, evictions, fleet) = directory.fleet_stats();
-    if evictions == 0 {
-        return Err(fail(
-            "the directory never recorded an eviction despite the kill".into(),
-            net.trace(),
-        ));
-    }
-    let Some(victim_entry) = fleet.iter().find(|g| g.id == VICTIM) else {
-        return Err(fail(
-            "the victim never reported stats before dying — its entry is missing".into(),
-            net.trace(),
-        ));
+    let (_, _, view) = fleet.directory.fleet_stats();
+    let Some(victim_entry) = view.iter().find(|g| g.id == VICTIM) else {
+        return Err("the victim never reported stats before dying — its entry is missing".into());
     };
     if victim_entry.alive {
-        return Err(fail(
-            "the victim's fleet-view entry is still marked alive after eviction".into(),
-            net.trace(),
-        ));
+        return Err("the victim's fleet-view entry is still marked alive after eviction".into());
     }
-    let survivor_out: u64 = fleet.iter().filter(|g| g.alive).map(|g| g.snapshot.frames_out).sum();
+    let survivor_out: u64 = view.iter().filter(|g| g.alive).map(|g| g.snapshot.frames_out).sum();
     if survivor_out != (total - victim_delivered) as u64 {
-        return Err(fail(
-            format!(
-                "fleet view out of step: survivors report {survivor_out} rows out, clients \
-                 pulled {} rows from them ({total} total, {victim_delivered} via the victim)",
-                total - victim_delivered
-            ),
-            net.trace(),
+        return Err(format!(
+            "fleet view out of step: survivors report {survivor_out} rows out, clients \
+             pulled {} rows from them ({total} total, {victim_delivered} via the victim)",
+            total - victim_delivered
         ));
     }
-
-    let redirects: usize = clients.iter().map(|c| c.redirects).sum();
-    if redirects == 0 {
-        return Err(fail(
-            "no client ever chased a Redirect — the stale-view path went unexercised".into(),
-            net.trace(),
-        ));
-    }
-
-    let mut digest_bytes = Vec::with_capacity(delivered_rows * input_dim * 4);
-    for c in &clients {
-        for v in &c.pulled {
-            digest_bytes.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    Ok(FleetOutcome {
-        name: name.to_string(),
-        seed,
-        clients: clients.len(),
-        frames_per_client,
-        delivered_rows,
-        redirects,
-        gave_ups: clients.iter().map(|c| c.gave_ups).sum(),
-        reconnects: clients.iter().map(|c| c.reconnects).sum(),
-        final_epoch: directory.epoch(),
-        stats_frames,
-        trace_export,
-        decoded_fnv: fnv1a64(&digest_bytes),
-        trace: net.trace(),
-    })
-}
-
-/// Handles a reply on an agent's directory connection and schedules its
-/// next beat.
-fn on_agent_reply(net: &DesNet, a: &mut Agent, reply: Message) -> Result<(), String> {
-    if !a.alive {
-        return Ok(()); // a straggler reply to a gateway that died meanwhile
-    }
-    match reply {
-        Message::RegisterAck { epoch, members } | Message::HeartbeatAck { epoch, members } => {
-            if epoch != a.epoch || a.gateway.fleet_view().is_none() {
-                a.epoch = epoch;
-                a.install_view(epoch, members);
-            }
-        }
-        Message::ErrorReply { .. } => {
-            // Evicted (a heartbeat outlasted the timeout): re-register.
-            let addr = format!("des:{}", a.ep);
-            let nonce = a.id.wrapping_mul(GOLDEN) ^ 0x666C_6565;
-            let mac = auth::register_mac(SECRET, a.id, &addr, nonce);
-            net.submit(a.conn, &Message::Register { gateway_id: a.id, addr, nonce, mac });
-            return Ok(()); // the ack of that register schedules the next beat
-        }
-        other => return Err(format!("agent {}: unexpected {}", a.id, other.kind())),
-    }
-    net.schedule_wakeup(BEAT_EVERY, TOKEN_AGENT + (a.id - 1));
-    Ok(())
-}
-
-/// Records an owner observation, failing on a second owner under the
-/// same `(epoch, cluster)`.
-fn observe_owner(
-    owners_seen: &mut BTreeMap<(u64, u64), String>,
-    epoch: u64,
-    cluster: u64,
-    addr: &str,
-) -> Result<(), String> {
-    match owners_seen.get(&(epoch, cluster)) {
-        Some(prev) if prev != addr => Err(format!(
-            "split brain: cluster {cluster} at epoch {epoch} claimed by both {prev} and {addr}"
-        )),
-        Some(_) => Ok(()),
-        None => {
-            owners_seen.insert((epoch, cluster), addr.to_string());
-            Ok(())
-        }
-    }
-}
-
-/// Handles a reply on a client's directory connection: adopt the view
-/// and (re)greet the owner.
-fn on_dir_reply(
-    net: &DesNet,
-    c: &mut ClientActor,
-    i: usize,
-    seq: u64,
-    reply: Message,
-    roles: &mut Vec<Role>,
-    owners_seen: &mut BTreeMap<(u64, u64), String>,
-) -> Result<(), String> {
-    let Some((want, CKind::Query)) = c.pending.take() else {
-        return Err(format!("client {i}: directory reply with no query pending"));
-    };
-    if want != seq {
-        return Err(format!("client {i}: expected dir reply seq {want}, got {seq}"));
-    }
-    let Message::DirectoryReply { epoch, members } = reply else {
-        return Err(format!("client {i}: expected DirectoryReply, got {}", reply.kind()));
-    };
-    let Some(owner) = owner_of(&members, c.cluster).cloned() else {
-        // The fleet has no members yet (we queried before the first
-        // register landed): back off and ask again.
-        net.schedule_wakeup(c.backoff.next_delay(), i as u64);
-        return Ok(());
-    };
-    observe_owner(owners_seen, epoch, c.cluster, &owner.addr)?;
-    c.view_epoch = epoch;
-    c.members = members;
-    let owner_ep = ep_of_addr(&owner.addr);
-    if !net.endpoint_alive(owner_ep) {
-        // The directory has not noticed the death yet (its epoch still
-        // names the corpse): requery after a backoff.
-        c.state = CState::AwaitDir;
-        net.schedule_wakeup(c.backoff.next_delay(), i as u64);
-        return Ok(());
-    }
-    greet(net, c, i, owner_ep, owner.addr, roles);
-    Ok(())
-}
-
-/// Dials (or fails over the existing data session to) `owner_ep` and
-/// submits the MAC'd `Hello`.
-fn greet(
-    net: &DesNet,
-    c: &mut ClientActor,
-    i: usize,
-    owner_ep: usize,
-    owner_addr: String,
-    roles: &mut Vec<Role>,
-) {
-    let conn = match c.data_conn {
-        // Failover keeps the session: sequence state rides to the new
-        // owner, dedup memory resets there (DesNet::reconnect_to).
-        Some(old) => {
-            c.reconnects += 1;
-            net.reconnect_to(old, owner_ep)
-        }
-        None => net.connect_to(owner_ep),
-    };
-    assert_eq!(conn, roles.len(), "connection ids must stay dense");
-    roles.push(Role::ClientData(i));
-    c.data_conn = Some(conn);
-    c.data_ep = owner_ep;
-    c.cur_addr = owner_addr;
-    c.state = CState::Greet;
-    let client_id = c.cluster;
-    let nonce = client_id.wrapping_mul(GOLDEN) ^ 0x6F72_636F;
-    let mac = auth::hello_mac(SECRET, client_id, nonce);
-    let seq = net.submit(conn, &Message::Hello { client_id, nonce, mac });
-    c.pending = Some((seq, CKind::Hello));
-}
-
-/// Drives the window loop: drain the last window, push the next, or
-/// finish. Only valid in `Stream` with nothing pending.
-fn advance(net: &DesNet, c: &mut ClientActor) {
-    debug_assert_eq!(c.state, CState::Stream);
-    debug_assert!(c.pending.is_none());
-    let conn = c.data_conn.expect("streaming requires a data connection");
-    if c.pulled_rows < c.offset {
-        let seq = net.submit(
-            conn,
-            &Message::PullDecoded { cluster_id: c.cluster, max_frames: PULL_CHUNK, trace: 0 },
+    if out.redirects == 0 {
+        return Err(
+            "no client ever chased a Redirect — the stale-view path went unexercised".into()
         );
-        c.pending = Some((seq, CKind::Pull));
-    } else if c.offset < c.frames.rows() {
-        if c.late && !c.released && c.offset >= ROWS_PER_PUSH.min(c.frames.rows()) {
-            // The late client parks after its first window; the join
-            // releases it with a by-then-stale view.
-            c.state = CState::Held;
-            return;
-        }
-        let (lo, hi) = (c.offset, (c.offset + ROWS_PER_PUSH).min(c.frames.rows()));
-        let seq = net.submit(
-            conn,
-            &Message::PushFrames {
-                cluster_id: c.cluster,
-                // One trace id per push window, stable across failover
-                // re-pushes of the same window.
-                trace: (c.cluster << 20) | (lo as u64 + 1),
-                frames: c.frames.view_rows(lo..hi).to_matrix(),
-            },
-        );
-        c.pending = Some((seq, CKind::Push { lo, hi }));
-    } else {
-        c.state = CState::Done;
     }
-}
-
-/// Handles a reply on a client's data connection. `Ok(true)` means
-/// delivery progressed (the caller checks the kill/join triggers).
-fn on_data_reply(
-    net: &DesNet,
-    c: &mut ClientActor,
-    i: usize,
-    seq: u64,
-    reply: Message,
-    roles: &mut Vec<Role>,
-    owners_seen: &mut BTreeMap<(u64, u64), String>,
-) -> Result<bool, String> {
-    let Some((want, kind)) = c.pending.take() else {
-        // A straggler from a connection this client already failed away
-        // from (e.g. the dead owner's cached reply raced the failover).
-        return Ok(false);
-    };
-    if want != seq {
-        return Err(format!("client {i}: expected data reply seq {want}, got {seq}"));
-    }
-    match (kind, reply) {
-        (CKind::Hello, Message::HelloAck { .. }) => {
-            c.state = CState::Stream;
-            advance(net, c);
-            Ok(false)
-        }
-        (CKind::Push { lo, hi }, Message::PushAck { accepted }) => {
-            if accepted as usize != hi - lo {
-                return Err(format!(
-                    "client {i}: partial ack {accepted} for a {}-row push",
-                    hi - lo
-                ));
-            }
-            c.offset = hi;
-            c.acked += accepted as usize;
-            c.backoff.reset();
-            advance(net, c);
-            Ok(false)
-        }
-        (CKind::Push { .. }, Message::Redirect { cluster_id, epoch, addr }) => {
-            if cluster_id != c.cluster {
-                return Err(format!(
-                    "client {i}: redirect for cluster {cluster_id}, pushed {}",
-                    c.cluster
-                ));
-            }
-            // The fleet gauntlet drains every window before the next
-            // push, so at redirect time this client stores no rows on the
-            // old owner — chase immediately. (A client with undrained
-            // rows would drain first: pulls are never redirected.)
-            debug_assert_eq!(c.pulled_rows, c.offset);
-            c.redirects += 1;
-            observe_owner(owners_seen, epoch, c.cluster, &addr)?;
-            let owner_ep = ep_of_addr(&addr);
-            if !net.endpoint_alive(owner_ep) {
-                return Err(format!(
-                    "client {i}: redirected to {addr}, which is dead — the redirecting \
-                     gateway's view names a corpse at epoch {epoch}"
-                ));
-            }
-            greet(net, c, i, owner_ep, addr, roles);
-            Ok(false)
-        }
-        (CKind::Pull, Message::Decoded { cluster_id, frames, .. }) => {
-            if cluster_id != c.cluster {
-                return Err(format!(
-                    "client {i}: pulled cluster {} got cluster {cluster_id}",
-                    c.cluster
-                ));
-            }
-            if frames.rows() == 0 {
-                // Batch still pending its deadline flush: poll again
-                // after a backoff.
-                net.schedule_wakeup(c.backoff.next_delay(), i as u64);
-                return Ok(false);
-            }
-            c.pulled.extend_from_slice(frames.as_slice());
-            c.pulled_rows += frames.rows();
-            *c.delivered_by_ep.entry(c.data_ep).or_insert(0) += frames.rows();
-            if c.pulled_rows > c.acked {
-                return Err(format!(
-                    "client {i}: pulled {} rows with only {} acked (duplication)",
-                    c.pulled_rows, c.acked
-                ));
-            }
-            c.backoff.reset();
-            advance(net, c);
-            Ok(true)
-        }
-        (kind, Message::Busy { .. }) => Err(format!(
-            "client {i}: {kind:?} drew Busy — the gauntlet sizes queues to never backpressure"
-        )),
-        (kind, Message::ErrorReply { code, detail }) => {
-            Err(format!("client {i}: {kind:?} drew {code:?}: {detail}"))
-        }
-        (kind, other) => Err(format!("client {i}: {kind:?} drew unexpected {}", other.kind())),
-    }
+    Ok(out)
 }

@@ -27,11 +27,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use orco_fleet::{replay_fleet_scenario, run_fleet_scenario, FleetOutcome, FLEET_GAUNTLET};
-use orco_rollout::{
-    replay_rollout_scenario, run_rollout_scenario, RolloutOutcome, ROLLOUT_GAUNTLET,
-};
-use orco_serve::{replay_scenario, run_scenario, RunLog, ScenarioOutcome, GAUNTLET};
+use orco_fleet::FLEET_GAUNTLET;
+use orco_rollout::{replay_scenario, run_scenario, ROLLOUT_GAUNTLET};
+use orco_serve::{Outcome, RunLog, GAUNTLET};
 
 struct Args {
     quick: bool,
@@ -74,60 +72,29 @@ impl Args {
     }
 }
 
-fn is_fleet_scenario(name: &str) -> bool {
-    FLEET_GAUNTLET.contains(&name)
-}
-
-fn is_rollout_scenario(name: &str) -> bool {
-    ROLLOUT_GAUNTLET.contains(&name)
-}
-
-fn summarize(tag: &str, o: &ScenarioOutcome) {
+/// One line per run. A counter at 0 is omitted: either nothing of the
+/// kind happened, or the scenario's cast has no notion of it.
+fn summarize(tag: &str, o: &Outcome) {
+    let counters = [
+        ("acked", o.acked_rows as u64),
+        ("delivered", o.delivered_rows as u64),
+        ("v0", o.v0_rows as u64),
+        ("v1", o.v1_rows as u64),
+        ("busy_retries", o.busy_retries as u64),
+        ("gave_ups", o.gave_ups as u64),
+        ("reconnects", o.reconnects as u64),
+        ("redirects", o.redirects as u64),
+        ("drift_trips", o.drift_trips),
+        ("final_epoch", o.final_epoch),
+    ];
+    let counters: Vec<String> =
+        counters.iter().filter(|(_, n)| *n != 0).map(|(what, n)| format!("{what} {n}")).collect();
     println!(
-        "  {tag} {}: {} clients x {} frames | acked {} delivered {} | busy_retries {} \
-         gave_ups {} reconnects {} | digest {:016x}",
+        "  {tag} {}: {} clients x {} frames | {} | digest {:016x}",
         o.name,
         o.clients,
         o.frames_per_client,
-        o.acked_rows,
-        o.delivered_rows,
-        o.busy_retries,
-        o.gave_ups,
-        o.reconnects,
-        o.decoded_fnv
-    );
-}
-
-fn summarize_fleet(tag: &str, o: &FleetOutcome) {
-    println!(
-        "  {tag} {}: {} clients x {} frames | delivered {} | redirects {} gave_ups {} \
-         reconnects {} | final epoch {} | digest {:016x}",
-        o.name,
-        o.clients,
-        o.frames_per_client,
-        o.delivered_rows,
-        o.redirects,
-        o.gave_ups,
-        o.reconnects,
-        o.final_epoch,
-        o.decoded_fnv
-    );
-}
-
-fn summarize_rollout(tag: &str, o: &RolloutOutcome) {
-    println!(
-        "  {tag} {}: {} clients x {} frames | delivered {} (v0 {} / v1 {}) | drift_trips {} \
-         gave_ups {} reconnects {} | final epoch {} | digest {:016x}",
-        o.name,
-        o.clients,
-        o.frames_per_client,
-        o.delivered_rows,
-        o.v0_rows,
-        o.v1_rows,
-        o.drift_trips,
-        o.gave_ups,
-        o.reconnects,
-        o.final_epoch,
+        counters.join(" "),
         o.decoded_fnv
     );
 }
@@ -162,15 +129,11 @@ fn roundtrip_log(name: &str, args: &Args, log: &RunLog) -> Option<RunLog> {
 }
 
 /// Runs one scenario live, then replays it from its own log and demands
-/// a bit-identical outcome. Returns false (and persists the log) on any
-/// violation.
+/// a bit-identical [`Outcome`] — stats frames, decoded digest, trace
+/// export, tape, and every counter (so a replay that, say, swaps at a
+/// different flush boundary fails on the v0/v1 split). Returns false (and
+/// persists the log) on any violation.
 fn run_and_verify(name: &str, args: &Args) -> bool {
-    if is_fleet_scenario(name) {
-        return run_and_verify_fleet(name, args);
-    }
-    if is_rollout_scenario(name) {
-        return run_and_verify_rollout(name, args);
-    }
     let outcome = match run_scenario(name, args.seed, args.quick) {
         Ok(o) => o,
         Err(e) => {
@@ -181,116 +144,13 @@ fn run_and_verify(name: &str, args: &Args) -> bool {
     };
     summarize("live ", &outcome);
 
-    let log = RunLog {
-        name: outcome.name.clone(),
-        seed: outcome.seed,
-        quick: args.quick,
-        trace: outcome.trace.clone(),
-    };
+    let log = outcome.tape(args.quick);
     let Some(reparsed) = roundtrip_log(name, args, &log) else {
         return false;
     };
     match replay_scenario(&reparsed) {
-        Ok(replayed)
-            if replayed.stats_frame == outcome.stats_frame
-                && replayed.decoded_fnv == outcome.decoded_fnv
-                && replayed.trace_export == outcome.trace_export =>
-        {
+        Ok(replayed) if replayed == outcome => {
             summarize("replay", &replayed);
-            true
-        }
-        Ok(_) => {
-            eprintln!("chaos: FAILED {name}: replay diverged from the live run");
-            persist_log(&args.record_dir, &log);
-            false
-        }
-        Err(e) => {
-            eprintln!("chaos: FAILED replay of {name}: {e}");
-            persist_log(&args.record_dir, &e.log);
-            false
-        }
-    }
-}
-
-/// The fleet twin of [`run_and_verify`]: same record → round-trip →
-/// replay discipline, with the per-surviving-gateway stats frames in the
-/// bit-identity check.
-fn run_and_verify_fleet(name: &str, args: &Args) -> bool {
-    let outcome = match run_fleet_scenario(name, args.seed, args.quick) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("chaos: FAILED {e}");
-            persist_log(&args.record_dir, &e.log);
-            return false;
-        }
-    };
-    summarize_fleet("live ", &outcome);
-
-    let log = RunLog {
-        name: outcome.name.clone(),
-        seed: outcome.seed,
-        quick: args.quick,
-        trace: outcome.trace.clone(),
-    };
-    let Some(reparsed) = roundtrip_log(name, args, &log) else {
-        return false;
-    };
-    match replay_fleet_scenario(&reparsed) {
-        Ok(replayed)
-            if replayed.stats_frames == outcome.stats_frames
-                && replayed.decoded_fnv == outcome.decoded_fnv
-                && replayed.final_epoch == outcome.final_epoch
-                && replayed.trace_export == outcome.trace_export =>
-        {
-            summarize_fleet("replay", &replayed);
-            true
-        }
-        Ok(_) => {
-            eprintln!("chaos: FAILED {name}: replay diverged from the live run");
-            persist_log(&args.record_dir, &log);
-            false
-        }
-        Err(e) => {
-            eprintln!("chaos: FAILED replay of {name}: {e}");
-            persist_log(&args.record_dir, &e.log);
-            false
-        }
-    }
-}
-
-/// The rollout twin: the bit-identity check additionally pins the
-/// per-row version tape (folded into `decoded_fnv`) and the v0/v1 split
-/// — a replay that swaps at a different flush boundary fails here.
-fn run_and_verify_rollout(name: &str, args: &Args) -> bool {
-    let outcome = match run_rollout_scenario(name, args.seed, args.quick) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("chaos: FAILED {e}");
-            persist_log(&args.record_dir, &e.log);
-            return false;
-        }
-    };
-    summarize_rollout("live ", &outcome);
-
-    let log = RunLog {
-        name: outcome.name.clone(),
-        seed: outcome.seed,
-        quick: args.quick,
-        trace: outcome.trace.clone(),
-    };
-    let Some(reparsed) = roundtrip_log(name, args, &log) else {
-        return false;
-    };
-    match replay_rollout_scenario(&reparsed) {
-        Ok(replayed)
-            if replayed.stats_frames == outcome.stats_frames
-                && replayed.decoded_fnv == outcome.decoded_fnv
-                && replayed.final_epoch == outcome.final_epoch
-                && replayed.v0_rows == outcome.v0_rows
-                && replayed.v1_rows == outcome.v1_rows
-                && replayed.trace_export == outcome.trace_export =>
-        {
-            summarize_rollout("replay", &replayed);
             true
         }
         Ok(_) => {
@@ -325,21 +185,9 @@ fn main() -> ExitCode {
             }
         };
         println!("chaos: replaying {} (seed {}, quick {})", log.name, log.seed, log.quick);
-        let replayed = if is_fleet_scenario(&log.name) {
-            replay_fleet_scenario(&log).map(|o| {
-                summarize_fleet("replay", &o);
-            })
-        } else if is_rollout_scenario(&log.name) {
-            replay_rollout_scenario(&log).map(|o| {
-                summarize_rollout("replay", &o);
-            })
-        } else {
-            replay_scenario(&log).map(|o| {
+        return match replay_scenario(&log) {
+            Ok(o) => {
                 summarize("replay", &o);
-            })
-        };
-        return match replayed {
-            Ok(()) => {
                 println!("chaos: replay completed cleanly");
                 ExitCode::SUCCESS
             }

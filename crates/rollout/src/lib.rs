@@ -32,10 +32,15 @@
 //!   reaches the whole fleet.
 //!
 //! The [`scenarios`] module adds `rollout_storm` to the chaos gauntlet:
-//! a 3-gateway fleet over impaired DES links, drift injected mid-run, a
+//! the shared fleet cast of `orco_fleet::scenarios` (3 gateways over
+//! impaired DES links) plus a controller role, drift injected mid-run, a
 //! staged rollout racing it, one gateway killed mid-swap — and the whole
 //! run replayable bit-identically from its tape (`cargo run -p
-//! orco-rollout --bin chaos -- --scenario rollout_storm`).
+//! orco-rollout --bin chaos -- --scenario rollout_storm`). This crate
+//! sits on top of the gauntlet's layers, so its [`run_scenario`] /
+//! [`replay_scenario`] are the single entry point to all seven scenarios
+//! and the `chaos` binary lives here; every scenario returns the one
+//! [`orco_serve::Outcome`].
 //!
 //! ## Quickstart (in-process loopback)
 //!
@@ -82,9 +87,7 @@ pub mod scenarios;
 use orco_serve::{Client, Connection, ModelVersion, VersionInfo};
 use orcodcs::{EncoderCheckpoint, OrcoError};
 
-pub use scenarios::{
-    replay_rollout_scenario, run_rollout_scenario, RolloutOutcome, ROLLOUT_GAUNTLET,
-};
+pub use scenarios::{replay_scenario, run_scenario, ROLLOUT_GAUNTLET};
 
 /// Stages `checkpoint` as `version` on the gateway behind `client` and
 /// activates it, returning the gateway's post-swap version state.

@@ -1,8 +1,9 @@
 //! The rollout gauntlet: `rollout_storm` — a scripted, deterministic,
-//! replayable run of a directory + 3-gateway fleet over impaired
+//! replayable run of the shared fleet cast ([`orco_fleet::scenarios`]:
+//! directory + 3 gateways + window-streaming clients) over impaired
 //! [`DesNet`] links in which the field distribution **drifts mid-run**,
-//! a controller notices (via the gateways' own drift monitors) and
-//! performs a **staged codec rollout**, and one gateway is **killed
+//! a `Controller` role notices (via the gateways' own drift monitors)
+//! and performs a **staged codec rollout**, and one gateway is **killed
 //! mid-swap** — after staging the new version, before activating it.
 //! The run asserts the rollout design's contracts:
 //!
@@ -26,122 +27,58 @@
 //! The kill is triggered by rollout progress (the victim's stage ack),
 //! and the drift is a deterministic function of each client's frame
 //! index, so a run is a pure function of its seed; the recorded
-//! [`RunLog`] replays it bit-identically ([`replay_rollout_scenario`]).
+//! [`RunLog`] replays it bit-identically ([`replay_scenario`]).
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use orco_datasets::drift::{apply_matrix, Drift};
-use orco_fleet::{Directory, DirectoryConfig};
-use orco_serve::fleet_view::owner_of;
-use orco_serve::{
-    auth, Backoff, Clock, DesConfig, DesNet, FleetView, Gateway, GatewayConfig, GatewayEntry,
-    Message, ModelVersion, NetEvent, RunLog, ScenarioError,
+use orco_fleet::scenarios::{
+    self as fleet, cluster_owned_by, lossy_des, Fleet, Role, GOLDEN, SECRET, TOKEN_RELEASE,
+    TOKEN_SCRIPT,
 };
-use orco_sim::{LinkParams, SendRecord};
-use orco_tensor::{fnv1a64, Matrix, OrcoRng};
-use orcodcs::{AsymmetricAutoencoder, Codec, EncoderCheckpoint, GradCompression, OrcoConfig};
+use orco_serve::scenarios::{codec_config, gateway_config, play, Cast, Outcome, Run};
+use orco_serve::{
+    auth, DesNet, GatewayConfig, GatewayEntry, Message, ModelVersion, RunLog, ScenarioError,
+};
+use orco_tensor::OrcoRng;
+use orcodcs::{AsymmetricAutoencoder, Codec, EncoderCheckpoint};
 
-/// The rollout scenario names [`run_rollout_scenario`] accepts.
+/// The scenario names this layer adds to the gauntlet below it
+/// ([`orco_serve::GAUNTLET`], [`orco_fleet::FLEET_GAUNTLET`]).
 pub const ROLLOUT_GAUNTLET: [&str; 1] = ["rollout_storm"];
 
-/// Shared secret every party in the simulated fleet is keyed with.
-const SECRET: u64 = 0x0f1e_2d3c_4b5a_6978;
-
-/// Golden-ratio multiplier shared with the TCP clients' nonce schedule.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// What a completed rollout scenario run measured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RolloutOutcome {
-    /// Scenario name (one of [`ROLLOUT_GAUNTLET`]).
-    pub name: String,
-    /// Seed the impairment randomness was drawn from.
-    pub seed: u64,
-    /// Client actors driven.
-    pub clients: usize,
-    /// Frames each client pushed (and pulled back).
-    pub frames_per_client: usize,
-    /// Decoded rows delivered back across all clients (must equal
-    /// `clients * frames_per_client`: exactly once).
-    pub delivered_rows: usize,
-    /// Delivered rows encoded by the boot model (version 0).
-    pub v0_rows: usize,
-    /// Delivered rows encoded by the rolled-out model (version 1).
-    pub v1_rows: usize,
-    /// Drift-monitor trips summed over the surviving gateways.
-    pub drift_trips: u64,
-    /// Requests whose ARQ exhausted its attempts (the kill guarantees
-    /// at least one: the activate sent to the corpse).
-    pub gave_ups: usize,
-    /// Data connections re-opened (same-endpoint resume or failover).
-    pub reconnects: usize,
-    /// The directory's epoch when the run settled.
-    pub final_epoch: u64,
-    /// Encoded `StatsReply` of every *surviving* gateway, ascending id —
-    /// the determinism contract is on the wire image.
-    pub stats_frames: Vec<Vec<u8>>,
-    /// Concatenated trace exports of every surviving gateway, ascending
-    /// id, each section prefixed `gateway <id>` — byte-identical between
-    /// a live run and its replay.
-    pub trace_export: String,
-    /// FNV-1a over every delivered row's little-endian bytes *and its
-    /// producing version*, client order — one u64 pinning the decoded
-    /// output and the version tape together.
-    pub decoded_fnv: u64,
-    /// The impairment schedule the run drew (replay tape).
-    pub trace: Vec<SendRecord>,
-}
-
-/// Runs one rollout gauntlet scenario live, drawing impairments from
-/// `seed`. `quick` shrinks the per-client stream for CI; the topology,
-/// the drift injection point, and the kill schedule are the same either
-/// way.
+/// Runs one gauntlet scenario live, drawing impairments from `seed` —
+/// the single entry point of the whole gauntlet: `rollout_storm` here,
+/// every other name in the layers below. `quick` shrinks the per-client
+/// stream for CI; the topology, the drift injection point, and the kill
+/// schedule are the same either way.
 ///
 /// # Errors
 ///
-/// Returns a [`ScenarioError`] (with its replay log) when a rollout
-/// contract is violated, and on an unknown scenario name.
-pub fn run_rollout_scenario(
-    name: &str,
-    seed: u64,
-    quick: bool,
-) -> Result<RolloutOutcome, ScenarioError> {
-    drive(name, seed, quick, None)
+/// Returns a [`ScenarioError`] (with its replay log) when a contract is
+/// violated, and on an unknown scenario name.
+pub fn run_scenario(name: &str, seed: u64, quick: bool) -> Result<Outcome, ScenarioError> {
+    drive(&Run::live(name, seed, quick))
 }
 
-/// Re-runs a recorded rollout scenario, consuming the logged impairment
-/// schedule instead of drawing randomness. A correct replay reproduces
-/// the original outcome bit for bit (`stats_frames`, `decoded_fnv`,
-/// trace) — including the mid-swap kill.
+/// Re-runs a recorded scenario, consuming the logged impairment schedule
+/// instead of drawing randomness. A correct replay reproduces the
+/// original [`Outcome`] bit for bit — including the mid-swap kill.
 ///
 /// # Errors
 ///
-/// As [`run_rollout_scenario`]; additionally, a replay whose send
-/// sequence diverges from the tape panics with a `replay divergence`
-/// diagnostic.
-pub fn replay_rollout_scenario(log: &RunLog) -> Result<RolloutOutcome, ScenarioError> {
-    drive(&log.name, log.seed, log.quick, Some(log.trace.clone()))
+/// As [`run_scenario`]; additionally, a replay whose send sequence
+/// diverges from the tape panics with a `replay divergence` diagnostic.
+pub fn replay_scenario(log: &RunLog) -> Result<Outcome, ScenarioError> {
+    drive(&Run::replay(log))
 }
 
-/// The same small, fast codec geometry as the serve and fleet gauntlets
-/// — the rollout gauntlet stresses the version lifecycle, not the
-/// autoencoder.
-fn codec_config(seed: u64) -> OrcoConfig {
-    OrcoConfig {
-        input_dim: 32,
-        latent_dim: 8,
-        decoder_layers: 1,
-        noise_variance: 0.1,
-        huber_delta: 0.5,
-        vector_huber: false,
-        learning_rate: 1e-2,
-        batch_size: 32,
-        epochs: 1,
-        finetune_threshold: 0.05,
-        grad_compression: GradCompression::default(),
-        seed,
+fn drive(run: &Run) -> Result<Outcome, ScenarioError> {
+    if run.name != "rollout_storm" {
+        return fleet::drive(run);
     }
+    let net = run.arm(DesNet::new_multi(lossy_des(), run.seed));
+    run.conclude(&net, rollout_storm(run, &net))
 }
 
 /// Windowed decoded-sample error separating the base distribution from
@@ -152,116 +89,17 @@ fn codec_config(seed: u64) -> OrcoConfig {
 const DRIFT_THRESHOLD: f32 = 0.125;
 const DRIFT_WINDOW: usize = 8;
 
-/// Endpoint layout: the directory is endpoint 0, gateway id `g` is
-/// endpoint `g` (ids start at 1), advertised as `des:<endpoint>`.
-fn ep_of_addr(addr: &str) -> usize {
-    addr.strip_prefix("des:")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("non-DES gateway address {addr:?} in a DES fleet"))
-}
-
-const DIRECTORY_EP: usize = 0;
 const GATEWAYS: [u64; 3] = [1, 2, 3];
 /// Gateway id (== endpoint) killed mid-swap: after it acks the staged
 /// version, before its activation lands.
 const VICTIM: u64 = 2;
 
-/// Heartbeat cadence; the timeout leaves room for a 3-retransmit beat.
-const BEAT_EVERY: Duration = Duration::from_millis(20);
-const BEAT_TIMEOUT: Duration = Duration::from_millis(120);
-
-const ROWS_PER_PUSH: usize = 3;
-const PULL_CHUNK: u32 = 8;
-
-/// Wakeup-token namespaces (client tokens are the client index).
-const TOKEN_AGENT: u64 = 1000;
-const TOKEN_RELEASE: u64 = 2000;
-const TOKEN_CTRL: u64 = 3000;
+/// The controller's probe timer.
+const TOKEN_CTRL: u64 = TOKEN_SCRIPT;
 
 /// How often the controller polls `VersionQuery` while waiting for a
 /// drift flag.
 const PROBE_EVERY: Duration = Duration::from_millis(5);
-
-/// Who a [`DesNet`] connection belongs to.
-#[derive(Debug, Clone, Copy)]
-enum Role {
-    /// Gateway agent `i`'s directory connection.
-    Agent(usize),
-    /// Client `i`'s directory connection.
-    ClientDir(usize),
-    /// Client `i`'s data-plane connection.
-    ClientData(usize),
-    /// The rollout controller's connection to gateway index `i`.
-    Ctrl(usize),
-}
-
-/// A gateway-side fleet agent, scripted as a simulation actor.
-struct Agent {
-    id: u64,
-    ep: usize,
-    gateway: Arc<Gateway>,
-    conn: usize,
-    alive: bool,
-    epoch: u64,
-}
-
-impl Agent {
-    fn install_view(&self, epoch: u64, members: Vec<GatewayEntry>) {
-        self.gateway.set_fleet_view(Some(FleetView::new(Some(self.id), epoch, members)));
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CState {
-    /// Waiting for the bootstrap `DirectoryReply`.
-    Boot,
-    /// Greeting the owner (`HelloAck` pending).
-    Greet,
-    /// The push-window / drain loop against the current owner.
-    Stream,
-    /// Parked at the hold point until the rollout releases the tail.
-    Held,
-    /// Owner died: waiting for a post-eviction `DirectoryReply`.
-    AwaitDir,
-    Done,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CKind {
-    Query,
-    Hello,
-    Push { lo: usize, hi: usize },
-    Pull,
-}
-
-struct ClientActor {
-    cluster: u64,
-    frames: Matrix,
-    /// The client parks here until the rollout completes, so the tail
-    /// of every stream is guaranteed to race the swap.
-    hold_at: usize,
-    offset: usize,
-    acked: usize,
-    pulled: Vec<f32>,
-    /// Producing model version of each delivered row, in pull order.
-    pulled_versions: Vec<u64>,
-    pulled_rows: usize,
-    state: CState,
-    pending: Option<(u64, CKind)>,
-    dir_conn: usize,
-    data_conn: Option<usize>,
-    data_ep: usize,
-    released: bool,
-    backoff: Backoff,
-    gave_ups: usize,
-    reconnects: usize,
-}
-
-impl ClientActor {
-    fn done(&self) -> bool {
-        self.state == CState::Done
-    }
-}
 
 /// Rollout-controller progress through the staged fleet walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,6 +120,8 @@ enum CtrlKind {
     Activate { gi: usize },
 }
 
+/// The role this scenario adds to the fleet cast: probes the gateways for
+/// drift, then walks them staging and activating `version`.
 struct Controller {
     /// One connection per gateway, index-aligned with [`GATEWAYS`].
     conns: Vec<usize>,
@@ -292,6 +132,9 @@ struct Controller {
     nonce_seq: u64,
     /// Gateway ids the walk skipped because they died mid-swap.
     skipped: Vec<u64>,
+    /// The version being rolled out and its weights.
+    version: ModelVersion,
+    ckpt: EncoderCheckpoint,
 }
 
 impl Controller {
@@ -300,21 +143,15 @@ impl Controller {
         self.nonce_seq.wrapping_mul(GOLDEN) ^ 0x726F_6C6C
     }
 
-    fn submit_propose(
-        &mut self,
-        net: &DesNet,
-        gi: usize,
-        version: &ModelVersion,
-        ckpt: &EncoderCheckpoint,
-    ) {
+    fn submit_propose(&mut self, net: &DesNet, gi: usize) {
         let nonce = self.next_nonce();
-        let mac = auth::rollout_mac(SECRET, version.id, nonce);
+        let mac = auth::rollout_mac(SECRET, self.version.id, nonce);
         let seq = net.submit(
             self.conns[gi],
             &Message::RolloutPropose {
-                version: version.clone(),
-                weight: ckpt.weight.clone(),
-                bias: ckpt.bias.clone(),
+                version: self.version.clone(),
+                weight: self.ckpt.weight.clone(),
+                bias: self.ckpt.bias.clone(),
                 nonce,
                 mac,
             },
@@ -322,168 +159,190 @@ impl Controller {
         self.pending = Some((seq, CtrlKind::Propose { gi }));
     }
 
-    fn submit_activate(&mut self, net: &DesNet, gi: usize, version_id: u64) {
-        let nonce = self.next_nonce();
+    fn submit_activate(&mut self, net: &DesNet, gi: usize) {
+        let (version_id, nonce) = (self.version.id, self.next_nonce());
         let mac = auth::rollout_mac(SECRET, version_id, nonce);
         let seq = net.submit(self.conns[gi], &Message::ActivateVersion { version_id, nonce, mac });
         self.pending = Some((seq, CtrlKind::Activate { gi }));
     }
-}
 
-/// Picks a cluster id whose rendezvous owner under `members` is `want`,
-/// scanning deterministically from `from`.
-fn cluster_owned_by(members: &[GatewayEntry], want: u64, from: u64) -> u64 {
-    (from..from + 10_000)
-        .find(|&c| owner_of(members, c).map(|g| g.id) == Some(want))
-        .expect("rendezvous hashing starves no gateway within 10k clusters")
-}
-
-fn drive(
-    name: &str,
-    seed: u64,
-    quick: bool,
-    replay: Option<Vec<SendRecord>>,
-) -> Result<RolloutOutcome, ScenarioError> {
-    let fail = |detail: String, trace: Vec<SendRecord>| ScenarioError {
-        detail,
-        log: RunLog { name: name.to_string(), seed, quick, trace },
-    };
-    if name != "rollout_storm" {
-        return Err(fail(
-            format!("unknown rollout scenario (gauntlet: {ROLLOUT_GAUNTLET:?})"),
-            Vec::new(),
-        ));
+    /// Advances the fleet walk past gateway index `gi`: proposes to the
+    /// next gateway, or completes the rollout and schedules the clients'
+    /// release.
+    fn walk_past(&mut self, net: &DesNet, gi: usize) {
+        let next = gi + 1;
+        if next < GATEWAYS.len() {
+            self.state = RState::Rolling { gi: next };
+            self.submit_propose(net, next);
+        } else {
+            self.state = RState::Done;
+            // Release the held clients: their tails now race the fresh swap
+            // (and, for the victim's clients, the corpse).
+            net.schedule_wakeup(Duration::from_millis(10), TOKEN_RELEASE);
+        }
     }
-    let frames_per_client = if quick { 24 } else { 48 };
+}
+
+/// The `rollout_storm` script: the fleet cast plus the [`Controller`].
+struct Storm {
+    fleet: Fleet,
+    ctrl: Controller,
+    killed: bool,
+    /// How far the furthest client had pushed when the drift flag was
+    /// first seen: the drift-before-rollout contract.
+    drift_seen_at_offset: Option<usize>,
+}
+
+impl Storm {
+    /// Handles a reply on one of the controller's gateway connections.
+    fn on_ctrl_reply(&mut self, net: &DesNet, seq: u64, reply: Message) -> Result<(), String> {
+        let ctrl = &mut self.ctrl;
+        let Some((want, kind)) = ctrl.pending.take() else {
+            return Ok(()); // a straggler reply from a connection we failed away from
+        };
+        if want != seq {
+            return Err(format!("controller: expected reply seq {want}, got {seq}"));
+        }
+        let want_version = ctrl.version.id;
+        let accepted_ack = |gi: usize, verb: &str, version_id: u64, accepted: bool, detail| {
+            if version_id == want_version && accepted {
+                return Ok(());
+            }
+            Err(format!(
+                "gateway {} refused to {verb} version {version_id}: {detail}",
+                GATEWAYS[gi]
+            ))
+        };
+        match (kind, reply) {
+            (CtrlKind::Probe, Message::VersionReply { drift, .. }) => {
+                if drift && ctrl.state == RState::WaitDrift {
+                    self.drift_seen_at_offset = self.fleet.clients.iter().map(|c| c.offset).max();
+                    ctrl.state = RState::Rolling { gi: 0 };
+                    ctrl.submit_propose(net, 0);
+                } else {
+                    ctrl.probe_next = (ctrl.probe_next + 1) % GATEWAYS.len();
+                    net.schedule_wakeup(PROBE_EVERY, TOKEN_CTRL);
+                }
+                Ok(())
+            }
+            (CtrlKind::Propose { gi }, Message::RolloutAck { version_id, accepted, detail }) => {
+                accepted_ack(gi, "stage", version_id, accepted, detail)?;
+                if GATEWAYS[gi] == VICTIM {
+                    // The mid-swap kill: the victim acked the stage; it dies
+                    // before the activate can land.
+                    self.killed = true;
+                    self.fleet.kill(VICTIM);
+                }
+                ctrl.submit_activate(net, gi);
+                Ok(())
+            }
+            (CtrlKind::Activate { gi }, Message::RolloutAck { version_id, accepted, detail }) => {
+                accepted_ack(gi, "activate", version_id, accepted, detail)?;
+                ctrl.walk_past(net, gi);
+                Ok(())
+            }
+            (kind, Message::ErrorReply { code, detail }) => {
+                Err(format!("controller: {kind:?} drew {code:?}: {detail}"))
+            }
+            (kind, other) => Err(format!("controller: {kind:?} drew unexpected {}", other.kind())),
+        }
+    }
+}
+
+impl Cast for Storm {
+    fn done(&self) -> bool {
+        self.fleet.done()
+    }
+
+    fn unfinished(&self) -> String {
+        format!("ctrl {:?} and {}", self.ctrl.state, self.fleet.unfinished())
+    }
+
+    fn on_reply(
+        &mut self,
+        net: &DesNet,
+        conn: usize,
+        seq: u64,
+        reply: Message,
+    ) -> Result<(), String> {
+        match self.fleet.roles.of(conn) {
+            Role::Script(_) => self.on_ctrl_reply(net, seq, reply),
+            _ => self.fleet.on_reply(conn, seq, reply).map(|_| ()),
+        }
+    }
+
+    fn on_gave_up(&mut self, net: &DesNet, conn: usize) {
+        let Role::Script(gi) = self.fleet.roles.of(conn) else {
+            return self.fleet.on_gave_up(conn);
+        };
+        if net.endpoint_alive(GATEWAYS[gi] as usize) {
+            // Loss streak on a live gateway: resume; the ARQ re-offers
+            // the in-flight rollout message.
+            self.ctrl.conns[gi] = self.fleet.roles.reconnect(net, conn);
+        } else {
+            // The gateway died under our in-flight activate — the
+            // mid-swap kill. Skip it and keep walking.
+            net.cancel_outstanding(conn);
+            self.ctrl.pending = None;
+            self.ctrl.skipped.push(GATEWAYS[gi]);
+            self.ctrl.walk_past(net, gi);
+        }
+    }
+
+    fn on_wakeup(&mut self, net: &DesNet, token: u64) {
+        let ctrl = &mut self.ctrl;
+        if self.fleet.on_wakeup(token) || ctrl.state != RState::WaitDrift {
+            return;
+        }
+        if ctrl.pending.is_none() {
+            let seq = net.submit(ctrl.conns[ctrl.probe_next], &Message::VersionQuery);
+            ctrl.pending = Some((seq, CtrlKind::Probe));
+        } else {
+            net.schedule_wakeup(PROBE_EVERY, TOKEN_CTRL);
+        }
+    }
+}
+
+fn rollout_storm(run: &Run, net: &DesNet) -> Result<Outcome, String> {
+    let frames_per_client = if run.quick { 24 } else { 48 };
     let shift_at = frames_per_client / 2;
+    // Clients park here until the rollout walk completes, so every
+    // stream's last quarter races the swap.
     let hold_at = frames_per_client * 3 / 4;
-
-    let des = DesConfig {
-        link: LinkParams { delay_s: 0.002, jitter_s: 0.001, loss_prob: 0.02 },
-        rto: Duration::from_millis(10),
-        rto_cap: Duration::from_millis(80),
-        max_attempts: 5,
-    };
-    let net = DesNet::new_multi(des, seed);
-    if let Some(trace) = replay {
-        net.begin_replay(trace);
-    }
-
-    let directory = Arc::new(
-        Directory::new(
-            DirectoryConfig {
-                auth_secret: Some(SECRET),
-                heartbeat_timeout: BEAT_TIMEOUT,
-                sweep_interval: Duration::from_millis(100),
-            },
-            Clock::manual(Duration::ZERO),
-        )
-        .expect("valid directory config"),
-    );
-    let dir_ep = net.add_service(Arc::clone(&directory) as Arc<dyn orco_serve::Service>);
-    assert_eq!(dir_ep, DIRECTORY_EP);
 
     // Three identical gateways, every one drift-monitored: each samples
     // every flushed row's decode-back error through an 8-sample window.
-    let codec_cfg = codec_config(11);
+    let codec = codec_config(11);
     let gateway_cfg = GatewayConfig {
-        shards: 2,
-        batch_max_frames: 8,
-        batch_deadline: Duration::from_millis(5),
-        queue_capacity: 4096,
-        auth_secret: Some(SECRET),
-        trace_capacity: 1 << 16,
         drift_sample_every: 1,
         drift_threshold: DRIFT_THRESHOLD,
         drift_window: DRIFT_WINDOW,
-        ..GatewayConfig::default()
+        ..gateway_config()
     };
-    let mut agents: Vec<Agent> = GATEWAYS
-        .iter()
-        .map(|&id| {
-            let gateway = Arc::new(
-                Gateway::new(gateway_cfg, Clock::manual(Duration::ZERO), |_| {
-                    Box::new(AsymmetricAutoencoder::new(&codec_cfg).expect("valid codec"))
-                        as Box<dyn Codec>
-                })
-                .expect("valid gateway config"),
-            );
-            let ep = net.add_service(Arc::clone(&gateway) as Arc<dyn orco_serve::Service>);
-            assert_eq!(ep, id as usize);
-            Agent { id, ep, gateway, conn: 0, alive: true, epoch: 0 }
-        })
-        .collect();
-
-    let mut roles: Vec<Role> = Vec::new();
-    let push_role = |roles: &mut Vec<Role>, conn: usize, role: Role| {
-        assert_eq!(conn, roles.len(), "connection ids must stay dense");
-        roles.push(role);
-    };
-    for (i, a) in agents.iter_mut().enumerate() {
-        a.conn = net.connect_to(DIRECTORY_EP);
-        push_role(&mut roles, a.conn, Role::Agent(i));
-    }
+    let mut fleet = Fleet::new(net, GATEWAYS.len() as u64, gateway_cfg, &codec);
 
     // Two clients per gateway under the initial membership; the victim's
     // pair exercises kill-failover mid-rollout.
-    let entry = |id: u64| GatewayEntry { id, addr: format!("des:{id}") };
-    let initial: Vec<GatewayEntry> = GATEWAYS.iter().copied().map(entry).collect();
+    let initial: Vec<GatewayEntry> =
+        GATEWAYS.iter().map(|&id| GatewayEntry { id, addr: format!("des:{id}") }).collect();
     let mut clusters = Vec::new();
     for &g in &GATEWAYS {
         let first = cluster_owned_by(&initial, g, 100);
         clusters.push(first);
         clusters.push(cluster_owned_by(&initial, g, first + 1));
     }
+    fleet.cast_clients(run.seed, &clusters, frames_per_client, |_| Some(hold_at));
 
     // Each client's stream drifts at `shift_at`: the tail is the exact
     // Bias shift of `orco_datasets::drift`, applied row-deterministically
     // (the same transform `loadgen --drift` replays against live TCP
     // gateways).
-    let input_dim = codec_cfg.input_dim;
-    let mut clients: Vec<ClientActor> = clusters
-        .iter()
-        .enumerate()
-        .map(|(i, &cluster)| {
-            let mut rng = OrcoRng::from_seed_u64(seed ^ (0xFEE7 + i as u64));
-            let mut frames =
-                Matrix::from_fn(frames_per_client, input_dim, |_, _| rng.uniform(0.0, 1.0));
-            let mut tail = frames.view_rows(shift_at..frames_per_client).to_matrix();
-            let mut drift_rng = OrcoRng::from_seed_u64(seed ^ 0xD21F7);
-            apply_matrix(&mut tail, Drift::Bias, 1.0, &mut drift_rng);
-            for r in 0..tail.rows() {
-                let dst = shift_at + r;
-                for c in 0..input_dim {
-                    frames.set(dst, c, tail.get(r, c).expect("in-bounds copy"));
-                }
-            }
-            let dir_conn = net.connect_to(DIRECTORY_EP);
-            push_role(&mut roles, dir_conn, Role::ClientDir(i));
-            ClientActor {
-                cluster,
-                frames,
-                hold_at,
-                offset: 0,
-                acked: 0,
-                pulled: Vec::new(),
-                pulled_versions: Vec::new(),
-                pulled_rows: 0,
-                state: CState::Boot,
-                pending: None,
-                dir_conn,
-                data_conn: None,
-                data_ep: 0,
-                released: false,
-                backoff: Backoff::new(
-                    Duration::from_millis(2),
-                    Duration::from_millis(64),
-                    seed.wrapping_mul(GOLDEN) ^ i as u64,
-                ),
-                gave_ups: 0,
-                reconnects: 0,
-            }
-        })
-        .collect();
-    let total = clients.len() * frames_per_client;
+    for c in &mut fleet.clients {
+        let mut tail = c.frames.view_rows(shift_at..frames_per_client).to_matrix();
+        let mut drift_rng = OrcoRng::from_seed_u64(run.seed ^ 0xD21F7);
+        apply_matrix(&mut tail, Drift::Bias, 1.0, &mut drift_rng);
+        c.frames.as_mut_slice()[shift_at * tail.cols()..].copy_from_slice(tail.as_slice());
+    }
 
     // The version being rolled out: a differently-seeded encoder of the
     // same geometry, standing in for a drift-adapted retrain. The
@@ -493,704 +352,101 @@ fn drive(
     let version = ModelVersion {
         id: 1,
         label: "retrain-99".into(),
-        frame_dim: input_dim as u32,
-        code_dim: codec_cfg.latent_dim as u32,
+        frame_dim: codec.input_dim as u32,
+        code_dim: codec.latent_dim as u32,
     };
+    let ref_v0 = AsymmetricAutoencoder::new(&codec).expect("valid codec config");
+    let ref_v1 = ref_v0.with_encoder(&ckpt).expect("same geometry");
 
-    let mut ctrl = Controller {
-        conns: GATEWAYS.iter().map(|&g| net.connect_to(g as usize)).collect(),
+    let conns: Vec<usize> = GATEWAYS.iter().map(|&g| net.connect_to(g as usize)).collect();
+    for (gi, &conn) in conns.iter().enumerate() {
+        fleet.roles.bind(conn, Role::Script(gi));
+    }
+    let ctrl = Controller {
+        conns,
         state: RState::WaitDrift,
         pending: None,
         probe_next: 0,
-        nonce_seq: seed,
+        nonce_seq: run.seed,
         skipped: Vec::new(),
+        version,
+        ckpt,
     };
-    for (gi, &conn) in ctrl.conns.clone().iter().enumerate() {
-        push_role(&mut roles, conn, Role::Ctrl(gi));
-    }
 
     // Kick off: gateways register at t=0, clients boot staggered, the
     // controller starts probing for drift.
-    for a in agents.iter() {
-        let addr = format!("des:{}", a.ep);
-        let nonce = a.id.wrapping_mul(GOLDEN) ^ 0x666C_6565;
-        let mac = auth::register_mac(SECRET, a.id, &addr, nonce);
-        net.submit(a.conn, &Message::Register { gateway_id: a.id, addr, nonce, mac });
-    }
-    for i in 0..clients.len() {
-        net.schedule_wakeup(Duration::from_millis(10 + i as u64), i as u64);
-    }
+    fleet.kick_off();
     net.schedule_wakeup(PROBE_EVERY, TOKEN_CTRL);
-
-    let mut killed = false;
-    let mut drift_seen_at_offset: Option<usize> = None;
-
-    let mut events = 0u64;
-    const EVENT_CAP: u64 = 5_000_000;
-    while clients.iter().any(|c| !c.done()) {
-        events += 1;
-        if events > EVENT_CAP {
-            return Err(fail(
-                format!(
-                    "no convergence after {EVENT_CAP} events: ctrl {:?}, {} of {} clients live",
-                    ctrl.state,
-                    clients.iter().filter(|c| !c.done()).count(),
-                    clients.len()
-                ),
-                net.trace(),
-            ));
-        }
-        match net.poll() {
-            NetEvent::Reply { conn, seq } => {
-                let reply = net.take_reply(conn, seq).expect("announced reply present");
-                match roles[conn] {
-                    Role::Agent(i) => {
-                        if let Err(d) = on_agent_reply(&net, &mut agents[i], reply) {
-                            return Err(fail(d, net.trace()));
-                        }
-                    }
-                    Role::ClientDir(i) => {
-                        if let Err(d) =
-                            on_dir_reply(&net, &mut clients[i], i, seq, reply, &mut roles)
-                        {
-                            return Err(fail(d, net.trace()));
-                        }
-                    }
-                    Role::ClientData(i) => {
-                        if let Err(d) =
-                            on_data_reply(&net, &mut clients[i], i, seq, reply, &mut roles)
-                        {
-                            return Err(fail(d, net.trace()));
-                        }
-                    }
-                    Role::Ctrl(_) => {
-                        let r = on_ctrl_reply(
-                            &net,
-                            &mut ctrl,
-                            seq,
-                            reply,
-                            &version,
-                            &ckpt,
-                            &clients,
-                            &mut agents,
-                            &mut killed,
-                            &mut drift_seen_at_offset,
-                        );
-                        if let Err(d) = r {
-                            return Err(fail(d, net.trace()));
-                        }
-                    }
-                }
-            }
-            NetEvent::GaveUp { conn, seq: _ } => match roles[conn] {
-                Role::Agent(i) => {
-                    if agents[i].alive {
-                        agents[i].conn = net.reconnect(conn);
-                        push_role(&mut roles, agents[i].conn, Role::Agent(i));
-                    }
-                }
-                Role::ClientDir(i) => {
-                    clients[i].dir_conn = net.reconnect(conn);
-                    push_role(&mut roles, clients[i].dir_conn, Role::ClientDir(i));
-                }
-                Role::ClientData(i) => {
-                    let c = &mut clients[i];
-                    c.gave_ups += 1;
-                    if net.endpoint_alive(c.data_ep) {
-                        // Transient loss streak: resume the session on the
-                        // same gateway; dedup state survives, the
-                        // re-offered request executes at most once.
-                        c.reconnects += 1;
-                        let new = net.reconnect(conn);
-                        c.data_conn = Some(new);
-                        push_role(&mut roles, new, Role::ClientData(i));
-                    } else {
-                        // Owner died mid-swap. Rewind to the delivered
-                        // watermark and find the new owner.
-                        net.cancel_outstanding(conn);
-                        c.pending = None;
-                        c.acked = c.pulled_rows;
-                        c.offset = c.pulled_rows;
-                        c.state = CState::AwaitDir;
-                        let seq = net.submit(c.dir_conn, &Message::DirectoryQuery);
-                        c.pending = Some((seq, CKind::Query));
-                    }
-                }
-                Role::Ctrl(gi) => {
-                    let ep = GATEWAYS[gi] as usize;
-                    if net.endpoint_alive(ep) {
-                        // Loss streak on a live gateway: resume; the ARQ
-                        // re-offers the in-flight rollout message.
-                        ctrl.conns[gi] = net.reconnect(conn);
-                        push_role(&mut roles, ctrl.conns[gi], Role::Ctrl(gi));
-                    } else {
-                        // The gateway died under our in-flight activate —
-                        // the mid-swap kill. Skip it and keep walking.
-                        net.cancel_outstanding(conn);
-                        ctrl.pending = None;
-                        ctrl.skipped.push(GATEWAYS[gi]);
-                        if let Err(d) = ctrl_advance(&net, &mut ctrl, gi, &version, &ckpt) {
-                            return Err(fail(d, net.trace()));
-                        }
-                    }
-                }
-            },
-            NetEvent::Wakeup { token } => {
-                if token == TOKEN_RELEASE {
-                    for c in clients.iter_mut() {
-                        c.released = true;
-                        if c.state == CState::Held {
-                            c.state = CState::Stream;
-                            if c.pending.is_none() {
-                                advance(&net, c);
-                            }
-                        }
-                    }
-                } else if token == TOKEN_CTRL {
-                    if ctrl.state == RState::WaitDrift && ctrl.pending.is_none() {
-                        let gi = ctrl.probe_next;
-                        let seq = net.submit(ctrl.conns[gi], &Message::VersionQuery);
-                        ctrl.pending = Some((seq, CtrlKind::Probe));
-                    } else if ctrl.state == RState::WaitDrift {
-                        net.schedule_wakeup(PROBE_EVERY, TOKEN_CTRL);
-                    }
-                } else if token >= TOKEN_AGENT {
-                    let i = (token - TOKEN_AGENT) as usize;
-                    let a = &agents[i];
-                    if a.alive {
-                        net.submit(
-                            a.conn,
-                            &Message::Heartbeat {
-                                gateway_id: a.id,
-                                epoch: a.epoch,
-                                stats: Some(a.gateway.stats()),
-                            },
-                        );
-                    }
-                } else {
-                    let i = token as usize;
-                    let c = &mut clients[i];
-                    if c.pending.is_some() {
-                        continue;
-                    }
-                    match c.state {
-                        CState::Boot | CState::AwaitDir => {
-                            let seq = net.submit(c.dir_conn, &Message::DirectoryQuery);
-                            c.pending = Some((seq, CKind::Query));
-                        }
-                        CState::Stream => advance(&net, c),
-                        CState::Greet | CState::Held | CState::Done => {}
-                    }
-                }
-            }
-            NetEvent::Idle => {
-                let stuck: Vec<usize> =
-                    clients.iter().enumerate().filter(|(_, c)| !c.done()).map(|(i, _)| i).collect();
-                return Err(fail(
-                    format!(
-                        "event queue drained with ctrl {:?} and clients {stuck:?} unfinished — \
-                         a request or timer was lost (liveness violation)",
-                        ctrl.state
-                    ),
-                    net.trace(),
-                ));
-            }
-        }
-    }
+    let mut cast = Storm { fleet, ctrl, killed: false, drift_seen_at_offset: None };
+    play(net, &mut cast)?;
+    let Storm { fleet, ctrl, killed, drift_seen_at_offset } = cast;
+    let version_id = ctrl.version.id;
 
     // ---- Contracts ----------------------------------------------------
     if !killed || ctrl.state != RState::Done {
-        return Err(fail(
-            format!(
-                "the run finished without its chaos: killed={killed} ctrl={:?} (the \
-                 stage-ack kill trigger never fired)",
-                ctrl.state
-            ),
-            net.trace(),
+        return Err(format!(
+            "the run finished without its chaos: killed={killed} ctrl={:?} (the \
+             stage-ack kill trigger never fired)",
+            ctrl.state
         ));
     }
     if ctrl.skipped != [VICTIM] {
-        return Err(fail(
-            format!("expected exactly the victim skipped mid-swap, got {:?}", ctrl.skipped),
-            net.trace(),
+        return Err(format!(
+            "expected exactly the victim skipped mid-swap, got {:?}",
+            ctrl.skipped
         ));
     }
     let Some(drift_offset) = drift_seen_at_offset else {
-        return Err(fail("rollout ran without ever observing the drift flag".into(), net.trace()));
+        return Err("rollout ran without ever observing the drift flag".into());
     };
     if drift_offset < shift_at {
-        return Err(fail(
-            format!(
-                "drift flagged while the furthest client had pushed only {drift_offset} rows \
-                 (shift starts at {shift_at}) — the monitor tripped on the base distribution"
-            ),
-            net.trace(),
+        return Err(format!(
+            "drift flagged while the furthest client had pushed only {drift_offset} rows \
+             (shift starts at {shift_at}) — the monitor tripped on the base distribution"
         ));
     }
-    let delivered_rows: usize = clients.iter().map(|c| c.pulled_rows).sum();
-    if delivered_rows != total {
-        return Err(fail(
-            format!(
-                "delivered {delivered_rows} rows for {total} pushed — {} (exactly-once \
-                 violated across the mid-swap kill)",
-                if delivered_rows < total { "frames lost" } else { "frames duplicated" }
-            ),
-            net.trace(),
-        ));
-    }
-
-    // Version-pure, bit-identical delivery: per client the version tape
-    // is non-decreasing and every row equals the reference codec of its
-    // producing version run over the same stream.
-    let mut ref_v0 = AsymmetricAutoencoder::new(&codec_cfg).expect("valid codec config");
-    let mut ref_v1 = ref_v0.with_encoder(&ckpt).expect("same geometry");
-    let mut v0_rows = 0usize;
-    let mut v1_rows = 0usize;
-    for (i, c) in clients.iter().enumerate() {
-        if c.pulled_versions.windows(2).any(|w| w[0] > w[1]) {
-            return Err(fail(
-                format!("client {i}: version tape {:?} regressed", c.pulled_versions),
-                net.trace(),
-            ));
-        }
-        let mut codes = Matrix::zeros(0, 0);
-        let mut recon0 = Matrix::zeros(0, 0);
-        let mut recon1 = Matrix::zeros(0, 0);
-        ref_v0.encode_batch(c.frames.as_view(), &mut codes).expect("geometry fits");
-        ref_v0.decode_batch(codes.as_view(), &mut recon0).expect("geometry fits");
-        ref_v1.encode_batch(c.frames.as_view(), &mut codes).expect("geometry fits");
-        ref_v1.decode_batch(codes.as_view(), &mut recon1).expect("geometry fits");
-        for (r, &v) in c.pulled_versions.iter().enumerate() {
-            let expect = match v {
-                0 => recon0.row(r),
-                1 => recon1.row(r),
-                other => {
-                    return Err(fail(
-                        format!("client {i}: row {r} claims unknown version {other}"),
-                        net.trace(),
-                    ));
-                }
-            };
-            if c.pulled[r * input_dim..(r + 1) * input_dim] != *expect {
-                return Err(fail(
-                    format!(
-                        "client {i}: row {r} (version {v}) diverges from the direct \
-                         codec path of that version"
-                    ),
-                    net.trace(),
-                ));
-            }
-            if v == 0 {
-                v0_rows += 1;
-            } else {
-                v1_rows += 1;
-            }
-        }
-    }
-    if v1_rows == 0 {
-        return Err(fail(
-            "no row was ever served by the rolled-out version — the swap went unexercised".into(),
-            net.trace(),
-        ));
+    let rows = fleet.check_streams("the mid-swap kill", &mut [Box::new(ref_v0), ref_v1])?;
+    if rows[1] == 0 {
+        return Err(
+            "no row was ever served by the rolled-out version — the swap went unexercised".into()
+        );
     }
 
     // The mid-swap kill left the victim serving version 0 with the new
     // version staged-but-never-activated; survivors finished the walk.
-    let victim = agents.iter().find(|a| a.id == VICTIM).expect("cast");
-    match victim.gateway.handle(Message::VersionQuery) {
+    match fleet.agent(VICTIM).gateway.handle(Message::VersionQuery) {
         Message::VersionReply { active, staged, .. } => {
-            if active.id != 0 || staged.as_ref().map(|v| v.id) != Some(version.id) {
-                return Err(fail(
-                    format!(
-                        "victim died in the wrong phase: active {} staged {:?} (want active 0, \
-                         staged Some({}))",
-                        active.id,
-                        staged.map(|v| v.id),
-                        version.id
-                    ),
-                    net.trace(),
-                ));
-            }
-        }
-        other => {
-            return Err(fail(format!("victim version query drew {}", other.kind()), net.trace()))
-        }
-    }
-
-    let mut drift_trips = 0u64;
-    let mut swaps_total = 0u64;
-    let mut stats_frames = Vec::new();
-    let mut trace_export = String::new();
-    for a in &agents {
-        if a.id == VICTIM {
-            continue;
-        }
-        let snap = a.gateway.stats();
-        if snap.active_version != version.id || snap.swaps != 1 {
-            return Err(fail(
-                format!(
-                    "gateway {}: active_version {} swaps {} after the rollout (want {}, 1)",
-                    a.id, snap.active_version, snap.swaps, version.id
-                ),
-                net.trace(),
-            ));
-        }
-        if snap.queue_depth != 0 || snap.stored_codes != 0 {
-            return Err(fail(
-                format!(
-                    "gateway {} not drained: queue_depth {} stored_codes {}",
-                    a.id, snap.queue_depth, snap.stored_codes
-                ),
-                net.trace(),
-            ));
-        }
-        drift_trips += snap.drift_trips;
-        swaps_total += snap.swaps;
-        let mut frame = Vec::new();
-        Message::StatsReply(snap).encode_into(&mut frame);
-        stats_frames.push(frame);
-        trace_export.push_str(&format!("gateway {}\n", a.id));
-        trace_export.push_str(&a.gateway.trace_export());
-    }
-    let _ = swaps_total;
-    if drift_trips == 0 {
-        return Err(fail(
-            "no surviving gateway ever tripped its drift monitor".into(),
-            net.trace(),
-        ));
-    }
-    let (_, evictions, _) = directory.fleet_stats();
-    if evictions == 0 {
-        return Err(fail(
-            "the directory never recorded an eviction despite the kill".into(),
-            net.trace(),
-        ));
-    }
-
-    let mut digest_bytes = Vec::with_capacity(delivered_rows * (input_dim * 4 + 8));
-    for c in &clients {
-        for (r, &v) in c.pulled_versions.iter().enumerate() {
-            digest_bytes.extend_from_slice(&v.to_le_bytes());
-            for val in &c.pulled[r * input_dim..(r + 1) * input_dim] {
-                digest_bytes.extend_from_slice(&val.to_le_bytes());
-            }
-        }
-    }
-    Ok(RolloutOutcome {
-        name: name.to_string(),
-        seed,
-        clients: clients.len(),
-        frames_per_client,
-        delivered_rows,
-        v0_rows,
-        v1_rows,
-        drift_trips,
-        gave_ups: clients.iter().map(|c| c.gave_ups).sum(),
-        reconnects: clients.iter().map(|c| c.reconnects).sum(),
-        final_epoch: directory.epoch(),
-        stats_frames,
-        trace_export,
-        decoded_fnv: fnv1a64(&digest_bytes),
-        trace: net.trace(),
-    })
-}
-
-/// Advances the controller's fleet walk past gateway index `gi`:
-/// proposes to the next gateway, or completes the rollout and schedules
-/// the clients' release.
-fn ctrl_advance(
-    net: &DesNet,
-    ctrl: &mut Controller,
-    gi: usize,
-    version: &ModelVersion,
-    ckpt: &EncoderCheckpoint,
-) -> Result<(), String> {
-    let next = gi + 1;
-    if next < GATEWAYS.len() {
-        ctrl.state = RState::Rolling { gi: next };
-        ctrl.submit_propose(net, next, version, ckpt);
-    } else {
-        ctrl.state = RState::Done;
-        // Release the held clients: their tails now race the fresh swap
-        // (and, for the victim's clients, the corpse).
-        net.schedule_wakeup(Duration::from_millis(10), TOKEN_RELEASE);
-    }
-    Ok(())
-}
-
-/// Handles a reply on one of the controller's gateway connections.
-#[allow(clippy::too_many_arguments)]
-fn on_ctrl_reply(
-    net: &DesNet,
-    ctrl: &mut Controller,
-    seq: u64,
-    reply: Message,
-    version: &ModelVersion,
-    ckpt: &EncoderCheckpoint,
-    clients: &[ClientActor],
-    agents: &mut [Agent],
-    killed: &mut bool,
-    drift_seen_at_offset: &mut Option<usize>,
-) -> Result<(), String> {
-    let Some((want, kind)) = ctrl.pending.take() else {
-        return Ok(()); // a straggler reply from a connection we failed away from
-    };
-    if want != seq {
-        return Err(format!("controller: expected reply seq {want}, got {seq}"));
-    }
-    match (kind, reply) {
-        (CtrlKind::Probe, Message::VersionReply { drift, .. }) => {
-            if drift && ctrl.state == RState::WaitDrift {
-                // Record how far the furthest client had pushed when the
-                // flag was first seen: the drift-before-rollout contract.
-                *drift_seen_at_offset = Some(clients.iter().map(|c| c.offset).max().unwrap_or(0));
-                ctrl.state = RState::Rolling { gi: 0 };
-                ctrl.submit_propose(net, 0, version, ckpt);
-            } else {
-                ctrl.probe_next = (ctrl.probe_next + 1) % GATEWAYS.len();
-                net.schedule_wakeup(PROBE_EVERY, TOKEN_CTRL);
-            }
-            Ok(())
-        }
-        (CtrlKind::Propose { gi }, Message::RolloutAck { version_id, accepted, detail }) => {
-            if version_id != version.id || !accepted {
+            if active.id != 0 || staged.as_ref().map(|v| v.id) != Some(version_id) {
                 return Err(format!(
-                    "gateway {} refused to stage version {version_id}: {detail}",
-                    GATEWAYS[gi]
+                    "victim died in the wrong phase: active {} staged {:?} (want active 0, \
+                     staged Some({version_id}))",
+                    active.id,
+                    staged.map(|v| v.id),
                 ));
             }
-            if GATEWAYS[gi] == VICTIM {
-                // The mid-swap kill: the victim acked the stage; it dies
-                // before the activate can land.
-                *killed = true;
-                net.kill_endpoint(VICTIM as usize);
-                let victim = agents.iter_mut().find(|a| a.id == VICTIM).expect("cast");
-                victim.alive = false;
-            }
-            ctrl.submit_activate(net, gi, version.id);
-            Ok(())
         }
-        (CtrlKind::Activate { gi }, Message::RolloutAck { version_id, accepted, detail }) => {
-            if version_id != version.id || !accepted {
-                return Err(format!(
-                    "gateway {} refused to activate version {version_id}: {detail}",
-                    GATEWAYS[gi]
-                ));
-            }
-            ctrl_advance(net, ctrl, gi, version, ckpt)
-        }
-        (kind, Message::ErrorReply { code, detail }) => {
-            Err(format!("controller: {kind:?} drew {code:?}: {detail}"))
-        }
-        (kind, other) => Err(format!("controller: {kind:?} drew unexpected {}", other.kind())),
+        other => return Err(format!("victim version query drew {}", other.kind())),
     }
-}
-
-/// Handles a reply on an agent's directory connection and schedules its
-/// next beat.
-fn on_agent_reply(net: &DesNet, a: &mut Agent, reply: Message) -> Result<(), String> {
-    if !a.alive {
-        return Ok(()); // a straggler reply to a gateway that died meanwhile
-    }
-    match reply {
-        Message::RegisterAck { epoch, members } | Message::HeartbeatAck { epoch, members } => {
-            if epoch != a.epoch || a.gateway.fleet_view().is_none() {
-                a.epoch = epoch;
-                a.install_view(epoch, members);
-            }
-        }
-        Message::ErrorReply { .. } => {
-            // Evicted (a heartbeat outlasted the timeout): re-register.
-            let addr = format!("des:{}", a.ep);
-            let nonce = a.id.wrapping_mul(GOLDEN) ^ 0x666C_6565;
-            let mac = auth::register_mac(SECRET, a.id, &addr, nonce);
-            net.submit(a.conn, &Message::Register { gateway_id: a.id, addr, nonce, mac });
+    let mut out = Outcome { v0_rows: rows[0], v1_rows: rows[1], ..fleet.outcome(true) };
+    fleet.check_survivors(VICTIM, &mut out, |a, snap| {
+        if snap.active_version == version_id && snap.swaps == 1 {
             return Ok(());
         }
-        other => return Err(format!("agent {}: unexpected {}", a.id, other.kind())),
+        Err(format!(
+            "gateway {}: active_version {} swaps {} after the rollout (want {version_id}, 1)",
+            a.id, snap.active_version, snap.swaps
+        ))
+    })?;
+    if out.drift_trips == 0 {
+        return Err("no surviving gateway ever tripped its drift monitor".into());
     }
-    net.schedule_wakeup(BEAT_EVERY, TOKEN_AGENT + (a.id - 1));
-    Ok(())
-}
-
-/// Handles a reply on a client's directory connection: adopt the view
-/// and (re)greet the owner.
-fn on_dir_reply(
-    net: &DesNet,
-    c: &mut ClientActor,
-    i: usize,
-    seq: u64,
-    reply: Message,
-    roles: &mut Vec<Role>,
-) -> Result<(), String> {
-    let Some((want, CKind::Query)) = c.pending.take() else {
-        return Err(format!("client {i}: directory reply with no query pending"));
-    };
-    if want != seq {
-        return Err(format!("client {i}: expected dir reply seq {want}, got {seq}"));
-    }
-    let Message::DirectoryReply { epoch: _, members } = reply else {
-        return Err(format!("client {i}: expected DirectoryReply, got {}", reply.kind()));
-    };
-    let Some(owner) = owner_of(&members, c.cluster).cloned() else {
-        net.schedule_wakeup(c.backoff.next_delay(), i as u64);
-        return Ok(());
-    };
-    let owner_ep = ep_of_addr(&owner.addr);
-    if !net.endpoint_alive(owner_ep) {
-        // The directory has not noticed the death yet: requery after a
-        // backoff.
-        c.state = CState::AwaitDir;
-        net.schedule_wakeup(c.backoff.next_delay(), i as u64);
-        return Ok(());
-    }
-    greet(net, c, i, owner_ep, roles);
-    Ok(())
-}
-
-/// Dials (or fails over the existing data session to) `owner_ep` and
-/// submits the MAC'd `Hello`.
-fn greet(net: &DesNet, c: &mut ClientActor, i: usize, owner_ep: usize, roles: &mut Vec<Role>) {
-    let conn = match c.data_conn {
-        Some(old) => {
-            c.reconnects += 1;
-            net.reconnect_to(old, owner_ep)
-        }
-        None => net.connect_to(owner_ep),
-    };
-    assert_eq!(conn, roles.len(), "connection ids must stay dense");
-    roles.push(Role::ClientData(i));
-    c.data_conn = Some(conn);
-    c.data_ep = owner_ep;
-    c.state = CState::Greet;
-    let client_id = c.cluster;
-    let nonce = client_id.wrapping_mul(GOLDEN) ^ 0x6F72_636F;
-    let mac = auth::hello_mac(SECRET, client_id, nonce);
-    let seq = net.submit(conn, &Message::Hello { client_id, nonce, mac });
-    c.pending = Some((seq, CKind::Hello));
-}
-
-/// Drives the window loop: drain the last window, push the next, park
-/// at the hold point, or finish. Only valid in `Stream` with nothing
-/// pending.
-fn advance(net: &DesNet, c: &mut ClientActor) {
-    debug_assert_eq!(c.state, CState::Stream);
-    debug_assert!(c.pending.is_none());
-    let conn = c.data_conn.expect("streaming requires a data connection");
-    if c.pulled_rows < c.offset {
-        let seq = net.submit(
-            conn,
-            &Message::PullDecoded { cluster_id: c.cluster, max_frames: PULL_CHUNK, trace: 0 },
-        );
-        c.pending = Some((seq, CKind::Pull));
-    } else if c.offset < c.frames.rows() {
-        if !c.released && c.offset >= c.hold_at {
-            // Park: the tail is released only once the rollout walk
-            // completes, so every stream's last quarter races the swap.
-            c.state = CState::Held;
-            return;
-        }
-        let (lo, hi) = (c.offset, (c.offset + ROWS_PER_PUSH).min(c.frames.rows()));
-        let seq = net.submit(
-            conn,
-            &Message::PushFrames {
-                cluster_id: c.cluster,
-                trace: (c.cluster << 20) | (lo as u64 + 1),
-                frames: c.frames.view_rows(lo..hi).to_matrix(),
-            },
-        );
-        c.pending = Some((seq, CKind::Push { lo, hi }));
-    } else {
-        c.state = CState::Done;
-    }
-}
-
-/// Handles a reply on a client's data connection.
-fn on_data_reply(
-    net: &DesNet,
-    c: &mut ClientActor,
-    i: usize,
-    seq: u64,
-    reply: Message,
-    roles: &mut Vec<Role>,
-) -> Result<(), String> {
-    let Some((want, kind)) = c.pending.take() else {
-        return Ok(()); // a straggler from a failed-away connection
-    };
-    if want != seq {
-        return Err(format!("client {i}: expected data reply seq {want}, got {seq}"));
-    }
-    match (kind, reply) {
-        (CKind::Hello, Message::HelloAck { .. }) => {
-            c.state = CState::Stream;
-            advance(net, c);
-            Ok(())
-        }
-        (CKind::Push { lo, hi }, Message::PushAck { accepted }) => {
-            if accepted as usize != hi - lo {
-                return Err(format!(
-                    "client {i}: partial ack {accepted} for a {}-row push",
-                    hi - lo
-                ));
-            }
-            c.offset = hi;
-            c.acked += accepted as usize;
-            c.backoff.reset();
-            advance(net, c);
-            Ok(())
-        }
-        (CKind::Push { .. }, Message::Redirect { cluster_id, epoch: _, addr }) => {
-            if cluster_id != c.cluster {
-                return Err(format!(
-                    "client {i}: redirect for cluster {cluster_id}, pushed {}",
-                    c.cluster
-                ));
-            }
-            debug_assert_eq!(c.pulled_rows, c.offset);
-            let owner_ep = ep_of_addr(&addr);
-            if !net.endpoint_alive(owner_ep) {
-                return Err(format!("client {i}: redirected to dead {addr}"));
-            }
-            greet(net, c, i, owner_ep, roles);
-            Ok(())
-        }
-        (CKind::Pull, Message::Decoded { cluster_id, version, frames }) => {
-            if cluster_id != c.cluster {
-                return Err(format!(
-                    "client {i}: pulled cluster {} got cluster {cluster_id}",
-                    c.cluster
-                ));
-            }
-            if frames.rows() == 0 {
-                net.schedule_wakeup(c.backoff.next_delay(), i as u64);
-                return Ok(());
-            }
-            c.pulled.extend_from_slice(frames.as_slice());
-            c.pulled_versions.extend(std::iter::repeat_n(version, frames.rows()));
-            c.pulled_rows += frames.rows();
-            if c.pulled_rows > c.acked {
-                return Err(format!(
-                    "client {i}: pulled {} rows with only {} acked (duplication)",
-                    c.pulled_rows, c.acked
-                ));
-            }
-            c.backoff.reset();
-            advance(net, c);
-            Ok(())
-        }
-        (kind, Message::Busy { .. }) => Err(format!(
-            "client {i}: {kind:?} drew Busy — the gauntlet sizes queues to never backpressure"
-        )),
-        (kind, Message::ErrorReply { code, detail }) => {
-            Err(format!("client {i}: {kind:?} drew {code:?}: {detail}"))
-        }
-        (kind, other) => Err(format!("client {i}: {kind:?} drew unexpected {}", other.kind())),
-    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orco_serve::scenarios::{reference_decode, uniform_frames};
 
     /// Pins the empirical basis for [`DRIFT_THRESHOLD`]: the gauntlet
     /// codec reconstructs uniform frames strictly below it and
@@ -1198,24 +454,19 @@ mod tests {
     #[test]
     fn drift_threshold_separates_bands() {
         let mut codec = AsymmetricAutoencoder::new(&codec_config(11)).expect("valid config");
-        let mut rng = OrcoRng::from_seed_u64(0xFEE7);
-        let base = Matrix::from_fn(64, 32, |_, _| rng.uniform(0.0, 1.0));
+        let base = uniform_frames(0xFEE7, 64, 32);
         let mut shifted = base.clone();
         let mut drift_rng = OrcoRng::from_seed_u64(1);
         apply_matrix(&mut shifted, Drift::Bias, 1.0, &mut drift_rng);
-        let mean = |codec: &mut AsymmetricAutoencoder, x: &Matrix| {
-            let mut codes = Matrix::zeros(0, 0);
-            let mut recon = Matrix::zeros(0, 0);
-            codec.encode_batch(x.as_view(), &mut codes).unwrap();
-            codec.decode_batch(codes.as_view(), &mut recon).unwrap();
+        let mut mean = |x: &orco_tensor::Matrix| {
+            let recon = reference_decode(&mut codec, x);
             let mut sum = 0.0f32;
             for (a, b) in x.as_slice().iter().zip(recon.as_slice()) {
                 sum += (a - b) * (a - b);
             }
             sum / x.as_slice().len() as f32
         };
-        let base_mean = mean(&mut codec, &base);
-        let shifted_mean = mean(&mut codec, &shifted);
+        let (base_mean, shifted_mean) = (mean(&base), mean(&shifted));
         assert!(
             base_mean < DRIFT_THRESHOLD - 0.02,
             "base band {base_mean} too close to the threshold {DRIFT_THRESHOLD}"
@@ -1226,30 +477,27 @@ mod tests {
         );
     }
 
+    /// The single entry point reaches every layer's names and rejects
+    /// what none of them knows.
     #[test]
-    fn unknown_scenario_is_an_error() {
-        let err = run_rollout_scenario("nope", 1, true).unwrap_err();
-        assert!(err.detail.contains("unknown rollout scenario"), "{}", err.detail);
+    fn names_resolve_across_layers_and_unknown_names_do_not() {
+        let seed = 0xC4A05;
+        for name in ["mass_reconnect", "fleet_kill"] {
+            let below = orco_fleet::run_scenario(name, seed, true).expect("runs");
+            assert_eq!(run_scenario(name, seed, true).expect("delegated"), below);
+        }
+        let err = run_scenario("nope", 1, true).unwrap_err();
+        assert!(err.detail.contains("unknown scenario"), "{}", err.detail);
     }
 
     #[test]
     fn rollout_storm_quick_runs_and_replays() {
-        let outcome = run_rollout_scenario("rollout_storm", 0xC4A05, true)
+        let outcome = run_scenario("rollout_storm", 0xC4A05, true)
             .unwrap_or_else(|e| panic!("storm failed: {e}"));
         assert_eq!(outcome.delivered_rows, outcome.clients * outcome.frames_per_client);
         assert!(outcome.v1_rows > 0);
-        let log = RunLog {
-            name: outcome.name.clone(),
-            seed: outcome.seed,
-            quick: true,
-            trace: outcome.trace.clone(),
-        };
-        let replayed =
-            replay_rollout_scenario(&log).unwrap_or_else(|e| panic!("replay failed: {e}"));
-        assert_eq!(replayed.decoded_fnv, outcome.decoded_fnv);
-        assert_eq!(replayed.stats_frames, outcome.stats_frames);
-        assert_eq!(replayed.trace_export, outcome.trace_export);
-        assert_eq!(replayed.v0_rows, outcome.v0_rows);
-        assert_eq!(replayed.v1_rows, outcome.v1_rows);
+        let log = outcome.tape(true);
+        let replayed = replay_scenario(&log).unwrap_or_else(|e| panic!("replay failed: {e}"));
+        assert_eq!(replayed, outcome);
     }
 }

@@ -9,30 +9,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orco_rollout::{rollout_one, rollout_staged};
+use orco_serve::scenarios::codec_config;
 use orco_serve::{Client, Clock, Gateway, GatewayConfig, Loopback, ModelVersion};
 use orco_tensor::{Matrix, OrcoRng};
-use orcodcs::{AsymmetricAutoencoder, Codec, EncoderCheckpoint, GradCompression, OrcoConfig};
+use orcodcs::{AsymmetricAutoencoder, Codec, EncoderCheckpoint};
 
+/// The gauntlet codec's geometry ([`codec_config`]).
 const DIM: usize = 32;
 const CODE: usize = 8;
 const CLUSTER: u64 = 7;
-
-fn codec_config(seed: u64) -> OrcoConfig {
-    OrcoConfig {
-        input_dim: DIM,
-        latent_dim: CODE,
-        decoder_layers: 1,
-        noise_variance: 0.1,
-        huber_delta: 0.5,
-        vector_huber: false,
-        learning_rate: 1e-2,
-        batch_size: 32,
-        epochs: 1,
-        finetune_threshold: 0.05,
-        grad_compression: GradCompression::default(),
-        seed,
-    }
-}
 
 fn gateway(cfg: GatewayConfig) -> Arc<Gateway> {
     let codec_cfg = codec_config(11);

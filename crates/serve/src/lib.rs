@@ -75,8 +75,11 @@
 //! and server-side dedup providing exactly-once delivery, and a
 //! record→replay trace that reproduces any run bit-identically from its
 //! log. See [`des_transport`] for a quickstart, [`scenarios`] for the
-//! five-scenario chaos gauntlet ([`run_scenario`] / [`replay_scenario`]),
-//! and the `chaos` CLI in the `orco-rollout` crate
+//! chaos-gauntlet harness — the event loop, connection routing and
+//! contract checks every layer's scenarios run on, the one [`Outcome`]
+//! they all return, and this layer's five scenarios ([`run_scenario`] /
+//! [`replay_scenario`]) — and the `chaos` CLI in the `orco-rollout`
+//! crate, which reaches all seven
 //! (`cargo run -p orco-rollout --bin chaos -- --quick`).
 //!
 //! ## Fleets
@@ -88,7 +91,8 @@
 //! gateway handed a view ([`Gateway::set_fleet_view`]) answers pushes for
 //! clusters it does not own with [`Message::Redirect`] instead of silently
 //! misrouting. [`auth`] adds a shared-secret MAC on `Hello`/`Register`.
-//! The directory, fleet client, and fleet chaos scenarios live in the
+//! The directory, fleet client, and the gauntlet's fleet cast (directory,
+//! agent and client actors, with the `fleet_kill` scenario) live in the
 //! `orco-fleet` crate.
 
 #![forbid(unsafe_code)]
@@ -121,9 +125,7 @@ pub use protocol::{
     ErrorCode, GatewayEntry, GatewayStats, Message, ModelVersion, WireError, MAX_LABEL,
     PROTOCOL_VERSION,
 };
-pub use scenarios::{
-    replay_scenario, run_scenario, RunLog, ScenarioError, ScenarioOutcome, GAUNTLET,
-};
+pub use scenarios::{replay_scenario, run_scenario, Outcome, RunLog, ScenarioError, GAUNTLET};
 pub use service::Service;
 pub use stats::{FlushReason, ServeStats, ShardRow, StatsSnapshot};
 pub use tcp::TcpServer;

@@ -1,12 +1,36 @@
 //! The chaos gauntlet: scripted adversarial runs of the serving layer
 //! over the [`DesNet`] impaired-link transport, with a
 //! record→replay layer that reproduces any failing run bit-identically
-//! from its log.
+//! from its log — and the **harness** every layer's scenarios run on.
 //!
-//! Each scenario in [`GAUNTLET`] drives a population of client actors —
-//! greet, stream pushes, honor `Busy` with backed-off drains, pull every
-//! reconstruction back — against a live gateway while the network
-//! misbehaves on script. A scenario passes only if the serving layer's
+//! ## The harness
+//!
+//! A scenario is a *cast*, its *triggers*, and its *contracts*:
+//!
+//! * the **cast** is the set of simulated actors behind the run's
+//!   connections. It implements [`Cast`], and [`play`] drives it: the one
+//!   event loop (reply / ARQ give-up / timer routing, the event cap, the
+//!   drained-queue liveness error). [`Roles`] is the dense
+//!   connection → role table a cast routes with, reconnects included;
+//! * the **triggers** are what the scenario does to the run — an
+//!   impairment script on the links, a kill at a progress mark;
+//! * the **contracts** are checked once the cast is done, against one
+//!   shared vocabulary: [`reference_decode`] (a direct `encode_batch` +
+//!   `decode_batch` the pulled bytes must equal), [`exactly_once`],
+//!   [`check_drained`], [`stats_frame`], [`row_digest`].
+//!
+//! A body returns `Result<Outcome, String>`; [`Run::conclude`] stamps the
+//! run's identity and tape onto either arm, so a failed contract is one
+//! `return Err(format!(..))`. This module holds the serve cast (greet,
+//! push everything, honor `Busy` with backed-off drains, pull it all
+//! back); `orco_fleet::scenarios` holds the directory / agent / client
+//! cast that `fleet_kill` and `orco_rollout`'s `rollout_storm` share. Each
+//! layer's `drive` runs the names it knows and hands the rest down, so
+//! `orco_rollout::run_scenario` reaches all seven.
+//!
+//! ## The serve scenarios
+//!
+//! Each scenario in [`GAUNTLET`] passes only if the serving layer's
 //! liveness and exactly-once contracts hold under fire:
 //!
 //! * every `PushAck`'d frame is eventually pulled back **exactly once**
@@ -21,8 +45,6 @@
 //! * flush latency stays bounded: p99 within the batch deadline plus the
 //!   ARQ's RTO ceiling.
 //!
-//! The five scenarios and what each one hunts:
-//!
 //! | scenario | impairment | classic bug it flushes out |
 //! |---|---|---|
 //! | `flash_crowd` | tiny queue capacity, every client pushes at once | retry storms; lockstep `Busy` retries that never drain |
@@ -36,8 +58,8 @@
 //! Every run logs its seed and the full per-send impairment schedule
 //! ([`RunLog`]); [`replay_scenario`] re-runs the scenario consuming the
 //! recorded verdicts instead of drawing randomness, reproducing the run —
-//! stats frame, decoded-byte digest and all — bit for bit. A failing run
-//! in CI uploads its log; `chaos --replay <file>` resurrects it locally.
+//! the whole [`Outcome`] — bit for bit. A failing run in CI uploads its
+//! log; `chaos --replay <file>` resurrects it locally.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,15 +73,17 @@ use crate::clock::Clock;
 use crate::des_transport::{DesConfig, DesNet, NetEvent};
 use crate::gateway::{Gateway, GatewayConfig};
 use crate::protocol::Message;
+use crate::stats::StatsSnapshot;
 
-/// The scenario names [`run_scenario`] accepts, gauntlet order.
+/// The scenario names this layer's [`run_scenario`] knows, gauntlet order.
 pub const GAUNTLET: [&str; 5] =
     ["flash_crowd", "rolling_partition", "lossy_links", "straggler_shard", "mass_reconnect"];
 
-/// What a completed scenario run measured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioOutcome {
-    /// Scenario name (one of [`GAUNTLET`]).
+/// What a completed scenario run measured — one shape for every layer's
+/// scenarios. A counter a scenario's cast has no notion of stays 0.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Outcome {
+    /// Scenario name.
     pub name: String,
     /// Seed the impairment randomness was drawn from.
     pub seed: u64,
@@ -67,30 +91,51 @@ pub struct ScenarioOutcome {
     pub clients: usize,
     /// Frames each client pushed (and pulled back).
     pub frames_per_client: usize,
-    /// Rows the gateway `PushAck`'d across all clients.
+    /// Rows the gateway `PushAck`'d across all clients (serve cast; a
+    /// fleet client rewinds its ack count when its owner dies, so the
+    /// fleet casts report `delivered_rows` alone).
     pub acked_rows: usize,
     /// Decoded rows delivered back across all clients (must equal
-    /// `acked_rows`: exactly once).
+    /// `clients * frames_per_client`: exactly once).
     pub delivered_rows: usize,
     /// `Busy` replies honored with a backed-off drain-and-retry.
     pub busy_retries: usize,
     /// Requests whose ARQ exhausted its attempts.
     pub gave_ups: usize,
-    /// Connections re-opened (sessions resumed) after a give-up.
+    /// Data connections re-opened (same-endpoint resume or failover).
     pub reconnects: usize,
-    /// The gateway's final `StatsReply`, as encoded wire bytes — the
-    /// determinism contract is on the wire image.
-    pub stats_frame: Vec<u8>,
-    /// FNV-1a over every delivered row's little-endian bytes, client
+    /// `Redirect` replies chased by clients.
+    pub redirects: usize,
+    /// The directory's epoch when the run settled.
+    pub final_epoch: u64,
+    /// Delivered rows encoded by the boot model (version 0), where the
+    /// scenario rolls a model out.
+    pub v0_rows: usize,
+    /// Delivered rows encoded by the rolled-out model (version 1).
+    pub v1_rows: usize,
+    /// Drift-monitor trips summed over the surviving gateways.
+    pub drift_trips: u64,
+    /// Encoded `StatsReply` of every *surviving* gateway, ascending id —
+    /// the determinism contract is on the wire image.
+    pub stats_frames: Vec<Vec<u8>>,
+    /// FNV-1a over every delivered row's little-endian bytes (and, where
+    /// the scenario rolls a model out, its producing version), client
     /// order — one u64 that pins the entire decoded output.
     pub decoded_fnv: u64,
-    /// The gateway's trace-ring text export at the end of the run —
-    /// byte-identical between a live run and its replay, and already
-    /// chain-verified (every delivered frame has exactly one complete
-    /// push → enqueue → flush → store → delivery chain).
+    /// The gateways' trace-ring text exports at the end of the run
+    /// (several gateways: ascending id, each section prefixed
+    /// `gateway <id>`) — byte-identical between a live run and its replay.
     pub trace_export: String,
     /// The impairment schedule the run drew (replay tape).
     pub trace: Vec<SendRecord>,
+}
+
+impl Outcome {
+    /// The run's replayable record; `quick` is the sizing it ran at.
+    #[must_use]
+    pub fn tape(&self, quick: bool) -> RunLog {
+        RunLog { name: self.name.clone(), seed: self.seed, quick, trace: self.trace.clone() }
+    }
 }
 
 /// A scenario run that violated a liveness or exactly-once contract. The
@@ -197,6 +242,68 @@ impl RunLog {
     }
 }
 
+/// One run's identity and, on replay, the tape it consumes — what every
+/// layer's `drive` takes.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// Scenario name.
+    pub name: String,
+    /// Seed of the run.
+    pub seed: u64,
+    /// Whether the run uses quick sizing.
+    pub quick: bool,
+    tape: Option<Vec<SendRecord>>,
+}
+
+impl Run {
+    /// A live run: impairments are drawn from `seed`.
+    #[must_use]
+    pub fn live(name: &str, seed: u64, quick: bool) -> Run {
+        Run { name: name.to_string(), seed, quick, tape: None }
+    }
+
+    /// A replay of `log`: every send consumes its recorded verdict.
+    #[must_use]
+    pub fn replay(log: &RunLog) -> Run {
+        Run { tape: Some(log.trace.clone()), ..Run::live(&log.name, log.seed, log.quick) }
+    }
+
+    /// Switches `net` into replay mode when this run carries a tape. Call
+    /// before any traffic.
+    #[must_use]
+    pub fn arm(&self, net: DesNet) -> DesNet {
+        if let Some(tape) = &self.tape {
+            net.begin_replay(tape.clone());
+        }
+        net
+    }
+
+    /// The error of a run that broke a contract after drawing `trace`.
+    fn fail(&self, detail: String, trace: Vec<SendRecord>) -> ScenarioError {
+        let log = RunLog { name: self.name.clone(), seed: self.seed, quick: self.quick, trace };
+        ScenarioError { detail, log }
+    }
+
+    /// Stamps this run's identity and `net`'s tape onto a scenario body's
+    /// verdict.
+    ///
+    /// # Errors
+    ///
+    /// The body's `Err(detail)`, as a [`ScenarioError`] carrying the tape.
+    pub fn conclude(
+        &self,
+        net: &DesNet,
+        verdict: Result<Outcome, String>,
+    ) -> Result<Outcome, ScenarioError> {
+        match verdict {
+            Ok(o) => {
+                Ok(Outcome { name: self.name.clone(), seed: self.seed, trace: net.trace(), ..o })
+            }
+            Err(detail) => Err(self.fail(detail, net.trace())),
+        }
+    }
+}
+
 /// Runs one gauntlet scenario live, drawing impairments from `seed`.
 /// `quick` shrinks the population for CI; the impairment windows are the
 /// same either way.
@@ -205,21 +312,319 @@ impl RunLog {
 ///
 /// Returns a [`ScenarioError`] (with its replay log) when a liveness or
 /// exactly-once contract is violated, and on an unknown scenario name.
-pub fn run_scenario(name: &str, seed: u64, quick: bool) -> Result<ScenarioOutcome, ScenarioError> {
-    drive(name, seed, quick, None)
+pub fn run_scenario(name: &str, seed: u64, quick: bool) -> Result<Outcome, ScenarioError> {
+    drive(&Run::live(name, seed, quick))
 }
 
 /// Re-runs a recorded scenario, consuming the logged impairment schedule
 /// instead of drawing randomness. A correct replay reproduces the
-/// original outcome bit for bit (`stats_frame`, `decoded_fnv`, trace).
+/// original [`Outcome`] bit for bit.
 ///
 /// # Errors
 ///
 /// As [`run_scenario`]; additionally, a replay whose send sequence
 /// diverges from the tape panics with a `replay divergence` diagnostic.
-pub fn replay_scenario(log: &RunLog) -> Result<ScenarioOutcome, ScenarioError> {
-    drive(&log.name, log.seed, log.quick, Some(log.trace.clone()))
+pub fn replay_scenario(log: &RunLog) -> Result<Outcome, ScenarioError> {
+    drive(&Run::replay(log))
 }
+
+/// Runs `run` if it names one of [`GAUNTLET`] — the bottom of the
+/// delegation chain the layers above hand unknown names down.
+///
+/// # Errors
+///
+/// As [`run_scenario`].
+pub fn drive(run: &Run) -> Result<Outcome, ScenarioError> {
+    let Some(spec) = spec_for(&run.name, run.quick) else {
+        let detail = format!(
+            "unknown scenario (no layer above claimed the name, and the serve layer knows {GAUNTLET:?})"
+        );
+        return Err(run.fail(detail, Vec::new()));
+    };
+    let codec = codec_config(11);
+    let gateway =
+        gateway(GatewayConfig { queue_capacity: spec.queue_capacity, ..gateway_config() }, &codec);
+    let net = run.arm(DesNet::new(Arc::clone(&gateway), spec.des, run.seed));
+    run.conclude(&net, crowd(run.seed, &spec, &codec, &gateway, &net))
+}
+
+// ---- The harness: loop, routing, shared contracts --------------------
+
+/// Rows per `PushFrames` window.
+pub const ROWS_PER_PUSH: usize = 3;
+/// `max_frames` of every `PullDecoded`.
+pub const PULL_CHUNK: u32 = 8;
+
+/// Dense `connection id → role` routing. [`DesNet`] hands out connection
+/// ids in order, so the table is a `Vec` and every new connection —
+/// first dial, same-endpoint resume, failover — must be bound as it is
+/// opened.
+#[derive(Debug, Default)]
+pub struct Roles<R>(Vec<R>);
+
+impl<R: Copy> Roles<R> {
+    /// An empty table, for a fresh [`DesNet`].
+    #[must_use]
+    pub fn new() -> Self {
+        Roles(Vec::new())
+    }
+
+    /// Routes the just-opened `conn` to `role`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some earlier connection was never bound.
+    pub fn bind(&mut self, conn: usize, role: R) {
+        assert_eq!(conn, self.0.len(), "connection ids must stay dense");
+        self.0.push(role);
+    }
+
+    /// The role `conn` was bound to.
+    #[must_use]
+    pub fn of(&self, conn: usize) -> R {
+        self.0[conn]
+    }
+
+    /// Resumes `conn`'s session on fresh links to the same endpoint
+    /// ([`DesNet::reconnect`]: an outstanding request rides over and is
+    /// re-offered), the replacement inheriting the role. Returns the new
+    /// connection id.
+    pub fn reconnect(&mut self, net: &DesNet, conn: usize) -> usize {
+        let new = net.reconnect(conn);
+        self.bind(new, self.of(conn));
+        new
+    }
+}
+
+/// The actors of one scenario, as [`play`] sees them.
+pub trait Cast {
+    /// Whether every actor has finished its script.
+    fn done(&self) -> bool;
+    /// Who has not, for the liveness diagnostics (e.g. `clients [1, 4]`).
+    fn unfinished(&self) -> String;
+    /// The reply to request `seq` arrived on `conn`.
+    ///
+    /// # Errors
+    ///
+    /// A contract violation, as its description.
+    fn on_reply(
+        &mut self,
+        net: &DesNet,
+        conn: usize,
+        seq: u64,
+        reply: Message,
+    ) -> Result<(), String>;
+    /// The request in flight on `conn` exhausted its ARQ attempts.
+    fn on_gave_up(&mut self, net: &DesNet, conn: usize);
+    /// A timer scheduled with [`DesNet::schedule_wakeup`] fired.
+    fn on_wakeup(&mut self, net: &DesNet, token: u64);
+}
+
+/// Runs the simulation until `cast` is done, routing every client-visible
+/// event to it.
+///
+/// # Errors
+///
+/// The cast's first contract violation, or a liveness failure: the event
+/// cap reached (a retry storm), or the event queue drained with actors
+/// unfinished (a lost request or timer).
+pub fn play(net: &DesNet, cast: &mut impl Cast) -> Result<(), String> {
+    const EVENT_CAP: u64 = 5_000_000;
+    let mut events = 0u64;
+    while !cast.done() {
+        events += 1;
+        if events > EVENT_CAP {
+            return Err(format!(
+                "no convergence after {EVENT_CAP} events: {} unfinished (retry storm or livelock)",
+                cast.unfinished()
+            ));
+        }
+        match net.poll() {
+            NetEvent::Reply { conn, seq } => {
+                let reply = net.take_reply(conn, seq).expect("announced reply present");
+                cast.on_reply(net, conn, seq, reply)?;
+            }
+            NetEvent::GaveUp { conn, seq: _ } => cast.on_gave_up(net, conn),
+            NetEvent::Wakeup { token } => cast.on_wakeup(net, token),
+            NetEvent::Idle => {
+                return Err(format!(
+                    "event queue drained with {} unfinished — a request or timer was lost \
+                     (liveness violation)",
+                    cast.unfinished()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A small, fast codec geometry — the gauntlet stresses the serving
+/// layer, membership and the version lifecycle, not the autoencoder.
+#[must_use]
+pub fn codec_config(seed: u64) -> OrcoConfig {
+    OrcoConfig {
+        input_dim: 32,
+        latent_dim: 8,
+        decoder_layers: 1,
+        noise_variance: 0.1,
+        huber_delta: 0.5,
+        vector_huber: false,
+        learning_rate: 1e-2,
+        batch_size: 32,
+        epochs: 1,
+        finetune_threshold: 0.05,
+        grad_compression: GradCompression::default(),
+        seed,
+    }
+}
+
+/// The gauntlet gateway's sizing; scenarios override what they stress.
+#[must_use]
+pub fn gateway_config() -> GatewayConfig {
+    GatewayConfig {
+        shards: 2,
+        batch_max_frames: 8,
+        batch_deadline: Duration::from_millis(5),
+        // Large enough that no gauntlet run evicts a span: the trace
+        // contracts demand the ring saw everything.
+        trace_capacity: 1 << 16,
+        ..GatewayConfig::default()
+    }
+}
+
+/// A gateway on a virtual clock whose every shard runs the autoencoder
+/// `codec` describes — every gauntlet gateway builds the same codec from
+/// the same config, which is what makes failover bit-transparent.
+///
+/// # Panics
+///
+/// Panics on an invalid `cfg` or `codec`.
+#[must_use]
+pub fn gateway(cfg: GatewayConfig, codec: &OrcoConfig) -> Arc<Gateway> {
+    let gateway = Gateway::new(cfg, Clock::manual(Duration::ZERO), |_| {
+        Box::new(AsymmetricAutoencoder::new(codec).expect("valid codec config")) as Box<dyn Codec>
+    });
+    Arc::new(gateway.expect("valid gateway config"))
+}
+
+/// Client `i`'s jittered retry backoff, seeded from the run.
+#[must_use]
+pub fn client_backoff(seed: u64, i: usize) -> Backoff {
+    Backoff::new(
+        Duration::from_millis(2),
+        Duration::from_millis(64),
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64,
+    )
+}
+
+/// A `rows × dim` stream of uniform `[0, 1)` frames drawn from `seed`.
+#[must_use]
+pub fn uniform_frames(seed: u64, rows: usize, dim: usize) -> Matrix {
+    let mut rng = OrcoRng::from_seed_u64(seed);
+    Matrix::from_fn(rows, dim, |_, _| rng.uniform(0.0, 1.0))
+}
+
+/// The push of `frames[lo..hi]` for `cluster`. One trace id per window,
+/// stable across `Busy` retries and failover re-pushes (a refused push
+/// emits no spans, so a retry cannot double-count the trace); clusters
+/// are small, so the id stays unique and nonzero across clients.
+#[must_use]
+pub fn push_window(cluster: u64, frames: &Matrix, lo: usize, hi: usize) -> Message {
+    Message::PushFrames {
+        cluster_id: cluster,
+        trace: (cluster << 20) | (lo as u64 + 1),
+        frames: frames.view_rows(lo..hi).to_matrix(),
+    }
+}
+
+/// The pull of `cluster`'s next [`PULL_CHUNK`] reconstructions.
+#[must_use]
+pub fn pull_chunk(cluster: u64) -> Message {
+    Message::PullDecoded { cluster_id: cluster, max_frames: PULL_CHUNK, trace: 0 }
+}
+
+/// One direct `encode_batch` + `decode_batch` of `frames` on `codec` —
+/// what a client's pulled rows must equal bit for bit (the batch ≡
+/// per-frame contract makes the reference independent of how the
+/// gateways batched them, or which gateway served which window).
+///
+/// # Panics
+///
+/// Panics if `frames` does not fit the codec's geometry.
+#[must_use]
+pub fn reference_decode(codec: &mut dyn Codec, frames: &Matrix) -> Matrix {
+    let mut codes = Matrix::zeros(0, 0);
+    let mut recon = Matrix::zeros(0, 0);
+    codec.encode_batch(frames.as_view(), &mut codes).expect("geometry fits");
+    codec.decode_batch(codes.as_view(), &mut recon).expect("geometry fits");
+    recon
+}
+
+/// The exactly-once contract: `delivered` rows came back for `expected`
+/// `what` (e.g. `acked`, `pushed across the kill`).
+///
+/// # Errors
+///
+/// Names the direction of the mismatch: frames lost, or duplicated.
+pub fn exactly_once(delivered: usize, expected: usize, what: &str) -> Result<(), String> {
+    if delivered == expected {
+        return Ok(());
+    }
+    Err(format!(
+        "delivered {delivered} rows for {expected} {what} — {} (exactly-once violated)",
+        if delivered < expected { "frames lost" } else { "frames duplicated" }
+    ))
+}
+
+/// The drained contract: `who` ends with zero queue depth and zero
+/// stored codes.
+///
+/// # Errors
+///
+/// Reports the leftover depth and codes.
+pub fn check_drained(who: &str, snap: &StatsSnapshot) -> Result<(), String> {
+    if snap.queue_depth == 0 && snap.stored_codes == 0 {
+        return Ok(());
+    }
+    Err(format!(
+        "{who} not drained: queue_depth {} stored_codes {}",
+        snap.queue_depth, snap.stored_codes
+    ))
+}
+
+/// `snap` as an encoded `StatsReply` — the determinism contract is on the
+/// wire image.
+#[must_use]
+pub fn stats_frame(snap: StatsSnapshot) -> Vec<u8> {
+    let mut frame = Vec::new();
+    Message::StatsReply(snap).encode_into(&mut frame);
+    frame
+}
+
+/// FNV-1a over delivered rows' little-endian bytes, one `(rows, versions)`
+/// stream per client in client order. With a version tape, each
+/// `row_len`-value row is prefixed by its producing version, so the digest
+/// pins the decoded output and the tape together.
+#[must_use]
+pub fn row_digest<'a>(
+    streams: impl Iterator<Item = (&'a [f32], Option<&'a [u64]>)>,
+    row_len: usize,
+) -> u64 {
+    let mut bytes = Vec::new();
+    for (rows, versions) in streams {
+        for (r, row) in rows.chunks(row_len).enumerate() {
+            if let Some(versions) = versions {
+                bytes.extend_from_slice(&versions[r].to_le_bytes());
+            }
+            for v in row {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+    fnv1a64(&bytes)
+}
+
+// ---- The serve scenarios ----------------------------------------------
 
 /// Per-scenario knobs; everything else is shared.
 struct Spec {
@@ -343,25 +748,6 @@ fn spec_for(name: &str, quick: bool) -> Option<Spec> {
     Some(spec)
 }
 
-/// A small, fast codec geometry — the gauntlet stresses the serving
-/// layer, not the autoencoder.
-fn codec_config(seed: u64) -> OrcoConfig {
-    OrcoConfig {
-        input_dim: 32,
-        latent_dim: 8,
-        decoder_layers: 1,
-        noise_variance: 0.1,
-        huber_delta: 0.5,
-        vector_huber: false,
-        learning_rate: 1e-2,
-        batch_size: 32,
-        epochs: 1,
-        finetune_threshold: 0.05,
-        grad_compression: GradCompression::default(),
-        seed,
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Waiting for `HelloAck`.
@@ -386,6 +772,10 @@ enum Pending {
     },
 }
 
+/// The serve cast's client: greet, push the whole stream (draining a
+/// chunk whenever the gateway says `Busy`), then pull everything back.
+/// Deliberately not the fleet cast's window-by-window client — its send
+/// sequence is what these five tapes record.
 struct Actor {
     conn: usize,
     cluster: u64,
@@ -406,61 +796,181 @@ struct Actor {
     reconnects: usize,
 }
 
-const ROWS_PER_PUSH: usize = 3;
-const PULL_CHUNK: u32 = 8;
-
-fn drive(
-    name: &str,
-    seed: u64,
-    quick: bool,
-    replay: Option<Vec<SendRecord>>,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    let fail = |detail: String, trace: Vec<SendRecord>| ScenarioError {
-        detail,
-        log: RunLog { name: name.to_string(), seed, quick, trace },
-    };
-    let Some(spec) = spec_for(name, quick) else {
-        return Err(fail(format!("unknown scenario (gauntlet: {GAUNTLET:?})"), Vec::new()));
-    };
-
-    let cfg = codec_config(11);
-    let gateway = Arc::new(
-        Gateway::new(
-            GatewayConfig {
-                shards: 2,
-                batch_max_frames: 8,
-                batch_deadline: Duration::from_millis(5),
-                queue_capacity: spec.queue_capacity,
-                auth_secret: None,
-                // Large enough that no gauntlet run evicts a span: the
-                // contracts below demand the ring saw everything.
-                trace_capacity: 1 << 16,
-                ..GatewayConfig::default()
-            },
-            Clock::manual(Duration::ZERO),
-            |_| {
-                Box::new(AsymmetricAutoencoder::new(&cfg).expect("valid codec config"))
-                    as Box<dyn Codec>
-            },
-        )
-        .expect("valid gateway config"),
-    );
-    let net = DesNet::new(Arc::clone(&gateway), spec.des, seed);
-    if let Some(trace) = replay {
-        net.begin_replay(trace);
+impl Actor {
+    fn push(&mut self, net: &DesNet, lo: usize, hi: usize) {
+        let seq = net.submit(self.conn, &push_window(self.cluster, &self.frames, lo, hi));
+        self.pending = Some((seq, Pending::Push { lo, hi }));
     }
 
+    fn push_next_window(&mut self, net: &DesNet) {
+        self.push(net, self.offset, (self.offset + ROWS_PER_PUSH).min(self.frames.rows()));
+    }
+
+    fn pull(&mut self, net: &DesNet, retry_push: bool) {
+        let seq = net.submit(self.conn, &pull_chunk(self.cluster));
+        self.pending = Some((seq, Pending::Pull { retry_push }));
+    }
+
+    /// Advances the state machine on a reply. Returns a contract
+    /// violation as `Err(detail)`.
+    fn on_reply(
+        &mut self,
+        net: &DesNet,
+        ai: usize,
+        kind: Pending,
+        reply: Message,
+    ) -> Result<(), String> {
+        match (kind, reply) {
+            (Pending::Hello, Message::HelloAck { .. }) => {
+                self.phase = Phase::Stream;
+                self.push_next_window(net);
+                Ok(())
+            }
+            (Pending::Push { lo, hi }, Message::PushAck { accepted }) => {
+                if accepted as usize != hi - lo {
+                    return Err(format!(
+                        "actor {ai}: partial ack {accepted} for a {}-row push",
+                        hi - lo
+                    ));
+                }
+                self.offset = hi;
+                self.acked += accepted as usize;
+                self.backoff.reset();
+                if self.offset < self.frames.rows() {
+                    self.push_next_window(net);
+                } else {
+                    self.phase = Phase::Drain;
+                    self.pull(net, false);
+                }
+                Ok(())
+            }
+            (Pending::Push { lo, hi }, Message::Busy { .. }) => {
+                // Backpressure: drain a chunk first (pulls are what free the
+                // budget), then retry the same push after a backed-off wait.
+                self.busy_retries += 1;
+                self.deferred_push = Some((lo, hi));
+                self.pull(net, true);
+                Ok(())
+            }
+            (Pending::Pull { retry_push }, Message::Decoded { cluster_id, frames, .. }) => {
+                if cluster_id != self.cluster {
+                    return Err(format!(
+                        "actor {ai}: pulled cluster {} got cluster {cluster_id}",
+                        self.cluster
+                    ));
+                }
+                self.pulled.extend_from_slice(frames.as_slice());
+                self.pulled_rows += frames.rows();
+                if self.pulled_rows > self.frames.rows() {
+                    return Err(format!(
+                        "actor {ai}: pulled {} rows for a {}-frame stream (duplication)",
+                        self.pulled_rows,
+                        self.frames.rows()
+                    ));
+                }
+                if retry_push {
+                    // Resume the Busy push after a jittered backoff.
+                    net.schedule_wakeup(self.backoff.next_delay(), ai as u64);
+                } else if self.phase == Phase::Drain {
+                    if self.pulled_rows == self.acked && self.offset == self.frames.rows() {
+                        self.phase = Phase::Done;
+                    } else if frames.rows() > 0 {
+                        self.backoff.reset();
+                        self.pull(net, false);
+                    } else {
+                        // Nothing stored yet (batch still pending a deadline
+                        // flush): poll again after a backoff.
+                        net.schedule_wakeup(self.backoff.next_delay(), ai as u64);
+                    }
+                }
+                Ok(())
+            }
+            (kind, Message::ErrorReply { code, detail }) => {
+                Err(format!("actor {ai}: {kind:?} drew {code:?}: {detail}"))
+            }
+            (kind, other) => Err(format!("actor {ai}: {kind:?} drew unexpected {}", other.kind())),
+        }
+    }
+}
+
+/// The serve cast: one [`Actor`] per client, routed by actor index.
+struct Crowd {
+    actors: Vec<Actor>,
+    roles: Roles<usize>,
+}
+
+impl Cast for Crowd {
+    fn done(&self) -> bool {
+        self.actors.iter().all(|a| a.phase == Phase::Done)
+    }
+
+    fn unfinished(&self) -> String {
+        let stuck: Vec<usize> =
+            (0..self.actors.len()).filter(|&i| self.actors[i].phase != Phase::Done).collect();
+        format!("actors {stuck:?}")
+    }
+
+    fn on_reply(
+        &mut self,
+        net: &DesNet,
+        conn: usize,
+        seq: u64,
+        reply: Message,
+    ) -> Result<(), String> {
+        let ai = self.roles.of(conn);
+        let a = &mut self.actors[ai];
+        let Some((want, kind)) = a.pending.take() else {
+            return Err(format!("actor {ai} got reply seq {seq} with nothing pending"));
+        };
+        if want != seq {
+            return Err(format!("actor {ai} expected reply seq {want}, got {seq}"));
+        }
+        a.on_reply(net, ai, kind, reply)
+    }
+
+    fn on_gave_up(&mut self, net: &DesNet, conn: usize) {
+        let a = &mut self.actors[self.roles.of(conn)];
+        a.gave_ups += 1;
+        a.reconnects += 1;
+        // Session resumption: the outstanding request rides over to the
+        // fresh links automatically.
+        a.conn = self.roles.reconnect(net, conn);
+    }
+
+    fn on_wakeup(&mut self, net: &DesNet, token: u64) {
+        let a = &mut self.actors[token as usize];
+        if let Some((lo, hi)) = a.deferred_push.take() {
+            a.push(net, lo, hi);
+        } else if a.phase == Phase::Drain && a.pending.is_none() {
+            a.pull(net, false);
+        }
+    }
+}
+
+/// The body of every serve scenario: cast the crowd, script the links,
+/// play, check the contracts.
+fn crowd(
+    seed: u64,
+    spec: &Spec,
+    codec: &OrcoConfig,
+    gateway: &Gateway,
+    net: &DesNet,
+) -> Result<Outcome, String> {
     // Deterministic per-actor frame streams and backoff seeds.
     let dims = gateway.frame_dims();
-    let mut actors: Vec<Actor> = (0..spec.clients)
+    let mut roles = Roles::new();
+    let actors: Vec<Actor> = (0..spec.clients)
         .map(|i| {
-            let mut rng = OrcoRng::from_seed_u64(seed ^ (0xACE0 + i as u64));
+            let conn = net.connect();
+            roles.bind(conn, i);
             Actor {
-                conn: net.connect(),
+                conn,
                 cluster: 100 + i as u64,
-                frames: Matrix::from_fn(spec.frames_per_client, dims.input, |_, _| {
-                    rng.uniform(0.0, 1.0)
-                }),
+                frames: uniform_frames(
+                    seed ^ (0xACE0 + i as u64),
+                    spec.frames_per_client,
+                    dims.input,
+                ),
                 offset: 0,
                 acked: 0,
                 pulled: Vec::new(),
@@ -468,171 +978,53 @@ fn drive(
                 phase: Phase::Greet,
                 pending: None,
                 deferred_push: None,
-                backoff: Backoff::new(
-                    Duration::from_millis(2),
-                    Duration::from_millis(64),
-                    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64,
-                ),
+                backoff: client_backoff(seed, i),
                 busy_retries: 0,
                 gave_ups: 0,
                 reconnects: 0,
             }
         })
         .collect();
-
-    // conn id -> actor index (reconnects append new conns).
-    let mut actor_of_conn: Vec<usize> = (0..spec.clients).collect();
+    let mut cast = Crowd { actors, roles };
 
     let script =
-        (spec.script)(&net, &actors.iter().map(|a| (a.conn, a.cluster)).collect::<Vec<_>>());
+        (spec.script)(net, &cast.actors.iter().map(|a| (a.conn, a.cluster)).collect::<Vec<_>>());
     net.script(&script);
 
     // Kick off: every actor greets (unkeyed — the gauntlet gateway runs
     // without an auth secret).
-    for a in actors.iter_mut() {
+    for a in &mut cast.actors {
         let seq = net.submit(a.conn, &Message::Hello { client_id: a.cluster, nonce: 0, mac: 0 });
         a.pending = Some((seq, Pending::Hello));
     }
-
-    let mut events = 0u64;
-    const EVENT_CAP: u64 = 5_000_000;
-    while actors.iter().any(|a| a.phase != Phase::Done) {
-        events += 1;
-        if events > EVENT_CAP {
-            return Err(fail(
-                format!(
-                    "no convergence after {EVENT_CAP} events: \
-                     {} of {} actors still live (retry storm or livelock)",
-                    actors.iter().filter(|a| a.phase != Phase::Done).count(),
-                    actors.len()
-                ),
-                net.trace(),
-            ));
-        }
-        match net.poll() {
-            NetEvent::Reply { conn, seq } => {
-                let ai = actor_of_conn[conn];
-                let reply = net.take_reply(conn, seq).expect("announced reply present");
-                let a = &mut actors[ai];
-                let Some((want, kind)) = a.pending.take() else {
-                    return Err(fail(
-                        format!("actor {ai} got reply seq {seq} with nothing pending"),
-                        net.trace(),
-                    ));
-                };
-                if want != seq {
-                    return Err(fail(
-                        format!("actor {ai} expected reply seq {want}, got {seq}"),
-                        net.trace(),
-                    ));
-                }
-                if let Err(detail) = on_reply(&net, a, ai, kind, reply) {
-                    return Err(fail(detail, net.trace()));
-                }
-            }
-            NetEvent::GaveUp { conn, seq: _ } => {
-                let ai = actor_of_conn[conn];
-                let a = &mut actors[ai];
-                a.gave_ups += 1;
-                a.reconnects += 1;
-                // Session resumption: the outstanding request rides over
-                // to the fresh links automatically.
-                a.conn = net.reconnect(conn);
-                actor_of_conn.push(ai);
-            }
-            NetEvent::Wakeup { token } => {
-                let a = &mut actors[token as usize];
-                if let Some((lo, hi)) = a.deferred_push.take() {
-                    let seq = a.submit_push(&net, lo, hi);
-                    a.pending = Some((seq, Pending::Push { lo, hi }));
-                } else if a.phase == Phase::Drain && a.pending.is_none() {
-                    let seq = net.submit(
-                        a.conn,
-                        &Message::PullDecoded {
-                            cluster_id: a.cluster,
-                            max_frames: PULL_CHUNK,
-                            trace: 0,
-                        },
-                    );
-                    a.pending = Some((seq, Pending::Pull { retry_push: false }));
-                }
-            }
-            NetEvent::Idle => {
-                let stuck: Vec<usize> = actors
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| a.phase != Phase::Done)
-                    .map(|(i, _)| i)
-                    .collect();
-                return Err(fail(
-                    format!(
-                        "event queue drained with actors {stuck:?} unfinished — \
-                         a request or timer was lost (liveness violation)"
-                    ),
-                    net.trace(),
-                ));
-            }
-        }
-    }
+    play(net, &mut cast)?;
+    let actors = cast.actors;
 
     // ---- Contracts ----------------------------------------------------
     let total = spec.clients * spec.frames_per_client;
     let acked_rows: usize = actors.iter().map(|a| a.acked).sum();
     let delivered_rows: usize = actors.iter().map(|a| a.pulled_rows).sum();
     if acked_rows != total {
-        return Err(fail(
-            format!("acked {acked_rows} rows, expected {total} (pushes went missing)"),
-            net.trace(),
-        ));
+        return Err(format!("acked {acked_rows} rows, expected {total} (pushes went missing)"));
     }
-    if delivered_rows != acked_rows {
-        return Err(fail(
-            format!(
-                "delivered {delivered_rows} rows for {acked_rows} acked — \
-                 {} (exactly-once violated)",
-                if delivered_rows < acked_rows { "frames lost" } else { "frames duplicated" }
-            ),
-            net.trace(),
-        ));
-    }
+    exactly_once(delivered_rows, acked_rows, "acked")?;
 
-    // Data-plane transparency: each client's pulled bytes must be
-    // bit-identical to one direct encode_batch + decode_batch of its
-    // stream on the same codec (the batch ≡ per-frame contract makes the
-    // reference independent of how the gateway batched them).
-    let mut reference = AsymmetricAutoencoder::new(&cfg).expect("valid codec config");
+    // Data-plane transparency: impairments must not perturb the bytes.
+    let mut reference = AsymmetricAutoencoder::new(codec).expect("valid codec config");
     for (i, a) in actors.iter().enumerate() {
-        let mut codes = Matrix::zeros(0, 0);
-        let mut recon = Matrix::zeros(0, 0);
-        reference.encode_batch(a.frames.as_view(), &mut codes).expect("geometry fits");
-        reference.decode_batch(codes.as_view(), &mut recon).expect("geometry fits");
-        if a.pulled != recon.as_slice() {
-            return Err(fail(
-                format!("actor {i}: decoded bytes diverge from the direct codec path"),
-                net.trace(),
-            ));
+        if a.pulled != reference_decode(&mut reference, &a.frames).as_slice() {
+            return Err(format!("actor {i}: decoded bytes diverge from the direct codec path"));
         }
     }
 
     let snap = gateway.stats();
-    if snap.queue_depth != 0 || snap.stored_codes != 0 {
-        return Err(fail(
-            format!(
-                "gateway not drained: queue_depth {} stored_codes {}",
-                snap.queue_depth, snap.stored_codes
-            ),
-            net.trace(),
-        ));
-    }
+    check_drained("gateway", &snap)?;
     let latency_bound = 0.005 + spec.des.rto_cap.as_secs_f64() + 0.1; // deadline + RTO ceiling + slack
     if snap.batch_latency_p99_s > latency_bound {
-        return Err(fail(
-            format!(
-                "p99 flush latency {:.4}s exceeds the {latency_bound:.4}s bound \
-                 (deadline flushes are starving)",
-                snap.batch_latency_p99_s
-            ),
-            net.trace(),
+        return Err(format!(
+            "p99 flush latency {:.4}s exceeds the {latency_bound:.4}s bound \
+             (deadline flushes are starving)",
+            snap.batch_latency_p99_s
         ));
     }
 
@@ -640,38 +1032,21 @@ fn drive(
     // chain conserves rows, and — since the run drained fully — every
     // pushed row was delivered under its own trace.
     if gateway.tracer().dropped() != 0 {
-        return Err(fail(
-            format!(
-                "trace ring evicted {} spans; raise trace_capacity so chains stay whole",
-                gateway.tracer().dropped()
-            ),
-            net.trace(),
+        return Err(format!(
+            "trace ring evicted {} spans; raise trace_capacity so chains stay whole",
+            gateway.tracer().dropped()
         ));
     }
-    let spans = gateway.tracer().spans();
-    let chains = match orco_obs::verify_chains(&spans) {
-        Ok(chains) => chains,
-        Err(detail) => return Err(fail(format!("trace chain broken: {detail}"), net.trace())),
-    };
+    let chains = orco_obs::verify_chains(&gateway.tracer().spans())
+        .map_err(|detail| format!("trace chain broken: {detail}"))?;
     if chains.pushed_rows != total as u64 || chains.delivered_rows != total as u64 {
-        return Err(fail(
-            format!(
-                "trace chains account for {} pushed / {} delivered rows, expected {total} of each",
-                chains.pushed_rows, chains.delivered_rows
-            ),
-            net.trace(),
+        return Err(format!(
+            "trace chains account for {} pushed / {} delivered rows, expected {total} of each",
+            chains.pushed_rows, chains.delivered_rows
         ));
     }
 
-    let mut digest_bytes = Vec::with_capacity(delivered_rows * dims.input * 4);
-    for a in &actors {
-        for v in &a.pulled {
-            digest_bytes.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    Ok(ScenarioOutcome {
-        name: name.to_string(),
-        seed,
+    Ok(Outcome {
         clients: spec.clients,
         frames_per_client: spec.frames_per_client,
         acked_rows,
@@ -679,139 +1054,9 @@ fn drive(
         busy_retries: actors.iter().map(|a| a.busy_retries).sum(),
         gave_ups: actors.iter().map(|a| a.gave_ups).sum(),
         reconnects: actors.iter().map(|a| a.reconnects).sum(),
-        stats_frame: {
-            let mut frame = Vec::new();
-            Message::StatsReply(snap).encode_into(&mut frame);
-            frame
-        },
-        decoded_fnv: fnv1a64(&digest_bytes),
+        stats_frames: vec![stats_frame(snap)],
+        decoded_fnv: row_digest(actors.iter().map(|a| (a.pulled.as_slice(), None)), dims.input),
         trace_export: gateway.trace_export(),
-        trace: net.trace(),
+        ..Outcome::default()
     })
-}
-
-impl Actor {
-    fn submit_push(&self, net: &DesNet, lo: usize, hi: usize) -> u64 {
-        net.submit(
-            self.conn,
-            &Message::PushFrames {
-                cluster_id: self.cluster,
-                // One trace id per push window, stable across Busy
-                // retries (a refused push emits no spans, so the retry
-                // cannot double-count the trace). Clusters are small, so
-                // the id stays unique and nonzero across actors.
-                trace: (self.cluster << 20) | (lo as u64 + 1),
-                frames: self.frames.view_rows(lo..hi).to_matrix(),
-            },
-        )
-    }
-
-    fn next_push_window(&self) -> (usize, usize) {
-        (self.offset, (self.offset + ROWS_PER_PUSH).min(self.frames.rows()))
-    }
-}
-
-/// Advances one actor's state machine on a reply. Returns a contract
-/// violation as `Err(detail)`.
-fn on_reply(
-    net: &DesNet,
-    a: &mut Actor,
-    ai: usize,
-    kind: Pending,
-    reply: Message,
-) -> Result<(), String> {
-    match (kind, reply) {
-        (Pending::Hello, Message::HelloAck { .. }) => {
-            a.phase = Phase::Stream;
-            let (lo, hi) = a.next_push_window();
-            let seq = a.submit_push(net, lo, hi);
-            a.pending = Some((seq, Pending::Push { lo, hi }));
-            Ok(())
-        }
-        (Pending::Push { lo, hi }, Message::PushAck { accepted }) => {
-            if accepted as usize != hi - lo {
-                return Err(format!(
-                    "actor {ai}: partial ack {accepted} for a {}-row push",
-                    hi - lo
-                ));
-            }
-            a.offset = hi;
-            a.acked += accepted as usize;
-            a.backoff.reset();
-            if a.offset < a.frames.rows() {
-                let (lo, hi) = a.next_push_window();
-                let seq = a.submit_push(net, lo, hi);
-                a.pending = Some((seq, Pending::Push { lo, hi }));
-            } else {
-                a.phase = Phase::Drain;
-                let seq = net.submit(
-                    a.conn,
-                    &Message::PullDecoded {
-                        cluster_id: a.cluster,
-                        max_frames: PULL_CHUNK,
-                        trace: 0,
-                    },
-                );
-                a.pending = Some((seq, Pending::Pull { retry_push: false }));
-            }
-            Ok(())
-        }
-        (Pending::Push { lo, hi }, Message::Busy { .. }) => {
-            // Backpressure: drain a chunk first (pulls are what free the
-            // budget), then retry the same push after a backed-off wait.
-            a.busy_retries += 1;
-            a.deferred_push = Some((lo, hi));
-            let seq = net.submit(
-                a.conn,
-                &Message::PullDecoded { cluster_id: a.cluster, max_frames: PULL_CHUNK, trace: 0 },
-            );
-            a.pending = Some((seq, Pending::Pull { retry_push: true }));
-            Ok(())
-        }
-        (Pending::Pull { retry_push }, Message::Decoded { cluster_id, frames, .. }) => {
-            if cluster_id != a.cluster {
-                return Err(format!(
-                    "actor {ai}: pulled cluster {} got cluster {cluster_id}",
-                    a.cluster
-                ));
-            }
-            a.pulled.extend_from_slice(frames.as_slice());
-            a.pulled_rows += frames.rows();
-            if a.pulled_rows > a.frames.rows() {
-                return Err(format!(
-                    "actor {ai}: pulled {} rows for a {}-frame stream (duplication)",
-                    a.pulled_rows,
-                    a.frames.rows()
-                ));
-            }
-            if retry_push {
-                // Resume the Busy push after a jittered backoff.
-                net.schedule_wakeup(a.backoff.next_delay(), ai as u64);
-            } else if a.phase == Phase::Drain {
-                if a.pulled_rows == a.acked && a.offset == a.frames.rows() {
-                    a.phase = Phase::Done;
-                } else if frames.rows() > 0 {
-                    a.backoff.reset();
-                    let seq = net.submit(
-                        a.conn,
-                        &Message::PullDecoded {
-                            cluster_id: a.cluster,
-                            max_frames: PULL_CHUNK,
-                            trace: 0,
-                        },
-                    );
-                    a.pending = Some((seq, Pending::Pull { retry_push: false }));
-                } else {
-                    // Nothing stored yet (batch still pending a deadline
-                    // flush): poll again after a backoff.
-                    net.schedule_wakeup(a.backoff.next_delay(), ai as u64);
-                }
-            }
-            Ok(())
-        }
-        (kind, Message::ErrorReply { code, detail }) => {
-            Err(format!("actor {ai}: {kind:?} drew {code:?}: {detail}"))
-        }
-        (kind, other) => Err(format!("actor {ai}: {kind:?} drew unexpected {}", other.kind())),
-    }
 }

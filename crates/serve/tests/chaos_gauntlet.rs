@@ -45,7 +45,7 @@ fn runs_are_deterministic() {
     for &name in &GAUNTLET {
         let a = run_scenario(name, SEED, true).expect("first run");
         let b = run_scenario(name, SEED, true).expect("second run");
-        assert_eq!(a.stats_frame, b.stats_frame, "{name}: stats frames diverged across runs");
+        assert_eq!(a.stats_frames, b.stats_frames, "{name}: stats frames diverged across runs");
         assert_eq!(a.decoded_fnv, b.decoded_fnv, "{name}: decoded bytes diverged across runs");
         assert_eq!(a.trace, b.trace, "{name}: impairment tapes diverged across runs");
         assert!(
@@ -62,7 +62,7 @@ fn runs_are_deterministic() {
 fn recorded_runs_replay_bit_identically() {
     for &name in &GAUNTLET {
         let live = run_scenario(name, SEED, true).expect("live run");
-        let log = RunLog { name: name.into(), seed: SEED, quick: true, trace: live.trace.clone() };
+        let log = live.tape(true);
 
         let text = log.to_text();
         let parsed = RunLog::from_text(&text)
@@ -71,19 +71,8 @@ fn recorded_runs_replay_bit_identically() {
 
         let replayed = replay_scenario(&parsed)
             .unwrap_or_else(|e| panic!("{name}: replay violated a contract: {e}"));
-        assert_eq!(
-            replayed.stats_frame, live.stats_frame,
-            "{name}: replayed stats frame differs from the live run"
-        );
-        assert_eq!(
-            replayed.decoded_fnv, live.decoded_fnv,
-            "{name}: replayed decoded bytes differ from the live run"
-        );
-        assert_eq!(replayed.trace, live.trace, "{name}: replay rewrote the tape");
-        assert_eq!(
-            replayed.trace_export, live.trace_export,
-            "{name}: replay did not reproduce the live run's trace export bit-for-bit"
-        );
+        // Stats frame, decoded digest, trace export, tape, every counter.
+        assert_eq!(replayed, live, "{name}: replay did not reproduce the live run bit-for-bit");
     }
 }
 

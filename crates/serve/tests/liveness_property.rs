@@ -12,39 +12,24 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use orco_serve::scenarios::codec_config;
 use orco_serve::{
     Client, Clock, Connection, DesConfig, DesNet, DesTransport, Gateway, GatewayConfig, Loopback,
     PushOutcome, Tcp, TcpServer,
 };
 use orco_sim::LinkParams;
 use orco_tensor::{Matrix, OrcoRng};
-use orcodcs::{AsymmetricAutoencoder, Codec, GradCompression, OrcoConfig};
+use orcodcs::{AsymmetricAutoencoder, Codec};
 use proptest::prelude::*;
 use proptest::BoxedStrategy;
 
 const DEADLINE: Duration = Duration::from_millis(5);
 const CLUSTERS: [u64; 4] = [3, 19, 42, 1001];
+/// Frame width of the gauntlet codec ([`codec_config`]).
 const DIM: usize = 32;
 
-fn codec_config() -> OrcoConfig {
-    OrcoConfig {
-        input_dim: DIM,
-        latent_dim: 8,
-        decoder_layers: 1,
-        noise_variance: 0.1,
-        huber_delta: 0.5,
-        vector_huber: false,
-        learning_rate: 1e-2,
-        batch_size: 32,
-        epochs: 1,
-        finetune_threshold: 0.05,
-        grad_compression: GradCompression::default(),
-        seed: 11,
-    }
-}
-
 fn gateway(clock: Clock) -> Arc<Gateway> {
-    let cfg = codec_config();
+    let cfg = codec_config(11);
     Arc::new(
         Gateway::new(
             GatewayConfig {

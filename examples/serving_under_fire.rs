@@ -6,23 +6,25 @@
 //! stats) through the stop-and-wait ARQ transport while the simulated
 //! network drops, delays, and reorders frames under virtual time. Every
 //! impairment verdict is recorded; feeding the tape back through
-//! `replay_scenario` reproduces the run exactly — same wire-level stats
-//! frame, same decoded bytes — which is how a failing CI run is debugged
-//! locally.
+//! `replay_scenario` reproduces the run exactly — the whole `Outcome`:
+//! wire-level stats frames, decoded bytes, trace export, every counter —
+//! which is how a failing CI run is debugged locally.
 //!
 //! ```sh
 //! cargo run --release --example serving_under_fire
 //! ```
 //!
-//! For the full five-scenario gauntlet and `--replay FILE`, use the CLI:
-//! `cargo run --release -p orco-serve --bin chaos -- --quick`.
+//! `orcodcs_repro::rollout::run_scenario` is the same entry point one
+//! layer up and reaches all seven scenarios (`fleet_kill` and
+//! `rollout_storm` included); for the whole gauntlet and `--replay FILE`,
+//! use the CLI: `cargo run --release -p orco-rollout --bin chaos -- --quick`.
 
-use orcodcs_repro::serve::{replay_scenario, run_scenario, RunLog, GAUNTLET};
+use orcodcs_repro::serve::{replay_scenario, run_scenario, GAUNTLET};
 
 fn main() {
     let name = "lossy_links";
     let seed = 0xF12E_5EED;
-    println!("gauntlet scenarios: {GAUNTLET:?}");
+    println!("serve-layer gauntlet scenarios: {GAUNTLET:?}");
     println!("running `{name}` with seed {seed:#x} (15% loss, jittered delays)...\n");
 
     let live = run_scenario(name, seed, true).unwrap_or_else(|e| {
@@ -49,11 +51,11 @@ fn main() {
 
     // Replay from the tape: no randomness is drawn; every send consumes
     // its recorded verdict instead.
-    let log = RunLog { name: name.into(), seed, quick: true, trace: live.trace.clone() };
+    let log = live.tape(true);
     let replayed = replay_scenario(&log).expect("replay upholds the same contracts");
 
-    assert_eq!(replayed.stats_frame, live.stats_frame, "stats frame must be bit-identical");
-    assert_eq!(replayed.decoded_fnv, live.decoded_fnv, "decoded bytes must be bit-identical");
-    assert_eq!(replayed.trace, live.trace, "replay must not rewrite the tape");
-    println!("\nreplay: bit-identical (stats frame, decoded digest, and tape all match)");
+    assert_eq!(replayed, live, "the replayed Outcome must be bit-identical");
+    println!(
+        "\nreplay: bit-identical (stats frame, decoded digest, trace export and tape all match)"
+    );
 }

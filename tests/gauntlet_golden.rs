@@ -10,10 +10,7 @@
 //! accesses, never its constants. A counter a scenario does not report is
 //! pinned at 0.
 
-use orcodcs_repro::fleet::run_fleet_scenario;
-use orcodcs_repro::rollout::run_rollout_scenario;
-use orcodcs_repro::serve::{run_scenario, RunLog};
-use orcodcs_repro::sim::SendRecord;
+use orcodcs_repro::rollout::run_scenario;
 use orcodcs_repro::tensor::fnv1a64;
 
 const SEED: u64 = 0xC4A05;
@@ -194,90 +191,31 @@ const GOLDEN: [Pins; 7] = [
     },
 ];
 
-fn tape_fnv(name: &str, trace: &[SendRecord]) -> u64 {
-    let log = RunLog { name: name.into(), seed: SEED, quick: true, trace: trace.to_vec() };
-    fnv1a64(log.to_text().as_bytes())
-}
-
 /// Runs `golden.name` live and reads back everything [`Pins`] pins.
 fn measure(golden: &Pins) -> Pins {
     let name = golden.name;
-    match name {
-        "fleet_kill" => {
-            let o = run_fleet_scenario(name, SEED, true)
-                .unwrap_or_else(|e| panic!("{name}: scenario failed: {e}"));
-            Pins {
-                name,
-                tape: tape_fnv(name, &o.trace),
-                stats: fnv1a64(&o.stats_frames.concat()),
-                trace_export: fnv1a64(o.trace_export.as_bytes()),
-                decoded_fnv: o.decoded_fnv,
-                sends: o.trace.len(),
-                stats_frames: o.stats_frames.len(),
-                clients: o.clients,
-                frames_per_client: o.frames_per_client,
-                acked_rows: 0,
-                delivered_rows: o.delivered_rows,
-                busy_retries: 0,
-                gave_ups: o.gave_ups,
-                reconnects: o.reconnects,
-                redirects: o.redirects,
-                final_epoch: o.final_epoch,
-                v0_rows: 0,
-                v1_rows: 0,
-                drift_trips: 0,
-            }
-        }
-        "rollout_storm" => {
-            let o = run_rollout_scenario(name, SEED, true)
-                .unwrap_or_else(|e| panic!("{name}: scenario failed: {e}"));
-            Pins {
-                name,
-                tape: tape_fnv(name, &o.trace),
-                stats: fnv1a64(&o.stats_frames.concat()),
-                trace_export: fnv1a64(o.trace_export.as_bytes()),
-                decoded_fnv: o.decoded_fnv,
-                sends: o.trace.len(),
-                stats_frames: o.stats_frames.len(),
-                clients: o.clients,
-                frames_per_client: o.frames_per_client,
-                acked_rows: 0,
-                delivered_rows: o.delivered_rows,
-                busy_retries: 0,
-                gave_ups: o.gave_ups,
-                reconnects: o.reconnects,
-                redirects: 0,
-                final_epoch: o.final_epoch,
-                v0_rows: o.v0_rows,
-                v1_rows: o.v1_rows,
-                drift_trips: o.drift_trips,
-            }
-        }
-        _ => {
-            let o = run_scenario(name, SEED, true)
-                .unwrap_or_else(|e| panic!("{name}: scenario failed: {e}"));
-            Pins {
-                name,
-                tape: tape_fnv(name, &o.trace),
-                stats: fnv1a64(&o.stats_frame),
-                trace_export: fnv1a64(o.trace_export.as_bytes()),
-                decoded_fnv: o.decoded_fnv,
-                sends: o.trace.len(),
-                stats_frames: 1,
-                clients: o.clients,
-                frames_per_client: o.frames_per_client,
-                acked_rows: o.acked_rows,
-                delivered_rows: o.delivered_rows,
-                busy_retries: o.busy_retries,
-                gave_ups: o.gave_ups,
-                reconnects: o.reconnects,
-                redirects: 0,
-                final_epoch: 0,
-                v0_rows: 0,
-                v1_rows: 0,
-                drift_trips: 0,
-            }
-        }
+    let o =
+        run_scenario(name, SEED, true).unwrap_or_else(|e| panic!("{name}: scenario failed: {e}"));
+    Pins {
+        name,
+        tape: fnv1a64(o.tape(true).to_text().as_bytes()),
+        stats: fnv1a64(&o.stats_frames.concat()),
+        trace_export: fnv1a64(o.trace_export.as_bytes()),
+        decoded_fnv: o.decoded_fnv,
+        sends: o.trace.len(),
+        stats_frames: o.stats_frames.len(),
+        clients: o.clients,
+        frames_per_client: o.frames_per_client,
+        acked_rows: o.acked_rows,
+        delivered_rows: o.delivered_rows,
+        busy_retries: o.busy_retries,
+        gave_ups: o.gave_ups,
+        reconnects: o.reconnects,
+        redirects: o.redirects,
+        final_epoch: o.final_epoch,
+        v0_rows: o.v0_rows,
+        v1_rows: o.v1_rows,
+        drift_trips: o.drift_trips,
     }
 }
 
