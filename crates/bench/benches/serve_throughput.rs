@@ -1,7 +1,8 @@
 //! Serving-throughput bench: frames/s end to end through the loopback
 //! gateway — full wire protocol, sharded micro-batcher, ONE
 //! `encode_batch` per flush, decoded pulls — across worker (shard)
-//! counts, micro-batch sizes, and batch deadlines.
+//! counts, micro-batch sizes, and batch deadlines, on one connection and
+//! (the `-2conn` row) on two connections driving one shard each.
 //!
 //! This is the perf stake of the serving subsystem: on one core a
 //! batched gateway configuration (`batch_max_frames = 64`) must serve at
@@ -21,11 +22,14 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use orco_serve::{Client, Clock, Gateway, GatewayConfig, Loopback, ModelVersion, PushOutcome};
+use orco_serve::{
+    Client, Clock, Gateway, GatewayConfig, Loopback, LoopbackConnection, ModelVersion, PushOutcome,
+};
 use orco_tensor::{Matrix, OrcoRng};
 use orcodcs::{AsymmetricAutoencoder, Codec, OrcoConfig};
 
-/// Clusters driven round-robin (spreads load across shards).
+/// Clusters a lone connection drives round-robin (spreads load across
+/// shards).
 const CLUSTERS: [u64; 4] = [3, 19, 42, 77];
 /// Virtual-clock advance per dispatched message; with the deadline knob
 /// this decides how many frames a lingering batch accumulates.
@@ -36,6 +40,10 @@ struct Config {
     shards: usize,
     batch_max: usize,
     deadline_ms: u64,
+    /// Driving threads, each with a connection of its own. One drives
+    /// [`CLUSTERS`]; several drive one cluster each, thread `i`'s on
+    /// shard `i`, and split the frames between them.
+    conns: usize,
     /// Gateway-side span recording on (a live `Tracer` ring) or off
     /// (capacity 0, every record a no-op). The wire carries trace ids
     /// either way, so this isolates the recording cost.
@@ -48,6 +56,7 @@ struct Config {
 struct Row {
     label: &'static str,
     shards: usize,
+    conns: usize,
     batch_max: usize,
     deadline_ms: u64,
     traced: bool,
@@ -56,9 +65,9 @@ struct Row {
     swap_stall_ms: Option<f64>,
 }
 
-/// Serves `total` frames end to end (push one per message, pull decoded
-/// in `batch_max`-sized chunks) and returns the wall-clock frames/s plus
-/// the swap stall (when the config hot-swaps mid-run).
+/// Serves `total` frames end to end over `cfg.conns` connections and
+/// returns the wall-clock aggregate frames/s plus the swap stall (when
+/// the config hot-swaps mid-run).
 fn run(cfg: &Config, total: usize) -> (f64, Option<f64>) {
     let ae_cfg = OrcoConfig::for_dataset(orco_datasets_kind()).with_latent_dim(paper_latent());
     let gateway = Arc::new(
@@ -80,17 +89,59 @@ fn run(cfg: &Config, total: usize) -> (f64, Option<f64>) {
         )
         .expect("valid gateway"),
     );
-    let mut client = Client::connect(&Loopback::new(gateway)).expect("loopback connects");
-    let info = client.hello(0).expect("hello");
+    let lanes: Vec<Vec<u64>> = if cfg.conns == 1 {
+        vec![CLUSTERS.to_vec()]
+    } else {
+        assert!(cfg.conns <= cfg.shards, "one shard per connection");
+        (0..cfg.conns)
+            .map(|shard| vec![(1..).find(|&c| gateway.shard_of(c) == shard).expect("reachable")])
+            .collect()
+    };
+    let mut clients: Vec<_> = (0..cfg.conns)
+        .map(|i| {
+            let mut client =
+                Client::connect(&Loopback::new(Arc::clone(&gateway))).expect("loopback connects");
+            client.hello(i as u64).expect("hello");
+            client
+        })
+        .collect();
 
     let mut rng = OrcoRng::from_seed_u64(7);
-    let frames = Matrix::from_fn(256, info.frame_dim as usize, |_, _| rng.uniform(0.0, 1.0));
-    let pull_chunk = cfg.batch_max as u32;
+    let frames = Matrix::from_fn(256, gateway.frame_dims().input, |_, _| rng.uniform(0.0, 1.0));
+    let per_conn = total / cfg.conns;
 
+    let start = Instant::now();
+    let swap_stall_ms = std::thread::scope(|scope| {
+        let drivers: Vec<_> = clients
+            .iter_mut()
+            .zip(&lanes)
+            .map(|(client, clusters)| {
+                let (ae_cfg, frames) = (&ae_cfg, &frames);
+                scope.spawn(move || drive(cfg, ae_cfg, client, clusters, frames, per_conn))
+            })
+            .collect();
+        drivers.into_iter().filter_map(|d| d.join().expect("driving thread")).reduce(f64::max)
+    });
+    let elapsed = start.elapsed().as_secs_f64();
+    ((per_conn * cfg.conns) as f64 / elapsed, swap_stall_ms)
+}
+
+/// One connection's share of a run: pushes `total` frames round-robin
+/// over `clusters`, one per message, and pulls them back decoded in
+/// `batch_max`-sized chunks. Returns the swap stall when the config
+/// hot-swaps mid-run.
+fn drive(
+    cfg: &Config,
+    ae_cfg: &OrcoConfig,
+    client: &mut Client<LoopbackConnection>,
+    clusters: &[u64],
+    frames: &Matrix,
+    total: usize,
+) -> Option<f64> {
+    let pull_chunk = cfg.batch_max as u32;
     let mut served = 0usize;
     let mut pushed_since_drain = 0usize;
     let mut swap_stall_ms = None;
-    let start = Instant::now();
     for i in 0..total {
         if cfg.swap && i == total / 2 {
             // Hot-swap to a fresh encoder mid-stream. The stall a client
@@ -98,12 +149,12 @@ fn run(cfg: &Config, total: usize) -> (f64, Option<f64>) {
             // flushes each shard's pending batch under the old codec);
             // the zero-drop contract is re-checked by the served == total
             // assert below.
-            let donor = AsymmetricAutoencoder::new(&ae_cfg).expect("valid config");
+            let donor = AsymmetricAutoencoder::new(ae_cfg).expect("valid config");
             let version = ModelVersion {
                 id: 1,
                 label: "bench-swap".into(),
-                frame_dim: info.frame_dim,
-                code_dim: info.code_dim,
+                frame_dim: ae_cfg.input_dim as u32,
+                code_dim: ae_cfg.latent_dim as u32,
             };
             let swap_start = Instant::now();
             let ckpt = donor.checkpoint().expect("autoencoder codecs checkpoint");
@@ -118,7 +169,7 @@ fn run(cfg: &Config, total: usize) -> (f64, Option<f64>) {
             );
             swap_stall_ms = Some(stall.as_secs_f64() * 1e3);
         }
-        let cluster = CLUSTERS[i % CLUSTERS.len()];
+        let cluster = clusters[i % clusters.len()];
         let row = i % frames.rows();
         match client.push(cluster, frames.view_rows(row..row + 1)).expect("push") {
             PushOutcome::Accepted(_) => pushed_since_drain += 1,
@@ -129,25 +180,24 @@ fn run(cfg: &Config, total: usize) -> (f64, Option<f64>) {
         // pull chunk matches the config's batch size, so the batch-1
         // configuration also decodes one frame per call.
         if pushed_since_drain >= 1024 {
-            served += drain(&mut client, pull_chunk);
+            served += drain(client, clusters, pull_chunk);
             pushed_since_drain = 0;
         }
     }
     loop {
-        let got = drain(&mut client, pull_chunk);
+        let got = drain(client, clusters, pull_chunk);
         if got == 0 {
             break;
         }
         served += got;
     }
-    let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(served, total, "every pushed frame must come back decoded");
-    (total as f64 / elapsed, swap_stall_ms)
+    swap_stall_ms
 }
 
-fn drain(client: &mut Client<impl orco_serve::Connection>, pull_chunk: u32) -> usize {
+fn drain(client: &mut Client<LoopbackConnection>, clusters: &[u64], pull_chunk: u32) -> usize {
     let mut got = 0;
-    for &cluster in &CLUSTERS {
+    for &cluster in clusters {
         loop {
             let chunk = client.pull(cluster, pull_chunk).expect("pull").rows();
             if chunk == 0 {
@@ -172,12 +222,14 @@ fn main() {
     orco_tensor::parallel::set_threads(1);
     let quick = std::env::var("ORCO_SCALE").as_deref() == Ok("quick");
     let total = if quick { 1024 } else { 8192 };
+    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let base = Config {
         label: "batch-64",
         shards: 1,
         batch_max: 64,
         deadline_ms: 50,
+        conns: 1,
         traced: false,
         swap: false,
     };
@@ -187,6 +239,7 @@ fn main() {
         Config { ..base },
         Config { label: "batch-64-traced", traced: true, ..base },
         Config { label: "batch-64-2shard", shards: 2, ..base },
+        Config { label: "batch-64-2shard-2conn", shards: 2, conns: 2, ..base },
         Config { label: "batch-64-4shard", shards: 4, ..base },
         Config { label: "batch-64-1ms", deadline_ms: 1, ..base },
         Config { label: "batch-64-during-swap", swap: true, ..base },
@@ -219,6 +272,7 @@ fn main() {
         .map(|(cfg, (&frames_per_s, &swap_stall_ms))| Row {
             label: cfg.label,
             shards: cfg.shards,
+            conns: cfg.conns,
             batch_max: cfg.batch_max,
             deadline_ms: cfg.deadline_ms,
             traced: cfg.traced,
@@ -228,18 +282,18 @@ fn main() {
         .collect();
 
     println!(
-        "serve_throughput (loopback, 1 thread, {} frames, {} scale)",
+        "serve_throughput (loopback, 1 kernel thread per driving thread, {} frames, {} scale)",
         total,
         if quick { "quick" } else { "default" }
     );
     println!(
-        "{:<18} {:>6} {:>10} {:>12} {:>14}",
-        "config", "shards", "batch_max", "deadline_ms", "frames/s"
+        "{:<22} {:>6} {:>6} {:>10} {:>12} {:>14}",
+        "config", "shards", "conns", "batch_max", "deadline_ms", "frames/s"
     );
     for r in &rows {
         println!(
-            "{:<18} {:>6} {:>10} {:>12} {:>14.1}",
-            r.label, r.shards, r.batch_max, r.deadline_ms, r.frames_per_s
+            "{:<22} {:>6} {:>6} {:>10} {:>12} {:>14.1}",
+            r.label, r.shards, r.conns, r.batch_max, r.deadline_ms, r.frames_per_s
         );
     }
 
@@ -249,6 +303,10 @@ fn main() {
     println!("\nbatched (64) vs batch-size-1 gateway on one core: {speedup:.2}x");
     let tracing_overhead = 1.0 - fps("batch-64-traced") / fps("batch-64");
     println!("tracing overhead at batch 64: {:.2}%", tracing_overhead * 100.0);
+    let scaling_2conn = fps("batch-64-2shard-2conn") / fps("batch-64-2shard");
+    println!(
+        "scaling_2conn (2 shards: 2 connections vs 1): {scaling_2conn:.2}x on {host_cores} cores"
+    );
     let swap_stall = rows
         .iter()
         .find_map(|r| r.swap_stall_ms)
@@ -262,20 +320,19 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"serve_throughput\",");
     let _ = writeln!(json, "  \"scale\": \"{}\",", if quick { "quick" } else { "default" });
     let _ = writeln!(json, "  \"threads\": 1,");
+    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(
         json,
-        "  \"host_cores\": {},",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    );
-    let _ = writeln!(
-        json,
-        "  \"note\": \"one driving thread, kernel threads pinned to 1, whatever host_cores says: \
-         the shard-count sweep (batch-64 vs -2shard vs -4shard) measures sharding overhead, not \
-         scaling; expect flat numbers\","
+        "  \"note\": \"kernel threads pinned to 1 per driving thread. One connection has one \
+         request in flight, so the shard-count sweep (batch-64 vs -2shard vs -4shard) is flat by \
+         construction: it measures sharding overhead. Scaling is the -2conn row: two driving \
+         threads, one cluster per shard, a request locking only its own shard; scaling_2conn is \
+         its aggregate over batch-64-2shard, bounded by host_cores\","
     );
     let _ = writeln!(json, "  \"frames\": {total},");
     let _ = writeln!(json, "  \"batched64_vs_batch1_speedup\": {speedup:.4},");
     let _ = writeln!(json, "  \"tracing_overhead_batch64\": {tracing_overhead:.4},");
+    let _ = writeln!(json, "  \"scaling_2conn\": {scaling_2conn:.4},");
     let _ = writeln!(json, "  \"swap_stall_ms_batch64\": {swap_stall:.4},");
     let _ = writeln!(json, "  \"results\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -283,8 +340,8 @@ fn main() {
         let stall = r.swap_stall_ms.map_or(String::from("null"), |s| format!("{s:.4}"));
         let _ = writeln!(
             json,
-            "    {{\"config\": \"{}\", \"shards\": {}, \"batch_max\": {}, \"deadline_ms\": {}, \"traced\": {}, \"frames_per_s\": {:.2}, \"swap_stall_ms\": {stall}}}{comma}",
-            r.label, r.shards, r.batch_max, r.deadline_ms, r.traced, r.frames_per_s
+            "    {{\"config\": \"{}\", \"shards\": {}, \"conns\": {}, \"batch_max\": {}, \"deadline_ms\": {}, \"traced\": {}, \"frames_per_s\": {:.2}, \"swap_stall_ms\": {stall}}}{comma}",
+            r.label, r.shards, r.conns, r.batch_max, r.deadline_ms, r.traced, r.frames_per_s
         );
     }
     let _ = writeln!(json, "  ]");

@@ -20,7 +20,9 @@
 //!   every dispatch and every [`Gateway::advance_clock`] runs across
 //!   **all** shards (virtual-clock mode) — a batch on an idle shard is
 //!   flushed as soon as virtual time passes its deadline, not when the
-//!   next request happens to land on that shard;
+//!   next request happens to land on that shard. The sweep asks each
+//!   shard through a lock-free gate (one atomic load) and takes a
+//!   shard's lock only to flush a batch that is due;
 //! * **pull**: a `PullDecoded` flushes the shard's pending batch first,
 //!   so clients always read their own writes.
 //!
@@ -28,9 +30,15 @@
 //! exceed [`GatewayConfig::queue_capacity`]; a push over budget is
 //! answered with [`Message::Busy`] and **nothing is buffered** — gateway
 //! memory is bounded by configuration, not by client behavior.
+//!
+//! Dispatch is shard-local: a request for a cluster on shard *i* takes
+//! shard *i*'s lock and no other, unless another shard has a batch
+//! overdue (the sweep flushes it) or stores rows a subscriber is waiting
+//! for (the stream pump delivers them). Two connections on two shards run
+//! their codecs side by side.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::Duration;
 
@@ -43,7 +51,7 @@ use crate::clock::Clock;
 use crate::fleet_view::FleetView;
 use crate::outbox::Outbox;
 use crate::protocol::{ErrorCode, Message, ModelVersion, MAX_LABEL, PROTOCOL_VERSION};
-use crate::shard::{DriftProbe, ShardCore};
+use crate::shard::{DriftProbe, ShardCore, ShardGate};
 use crate::stats::{FlushReason, ServeStats, MAX_SHARDS};
 
 /// Sizing and flush policy of a [`Gateway`].
@@ -160,6 +168,16 @@ pub(crate) struct ShardSlot {
     pub(crate) core: Mutex<ShardCore>,
     /// Wakes the shard's deadline flusher when a batch starts pending.
     pub(crate) cv: Condvar,
+    /// The core's lock-free mirrors: what the deadline sweep and the
+    /// stream pump read instead of locking `core`.
+    gate: Arc<ShardGate>,
+    /// Held from a streaming pull to the end of its fan-out, so one
+    /// shard's deliveries reach the outboxes in the order they left the
+    /// store.
+    ///
+    /// Lock order: pump → `core` → `Gateway::subscribers`; nothing takes
+    /// a pump lock while holding either of the other two.
+    pump: Mutex<()>,
 }
 
 /// The sharded ingestion gateway. Shared across connection threads as an
@@ -179,9 +197,13 @@ pub struct Gateway {
     /// connections. `Weak` so a vanished connection unsubscribes itself;
     /// dead entries are pruned on every pump.
     ///
-    /// Lock order: a shard core lock is never taken while holding this
-    /// lock, and vice versa — the pump copies the cluster list first.
+    /// Lock order: last — after a shard's pump lock and never together
+    /// with a shard core lock (the pump copies the cluster list first,
+    /// and fans out after releasing the core).
     subscribers: Mutex<BTreeMap<u64, Vec<Weak<Outbox>>>>,
+    /// `subscribers.len()`, stored under that lock: the stream pump
+    /// returns at 0 without taking it.
+    subscribed: AtomicUsize,
     /// The rollout control plane: active/staged/prior model versions.
     ///
     /// Lock order: this lock may be held while taking a shard core lock
@@ -251,7 +273,13 @@ impl Gateway {
                     });
                 }
             }
-            shards.push(ShardSlot { core: Mutex::new(core), cv: Condvar::new() });
+            let gate = core.gate();
+            shards.push(ShardSlot {
+                core: Mutex::new(core),
+                cv: Condvar::new(),
+                gate,
+                pump: Mutex::new(()),
+            });
         }
         let dims = dims.expect("at least one shard");
         Ok(Self {
@@ -264,6 +292,7 @@ impl Gateway {
             shutting_down: AtomicBool::new(false),
             fleet: Mutex::new(None),
             subscribers: Mutex::new(BTreeMap::new()),
+            subscribed: AtomicUsize::new(0),
             rollout: Mutex::new(RolloutState {
                 active: ModelVersion {
                     id: 0,
@@ -362,6 +391,22 @@ impl Gateway {
         (orco_tensor::fnv1a64(&cluster_id.to_le_bytes()) % self.shards.len() as u64) as usize
     }
 
+    /// Test hook: per shard, `[mirror, truth]` — what the shard's
+    /// lock-free gate says beside what its locked core holds, each as
+    /// `(pending batch armed at, stored rows)`. The two must be equal
+    /// whenever the shard's lock is free; each pair is read under it.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn gate_check(&self) -> Vec<[(Option<f64>, usize); 2]> {
+        self.shards
+            .iter()
+            .map(|slot| {
+                let core = slot.core.lock().expect("shard lock");
+                [(slot.gate.armed_at(), slot.gate.stored()), core.gate_truth()]
+            })
+            .collect()
+    }
+
     /// Handles one decoded request and produces its reply. Never panics
     /// on hostile input; failures become [`Message::ErrorReply`].
     /// Equivalent to [`Gateway::handle_with_outbox`] without a streaming
@@ -376,12 +421,12 @@ impl Gateway {
     /// outbox-less transports it draws [`ErrorCode::BadRequest`].
     pub fn handle_with_outbox(&self, msg: Message, outbox: Option<&Arc<Outbox>>) -> Message {
         self.clock.tick();
-        // Sweep *every* shard for overdue batches before dispatching.
-        // Without this, a pending batch on shard A would wait for the next
-        // request that happens to hash onto shard A — under a virtual
-        // clock that request may never come, and the batch starves
-        // (the deadline-starvation regression in `tests/gateway_loopback.rs`
-        // pins the fix).
+        // Sweep *every* shard for overdue batches before dispatching
+        // (lock-free unless one is due). Without this, a pending batch on
+        // shard A would wait for the next request that happens to hash
+        // onto shard A — under a virtual clock that request may never
+        // come, and the batch starves (the deadline-starvation regression
+        // in `tests/gateway_loopback.rs` pins the fix).
         self.sweep_deadlines();
         let now = self.clock.now_s();
         let reply = match msg {
@@ -526,6 +571,7 @@ impl Gateway {
                 detail: "gateway is shutting down".into(),
             };
         }
+        let arms_batch = core.pending_rows() == 0;
         if !core.try_enqueue(cluster_id, trace, frames, now, self.cfg.queue_capacity) {
             self.stats.record_busy();
             // No spans for a refused push: the client will retry, and a
@@ -553,9 +599,11 @@ impl Gateway {
             if let Err(e) = core.flush(now, FlushReason::Size, &self.stats, &self.tracer) {
                 return internal(&e);
             }
-        } else {
-            // Arm the shard's deadline flusher (TCP mode; loopback has
-            // none and relies on the dispatch-time check above).
+        } else if arms_batch {
+            // A batch started pending: wake the shard's deadline flusher
+            // to time it (TCP mode; loopback has none and relies on the
+            // dispatch-time sweep). Later pushes into the same batch do
+            // not move its deadline, so they wake nobody.
             slot.cv.notify_one();
         }
         Message::PushAck { accepted: rows as u32 }
@@ -814,6 +862,7 @@ impl Gateway {
         if !entry.iter().any(|w| w.upgrade().is_some_and(|a| Arc::ptr_eq(&a, outbox))) {
             entry.push(Arc::downgrade(outbox));
         }
+        self.publish_subscribed(&subs);
         Message::SubscribeAck { cluster_id, backlog: backlog as u32 }
     }
 
@@ -828,33 +877,62 @@ impl Gateway {
                     subs.remove(&cluster_id);
                 }
             }
+            self.publish_subscribed(&subs);
         }
         Message::SubscribeAck { cluster_id, backlog: 0 }
+    }
+
+    /// Mirrors the subscriber map's size into `subscribed`; called with
+    /// the map's lock held, after every change to it.
+    fn publish_subscribed(&self, subs: &BTreeMap<u64, Vec<Weak<Outbox>>>) {
+        // SeqCst: one side of the store-then-load pair described at
+        // `ShardGate::set_stored` (the subscriber publishes itself, then
+        // pumps; the flusher publishes its rows, then pumps).
+        self.subscribed.store(subs.len(), Ordering::SeqCst);
     }
 
     /// Streams every subscribed cluster's stored rows to its
     /// subscribers. Runs after each dispatch and after deadline/drain
     /// flushes; encodes each batch once and fans the frame out.
     ///
-    /// The subscriber map and shard cores are locked strictly in
-    /// sequence (cluster list is copied first), so this cannot deadlock
-    /// against the dispatch path.
+    /// Shard-local like the sweep: with no subscriber it returns on one
+    /// atomic load, and a shard that stores nothing is skipped on another
+    /// — only a shard with rows to deliver has its pump and core locks
+    /// taken. Every flush is followed by a pump on the flushing thread,
+    /// which reads its own store count, so a pump elsewhere that skipped
+    /// the shard on a stale count delays nothing; and of a flush and a
+    /// subscription racing each other, one pump sees both (the `SeqCst`
+    /// pair at `ShardGate::set_stored`).
+    ///
+    /// One pump at a time per shard (`ShardSlot::pump`, held from the
+    /// pull to the end of the fan-out): a cluster's rows reach each
+    /// subscriber's outbox in push order even with dispatching threads
+    /// and the deadline flusher pumping at once.
     pub(crate) fn pump_streams(&self) {
+        // SeqCst: see publish_subscribed.
+        if self.subscribed.load(Ordering::SeqCst) == 0 {
+            return;
+        }
         let clusters: Vec<u64> = {
             let mut subs = self.subscribers.lock().expect("subscribers lock");
             subs.retain(|_, entry| {
                 entry.retain(|w| w.upgrade().is_some());
                 !entry.is_empty()
             });
+            self.publish_subscribed(&subs);
             subs.keys().copied().collect()
         };
         let now = self.clock.now_s();
         for cluster in clusters {
+            let slot = &self.shards[self.shard_of(cluster)];
+            if slot.gate.stored() == 0 {
+                continue;
+            }
+            let _pump = slot.pump.lock().expect("pump lock");
             // Mid-swap a cluster's backlog can span model versions; each
             // pull returns one single-version run, so keep draining until
             // the store is empty (every delivery stays version-pure).
             while let Some((version, frames)) = {
-                let slot = &self.shards[self.shard_of(cluster)];
                 let mut core = slot.core.lock().expect("shard lock");
                 if core.stored_rows_for(cluster) == 0 {
                     None
@@ -921,16 +999,25 @@ impl Gateway {
     /// [`GatewayConfig::batch_deadline`]. Runs on every dispatch, and
     /// external schedulers (the DES transport, tests advancing a manual
     /// clock) should call it after moving virtual time so idle shards'
-    /// batches are flushed without waiting for traffic. Cheap when nothing
-    /// is due: one lock + one comparison per shard.
+    /// batches are flushed without waiting for traffic. When nothing is
+    /// due it costs one atomic load per shard and takes no lock: a
+    /// shard's lock is taken only once its gate says the batch is due,
+    /// and the batch is re-checked under the lock before it is flushed —
+    /// so a dispatch never waits out another shard's encode or decode.
     pub fn sweep_deadlines(&self) {
         let now = self.clock.now_s();
         let deadline_s = self.cfg.batch_deadline.as_secs_f64();
         for (idx, slot) in self.shards.iter().enumerate() {
-            let mut core = slot.core.lock().expect("shard lock");
-            if core.deadline_due(now, deadline_s) {
-                if let Err(e) = core.flush(now, FlushReason::Deadline, &self.stats, &self.tracer) {
-                    eprintln!("orco-serve: shard {idx} deadline sweep failed: {e}");
+            // The comparison `ShardCore::deadline_due` makes, on the
+            // mirror: on one thread the two always agree.
+            if slot.gate.armed_at().is_some_and(|armed| now - armed >= deadline_s) {
+                let mut core = slot.core.lock().expect("shard lock");
+                if core.deadline_due(now, deadline_s) {
+                    if let Err(e) =
+                        core.flush(now, FlushReason::Deadline, &self.stats, &self.tracer)
+                    {
+                        eprintln!("orco-serve: shard {idx} deadline sweep failed: {e}");
+                    }
                 }
             }
         }

@@ -14,7 +14,12 @@
 //!   decoded rows are *moved* into the reply (the reply must own its
 //!   payload), costing one allocation per pull and zero extra copies;
 //! * **the encoded store** — flat per-cluster ring of code rows awaiting
-//!   a pull, drained oldest-first in push order.
+//!   a pull, drained oldest-first in push order;
+//! * **its gate** ([`ShardGate`]) — lock-free mirrors of "when was the
+//!   pending batch armed" and "how many rows are stored", kept by
+//!   `try_enqueue` / `flush` / `pull`, so the gateway's per-dispatch
+//!   deadline sweep and stream pump can pass over this shard without
+//!   taking its lock.
 //!
 //! The in-flight budget (`pending rows + stored rows ≤ capacity`) is
 //! enforced at enqueue time: a shard's memory is bounded no matter how
@@ -22,6 +27,8 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use orco_obs::{Span, SpanKind, Tracer};
 use orco_tensor::{MatView, Matrix};
@@ -62,6 +69,59 @@ impl DriftProbe {
     fn reset(&mut self) {
         self.monitor.acknowledge();
         self.last_windowed = None;
+    }
+}
+
+/// Lock-free mirrors of the two facts other threads ask a shard on every
+/// dispatch — "is a batch overdue?" and "is anything stored?" — so that
+/// asking does not take the shard's lock. Written only by [`ShardCore`]
+/// under that lock, at the points the truth changes; read anywhere. A
+/// reader that acts on a mirror still takes the lock and re-checks the
+/// truth, so a stale read costs a skipped or a wasted look, never a wrong
+/// flush or delivery.
+pub(crate) struct ShardGate {
+    /// f64 bits of the pending batch's `oldest_enqueue_s`, or
+    /// [`Self::NOT_ARMED`].
+    armed: AtomicU64,
+    /// `ShardCore::stored_rows`.
+    stored: AtomicUsize,
+}
+
+impl ShardGate {
+    /// `armed` when no batch is pending. As f64 bits this is a NaN, which
+    /// no clock reading is.
+    const NOT_ARMED: u64 = u64::MAX;
+
+    /// Enqueue time of the pending batch's oldest row, `None` when
+    /// nothing is pending.
+    pub(crate) fn armed_at(&self) -> Option<f64> {
+        // Acquire: pairs with the Release store in `set_armed` — a
+        // sweeper that sees the batch armed and then takes the lock
+        // finds those rows pending.
+        let bits = self.armed.load(Ordering::Acquire);
+        (bits != Self::NOT_ARMED).then(|| f64::from_bits(bits))
+    }
+
+    /// Encoded rows the shard stores, over all its clusters.
+    pub(crate) fn stored(&self) -> usize {
+        // SeqCst: see `set_stored`.
+        self.stored.load(Ordering::SeqCst)
+    }
+
+    fn set_armed(&self, at: Option<f64>) {
+        // Release: publishes the arming (or the clear) to the Acquire
+        // load in `armed_at`; the caller holds the shard lock.
+        self.armed.store(at.map_or(Self::NOT_ARMED, f64::to_bits), Ordering::Release);
+    }
+
+    fn set_stored(&self, rows: usize) {
+        // SeqCst, with `Gateway::subscribed`: a flushing thread stores
+        // this count and then loads the subscriber count; a subscribing
+        // thread stores that count and then loads this one. One of the
+        // two must see the other's store and deliver the rows — an
+        // ordering of a store before a later load, which Release and
+        // Acquire do not give.
+        self.stored.store(rows, Ordering::SeqCst);
     }
 }
 
@@ -112,6 +172,9 @@ pub(crate) struct ShardCore {
     store_versions: BTreeMap<u64, VecDeque<u64>>,
     /// Total rows across `stores`.
     stored_rows: usize,
+    /// Mirrors of `oldest_enqueue_s` (while pending) and `stored_rows`,
+    /// shared with the gateway's `ShardSlot`.
+    gate: Arc<ShardGate>,
 }
 
 impl ShardCore {
@@ -139,7 +202,35 @@ impl ShardCore {
             store_traces: BTreeMap::new(),
             store_versions: BTreeMap::new(),
             stored_rows: 0,
+            gate: Arc::new(ShardGate {
+                armed: AtomicU64::new(ShardGate::NOT_ARMED),
+                stored: AtomicUsize::new(0),
+            }),
         }
+    }
+
+    /// The shard's lock-free mirrors, for the gateway to read without
+    /// this core's lock.
+    pub(crate) fn gate(&self) -> Arc<ShardGate> {
+        Arc::clone(&self.gate)
+    }
+
+    /// What the gate should say: `(pending batch armed at, stored rows)`.
+    pub(crate) fn gate_truth(&self) -> (Option<f64>, usize) {
+        let armed = (!self.pending_clusters.is_empty()).then_some(self.oldest_enqueue_s);
+        (armed, self.stored_rows)
+    }
+
+    /// Mirror ≡ truth. Every method that changes `pending_*` or
+    /// `stored_rows` ends here, so the two agree at every release of the
+    /// shard lock.
+    fn debug_assert_gate(&self) {
+        debug_assert_eq!(
+            (self.gate.armed_at(), self.gate.stored()),
+            self.gate_truth(),
+            "shard {}: gate out of step with the core",
+            self.index
+        );
     }
 
     /// Derives a staged codec from the active one by grafting the
@@ -270,10 +361,12 @@ impl ShardCore {
         }
         if self.pending_clusters.is_empty() {
             self.oldest_enqueue_s = now_s;
+            self.gate.set_armed(Some(now_s));
         }
         self.pending_data.extend_from_slice(frames.as_slice());
         self.pending_clusters.extend(std::iter::repeat_n(cluster, rows));
         self.pending_traces.extend(std::iter::repeat_n(trace, rows));
+        self.debug_assert_gate();
         true
     }
 
@@ -308,6 +401,7 @@ impl ShardCore {
             self.store_versions.entry(cluster).or_default().push_back(self.version);
         }
         self.stored_rows += rows;
+        self.gate.set_stored(self.stored_rows);
         *self.rows_by_version.entry(self.version).or_insert(0) += rows;
         stats.record_flush(self.index, rows as u64, now_s - self.oldest_enqueue_s, reason);
         if tracer.enabled() {
@@ -342,6 +436,8 @@ impl ShardCore {
         self.pending_data.clear();
         self.pending_clusters.clear();
         self.pending_traces.clear();
+        self.gate.set_armed(None);
+        self.debug_assert_gate();
         Ok(())
     }
     // orco-lint: endregion
@@ -448,6 +544,8 @@ impl ShardCore {
             }
         }
         self.stored_rows -= k;
+        self.gate.set_stored(self.stored_rows);
+        self.debug_assert_gate();
         let remaining = self
             .rows_by_version
             .get_mut(&run_version)

@@ -240,7 +240,11 @@ fn read_loop<S: Service + ?Sized>(
                 if frame[6..8] == 10u16.to_le_bytes() {
                     return Ok(ReadEnd { last_reply: Some(reply), shutdown: true });
                 }
-                outbox.push_frame(reply.clone());
+                // Hand the buffer over: the reply is encoded once, into
+                // the bytes the writer sends (`encode_into` reserves a
+                // matrix payload exactly, so the next reply does not
+                // regrow by doubling).
+                outbox.push_frame(std::mem::take(&mut reply));
             }
         }
     }

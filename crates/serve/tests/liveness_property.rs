@@ -8,6 +8,10 @@
 //! parked on a shard no later request touched was stuck forever. The
 //! sweep-on-dispatch/advance fix makes the bound hold regardless of
 //! which shard subsequent traffic lands on.
+//!
+//! The sweep and the stream pump decide from lock-free mirrors of each
+//! shard's state; the same schedules assert, after every step, that each
+//! mirror equals the locked state it mirrors ([`Gateway::gate_check`]).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,19 +27,24 @@ use orcodcs::{AsymmetricAutoencoder, Codec};
 use proptest::prelude::*;
 use proptest::BoxedStrategy;
 
+/// The loopback clock's quantum per dispatched message.
+const TICK: Duration = Duration::from_micros(100);
 const DEADLINE: Duration = Duration::from_millis(5);
+/// Deadlines the schedules draw from, in ticks: every pending batch is
+/// always overdue, overdue one message later, or (= [`DEADLINE`]) rarely.
+const DEADLINE_TICKS: [u32; 3] = [0, 1, 50];
 const CLUSTERS: [u64; 4] = [3, 19, 42, 1001];
 /// Frame width of the gauntlet codec ([`codec_config`]).
 const DIM: usize = 32;
 
-fn gateway(clock: Clock) -> Arc<Gateway> {
+fn gateway(clock: Clock, batch_deadline: Duration) -> Arc<Gateway> {
     let cfg = codec_config(11);
     Arc::new(
         Gateway::new(
             GatewayConfig {
                 shards: 2,
                 batch_max_frames: 8,
-                batch_deadline: DEADLINE,
+                batch_deadline,
                 queue_capacity: 4096,
                 auth_secret: None,
                 trace_capacity: 4096,
@@ -50,12 +59,15 @@ fn gateway(clock: Clock) -> Arc<Gateway> {
     )
 }
 
-/// One step of a schedule: push `rows` frames to a cluster, or pull a
-/// chunk from it.
+/// One step of a schedule: push `rows` frames to a cluster, pull a
+/// chunk from it, subscribe the connection to it, or let virtual time
+/// pass with no traffic.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Push { cluster: usize, rows: usize },
     Pull { cluster: usize },
+    Subscribe { cluster: usize },
+    Advance { ticks: u32 },
 }
 
 fn any_schedule() -> BoxedStrategy<Vec<Op>> {
@@ -64,14 +76,32 @@ fn any_schedule() -> BoxedStrategy<Vec<Op>> {
             (0usize..CLUSTERS.len(), 1usize..5)
                 .prop_map(|(cluster, rows)| Op::Push { cluster, rows }),
             (0usize..CLUSTERS.len()).prop_map(|cluster| Op::Pull { cluster }),
+            (0usize..CLUSTERS.len()).prop_map(|cluster| Op::Subscribe { cluster }),
+            (0u32..60).prop_map(|ticks| Op::Advance { ticks }),
         ],
         1..40,
     )
     .boxed()
 }
 
+/// Each shard's lock-free gate must say what its locked core holds.
+fn assert_gates_mirror_the_cores(gw: &Gateway, after: &dyn std::fmt::Debug) {
+    for (shard, [mirror, truth]) in gw.gate_check().into_iter().enumerate() {
+        prop_assert_eq!(mirror, truth, "shard {}: gate != core after {:?}", shard, after);
+    }
+}
+
+/// Counts the rows streamed to `client` so far into `delivered`.
+fn drain_streamed<C: Connection>(client: &mut Client<C>, delivered: &mut [usize]) {
+    while let Some((cluster, rows)) = client.recv_streamed(Duration::ZERO).expect("stream") {
+        let i = CLUSTERS.iter().position(|&c| c == cluster).expect("a scheduled cluster");
+        delivered[i] += rows.rows();
+    }
+}
+
 /// Runs `schedule` through a client, then advances virtual time past the
-/// deadline and asserts every acked frame is pullable.
+/// deadline and asserts every acked frame is delivered: pullable, or
+/// already streamed where the schedule subscribed.
 fn assert_liveness<C: Connection>(
     gw: &Gateway,
     client: &mut Client<C>,
@@ -94,12 +124,21 @@ fn assert_liveness<C: Connection>(
             Op::Pull { cluster } => {
                 pulled[cluster] += client.pull(CLUSTERS[cluster], 3).expect("pull").rows();
             }
+            Op::Subscribe { cluster } => {
+                // Refused on transports with no server-push channel (the
+                // DES): a request like any other, and nothing changes.
+                let _ = client.subscribe(CLUSTERS[cluster]);
+            }
+            Op::Advance { ticks } => gw.advance_clock(TICK * ticks),
         }
+        assert_gates_mirror_the_cores(gw, op);
     }
 
     // Let the deadline pass with NO further traffic, then sweep: every
     // acked-but-undelivered frame must now be stored and pullable.
-    gw.advance_clock(DEADLINE + Duration::from_millis(1));
+    gw.advance_clock(gw.config().batch_deadline + Duration::from_millis(1));
+    assert_gates_mirror_the_cores(gw, &"the closing advance");
+    drain_streamed(client, &mut pulled);
     for (i, &cluster) in CLUSTERS.iter().enumerate() {
         while pulled[i] < acked[i] {
             let got = client.pull(cluster, 64).expect("pull").rows();
@@ -118,6 +157,7 @@ fn assert_liveness<C: Connection>(
             cluster
         );
     }
+    assert_gates_mirror_the_cores(gw, &"the closing pulls");
     let snap = gw.stats();
     prop_assert_eq!(snap.queue_depth, 0);
     prop_assert_eq!(snap.stored_codes, 0);
@@ -128,8 +168,12 @@ proptest! {
 
     /// Liveness on the in-process loopback transport (virtual clock).
     #[test]
-    fn acked_frames_pullable_within_deadline_loopback(schedule in any_schedule(), seed in any::<u64>()) {
-        let gw = gateway(Clock::manual(Duration::from_micros(100)));
+    fn acked_frames_pullable_within_deadline_loopback(
+        schedule in any_schedule(),
+        deadline in 0usize..DEADLINE_TICKS.len(),
+        seed in any::<u64>(),
+    ) {
+        let gw = gateway(Clock::manual(TICK), TICK * DEADLINE_TICKS[deadline]);
         let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("connects");
         assert_liveness(&gw, &mut client, &schedule, seed);
     }
@@ -137,8 +181,12 @@ proptest! {
     /// Liveness over DES-impaired links: 10% loss, jittered delays. The
     /// ARQ masks the impairments; the deadline bound must survive them.
     #[test]
-    fn acked_frames_pullable_within_deadline_des(schedule in any_schedule(), seed in any::<u64>()) {
-        let gw = gateway(Clock::manual(Duration::ZERO));
+    fn acked_frames_pullable_within_deadline_des(
+        schedule in any_schedule(),
+        deadline in 0usize..DEADLINE_TICKS.len(),
+        seed in any::<u64>(),
+    ) {
+        let gw = gateway(Clock::manual(Duration::ZERO), TICK * DEADLINE_TICKS[deadline]);
         let net = DesNet::new(
             Arc::clone(&gw),
             DesConfig {
@@ -158,7 +206,7 @@ proptest! {
 /// further pushes anywhere.
 #[test]
 fn acked_frames_pullable_within_deadline_tcp() {
-    let gw = gateway(Clock::real());
+    let gw = gateway(Clock::real(), DEADLINE);
     let server = TcpServer::spawn(Arc::clone(&gw), "127.0.0.1:0").expect("binds");
     let transport = Tcp::new(server.local_addr().to_string());
     let mut client = Client::connect(&transport).expect("connects");

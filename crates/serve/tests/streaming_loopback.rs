@@ -144,3 +144,74 @@ fn unsubscribe_stops_the_stream_and_rows_fall_back_to_pulls() {
     }
     assert_eq!(pulled, 4, "exactly the post-unsubscribe rows are stored");
 }
+
+/// Per-cluster FIFO on the streamed path under concurrent pumps. One
+/// thread pushes single-row batches (every push is a size flush, pumped
+/// on the pushing thread) while a second hammers
+/// `advance_clock(Duration::ZERO)` (a pump with no flush of its own). The
+/// hammer can take a row out of the store between the pusher's flush and
+/// the pusher's pump; without one-pump-at-a-time per shard, the pusher's
+/// *next* row can then reach the outbox before the hammer delivers the
+/// one it holds. The streamed rows must be the direct codec's output,
+/// row for row, in push order.
+#[test]
+fn streamed_rows_keep_push_order_under_concurrent_pumps() {
+    use orco_serve::scenarios::codec_config;
+    use std::sync::mpsc::{channel, TryRecvError};
+
+    const ROWS: usize = 2_000;
+    const ROUNDS: u64 = 20;
+    let cfg = codec_config(11);
+    let dim = cfg.input_dim;
+    let gw = Arc::new(
+        Gateway::new(
+            GatewayConfig { batch_max_frames: 1, ..GatewayConfig::default() },
+            Clock::manual(Duration::from_micros(100)),
+            |_| Box::new(AsymmetricAutoencoder::new(&cfg).expect("valid config")) as Box<dyn Codec>,
+        )
+        .expect("valid gateway"),
+    );
+    let mut direct = AsymmetricAutoencoder::new(&cfg).expect("valid config");
+    let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("connects");
+    client.subscribe(CLUSTER).expect("subscribe");
+
+    for round in 0..ROUNDS {
+        // Row r carries its push counter, so neighbouring rows differ.
+        let pushes = Matrix::from_fn(ROWS, dim, |r, c| {
+            ((round as usize * ROWS + r) % 977) as f32 / 977.0 + c as f32 / 64.0
+        });
+        let (stop, stopped) = channel::<()>();
+        std::thread::scope(|scope| {
+            let gw = &gw;
+            scope.spawn(move || {
+                while stopped.try_recv() == Err(TryRecvError::Empty) {
+                    gw.advance_clock(Duration::ZERO);
+                }
+            });
+            for r in 0..ROWS {
+                let outcome = client.push(CLUSTER, pushes.view_rows(r..r + 1)).expect("push");
+                assert_eq!(outcome, PushOutcome::Accepted(1));
+            }
+            drop(stop);
+        });
+
+        let mut streamed = Vec::with_capacity(ROWS * dim);
+        while let Some((cluster, rows)) =
+            client.recv_streamed(Duration::ZERO).expect("stream healthy")
+        {
+            assert_eq!(cluster, CLUSTER);
+            streamed.extend_from_slice(rows.as_slice());
+        }
+        let (mut codes, mut expected) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        direct.encode_batch(pushes.as_view(), &mut codes).expect("frames fit the codec");
+        direct.decode_batch(codes.as_view(), &mut expected).expect("codes fit the codec");
+        assert_eq!(streamed.len(), ROWS * dim, "round {round}: every pushed row is streamed once");
+        for r in 0..ROWS {
+            assert_eq!(
+                streamed[r * dim..(r + 1) * dim].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                expected.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "round {round}: streamed row {r} is not push {r}'s reconstruction"
+            );
+        }
+    }
+}
