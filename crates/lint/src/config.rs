@@ -8,8 +8,7 @@
 //! * `allow` — path prefixes the rule skips (the scoped allowlist);
 //! * `require-region` — files that must contain at least one of the
 //!   rule's regions, so deleting the markers is itself a violation;
-//! * `severity` — `deny` (default) or `warn`;
-//! * rule-specific keys (`protocol`, `roundtrip` for `wire-exhaustive`).
+//! * `severity` — `deny` (default) or `warn`.
 //!
 //! Unknown sections and keys are **hard errors**: a typo'd allowlist
 //! entry must fail the build, not silently allow nothing.
@@ -38,8 +37,6 @@ pub struct RuleCfg {
     pub require_region: Vec<String>,
     /// Severity override (None = the rule's default, Deny).
     pub severity: Option<Severity>,
-    /// Rule-specific string lists, keyed by config key.
-    pub extra: BTreeMap<String, Vec<String>>,
 }
 
 impl RuleCfg {
@@ -48,12 +45,6 @@ impl RuleCfg {
     pub fn applies_to(&self, rel: &str) -> bool {
         let scoped = self.scope.is_empty() || self.scope.iter().any(|p| rel.starts_with(p));
         scoped && !self.allow.iter().any(|p| rel.starts_with(p))
-    }
-
-    /// First value of a rule-specific key, if present.
-    #[must_use]
-    pub fn extra_one(&self, key: &str) -> Option<&str> {
-        self.extra.get(key)?.first().map(String::as_str)
     }
 }
 
@@ -157,9 +148,6 @@ impl Config {
                         }
                     });
                 }
-                "protocol" | "roundtrip" => {
-                    cfg.extra.insert(key.to_string(), values);
-                }
                 other => {
                     return Err(ConfigError {
                         line,
@@ -187,7 +175,7 @@ fn parse_values(raw: &str) -> Vec<String> {
 mod tests {
     use super::*;
 
-    const RULES: &[&str] = &["wall-clock", "unordered-map", "wire-exhaustive"];
+    const RULES: &[&str] = &["wall-clock", "unordered-map", "no-alloc"];
 
     #[test]
     fn parses_sections_scopes_and_allowlists() {
@@ -205,7 +193,7 @@ mod tests {
         assert!(!um.applies_to("crates/fleet/src/client.rs"));
         assert_eq!(um.severity, Some(Severity::Warn));
         // Absent rule: default-empty, applies everywhere.
-        assert!(cfg.rule("wire-exhaustive").applies_to("anything.rs"));
+        assert!(cfg.rule("no-alloc").applies_to("anything.rs"));
     }
 
     #[test]
@@ -214,18 +202,5 @@ mod tests {
         assert!(Config::parse("[wall-clock]\nallwo = [\"x\"]\n", RULES).is_err());
         assert!(Config::parse("allow = [\"x\"]\n", RULES).is_err());
         assert!(Config::parse("[wall-clock]\nseverity = loud\n", RULES).is_err());
-    }
-
-    #[test]
-    fn extra_keys_round_trip() {
-        let cfg = Config::parse(
-            "[wire-exhaustive]\nprotocol = [\"crates/serve/src/protocol.rs\"]\n",
-            RULES,
-        )
-        .expect("valid");
-        assert_eq!(
-            cfg.rule("wire-exhaustive").extra_one("protocol"),
-            Some("crates/serve/src/protocol.rs")
-        );
     }
 }

@@ -18,8 +18,7 @@
 //!
 //! Everything else — keywords vs identifiers, numeric suffixes, operator
 //! glue beyond `::` and `=>` — is deliberately untyped: rules that need
-//! more shape (like the wire-exhaustiveness pass) reconstruct it from
-//! the token stream.
+//! more shape reconstruct it from the token stream.
 
 /// Classification of one token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,8 +2,7 @@
 //!
 //! The repo's correctness story rests on a handful of contracts that
 //! rustc cannot see — determinism (no wall-clock reads outside `Clock`,
-//! no hash-ordered iteration feeding observable bytes), wire safety
-//! (every message type bounded, decoded, and round-trip-tested; no
+//! no hash-ordered iteration feeding observable bytes), wire safety (no
 //! panics on hostile input), and hot-path discipline (no allocation in
 //! flush/encode kernels, no unjustified atomic orderings). Each of those
 //! contracts has already been the site of a real bug or a real review

@@ -1,6 +1,6 @@
 //! The rule set. Each rule is a struct implementing [`Rule`]; the
 //! engine runs every rule over every file (per-file rules) or over the
-//! whole file set at once (workspace rules like wire-exhaustiveness).
+//! whole file set at once (workspace checks like `require-region`).
 //!
 //! The catalog — what each rule enforces and why — lives in
 //! `crates/lint/RULES.md`; the module docs here cover mechanics only.
@@ -14,14 +14,12 @@ mod no_alloc;
 mod panic_free_decode;
 mod unordered_map;
 mod wall_clock;
-mod wire_exhaustive;
 
 pub use atomics::AtomicsJustified;
 pub use no_alloc::NoAlloc;
 pub use panic_free_decode::PanicFreeDecode;
 pub use unordered_map::UnorderedMap;
 pub use wall_clock::WallClock;
-pub use wire_exhaustive::WireExhaustive;
 
 /// Rule name for malformed directives (reported by the engine itself).
 pub const DIRECTIVE_RULE: &str = "lint-directive";
@@ -62,7 +60,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(WallClock),
         Box::new(UnorderedMap),
-        Box::new(WireExhaustive),
         Box::new(PanicFreeDecode),
         Box::new(NoAlloc),
         Box::new(AtomicsJustified),
@@ -88,29 +85,4 @@ pub(crate) fn seq_at(toks: &[Tok], i: usize, pat: &[&str]) -> bool {
             _ => false,
         })
     })
-}
-
-/// Finds the token range of `fn <name>`'s body (exclusive of its braces).
-/// Returns `None` when the function is absent.
-pub(crate) fn fn_body(toks: &[Tok], name: &str) -> Option<(usize, usize)> {
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is_ident("fn") && toks[i + 1].is_ident(name) {
-            // First `{` after the signature opens the body.
-            let open = (i + 2..toks.len()).find(|&j| toks[j].is_punct("{"))?;
-            let mut depth = 1usize;
-            let mut j = open + 1;
-            while j < toks.len() && depth > 0 {
-                if toks[j].is_punct("{") {
-                    depth += 1;
-                } else if toks[j].is_punct("}") {
-                    depth -= 1;
-                }
-                j += 1;
-            }
-            return Some((open + 1, j.saturating_sub(1)));
-        }
-        i += 1;
-    }
-    None
 }

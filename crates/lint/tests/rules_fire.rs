@@ -81,34 +81,6 @@ fn unordered_map_is_silent_outside_scope() {
 }
 
 #[test]
-fn wire_exhaustive_twin() {
-    // The rule reads the protocol and round-trip files by their
-    // workspace-relative paths, so the fixtures are parsed under those
-    // names; the round-trip fixture covers everything either protocol
-    // twin defines.
-    let roundtrip = include_str!("fixtures/wire_roundtrip.rs");
-    let bad = run(
-        &[
-            ("crates/serve/src/protocol.rs", include_str!("fixtures/wire_protocol_bad.rs")),
-            ("crates/serve/tests/protocol_roundtrip.rs", roundtrip),
-        ],
-        "",
-    );
-    assert!(rules_hit(&bad).contains(&"wire-exhaustive"), "{:?}", bad.findings);
-    let pong = bad.findings.iter().find(|f| f.violation.msg.contains("Pong"));
-    assert!(pong.is_some(), "the half-wired `Pong` type should be named: {:?}", bad.findings);
-
-    let ok = run(
-        &[
-            ("crates/serve/src/protocol.rs", include_str!("fixtures/wire_protocol_ok.rs")),
-            ("crates/serve/tests/protocol_roundtrip.rs", roundtrip),
-        ],
-        "",
-    );
-    assert!(ok.findings.is_empty(), "{:?}", ok.findings);
-}
-
-#[test]
 fn panic_free_decode_twin() {
     assert_twin(
         "panic-free-decode",

@@ -23,6 +23,25 @@
 //! or yields a typed [`WireError`] (truncated, bad magic, unknown type,
 //! length mismatch, …) — the gateway never panics on attacker-controlled
 //! input and replies with [`Message::ErrorReply`] instead.
+//!
+//! # One schema
+//!
+//! Each field type has one codec (the crate-private `Wire` trait: a
+//! worst-case size, an encoder, a decoder), and each message is one row
+//! of the message table below — wire id, variant, fields in wire order.
+//! The table generates the [`Message`] enum, [`Message::TYPES`], the
+//! per-type payload bound (the **sum of the fields' worst cases**, so it
+//! cannot disagree with the layout), the encoder and the decoder; a
+//! message that encodes but has no bound or no decoder cannot be written.
+//! Strings and lists are bounded by the codec named in the row
+//! (`Text<MAX_ADDR>`, `List<MAX_MEMBERS>`, …), and because encode and
+//! decode share that codec they enforce the *same* bound: an over-long
+//! string panics at `encode` (a bug in this program) and is a
+//! [`WireError::Corrupt`] at `decode` (hostile input).
+//!
+//! **Adding a message** is one table row here plus one golden row in
+//! `tests/wire_golden.rs` (which fails until the new id is pinned) —
+//! nothing else.
 
 use std::fmt;
 use std::io::{self, Read};
@@ -30,7 +49,7 @@ use std::io::{self, Read};
 use orco_tensor::Matrix;
 use orcodcs::OrcoError;
 
-use crate::stats::{StatsSnapshot, SNAPSHOT_CAP};
+use crate::stats::StatsSnapshot;
 
 /// Frame magic: "ORCO" read as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"ORCO");
@@ -58,12 +77,14 @@ pub const PROTOCOL_VERSION: u16 = 5;
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 12;
 
-/// Upper bound on a data-bearing frame's declared payload length
-/// (`PushFrames`/`Decoded`). Every other message type has a much smaller
-/// per-type bound (see `payload_cap` in this module), and all bounds are
-/// enforced **before** any payload allocation, so a corrupt or hostile
-/// length field cannot make the gateway reserve memory a real message of
-/// that type could never use.
+/// Upper bound on any frame's declared payload length; only the
+/// matrix-bearing types (`PushFrames`/`Decoded`/`StreamFrames`/
+/// `RolloutPropose`) can approach it. Every other message type has a
+/// much smaller per-type bound — the sum of its fields' worst cases,
+/// computed by the message table — and all bounds are enforced
+/// **before** any payload allocation, so a corrupt or hostile length
+/// field cannot make the gateway reserve memory a real message of that
+/// type could never use.
 pub const MAX_PAYLOAD: usize = 64 << 20;
 
 /// Upper bound on an [`Message::ErrorReply`] detail string.
@@ -77,66 +98,11 @@ pub const MAX_ADDR: usize = 256;
 /// directory membership list.
 pub const MAX_MEMBERS: usize = 1024;
 
-/// Worst-case encoded size of one [`GatewayEntry`]: id + length-prefixed
-/// address.
-const ENTRY_CAP: usize = 8 + 4 + MAX_ADDR;
-
-/// Worst-case encoded size of an epoch'd membership list: epoch + count
-/// + entries. Shared by `DirectoryReply`, `RegisterAck`, `HeartbeatAck`.
-const MEMBERSHIP_CAP: usize = 8 + 4 + MAX_MEMBERS * ENTRY_CAP;
-
 /// Upper bound on a [`Message::MetricsReply`] exposition text.
 pub const MAX_METRICS_TEXT: usize = 1 << 20;
 
-/// Worst-case encoded size of one [`Message::FleetStatsReply`] entry:
-/// gateway id + liveness flag + snapshot.
-const FLEET_STATS_ENTRY_CAP: usize = 8 + 1 + SNAPSHOT_CAP;
-
 /// Upper bound on a [`ModelVersion`] label string.
 pub const MAX_LABEL: usize = 64;
-
-/// Worst-case encoded size of one [`ModelVersion`]: id + length-prefixed
-/// label + frame/code dims.
-const VERSION_CAP: usize = 8 + 4 + MAX_LABEL + 8;
-
-/// The largest payload each message type may declare. Tiny fixed-layout
-/// messages (acks, hellos, stats) get exact bounds; only the two
-/// matrix-bearing types may approach [`MAX_PAYLOAD`]. Unknown types are
-/// rejected here, before any payload is read.
-fn payload_cap(msg_type: u16) -> Result<usize, WireError> {
-    Ok(match msg_type {
-        1 => 24,                   // Hello: client_id, nonce, mac
-        2 => 20,                   // HelloAck: version, shards, dims, active_version
-        3 | 7 | 23 => MAX_PAYLOAD, // PushFrames / Decoded / StreamFrames: cluster + matrix
-        4 => 4,                    // PushAck: accepted
-        5 => 8,                    // Busy: queued, capacity
-        6 => 20,                   // PullDecoded: cluster_id + max_frames + trace
-        8 | 10 | 11 | 14 => 0,     // StatsRequest / Shutdown / ShutdownAck / DirectoryQuery
-        // StatsReply: one StatsSnapshot. The protocol round-trip
-        // proptest draws random snapshots, so a stale bound here fails
-        // immediately when the snapshot grows.
-        9 => SNAPSHOT_CAP,
-        12 => 2 + 4 + MAX_ERROR_DETAIL, // ErrorReply: code + string
-        13 => 8 + 8 + 4 + MAX_ADDR,     // Redirect: cluster, epoch, addr
-        15 | 17 | 19 => MEMBERSHIP_CAP, // DirectoryReply / RegisterAck / HeartbeatAck
-        16 => 8 + 4 + MAX_ADDR + 16,    // Register: gateway_id, addr, nonce, mac
-        18 => 16 + 1 + SNAPSHOT_CAP,    // Heartbeat: gateway_id, epoch, stats piggyback
-        20 => 16,                       // Subscribe: cluster_id + trace
-        21 => 12,                       // SubscribeAck: cluster_id, backlog
-        22 => 8,                        // Unsubscribe: cluster_id
-        24 | 26 => 0,                   // MetricsRequest / FleetStatsQuery
-        25 => 4 + MAX_METRICS_TEXT,     // MetricsReply: exposition text
-        // FleetStatsReply: epoch, evictions, count, entries.
-        27 => 8 + 8 + 4 + MAX_MEMBERS * FLEET_STATS_ENTRY_CAP,
-        28 => MAX_PAYLOAD, // RolloutPropose: version + weight/bias matrices + mac
-        29 => 8 + 1 + 4 + MAX_ERROR_DETAIL, // RolloutAck: version_id, accepted, detail
-        30 => 24,          // ActivateVersion: version_id, nonce, mac
-        31 => 0,           // VersionQuery
-        // VersionReply: active + optional staged/prior + rollbacks + drift.
-        32 => 3 * VERSION_CAP + 2 + 8 + 1,
-        other => return Err(WireError::UnknownType { found: other }),
-    })
-}
 
 /// Typed decoding failures. Every malformed input maps to exactly one of
 /// these; tests assert on the variants, and the gateway turns them into
@@ -238,19 +204,216 @@ pub enum ErrorCode {
     Unauthorized,
 }
 
-impl ErrorCode {
-    fn to_u16(self) -> u16 {
-        match self {
+// ----------------------------------------------------------------------
+// Field codecs: one per field type, each written once
+// ----------------------------------------------------------------------
+
+// Everything from here to the end of the message-table macro reads or
+// sits beside attacker-controlled bytes: every `take` and the table's
+// decode body are inside this region.
+// orco-lint: region(wire-decode)
+
+/// Copies a slice into a fixed-width array for `from_le_bytes`.
+///
+/// Every caller feeds it a slice whose length is already guaranteed by a
+/// bounds-checked [`Cursor::take`] or `chunks_exact`; a length mismatch
+/// here is therefore a bug in this module, not attacker-reachable, and
+/// the `copy_from_slice` assert is the right failure mode for it.
+fn le_bytes<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(bytes);
+    out
+}
+
+/// Bounds-checked reader over a payload slice; every read either yields
+/// the bytes or a [`WireError::Truncated`] naming what was missing.
+pub(crate) struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let end = self.pos.checked_add(n).ok_or(WireError::Truncated { needed: n, got: 0 })?;
+        let s = self
+            .buf
+            .get(self.pos..end)
+            .ok_or(WireError::Truncated { needed: n, got: self.remaining() })?;
+        self.pos = end;
+        Ok(s)
+    }
+}
+
+/// The wire codec of one field type `T`: its worst-case encoded size,
+/// its encoder and its decoder, declared together so they cannot
+/// disagree. A type that is its own codec implements `Wire` (`T = Self`);
+/// `String` and `Vec` fields have no bound of their own, so their rows
+/// name one ([`Text`], [`List`]).
+pub(crate) trait Wire<T = Self> {
+    /// Worst-case encoded size in bytes.
+    const CAP: usize;
+
+    /// Appends the encoding of `v`.
+    fn put(v: &T, out: &mut Vec<u8>);
+
+    /// Reads one `T`; hostile input yields a typed error, never a panic.
+    fn take(cur: &mut Cursor<'_>) -> Result<T, WireError>;
+}
+
+/// Fixed-width little-endian scalars.
+macro_rules! wire_le {
+    ($($ty:ty),+) => {$(
+        impl Wire for $ty {
+            const CAP: usize = std::mem::size_of::<$ty>();
+
+            fn put(v: &Self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+
+            fn take(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                Ok(<$ty>::from_le_bytes(le_bytes(cur.take(Self::CAP)?)))
+            }
+        }
+    )+};
+}
+wire_le!(u8, u16, u32, u64, f64);
+
+/// A one-byte flag; any value other than 0/1 is corrupt.
+impl Wire for bool {
+    const CAP: usize = u8::CAP;
+
+    fn put(v: &Self, out: &mut Vec<u8>) {
+        out.push(u8::from(*v));
+    }
+
+    fn take(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        match u8::take(cur)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Corrupt { detail: "boolean flag is not 0 or 1" }),
+        }
+    }
+}
+
+/// A presence flag, then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    const CAP: usize = bool::CAP + T::CAP;
+
+    fn put(v: &Self, out: &mut Vec<u8>) {
+        bool::put(&v.is_some(), out);
+        if let Some(inner) = v {
+            T::put(inner, out);
+        }
+    }
+
+    fn take(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(if bool::take(cur)? { Some(T::take(cur)?) } else { None })
+    }
+}
+
+/// A `u32` length prefix, then at most `MAX` bytes of UTF-8.
+pub(crate) struct Text<const MAX: usize>;
+
+impl<const MAX: usize> Wire<String> for Text<MAX> {
+    const CAP: usize = u32::CAP + MAX;
+
+    fn put(v: &String, out: &mut Vec<u8>) {
+        assert!(v.len() <= MAX, "string of {} bytes exceeds its wire bound of {MAX}", v.len());
+        u32::put(&(v.len() as u32), out);
+        out.extend_from_slice(v.as_bytes());
+    }
+
+    fn take(cur: &mut Cursor<'_>) -> Result<String, WireError> {
+        let len = u32::take(cur)? as usize;
+        if len > MAX {
+            return Err(WireError::Corrupt { detail: "string exceeds its wire bound" });
+        }
+        std::str::from_utf8(cur.take(len)?)
+            .map_err(|_| WireError::Corrupt { detail: "string is not utf-8" })
+            .map(str::to_owned)
+    }
+}
+
+/// A `u32` count, then at most `MAX` elements.
+pub(crate) struct List<const MAX: usize>;
+
+impl<T: Wire, const MAX: usize> Wire<Vec<T>> for List<MAX> {
+    const CAP: usize = u32::CAP + MAX * T::CAP;
+
+    fn put(v: &Vec<T>, out: &mut Vec<u8>) {
+        assert!(v.len() <= MAX, "list of {} entries exceeds its wire bound of {MAX}", v.len());
+        u32::put(&(v.len() as u32), out);
+        for item in v {
+            T::put(item, out);
+        }
+    }
+
+    fn take(cur: &mut Cursor<'_>) -> Result<Vec<T>, WireError> {
+        let count = u32::take(cur)? as usize;
+        if count > MAX {
+            return Err(WireError::Corrupt { detail: "list exceeds its wire bound" });
+        }
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(T::take(cur)?);
+        }
+        Ok(items)
+    }
+}
+
+/// `rows: u32, cols: u32`, then the row-major f32 bit patterns. A matrix
+/// is bounded by the frame itself, not by a size of its own.
+impl Wire for Matrix {
+    const CAP: usize = MAX_PAYLOAD;
+
+    fn put(v: &Self, out: &mut Vec<u8>) {
+        u32::put(&(v.rows() as u32), out);
+        u32::put(&(v.cols() as u32), out);
+        out.reserve(v.as_slice().len() * 4);
+        for x in v.as_slice() {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+
+    fn take(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        let rows = u32::take(cur)? as usize;
+        let cols = u32::take(cur)? as usize;
+        let nbytes = rows
+            .checked_mul(cols)
+            .and_then(|elems| elems.checked_mul(4))
+            .ok_or(WireError::Corrupt { detail: "matrix dimensions overflow" })?;
+        let bytes = cur.take(nbytes)?;
+        let data: Vec<f32> =
+            bytes.chunks_exact(4).map(|b| f32::from_le_bytes(le_bytes(b))).collect();
+        Matrix::from_vec(rows, cols, data)
+            .map_err(|_| WireError::Corrupt { detail: "matrix length mismatch" })
+    }
+}
+
+impl Wire for ErrorCode {
+    const CAP: usize = u16::CAP;
+
+    fn put(v: &Self, out: &mut Vec<u8>) {
+        let code: u16 = match v {
             ErrorCode::BadRequest => 1,
             ErrorCode::Shape => 2,
             ErrorCode::ShuttingDown => 3,
             ErrorCode::Internal => 4,
             ErrorCode::Unauthorized => 5,
-        }
+        };
+        u16::put(&code, out);
     }
 
-    fn from_u16(v: u16) -> Result<Self, WireError> {
-        match v {
+    fn take(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        match u16::take(cur)? {
             1 => Ok(ErrorCode::BadRequest),
             2 => Ok(ErrorCode::Shape),
             3 => Ok(ErrorCode::ShuttingDown),
@@ -261,394 +424,464 @@ impl ErrorCode {
     }
 }
 
-/// One gateway in the directory's membership list: its fleet-wide id and
-/// the address clients dial to reach it ("host:port" for TCP, an opaque
-/// token for loopback/DES fleets).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GatewayEntry {
-    /// Fleet-wide gateway identifier (stable across reconnects).
-    pub id: u64,
-    /// Dial address clients use to reach the gateway.
-    pub addr: String,
+/// Picks a field's codec: the one its row names, else the field type.
+macro_rules! codec {
+    ($ty:ty) => {
+        $ty
+    };
+    ($ty:ty, $codec:ty) => {
+        $codec
+    };
+}
+pub(crate) use codec;
+
+/// Declares a plain struct and its [`Wire`] codec from one field list,
+/// in wire order: the encoding is the fields' encodings back to back.
+/// (Names resolve where the macro is used: import `Wire`, `Cursor`,
+/// `WireError` and `codec` beside it.)
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident : $ty:ty $(as $codec:ty)? ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )+
+        }
+
+        impl Wire for $name {
+            const CAP: usize =
+                0 $(+ <codec!($ty $(, $codec)?) as Wire<$ty>>::CAP)+;
+
+            fn put(v: &Self, out: &mut Vec<u8>) {
+                $( <codec!($ty $(, $codec)?) as Wire<$ty>>::put(&v.$field, out); )+
+            }
+
+            fn take(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                Ok(Self {
+                    $( $field: <codec!($ty $(, $codec)?) as Wire<$ty>>::take(cur)?, )+
+                })
+            }
+        }
+    };
+}
+pub(crate) use wire_struct;
+
+wire_struct! {
+    /// One gateway in the directory's membership list: its fleet-wide id and
+    /// the address clients dial to reach it ("host:port" for TCP, an opaque
+    /// token for loopback/DES fleets).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct GatewayEntry {
+        /// Fleet-wide gateway identifier (stable across reconnects).
+        pub id: u64,
+        /// Dial address clients use to reach the gateway.
+        pub addr: String as Text<MAX_ADDR>,
+    }
 }
 
-/// Identity and geometry of one codec model generation as it rides the
-/// wire. Version ids are monotonic per gateway lineage: a staged
-/// rollout must carry an id strictly greater than the active one, so
-/// replayed or reordered proposals can never regress a gateway.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelVersion {
-    /// Monotonic version identifier (0 = the boot model).
-    pub id: u64,
-    /// Human-readable label ("seed", "retrain-2024-07", …); at most
-    /// [`MAX_LABEL`] bytes.
-    pub label: String,
-    /// Flattened sensing-frame width the model expects, in f32 elements.
-    pub frame_dim: u32,
-    /// Encoded code width the model produces, in f32 elements.
-    pub code_dim: u32,
+wire_struct! {
+    /// Identity and geometry of one codec model generation as it rides the
+    /// wire. Version ids are monotonic per gateway lineage: a staged
+    /// rollout must carry an id strictly greater than the active one, so
+    /// replayed or reordered proposals can never regress a gateway.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ModelVersion {
+        /// Monotonic version identifier (0 = the boot model).
+        pub id: u64,
+        /// Human-readable label ("seed", "retrain-2024-07", …); at most
+        /// [`MAX_LABEL`] bytes.
+        pub label: String as Text<MAX_LABEL>,
+        /// Flattened sensing-frame width the model expects, in f32 elements.
+        pub frame_dim: u32,
+        /// Encoded code width the model produces, in f32 elements.
+        pub code_dim: u32,
+    }
 }
 
-/// One protocol message. Requests and replies share the enum; the
-/// request/reply pairing is fixed (`Hello`→`HelloAck`,
-/// `PushFrames`→`PushAck`/`Busy`, `PullDecoded`→`Decoded`,
-/// `StatsRequest`→`StatsReply`, `Shutdown`→`ShutdownAck`), and any
-/// request can instead draw an [`Message::ErrorReply`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// Client introduction, MAC'd when the server requires auth.
-    ///
-    /// `mac` must equal `auth::hello_mac(secret, client_id, nonce)` when
-    /// the server was configured with a shared secret; servers without
-    /// one ignore both fields. The nonce is caller-chosen (any value);
-    /// it keys the MAC so two clients never present identical proof.
-    Hello {
-        /// Caller-chosen identifier, echoed in logs/diagnostics only.
-        client_id: u64,
-        /// Caller-chosen MAC nonce.
-        nonce: u64,
-        /// `hello_mac(secret, client_id, nonce)`, or 0 when unauthenticated.
-        mac: u64,
-    },
-    /// Gateway's answer to [`Message::Hello`], announcing the data-plane
-    /// geometry a client needs to build valid pushes.
-    HelloAck {
-        /// Protocol version the gateway speaks.
-        version: u16,
-        /// Number of worker shards.
-        shards: u16,
-        /// Flattened sensing-frame width in f32 elements.
-        frame_dim: u32,
-        /// Encoded code width in f32 elements.
-        code_dim: u32,
-        /// Id of the codec model version currently serving (see
-        /// [`ModelVersion`]); clients compare it against the `version`
-        /// field on [`Message::Decoded`] to detect a mid-session swap.
-        active_version: u64,
-    },
-    /// A batch of raw sensing frames (one per row) for one cluster.
-    PushFrames {
-        /// Cluster the frames belong to; selects the shard.
-        cluster_id: u64,
-        /// Client-minted 64-bit trace id; 0 means untraced. A traced
-        /// push's journey (push → enqueue → flush → store → pull)
-        /// emits one span per stage under this id.
-        trace: u64,
-        /// Frames, one per row, `frame_dim` wide.
-        frames: Matrix,
-    },
-    /// The push was accepted into the shard's micro-batcher.
-    PushAck {
-        /// Rows accepted (always the full push).
-        accepted: u32,
-    },
-    /// Explicit backpressure: the shard's in-flight budget is exhausted.
-    /// The client should drain with [`Message::PullDecoded`] or retry
-    /// later — the gateway never buffers unboundedly.
-    Busy {
-        /// Rows currently in flight on the shard (pending + stored).
-        queued: u32,
-        /// The shard's in-flight row budget.
-        capacity: u32,
-    },
-    /// Request up to `max_frames` decoded reconstructions for a cluster.
-    PullDecoded {
-        /// Cluster to drain.
-        cluster_id: u64,
-        /// Upper bound on returned rows.
-        max_frames: u32,
-        /// Client-minted trace id for this request; 0 means untraced.
-        trace: u64,
-    },
-    /// Decoded reconstructions, oldest first, in push order. Every row
-    /// in one reply was encoded *and* decoded by the same model
-    /// version — a pull never mixes rows from both sides of a swap.
-    Decoded {
-        /// Cluster the frames belong to.
-        cluster_id: u64,
-        /// Id of the [`ModelVersion`] that produced these rows.
-        version: u64,
-        /// Reconstructed frames, one per row, `frame_dim` wide.
-        frames: Matrix,
-    },
-    /// Request a [`StatsSnapshot`].
-    StatsRequest,
-    /// Gateway-wide serving statistics.
-    StatsReply(StatsSnapshot),
-    /// Ask the gateway to flush, stop accepting work, and exit.
-    Shutdown,
-    /// The shutdown was initiated.
-    ShutdownAck,
-    /// The request failed; `code` is machine-readable, `detail` is for
-    /// humans.
-    ErrorReply {
-        /// Machine-readable failure category.
-        code: ErrorCode,
-        /// Human-readable description.
-        detail: String,
-    },
-    /// The receiving gateway does not own `cluster_id` at `epoch`; the
-    /// client should retry the push against `addr`. Sent instead of
-    /// silently misrouting a stale-epoch push.
-    Redirect {
-        /// Cluster the rejected push targeted.
-        cluster_id: u64,
-        /// Assignment epoch under which the owner was computed.
-        epoch: u64,
-        /// Dial address of the current owner.
-        addr: String,
-    },
-    /// Ask the directory for the current assignment epoch + membership.
-    DirectoryQuery,
-    /// The directory's answer to [`Message::DirectoryQuery`].
-    DirectoryReply {
-        /// Monotonic assignment epoch; bumped on every membership change.
-        epoch: u64,
-        /// Live gateways, ascending by id.
-        members: Vec<GatewayEntry>,
-    },
-    /// Gateway→directory registration (join the fleet), MAC'd like
-    /// [`Message::Hello`] but over `(gateway_id, addr, nonce)`.
-    Register {
+wire_struct! {
+    /// One gateway's entry in a [`Message::FleetStatsReply`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct GatewayStats {
         /// Fleet-wide gateway identifier.
-        gateway_id: u64,
-        /// Address clients should dial for this gateway.
-        addr: String,
-        /// Caller-chosen MAC nonce.
-        nonce: u64,
-        /// `register_mac(secret, gateway_id, addr, nonce)`, or 0.
-        mac: u64,
-    },
-    /// The directory accepted the registration.
-    RegisterAck {
-        /// Epoch after the join (bumped if membership changed).
-        epoch: u64,
-        /// Post-join membership, ascending by id.
-        members: Vec<GatewayEntry>,
-    },
-    /// Gateway→directory liveness beacon, optionally piggybacking the
-    /// gateway's cumulative [`StatsSnapshot`] so the directory can
-    /// aggregate a fleet-wide view without scraping every gateway.
-    Heartbeat {
-        /// Fleet-wide gateway identifier.
-        gateway_id: u64,
-        /// Last epoch the gateway observed (for directory diagnostics).
-        epoch: u64,
-        /// Cumulative serving stats at beat time; cumulative (not a
-        /// true delta) so a retransmitted beat is idempotent.
-        stats: Option<StatsSnapshot>,
-    },
-    /// The directory's answer to [`Message::Heartbeat`]; carries the
-    /// current membership so gateways converge without extra queries.
-    HeartbeatAck {
-        /// Current assignment epoch.
-        epoch: u64,
-        /// Current membership, ascending by id.
-        members: Vec<GatewayEntry>,
-    },
-    /// Subscribe this connection to streamed decoded batches for one
-    /// cluster; decoded rows are pushed as [`Message::StreamFrames`]
-    /// instead of waiting for polls.
-    Subscribe {
-        /// Cluster to stream.
-        cluster_id: u64,
-        /// Client-minted trace id for this request; 0 means untraced.
-        trace: u64,
-    },
-    /// The subscription is live.
-    SubscribeAck {
-        /// Cluster the subscription covers.
-        cluster_id: u64,
-        /// Decoded rows already stored at subscribe time (they are
-        /// streamed immediately after this ack).
-        backlog: u32,
-    },
-    /// Remove this connection's subscription for one cluster.
-    Unsubscribe {
-        /// Cluster to stop streaming.
-        cluster_id: u64,
-    },
-    /// Server-pushed decoded reconstructions for a subscribed cluster,
-    /// oldest first. Distinct from [`Message::Decoded`] so clients can
-    /// tell streamed deliveries from pull replies on a shared stream.
-    StreamFrames {
-        /// Cluster the frames belong to.
-        cluster_id: u64,
-        /// Id of the [`ModelVersion`] that produced these rows; like
-        /// [`Message::Decoded`], one delivery never mixes versions.
-        version: u64,
-        /// Reconstructed frames, one per row, `frame_dim` wide.
-        frames: Matrix,
-    },
-    /// Request the gateway's metrics exposition (a byte-stable text
-    /// scrape of every counter, gauge, per-shard series, and latency
-    /// histogram).
-    MetricsRequest,
-    /// The gateway's answer to [`Message::MetricsRequest`].
-    MetricsReply {
-        /// The text exposition, one `name value` line per series.
-        text: String,
-    },
-    /// Ask the directory for its aggregated per-gateway fleet view.
-    FleetStatsQuery,
-    /// The directory's answer to [`Message::FleetStatsQuery`]: the last
-    /// stats snapshot each gateway piggybacked on a heartbeat, live
-    /// members first-class and evicted members frozen at their final
-    /// reading.
-    FleetStatsReply {
-        /// Current assignment epoch.
-        epoch: u64,
-        /// Gateways evicted by sweeps since the directory started.
-        evictions: u64,
-        /// Per-gateway stats, ascending by gateway id.
-        gateways: Vec<GatewayStats>,
-    },
-    /// Controller→gateway: stage a new encoder checkpoint as `version`.
-    /// MAC'd like [`Message::Register`] but over `(version.id, nonce)`
-    /// with the rollout domain tag — staging weights is a control-plane
-    /// privilege. Staging does **not** change what serves; the codec
-    /// cuts over only on [`Message::ActivateVersion`], and only at a
-    /// flush boundary.
-    RolloutPropose {
-        /// Identity and geometry of the proposed model.
-        version: ModelVersion,
-        /// Encoder weight matrix (`code_dim × frame_dim`).
-        weight: Matrix,
-        /// Encoder bias row (`1 × code_dim`).
-        bias: Matrix,
-        /// Caller-chosen MAC nonce.
-        nonce: u64,
-        /// `rollout_mac(secret, version.id, nonce)`, or 0.
-        mac: u64,
-    },
-    /// Gateway's answer to [`Message::RolloutPropose`] /
-    /// [`Message::ActivateVersion`].
-    RolloutAck {
-        /// The version the ack refers to.
-        version_id: u64,
-        /// Whether the stage/activate was accepted.
-        accepted: bool,
-        /// Human-readable rejection reason (empty on success).
-        detail: String,
-    },
-    /// Controller→gateway: cut the staged version over to active. The
-    /// swap happens at the next flush boundary on every shard — pending
-    /// rows flush under the old codec first, so no flush ever mixes
-    /// model versions and no frame is dropped. MAC'd like
-    /// [`Message::RolloutPropose`].
-    ActivateVersion {
-        /// The staged version to activate.
-        version_id: u64,
-        /// Caller-chosen MAC nonce.
-        nonce: u64,
-        /// `rollout_mac(secret, version_id, nonce)`, or 0.
-        mac: u64,
-    },
-    /// Ask a gateway which model versions it is serving/staging.
-    VersionQuery,
-    /// The gateway's answer to [`Message::VersionQuery`].
-    VersionReply {
-        /// The version currently encoding new flushes.
-        active: ModelVersion,
-        /// A staged version waiting for [`Message::ActivateVersion`].
-        staged: Option<ModelVersion>,
-        /// The previous active version, retained until its in-flight
-        /// rows drain (and as the rollback target).
-        prior: Option<ModelVersion>,
-        /// Number of guard-triggered rollbacks since boot.
-        rollbacks: u64,
-        /// Whether the drift monitor currently flags the active model.
-        drift: bool,
-    },
+        pub id: u64,
+        /// Whether the gateway is currently a member (false = evicted; its
+        /// snapshot is frozen at the last heartbeat before eviction).
+        pub alive: bool,
+        /// The gateway's last piggybacked [`StatsSnapshot`].
+        pub snapshot: StatsSnapshot,
+    }
 }
 
-/// One gateway's entry in a [`Message::FleetStatsReply`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GatewayStats {
-    /// Fleet-wide gateway identifier.
-    pub id: u64,
-    /// Whether the gateway is currently a member (false = evicted; its
-    /// snapshot is frozen at the last heartbeat before eviction).
-    pub alive: bool,
-    /// The gateway's last piggybacked [`StatsSnapshot`].
-    pub snapshot: StatsSnapshot,
+// ----------------------------------------------------------------------
+// The message table
+// ----------------------------------------------------------------------
+
+/// A message's payload bound: the sum of its fields' worst cases, and
+/// never more than a frame may carry.
+const fn payload_bound(field_caps: usize) -> usize {
+    if field_caps < MAX_PAYLOAD {
+        field_caps
+    } else {
+        MAX_PAYLOAD
+    }
+}
+
+/// Generates the message enum and everything that must agree with it —
+/// wire ids, kind names, per-type payload bounds, the encoder and the
+/// decoder — from one row per message: `id => Variant { fields }`, fields
+/// in wire order, each `name: Type` or `name: Type as Codec`.
+macro_rules! messages {
+    (
+        $(#[$emeta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $id:literal => $variant:ident
+                    $({ $( $(#[$fmeta:meta])* $field:ident : $ty:ty $(as $codec:ty)? ),+ $(,)? })?
+                    $(( $inner:ident : $ity:ty ))?
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$emeta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $( $(#[$fmeta])* $field: $ty, )+ })? $(( $ity ))?,
+            )+
+        }
+
+        impl $name {
+            /// Every message type as `(wire id, kind)`, in table order.
+            pub const TYPES: &'static [(u16, &'static str)] =
+                &[$( ($id, stringify!($variant)), )+];
+
+            /// This message's row of [`Self::TYPES`].
+            fn wire_type(&self) -> (u16, &'static str) {
+                match self {
+                    $( $name::$variant { .. } => ($id, stringify!($variant)), )+
+                }
+            }
+
+            /// The largest payload a frame of type `id` may declare.
+            /// Unknown types are rejected here, before any payload is read.
+            fn max_payload_of(id: u16) -> Result<usize, WireError> {
+                match id {
+                    $( $id => Ok(payload_bound(
+                        0 $($( + <codec!($ty $(, $codec)?) as Wire<$ty>>::CAP )+)?
+                          $( + <$ity as Wire>::CAP )?
+                    )), )+
+                    found => Err(WireError::UnknownType { found }),
+                }
+            }
+
+            /// Appends the payload: the fields' encodings back to back.
+            fn put_payload(&self, out: &mut Vec<u8>) {
+                match self {
+                    $( $name::$variant { $($( $field, )+)? $( 0: $inner )? } => {
+                        $($( <codec!($ty $(, $codec)?) as Wire<$ty>>::put($field, out); )+)?
+                        $( <$ity as Wire>::put($inner, out); )?
+                    } )+
+                }
+            }
+
+            /// Reads the payload of a frame of type `id`.
+            fn take_payload(id: u16, cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                match id {
+                    $( $id => Ok($name::$variant {
+                        $($( $field: <codec!($ty $(, $codec)?) as Wire<$ty>>::take(cur)?, )+)?
+                        $( 0: <$ity as Wire>::take(cur)? )?
+                    }), )+
+                    found => Err(WireError::UnknownType { found }),
+                }
+            }
+        }
+    };
+}
+// orco-lint: endregion
+
+messages! {
+    /// One protocol message. Requests and replies share the enum; the
+    /// request/reply pairing is fixed (`Hello`→`HelloAck`,
+    /// `PushFrames`→`PushAck`/`Busy`, `PullDecoded`→`Decoded`,
+    /// `StatsRequest`→`StatsReply`, `Shutdown`→`ShutdownAck`), and any
+    /// request can instead draw an [`Message::ErrorReply`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Message {
+        /// Client introduction, MAC'd when the server requires auth.
+        ///
+        /// `mac` must equal `auth::hello_mac(secret, client_id, nonce)` when
+        /// the server was configured with a shared secret; servers without
+        /// one ignore both fields. The nonce is caller-chosen (any value);
+        /// it keys the MAC so two clients never present identical proof.
+        1 => Hello {
+            /// Caller-chosen identifier, echoed in logs/diagnostics only.
+            client_id: u64,
+            /// Caller-chosen MAC nonce.
+            nonce: u64,
+            /// `hello_mac(secret, client_id, nonce)`, or 0 when unauthenticated.
+            mac: u64,
+        },
+        /// Gateway's answer to [`Message::Hello`], announcing the data-plane
+        /// geometry a client needs to build valid pushes.
+        2 => HelloAck {
+            /// Protocol version the gateway speaks.
+            version: u16,
+            /// Number of worker shards.
+            shards: u16,
+            /// Flattened sensing-frame width in f32 elements.
+            frame_dim: u32,
+            /// Encoded code width in f32 elements.
+            code_dim: u32,
+            /// Id of the codec model version currently serving (see
+            /// [`ModelVersion`]); clients compare it against the `version`
+            /// field on [`Message::Decoded`] to detect a mid-session swap.
+            active_version: u64,
+        },
+        /// A batch of raw sensing frames (one per row) for one cluster.
+        3 => PushFrames {
+            /// Cluster the frames belong to; selects the shard.
+            cluster_id: u64,
+            /// Client-minted 64-bit trace id; 0 means untraced. A traced
+            /// push's journey (push → enqueue → flush → store → pull)
+            /// emits one span per stage under this id.
+            trace: u64,
+            /// Frames, one per row, `frame_dim` wide.
+            frames: Matrix,
+        },
+        /// The push was accepted into the shard's micro-batcher.
+        4 => PushAck {
+            /// Rows accepted (always the full push).
+            accepted: u32,
+        },
+        /// Explicit backpressure: the shard's in-flight budget is exhausted.
+        /// The client should drain with [`Message::PullDecoded`] or retry
+        /// later — the gateway never buffers unboundedly.
+        5 => Busy {
+            /// Rows currently in flight on the shard (pending + stored).
+            queued: u32,
+            /// The shard's in-flight row budget.
+            capacity: u32,
+        },
+        /// Request up to `max_frames` decoded reconstructions for a cluster.
+        6 => PullDecoded {
+            /// Cluster to drain.
+            cluster_id: u64,
+            /// Upper bound on returned rows.
+            max_frames: u32,
+            /// Client-minted trace id for this request; 0 means untraced.
+            trace: u64,
+        },
+        /// Decoded reconstructions, oldest first, in push order. Every row
+        /// in one reply was encoded *and* decoded by the same model
+        /// version — a pull never mixes rows from both sides of a swap.
+        7 => Decoded {
+            /// Cluster the frames belong to.
+            cluster_id: u64,
+            /// Id of the [`ModelVersion`] that produced these rows.
+            version: u64,
+            /// Reconstructed frames, one per row, `frame_dim` wide.
+            frames: Matrix,
+        },
+        /// Request a [`StatsSnapshot`].
+        8 => StatsRequest,
+        /// Gateway-wide serving statistics.
+        9 => StatsReply(snapshot: StatsSnapshot),
+        /// Ask the gateway to flush, stop accepting work, and exit.
+        10 => Shutdown,
+        /// The shutdown was initiated.
+        11 => ShutdownAck,
+        /// The request failed; `code` is machine-readable, `detail` is for
+        /// humans.
+        12 => ErrorReply {
+            /// Machine-readable failure category.
+            code: ErrorCode,
+            /// Human-readable description.
+            detail: String as Text<MAX_ERROR_DETAIL>,
+        },
+        /// The receiving gateway does not own `cluster_id` at `epoch`; the
+        /// client should retry the push against `addr`. Sent instead of
+        /// silently misrouting a stale-epoch push.
+        13 => Redirect {
+            /// Cluster the rejected push targeted.
+            cluster_id: u64,
+            /// Assignment epoch under which the owner was computed.
+            epoch: u64,
+            /// Dial address of the current owner.
+            addr: String as Text<MAX_ADDR>,
+        },
+        /// Ask the directory for the current assignment epoch + membership.
+        14 => DirectoryQuery,
+        /// The directory's answer to [`Message::DirectoryQuery`].
+        15 => DirectoryReply {
+            /// Monotonic assignment epoch; bumped on every membership change.
+            epoch: u64,
+            /// Live gateways, ascending by id.
+            members: Vec<GatewayEntry> as List<MAX_MEMBERS>,
+        },
+        /// Gateway→directory registration (join the fleet), MAC'd like
+        /// [`Message::Hello`] but over `(gateway_id, addr, nonce)`.
+        16 => Register {
+            /// Fleet-wide gateway identifier.
+            gateway_id: u64,
+            /// Address clients should dial for this gateway.
+            addr: String as Text<MAX_ADDR>,
+            /// Caller-chosen MAC nonce.
+            nonce: u64,
+            /// `register_mac(secret, gateway_id, addr, nonce)`, or 0.
+            mac: u64,
+        },
+        /// The directory accepted the registration.
+        17 => RegisterAck {
+            /// Epoch after the join (bumped if membership changed).
+            epoch: u64,
+            /// Post-join membership, ascending by id.
+            members: Vec<GatewayEntry> as List<MAX_MEMBERS>,
+        },
+        /// Gateway→directory liveness beacon, optionally piggybacking the
+        /// gateway's cumulative [`StatsSnapshot`] so the directory can
+        /// aggregate a fleet-wide view without scraping every gateway.
+        18 => Heartbeat {
+            /// Fleet-wide gateway identifier.
+            gateway_id: u64,
+            /// Last epoch the gateway observed (for directory diagnostics).
+            epoch: u64,
+            /// Cumulative serving stats at beat time; cumulative (not a
+            /// true delta) so a retransmitted beat is idempotent.
+            stats: Option<StatsSnapshot>,
+        },
+        /// The directory's answer to [`Message::Heartbeat`]; carries the
+        /// current membership so gateways converge without extra queries.
+        19 => HeartbeatAck {
+            /// Current assignment epoch.
+            epoch: u64,
+            /// Current membership, ascending by id.
+            members: Vec<GatewayEntry> as List<MAX_MEMBERS>,
+        },
+        /// Subscribe this connection to streamed decoded batches for one
+        /// cluster; decoded rows are pushed as [`Message::StreamFrames`]
+        /// instead of waiting for polls.
+        20 => Subscribe {
+            /// Cluster to stream.
+            cluster_id: u64,
+            /// Client-minted trace id for this request; 0 means untraced.
+            trace: u64,
+        },
+        /// The subscription is live.
+        21 => SubscribeAck {
+            /// Cluster the subscription covers.
+            cluster_id: u64,
+            /// Decoded rows already stored at subscribe time (they are
+            /// streamed immediately after this ack).
+            backlog: u32,
+        },
+        /// Remove this connection's subscription for one cluster.
+        22 => Unsubscribe {
+            /// Cluster to stop streaming.
+            cluster_id: u64,
+        },
+        /// Server-pushed decoded reconstructions for a subscribed cluster,
+        /// oldest first. Distinct from [`Message::Decoded`] so clients can
+        /// tell streamed deliveries from pull replies on a shared stream.
+        23 => StreamFrames {
+            /// Cluster the frames belong to.
+            cluster_id: u64,
+            /// Id of the [`ModelVersion`] that produced these rows; like
+            /// [`Message::Decoded`], one delivery never mixes versions.
+            version: u64,
+            /// Reconstructed frames, one per row, `frame_dim` wide.
+            frames: Matrix,
+        },
+        /// Request the gateway's metrics exposition (a byte-stable text
+        /// scrape of every counter, gauge, per-shard series, and latency
+        /// histogram).
+        24 => MetricsRequest,
+        /// The gateway's answer to [`Message::MetricsRequest`].
+        25 => MetricsReply {
+            /// The text exposition, one `name value` line per series.
+            text: String as Text<MAX_METRICS_TEXT>,
+        },
+        /// Ask the directory for its aggregated per-gateway fleet view.
+        26 => FleetStatsQuery,
+        /// The directory's answer to [`Message::FleetStatsQuery`]: the last
+        /// stats snapshot each gateway piggybacked on a heartbeat, live
+        /// members first-class and evicted members frozen at their final
+        /// reading.
+        27 => FleetStatsReply {
+            /// Current assignment epoch.
+            epoch: u64,
+            /// Gateways evicted by sweeps since the directory started.
+            evictions: u64,
+            /// Per-gateway stats, ascending by gateway id.
+            gateways: Vec<GatewayStats> as List<MAX_MEMBERS>,
+        },
+        /// Controller→gateway: stage a new encoder checkpoint as `version`.
+        /// MAC'd like [`Message::Register`] but over `(version.id, nonce)`
+        /// with the rollout domain tag — staging weights is a control-plane
+        /// privilege. Staging does **not** change what serves; the codec
+        /// cuts over only on [`Message::ActivateVersion`], and only at a
+        /// flush boundary.
+        28 => RolloutPropose {
+            /// Identity and geometry of the proposed model.
+            version: ModelVersion,
+            /// Encoder weight matrix (`code_dim × frame_dim`).
+            weight: Matrix,
+            /// Encoder bias row (`1 × code_dim`).
+            bias: Matrix,
+            /// Caller-chosen MAC nonce.
+            nonce: u64,
+            /// `rollout_mac(secret, version.id, nonce)`, or 0.
+            mac: u64,
+        },
+        /// Gateway's answer to [`Message::RolloutPropose`] /
+        /// [`Message::ActivateVersion`].
+        29 => RolloutAck {
+            /// The version the ack refers to.
+            version_id: u64,
+            /// Whether the stage/activate was accepted.
+            accepted: bool,
+            /// Human-readable rejection reason (empty on success).
+            detail: String as Text<MAX_ERROR_DETAIL>,
+        },
+        /// Controller→gateway: cut the staged version over to active. The
+        /// swap happens at the next flush boundary on every shard — pending
+        /// rows flush under the old codec first, so no flush ever mixes
+        /// model versions and no frame is dropped. MAC'd like
+        /// [`Message::RolloutPropose`].
+        30 => ActivateVersion {
+            /// The staged version to activate.
+            version_id: u64,
+            /// Caller-chosen MAC nonce.
+            nonce: u64,
+            /// `rollout_mac(secret, version_id, nonce)`, or 0.
+            mac: u64,
+        },
+        /// Ask a gateway which model versions it is serving/staging.
+        31 => VersionQuery,
+        /// The gateway's answer to [`Message::VersionQuery`].
+        32 => VersionReply {
+            /// The version currently encoding new flushes.
+            active: ModelVersion,
+            /// A staged version waiting for [`Message::ActivateVersion`].
+            staged: Option<ModelVersion>,
+            /// The previous active version, retained until its in-flight
+            /// rows drain (and as the rollback target).
+            prior: Option<ModelVersion>,
+            /// Number of guard-triggered rollbacks since boot.
+            rollbacks: u64,
+            /// Whether the drift monitor currently flags the active model.
+            drift: bool,
+        },
+    }
 }
 
 impl Message {
-    fn msg_type(&self) -> u16 {
-        match self {
-            Message::Hello { .. } => 1,
-            Message::HelloAck { .. } => 2,
-            Message::PushFrames { .. } => 3,
-            Message::PushAck { .. } => 4,
-            Message::Busy { .. } => 5,
-            Message::PullDecoded { .. } => 6,
-            Message::Decoded { .. } => 7,
-            Message::StatsRequest => 8,
-            Message::StatsReply(_) => 9,
-            Message::Shutdown => 10,
-            Message::ShutdownAck => 11,
-            Message::ErrorReply { .. } => 12,
-            Message::Redirect { .. } => 13,
-            Message::DirectoryQuery => 14,
-            Message::DirectoryReply { .. } => 15,
-            Message::Register { .. } => 16,
-            Message::RegisterAck { .. } => 17,
-            Message::Heartbeat { .. } => 18,
-            Message::HeartbeatAck { .. } => 19,
-            Message::Subscribe { .. } => 20,
-            Message::SubscribeAck { .. } => 21,
-            Message::Unsubscribe { .. } => 22,
-            Message::StreamFrames { .. } => 23,
-            Message::MetricsRequest => 24,
-            Message::MetricsReply { .. } => 25,
-            Message::FleetStatsQuery => 26,
-            Message::FleetStatsReply { .. } => 27,
-            Message::RolloutPropose { .. } => 28,
-            Message::RolloutAck { .. } => 29,
-            Message::ActivateVersion { .. } => 30,
-            Message::VersionQuery => 31,
-            Message::VersionReply { .. } => 32,
-        }
-    }
-
     /// Short human-readable name of the message kind.
     #[must_use]
     pub fn kind(&self) -> &'static str {
-        match self {
-            Message::Hello { .. } => "Hello",
-            Message::HelloAck { .. } => "HelloAck",
-            Message::PushFrames { .. } => "PushFrames",
-            Message::PushAck { .. } => "PushAck",
-            Message::Busy { .. } => "Busy",
-            Message::PullDecoded { .. } => "PullDecoded",
-            Message::Decoded { .. } => "Decoded",
-            Message::StatsRequest => "StatsRequest",
-            Message::StatsReply(_) => "StatsReply",
-            Message::Shutdown => "Shutdown",
-            Message::ShutdownAck => "ShutdownAck",
-            Message::ErrorReply { .. } => "ErrorReply",
-            Message::Redirect { .. } => "Redirect",
-            Message::DirectoryQuery => "DirectoryQuery",
-            Message::DirectoryReply { .. } => "DirectoryReply",
-            Message::Register { .. } => "Register",
-            Message::RegisterAck { .. } => "RegisterAck",
-            Message::Heartbeat { .. } => "Heartbeat",
-            Message::HeartbeatAck { .. } => "HeartbeatAck",
-            Message::Subscribe { .. } => "Subscribe",
-            Message::SubscribeAck { .. } => "SubscribeAck",
-            Message::Unsubscribe { .. } => "Unsubscribe",
-            Message::StreamFrames { .. } => "StreamFrames",
-            Message::MetricsRequest => "MetricsRequest",
-            Message::MetricsReply { .. } => "MetricsReply",
-            Message::FleetStatsQuery => "FleetStatsQuery",
-            Message::FleetStatsReply { .. } => "FleetStatsReply",
-            Message::RolloutPropose { .. } => "RolloutPropose",
-            Message::RolloutAck { .. } => "RolloutAck",
-            Message::ActivateVersion { .. } => "ActivateVersion",
-            Message::VersionQuery => "VersionQuery",
-            Message::VersionReply { .. } => "VersionReply",
-        }
+        self.wire_type().1
     }
 
     /// Encodes the full frame (header + payload) into `out`, clearing it
@@ -656,150 +889,17 @@ impl Message {
     ///
     /// # Panics
     ///
-    /// Panics if the payload overflows the u32 length field (a message
-    /// that large can never be legal on the wire; [`crate::Client`]
-    /// rejects oversized pushes with a typed error before encoding).
+    /// Panics if a string or list field exceeds its wire bound, or if the
+    /// payload overflows the u32 length field (neither can ever be legal
+    /// on the wire; [`crate::Client`] rejects oversized pushes with a
+    /// typed error before encoding).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        put_u32(out, MAGIC);
-        put_u16(out, PROTOCOL_VERSION);
-        put_u16(out, self.msg_type());
-        put_u32(out, 0); // payload length, patched below
-        match self {
-            Message::Hello { client_id, nonce, mac } => {
-                put_u64(out, *client_id);
-                put_u64(out, *nonce);
-                put_u64(out, *mac);
-            }
-            Message::HelloAck { version, shards, frame_dim, code_dim, active_version } => {
-                put_u16(out, *version);
-                put_u16(out, *shards);
-                put_u32(out, *frame_dim);
-                put_u32(out, *code_dim);
-                put_u64(out, *active_version);
-            }
-            Message::PushFrames { cluster_id, trace, frames } => {
-                put_u64(out, *cluster_id);
-                put_u64(out, *trace);
-                put_matrix(out, frames);
-            }
-            Message::PushAck { accepted } => put_u32(out, *accepted),
-            Message::Busy { queued, capacity } => {
-                put_u32(out, *queued);
-                put_u32(out, *capacity);
-            }
-            Message::PullDecoded { cluster_id, max_frames, trace } => {
-                put_u64(out, *cluster_id);
-                put_u32(out, *max_frames);
-                put_u64(out, *trace);
-            }
-            Message::Decoded { cluster_id, version, frames } => {
-                put_u64(out, *cluster_id);
-                put_u64(out, *version);
-                put_matrix(out, frames);
-            }
-            Message::StatsRequest
-            | Message::Shutdown
-            | Message::ShutdownAck
-            | Message::DirectoryQuery => {}
-            Message::StatsReply(snapshot) => snapshot.encode_into(out),
-            Message::ErrorReply { code, detail } => {
-                put_u16(out, code.to_u16());
-                put_bytes(out, detail.as_bytes());
-            }
-            Message::Redirect { cluster_id, epoch, addr } => {
-                put_u64(out, *cluster_id);
-                put_u64(out, *epoch);
-                put_bytes(out, addr.as_bytes());
-            }
-            Message::DirectoryReply { epoch, members }
-            | Message::RegisterAck { epoch, members }
-            | Message::HeartbeatAck { epoch, members } => {
-                put_u64(out, *epoch);
-                put_members(out, members);
-            }
-            Message::Register { gateway_id, addr, nonce, mac } => {
-                put_u64(out, *gateway_id);
-                put_bytes(out, addr.as_bytes());
-                put_u64(out, *nonce);
-                put_u64(out, *mac);
-            }
-            Message::Heartbeat { gateway_id, epoch, stats } => {
-                put_u64(out, *gateway_id);
-                put_u64(out, *epoch);
-                match stats {
-                    Some(snapshot) => {
-                        out.push(1);
-                        snapshot.encode_into(out);
-                    }
-                    None => out.push(0),
-                }
-            }
-            Message::Subscribe { cluster_id, trace } => {
-                put_u64(out, *cluster_id);
-                put_u64(out, *trace);
-            }
-            Message::Unsubscribe { cluster_id } => {
-                put_u64(out, *cluster_id);
-            }
-            Message::SubscribeAck { cluster_id, backlog } => {
-                put_u64(out, *cluster_id);
-                put_u32(out, *backlog);
-            }
-            Message::StreamFrames { cluster_id, version, frames } => {
-                put_u64(out, *cluster_id);
-                put_u64(out, *version);
-                put_matrix(out, frames);
-            }
-            Message::MetricsRequest | Message::FleetStatsQuery => {}
-            Message::MetricsReply { text } => {
-                assert!(text.len() <= MAX_METRICS_TEXT, "metrics text exceeds MAX_METRICS_TEXT");
-                put_bytes(out, text.as_bytes());
-            }
-            Message::FleetStatsReply { epoch, evictions, gateways } => {
-                assert!(gateways.len() <= MAX_MEMBERS, "fleet stats list exceeds MAX_MEMBERS");
-                put_u64(out, *epoch);
-                put_u64(out, *evictions);
-                put_u32(out, gateways.len() as u32);
-                for g in gateways {
-                    put_u64(out, g.id);
-                    out.push(u8::from(g.alive));
-                    g.snapshot.encode_into(out);
-                }
-            }
-            Message::RolloutPropose { version, weight, bias, nonce, mac } => {
-                put_version(out, version);
-                put_matrix(out, weight);
-                put_matrix(out, bias);
-                put_u64(out, *nonce);
-                put_u64(out, *mac);
-            }
-            Message::RolloutAck { version_id, accepted, detail } => {
-                put_u64(out, *version_id);
-                out.push(u8::from(*accepted));
-                put_bytes(out, detail.as_bytes());
-            }
-            Message::ActivateVersion { version_id, nonce, mac } => {
-                put_u64(out, *version_id);
-                put_u64(out, *nonce);
-                put_u64(out, *mac);
-            }
-            Message::VersionQuery => {}
-            Message::VersionReply { active, staged, prior, rollbacks, drift } => {
-                put_version(out, active);
-                for opt in [staged, prior] {
-                    match opt {
-                        Some(v) => {
-                            out.push(1);
-                            put_version(out, v);
-                        }
-                        None => out.push(0),
-                    }
-                }
-                put_u64(out, *rollbacks);
-                out.push(u8::from(*drift));
-            }
-        }
+        u32::put(&MAGIC, out);
+        u16::put(&PROTOCOL_VERSION, out);
+        u16::put(&self.wire_type().0, out);
+        u32::put(&0, out); // payload length, patched below
+        self.put_payload(out);
         let len = out.len() - HEADER_LEN;
         assert!(
             u32::try_from(len).is_ok(),
@@ -832,7 +932,7 @@ impl Message {
             return Err(WireError::LengthMismatch { declared, actual: payload.len() });
         }
         let mut cur = Cursor::new(payload);
-        let msg = decode_payload(msg_type, &mut cur)?;
+        let msg = Message::take_payload(msg_type, &mut cur)?;
         if cur.remaining() != 0 {
             return Err(WireError::Corrupt { detail: "payload has trailing bytes" });
         }
@@ -909,341 +1009,20 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<FrameRead, Orc
 // orco-lint: region(wire-decode)
 fn parse_header(header: &[u8]) -> Result<(u16, usize), WireError> {
     let mut cur = Cursor::new(header);
-    let magic = cur.u32()?;
+    let magic = u32::take(&mut cur)?;
     if magic != MAGIC {
         return Err(WireError::BadMagic { found: magic });
     }
-    let version = cur.u16()?;
+    let version = u16::take(&mut cur)?;
     if version != PROTOCOL_VERSION {
         return Err(WireError::UnsupportedVersion { found: version });
     }
-    let msg_type = cur.u16()?;
-    let declared = cur.u32()? as usize;
-    if declared > payload_cap(msg_type)? {
+    let msg_type = u16::take(&mut cur)?;
+    let declared = u32::take(&mut cur)? as usize;
+    if declared > Message::max_payload_of(msg_type)? {
         return Err(WireError::Oversized { declared });
     }
     Ok((msg_type, declared))
-}
-
-fn decode_payload(msg_type: u16, cur: &mut Cursor<'_>) -> Result<Message, WireError> {
-    match msg_type {
-        1 => Ok(Message::Hello { client_id: cur.u64()?, nonce: cur.u64()?, mac: cur.u64()? }),
-        2 => Ok(Message::HelloAck {
-            version: cur.u16()?,
-            shards: cur.u16()?,
-            frame_dim: cur.u32()?,
-            code_dim: cur.u32()?,
-            active_version: cur.u64()?,
-        }),
-        3 => Ok(Message::PushFrames {
-            cluster_id: cur.u64()?,
-            trace: cur.u64()?,
-            frames: take_matrix(cur)?,
-        }),
-        4 => Ok(Message::PushAck { accepted: cur.u32()? }),
-        5 => Ok(Message::Busy { queued: cur.u32()?, capacity: cur.u32()? }),
-        6 => Ok(Message::PullDecoded {
-            cluster_id: cur.u64()?,
-            max_frames: cur.u32()?,
-            trace: cur.u64()?,
-        }),
-        7 => Ok(Message::Decoded {
-            cluster_id: cur.u64()?,
-            version: cur.u64()?,
-            frames: take_matrix(cur)?,
-        }),
-        8 => Ok(Message::StatsRequest),
-        9 => Ok(Message::StatsReply(StatsSnapshot::decode_from(cur)?)),
-        10 => Ok(Message::Shutdown),
-        11 => Ok(Message::ShutdownAck),
-        12 => {
-            let code = ErrorCode::from_u16(cur.u16()?)?;
-            let bytes = cur.take_len_prefixed()?;
-            let detail = std::str::from_utf8(bytes)
-                .map_err(|_| WireError::Corrupt { detail: "error detail is not utf-8" })?
-                .to_owned();
-            Ok(Message::ErrorReply { code, detail })
-        }
-        13 => Ok(Message::Redirect {
-            cluster_id: cur.u64()?,
-            epoch: cur.u64()?,
-            addr: take_addr(cur)?,
-        }),
-        14 => Ok(Message::DirectoryQuery),
-        15 => Ok(Message::DirectoryReply { epoch: cur.u64()?, members: take_members(cur)? }),
-        16 => Ok(Message::Register {
-            gateway_id: cur.u64()?,
-            addr: take_addr(cur)?,
-            nonce: cur.u64()?,
-            mac: cur.u64()?,
-        }),
-        17 => Ok(Message::RegisterAck { epoch: cur.u64()?, members: take_members(cur)? }),
-        18 => {
-            let gateway_id = cur.u64()?;
-            let epoch = cur.u64()?;
-            let stats = match take_bool(cur, "heartbeat stats flag is not 0 or 1")? {
-                true => Some(StatsSnapshot::decode_from(cur)?),
-                false => None,
-            };
-            Ok(Message::Heartbeat { gateway_id, epoch, stats })
-        }
-        19 => Ok(Message::HeartbeatAck { epoch: cur.u64()?, members: take_members(cur)? }),
-        20 => Ok(Message::Subscribe { cluster_id: cur.u64()?, trace: cur.u64()? }),
-        21 => Ok(Message::SubscribeAck { cluster_id: cur.u64()?, backlog: cur.u32()? }),
-        22 => Ok(Message::Unsubscribe { cluster_id: cur.u64()? }),
-        23 => Ok(Message::StreamFrames {
-            cluster_id: cur.u64()?,
-            version: cur.u64()?,
-            frames: take_matrix(cur)?,
-        }),
-        24 => Ok(Message::MetricsRequest),
-        25 => {
-            let bytes = cur.take_len_prefixed()?;
-            if bytes.len() > MAX_METRICS_TEXT {
-                return Err(WireError::Corrupt { detail: "metrics text exceeds MAX_METRICS_TEXT" });
-            }
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| WireError::Corrupt { detail: "metrics text is not utf-8" })?
-                .to_owned();
-            Ok(Message::MetricsReply { text })
-        }
-        26 => Ok(Message::FleetStatsQuery),
-        27 => {
-            let epoch = cur.u64()?;
-            let evictions = cur.u64()?;
-            let count = cur.u32()? as usize;
-            if count > MAX_MEMBERS {
-                return Err(WireError::Corrupt { detail: "fleet stats list exceeds MAX_MEMBERS" });
-            }
-            let mut gateways = Vec::with_capacity(count);
-            for _ in 0..count {
-                gateways.push(GatewayStats {
-                    id: cur.u64()?,
-                    alive: take_bool(cur, "fleet stats liveness flag is not 0 or 1")?,
-                    snapshot: StatsSnapshot::decode_from(cur)?,
-                });
-            }
-            Ok(Message::FleetStatsReply { epoch, evictions, gateways })
-        }
-        28 => Ok(Message::RolloutPropose {
-            version: take_version(cur)?,
-            weight: take_matrix(cur)?,
-            bias: take_matrix(cur)?,
-            nonce: cur.u64()?,
-            mac: cur.u64()?,
-        }),
-        29 => {
-            let version_id = cur.u64()?;
-            let accepted = take_bool(cur, "rollout ack flag is not 0 or 1")?;
-            let bytes = cur.take_len_prefixed()?;
-            let detail = std::str::from_utf8(bytes)
-                .map_err(|_| WireError::Corrupt { detail: "rollout ack detail is not utf-8" })?
-                .to_owned();
-            Ok(Message::RolloutAck { version_id, accepted, detail })
-        }
-        30 => Ok(Message::ActivateVersion {
-            version_id: cur.u64()?,
-            nonce: cur.u64()?,
-            mac: cur.u64()?,
-        }),
-        31 => Ok(Message::VersionQuery),
-        32 => {
-            let active = take_version(cur)?;
-            let mut opts = [None, None];
-            for slot in &mut opts {
-                if take_bool(cur, "version option flag is not 0 or 1")? {
-                    *slot = Some(take_version(cur)?);
-                }
-            }
-            let [staged, prior] = opts;
-            Ok(Message::VersionReply {
-                active,
-                staged,
-                prior,
-                rollbacks: cur.u64()?,
-                drift: take_bool(cur, "drift flag is not 0 or 1")?,
-            })
-        }
-        other => Err(WireError::UnknownType { found: other }),
-    }
-}
-
-/// Reads a one-byte boolean flag; any value other than 0/1 is corrupt.
-fn take_bool(cur: &mut Cursor<'_>, detail: &'static str) -> Result<bool, WireError> {
-    match cur.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::Corrupt { detail }),
-    }
-}
-// orco-lint: endregion
-
-// ----------------------------------------------------------------------
-// Little-endian field primitives
-// ----------------------------------------------------------------------
-
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-fn put_members(out: &mut Vec<u8>, members: &[GatewayEntry]) {
-    assert!(members.len() <= MAX_MEMBERS, "membership list exceeds MAX_MEMBERS");
-    put_u32(out, members.len() as u32);
-    for m in members {
-        assert!(m.addr.len() <= MAX_ADDR, "gateway address exceeds MAX_ADDR");
-        put_u64(out, m.id);
-        put_bytes(out, m.addr.as_bytes());
-    }
-}
-
-// orco-lint: region(wire-decode)
-fn take_addr(cur: &mut Cursor<'_>) -> Result<String, WireError> {
-    let bytes = cur.take_len_prefixed()?;
-    if bytes.len() > MAX_ADDR {
-        return Err(WireError::Corrupt { detail: "gateway address exceeds MAX_ADDR" });
-    }
-    std::str::from_utf8(bytes)
-        .map_err(|_| WireError::Corrupt { detail: "gateway address is not utf-8" })
-        .map(str::to_owned)
-}
-
-fn take_members(cur: &mut Cursor<'_>) -> Result<Vec<GatewayEntry>, WireError> {
-    let count = cur.u32()? as usize;
-    if count > MAX_MEMBERS {
-        return Err(WireError::Corrupt { detail: "membership list exceeds MAX_MEMBERS" });
-    }
-    let mut members = Vec::with_capacity(count);
-    for _ in 0..count {
-        members.push(GatewayEntry { id: cur.u64()?, addr: take_addr(cur)? });
-    }
-    Ok(members)
-}
-// orco-lint: endregion
-
-fn put_version(out: &mut Vec<u8>, v: &ModelVersion) {
-    assert!(v.label.len() <= MAX_LABEL, "model version label exceeds MAX_LABEL");
-    put_u64(out, v.id);
-    put_bytes(out, v.label.as_bytes());
-    put_u32(out, v.frame_dim);
-    put_u32(out, v.code_dim);
-}
-
-// orco-lint: region(wire-decode)
-fn take_version(cur: &mut Cursor<'_>) -> Result<ModelVersion, WireError> {
-    let id = cur.u64()?;
-    let bytes = cur.take_len_prefixed()?;
-    if bytes.len() > MAX_LABEL {
-        return Err(WireError::Corrupt { detail: "model version label exceeds MAX_LABEL" });
-    }
-    let label = std::str::from_utf8(bytes)
-        .map_err(|_| WireError::Corrupt { detail: "model version label is not utf-8" })?
-        .to_owned();
-    Ok(ModelVersion { id, label, frame_dim: cur.u32()?, code_dim: cur.u32()? })
-}
-// orco-lint: endregion
-
-fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
-    put_u32(out, m.rows() as u32);
-    put_u32(out, m.cols() as u32);
-    out.reserve(m.as_slice().len() * 4);
-    for v in m.as_slice() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-// orco-lint: region(wire-decode)
-fn take_matrix(cur: &mut Cursor<'_>) -> Result<Matrix, WireError> {
-    let rows = cur.u32()? as usize;
-    let cols = cur.u32()? as usize;
-    let nbytes = rows
-        .checked_mul(cols)
-        .and_then(|elems| elems.checked_mul(4))
-        .ok_or(WireError::Corrupt { detail: "matrix dimensions overflow" })?;
-    let bytes = cur.take(nbytes)?;
-    let data: Vec<f32> = bytes.chunks_exact(4).map(|b| f32::from_le_bytes(le_bytes(b))).collect();
-    Matrix::from_vec(rows, cols, data)
-        .map_err(|_| WireError::Corrupt { detail: "matrix length mismatch" })
-}
-
-/// Copies a slice into a fixed-width array for `from_le_bytes`.
-///
-/// Every caller feeds it a slice whose length is already guaranteed by a
-/// bounds-checked [`Cursor::take`] or `chunks_exact`; a length mismatch
-/// here is therefore a bug in this module, not attacker-reachable, and
-/// the `copy_from_slice` assert is the right failure mode for it.
-fn le_bytes<const N: usize>(bytes: &[u8]) -> [u8; N] {
-    let mut out = [0u8; N];
-    out.copy_from_slice(bytes);
-    out
-}
-
-/// Bounds-checked reader over a payload slice; every read either yields
-/// the field or a [`WireError::Truncated`] naming what was missing.
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated { needed: n, got: 0 })?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(WireError::Truncated { needed: n, got: self.remaining() })?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn take_len_prefixed(&mut self) -> Result<&'a [u8], WireError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(u8::from_le_bytes(le_bytes(self.take(1)?)))
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(le_bytes(self.take(2)?)))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(le_bytes(self.take(4)?)))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(le_bytes(self.take(8)?)))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(le_bytes(self.take(8)?)))
-    }
 }
 // orco-lint: endregion
 

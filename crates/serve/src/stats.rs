@@ -24,17 +24,12 @@ use std::sync::Mutex;
 use orco_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 use orco_wsn::accounting::percentile_of_sorted;
 
-use crate::protocol::{put_f64, put_u16, put_u64, Cursor, WireError};
+use crate::protocol::{codec, wire_struct, Cursor, Wire, WireError};
 
 /// Upper bound on the shard count a [`StatsSnapshot`] may carry on the
 /// wire (bounds the per-shard rows before any allocation, like
 /// `MAX_MEMBERS` bounds membership lists).
 pub const MAX_SHARDS: usize = 1024;
-
-/// Worst-case encoded size of one [`StatsSnapshot`]: shard count,
-/// 22 u64 counters, a drift flag byte, 2 f64 percentiles, and up to
-/// [`MAX_SHARDS`] per-shard rows of 3 u64 each.
-pub(crate) const SNAPSHOT_CAP: usize = 2 + 22 * 8 + 1 + 2 * 8 + MAX_SHARDS * 24;
 
 /// Why a micro-batch was flushed. Each reason has its own counter in
 /// [`StatsSnapshot`], so `deadline_flushes` means *deadline* flushes —
@@ -56,6 +51,10 @@ pub enum FlushReason {
     /// model versions (the zero-drop cutover boundary).
     Swap,
 }
+
+/// Number of [`FlushReason`] variants (the length of the per-reason
+/// counter array the reason indexes).
+const FLUSH_REASONS: usize = 5;
 
 impl FlushReason {
     /// Stable lowercase name used in trace spans and metric labels.
@@ -87,7 +86,7 @@ struct ShardCounters {
 /// transactional across counters (totals may straddle an in-progress
 /// push). Under the deterministic loopback transport there is no
 /// concurrency and snapshots are exact.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServeStats {
     shards: u16,
     frames_in: Counter,
@@ -98,11 +97,8 @@ pub struct ServeStats {
     pulls: Counter,
     busy_rejections: Counter,
     batches: Counter,
-    size_flushes: Counter,
-    deadline_flushes: Counter,
-    pull_flushes: Counter,
-    drain_flushes: Counter,
-    swap_flushes: Counter,
+    /// One counter per [`FlushReason`], indexed by the reason.
+    flushes: [Counter; FLUSH_REASONS],
     max_batch_rows: Gauge,
     queue_depth: Gauge,
     stored_codes: Gauge,
@@ -168,37 +164,17 @@ impl ServeStats {
     pub fn new(shards: u16) -> Self {
         Self {
             shards,
-            frames_in: Counter::new(),
-            frames_out: Counter::new(),
-            bytes_in: Counter::new(),
-            bytes_out: Counter::new(),
-            pushes: Counter::new(),
-            pulls: Counter::new(),
-            busy_rejections: Counter::new(),
-            batches: Counter::new(),
-            size_flushes: Counter::new(),
-            deadline_flushes: Counter::new(),
-            pull_flushes: Counter::new(),
-            drain_flushes: Counter::new(),
-            swap_flushes: Counter::new(),
-            max_batch_rows: Gauge::new(),
-            queue_depth: Gauge::new(),
-            stored_codes: Gauge::new(),
-            streamed_rows: Counter::new(),
-            redirects: Counter::new(),
-            active_version: Gauge::new(),
-            drift_trips: Counter::new(),
-            swaps: Counter::new(),
-            rollbacks: Counter::new(),
-            drift: Gauge::new(),
             per_shard: (0..shards).map(|_| ShardCounters::default()).collect(),
-            flush_latency: Histogram::new(),
-            latencies: Mutex::new(LatencyLedger::default()),
+            ..Self::default()
         }
     }
 
     fn shard(&self, shard: usize) -> &ShardCounters {
         &self.per_shard[shard]
+    }
+
+    fn flushes_for(&self, reason: FlushReason) -> &Counter {
+        &self.flushes[reason as usize]
     }
 
     /// Records an accepted push of `rows` frames carrying `bytes` of
@@ -221,14 +197,7 @@ impl ServeStats {
     /// [`FlushReason`].
     pub fn record_flush(&self, shard: usize, rows: u64, latency_s: f64, reason: FlushReason) {
         self.batches.inc();
-        let counter = match reason {
-            FlushReason::Size => &self.size_flushes,
-            FlushReason::Deadline => &self.deadline_flushes,
-            FlushReason::Pull => &self.pull_flushes,
-            FlushReason::Drain => &self.drain_flushes,
-            FlushReason::Swap => &self.swap_flushes,
-        };
-        counter.inc();
+        self.flushes_for(reason).inc();
         self.max_batch_rows.max_assign(rows);
         self.queue_depth.sub(rows);
         self.stored_codes.add(rows);
@@ -291,271 +260,202 @@ impl ServeStats {
         self.rollbacks.inc();
     }
 
-    /// Freezes the registry into a snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let lats = self.latencies.lock().expect("stats lock");
-        StatsSnapshot {
-            shards: self.shards,
-            frames_in: self.frames_in.get(),
-            frames_out: self.frames_out.get(),
-            bytes_in: self.bytes_in.get(),
-            bytes_out: self.bytes_out.get(),
-            pushes: self.pushes.get(),
-            pulls: self.pulls.get(),
-            busy_rejections: self.busy_rejections.get(),
-            batches: self.batches.get(),
-            size_flushes: self.size_flushes.get(),
-            deadline_flushes: self.deadline_flushes.get(),
-            pull_flushes: self.pull_flushes.get(),
-            drain_flushes: self.drain_flushes.get(),
-            swap_flushes: self.swap_flushes.get(),
-            max_batch_rows: self.max_batch_rows.get(),
-            queue_depth: self.queue_depth.get(),
-            stored_codes: self.stored_codes.get(),
-            streamed_rows: self.streamed_rows.get(),
-            redirects: self.redirects.get(),
-            active_version: self.active_version.get(),
-            drift_trips: self.drift_trips.get(),
-            swaps: self.swaps.get(),
-            rollbacks: self.rollbacks.get(),
-            drift: self.drift.get() != 0,
-            batch_latency_p50_s: percentile_of_sorted(&lats.samples, 0.5),
-            batch_latency_p99_s: percentile_of_sorted(&lats.samples, 0.99),
-            per_shard: self
-                .per_shard
-                .iter()
-                .map(|s| ShardRow {
-                    frames_in: s.frames_in.get(),
-                    frames_out: s.frames_out.get(),
-                    batches: s.batches.get(),
-                })
-                .collect(),
-        }
-    }
-
     /// The full flush-latency distribution (the p50/p99 snapshot fields
     /// are the bounded-ledger compatibility read; this is the shape).
     #[must_use]
     pub fn flush_latency_histogram(&self) -> HistogramSnapshot {
         self.flush_latency.snapshot()
     }
+}
 
-    /// Fills `reg` with every series this registry tracks, in a fixed
-    /// order, so the rendered exposition is byte-stable for a given
-    /// counter state.
-    pub fn fill_registry(&self, reg: &mut Registry) {
-        let snap = self.snapshot();
-        reg.set_int("orco_shards", u64::from(snap.shards));
-        reg.set_int("orco_frames_in_total", snap.frames_in);
-        reg.set_int("orco_frames_out_total", snap.frames_out);
-        reg.set_int("orco_bytes_in_total", snap.bytes_in);
-        reg.set_int("orco_bytes_out_total", snap.bytes_out);
-        reg.set_int("orco_pushes_total", snap.pushes);
-        reg.set_int("orco_pulls_total", snap.pulls);
-        reg.set_int("orco_busy_rejections_total", snap.busy_rejections);
-        reg.set_int("orco_batches_total", snap.batches);
-        reg.set_int(
-            Registry::label("orco_flushes_total", &[("reason", "size")]),
-            snap.size_flushes,
-        );
-        reg.set_int(
-            Registry::label("orco_flushes_total", &[("reason", "deadline")]),
-            snap.deadline_flushes,
-        );
-        reg.set_int(
-            Registry::label("orco_flushes_total", &[("reason", "pull")]),
-            snap.pull_flushes,
-        );
-        reg.set_int(
-            Registry::label("orco_flushes_total", &[("reason", "drain")]),
-            snap.drain_flushes,
-        );
-        reg.set_int(
-            Registry::label("orco_flushes_total", &[("reason", "swap")]),
-            snap.swap_flushes,
-        );
-        reg.set_int("orco_max_batch_rows", snap.max_batch_rows);
-        reg.set_int("orco_queue_depth", snap.queue_depth);
-        reg.set_int("orco_stored_codes", snap.stored_codes);
-        reg.set_int("orco_streamed_rows_total", snap.streamed_rows);
-        reg.set_int("orco_redirects_total", snap.redirects);
-        reg.set_int("orco_active_model_version", snap.active_version);
-        reg.set_int("orco_drift_trips_total", snap.drift_trips);
-        reg.set_int("orco_model_swaps_total", snap.swaps);
-        reg.set_int("orco_model_rollbacks_total", snap.rollbacks);
-        reg.set_int("orco_drift_flag", u64::from(snap.drift));
-        reg.set_float("orco_batch_latency_p50_s", snap.batch_latency_p50_s);
-        reg.set_float("orco_batch_latency_p99_s", snap.batch_latency_p99_s);
-        for (i, row) in snap.per_shard.iter().enumerate() {
-            let shard = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", &shard)];
-            reg.set_int(Registry::label("orco_shard_frames_in_total", labels), row.frames_in);
-            reg.set_int(Registry::label("orco_shard_frames_out_total", labels), row.frames_out);
-            reg.set_int(Registry::label("orco_shard_batches_total", labels), row.batches);
-        }
-        reg.set_histogram("orco_flush_latency_ns", &self.flush_latency_histogram());
+wire_struct! {
+    /// One shard's counters inside a [`StatsSnapshot`]: enough to see
+    /// hot-shard skew from any scrape.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct ShardRow {
+        /// Raw frames this shard accepted.
+        pub frames_in: u64,
+        /// Decoded frames this shard delivered (pulls + streams).
+        pub frames_out: u64,
+        /// Micro-batches this shard flushed.
+        pub batches: u64,
     }
 }
 
-/// One shard's counters inside a [`StatsSnapshot`]: enough to see
-/// hot-shard skew from any scrape.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRow {
-    /// Raw frames this shard accepted.
-    pub frames_in: u64,
-    /// Decoded frames this shard delivered (pulls + streams).
-    pub frames_out: u64,
-    /// Micro-batches this shard flushed.
-    pub batches: u64,
+/// Generates everything that must list the snapshot's `u64` cells in the
+/// same order — the [`StatsSnapshot`] struct, its [`Wire`] codec (and so
+/// its worst-case size), [`ServeStats::snapshot`] and the exposition —
+/// from one row per cell: `field: "exposition key" = the cell to read`,
+/// in wire order, with `$stats` naming the `&ServeStats` the cell column
+/// reads from. The irregular fields (the shard count up front; the drift
+/// flag, the two percentiles and the per-shard rows behind) are written
+/// once each in this template.
+macro_rules! snapshot_table {
+    (|$stats:ident| $( $(#[$meta:meta])* $name:ident : $key:literal = $cell:expr ),+ $(,)?) => {
+        /// The registry frozen at one instant; the payload of
+        /// [`crate::protocol::Message::StatsReply`].
+        #[derive(Debug, Default, Clone, PartialEq)]
+        pub struct StatsSnapshot {
+            /// Number of worker shards (also the length of `per_shard`).
+            pub shards: u16,
+            $( $(#[$meta])* pub $name: u64, )+
+            /// Whether the drift monitor currently flags the active model.
+            pub drift: bool,
+            /// Median flush latency, seconds (0 when nothing flushed).
+            pub batch_latency_p50_s: f64,
+            /// 99th-percentile flush latency, seconds (0 when nothing flushed).
+            pub batch_latency_p99_s: f64,
+            /// Per-shard counter rows, one per shard in shard order.
+            pub per_shard: Vec<ShardRow>,
+        }
+
+        /// The shard count, the `u64` cells, the drift flag, the two
+        /// percentiles, then `shards` per-shard rows (the count up front
+        /// is the rows' length prefix).
+        // orco-lint: region(wire-decode)
+        impl Wire for StatsSnapshot {
+            const CAP: usize = u16::CAP
+                + [$( stringify!($name) ),+].len() * u64::CAP
+                + bool::CAP
+                + 2 * f64::CAP
+                + MAX_SHARDS * ShardRow::CAP;
+
+            fn put(v: &Self, out: &mut Vec<u8>) {
+                assert!(
+                    v.per_shard.len() == usize::from(v.shards) && v.per_shard.len() <= MAX_SHARDS,
+                    "snapshot per-shard rows must match the shard count (≤ MAX_SHARDS)"
+                );
+                u16::put(&v.shards, out);
+                $( u64::put(&v.$name, out); )+
+                bool::put(&v.drift, out);
+                f64::put(&v.batch_latency_p50_s, out);
+                f64::put(&v.batch_latency_p99_s, out);
+                for row in &v.per_shard {
+                    ShardRow::put(row, out);
+                }
+            }
+
+            fn take(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                let shards = u16::take(cur)?;
+                if usize::from(shards) > MAX_SHARDS {
+                    return Err(WireError::Corrupt {
+                        detail: "snapshot shard count exceeds MAX_SHARDS",
+                    });
+                }
+                let mut snap = Self {
+                    shards,
+                    $( $name: u64::take(cur)?, )+
+                    drift: bool::take(cur)?,
+                    batch_latency_p50_s: f64::take(cur)?,
+                    batch_latency_p99_s: f64::take(cur)?,
+                    per_shard: Vec::with_capacity(usize::from(shards)),
+                };
+                for _ in 0..shards {
+                    snap.per_shard.push(ShardRow::take(cur)?);
+                }
+                Ok(snap)
+            }
+        }
+        // orco-lint: endregion
+
+        impl ServeStats {
+            /// Freezes the registry into a snapshot.
+            #[must_use]
+            pub fn snapshot(&self) -> StatsSnapshot {
+                let $stats = self;
+                let lats = self.latencies.lock().expect("stats lock");
+                StatsSnapshot {
+                    shards: self.shards,
+                    $( $name: $cell.get(), )+
+                    drift: self.drift.get() != 0,
+                    batch_latency_p50_s: percentile_of_sorted(&lats.samples, 0.5),
+                    batch_latency_p99_s: percentile_of_sorted(&lats.samples, 0.99),
+                    per_shard: self
+                        .per_shard
+                        .iter()
+                        .map(|s| ShardRow {
+                            frames_in: s.frames_in.get(),
+                            frames_out: s.frames_out.get(),
+                            batches: s.batches.get(),
+                        })
+                        .collect(),
+                }
+            }
+
+            /// Fills `reg` with every series this registry tracks, in a fixed
+            /// order, so the rendered exposition is byte-stable for a given
+            /// counter state.
+            pub fn fill_registry(&self, reg: &mut Registry) {
+                let snap = self.snapshot();
+                reg.set_int("orco_shards", u64::from(snap.shards));
+                $( reg.set_int($key, snap.$name); )+
+                reg.set_int("orco_drift_flag", u64::from(snap.drift));
+                reg.set_float("orco_batch_latency_p50_s", snap.batch_latency_p50_s);
+                reg.set_float("orco_batch_latency_p99_s", snap.batch_latency_p99_s);
+                for (i, row) in snap.per_shard.iter().enumerate() {
+                    let shard = i.to_string();
+                    let labels: &[(&str, &str)] = &[("shard", &shard)];
+                    reg.set_int(
+                        Registry::label("orco_shard_frames_in_total", labels),
+                        row.frames_in,
+                    );
+                    reg.set_int(
+                        Registry::label("orco_shard_frames_out_total", labels),
+                        row.frames_out,
+                    );
+                    reg.set_int(Registry::label("orco_shard_batches_total", labels), row.batches);
+                }
+                reg.set_histogram("orco_flush_latency_ns", &self.flush_latency_histogram());
+            }
+        }
+    };
 }
 
-/// The registry frozen at one instant; the payload of
-/// [`crate::protocol::Message::StatsReply`].
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct StatsSnapshot {
-    /// Number of worker shards (also the length of `per_shard`).
-    pub shards: u16,
+snapshot_table! { |stats|
     /// Raw frames accepted into micro-batchers.
-    pub frames_in: u64,
+    frames_in: "orco_frames_in_total" = stats.frames_in,
     /// Decoded frames returned to clients.
-    pub frames_out: u64,
+    frames_out: "orco_frames_out_total" = stats.frames_out,
     /// Frame-payload bytes accepted (rows × frame width × 4).
-    pub bytes_in: u64,
+    bytes_in: "orco_bytes_in_total" = stats.bytes_in,
     /// Frame-payload bytes returned.
-    pub bytes_out: u64,
+    bytes_out: "orco_bytes_out_total" = stats.bytes_out,
     /// `PushFrames` requests accepted.
-    pub pushes: u64,
+    pushes: "orco_pushes_total" = stats.pushes,
     /// `PullDecoded` requests served.
-    pub pulls: u64,
+    pulls: "orco_pulls_total" = stats.pulls,
     /// Pushes rejected with `Busy` (backpressure events).
-    pub busy_rejections: u64,
+    busy_rejections: "orco_busy_rejections_total" = stats.busy_rejections,
     /// Micro-batches flushed (each is ONE `encode_batch` call).
-    pub batches: u64,
+    batches: "orco_batches_total" = stats.batches,
     /// Flushes triggered by the batch reaching `batch_max_frames`.
-    pub size_flushes: u64,
+    size_flushes: "orco_flushes_total{reason=\"size\"}" = stats.flushes_for(FlushReason::Size),
     /// Flushes forced by the batch deadline.
-    pub deadline_flushes: u64,
+    deadline_flushes: "orco_flushes_total{reason=\"deadline\"}" = stats.flushes_for(FlushReason::Deadline),
     /// Read-your-writes flushes triggered by a puller's own pending rows.
-    pub pull_flushes: u64,
+    pull_flushes: "orco_flushes_total{reason=\"pull\"}" = stats.flushes_for(FlushReason::Pull),
     /// Flushes performed while draining for shutdown.
-    pub drain_flushes: u64,
+    drain_flushes: "orco_flushes_total{reason=\"drain\"}" = stats.flushes_for(FlushReason::Drain),
     /// Flushes forced by a codec hot-swap cutover boundary.
-    pub swap_flushes: u64,
+    swap_flushes: "orco_flushes_total{reason=\"swap\"}" = stats.flushes_for(FlushReason::Swap),
     /// Rows of the largest single flush — evidence of micro-batching.
-    pub max_batch_rows: u64,
+    max_batch_rows: "orco_max_batch_rows" = stats.max_batch_rows,
     /// Rows currently pending in micro-batchers (gauge).
-    pub queue_depth: u64,
+    queue_depth: "orco_queue_depth" = stats.queue_depth,
     /// Encoded rows stored awaiting a pull (gauge).
-    pub stored_codes: u64,
+    stored_codes: "orco_stored_codes" = stats.stored_codes,
     /// Decoded rows delivered via streaming subscriptions.
-    pub streamed_rows: u64,
+    streamed_rows: "orco_streamed_rows_total" = stats.streamed_rows,
     /// Pushes bounced with a `Redirect` to the cluster's current owner.
-    pub redirects: u64,
+    redirects: "orco_redirects_total" = stats.redirects,
     /// Id of the model version currently encoding flushes (gauge).
-    pub active_version: u64,
+    active_version: "orco_active_model_version" = stats.active_version,
     /// Times the drift monitor tripped on decoded-sample error.
-    pub drift_trips: u64,
+    drift_trips: "orco_drift_trips_total" = stats.drift_trips,
     /// Codec hot-swaps completed (activations that took effect).
-    pub swaps: u64,
+    swaps: "orco_model_swaps_total" = stats.swaps,
     /// Guard-triggered rollbacks to the prior model version.
-    pub rollbacks: u64,
-    /// Whether the drift monitor currently flags the active model.
-    pub drift: bool,
-    /// Median flush latency, seconds (0 when nothing flushed).
-    pub batch_latency_p50_s: f64,
-    /// 99th-percentile flush latency, seconds (0 when nothing flushed).
-    pub batch_latency_p99_s: f64,
-    /// Per-shard counter rows, one per shard in shard order.
-    pub per_shard: Vec<ShardRow>,
-}
-
-impl StatsSnapshot {
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        assert!(
-            self.per_shard.len() == usize::from(self.shards) && self.per_shard.len() <= MAX_SHARDS,
-            "snapshot per-shard rows must match the shard count (≤ MAX_SHARDS)"
-        );
-        put_u16(out, self.shards);
-        put_u64(out, self.frames_in);
-        put_u64(out, self.frames_out);
-        put_u64(out, self.bytes_in);
-        put_u64(out, self.bytes_out);
-        put_u64(out, self.pushes);
-        put_u64(out, self.pulls);
-        put_u64(out, self.busy_rejections);
-        put_u64(out, self.batches);
-        put_u64(out, self.size_flushes);
-        put_u64(out, self.deadline_flushes);
-        put_u64(out, self.pull_flushes);
-        put_u64(out, self.drain_flushes);
-        put_u64(out, self.swap_flushes);
-        put_u64(out, self.max_batch_rows);
-        put_u64(out, self.queue_depth);
-        put_u64(out, self.stored_codes);
-        put_u64(out, self.streamed_rows);
-        put_u64(out, self.redirects);
-        put_u64(out, self.active_version);
-        put_u64(out, self.drift_trips);
-        put_u64(out, self.swaps);
-        put_u64(out, self.rollbacks);
-        out.push(u8::from(self.drift));
-        put_f64(out, self.batch_latency_p50_s);
-        put_f64(out, self.batch_latency_p99_s);
-        for row in &self.per_shard {
-            put_u64(out, row.frames_in);
-            put_u64(out, row.frames_out);
-            put_u64(out, row.batches);
-        }
-    }
-
-    pub(crate) fn decode_from(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
-        let shards = cur.u16()?;
-        if usize::from(shards) > MAX_SHARDS {
-            return Err(WireError::Corrupt { detail: "snapshot shard count exceeds MAX_SHARDS" });
-        }
-        let mut snap = Self {
-            shards,
-            frames_in: cur.u64()?,
-            frames_out: cur.u64()?,
-            bytes_in: cur.u64()?,
-            bytes_out: cur.u64()?,
-            pushes: cur.u64()?,
-            pulls: cur.u64()?,
-            busy_rejections: cur.u64()?,
-            batches: cur.u64()?,
-            size_flushes: cur.u64()?,
-            deadline_flushes: cur.u64()?,
-            pull_flushes: cur.u64()?,
-            drain_flushes: cur.u64()?,
-            swap_flushes: cur.u64()?,
-            max_batch_rows: cur.u64()?,
-            queue_depth: cur.u64()?,
-            stored_codes: cur.u64()?,
-            streamed_rows: cur.u64()?,
-            redirects: cur.u64()?,
-            active_version: cur.u64()?,
-            drift_trips: cur.u64()?,
-            swaps: cur.u64()?,
-            rollbacks: cur.u64()?,
-            drift: match cur.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::Corrupt { detail: "drift flag is not 0 or 1" }),
-            },
-            batch_latency_p50_s: cur.f64()?,
-            batch_latency_p99_s: cur.f64()?,
-            per_shard: Vec::with_capacity(usize::from(shards)),
-        };
-        for _ in 0..shards {
-            snap.per_shard.push(ShardRow {
-                frames_in: cur.u64()?,
-                frames_out: cur.u64()?,
-                batches: cur.u64()?,
-            });
-        }
-        Ok(snap)
-    }
+    rollbacks: "orco_model_rollbacks_total" = stats.rollbacks,
 }
 
 #[cfg(test)]
