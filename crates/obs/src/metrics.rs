@@ -110,9 +110,9 @@ const BUCKETS: usize = 64;
 
 /// A fixed-size histogram over nanosecond durations, bucketed by
 /// `floor(log2(ns))` (zero lands in bucket 0). Unlike a reservoir of
-/// samples it never decimates, so the full distribution survives — the
-/// p50/p99 reservoir in the serving layer stays as the compatibility
-/// read while this carries the shape.
+/// samples it never decimates, so the full distribution survives; the
+/// serving layer's p50/p99 are read off it with
+/// [`HistogramSnapshot::quantile_ns`].
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -198,6 +198,30 @@ impl HistogramSnapshot {
         } else {
             (2u64 << i) - 1
         }
+    }
+
+    /// The `q`-quantile (`q` clamped to `[0, 1]`), resolved to a bucket:
+    /// the inclusive upper bound of the bucket holding the sample of
+    /// 0-based rank `round((n - 1) · q)` — the nearest-rank convention
+    /// of `orco_wsn::accounting::percentile_of_sorted`. 0 when empty.
+    /// A bucket spans `[2^i, 2^(i+1) - 1]`, so the result over-estimates
+    /// the exact order statistic by less than 2×, and never
+    /// under-estimates it.
+    #[must_use]
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        // Ranked over the bucket sum, not `count`: a snapshot racing a
+        // record may see the two differ by one.
+        let n: u64 = self.buckets.iter().sum();
+        if n == 0 {
+            return 0;
+        }
+        let rank = ((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
+        let mut below = 0u64;
+        let bucket = self.buckets.iter().position(|&c| {
+            below += c;
+            below > rank
+        });
+        Self::upper_bound_ns(bucket.unwrap_or(BUCKETS - 1))
     }
 }
 
@@ -331,6 +355,26 @@ mod tests {
         assert_eq!(HistogramSnapshot::upper_bound_ns(1), 3);
         assert_eq!(HistogramSnapshot::upper_bound_ns(10), 2047);
         assert_eq!(HistogramSnapshot::upper_bound_ns(63), u64::MAX);
+    }
+
+    #[test]
+    fn quantile_is_the_nearest_rank_buckets_upper_bound() {
+        assert_eq!(Histogram::new().snapshot().quantile_ns(0.5), 0, "empty reads 0");
+        let h = Histogram::new();
+        for ns in [5, 6, 7, 100, 1000] {
+            h.record_ns(ns); // buckets 2, 2, 2, 6, 9
+        }
+        let s = h.snapshot();
+        assert_eq!(s.quantile_ns(0.0), 7);
+        assert_eq!(s.quantile_ns(0.5), 7, "rank 2 of 0..=4 is the third sample");
+        assert_eq!(s.quantile_ns(0.75), 127, "rank 3 is the 100 ns sample: [64, 127]");
+        assert_eq!(s.quantile_ns(1.0), 1023);
+        assert_eq!(s.quantile_ns(7.0), 1023, "q clamps, never panics");
+        // Never below the exact order statistic, and less than twice it.
+        for (q, exact) in [(0.0, 5u64), (0.5, 7), (0.75, 100), (1.0, 1000)] {
+            let got = s.quantile_ns(q);
+            assert!(exact <= got && got < 2 * exact, "q {q}: {got} vs {exact}");
+        }
     }
 
     #[test]

@@ -364,7 +364,7 @@ impl Gateway {
     /// The metrics text exposition (also served over the wire via
     /// [`Message::MetricsRequest`]). Byte-stable under a manual clock:
     /// series render in a fixed order with integer values except the two
-    /// compatibility percentiles.
+    /// latency percentiles.
     #[must_use]
     pub fn metrics_text(&self) -> String {
         let mut reg = Registry::new();

@@ -5,12 +5,10 @@
 //! lock-free [`Counter`]s for the hot-path tallies, [`Gauge`]s that
 //! clamp at zero instead of wrapping (a pull racing a flush recording
 //! can momentarily read low, never ~`u64::MAX`), a log2-bucketed
-//! [`Histogram`] carrying the full flush-latency distribution, and a
-//! per-shard counter row so hot-shard skew is visible. The bounded
-//! sorted-on-insert latency ledger stays as the compatibility read:
-//! p50/p99 come from the same [`percentile_of_sorted`] convention as
-//! the WSN simulator's delivery latencies, so percentiles mean the same
-//! thing across every report in the workspace.
+//! [`Histogram`] carrying the full flush-latency distribution (the
+//! snapshot's p50/p99 are read off it, as bucket upper bounds), and a
+//! per-shard counter row so hot-shard skew is visible. Nothing here
+//! takes a lock.
 //!
 //! A [`StatsSnapshot`] is the registry frozen at one instant; it travels
 //! in [`crate::protocol::Message::StatsReply`] (and piggybacked on
@@ -19,10 +17,7 @@
 //! a pure function of the message schedule — byte-identical across runs
 //! and thread counts.
 
-use std::sync::Mutex;
-
 use orco_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
-use orco_wsn::accounting::percentile_of_sorted;
 
 use crate::protocol::{codec, wire_struct, Cursor, Wire, WireError};
 
@@ -111,51 +106,6 @@ pub struct ServeStats {
     drift: Gauge,
     per_shard: Vec<ShardCounters>,
     flush_latency: Histogram,
-    latencies: Mutex<LatencyLedger>,
-}
-
-/// Cap on retained latency samples: the ledger must stay bounded on a
-/// gateway that flushes forever (same pillar as the bounded queues).
-const LATENCY_SAMPLE_CAP: usize = 4096;
-
-/// Bounded flush-latency ledger. Samples are kept ascending-sorted on
-/// insert (the `TrafficAccounting` convention, O(1) percentile reads);
-/// when the cap is reached the sorted sample is decimated to every other
-/// order statistic — which preserves the distribution's shape — and the
-/// recording stride doubles, so memory and insert cost stay O(cap) no
-/// matter how long the gateway runs. The policy is a pure function of the
-/// flush sequence, so determinism under the loopback transport survives.
-#[derive(Debug, Default)]
-struct LatencyLedger {
-    /// Retained per-flush latencies (oldest frame's enqueue → flush),
-    /// ascending.
-    samples: Vec<f64>,
-    /// Record every `stride`-th flush (doubles at each decimation).
-    stride: u64,
-    /// Flushes observed (drives the stride phase).
-    seen: u64,
-}
-
-impl LatencyLedger {
-    fn record(&mut self, latency_s: f64) {
-        if self.stride == 0 {
-            self.stride = 1;
-        }
-        self.seen += 1;
-        if !self.seen.is_multiple_of(self.stride) {
-            return;
-        }
-        let idx = self.samples.partition_point(|v| *v <= latency_s);
-        self.samples.insert(idx, latency_s);
-        if self.samples.len() >= LATENCY_SAMPLE_CAP {
-            let mut keep = false;
-            self.samples.retain(|_| {
-                keep = !keep;
-                keep
-            });
-            self.stride *= 2;
-        }
-    }
 }
 
 impl ServeStats {
@@ -203,7 +153,6 @@ impl ServeStats {
         self.stored_codes.add(rows);
         self.shard(shard).batches.inc();
         self.flush_latency.record_secs(latency_s);
-        self.latencies.lock().expect("stats lock").record(latency_s);
     }
 
     /// Records a pull from `shard` that returned `rows` decoded frames
@@ -261,7 +210,7 @@ impl ServeStats {
     }
 
     /// The full flush-latency distribution (the p50/p99 snapshot fields
-    /// are the bounded-ledger compatibility read; this is the shape).
+    /// are two quantiles of it).
     #[must_use]
     pub fn flush_latency_histogram(&self) -> HistogramSnapshot {
         self.flush_latency.snapshot()
@@ -301,9 +250,12 @@ macro_rules! snapshot_table {
             $( $(#[$meta])* pub $name: u64, )+
             /// Whether the drift monitor currently flags the active model.
             pub drift: bool,
-            /// Median flush latency, seconds (0 when nothing flushed).
+            /// Median flush latency, seconds (0 when nothing flushed): the
+            /// upper bound of the median's log2 histogram bucket, so at
+            /// most 2× the exact value and never below it.
             pub batch_latency_p50_s: f64,
-            /// 99th-percentile flush latency, seconds (0 when nothing flushed).
+            /// 99th-percentile flush latency, seconds (0 when nothing
+            /// flushed), bucket-bounded like the median.
             pub batch_latency_p99_s: f64,
             /// Per-shard counter rows, one per shard in shard order.
             pub per_shard: Vec<ShardRow>,
@@ -363,13 +315,13 @@ macro_rules! snapshot_table {
             #[must_use]
             pub fn snapshot(&self) -> StatsSnapshot {
                 let $stats = self;
-                let lats = self.latencies.lock().expect("stats lock");
+                let latency = self.flush_latency.snapshot();
                 StatsSnapshot {
                     shards: self.shards,
                     $( $name: $cell.get(), )+
                     drift: self.drift.get() != 0,
-                    batch_latency_p50_s: percentile_of_sorted(&lats.samples, 0.5),
-                    batch_latency_p99_s: percentile_of_sorted(&lats.samples, 0.99),
+                    batch_latency_p50_s: latency.quantile_ns(0.5) as f64 / 1e9,
+                    batch_latency_p99_s: latency.quantile_ns(0.99) as f64 / 1e9,
                     per_shard: self
                         .per_shard
                         .iter()
@@ -481,7 +433,7 @@ mod tests {
         assert_eq!(snap.stored_codes, 0);
         assert_eq!(snap.frames_out, 6);
         assert_eq!(snap.max_batch_rows, 6);
-        assert_eq!(snap.batch_latency_p50_s, 0.010);
+        assert_eq!(snap.batch_latency_p50_s, 0.016_777_215, "the 10 ms sample's bucket bound");
     }
 
     #[test]
@@ -572,35 +524,45 @@ mod tests {
         assert!(text.contains("orco_model_rollbacks_total 1"), "scrape:\n{text}");
     }
 
-    #[test]
-    fn latency_ledger_stays_bounded() {
-        let s = ServeStats::new(1);
-        for i in 0..(LATENCY_SAMPLE_CAP as u64 * 6) {
-            s.record_flush(0, 1, (i % 1000) as f64 * 0.001, FlushReason::Size);
-        }
-        let lats = s.latencies.lock().unwrap();
-        assert!(lats.samples.len() < LATENCY_SAMPLE_CAP, "ledger must stay under the cap");
-        assert!(lats.stride > 1, "stride must grow after decimation");
-        drop(lats);
-        // Percentiles still reflect the (uniform 0..1s) distribution.
-        let snap = s.snapshot();
-        assert!((snap.batch_latency_p50_s - 0.5).abs() < 0.05, "p50 {}", snap.batch_latency_p50_s);
-        assert!((snap.batch_latency_p99_s - 0.99).abs() < 0.05, "p99 {}", snap.batch_latency_p99_s);
-        // The histogram keeps every sample (no decimation): full count.
-        assert_eq!(s.flush_latency_histogram().count, LATENCY_SAMPLE_CAP as u64 * 6);
+    /// `exact ≤ got < 2 · exact`: what a log2 bucket's upper bound
+    /// promises about the order statistic it stands in for.
+    fn assert_bucket_bounds(got_s: f64, exact_s: f64, what: &str) {
+        assert!(exact_s <= got_s && got_s < 2.0 * exact_s, "{what}: {got_s} vs exact {exact_s}");
     }
 
     #[test]
-    fn latency_percentiles_follow_wsn_convention() {
+    fn latency_percentiles_survive_a_long_run_undecimated() {
         let s = ServeStats::new(1);
-        for i in 1..=100 {
-            let reason = if i % 10 == 0 { FlushReason::Deadline } else { FlushReason::Size };
-            s.record_flush(0, 1, f64::from(i) * 0.001, reason);
+        let flushes = 4096 * 6;
+        for i in 0..flushes {
+            s.record_flush(0, 1, (i % 1000) as f64 * 0.001, FlushReason::Size);
+        }
+        // The (uniform 0..1 s) distribution's p50 and p99 are 0.5 s and
+        // 0.99 s; both fall in the [2^29, 2^30) ns bucket.
+        let snap = s.snapshot();
+        assert_bucket_bounds(snap.batch_latency_p50_s, 0.5, "p50");
+        assert_bucket_bounds(snap.batch_latency_p99_s, 0.99, "p99");
+        assert_eq!(snap.batch_latency_p99_s, 1.073_741_823);
+        // The histogram is a fixed 64-bucket array that keeps every
+        // sample: full count, however long the gateway runs.
+        assert_eq!(s.flush_latency_histogram().count, flushes);
+    }
+
+    #[test]
+    fn latency_percentiles_bound_the_wsn_convention_order_statistics() {
+        let s = ServeStats::new(1);
+        let samples: Vec<f64> = (1..=100).map(|i| f64::from(i) * 0.001).collect();
+        for (i, &latency_s) in samples.iter().enumerate() {
+            let reason = if (i + 1) % 10 == 0 { FlushReason::Deadline } else { FlushReason::Size };
+            s.record_flush(0, 1, latency_s, reason);
         }
         let snap = s.snapshot();
         assert_eq!(snap.deadline_flushes, 10);
-        assert!((snap.batch_latency_p50_s - 0.050).abs() < 0.0015);
-        assert!((snap.batch_latency_p99_s - 0.099).abs() < 0.0015);
+        // The exact order statistics the WSN simulator's ledgers report
+        // (51 ms and 99 ms) are the reference the buckets must bound.
+        let exact = |q| orco_wsn::accounting::percentile_of_sorted(&samples, q);
+        assert_bucket_bounds(snap.batch_latency_p50_s, exact(0.5), "p50");
+        assert_bucket_bounds(snap.batch_latency_p99_s, exact(0.99), "p99");
     }
 
     #[test]

@@ -246,11 +246,12 @@ impl TrafficAccounting {
 
 /// Nearest-rank percentile over an ascending-sorted sample (0 if empty).
 ///
-/// Public because every latency ledger in the workspace uses the same
-/// convention: [`TrafficAccounting`] here and the serving layer's batch
-/// latency registry (`orco-serve`) keep their samples ascending-sorted on
-/// insert and report p50/p99 through this one function, so percentiles
-/// never drift between reports.
+/// Public because every latency percentile in the workspace uses the
+/// same rank convention: [`TrafficAccounting`] here reports p50/p99
+/// through this function, and the serving layer's flush-latency
+/// histogram (`orco_obs::HistogramSnapshot::quantile_ns`) resolves the
+/// same rank to a bucket bound, so percentiles never drift between
+/// reports.
 ///
 /// # Panics
 ///
