@@ -39,9 +39,10 @@
 //! string panics at `encode` (a bug in this program) and is a
 //! [`WireError::Corrupt`] at `decode` (hostile input).
 //!
-//! **Adding a message** is one table row here plus one golden row in
-//! `tests/wire_golden.rs` (which fails until the new id is pinned) —
-//! nothing else.
+//! **Adding a message** is one table row here. Two tests then fail
+//! until the new type is exercised: `tests/wire_golden.rs` wants one
+//! golden row pinning its bytes, and `tests/protocol_roundtrip.rs` one
+//! arm in its message generator. Nothing else needs to know.
 
 use std::fmt;
 use std::io::{self, Read};
@@ -1063,6 +1064,63 @@ mod tests {
             Message::decode(&frame),
             Err(WireError::Oversized { declared: u32::MAX as usize })
         );
+    }
+
+    #[test]
+    fn one_byte_past_each_types_bound_is_oversized_before_any_payload_is_read() {
+        let header_declaring = |id: u16, declared: usize| {
+            let mut header = Message::Shutdown.encode();
+            header[6..8].copy_from_slice(&id.to_le_bytes());
+            header[8..12].copy_from_slice(&(declared as u32).to_le_bytes());
+            header
+        };
+        for &(id, kind) in Message::TYPES {
+            let cap = Message::max_payload_of(id).expect("a declared type has a bound");
+            let header = header_declaring(id, cap + 1);
+            let oversized = WireError::Oversized { declared: cap + 1 };
+            assert_eq!(Message::decode(&header), Err(oversized.clone()), "{kind}");
+            // The stream reader refuses at the header: the reader below
+            // holds no payload, so reaching for one would be an I/O error.
+            let mut buf = Vec::new();
+            match read_frame(&mut io::Cursor::new(header), &mut buf).expect("no payload read") {
+                FrameRead::Malformed(e) => assert_eq!(e, oversized, "{kind}"),
+                other => panic!("{kind}: {other:?}"),
+            }
+            // ... and the bound itself is accepted by the header check.
+            assert_eq!(parse_header(&header_declaring(id, cap)), Ok((id, cap)), "{kind}");
+        }
+    }
+
+    #[test]
+    fn worst_case_legal_messages_fill_their_computed_bound_exactly() {
+        let label = || "v".repeat(MAX_LABEL);
+        let version = |id| ModelVersion { id, label: label(), frame_dim: 784, code_dim: 32 };
+        let snapshot = StatsSnapshot {
+            shards: crate::stats::MAX_SHARDS as u16,
+            per_shard: vec![crate::stats::ShardRow::default(); crate::stats::MAX_SHARDS],
+            ..StatsSnapshot::default()
+        };
+        for msg in [
+            Message::DirectoryReply {
+                epoch: 1,
+                members: (0..MAX_MEMBERS as u64)
+                    .map(|id| GatewayEntry { id, addr: "a".repeat(MAX_ADDR) })
+                    .collect(),
+            },
+            Message::VersionReply {
+                active: version(3),
+                staged: Some(version(4)),
+                prior: Some(version(2)),
+                rollbacks: 1,
+                drift: true,
+            },
+            Message::StatsReply(snapshot),
+        ] {
+            let frame = msg.encode();
+            let cap = Message::max_payload_of(msg.wire_type().0).expect("declared type");
+            assert_eq!(frame.len() - HEADER_LEN, cap, "{}", msg.kind());
+            assert_eq!(Message::decode(&frame).as_ref(), Ok(&msg), "{}", msg.kind());
+        }
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! bit-identically, and every malformed frame is rejected with a typed
 //! [`WireError`] — never a panic, never a silent misparse.
 
+use std::collections::BTreeSet;
+
 use orco_serve::protocol::{Message, HEADER_LEN};
 use orco_serve::{
     ErrorCode, GatewayEntry, GatewayStats, ModelVersion, ShardRow, StatsSnapshot, WireError,
@@ -329,5 +331,21 @@ proptest! {
         frame.extend_from_slice(&extra);
         let err = Message::decode(&frame).expect_err("trailing bytes must not decode");
         prop_assert!(matches!(err, WireError::LengthMismatch { .. }), "got {:?}", err);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// The generator above is what gives the other properties their
+    /// reach, so it must produce every message the protocol declares: a
+    /// row added to the message table fails here until `any_message()`
+    /// learns to build it.
+    #[test]
+    fn the_generator_covers_every_message_type(msgs in prop::collection::vec(any_message(), 2048)) {
+        let produced: BTreeSet<&str> = msgs.iter().map(Message::kind).collect();
+        for &(id, kind) in Message::TYPES {
+            prop_assert!(produced.contains(kind), "any_message() never produced {} (type {})", kind, id);
+        }
     }
 }

@@ -13,7 +13,9 @@
 //! may edit this file's imports, never its constants.
 
 use orco_serve::protocol::{Message, HEADER_LEN};
-use orco_serve::{ErrorCode, GatewayEntry, GatewayStats, ModelVersion, ShardRow, StatsSnapshot};
+use orco_serve::{
+    ErrorCode, GatewayEntry, GatewayStats, ModelVersion, ShardRow, StatsSnapshot, WireError,
+};
 use orco_tensor::{fnv1a64, Matrix};
 
 /// A matrix whose every element differs (and is not an integer, so its
@@ -218,10 +220,39 @@ fn every_golden_frame_decodes_back_to_its_instance() {
     }
 }
 
+/// What the retired `wire-exhaustive` lint asked of a comment, asked of
+/// the bytes: every message type the table declares has a pinned image.
+/// A new table row fails here until its golden row is added.
 #[test]
-fn the_golden_rows_cover_wire_ids_1_to_32() {
-    let mut ids: Vec<u16> = GOLDEN.iter().map(|&(id, _, _)| id).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids, (1..=32).collect::<Vec<u16>>());
+fn every_declared_message_type_has_a_golden_row() {
+    let pinned: Vec<(u16, &str)> = instances()
+        .iter()
+        .zip(&GOLDEN)
+        .map(|(msg, &(id, _, _))| {
+            assert_eq!(wire_id(&msg.encode()), id, "{}: header bytes 6..8", msg.kind());
+            (id, msg.kind())
+        })
+        .collect();
+    for row in Message::TYPES {
+        assert!(pinned.contains(row), "message type {row:?} has no golden row");
+    }
+}
+
+/// One byte too many *inside* the payload (the header's length field
+/// patched to cover it) is a typed error for every message: past the
+/// type's bound, or trailing bytes after the last field — never `Ok`.
+#[test]
+fn a_byte_appended_inside_the_payload_is_a_typed_error() {
+    for msg in instances() {
+        let mut frame = msg.encode();
+        frame.push(0);
+        let declared = (frame.len() - HEADER_LEN) as u32;
+        frame[8..12].copy_from_slice(&declared.to_le_bytes());
+        let err = Message::decode(&frame).expect_err("an overlong payload must not decode");
+        assert!(
+            matches!(err, WireError::Oversized { .. } | WireError::Corrupt { .. }),
+            "{}: {err:?}",
+            msg.kind()
+        );
+    }
 }
