@@ -143,6 +143,24 @@ fn unsubscribe_stops_the_stream_and_rows_fall_back_to_pulls() {
         pulled += c.pull(CLUSTER, 4).expect("pull").rows();
     }
     assert_eq!(pulled, 4, "exactly the post-unsubscribe rows are stored");
+
+    // A subscriber whose connection is dropped, with no `Unsubscribe`,
+    // ends its subscription the same way: later rows stay stored ...
+    let transport = Loopback::new(gateway());
+    let mut pusher = Client::connect(&transport).expect("connects");
+    let mut gone = Client::connect(&transport).expect("connects");
+    gone.subscribe(CLUSTER).expect("subscribe");
+    pusher.push(CLUSTER, frames(4, 7).as_view()).expect("push");
+    assert_eq!(recv_rows(&mut gone, 4).rows(), 4);
+    drop(gone);
+    pusher.push(CLUSTER, frames(8, 8).as_view()).expect("push");
+    // ... are pullable ...
+    assert_eq!(pusher.pull(CLUSTER, 3).expect("pull").rows(), 3);
+    // ... and the rest reach a second subscriber as its backlog.
+    let mut second = Client::connect(&transport).expect("connects");
+    assert_eq!(second.subscribe(CLUSTER).expect("subscribe"), 5);
+    assert_eq!(recv_rows(&mut second, 5).rows(), 5);
+    assert_eq!(pusher.pull(CLUSTER, 8).expect("pull").rows(), 0, "delivered rows are not stored");
 }
 
 /// Per-cluster FIFO on the streamed path under concurrent pumps. One
@@ -214,4 +232,171 @@ fn streamed_rows_keep_push_order_under_concurrent_pumps() {
             );
         }
     }
+}
+
+/// What one cluster's subscriber received over the pinned schedule.
+#[derive(Debug, Default, PartialEq)]
+struct Streamed {
+    rows: usize,
+    /// `fnv1a64` of the rows' bit patterns (little-endian), in arrival
+    /// order.
+    bits: u64,
+    /// The version tag of every row as `(version, consecutive rows)`
+    /// runs, so the pin does not depend on where one delivery ends and
+    /// the next begins.
+    versions: Vec<(u64, usize)>,
+}
+
+fn le_bytes(values: &[f32]) -> Vec<u8> {
+    values.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect()
+}
+
+/// Golden values of the streamed path: one thread, a manual clock, and a
+/// fixed schedule over three subscribed clusters on two shards (and one
+/// unsubscribed neighbour) that takes a flush for every reason — size, a
+/// deadline sweep through `advance_clock`, a sweep inside the dispatch
+/// whose push then size-flushes the same shard, a pull-triggered flush,
+/// the swap flush of a mid-stream rollout, a backlog that spans the two
+/// model versions, `unsubscribe`, and the drain of `shutdown`.
+///
+/// Pinned per cluster, and the trace export as *sorted* lines: a
+/// cluster's rows in push order and their version tags are the streamed
+/// path's contract (clients key on `cluster_id`); how the deliveries of
+/// different clusters — or of different shards under one sweep —
+/// interleave on a connection is not, and neither is how many
+/// `StreamFrames` carry a run of rows. The constants were measured on
+/// the stream pump and the per-shard flushers, before delivery moved
+/// into the shard's flush; a change to the gateway may edit this test's
+/// imports and comments, never its constants.
+#[test]
+fn a_fixed_streamed_schedule_matches_its_golden_values() {
+    use orco_serve::scenarios::codec_config;
+    use orco_serve::{Message, ModelVersion};
+    use orco_tensor::fnv1a64;
+
+    const WIDTH: usize = 32;
+    // A, B and C subscribe; NEIGHBOUR shares A's shard and never does.
+    const A: u64 = 3;
+    const B: u64 = 19;
+    const C: u64 = 42;
+    const NEIGHBOUR: u64 = 7;
+
+    let cfg = codec_config(11);
+    let gw = Arc::new(
+        Gateway::new(
+            GatewayConfig { shards: 2, batch_max_frames: 6, ..GatewayConfig::default() },
+            Clock::manual(Duration::from_micros(100)),
+            |_| Box::new(AsymmetricAutoencoder::new(&cfg).expect("valid config")) as Box<dyn Codec>,
+        )
+        .expect("valid gateway"),
+    );
+    assert_eq!([A, B, C, NEIGHBOUR].map(|c| gw.shard_of(c)), [0, 0, 1, 0]);
+    let mut c = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("connects");
+    c.hello(1).expect("hello");
+    let mut rng = OrcoRng::from_seed_u64(0x57EA);
+    let mut push = |c: &mut Client<_>, cluster: u64, rows: usize| {
+        let frames = Matrix::from_fn(rows, WIDTH, |_, _| rng.uniform(0.0, 1.0));
+        let outcome = c.push(cluster, frames.as_view()).expect("push");
+        assert_eq!(outcome, PushOutcome::Accepted(rows as u32));
+    };
+    let past_the_deadline = Duration::from_millis(6);
+
+    assert_eq!(c.subscribe(A).expect("subscribe"), 0);
+    assert_eq!(c.subscribe(C).expect("subscribe"), 0);
+    // B subscribes late; until then its rows wait in the store.
+    push(&mut c, B, 6); // a size flush
+    push(&mut c, B, 1);
+    push(&mut c, A, 3);
+    push(&mut c, C, 2);
+    // One sweep flushes both shards: A and C stream, B's row is stored.
+    gw.advance_clock(past_the_deadline);
+    push(&mut c, C, 7);
+    // Time passes unswept, so the next dispatch flushes shard 0 twice:
+    // the sweep takes A's overdue rows, then the push fills a batch.
+    push(&mut c, A, 2);
+    gw.clock().advance(past_the_deadline);
+    push(&mut c, A, 6);
+    // A pull for the neighbour flushes the batch it shares with A.
+    push(&mut c, A, 1);
+    push(&mut c, NEIGHBOUR, 2);
+    let pulled_neighbour = c.pull(NEIGHBOUR, 8).expect("pull");
+    // A rollout mid-stream: what is pending flushes under version 0.
+    push(&mut c, A, 2);
+    push(&mut c, B, 1);
+    push(&mut c, C, 3);
+    let donor = AsymmetricAutoencoder::new(&codec_config(99))
+        .expect("valid config")
+        .checkpoint()
+        .expect("autoencoder codecs checkpoint");
+    let v1 = ModelVersion { id: 1, label: "retrain-99".into(), frame_dim: 32, code_dim: 8 };
+    c.propose_rollout(v1, &donor).expect("propose");
+    c.activate_version(1).expect("activate");
+    push(&mut c, A, 6);
+    push(&mut c, B, 6);
+    // B's backlog spans the swap: 8 rows of version 0, then 6 of version 1.
+    assert_eq!(c.subscribe(B).expect("subscribe"), 14);
+    push(&mut c, C, 1);
+    push(&mut c, B, 2);
+    gw.advance_clock(past_the_deadline);
+    // Unsubscribed, A's rows wait for a pull again.
+    c.unsubscribe(A).expect("unsubscribe");
+    push(&mut c, A, 6);
+    let (pulled_a_version, pulled_a) = c.pull_versioned(A, 8).expect("pull");
+    // Shutdown drains what is pending to the subscribers that remain.
+    push(&mut c, B, 1);
+    push(&mut c, C, 2);
+    c.shutdown().expect("shutdown");
+
+    let mut streamed = [A, B, C].map(|cluster| (cluster, Streamed::default(), Vec::new()));
+    while let Some((cluster, version, frames)) =
+        c.recv_streamed_versioned(Duration::ZERO).expect("stream healthy")
+    {
+        let (_, got, bytes) =
+            streamed.iter_mut().find(|(c, ..)| *c == cluster).expect("a subscribed cluster");
+        got.rows += frames.rows();
+        bytes.extend(le_bytes(frames.as_slice()));
+        match got.versions.last_mut() {
+            Some((v, n)) if *v == version => *n += frames.rows(),
+            _ => got.versions.push((version, frames.rows())),
+        }
+    }
+    let streamed =
+        streamed.map(|(cluster, got, bytes)| (cluster, Streamed { bits: fnv1a64(&bytes), ..got }));
+    let golden = |rows, bits, versions: &[_]| Streamed { rows, bits, versions: versions.to_vec() };
+    assert_eq!(
+        streamed,
+        [
+            (A, golden(20, 0xa148_8953_1573_fb99, &[(0, 14), (1, 6)])),
+            (B, golden(17, 0xaa6f_c5ac_ec1f_4395, &[(0, 8), (1, 9)])),
+            (C, golden(15, 0x8124_7ad0_f44f_48a6, &[(0, 12), (1, 3)])),
+        ]
+    );
+    assert_eq!(
+        (pulled_neighbour.rows(), fnv1a64(&le_bytes(pulled_neighbour.as_slice()))),
+        (2, 0xc12b_5557_f30c_cc67)
+    );
+    assert_eq!(
+        (pulled_a_version, pulled_a.rows(), fnv1a64(&le_bytes(pulled_a.as_slice()))),
+        (1, 6, 0xd9c8_1633_f9c3_1a95)
+    );
+
+    let snap = gw.stats();
+    assert_eq!((snap.frames_in, snap.frames_out, snap.streamed_rows), (60, 60, 52));
+    assert_eq!(
+        [
+            snap.size_flushes,
+            snap.deadline_flushes,
+            snap.pull_flushes,
+            snap.swap_flushes,
+            snap.drain_flushes
+        ],
+        [6, 5, 1, 2, 2]
+    );
+    let stats = gw.handle(Message::StatsRequest).encode();
+    assert_eq!((stats.len(), fnv1a64(&stats)), (255, 0x67ed_947a_a7fd_a3cc));
+
+    let export = gw.trace_export();
+    let mut trace: Vec<&str> = export.lines().collect();
+    trace.sort_unstable();
+    assert_eq!((trace.len(), fnv1a64(trace.join("\n").as_bytes())), (99, 0x6b58_a46b_500e_6503));
 }

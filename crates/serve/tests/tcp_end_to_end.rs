@@ -140,3 +140,61 @@ fn shutdown_on_a_subscribed_connection_is_acked() {
         server.join();
     }
 }
+
+/// Deadlines are kept on every shard with no traffic to sweep them: one
+/// frame parked on each of four shards, below the size threshold, and
+/// nothing sent afterwards. Only the server's own timekeeping can flush
+/// them to the subscribed connection — a few `batch_deadline`s later; the
+/// patience is for a busy host.
+#[test]
+fn parked_frames_on_every_shard_are_streamed_with_no_further_traffic() {
+    const SHARDS: usize = 4;
+    let config = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_seed(5);
+    let gateway = Arc::new(
+        Gateway::new(
+            GatewayConfig {
+                shards: SHARDS,
+                batch_max_frames: 8,
+                batch_deadline: Duration::from_millis(5),
+                ..GatewayConfig::default()
+            },
+            Clock::real(),
+            |_| {
+                Box::new(AsymmetricAutoencoder::new(&config).expect("valid config"))
+                    as Box<dyn Codec>
+            },
+        )
+        .expect("valid gateway"),
+    );
+    let server = TcpServer::spawn(Arc::clone(&gateway), "127.0.0.1:0").expect("binds");
+    let transport = Tcp::new(server.local_addr().to_string());
+    // The first cluster id each shard serves.
+    let clusters: Vec<u64> = (0..SHARDS)
+        .map(|shard| (1..).find(|&c| gateway.shard_of(c) == shard).expect("every shard reachable"))
+        .collect();
+
+    let mut subscriber = Client::connect(&transport).expect("connects");
+    for &cluster in &clusters {
+        assert_eq!(subscriber.subscribe(cluster).expect("subscribes"), 0);
+    }
+    let mut pusher = Client::connect(&transport).expect("connects");
+    let frame = Matrix::from_fn(1, 784, |_, c| (c % 17) as f32 / 17.0);
+    for &cluster in &clusters {
+        assert_eq!(pusher.push(cluster, frame.as_view()).expect("push"), PushOutcome::Accepted(1));
+    }
+
+    let mut waiting = clusters.clone();
+    while !waiting.is_empty() {
+        let (cluster, rows) = subscriber
+            .recv_streamed(Duration::from_secs(10))
+            .expect("stream healthy")
+            .unwrap_or_else(|| panic!("clusters {waiting:?}: parked frames never flushed"));
+        assert_eq!(rows.rows(), 1);
+        let at = waiting.iter().position(|&c| c == cluster).expect("one delivery a cluster");
+        waiting.swap_remove(at);
+    }
+    assert_eq!(gateway.stats().deadline_flushes, SHARDS as u64);
+
+    pusher.shutdown().expect("shutdown acked");
+    server.join();
+}
