@@ -66,7 +66,7 @@ impl Clock {
     }
 
     /// Whether this is the wall clock (the TCP server requires it; its
-    /// deadline-flusher threads sleep in real time).
+    /// deadline timer sleeps in real time).
     #[must_use]
     pub fn is_real(&self) -> bool {
         matches!(self, Clock::Real { .. })

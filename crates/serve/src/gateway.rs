@@ -6,8 +6,9 @@
 //! FNV-1a hash of its id, so one cluster's frames always meet the same
 //! codec and stay in push order. Dispatch is transport-agnostic: the TCP
 //! server and the in-process loopback both funnel decoded requests into
-//! [`Gateway::handle`] (or raw frames into [`Gateway::handle_bytes`]),
-//! which makes the loopback tests exercise exactly the production path.
+//! [`Gateway::handle`] (raw frames go through its [`crate::Service`]
+//! impl), which makes the loopback tests exercise exactly the production
+//! path.
 //!
 //! Flush policy — the adaptive micro-batcher:
 //!
@@ -15,14 +16,15 @@
 //!   [`GatewayConfig::batch_max_frames`] flushes inline, on the pushing
 //!   thread;
 //! * **deadline**: a pending batch older than
-//!   [`GatewayConfig::batch_deadline`] is flushed by the shard's
-//!   deadline-flusher thread (TCP mode) or by the deadline sweep that
-//!   every dispatch and every [`Gateway::advance_clock`] runs across
-//!   **all** shards (virtual-clock mode) — a batch on an idle shard is
-//!   flushed as soon as virtual time passes its deadline, not when the
-//!   next request happens to land on that shard. The sweep asks each
-//!   shard through a lock-free gate (one atomic load) and takes a
-//!   shard's lock only to flush a batch that is due;
+//!   [`GatewayConfig::batch_deadline`] is flushed by the deadline sweep
+//!   ([`Gateway::sweep_deadlines`]) that every dispatch and every
+//!   [`Gateway::advance_clock`] runs across **all** shards — a batch on an
+//!   idle shard is flushed as soon as time passes its deadline, not when
+//!   the next request happens to land on that shard. Under a real clock
+//!   (TCP mode) one timer thread runs the same sweep when the earliest
+//!   armed batch falls due, so deadlines are kept with no traffic at all.
+//!   The sweep asks each shard through a lock-free gate (one atomic load)
+//!   and takes a shard's lock only to flush a batch that is due;
 //! * **pull**: a `PullDecoded` flushes the shard's pending batch first,
 //!   so clients always read their own writes.
 //!
@@ -31,15 +33,21 @@
 //! answered with [`Message::Busy`] and **nothing is buffered** — gateway
 //! memory is bounded by configuration, not by client behavior.
 //!
+//! Everything about a cluster lives in its shard — pending frames,
+//! stored rows, streaming subscriptions — so a flush delivers what it
+//! stored to each subscriber of the cluster before the shard's lock is
+//! released, and a cluster's rows reach every subscriber in push order by
+//! construction.
+//!
 //! Dispatch is shard-local: a request for a cluster on shard *i* takes
 //! shard *i*'s lock and no other, unless another shard has a batch
-//! overdue (the sweep flushes it) or stores rows a subscriber is waiting
-//! for (the stream pump delivers them). Two connections on two shards run
-//! their codecs side by side.
+//! overdue (the sweep flushes it). Two connections on two shards run
+//! their codecs side by side. Lock order: `rollout` → a shard's `core` →
+//! an [`Outbox`] (leaf).
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Thread;
 use std::time::Duration;
 
 use orco_obs::{Registry, Span, SpanKind, Tracer};
@@ -164,20 +172,11 @@ impl GatewayConfig {
     }
 }
 
-pub(crate) struct ShardSlot {
-    pub(crate) core: Mutex<ShardCore>,
-    /// Wakes the shard's deadline flusher when a batch starts pending.
-    pub(crate) cv: Condvar,
-    /// The core's lock-free mirrors: what the deadline sweep and the
-    /// stream pump read instead of locking `core`.
+struct ShardSlot {
+    core: Mutex<ShardCore>,
+    /// The core's lock-free mirror: what the deadline sweep and the
+    /// deadline timer read instead of locking `core`.
     gate: Arc<ShardGate>,
-    /// Held from a streaming pull to the end of its fan-out, so one
-    /// shard's deliveries reach the outboxes in the order they left the
-    /// store.
-    ///
-    /// Lock order: pump → `core` → `Gateway::subscribers`; nothing takes
-    /// a pump lock while holding either of the other two.
-    pump: Mutex<()>,
 }
 
 /// The sharded ingestion gateway. Shared across connection threads as an
@@ -193,17 +192,9 @@ pub struct Gateway {
     /// The fleet assignment this gateway enforces, or `None` for a
     /// standalone gateway (pre-fleet behavior: serve every cluster).
     fleet: Mutex<Option<FleetView>>,
-    /// Streaming subscriptions: cluster → outboxes of subscribed
-    /// connections. `Weak` so a vanished connection unsubscribes itself;
-    /// dead entries are pruned on every pump.
-    ///
-    /// Lock order: last — after a shard's pump lock and never together
-    /// with a shard core lock (the pump copies the cluster list first,
-    /// and fans out after releasing the core).
-    subscribers: Mutex<BTreeMap<u64, Vec<Weak<Outbox>>>>,
-    /// `subscribers.len()`, stored under that lock: the stream pump
-    /// returns at 0 without taking it.
-    subscribed: AtomicUsize,
+    /// The deadline timer's thread once it runs (TCP mode), for a push
+    /// that arms an empty batch to wake; never set under a virtual clock.
+    timer: OnceLock<Thread>,
     /// The rollout control plane: active/staged/prior model versions.
     ///
     /// Lock order: this lock may be held while taking a shard core lock
@@ -274,12 +265,7 @@ impl Gateway {
                 }
             }
             let gate = core.gate();
-            shards.push(ShardSlot {
-                core: Mutex::new(core),
-                cv: Condvar::new(),
-                gate,
-                pump: Mutex::new(()),
-            });
+            shards.push(ShardSlot { core: Mutex::new(core), gate });
         }
         let dims = dims.expect("at least one shard");
         Ok(Self {
@@ -291,8 +277,7 @@ impl Gateway {
             shards,
             shutting_down: AtomicBool::new(false),
             fleet: Mutex::new(None),
-            subscribers: Mutex::new(BTreeMap::new()),
-            subscribed: AtomicUsize::new(0),
+            timer: OnceLock::new(),
             rollout: Mutex::new(RolloutState {
                 active: ModelVersion {
                     id: 0,
@@ -391,26 +376,26 @@ impl Gateway {
         (orco_tensor::fnv1a64(&cluster_id.to_le_bytes()) % self.shards.len() as u64) as usize
     }
 
-    /// Test hook: per shard, `[mirror, truth]` — what the shard's
-    /// lock-free gate says beside what its locked core holds, each as
-    /// `(pending batch armed at, stored rows)`. The two must be equal
-    /// whenever the shard's lock is free; each pair is read under it.
+    /// Test hook: per shard, `[mirror, truth]` — when the shard's
+    /// lock-free gate says the pending batch was armed beside what its
+    /// locked core holds. The two must be equal whenever the shard's lock
+    /// is free; each pair is read under it.
     #[doc(hidden)]
     #[must_use]
-    pub fn gate_check(&self) -> Vec<[(Option<f64>, usize); 2]> {
+    pub fn gate_check(&self) -> Vec<[Option<f64>; 2]> {
         self.shards
             .iter()
             .map(|slot| {
                 let core = slot.core.lock().expect("shard lock");
-                [(slot.gate.armed_at(), slot.gate.stored()), core.gate_truth()]
+                [slot.gate.armed_at(), core.gate_truth()]
             })
             .collect()
     }
 
     /// Handles one decoded request and produces its reply. Never panics
-    /// on hostile input; failures become [`Message::ErrorReply`].
-    /// Equivalent to [`Gateway::handle_with_outbox`] without a streaming
-    /// outbox, so `Subscribe` draws a typed error.
+    /// on hostile input; failures become [`Message::ErrorReply`]. There
+    /// is no streaming outbox behind this call, so `Subscribe` draws a
+    /// typed error.
     pub fn handle(&self, msg: Message) -> Message {
         self.handle_with_outbox(msg, None)
     }
@@ -419,7 +404,7 @@ impl Gateway {
     /// channel is `outbox` (when the transport has one). `Subscribe`
     /// registers the outbox for the cluster's decoded batches; on
     /// outbox-less transports it draws [`ErrorCode::BadRequest`].
-    pub fn handle_with_outbox(&self, msg: Message, outbox: Option<&Arc<Outbox>>) -> Message {
+    pub(crate) fn handle_with_outbox(&self, msg: Message, outbox: Option<&Arc<Outbox>>) -> Message {
         self.clock.tick();
         // Sweep *every* shard for overdue batches before dispatching
         // (lock-free unless one is due). Without this, a pending batch on
@@ -479,8 +464,6 @@ impl Gateway {
         // The post-swap guard runs after dispatch so it sees the drift
         // samples any flush above just recorded.
         self.maybe_rollback(now);
-        // Deliver anything a flush above made available to subscribers.
-        self.pump_streams();
         reply
     }
 
@@ -492,30 +475,6 @@ impl Gateway {
             code_dim: self.dims.code as u32,
             active_version: self.rollout.lock().expect("rollout lock").active.id,
         }
-    }
-
-    /// Decodes one raw frame, handles it, and encodes the reply into
-    /// `reply` (cleared first). Malformed frames draw an encoded
-    /// [`Message::ErrorReply`] rather than an error — the wire never goes
-    /// silent. Both the TCP connection loop and the loopback transport
-    /// route through here, so every test of one is a test of the other.
-    pub fn handle_bytes(&self, frame: &[u8], reply: &mut Vec<u8>) {
-        self.handle_bytes_with_outbox(frame, reply, None);
-    }
-
-    /// [`Gateway::handle_bytes`] for a connection with a streaming
-    /// outbox.
-    pub fn handle_bytes_with_outbox(
-        &self,
-        frame: &[u8],
-        reply: &mut Vec<u8>,
-        outbox: Option<&Arc<Outbox>>,
-    ) {
-        let resp = match Message::decode(frame) {
-            Ok(msg) => self.handle_with_outbox(msg, outbox),
-            Err(e) => Message::ErrorReply { code: ErrorCode::BadRequest, detail: e.to_string() },
-        };
-        resp.encode_into(reply);
     }
 
     fn push(&self, cluster_id: u64, trace: u64, frames: &Matrix, now: f64) -> Message {
@@ -558,13 +517,12 @@ impl Gateway {
             };
         }
         let shard_idx = self.shard_of(cluster_id);
-        let slot = &self.shards[shard_idx];
-        let mut core = slot.core.lock().expect("shard lock");
+        let mut core = self.shards[shard_idx].core.lock().expect("shard lock");
         // The shutdown check must happen under the shard lock: either
         // this push wins the lock and its frames are flushed by
         // `begin_shutdown`'s subsequent per-shard flush, or shutdown wins
         // and the push is rejected here — a PushAck'd frame can never be
-        // stranded in a batcher whose flushers have exited.
+        // stranded in a batcher nothing will sweep again.
         if self.is_shutting_down() {
             return Message::ErrorReply {
                 code: ErrorCode::ShuttingDown,
@@ -600,11 +558,14 @@ impl Gateway {
                 return internal(&e);
             }
         } else if arms_batch {
-            // A batch started pending: wake the shard's deadline flusher
-            // to time it (TCP mode; loopback has none and relies on the
-            // dispatch-time sweep). Later pushes into the same batch do
-            // not move its deadline, so they wake nobody.
-            slot.cv.notify_one();
+            // A batch started pending: wake the deadline timer to time it
+            // (TCP mode; under a virtual clock there is none and the
+            // dispatch-time sweep keeps the deadline). Later pushes into
+            // the same batch do not move its deadline, so they wake
+            // nobody.
+            if let Some(timer) = self.timer.get() {
+                timer.unpark();
+            }
         }
         Message::PushAck { accepted: rows as u32 }
     }
@@ -826,7 +787,7 @@ impl Gateway {
     }
 
     /// Subscribes `outbox` to `cluster_id`'s decoded batches. The reply
-    /// reports the stored backlog, which the next pump streams out.
+    /// reports the stored backlog, which is streamed out ahead of it.
     fn subscribe(
         &self,
         cluster_id: u64,
@@ -841,11 +802,8 @@ impl Gateway {
             };
         };
         let shard_idx = self.shard_of(cluster_id);
-        let backlog = {
-            let slot = &self.shards[shard_idx];
-            let core = slot.core.lock().expect("shard lock");
-            core.stored_rows_for(cluster_id)
-        };
+        let mut core = self.shards[shard_idx].core.lock().expect("shard lock");
+        let backlog = core.stored_rows_for(cluster_id);
         if trace != 0 && self.tracer.enabled() {
             self.tracer.record(Span {
                 trace_id: trace,
@@ -857,12 +815,7 @@ impl Gateway {
                 detail: "",
             });
         }
-        let mut subs = self.subscribers.lock().expect("subscribers lock");
-        let entry = subs.entry(cluster_id).or_default();
-        if !entry.iter().any(|w| w.upgrade().is_some_and(|a| Arc::ptr_eq(&a, outbox))) {
-            entry.push(Arc::downgrade(outbox));
-        }
-        self.publish_subscribed(&subs);
+        core.subscribe(cluster_id, outbox, now, &self.stats, &self.tracer);
         Message::SubscribeAck { cluster_id, backlog: backlog as u32 }
     }
 
@@ -870,104 +823,10 @@ impl Gateway {
     /// zero-backlog [`Message::SubscribeAck`].
     fn unsubscribe(&self, cluster_id: u64, outbox: Option<&Arc<Outbox>>) -> Message {
         if let Some(outbox) = outbox {
-            let mut subs = self.subscribers.lock().expect("subscribers lock");
-            if let Some(entry) = subs.get_mut(&cluster_id) {
-                entry.retain(|w| w.upgrade().is_some_and(|a| !Arc::ptr_eq(&a, outbox)));
-                if entry.is_empty() {
-                    subs.remove(&cluster_id);
-                }
-            }
-            self.publish_subscribed(&subs);
+            let slot = &self.shards[self.shard_of(cluster_id)];
+            slot.core.lock().expect("shard lock").unsubscribe(cluster_id, outbox);
         }
         Message::SubscribeAck { cluster_id, backlog: 0 }
-    }
-
-    /// Mirrors the subscriber map's size into `subscribed`; called with
-    /// the map's lock held, after every change to it.
-    fn publish_subscribed(&self, subs: &BTreeMap<u64, Vec<Weak<Outbox>>>) {
-        // SeqCst: one side of the store-then-load pair described at
-        // `ShardGate::set_stored` (the subscriber publishes itself, then
-        // pumps; the flusher publishes its rows, then pumps).
-        self.subscribed.store(subs.len(), Ordering::SeqCst);
-    }
-
-    /// Streams every subscribed cluster's stored rows to its
-    /// subscribers. Runs after each dispatch and after deadline/drain
-    /// flushes; encodes each batch once and fans the frame out.
-    ///
-    /// Shard-local like the sweep: with no subscriber it returns on one
-    /// atomic load, and a shard that stores nothing is skipped on another
-    /// — only a shard with rows to deliver has its pump and core locks
-    /// taken. Every flush is followed by a pump on the flushing thread,
-    /// which reads its own store count, so a pump elsewhere that skipped
-    /// the shard on a stale count delays nothing; and of a flush and a
-    /// subscription racing each other, one pump sees both (the `SeqCst`
-    /// pair at `ShardGate::set_stored`).
-    ///
-    /// One pump at a time per shard (`ShardSlot::pump`, held from the
-    /// pull to the end of the fan-out): a cluster's rows reach each
-    /// subscriber's outbox in push order even with dispatching threads
-    /// and the deadline flusher pumping at once.
-    pub(crate) fn pump_streams(&self) {
-        // SeqCst: see publish_subscribed.
-        if self.subscribed.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let clusters: Vec<u64> = {
-            let mut subs = self.subscribers.lock().expect("subscribers lock");
-            subs.retain(|_, entry| {
-                entry.retain(|w| w.upgrade().is_some());
-                !entry.is_empty()
-            });
-            self.publish_subscribed(&subs);
-            subs.keys().copied().collect()
-        };
-        let now = self.clock.now_s();
-        for cluster in clusters {
-            let slot = &self.shards[self.shard_of(cluster)];
-            if slot.gate.stored() == 0 {
-                continue;
-            }
-            let _pump = slot.pump.lock().expect("pump lock");
-            // Mid-swap a cluster's backlog can span model versions; each
-            // pull returns one single-version run, so keep draining until
-            // the store is empty (every delivery stays version-pure).
-            while let Some((version, frames)) = {
-                let mut core = slot.core.lock().expect("shard lock");
-                if core.stored_rows_for(cluster) == 0 {
-                    None
-                } else {
-                    match core.pull(cluster, usize::MAX, now, &self.stats, &self.tracer, true) {
-                        Ok(pulled) => Some(pulled),
-                        Err(e) => {
-                            eprintln!(
-                                "orco-serve: streaming pull for cluster {cluster} failed: {e}"
-                            );
-                            None
-                        }
-                    }
-                }
-            } {
-                if frames.rows() == 0 {
-                    break;
-                }
-                self.fan_out(cluster, version, frames);
-            }
-        }
-    }
-
-    /// Encodes one streamed batch and pushes it to every subscriber of
-    /// `cluster` (encode once, fan out clones).
-    fn fan_out(&self, cluster: u64, version: u64, frames: Matrix) {
-        let frame = Message::StreamFrames { cluster_id: cluster, version, frames }.encode();
-        let subs = self.subscribers.lock().expect("subscribers lock");
-        if let Some(entry) = subs.get(&cluster) {
-            for w in entry {
-                if let Some(outbox) = w.upgrade() {
-                    outbox.push_frame(frame.clone());
-                }
-            }
-        }
     }
 
     fn begin_shutdown(&self, now: f64) {
@@ -980,18 +839,15 @@ impl Gateway {
             if let Err(e) = core.flush(now, FlushReason::Drain, &self.stats, &self.tracer) {
                 eprintln!("orco-serve: flush during shutdown failed: {e}");
             }
-            slot.cv.notify_all();
         }
-        // Stream the drained rows out, then end every subscription so
-        // blocked writers wake and streaming clients see end-of-stream.
-        self.pump_streams();
-        let subs = self.subscribers.lock().expect("subscribers lock");
-        for entry in subs.values() {
-            for w in entry {
-                if let Some(outbox) = w.upgrade() {
-                    outbox.close();
-                }
-            }
+        // Every shard's drained rows are in the outboxes: end every
+        // subscription (a connection can hold one on several shards, so
+        // not before the last flush), and let the timer see the flag.
+        for slot in &self.shards {
+            slot.core.lock().expect("shard lock").end_subscriptions();
+        }
+        if let Some(timer) = self.timer.get() {
+            timer.unpark();
         }
     }
 
@@ -1029,48 +885,36 @@ impl Gateway {
     pub fn advance_clock(&self, dt: Duration) {
         self.clock.advance(dt);
         self.sweep_deadlines();
-        self.pump_streams();
     }
 
-    /// Runs shard `idx`'s deadline flusher until shutdown. Spawned by the
-    /// TCP server (one thread per shard); the loopback transport instead
-    /// checks deadlines at dispatch time against its virtual clock.
-    pub(crate) fn run_deadline_flusher(&self, idx: usize) {
-        let slot = &self.shards[idx];
-        let mut core = slot.core.lock().expect("shard lock");
-        loop {
+    /// Runs the deadline timer until shutdown: sweep, then sleep until
+    /// the earliest armed batch falls due. Spawned once by the TCP server,
+    /// whatever the shard count; under a virtual clock nothing sleeps and
+    /// the dispatch-time sweep keeps the deadlines alone.
+    ///
+    /// No wake-up is lost: a push that arms a batch after this loop read
+    /// the gates unparks the thread, and an unpark that lands before the
+    /// park makes the park return at once. (Only a push that arms before
+    /// the first line below has run finds no thread to wake, and the
+    /// sleep's cap bounds that wait.)
+    pub(crate) fn run_deadline_timer(&self) {
+        /// The sleep when nothing is armed: how soon shutdown is noticed
+        /// should its wake-up be missed.
+        const IDLE_S: f64 = 0.05;
+        // Were a second timer ever started, it would stay unregistered
+        // and merely sweep once per `IDLE_S`.
+        let _ = self.timer.set(std::thread::current());
+        let deadline_s = self.cfg.batch_deadline.as_secs_f64();
+        while !self.is_shutting_down() {
+            self.sweep_deadlines();
             let now = self.clock.now_s();
-            if self.is_shutting_down() {
-                if let Err(e) = core.flush(now, FlushReason::Drain, &self.stats, &self.tracer) {
-                    eprintln!("orco-serve: shard {idx} final flush failed: {e}");
-                }
-                drop(core);
-                self.pump_streams();
-                return;
-            }
-            if core.pending_rows() == 0 {
-                // Nothing pending: doze until a push arms us (bounded so
-                // shutdown is noticed even without a notification).
-                let (guard, _) =
-                    slot.cv.wait_timeout(core, Duration::from_millis(50)).expect("shard lock");
-                core = guard;
-                continue;
-            }
-            let due_at = core.oldest_enqueue_s() + self.cfg.batch_deadline.as_secs_f64();
-            if now >= due_at {
-                if let Err(e) = core.flush(now, FlushReason::Deadline, &self.stats, &self.tracer) {
-                    eprintln!("orco-serve: shard {idx} deadline flush failed: {e}");
-                }
-                // Deliver to subscribers without holding the core lock
-                // (pump_streams re-locks shard cores).
-                drop(core);
-                self.pump_streams();
-                core = slot.core.lock().expect("shard lock");
-                continue;
-            }
-            let wait = Duration::from_secs_f64((due_at - now).clamp(0.0005, 0.05));
-            let (guard, _) = slot.cv.wait_timeout(core, wait).expect("shard lock");
-            core = guard;
+            let due_in = self
+                .shards
+                .iter()
+                .filter_map(|slot| slot.gate.armed_at())
+                .map(|armed| armed + deadline_s - now)
+                .fold(IDLE_S, f64::min);
+            std::thread::park_timeout(Duration::from_secs_f64(due_in.max(0.0)));
         }
     }
 }

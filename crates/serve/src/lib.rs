@@ -20,7 +20,8 @@
 //!
 //! * **std-only.** `std::net::TcpListener` + `std::thread`; no async
 //!   runtime. The protocol is request/reply and the work is CPU-bound —
-//!   threads per connection and per shard are the honest model.
+//!   two threads per connection and one deadline timer are the honest
+//!   model.
 //! * **Sharded ownership.** Each shard owns its codec and its reusable
 //!   workspaces; the steady-state ingest path (push → flush → encode)
 //!   performs no allocation, and nothing contends across shards.

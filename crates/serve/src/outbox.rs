@@ -3,7 +3,8 @@
 //! Streaming pulls need the server to hand a frame to a connection that
 //! is not currently asking for one. With no async runtime, each
 //! connection owns an [`Outbox`] — a condvar-guarded queue of encoded
-//! frames. Producers (shard flushers, the request handler) push; the
+//! frames. Producers (whichever thread flushes a shard, the request
+//! handler) push; the
 //! connection's writer (a dedicated thread on TCP, the poll loop on
 //! loopback/DES) drains. The queue carries *encoded* frames so the
 //! encoding cost is paid once even when a batch fans out to many

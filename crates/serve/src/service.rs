@@ -7,12 +7,19 @@
 //! frame-out dispatch method plus the small lifecycle surface the
 //! transports need (clock, shutdown flag, background workers, virtual
 //! time advancement).
+//!
+//! The gateway's impl is the one way raw frames reach it: decode,
+//! [`Gateway::handle`]'s dispatch with the connection's outbox, encode.
+//! Its background work is one deadline timer, whatever its shard count,
+//! and its time-advance hook is the deadline sweep — a flush delivers to
+//! subscribers itself, so there is nothing else to run.
 
 use std::sync::Arc;
 
 use crate::clock::Clock;
 use crate::gateway::Gateway;
 use crate::outbox::Outbox;
+use crate::protocol::{ErrorCode, Message};
 
 /// A wire-protocol endpoint the transports can host: the gateway, the
 /// fleet directory, or anything else that maps request frames to reply
@@ -47,7 +54,11 @@ pub trait Service: Send + Sync {
 
 impl Service for Gateway {
     fn handle_frame(&self, frame: &[u8], reply: &mut Vec<u8>, outbox: Option<&Arc<Outbox>>) {
-        self.handle_bytes_with_outbox(frame, reply, outbox);
+        let resp = match Message::decode(frame) {
+            Ok(msg) => self.handle_with_outbox(msg, outbox),
+            Err(e) => Message::ErrorReply { code: ErrorCode::BadRequest, detail: e.to_string() },
+        };
+        resp.encode_into(reply);
     }
 
     fn clock(&self) -> &Clock {
@@ -60,14 +71,14 @@ impl Service for Gateway {
 
     fn on_time_advance(&self) {
         self.sweep_deadlines();
-        self.pump_streams();
     }
 
+    /// One deadline timer, whatever the shard count.
     fn worker_count(&self) -> usize {
-        self.config().shards
+        1
     }
 
-    fn run_worker(&self, idx: usize) {
-        self.run_deadline_flusher(idx);
+    fn run_worker(&self, _idx: usize) {
+        self.run_deadline_timer();
     }
 }

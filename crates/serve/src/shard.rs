@@ -13,13 +13,20 @@
 //!   path (push → flush → encode) performs no allocation; a pull's
 //!   decoded rows are *moved* into the reply (the reply must own its
 //!   payload), costing one allocation per pull and zero extra copies;
-//! * **the encoded store** — flat per-cluster ring of code rows awaiting
-//!   a pull, drained oldest-first in push order;
-//! * **its gate** ([`ShardGate`]) — lock-free mirrors of "when was the
-//!   pending batch armed" and "how many rows are stored", kept by
-//!   `try_enqueue` / `flush` / `pull`, so the gateway's per-dispatch
-//!   deadline sweep and stream pump can pass over this shard without
-//!   taking its lock.
+//! * **one record per cluster** (`ClusterState`) — the encoded rows
+//!   awaiting delivery, oldest first in push order, each with the trace
+//!   id and model version it was flushed under, and the outboxes of the
+//!   connections subscribed to the cluster. Rows and subscribers sit
+//!   under the one shard lock, so delivery happens where rows appear:
+//!   every flush ends by streaming what it stored to the live
+//!   subscribers of the clusters it touched, and a `Subscribe` streams
+//!   the backlog as it registers. *Whenever the shard's lock is free, a
+//!   cluster with a live subscriber stores nothing*, and its rows reach
+//!   each outbox in push order because nothing else can run in between;
+//! * **its gate** ([`ShardGate`]) — a lock-free mirror of "when was the
+//!   pending batch armed", kept by `try_enqueue` / `flush`, so the
+//!   gateway's per-dispatch deadline sweep and its deadline timer can
+//!   pass over this shard without taking its lock.
 //!
 //! The in-flight budget (`pending rows + stored rows ≤ capacity`) is
 //! enforced at enqueue time: a shard's memory is bounded no matter how
@@ -27,13 +34,15 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 use orco_obs::{Span, SpanKind, Tracer};
 use orco_tensor::{MatView, Matrix};
 use orcodcs::{Codec, EncoderCheckpoint, FineTuneMonitor, FrameDims, OrcoError};
 
+use crate::outbox::Outbox;
+use crate::protocol::Message;
 use crate::stats::{FlushReason, ServeStats};
 
 /// Deterministic sampling of decoded reconstructions through a
@@ -72,19 +81,16 @@ impl DriftProbe {
     }
 }
 
-/// Lock-free mirrors of the two facts other threads ask a shard on every
-/// dispatch — "is a batch overdue?" and "is anything stored?" — so that
-/// asking does not take the shard's lock. Written only by [`ShardCore`]
-/// under that lock, at the points the truth changes; read anywhere. A
-/// reader that acts on a mirror still takes the lock and re-checks the
-/// truth, so a stale read costs a skipped or a wasted look, never a wrong
-/// flush or delivery.
+/// A lock-free mirror of the fact other threads ask a shard on every
+/// dispatch — "is a batch overdue?" — so that asking does not take the
+/// shard's lock. Written only by [`ShardCore`] under that lock, at the
+/// points the truth changes; read anywhere. A reader that acts on the
+/// mirror still takes the lock and re-checks the truth, so a stale read
+/// costs a skipped or a wasted look, never a wrong flush.
 pub(crate) struct ShardGate {
     /// f64 bits of the pending batch's `oldest_enqueue_s`, or
     /// [`Self::NOT_ARMED`].
     armed: AtomicU64,
-    /// `ShardCore::stored_rows`.
-    stored: AtomicUsize,
 }
 
 impl ShardGate {
@@ -102,26 +108,35 @@ impl ShardGate {
         (bits != Self::NOT_ARMED).then(|| f64::from_bits(bits))
     }
 
-    /// Encoded rows the shard stores, over all its clusters.
-    pub(crate) fn stored(&self) -> usize {
-        // SeqCst: see `set_stored`.
-        self.stored.load(Ordering::SeqCst)
-    }
-
     fn set_armed(&self, at: Option<f64>) {
         // Release: publishes the arming (or the clear) to the Acquire
         // load in `armed_at`; the caller holds the shard lock.
         self.armed.store(at.map_or(Self::NOT_ARMED, f64::to_bits), Ordering::Release);
     }
+}
 
-    fn set_stored(&self, rows: usize) {
-        // SeqCst, with `Gateway::subscribed`: a flushing thread stores
-        // this count and then loads the subscriber count; a subscribing
-        // thread stores that count and then loads this one. One of the
-        // two must see the other's store and deliver the rows — an
-        // ordering of a store before a later load, which Release and
-        // Acquire do not give.
-        self.stored.store(rows, Ordering::SeqCst);
+/// Everything the shard holds for one cluster. A record exists while it
+/// has stored rows or a live subscriber.
+#[derive(Default)]
+struct ClusterState {
+    /// Encoded rows awaiting delivery, flat (`dims.code` per row),
+    /// oldest first.
+    codes: VecDeque<f32>,
+    /// `(trace id, producing model version)` of each stored row — the
+    /// trace closes the causal chain at delivery (0 = untraced), the
+    /// version picks the codec that decodes the row mid-swap.
+    rows: VecDeque<(u64, u64)>,
+    /// Outboxes of the connections subscribed to this cluster. `Weak`,
+    /// so a vanished connection unsubscribes itself.
+    subscribers: Vec<Weak<Outbox>>,
+}
+
+impl ClusterState {
+    /// Forgets subscribers whose connection is gone; `false` once
+    /// nothing is left to keep the record for.
+    fn is_live(&mut self) -> bool {
+        self.subscribers.retain(|w| w.strong_count() > 0);
+        !(self.rows.is_empty() && self.subscribers.is_empty())
     }
 }
 
@@ -148,32 +163,23 @@ pub(crate) struct ShardCore {
     dims: FrameDims,
     /// Pending raw frames, row-major, `dims.input` wide.
     pending_data: Vec<f32>,
-    /// The cluster of each pending row (routes codes after the flush).
-    pending_clusters: Vec<u64>,
-    /// The trace id of each pending row (0 = untraced), parallel to
-    /// `pending_clusters`.
-    pending_traces: Vec<u64>,
+    /// `(cluster, trace id)` of each pending row: the cluster routes the
+    /// row's code after the flush, the trace (0 = untraced) rides along.
+    pending: Vec<(u64, u64)>,
     /// Enqueue time of the oldest pending row; meaningful only while
-    /// `pending_clusters` is non-empty.
+    /// `pending` is non-empty.
     oldest_enqueue_s: f64,
     /// Reused `encode_batch` output.
     codes_ws: Matrix,
     /// Reused `decode_batch` input / output.
     decode_in_ws: Matrix,
     decode_out_ws: Matrix,
-    /// Encoded rows awaiting pull, flat per cluster (`dims.code` per row).
-    stores: BTreeMap<u64, VecDeque<f32>>,
-    /// The trace id of each stored row, parallel to `stores` (one entry
-    /// per row, not per f32), so deliveries can close the causal chain.
-    store_traces: BTreeMap<u64, VecDeque<u64>>,
-    /// The model version that encoded each stored row, parallel to
-    /// `store_traces`, so a pull decodes every row with the codec that
-    /// produced it even while a hot-swap is draining.
-    store_versions: BTreeMap<u64, VecDeque<u64>>,
-    /// Total rows across `stores`.
+    /// Stored rows and subscribers, per cluster.
+    clusters: BTreeMap<u64, ClusterState>,
+    /// Total stored rows across `clusters`.
     stored_rows: usize,
-    /// Mirrors of `oldest_enqueue_s` (while pending) and `stored_rows`,
-    /// shared with the gateway's `ShardSlot`.
+    /// Mirror of `oldest_enqueue_s` (while pending), shared with the
+    /// gateway's `ShardSlot`.
     gate: Arc<ShardGate>,
 }
 
@@ -192,41 +198,33 @@ impl ShardCore {
             drift_out_ws: Matrix::zeros(0, 0),
             dims,
             pending_data: Vec::new(),
-            pending_clusters: Vec::new(),
-            pending_traces: Vec::new(),
+            pending: Vec::new(),
             oldest_enqueue_s: 0.0,
             codes_ws: Matrix::zeros(0, 0),
             decode_in_ws: Matrix::zeros(0, 0),
             decode_out_ws: Matrix::zeros(0, 0),
-            stores: BTreeMap::new(),
-            store_traces: BTreeMap::new(),
-            store_versions: BTreeMap::new(),
+            clusters: BTreeMap::new(),
             stored_rows: 0,
-            gate: Arc::new(ShardGate {
-                armed: AtomicU64::new(ShardGate::NOT_ARMED),
-                stored: AtomicUsize::new(0),
-            }),
+            gate: Arc::new(ShardGate { armed: AtomicU64::new(ShardGate::NOT_ARMED) }),
         }
     }
 
-    /// The shard's lock-free mirrors, for the gateway to read without
+    /// The shard's lock-free mirror, for the gateway to read without
     /// this core's lock.
     pub(crate) fn gate(&self) -> Arc<ShardGate> {
         Arc::clone(&self.gate)
     }
 
-    /// What the gate should say: `(pending batch armed at, stored rows)`.
-    pub(crate) fn gate_truth(&self) -> (Option<f64>, usize) {
-        let armed = (!self.pending_clusters.is_empty()).then_some(self.oldest_enqueue_s);
-        (armed, self.stored_rows)
+    /// What the gate should say: when the pending batch was armed.
+    pub(crate) fn gate_truth(&self) -> Option<f64> {
+        (!self.pending.is_empty()).then_some(self.oldest_enqueue_s)
     }
 
-    /// Mirror ≡ truth. Every method that changes `pending_*` or
-    /// `stored_rows` ends here, so the two agree at every release of the
-    /// shard lock.
+    /// Mirror ≡ truth. Both methods that change `pending_*` end here, so
+    /// the two agree at every release of the shard lock.
     fn debug_assert_gate(&self) {
         debug_assert_eq!(
-            (self.gate.armed_at(), self.gate.stored()),
+            self.gate.armed_at(),
             self.gate_truth(),
             "shard {}: gate out of step with the core",
             self.index
@@ -314,7 +312,7 @@ impl ShardCore {
     }
 
     pub(crate) fn pending_rows(&self) -> usize {
-        self.pending_clusters.len()
+        self.pending.len()
     }
 
     /// Rows currently charged against the shard's capacity budget.
@@ -322,16 +320,12 @@ impl ShardCore {
         self.pending_rows() + self.stored_rows
     }
 
-    pub(crate) fn oldest_enqueue_s(&self) -> f64 {
-        self.oldest_enqueue_s
-    }
-
     /// Whether the pending micro-batch holds rows for `cluster`. Scans at
     /// most `batch_max_frames` entries — cheap, and it lets a pull flush
     /// only when the puller would otherwise miss its own frames, instead
     /// of collapsing *other* clusters' half-built batches.
     pub(crate) fn has_pending_for(&self, cluster: u64) -> bool {
-        self.pending_clusters.contains(&cluster)
+        self.pending.iter().any(|&(c, _)| c == cluster)
     }
 
     /// Whether the pending batch has outlived the flush deadline.
@@ -342,7 +336,7 @@ impl ShardCore {
     /// Encoded rows currently stored for `cluster` (awaiting pull or
     /// streaming delivery).
     pub(crate) fn stored_rows_for(&self, cluster: u64) -> usize {
-        self.stores.get(&cluster).map_or(0, |s| s.len() / self.dims.code)
+        self.clusters.get(&cluster).map_or(0, |state| state.rows.len())
     }
 
     /// Appends a push to the pending micro-batch, or refuses it when the
@@ -359,26 +353,25 @@ impl ShardCore {
         if self.in_flight() + rows > capacity {
             return false;
         }
-        if self.pending_clusters.is_empty() {
+        if self.pending.is_empty() {
             self.oldest_enqueue_s = now_s;
             self.gate.set_armed(Some(now_s));
         }
         self.pending_data.extend_from_slice(frames.as_slice());
-        self.pending_clusters.extend(std::iter::repeat_n(cluster, rows));
-        self.pending_traces.extend(std::iter::repeat_n(trace, rows));
+        self.pending.extend(std::iter::repeat_n((cluster, trace), rows));
         self.debug_assert_gate();
         true
     }
 
-    /// Encodes the entire pending micro-batch in ONE `encode_batch` call
-    /// and files the code rows into their clusters' stores. No-op when
-    /// nothing is pending.
+    /// Encodes the entire pending micro-batch in ONE `encode_batch` call,
+    /// files the code rows into their clusters' records, and streams
+    /// them on to the clusters' live subscribers. No-op when nothing is
+    /// pending.
     ///
     /// # Errors
     ///
     /// Propagates codec shape errors (impossible for frames admitted by
     /// the gateway's width check, but surfaced rather than unwrapped).
-    // orco-lint: region(no-alloc)
     pub(crate) fn flush(
         &mut self,
         now_s: f64,
@@ -390,57 +383,122 @@ impl ShardCore {
         if rows == 0 {
             return Ok(());
         }
+        // orco-lint: region(no-alloc)
         let view = MatView::new(rows, self.dims.input, &self.pending_data)?;
         self.codec.encode_batch(view, &mut self.codes_ws)?;
         self.sample_drift(rows, stats)?;
-        for (r, &cluster) in self.pending_clusters.iter().enumerate() {
-            self.stores.entry(cluster).or_default().extend(self.codes_ws.row(r).iter().copied());
-            // Untraced rows (trace 0) still file an entry so the parallel
-            // queues stay row-aligned with the code store.
-            self.store_traces.entry(cluster).or_default().push_back(self.pending_traces[r]);
-            self.store_versions.entry(cluster).or_default().push_back(self.version);
+        for (r, &(cluster, trace)) in self.pending.iter().enumerate() {
+            let state = self.clusters.entry(cluster).or_default();
+            state.codes.extend(self.codes_ws.row(r).iter().copied());
+            state.rows.push_back((trace, self.version));
         }
         self.stored_rows += rows;
-        self.gate.set_stored(self.stored_rows);
         *self.rows_by_version.entry(self.version).or_insert(0) += rows;
         stats.record_flush(self.index, rows as u64, now_s - self.oldest_enqueue_s, reason);
         if tracer.enabled() {
-            // One Flush + Store span per contiguous (trace, cluster) run.
+            // One Flush + Store span per contiguous (cluster, trace) run.
             // Pushes append rows contiguously, so runs are push-granular.
-            let mut r = 0;
-            while r < rows {
-                let (trace, cluster) = (self.pending_traces[r], self.pending_clusters[r]);
-                let mut end = r + 1;
-                while end < rows
-                    && self.pending_traces[end] == trace
-                    && self.pending_clusters[end] == cluster
-                {
-                    end += 1;
-                }
-                if trace != 0 {
-                    let base = Span {
-                        trace_id: trace,
-                        kind: SpanKind::Flush,
-                        cluster_id: cluster,
-                        shard: self.index as u16,
-                        rows: (end - r) as u32,
-                        at_s: now_s,
-                        detail: reason.as_str(),
-                    };
-                    tracer.record(base);
-                    tracer.record(Span { kind: SpanKind::Store, detail: "", ..base });
-                }
-                r = end;
+            for run in self.pending.chunk_by(|a, b| a == b).filter(|run| run[0].1 != 0) {
+                let base = Span {
+                    trace_id: run[0].1,
+                    kind: SpanKind::Flush,
+                    cluster_id: run[0].0,
+                    shard: self.index as u16,
+                    rows: run.len() as u32,
+                    at_s: now_s,
+                    detail: reason.as_str(),
+                };
+                tracer.record(base);
+                tracer.record(Span { kind: SpanKind::Store, detail: "", ..base });
             }
         }
         self.pending_data.clear();
-        self.pending_clusters.clear();
-        self.pending_traces.clear();
+        // orco-lint: endregion
+        // The batch is stored: disarm, then deliver to each flushed
+        // cluster (once — a repeat visit finds nothing stored) from the
+        // list whose buffer goes back to the next batch.
+        let mut flushed = std::mem::take(&mut self.pending);
         self.gate.set_armed(None);
         self.debug_assert_gate();
+        flushed.dedup_by_key(|&mut (cluster, _)| cluster);
+        for &(cluster, _) in &flushed {
+            self.deliver(cluster, now_s, stats, tracer);
+        }
+        flushed.clear();
+        self.pending = flushed;
         Ok(())
     }
-    // orco-lint: endregion
+
+    /// Streams everything stored for `cluster` to its live subscribers,
+    /// if it has any: one `StreamFrames` per single-version run (mid-swap
+    /// a backlog can span model versions, and every delivery stays
+    /// version-pure), encoded once and pushed to each outbox.
+    fn deliver(&mut self, cluster: u64, now_s: f64, stats: &ServeStats, tracer: &Tracer) {
+        let Some(state) = self.clusters.get_mut(&cluster) else {
+            return;
+        };
+        // Upgrade once, forgetting the connections that are gone.
+        let mut live: Vec<Arc<Outbox>> = Vec::new();
+        state.subscribers.retain(|w| w.upgrade().map(|outbox| live.push(outbox)).is_some());
+        if live.is_empty() {
+            return;
+        }
+        while self.stored_rows_for(cluster) > 0 {
+            match self.pull(cluster, usize::MAX, now_s, stats, tracer, true) {
+                Ok((version, frames)) => {
+                    let frame =
+                        Message::StreamFrames { cluster_id: cluster, version, frames }.encode();
+                    for outbox in &live {
+                        outbox.push_frame(frame.clone());
+                    }
+                }
+                Err(e) => {
+                    eprintln!("orco-serve: streaming pull for cluster {cluster} failed: {e}");
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Subscribes `outbox` to `cluster` (once, however often it asks) and
+    /// streams the cluster's stored backlog to its subscribers.
+    pub(crate) fn subscribe(
+        &mut self,
+        cluster: u64,
+        outbox: &Arc<Outbox>,
+        now_s: f64,
+        stats: &ServeStats,
+        tracer: &Tracer,
+    ) {
+        // The one place records are made without rows: sweep out those
+        // whose subscribers all vanished, so the map is bounded by live
+        // state however many clusters were once subscribed to.
+        self.clusters.retain(|_, state| state.is_live());
+        let subscribers = &mut self.clusters.entry(cluster).or_default().subscribers;
+        if !subscribers.iter().any(|w| std::ptr::eq(w.as_ptr(), Arc::as_ptr(outbox))) {
+            subscribers.push(Arc::downgrade(outbox));
+        }
+        self.deliver(cluster, now_s, stats, tracer);
+    }
+
+    /// Removes `outbox`'s subscription to `cluster`, if it has one.
+    pub(crate) fn unsubscribe(&mut self, cluster: u64, outbox: &Arc<Outbox>) {
+        if let Some(state) = self.clusters.get_mut(&cluster) {
+            state.subscribers.retain(|w| !std::ptr::eq(w.as_ptr(), Arc::as_ptr(outbox)));
+            if !state.is_live() {
+                self.clusters.remove(&cluster);
+            }
+        }
+    }
+
+    /// Ends every subscription on this shard: closing the outboxes wakes
+    /// blocked writers and shows streaming clients end-of-stream.
+    pub(crate) fn end_subscriptions(&self) {
+        for outbox in self.clusters.values().flat_map(|s| &s.subscribers).filter_map(Weak::upgrade)
+        {
+            outbox.close();
+        }
+    }
 
     /// Feeds every `every`-th row of the just-encoded batch through a
     /// decode and scores the reconstruction against the raw frame,
@@ -503,49 +561,26 @@ impl ShardCore {
         tracer: &Tracer,
         streamed: bool,
     ) -> Result<(u64, Matrix), OrcoError> {
-        let code = self.dims.code;
-        let (run_version, run_len) = match self.store_versions.get(&cluster) {
-            Some(q) => {
-                let head = *q.front().expect("version queue never left empty");
-                (head, q.iter().take_while(|v| **v == head).count())
-            }
-            None => (self.version, 0),
-        };
-        let k = run_len.min(max);
-        if k == 0 {
+        // The oldest run of one model version, capped at `max` rows.
+        let run = self.clusters.get_mut(&cluster).and_then(|state| {
+            let &(_, version) = state.rows.front()?;
+            let k = state.rows.iter().take_while(|(_, v)| *v == version).count().min(max);
+            (k > 0).then_some((state, version, k))
+        });
+        let Some((state, run_version, k)) = run else {
             return Ok((self.version, Matrix::zeros(0, self.dims.input)));
-        }
-        self.decode_in_ws.reset(k, code);
-        {
-            let mut dst = self.decode_in_ws.as_view_mut();
-            let slice = dst.as_mut_slice();
-            let store = self.stores.get_mut(&cluster).expect("store is non-empty");
-            for (i, v) in store.drain(..k * code).enumerate() {
-                slice[i] = v;
-            }
-            if store.is_empty() {
-                self.stores.remove(&cluster);
-            }
-        }
-        let traces: Vec<u64> = {
-            let queue = self.store_traces.get_mut(&cluster).expect("trace queue is row-aligned");
-            let drained = queue.drain(..k).collect();
-            if queue.is_empty() {
-                self.store_traces.remove(&cluster);
-            }
-            drained
         };
+        self.decode_in_ws.reset(k, self.dims.code);
+        let mut dst = self.decode_in_ws.as_view_mut();
+        for (slot, v) in dst.as_mut_slice().iter_mut().zip(state.codes.drain(..k * self.dims.code))
         {
-            let queue =
-                self.store_versions.get_mut(&cluster).expect("version queue is row-aligned");
-            queue.drain(..k);
-            if queue.is_empty() {
-                self.store_versions.remove(&cluster);
-            }
+            *slot = v;
+        }
+        let traces: Vec<u64> = state.rows.drain(..k).map(|(trace, _)| trace).collect();
+        if !state.is_live() {
+            self.clusters.remove(&cluster);
         }
         self.stored_rows -= k;
-        self.gate.set_stored(self.stored_rows);
-        self.debug_assert_gate();
         let remaining = self
             .rows_by_version
             .get_mut(&run_version)
@@ -573,25 +608,16 @@ impl ShardCore {
             // One delivery span per contiguous run of the same trace id,
             // mirroring the push-granular grouping on the ingest side.
             let kind = if streamed { SpanKind::Stream } else { SpanKind::Pull };
-            let mut r = 0;
-            while r < k {
-                let trace = traces[r];
-                let mut end = r + 1;
-                while end < k && traces[end] == trace {
-                    end += 1;
-                }
-                if trace != 0 {
-                    tracer.record(Span {
-                        trace_id: trace,
-                        kind,
-                        cluster_id: cluster,
-                        shard: self.index as u16,
-                        rows: (end - r) as u32,
-                        at_s: now_s,
-                        detail: "",
-                    });
-                }
-                r = end;
+            for run in traces.chunk_by(|a, b| a == b).filter(|run| run[0] != 0) {
+                tracer.record(Span {
+                    trace_id: run[0],
+                    kind,
+                    cluster_id: cluster,
+                    shard: self.index as u16,
+                    rows: run.len() as u32,
+                    at_s: now_s,
+                    detail: "",
+                });
             }
         }
         // Move the decoded rows into the reply instead of cloning them;

@@ -12,9 +12,10 @@
 //!   connection's [`Outbox`] to the socket — replies and streamed
 //!   frames share the outbox, so writes are serialized without a lock
 //!   around the socket;
-//! * the service's **background workers** (one deadline flusher per
-//!   gateway shard; the directory's heartbeat sweeper) run on their own
-//!   threads via [`Service::run_worker`];
+//! * the service's **background workers** (the gateway's one deadline
+//!   timer, whatever its shard count; the directory's heartbeat sweeper)
+//!   run on their own threads via [`Service::run_worker`] — a gateway
+//!   is acceptor + 1 timer + 2 threads a connection;
 //! * `Shutdown` sets the service flag; the handling connection drains its
 //!   outbox, writes the ack to the socket itself, then pokes the acceptor
 //!   awake with a throwaway connect so `accept` returns and the loop
@@ -43,7 +44,7 @@ pub struct TcpServer {
 
 impl TcpServer {
     /// Binds `bind` (use port 0 for an ephemeral port) and spawns the
-    /// acceptor and the gateway's deadline flushers. Equivalent to
+    /// acceptor and the gateway's deadline timer. Equivalent to
     /// [`TcpServer::spawn_service`] with a [`Gateway`].
     ///
     /// # Errors
@@ -53,7 +54,7 @@ impl TcpServer {
     /// # Panics
     ///
     /// Panics if the gateway was built with a [`crate::Clock::manual`]
-    /// clock — deadline flushers sleep in real time, so the TCP server
+    /// clock — the deadline timer sleeps in real time, so the TCP server
     /// requires [`crate::Clock::real`].
     pub fn spawn(gateway: Arc<Gateway>, bind: impl ToSocketAddrs) -> Result<Self, OrcoError> {
         Self::spawn_service(gateway, bind)
@@ -224,6 +225,9 @@ fn read_loop<S: Service + ?Sized>(
 ) -> Result<ReadEnd, OrcoError> {
     let mut frame = Vec::new();
     let mut reply = Vec::new();
+    // Header bytes 6..8 carry a frame's type id; `Shutdown`'s comes from
+    // the message table.
+    let shutdown_id = Message::Shutdown.wire_type().0.to_le_bytes();
     loop {
         match read_frame(stream, &mut frame)? {
             FrameRead::Eof => return Ok(ReadEnd { last_reply: None, shutdown: false }),
@@ -236,8 +240,7 @@ fn read_loop<S: Service + ?Sized>(
             }
             FrameRead::Frame => {
                 svc.handle_frame(&frame, &mut reply, Some(outbox));
-                // Type bytes 6..8: was this frame a Shutdown request?
-                if frame[6..8] == 10u16.to_le_bytes() {
+                if frame[6..8] == shutdown_id {
                     return Ok(ReadEnd { last_reply: Some(reply), shutdown: true });
                 }
                 // Hand the buffer over: the reply is encoded once, into

@@ -9,9 +9,9 @@
 //! sweep-on-dispatch/advance fix makes the bound hold regardless of
 //! which shard subsequent traffic lands on.
 //!
-//! The sweep and the stream pump decide from lock-free mirrors of each
-//! shard's state; the same schedules assert, after every step, that each
-//! mirror equals the locked state it mirrors ([`Gateway::gate_check`]).
+//! The sweep decides from a lock-free mirror of each shard's pending
+//! batch; the same schedules assert, after every step, that each mirror
+//! equals the locked state it mirrors ([`Gateway::gate_check`]).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -201,9 +201,9 @@ proptest! {
 }
 
 /// The same bound over real TCP with a real clock: frames parked below
-/// the size threshold are flushed by the deadline-flusher threads, so a
-/// pull after `deadline` (plus scheduling slack) sees them with no
-/// further pushes anywhere.
+/// the size threshold are flushed by the deadline timer, so a pull after
+/// `deadline` (plus scheduling slack) sees them with no further pushes
+/// anywhere.
 #[test]
 fn acked_frames_pullable_within_deadline_tcp() {
     let gw = gateway(Clock::real(), DEADLINE);

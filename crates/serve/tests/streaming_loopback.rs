@@ -163,15 +163,15 @@ fn unsubscribe_stops_the_stream_and_rows_fall_back_to_pulls() {
     assert_eq!(pusher.pull(CLUSTER, 8).expect("pull").rows(), 0, "delivered rows are not stored");
 }
 
-/// Per-cluster FIFO on the streamed path under concurrent pumps. One
-/// thread pushes single-row batches (every push is a size flush, pumped
-/// on the pushing thread) while a second hammers
-/// `advance_clock(Duration::ZERO)` (a pump with no flush of its own). The
-/// hammer can take a row out of the store between the pusher's flush and
-/// the pusher's pump; without one-pump-at-a-time per shard, the pusher's
-/// *next* row can then reach the outbox before the hammer delivers the
-/// one it holds. The streamed rows must be the direct codec's output,
-/// row for row, in push order.
+/// Per-cluster FIFO on the streamed path with a second thread in the
+/// gateway. One thread pushes single-row batches (every push is a size
+/// flush, delivered by the flush itself) while a second hammers
+/// `advance_clock(Duration::ZERO)` — a bare deadline sweep. When delivery
+/// was a pump that ran after the flush had released the shard, the hammer
+/// could take a row out of the store in between, and the pusher's *next*
+/// row then reached the outbox first. A flush now delivers under the
+/// shard lock it stored under, so there is no in-between. The streamed
+/// rows must be the direct codec's output, row for row, in push order.
 #[test]
 fn streamed_rows_keep_push_order_under_concurrent_pumps() {
     use orco_serve::scenarios::codec_config;
@@ -264,10 +264,10 @@ fn le_bytes(values: &[f32]) -> Vec<u8> {
 /// path's contract (clients key on `cluster_id`); how the deliveries of
 /// different clusters — or of different shards under one sweep —
 /// interleave on a connection is not, and neither is how many
-/// `StreamFrames` carry a run of rows. The constants were measured on
-/// the stream pump and the per-shard flushers, before delivery moved
-/// into the shard's flush; a change to the gateway may edit this test's
-/// imports and comments, never its constants.
+/// `StreamFrames` carry a run of rows. The constants were measured when
+/// delivery was a pump over a gateway-wide subscriber registry, before it
+/// moved into the shard's flush; a change to the gateway may edit this
+/// test's imports and comments, never its constants.
 #[test]
 fn a_fixed_streamed_schedule_matches_its_golden_values() {
     use orco_serve::scenarios::codec_config;

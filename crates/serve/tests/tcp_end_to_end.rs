@@ -94,8 +94,8 @@ fn tcp_gateway_serves_and_shuts_down() {
     assert_eq!(stats.queue_depth, 0);
     control.shutdown().expect("shutdown acked");
 
-    // join() returning proves the acceptor was poked awake and every
-    // flusher observed the flag.
+    // join() returning proves the acceptor was poked awake and the
+    // deadline timer observed the flag.
     server.join();
     assert!(gateway.is_shutting_down());
 }

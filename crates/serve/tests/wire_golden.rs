@@ -238,6 +238,16 @@ fn every_declared_message_type_has_a_golden_row() {
     }
 }
 
+/// The TCP server ends a connection's read loop on `Shutdown`'s type id,
+/// which it takes from the message table: the table's id is the pinned
+/// one, so a renumbering shows here, not as a server that never stops.
+#[test]
+fn the_table_id_of_shutdown_is_its_golden_one() {
+    let row = instances().iter().position(|m| *m == Message::Shutdown).expect("an instance");
+    let table = Message::TYPES.iter().find(|(_, kind)| *kind == Message::Shutdown.kind());
+    assert_eq!(table.map(|&(id, _)| id), Some(GOLDEN[row].0));
+}
+
 /// One byte too many *inside* the payload (the header's length field
 /// patched to cover it) is a typed error for every message: past the
 /// type's bound, or trailing bytes after the last field — never `Ok`.

@@ -5,8 +5,8 @@
 //! shard 1's lock*. Everything a client can ask of a cluster on shard 0 —
 //! hello, pushes, a pull, stats, a streamed delivery — must complete
 //! while it does: a dispatch that took shard 1's lock to ask "is a batch
-//! overdue?" or "is anything stored for a subscriber?" would hang here
-//! until the 10 s patience ran out.
+//! overdue?", or to deliver to a subscriber, would hang here until the
+//! 10 s patience ran out.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -82,8 +82,8 @@ struct Served {
 
 /// Parks a thread inside shard 1's flush, then serves `frames` to a
 /// cluster on shard 0 — with `subscribed`, through a subscription (and
-/// with a second subscription on the parked shard's cluster, which the
-/// pump must pass over without that shard's lock).
+/// with a second subscription on the parked shard's cluster, which no
+/// dispatch for shard 0 may touch: it lives under shard 1's lock).
 fn serve_beside_a_parked_shard(frames: &Matrix, subscribed: bool) -> Served {
     let (entered_tx, entered) = channel();
     let (release, release_rx) = channel();
