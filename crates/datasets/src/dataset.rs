@@ -162,8 +162,8 @@ impl Dataset {
         h
     }
 
-    /// Replaces the design matrix (used by normalization / augmentation),
-    /// keeping labels.
+    /// Replaces the design matrix (drift, or a codec's reconstructions
+    /// standing in for the samples), keeping labels.
     ///
     /// # Panics
     ///

@@ -21,20 +21,17 @@
 //!
 //! Supporting modules: [`raster`] (tiny software rasterizer), [`split`]
 //! (train/test and fractional subsets — DCSNet-30/50/70% in the paper's
-//! Figure 5), [`normalize`], [`augment`], and [`drift`] (environment-change
-//! simulation driving the paper's §III-D fine-tuning monitor).
+//! Figure 5), and [`drift`] (environment-change simulation driving the
+//! paper's §III-D fine-tuning monitor).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dataset;
 
-pub mod augment;
 pub mod drift;
 pub mod gtsrb_like;
-pub mod loader;
 pub mod mnist_like;
-pub mod normalize;
 pub mod raster;
 pub mod split;
 

@@ -21,8 +21,8 @@ pub struct Param<'a> {
 ///
 /// * [`forward`](Layer::forward) consumes a batch (one flattened sample per
 ///   row) and caches whatever the backward pass needs. `train` distinguishes
-///   training from inference (e.g. [`crate::GaussianNoise`] is inactive at
-///   inference).
+///   training from inference, for layers that behave differently in the
+///   two (none of the shipped ones does).
 /// * [`infer_into`](Layer::infer_into) is `forward(x, false)` into a reused
 ///   buffer; it need not leave anything behind for `backward`.
 /// * [`backward`](Layer::backward) receives `∂L/∂output`, **accumulates**

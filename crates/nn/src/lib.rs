@@ -53,25 +53,20 @@
 mod activation;
 mod conv;
 mod dense;
-mod dropout;
 mod loss;
 mod model;
-mod noise;
 mod optimizer;
 mod pool;
 
 pub mod gradcheck;
 pub mod layer;
 pub mod metrics;
-pub mod trainer;
 
 pub use activation::Activation;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use layer::{Layer, Param};
 pub use loss::Loss;
 pub use model::Sequential;
-pub use noise::GaussianNoise;
 pub use optimizer::Optimizer;
 pub use pool::MaxPool2d;

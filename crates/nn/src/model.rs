@@ -134,7 +134,7 @@ impl Sequential {
 
     /// Runs the batch through every layer.
     ///
-    /// `train` enables training-only behaviour (noise injection).
+    /// `train` is handed to every layer ([`Layer::forward`]).
     ///
     /// # Panics
     ///
@@ -333,11 +333,12 @@ mod tests {
         let x = Matrix::from_fn(9, 6, |r, c| ((r * 13 + c) as f32 * 0.21).sin());
         let widths = [6usize, 11, 3, 8, 5];
         for depth in 1..widths.len() {
-            // A noise layer has no `infer_into` of its own: the default
-            // must behave as inference-mode `forward` inside a stack.
+            // A pooling layer (here the identity: 1x1 windows) has no
+            // `infer_into` of its own: the default must behave as
+            // inference-mode `forward` inside a stack.
             let mut model = Sequential::new()
                 .with(Dense::new(widths[0], widths[1], Activation::Tanh, &mut rng))
-                .with(crate::GaussianNoise::new(widths[1], 0.5, rng.derive("noise")));
+                .with(crate::MaxPool2d::new(widths[1], 1, 1, 1));
             for w in widths[1..].windows(2).take(depth - 1) {
                 model.push(Dense::new(w[0], w[1], Activation::Tanh, &mut rng));
             }

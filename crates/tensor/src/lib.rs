@@ -4,8 +4,7 @@
 //!
 //! This crate is the computational foundation of the workspace: a row-major
 //! [`Matrix`] of `f32` with the operations needed by a small neural-network
-//! library (GEMM in all transpose flavours, broadcasting, reductions), a
-//! 4-dimensional [`Tensor4`] in `(N, C, H, W)` layout for image batches,
+//! library (GEMM in all transpose flavours, broadcasting, reductions),
 //! [`im2col()`]/[`col2im()`] lowering for convolutions, deterministic random
 //! number generation ([`rng::OrcoRng`]), weight [`init`]ializers, and
 //! descriptive [`stats`] (PSNR, mean/variance, histograms).
@@ -32,7 +31,6 @@
 
 mod error;
 mod matrix;
-mod tensor4;
 mod view;
 
 pub mod im2col;
@@ -46,7 +44,6 @@ pub use error::TensorError;
 pub use im2col::{col2im, im2col, Conv2dGeom};
 pub use matrix::Matrix;
 pub use rng::{fnv1a64, OrcoRng};
-pub use tensor4::Tensor4;
 pub use view::{MatView, MatViewMut};
 
 /// Convenience alias for results returned by this crate.
