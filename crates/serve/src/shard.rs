@@ -432,7 +432,8 @@ impl ShardCore {
     /// Streams everything stored for `cluster` to its live subscribers,
     /// if it has any: one `StreamFrames` per single-version run (mid-swap
     /// a backlog can span model versions, and every delivery stays
-    /// version-pure), encoded once and pushed to each outbox.
+    /// version-pure), encoded once and pushed to each outbox (copied for
+    /// all but the last).
     fn deliver(&mut self, cluster: u64, now_s: f64, stats: &ServeStats, tracer: &Tracer) {
         let Some(state) = self.clusters.get_mut(&cluster) else {
             return;
@@ -440,9 +441,9 @@ impl ShardCore {
         // Upgrade once, forgetting the connections that are gone.
         let mut live: Vec<Arc<Outbox>> = Vec::new();
         state.subscribers.retain(|w| w.upgrade().map(|outbox| live.push(outbox)).is_some());
-        if live.is_empty() {
+        let Some(last) = live.pop() else {
             return;
-        }
+        };
         while self.stored_rows_for(cluster) > 0 {
             match self.pull(cluster, usize::MAX, now_s, stats, tracer, true) {
                 Ok((version, frames)) => {
@@ -451,6 +452,7 @@ impl ShardCore {
                     for outbox in &live {
                         outbox.push_frame(frame.clone());
                     }
+                    last.push_frame(frame);
                 }
                 Err(e) => {
                     eprintln!("orco-serve: streaming pull for cluster {cluster} failed: {e}");

@@ -161,6 +161,11 @@ fn unsubscribe_stops_the_stream_and_rows_fall_back_to_pulls() {
     assert_eq!(second.subscribe(CLUSTER).expect("subscribe"), 5);
     assert_eq!(recv_rows(&mut second, 5).rows(), 5);
     assert_eq!(pusher.pull(CLUSTER, 8).expect("pull").rows(), 0, "delivered rows are not stored");
+    // Two live subscribers each get every row.
+    let mut third = Client::connect(&transport).expect("connects");
+    assert_eq!(third.subscribe(CLUSTER).expect("subscribe"), 0);
+    pusher.push(CLUSTER, frames(4, 9).as_view()).expect("push");
+    assert_eq!(recv_rows(&mut second, 4), recv_rows(&mut third, 4));
 }
 
 /// Per-cluster FIFO on the streamed path with a second thread in the
