@@ -6,7 +6,7 @@
 //! 32×32 GTSRB), and its backward pass zero-pads gradients back out.
 
 use orco_nn::{Layer, Param};
-use orco_tensor::Matrix;
+use orco_tensor::{MatView, Matrix};
 
 /// Centre-crops `(C, in, in)` feature maps to `(C, out, out)`.
 ///
@@ -42,49 +42,37 @@ impl Crop2d {
         Self { channels, in_side, out_side }
     }
 
-    fn margin(&self) -> usize {
-        (self.in_side - self.out_side) / 2
+    /// The window, one row of `out_side` cells at a time: where the row
+    /// starts in a cropped sample and where in an uncropped one.
+    fn window_rows(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let m = (self.in_side - self.out_side) / 2;
+        (0..self.channels * self.out_side).map(move |cy| {
+            let (c, y) = (cy / self.out_side, cy % self.out_side);
+            (cy * self.out_side, (c * self.in_side + y + m) * self.in_side + m)
+        })
     }
 }
 
 impl Layer for Crop2d {
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
-        assert_eq!(input.cols(), self.input_dim(), "Crop2d::forward: width mismatch");
-        if self.in_side == self.out_side {
-            return input.clone();
-        }
-        let m = self.margin();
-        let mut out = Matrix::zeros(input.rows(), self.output_dim());
-        for (r, sample) in input.iter_rows().enumerate() {
+    // `backward` needs only the geometry, so neither mode keeps anything.
+    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, _: bool) {
+        assert_eq!(x.cols(), self.input_dim(), "Crop2d::forward_into: width mismatch");
+        out.reset(x.rows(), self.output_dim());
+        for (r, sample) in x.iter_rows().enumerate() {
             let dst = out.row_mut(r);
-            for c in 0..self.channels {
-                for y in 0..self.out_side {
-                    for x in 0..self.out_side {
-                        dst[(c * self.out_side + y) * self.out_side + x] =
-                            sample[(c * self.in_side + y + m) * self.in_side + x + m];
-                    }
-                }
+            for (i, o) in self.window_rows() {
+                dst[i..i + self.out_side].copy_from_slice(&sample[o..o + self.out_side]);
             }
         }
-        out
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         assert_eq!(grad_output.cols(), self.output_dim(), "Crop2d::backward: width mismatch");
-        if self.in_side == self.out_side {
-            return grad_output.clone();
-        }
-        let m = self.margin();
         let mut out = Matrix::zeros(grad_output.rows(), self.input_dim());
         for (r, g) in grad_output.iter_rows().enumerate() {
             let dst = out.row_mut(r);
-            for c in 0..self.channels {
-                for y in 0..self.out_side {
-                    for x in 0..self.out_side {
-                        dst[(c * self.in_side + y + m) * self.in_side + x + m] =
-                            g[(c * self.out_side + y) * self.out_side + x];
-                    }
-                }
+            for (i, o) in self.window_rows() {
+                dst[o..o + self.out_side].copy_from_slice(&g[i..i + self.out_side]);
             }
         }
         out

@@ -32,12 +32,6 @@ impl GaussianMeasurement {
         self.phi.rows()
     }
 
-    /// Signal dimension `n`.
-    #[must_use]
-    pub fn signal_dim(&self) -> usize {
-        self.phi.cols()
-    }
-
     /// The matrix Φ.
     #[must_use]
     pub fn phi(&self) -> &Matrix {

@@ -217,14 +217,15 @@ impl Codec for Dcsnet {
     // orco-lint: region(no-alloc)
     fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_frames(Codec::name(self), frames)?;
-        self.encoder.forward_into(frames, out);
+        self.encoder.forward_into(frames, out, false);
         Ok(())
     }
     // orco-lint: endregion
 
     /// One batch pass of the 4-conv-layer decoder stack instead of a
-    /// per-frame loop. `Conv2d` and `Crop2d` keep [`Layer::infer_into`]'s
-    /// default, so each layer still allocates its result and moves it on.
+    /// per-frame loop: `Conv2d` and `Crop2d` write into the two ping-pong
+    /// buffers and retain nothing. (A convolution still allocates its
+    /// im2col matrix and product per sample — ROADMAP item 1.)
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
         self.decoder.infer_into(codes, &mut self.decode_scratch, out);
@@ -352,6 +353,20 @@ mod tests {
         let gl = b.edge_decoder_update(&grad);
         b.aggregator_encoder_update(&gl);
         assert_eq!(central, split_loss);
+    }
+
+    #[test]
+    fn batch_decode_matches_the_training_forward() {
+        // Cropping (28x28) and identity (32x32) geometry: the inference
+        // path through `Sequential::infer_into` against `forward(.., true)`.
+        for kind in [DatasetKind::MnistLike, DatasetKind::GtsrbLike] {
+            let mut net = Dcsnet::new(kind, 3);
+            let codes = Matrix::from_fn(2, DCSNET_LATENT_DIM, |r, c| ((r * 31 + c) as f32).sin());
+            let reference = net.edge_decode_train(&codes);
+            let mut out = Matrix::filled(1, 1, f32::NAN); // dirty reused buffer
+            net.decode_batch(codes.as_view(), &mut out).unwrap();
+            assert_eq!(out, reference, "{kind:?}");
+        }
     }
 
     #[test]

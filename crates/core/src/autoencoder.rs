@@ -9,6 +9,12 @@
 //! local joint-training path built from the *same* primitives, so
 //! distributed and centralized training are bit-identical given the same
 //! random streams.
+//!
+//! The inference methods run the layers with `train = false`
+//! ([`orco_nn::Layer::forward_into`]), which keeps nothing for a backward
+//! pass, so the edge may decode for consumers between a round's
+//! [`AsymmetricAutoencoder::edge_decode_train`] and its
+//! [`AsymmetricAutoencoder::edge_decoder_update`].
 
 use orco_nn::{Activation, Dense, Layer, Loss, Optimizer, Sequential};
 
@@ -106,16 +112,6 @@ impl AsymmetricAutoencoder {
         self.loss
     }
 
-    /// Changes the latent-noise variance (sensitivity sweeps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variance` is negative or not finite.
-    pub fn set_noise_variance(&mut self, variance: f32) {
-        assert!(variance.is_finite() && variance >= 0.0, "variance must be ≥ 0");
-        self.noise_variance = variance;
-    }
-
     /// The encoder's weight matrix, shaped `(M, N)` — the object distributed
     /// column-wise to IoT devices (§III-C).
     ///
@@ -201,10 +197,10 @@ impl AsymmetricAutoencoder {
     /// encoder weight, a bias broadcast, and the sigmoid in place.
     /// Bit-identical to encoding each row through
     /// [`AsymmetricAutoencoder::encode`], without the per-frame
-    /// allocations and activation caching.
+    /// allocations.
     // orco-lint: region(no-alloc)
     pub fn encode_batch_into(&mut self, frames: MatView<'_>, out: &mut Matrix) {
-        self.encoder.forward_into(frames, out);
+        self.encoder.forward_into(frames, out, false);
     }
 
     /// Batched inference decode into a caller-owned buffer — the native

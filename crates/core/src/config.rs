@@ -147,13 +147,6 @@ impl OrcoConfig {
         self
     }
 
-    /// Selects element-wise Huber (the default).
-    #[must_use]
-    pub fn with_elementwise_huber(mut self) -> Self {
-        self.vector_huber = false;
-        self
-    }
-
     /// Selects the paper's literal per-sample vector-norm Huber (eq. 4).
     ///
     /// δ is rescaled to the per-sample L1-norm scale (`0.05 · N`) so the

@@ -135,12 +135,6 @@ impl OnlineTrainer {
         &self.orchestrator
     }
 
-    /// Mutable access to the wrapped orchestrator.
-    #[must_use]
-    pub fn orchestrator_mut(&mut self) -> &mut Orchestrator {
-        &mut self.orchestrator
-    }
-
     /// Number of times the monitor relaunched training.
     #[must_use]
     pub fn retrain_count(&self) -> usize {

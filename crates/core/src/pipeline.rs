@@ -149,13 +149,6 @@ impl Report {
         self.probe.last().map_or(f32::NAN, |r| r.probe_l2)
     }
 
-    /// Probe L2 of the last epoch boundary at or before simulated time `t`
-    /// (`None` if the first record is after `t`).
-    #[must_use]
-    pub fn probe_l2_at(&self, t: f64) -> Option<f32> {
-        self.probe.iter().rev().find(|r| r.sim_time_s <= t).map(|r| r.probe_l2)
-    }
-
     /// Simulated time of the last probe record.
     #[must_use]
     pub fn total_time_s(&self) -> f64 {

@@ -13,7 +13,7 @@
 //! * `format!` / `vec!`.
 //!
 //! The fix is almost always "take an `&mut` scratch buffer from the
-//! caller" — the pattern `encode_batch_into`/`forward_into` already use.
+//! caller" — the pattern `encode_batch_into`/`Layer::forward_into` already use.
 //! The `require-region` config key pins the markers to the named files
 //! so deleting them is itself a violation.
 

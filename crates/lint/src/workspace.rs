@@ -3,10 +3,9 @@
 //! The walker starts at the workspace root and recurses, skipping:
 //!
 //! * `target/` and dot-directories — build products, VCS metadata;
-//! * `shims/` — vendored stand-ins for crates.io packages (`proptest`,
-//!   `criterion`); they emulate *external* code and carry external
-//!   idioms (the criterion shim reads the wall clock, as a bench harness
-//!   must). The clippy `disallowed-methods` backstop still covers them.
+//! * `shims/` — the vendored stand-in for a crates.io package
+//!   (`proptest`); it emulates *external* code and carries external
+//!   idioms. The clippy `disallowed-methods` backstop still covers it.
 //! * any `tests/fixtures/` directory — the lint crate's own fixture
 //!   files are known-bad on purpose.
 //!

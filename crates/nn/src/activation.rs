@@ -76,15 +76,7 @@ impl Activation {
         }
     }
 
-    /// Applies the activation element-wise to a matrix.
-    #[must_use]
-    pub fn apply_matrix(self, m: &Matrix) -> Matrix {
-        m.map(|v| self.apply(v))
-    }
-
-    /// Applies the activation element-wise in place — the allocation-free
-    /// twin of [`Activation::apply_matrix`] (same per-element function,
-    /// bit-identical results), used by the batched inference paths.
+    /// Applies the activation element-wise in place.
     pub fn apply_inplace(self, m: &mut Matrix) {
         m.map_inplace(|v| self.apply(v));
     }
@@ -154,8 +146,6 @@ mod tests {
     #[test]
     fn matrix_application() {
         let m = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]).unwrap();
-        let r = Activation::Relu.apply_matrix(&m);
-        assert_eq!(r.as_slice(), &[0.0, 0.0, 2.0]);
         let d = Activation::Relu.derivative_matrix(&m);
         assert_eq!(d.as_slice(), &[0.0, 0.0, 1.0]);
     }

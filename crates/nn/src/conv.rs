@@ -1,4 +1,4 @@
-use orco_tensor::{col2im, im2col, init::Init, Conv2dGeom, Matrix, OrcoRng};
+use orco_tensor::{col2im, im2col, init::Init, Conv2dGeom, MatView, Matrix, OrcoRng};
 
 use crate::activation::Activation;
 use crate::layer::{Layer, Param};
@@ -36,8 +36,10 @@ pub struct Conv2d {
     grad_kernels: Matrix,
     grad_bias: Matrix,
     activation: Activation,
-    cached_patches: Vec<Matrix>, // one per sample
-    cached_pre: Option<Matrix>,  // (batch, out_c*out_h*out_w)
+    // im2col patches (one matrix per sample) and pre-activation
+    // (batch, out_c*out_h*out_w) of the latest training-mode forward.
+    cached_patches: Vec<Matrix>,
+    cached_pre: Option<Matrix>,
 }
 
 impl Conv2d {
@@ -91,12 +93,6 @@ impl Conv2d {
         &self.geom
     }
 
-    /// Number of output channels.
-    #[must_use]
-    pub fn out_channels(&self) -> usize {
-        self.out_c
-    }
-
     /// Output spatial shape `(out_c, out_h, out_w)`.
     #[must_use]
     pub fn output_shape(&self) -> (usize, usize, usize) {
@@ -105,36 +101,41 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
+    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
         assert_eq!(
-            input.cols(),
+            x.cols(),
             self.geom.input_len(),
-            "Conv2d::forward: input features {} != expected {}",
-            input.cols(),
+            "Conv2d::forward_into: input features {} != expected {}",
+            x.cols(),
             self.geom.input_len()
         );
         let positions = self.geom.out_positions();
-        let mut pre = Matrix::zeros(input.rows(), self.out_c * positions);
-        self.cached_patches.clear();
-        for (i, sample) in input.iter_rows().enumerate() {
+        out.reset(x.rows(), self.out_c * positions);
+        if train {
+            self.cached_patches.clear();
+        }
+        for (i, sample) in x.iter_rows().enumerate() {
             let patches = im2col(sample, &self.geom); // (patch_len, positions)
             let conv = self.kernels.matmul(&patches); // (out_c, positions)
-            let row = pre.row_mut(i);
+            let row = out.row_mut(i);
             for c in 0..self.out_c {
                 let b = self.bias.row(0)[c];
                 for (p, &v) in conv.row(c).iter().enumerate() {
                     row[c * positions + p] = v + b;
                 }
             }
-            self.cached_patches.push(patches);
+            if train {
+                self.cached_patches.push(patches);
+            }
         }
-        let out = self.activation.apply_matrix(&pre);
-        self.cached_pre = Some(pre);
-        out
+        if train {
+            self.cached_pre.get_or_insert_with(|| Matrix::zeros(0, 0)).copy_from(out.as_view());
+        }
+        self.activation.apply_inplace(out);
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let pre = self.cached_pre.as_ref().expect("Conv2d::backward called before forward");
+        let pre = self.cached_pre.as_ref().expect("Conv2d::backward: no training-mode forward");
         assert_eq!(grad_output.shape(), pre.shape(), "Conv2d::backward: grad shape mismatch");
         let positions = self.geom.out_positions();
         let batch = grad_output.rows();
@@ -204,6 +205,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::assert_inference_leaves_the_round_alone;
 
     #[test]
     fn forward_shape_and_padding() {
@@ -251,6 +253,27 @@ mod tests {
         let _ = conv.forward(&x, true);
         let _ = conv.backward(&Matrix::ones(2, y.cols()));
         assert!(conv.grad_kernels.approx_eq(&g1.scale(2.0), 1e-4));
+    }
+
+    #[test]
+    fn inference_between_forward_and_backward_leaves_the_round_alone() {
+        let mut rng = OrcoRng::from_label("conv-interleave", 0);
+        let mut conv = Conv2d::new(2, 5, 5, 3, 3, 1, 1, Activation::Sigmoid, &mut rng);
+        let x = Matrix::from_fn(4, 50, |r, c| ((r * 7 + c) as f32 * 0.01).sin());
+        let served = Matrix::from_fn(2, 50, |r, c| ((r * 3 + c) as f32 * 0.02).cos());
+        let grad = Matrix::from_fn(4, 75, |r, c| ((r + c) as f32 * 0.05).cos());
+        assert_inference_leaves_the_round_alone(&conv, &x, &served, &grad);
+        let _ = conv.forward(&served, false);
+        assert!(conv.cached_patches.is_empty() && conv.cached_pre.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "Conv2d::backward: no training-mode forward")]
+    fn backward_after_only_an_inference_forward_panics() {
+        let mut rng = OrcoRng::from_label("conv-no-train", 0);
+        let mut conv = Conv2d::new(1, 3, 3, 1, 2, 1, 0, Activation::Identity, &mut rng);
+        let _ = conv.forward(&Matrix::ones(2, 9), false);
+        let _ = conv.backward(&Matrix::ones(2, 4));
     }
 
     #[test]

@@ -32,8 +32,9 @@ pub struct Dense {
     grad_weight: Matrix,
     grad_bias: Matrix,
     activation: Activation,
-    cached_input: Option<Matrix>,
-    cached_pre: Option<Matrix>,
+    // Input and pre-activation of the latest training-mode forward (`None`
+    // until there is one); the buffers are reused from round to round.
+    cache: Option<(Matrix, Matrix)>,
 }
 
 impl Dense {
@@ -78,8 +79,7 @@ impl Dense {
             grad_weight: Matrix::zeros(output_dim, input_dim),
             grad_bias: Matrix::zeros(1, output_dim),
             activation,
-            cached_input: None,
-            cached_pre: None,
+            cache: None,
         }
     }
 
@@ -102,8 +102,7 @@ impl Dense {
             weight,
             bias,
             activation,
-            cached_input: None,
-            cached_pre: None,
+            cache: None,
         }
     }
 
@@ -125,39 +124,6 @@ impl Dense {
         self.activation
     }
 
-    /// Inference-mode forward over a borrowed batch into a caller-owned
-    /// buffer: `out = σ(x·Wᵀ + b)` as one packed-panel GEMM
-    /// ([`MatView::matmul_t_into`]), a bias broadcast, and an in-place
-    /// activation.
-    ///
-    /// Unlike [`Layer::forward`] this caches nothing for backprop and
-    /// allocates nothing once `out` has grown to size. Bit-identical to
-    /// `forward(x, false)`; [`Layer::infer_into`] on a `Dense` is this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols()` differs from the layer's input dimension.
-    // orco-lint: region(no-alloc)
-    pub fn forward_into(&self, x: MatView<'_>, out: &mut Matrix) {
-        assert_eq!(
-            x.cols(),
-            self.weight.cols(),
-            "Dense::forward_into: input features {} != layer input_dim {}",
-            x.cols(),
-            self.weight.cols()
-        );
-        out.reset(x.rows(), self.weight.rows());
-        x.matmul_t_into(self.weight.as_view(), out.as_view_mut());
-        let bias = self.bias.row(0);
-        for r in 0..out.rows() {
-            for (v, &b) in out.row_mut(r).iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-        self.activation.apply_inplace(out);
-    }
-    // orco-lint: endregion
-
     /// Overwrites weights and bias (e.g. when applying a model update
     /// received over the network).
     ///
@@ -173,31 +139,39 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
+    /// `out = σ(x·Wᵀ + b)` as one packed-panel GEMM
+    /// ([`MatView::matmul_t_into`]), a bias broadcast and an in-place
+    /// activation; allocates nothing once `out` (and, under `train`, the
+    /// cache) has grown to size.
+    // orco-lint: region(no-alloc)
+    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
         assert_eq!(
-            input.cols(),
+            x.cols(),
             self.weight.cols(),
-            "Dense::forward: input features {} != layer input_dim {}",
-            input.cols(),
+            "Dense::forward_into: input features {} != layer input_dim {}",
+            x.cols(),
             self.weight.cols()
         );
-        // pre = x · Wᵀ + b  → (batch, out)
-        let pre = input.matmul_t(&self.weight).add_row_broadcast(self.bias.row(0));
-        let out = self.activation.apply_matrix(&pre);
-        self.cached_input = Some(input.clone());
-        self.cached_pre = Some(pre);
-        out
-    }
-
-    // orco-lint: region(no-alloc)
-    fn infer_into(&mut self, x: MatView<'_>, out: &mut Matrix) {
-        self.forward_into(x, out);
+        out.reset(x.rows(), self.weight.rows());
+        x.matmul_t_into(self.weight.as_view(), out.as_view_mut());
+        let bias = self.bias.row(0);
+        for r in 0..out.rows() {
+            for (v, &b) in out.row_mut(r).iter_mut().zip(bias) {
+                *v += b;
+            }
+        }
+        if train {
+            let (input, pre) =
+                self.cache.get_or_insert_with(|| (Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
+            input.copy_from(x);
+            pre.copy_from(out.as_view());
+        }
+        self.activation.apply_inplace(out);
     }
     // orco-lint: endregion
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let input = self.cached_input.as_ref().expect("Dense::backward called before forward");
-        let pre = self.cached_pre.as_ref().expect("Dense::backward called before forward");
+        let (input, pre) = self.cache.as_ref().expect("Dense::backward: no training-mode forward");
         assert_eq!(
             grad_output.shape(),
             (input.rows(), self.weight.rows()),
@@ -257,6 +231,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::assert_inference_leaves_the_round_alone;
 
     #[test]
     fn forward_known_values() {
@@ -307,23 +282,39 @@ mod tests {
     }
 
     #[test]
-    fn forward_into_bit_identical_to_forward() {
+    fn a_batch_equals_its_rows_taken_one_at_a_time() {
         let mut rng = OrcoRng::from_label("dense-into", 0);
         for activation in [Activation::Sigmoid, Activation::Relu, Activation::Identity] {
             let mut layer = Dense::new(7, 4, activation, &mut rng);
             let x = Matrix::from_fn(9, 7, |r, c| ((r * 11 + c) as f32 * 0.13).sin());
             let reference = layer.forward(&x, false);
             let mut out = Matrix::filled(1, 1, f32::NAN); // dirty reused buffer
-            layer.forward_into(x.as_view(), &mut out);
-            assert_eq!(out, reference, "{activation:?} batched forward diverged");
-            layer.infer_into(x.as_view(), &mut out);
-            assert_eq!(out, reference, "{activation:?} infer_into diverged");
-            // Per-row views must reproduce the batch rows exactly.
             for r in 0..x.rows() {
-                layer.forward_into(MatView::from_row(x.row(r)), &mut out);
-                assert_eq!(out.row(0), reference.row(r));
+                layer.forward_into(MatView::from_row(x.row(r)), &mut out, false);
+                assert_eq!(out.row(0), reference.row(r), "{activation:?} row {r}");
             }
         }
+    }
+
+    #[test]
+    fn inference_between_forward_and_backward_leaves_the_round_alone() {
+        let mut rng = OrcoRng::from_label("dense-interleave", 0);
+        let mut layer = Dense::new(5, 3, Activation::Sigmoid, &mut rng);
+        let x = Matrix::from_fn(8, 5, |r, c| ((r * 5 + c) as f32 * 0.17).sin());
+        let served = Matrix::from_fn(3, 5, |r, c| ((r + 2 * c) as f32 * 0.29).cos());
+        let grad = Matrix::from_fn(8, 3, |r, c| ((r * 3 + c) as f32 * 0.11).cos());
+        assert_inference_leaves_the_round_alone(&layer, &x, &served, &grad);
+        let _ = layer.forward(&served, false);
+        assert!(layer.cache.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "Dense::backward: no training-mode forward")]
+    fn backward_after_only_an_inference_forward_panics() {
+        let mut rng = OrcoRng::from_label("dense-no-train", 0);
+        let mut layer = Dense::new(4, 2, Activation::Identity, &mut rng);
+        let _ = layer.forward(&Matrix::ones(3, 4), false);
+        let _ = layer.backward(&Matrix::ones(3, 2));
     }
 
     #[test]

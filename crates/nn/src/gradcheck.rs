@@ -54,7 +54,7 @@ pub fn check_layer(
 
     // Analytic gradients.
     layer.zero_grad();
-    let out = layer.forward(input, false);
+    let out = layer.forward(input, true);
     assert_eq!(out.shape(), target.shape(), "gradcheck: target shape mismatch");
     let grad_out = loss.grad(&out, target);
     let grad_input = layer.backward(&grad_out);

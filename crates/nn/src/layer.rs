@@ -19,16 +19,20 @@ pub struct Param<'a> {
 ///
 /// ### Contract
 ///
-/// * [`forward`](Layer::forward) consumes a batch (one flattened sample per
-///   row) and caches whatever the backward pass needs. `train` distinguishes
-///   training from inference, for layers that behave differently in the
-///   two (none of the shipped ones does).
-/// * [`infer_into`](Layer::infer_into) is `forward(x, false)` into a reused
-///   buffer; it need not leave anything behind for `backward`.
+/// * [`forward_into`](Layer::forward_into) is the layer's one forward body:
+///   it consumes a batch (one flattened sample per row) and writes the
+///   result into the caller's buffer. `train` means *keep what `backward`
+///   needs*: a training-mode call replaces the layer's cache, an
+///   inference-mode call (`train == false`) neither reads nor writes it —
+///   so inference may run between a round's forward and its backward —
+///   and produces the same values.
+/// * [`forward`](Layer::forward) is `forward_into` into a fresh [`Matrix`].
 /// * [`backward`](Layer::backward) receives `∂L/∂output`, **accumulates**
 ///   `∂L/∂params` into the layer's gradient buffers, and returns
-///   `∂L/∂input`. It must be called after a `forward` with matching batch
-///   size.
+///   `∂L/∂input`, differentiating the latest *training-mode* forward (a
+///   layer that keeps a cache panics if there has been none, or on a
+///   different batch size). It leaves the cache as it found it, so it may
+///   be called repeatedly after one training forward.
 /// * [`zero_grad`](Layer::zero_grad) clears accumulated gradients; called by
 ///   the model before each training step.
 /// * [`flops_forward`](Layer::flops_forward) /
@@ -37,21 +41,21 @@ pub struct Param<'a> {
 ///   sizes and divides by device FLOPS rates to obtain the simulated
 ///   training times plotted in the paper's Figures 4 and 6–8.
 pub trait Layer: std::fmt::Debug + Send {
-    /// Runs the layer on a batch, caching state for backward.
-    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix;
+    /// Runs the layer on a borrowed batch into a caller-owned buffer,
+    /// which is reshaped and fully overwritten (its allocation reused when
+    /// large enough). State for `backward` is kept only when `train`.
+    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool);
 
-    /// Inference-mode forward over a borrowed batch into a caller-owned
-    /// buffer, bit-identical to `forward(x, false)`.
-    ///
-    /// The default copies `x` and moves `forward`'s result into `out`;
-    /// layers on a serving path override it to reuse `out`'s allocation
-    /// and cache nothing for a backward pass that will not come.
-    fn infer_into(&mut self, x: MatView<'_>, out: &mut Matrix) {
-        *out = self.forward(&x.to_matrix(), false);
+    /// [`forward_into`](Layer::forward_into) into a fresh matrix.
+    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(input.as_view(), &mut out, train);
+        out
     }
 
-    /// Backpropagates `grad_output`, accumulating parameter gradients, and
-    /// returns the gradient with respect to the layer's input.
+    /// Backpropagates `grad_output` through the latest training-mode
+    /// forward, accumulating parameter gradients, and returns the gradient
+    /// with respect to the layer's input.
     fn backward(&mut self, grad_output: &Matrix) -> Matrix;
 
     /// Mutable views of all parameters with their gradients (may be empty).
@@ -90,10 +94,31 @@ pub trait Layer: std::fmt::Debug + Send {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{Activation, Dense};
     use orco_tensor::OrcoRng;
+
+    /// The edge serves reconstructions while a round's gradient is still on
+    /// the uplink: an inference forward (of another batch size) between a
+    /// training forward and its backward must not change one bit of the
+    /// round's input and parameter gradients.
+    pub(crate) fn assert_inference_leaves_the_round_alone(
+        layer: &dyn Layer,
+        x: &Matrix,
+        served: &Matrix,
+        grad: &Matrix,
+    ) {
+        assert_ne!(x.rows(), served.rows(), "the interleaved batch must differ in size");
+        let (mut plain, mut interleaved) = (layer.clone_box(), layer.clone_box());
+        let _ = plain.forward(x, true);
+        let _ = interleaved.forward(x, true);
+        let _ = interleaved.forward(served, false);
+        assert_eq!(interleaved.backward(grad), plain.backward(grad), "{}: ∂L/∂input", layer.name());
+        for (a, b) in interleaved.params().iter().zip(plain.params()) {
+            assert_eq!(a.grad, b.grad, "{}: ∂L/∂params", layer.name());
+        }
+    }
 
     #[test]
     fn layer_is_object_safe() {

@@ -18,9 +18,11 @@
 //!
 //! * Data flows as [`orco_tensor::Matrix`] batches, one flattened sample per
 //!   row; conv layers carry their own `(C, H, W)` geometry.
-//! * Every layer caches what its backward pass needs; gradients accumulate
-//!   inside the layer and are exposed to [`Optimizer`]s through
-//!   [`layer::Param`] views.
+//! * Every layer has one forward body, [`Layer::forward_into`], which
+//!   writes into the caller's buffer and keeps what its backward pass needs
+//!   only when told it is training — inference disturbs no round in
+//!   flight. Gradients accumulate inside the layer and are exposed to
+//!   [`Optimizer`]s through [`layer::Param`] views.
 //! * Every layer reports per-sample forward/backward FLOP counts, which the
 //!   WSN simulator converts into simulated training time (the paper's
 //!   time-to-loss axis).

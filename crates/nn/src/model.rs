@@ -125,16 +125,10 @@ impl Sequential {
         &self.layers
     }
 
-    /// Mutable access to one layer (for surgical updates, e.g. swapping
-    /// noise variance mid-experiment).
-    #[must_use]
-    pub fn layer_mut(&mut self, index: usize) -> Option<&mut (dyn Layer + 'static)> {
-        self.layers.get_mut(index).map(|b| &mut **b as _)
-    }
-
     /// Runs the batch through every layer.
     ///
-    /// `train` is handed to every layer ([`Layer::forward`]).
+    /// `train` is handed to every layer ([`Layer::forward_into`]): pass
+    /// `true` when a [`Sequential::backward`] will follow.
     ///
     /// # Panics
     ///
@@ -150,10 +144,10 @@ impl Sequential {
     }
 
     /// Inference-mode forward over a borrowed batch, ping-ponging between
-    /// two caller-owned buffers so the last layer lands in `out`:
-    /// bit-identical to `forward(&x.to_matrix(), false)`, and — when every
-    /// layer overrides [`Layer::infer_into`], as [`crate::Dense`] does —
-    /// allocation-free once `scratch` and `out` have grown to size.
+    /// two caller-owned buffers so the last layer lands in `out`: the
+    /// values of `forward(x, false)`, with no layer's cache touched and —
+    /// for the layers whose body allocates nothing, as [`crate::Dense`]'s —
+    /// nothing allocated once `scratch` and `out` have grown to size.
     ///
     /// # Panics
     ///
@@ -164,10 +158,10 @@ impl Sequential {
             self.layers.split_first_mut().expect("Sequential::infer_into on empty model");
         // Layers alternate buffers; start on the one that puts the last in `out`.
         let (mut src, mut dst) = if rest.len() % 2 == 0 { (scratch, out) } else { (out, scratch) };
-        first.infer_into(x, dst);
+        first.forward_into(x, dst, false);
         for layer in rest {
             std::mem::swap(&mut src, &mut dst);
-            layer.infer_into(src.as_view(), dst);
+            layer.forward_into(src.as_view(), dst, false);
         }
     }
     // orco-lint: endregion
@@ -222,11 +216,6 @@ impl Sequential {
         loss.value(&pred, target)
     }
 
-    /// Inference-mode forward pass (alias conveying intent).
-    pub fn predict(&mut self, input: &Matrix) -> Matrix {
-        self.forward(input, false)
-    }
-
     /// A human-readable architecture summary, one line per layer.
     #[must_use]
     pub fn summary(&self) -> String {
@@ -253,7 +242,7 @@ impl Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Activation, Dense};
+    use crate::{Activation, Conv2d, Dense, MaxPool2d};
     use orco_tensor::OrcoRng;
 
     fn xor_data() -> (Matrix, Matrix) {
@@ -274,7 +263,7 @@ mod tests {
         for _ in 0..500 {
             model.train_batch(&x, &y, &Loss::L2, &mut opt);
         }
-        let pred = model.predict(&x);
+        let pred = model.forward(&x, false);
         for (p, t) in pred.as_slice().iter().zip(y.as_slice()) {
             assert!((p - t).abs() < 0.2, "xor not learned: pred {p} target {t}");
         }
@@ -328,21 +317,23 @@ mod tests {
     }
 
     #[test]
-    fn infer_into_bit_identical_to_forward_at_every_depth() {
+    fn inference_matches_the_training_forward_at_every_depth() {
         let mut rng = OrcoRng::from_label("seq-infer", 0);
         let x = Matrix::from_fn(9, 6, |r, c| ((r * 13 + c) as f32 * 0.21).sin());
         let widths = [6usize, 11, 3, 8, 5];
         for depth in 1..widths.len() {
-            // A pooling layer (here the identity: 1x1 windows) has no
-            // `infer_into` of its own: the default must behave as
-            // inference-mode `forward` inside a stack.
+            // Every layer kind of this crate sits in the stack (a 3-tap
+            // padded convolution over the 1x11 map, then 1x1 pooling
+            // windows), so each one's inference-mode body is held to the
+            // values of its training-mode forward.
             let mut model = Sequential::new()
                 .with(Dense::new(widths[0], widths[1], Activation::Tanh, &mut rng))
-                .with(crate::MaxPool2d::new(widths[1], 1, 1, 1));
+                .with(Conv2d::new(1, 1, widths[1], 1, 3, 1, 1, Activation::Sigmoid, &mut rng))
+                .with(MaxPool2d::new(widths[1], 1, 1, 1));
             for w in widths[1..].windows(2).take(depth - 1) {
                 model.push(Dense::new(w[0], w[1], Activation::Tanh, &mut rng));
             }
-            let reference = model.forward(&x, false);
+            let reference = model.forward(&x, true);
             // Dirty, wrongly-shaped reused buffers.
             let mut scratch = Matrix::filled(2, 3, f32::NAN);
             let mut out = Matrix::filled(1, 1, f32::NAN);
@@ -350,6 +341,30 @@ mod tests {
                 model.infer_into(x.as_view(), &mut scratch, &mut out);
                 assert_eq!(out, reference, "depth {depth}");
             }
+        }
+    }
+
+    #[test]
+    fn inference_between_forward_and_backward_leaves_the_round_alone() {
+        let mut rng = OrcoRng::from_label("seq-interleave", 0);
+        let mut plain = Sequential::new()
+            .with(Dense::new(6, 16, Activation::Tanh, &mut rng))
+            .with(Conv2d::new(1, 4, 4, 2, 3, 1, 1, Activation::Relu, &mut rng))
+            .with(MaxPool2d::new(2, 4, 4, 2))
+            .with(Dense::new(8, 3, Activation::Sigmoid, &mut rng));
+        let mut interleaved = plain.clone();
+        let x = Matrix::from_fn(8, 6, |r, c| ((r * 6 + c) as f32 * 0.19).sin());
+        let served = Matrix::from_fn(3, 6, |r, c| ((r + 4 * c) as f32 * 0.23).cos());
+        let grad = Matrix::from_fn(8, 3, |r, c| ((r * 3 + c) as f32 * 0.07).cos());
+        let _ = plain.forward(&x, true);
+        let _ = interleaved.forward(&x, true);
+        // Both inference entry points, on a batch of another size.
+        let (mut scratch, mut out) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        interleaved.infer_into(served.as_view(), &mut scratch, &mut out);
+        assert_eq!(interleaved.forward(&served, false), out);
+        assert_eq!(interleaved.backward(&grad), plain.backward(&grad));
+        for (a, b) in interleaved.params().iter().zip(plain.params()) {
+            assert_eq!(a.grad, b.grad);
         }
     }
 

@@ -1,12 +1,13 @@
-use orco_tensor::Matrix;
+use orco_tensor::{MatView, Matrix};
 
 use crate::layer::{Layer, Param};
 
 /// A 2-D max-pooling layer over non-overlapping windows.
 ///
 /// Used between the classifier's convolution stages. Inputs are batches of
-/// flattened `(C, H, W)` samples; the layer remembers which element won each
-/// window so the backward pass can route gradients.
+/// flattened `(C, H, W)` samples; a training-mode forward keeps its input,
+/// in which the backward pass finds each window's winner again to route
+/// gradients.
 ///
 /// # Examples
 ///
@@ -26,7 +27,9 @@ pub struct MaxPool2d {
     h: usize,
     w: usize,
     window: usize,
-    argmax: Vec<Vec<usize>>, // per sample: winning flat input index per output element
+    // Input of the latest training-mode forward (`None` until there is
+    // one); the buffer is reused from round to round.
+    cached_input: Option<Matrix>,
 }
 
 impl MaxPool2d {
@@ -42,7 +45,7 @@ impl MaxPool2d {
             h.is_multiple_of(window) && w.is_multiple_of(window),
             "MaxPool2d: window {window} must divide input {h}x{w}"
         );
-        Self { c, h, w, window, argmax: Vec::new() }
+        Self { c, h, w, window, cached_input: None }
     }
 
     /// Output spatial shape `(c, h/window, w/window)`.
@@ -50,64 +53,65 @@ impl MaxPool2d {
     pub fn output_shape(&self) -> (usize, usize, usize) {
         (self.c, self.h / self.window, self.w / self.window)
     }
+
+    /// Calls `f(output index, maximum, its flat input index)` for every
+    /// window of one sample, in output order.
+    fn for_each_window(&self, sample: &[f32], mut f: impl FnMut(usize, f32, usize)) {
+        let (_, oh, ow) = self.output_shape();
+        for c in 0..self.c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0usize;
+                    for wy in 0..self.window {
+                        for wx in 0..self.window {
+                            let iy = oy * self.window + wy;
+                            let ix = ox * self.window + wx;
+                            let idx = (c * self.h + iy) * self.w + ix;
+                            if sample[idx] > best {
+                                best = sample[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    f((c * oh + oy) * ow + ox, best, best_idx);
+                }
+            }
+        }
+    }
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
+    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
         assert_eq!(
-            input.cols(),
-            self.c * self.h * self.w,
-            "MaxPool2d::forward: input features {} != expected {}",
-            input.cols(),
-            self.c * self.h * self.w
+            x.cols(),
+            self.input_dim(),
+            "MaxPool2d::forward_into: input features {} != expected {}",
+            x.cols(),
+            self.input_dim()
         );
-        let (oc, oh, ow) = self.output_shape();
-        let mut out = Matrix::zeros(input.rows(), oc * oh * ow);
-        self.argmax.clear();
-        for (i, sample) in input.iter_rows().enumerate() {
-            let mut winners = vec![0usize; oc * oh * ow];
+        out.reset(x.rows(), self.output_dim());
+        for (i, sample) in x.iter_rows().enumerate() {
             let row = out.row_mut(i);
-            for c in 0..self.c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for wy in 0..self.window {
-                            for wx in 0..self.window {
-                                let iy = oy * self.window + wy;
-                                let ix = ox * self.window + wx;
-                                let idx = (c * self.h + iy) * self.w + ix;
-                                if sample[idx] > best {
-                                    best = sample[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let oidx = (c * oh + oy) * ow + ox;
-                        row[oidx] = best;
-                        winners[oidx] = best_idx;
-                    }
-                }
-            }
-            self.argmax.push(winners);
+            self.for_each_window(sample, |o, best, _| row[o] = best);
         }
-        out
+        if train {
+            self.cached_input.get_or_insert_with(|| Matrix::zeros(0, 0)).copy_from(x);
+        }
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+        let input =
+            self.cached_input.as_ref().expect("MaxPool2d::backward: no training-mode forward");
         assert_eq!(
-            self.argmax.len(),
-            grad_output.rows(),
-            "MaxPool2d::backward called before forward or with wrong batch"
+            grad_output.shape(),
+            (input.rows(), self.output_dim()),
+            "MaxPool2d::backward: grad_output shape mismatch"
         );
-        let mut grad_input = Matrix::zeros(grad_output.rows(), self.c * self.h * self.w);
-        for (i, winners) in self.argmax.iter().enumerate() {
-            let go = grad_output.row(i);
-            assert_eq!(go.len(), winners.len(), "MaxPool2d::backward: grad width mismatch");
-            let gi = grad_input.row_mut(i);
-            for (o, &widx) in winners.iter().enumerate() {
-                gi[widx] += go[o];
-            }
+        let mut grad_input = Matrix::zeros(input.rows(), self.input_dim());
+        for (i, sample) in input.iter_rows().enumerate() {
+            let (go, gi) = (grad_output.row(i), grad_input.row_mut(i));
+            self.for_each_window(sample, |o, _, winner| gi[winner] += go[o]);
         }
         grad_input
     }
@@ -143,6 +147,7 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::assert_inference_leaves_the_round_alone;
 
     #[test]
     fn pools_known_values() {
@@ -159,6 +164,25 @@ mod tests {
         let _ = pool.forward(&x, true);
         let gi = pool.backward(&Matrix::from_vec(1, 1, vec![5.0]).unwrap());
         assert_eq!(gi.as_slice(), &[0.0, 5.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn inference_between_forward_and_backward_leaves_the_round_alone() {
+        let mut pool = MaxPool2d::new(2, 4, 4, 2);
+        let x = Matrix::from_fn(3, 32, |r, c| ((r * 32 + c) as f32 * 0.37).sin());
+        let served = Matrix::from_fn(5, 32, |r, c| ((r * 32 + c) as f32 * 0.41).cos());
+        let grad = Matrix::from_fn(3, 8, |r, c| (r * 8 + c) as f32 + 1.0);
+        assert_inference_leaves_the_round_alone(&pool, &x, &served, &grad);
+        let _ = pool.forward(&served, false);
+        assert!(pool.cached_input.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "MaxPool2d::backward: no training-mode forward")]
+    fn backward_after_only_an_inference_forward_panics() {
+        let mut pool = MaxPool2d::new(1, 2, 2, 2);
+        let _ = pool.forward(&Matrix::ones(1, 4), false);
+        let _ = pool.backward(&Matrix::ones(1, 1));
     }
 
     #[test]

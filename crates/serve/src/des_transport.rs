@@ -685,14 +685,6 @@ pub struct DesConnection {
     conn: usize,
 }
 
-impl DesConnection {
-    /// The connection id inside the [`DesNet`] (for link scripting).
-    #[must_use]
-    pub fn conn_id(&self) -> usize {
-        self.conn
-    }
-}
-
 impl Connection for DesConnection {
     fn request(&mut self, msg: &Message) -> Result<Message, OrcoError> {
         let seq = self.net.submit(self.conn, msg);

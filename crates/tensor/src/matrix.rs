@@ -299,11 +299,10 @@ impl Matrix {
     /// Copies `other` into `self`, reusing the existing allocation when it
     /// is large enough (unlike `clone_from`, which re-allocates through
     /// `clone`).
-    pub fn copy_from(&mut self, other: &Matrix) {
-        self.rows = other.rows;
-        self.cols = other.cols;
+    pub fn copy_from(&mut self, other: crate::MatView<'_>) {
+        (self.rows, self.cols) = other.shape();
         self.data.clear();
-        self.data.extend_from_slice(&other.data);
+        self.data.extend_from_slice(other.as_slice());
     }
 
     /// Reshapes in place to `rows`×`cols` with every element zeroed,
@@ -616,31 +615,8 @@ impl Matrix {
     }
 
     // ------------------------------------------------------------------
-    // Broadcasting
+    // Reductions
     // ------------------------------------------------------------------
-
-    /// Adds a length-`cols` row vector to every row, returning a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != self.cols()`.
-    #[must_use]
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Matrix {
-        assert_eq!(
-            bias.len(),
-            self.cols,
-            "add_row_broadcast: bias len {} != cols {}",
-            bias.len(),
-            self.cols
-        );
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (v, &b) in out.row_mut(r).iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-        out
-    }
 
     /// Sums over rows, producing a length-`cols` vector.
     #[must_use]
@@ -671,10 +647,6 @@ impl Matrix {
     pub fn row_sums(&self) -> Vec<f32> {
         self.iter_rows().map(|r| r.iter().sum()).collect()
     }
-
-    // ------------------------------------------------------------------
-    // Reductions
-    // ------------------------------------------------------------------
 
     /// Sum of all elements.
     #[must_use]
@@ -992,8 +964,6 @@ mod tests {
     #[test]
     fn broadcasting_and_reductions() {
         let m = sample();
-        let b = m.add_row_broadcast(&[1.0, 0.0, -1.0]);
-        assert_eq!(b.as_slice(), &[2.0, 2.0, 2.0, 5.0, 5.0, 5.0]);
         assert_eq!(m.col_sums(), vec![5.0, 7.0, 9.0]);
         assert_eq!(m.row_sums(), vec![6.0, 15.0]);
         assert_eq!(m.col_means(), vec![2.5, 3.5, 4.5]);
@@ -1065,7 +1035,7 @@ mod tests {
         assert_eq!(m.shape(), (1, 2));
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
         assert!(cap_before >= m.len());
-        m.copy_from(&sample());
+        m.copy_from(sample().as_view());
         assert_eq!(m, sample());
     }
 

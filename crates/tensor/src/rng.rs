@@ -150,13 +150,6 @@ impl OrcoRng {
         self.next_f64() < p
     }
 
-    /// Fills `out` with i.i.d. normal samples.
-    pub fn fill_normal(&mut self, out: &mut [f32], mean: f32, std_dev: f32) {
-        for v in out {
-            *v = self.normal(mean, std_dev);
-        }
-    }
-
     /// Fisher–Yates shuffles a slice in place.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
