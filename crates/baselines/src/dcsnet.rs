@@ -224,13 +224,17 @@ impl Codec for Dcsnet {
 
     /// One batch pass of the 4-conv-layer decoder stack instead of a
     /// per-frame loop: `Conv2d` and `Crop2d` write into the two ping-pong
-    /// buffers and retain nothing. (A convolution still allocates its
-    /// im2col matrix and product per sample — ROADMAP item 1.)
+    /// buffers and retain nothing. Each convolution lowers a sample into
+    /// its own workspace and multiplies straight into the sample's output
+    /// row, so once those and the two buffers have grown a decode
+    /// allocates nothing.
+    // orco-lint: region(no-alloc)
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
         self.decoder.infer_into(codes, &mut self.decode_scratch, out);
         Ok(())
     }
+    // orco-lint: endregion
 
     fn loss(&self) -> Loss {
         Dcsnet::loss()

@@ -1,4 +1,6 @@
-use orco_tensor::{col2im, im2col, init::Init, Conv2dGeom, MatView, Matrix, OrcoRng};
+use orco_tensor::{
+    col2im_into, im2col_into, init::Init, Conv2dGeom, MatView, MatViewMut, Matrix, OrcoRng,
+};
 
 use crate::activation::Activation;
 use crate::layer::{Layer, Param};
@@ -12,7 +14,19 @@ use crate::layer::{Layer, Param};
 /// are built from this type.
 ///
 /// Kernels are stored as a `(out_c, in_c·k·k)` matrix so the forward pass on
-/// one sample is a single `kernels × patches` product.
+/// one sample is a single `kernels × patches` product, written straight
+/// into that sample's output row — which *is* the `(out_c, positions)`
+/// product, row-major.
+///
+/// A sample is lowered into a one-sample workspace the layer owns, sized
+/// on first use and overwritten by every sample after it, so a forward
+/// allocates nothing once the workspace and the caller's `out` have grown.
+/// Under `train` the layer keeps the **input batch and the pre-activation**
+/// (in buffers reused from round to round), not the lowered patches:
+/// `backward` lowers each sample again, which costs a twentieth of the
+/// products it feeds and leaves the workspaces holding nothing between
+/// calls — an inference forward cannot disturb a round in flight, and
+/// `backward` can be repeated.
 ///
 /// # Examples
 ///
@@ -36,10 +50,15 @@ pub struct Conv2d {
     grad_kernels: Matrix,
     grad_bias: Matrix,
     activation: Activation,
-    // im2col patches (one matrix per sample) and pre-activation
-    // (batch, out_c*out_h*out_w) of the latest training-mode forward.
-    cached_patches: Vec<Matrix>,
-    cached_pre: Option<Matrix>,
+    // Input and pre-activation of the latest training-mode forward (`None`
+    // until there is one); the buffers are reused from round to round.
+    cache: Option<(Matrix, Matrix)>,
+    // One-sample workspaces: empty until first used, then dirty — each use
+    // overwrites every element, nothing is read back across calls.
+    patches: Matrix,             // (patch_len, positions): a lowered sample
+    delta: Matrix,               // (out_c, positions): backward's δ
+    sample_grad_kernels: Matrix, // (out_c, patch_len): one sample's ∂L/∂K
+    grad_patches: Matrix,        // (patch_len, positions): ∂L/∂patches
 }
 
 impl Conv2d {
@@ -82,8 +101,11 @@ impl Conv2d {
             geom,
             out_c,
             activation,
-            cached_patches: Vec::new(),
-            cached_pre: None,
+            cache: None,
+            patches: Matrix::zeros(0, 0),
+            delta: Matrix::zeros(0, 0),
+            sample_grad_kernels: Matrix::zeros(0, 0),
+            grad_patches: Matrix::zeros(0, 0),
         }
     }
 
@@ -100,7 +122,20 @@ impl Conv2d {
     }
 }
 
+/// Sizes a one-sample workspace on its first use; afterwards a no-op.
+fn size_workspace(workspace: &mut Matrix, rows: usize, cols: usize) {
+    if workspace.shape() != (rows, cols) {
+        workspace.reset(rows, cols);
+    }
+}
+
 impl Layer for Conv2d {
+    /// Per sample: [`im2col_into`] the workspace, then `kernels × patches`
+    /// ([`MatView::matmul_into`]) into the sample's output row; then a
+    /// per-channel bias and an in-place activation over the batch.
+    /// Allocates nothing once `out`, the workspace and (under `train`) the
+    /// cache have grown to size.
+    // orco-lint: region(no-alloc)
     fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
         assert_eq!(
             x.cols(),
@@ -111,53 +146,63 @@ impl Layer for Conv2d {
         );
         let positions = self.geom.out_positions();
         out.reset(x.rows(), self.out_c * positions);
-        if train {
-            self.cached_patches.clear();
-        }
+        size_workspace(&mut self.patches, self.geom.patch_len(), positions);
         for (i, sample) in x.iter_rows().enumerate() {
-            let patches = im2col(sample, &self.geom); // (patch_len, positions)
-            let conv = self.kernels.matmul(&patches); // (out_c, positions)
-            let row = out.row_mut(i);
-            for c in 0..self.out_c {
-                let b = self.bias.row(0)[c];
-                for (p, &v) in conv.row(c).iter().enumerate() {
-                    row[c * positions + p] = v + b;
+            im2col_into(sample, &self.geom, self.patches.as_mut_slice());
+            let product = MatViewMut::new(self.out_c, positions, out.row_mut(i))
+                .expect("an output row is out_c * positions long");
+            self.kernels.as_view().matmul_into(self.patches.as_view(), product);
+        }
+        let bias = self.bias.row(0);
+        for r in 0..out.rows() {
+            for (channel, &b) in out.row_mut(r).chunks_exact_mut(positions).zip(bias) {
+                for v in channel {
+                    *v += b;
                 }
             }
-            if train {
-                self.cached_patches.push(patches);
-            }
         }
         if train {
-            self.cached_pre.get_or_insert_with(|| Matrix::zeros(0, 0)).copy_from(out.as_view());
+            let (input, pre) =
+                self.cache.get_or_insert_with(|| (Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
+            input.copy_from(x);
+            pre.copy_from(out.as_view());
         }
         self.activation.apply_inplace(out);
     }
+    // orco-lint: endregion
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let pre = self.cached_pre.as_ref().expect("Conv2d::backward: no training-mode forward");
+        let (input, pre) = self.cache.as_ref().expect("Conv2d::backward: no training-mode forward");
         assert_eq!(grad_output.shape(), pre.shape(), "Conv2d::backward: grad shape mismatch");
-        let positions = self.geom.out_positions();
-        let batch = grad_output.rows();
-        assert_eq!(self.cached_patches.len(), batch, "Conv2d::backward: stale forward cache");
+        let (patch_len, positions) = (self.geom.patch_len(), self.geom.out_positions());
+        size_workspace(&mut self.patches, patch_len, positions);
+        size_workspace(&mut self.delta, self.out_c, positions);
+        size_workspace(&mut self.sample_grad_kernels, self.out_c, patch_len);
+        size_workspace(&mut self.grad_patches, patch_len, positions);
 
-        let delta_all = grad_output.hadamard(&self.activation.derivative_matrix(pre));
-        let mut grad_input = Matrix::zeros(batch, self.geom.input_len());
-
-        for i in 0..batch {
-            // δ for this sample as (out_c, positions)
-            let delta = Matrix::from_vec(self.out_c, positions, delta_all.row(i).to_vec())
-                .expect("delta reshape is consistent");
-            let patches = &self.cached_patches[i];
+        let mut grad_input = Matrix::zeros(input.rows(), self.geom.input_len());
+        for i in 0..input.rows() {
+            // δ = grad_output ⊙ σ'(pre) for this sample, as (out_c, positions)
+            let delta = self.delta.as_mut_slice();
+            for ((d, &g), &z) in delta.iter_mut().zip(grad_output.row(i)).zip(pre.row(i)) {
+                *d = g * self.activation.derivative(z);
+            }
+            im2col_into(input.row(i), &self.geom, self.patches.as_mut_slice());
             // ∂L/∂K = δ · patchesᵀ   (out_c, patch_len)
-            self.grad_kernels += &delta.matmul_t(patches);
+            self.delta
+                .as_view()
+                .matmul_t_into(self.patches.as_view(), self.sample_grad_kernels.as_view_mut());
+            self.grad_kernels += &self.sample_grad_kernels;
             // ∂L/∂b = per-channel sums of δ
-            let bias_grad = Matrix::row_vector(&delta.row_sums());
-            self.grad_bias += &bias_grad;
+            let channels = self.delta.as_slice().chunks_exact(positions);
+            for (gb, channel) in self.grad_bias.as_mut_slice().iter_mut().zip(channels) {
+                *gb += channel.iter().sum::<f32>();
+            }
             // ∂L/∂patches = Kᵀ · δ  (patch_len, positions), then scatter.
-            let grad_patches = self.kernels.t_matmul(&delta);
-            let img = col2im(&grad_patches, &self.geom);
-            grad_input.row_mut(i).copy_from_slice(&img);
+            self.kernels
+                .as_view()
+                .t_matmul_into(self.delta.as_view(), self.grad_patches.as_view_mut());
+            col2im_into(self.grad_patches.as_slice(), &self.geom, grad_input.row_mut(i));
         }
         grad_input
     }
@@ -264,7 +309,63 @@ mod tests {
         let grad = Matrix::from_fn(4, 75, |r, c| ((r + c) as f32 * 0.05).cos());
         assert_inference_leaves_the_round_alone(&conv, &x, &served, &grad);
         let _ = conv.forward(&served, false);
-        assert!(conv.cached_patches.is_empty() && conv.cached_pre.is_none());
+        assert!(conv.cache.is_none(), "an inference forward keeps nothing");
+        let _ = conv.forward(&x, true);
+        let kept = conv.cache.clone();
+        let _ = conv.forward(&served, false);
+        assert_eq!(conv.cache, kept, "an inference forward touched the kept input");
+        assert_eq!(kept.expect("a training forward keeps its input").0, x);
+    }
+
+    #[test]
+    fn backward_twice_after_one_training_forward_repeats_itself() {
+        let mut rng = OrcoRng::from_label("conv-repeat", 0);
+        let mut conv = Conv2d::new(2, 5, 5, 3, 3, 2, 1, Activation::Tanh, &mut rng);
+        for batch in [1, 3] {
+            let x = Matrix::from_fn(batch, 50, |r, c| ((r * 7 + c) as f32 * 0.01).sin());
+            let grad =
+                Matrix::from_fn(batch, conv.output_dim(), |r, c| ((r + c) as f32 * 0.05).cos());
+            let _ = conv.forward(&x, true);
+            conv.zero_grad();
+            let first = conv.backward(&grad);
+            let (gk, gb) = (conv.grad_kernels.clone(), conv.grad_bias.clone());
+            if batch > 1 {
+                conv.zero_grad();
+            }
+            assert_eq!(conv.backward(&grad), first, "batch {batch}: ∂L/∂input");
+            // One sample adds s to 0 + s, and s + s is exact; more samples
+            // repeat the same sums from zero.
+            let times = if batch == 1 { 2.0 } else { 1.0 };
+            assert_eq!(conv.grad_kernels, gk.scale(times), "batch {batch}: ∂L/∂K");
+            assert_eq!(conv.grad_bias, gb.scale(times), "batch {batch}: ∂L/∂b");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Conv2d::backward: grad shape mismatch")]
+    fn backward_on_another_batch_size_than_the_kept_forward_panics() {
+        let mut rng = OrcoRng::from_label("conv-stale", 0);
+        let mut conv = Conv2d::new(1, 3, 3, 1, 2, 1, 0, Activation::Identity, &mut rng);
+        let _ = conv.forward(&Matrix::ones(2, 9), true);
+        let _ = conv.backward(&Matrix::ones(3, 4));
+    }
+
+    #[test]
+    fn a_reused_workspace_leaks_nothing_into_the_next_batch() {
+        let mut rng = OrcoRng::from_label("conv-reuse", 0);
+        let fresh = Conv2d::new(2, 6, 5, 3, 3, 2, 1, Activation::Sigmoid, &mut rng);
+        let mut used = fresh.clone();
+        let small = Matrix::from_fn(2, 60, |r, c| ((r * 11 + c) as f32 * 0.03).cos());
+        let large = Matrix::from_fn(5, 60, |r, c| ((r * 7 + c) as f32 * 0.02).sin());
+        let grad = Matrix::from_fn(5, fresh.output_dim(), |r, c| ((r + 3 * c) as f32 * 0.04).sin());
+        let _ = used.forward(&small, true);
+        let _ = used.backward(&Matrix::ones(2, fresh.output_dim()));
+        used.zero_grad();
+        let mut fresh = fresh;
+        assert_eq!(used.forward(&large, true), fresh.forward(&large, true));
+        assert_eq!(used.backward(&grad), fresh.backward(&grad));
+        assert_eq!(used.grad_kernels, fresh.grad_kernels);
+        assert_eq!(used.grad_bias, fresh.grad_bias);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! column of a patch matrix, so a convolution becomes a single GEMM with the
 //! kernel matrix; [`col2im`] is its adjoint, scattering column gradients
 //! back onto the image. Both directions share a [`Conv2dGeom`] describing
-//! kernel size, stride, and zero padding.
+//! kernel size, stride, and zero padding, and each has one body —
+//! [`im2col_into`] / [`col2im_into`], over caller-owned slices a layer
+//! reuses from sample to sample; the owning pair is a fresh buffer around
+//! them.
 //!
 //! The pair satisfies the adjoint identity
 //! `⟨im2col(x), p⟩ = ⟨x, col2im(p)⟩`, which the property tests in this
@@ -97,6 +100,15 @@ impl Conv2dGeom {
     pub fn input_len(&self) -> usize {
         self.in_c * self.in_h * self.in_w
     }
+
+    /// The outputs `o` along one axis whose tap `k_off` reads a real
+    /// pixel — `0 <= o·stride + k_off − pad < in_extent` — as `(first,
+    /// end)`; `first == end` when the tap only ever sees padding.
+    fn valid_outputs(&self, k_off: usize, in_extent: usize, out_extent: usize) -> (usize, usize) {
+        let end = (in_extent + self.pad).saturating_sub(k_off).div_ceil(self.stride);
+        let end = end.min(out_extent);
+        (self.pad.saturating_sub(k_off).div_ceil(self.stride).min(end), end)
+    }
 }
 
 /// Unrolls one flattened `(C, H, W)` sample into a patch matrix.
@@ -111,35 +123,56 @@ impl Conv2dGeom {
 /// Panics if `input.len() != geom.input_len()`.
 #[must_use]
 pub fn im2col(input: &[f32], geom: &Conv2dGeom) -> Matrix {
+    let mut out = Matrix::zeros(geom.patch_len(), geom.out_positions());
+    im2col_into(input, geom, out.as_mut_slice());
+    out
+}
+
+/// [`im2col`] into a caller-owned row-major `(patch_len, out_positions)`
+/// buffer. Every element is written — padding as `0.0` — so the buffer
+/// may be dirty.
+///
+/// Patch row `(c, kh, kw)` is channel `c` shifted by `(kh, kw)`: the
+/// output rows and columns that read a real pixel are found once per patch
+/// row and each image row moves as one slice.
+///
+/// # Panics
+///
+/// Panics if `input.len() != geom.input_len()` or
+/// `out.len() != geom.patch_len() * geom.out_positions()`.
+// orco-lint: region(no-alloc)
+pub fn im2col_into(input: &[f32], geom: &Conv2dGeom, out: &mut [f32]) {
     assert_eq!(input.len(), geom.input_len(), "im2col: input length mismatch");
-    let (oh, ow, k) = (geom.out_h(), geom.out_w(), geom.kernel);
-    let mut out = Matrix::zeros(geom.patch_len(), oh * ow);
-    for c in 0..geom.in_c {
-        for kh in 0..k {
-            for kw in 0..k {
-                let patch_row = (c * k + kh) * k + kw;
-                for oy in 0..oh {
-                    // signed input row: oy*stride + kh - pad
-                    let iy = (oy * geom.stride + kh) as isize - geom.pad as isize;
-                    if iy < 0 || iy >= geom.in_h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kw) as isize - geom.pad as isize;
-                        if ix < 0 || ix >= geom.in_w as isize {
-                            continue;
-                        }
-                        let ix = ix as usize;
-                        let v = input[(c * geom.in_h + iy) * geom.in_w + ix];
-                        out.set(patch_row, oy * ow + ox, v);
-                    }
+    let (oh, ow, k, stride) = (geom.out_h(), geom.out_w(), geom.kernel, geom.stride);
+    assert_eq!(out.len(), geom.patch_len() * oh * ow, "im2col: patch buffer length mismatch");
+    for (patch_row, dst) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let (c, kh, kw) = (patch_row / (k * k), patch_row / k % k, patch_row % k);
+        let (oy0, oy1) = geom.valid_outputs(kh, geom.in_h, oh);
+        let (ox0, ox1) = geom.valid_outputs(kw, geom.in_w, ow);
+        if oy0 == oy1 || ox0 == ox1 {
+            dst.fill(0.0);
+            continue;
+        }
+        let ix0 = ox0 * stride + kw - geom.pad;
+        dst[..oy0 * ow].fill(0.0);
+        dst[oy1 * ow..].fill(0.0);
+        for (oy, dst) in dst.chunks_exact_mut(ow).enumerate().take(oy1).skip(oy0) {
+            let iy = oy * stride + kh - geom.pad;
+            let src = &input[(c * geom.in_h + iy) * geom.in_w..][..geom.in_w];
+            dst[..ox0].fill(0.0);
+            dst[ox1..].fill(0.0);
+            let dst = &mut dst[ox0..ox1];
+            if stride == 1 {
+                dst.copy_from_slice(&src[ix0..ix0 + dst.len()]);
+            } else {
+                for (d, &v) in dst.iter_mut().zip(src[ix0..].iter().step_by(stride)) {
+                    *d = v;
                 }
             }
         }
     }
-    out
 }
+// orco-lint: endregion
 
 /// Scatters a patch matrix back onto a flattened `(C, H, W)` image,
 /// accumulating overlapping contributions — the adjoint of [`im2col`].
@@ -154,33 +187,53 @@ pub fn col2im(patches: &Matrix, geom: &Conv2dGeom) -> Vec<f32> {
         (geom.patch_len(), geom.out_positions()),
         "col2im: patch matrix shape mismatch"
     );
-    let (oh, ow, k) = (geom.out_h(), geom.out_w(), geom.kernel);
     let mut img = vec![0.0f32; geom.input_len()];
-    for c in 0..geom.in_c {
-        for kh in 0..k {
-            for kw in 0..k {
-                let patch_row = (c * k + kh) * k + kw;
-                let row = patches.row(patch_row);
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + kh) as isize - geom.pad as isize;
-                    if iy < 0 || iy >= geom.in_h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kw) as isize - geom.pad as isize;
-                        if ix < 0 || ix >= geom.in_w as isize {
-                            continue;
-                        }
-                        let ix = ix as usize;
-                        img[(c * geom.in_h + iy) * geom.in_w + ix] += row[oy * ow + ox];
-                    }
+    col2im_into(patches.as_slice(), geom, &mut img);
+    img
+}
+
+/// [`col2im`] from a row-major `(patch_len, out_positions)` slice into a
+/// caller-owned image. The image is zeroed first, so it may be dirty.
+///
+/// A pixel takes at most one term from each patch row, and patch rows are
+/// walked in ascending `(c, kh, kw)`: every pixel is one accumulator from
+/// `+0.0` over its taps in ascending `(kh, kw)`.
+///
+/// # Panics
+///
+/// Panics if `patches.len() != geom.patch_len() * geom.out_positions()` or
+/// `img.len() != geom.input_len()`.
+// orco-lint: region(no-alloc)
+pub fn col2im_into(patches: &[f32], geom: &Conv2dGeom, img: &mut [f32]) {
+    let (oh, ow, k, stride) = (geom.out_h(), geom.out_w(), geom.kernel, geom.stride);
+    assert_eq!(patches.len(), geom.patch_len() * oh * ow, "col2im: patch buffer length mismatch");
+    assert_eq!(img.len(), geom.input_len(), "col2im: image length mismatch");
+    img.fill(0.0);
+    for (patch_row, src) in patches.chunks_exact(oh * ow).enumerate() {
+        let (c, kh, kw) = (patch_row / (k * k), patch_row / k % k, patch_row % k);
+        let (oy0, oy1) = geom.valid_outputs(kh, geom.in_h, oh);
+        let (ox0, ox1) = geom.valid_outputs(kw, geom.in_w, ow);
+        if oy0 == oy1 || ox0 == ox1 {
+            continue;
+        }
+        let ix0 = ox0 * stride + kw - geom.pad;
+        for (oy, src) in src.chunks_exact(ow).enumerate().take(oy1).skip(oy0) {
+            let iy = oy * stride + kh - geom.pad;
+            let dst = &mut img[(c * geom.in_h + iy) * geom.in_w..][..geom.in_w];
+            let src = &src[ox0..ox1];
+            if stride == 1 {
+                for (d, &v) in dst[ix0..ix0 + src.len()].iter_mut().zip(src) {
+                    *d += v;
+                }
+            } else {
+                for (d, &v) in dst[ix0..].iter_mut().step_by(stride).zip(src) {
+                    *d += v;
                 }
             }
         }
     }
-    img
 }
+// orco-lint: endregion
 
 #[cfg(test)]
 mod tests {

@@ -41,7 +41,7 @@ pub mod serialize;
 pub mod stats;
 
 pub use error::TensorError;
-pub use im2col::{col2im, im2col, Conv2dGeom};
+pub use im2col::{col2im, col2im_into, im2col, im2col_into, Conv2dGeom};
 pub use matrix::Matrix;
 pub use rng::{fnv1a64, OrcoRng};
 pub use view::{MatView, MatViewMut};

@@ -4,7 +4,7 @@
 //! on: GEMM distributivity/associativity (within f32 tolerance), transpose
 //! identities, im2col/col2im adjointness, and serializer round-trips.
 
-use orco_tensor::{col2im, im2col, serialize, Conv2dGeom, Matrix};
+use orco_tensor::{col2im, col2im_into, im2col, im2col_into, serialize, Conv2dGeom, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a matrix with dims in [1, max_dim] and small-magnitude entries.
@@ -24,6 +24,92 @@ fn matmul_pair(max_dim: usize) -> impl Strategy<Value = (Matrix, Matrix)> {
             .prop_map(move |d| Matrix::from_vec(k, n, d).unwrap());
         (a, b)
     })
+}
+
+/// Geometries `pad >= kernel`, `kernel == in + 2·pad` (one output
+/// position), an axis whose outer taps only ever read padding, and a
+/// stride wider than the kernel — one draw in four comes from here.
+const EDGE_GEOMS: [(usize, usize, usize, usize, usize, usize); 6] = [
+    (1, 1, 1, 1, 1, 3),
+    (2, 2, 3, 2, 1, 2),
+    (1, 3, 1, 5, 1, 2),
+    (2, 1, 4, 3, 3, 3),
+    (1, 1, 5, 3, 2, 1),
+    (3, 7, 2, 2, 3, 0),
+];
+
+/// Strategy: `(in_c, h, w, kernel, stride, pad)` over non-square inputs,
+/// kernels 1–5, strides 1–3 and pads 0–3; callers `prop_assume!` that the
+/// padded input covers the kernel.
+fn conv_geom_strategy() -> impl Strategy<Value = (usize, usize, usize, usize, usize, usize)> {
+    (
+        0..4 * EDGE_GEOMS.len(),
+        (1usize..=3, 1usize..=7, 1usize..=7, 1usize..=5, 1usize..=3, 0usize..=3),
+    )
+        .prop_map(|(pick, drawn)| EDGE_GEOMS.get(pick).copied().unwrap_or(drawn))
+}
+
+/// [`im2col`] one element at a time: the scalar loop the row-slice
+/// lowering replaced, kept here as its oracle.
+fn im2col_oracle(input: &[f32], geom: &Conv2dGeom) -> Vec<f32> {
+    let (oh, ow, k) = (geom.out_h(), geom.out_w(), geom.kernel);
+    let mut out = vec![0.0f32; geom.patch_len() * oh * ow];
+    for c in 0..geom.in_c {
+        for kh in 0..k {
+            for kw in 0..k {
+                let patch_row = (c * k + kh) * k + kw;
+                for oy in 0..oh {
+                    // signed input row: oy*stride + kh - pad
+                    let iy = (oy * geom.stride + kh) as isize - geom.pad as isize;
+                    if iy < 0 || iy >= geom.in_h as isize {
+                        continue;
+                    }
+                    for ox in 0..ow {
+                        let ix = (ox * geom.stride + kw) as isize - geom.pad as isize;
+                        if ix < 0 || ix >= geom.in_w as isize {
+                            continue;
+                        }
+                        let v = input[(c * geom.in_h + iy as usize) * geom.in_w + ix as usize];
+                        out[patch_row * oh * ow + oy * ow + ox] = v;
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// [`col2im`] one element at a time, contributions arriving in ascending
+/// `(kh, kw)` — the scalar loop the row-slice scatter replaced.
+fn col2im_oracle(patches: &[f32], geom: &Conv2dGeom) -> Vec<f32> {
+    let (oh, ow, k) = (geom.out_h(), geom.out_w(), geom.kernel);
+    let mut img = vec![0.0f32; geom.input_len()];
+    for c in 0..geom.in_c {
+        for kh in 0..k {
+            for kw in 0..k {
+                let row = &patches[((c * k + kh) * k + kw) * oh * ow..][..oh * ow];
+                for oy in 0..oh {
+                    let iy = (oy * geom.stride + kh) as isize - geom.pad as isize;
+                    if iy < 0 || iy >= geom.in_h as isize {
+                        continue;
+                    }
+                    for ox in 0..ow {
+                        let ix = (ox * geom.stride + kw) as isize - geom.pad as isize;
+                        if ix < 0 || ix >= geom.in_w as isize {
+                            continue;
+                        }
+                        img[(c * geom.in_h + iy as usize) * geom.in_w + ix as usize] +=
+                            row[oy * ow + ox];
+                    }
+                }
+            }
+        }
+    }
+    img
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -167,6 +253,38 @@ proptest! {
         let scattered = col2im(&p, &geom);
         let rhs: f32 = x.iter().zip(&scattered).map(|(a, b)| a * b).sum();
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()), "adjoint violated: {} vs {}", lhs, rhs);
+    }
+
+    #[test]
+    fn im2col_into_a_dirty_buffer_matches_the_scalar_oracle(
+        (c, h, w, k, stride, pad) in conv_geom_strategy(),
+        seed in 0u64..1000,
+    ) {
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        let geom = Conv2dGeom::new(c, h, w, k, stride, pad);
+        let mut rng = orco_tensor::OrcoRng::from_seed_u64(seed);
+        let x: Vec<f32> = (0..geom.input_len()).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let want = im2col_oracle(&x, &geom);
+        let mut got = vec![f32::NAN; want.len()];
+        im2col_into(&x, &geom, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want), "{:?}", geom);
+        prop_assert_eq!(bits(im2col(&x, &geom).as_slice()), bits(&want), "{:?}", geom);
+    }
+
+    #[test]
+    fn col2im_into_a_dirty_image_matches_the_scalar_oracle(
+        (c, h, w, k, stride, pad) in conv_geom_strategy(),
+        seed in 0u64..1000,
+    ) {
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        let geom = Conv2dGeom::new(c, h, w, k, stride, pad);
+        let mut rng = orco_tensor::OrcoRng::from_seed_u64(seed);
+        let p = Matrix::from_fn(geom.patch_len(), geom.out_positions(), |_, _| rng.uniform(-1.0, 1.0));
+        let want = col2im_oracle(p.as_slice(), &geom);
+        let mut got = vec![f32::NAN; want.len()];
+        col2im_into(p.as_slice(), &geom, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want), "{:?}", geom);
+        prop_assert_eq!(bits(&col2im(&p, &geom)), bits(&want), "{:?}", geom);
     }
 
     #[test]

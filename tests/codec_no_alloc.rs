@@ -1,8 +1,10 @@
-//! The autoencoder's batched codec path allocates nothing in steady state
-//! (ROADMAP item 2(a)'s bar, pulled forward for the codec): after one
-//! warm-up batch has grown the caller's buffers and the decoder's
-//! ping-pong scratch, `encode_batch` + `decode_batch` at batch 64 make
-//! **zero** calls into the allocator — counted, not inferred.
+//! The batched codec paths allocate nothing in steady state (ROADMAP item
+//! 2(a)'s bar, pulled forward for the codec, and item 1's for the conv
+//! stack): after one warm-up batch has grown the caller's buffers, the
+//! decoder's ping-pong scratch and — for DCSNet — each convolution's
+//! one-sample workspace, `encode_batch` + `decode_batch` make **zero**
+//! calls into the allocator, at batch 64 on the autoencoder and batch 16
+//! on DCSNet — counted, not inferred.
 //!
 //! The file is its own test binary because `#[global_allocator]` is
 //! process-wide. Only the test's own thread is counted, and the kernels
@@ -12,6 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use orcodcs_repro::baselines::Dcsnet;
 use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig};
 use orcodcs_repro::datasets::{gtsrb_like, mnist_like, DatasetKind};
 use orcodcs_repro::tensor::{parallel, Matrix};
@@ -65,6 +68,21 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(|c| c.take()).expect("counting was on")
 }
 
+/// Allocator calls of one warm-up `encode_batch` + `decode_batch` of
+/// `frames` and of the one after it, on a thread budget of 1.
+fn warm_up_and_steady_allocations(codec: &mut dyn Codec, frames: &Matrix) -> (usize, usize) {
+    let (mut codes, mut decoded) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let mut round_trip = || {
+        codec.encode_batch(frames.as_view(), &mut codes).expect("frames fit");
+        codec.decode_batch(codes.as_view(), &mut decoded).expect("codes fit");
+    };
+    let counts = parallel::with_thread_budget(1, || {
+        (allocations_during(&mut round_trip), allocations_during(&mut round_trip))
+    });
+    assert_eq!(decoded.shape(), frames.shape());
+    counts
+}
+
 #[test]
 fn steady_state_autoencoder_codec_allocates_nothing() {
     const BATCH: usize = 64;
@@ -76,23 +94,37 @@ fn steady_state_autoencoder_codec_allocates_nothing() {
         for decoder_layers in [1, 3] {
             let config = OrcoConfig::for_dataset(kind).with_decoder_layers(decoder_layers);
             let mut codec = AsymmetricAutoencoder::new(&config).expect("valid config");
-            let frames = dataset.x();
-            let (mut codes, mut decoded) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-            let mut round_trip = |codec: &mut AsymmetricAutoencoder| {
-                codec.encode_batch(frames.as_view(), &mut codes).expect("frames fit");
-                codec.decode_batch(codes.as_view(), &mut decoded).expect("codes fit");
-            };
-            parallel::with_thread_budget(1, || {
-                // The counter counts: the warm-up grows every buffer.
-                assert!(allocations_during(|| round_trip(&mut codec)) > 0);
-                let steady = allocations_during(|| round_trip(&mut codec));
-                assert_eq!(
-                    steady, 0,
-                    "{kind:?}, {decoder_layers} decoder layer(s): a steady-state batch-{BATCH} \
-                     encode + decode made {steady} allocator calls"
-                );
-            });
-            assert_eq!(decoded.shape(), frames.shape());
+            let (warm_up, steady) = warm_up_and_steady_allocations(&mut codec, dataset.x());
+            // The counter counts: the warm-up grows every buffer.
+            assert!(warm_up > 0);
+            assert_eq!(
+                steady, 0,
+                "{kind:?}, {decoder_layers} decoder layer(s): a steady-state batch-{BATCH} \
+                 encode + decode made {steady} allocator calls"
+            );
         }
+    }
+}
+
+/// The conv stack: four `Conv2d` layers and a crop behind a 1024-wide
+/// dense encoder. Before the layer owned its workspace this made 128
+/// allocator calls a batch (a patch matrix and a product per sample per
+/// layer).
+#[test]
+fn steady_state_dcsnet_codec_allocates_nothing() {
+    const BATCH: usize = 16;
+    let cases = [
+        (DatasetKind::MnistLike, mnist_like::generate(BATCH, 3)),
+        (DatasetKind::GtsrbLike, gtsrb_like::generate(BATCH, 3)),
+    ];
+    for (kind, dataset) in cases {
+        let mut codec = Dcsnet::new(kind, 3);
+        let (warm_up, steady) = warm_up_and_steady_allocations(&mut codec, dataset.x());
+        assert!(warm_up > 0);
+        assert_eq!(
+            steady, 0,
+            "{kind:?}: a steady-state batch-{BATCH} DCSNet encode + decode made {steady} \
+             allocator calls"
+        );
     }
 }
