@@ -130,9 +130,9 @@ fn size_workspace(workspace: &mut Matrix, rows: usize, cols: usize) {
 }
 
 impl Layer for Conv2d {
-    /// Per sample: [`im2col_into`] the workspace, then `kernels × patches`
-    /// ([`MatView::matmul_into`]) into the sample's output row; then a
-    /// per-channel bias and an in-place activation over the batch.
+    /// Per sample: [`im2col_into`] the workspace, `kernels × patches`
+    /// ([`MatView::matmul_into`]) into the sample's output row, and the
+    /// per-channel bias onto it; then an in-place activation over the batch.
     /// Allocates nothing once `out`, the workspace and (under `train`) the
     /// cache have grown to size.
     // orco-lint: region(no-alloc)
@@ -152,10 +152,7 @@ impl Layer for Conv2d {
             let product = MatViewMut::new(self.out_c, positions, out.row_mut(i))
                 .expect("an output row is out_c * positions long");
             self.kernels.as_view().matmul_into(self.patches.as_view(), product);
-        }
-        let bias = self.bias.row(0);
-        for r in 0..out.rows() {
-            for (channel, &b) in out.row_mut(r).chunks_exact_mut(positions).zip(bias) {
+            for (channel, &b) in out.row_mut(i).chunks_exact_mut(positions).zip(self.bias.row(0)) {
                 for v in channel {
                     *v += b;
                 }
@@ -317,28 +314,36 @@ mod tests {
         assert_eq!(kept.expect("a training forward keeps its input").0, x);
     }
 
-    #[test]
-    fn backward_twice_after_one_training_forward_repeats_itself() {
+    /// A strided, padded layer after one training forward of `batch` rows,
+    /// and the gradient to push back through it.
+    fn trained_once(batch: usize) -> (Conv2d, Matrix) {
         let mut rng = OrcoRng::from_label("conv-repeat", 0);
         let mut conv = Conv2d::new(2, 5, 5, 3, 3, 2, 1, Activation::Tanh, &mut rng);
-        for batch in [1, 3] {
-            let x = Matrix::from_fn(batch, 50, |r, c| ((r * 7 + c) as f32 * 0.01).sin());
-            let grad =
-                Matrix::from_fn(batch, conv.output_dim(), |r, c| ((r + c) as f32 * 0.05).cos());
-            let _ = conv.forward(&x, true);
-            conv.zero_grad();
-            let first = conv.backward(&grad);
-            let (gk, gb) = (conv.grad_kernels.clone(), conv.grad_bias.clone());
-            if batch > 1 {
-                conv.zero_grad();
-            }
-            assert_eq!(conv.backward(&grad), first, "batch {batch}: ∂L/∂input");
-            // One sample adds s to 0 + s, and s + s is exact; more samples
-            // repeat the same sums from zero.
-            let times = if batch == 1 { 2.0 } else { 1.0 };
-            assert_eq!(conv.grad_kernels, gk.scale(times), "batch {batch}: ∂L/∂K");
-            assert_eq!(conv.grad_bias, gb.scale(times), "batch {batch}: ∂L/∂b");
-        }
+        let x = Matrix::from_fn(batch, 50, |r, c| ((r * 7 + c) as f32 * 0.01).sin());
+        let grad = Matrix::from_fn(batch, conv.output_dim(), |r, c| ((r + c) as f32 * 0.05).cos());
+        let _ = conv.forward(&x, true);
+        (conv, grad)
+    }
+
+    #[test]
+    fn backward_twice_after_one_training_forward_repeats_itself() {
+        let (mut conv, grad) = trained_once(3);
+        let first = conv.backward(&grad);
+        let (gk, gb) = (conv.grad_kernels.clone(), conv.grad_bias.clone());
+        conv.zero_grad();
+        assert_eq!(conv.backward(&grad), first);
+        assert_eq!((&conv.grad_kernels, &conv.grad_bias), (&gk, &gb));
+    }
+
+    #[test]
+    fn a_second_backward_exactly_doubles_a_one_sample_gradient() {
+        // One sample adds s to 0 + s, and s + s is exact.
+        let (mut conv, grad) = trained_once(1);
+        let first = conv.backward(&grad);
+        let (gk, gb) = (conv.grad_kernels.clone(), conv.grad_bias.clone());
+        assert_eq!(conv.backward(&grad), first);
+        assert_eq!(conv.grad_kernels, gk.scale(2.0));
+        assert_eq!(conv.grad_bias, gb.scale(2.0));
     }
 
     #[test]
