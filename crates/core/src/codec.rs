@@ -79,7 +79,7 @@ use orco_tensor::{MatView, Matrix, OrcoRng};
 use crate::autoencoder::AsymmetricAutoencoder;
 use crate::checkpoint::EncoderCheckpoint;
 use crate::error::OrcoError;
-use crate::online_trainer::{RoundStats, TrainingHistory};
+use crate::history::{RoundStats, TrainingHistory};
 use crate::split::SplitModel;
 
 /// Hyperparameters for one native (local/offline) training run of a

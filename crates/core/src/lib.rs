@@ -26,7 +26,7 @@
 //! | Paper | Module |
 //! |-------|--------|
 //! | §III-B encoder/decoder/noise/loss | [`autoencoder`], [`decoder`], [`noise`] |
-//! | §III-B training procedure | [`orchestrator`], [`online_trainer`] |
+//! | §III-B training procedure | [`orchestrator`], [`history`] |
 //! | §III-C encoder distribution | [`distribution`] |
 //! | §III-C compressed aggregation | [`aggregation`] |
 //! | §III-D model fine-tuning | [`monitor`] |
@@ -75,10 +75,10 @@ pub mod codec;
 pub mod compression;
 pub mod decoder;
 pub mod distribution;
+pub mod history;
 pub mod monitor;
 pub mod multi_cluster;
 pub mod noise;
-pub mod online_trainer;
 pub mod orchestrator;
 pub mod pipeline;
 pub mod split;
@@ -91,7 +91,7 @@ pub use config::OrcoConfig;
 pub use distribution::EncoderColumns;
 pub use error::OrcoError;
 pub use monitor::FineTuneMonitor;
-pub use online_trainer::{OnlineTrainer, RoundStats, TrainingHistory};
+pub use history::{RoundStats, TrainingHistory};
 pub use orchestrator::Orchestrator;
 pub use pipeline::{
     ClusterScale, DeploymentSpec, Experiment, ExperimentBuilder, Report, TrainingMode,

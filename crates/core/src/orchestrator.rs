@@ -24,7 +24,7 @@ use crate::autoencoder::AsymmetricAutoencoder;
 use crate::config::OrcoConfig;
 use crate::distribution::EncoderColumns;
 use crate::error::OrcoError;
-use crate::online_trainer::{RoundStats, TrainingHistory};
+use crate::history::{RoundStats, TrainingHistory};
 use crate::split::SplitModel;
 
 /// Drives the OrcoDCS protocol over a simulated deployment.
@@ -284,6 +284,9 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
         if n == 0 {
             return Err(OrcoError::Config { detail: "training set is empty".into() });
         }
+        if self.config.batch_size == 0 {
+            return Err(OrcoError::Config { detail: "batch_size must be non-zero".into() });
+        }
         let bs = self.config.batch_size.min(n);
         let mut order: Vec<usize> = (0..n).collect();
         let mut history = TrainingHistory::default();
@@ -434,5 +437,17 @@ mod tests {
         let mut orch = tiny_setup(4);
         let empty = orco_tensor::Matrix::zeros(0, 784);
         assert!(matches!(orch.train(&empty), Err(OrcoError::Config { .. })));
+    }
+
+    #[test]
+    fn zero_batch_size_through_with_model_is_config_error() {
+        // `with_model` does not re-validate `config`, so the zero reaches
+        // `train_with` itself.
+        let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16);
+        let model = AsymmetricAutoencoder::new(&cfg).unwrap();
+        let mut orch =
+            Orchestrator::with_model(model, cfg.with_batch_size(0), NetworkConfig::default());
+        let ds = mnist_like::generate(4, 1);
+        assert!(matches!(orch.train(ds.x()), Err(OrcoError::Config { .. })));
     }
 }

@@ -45,7 +45,7 @@ use crate::compression::GradCompression;
 use crate::config::OrcoConfig;
 use crate::error::OrcoError;
 use crate::monitor::FineTuneMonitor;
-use crate::online_trainer::{RoundStats, TrainingHistory};
+use crate::history::{RoundStats, TrainingHistory};
 use crate::orchestrator::Orchestrator;
 
 /// Which simulator executes the deployment of an orchestrated experiment.

@@ -2,12 +2,12 @@
 //!
 //! [`im2col`] unrolls every receptive field of an input image into one
 //! column of a patch matrix, so a convolution becomes a single GEMM with the
-//! kernel matrix; [`col2im`] is its adjoint, scattering column gradients
-//! back onto the image. Both directions share a [`Conv2dGeom`] describing
-//! kernel size, stride, and zero padding, and each has one body —
-//! [`im2col_into`] / [`col2im_into`], over caller-owned slices a layer
-//! reuses from sample to sample; the owning pair is a fresh buffer around
-//! them.
+//! kernel matrix; [`col2im_into`] is its adjoint, scattering column
+//! gradients back onto the image. Both directions share a [`Conv2dGeom`]
+//! describing kernel size, stride, and zero padding, and each has one body
+//! — [`im2col_into`] / [`col2im_into`], over caller-owned slices a layer
+//! reuses from sample to sample; [`im2col`] is a fresh buffer around its
+//! body.
 //!
 //! The pair satisfies the adjoint identity
 //! `⟨im2col(x), p⟩ = ⟨x, col2im(p)⟩`, which the property tests in this
@@ -174,26 +174,10 @@ pub fn im2col_into(input: &[f32], geom: &Conv2dGeom, out: &mut [f32]) {
 }
 // orco-lint: endregion
 
-/// Scatters a patch matrix back onto a flattened `(C, H, W)` image,
-/// accumulating overlapping contributions — the adjoint of [`im2col`].
-///
-/// # Panics
-///
-/// Panics if `patches.shape() != (geom.patch_len(), geom.out_positions())`.
-#[must_use]
-pub fn col2im(patches: &Matrix, geom: &Conv2dGeom) -> Vec<f32> {
-    assert_eq!(
-        patches.shape(),
-        (geom.patch_len(), geom.out_positions()),
-        "col2im: patch matrix shape mismatch"
-    );
-    let mut img = vec![0.0f32; geom.input_len()];
-    col2im_into(patches.as_slice(), geom, &mut img);
-    img
-}
-
-/// [`col2im`] from a row-major `(patch_len, out_positions)` slice into a
-/// caller-owned image. The image is zeroed first, so it may be dirty.
+/// Scatters a row-major `(patch_len, out_positions)` patch slice back onto
+/// a caller-owned flattened `(C, H, W)` image, accumulating overlapping
+/// contributions — the adjoint of [`im2col`]. The image is zeroed first,
+/// so it may be dirty.
 ///
 /// A pixel takes at most one term from each patch row, and patch rows are
 /// walked in ascending `(c, kh, kw)`: every pixel is one accumulator from
@@ -331,7 +315,8 @@ mod tests {
         });
         let ix = im2col(&x, &g);
         let lhs = ix.dot(&p);
-        let scattered = col2im(&p, &g);
+        let mut scattered = vec![f32::NAN; g.input_len()];
+        col2im_into(p.as_slice(), &g, &mut scattered);
         let rhs: f32 = x.iter().zip(&scattered).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "adjoint identity violated: {lhs} vs {rhs}");
     }

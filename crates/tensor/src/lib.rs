@@ -5,7 +5,7 @@
 //! This crate is the computational foundation of the workspace: a row-major
 //! [`Matrix`] of `f32` with the operations needed by a small neural-network
 //! library (GEMM in all transpose flavours, broadcasting, reductions),
-//! [`im2col()`]/[`col2im()`] lowering for convolutions, deterministic random
+//! [`im2col()`]/[`col2im_into()`] lowering for convolutions, deterministic random
 //! number generation ([`rng::OrcoRng`]), weight [`init`]ializers, and
 //! descriptive [`stats`] (PSNR, mean/variance, histograms).
 //!
@@ -41,7 +41,7 @@ pub mod serialize;
 pub mod stats;
 
 pub use error::TensorError;
-pub use im2col::{col2im, col2im_into, im2col, im2col_into, Conv2dGeom};
+pub use im2col::{col2im_into, im2col, im2col_into, Conv2dGeom};
 pub use matrix::Matrix;
 pub use rng::{fnv1a64, OrcoRng};
 pub use view::{MatView, MatViewMut};

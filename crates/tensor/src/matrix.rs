@@ -428,87 +428,44 @@ impl Matrix {
     // Matrix products
     // ------------------------------------------------------------------
 
-    /// Matrix product `self * other`.
-    ///
-    /// Blocked (4-row tiles over a streamed `B`) and row-parallel across the
-    /// [`crate::parallel`] thread budget. Every output element accumulates
-    /// in ascending-`k` order regardless of tiling or thread count, so
-    /// results are bit-identical from 1 to N threads. Shares its kernel
-    /// with [`crate::MatView::matmul_into`], which writes the same result
-    /// into a caller-owned buffer instead of allocating.
+    /// Matrix product `self * other`: a fresh matrix filled by
+    /// [`crate::MatView::matmul_into`], whose body and bit-identity
+    /// contract (ascending-`k` accumulation at any thread count) it shares.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
     #[must_use]
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert!(
-            self.cols == other.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows,
-            self.cols,
-            other.rows,
-            other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = vec![0.0f32; m * n];
-        crate::view::matmul_kernel(&self.data, k, &other.data, n, &mut out);
-        Matrix { rows: m, cols: n, data: out }
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        self.as_view().matmul_into(other.as_view(), out.as_view_mut());
+        out
     }
 
-    /// Matrix product `selfᵀ * other` without materializing the transpose.
-    ///
-    /// Row-parallel over output rows (columns of `self`); each output
-    /// element accumulates in ascending-`k` order, so results are
-    /// bit-identical at any thread count. Shares its kernel with
-    /// [`crate::MatView::t_matmul_into`].
+    /// Matrix product `selfᵀ * other` without materializing the transpose:
+    /// a fresh matrix filled by [`crate::MatView::t_matmul_into`].
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != other.rows()`.
     #[must_use]
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        assert!(
-            self.rows == other.rows,
-            "t_matmul shape mismatch: ({}x{})ᵀ * {}x{}",
-            self.rows,
-            self.cols,
-            other.rows,
-            other.cols
-        );
-        let (m, k, n) = (self.cols, self.rows, other.cols);
-        let mut out = vec![0.0f32; m * n];
-        crate::view::t_matmul_kernel(&self.data, m, k, &other.data, n, &mut out);
-        Matrix { rows: m, cols: n, data: out }
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        self.as_view().t_matmul_into(other.as_view(), out.as_view_mut());
+        out
     }
 
-    /// Matrix product `self * otherᵀ` without materializing the transpose.
-    ///
-    /// Row-parallel over packed panels of `otherᵀ` (a small tile is
-    /// transposed onto the stack, then output rows stream over it as in
-    /// [`Matrix::matmul`]). Each output element is still one accumulator
-    /// summed in ascending-`k` order with no zero-skip — the naive dot
-    /// product bit for bit, NaN and ±inf included — so results are
-    /// bit-identical at any thread count. Shares its kernel with
-    /// [`crate::MatView::matmul_t_into`].
+    /// Matrix product `self * otherᵀ` without materializing the transpose:
+    /// a fresh matrix filled by [`crate::MatView::matmul_t_into`].
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.cols()`.
     #[must_use]
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        assert!(
-            self.cols == other.cols,
-            "matmul_t shape mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows,
-            self.cols,
-            other.rows,
-            other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = vec![0.0f32; m * n];
-        crate::view::matmul_t_kernel(&self.data, k, &other.data, n, &mut out);
-        Matrix { rows: m, cols: n, data: out }
+        let mut out = Matrix::zeros(self.rows, other.rows);
+        self.as_view().matmul_t_into(other.as_view(), out.as_view_mut());
+        out
     }
 
     /// Matrix–vector product `self * v`.
@@ -910,7 +867,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "matmul shape mismatch")]
+    #[should_panic(expected = "shape mismatch")]
     fn matmul_panics_on_mismatch() {
         let _ = sample().matmul(&sample());
     }

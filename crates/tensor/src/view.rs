@@ -10,11 +10,11 @@
 //! The `_into` kernels ([`MatView::matmul_into`],
 //! [`MatView::t_matmul_into`], [`MatView::matmul_t_into`],
 //! [`MatView::matvec_into`], [`MatView::t_matvec_into`],
-//! [`MatView::map_into`]) run the **same blocked, row-parallel kernels**
-//! as the allocating [`Matrix`] products — literally the same code, via a
-//! shared kernel layer — so results are bit-identical to the owning API
-//! at any thread count, while the output lands in a buffer the caller
-//! reuses across batches.
+//! [`MatView::map_into`]) are the one body of each product: the
+//! allocating [`Matrix`] products are a fresh matrix plus one call of
+//! them, so results are bit-identical to the owning API at any thread
+//! count, while the output lands in a buffer the caller reuses across
+//! batches.
 //!
 //! What the kernels promise is a **summation order**, not a loop nest:
 //! every output element is one `f32` accumulator that starts at `+0.0`
@@ -42,19 +42,19 @@ use crate::matrix::Matrix;
 /// tile instead of once per output row. Must stay constant — per-row
 /// summation order (ascending `k`) is what keeps results bit-identical
 /// across thread counts.
-pub(crate) const GEMM_ROW_TILE: usize = 4;
+const GEMM_ROW_TILE: usize = 4;
 
 /// Minimum rows a worker thread must own before the GEMM kernels
 /// parallelize; below this the spawn overhead dominates.
-pub(crate) const GEMM_MIN_ROWS_PER_THREAD: usize = 8;
+const GEMM_MIN_ROWS_PER_THREAD: usize = 8;
 
 // ----------------------------------------------------------------------
-// Shared kernels (used by both `Matrix` products and the `_into` API)
+// Kernels
 // ----------------------------------------------------------------------
 
 /// `out[m×n] = a[m×k] · b[k×n]`, blocked and row-parallel. `out` must be
 /// zeroed by the caller (the kernel accumulates).
-pub(crate) fn matmul_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+fn matmul_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if n == 0 || k == 0 {
         return;
     }
@@ -81,7 +81,7 @@ pub(crate) fn matmul_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut 
 
 /// `out[m×n] = aᵀ · b` where `a` is `k×m` and `b` is `k×n`, row-parallel.
 /// `out` must be zeroed by the caller (the kernel accumulates).
-pub(crate) fn t_matmul_kernel(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+fn t_matmul_kernel(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if n == 0 || k == 0 {
         return;
     }
@@ -107,11 +107,11 @@ pub(crate) fn t_matmul_kernel(a: &[f32], m: usize, k: usize, b: &[f32], n: usize
 
 /// Panel depth (`k` extent) of the packed `Bᵀ` tile in [`matmul_t_kernel`].
 /// Free to retune: each output element still sums in ascending `k`.
-pub(crate) const MATMUL_T_PANEL_K: usize = 32;
+const MATMUL_T_PANEL_K: usize = 32;
 
 /// Panel width (`n` extent) of the packed `Bᵀ` tile in [`matmul_t_kernel`].
 /// Free to retune, like [`MATMUL_T_PANEL_K`].
-pub(crate) const MATMUL_T_PANEL_N: usize = 128;
+const MATMUL_T_PANEL_N: usize = 128;
 
 /// `out[m×n] = a · bᵀ` where `a` is `m×k` and `b` is `n×k`, row-parallel.
 /// `out` must be zeroed by the caller (the kernel accumulates).
@@ -127,7 +127,7 @@ pub(crate) const MATMUL_T_PANEL_N: usize = 128;
 /// **no** zero-skip — bit for bit the naive dot product (NaN and ±inf
 /// included), whatever the panel sizes or the thread count.
 // orco-lint: region(no-alloc)
-pub(crate) fn matmul_t_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+fn matmul_t_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     const KB: usize = MATMUL_T_PANEL_K;
     const NB: usize = MATMUL_T_PANEL_N;
     if n == 0 {
@@ -277,9 +277,9 @@ impl<'a> MatView<'a> {
             .expect("view shape is consistent by construction")
     }
 
-    /// `out = self · other`, the allocation-free twin of
-    /// [`Matrix::matmul`] (same blocked row-parallel kernel, bit-identical
-    /// results). `out` is fully overwritten.
+    /// `out = self · other`, the body of [`Matrix::matmul`]: blocked
+    /// (4-row tiles over a streamed `other`) and row-parallel across the
+    /// [`crate::parallel`] thread budget. `out` is fully overwritten.
     ///
     /// # Panics
     ///
@@ -307,8 +307,8 @@ impl<'a> MatView<'a> {
     }
 
     /// `out = selfᵀ · other` without materializing the transpose — the
-    /// allocation-free twin of [`Matrix::t_matmul`]. `out` is fully
-    /// overwritten.
+    /// body of [`Matrix::t_matmul`], row-parallel over output rows (columns
+    /// of `self`). `out` is fully overwritten.
     ///
     /// # Panics
     ///
@@ -336,8 +336,8 @@ impl<'a> MatView<'a> {
     }
 
     /// `out = self · otherᵀ` without materializing the transpose — the
-    /// allocation-free twin of [`Matrix::matmul_t`]. `out` is fully
-    /// overwritten.
+    /// body of [`Matrix::matmul_t`], row-parallel over packed panels of
+    /// `otherᵀ`. `out` is fully overwritten.
     ///
     /// # Panics
     ///

@@ -44,7 +44,6 @@ pub mod accounting;
 pub mod backend;
 pub mod chain;
 pub mod clock;
-pub mod cluster;
 pub mod compute;
 pub mod error;
 pub mod geometry;
@@ -59,7 +58,6 @@ pub use accounting::{LinkStats, TrafficAccounting};
 pub use backend::DeploymentBackend;
 pub use chain::ChainSchedule;
 pub use clock::SimClock;
-pub use cluster::{kmeans_clusters, select_head, Candidate, HeadSelection, Partition};
 pub use compute::ComputeModel;
 pub use error::WsnError;
 pub use geometry::Point;

@@ -1,16 +1,14 @@
 //! End-to-end integration tests spanning every crate: dataset synthesis →
 //! WSN deployment → orchestrated online training → encoder distribution →
-//! compressed aggregation → follow-up classification → drift → fine-tuning.
+//! compressed aggregation → follow-up classification. (Drift → fine-tuning
+//! is `tests/pipeline_api.rs::monitor_hook_triggers_retraining_under_drift`.)
 
 use orcodcs_repro::baselines::Dcsnet;
 use orcodcs_repro::classifier::{Cnn, TrainConfig};
-use orcodcs_repro::core::{
-    AsymmetricAutoencoder, ExperimentBuilder, OnlineTrainer, Orchestrator, OrcoConfig, TrainingMode,
-};
-use orcodcs_repro::datasets::{drift, mnist_like, DatasetKind};
+use orcodcs_repro::core::{AsymmetricAutoencoder, ExperimentBuilder, OrcoConfig, TrainingMode};
+use orcodcs_repro::datasets::{mnist_like, DatasetKind};
 use orcodcs_repro::nn::Loss;
 use orcodcs_repro::tensor::OrcoRng;
-use orcodcs_repro::wsn::NetworkConfig;
 
 fn small_cfg() -> OrcoConfig {
     OrcoConfig::for_dataset(DatasetKind::MnistLike)
@@ -68,36 +66,6 @@ fn training_is_deterministic_across_runs() {
     let ra: Vec<f32> = a.rounds.iter().map(|r| r.loss).collect();
     let rb: Vec<f32> = b.rounds.iter().map(|r| r.loss).collect();
     assert_eq!(ra, rb);
-}
-
-#[test]
-fn drift_triggers_finetuning_and_recovery_improves_error() {
-    let dataset = mnist_like::generate(48, 2);
-    let cfg = small_cfg().with_finetune_threshold(0.05);
-    let orch =
-        Orchestrator::new(cfg, NetworkConfig { num_devices: 16, seed: 2, ..Default::default() })
-            .expect("valid config");
-    let mut online = OnlineTrainer::new(orch);
-    let _ = online.initial_training(dataset.x()).expect("initial training");
-
-    let mut rng = OrcoRng::from_label("e2e-drift", 0);
-    let drifted = drift::apply(&dataset, drift::Drift::Bias, 0.8, &mut rng);
-
-    let mut first_error = None;
-    let mut recovered_error = None;
-    for _ in 0..8 {
-        let out = online.process_batch(drifted.x()).expect("process");
-        if first_error.is_none() {
-            first_error = Some(out.reconstruction_loss);
-        }
-        if let Some(h) = out.retraining {
-            recovered_error = h.final_loss();
-            break;
-        }
-    }
-    let first = first_error.expect("at least one batch processed");
-    let recovered = recovered_error.expect("monitor must trigger under severe bias");
-    assert!(recovered < first, "retraining should reduce error: {first} -> {recovered}");
 }
 
 #[test]
