@@ -90,8 +90,8 @@ pub use compression::GradCompression;
 pub use config::OrcoConfig;
 pub use distribution::EncoderColumns;
 pub use error::OrcoError;
-pub use monitor::FineTuneMonitor;
 pub use history::{RoundStats, TrainingHistory};
+pub use monitor::FineTuneMonitor;
 pub use orchestrator::Orchestrator;
 pub use pipeline::{
     ClusterScale, DeploymentSpec, Experiment, ExperimentBuilder, Report, TrainingMode,

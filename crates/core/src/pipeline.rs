@@ -44,8 +44,8 @@ use crate::codec::{fraction_rows, Codec, TrainSpec};
 use crate::compression::GradCompression;
 use crate::config::OrcoConfig;
 use crate::error::OrcoError;
-use crate::monitor::FineTuneMonitor;
 use crate::history::{RoundStats, TrainingHistory};
+use crate::monitor::FineTuneMonitor;
 use crate::orchestrator::Orchestrator;
 
 /// Which simulator executes the deployment of an orchestrated experiment.
