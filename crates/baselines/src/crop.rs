@@ -23,7 +23,7 @@ use orco_tensor::{MatView, Matrix};
 /// assert_eq!(y.as_slice(), &[5.0, 6.0, 9.0, 10.0]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Crop2d {
+pub(crate) struct Crop2d {
     channels: usize,
     in_side: usize,
     out_side: usize,
@@ -36,7 +36,7 @@ impl Crop2d {
     ///
     /// Panics if `out_side > in_side` or either is zero.
     #[must_use]
-    pub fn new(channels: usize, in_side: usize, out_side: usize) -> Self {
+    pub(crate) fn new(channels: usize, in_side: usize, out_side: usize) -> Self {
         assert!(channels > 0 && in_side > 0 && out_side > 0, "Crop2d: zero dimension");
         assert!(out_side <= in_side, "Crop2d: cannot crop {in_side} up to {out_side}");
         Self { channels, in_side, out_side }

@@ -132,13 +132,13 @@ impl ClassicalCodec {
 
     /// Measurements per channel `m`.
     #[must_use]
-    pub fn measurements(&self) -> usize {
+    pub(crate) fn measurements(&self) -> usize {
         self.phi.measurements()
     }
 
     /// The configured solver.
     #[must_use]
-    pub fn solver(&self) -> CsSolver {
+    pub(crate) fn solver(&self) -> CsSolver {
         self.solver
     }
 

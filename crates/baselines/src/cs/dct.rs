@@ -21,7 +21,7 @@ use orco_tensor::Matrix;
 /// }
 /// ```
 #[derive(Debug, Clone)]
-pub struct Dct2 {
+pub(crate) struct Dct2 {
     side: usize,
     basis: Matrix, // orthonormal 1-D DCT-II matrix, (side, side)
 }
@@ -33,7 +33,7 @@ impl Dct2 {
     ///
     /// Panics if `side == 0`.
     #[must_use]
-    pub fn new(side: usize) -> Self {
+    pub(crate) fn new(side: usize) -> Self {
         assert!(side > 0, "Dct2: side must be non-zero");
         let n = side as f32;
         let basis = Matrix::from_fn(side, side, |k, i| {
@@ -45,7 +45,7 @@ impl Dct2 {
 
     /// Image side length.
     #[must_use]
-    pub fn side(&self) -> usize {
+    pub(crate) fn side(&self) -> usize {
         self.side
     }
 
@@ -55,7 +55,7 @@ impl Dct2 {
     ///
     /// Panics if `image.len() != side²`.
     #[must_use]
-    pub fn forward(&self, image: &[f32]) -> Vec<f32> {
+    pub(crate) fn forward(&self, image: &[f32]) -> Vec<f32> {
         let x = Matrix::from_vec(self.side, self.side, image.to_vec())
             .expect("Dct2::forward: image length must be side²");
         // C = B · X · Bᵀ
@@ -68,7 +68,7 @@ impl Dct2 {
     ///
     /// Panics if `coeffs.len() != side²`.
     #[must_use]
-    pub fn inverse(&self, coeffs: &[f32]) -> Vec<f32> {
+    pub(crate) fn inverse(&self, coeffs: &[f32]) -> Vec<f32> {
         let c = Matrix::from_vec(self.side, self.side, coeffs.to_vec())
             .expect("Dct2::inverse: coefficient length must be side²");
         // X = Bᵀ · C · B
@@ -80,7 +80,7 @@ impl Dct2 {
     ///
     /// Column `k` of `Ψ` is the image of the `k`-th canonical coefficient.
     #[must_use]
-    pub fn synthesis_matrix(&self) -> Matrix {
+    pub(crate) fn synthesis_matrix(&self) -> Matrix {
         let n = self.side * self.side;
         let mut psi = Matrix::zeros(n, n);
         let mut unit = vec![0.0f32; n];

@@ -28,13 +28,13 @@ impl Default for IstaConfig {
 
 /// Result of an ISTA run.
 #[derive(Debug, Clone)]
-pub struct IstaResult {
+pub(crate) struct IstaResult {
     /// Recovered coefficient vector θ.
-    pub coefficients: Vec<f32>,
+    pub(crate) coefficients: Vec<f32>,
     /// Iterations actually executed.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Final residual `‖Aθ − y‖₂`.
-    pub residual_norm: f32,
+    pub(crate) residual_norm: f32,
 }
 
 /// Reusable buffers for repeated ISTA solves against one sensing matrix —
@@ -42,20 +42,20 @@ pub struct IstaResult {
 /// make every solve after the first allocation-free. The recovered
 /// coefficients land in [`IstaScratch::theta`].
 #[derive(Debug, Clone, Default)]
-pub struct IstaScratch {
+pub(crate) struct IstaScratch {
     /// Coefficient vector θ (the solver's output, length `a.cols()`).
-    pub theta: Vec<f32>,
+    pub(crate) theta: Vec<f32>,
     /// Residual workspace `Aθ − y` (length `a.rows()`).
-    pub residual: Vec<f32>,
+    pub(crate) residual: Vec<f32>,
     /// Gradient workspace `Aᵀ(Aθ − y)` (length `a.cols()`).
-    pub grad: Vec<f32>,
+    pub(crate) grad: Vec<f32>,
 }
 
 /// Power-iteration count both [`ista_reconstruct`] and operator-caching
 /// callers use for [`lipschitz_estimate`]. One shared constant: the
 /// batched/per-frame bit-identity contract depends on the cached and
 /// per-frame estimates being the same value.
-pub const LIPSCHITZ_POWER_ITERS: usize = 30;
+pub(crate) const LIPSCHITZ_POWER_ITERS: usize = 30;
 
 /// Estimates the Lipschitz constant `L = ‖AᵀA‖₂` by power iteration.
 ///
@@ -65,7 +65,7 @@ pub const LIPSCHITZ_POWER_ITERS: usize = 30;
 /// internally (both pass [`LIPSCHITZ_POWER_ITERS`]), so caching it is
 /// bit-neutral.
 #[must_use]
-pub fn lipschitz_estimate(a: &Matrix, iters: usize) -> f32 {
+pub(crate) fn lipschitz_estimate(a: &Matrix, iters: usize) -> f32 {
     let n = a.cols();
     let mut v = vec![1.0f32 / (n as f32).sqrt(); n];
     let mut av = vec![0.0f32; a.rows()];
@@ -105,7 +105,7 @@ fn soft_threshold(x: f32, t: f32) -> f32 {
 ///
 /// Panics if `y.len() != a.rows()`.
 #[must_use]
-pub fn ista_reconstruct(a: &Matrix, y: &[f32], config: &IstaConfig) -> IstaResult {
+pub(crate) fn ista_reconstruct(a: &Matrix, y: &[f32], config: &IstaConfig) -> IstaResult {
     let l = lipschitz_estimate(a, LIPSCHITZ_POWER_ITERS);
     let mut ws = IstaScratch::default();
     let (iterations, residual_norm) = ista_reconstruct_with(a, l, y, config, &mut ws);
@@ -122,7 +122,7 @@ pub fn ista_reconstruct(a: &Matrix, y: &[f32], config: &IstaConfig) -> IstaResul
 /// # Panics
 ///
 /// Panics if `y.len() != a.rows()`.
-pub fn ista_reconstruct_with(
+pub(crate) fn ista_reconstruct_with(
     a: &Matrix,
     lipschitz_l: f32,
     y: &[f32],

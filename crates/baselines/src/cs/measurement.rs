@@ -6,7 +6,7 @@ use orco_tensor::{Matrix, OrcoRng};
 /// (the normalization that makes `Φ` approximately norm-preserving, i.e.
 /// satisfy the restricted isometry property with high probability).
 #[derive(Debug, Clone)]
-pub struct GaussianMeasurement {
+pub(crate) struct GaussianMeasurement {
     phi: Matrix,
 }
 
@@ -18,7 +18,7 @@ impl GaussianMeasurement {
     /// Panics if `m == 0`, `n == 0`, or `m > n` (measurements must
     /// compress).
     #[must_use]
-    pub fn new(m: usize, n: usize, rng: &mut OrcoRng) -> Self {
+    pub(crate) fn new(m: usize, n: usize, rng: &mut OrcoRng) -> Self {
         assert!(m > 0 && n > 0, "GaussianMeasurement: zero dimension");
         assert!(m <= n, "GaussianMeasurement: m={m} must be ≤ n={n}");
         let std = (1.0 / m as f32).sqrt();
@@ -28,13 +28,13 @@ impl GaussianMeasurement {
 
     /// Number of measurements `m`.
     #[must_use]
-    pub fn measurements(&self) -> usize {
+    pub(crate) fn measurements(&self) -> usize {
         self.phi.rows()
     }
 
     /// The matrix Φ.
     #[must_use]
-    pub fn phi(&self) -> &Matrix {
+    pub(crate) fn phi(&self) -> &Matrix {
         &self.phi
     }
 
@@ -44,7 +44,7 @@ impl GaussianMeasurement {
     ///
     /// Panics if `x.len() != n`.
     #[must_use]
-    pub fn measure(&self, x: &[f32]) -> Vec<f32> {
+    pub(crate) fn measure(&self, x: &[f32]) -> Vec<f32> {
         self.phi.matvec(x)
     }
 
@@ -54,7 +54,7 @@ impl GaussianMeasurement {
     ///
     /// Panics if `psi.rows() != n`.
     #[must_use]
-    pub fn sensing_matrix(&self, psi: &Matrix) -> Matrix {
+    pub(crate) fn sensing_matrix(&self, psi: &Matrix) -> Matrix {
         self.phi.matmul(psi)
     }
 }

@@ -14,17 +14,23 @@
 //! quality is **limited by the dimension and sparsity of measurements** —
 //! both measurable with the benches in `orco-bench`.
 
-pub mod codec;
-pub mod dct;
-pub mod ista;
-pub mod measurement;
-pub mod omp;
+pub(crate) mod codec;
+pub(crate) mod dct;
+pub(crate) mod ista;
+pub(crate) mod measurement;
+pub(crate) mod omp;
 
-pub use codec::{ClassicalCodec, CsSolver};
-pub use dct::Dct2;
-pub use ista::{
-    ista_reconstruct, ista_reconstruct_with, lipschitz_estimate, IstaConfig, IstaScratch,
-    LIPSCHITZ_POWER_ITERS,
-};
-pub use measurement::GaussianMeasurement;
-pub use omp::{omp_reconstruct, omp_reconstruct_with, OmpScratch};
+pub use codec::ClassicalCodec;
+
+pub use codec::CsSolver;
+pub(crate) use dct::Dct2;
+pub(crate) use ista::ista_reconstruct;
+pub(crate) use ista::ista_reconstruct_with;
+pub(crate) use ista::lipschitz_estimate;
+pub use ista::IstaConfig;
+pub(crate) use ista::IstaScratch;
+pub(crate) use ista::LIPSCHITZ_POWER_ITERS;
+pub(crate) use measurement::GaussianMeasurement;
+pub(crate) use omp::omp_reconstruct;
+pub(crate) use omp::omp_reconstruct_with;
+pub(crate) use omp::OmpScratch;

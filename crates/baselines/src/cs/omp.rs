@@ -10,13 +10,13 @@ use orco_tensor::Matrix;
 
 /// Result of an OMP run.
 #[derive(Debug, Clone)]
-pub struct OmpResult {
+pub(crate) struct OmpResult {
     /// Recovered coefficient vector θ (dense, mostly zeros).
-    pub coefficients: Vec<f32>,
+    pub(crate) coefficients: Vec<f32>,
     /// Selected support indices in selection order.
-    pub support: Vec<usize>,
+    pub(crate) support: Vec<usize>,
     /// Final residual norm.
-    pub residual_norm: f32,
+    pub(crate) residual_norm: f32,
 }
 
 /// Solves the dense least-squares system `G·x = b` (G symmetric positive
@@ -79,7 +79,7 @@ fn solve_spd(g: &Matrix, b: &[f32]) -> Vec<f32> {
 /// `t_matvec_into` kernel those allocations are gone from the batched
 /// decode hot loop.
 #[derive(Debug, Clone, Default)]
-pub struct OmpScratch {
+pub(crate) struct OmpScratch {
     corr: Vec<f32>,
     residual: Vec<f32>,
     approx: Vec<f32>,
@@ -94,7 +94,7 @@ pub struct OmpScratch {
 ///
 /// Panics if `y.len() != a.rows()` or `k` is zero or exceeds `a.rows()`.
 #[must_use]
-pub fn omp_reconstruct(a: &Matrix, y: &[f32], k: usize) -> OmpResult {
+pub(crate) fn omp_reconstruct(a: &Matrix, y: &[f32], k: usize) -> OmpResult {
     omp_reconstruct_with(a, y, k, &mut OmpScratch::default())
 }
 
@@ -107,7 +107,7 @@ pub fn omp_reconstruct(a: &Matrix, y: &[f32], k: usize) -> OmpResult {
 ///
 /// Panics if `y.len() != a.rows()` or `k` is zero or exceeds `a.rows()`.
 #[must_use]
-pub fn omp_reconstruct_with(a: &Matrix, y: &[f32], k: usize, ws: &mut OmpScratch) -> OmpResult {
+pub(crate) fn omp_reconstruct_with(a: &Matrix, y: &[f32], k: usize, ws: &mut OmpScratch) -> OmpResult {
     assert_eq!(y.len(), a.rows(), "omp: measurement length mismatch");
     assert!(k > 0 && k <= a.rows(), "omp: k must be in 1..=m");
 

@@ -129,19 +129,19 @@ impl Dcsnet {
 
     /// The loss DCSNet trains with (plain L2, per its design).
     #[must_use]
-    pub fn loss() -> Loss {
+    pub(crate) fn loss() -> Loss {
         Loss::L2
     }
 
     /// Total parameter count.
     #[must_use]
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.encoder.param_count() + self.decoder.param_count()
     }
 
     /// One centralized (offline-style) training step on a batch; returns
     /// the batch loss before the update.
-    pub fn train_batch_central(&mut self, x: &Matrix, loss: &Loss) -> f32 {
+    pub(crate) fn train_batch_central(&mut self, x: &Matrix, loss: &Loss) -> f32 {
         let latent = self.encoder.forward(x, true);
         let xr = self.decoder.forward(&latent, true);
         let value = loss.value(&xr, x);
@@ -156,7 +156,7 @@ impl Dcsnet {
     }
 
     /// Mean reconstruction loss on a batch (inference mode).
-    pub fn evaluate(&mut self, x: &Matrix, loss: &Loss) -> f32 {
+    pub(crate) fn evaluate(&mut self, x: &Matrix, loss: &Loss) -> f32 {
         let xr = self.reconstruct_inference(x);
         loss.value(&xr, x)
     }

@@ -22,10 +22,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crop;
+pub(crate) mod crop;
 pub mod cs;
 pub mod dcsnet;
 
-pub use crop::Crop2d;
-pub use cs::{ClassicalCodec, CsSolver};
+pub(crate) use crop::Crop2d;
+pub(crate) use cs::ClassicalCodec;
+pub(crate) use cs::CsSolver;
 pub use dcsnet::Dcsnet;

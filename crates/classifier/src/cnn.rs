@@ -27,7 +27,7 @@ pub struct EpochPoint {
     /// Epoch number, starting at 1.
     pub epoch: usize,
     /// Mean training loss over the epoch.
-    pub train_loss: f32,
+    pub(crate) train_loss: f32,
     /// Accuracy on the held-out test set.
     pub test_accuracy: f32,
     /// Cross-entropy loss on the held-out test set.
@@ -64,29 +64,29 @@ impl Cnn {
 
     /// The dataset kind this classifier was built for.
     #[must_use]
-    pub fn kind(&self) -> DatasetKind {
+    pub(crate) fn kind(&self) -> DatasetKind {
         self.kind
     }
 
     /// Total trainable parameters.
     #[must_use]
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.model.param_count()
     }
 
     /// Logits for a batch (inference mode).
-    pub fn predict(&mut self, x: &Matrix) -> Matrix {
+    pub(crate) fn predict(&mut self, x: &Matrix) -> Matrix {
         self.model.forward(x, false)
     }
 
     /// Accuracy on a dataset.
-    pub fn accuracy(&mut self, data: &Dataset) -> f32 {
+    pub(crate) fn accuracy(&mut self, data: &Dataset) -> f32 {
         let logits = self.predict(data.x());
         metrics::accuracy(&logits, data.labels())
     }
 
     /// Cross-entropy loss on a dataset.
-    pub fn loss(&mut self, data: &Dataset) -> f32 {
+    pub(crate) fn loss(&mut self, data: &Dataset) -> f32 {
         let logits = self.predict(data.x());
         let targets = metrics::one_hot(data.labels(), self.kind.classes());
         Loss::SoftmaxCrossEntropy.value(&logits, &targets)

@@ -34,4 +34,8 @@
 
 mod cnn;
 
-pub use cnn::{Cnn, EpochPoint, TrainConfig};
+pub use cnn::Cnn;
+
+pub use cnn::EpochPoint;
+
+pub use cnn::TrainConfig;

@@ -72,7 +72,7 @@ impl TransmissionReport {
 /// # Errors
 ///
 /// Propagates transmission failures.
-pub fn compressed_frame_on<D: DeploymentBackend + ?Sized>(
+pub(crate) fn compressed_frame_on<D: DeploymentBackend + ?Sized>(
     network: &mut D,
     code_len: usize,
 ) -> Result<f64, OrcoError> {
@@ -169,7 +169,7 @@ pub fn measure_encoded_frames<D: DeploymentBackend + ?Sized>(
 /// # Errors
 ///
 /// Propagates transmission failures.
-pub fn measure_compressed_pipeline<M: SplitModel, D: DeploymentBackend>(
+pub(crate) fn measure_compressed_pipeline<M: SplitModel, D: DeploymentBackend>(
     orch: &mut Orchestrator<M, D>,
     frames: usize,
 ) -> Result<TransmissionReport, OrcoError> {
@@ -186,7 +186,7 @@ pub fn measure_compressed_pipeline<M: SplitModel, D: DeploymentBackend>(
 /// # Errors
 ///
 /// Propagates transmission failures.
-pub fn measure_raw_pipeline<M: SplitModel, D: DeploymentBackend>(
+pub(crate) fn measure_raw_pipeline<M: SplitModel, D: DeploymentBackend>(
     orch: &mut Orchestrator<M, D>,
     frames: usize,
     reading_bytes: u64,

@@ -89,26 +89,26 @@ impl AsymmetricAutoencoder {
 
     /// Latent dimension `M`.
     #[must_use]
-    pub fn latent_dim(&self) -> usize {
+    pub(crate) fn latent_dim(&self) -> usize {
         self.latent_dim
     }
 
     /// Input dimension `N`.
     #[must_use]
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.input_dim
     }
 
     /// The configured latent-noise variance σ².
     #[must_use]
-    pub fn noise_variance(&self) -> f32 {
+    pub(crate) fn noise_variance(&self) -> f32 {
         self.noise_variance
     }
 
     /// The reconstruction loss this model was configured to train with
     /// ([`OrcoConfig::loss`] at construction time).
     #[must_use]
-    pub fn training_loss(&self) -> Loss {
+    pub(crate) fn training_loss(&self) -> Loss {
         self.loss
     }
 
@@ -138,37 +138,37 @@ impl AsymmetricAutoencoder {
 
     /// Number of decoder layers.
     #[must_use]
-    pub fn decoder_depth(&self) -> usize {
+    pub(crate) fn decoder_depth(&self) -> usize {
         self.decoder.len()
     }
 
     /// Per-sample forward FLOPs of the encoder (aggregator-side cost).
     #[must_use]
-    pub fn encoder_flops_forward(&self) -> u64 {
+    pub(crate) fn encoder_flops_forward(&self) -> u64 {
         Layer::flops_forward(&self.encoder)
     }
 
     /// Per-sample backward FLOPs of the encoder.
     #[must_use]
-    pub fn encoder_flops_backward(&self) -> u64 {
+    pub(crate) fn encoder_flops_backward(&self) -> u64 {
         Layer::flops_backward(&self.encoder)
     }
 
     /// Per-sample forward FLOPs of the decoder (edge-side cost).
     #[must_use]
-    pub fn decoder_flops_forward(&self) -> u64 {
+    pub(crate) fn decoder_flops_forward(&self) -> u64 {
         self.decoder.flops_forward()
     }
 
     /// Per-sample backward FLOPs of the decoder.
     #[must_use]
-    pub fn decoder_flops_backward(&self) -> u64 {
+    pub(crate) fn decoder_flops_backward(&self) -> u64 {
         self.decoder.flops_backward()
     }
 
     /// Total parameter count (encoder + decoder).
     #[must_use]
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.encoder.param_count() + self.decoder.param_count()
     }
 
@@ -182,12 +182,12 @@ impl AsymmetricAutoencoder {
     }
 
     /// Decodes a latent batch (inference mode — eq. 3).
-    pub fn decode(&mut self, latent: &Matrix) -> Matrix {
+    pub(crate) fn decode(&mut self, latent: &Matrix) -> Matrix {
         self.decoder.forward(latent, false)
     }
 
     /// Full reconstruction without noise (inference).
-    pub fn reconstruct(&mut self, x: &Matrix) -> Matrix {
+    pub(crate) fn reconstruct(&mut self, x: &Matrix) -> Matrix {
         let latent = self.encode(x);
         self.decode(&latent)
     }
@@ -199,7 +199,7 @@ impl AsymmetricAutoencoder {
     /// [`AsymmetricAutoencoder::encode`], without the per-frame
     /// allocations.
     // orco-lint: region(no-alloc)
-    pub fn encode_batch_into(&mut self, frames: MatView<'_>, out: &mut Matrix) {
+    pub(crate) fn encode_batch_into(&mut self, frames: MatView<'_>, out: &mut Matrix) {
         self.encoder.forward_into(frames, out, false);
     }
 
@@ -208,13 +208,13 @@ impl AsymmetricAutoencoder {
     /// [`Sequential::infer_into`] over the whole batch. Bit-identical to
     /// decoding each row through [`AsymmetricAutoencoder::decode`], and
     /// allocation-free once `out` has grown to size.
-    pub fn decode_batch_into(&mut self, codes: MatView<'_>, out: &mut Matrix) {
+    pub(crate) fn decode_batch_into(&mut self, codes: MatView<'_>, out: &mut Matrix) {
         self.decoder.infer_into(codes, &mut self.decode_scratch, out);
     }
     // orco-lint: endregion
 
     /// Mean reconstruction loss on a batch (inference).
-    pub fn evaluate(&mut self, x: &Matrix, loss: &Loss) -> f32 {
+    pub(crate) fn evaluate(&mut self, x: &Matrix, loss: &Loss) -> f32 {
         let xr = self.reconstruct(x);
         loss.value(&xr, x)
     }
@@ -225,27 +225,27 @@ impl AsymmetricAutoencoder {
 
     /// **Aggregator step 1**: encode a batch in training mode and add the
     /// Gaussian latent noise (eqs. 1–2). Returns the noisy latent `Ŷ`.
-    pub fn aggregator_encode_train(&mut self, x: &Matrix) -> Matrix {
+    pub(crate) fn aggregator_encode_train(&mut self, x: &Matrix) -> Matrix {
         let latent = self.encoder.forward(x, true);
         noise::add_gaussian(&latent, self.noise_variance, &mut self.noise_rng)
     }
 
     /// **Edge step**: decode the noisy latent in training mode (eq. 3).
-    pub fn edge_decode_train(&mut self, noisy_latent: &Matrix) -> Matrix {
+    pub(crate) fn edge_decode_train(&mut self, noisy_latent: &Matrix) -> Matrix {
         self.decoder.forward(noisy_latent, true)
     }
 
     /// **Aggregator step 2**: compute the reconstruction loss and its
     /// gradient (eq. 4) against the original batch.
     #[must_use]
-    pub fn reconstruction_grad(x: &Matrix, xr: &Matrix, loss: &Loss) -> (f32, Matrix) {
+    pub(crate) fn reconstruction_grad(x: &Matrix, xr: &Matrix, loss: &Loss) -> (f32, Matrix) {
         (loss.value(xr, x), loss.grad(xr, x))
     }
 
     /// **Edge step**: backpropagate the reconstruction gradient through the
     /// decoder, apply the decoder optimizer, and return `∂L/∂Ŷ` (the latent
     /// gradient sent back down to the aggregator).
-    pub fn edge_decoder_update(&mut self, grad_reconstruction: &Matrix) -> Matrix {
+    pub(crate) fn edge_decoder_update(&mut self, grad_reconstruction: &Matrix) -> Matrix {
         self.decoder.zero_grad();
         let grad_latent = self.decoder.backward(grad_reconstruction);
         self.decoder_opt.step(self.decoder.params());
@@ -255,7 +255,7 @@ impl AsymmetricAutoencoder {
     /// **Aggregator step 3**: backpropagate the latent gradient through the
     /// encoder and apply the encoder optimizer. (Additive noise has unit
     /// Jacobian, so `∂L/∂Y = ∂L/∂Ŷ`.)
-    pub fn aggregator_encoder_update(&mut self, grad_latent: &Matrix) {
+    pub(crate) fn aggregator_encoder_update(&mut self, grad_latent: &Matrix) {
         self.encoder.zero_grad();
         let _ = self.encoder.backward(grad_latent);
         self.encoder_opt.step(self.encoder.params());
@@ -269,7 +269,7 @@ impl AsymmetricAutoencoder {
     ///
     /// Pairs with [`AsymmetricAutoencoder::restore_snapshot`] to roll back
     /// an adaptation that made reconstructions worse.
-    pub fn snapshot(&mut self) -> Vec<Matrix> {
+    pub(crate) fn snapshot(&mut self) -> Vec<Matrix> {
         let mut tensors: Vec<Matrix> =
             self.encoder.params().iter().map(|p| p.value.clone()).collect();
         tensors.extend(self.decoder.params().iter().map(|p| p.value.clone()));
@@ -282,7 +282,7 @@ impl AsymmetricAutoencoder {
     /// # Panics
     ///
     /// Panics if the snapshot's tensor count or shapes do not match.
-    pub fn restore_snapshot(&mut self, snapshot: &[Matrix]) {
+    pub(crate) fn restore_snapshot(&mut self, snapshot: &[Matrix]) {
         let mut params = self.encoder.params();
         params.extend(self.decoder.params());
         assert_eq!(params.len(), snapshot.len(), "snapshot tensor count mismatch");

@@ -37,7 +37,7 @@ pub struct EncoderCheckpoint {
 impl EncoderCheckpoint {
     /// Captures the current encoder of an autoencoder.
     #[must_use]
-    pub fn capture(ae: &AsymmetricAutoencoder, label: impl Into<String>) -> Self {
+    pub(crate) fn capture(ae: &AsymmetricAutoencoder, label: impl Into<String>) -> Self {
         Self {
             weight: ae.encoder_weight().clone(),
             bias: ae.encoder_bias().clone(),
@@ -242,7 +242,7 @@ impl CheckpointStore {
 
     /// Whether the store is empty.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.saved.is_empty()
     }
 }
@@ -253,7 +253,7 @@ impl CheckpointStore {
 /// # Errors
 ///
 /// Propagates construction and restore failures.
-pub fn autoencoder_from_checkpoint(
+pub(crate) fn autoencoder_from_checkpoint(
     config: &OrcoConfig,
     checkpoint: &EncoderCheckpoint,
 ) -> Result<AsymmetricAutoencoder, OrcoError> {

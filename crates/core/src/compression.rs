@@ -26,7 +26,7 @@ pub enum GradCompression {
 impl GradCompression {
     /// Wire bytes for a gradient matrix under this policy.
     #[must_use]
-    pub fn wire_bytes(self, elements: usize) -> u64 {
+    pub(crate) fn wire_bytes(self, elements: usize) -> u64 {
         match self {
             GradCompression::None => (elements * 4) as u64,
             GradCompression::Byte => elements as u64 + 4,
@@ -49,7 +49,7 @@ impl GradCompression {
 
 /// A matrix quantized to `i8` with one per-tensor scale.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedMatrix {
+pub(crate) struct QuantizedMatrix {
     rows: usize,
     cols: usize,
     scale: f32,
@@ -61,7 +61,7 @@ impl QuantizedMatrix {
     /// `scale = max|v| / 127` (an all-zero matrix gets scale 0 and all-zero
     /// codes).
     #[must_use]
-    pub fn quantize(m: &Matrix) -> Self {
+    pub(crate) fn quantize(m: &Matrix) -> Self {
         let max_abs = m.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
         if max_abs == 0.0 {
             return Self { rows: m.rows(), cols: m.cols(), scale: 0.0, data: vec![0; m.len()] };
@@ -74,26 +74,26 @@ impl QuantizedMatrix {
 
     /// Reconstructs the f32 matrix.
     #[must_use]
-    pub fn dequantize(&self) -> Matrix {
+    pub(crate) fn dequantize(&self) -> Matrix {
         let data: Vec<f32> = self.data.iter().map(|&q| f32::from(q) * self.scale).collect();
         Matrix::from_vec(self.rows, self.cols, data).expect("dimensions preserved")
     }
 
     /// The per-tensor scale factor.
     #[must_use]
-    pub fn scale(&self) -> f32 {
+    pub(crate) fn scale(&self) -> f32 {
         self.scale
     }
 
     /// Worst-case absolute error of any element after a round trip.
     #[must_use]
-    pub fn max_error_bound(&self) -> f32 {
+    pub(crate) fn max_error_bound(&self) -> f32 {
         self.scale * 0.5
     }
 
     /// Bytes this tensor occupies on the wire (codes + scale).
     #[must_use]
-    pub fn wire_bytes(&self) -> u64 {
+    pub(crate) fn wire_bytes(&self) -> u64 {
         self.data.len() as u64 + 4
     }
 }

@@ -135,14 +135,14 @@ impl OrcoConfig {
 
     /// Sets the gradient-compression policy for the feedback uplink.
     #[must_use]
-    pub fn with_grad_compression(mut self, policy: GradCompression) -> Self {
+    pub(crate) fn with_grad_compression(mut self, policy: GradCompression) -> Self {
         self.grad_compression = policy;
         self
     }
 
     /// Sets the fine-tuning threshold.
     #[must_use]
-    pub fn with_finetune_threshold(mut self, threshold: f32) -> Self {
+    pub(crate) fn with_finetune_threshold(mut self, threshold: f32) -> Self {
         self.finetune_threshold = threshold;
         self
     }
@@ -174,7 +174,7 @@ impl OrcoConfig {
     ///
     /// Returns [`OrcoError::Config`] describing the first violated
     /// constraint.
-    pub fn validate(&self) -> Result<(), OrcoError> {
+    pub(crate) fn validate(&self) -> Result<(), OrcoError> {
         let check = |ok: bool, detail: &str| -> Result<(), OrcoError> {
             if ok {
                 Ok(())

@@ -19,7 +19,7 @@ use orco_tensor::OrcoRng;
 ///
 /// Panics if any argument is zero.
 #[must_use]
-pub fn layer_widths(latent_dim: usize, output_dim: usize, layers: usize) -> Vec<usize> {
+pub(crate) fn layer_widths(latent_dim: usize, output_dim: usize, layers: usize) -> Vec<usize> {
     assert!(latent_dim > 0 && output_dim > 0 && layers > 0, "layer_widths: zero argument");
     let mut widths = Vec::with_capacity(layers + 1);
     let lm = (latent_dim as f64).ln();
@@ -42,7 +42,7 @@ pub fn layer_widths(latent_dim: usize, output_dim: usize, layers: usize) -> Vec<
 ///
 /// Panics if any argument is zero.
 #[must_use]
-pub fn build_decoder(
+pub(crate) fn build_decoder(
     latent_dim: usize,
     output_dim: usize,
     layers: usize,

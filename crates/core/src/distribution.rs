@@ -56,7 +56,7 @@ impl EncoderColumns {
 
     /// Latent dimension `M`.
     #[must_use]
-    pub fn latent_dim(&self) -> usize {
+    pub(crate) fn latent_dim(&self) -> usize {
         self.latent_dim
     }
 
@@ -72,7 +72,7 @@ impl EncoderColumns {
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn column(&self, i: usize) -> &[f32] {
+    pub(crate) fn column(&self, i: usize) -> &[f32] {
         &self.columns[i]
     }
 
@@ -88,7 +88,7 @@ impl EncoderColumns {
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn contribution(&self, i: usize, reading: f32) -> Vec<f32> {
+    pub(crate) fn contribution(&self, i: usize, reading: f32) -> Vec<f32> {
         self.columns[i].iter().map(|w| w * reading).collect()
     }
 

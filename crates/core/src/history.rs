@@ -43,7 +43,7 @@ impl TrainingHistory {
 
     /// Mean loss per epoch: `(epoch, mean_loss)` in epoch order.
     #[must_use]
-    pub fn epoch_losses(&self) -> Vec<(usize, f32)> {
+    pub(crate) fn epoch_losses(&self) -> Vec<(usize, f32)> {
         let mut out: Vec<(usize, f32)> = Vec::new();
         let mut current_epoch = None;
         let mut sum = 0.0f64;
@@ -69,12 +69,12 @@ impl TrainingHistory {
     /// First simulated time at which the loss dropped to `target` or below
     /// (the paper's time-to-loss metric). `None` if never reached.
     #[must_use]
-    pub fn time_to_loss(&self, target: f32) -> Option<f64> {
+    pub(crate) fn time_to_loss(&self, target: f32) -> Option<f64> {
         self.rounds.iter().find(|r| r.loss <= target).map(|r| r.sim_time_s)
     }
 
     /// Appends another history (used when the monitor relaunches training).
-    pub fn extend(&mut self, other: TrainingHistory) {
+    pub(crate) fn extend(&mut self, other: TrainingHistory) {
         self.rounds.extend(other.rounds);
     }
 }

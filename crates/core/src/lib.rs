@@ -69,31 +69,38 @@ mod config;
 mod error;
 
 pub mod aggregation;
-pub mod autoencoder;
+pub(crate) mod autoencoder;
 pub mod checkpoint;
 pub mod codec;
-pub mod compression;
-pub mod decoder;
-pub mod distribution;
-pub mod history;
-pub mod monitor;
+pub(crate) mod compression;
+pub(crate) mod decoder;
+pub(crate) mod distribution;
+pub(crate) mod history;
+pub(crate) mod monitor;
 pub mod multi_cluster;
-pub mod noise;
-pub mod orchestrator;
+pub(crate) mod noise;
+pub(crate) mod orchestrator;
 pub mod pipeline;
-pub mod split;
+pub(crate) mod split;
 
 pub use autoencoder::AsymmetricAutoencoder;
-pub use checkpoint::{CheckpointStore, EncoderCheckpoint};
-pub use codec::{Codec, FrameDims, TrainSpec};
+pub(crate) use checkpoint::CheckpointStore;
+pub use checkpoint::EncoderCheckpoint;
+pub use codec::Codec;
+pub use codec::FrameDims;
+pub use codec::TrainSpec;
 pub use compression::GradCompression;
 pub use config::OrcoConfig;
 pub use distribution::EncoderColumns;
 pub use error::OrcoError;
-pub use history::{RoundStats, TrainingHistory};
+pub use history::RoundStats;
+pub use history::TrainingHistory;
 pub use monitor::FineTuneMonitor;
 pub use orchestrator::Orchestrator;
-pub use pipeline::{
-    ClusterScale, DeploymentSpec, Experiment, ExperimentBuilder, Report, TrainingMode,
-};
+pub use pipeline::ClusterScale;
+pub use pipeline::DeploymentSpec;
+pub use pipeline::Experiment;
+pub use pipeline::ExperimentBuilder;
+pub use pipeline::Report;
+pub use pipeline::TrainingMode;
 pub use split::SplitModel;

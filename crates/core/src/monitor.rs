@@ -48,7 +48,7 @@ impl FineTuneMonitor {
 
     /// The trigger threshold.
     #[must_use]
-    pub fn threshold(&self) -> f32 {
+    pub(crate) fn threshold(&self) -> f32 {
         self.threshold
     }
 
@@ -84,7 +84,7 @@ impl FineTuneMonitor {
 
     /// Number of acknowledged triggers so far.
     #[must_use]
-    pub fn triggers(&self) -> usize {
+    pub(crate) fn triggers(&self) -> usize {
         self.triggers
     }
 }

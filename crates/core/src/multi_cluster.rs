@@ -128,13 +128,13 @@ impl MultiClusterCoordinator {
 
     /// Number of clusters.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.clusters.len()
     }
 
     /// Whether the coordinator has no clusters (never true by construction).
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.clusters.is_empty()
     }
 
@@ -144,7 +144,7 @@ impl MultiClusterCoordinator {
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn cluster(&self, i: usize) -> &Orchestrator {
+    pub(crate) fn cluster(&self, i: usize) -> &Orchestrator {
         &self.clusters[i]
     }
 

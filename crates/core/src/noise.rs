@@ -16,7 +16,7 @@ use orco_tensor::{Matrix, OrcoRng};
 ///
 /// Panics if `variance` is negative or not finite.
 #[must_use]
-pub fn add_gaussian(latent: &Matrix, variance: f32, rng: &mut OrcoRng) -> Matrix {
+pub(crate) fn add_gaussian(latent: &Matrix, variance: f32, rng: &mut OrcoRng) -> Matrix {
     assert!(variance.is_finite() && variance >= 0.0, "noise variance must be ≥ 0");
     if variance == 0.0 {
         return latent.clone();

@@ -116,7 +116,7 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
     /// the deployment may already carry simulated time from earlier
     /// phases, and it may be either simulator (or a boxed one).
     #[must_use]
-    pub fn with_parts(model: M, config: OrcoConfig, loss: Loss, network: D) -> Self {
+    pub(crate) fn with_parts(model: M, config: OrcoConfig, loss: Loss, network: D) -> Self {
         let batch_rng = OrcoRng::from_label("orcodcs-batching", config.seed);
         Self { model, config, loss, network, batch_rng, rounds_run: 0 }
     }
@@ -124,7 +124,7 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
     /// Consumes the orchestrator, releasing the deployment (with its clock
     /// and traffic ledger intact) for follow-up measurements.
     #[must_use]
-    pub fn into_network(self) -> D {
+    pub(crate) fn into_network(self) -> D {
         self.network
     }
 
@@ -137,7 +137,7 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
     /// # Errors
     ///
     /// Propagates transmission failures.
-    pub fn compressed_frame(&mut self) -> Result<f64, OrcoError> {
+    pub(crate) fn compressed_frame(&mut self) -> Result<f64, OrcoError> {
         crate::aggregation::compressed_frame_on(&mut self.network, self.config.latent_dim)
     }
 
@@ -149,7 +149,7 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
 
     /// Mutable access to the wrapped model.
     #[must_use]
-    pub fn model_mut(&mut self) -> &mut M {
+    pub(crate) fn model_mut(&mut self) -> &mut M {
         &mut self.model
     }
 
@@ -167,13 +167,13 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
 
     /// The framework configuration.
     #[must_use]
-    pub fn config(&self) -> &OrcoConfig {
+    pub(crate) fn config(&self) -> &OrcoConfig {
         &self.config
     }
 
     /// Total training rounds executed so far.
     #[must_use]
-    pub fn rounds_run(&self) -> usize {
+    pub(crate) fn rounds_run(&self) -> usize {
         self.rounds_run
     }
 
@@ -190,7 +190,7 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
     /// # Errors
     ///
     /// Propagates transmission failures.
-    pub fn aggregate_raw_frames(&mut self, frames: usize) -> Result<f64, OrcoError> {
+    pub(crate) fn aggregate_raw_frames(&mut self, frames: usize) -> Result<f64, OrcoError> {
         let mut total = 0.0;
         for _ in 0..frames {
             total += self.network.raw_aggregation_round(4)?;
@@ -262,7 +262,7 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
     /// # Errors
     ///
     /// Propagates round errors; see [`Orchestrator::train_round`].
-    pub fn train(&mut self, x: &Matrix) -> Result<TrainingHistory, OrcoError> {
+    pub(crate) fn train(&mut self, x: &Matrix) -> Result<TrainingHistory, OrcoError> {
         self.train_with(x, |_, _| {})
     }
 
@@ -275,7 +275,7 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
     /// # Errors
     ///
     /// Propagates round errors; see [`Orchestrator::train_round`].
-    pub fn train_with(
+    pub(crate) fn train_with(
         &mut self,
         x: &Matrix,
         mut on_epoch: impl FnMut(&mut Self, usize),

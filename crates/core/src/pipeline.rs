@@ -497,13 +497,13 @@ impl Experiment {
 
     /// The dataset the experiment runs on.
     #[must_use]
-    pub fn dataset(&self) -> &Dataset {
+    pub(crate) fn dataset(&self) -> &Dataset {
         &self.dataset
     }
 
     /// The resolved training mode.
     #[must_use]
-    pub fn mode(&self) -> TrainingMode {
+    pub(crate) fn mode(&self) -> TrainingMode {
         self.mode
     }
 
@@ -516,7 +516,7 @@ impl Experiment {
 
     /// The fine-tuning monitor, if configured.
     #[must_use]
-    pub fn monitor(&self) -> Option<&FineTuneMonitor> {
+    pub(crate) fn monitor(&self) -> Option<&FineTuneMonitor> {
         self.monitor.as_ref()
     }
 

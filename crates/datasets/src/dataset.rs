@@ -78,7 +78,7 @@ impl Dataset {
     /// Panics if `x.rows() != labels.len()`, `x.cols()` does not match the
     /// kind's sample length, or any label is out of range.
     #[must_use]
-    pub fn new(kind: DatasetKind, x: Matrix, labels: Vec<usize>) -> Self {
+    pub(crate) fn new(kind: DatasetKind, x: Matrix, labels: Vec<usize>) -> Self {
         assert_eq!(x.rows(), labels.len(), "Dataset: row/label count mismatch");
         assert_eq!(x.cols(), kind.sample_len(), "Dataset: sample length mismatch");
         assert!(
@@ -134,7 +134,7 @@ impl Dataset {
     ///
     /// Panics if `i` is out of bounds.
     #[must_use]
-    pub fn label(&self, i: usize) -> usize {
+    pub(crate) fn label(&self, i: usize) -> usize {
         self.labels[i]
     }
 
@@ -154,7 +154,7 @@ impl Dataset {
 
     /// Per-class sample counts.
     #[must_use]
-    pub fn class_histogram(&self) -> Vec<usize> {
+    pub(crate) fn class_histogram(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.kind.classes()];
         for &l in &self.labels {
             h[l] += 1;

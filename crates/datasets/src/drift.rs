@@ -27,7 +27,7 @@ pub enum Drift {
 impl Drift {
     /// All drift kinds (for sweeps).
     #[must_use]
-    pub fn all() -> [Drift; 4] {
+    pub(crate) fn all() -> [Drift; 4] {
         [Drift::Dimming, Drift::Bias, Drift::ContrastLoss, Drift::NoiseBurst]
     }
 }

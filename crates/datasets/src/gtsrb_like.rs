@@ -14,7 +14,7 @@ use crate::raster::Canvas;
 
 /// The sign outline shapes, cycled over classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SignShape {
+pub(crate) enum SignShape {
     /// Circular sign (speed limits, prohibitions).
     Circle,
     /// Triangular warning sign.
@@ -29,15 +29,15 @@ pub enum SignShape {
 
 /// The deterministic visual recipe for one class.
 #[derive(Debug, Clone, Copy)]
-pub struct ClassRecipe {
+pub(crate) struct ClassRecipe {
     /// Outline shape.
-    pub shape: SignShape,
+    pub(crate) shape: SignShape,
     /// Rim colour (RGB in `[0, 1]`).
-    pub rim_rgb: [f32; 3],
+    pub(crate) rim_rgb: [f32; 3],
     /// Number of inner glyph bars (1–4).
-    pub bars: usize,
+    pub(crate) bars: usize,
     /// Whether the inner bars are vertical (else horizontal).
-    pub vertical: bool,
+    pub(crate) vertical: bool,
 }
 
 impl ClassRecipe {
@@ -47,7 +47,7 @@ impl ClassRecipe {
     ///
     /// Panics if `class >= 43`.
     #[must_use]
-    pub fn for_class(class: usize) -> Self {
+    pub(crate) fn for_class(class: usize) -> Self {
         assert!(class < DatasetKind::GtsrbLike.classes(), "class {class} out of range");
         let shape = match class % 5 {
             0 => SignShape::Circle,
@@ -69,25 +69,25 @@ impl ClassRecipe {
 
 /// Per-sample rendering variation.
 #[derive(Debug, Clone, Copy)]
-pub struct SignStyle {
+pub(crate) struct SignStyle {
     /// Illumination gain applied to the whole image.
-    pub illumination: f32,
+    pub(crate) illumination: f32,
     /// Background brightness per channel.
-    pub background: [f32; 3],
+    pub(crate) background: [f32; 3],
     /// Sign centre offset, normalized.
-    pub offset: (f32, f32),
+    pub(crate) offset: (f32, f32),
     /// Sign radius, normalized.
-    pub radius: f32,
+    pub(crate) radius: f32,
     /// Gaussian pixel noise standard deviation.
-    pub noise_std: f32,
+    pub(crate) noise_std: f32,
     /// Whether a corner occlusion patch is drawn.
-    pub occluded: bool,
+    pub(crate) occluded: bool,
 }
 
 impl SignStyle {
     /// Samples a random style.
     #[must_use]
-    pub fn sample(rng: &mut OrcoRng) -> Self {
+    pub(crate) fn sample(rng: &mut OrcoRng) -> Self {
         Self {
             illumination: rng.uniform(0.55, 1.15),
             background: [rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5)],
@@ -100,7 +100,7 @@ impl SignStyle {
 
     /// A clean, centred, well-lit style.
     #[must_use]
-    pub fn clean() -> Self {
+    pub(crate) fn clean() -> Self {
         Self {
             illumination: 1.0,
             background: [0.1, 0.1, 0.15],
@@ -137,7 +137,7 @@ fn shape_vertices(shape: SignShape, centre: (f32, f32), r: f32) -> Vec<(f32, f32
 ///
 /// Panics if `class >= 43`.
 #[must_use]
-pub fn render_sign(class: usize, style: &SignStyle, rng: &mut OrcoRng) -> Vec<f32> {
+pub(crate) fn render_sign(class: usize, style: &SignStyle, rng: &mut OrcoRng) -> Vec<f32> {
     let recipe = ClassRecipe::for_class(class);
     let kind = DatasetKind::GtsrbLike;
     let (h, w) = (kind.height(), kind.width());

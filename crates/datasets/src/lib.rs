@@ -32,7 +32,9 @@ mod dataset;
 pub mod drift;
 pub mod gtsrb_like;
 pub mod mnist_like;
-pub mod raster;
+pub(crate) mod raster;
 pub mod split;
 
-pub use dataset::{Dataset, DatasetKind};
+pub use dataset::Dataset;
+
+pub use dataset::DatasetKind;

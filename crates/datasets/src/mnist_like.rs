@@ -42,32 +42,32 @@ const SEGMENT_LINES: [((f32, f32), (f32, f32)); 7] = [
 
 /// Per-sample rendering parameters (exposed for tests and visual debugging).
 #[derive(Debug, Clone, Copy)]
-pub struct GlyphStyle {
+pub(crate) struct GlyphStyle {
     /// Vertical offset of the glyph box origin, normalized.
-    pub offset_y: f32,
+    pub(crate) offset_y: f32,
     /// Horizontal offset of the glyph box origin, normalized.
-    pub offset_x: f32,
+    pub(crate) offset_x: f32,
     /// Glyph box height, normalized.
-    pub scale_y: f32,
+    pub(crate) scale_y: f32,
     /// Glyph box width, normalized.
-    pub scale_x: f32,
+    pub(crate) scale_x: f32,
     /// Horizontal shear applied proportionally to `y` (italic slant).
-    pub shear: f32,
+    pub(crate) shear: f32,
     /// Stroke thickness in pixels.
-    pub thickness: f32,
+    pub(crate) thickness: f32,
     /// Stroke intensity in `[0, 1]`.
-    pub intensity: f32,
+    pub(crate) intensity: f32,
     /// Gaussian pixel-noise standard deviation.
-    pub noise_std: f32,
+    pub(crate) noise_std: f32,
     /// Box-blur passes.
-    pub blur_passes: usize,
+    pub(crate) blur_passes: usize,
 }
 
 impl GlyphStyle {
     /// Samples a random style (the distribution that makes the corpus
     /// non-trivial).
     #[must_use]
-    pub fn sample(rng: &mut OrcoRng) -> Self {
+    pub(crate) fn sample(rng: &mut OrcoRng) -> Self {
         Self {
             offset_y: rng.uniform(0.12, 0.28),
             offset_x: rng.uniform(0.2, 0.4),
@@ -83,7 +83,7 @@ impl GlyphStyle {
 
     /// A clean, centred style (useful for golden tests and visualization).
     #[must_use]
-    pub fn clean() -> Self {
+    pub(crate) fn clean() -> Self {
         Self {
             offset_y: 0.2,
             offset_x: 0.3,
@@ -104,7 +104,7 @@ impl GlyphStyle {
 ///
 /// Panics if `digit >= 10`.
 #[must_use]
-pub fn render_digit(digit: usize, style: &GlyphStyle, rng: &mut OrcoRng) -> Vec<f32> {
+pub(crate) fn render_digit(digit: usize, style: &GlyphStyle, rng: &mut OrcoRng) -> Vec<f32> {
     assert!(digit < 10, "render_digit: digit {digit} out of range");
     let kind = DatasetKind::MnistLike;
     let mut canvas = Canvas::new(kind.height(), kind.width(), 0.0);

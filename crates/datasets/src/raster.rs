@@ -6,7 +6,7 @@
 
 /// A single-channel drawing surface.
 #[derive(Debug, Clone)]
-pub struct Canvas {
+pub(crate) struct Canvas {
     h: usize,
     w: usize,
     pixels: Vec<f32>,
@@ -15,37 +15,37 @@ pub struct Canvas {
 impl Canvas {
     /// Creates a canvas filled with `background`.
     #[must_use]
-    pub fn new(h: usize, w: usize, background: f32) -> Self {
+    pub(crate) fn new(h: usize, w: usize, background: f32) -> Self {
         Self { h, w, pixels: vec![background; h * w] }
     }
 
     /// Height in pixels.
     #[must_use]
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.h
     }
 
     /// Width in pixels.
     #[must_use]
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.w
     }
 
     /// The pixel buffer, row-major.
     #[must_use]
-    pub fn pixels(&self) -> &[f32] {
+    pub(crate) fn pixels(&self) -> &[f32] {
         &self.pixels
     }
 
     /// Consumes the canvas, returning its buffer.
     #[must_use]
-    pub fn into_pixels(self) -> Vec<f32> {
+    pub(crate) fn into_pixels(self) -> Vec<f32> {
         self.pixels
     }
 
     /// Reads pixel `(y, x)` (0 outside the canvas).
     #[must_use]
-    pub fn get(&self, y: isize, x: isize) -> f32 {
+    pub(crate) fn get(&self, y: isize, x: isize) -> f32 {
         if y < 0 || x < 0 || y >= self.h as isize || x >= self.w as isize {
             0.0
         } else {
@@ -54,14 +54,14 @@ impl Canvas {
     }
 
     /// Writes pixel `(y, x)`, clamped to `[0, 1]`; out-of-bounds is a no-op.
-    pub fn set(&mut self, y: isize, x: isize, v: f32) {
+    pub(crate) fn set(&mut self, y: isize, x: isize, v: f32) {
         if y >= 0 && x >= 0 && y < self.h as isize && x < self.w as isize {
             self.pixels[y as usize * self.w + x as usize] = v.clamp(0.0, 1.0);
         }
     }
 
     /// Additively blends `v` into pixel `(y, x)`, clamped to `[0, 1]`.
-    pub fn blend(&mut self, y: isize, x: isize, v: f32) {
+    pub(crate) fn blend(&mut self, y: isize, x: isize, v: f32) {
         if y >= 0 && x >= 0 && y < self.h as isize && x < self.w as isize {
             let p = &mut self.pixels[y as usize * self.w + x as usize];
             *p = (*p + v).clamp(0.0, 1.0);
@@ -71,7 +71,7 @@ impl Canvas {
     /// Draws an anti-aliased thick line segment between two points given in
     /// **normalized** `[0, 1]` coordinates `(y, x)`, with `thickness` in
     /// pixels and `intensity` in `[0, 1]`.
-    pub fn line(&mut self, from: (f32, f32), to: (f32, f32), thickness: f32, intensity: f32) {
+    pub(crate) fn line(&mut self, from: (f32, f32), to: (f32, f32), thickness: f32, intensity: f32) {
         let (y0, x0) = (from.0 * (self.h - 1) as f32, from.1 * (self.w - 1) as f32);
         let (y1, x1) = (to.0 * (self.h - 1) as f32, to.1 * (self.w - 1) as f32);
         let half = thickness / 2.0;
@@ -104,7 +104,7 @@ impl Canvas {
 
     /// Draws a circle outline centred at normalized `(cy, cx)` with
     /// normalized `radius`, ring `thickness` in pixels.
-    pub fn circle(&mut self, centre: (f32, f32), radius: f32, thickness: f32, intensity: f32) {
+    pub(crate) fn circle(&mut self, centre: (f32, f32), radius: f32, thickness: f32, intensity: f32) {
         let (cy, cx) = (centre.0 * (self.h - 1) as f32, centre.1 * (self.w - 1) as f32);
         let r = radius * (self.h.min(self.w) - 1) as f32;
         let half = thickness / 2.0;
@@ -121,7 +121,7 @@ impl Canvas {
 
     /// Fills a circle (disc) at normalized `(cy, cx)` with normalized
     /// `radius`.
-    pub fn disc(&mut self, centre: (f32, f32), radius: f32, intensity: f32) {
+    pub(crate) fn disc(&mut self, centre: (f32, f32), radius: f32, intensity: f32) {
         let (cy, cx) = (centre.0 * (self.h - 1) as f32, centre.1 * (self.w - 1) as f32);
         let r = radius * (self.h.min(self.w) - 1) as f32;
         for y in 0..self.h as isize {
@@ -136,7 +136,7 @@ impl Canvas {
     }
 
     /// Fills a convex polygon given by normalized `(y, x)` vertices.
-    pub fn polygon(&mut self, vertices: &[(f32, f32)], intensity: f32) {
+    pub(crate) fn polygon(&mut self, vertices: &[(f32, f32)], intensity: f32) {
         if vertices.len() < 3 {
             return;
         }
@@ -154,7 +154,7 @@ impl Canvas {
     }
 
     /// 3×3 box blur, applied `passes` times.
-    pub fn blur(&mut self, passes: usize) {
+    pub(crate) fn blur(&mut self, passes: usize) {
         for _ in 0..passes {
             let mut next = vec![0.0f32; self.pixels.len()];
             for y in 0..self.h as isize {
@@ -173,7 +173,7 @@ impl Canvas {
     }
 
     /// Multiplies every pixel by `gain` (illumination), clamped to `[0, 1]`.
-    pub fn scale_intensity(&mut self, gain: f32) {
+    pub(crate) fn scale_intensity(&mut self, gain: f32) {
         for p in &mut self.pixels {
             *p = (*p * gain).clamp(0.0, 1.0);
         }

@@ -10,11 +10,11 @@ use crate::dataset::Dataset;
 
 /// A train/test split.
 #[derive(Debug, Clone)]
-pub struct Split {
+pub(crate) struct Split {
     /// Training portion.
-    pub train: Dataset,
+    pub(crate) train: Dataset,
     /// Held-out test portion.
-    pub test: Dataset,
+    pub(crate) test: Dataset,
 }
 
 /// Splits a dataset into train/test by shuffled indices.
@@ -24,7 +24,7 @@ pub struct Split {
 /// Panics if `train_fraction` is not in `(0, 1)` or either side would be
 /// empty.
 #[must_use]
-pub fn train_test(dataset: &Dataset, train_fraction: f32, rng: &mut OrcoRng) -> Split {
+pub(crate) fn train_test(dataset: &Dataset, train_fraction: f32, rng: &mut OrcoRng) -> Split {
     assert!(
         (0.0..1.0).contains(&train_fraction) && train_fraction > 0.0,
         "train_test: fraction must be in (0, 1)"
@@ -59,7 +59,7 @@ pub fn fraction(dataset: &Dataset, fraction: f32, rng: &mut OrcoRng) -> Dataset 
 ///
 /// Panics if either side would be empty.
 #[must_use]
-pub fn by_class_pivot(dataset: &Dataset, pivot: usize) -> (Dataset, Dataset) {
+pub(crate) fn by_class_pivot(dataset: &Dataset, pivot: usize) -> (Dataset, Dataset) {
     let left: Vec<usize> = (0..dataset.len()).filter(|&i| dataset.label(i) < pivot).collect();
     let right: Vec<usize> = (0..dataset.len()).filter(|&i| dataset.label(i) >= pivot).collect();
     assert!(!left.is_empty() && !right.is_empty(), "by_class_pivot: empty side");

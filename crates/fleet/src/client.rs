@@ -33,7 +33,7 @@ impl<C: Connection> DirectoryClient<C> {
     }
 
     /// Wraps an already-open connection.
-    pub fn from_connection(conn: C) -> Self {
+    pub(crate) fn from_connection(conn: C) -> Self {
         Self { conn }
     }
 
@@ -98,7 +98,7 @@ impl<C: Connection> DirectoryClient<C> {
     /// # Errors
     ///
     /// Transport failures and protocol violations.
-    pub fn fleet_stats(&mut self) -> Result<(u64, u64, Vec<GatewayStats>), OrcoError> {
+    pub(crate) fn fleet_stats(&mut self) -> Result<(u64, u64, Vec<GatewayStats>), OrcoError> {
         match self.conn.request(&Message::FleetStatsQuery)? {
             Message::FleetStatsReply { epoch, evictions, gateways } => {
                 Ok((epoch, evictions, gateways))
@@ -112,7 +112,7 @@ impl<C: Connection> DirectoryClient<C> {
     /// # Errors
     ///
     /// Transport failures and protocol violations.
-    pub fn shutdown(&mut self) -> Result<(), OrcoError> {
+    pub(crate) fn shutdown(&mut self) -> Result<(), OrcoError> {
         match self.conn.request(&Message::Shutdown)? {
             Message::ShutdownAck => Ok(()),
             other => Err(unexpected("ShutdownAck", &other)),
@@ -193,7 +193,7 @@ impl FleetClient {
 
     /// The epoch of the cached assignment table.
     #[must_use]
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.view.epoch
     }
 
@@ -236,7 +236,7 @@ impl FleetClient {
     /// # Errors
     ///
     /// Transport failures and protocol violations.
-    pub fn refresh(&mut self) -> Result<(), OrcoError> {
+    pub(crate) fn refresh(&mut self) -> Result<(), OrcoError> {
         let (epoch, members) = self.directory.query()?;
         self.view = FleetView::new(None, epoch, members);
         Ok(())

@@ -111,32 +111,32 @@ impl Directory {
 
     /// The directory's configuration.
     #[must_use]
-    pub fn config(&self) -> &DirectoryConfig {
+    pub(crate) fn config(&self) -> &DirectoryConfig {
         &self.cfg
     }
 
     /// The clock the directory timestamps heartbeats against.
     #[must_use]
-    pub fn clock(&self) -> &Clock {
+    pub(crate) fn clock(&self) -> &Clock {
         &self.clock
     }
 
     /// Current assignment epoch.
     #[must_use]
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.state.lock().expect("directory lock").epoch
     }
 
     /// Snapshot of `(epoch, members)`, members ascending by id.
     #[must_use]
-    pub fn view(&self) -> (u64, Vec<GatewayEntry>) {
+    pub(crate) fn view(&self) -> (u64, Vec<GatewayEntry>) {
         let s = self.state.lock().expect("directory lock");
         (s.epoch, members_of(&s))
     }
 
     /// Whether a `Shutdown` has been accepted.
     #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
+    pub(crate) fn is_shutting_down(&self) -> bool {
         // Acquire: pairs with the Release store on Shutdown, so a
         // server loop that sees the flag also sees the ShutdownAck
         // already written to its outbox.
@@ -147,7 +147,7 @@ impl Directory {
     /// configured timeout; one epoch bump covers the whole eviction
     /// (simultaneous deaths do not stutter the epoch). Returns the ids
     /// evicted.
-    pub fn sweep(&self) -> Vec<u64> {
+    pub(crate) fn sweep(&self) -> Vec<u64> {
         let now_s = self.clock.now_s();
         let timeout_s = self.cfg.heartbeat_timeout.as_secs_f64();
         let mut s = self.state.lock().expect("directory lock");
@@ -176,7 +176,7 @@ impl Directory {
     /// stats)`, gateways ascending by id. Evicted gateways appear with
     /// `alive = false` and their last-seen snapshot frozen.
     #[must_use]
-    pub fn fleet_stats(&self) -> (u64, u64, Vec<GatewayStats>) {
+    pub(crate) fn fleet_stats(&self) -> (u64, u64, Vec<GatewayStats>) {
         let s = self.state.lock().expect("directory lock");
         let gateways = s
             .stats
@@ -187,7 +187,7 @@ impl Directory {
     }
 
     /// Handles one request; the typed core of [`Service::handle_frame`].
-    pub fn handle(&self, msg: Message) -> Message {
+    pub(crate) fn handle(&self, msg: Message) -> Message {
         match msg {
             Message::DirectoryQuery => {
                 let s = self.state.lock().expect("directory lock");

@@ -63,12 +63,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agent;
-pub mod client;
-pub mod directory;
+pub(crate) mod agent;
+pub(crate) mod client;
+pub(crate) mod directory;
 pub mod scenarios;
 
-pub use agent::{AgentConfig, GatewayAgent};
-pub use client::{DirectoryClient, FleetClient};
-pub use directory::{Directory, DirectoryConfig};
-pub use scenarios::{replay_scenario, run_scenario, FLEET_GAUNTLET};
+pub use agent::AgentConfig;
+
+pub use agent::GatewayAgent;
+pub use client::DirectoryClient;
+pub use client::FleetClient;
+pub use directory::Directory;
+pub use directory::DirectoryConfig;
+pub use scenarios::replay_scenario;
+pub use scenarios::run_scenario;
+pub use scenarios::FLEET_GAUNTLET;

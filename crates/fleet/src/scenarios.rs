@@ -122,7 +122,7 @@ pub const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Endpoint layout: the directory is endpoint 0, gateway id `g` is
 /// endpoint `g` (ids start at 1), advertised as `des:<endpoint>`.
-pub const DIRECTORY_EP: usize = 0;
+pub(crate) const DIRECTORY_EP: usize = 0;
 
 fn ep_of_addr(addr: &str) -> usize {
     addr.strip_prefix("des:")
@@ -192,13 +192,13 @@ pub struct Agent {
     conn: usize,
     /// Dead (or not yet joined) agents submit nothing and ignore stray
     /// replies.
-    pub alive: bool,
+    pub(crate) alive: bool,
     epoch: u64,
 }
 
 impl Agent {
     /// Submits this gateway's MAC'd `Register` to the directory.
-    pub fn register(&self, net: &DesNet) {
+    pub(crate) fn register(&self, net: &DesNet) {
         let addr = format!("des:{}", self.id);
         let nonce = self.id.wrapping_mul(GOLDEN) ^ 0x666C_6565;
         let mac = auth::register_mac(SECRET, self.id, &addr, nonce);
@@ -218,7 +218,7 @@ impl Agent {
 
 /// Where a [`ClientActor`] is in its script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CState {
+pub(crate) enum CState {
     /// Waiting for the bootstrap `DirectoryReply`.
     Boot,
     /// Greeting the owner (`HelloAck` pending).
@@ -245,7 +245,7 @@ enum CKind {
 #[derive(Debug)]
 pub struct ClientActor {
     /// The cluster this client streams for.
-    pub cluster: u64,
+    pub(crate) cluster: u64,
     /// The stream; the reference codec is run over exactly these rows.
     pub frames: Matrix,
     /// The client parks once this many rows are delivered, until released
@@ -260,7 +260,7 @@ pub struct ClientActor {
     pulled_versions: Vec<u64>,
     pulled_rows: usize,
     /// Script position.
-    pub state: CState,
+    pub(crate) state: CState,
     /// The in-flight request (one per client; dir and data sessions are
     /// never concurrently outstanding by construction).
     pending: Option<(u64, CKind)>,
@@ -335,11 +335,11 @@ impl ClientActor {
 #[derive(Debug)]
 pub struct Fleet {
     /// The network everything runs over.
-    pub net: DesNet,
+    pub(crate) net: DesNet,
     /// The directory service at [`DIRECTORY_EP`].
-    pub directory: Arc<Directory>,
+    pub(crate) directory: Arc<Directory>,
     /// One agent per gateway, index `id - 1`.
-    pub agents: Vec<Agent>,
+    pub(crate) agents: Vec<Agent>,
     /// The clients, in casting order.
     pub clients: Vec<ClientActor>,
     /// Connection routing; scripts bind their own as [`Role::Script`].
@@ -393,7 +393,7 @@ impl Fleet {
     }
 
     /// The agent of gateway `id`, mutably.
-    pub fn agent_mut(&mut self, id: u64) -> &mut Agent {
+    pub(crate) fn agent_mut(&mut self, id: u64) -> &mut Agent {
         &mut self.agents[id as usize - 1]
     }
 
@@ -455,7 +455,7 @@ impl Fleet {
 
     /// Rows delivered back so far, all clients.
     #[must_use]
-    pub fn delivered_rows(&self) -> usize {
+    pub(crate) fn delivered_rows(&self) -> usize {
         self.clients.iter().map(|c| c.pulled_rows).sum()
     }
 

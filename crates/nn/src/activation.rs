@@ -51,7 +51,7 @@ impl Activation {
 
     /// Derivative expressed in terms of the **pre-activation** input `x`.
     #[must_use]
-    pub fn derivative(self, x: f32) -> f32 {
+    pub(crate) fn derivative(self, x: f32) -> f32 {
         match self {
             Activation::Identity => 1.0,
             Activation::Sigmoid => {
@@ -77,13 +77,13 @@ impl Activation {
     }
 
     /// Applies the activation element-wise in place.
-    pub fn apply_inplace(self, m: &mut Matrix) {
+    pub(crate) fn apply_inplace(self, m: &mut Matrix) {
         m.map_inplace(|v| self.apply(v));
     }
 
     /// Element-wise derivative matrix from the pre-activation matrix.
     #[must_use]
-    pub fn derivative_matrix(self, pre: &Matrix) -> Matrix {
+    pub(crate) fn derivative_matrix(self, pre: &Matrix) -> Matrix {
         pre.map(|v| self.derivative(v))
     }
 
@@ -91,7 +91,7 @@ impl Activation {
     /// simulated-compute model; exact constants do not matter, relative
     /// magnitudes do).
     #[must_use]
-    pub fn flops(self) -> u64 {
+    pub(crate) fn flops(self) -> u64 {
         match self {
             Activation::Identity => 0,
             Activation::Relu | Activation::LeakyRelu(_) => 1,

@@ -111,13 +111,13 @@ impl Conv2d {
 
     /// The convolution geometry.
     #[must_use]
-    pub fn geom(&self) -> &Conv2dGeom {
+    pub(crate) fn geom(&self) -> &Conv2dGeom {
         &self.geom
     }
 
     /// Output spatial shape `(out_c, out_h, out_w)`.
     #[must_use]
-    pub fn output_shape(&self) -> (usize, usize, usize) {
+    pub(crate) fn output_shape(&self) -> (usize, usize, usize) {
         (self.out_c, self.geom.out_h(), self.geom.out_w())
     }
 }

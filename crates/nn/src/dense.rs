@@ -64,7 +64,7 @@ impl Dense {
     ///
     /// Panics if `input_dim` or `output_dim` is zero.
     #[must_use]
-    pub fn with_init(
+    pub(crate) fn with_init(
         input_dim: usize,
         output_dim: usize,
         activation: Activation,
@@ -92,7 +92,7 @@ impl Dense {
     ///
     /// Panics if `bias.cols() != weight.rows()` or `bias.rows() != 1`.
     #[must_use]
-    pub fn from_parts(weight: Matrix, bias: Matrix, activation: Activation) -> Self {
+    pub(crate) fn from_parts(weight: Matrix, bias: Matrix, activation: Activation) -> Self {
         assert_eq!(bias.rows(), 1, "Dense: bias must be a row vector");
         assert_eq!(bias.cols(), weight.rows(), "Dense: bias length must equal output dim");
         let (out, inp) = weight.shape();
@@ -120,7 +120,7 @@ impl Dense {
 
     /// The layer's activation function.
     #[must_use]
-    pub fn activation(&self) -> Activation {
+    pub(crate) fn activation(&self) -> Activation {
         self.activation
     }
 

@@ -14,11 +14,11 @@ use crate::loss::Loss;
 #[derive(Debug, Clone, Copy)]
 pub struct GradCheckReport {
     /// Worst relative error over all checked parameter coordinates.
-    pub max_param_rel_err: f32,
+    pub(crate) max_param_rel_err: f32,
     /// Worst relative error over all checked input coordinates.
     pub max_input_rel_err: f32,
     /// Number of coordinates compared.
-    pub coords_checked: usize,
+    pub(crate) coords_checked: usize,
 }
 
 impl GradCheckReport {

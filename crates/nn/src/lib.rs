@@ -61,13 +61,14 @@ mod optimizer;
 mod pool;
 
 pub mod gradcheck;
-pub mod layer;
+pub(crate) mod layer;
 pub mod metrics;
 
 pub use activation::Activation;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use layer::{Layer, Param};
+pub use layer::Layer;
+pub use layer::Param;
 pub use loss::Loss;
 pub use model::Sequential;
 pub use optimizer::Optimizer;

@@ -170,7 +170,7 @@ fn sign(x: f32) -> f32 {
 
 /// Row-wise numerically-stable softmax.
 #[must_use]
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
+pub(crate) fn softmax_rows(logits: &Matrix) -> Matrix {
     let mut out = logits.clone();
     for r in 0..out.rows() {
         let row = out.row_mut(r);

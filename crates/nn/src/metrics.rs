@@ -33,7 +33,7 @@ pub fn one_hot(labels: &[usize], classes: usize) -> Matrix {
 
 /// A `classes × classes` confusion matrix: `counts[actual][predicted]`.
 #[derive(Debug, Clone)]
-pub struct ConfusionMatrix {
+pub(crate) struct ConfusionMatrix {
     classes: usize,
     counts: Vec<u64>,
 }
@@ -45,7 +45,7 @@ impl ConfusionMatrix {
     ///
     /// Panics if `classes == 0`.
     #[must_use]
-    pub fn new(classes: usize) -> Self {
+    pub(crate) fn new(classes: usize) -> Self {
         assert!(classes > 0, "ConfusionMatrix: classes must be non-zero");
         Self { classes, counts: vec![0; classes * classes] }
     }
@@ -55,7 +55,7 @@ impl ConfusionMatrix {
     /// # Panics
     ///
     /// Panics if either index is out of range.
-    pub fn record(&mut self, actual: usize, predicted: usize) {
+    pub(crate) fn record(&mut self, actual: usize, predicted: usize) {
         assert!(
             actual < self.classes && predicted < self.classes,
             "ConfusionMatrix: class out of range"
@@ -64,7 +64,7 @@ impl ConfusionMatrix {
     }
 
     /// Records a whole batch from logits and labels.
-    pub fn record_batch(&mut self, logits: &Matrix, labels: &[usize]) {
+    pub(crate) fn record_batch(&mut self, logits: &Matrix, labels: &[usize]) {
         for (pred, &actual) in logits.argmax_rows().iter().zip(labels) {
             self.record(actual, *pred);
         }
@@ -72,19 +72,19 @@ impl ConfusionMatrix {
 
     /// Count at `(actual, predicted)`.
     #[must_use]
-    pub fn count(&self, actual: usize, predicted: usize) -> u64 {
+    pub(crate) fn count(&self, actual: usize, predicted: usize) -> u64 {
         self.counts[actual * self.classes + predicted]
     }
 
     /// Total observations recorded.
     #[must_use]
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 
     /// Overall accuracy (0 when empty).
     #[must_use]
-    pub fn accuracy(&self) -> f32 {
+    pub(crate) fn accuracy(&self) -> f32 {
         let total = self.total();
         if total == 0 {
             return 0.0;
@@ -96,7 +96,7 @@ impl ConfusionMatrix {
     /// Per-class recall: `diag / row-sum` (`None` when the class was never
     /// observed).
     #[must_use]
-    pub fn recall(&self, class: usize) -> Option<f32> {
+    pub(crate) fn recall(&self, class: usize) -> Option<f32> {
         let row: u64 = (0..self.classes).map(|p| self.count(class, p)).sum();
         if row == 0 {
             None
@@ -108,7 +108,7 @@ impl ConfusionMatrix {
     /// Per-class precision: `diag / column-sum` (`None` when the class was
     /// never predicted).
     #[must_use]
-    pub fn precision(&self, class: usize) -> Option<f32> {
+    pub(crate) fn precision(&self, class: usize) -> Option<f32> {
         let col: u64 = (0..self.classes).map(|a| self.count(a, class)).sum();
         if col == 0 {
             None

@@ -51,7 +51,7 @@ impl Sequential {
     /// Panics if the layer's input width does not match the previous
     /// layer's output width.
     #[must_use]
-    pub fn with(mut self, layer: impl Layer + 'static) -> Self {
+    pub(crate) fn with(mut self, layer: impl Layer + 'static) -> Self {
         self.push(layer);
         self
     }
@@ -85,7 +85,7 @@ impl Sequential {
 
     /// Whether the model has no layers.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
 
@@ -121,7 +121,7 @@ impl Sequential {
 
     /// Immutable access to the layer stack.
     #[must_use]
-    pub fn layers(&self) -> &[Box<dyn Layer>] {
+    pub(crate) fn layers(&self) -> &[Box<dyn Layer>] {
         &self.layers
     }
 
@@ -211,14 +211,14 @@ impl Sequential {
     }
 
     /// Mean loss on a batch without updating parameters (inference mode).
-    pub fn evaluate(&mut self, input: &Matrix, target: &Matrix, loss: &Loss) -> f32 {
+    pub(crate) fn evaluate(&mut self, input: &Matrix, target: &Matrix, loss: &Loss) -> f32 {
         let pred = self.forward(input, false);
         loss.value(&pred, target)
     }
 
     /// A human-readable architecture summary, one line per layer.
     #[must_use]
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let mut s = String::new();
         for (i, layer) in self.layers.iter().enumerate() {
             s.push_str(&format!(

@@ -50,7 +50,7 @@ impl Optimizer {
     ///
     /// Panics if `lr` is not positive and finite.
     #[must_use]
-    pub fn sgd(lr: f32) -> Self {
+    pub(crate) fn sgd(lr: f32) -> Self {
         assert!(lr > 0.0 && lr.is_finite(), "sgd: lr must be positive");
         Self::with_kind(Kind::Sgd { lr })
     }
@@ -61,7 +61,7 @@ impl Optimizer {
     ///
     /// Panics if `lr` is not positive or `mu` is outside `[0, 1)`.
     #[must_use]
-    pub fn momentum(lr: f32, mu: f32) -> Self {
+    pub(crate) fn momentum(lr: f32, mu: f32) -> Self {
         assert!(lr > 0.0 && lr.is_finite(), "momentum: lr must be positive");
         assert!((0.0..1.0).contains(&mu), "momentum: mu must be in [0, 1)");
         Self::with_kind(Kind::Momentum { lr, mu })
@@ -73,7 +73,7 @@ impl Optimizer {
     ///
     /// Panics if `lr` is not positive and finite.
     #[must_use]
-    pub fn rmsprop(lr: f32) -> Self {
+    pub(crate) fn rmsprop(lr: f32) -> Self {
         assert!(lr > 0.0 && lr.is_finite(), "rmsprop: lr must be positive");
         Self::with_kind(Kind::RmsProp { lr, rho: 0.9, eps: 1e-8 })
     }
@@ -111,7 +111,7 @@ impl Optimizer {
 
     /// The current learning rate.
     #[must_use]
-    pub fn learning_rate(&self) -> f32 {
+    pub(crate) fn learning_rate(&self) -> f32 {
         match self.kind {
             Kind::Sgd { lr }
             | Kind::Momentum { lr, .. }
@@ -125,7 +125,7 @@ impl Optimizer {
     /// # Panics
     ///
     /// Panics if `lr` is not positive and finite.
-    pub fn set_learning_rate(&mut self, lr: f32) {
+    pub(crate) fn set_learning_rate(&mut self, lr: f32) {
         assert!(lr > 0.0 && lr.is_finite(), "set_learning_rate: lr must be positive");
         match &mut self.kind {
             Kind::Sgd { lr: l }
@@ -137,7 +137,7 @@ impl Optimizer {
 
     /// Number of optimization steps taken so far.
     #[must_use]
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.step_count
     }
 

@@ -50,7 +50,7 @@ impl MaxPool2d {
 
     /// Output spatial shape `(c, h/window, w/window)`.
     #[must_use]
-    pub fn output_shape(&self) -> (usize, usize, usize) {
+    pub(crate) fn output_shape(&self) -> (usize, usize, usize) {
         (self.c, self.h / self.window, self.w / self.window)
     }
 

@@ -69,8 +69,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod metrics;
-pub mod trace;
+pub(crate) mod metrics;
+pub(crate) mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
-pub use trace::{verify_chains, ChainSummary, Span, SpanKind, Tracer};
+pub use metrics::Counter;
+
+pub use metrics::Gauge;
+
+pub use metrics::Histogram;
+
+pub use metrics::HistogramSnapshot;
+
+pub use metrics::Registry;
+pub use trace::verify_chains;
+pub use trace::ChainSummary;
+pub use trace::Span;
+pub use trace::SpanKind;
+pub use trace::Tracer;

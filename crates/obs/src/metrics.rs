@@ -22,7 +22,7 @@ pub struct Counter {
 impl Counter {
     /// A counter at zero.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -55,7 +55,7 @@ pub struct Gauge {
 impl Gauge {
     /// A gauge at zero.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -157,7 +157,7 @@ impl Histogram {
 
     /// Number of recorded samples.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         // Relaxed: scrape-time read (see record_ns for the tolerance).
         self.count.load(Ordering::Relaxed)
     }

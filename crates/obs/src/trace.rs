@@ -39,7 +39,7 @@ pub enum SpanKind {
 impl SpanKind {
     /// Stable lowercase name used in the text export.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Self::Push => "push",
             Self::Enqueue => "enqueue",
@@ -155,7 +155,7 @@ impl Tracer {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ChainSummary {
     /// Distinct trace ids that pushed rows.
-    pub traces: usize,
+    pub(crate) traces: usize,
     /// Rows accepted across all traces.
     pub pushed_rows: u64,
     /// Rows delivered (pull + stream) across all traces.

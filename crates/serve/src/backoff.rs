@@ -36,7 +36,7 @@ impl Backoff {
 
     /// Consecutive failures since the last [`Backoff::reset`].
     #[must_use]
-    pub fn attempt(&self) -> u32 {
+    pub(crate) fn attempt(&self) -> u32 {
         self.attempt
     }
 

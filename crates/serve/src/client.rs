@@ -40,9 +40,9 @@ pub enum PushOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatewayInfo {
     /// Protocol version the gateway speaks.
-    pub version: u16,
+    pub(crate) version: u16,
     /// Number of worker shards.
-    pub shards: u16,
+    pub(crate) shards: u16,
     /// Raw-frame width in f32 elements.
     pub frame_dim: u32,
     /// Encoded-code width in f32 elements.
@@ -57,13 +57,13 @@ pub struct VersionInfo {
     /// The codec version currently encoding flushes.
     pub active: ModelVersion,
     /// A proposed version staged but not yet activated, if any.
-    pub staged: Option<ModelVersion>,
+    pub(crate) staged: Option<ModelVersion>,
     /// The pre-swap version still retained as the rollback target.
     pub prior: Option<ModelVersion>,
     /// Lifetime count of guard-triggered rollbacks.
     pub rollbacks: u64,
     /// Whether the drift monitor currently flags the sampled error.
-    pub drift: bool,
+    pub(crate) drift: bool,
 }
 
 /// A typed gateway client over any [`Connection`].
@@ -89,7 +89,7 @@ impl<C: Connection> Client<C> {
     }
 
     /// Wraps an already-open connection.
-    pub fn from_connection(conn: C) -> Self {
+    pub(crate) fn from_connection(conn: C) -> Self {
         Self { conn, auth_secret: None, client_id: 0, trace_seq: 0 }
     }
 

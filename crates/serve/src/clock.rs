@@ -68,7 +68,7 @@ impl Clock {
     /// Whether this is the wall clock (the TCP server requires it; its
     /// deadline timer sleeps in real time).
     #[must_use]
-    pub fn is_real(&self) -> bool {
+    pub(crate) fn is_real(&self) -> bool {
         matches!(self, Clock::Real { .. })
     }
 
@@ -96,7 +96,7 @@ impl Clock {
     /// (no-op on a real clock, and never moves a virtual clock
     /// backwards). This is how an external discrete-event scheduler — the
     /// DES transport — slaves the gateway's clock to simulated time.
-    pub fn advance_to(&self, t: Duration) {
+    pub(crate) fn advance_to(&self, t: Duration) {
         if let Clock::Virtual { nanos, .. } = self {
             // SeqCst: the DES scheduler's advances join the same total
             // order as tick/now_s, and fetch_max keeps time monotone.

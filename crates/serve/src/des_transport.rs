@@ -128,7 +128,7 @@ impl Default for DesConfig {
 
 /// A client-visible event surfaced by [`DesNet::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetEvent {
+pub(crate) enum NetEvent {
     /// The reply to request `seq` arrived on `conn`; collect it with
     /// [`DesNet::take_reply`].
     Reply {
@@ -310,7 +310,7 @@ impl DesNet {
     /// Panics on a [`DesNet::new_multi`] network — there, endpoints are
     /// plain services with no distinguished gateway.
     #[must_use]
-    pub fn gateway(&self) -> Arc<Gateway> {
+    pub(crate) fn gateway(&self) -> Arc<Gateway> {
         Arc::clone(
             self.inner
                 .borrow()
@@ -342,14 +342,14 @@ impl DesNet {
 
     /// Current simulated time, seconds.
     #[must_use]
-    pub fn now_s(&self) -> f64 {
+    pub(crate) fn now_s(&self) -> f64 {
         self.inner.borrow().sim.now_s()
     }
 
     /// Opens a fresh session on a fresh connection to endpoint 0 (an
     /// uplink/downlink pair at the configured base [`LinkParams`]);
     /// returns the connection id.
-    pub fn connect(&self) -> usize {
+    pub(crate) fn connect(&self) -> usize {
         self.connect_to(0)
     }
 
@@ -382,7 +382,7 @@ impl DesNet {
     /// # Panics
     ///
     /// Panics on an unknown connection id.
-    pub fn reconnect(&self, conn: usize) -> usize {
+    pub(crate) fn reconnect(&self, conn: usize) -> usize {
         let ep = self.inner.borrow().conns[conn].endpoint;
         self.reconnect_to(conn, ep)
     }
@@ -442,33 +442,33 @@ impl DesNet {
     /// The uplink (client → gateway) link index of `conn`, for
     /// [`NetScenario`] scripting.
     #[must_use]
-    pub fn uplink(&self, conn: usize) -> usize {
+    pub(crate) fn uplink(&self, conn: usize) -> usize {
         self.inner.borrow().conns[conn].up
     }
 
     /// The downlink (gateway → client) link index of `conn`.
     #[must_use]
-    pub fn downlink(&self, conn: usize) -> usize {
+    pub(crate) fn downlink(&self, conn: usize) -> usize {
         self.inner.borrow().conns[conn].down
     }
 
     /// Merges an impairment script into the simulation. Link indices come
     /// from [`DesNet::uplink`]/[`DesNet::downlink`], so open connections
     /// first.
-    pub fn script(&self, scenario: &NetScenario) {
+    pub(crate) fn script(&self, scenario: &NetScenario) {
         self.inner.borrow_mut().sim.script(scenario);
     }
 
     /// The impairment trace recorded so far — the run's event log.
     #[must_use]
-    pub fn trace(&self) -> Vec<SendRecord> {
+    pub(crate) fn trace(&self) -> Vec<SendRecord> {
         self.inner.borrow().sim.trace().to_vec()
     }
 
     /// Switches the simulation into replay mode: subsequent sends consume
     /// `trace` instead of drawing randomness. Start replay before any
     /// traffic and drive the identical schedule.
-    pub fn begin_replay(&self, trace: Vec<SendRecord>) {
+    pub(crate) fn begin_replay(&self, trace: Vec<SendRecord>) {
         self.inner.borrow_mut().sim.begin_replay(trace);
     }
 
@@ -510,7 +510,7 @@ impl DesNet {
     /// Advances the simulation to the next client-visible event and
     /// returns it ([`NetEvent::Idle`] when the queue is empty). Internal
     /// events — frame arrivals, retransmissions — are processed silently.
-    pub fn poll(&self) -> NetEvent {
+    pub(crate) fn poll(&self) -> NetEvent {
         let mut inner = self.inner.borrow_mut();
         loop {
             let Some((t, packet)) = inner.sim.next() else {
@@ -544,13 +544,13 @@ impl DesNet {
 
     /// Runs [`DesNet::poll`] until the event queue drains. Convenient for
     /// tests that submit a batch of work and want the dust settled.
-    pub fn pump_until_idle(&self) {
+    pub(crate) fn pump_until_idle(&self) {
         while self.poll() != NetEvent::Idle {}
     }
 
     /// Takes the decoded reply to request `seq` on `conn`, if delivered.
     #[must_use]
-    pub fn take_reply(&self, conn: usize, seq: u64) -> Option<Message> {
+    pub(crate) fn take_reply(&self, conn: usize, seq: u64) -> Option<Message> {
         let mut inner = self.inner.borrow_mut();
         let session = inner.conns[conn].session;
         let bytes = inner.sessions[session].ready.remove(&seq)?;
@@ -665,7 +665,7 @@ impl DesTransport {
 
     /// The underlying network (for scripting and traces).
     #[must_use]
-    pub fn net(&self) -> &DesNet {
+    pub(crate) fn net(&self) -> &DesNet {
         &self.net
     }
 }

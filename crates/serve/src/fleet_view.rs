@@ -33,7 +33,7 @@ pub fn owner_of(members: &[GatewayEntry], cluster_id: u64) -> Option<&GatewayEnt
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetView {
     /// This participant's gateway id, or `None` for clients.
-    pub self_id: Option<u64>,
+    pub(crate) self_id: Option<u64>,
     /// Assignment epoch the membership list belongs to.
     pub epoch: u64,
     /// Live gateways, ascending by id.
@@ -51,13 +51,13 @@ impl FleetView {
 
     /// The member owning `cluster_id`, or `None` if the fleet is empty.
     #[must_use]
-    pub fn owner_of(&self, cluster_id: u64) -> Option<&GatewayEntry> {
+    pub(crate) fn owner_of(&self, cluster_id: u64) -> Option<&GatewayEntry> {
         owner_of(&self.members, cluster_id)
     }
 
     /// True when this participant is the owner of `cluster_id`.
     #[must_use]
-    pub fn owns(&self, cluster_id: u64) -> bool {
+    pub(crate) fn owns(&self, cluster_id: u64) -> bool {
         match (self.self_id, self.owner_of(cluster_id)) {
             (Some(me), Some(owner)) => owner.id == me,
             _ => false,

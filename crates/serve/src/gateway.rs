@@ -128,7 +128,7 @@ impl GatewayConfig {
     ///
     /// Returns [`OrcoError::Config`] naming the first violated
     /// constraint.
-    pub fn validate(&self) -> Result<(), OrcoError> {
+    pub(crate) fn validate(&self) -> Result<(), OrcoError> {
         if self.shards == 0 {
             return Err(OrcoError::Config { detail: "GatewayConfig: shards must be > 0".into() });
         }
@@ -860,7 +860,7 @@ impl Gateway {
     /// shard's lock is taken only once its gate says the batch is due,
     /// and the batch is re-checked under the lock before it is flushed —
     /// so a dispatch never waits out another shard's encode or decode.
-    pub fn sweep_deadlines(&self) {
+    pub(crate) fn sweep_deadlines(&self) {
         let now = self.clock.now_s();
         let deadline_s = self.cfg.batch_deadline.as_secs_f64();
         for (idx, slot) in self.shards.iter().enumerate() {

@@ -35,7 +35,7 @@ impl Default for Outbox {
 impl Outbox {
     /// Creates an empty, open outbox.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             state: Mutex::new(State { frames: VecDeque::new(), closed: false }),
             cv: Condvar::new(),
@@ -44,7 +44,7 @@ impl Outbox {
 
     /// Enqueues one encoded frame and wakes the writer. Frames pushed
     /// after [`close`](Self::close) are dropped.
-    pub fn push_frame(&self, frame: Vec<u8>) {
+    pub(crate) fn push_frame(&self, frame: Vec<u8>) {
         let mut st = self.state.lock().expect("outbox lock");
         if st.closed {
             return;
@@ -57,13 +57,13 @@ impl Outbox {
     /// Pops the next frame without blocking. `None` means "nothing
     /// queued right now" — check [`is_closed`](Self::is_closed) to
     /// distinguish empty from finished.
-    pub fn try_next(&self) -> Option<Vec<u8>> {
+    pub(crate) fn try_next(&self) -> Option<Vec<u8>> {
         self.state.lock().expect("outbox lock").frames.pop_front()
     }
 
     /// Blocks up to `timeout` for the next frame. `None` means the
     /// outbox closed or the timeout elapsed with nothing queued.
-    pub fn wait_next(&self, timeout: Duration) -> Option<Vec<u8>> {
+    pub(crate) fn wait_next(&self, timeout: Duration) -> Option<Vec<u8>> {
         let mut st = self.state.lock().expect("outbox lock");
         loop {
             if let Some(frame) = st.frames.pop_front() {
@@ -82,23 +82,23 @@ impl Outbox {
 
     /// Marks the outbox finished and wakes any blocked writer. Already
     /// queued frames stay drainable; new pushes are dropped.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().expect("outbox lock").closed = true;
         self.cv.notify_all();
     }
 
     /// True once [`close`](Self::close) has run.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.state.lock().expect("outbox lock").closed
     }
 
     /// Frames currently queued (diagnostics only; racy by nature).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().expect("outbox lock").frames.len()
     }
 
     /// True when nothing is queued (diagnostics only; racy by nature).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

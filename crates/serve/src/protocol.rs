@@ -53,7 +53,7 @@ use orcodcs::OrcoError;
 use crate::stats::StatsSnapshot;
 
 /// Frame magic: "ORCO" read as a little-endian u32.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"ORCO");
+pub(crate) const MAGIC: u32 = u32::from_le_bytes(*b"ORCO");
 
 /// Version of the wire protocol spoken by this build. Version 5 added
 /// the rollout plane: [`ModelVersion`] rides the wire (`HelloAck`
@@ -73,7 +73,7 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"ORCO");
 /// with streaming/redirect counters; version 2 widened
 /// [`StatsSnapshot`] with per-reason flush counters. Older frames are
 /// rejected with [`WireError::UnsupportedVersion`].
-pub const PROTOCOL_VERSION: u16 = 5;
+pub(crate) const PROTOCOL_VERSION: u16 = 5;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 12;
@@ -86,21 +86,21 @@ pub const HEADER_LEN: usize = 12;
 /// **before** any payload allocation, so a corrupt or hostile length
 /// field cannot make the gateway reserve memory a real message of that
 /// type could never use.
-pub const MAX_PAYLOAD: usize = 64 << 20;
+pub(crate) const MAX_PAYLOAD: usize = 64 << 20;
 
 /// Upper bound on an [`Message::ErrorReply`] detail string.
 const MAX_ERROR_DETAIL: usize = 1 << 16;
 
 /// Upper bound on a gateway address string carried in directory
 /// messages ([`Message::Redirect`], [`GatewayEntry`]).
-pub const MAX_ADDR: usize = 256;
+pub(crate) const MAX_ADDR: usize = 256;
 
 /// Upper bound on the number of [`GatewayEntry`] records in one
 /// directory membership list.
-pub const MAX_MEMBERS: usize = 1024;
+pub(crate) const MAX_MEMBERS: usize = 1024;
 
 /// Upper bound on a [`Message::MetricsReply`] exposition text.
-pub const MAX_METRICS_TEXT: usize = 1 << 20;
+pub(crate) const MAX_METRICS_TEXT: usize = 1 << 20;
 
 /// Upper bound on a [`ModelVersion`] label string.
 pub const MAX_LABEL: usize = 64;
@@ -961,7 +961,7 @@ impl Message {
 
 /// Outcome of [`read_frame`]: one read off a byte stream.
 #[derive(Debug)]
-pub enum FrameRead {
+pub(crate) enum FrameRead {
     /// Clean end-of-stream at a frame boundary.
     Eof,
     /// The caller's buffer holds one complete frame (header + payload).
@@ -982,7 +982,7 @@ pub enum FrameRead {
 /// Returns [`OrcoError::Io`] for transport failures (including EOF
 /// mid-frame); header malformations are [`FrameRead::Malformed`], not
 /// errors, so servers can still answer them.
-pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<FrameRead, OrcoError> {
+pub(crate) fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<FrameRead, OrcoError> {
     buf.clear();
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;

@@ -353,7 +353,7 @@ pub fn drive(run: &Run) -> Result<Outcome, ScenarioError> {
 /// Rows per `PushFrames` window.
 pub const ROWS_PER_PUSH: usize = 3;
 /// `max_frames` of every `PullDecoded`.
-pub const PULL_CHUNK: u32 = 8;
+pub(crate) const PULL_CHUNK: u32 = 8;
 
 /// Dense `connection id → role` routing. [`DesNet`] hands out connection
 /// ids in order, so the table is a `Vec` and every new connection —

@@ -24,7 +24,7 @@ use crate::protocol::{codec, wire_struct, Cursor, Wire, WireError};
 /// Upper bound on the shard count a [`StatsSnapshot`] may carry on the
 /// wire (bounds the per-shard rows before any allocation, like
 /// `MAX_MEMBERS` bounds membership lists).
-pub const MAX_SHARDS: usize = 1024;
+pub(crate) const MAX_SHARDS: usize = 1024;
 
 /// Why a micro-batch was flushed. Each reason has its own counter in
 /// [`StatsSnapshot`], so `deadline_flushes` means *deadline* flushes —
@@ -32,7 +32,7 @@ pub const MAX_SHARDS: usize = 1024;
 /// size flushes (they did before this enum existed, inflating the
 /// size-flush count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushReason {
+pub(crate) enum FlushReason {
     /// The pending batch reached `batch_max_frames`.
     Size,
     /// The pending batch outlived `batch_deadline`.
@@ -54,7 +54,7 @@ const FLUSH_REASONS: usize = 5;
 impl FlushReason {
     /// Stable lowercase name used in trace spans and metric labels.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             FlushReason::Size => "size",
             FlushReason::Deadline => "deadline",
@@ -82,7 +82,7 @@ struct ShardCounters {
 /// push). Under the deterministic loopback transport there is no
 /// concurrency and snapshots are exact.
 #[derive(Debug, Default)]
-pub struct ServeStats {
+pub(crate) struct ServeStats {
     shards: u16,
     frames_in: Counter,
     frames_out: Counter,
@@ -111,7 +111,7 @@ pub struct ServeStats {
 impl ServeStats {
     /// Creates an empty registry for a gateway with `shards` shards.
     #[must_use]
-    pub fn new(shards: u16) -> Self {
+    pub(crate) fn new(shards: u16) -> Self {
         Self {
             shards,
             per_shard: (0..shards).map(|_| ShardCounters::default()).collect(),
@@ -129,7 +129,7 @@ impl ServeStats {
 
     /// Records an accepted push of `rows` frames carrying `bytes` of
     /// frame payload into `shard`.
-    pub fn record_push(&self, shard: usize, rows: u64, bytes: u64) {
+    pub(crate) fn record_push(&self, shard: usize, rows: u64, bytes: u64) {
         self.pushes.inc();
         self.frames_in.add(rows);
         self.bytes_in.add(bytes);
@@ -138,14 +138,14 @@ impl ServeStats {
     }
 
     /// Records a push rejected with `Busy`.
-    pub fn record_busy(&self) {
+    pub(crate) fn record_busy(&self) {
         self.busy_rejections.inc();
     }
 
     /// Records one micro-batch flush of `rows` frames on `shard`,
     /// `latency_s` after its oldest frame was enqueued, for the given
     /// [`FlushReason`].
-    pub fn record_flush(&self, shard: usize, rows: u64, latency_s: f64, reason: FlushReason) {
+    pub(crate) fn record_flush(&self, shard: usize, rows: u64, latency_s: f64, reason: FlushReason) {
         self.batches.inc();
         self.flushes_for(reason).inc();
         self.max_batch_rows.max_assign(rows);
@@ -157,7 +157,7 @@ impl ServeStats {
 
     /// Records a pull from `shard` that returned `rows` decoded frames
     /// carrying `bytes` of frame payload.
-    pub fn record_pull(&self, shard: usize, rows: u64, bytes: u64) {
+    pub(crate) fn record_pull(&self, shard: usize, rows: u64, bytes: u64) {
         self.pulls.inc();
         self.frames_out.add(rows);
         self.bytes_out.add(bytes);
@@ -168,7 +168,7 @@ impl ServeStats {
 
     /// Records `rows` decoded frames pushed from `shard` to streaming
     /// subscribers (carrying `bytes` of frame payload).
-    pub fn record_streamed(&self, shard: usize, rows: u64, bytes: u64) {
+    pub(crate) fn record_streamed(&self, shard: usize, rows: u64, bytes: u64) {
         self.streamed_rows.add(rows);
         self.frames_out.add(rows);
         self.bytes_out.add(bytes);
@@ -177,42 +177,42 @@ impl ServeStats {
     }
 
     /// Records a push bounced with a `Redirect` to the current owner.
-    pub fn record_redirect(&self) {
+    pub(crate) fn record_redirect(&self) {
         self.redirects.inc();
     }
 
     /// Publishes the id of the model version currently encoding flushes.
-    pub fn set_active_version(&self, id: u64) {
+    pub(crate) fn set_active_version(&self, id: u64) {
         self.active_version.set(id);
     }
 
     /// Records the drift monitor tripping on the active model, and
     /// raises the drift flag until [`Self::set_drift`] clears it.
-    pub fn record_drift_trip(&self) {
+    pub(crate) fn record_drift_trip(&self) {
         self.drift_trips.inc();
         self.drift.set(1);
     }
 
     /// Sets or clears the drift flag (cleared when a swap installs a
     /// fresh model or the monitor is acknowledged).
-    pub fn set_drift(&self, drifting: bool) {
+    pub(crate) fn set_drift(&self, drifting: bool) {
         self.drift.set(u64::from(drifting));
     }
 
     /// Records a completed codec hot-swap (cutover to a new version).
-    pub fn record_swap(&self) {
+    pub(crate) fn record_swap(&self) {
         self.swaps.inc();
     }
 
     /// Records a guard-triggered rollback to the prior model version.
-    pub fn record_rollback(&self) {
+    pub(crate) fn record_rollback(&self) {
         self.rollbacks.inc();
     }
 
     /// The full flush-latency distribution (the p50/p99 snapshot fields
     /// are two quantiles of it).
     #[must_use]
-    pub fn flush_latency_histogram(&self) -> HistogramSnapshot {
+    pub(crate) fn flush_latency_histogram(&self) -> HistogramSnapshot {
         self.flush_latency.snapshot()
     }
 }

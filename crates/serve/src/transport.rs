@@ -98,7 +98,7 @@ impl<S: Service + ?Sized> Loopback<S> {
 
     /// The service this transport dispatches into.
     #[must_use]
-    pub fn service(&self) -> &Arc<S> {
+    pub(crate) fn service(&self) -> &Arc<S> {
         &self.svc
     }
 }
@@ -106,7 +106,7 @@ impl<S: Service + ?Sized> Loopback<S> {
 impl Loopback<Gateway> {
     /// The gateway this transport dispatches into.
     #[must_use]
-    pub fn gateway(&self) -> &Arc<Gateway> {
+    pub(crate) fn gateway(&self) -> &Arc<Gateway> {
         &self.svc
     }
 }
@@ -166,7 +166,7 @@ impl Tcp {
 
     /// The address this transport dials.
     #[must_use]
-    pub fn addr(&self) -> &str {
+    pub(crate) fn addr(&self) -> &str {
         &self.addr
     }
 }

@@ -203,13 +203,13 @@ impl DesNetwork {
 
     /// The world state (topology, batteries, ledger) backing the simulation.
     #[must_use]
-    pub fn world(&self) -> &Network {
+    pub(crate) fn world(&self) -> &Network {
         &self.world
     }
 
     /// The simulator parameters.
     #[must_use]
-    pub fn params(&self) -> &SimParams {
+    pub(crate) fn params(&self) -> &SimParams {
         &self.params
     }
 

@@ -109,19 +109,19 @@ impl<T> EventQueue<T> {
 
     /// The timestamp of the earliest pending event.
     #[must_use]
-    pub fn peek_time_s(&self) -> Option<f64> {
+    pub(crate) fn peek_time_s(&self) -> Option<f64> {
         self.heap.peek().map(|e| e.time_s)
     }
 
     /// Number of pending events.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether no events are pending.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }

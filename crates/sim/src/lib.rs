@@ -85,8 +85,18 @@ mod netsim;
 mod params;
 mod scenario;
 
-pub use des::{DesNetwork, SimSpec};
+pub use des::DesNetwork;
+
+pub use des::SimSpec;
 pub use event::EventQueue;
-pub use netsim::{LinkAction, LinkParams, NetScenario, NetSim, SendRecord, SendVerdict};
-pub use params::{DutyCycle, MacMode, SimParams};
-pub use scenario::{Scenario, ScenarioAction};
+pub(crate) use netsim::LinkAction;
+pub use netsim::LinkParams;
+pub use netsim::NetScenario;
+pub use netsim::NetSim;
+pub use netsim::SendRecord;
+pub use netsim::SendVerdict;
+pub use params::DutyCycle;
+pub use params::MacMode;
+pub use params::SimParams;
+pub use scenario::Scenario;
+pub(crate) use scenario::ScenarioAction;

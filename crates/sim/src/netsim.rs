@@ -82,7 +82,7 @@ impl Default for LinkParams {
 
 /// One scripted perturbation of a link.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LinkAction {
+pub(crate) enum LinkAction {
     /// Override the link's loss probability.
     SetLoss {
         /// Per-send loss probability in `[0, 1)`.
@@ -132,13 +132,13 @@ impl NetScenario {
 
     /// Number of scripted actions.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.actions.len()
     }
 
     /// Whether the script is empty.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.actions.is_empty()
     }
 
@@ -148,7 +148,7 @@ impl NetScenario {
     ///
     /// Panics if `t_s` is not a finite number of seconds ≥ 0.
     #[must_use]
-    pub fn at(mut self, t_s: f64, link: usize, action: LinkAction) -> Self {
+    pub(crate) fn at(mut self, t_s: f64, link: usize, action: LinkAction) -> Self {
         orco_wsn::clock::assert_monotone_dt(t_s);
         self.actions.push((t_s, link, action));
         self
@@ -156,7 +156,7 @@ impl NetScenario {
 
     /// Degrades `link` to `loss_prob` over `window`.
     #[must_use]
-    pub fn lossy(self, link: usize, window: std::ops::Range<f64>, loss_prob: f64) -> Self {
+    pub(crate) fn lossy(self, link: usize, window: std::ops::Range<f64>, loss_prob: f64) -> Self {
         self.at(window.start, link, LinkAction::SetLoss { loss_prob }).at(
             window.end,
             link,
@@ -190,14 +190,14 @@ impl NetScenario {
     /// crashed endpoint's links (fleet kill scenarios), where a healing
     /// window would be a lie.
     #[must_use]
-    pub fn cut(self, link: usize, from_t_s: f64) -> Self {
+    pub(crate) fn cut(self, link: usize, from_t_s: f64) -> Self {
         self.at(from_t_s, link, LinkAction::Partition)
     }
 
     /// The script sorted by time (stable: same-time actions keep their
     /// scripting order).
     #[must_use]
-    pub fn sorted_actions(&self) -> Vec<(f64, usize, LinkAction)> {
+    pub(crate) fn sorted_actions(&self) -> Vec<(f64, usize, LinkAction)> {
         let mut sorted = self.actions.clone();
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
         sorted
@@ -209,7 +209,7 @@ impl NetScenario {
     /// # Panics
     ///
     /// Panics naming the first out-of-range index.
-    pub fn validate_links(&self, num_links: usize) {
+    pub(crate) fn validate_links(&self, num_links: usize) {
         for (t, link, _) in &self.actions {
             assert!(
                 *link < num_links,
@@ -314,7 +314,7 @@ impl<T> NetSim<T> {
 
     /// Number of links added so far.
     #[must_use]
-    pub fn num_links(&self) -> usize {
+    pub(crate) fn num_links(&self) -> usize {
         self.links.len()
     }
 
@@ -429,19 +429,19 @@ impl<T> NetSim<T> {
 
     /// The timestamp of the earliest pending event.
     #[must_use]
-    pub fn peek_time_s(&self) -> Option<f64> {
+    pub(crate) fn peek_time_s(&self) -> Option<f64> {
         self.queue.peek_time_s()
     }
 
     /// Number of pending events.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
     }
 
     /// Whether no events are pending.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 

@@ -43,9 +43,9 @@ pub enum MacMode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DutyCycle {
     /// Cycle period, seconds.
-    pub period_s: f64,
+    pub(crate) period_s: f64,
     /// Fraction of the period the radio is awake, in `(0, 1]`.
-    pub on_fraction: f64,
+    pub(crate) on_fraction: f64,
 }
 
 impl DutyCycle {
@@ -67,7 +67,7 @@ impl DutyCycle {
 
     /// The earliest time ≥ `t_s` at which the radio is awake.
     #[must_use]
-    pub fn next_active_s(&self, t_s: f64) -> f64 {
+    pub(crate) fn next_active_s(&self, t_s: f64) -> f64 {
         if self.on_fraction >= 1.0 {
             return t_s;
         }
@@ -112,7 +112,7 @@ impl SimParams {
     /// A realistic contended deployment: TDMA slots of 20 ms with
     /// concurrent per-node execution.
     #[must_use]
-    pub fn contended() -> Self {
+    pub(crate) fn contended() -> Self {
         Self { mac: MacMode::Tdma { slot_s: 0.02 }, ..Self::ideal() }
     }
 }

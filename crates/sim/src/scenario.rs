@@ -14,7 +14,7 @@
 
 /// One scripted perturbation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScenarioAction {
+pub(crate) enum ScenarioAction {
     /// Kill device `device` (index into the device list).
     KillDevice {
         /// Device index.
@@ -100,13 +100,13 @@ impl Scenario {
 
     /// Number of scripted actions.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.actions.len()
     }
 
     /// Whether the scenario scripts nothing.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.actions.is_empty()
     }
 
@@ -116,7 +116,7 @@ impl Scenario {
     ///
     /// Panics if `t_s` is not a finite number of seconds ≥ 0.
     #[must_use]
-    pub fn at(mut self, t_s: f64, action: ScenarioAction) -> Self {
+    pub(crate) fn at(mut self, t_s: f64, action: ScenarioAction) -> Self {
         orco_wsn::clock::assert_monotone_dt(t_s);
         self.actions.push((t_s, action));
         self
@@ -147,7 +147,7 @@ impl Scenario {
     /// override is restored at the window's end, so a concurrent sensor
     /// window is unaffected).
     #[must_use]
-    pub fn degrade_uplink(self, window: std::ops::Range<f64>, loss_prob: f64) -> Self {
+    pub(crate) fn degrade_uplink(self, window: std::ops::Range<f64>, loss_prob: f64) -> Self {
         self.at(window.start, ScenarioAction::DegradeUplink { loss_prob })
             .at(window.end, ScenarioAction::RestoreUplink)
     }
@@ -169,7 +169,7 @@ impl Scenario {
     /// The script sorted by time (stable: same-time actions keep their
     /// scripting order).
     #[must_use]
-    pub fn sorted_actions(&self) -> Vec<(f64, ScenarioAction)> {
+    pub(crate) fn sorted_actions(&self) -> Vec<(f64, ScenarioAction)> {
         let mut sorted = self.actions.clone();
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
         sorted
@@ -183,7 +183,7 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics naming the first out-of-range index.
-    pub fn validate_device_indices(&self, num_devices: usize) {
+    pub(crate) fn validate_device_indices(&self, num_devices: usize) {
         for (t, action) in &self.actions {
             let device = match *action {
                 ScenarioAction::KillDevice { device }

@@ -65,7 +65,7 @@ impl Init {
 
     /// Materializes a length-`n` vector (used for biases).
     #[must_use]
-    pub fn vector(self, n: usize, rng: &mut OrcoRng) -> Vec<f32> {
+    pub(crate) fn vector(self, n: usize, rng: &mut OrcoRng) -> Vec<f32> {
         self.matrix(1, n, rng).into_vec()
     }
 

@@ -36,15 +36,20 @@ mod view;
 pub mod im2col;
 pub mod init;
 pub mod parallel;
-pub mod rng;
+pub(crate) mod rng;
 pub mod serialize;
 pub mod stats;
 
 pub use error::TensorError;
-pub use im2col::{col2im_into, im2col, im2col_into, Conv2dGeom};
+pub use im2col::col2im_into;
+pub use im2col::im2col;
+pub use im2col::im2col_into;
+pub use im2col::Conv2dGeom;
 pub use matrix::Matrix;
-pub use rng::{fnv1a64, OrcoRng};
-pub use view::{MatView, MatViewMut};
+pub use rng::fnv1a64;
+pub use rng::OrcoRng;
+pub use view::MatView;
+pub use view::MatViewMut;
 
 /// Convenience alias for results returned by this crate.
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub(crate) type Result<T> = std::result::Result<T, TensorError>;

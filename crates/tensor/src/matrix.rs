@@ -114,7 +114,7 @@ impl Matrix {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if rows have differing lengths,
     /// or [`TensorError::EmptyDimension`] if `rows` is empty.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Result<Self, TensorError> {
+    pub(crate) fn from_rows(rows: &[Vec<f32>]) -> Result<Self, TensorError> {
         let first = rows.first().ok_or(TensorError::EmptyDimension { dim: "rows" })?;
         let cols = first.len();
         let mut data = Vec::with_capacity(rows.len() * cols);
@@ -133,7 +133,7 @@ impl Matrix {
 
     /// Creates a diagonal matrix from the given diagonal entries.
     #[must_use]
-    pub fn from_diag(diag: &[f32]) -> Self {
+    pub(crate) fn from_diag(diag: &[f32]) -> Self {
         let n = diag.len();
         let mut m = Self::zeros(n, n);
         for (i, &v) in diag.iter().enumerate() {
@@ -172,7 +172,7 @@ impl Matrix {
 
     /// Whether the matrix contains no elements.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
@@ -408,7 +408,7 @@ impl Matrix {
 
     /// Adds `s` to every element, returning a new matrix.
     #[must_use]
-    pub fn shift(&self, s: f32) -> Matrix {
+    pub(crate) fn shift(&self, s: f32) -> Matrix {
         self.map(|v| v + s)
     }
 
@@ -531,7 +531,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`TensorError::LengthMismatch`] if `rows * cols != self.len()`.
-    pub fn reshape(&self, rows: usize, cols: usize) -> Result<Matrix, TensorError> {
+    pub(crate) fn reshape(&self, rows: usize, cols: usize) -> Result<Matrix, TensorError> {
         if rows * cols != self.data.len() {
             return Err(TensorError::LengthMismatch {
                 expected: self.data.len(),
@@ -561,7 +561,7 @@ impl Matrix {
     ///
     /// Panics if row counts differ.
     #[must_use]
-    pub fn hstack(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn hstack(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "hstack: row mismatch {} vs {}", self.rows, other.rows);
         let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
         for r in 0..self.rows {
@@ -591,7 +591,7 @@ impl Matrix {
     ///
     /// Returns zeros when the matrix has no rows.
     #[must_use]
-    pub fn col_means(&self) -> Vec<f32> {
+    pub(crate) fn col_means(&self) -> Vec<f32> {
         if self.rows == 0 {
             return vec![0.0; self.cols];
         }
@@ -671,7 +671,7 @@ impl Matrix {
 
     /// Whether any element is NaN or infinite.
     #[must_use]
-    pub fn has_non_finite(&self) -> bool {
+    pub(crate) fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
     }
 

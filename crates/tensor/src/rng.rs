@@ -63,7 +63,7 @@ impl OrcoRng {
 
     /// Next raw 32-bit value.
     #[must_use]
-    pub fn next_u32(&mut self) -> u32 {
+    pub(crate) fn next_u32(&mut self) -> u32 {
         self.inner.next_u32()
     }
 
@@ -76,7 +76,7 @@ impl OrcoRng {
     }
 
     /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
+    pub(crate) fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(4) {
             let word = self.inner.next_u32().to_le_bytes();
             chunk.copy_from_slice(&word[..chunk.len()]);
@@ -85,7 +85,7 @@ impl OrcoRng {
 
     /// Uniform `f32` in `[0, 1)`.
     #[must_use]
-    pub fn next_f32(&mut self) -> f32 {
+    pub(crate) fn next_f32(&mut self) -> f32 {
         // 24 high bits → all representable multiples of 2⁻²⁴ in [0, 1).
         (self.inner.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
     }
@@ -121,7 +121,7 @@ impl OrcoRng {
 
     /// Standard normal sample via Box–Muller.
     #[must_use]
-    pub fn standard_normal(&mut self) -> f32 {
+    pub(crate) fn standard_normal(&mut self) -> f32 {
         // Box–Muller: avoids pulling in rand_distr.
         let u1 = self.next_f32().max(f32::MIN_POSITIVE);
         let u2 = self.next_f32();

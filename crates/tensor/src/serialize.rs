@@ -90,7 +90,7 @@ pub fn matrix_from_text(text: &str) -> Result<Matrix, TensorError> {
 /// # Errors
 ///
 /// Returns any I/O error from the filesystem.
-pub fn write_matrix(path: &std::path::Path, m: &Matrix) -> std::io::Result<()> {
+pub(crate) fn write_matrix(path: &std::path::Path, m: &Matrix) -> std::io::Result<()> {
     std::fs::write(path, matrix_to_text(m))
 }
 
@@ -100,7 +100,7 @@ pub fn write_matrix(path: &std::path::Path, m: &Matrix) -> std::io::Result<()> {
 ///
 /// Returns an I/O error wrapped as [`TensorError::Parse`] if the file cannot
 /// be read, or a parse error if the contents are malformed.
-pub fn read_matrix(path: &std::path::Path) -> Result<Matrix, TensorError> {
+pub(crate) fn read_matrix(path: &std::path::Path) -> Result<Matrix, TensorError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| parse_err(&format!("cannot read {}: {e}", path.display())))?;
     matrix_from_text(&text)

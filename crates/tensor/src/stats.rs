@@ -18,7 +18,7 @@ pub fn mean(xs: &[f32]) -> f32 {
 
 /// Population variance of a slice (0 for empty input).
 #[must_use]
-pub fn variance(xs: &[f32]) -> f32 {
+pub(crate) fn variance(xs: &[f32]) -> f32 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -32,7 +32,7 @@ pub fn variance(xs: &[f32]) -> f32 {
 ///
 /// Panics if the slices have different lengths.
 #[must_use]
-pub fn covariance(xs: &[f32], ys: &[f32]) -> f32 {
+pub(crate) fn covariance(xs: &[f32], ys: &[f32]) -> f32 {
     assert_eq!(xs.len(), ys.len(), "covariance: length mismatch");
     if xs.is_empty() {
         return 0.0;
@@ -116,7 +116,7 @@ pub fn psnr_rows(original: &Matrix, reconstructed: &Matrix, peak: f32) -> Vec<f3
 ///
 /// Panics if `bins == 0` or `lo >= hi`.
 #[must_use]
-pub fn histogram(xs: &[f32], lo: f32, hi: f32, bins: usize) -> Vec<usize> {
+pub(crate) fn histogram(xs: &[f32], lo: f32, hi: f32, bins: usize) -> Vec<usize> {
     assert!(bins > 0, "histogram: bins must be positive");
     assert!(lo < hi, "histogram: empty range");
     let mut counts = vec![0usize; bins];
@@ -129,7 +129,7 @@ pub fn histogram(xs: &[f32], lo: f32, hi: f32, bins: usize) -> Vec<usize> {
 }
 
 /// Numerically stable running statistics.
-pub mod running {
+pub(crate) mod running {
     /// Welford online mean/variance accumulator.
     ///
     /// # Examples
@@ -145,7 +145,7 @@ pub mod running {
     /// assert_eq!(w.count(), 3);
     /// ```
     #[derive(Debug, Clone, Default)]
-    pub struct Welford {
+    pub(crate) struct Welford {
         count: u64,
         mean: f64,
         m2: f64,
@@ -154,12 +154,12 @@ pub mod running {
     impl Welford {
         /// Creates an empty accumulator.
         #[must_use]
-        pub fn new() -> Self {
+        pub(crate) fn new() -> Self {
             Self::default()
         }
 
         /// Adds one observation.
-        pub fn push(&mut self, x: f32) {
+        pub(crate) fn push(&mut self, x: f32) {
             self.count += 1;
             let delta = f64::from(x) - self.mean;
             self.mean += delta / self.count as f64;
@@ -169,19 +169,19 @@ pub mod running {
 
         /// Number of observations so far.
         #[must_use]
-        pub fn count(&self) -> u64 {
+        pub(crate) fn count(&self) -> u64 {
             self.count
         }
 
         /// Running mean (0 when empty).
         #[must_use]
-        pub fn mean(&self) -> f32 {
+        pub(crate) fn mean(&self) -> f32 {
             self.mean as f32
         }
 
         /// Running population variance (0 with fewer than 2 observations).
         #[must_use]
-        pub fn variance(&self) -> f32 {
+        pub(crate) fn variance(&self) -> f32 {
             if self.count < 2 {
                 0.0
             } else {
@@ -191,12 +191,12 @@ pub mod running {
 
         /// Running standard deviation.
         #[must_use]
-        pub fn std_dev(&self) -> f32 {
+        pub(crate) fn std_dev(&self) -> f32 {
             self.variance().sqrt()
         }
 
         /// Merges another accumulator into this one (parallel Welford).
-        pub fn merge(&mut self, other: &Welford) {
+        pub(crate) fn merge(&mut self, other: &Welford) {
             if other.count == 0 {
                 return;
             }

@@ -216,7 +216,7 @@ impl<'a> MatView<'a> {
 
     /// `(rows, cols)` pair.
     #[must_use]
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
@@ -228,13 +228,13 @@ impl<'a> MatView<'a> {
 
     /// Whether the view contains no elements.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
     /// The underlying row-major buffer.
     #[must_use]
-    pub fn as_slice(&self) -> &'a [f32] {
+    pub(crate) fn as_slice(&self) -> &'a [f32] {
         self.data
     }
 
@@ -261,7 +261,7 @@ impl<'a> MatView<'a> {
     ///
     /// Panics if the range end exceeds the number of rows.
     #[must_use]
-    pub fn rows_range(&self, range: std::ops::Range<usize>) -> MatView<'a> {
+    pub(crate) fn rows_range(&self, range: std::ops::Range<usize>) -> MatView<'a> {
         assert!(range.end <= self.rows, "rows_range end {} > rows {}", range.end, self.rows);
         MatView {
             rows: range.len(),
@@ -370,7 +370,7 @@ impl<'a> MatView<'a> {
     /// # Panics
     ///
     /// Panics if `v.len() != self.cols()` or `out.len() != self.rows()`.
-    pub fn matvec_into(&self, v: &[f32], out: &mut [f32]) {
+    pub(crate) fn matvec_into(&self, v: &[f32], out: &mut [f32]) {
         assert_eq!(
             v.len(),
             self.cols,
@@ -398,7 +398,7 @@ impl<'a> MatView<'a> {
     /// # Panics
     ///
     /// Panics if `v.len() != self.rows()` or `out.len() != self.cols()`.
-    pub fn t_matvec_into(&self, v: &[f32], out: &mut [f32]) {
+    pub(crate) fn t_matvec_into(&self, v: &[f32], out: &mut [f32]) {
         assert_eq!(
             v.len(),
             self.rows,
@@ -427,7 +427,7 @@ impl<'a> MatView<'a> {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn map_into(&self, f: impl Fn(f32) -> f32, out: MatViewMut<'_>) {
+    pub(crate) fn map_into(&self, f: impl Fn(f32) -> f32, out: MatViewMut<'_>) {
         assert!(
             out.shape() == self.shape(),
             "map_into: out is {}x{}, need {}x{}",
@@ -479,25 +479,25 @@ impl<'a> MatViewMut<'a> {
 
     /// Views a mutable slice as a single-row matrix (`1 × len`).
     #[must_use]
-    pub fn from_row(row: &'a mut [f32]) -> Self {
+    pub(crate) fn from_row(row: &'a mut [f32]) -> Self {
         Self { rows: 1, cols: row.len(), data: row }
     }
 
     /// Number of rows.
     #[must_use]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[must_use]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// `(rows, cols)` pair.
     #[must_use]
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
@@ -513,19 +513,19 @@ impl<'a> MatViewMut<'a> {
     ///
     /// Panics if `r >= self.rows()`.
     #[must_use]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f32] {
         assert!(r < self.rows, "row {r} out of bounds for {} rows", self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// A read-only view of the same buffer.
     #[must_use]
-    pub fn as_view(&self) -> MatView<'_> {
+    pub(crate) fn as_view(&self) -> MatView<'_> {
         MatView { rows: self.rows, cols: self.cols, data: self.data }
     }
 
     /// Fills every element with `value`.
-    pub fn fill(&mut self, value: f32) {
+    pub(crate) fn fill(&mut self, value: f32) {
         self.data.fill(value);
     }
 }

@@ -19,11 +19,11 @@ pub struct NodeTraffic {
     /// Joules spent transmitting.
     pub tx_energy_j: f64,
     /// Joules spent receiving.
-    pub rx_energy_j: f64,
+    pub(crate) rx_energy_j: f64,
     /// Packets sent.
-    pub tx_packets: u64,
+    pub(crate) tx_packets: u64,
     /// Packets received.
-    pub rx_packets: u64,
+    pub(crate) rx_packets: u64,
 }
 
 /// Delivery-level statistics of one ledger: logical-packet outcomes,
@@ -87,12 +87,12 @@ pub struct TrafficAccounting {
 impl TrafficAccounting {
     /// Creates an empty ledger.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records a transmission by `node`.
-    pub fn record_tx(&mut self, node: NodeId, wire_bytes: u64, energy_j: f64, kind: PacketKind) {
+    pub(crate) fn record_tx(&mut self, node: NodeId, wire_bytes: u64, energy_j: f64, kind: PacketKind) {
         let t = self.per_node.entry(node).or_default();
         t.tx_bytes += wire_bytes;
         t.tx_energy_j += energy_j;
@@ -101,7 +101,7 @@ impl TrafficAccounting {
     }
 
     /// Records a reception by `node`.
-    pub fn record_rx(&mut self, node: NodeId, wire_bytes: u64, energy_j: f64, _kind: PacketKind) {
+    pub(crate) fn record_rx(&mut self, node: NodeId, wire_bytes: u64, energy_j: f64, _kind: PacketKind) {
         let t = self.per_node.entry(node).or_default();
         t.rx_bytes += wire_bytes;
         t.rx_energy_j += energy_j;
@@ -141,7 +141,7 @@ impl TrafficAccounting {
     ///
     /// Panics if `q` is outside `[0, 1]`.
     #[must_use]
-    pub fn latency_percentile_s(&self, q: f64) -> f64 {
+    pub(crate) fn latency_percentile_s(&self, q: f64) -> f64 {
         percentile_of_sorted(&self.latencies_s, q)
     }
 
@@ -199,19 +199,19 @@ impl TrafficAccounting {
     /// order (only kinds that actually transmitted appear). The order is
     /// part of the contract: report tables and exposition lines built
     /// from this iterator must be byte-stable across runs.
-    pub fn tx_bytes_by_kind(&self) -> impl Iterator<Item = (PacketKind, u64)> + '_ {
+    pub(crate) fn tx_bytes_by_kind(&self) -> impl Iterator<Item = (PacketKind, u64)> + '_ {
         self.per_kind_tx_bytes.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Number of nodes that have communicated.
     #[must_use]
-    pub fn active_nodes(&self) -> usize {
+    pub(crate) fn active_nodes(&self) -> usize {
         self.per_node.len()
     }
 
     /// Resets all counters (used between experiment phases so Figure 3 can
     /// isolate the data-aggregation phase from training).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.per_node.clear();
         self.per_kind_tx_bytes.clear();
         self.delivered_packets = 0;
@@ -222,7 +222,7 @@ impl TrafficAccounting {
     }
 
     /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: &TrafficAccounting) {
+    pub(crate) fn merge(&mut self, other: &TrafficAccounting) {
         for (id, t) in &other.per_node {
             let mine = self.per_node.entry(*id).or_default();
             mine.tx_bytes += t.tx_bytes;

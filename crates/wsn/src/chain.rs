@@ -88,7 +88,7 @@ impl ChainSchedule {
     ///
     /// Panics if `order` is empty or contains duplicates.
     #[must_use]
-    pub fn from_order(order: Vec<NodeId>) -> Self {
+    pub(crate) fn from_order(order: Vec<NodeId>) -> Self {
         assert!(!order.is_empty(), "ChainSchedule: order must be non-empty");
         let mut seen = order.clone();
         seen.sort_unstable();
@@ -105,13 +105,13 @@ impl ChainSchedule {
 
     /// Number of devices in the chain.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.order.len()
     }
 
     /// Whether the chain is empty (never true for constructed chains).
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
 
@@ -129,7 +129,7 @@ impl ChainSchedule {
     }
 
     /// Removes a dead device, splicing its neighbours together.
-    pub fn remove(&mut self, dead: NodeId) {
+    pub(crate) fn remove(&mut self, dead: NodeId) {
         self.order.retain(|id| *id != dead);
     }
 }

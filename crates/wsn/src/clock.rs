@@ -43,20 +43,20 @@ pub fn assert_monotone_dt(dt_s: f64) {
 /// assert_eq!(clock.now_s(), 1.75);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SimClock {
+pub(crate) struct SimClock {
     now_s: f64,
 }
 
 impl SimClock {
     /// Creates a clock at time zero.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Current simulated time in seconds.
     #[must_use]
-    pub fn now_s(&self) -> f64 {
+    pub(crate) fn now_s(&self) -> f64 {
         self.now_s
     }
 
@@ -66,7 +66,7 @@ impl SimClock {
     ///
     /// Panics if `dt` violates [`assert_monotone_dt`] (time never goes
     /// backwards).
-    pub fn advance(&mut self, dt_s: f64) {
+    pub(crate) fn advance(&mut self, dt_s: f64) {
         assert_monotone_dt(dt_s);
         self.now_s += dt_s;
     }
@@ -80,7 +80,7 @@ impl SimClock {
     /// Panics if `t_s` is NaN or `+∞`: a non-finite target means a cost
     /// model upstream produced garbage, and the shared monotonicity
     /// checkpoint is where that must surface.
-    pub fn advance_to(&mut self, t_s: f64) {
+    pub(crate) fn advance_to(&mut self, t_s: f64) {
         assert!(!t_s.is_nan(), "simulated clock: advance_to target must not be NaN");
         if t_s > self.now_s {
             assert_monotone_dt(t_s - self.now_s);

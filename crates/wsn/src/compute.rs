@@ -24,14 +24,14 @@ use crate::node::DeviceClass;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeModel {
     /// Sustained FLOP/s of an IoT device.
-    pub iot_flops: f64,
+    pub(crate) iot_flops: f64,
     /// Sustained FLOP/s of a data aggregator.
-    pub aggregator_flops: f64,
+    pub(crate) aggregator_flops: f64,
     /// Sustained FLOP/s of an edge server.
-    pub edge_flops: f64,
+    pub(crate) edge_flops: f64,
     /// Efficiency factor in `(0, 1]` applied to all rates (models framework
     /// overhead; 1.0 = ideal).
-    pub efficiency: f64,
+    pub(crate) efficiency: f64,
 }
 
 impl Default for ComputeModel {
@@ -48,7 +48,7 @@ impl Default for ComputeModel {
 impl ComputeModel {
     /// Effective FLOP/s for a device class.
     #[must_use]
-    pub fn rate(&self, class: DeviceClass) -> f64 {
+    pub(crate) fn rate(&self, class: DeviceClass) -> f64 {
         let raw = match class {
             DeviceClass::IotDevice => self.iot_flops,
             DeviceClass::DataAggregator => self.aggregator_flops,
@@ -65,7 +65,7 @@ impl ComputeModel {
 
     /// Simulated seconds for a batch: `per_sample_flops × batch` on `class`.
     #[must_use]
-    pub fn time_for_batch(&self, class: DeviceClass, per_sample_flops: u64, batch: usize) -> f64 {
+    pub(crate) fn time_for_batch(&self, class: DeviceClass, per_sample_flops: u64, batch: usize) -> f64 {
         self.time_for_flops(class, per_sample_flops.saturating_mul(batch as u64))
     }
 
@@ -73,7 +73,7 @@ impl ComputeModel {
     /// coefficient (1 nJ/FLOP for IoT-class silicon, scaled down for bigger
     /// devices which are more efficient per operation).
     #[must_use]
-    pub fn energy_for_flops(&self, class: DeviceClass, flops: u64) -> f64 {
+    pub(crate) fn energy_for_flops(&self, class: DeviceClass, flops: u64) -> f64 {
         let j_per_flop = match class {
             DeviceClass::IotDevice => 1e-9,
             DeviceClass::DataAggregator => 5e-10,

@@ -30,7 +30,7 @@ impl Point {
 
     /// The origin `(0, 0)`.
     #[must_use]
-    pub fn origin() -> Self {
+    pub(crate) fn origin() -> Self {
         Self { x: 0.0, y: 0.0 }
     }
 
@@ -42,7 +42,7 @@ impl Point {
 
     /// Squared Euclidean distance (avoids the sqrt when only comparing).
     #[must_use]
-    pub fn distance_sq(self, other: Point) -> f64 {
+    pub(crate) fn distance_sq(self, other: Point) -> f64 {
         (self.x - other.x).powi(2) + (self.y - other.y).powi(2)
     }
 }
@@ -53,7 +53,7 @@ impl Point {
 ///
 /// Panics if `side` is not positive.
 #[must_use]
-pub fn scatter_uniform(n: usize, side: f64, rng: &mut OrcoRng) -> Vec<Point> {
+pub(crate) fn scatter_uniform(n: usize, side: f64, rng: &mut OrcoRng) -> Vec<Point> {
     assert!(side > 0.0, "scatter_uniform: side must be positive");
     (0..n)
         .map(|_| {
@@ -64,7 +64,7 @@ pub fn scatter_uniform(n: usize, side: f64, rng: &mut OrcoRng) -> Vec<Point> {
 
 /// Centroid of a set of points (origin for an empty set).
 #[must_use]
-pub fn centroid(points: &[Point]) -> Point {
+pub(crate) fn centroid(points: &[Point]) -> Point {
     if points.is_empty() {
         return Point::origin();
     }
@@ -77,7 +77,7 @@ pub fn centroid(points: &[Point]) -> Point {
 
 /// Index of the point nearest to `target` (`None` for an empty set).
 #[must_use]
-pub fn nearest(points: &[Point], target: Point) -> Option<usize> {
+pub(crate) fn nearest(points: &[Point], target: Point) -> Option<usize> {
     points
         .iter()
         .enumerate()

@@ -19,9 +19,9 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Bandwidth in bits per second.
-    pub bandwidth_bps: f64,
+    pub(crate) bandwidth_bps: f64,
     /// One-way propagation + protocol latency in seconds.
-    pub latency_s: f64,
+    pub(crate) latency_s: f64,
     /// Independent per-packet loss probability in `[0, 1)`.
     pub loss_prob: f64,
 }
@@ -49,13 +49,13 @@ impl LinkModel {
 
     /// Aggregator→edge uplink: 2 Mb/s, 20 ms.
     #[must_use]
-    pub fn aggregator_uplink() -> Self {
+    pub(crate) fn aggregator_uplink() -> Self {
         Self::new(2e6, 20e-3, 0.0)
     }
 
     /// Edge→aggregator downlink: 20 Mb/s, 10 ms.
     #[must_use]
-    pub fn edge_downlink() -> Self {
+    pub(crate) fn edge_downlink() -> Self {
         Self::new(20e6, 10e-3, 0.0)
     }
 
@@ -86,7 +86,7 @@ impl LinkModel {
 
     /// Expected number of attempts per packet under independent loss.
     #[must_use]
-    pub fn expected_attempts(&self) -> f64 {
+    pub(crate) fn expected_attempts(&self) -> f64 {
         1.0 / (1.0 - self.loss_prob)
     }
 }

@@ -558,7 +558,7 @@ impl Network {
     /// # Errors
     ///
     /// Propagates transmission errors.
-    pub fn broadcast_encoder_columns(&mut self, column_bytes: u64) -> Result<f64, WsnError> {
+    pub(crate) fn broadcast_encoder_columns(&mut self, column_bytes: u64) -> Result<f64, WsnError> {
         let start = self.clock.now_s();
         for id in self.alive_devices() {
             self.transmit(self.aggregator, id, column_bytes, PacketKind::EncoderColumn)?;
@@ -646,7 +646,7 @@ impl Network {
 
     /// Mean hop count from devices to the aggregator (diagnostics).
     #[must_use]
-    pub fn mean_hops(&self) -> f64 {
+    pub(crate) fn mean_hops(&self) -> f64 {
         if self.devices.is_empty() {
             return 0.0;
         }

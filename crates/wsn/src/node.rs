@@ -34,7 +34,7 @@ impl DeviceClass {
     /// The absolute values are representative (mote-class MCU, gateway-class
     /// SoC, edge GPU-less server); the figures only depend on their ratios.
     #[must_use]
-    pub fn flops_rate(self) -> f64 {
+    pub(crate) fn flops_rate(self) -> f64 {
         match self {
             DeviceClass::IotDevice => 5.0e7,      // 50 MFLOP/s
             DeviceClass::DataAggregator => 5.0e8, // 500 MFLOP/s
@@ -69,13 +69,13 @@ pub struct Node {
 impl Node {
     /// Creates a node with the class's default energy budget.
     #[must_use]
-    pub fn new(id: NodeId, class: DeviceClass, position: Point) -> Self {
+    pub(crate) fn new(id: NodeId, class: DeviceClass, position: Point) -> Self {
         Self { id, class, position, energy_j: class.initial_energy_j(), alive: true }
     }
 
     /// The node's identifier.
     #[must_use]
-    pub fn id(&self) -> NodeId {
+    pub(crate) fn id(&self) -> NodeId {
         self.id
     }
 
@@ -106,7 +106,7 @@ impl Node {
     /// Drains `joules` from the battery; the node dies at 0.
     ///
     /// Returns `false` if the node was already dead or the drain kills it.
-    pub fn drain(&mut self, joules: f64) -> bool {
+    pub(crate) fn drain(&mut self, joules: f64) -> bool {
         if !self.alive {
             return false;
         }
@@ -120,12 +120,12 @@ impl Node {
     }
 
     /// Marks the node dead (failure injection).
-    pub fn kill(&mut self) {
+    pub(crate) fn kill(&mut self) {
         self.alive = false;
     }
 
     /// Revives the node with the given energy (test/failure-recovery use).
-    pub fn revive(&mut self, energy_j: f64) {
+    pub(crate) fn revive(&mut self, energy_j: f64) {
         self.alive = true;
         self.energy_j = energy_j;
     }

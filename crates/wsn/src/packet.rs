@@ -39,13 +39,13 @@ pub enum PacketKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Sending node.
-    pub src: NodeId,
+    pub(crate) src: NodeId,
     /// Receiving node.
-    pub dst: NodeId,
+    pub(crate) dst: NodeId,
     /// Payload size in bytes, excluding headers.
-    pub payload_bytes: u64,
+    pub(crate) payload_bytes: u64,
     /// Message type.
-    pub kind: PacketKind,
+    pub(crate) kind: PacketKind,
 }
 
 impl Packet {
@@ -67,7 +67,7 @@ impl Packet {
 
     /// Total bytes on air including per-frame headers.
     #[must_use]
-    pub fn wire_bytes(&self) -> u64 {
+    pub(crate) fn wire_bytes(&self) -> u64 {
         self.payload_bytes + self.frame_count() * HEADER_BYTES
     }
 }

@@ -21,9 +21,9 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioModel {
     /// Electronics energy per bit, joules (both TX and RX paths).
-    pub e_elec_j_per_bit: f64,
+    pub(crate) e_elec_j_per_bit: f64,
     /// Amplifier energy per bit per m², joules.
-    pub eps_amp_j_per_bit_m2: f64,
+    pub(crate) eps_amp_j_per_bit_m2: f64,
 }
 
 impl Default for RadioModel {
@@ -59,7 +59,7 @@ impl RadioModel {
     /// Direct: `E + ε·d²`. Two hops of `d/2` plus one receive:
     /// `3E + ε·d²/2`. Break-even at `d = 2·sqrt(E/ε)`.
     #[must_use]
-    pub fn multihop_breakeven_m(&self) -> f64 {
+    pub(crate) fn multihop_breakeven_m(&self) -> f64 {
         2.0 * (self.e_elec_j_per_bit / self.eps_amp_j_per_bit_m2).sqrt()
     }
 }

@@ -107,7 +107,7 @@ impl AggregationTree {
 
     /// The tree's root (the data aggregator).
     #[must_use]
-    pub fn root(&self) -> NodeId {
+    pub(crate) fn root(&self) -> NodeId {
         self.root
     }
 
@@ -119,13 +119,13 @@ impl AggregationTree {
 
     /// Whether the tree contains only the root.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.parent.is_empty()
     }
 
     /// Whether `id` is in the tree.
     #[must_use]
-    pub fn contains(&self, id: NodeId) -> bool {
+    pub(crate) fn contains(&self, id: NodeId) -> bool {
         id == self.root || self.parent.contains_key(&id)
     }
 
@@ -137,7 +137,7 @@ impl AggregationTree {
 
     /// Children of `id`, sorted for determinism.
     #[must_use]
-    pub fn children(&self, id: NodeId) -> Vec<NodeId> {
+    pub(crate) fn children(&self, id: NodeId) -> Vec<NodeId> {
         let mut kids: Vec<NodeId> =
             self.parent.iter().filter(|(_, p)| **p == id).map(|(c, _)| *c).collect();
         kids.sort_unstable();
@@ -164,7 +164,7 @@ impl AggregationTree {
 
     /// Distance in meters between `id` and its parent (`None` for the root).
     #[must_use]
-    pub fn hop_distance_m(&self, id: NodeId) -> Option<f64> {
+    pub(crate) fn hop_distance_m(&self, id: NodeId) -> Option<f64> {
         let p = self.parent(id)?;
         Some(self.positions[&id].distance(self.positions[&p]))
     }
@@ -181,7 +181,7 @@ impl AggregationTree {
 
     /// Number of descendants of `id` (excluding itself).
     #[must_use]
-    pub fn subtree_size(&self, id: NodeId) -> usize {
+    pub(crate) fn subtree_size(&self, id: NodeId) -> usize {
         let mut count = 0;
         for kid in self.children(id) {
             count += 1 + self.subtree_size(kid);
@@ -191,7 +191,7 @@ impl AggregationTree {
 
     /// Whether `maybe_descendant` is in the subtree rooted at `ancestor`.
     #[must_use]
-    pub fn is_descendant(&self, maybe_descendant: NodeId, ancestor: NodeId) -> bool {
+    pub(crate) fn is_descendant(&self, maybe_descendant: NodeId, ancestor: NodeId) -> bool {
         let mut cur = maybe_descendant;
         while let Some(p) = self.parent(cur) {
             if p == ancestor {
