@@ -136,12 +136,6 @@ impl ClassicalCodec {
         self.phi.measurements()
     }
 
-    /// The configured solver.
-    #[must_use]
-    pub(crate) fn solver(&self) -> CsSolver {
-        self.solver
-    }
-
     fn pixels_per_channel(&self) -> usize {
         self.side * self.side
     }

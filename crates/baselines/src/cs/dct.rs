@@ -43,25 +43,6 @@ impl Dct2 {
         Self { side, basis }
     }
 
-    /// Image side length.
-    #[must_use]
-    pub(crate) fn side(&self) -> usize {
-        self.side
-    }
-
-    /// Forward 2-D DCT: image (row-major, `side²` values) → coefficients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image.len() != side²`.
-    #[must_use]
-    pub(crate) fn forward(&self, image: &[f32]) -> Vec<f32> {
-        let x = Matrix::from_vec(self.side, self.side, image.to_vec())
-            .expect("Dct2::forward: image length must be side²");
-        // C = B · X · Bᵀ
-        self.basis.matmul(&x).matmul_t(&self.basis).into_vec()
-    }
-
     /// Inverse 2-D DCT: coefficients → image.
     ///
     /// # Panics

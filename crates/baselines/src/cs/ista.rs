@@ -26,17 +26,6 @@ impl Default for IstaConfig {
     }
 }
 
-/// Result of an ISTA run.
-#[derive(Debug, Clone)]
-pub(crate) struct IstaResult {
-    /// Recovered coefficient vector θ.
-    pub(crate) coefficients: Vec<f32>,
-    /// Iterations actually executed.
-    pub(crate) iterations: usize,
-    /// Final residual `‖Aθ − y‖₂`.
-    pub(crate) residual_norm: f32,
-}
-
 /// Reusable buffers for repeated ISTA solves against one sensing matrix —
 /// the batched data plane decodes hundreds of frames per round, and these
 /// make every solve after the first allocation-free. The recovered
@@ -94,22 +83,6 @@ fn soft_threshold(x: f32, t: f32) -> f32 {
     } else {
         0.0
     }
-}
-
-/// Recovers sparse coefficients from measurements `y ≈ Aθ`.
-///
-/// One-shot convenience over [`ista_reconstruct_with`]: estimates the
-/// Lipschitz constant and allocates fresh workspaces per call.
-///
-/// # Panics
-///
-/// Panics if `y.len() != a.rows()`.
-#[must_use]
-pub(crate) fn ista_reconstruct(a: &Matrix, y: &[f32], config: &IstaConfig) -> IstaResult {
-    let l = lipschitz_estimate(a, LIPSCHITZ_POWER_ITERS);
-    let mut ws = IstaScratch::default();
-    let (iterations, residual_norm) = ista_reconstruct_with(a, l, y, config, &mut ws);
-    IstaResult { coefficients: ws.theta, iterations, residual_norm }
 }
 
 /// The workspace-reusing ISTA core: `lipschitz_l` is the caller-cached

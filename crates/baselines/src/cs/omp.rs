@@ -85,19 +85,6 @@ pub(crate) struct OmpScratch {
     approx: Vec<f32>,
 }
 
-/// Recovers a `k`-sparse coefficient vector from `y ≈ Aθ`.
-///
-/// One-shot convenience over [`omp_reconstruct_with`] with fresh
-/// workspaces.
-///
-/// # Panics
-///
-/// Panics if `y.len() != a.rows()` or `k` is zero or exceeds `a.rows()`.
-#[must_use]
-pub(crate) fn omp_reconstruct(a: &Matrix, y: &[f32], k: usize) -> OmpResult {
-    omp_reconstruct_with(a, y, k, &mut OmpScratch::default())
-}
-
 /// The workspace-reusing OMP core: correlations are computed with
 /// [`Matrix::t_matvec_into`] (no `Aᵀ` materialization) into buffers that
 /// survive across frames. Bit-identical to the historical allocating
@@ -107,7 +94,12 @@ pub(crate) fn omp_reconstruct(a: &Matrix, y: &[f32], k: usize) -> OmpResult {
 ///
 /// Panics if `y.len() != a.rows()` or `k` is zero or exceeds `a.rows()`.
 #[must_use]
-pub(crate) fn omp_reconstruct_with(a: &Matrix, y: &[f32], k: usize, ws: &mut OmpScratch) -> OmpResult {
+pub(crate) fn omp_reconstruct_with(
+    a: &Matrix,
+    y: &[f32],
+    k: usize,
+    ws: &mut OmpScratch,
+) -> OmpResult {
     assert_eq!(y.len(), a.rows(), "omp: measurement length mismatch");
     assert!(k > 0 && k <= a.rows(), "omp: k must be in 1..=m");
 

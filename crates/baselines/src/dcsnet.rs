@@ -133,12 +133,6 @@ impl Dcsnet {
         Loss::L2
     }
 
-    /// Total parameter count.
-    #[must_use]
-    pub(crate) fn param_count(&self) -> usize {
-        self.encoder.param_count() + self.decoder.param_count()
-    }
-
     /// One centralized (offline-style) training step on a batch; returns
     /// the batch loss before the update.
     pub(crate) fn train_batch_central(&mut self, x: &Matrix, loss: &Loss) -> f32 {
@@ -153,12 +147,6 @@ impl Dcsnet {
         let _ = self.encoder.backward(&grad_latent);
         self.encoder_opt.step(self.encoder.params());
         value
-    }
-
-    /// Mean reconstruction loss on a batch (inference mode).
-    pub(crate) fn evaluate(&mut self, x: &Matrix, loss: &Loss) -> f32 {
-        let xr = self.reconstruct_inference(x);
-        loss.value(&xr, x)
     }
 }
 

@@ -62,18 +62,6 @@ impl Cnn {
         Self { model, kind }
     }
 
-    /// The dataset kind this classifier was built for.
-    #[must_use]
-    pub(crate) fn kind(&self) -> DatasetKind {
-        self.kind
-    }
-
-    /// Total trainable parameters.
-    #[must_use]
-    pub(crate) fn param_count(&self) -> usize {
-        self.model.param_count()
-    }
-
     /// Logits for a batch (inference mode).
     pub(crate) fn predict(&mut self, x: &Matrix) -> Matrix {
         self.model.forward(x, false)

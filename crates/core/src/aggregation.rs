@@ -162,55 +162,6 @@ pub fn measure_encoded_frames<D: DeploymentBackend + ?Sized>(
     })
 }
 
-/// Runs `frames` frames of the compressed pipeline on an orchestrator whose
-/// encoder was already distributed, measuring all traffic in isolation
-/// (the ledger is reset before and not after).
-///
-/// # Errors
-///
-/// Propagates transmission failures.
-pub(crate) fn measure_compressed_pipeline<M: SplitModel, D: DeploymentBackend>(
-    orch: &mut Orchestrator<M, D>,
-    frames: usize,
-) -> Result<TransmissionReport, OrcoError> {
-    let code_len = orch.config().latent_dim;
-    measure_compressed_frames(orch.network_mut(), code_len, frames)
-}
-
-/// Runs `frames` frames of **raw** aggregation (the no-compression
-/// baseline's data plane) and measures the traffic, including the raw
-/// uplink of every frame to the edge.
-///
-/// `reading_bytes` is the per-device payload per frame (4 for one f32).
-///
-/// # Errors
-///
-/// Propagates transmission failures.
-pub(crate) fn measure_raw_pipeline<M: SplitModel, D: DeploymentBackend>(
-    orch: &mut Orchestrator<M, D>,
-    frames: usize,
-    reading_bytes: u64,
-) -> Result<TransmissionReport, OrcoError> {
-    orch.network_mut().reset_accounting();
-    let t0 = orch.network().now_s();
-    let frame_bytes = orch.config().sample_bytes();
-    for _ in 0..frames {
-        orch.network_mut().raw_aggregation_round(reading_bytes)?;
-        let agg = orch.network().aggregator();
-        let edge = orch.network().edge();
-        orch.network_mut().transmit(agg, edge, frame_bytes, PacketKind::RawData)?;
-    }
-    let acct = orch.network().accounting();
-    Ok(TransmissionReport {
-        frames,
-        total_bytes: acct.total_tx_bytes(),
-        chain_bytes: 0,
-        uplink_bytes: acct.bytes_by_kind(PacketKind::RawData),
-        sim_time_s: orch.network().now_s() - t0,
-        energy_j: acct.total_tx_energy_j() + acct.total_rx_energy_j(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

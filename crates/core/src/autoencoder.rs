@@ -99,12 +99,6 @@ impl AsymmetricAutoencoder {
         self.input_dim
     }
 
-    /// The configured latent-noise variance σ².
-    #[must_use]
-    pub(crate) fn noise_variance(&self) -> f32 {
-        self.noise_variance
-    }
-
     /// The reconstruction loss this model was configured to train with
     /// ([`OrcoConfig::loss`] at construction time).
     #[must_use]
@@ -136,12 +130,6 @@ impl AsymmetricAutoencoder {
         self.encoder.set_parts(weight, bias);
     }
 
-    /// Number of decoder layers.
-    #[must_use]
-    pub(crate) fn decoder_depth(&self) -> usize {
-        self.decoder.len()
-    }
-
     /// Per-sample forward FLOPs of the encoder (aggregator-side cost).
     #[must_use]
     pub(crate) fn encoder_flops_forward(&self) -> u64 {
@@ -164,12 +152,6 @@ impl AsymmetricAutoencoder {
     #[must_use]
     pub(crate) fn decoder_flops_backward(&self) -> u64 {
         self.decoder.flops_backward()
-    }
-
-    /// Total parameter count (encoder + decoder).
-    #[must_use]
-    pub(crate) fn param_count(&self) -> usize {
-        self.encoder.param_count() + self.decoder.param_count()
     }
 
     // ------------------------------------------------------------------
@@ -212,12 +194,6 @@ impl AsymmetricAutoencoder {
         self.decoder.infer_into(codes, &mut self.decode_scratch, out);
     }
     // orco-lint: endregion
-
-    /// Mean reconstruction loss on a batch (inference).
-    pub(crate) fn evaluate(&mut self, x: &Matrix, loss: &Loss) -> f32 {
-        let xr = self.reconstruct(x);
-        loss.value(&xr, x)
-    }
 
     // ------------------------------------------------------------------
     // Split-training primitives (driven by the orchestrator)
@@ -264,33 +240,6 @@ impl AsymmetricAutoencoder {
     // ------------------------------------------------------------------
     // Snapshots (rollback support for the fine-tuning monitor)
     // ------------------------------------------------------------------
-
-    /// Captures every parameter tensor (encoder + decoder) by value.
-    ///
-    /// Pairs with [`AsymmetricAutoencoder::restore_snapshot`] to roll back
-    /// an adaptation that made reconstructions worse.
-    pub(crate) fn snapshot(&mut self) -> Vec<Matrix> {
-        let mut tensors: Vec<Matrix> =
-            self.encoder.params().iter().map(|p| p.value.clone()).collect();
-        tensors.extend(self.decoder.params().iter().map(|p| p.value.clone()));
-        tensors
-    }
-
-    /// Restores a snapshot taken from this (or an identically-shaped)
-    /// model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's tensor count or shapes do not match.
-    pub(crate) fn restore_snapshot(&mut self, snapshot: &[Matrix]) {
-        let mut params = self.encoder.params();
-        params.extend(self.decoder.params());
-        assert_eq!(params.len(), snapshot.len(), "snapshot tensor count mismatch");
-        for (param, saved) in params.iter_mut().zip(snapshot) {
-            assert_eq!(param.value.shape(), saved.shape(), "snapshot shape mismatch");
-            *param.value = saved.clone();
-        }
-    }
 
     /// One complete training round executed locally (no network): the same
     /// primitives the orchestrator calls, in the same order. Returns the

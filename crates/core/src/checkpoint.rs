@@ -242,24 +242,9 @@ impl CheckpointStore {
 
     /// Whether the store is empty.
     #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.saved.is_empty()
     }
-}
-
-/// Convenience: builds an autoencoder from `config` and restores the
-/// checkpointed encoder into it.
-///
-/// # Errors
-///
-/// Propagates construction and restore failures.
-pub(crate) fn autoencoder_from_checkpoint(
-    config: &OrcoConfig,
-    checkpoint: &EncoderCheckpoint,
-) -> Result<AsymmetricAutoencoder, OrcoError> {
-    let mut ae = AsymmetricAutoencoder::new(config)?;
-    checkpoint.restore(&mut ae)?;
-    Ok(ae)
 }
 
 #[cfg(test)]

@@ -78,24 +78,6 @@ impl QuantizedMatrix {
         let data: Vec<f32> = self.data.iter().map(|&q| f32::from(q) * self.scale).collect();
         Matrix::from_vec(self.rows, self.cols, data).expect("dimensions preserved")
     }
-
-    /// The per-tensor scale factor.
-    #[must_use]
-    pub(crate) fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// Worst-case absolute error of any element after a round trip.
-    #[must_use]
-    pub(crate) fn max_error_bound(&self) -> f32 {
-        self.scale * 0.5
-    }
-
-    /// Bytes this tensor occupies on the wire (codes + scale).
-    #[must_use]
-    pub(crate) fn wire_bytes(&self) -> u64 {
-        self.data.len() as u64 + 4
-    }
 }
 
 #[cfg(test)]

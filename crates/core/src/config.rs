@@ -133,20 +133,6 @@ impl OrcoConfig {
         self
     }
 
-    /// Sets the gradient-compression policy for the feedback uplink.
-    #[must_use]
-    pub(crate) fn with_grad_compression(mut self, policy: GradCompression) -> Self {
-        self.grad_compression = policy;
-        self
-    }
-
-    /// Sets the fine-tuning threshold.
-    #[must_use]
-    pub(crate) fn with_finetune_threshold(mut self, threshold: f32) -> Self {
-        self.finetune_threshold = threshold;
-        self
-    }
-
     /// Selects the paper's literal per-sample vector-norm Huber (eq. 4).
     ///
     /// δ is rescaled to the per-sample L1-norm scale (`0.05 · N`) so the

@@ -54,26 +54,10 @@ impl EncoderColumns {
         Self { latent_dim: m, columns, bias: bias.row(0).to_vec() }
     }
 
-    /// Latent dimension `M`.
-    #[must_use]
-    pub(crate) fn latent_dim(&self) -> usize {
-        self.latent_dim
-    }
-
     /// Number of device shares `N`.
     #[must_use]
     pub fn num_devices(&self) -> usize {
         self.columns.len()
-    }
-
-    /// Device `i`'s column share (`M` values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub(crate) fn column(&self, i: usize) -> &[f32] {
-        &self.columns[i]
     }
 
     /// Bytes one device share occupies on the wire (f32 elements).

@@ -40,43 +40,6 @@ impl TrainingHistory {
     pub fn final_loss(&self) -> Option<f32> {
         self.rounds.last().map(|r| r.loss)
     }
-
-    /// Mean loss per epoch: `(epoch, mean_loss)` in epoch order.
-    #[must_use]
-    pub(crate) fn epoch_losses(&self) -> Vec<(usize, f32)> {
-        let mut out: Vec<(usize, f32)> = Vec::new();
-        let mut current_epoch = None;
-        let mut sum = 0.0f64;
-        let mut count = 0usize;
-        for r in &self.rounds {
-            if current_epoch != Some(r.epoch) {
-                if let Some(e) = current_epoch {
-                    out.push((e, (sum / count as f64) as f32));
-                }
-                current_epoch = Some(r.epoch);
-                sum = 0.0;
-                count = 0;
-            }
-            sum += f64::from(r.loss);
-            count += 1;
-        }
-        if let Some(e) = current_epoch {
-            out.push((e, (sum / count as f64) as f32));
-        }
-        out
-    }
-
-    /// First simulated time at which the loss dropped to `target` or below
-    /// (the paper's time-to-loss metric). `None` if never reached.
-    #[must_use]
-    pub(crate) fn time_to_loss(&self, target: f32) -> Option<f64> {
-        self.rounds.iter().find(|r| r.loss <= target).map(|r| r.sim_time_s)
-    }
-
-    /// Appends another history (used when the monitor relaunches training).
-    pub(crate) fn extend(&mut self, other: TrainingHistory) {
-        self.rounds.extend(other.rounds);
-    }
 }
 
 #[cfg(test)]

@@ -81,12 +81,6 @@ impl FineTuneMonitor {
         self.window.clear();
         self.triggers += 1;
     }
-
-    /// Number of acknowledged triggers so far.
-    #[must_use]
-    pub(crate) fn triggers(&self) -> usize {
-        self.triggers
-    }
 }
 
 #[cfg(test)]

@@ -126,28 +126,6 @@ impl MultiClusterCoordinator {
         })
     }
 
-    /// Number of clusters.
-    #[must_use]
-    pub(crate) fn len(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// Whether the coordinator has no clusters (never true by construction).
-    #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.clusters.is_empty()
-    }
-
-    /// Access a cluster's orchestrator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub(crate) fn cluster(&self, i: usize) -> &Orchestrator {
-        &self.clusters[i]
-    }
-
     /// The edge-side seconds one round of cluster `i` occupies (decoder
     /// forward + backward at the edge rate for one batch).
     fn edge_time_per_round(&self, i: usize, batch: usize) -> f64 {

@@ -128,19 +128,6 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
         self.network
     }
 
-    /// One frame of compressed aggregation after distribution: the chain
-    /// folds the `M`-element partial sum into the aggregator, which uplinks
-    /// the finished latent vector to the edge.
-    ///
-    /// Returns elapsed simulated seconds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transmission failures.
-    pub(crate) fn compressed_frame(&mut self) -> Result<f64, OrcoError> {
-        crate::aggregation::compressed_frame_on(&mut self.network, self.config.latent_dim)
-    }
-
     /// The wrapped model.
     #[must_use]
     pub fn model(&self) -> &M {
@@ -163,18 +150,6 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
     #[must_use]
     pub fn network_mut(&mut self) -> &mut D {
         &mut self.network
-    }
-
-    /// The framework configuration.
-    #[must_use]
-    pub(crate) fn config(&self) -> &OrcoConfig {
-        &self.config
-    }
-
-    /// Total training rounds executed so far.
-    #[must_use]
-    pub(crate) fn rounds_run(&self) -> usize {
-        self.rounds_run
     }
 
     // ------------------------------------------------------------------

@@ -495,29 +495,11 @@ impl Experiment {
         self.codec.as_mut()
     }
 
-    /// The dataset the experiment runs on.
-    #[must_use]
-    pub(crate) fn dataset(&self) -> &Dataset {
-        &self.dataset
-    }
-
-    /// The resolved training mode.
-    #[must_use]
-    pub(crate) fn mode(&self) -> TrainingMode {
-        self.mode
-    }
-
     /// The deployment backend after an orchestrated run (`None` before
     /// [`Experiment::run`] and for local runs).
     #[must_use]
     pub fn network(&self) -> Option<&dyn DeploymentBackend> {
         self.network.as_deref()
-    }
-
-    /// The fine-tuning monitor, if configured.
-    #[must_use]
-    pub(crate) fn monitor(&self) -> Option<&FineTuneMonitor> {
-        self.monitor.as_ref()
     }
 
     /// The checkpoint store, if configured.

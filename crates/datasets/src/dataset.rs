@@ -128,16 +128,6 @@ impl Dataset {
         self.x.row(i)
     }
 
-    /// The label of sample `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    pub(crate) fn label(&self, i: usize) -> usize {
-        self.labels[i]
-    }
-
     /// A new dataset containing the selected rows.
     ///
     /// # Panics
@@ -150,16 +140,6 @@ impl Dataset {
             x: self.x.select_rows(indices),
             labels: indices.iter().map(|&i| self.labels[i]).collect(),
         }
-    }
-
-    /// Per-class sample counts.
-    #[must_use]
-    pub(crate) fn class_histogram(&self) -> Vec<usize> {
-        let mut h = vec![0usize; self.kind.classes()];
-        for &l in &self.labels {
-            h[l] += 1;
-        }
-        h
     }
 
     /// Replaces the design matrix (drift, or a codec's reconstructions

@@ -24,14 +24,6 @@ pub enum Drift {
     NoiseBurst,
 }
 
-impl Drift {
-    /// All drift kinds (for sweeps).
-    #[must_use]
-    pub(crate) fn all() -> [Drift; 4] {
-        [Drift::Dimming, Drift::Bias, Drift::ContrastLoss, Drift::NoiseBurst]
-    }
-}
-
 /// Applies a drift of the given `severity` in `[0, 1]` to every sample.
 ///
 /// Severity 0 is the identity; severity 1 is the strongest supported shift.

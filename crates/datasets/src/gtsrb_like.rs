@@ -97,19 +97,6 @@ impl SignStyle {
             occluded: rng.bernoulli(0.15),
         }
     }
-
-    /// A clean, centred, well-lit style.
-    #[must_use]
-    pub(crate) fn clean() -> Self {
-        Self {
-            illumination: 1.0,
-            background: [0.1, 0.1, 0.15],
-            offset: (0.5, 0.5),
-            radius: 0.36,
-            noise_std: 0.0,
-            occluded: false,
-        }
-    }
 }
 
 fn shape_vertices(shape: SignShape, centre: (f32, f32), r: f32) -> Vec<(f32, f32)> {

@@ -80,22 +80,6 @@ impl GlyphStyle {
             blur_passes: usize::from(rng.bernoulli(0.5)),
         }
     }
-
-    /// A clean, centred style (useful for golden tests and visualization).
-    #[must_use]
-    pub(crate) fn clean() -> Self {
-        Self {
-            offset_y: 0.2,
-            offset_x: 0.3,
-            scale_y: 0.55,
-            scale_x: 0.38,
-            shear: 0.0,
-            thickness: 2.2,
-            intensity: 1.0,
-            noise_std: 0.0,
-            blur_passes: 0,
-        }
-    }
 }
 
 /// Renders one digit as a flattened 784-element row.

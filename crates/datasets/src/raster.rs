@@ -19,18 +19,6 @@ impl Canvas {
         Self { h, w, pixels: vec![background; h * w] }
     }
 
-    /// Height in pixels.
-    #[must_use]
-    pub(crate) fn height(&self) -> usize {
-        self.h
-    }
-
-    /// Width in pixels.
-    #[must_use]
-    pub(crate) fn width(&self) -> usize {
-        self.w
-    }
-
     /// The pixel buffer, row-major.
     #[must_use]
     pub(crate) fn pixels(&self) -> &[f32] {
@@ -71,7 +59,13 @@ impl Canvas {
     /// Draws an anti-aliased thick line segment between two points given in
     /// **normalized** `[0, 1]` coordinates `(y, x)`, with `thickness` in
     /// pixels and `intensity` in `[0, 1]`.
-    pub(crate) fn line(&mut self, from: (f32, f32), to: (f32, f32), thickness: f32, intensity: f32) {
+    pub(crate) fn line(
+        &mut self,
+        from: (f32, f32),
+        to: (f32, f32),
+        thickness: f32,
+        intensity: f32,
+    ) {
         let (y0, x0) = (from.0 * (self.h - 1) as f32, from.1 * (self.w - 1) as f32);
         let (y1, x1) = (to.0 * (self.h - 1) as f32, to.1 * (self.w - 1) as f32);
         let half = thickness / 2.0;
@@ -104,7 +98,13 @@ impl Canvas {
 
     /// Draws a circle outline centred at normalized `(cy, cx)` with
     /// normalized `radius`, ring `thickness` in pixels.
-    pub(crate) fn circle(&mut self, centre: (f32, f32), radius: f32, thickness: f32, intensity: f32) {
+    pub(crate) fn circle(
+        &mut self,
+        centre: (f32, f32),
+        radius: f32,
+        thickness: f32,
+        intensity: f32,
+    ) {
         let (cy, cx) = (centre.0 * (self.h - 1) as f32, centre.1 * (self.w - 1) as f32);
         let r = radius * (self.h.min(self.w) - 1) as f32;
         let half = thickness / 2.0;

@@ -8,35 +8,6 @@ use orco_tensor::OrcoRng;
 
 use crate::dataset::Dataset;
 
-/// A train/test split.
-#[derive(Debug, Clone)]
-pub(crate) struct Split {
-    /// Training portion.
-    pub(crate) train: Dataset,
-    /// Held-out test portion.
-    pub(crate) test: Dataset,
-}
-
-/// Splits a dataset into train/test by shuffled indices.
-///
-/// # Panics
-///
-/// Panics if `train_fraction` is not in `(0, 1)` or either side would be
-/// empty.
-#[must_use]
-pub(crate) fn train_test(dataset: &Dataset, train_fraction: f32, rng: &mut OrcoRng) -> Split {
-    assert!(
-        (0.0..1.0).contains(&train_fraction) && train_fraction > 0.0,
-        "train_test: fraction must be in (0, 1)"
-    );
-    let n = dataset.len();
-    let n_train = ((n as f32) * train_fraction).round() as usize;
-    assert!(n_train > 0 && n_train < n, "train_test: split leaves an empty side");
-    let mut idx: Vec<usize> = (0..n).collect();
-    rng.shuffle(&mut idx);
-    Split { train: dataset.subset(&idx[..n_train]), test: dataset.subset(&idx[n_train..]) }
-}
-
 /// Returns a random `fraction` of the dataset (the paper's DCSNet-`x`%
 /// training subsets).
 ///
@@ -50,20 +21,6 @@ pub fn fraction(dataset: &Dataset, fraction: f32, rng: &mut OrcoRng) -> Dataset 
     assert!(k > 0, "fraction: subset would be empty");
     let idx = rng.sample_indices(dataset.len(), k.min(dataset.len()));
     dataset.subset(&idx)
-}
-
-/// Splits by class parity for distribution-shift experiments: classes
-/// `< pivot` go left, the rest go right.
-///
-/// # Panics
-///
-/// Panics if either side would be empty.
-#[must_use]
-pub(crate) fn by_class_pivot(dataset: &Dataset, pivot: usize) -> (Dataset, Dataset) {
-    let left: Vec<usize> = (0..dataset.len()).filter(|&i| dataset.label(i) < pivot).collect();
-    let right: Vec<usize> = (0..dataset.len()).filter(|&i| dataset.label(i) >= pivot).collect();
-    assert!(!left.is_empty() && !right.is_empty(), "by_class_pivot: empty side");
-    (dataset.subset(&left), dataset.subset(&right))
 }
 
 #[cfg(test)]

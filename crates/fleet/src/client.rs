@@ -32,11 +32,6 @@ impl<C: Connection> DirectoryClient<C> {
         Ok(Self { conn: transport.connect()? })
     }
 
-    /// Wraps an already-open connection.
-    pub(crate) fn from_connection(conn: C) -> Self {
-        Self { conn }
-    }
-
     /// Fetches the current `(epoch, members)` assignment table.
     ///
     /// # Errors
@@ -189,12 +184,6 @@ impl FleetClient {
             pushed_rows: HashMap::new(),
             redirects_chased: 0,
         })
-    }
-
-    /// The epoch of the cached assignment table.
-    #[must_use]
-    pub(crate) fn epoch(&self) -> u64 {
-        self.view.epoch
     }
 
     /// Redirects chased (or table refreshes forced) so far.

@@ -109,29 +109,10 @@ impl Directory {
         })
     }
 
-    /// The directory's configuration.
-    #[must_use]
-    pub(crate) fn config(&self) -> &DirectoryConfig {
-        &self.cfg
-    }
-
-    /// The clock the directory timestamps heartbeats against.
-    #[must_use]
-    pub(crate) fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
     /// Current assignment epoch.
     #[must_use]
     pub(crate) fn epoch(&self) -> u64 {
         self.state.lock().expect("directory lock").epoch
-    }
-
-    /// Snapshot of `(epoch, members)`, members ascending by id.
-    #[must_use]
-    pub(crate) fn view(&self) -> (u64, Vec<GatewayEntry>) {
-        let s = self.state.lock().expect("directory lock");
-        (s.epoch, members_of(&s))
     }
 
     /// Whether a `Shutdown` has been accepted.

@@ -108,18 +108,6 @@ impl Conv2d {
             grad_patches: Matrix::zeros(0, 0),
         }
     }
-
-    /// The convolution geometry.
-    #[must_use]
-    pub(crate) fn geom(&self) -> &Conv2dGeom {
-        &self.geom
-    }
-
-    /// Output spatial shape `(out_c, out_h, out_w)`.
-    #[must_use]
-    pub(crate) fn output_shape(&self) -> (usize, usize, usize) {
-        (self.out_c, self.geom.out_h(), self.geom.out_w())
-    }
 }
 
 /// Sizes a one-sample workspace on its first use; afterwards a no-op.

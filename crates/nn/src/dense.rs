@@ -83,29 +83,6 @@ impl Dense {
         }
     }
 
-    /// Creates a dense layer from explicit weights and bias.
-    ///
-    /// Used by the OrcoDCS protocol when reassembling an encoder from
-    /// distributed per-device columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.cols() != weight.rows()` or `bias.rows() != 1`.
-    #[must_use]
-    pub(crate) fn from_parts(weight: Matrix, bias: Matrix, activation: Activation) -> Self {
-        assert_eq!(bias.rows(), 1, "Dense: bias must be a row vector");
-        assert_eq!(bias.cols(), weight.rows(), "Dense: bias length must equal output dim");
-        let (out, inp) = weight.shape();
-        Self {
-            grad_weight: Matrix::zeros(out, inp),
-            grad_bias: Matrix::zeros(1, out),
-            weight,
-            bias,
-            activation,
-            cache: None,
-        }
-    }
-
     /// The weight matrix, shaped `(output_dim, input_dim)`.
     #[must_use]
     pub fn weight(&self) -> &Matrix {
@@ -116,12 +93,6 @@ impl Dense {
     #[must_use]
     pub fn bias(&self) -> &Matrix {
         &self.bias
-    }
-
-    /// The layer's activation function.
-    #[must_use]
-    pub(crate) fn activation(&self) -> Activation {
-        self.activation
     }
 
     /// Overwrites weights and bias (e.g. when applying a model update

@@ -31,93 +31,6 @@ pub fn one_hot(labels: &[usize], classes: usize) -> Matrix {
     m
 }
 
-/// A `classes × classes` confusion matrix: `counts[actual][predicted]`.
-#[derive(Debug, Clone)]
-pub(crate) struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty confusion matrix for `classes` classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes == 0`.
-    #[must_use]
-    pub(crate) fn new(classes: usize) -> Self {
-        assert!(classes > 0, "ConfusionMatrix: classes must be non-zero");
-        Self { classes, counts: vec![0; classes * classes] }
-    }
-
-    /// Records one `(actual, predicted)` observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub(crate) fn record(&mut self, actual: usize, predicted: usize) {
-        assert!(
-            actual < self.classes && predicted < self.classes,
-            "ConfusionMatrix: class out of range"
-        );
-        self.counts[actual * self.classes + predicted] += 1;
-    }
-
-    /// Records a whole batch from logits and labels.
-    pub(crate) fn record_batch(&mut self, logits: &Matrix, labels: &[usize]) {
-        for (pred, &actual) in logits.argmax_rows().iter().zip(labels) {
-            self.record(actual, *pred);
-        }
-    }
-
-    /// Count at `(actual, predicted)`.
-    #[must_use]
-    pub(crate) fn count(&self, actual: usize, predicted: usize) -> u64 {
-        self.counts[actual * self.classes + predicted]
-    }
-
-    /// Total observations recorded.
-    #[must_use]
-    pub(crate) fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy (0 when empty).
-    #[must_use]
-    pub(crate) fn accuracy(&self) -> f32 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: u64 = (0..self.classes).map(|i| self.count(i, i)).sum();
-        diag as f32 / total as f32
-    }
-
-    /// Per-class recall: `diag / row-sum` (`None` when the class was never
-    /// observed).
-    #[must_use]
-    pub(crate) fn recall(&self, class: usize) -> Option<f32> {
-        let row: u64 = (0..self.classes).map(|p| self.count(class, p)).sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f32 / row as f32)
-        }
-    }
-
-    /// Per-class precision: `diag / column-sum` (`None` when the class was
-    /// never predicted).
-    #[must_use]
-    pub(crate) fn precision(&self, class: usize) -> Option<f32> {
-        let col: u64 = (0..self.classes).map(|a| self.count(a, class)).sum();
-        if col == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f32 / col as f32)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,18 +44,6 @@ impl Sequential {
         Self { layers: Vec::new() }
     }
 
-    /// Appends a layer (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layer's input width does not match the previous
-    /// layer's output width.
-    #[must_use]
-    pub(crate) fn with(mut self, layer: impl Layer + 'static) -> Self {
-        self.push(layer);
-        self
-    }
-
     /// Appends a layer.
     ///
     /// # Panics
@@ -85,7 +73,7 @@ impl Sequential {
 
     /// Whether the model has no layers.
     #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
 
@@ -117,12 +105,6 @@ impl Sequential {
     #[must_use]
     pub fn flops_backward(&self) -> u64 {
         self.layers.iter().map(|l| l.flops_backward()).sum()
-    }
-
-    /// Immutable access to the layer stack.
-    #[must_use]
-    pub(crate) fn layers(&self) -> &[Box<dyn Layer>] {
-        &self.layers
     }
 
     /// Runs the batch through every layer.
@@ -208,34 +190,6 @@ impl Sequential {
         let _ = self.backward(&grad);
         optimizer.step(self.params());
         value
-    }
-
-    /// Mean loss on a batch without updating parameters (inference mode).
-    pub(crate) fn evaluate(&mut self, input: &Matrix, target: &Matrix, loss: &Loss) -> f32 {
-        let pred = self.forward(input, false);
-        loss.value(&pred, target)
-    }
-
-    /// A human-readable architecture summary, one line per layer.
-    #[must_use]
-    pub(crate) fn summary(&self) -> String {
-        let mut s = String::new();
-        for (i, layer) in self.layers.iter().enumerate() {
-            s.push_str(&format!(
-                "{i:2}: {:<14} {:>8} -> {:<8} params={:<10} flops/sample={}\n",
-                layer.name(),
-                layer.input_dim(),
-                layer.output_dim(),
-                layer.param_count(),
-                layer.flops_forward(),
-            ));
-        }
-        s.push_str(&format!(
-            "total params={} forward flops/sample={}",
-            self.param_count(),
-            self.flops_forward()
-        ));
-        s
     }
 }
 

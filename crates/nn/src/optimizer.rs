@@ -44,40 +44,6 @@ struct Slot {
 }
 
 impl Optimizer {
-    /// Plain stochastic gradient descent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive and finite.
-    #[must_use]
-    pub(crate) fn sgd(lr: f32) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "sgd: lr must be positive");
-        Self::with_kind(Kind::Sgd { lr })
-    }
-
-    /// SGD with classical momentum `mu`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive or `mu` is outside `[0, 1)`.
-    #[must_use]
-    pub(crate) fn momentum(lr: f32, mu: f32) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "momentum: lr must be positive");
-        assert!((0.0..1.0).contains(&mu), "momentum: mu must be in [0, 1)");
-        Self::with_kind(Kind::Momentum { lr, mu })
-    }
-
-    /// RMSProp with decay 0.9 and epsilon 1e-8.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive and finite.
-    #[must_use]
-    pub(crate) fn rmsprop(lr: f32) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "rmsprop: lr must be positive");
-        Self::with_kind(Kind::RmsProp { lr, rho: 0.9, eps: 1e-8 })
-    }
-
     /// Adam with the standard β₁ = 0.9, β₂ = 0.999, ε = 1e-8.
     ///
     /// # Panics
@@ -107,38 +73,6 @@ impl Optimizer {
         assert!(max_norm > 0.0, "grad clip must be positive");
         self.grad_clip = Some(max_norm);
         self
-    }
-
-    /// The current learning rate.
-    #[must_use]
-    pub(crate) fn learning_rate(&self) -> f32 {
-        match self.kind {
-            Kind::Sgd { lr }
-            | Kind::Momentum { lr, .. }
-            | Kind::RmsProp { lr, .. }
-            | Kind::Adam { lr, .. } => lr,
-        }
-    }
-
-    /// Replaces the learning rate (used by decay schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive and finite.
-    pub(crate) fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0 && lr.is_finite(), "set_learning_rate: lr must be positive");
-        match &mut self.kind {
-            Kind::Sgd { lr: l }
-            | Kind::Momentum { lr: l, .. }
-            | Kind::RmsProp { lr: l, .. }
-            | Kind::Adam { lr: l, .. } => *l = lr,
-        }
-    }
-
-    /// Number of optimization steps taken so far.
-    #[must_use]
-    pub(crate) fn steps(&self) -> u64 {
-        self.step_count
     }
 
     /// Applies one update to every parameter given its accumulated gradient.

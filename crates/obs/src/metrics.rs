@@ -20,12 +20,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A counter at zero.
-    #[must_use]
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -53,12 +47,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// A gauge at zero.
-    #[must_use]
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         // Relaxed: pure tally, no ordering dependency (see Counter::add).
@@ -153,13 +141,6 @@ impl Histogram {
     pub fn record_secs(&self, s: f64) {
         let ns = if s.is_finite() && s > 0.0 { (s * 1e9) as u64 } else { 0 };
         self.record_ns(ns);
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub(crate) fn count(&self) -> u64 {
-        // Relaxed: scrape-time read (see record_ns for the tolerance).
-        self.count.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy of the distribution.

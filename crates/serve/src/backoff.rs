@@ -34,12 +34,6 @@ impl Backoff {
         Self { rng: OrcoRng::from_seed_u64(seed), base, cap, attempt: 0 }
     }
 
-    /// Consecutive failures since the last [`Backoff::reset`].
-    #[must_use]
-    pub(crate) fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
     /// The next delay: `min(cap, base * 2^attempt)` jittered uniformly
     /// into `[delay/2, delay]`. Increments the attempt counter.
     pub fn next_delay(&mut self) -> Duration {

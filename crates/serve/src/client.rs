@@ -88,11 +88,6 @@ impl<C: Connection> Client<C> {
         Ok(Self { conn: transport.connect()?, auth_secret: None, client_id: 0, trace_seq: 0 })
     }
 
-    /// Wraps an already-open connection.
-    pub(crate) fn from_connection(conn: C) -> Self {
-        Self { conn, auth_secret: None, client_id: 0, trace_seq: 0 }
-    }
-
     /// Mints the next trace id for this client: a Weyl-style sequence
     /// keyed by the client id, coerced away from 0 (the wire's
     /// "untraced" sentinel). Deterministic — a replayed run mints the

@@ -340,12 +340,6 @@ impl DesNet {
         self.inner.borrow().endpoints[ep].alive
     }
 
-    /// Current simulated time, seconds.
-    #[must_use]
-    pub(crate) fn now_s(&self) -> f64 {
-        self.inner.borrow().sim.now_s()
-    }
-
     /// Opens a fresh session on a fresh connection to endpoint 0 (an
     /// uplink/downlink pair at the configured base [`LinkParams`]);
     /// returns the connection id.
@@ -542,12 +536,6 @@ impl DesNet {
         }
     }
 
-    /// Runs [`DesNet::poll`] until the event queue drains. Convenient for
-    /// tests that submit a batch of work and want the dust settled.
-    pub(crate) fn pump_until_idle(&self) {
-        while self.poll() != NetEvent::Idle {}
-    }
-
     /// Takes the decoded reply to request `seq` on `conn`, if delivered.
     #[must_use]
     pub(crate) fn take_reply(&self, conn: usize, seq: u64) -> Option<Message> {
@@ -661,12 +649,6 @@ impl DesTransport {
     #[must_use]
     pub fn new(net: DesNet) -> Self {
         Self { net }
-    }
-
-    /// The underlying network (for scripting and traces).
-    #[must_use]
-    pub(crate) fn net(&self) -> &DesNet {
-        &self.net
     }
 }
 

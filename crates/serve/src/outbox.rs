@@ -91,16 +91,6 @@ impl Outbox {
     pub(crate) fn is_closed(&self) -> bool {
         self.state.lock().expect("outbox lock").closed
     }
-
-    /// Frames currently queued (diagnostics only; racy by nature).
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().expect("outbox lock").frames.len()
-    }
-
-    /// True when nothing is queued (diagnostics only; racy by nature).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]

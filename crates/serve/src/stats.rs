@@ -145,7 +145,13 @@ impl ServeStats {
     /// Records one micro-batch flush of `rows` frames on `shard`,
     /// `latency_s` after its oldest frame was enqueued, for the given
     /// [`FlushReason`].
-    pub(crate) fn record_flush(&self, shard: usize, rows: u64, latency_s: f64, reason: FlushReason) {
+    pub(crate) fn record_flush(
+        &self,
+        shard: usize,
+        rows: u64,
+        latency_s: f64,
+        reason: FlushReason,
+    ) {
         self.batches.inc();
         self.flushes_for(reason).inc();
         self.max_batch_rows.max_assign(rows);

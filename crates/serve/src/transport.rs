@@ -95,20 +95,6 @@ impl<S: Service + ?Sized> Loopback<S> {
     pub fn new(svc: Arc<S>) -> Self {
         Self { svc }
     }
-
-    /// The service this transport dispatches into.
-    #[must_use]
-    pub(crate) fn service(&self) -> &Arc<S> {
-        &self.svc
-    }
-}
-
-impl Loopback<Gateway> {
-    /// The gateway this transport dispatches into.
-    #[must_use]
-    pub(crate) fn gateway(&self) -> &Arc<Gateway> {
-        &self.svc
-    }
 }
 
 impl<S: Service + ?Sized> Transport for Loopback<S> {
@@ -162,12 +148,6 @@ impl Tcp {
     #[must_use]
     pub fn new(addr: impl Into<String>) -> Self {
         Self { addr: addr.into() }
-    }
-
-    /// The address this transport dials.
-    #[must_use]
-    pub(crate) fn addr(&self) -> &str {
-        &self.addr
     }
 }
 

@@ -201,18 +201,6 @@ impl DesNetwork {
         }
     }
 
-    /// The world state (topology, batteries, ledger) backing the simulation.
-    #[must_use]
-    pub(crate) fn world(&self) -> &Network {
-        &self.world
-    }
-
-    /// The simulator parameters.
-    #[must_use]
-    pub(crate) fn params(&self) -> &SimParams {
-        &self.params
-    }
-
     // ------------------------------------------------------------------
     // Scenario application
     // ------------------------------------------------------------------

@@ -112,18 +112,6 @@ impl<T> EventQueue<T> {
     pub(crate) fn peek_time_s(&self) -> Option<f64> {
         self.heap.peek().map(|e| e.time_s)
     }
-
-    /// Number of pending events.
-    #[must_use]
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -130,18 +130,6 @@ impl NetScenario {
         Self::default()
     }
 
-    /// Number of scripted actions.
-    #[must_use]
-    pub(crate) fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// Whether the script is empty.
-    #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
     /// Schedules `action` on `link` at virtual time `t_s`.
     ///
     /// # Panics
@@ -152,16 +140,6 @@ impl NetScenario {
         orco_wsn::clock::assert_monotone_dt(t_s);
         self.actions.push((t_s, link, action));
         self
-    }
-
-    /// Degrades `link` to `loss_prob` over `window`.
-    #[must_use]
-    pub(crate) fn lossy(self, link: usize, window: std::ops::Range<f64>, loss_prob: f64) -> Self {
-        self.at(window.start, link, LinkAction::SetLoss { loss_prob }).at(
-            window.end,
-            link,
-            LinkAction::ClearLoss,
-        )
     }
 
     /// Slows `link` to `delay_s` (+ uniform `jitter_s`) over `window`.
@@ -184,14 +162,6 @@ impl NetScenario {
     #[must_use]
     pub fn partition(self, link: usize, window: std::ops::Range<f64>) -> Self {
         self.at(window.start, link, LinkAction::Partition).at(window.end, link, LinkAction::Heal)
-    }
-
-    /// Cuts `link` at `from_t_s` and never heals it — the script of a
-    /// crashed endpoint's links (fleet kill scenarios), where a healing
-    /// window would be a lie.
-    #[must_use]
-    pub(crate) fn cut(self, link: usize, from_t_s: f64) -> Self {
-        self.at(from_t_s, link, LinkAction::Partition)
     }
 
     /// The script sorted by time (stable: same-time actions keep their
@@ -312,12 +282,6 @@ impl<T> NetSim<T> {
         self.links.len() - 1
     }
 
-    /// Number of links added so far.
-    #[must_use]
-    pub(crate) fn num_links(&self) -> usize {
-        self.links.len()
-    }
-
     /// Merges `scenario` into the pending impairment script. Actions
     /// whose time has already passed apply immediately.
     ///
@@ -425,24 +389,6 @@ impl<T> NetSim<T> {
         self.now_s = t;
         self.apply_actions_until(t);
         Some((t, payload))
-    }
-
-    /// The timestamp of the earliest pending event.
-    #[must_use]
-    pub(crate) fn peek_time_s(&self) -> Option<f64> {
-        self.queue.peek_time_s()
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub(crate) fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 
     fn apply_actions_until(&mut self, t_s: f64) {

@@ -108,13 +108,6 @@ impl SimParams {
     pub fn ideal() -> Self {
         Self { mac: MacMode::Sequential, duty_cycle: None, latency_jitter_s: 0.0, seed: 0 }
     }
-
-    /// A realistic contended deployment: TDMA slots of 20 ms with
-    /// concurrent per-node execution.
-    #[must_use]
-    pub(crate) fn contended() -> Self {
-        Self { mac: MacMode::Tdma { slot_s: 0.02 }, ..Self::ideal() }
-    }
 }
 
 impl Default for SimParams {

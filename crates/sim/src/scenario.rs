@@ -98,18 +98,6 @@ impl Scenario {
         Self::default()
     }
 
-    /// Number of scripted actions.
-    #[must_use]
-    pub(crate) fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// Whether the scenario scripts nothing.
-    #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
     /// Schedules `action` at simulated time `t_s`.
     ///
     /// # Panics
@@ -141,15 +129,6 @@ impl Scenario {
     pub fn degrade_sensor_link(self, window: std::ops::Range<f64>, loss_prob: f64) -> Self {
         self.at(window.start, ScenarioAction::DegradeSensorLink { loss_prob })
             .at(window.end, ScenarioAction::RestoreSensorLink)
-    }
-
-    /// Degrades the uplink to `loss_prob` over `window` (only the uplink
-    /// override is restored at the window's end, so a concurrent sensor
-    /// window is unaffected).
-    #[must_use]
-    pub(crate) fn degrade_uplink(self, window: std::ops::Range<f64>, loss_prob: f64) -> Self {
-        self.at(window.start, ScenarioAction::DegradeUplink { loss_prob })
-            .at(window.end, ScenarioAction::RestoreUplink)
     }
 
     /// Makes device `device` a straggler (compute time × `multiplier`)

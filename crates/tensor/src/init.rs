@@ -63,12 +63,6 @@ impl Init {
         }
     }
 
-    /// Materializes a length-`n` vector (used for biases).
-    #[must_use]
-    pub(crate) fn vector(self, n: usize, rng: &mut OrcoRng) -> Vec<f32> {
-        self.matrix(1, n, rng).into_vec()
-    }
-
     /// Materializes weights with explicit fan-in/fan-out, for layers whose
     /// matrix shape does not equal `(fan_out, fan_in)` — e.g. convolution
     /// kernels stored as `(out_c, in_c*k*k)` where fan-in is `in_c*k*k`.

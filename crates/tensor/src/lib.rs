@@ -50,6 +50,3 @@ pub use rng::fnv1a64;
 pub use rng::OrcoRng;
 pub use view::MatView;
 pub use view::MatViewMut;
-
-/// Convenience alias for results returned by this crate.
-pub(crate) type Result<T> = std::result::Result<T, TensorError>;

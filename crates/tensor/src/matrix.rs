@@ -108,40 +108,6 @@ impl Matrix {
         Self { rows: values.len(), cols: 1, data: values.to_vec() }
     }
 
-    /// Stacks equal-length rows into a matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if rows have differing lengths,
-    /// or [`TensorError::EmptyDimension`] if `rows` is empty.
-    pub(crate) fn from_rows(rows: &[Vec<f32>]) -> Result<Self, TensorError> {
-        let first = rows.first().ok_or(TensorError::EmptyDimension { dim: "rows" })?;
-        let cols = first.len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            if r.len() != cols {
-                return Err(TensorError::ShapeMismatch {
-                    left: (1, cols),
-                    right: (1, r.len()),
-                    op: "from_rows",
-                });
-            }
-            data.extend_from_slice(r);
-        }
-        Ok(Self { rows: rows.len(), cols, data })
-    }
-
-    /// Creates a diagonal matrix from the given diagonal entries.
-    #[must_use]
-    pub(crate) fn from_diag(diag: &[f32]) -> Self {
-        let n = diag.len();
-        let mut m = Self::zeros(n, n);
-        for (i, &v) in diag.iter().enumerate() {
-            m.data[i * n + i] = v;
-        }
-        m
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -172,7 +138,7 @@ impl Matrix {
 
     /// Whether the matrix contains no elements.
     #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
@@ -406,12 +372,6 @@ impl Matrix {
         self.map(|v| v * s)
     }
 
-    /// Adds `s` to every element, returning a new matrix.
-    #[must_use]
-    pub(crate) fn shift(&self, s: f32) -> Matrix {
-        self.map(|v| v + s)
-    }
-
     /// `self + alpha * other`, the BLAS `axpy` pattern.
     ///
     /// # Panics
@@ -526,21 +486,6 @@ impl Matrix {
         self.as_view().t_matvec_into(v, out);
     }
 
-    /// Reinterprets the buffer with a new shape (row-major order preserved).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if `rows * cols != self.len()`.
-    pub(crate) fn reshape(&self, rows: usize, cols: usize) -> Result<Matrix, TensorError> {
-        if rows * cols != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: self.data.len(),
-                actual: rows * cols,
-            });
-        }
-        Ok(Matrix { rows, cols, data: self.data.clone() })
-    }
-
     /// Stacks `self` on top of `other`.
     ///
     /// # Panics
@@ -553,22 +498,6 @@ impl Matrix {
         data.extend_from_slice(&self.data);
         data.extend_from_slice(&other.data);
         Matrix { rows: self.rows + other.rows, cols: self.cols, data }
-    }
-
-    /// Concatenates `self` and `other` side by side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts differ.
-    #[must_use]
-    pub(crate) fn hstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hstack: row mismatch {} vs {}", self.rows, other.rows);
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
-        }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -585,18 +514,6 @@ impl Matrix {
             }
         }
         sums
-    }
-
-    /// Means over rows, producing a length-`cols` vector.
-    ///
-    /// Returns zeros when the matrix has no rows.
-    #[must_use]
-    pub(crate) fn col_means(&self) -> Vec<f32> {
-        if self.rows == 0 {
-            return vec![0.0; self.cols];
-        }
-        let inv = 1.0 / self.rows as f32;
-        self.col_sums().into_iter().map(|s| s * inv).collect()
     }
 
     /// Sums over columns, producing a length-`rows` vector.
@@ -667,12 +584,6 @@ impl Matrix {
                     .0
             })
             .collect()
-    }
-
-    /// Whether any element is NaN or infinite.
-    #[must_use]
-    pub(crate) fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
     }
 
     // ------------------------------------------------------------------

@@ -93,8 +93,12 @@ pub fn threads() -> usize {
 ///
 /// Falls back to a single inline call when the budget is 1, the output is
 /// empty, or there are fewer than `min_rows_per_thread` rows per worker.
-pub(crate) fn for_each_row_block<F>(out: &mut [f32], row_len: usize, min_rows_per_thread: usize, work: F)
-where
+pub(crate) fn for_each_row_block<F>(
+    out: &mut [f32],
+    row_len: usize,
+    min_rows_per_thread: usize,
+    work: F,
+) where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     if out.is_empty() {

@@ -61,26 +61,12 @@ impl OrcoRng {
         Self::from_seed_u64(fnv1a64(label.as_bytes()) ^ salt)
     }
 
-    /// Next raw 32-bit value.
-    #[must_use]
-    pub(crate) fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-
     /// Next raw 64-bit value.
     #[must_use]
     pub fn next_u64(&mut self) -> u64 {
         let lo = u64::from(self.inner.next_u32());
         let hi = u64::from(self.inner.next_u32());
         (hi << 32) | lo
-    }
-
-    /// Fills `dest` with random bytes.
-    pub(crate) fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(4) {
-            let word = self.inner.next_u32().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
-        }
     }
 
     /// Uniform `f32` in `[0, 1)`.

@@ -85,27 +85,6 @@ pub fn matrix_from_text(text: &str) -> Result<Matrix, TensorError> {
     Matrix::from_vec(rows, cols, data)
 }
 
-/// Writes a matrix to a file in the `MAT` text format.
-///
-/// # Errors
-///
-/// Returns any I/O error from the filesystem.
-pub(crate) fn write_matrix(path: &std::path::Path, m: &Matrix) -> std::io::Result<()> {
-    std::fs::write(path, matrix_to_text(m))
-}
-
-/// Reads a matrix from a file in the `MAT` text format.
-///
-/// # Errors
-///
-/// Returns an I/O error wrapped as [`TensorError::Parse`] if the file cannot
-/// be read, or a parse error if the contents are malformed.
-pub(crate) fn read_matrix(path: &std::path::Path) -> Result<Matrix, TensorError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| parse_err(&format!("cannot read {}: {e}", path.display())))?;
-    matrix_from_text(&text)
-}
-
 fn parse_err(detail: &str) -> TensorError {
     TensorError::Parse { detail: detail.to_string() }
 }

@@ -108,112 +108,6 @@ pub fn psnr_rows(original: &Matrix, reconstructed: &Matrix, peak: f32) -> Vec<f3
     original.iter_rows().zip(reconstructed.iter_rows()).map(|(a, b)| psnr(a, b, peak)).collect()
 }
 
-/// Histogram of values into `bins` equal-width buckets over `[lo, hi)`.
-///
-/// Values outside the range are clamped into the first/last bucket.
-///
-/// # Panics
-///
-/// Panics if `bins == 0` or `lo >= hi`.
-#[must_use]
-pub(crate) fn histogram(xs: &[f32], lo: f32, hi: f32, bins: usize) -> Vec<usize> {
-    assert!(bins > 0, "histogram: bins must be positive");
-    assert!(lo < hi, "histogram: empty range");
-    let mut counts = vec![0usize; bins];
-    let width = (hi - lo) / bins as f32;
-    for &x in xs {
-        let idx = (((x - lo) / width) as isize).clamp(0, bins as isize - 1) as usize;
-        counts[idx] += 1;
-    }
-    counts
-}
-
-/// Numerically stable running statistics.
-pub(crate) mod running {
-    /// Welford online mean/variance accumulator.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use orco_tensor::stats::running::Welford;
-    ///
-    /// let mut w = Welford::new();
-    /// for v in [1.0, 2.0, 3.0] {
-    ///     w.push(v);
-    /// }
-    /// assert_eq!(w.mean(), 2.0);
-    /// assert_eq!(w.count(), 3);
-    /// ```
-    #[derive(Debug, Clone, Default)]
-    pub(crate) struct Welford {
-        count: u64,
-        mean: f64,
-        m2: f64,
-    }
-
-    impl Welford {
-        /// Creates an empty accumulator.
-        #[must_use]
-        pub(crate) fn new() -> Self {
-            Self::default()
-        }
-
-        /// Adds one observation.
-        pub(crate) fn push(&mut self, x: f32) {
-            self.count += 1;
-            let delta = f64::from(x) - self.mean;
-            self.mean += delta / self.count as f64;
-            let delta2 = f64::from(x) - self.mean;
-            self.m2 += delta * delta2;
-        }
-
-        /// Number of observations so far.
-        #[must_use]
-        pub(crate) fn count(&self) -> u64 {
-            self.count
-        }
-
-        /// Running mean (0 when empty).
-        #[must_use]
-        pub(crate) fn mean(&self) -> f32 {
-            self.mean as f32
-        }
-
-        /// Running population variance (0 with fewer than 2 observations).
-        #[must_use]
-        pub(crate) fn variance(&self) -> f32 {
-            if self.count < 2 {
-                0.0
-            } else {
-                (self.m2 / self.count as f64) as f32
-            }
-        }
-
-        /// Running standard deviation.
-        #[must_use]
-        pub(crate) fn std_dev(&self) -> f32 {
-            self.variance().sqrt()
-        }
-
-        /// Merges another accumulator into this one (parallel Welford).
-        pub(crate) fn merge(&mut self, other: &Welford) {
-            if other.count == 0 {
-                return;
-            }
-            if self.count == 0 {
-                *self = other.clone();
-                return;
-            }
-            let total = self.count + other.count;
-            let delta = other.mean - self.mean;
-            self.m2 += other.m2
-                + delta * delta * (self.count as f64) * (other.count as f64) / total as f64;
-            self.mean += delta * other.count as f64 / total as f64;
-            self.count = total;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -228,7 +228,7 @@ impl<'a> MatView<'a> {
 
     /// Whether the view contains no elements.
     #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
@@ -420,26 +420,6 @@ impl<'a> MatView<'a> {
             }
         }
     }
-
-    /// Applies `f` element-wise into `out` — the allocation-free twin of
-    /// [`Matrix::map`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub(crate) fn map_into(&self, f: impl Fn(f32) -> f32, out: MatViewMut<'_>) {
-        assert!(
-            out.shape() == self.shape(),
-            "map_into: out is {}x{}, need {}x{}",
-            out.rows,
-            out.cols,
-            self.rows,
-            self.cols
-        );
-        for (o, &v) in out.data.iter_mut().zip(self.data) {
-            *o = f(v);
-        }
-    }
 }
 
 impl<'a> From<&'a Matrix> for MatView<'a> {
@@ -477,24 +457,6 @@ impl<'a> MatViewMut<'a> {
         Ok(Self { rows, cols, data })
     }
 
-    /// Views a mutable slice as a single-row matrix (`1 × len`).
-    #[must_use]
-    pub(crate) fn from_row(row: &'a mut [f32]) -> Self {
-        Self { rows: 1, cols: row.len(), data: row }
-    }
-
-    /// Number of rows.
-    #[must_use]
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub(crate) fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// `(rows, cols)` pair.
     #[must_use]
     pub(crate) fn shape(&self) -> (usize, usize) {
@@ -505,28 +467,6 @@ impl<'a> MatViewMut<'a> {
     #[must_use]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         self.data
-    }
-
-    /// Mutable row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    #[must_use]
-    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        assert!(r < self.rows, "row {r} out of bounds for {} rows", self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// A read-only view of the same buffer.
-    #[must_use]
-    pub(crate) fn as_view(&self) -> MatView<'_> {
-        MatView { rows: self.rows, cols: self.cols, data: self.data }
-    }
-
-    /// Fills every element with `value`.
-    pub(crate) fn fill(&mut self, value: f32) {
-        self.data.fill(value);
     }
 }
 

@@ -92,7 +92,13 @@ impl TrafficAccounting {
     }
 
     /// Records a transmission by `node`.
-    pub(crate) fn record_tx(&mut self, node: NodeId, wire_bytes: u64, energy_j: f64, kind: PacketKind) {
+    pub(crate) fn record_tx(
+        &mut self,
+        node: NodeId,
+        wire_bytes: u64,
+        energy_j: f64,
+        kind: PacketKind,
+    ) {
         let t = self.per_node.entry(node).or_default();
         t.tx_bytes += wire_bytes;
         t.tx_energy_j += energy_j;
@@ -101,7 +107,13 @@ impl TrafficAccounting {
     }
 
     /// Records a reception by `node`.
-    pub(crate) fn record_rx(&mut self, node: NodeId, wire_bytes: u64, energy_j: f64, _kind: PacketKind) {
+    pub(crate) fn record_rx(
+        &mut self,
+        node: NodeId,
+        wire_bytes: u64,
+        energy_j: f64,
+        _kind: PacketKind,
+    ) {
         let t = self.per_node.entry(node).or_default();
         t.rx_bytes += wire_bytes;
         t.rx_energy_j += energy_j;
@@ -131,18 +143,6 @@ impl TrafficAccounting {
     /// Records `dt_s` seconds of radio-medium occupancy.
     pub fn record_airtime(&mut self, dt_s: f64) {
         self.airtime_s += dt_s;
-    }
-
-    /// Delivery latency percentile in seconds (nearest-rank over all
-    /// recorded deliveries; 0 when nothing was delivered). O(1): the
-    /// samples are kept sorted on insert.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    #[must_use]
-    pub(crate) fn latency_percentile_s(&self, q: f64) -> f64 {
-        percentile_of_sorted(&self.latencies_s, q)
     }
 
     /// Snapshot of the delivery-level statistics (packet outcomes, latency
@@ -195,20 +195,6 @@ impl TrafficAccounting {
         self.per_kind_tx_bytes.get(&kind).copied().unwrap_or(0)
     }
 
-    /// Per-kind transmit-byte breakdown in [`PacketKind`] declaration
-    /// order (only kinds that actually transmitted appear). The order is
-    /// part of the contract: report tables and exposition lines built
-    /// from this iterator must be byte-stable across runs.
-    pub(crate) fn tx_bytes_by_kind(&self) -> impl Iterator<Item = (PacketKind, u64)> + '_ {
-        self.per_kind_tx_bytes.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Number of nodes that have communicated.
-    #[must_use]
-    pub(crate) fn active_nodes(&self) -> usize {
-        self.per_node.len()
-    }
-
     /// Resets all counters (used between experiment phases so Figure 3 can
     /// isolate the data-aggregation phase from training).
     pub(crate) fn reset(&mut self) {
@@ -219,28 +205,6 @@ impl TrafficAccounting {
         self.retransmitted_frames = 0;
         self.airtime_s = 0.0;
         self.latencies_s.clear();
-    }
-
-    /// Merges another ledger into this one.
-    pub(crate) fn merge(&mut self, other: &TrafficAccounting) {
-        for (id, t) in &other.per_node {
-            let mine = self.per_node.entry(*id).or_default();
-            mine.tx_bytes += t.tx_bytes;
-            mine.rx_bytes += t.rx_bytes;
-            mine.tx_energy_j += t.tx_energy_j;
-            mine.rx_energy_j += t.rx_energy_j;
-            mine.tx_packets += t.tx_packets;
-            mine.rx_packets += t.rx_packets;
-        }
-        for (kind, bytes) in &other.per_kind_tx_bytes {
-            *self.per_kind_tx_bytes.entry(*kind).or_default() += bytes;
-        }
-        self.delivered_packets += other.delivered_packets;
-        self.dropped_packets += other.dropped_packets;
-        self.retransmitted_frames += other.retransmitted_frames;
-        self.airtime_s += other.airtime_s;
-        self.latencies_s.extend_from_slice(&other.latencies_s);
-        self.latencies_s.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     }
 }
 

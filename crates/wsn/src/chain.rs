@@ -82,37 +82,10 @@ impl ChainSchedule {
         Self { order }
     }
 
-    /// Builds a chain from an explicit order (tests, custom schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is empty or contains duplicates.
-    #[must_use]
-    pub(crate) fn from_order(order: Vec<NodeId>) -> Self {
-        assert!(!order.is_empty(), "ChainSchedule: order must be non-empty");
-        let mut seen = order.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), order.len(), "ChainSchedule: duplicate node in order");
-        Self { order }
-    }
-
     /// The visit order; the last entry forwards to the aggregator.
     #[must_use]
     pub fn order(&self) -> &[NodeId] {
         &self.order
-    }
-
-    /// Number of devices in the chain.
-    #[must_use]
-    pub(crate) fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the chain is empty (never true for constructed chains).
-    #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.order.is_empty()
     }
 
     /// Device-to-device hops `(from, to)`; the final hop to the aggregator

@@ -63,12 +63,6 @@ impl ComputeModel {
         flops as f64 / self.rate(class)
     }
 
-    /// Simulated seconds for a batch: `per_sample_flops × batch` on `class`.
-    #[must_use]
-    pub(crate) fn time_for_batch(&self, class: DeviceClass, per_sample_flops: u64, batch: usize) -> f64 {
-        self.time_for_flops(class, per_sample_flops.saturating_mul(batch as u64))
-    }
-
     /// Energy in joules for `flops` on `class`, with a fixed energy-per-FLOP
     /// coefficient (1 nJ/FLOP for IoT-class silicon, scaled down for bigger
     /// devices which are more efficient per operation).

@@ -28,12 +28,6 @@ impl Point {
         Self { x, y }
     }
 
-    /// The origin `(0, 0)`.
-    #[must_use]
-    pub(crate) fn origin() -> Self {
-        Self { x: 0.0, y: 0.0 }
-    }
-
     /// Euclidean distance to `other`.
     #[must_use]
     pub fn distance(self, other: Point) -> f64 {
@@ -60,31 +54,6 @@ pub(crate) fn scatter_uniform(n: usize, side: f64, rng: &mut OrcoRng) -> Vec<Poi
             Point::new(rng.uniform(0.0, side as f32) as f64, rng.uniform(0.0, side as f32) as f64)
         })
         .collect()
-}
-
-/// Centroid of a set of points (origin for an empty set).
-#[must_use]
-pub(crate) fn centroid(points: &[Point]) -> Point {
-    if points.is_empty() {
-        return Point::origin();
-    }
-    let n = points.len() as f64;
-    Point::new(
-        points.iter().map(|p| p.x).sum::<f64>() / n,
-        points.iter().map(|p| p.y).sum::<f64>() / n,
-    )
-}
-
-/// Index of the point nearest to `target` (`None` for an empty set).
-#[must_use]
-pub(crate) fn nearest(points: &[Point], target: Point) -> Option<usize> {
-    points
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            a.distance_sq(target).partial_cmp(&b.distance_sq(target)).expect("distances are finite")
-        })
-        .map(|(i, _)| i)
 }
 
 #[cfg(test)]

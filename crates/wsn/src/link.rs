@@ -83,12 +83,6 @@ impl LinkModel {
     pub fn airtime_s(&self, bytes: u64) -> f64 {
         (bytes as f64 * 8.0) / self.bandwidth_bps
     }
-
-    /// Expected number of attempts per packet under independent loss.
-    #[must_use]
-    pub(crate) fn expected_attempts(&self) -> f64 {
-        1.0 / (1.0 - self.loss_prob)
-    }
 }
 
 #[cfg(test)]

@@ -643,21 +643,6 @@ impl Network {
         }
         Ok(self.clock.now_s() - start)
     }
-
-    /// Mean hop count from devices to the aggregator (diagnostics).
-    #[must_use]
-    pub(crate) fn mean_hops(&self) -> f64 {
-        if self.devices.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self
-            .devices
-            .iter()
-            .filter(|id| self.tree.contains(**id))
-            .map(|id| self.tree.hops_to_root(*id))
-            .sum();
-        total as f64 / self.devices.len() as f64
-    }
 }
 
 #[cfg(test)]

@@ -73,12 +73,6 @@ impl Node {
         Self { id, class, position, energy_j: class.initial_energy_j(), alive: true }
     }
 
-    /// The node's identifier.
-    #[must_use]
-    pub(crate) fn id(&self) -> NodeId {
-        self.id
-    }
-
     /// The node's device class.
     #[must_use]
     pub fn class(&self) -> DeviceClass {

@@ -52,16 +52,6 @@ impl RadioModel {
     pub fn rx_energy_j(&self, bytes: u64) -> f64 {
         self.e_elec_j_per_bit * bytes as f64 * 8.0
     }
-
-    /// Distance beyond which one multi-hop relay through a midpoint is
-    /// cheaper than a direct transmission (per-bit).
-    ///
-    /// Direct: `E + ε·d²`. Two hops of `d/2` plus one receive:
-    /// `3E + ε·d²/2`. Break-even at `d = 2·sqrt(E/ε)`.
-    #[must_use]
-    pub(crate) fn multihop_breakeven_m(&self) -> f64 {
-        2.0 * (self.e_elec_j_per_bit / self.eps_amp_j_per_bit_m2).sqrt()
-    }
 }
 
 #[cfg(test)]

@@ -105,12 +105,6 @@ impl AggregationTree {
         Ok(Self { root, parent, positions })
     }
 
-    /// The tree's root (the data aggregator).
-    #[must_use]
-    pub(crate) fn root(&self) -> NodeId {
-        self.root
-    }
-
     /// Number of nodes including the root.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -119,7 +113,7 @@ impl AggregationTree {
 
     /// Whether the tree contains only the root.
     #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
     }
 
@@ -162,13 +156,6 @@ impl AggregationTree {
         hops
     }
 
-    /// Distance in meters between `id` and its parent (`None` for the root).
-    #[must_use]
-    pub(crate) fn hop_distance_m(&self, id: NodeId) -> Option<f64> {
-        let p = self.parent(id)?;
-        Some(self.positions[&id].distance(self.positions[&p]))
-    }
-
     /// All non-root nodes in bottom-up order: every node appears before its
     /// parent, so processing in this order aggregates leaves first.
     #[must_use]
@@ -177,16 +164,6 @@ impl AggregationTree {
         ids.sort_unstable();
         ids.sort_by_key(|id| std::cmp::Reverse(self.hops_to_root(*id)));
         ids
-    }
-
-    /// Number of descendants of `id` (excluding itself).
-    #[must_use]
-    pub(crate) fn subtree_size(&self, id: NodeId) -> usize {
-        let mut count = 0;
-        for kid in self.children(id) {
-            count += 1 + self.subtree_size(kid);
-        }
-        count
     }
 
     /// Whether `maybe_descendant` is in the subtree rooted at `ancestor`.
