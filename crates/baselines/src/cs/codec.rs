@@ -157,9 +157,9 @@ impl ClassicalCodec {
                 self.dct.inverse(&self.ista_ws.theta)
             }
             CsSolver::Omp { sparsity } => {
-                let result =
+                let coefficients =
                     omp_reconstruct_with(&self.sensing, y, sparsity.clamp(1, m), &mut self.omp_ws);
-                self.dct.inverse(&result.coefficients)
+                self.dct.inverse(&coefficients)
             }
         };
         out_px.copy_from_slice(&pixels);

@@ -6,20 +6,6 @@ use orco_tensor::Matrix;
 ///
 /// Natural images are approximately sparse in this basis, which is what
 /// classical CS reconstruction exploits.
-///
-/// # Examples
-///
-/// ```
-/// use orco_baselines::cs::Dct2;
-///
-/// let dct = Dct2::new(8);
-/// let img: Vec<f32> = (0..64).map(|i| (i as f32 * 0.1).sin()).collect();
-/// let coeffs = dct.forward(&img);
-/// let back = dct.inverse(&coeffs);
-/// for (a, b) in img.iter().zip(&back) {
-///     assert!((a - b).abs() < 1e-4);
-/// }
-/// ```
 #[derive(Debug, Clone)]
 pub(crate) struct Dct2 {
     side: usize,
@@ -81,6 +67,12 @@ impl Dct2 {
 mod tests {
     use super::*;
 
+    /// Image → coefficients through `Ψᵀ` (Ψ is orthonormal, so its
+    /// transpose is the analysis transform).
+    fn analyse(dct: &Dct2, img: &[f32]) -> Vec<f32> {
+        dct.synthesis_matrix().transpose().matvec(img)
+    }
+
     #[test]
     fn basis_is_orthonormal() {
         let dct = Dct2::new(8);
@@ -92,7 +84,7 @@ mod tests {
     fn roundtrip_is_exact() {
         let dct = Dct2::new(16);
         let img: Vec<f32> = (0..256).map(|i| ((i * 7 % 13) as f32) / 13.0).collect();
-        let back = dct.inverse(&dct.forward(&img));
+        let back = dct.inverse(&analyse(&dct, &img));
         for (a, b) in img.iter().zip(&back) {
             assert!((a - b).abs() < 1e-4);
         }
@@ -102,7 +94,7 @@ mod tests {
     fn constant_image_concentrates_in_dc() {
         let dct = Dct2::new(8);
         let img = vec![1.0f32; 64];
-        let coeffs = dct.forward(&img);
+        let coeffs = analyse(&dct, &img);
         // All energy at (0,0); everything else ~0.
         assert!(coeffs[0].abs() > 7.9);
         assert!(coeffs[1..].iter().all(|c| c.abs() < 1e-4));
@@ -113,7 +105,7 @@ mod tests {
         // A smooth gradient should compact most energy into few coefficients.
         let dct = Dct2::new(16);
         let img: Vec<f32> = (0..256).map(|i| (i / 16) as f32 / 16.0).collect();
-        let coeffs = dct.forward(&img);
+        let coeffs = analyse(&dct, &img);
         let total: f32 = coeffs.iter().map(|c| c * c).sum();
         let mut sorted: Vec<f32> = coeffs.iter().map(|c| c * c).collect();
         sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());

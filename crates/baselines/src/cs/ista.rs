@@ -40,19 +40,15 @@ pub(crate) struct IstaScratch {
     pub(crate) grad: Vec<f32>,
 }
 
-/// Power-iteration count both [`ista_reconstruct`] and operator-caching
-/// callers use for [`lipschitz_estimate`]. One shared constant: the
-/// batched/per-frame bit-identity contract depends on the cached and
-/// per-frame estimates being the same value.
+/// Power-iteration count every caller passes to [`lipschitz_estimate`].
+/// One shared constant: the batched/per-frame bit-identity contract
+/// depends on every estimate of one operator being the same value.
 pub(crate) const LIPSCHITZ_POWER_ITERS: usize = 30;
 
 /// Estimates the Lipschitz constant `L = ‖AᵀA‖₂` by power iteration.
 ///
-/// Public so callers decoding many frames against one operator (the
-/// batched codec path) can pay it once per matrix instead of once per
-/// frame; the per-frame [`ista_reconstruct`] computes the same value
-/// internally (both pass [`LIPSCHITZ_POWER_ITERS`]), so caching it is
-/// bit-neutral.
+/// Callers decoding many frames against one operator (the batched codec
+/// path) pay it once per matrix instead of once per frame.
 #[must_use]
 pub(crate) fn lipschitz_estimate(a: &Matrix, iters: usize) -> f32 {
     let n = a.cols();
@@ -90,7 +86,7 @@ fn soft_threshold(x: f32, t: f32) -> f32 {
 /// left in [`IstaScratch::theta`]). All matrix products run through the
 /// `_into` kernels — no allocation per iteration, and no `Aᵀ`
 /// materialization — with results bit-identical to the historical
-/// allocating loop. Returns `(iterations, residual_norm)`.
+/// allocating loop. Returns the residual norm `‖Aθ − y‖`.
 ///
 /// # Panics
 ///
@@ -101,7 +97,7 @@ pub(crate) fn ista_reconstruct_with(
     y: &[f32],
     config: &IstaConfig,
     ws: &mut IstaScratch,
-) -> (usize, f32) {
+) -> f32 {
     assert_eq!(y.len(), a.rows(), "ista: measurement length mismatch");
     let step = 1.0 / lipschitz_l;
     let thresh = config.lambda * step;
@@ -113,9 +109,7 @@ pub(crate) fn ista_reconstruct_with(
     ws.grad.clear();
     ws.grad.resize(a.cols(), 0.0);
 
-    let mut iterations = 0;
     for _ in 0..config.max_iters {
-        iterations += 1;
         // gradient of the quadratic: Aᵀ(Aθ − y)
         a.matvec_into(&ws.theta, &mut ws.residual);
         for (r, &yi) in ws.residual.iter_mut().zip(y) {
@@ -136,14 +130,21 @@ pub(crate) fn ista_reconstruct_with(
     for (r, &yi) in ws.residual.iter_mut().zip(y) {
         *r -= yi;
     }
-    let residual_norm = ws.residual.iter().map(|v| v * v).sum::<f32>().sqrt();
-    (iterations, residual_norm)
+    ws.residual.iter().map(|v| v * v).sum::<f32>().sqrt()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use orco_tensor::OrcoRng;
+
+    /// One solve on a fresh scratch: `(θ, residual_norm)`.
+    fn solve(a: &Matrix, y: &[f32], config: &IstaConfig) -> (Vec<f32>, f32) {
+        let mut ws = IstaScratch::default();
+        let l = lipschitz_estimate(a, LIPSCHITZ_POWER_ITERS);
+        let rnorm = ista_reconstruct_with(a, l, y, config, &mut ws);
+        (ws.theta, rnorm)
+    }
 
     /// Builds a k-sparse signal, measures it, and checks ISTA recovers it.
     #[test]
@@ -156,20 +157,20 @@ mod tests {
             theta[*i] = 1.0 + (*i as f32) * 0.01;
         }
         let y = a.matvec(&theta);
-        let result =
-            ista_reconstruct(&a, &y, &IstaConfig { lambda: 0.005, max_iters: 2000, tol: 1e-7 });
-        for (i, (rec, truth)) in result.coefficients.iter().zip(&theta).enumerate() {
+        let (coefficients, residual_norm) =
+            solve(&a, &y, &IstaConfig { lambda: 0.005, max_iters: 2000, tol: 1e-7 });
+        for (i, (rec, truth)) in coefficients.iter().zip(&theta).enumerate() {
             assert!((rec - truth).abs() < 0.12, "coef {i}: {rec} vs {truth}");
         }
-        assert!(result.residual_norm < 0.1);
+        assert!(residual_norm < 0.1);
     }
 
     #[test]
     fn zero_measurements_give_zero() {
         let mut rng = OrcoRng::from_label("ista-zero", 0);
         let a = Matrix::from_fn(10, 30, |_, _| rng.normal(0.0, 0.3));
-        let result = ista_reconstruct(&a, &[0.0; 10], &IstaConfig::default());
-        assert!(result.coefficients.iter().all(|&c| c == 0.0));
+        let (coefficients, _) = solve(&a, &[0.0; 10], &IstaConfig::default());
+        assert!(coefficients.iter().all(|&c| c == 0.0));
     }
 
     #[test]
@@ -184,9 +185,9 @@ mod tests {
         let err_for_m = |m: usize, rng: &mut OrcoRng| -> f32 {
             let a = Matrix::from_fn(m, n, |_, _| rng.normal(0.0, (1.0 / m as f32).sqrt()));
             let y = a.matvec(&theta);
-            let r =
-                ista_reconstruct(&a, &y, &IstaConfig { lambda: 0.005, max_iters: 1500, tol: 1e-7 });
-            r.coefficients.iter().zip(&theta).map(|(a, b)| (a - b).powi(2)).sum::<f32>().sqrt()
+            let (coefficients, _) =
+                solve(&a, &y, &IstaConfig { lambda: 0.005, max_iters: 1500, tol: 1e-7 });
+            coefficients.iter().zip(&theta).map(|(a, b)| (a - b).powi(2)).sum::<f32>().sqrt()
         };
         let err_rich = err_for_m(60, &mut rng);
         let err_poor = err_for_m(8, &mut rng);
@@ -213,22 +214,21 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuse_is_bit_identical_to_one_shot() {
+    fn workspace_reuse_is_bit_identical_to_a_fresh_scratch() {
         // Decoding many frames against one operator with a shared scratch
-        // (the batched codec path) must reproduce the per-frame
-        // convenience wrapper exactly, frame after frame.
+        // (the batched codec path) must reproduce a fresh-scratch solve
+        // exactly, frame after frame.
         let mut rng = OrcoRng::from_label("ista-ws", 0);
         let a = Matrix::from_fn(24, 60, |_, _| rng.normal(0.0, (1.0 / 24.0f32).sqrt()));
-        let l = lipschitz_estimate(&a, 30);
+        let l = lipschitz_estimate(&a, LIPSCHITZ_POWER_ITERS);
         let config = IstaConfig { lambda: 0.01, max_iters: 80, tol: 1e-6 };
         let mut ws = IstaScratch::default();
         for frame in 0..3 {
             let y: Vec<f32> = (0..24).map(|i| ((i + frame) as f32 * 0.3).sin()).collect();
-            let (iters, rnorm) = ista_reconstruct_with(&a, l, &y, &config, &mut ws);
-            let fresh = ista_reconstruct(&a, &y, &config);
-            assert_eq!(ws.theta, fresh.coefficients, "frame {frame} diverged");
-            assert_eq!(iters, fresh.iterations);
-            assert_eq!(rnorm, fresh.residual_norm);
+            let rnorm = ista_reconstruct_with(&a, l, &y, &config, &mut ws);
+            let (fresh_theta, fresh_rnorm) = solve(&a, &y, &config);
+            assert_eq!(ws.theta, fresh_theta, "frame {frame} diverged");
+            assert_eq!(rnorm, fresh_rnorm);
         }
     }
 }

@@ -23,12 +23,4 @@ pub(crate) mod omp;
 pub use codec::ClassicalCodec;
 
 pub use codec::CsSolver;
-pub(crate) use dct::Dct2;
-pub(crate) use ista::ista_reconstruct_with;
-pub(crate) use ista::lipschitz_estimate;
 pub use ista::IstaConfig;
-pub(crate) use ista::IstaScratch;
-pub(crate) use ista::LIPSCHITZ_POWER_ITERS;
-pub(crate) use measurement::GaussianMeasurement;
-pub(crate) use omp::omp_reconstruct_with;
-pub(crate) use omp::OmpScratch;

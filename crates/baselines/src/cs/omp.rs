@@ -8,17 +8,6 @@
 
 use orco_tensor::Matrix;
 
-/// Result of an OMP run.
-#[derive(Debug, Clone)]
-pub(crate) struct OmpResult {
-    /// Recovered coefficient vector θ (dense, mostly zeros).
-    pub(crate) coefficients: Vec<f32>,
-    /// Selected support indices in selection order.
-    pub(crate) support: Vec<usize>,
-    /// Final residual norm.
-    pub(crate) residual_norm: f32,
-}
-
 /// Solves the dense least-squares system `G·x = b` (G symmetric positive
 /// definite) by Gaussian elimination with partial pivoting.
 fn solve_spd(g: &Matrix, b: &[f32]) -> Vec<f32> {
@@ -99,7 +88,7 @@ pub(crate) fn omp_reconstruct_with(
     y: &[f32],
     k: usize,
     ws: &mut OmpScratch,
-) -> OmpResult {
+) -> Vec<f32> {
     assert_eq!(y.len(), a.rows(), "omp: measurement length mismatch");
     assert!(k > 0 && k <= a.rows(), "omp: k must be in 1..=m");
 
@@ -150,14 +139,25 @@ pub(crate) fn omp_reconstruct_with(
     for (&idx, &val) in support.iter().zip(&solution) {
         coefficients[idx] = val;
     }
-    let residual_norm = ws.residual.iter().map(|v| v * v).sum::<f32>().sqrt();
-    OmpResult { coefficients, support, residual_norm }
+    coefficients
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use orco_tensor::OrcoRng;
+
+    /// One solve on a fresh scratch: `(θ, ‖Aθ − y‖)`.
+    fn solve(a: &Matrix, y: &[f32], k: usize) -> (Vec<f32>, f32) {
+        let theta = omp_reconstruct_with(a, y, k, &mut OmpScratch::default());
+        let rnorm =
+            a.matvec(&theta).iter().zip(y).map(|(ai, yi)| (yi - ai).powi(2)).sum::<f32>().sqrt();
+        (theta, rnorm)
+    }
+
+    fn support(theta: &[f32]) -> Vec<usize> {
+        (0..theta.len()).filter(|&i| theta[i] != 0.0).collect()
+    }
 
     #[test]
     fn recovers_exactly_sparse_signal() {
@@ -169,14 +169,12 @@ mod tests {
         theta[33] = -1.5;
         theta[61] = 0.8;
         let y = a.matvec(&theta);
-        let result = omp_reconstruct(&a, &y, 3);
-        let mut sup = result.support.clone();
-        sup.sort_unstable();
-        assert_eq!(sup, vec![7, 33, 61]);
-        for (rec, truth) in result.coefficients.iter().zip(&theta) {
+        let (coefficients, residual_norm) = solve(&a, &y, 3);
+        assert_eq!(support(&coefficients), vec![7, 33, 61]);
+        for (rec, truth) in coefficients.iter().zip(&theta) {
             assert!((rec - truth).abs() < 1e-3, "{rec} vs {truth}");
         }
-        assert!(result.residual_norm < 1e-3);
+        assert!(residual_norm < 1e-3);
     }
 
     #[test]
@@ -189,9 +187,9 @@ mod tests {
             theta[i] = 1.0;
         }
         let y = a.matvec(&theta);
-        let full = omp_reconstruct(&a, &y, 4);
-        let starved = omp_reconstruct(&a, &y, 1);
-        assert!(starved.residual_norm > full.residual_norm * 5.0);
+        let (_, full) = solve(&a, &y, 4);
+        let (_, starved) = solve(&a, &y, 1);
+        assert!(starved > full * 5.0);
     }
 
     #[test]
@@ -213,17 +211,14 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuse_is_bit_identical_to_one_shot() {
+    fn workspace_reuse_is_bit_identical_to_a_fresh_scratch() {
         let mut rng = OrcoRng::from_label("omp-ws", 0);
         let a = Matrix::from_fn(20, 50, |_, _| rng.normal(0.0, (1.0 / 20.0f32).sqrt()));
         let mut ws = OmpScratch::default();
         for frame in 0..3 {
             let y: Vec<f32> = (0..20).map(|i| ((i * (frame + 2)) as f32 * 0.21).cos()).collect();
             let shared = omp_reconstruct_with(&a, &y, 5, &mut ws);
-            let fresh = omp_reconstruct(&a, &y, 5);
-            assert_eq!(shared.coefficients, fresh.coefficients, "frame {frame} diverged");
-            assert_eq!(shared.support, fresh.support);
-            assert_eq!(shared.residual_norm, fresh.residual_norm);
+            assert_eq!(shared, solve(&a, &y, 5).0, "frame {frame} diverged");
         }
     }
 
@@ -231,8 +226,7 @@ mod tests {
     fn zero_signal_selects_nothing() {
         let mut rng = OrcoRng::from_label("omp-zero", 0);
         let a = Matrix::from_fn(10, 20, |_, _| rng.normal(0.0, 0.3));
-        let result = omp_reconstruct(&a, &[0.0; 10], 3);
-        assert!(result.support.is_empty());
-        assert!(result.coefficients.iter().all(|&c| c == 0.0));
+        let (coefficients, _) = solve(&a, &[0.0; 10], 3);
+        assert!(coefficients.iter().all(|&c| c == 0.0));
     }
 }

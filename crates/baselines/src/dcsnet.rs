@@ -305,8 +305,6 @@ mod tests {
         let net = Dcsnet::new(DatasetKind::MnistLike, 0);
         assert_eq!(net.latent_dim(), 1024);
         assert_eq!(SplitModel::input_dim(&net), 784);
-        // 4 conv layers + crop.
-        assert!(net.param_count() > 784 * 1024);
     }
 
     #[test]
@@ -322,11 +320,11 @@ mod tests {
         let mut net = Dcsnet::new(DatasetKind::MnistLike, 1);
         let ds = mnist_like::generate(8, 0);
         let loss = Dcsnet::loss();
-        let before = net.evaluate(ds.x(), &loss);
+        let before = loss.value(&net.reconstruct_inference(ds.x()), ds.x());
         for _ in 0..5 {
             let _ = net.train_batch_central(ds.x(), &loss);
         }
-        let after = net.evaluate(ds.x(), &loss);
+        let after = loss.value(&net.reconstruct_inference(ds.x()), ds.x());
         assert!(after < before, "loss {before} -> {after}");
     }
 

@@ -26,7 +26,4 @@ pub(crate) mod crop;
 pub mod cs;
 pub mod dcsnet;
 
-pub(crate) use crop::Crop2d;
-pub(crate) use cs::ClassicalCodec;
-pub(crate) use cs::CsSolver;
 pub use dcsnet::Dcsnet;

@@ -27,7 +27,7 @@ pub struct EpochPoint {
     /// Epoch number, starting at 1.
     pub epoch: usize,
     /// Mean training loss over the epoch.
-    pub(crate) train_loss: f32,
+    pub train_loss: f32,
     /// Accuracy on the held-out test set.
     pub test_accuracy: f32,
     /// Cross-entropy loss on the held-out test set.

@@ -13,8 +13,6 @@ use orco_wsn::{DeploymentBackend, PacketKind};
 
 use crate::codec::Codec;
 use crate::error::OrcoError;
-use crate::orchestrator::Orchestrator;
-use crate::split::SplitModel;
 
 /// Measured cost of a number of compressed-aggregation frames.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,8 +89,7 @@ pub(crate) fn compressed_frame_on<D: DeploymentBackend + ?Sized>(
 
 /// Runs `frames` frames of the compressed pipeline on a deployment,
 /// measuring all traffic in isolation (the ledger is reset before and not
-/// after). The network-level twin of [`measure_compressed_pipeline`], used
-/// by the experiment pipeline where no orchestrator is alive any more.
+/// after).
 ///
 /// # Errors
 ///
@@ -169,26 +166,21 @@ mod tests {
     use orco_datasets::DatasetKind;
     use orco_wsn::NetworkConfig;
 
-    fn orch_with(latent: usize) -> Orchestrator {
-        let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(latent);
-        Orchestrator::new(cfg, NetworkConfig { num_devices: 32, seed: 0, ..Default::default() })
-            .unwrap()
+    fn net() -> orco_wsn::Network {
+        orco_wsn::Network::new(NetworkConfig { num_devices: 32, seed: 0, ..Default::default() })
     }
 
     #[test]
     fn compressed_cost_scales_with_latent_dim() {
-        let mut small = orch_with(16);
-        let mut large = orch_with(128);
-        let rs = measure_compressed_pipeline(&mut small, 4).unwrap();
-        let rl = measure_compressed_pipeline(&mut large, 4).unwrap();
+        let rs = measure_compressed_frames(&mut net(), 16, 4).unwrap();
+        let rl = measure_compressed_frames(&mut net(), 128, 4).unwrap();
         assert!(rl.total_bytes > rs.total_bytes * 4, "128-dim should cost ≫ 16-dim");
         assert!(rs.uplink_bytes >= 4 * 16 * 4);
     }
 
     #[test]
     fn extrapolation_is_linear() {
-        let mut orch = orch_with(32);
-        let r = measure_compressed_pipeline(&mut orch, 5).unwrap();
+        let r = measure_compressed_frames(&mut net(), 32, 5).unwrap();
         let big = r.extrapolate(50);
         assert_eq!(big.frames, 50);
         assert_eq!(big.total_bytes, r.total_bytes * 10);
@@ -198,29 +190,11 @@ mod tests {
     #[test]
     fn extrapolation_matches_actual_measurement() {
         // Measure 2 frames, extrapolate to 6, compare against measuring 6.
-        let mut a = orch_with(32);
-        let r2 = measure_compressed_pipeline(&mut a, 2).unwrap();
-        let mut b = orch_with(32);
-        let r6 = measure_compressed_pipeline(&mut b, 6).unwrap();
+        let r2 = measure_compressed_frames(&mut net(), 32, 2).unwrap();
+        let r6 = measure_compressed_frames(&mut net(), 32, 6).unwrap();
         let ex = r2.extrapolate(6);
         assert_eq!(ex.total_bytes, r6.total_bytes);
         assert_eq!(ex.uplink_bytes, r6.uplink_bytes);
-    }
-
-    #[test]
-    fn raw_pipeline_costs_more_than_compressed() {
-        // Latent must be small relative to the frame (784 readings) for the
-        // compressed pipeline to win — that is the whole point of CS.
-        let mut orch = orch_with(16);
-        let compressed = measure_compressed_pipeline(&mut orch, 3).unwrap();
-        let raw = measure_raw_pipeline(&mut orch, 3, 4).unwrap();
-        assert!(
-            raw.total_bytes > compressed.total_bytes,
-            "raw {} vs compressed {}",
-            raw.total_bytes,
-            compressed.total_bytes
-        );
-        assert!(raw.energy_j > 0.0 && compressed.energy_j > 0.0);
     }
 
     #[test]

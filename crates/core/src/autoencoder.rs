@@ -279,11 +279,11 @@ mod tests {
         let mut ae = AsymmetricAutoencoder::new(&tiny_config()).unwrap();
         let ds = orco_datasets::mnist_like::generate(32, 0);
         let loss = Loss::VectorHuber { delta: 1.0 };
-        let before = ae.evaluate(ds.x(), &loss);
+        let before = loss.value(&ae.reconstruct(ds.x()), ds.x());
         for _ in 0..30 {
             let _ = ae.train_batch_local(ds.x(), &loss);
         }
-        let after = ae.evaluate(ds.x(), &loss);
+        let after = loss.value(&ae.reconstruct(ds.x()), ds.x());
         assert!(after < before, "loss {before} -> {after}");
     }
 
@@ -326,23 +326,6 @@ mod tests {
         let cfg = tiny_config().with_decoder_layers(3);
         let ae = AsymmetricAutoencoder::new(&cfg).unwrap();
         assert!(ae.decoder_flops_forward() > ae.encoder_flops_forward());
-        assert_eq!(ae.decoder_depth(), 3);
-        assert!(ae.param_count() > 0);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let mut ae = AsymmetricAutoencoder::new(&tiny_config()).unwrap();
-        let ds = orco_datasets::mnist_like::generate(8, 4);
-        let loss = Loss::L2;
-        let snap = ae.snapshot();
-        let before = ae.reconstruct(ds.x());
-        for _ in 0..5 {
-            let _ = ae.train_batch_local(ds.x(), &loss);
-        }
-        assert_ne!(ae.reconstruct(ds.x()), before);
-        ae.restore_snapshot(&snap);
-        assert_eq!(ae.reconstruct(ds.x()), before);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use orco_tensor::serialize::{matrix_from_text, matrix_to_text};
 use orco_tensor::{fnv1a64, Matrix};
 
 use crate::autoencoder::AsymmetricAutoencoder;
-use crate::config::OrcoConfig;
 use crate::error::OrcoError;
 
 /// Files inside a checkpoint directory.
@@ -250,6 +249,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OrcoConfig;
     use orco_datasets::DatasetKind;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -390,15 +390,5 @@ mod tests {
         let err = store.latest().unwrap_err();
         assert!(matches!(err, OrcoError::Corrupt { .. }), "unexpected error: {err}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn autoencoder_from_checkpoint_matches_source() {
-        let mut ae = trained_ae();
-        let ckpt = EncoderCheckpoint::capture(&ae, "rebuild");
-        let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(8);
-        let mut rebuilt = autoencoder_from_checkpoint(&cfg, &ckpt).unwrap();
-        let ds = orco_datasets::mnist_like::generate(4, 2);
-        assert_eq!(rebuilt.encode(ds.x()), ae.encode(ds.x()));
     }
 }

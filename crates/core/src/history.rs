@@ -46,46 +46,19 @@ impl TrainingHistory {
 mod tests {
     use super::*;
 
-    fn history_from(losses: &[f32]) -> TrainingHistory {
-        TrainingHistory {
-            rounds: losses
-                .iter()
-                .enumerate()
-                .map(|(i, &loss)| RoundStats {
-                    round: i,
-                    epoch: i / 2,
-                    loss,
-                    sim_time_s: (i + 1) as f64,
-                    uplink_bytes: (i as u64 + 1) * 100,
-                    energy_j: 0.0,
-                    link: LinkStats::default(),
-                })
-                .collect(),
-        }
-    }
-
     #[test]
-    fn epoch_losses_average_rounds() {
-        let h = history_from(&[1.0, 0.8, 0.6, 0.4]);
-        let e = h.epoch_losses();
-        assert_eq!(e.len(), 2);
-        assert!((e[0].1 - 0.9).abs() < 1e-6);
-        assert!((e[1].1 - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn time_to_loss_finds_first_crossing() {
-        let h = history_from(&[1.0, 0.5, 0.3, 0.35]);
-        assert_eq!(h.time_to_loss(0.5), Some(2.0));
-        assert_eq!(h.time_to_loss(0.1), None);
+    fn final_loss_is_the_last_rounds() {
+        let round = |i: usize, loss: f32| RoundStats {
+            round: i,
+            epoch: i / 2,
+            loss,
+            sim_time_s: (i + 1) as f64,
+            uplink_bytes: (i as u64 + 1) * 100,
+            energy_j: 0.0,
+            link: LinkStats::default(),
+        };
+        assert_eq!(TrainingHistory::default().final_loss(), None);
+        let h = TrainingHistory { rounds: vec![round(0, 1.0), round(1, 0.35)] };
         assert_eq!(h.final_loss(), Some(0.35));
-    }
-
-    #[test]
-    fn extend_appends() {
-        let mut a = history_from(&[1.0]);
-        a.extend(history_from(&[0.5, 0.25]));
-        assert_eq!(a.rounds.len(), 3);
-        assert_eq!(a.final_loss(), Some(0.25));
     }
 }

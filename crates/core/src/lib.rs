@@ -84,7 +84,6 @@ pub mod pipeline;
 pub(crate) mod split;
 
 pub use autoencoder::AsymmetricAutoencoder;
-pub(crate) use checkpoint::CheckpointStore;
 pub use checkpoint::EncoderCheckpoint;
 pub use codec::Codec;
 pub use codec::FrameDims;

@@ -388,8 +388,8 @@ mod tests {
         cfgs[1] = cfgs[1].clone().with_latent_dim(64);
         let mut coord = MultiClusterCoordinator::new(&cfgs, &net(), EdgeSchedule::Fifo).unwrap();
         let out = coord.train(&datasets(2), 2).unwrap();
-        assert_eq!(coord.cluster(0).model().latent_dim(), 16);
-        assert_eq!(coord.cluster(1).model().latent_dim(), 64);
+        assert_eq!(coord.clusters[0].model().latent_dim(), 16);
+        assert_eq!(coord.clusters[1].model().latent_dim(), 64);
         assert!(out.reports.iter().all(|r| r.final_loss.is_finite()));
     }
 }

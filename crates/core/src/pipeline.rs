@@ -834,7 +834,7 @@ mod tests {
     fn orchestrated_run_produces_full_report() {
         let (_ds, builder) = tiny_builder(16, 0);
         let mut exp = builder.build().unwrap();
-        assert_eq!(exp.mode(), TrainingMode::Orchestrated);
+        assert_eq!(exp.mode, TrainingMode::Orchestrated);
         let report = exp.run().unwrap();
         assert_eq!(report.codec, "OrcoDCS");
         assert_eq!(report.rounds.len(), 4, "2 epochs x 2 batches");

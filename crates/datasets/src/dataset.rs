@@ -174,11 +174,8 @@ mod tests {
         let x = Matrix::zeros(3, 784);
         let ds = Dataset::new(DatasetKind::MnistLike, x, vec![0, 5, 9]);
         assert_eq!(ds.len(), 3);
-        assert_eq!(ds.label(1), 5);
+        assert_eq!(ds.labels()[1], 5);
         assert_eq!(ds.sample(0).len(), 784);
-        let h = ds.class_histogram();
-        assert_eq!(h[5], 1);
-        assert_eq!(h.iter().sum::<usize>(), 3);
     }
 
     #[test]

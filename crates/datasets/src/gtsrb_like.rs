@@ -230,13 +230,25 @@ pub fn generate(n: usize, seed: u64) -> Dataset {
 mod tests {
     use super::*;
 
+    /// A clean, centred, well-lit style.
+    fn clean() -> SignStyle {
+        SignStyle {
+            illumination: 1.0,
+            background: [0.1, 0.1, 0.15],
+            offset: (0.5, 0.5),
+            radius: 0.36,
+            noise_std: 0.0,
+            occluded: false,
+        }
+    }
+
     #[test]
     fn deterministic_and_in_range() {
         let a = generate(86, 5);
         let b = generate(86, 5);
         assert_eq!(a.x(), b.x());
         assert!(a.x().min() >= 0.0 && a.x().max() <= 1.0);
-        assert_eq!(a.class_histogram()[0], 2);
+        assert_eq!(a.labels().iter().filter(|&&l| l == 0).count(), 2);
     }
 
     #[test]
@@ -250,7 +262,7 @@ mod tests {
     #[test]
     fn different_classes_look_different() {
         let mut rng = OrcoRng::from_label("diff", 0);
-        let style = SignStyle::clean();
+        let style = clean();
         let a = render_sign(0, &style, &mut rng);
         let b = render_sign(21, &style, &mut rng);
         let mse = orco_tensor::stats::mse(&a, &b);
@@ -260,8 +272,8 @@ mod tests {
     #[test]
     fn illumination_darkens_image() {
         let mut rng = OrcoRng::from_label("illum", 0);
-        let bright = SignStyle { illumination: 1.0, ..SignStyle::clean() };
-        let dark = SignStyle { illumination: 0.5, ..SignStyle::clean() };
+        let bright = SignStyle { illumination: 1.0, ..clean() };
+        let dark = SignStyle { illumination: 0.5, ..clean() };
         let a: f32 = render_sign(3, &bright, &mut rng).iter().sum();
         let b: f32 = render_sign(3, &dark, &mut rng).iter().sum();
         assert!(b < a * 0.7, "dark {b} vs bright {a}");
@@ -270,7 +282,7 @@ mod tests {
     #[test]
     fn sign_has_bright_plate_against_background() {
         let mut rng = OrcoRng::from_label("plate", 0);
-        let pixels = render_sign(0, &SignStyle::clean(), &mut rng);
+        let pixels = render_sign(0, &clean(), &mut rng);
         // A face pixel of channel 0 (inside the circle, off the glyph bar)
         // vs a corner (background).
         let face = pixels[16 * 32 + 22];
@@ -281,10 +293,10 @@ mod tests {
     #[test]
     fn occlusion_changes_image() {
         let mut rng = OrcoRng::from_label("occ", 0);
-        let clean = render_sign(7, &SignStyle::clean(), &mut rng);
-        let occluded_style = SignStyle { occluded: true, ..SignStyle::clean() };
+        let plain = render_sign(7, &clean(), &mut rng);
+        let occluded_style = SignStyle { occluded: true, ..clean() };
         let occ = render_sign(7, &occluded_style, &mut rng);
-        assert!(orco_tensor::stats::mse(&clean, &occ) > 1e-4);
+        assert!(orco_tensor::stats::mse(&plain, &occ) > 1e-4);
     }
 
     #[test]

@@ -145,13 +145,29 @@ mod tests {
     use super::*;
     use orco_tensor::stats;
 
+    /// A clean, centred style.
+    fn clean() -> GlyphStyle {
+        GlyphStyle {
+            offset_y: 0.2,
+            offset_x: 0.3,
+            scale_y: 0.55,
+            scale_x: 0.38,
+            shear: 0.0,
+            thickness: 2.2,
+            intensity: 1.0,
+            noise_std: 0.0,
+            blur_passes: 0,
+        }
+    }
+
     #[test]
     fn generates_balanced_deterministic_corpus() {
         let a = generate(100, 42);
         let b = generate(100, 42);
         assert_eq!(a.x(), b.x(), "same seed → identical corpus");
-        let h = a.class_histogram();
-        assert!(h.iter().all(|&c| c == 10), "balanced: {h:?}");
+        for class in 0..10 {
+            assert_eq!(a.labels().iter().filter(|&&l| l == class).count(), 10, "balanced");
+        }
     }
 
     #[test]
@@ -184,7 +200,7 @@ mod tests {
         // Digit 1 uses 2 segments, digit 8 uses 7: ink mass must differ
         // clearly, which is what makes classes separable.
         let mut rng = OrcoRng::from_label("ink", 0);
-        let style = GlyphStyle::clean();
+        let style = clean();
         let one: f32 = render_digit(1, &style, &mut rng).iter().sum();
         let eight: f32 = render_digit(8, &style, &mut rng).iter().sum();
         assert!(eight > one * 2.0, "eight {eight} vs one {one}");
@@ -197,7 +213,7 @@ mod tests {
         // styles: they must not be identical, else there is nothing to learn.
         let a = ds.sample(0);
         let b = ds.sample(10);
-        assert_eq!(ds.label(0), ds.label(10));
+        assert_eq!(ds.labels()[0], ds.labels()[10]);
         let m = stats::mse(a, b);
         assert!(m > 1e-4, "intra-class variation too small: {m}");
     }
@@ -205,7 +221,7 @@ mod tests {
     #[test]
     fn clean_style_centred_glyph() {
         let mut rng = OrcoRng::from_label("clean", 0);
-        let pixels = render_digit(8, &GlyphStyle::clean(), &mut rng);
+        let pixels = render_digit(8, &clean(), &mut rng);
         // Corners empty for a centred glyph.
         assert!(pixels[0] < 0.05);
         assert!(pixels[783] < 0.05);
@@ -215,6 +231,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_digit_ten() {
         let mut rng = OrcoRng::from_label("bad", 0);
-        let _ = render_digit(10, &GlyphStyle::clean(), &mut rng);
+        let _ = render_digit(10, &clean(), &mut rng);
     }
 }

@@ -211,8 +211,6 @@ mod tests {
         let c = Canvas::new(4, 6, 0.25);
         assert_eq!(c.pixels().len(), 24);
         assert!(c.pixels().iter().all(|&p| p == 0.25));
-        assert_eq!(c.height(), 4);
-        assert_eq!(c.width(), 6);
     }
 
     #[test]

@@ -29,16 +29,6 @@ mod tests {
     use crate::mnist_like;
 
     #[test]
-    fn train_test_partitions() {
-        let ds = mnist_like::generate(100, 0);
-        let mut rng = OrcoRng::from_label("split", 0);
-        let split = train_test(&ds, 0.8, &mut rng);
-        assert_eq!(split.train.len(), 80);
-        assert_eq!(split.test.len(), 20);
-        assert_eq!(split.train.len() + split.test.len(), ds.len());
-    }
-
-    #[test]
     fn fraction_sizes() {
         let ds = mnist_like::generate(100, 0);
         let mut rng = OrcoRng::from_label("frac", 0);
@@ -56,15 +46,6 @@ mod tests {
         let fa = fraction(&ds, 0.5, &mut a);
         let fb = fraction(&ds, 0.5, &mut b);
         assert_eq!(fa.x(), fb.x());
-    }
-
-    #[test]
-    fn class_pivot_separates_labels() {
-        let ds = mnist_like::generate(100, 0);
-        let (lo, hi) = by_class_pivot(&ds, 5);
-        assert!(lo.labels().iter().all(|&l| l < 5));
-        assert!(hi.labels().iter().all(|&l| l >= 5));
-        assert_eq!(lo.len() + hi.len(), 100);
     }
 
     #[test]

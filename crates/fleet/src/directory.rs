@@ -320,7 +320,9 @@ mod tests {
         assert!(matches!(register(&d, 2, "gw:2"), Message::RegisterAck { epoch: 2, .. }));
         // Same id, moved addr: membership change.
         assert!(matches!(register(&d, 2, "gw:9"), Message::RegisterAck { epoch: 3, .. }));
-        let (epoch, members) = d.view();
+        let Message::DirectoryReply { epoch, members } = d.handle(Message::DirectoryQuery) else {
+            panic!("a query is answered with the membership");
+        };
         assert_eq!(epoch, 3);
         assert_eq!(members.len(), 2);
         assert_eq!(members[1].addr, "gw:9");

@@ -244,14 +244,12 @@ mod tests {
         let x = Matrix::zeros(2, 3 * 8 * 8);
         let y = conv.forward(&x, true);
         assert_eq!(y.shape(), (2, 4 * 8 * 8));
-        assert_eq!(conv.output_shape(), (4, 8, 8));
     }
 
     #[test]
     fn stride_halves_resolution() {
         let mut rng = OrcoRng::from_label("conv-stride", 0);
         let conv = Conv2d::new(1, 8, 8, 2, 2, 2, 0, Activation::Relu, &mut rng);
-        assert_eq!(conv.output_shape(), (2, 4, 4));
         assert_eq!(conv.output_dim(), 32);
     }
 

@@ -208,7 +208,13 @@ mod tests {
     fn forward_known_values() {
         let w = Matrix::from_vec(2, 3, vec![1.0, 0.0, -1.0, 0.5, 0.5, 0.5]).unwrap();
         let b = Matrix::from_vec(1, 2, vec![0.1, -0.1]).unwrap();
-        let mut layer = Dense::from_parts(w, b, Activation::Identity);
+        let mut rng = OrcoRng::from_label("dense-known", 0);
+        let mut layer = Dense::new(3, 2, Activation::Identity, &mut rng);
+        {
+            let mut params = layer.params();
+            *params[0].value = w;
+            *params[1].value = b;
+        }
         let x = Matrix::from_vec(1, 3, vec![2.0, 4.0, 6.0]).unwrap();
         let y = layer.forward(&x, true);
         // [2-6+0.1, 1+2+3-0.1] = [-3.9, 5.9]

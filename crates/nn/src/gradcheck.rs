@@ -17,8 +17,6 @@ pub struct GradCheckReport {
     pub(crate) max_param_rel_err: f32,
     /// Worst relative error over all checked input coordinates.
     pub max_input_rel_err: f32,
-    /// Number of coordinates compared.
-    pub(crate) coords_checked: usize,
 }
 
 impl GradCheckReport {
@@ -62,7 +60,6 @@ pub fn check_layer(
     let analytic_params: Vec<Matrix> = layer.params().iter().map(|p| p.grad.clone()).collect();
 
     let mut max_param_rel_err = 0.0f32;
-    let mut coords_checked = 0usize;
 
     let n_params = analytic_params.len();
     for pi in 0..n_params {
@@ -89,7 +86,6 @@ pub fn check_layer(
             };
             let analytic = analytic_params[pi].as_slice()[flat];
             max_param_rel_err = max_param_rel_err.max(rel_err(analytic, numeric));
-            coords_checked += 1;
         }
     }
 
@@ -107,10 +103,9 @@ pub fn check_layer(
         let numeric = (vp - vm) / (2.0 * eps);
         let analytic = grad_input.as_slice()[flat];
         max_input_rel_err = max_input_rel_err.max(rel_err(analytic, numeric));
-        coords_checked += 1;
     }
 
-    GradCheckReport { max_param_rel_err, max_input_rel_err, coords_checked }
+    GradCheckReport { max_param_rel_err, max_input_rel_err }
 }
 
 #[cfg(test)]

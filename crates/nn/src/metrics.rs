@@ -54,28 +54,4 @@ mod tests {
     fn one_hot_rejects_out_of_range() {
         let _ = one_hot(&[3], 3);
     }
-
-    #[test]
-    fn confusion_matrix_accuracy_and_recall() {
-        let mut cm = ConfusionMatrix::new(2);
-        cm.record(0, 0);
-        cm.record(0, 0);
-        cm.record(0, 1);
-        cm.record(1, 1);
-        assert_eq!(cm.total(), 4);
-        assert!((cm.accuracy() - 0.75).abs() < 1e-6);
-        assert!((cm.recall(0).unwrap() - 2.0 / 3.0).abs() < 1e-6);
-        assert_eq!(cm.recall(1), Some(1.0));
-        assert!((cm.precision(1).unwrap() - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn confusion_batch_recording() {
-        let logits = Matrix::from_vec(2, 2, vec![0.9, 0.1, 0.1, 0.9]).unwrap();
-        let mut cm = ConfusionMatrix::new(2);
-        cm.record_batch(&logits, &[0, 0]);
-        assert_eq!(cm.count(0, 0), 1);
-        assert_eq!(cm.count(0, 1), 1);
-        assert_eq!(cm.recall(1), None);
-    }
 }

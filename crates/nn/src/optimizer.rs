@@ -2,49 +2,37 @@ use orco_tensor::Matrix;
 
 use crate::layer::Param;
 
-/// A first-order gradient optimizer with per-parameter state.
+/// The Adam optimizer (β₁ = 0.9, β₂ = 0.999, ε = 1e-8) with per-parameter
+/// state.
 ///
 /// The paper trains the asymmetric autoencoder with stochastic gradient
-/// descent (eq. 5); Adam and momentum variants are provided because the
-/// baselines and sensitivity sweeps converge noticeably faster with them and
-/// the choice is orthogonal to the framework design.
+/// descent (eq. 5); every model in this reproduction — OrcoDCS, the
+/// baselines, the classifier — uses Adam, which converges noticeably
+/// faster, and the choice is orthogonal to the framework design.
 ///
-/// State (momentum/second-moment buffers) is keyed by the *position* of each
-/// parameter in the `Vec<Param>` handed to [`Optimizer::step`], so a given
-/// optimizer instance must always be used with the same model.
-///
-/// # Examples
-///
-/// ```
-/// use orco_nn::Optimizer;
-///
-/// let opt = Optimizer::adam(1e-3);
-/// assert!(format!("{opt:?}").contains("Adam"));
-/// ```
+/// State (first- and second-moment buffers) is keyed by the *position* of
+/// each parameter in the `Vec<Param>` handed to [`Optimizer::step`], so a
+/// given optimizer instance must always be used with the same model.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
-    kind: Kind,
+    lr: f32,
     slots: Vec<Slot>,
     step_count: u64,
     grad_clip: Option<f32>,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Kind {
-    Sgd { lr: f32 },
-    Momentum { lr: f32, mu: f32 },
-    RmsProp { lr: f32, rho: f32, eps: f32 },
-    Adam { lr: f32, beta1: f32, beta2: f32, eps: f32 },
-}
+const BETA1: f32 = 0.9;
+const BETA2: f32 = 0.999;
+const EPS: f32 = 1e-8;
 
 #[derive(Debug, Clone, Default)]
 struct Slot {
-    first: Option<Matrix>,  // momentum / first moment
+    first: Option<Matrix>,  // first moment
     second: Option<Matrix>, // second moment
 }
 
 impl Optimizer {
-    /// Adam with the standard β₁ = 0.9, β₂ = 0.999, ε = 1e-8.
+    /// Adam with learning rate `lr`.
     ///
     /// # Panics
     ///
@@ -52,11 +40,7 @@ impl Optimizer {
     #[must_use]
     pub fn adam(lr: f32) -> Self {
         assert!(lr > 0.0 && lr.is_finite(), "adam: lr must be positive");
-        Self::with_kind(Kind::Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8 })
-    }
-
-    fn with_kind(kind: Kind) -> Self {
-        Self { kind, slots: Vec::new(), step_count: 0, grad_clip: None }
+        Self { lr, slots: Vec::new(), step_count: 0, grad_clip: None }
     }
 
     /// Enables global gradient-norm clipping at `max_norm`.
@@ -113,56 +97,23 @@ impl Optimizer {
                     grad *= scale;
                 }
             }
-            match self.kind {
-                Kind::Sgd { lr } => {
-                    param.value.add_scaled_inplace(&grad, -lr);
-                }
-                Kind::Momentum { lr, mu } => {
-                    let vel =
-                        slot.first.get_or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                    // v = mu*v + g;  w -= lr*v
-                    *vel *= mu;
-                    *vel += &grad;
-                    param.value.add_scaled_inplace(vel, -lr);
-                }
-                Kind::RmsProp { lr, rho, eps } => {
-                    let sq =
-                        slot.second.get_or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                    for (s, &g) in sq.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                        *s = rho * *s + (1.0 - rho) * g * g;
-                    }
-                    for ((w, &g), &s) in param
-                        .value
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(grad.as_slice())
-                        .zip(sq.as_slice())
-                    {
-                        *w -= lr * g / (s.sqrt() + eps);
-                    }
-                }
-                Kind::Adam { lr, beta1, beta2, eps } => {
-                    let t = self.step_count as f32;
-                    let m =
-                        slot.first.get_or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                    for (mv, &g) in m.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                        *mv = beta1 * *mv + (1.0 - beta1) * g;
-                    }
-                    let v =
-                        slot.second.get_or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                    for (vv, &g) in v.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                        *vv = beta2 * *vv + (1.0 - beta2) * g * g;
-                    }
-                    let bc1 = 1.0 - beta1.powf(t);
-                    let bc2 = 1.0 - beta2.powf(t);
-                    for ((w, &mv), &vv) in
-                        param.value.as_mut_slice().iter_mut().zip(m.as_slice()).zip(v.as_slice())
-                    {
-                        let m_hat = mv / bc1;
-                        let v_hat = vv / bc2;
-                        *w -= lr * m_hat / (v_hat.sqrt() + eps);
-                    }
-                }
+            let t = self.step_count as f32;
+            let m = slot.first.get_or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
+            for (mv, &g) in m.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+                *mv = BETA1 * *mv + (1.0 - BETA1) * g;
+            }
+            let v = slot.second.get_or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
+            for (vv, &g) in v.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+                *vv = BETA2 * *vv + (1.0 - BETA2) * g * g;
+            }
+            let bc1 = 1.0 - BETA1.powf(t);
+            let bc2 = 1.0 - BETA2.powf(t);
+            for ((w, &mv), &vv) in
+                param.value.as_mut_slice().iter_mut().zip(m.as_slice()).zip(v.as_slice())
+            {
+                let m_hat = mv / bc1;
+                let v_hat = vv / bc2;
+                *w -= self.lr * m_hat / (v_hat.sqrt() + EPS);
             }
         }
     }
@@ -172,7 +123,7 @@ impl Optimizer {
 mod tests {
     use super::*;
 
-    /// Minimizes f(w) = ½‖w − target‖² with each optimizer; all must converge.
+    /// Minimizes f(w) = ½‖w − target‖²; the optimizer must converge.
     fn run(opt: &mut Optimizer, iters: usize) -> f32 {
         let target = Matrix::from_vec(1, 3, vec![1.0, -2.0, 0.5]).unwrap();
         let mut w = Matrix::zeros(1, 3);
@@ -189,49 +140,34 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        assert!(run(&mut Optimizer::sgd(0.1), 200) < 1e-3);
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        assert!(run(&mut Optimizer::momentum(0.05, 0.9), 200) < 1e-3);
-    }
-
-    #[test]
-    fn rmsprop_converges_on_quadratic() {
-        assert!(run(&mut Optimizer::rmsprop(0.05), 400) < 1e-2);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         assert!(run(&mut Optimizer::adam(0.05), 400) < 1e-2);
     }
 
     #[test]
-    fn sgd_single_step_is_exact() {
-        let mut opt = Optimizer::sgd(0.5);
-        let mut w = Matrix::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
-        let mut g = Matrix::from_vec(1, 2, vec![0.2, -0.4]).unwrap();
-        opt.step(vec![Param { value: &mut w, grad: &mut g }]);
-        assert!(w.approx_eq(&Matrix::from_vec(1, 2, vec![0.9, 2.2]).unwrap(), 1e-6));
-        assert_eq!(opt.steps(), 1);
-    }
-
-    #[test]
-    fn grad_clip_limits_update() {
-        let mut opt = Optimizer::sgd(1.0).with_grad_clip(1.0);
-        let mut w = Matrix::zeros(1, 2);
-        let mut g = Matrix::from_vec(1, 2, vec![30.0, 40.0]).unwrap(); // norm 50
-        opt.step(vec![Param { value: &mut w, grad: &mut g }]);
-        // Clipped to norm 1 → w = -(0.6, 0.8)
-        assert!(w.approx_eq(&Matrix::from_vec(1, 2, vec![-0.6, -0.8]).unwrap(), 1e-5));
+    fn grad_clip_scales_an_oversized_gradient_before_the_update() {
+        // A norm-50 step then a norm-0.5 step: clipped at 1, the first must
+        // enter the moment buffers as (0.6, 0.8), the second unscaled.
+        let steps = |opt: &mut Optimizer, grads: [[f32; 2]; 2]| {
+            let mut w = Matrix::zeros(1, 2);
+            for g in grads {
+                let mut g = Matrix::from_vec(1, 2, g.to_vec()).unwrap();
+                opt.step(vec![Param { value: &mut w, grad: &mut g }]);
+            }
+            w
+        };
+        let raw = [[30.0, 40.0], [0.3, 0.4]];
+        let clipped = steps(&mut Optimizer::adam(0.1).with_grad_clip(1.0), raw);
+        let prescaled = steps(&mut Optimizer::adam(0.1), [[0.6, 0.8], [0.3, 0.4]]);
+        let unclipped = steps(&mut Optimizer::adam(0.1), raw);
+        assert!(clipped.approx_eq(&prescaled, 1e-6), "{clipped} vs {prescaled}");
+        assert!(clipped.max_abs_diff(&unclipped) > 1e-3, "{clipped} vs {unclipped}");
     }
 
     #[test]
     #[should_panic(expected = "parameter count changed")]
     fn param_count_change_is_detected() {
-        let mut opt = Optimizer::sgd(0.1);
+        let mut opt = Optimizer::adam(0.1);
         let mut w = Matrix::zeros(1, 2);
         let mut g = Matrix::zeros(1, 2);
         opt.step(vec![Param { value: &mut w, grad: &mut g }]);
@@ -244,16 +180,8 @@ mod tests {
     }
 
     #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Optimizer::adam(0.01);
-        assert!((opt.learning_rate() - 0.01).abs() < 1e-9);
-        opt.set_learning_rate(0.001);
-        assert!((opt.learning_rate() - 0.001).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "lr must be positive")]
     fn rejects_zero_lr() {
-        let _ = Optimizer::sgd(0.0);
+        let _ = Optimizer::adam(0.0);
     }
 }

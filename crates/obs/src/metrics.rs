@@ -289,7 +289,7 @@ mod tests {
 
     #[test]
     fn counter_accumulates() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn gauge_sub_clamps_instead_of_wrapping() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.add(3);
         g.sub(10); // would wrap to u64::MAX - 6 under fetch_sub
         assert_eq!(g.get(), 0, "a racing decrement must clamp, not wrap");

@@ -98,7 +98,6 @@ mod tests {
             b.next_delay();
         }
         b.reset();
-        assert_eq!(b.attempt(), 0);
         let d = b.next_delay();
         assert!(d >= base / 2 && d <= base);
     }

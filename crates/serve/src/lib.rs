@@ -122,10 +122,8 @@ pub use client::PushOutcome;
 pub use client::VersionInfo;
 pub use clock::Clock;
 pub use des_transport::DesConfig;
-pub(crate) use des_transport::DesConnection;
 pub use des_transport::DesNet;
 pub use des_transport::DesTransport;
-pub(crate) use des_transport::NetEvent;
 pub use fleet_view::FleetView;
 pub use gateway::Gateway;
 pub use gateway::GatewayConfig;
@@ -137,7 +135,6 @@ pub use protocol::Message;
 pub use protocol::ModelVersion;
 pub use protocol::WireError;
 pub use protocol::MAX_LABEL;
-pub(crate) use protocol::PROTOCOL_VERSION;
 pub use scenarios::replay_scenario;
 pub use scenarios::run_scenario;
 pub use scenarios::Outcome;
@@ -145,8 +142,6 @@ pub use scenarios::RunLog;
 pub use scenarios::ScenarioError;
 pub use scenarios::GAUNTLET;
 pub use service::Service;
-pub(crate) use stats::FlushReason;
-pub(crate) use stats::ServeStats;
 pub use stats::ShardRow;
 pub use stats::StatsSnapshot;
 pub use tcp::TcpServer;

@@ -157,7 +157,6 @@ pub struct DesNetwork {
     medium_free_s: f64,
     last_csma_grant: Option<(usize, f64)>,
     sensor_loss_override: Option<f64>,
-    uplink_loss_override: Option<f64>,
     straggle: Vec<f64>,
     transfers: Vec<Transfer>,
     round: Option<RoundState>,
@@ -190,7 +189,6 @@ impl DesNetwork {
             medium_free_s: 0.0,
             last_csma_grant: None,
             sensor_loss_override: None,
-            uplink_loss_override: None,
             straggle: vec![1.0; n],
             transfers: Vec::new(),
             round: None,
@@ -229,18 +227,8 @@ impl DesNetwork {
                 ScenarioAction::DegradeSensorLink { loss_prob } => {
                     self.sensor_loss_override = Some(loss_prob);
                 }
-                ScenarioAction::DegradeUplink { loss_prob } => {
-                    self.uplink_loss_override = Some(loss_prob);
-                }
                 ScenarioAction::RestoreSensorLink => {
                     self.sensor_loss_override = None;
-                }
-                ScenarioAction::RestoreUplink => {
-                    self.uplink_loss_override = None;
-                }
-                ScenarioAction::RestoreLinks => {
-                    self.sensor_loss_override = None;
-                    self.uplink_loss_override = None;
                 }
                 ScenarioAction::SetStraggler { device, multiplier } => {
                     if let Some(id) = self.device_id(device) {
@@ -288,13 +276,7 @@ impl DesNetwork {
 
     fn effective_loss(&self, from: NodeId, to: NodeId) -> f64 {
         let link = self.world.link_between(from, to);
-        let over = if self.is_intra(from, to) {
-            self.sensor_loss_override
-        } else if to == self.world.edge() {
-            self.uplink_loss_override
-        } else {
-            None
-        };
+        let over = if self.is_intra(from, to) { self.sensor_loss_override } else { None };
         over.unwrap_or(link.loss_prob)
     }
 

@@ -89,7 +89,6 @@ pub use des::DesNetwork;
 
 pub use des::SimSpec;
 pub use event::EventQueue;
-pub(crate) use netsim::LinkAction;
 pub use netsim::LinkParams;
 pub use netsim::NetScenario;
 pub use netsim::NetSim;
@@ -99,4 +98,3 @@ pub use params::DutyCycle;
 pub use params::MacMode;
 pub use params::SimParams;
 pub use scenario::Scenario;
-pub(crate) use scenario::ScenarioAction;

@@ -83,13 +83,6 @@ impl Default for LinkParams {
 /// One scripted perturbation of a link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum LinkAction {
-    /// Override the link's loss probability.
-    SetLoss {
-        /// Per-send loss probability in `[0, 1)`.
-        loss_prob: f64,
-    },
-    /// Clear the loss override (loss returns to the link's base value).
-    ClearLoss,
     /// Override the link's delay and jitter.
     SetDelay {
         /// Minimum one-way delay, seconds.
@@ -218,16 +211,11 @@ pub enum SendVerdict {
 #[derive(Debug)]
 struct LinkState {
     base: LinkParams,
-    loss_override: Option<f64>,
     delay_override: Option<(f64, f64)>,
     partitioned: bool,
 }
 
 impl LinkState {
-    fn loss_prob(&self) -> f64 {
-        self.loss_override.unwrap_or(self.base.loss_prob)
-    }
-
     fn delay(&self) -> (f64, f64) {
         self.delay_override.unwrap_or((self.base.delay_s, self.base.jitter_s))
     }
@@ -273,12 +261,7 @@ impl<T> NetSim<T> {
     /// Panics when `params` are out of range (negative delay, loss ≥ 1).
     pub fn add_link(&mut self, params: LinkParams) -> usize {
         params.assert_valid();
-        self.links.push(LinkState {
-            base: params,
-            loss_override: None,
-            delay_override: None,
-            partitioned: false,
-        });
+        self.links.push(LinkState { base: params, delay_override: None, partitioned: false });
         self.links.len() - 1
     }
 
@@ -351,7 +334,7 @@ impl<T> NetSim<T> {
                 let state = &self.links[link];
                 if state.partitioned {
                     SendVerdict::Partitioned
-                } else if self.rng.bernoulli_f64(state.loss_prob()) {
+                } else if self.rng.bernoulli_f64(state.base.loss_prob) {
                     SendVerdict::Lost
                 } else {
                     let (delay, jitter) = state.delay();
@@ -399,14 +382,6 @@ impl<T> NetSim<T> {
             self.actions.pop_front();
             let state = &mut self.links[link];
             match action {
-                LinkAction::SetLoss { loss_prob } => {
-                    assert!(
-                        (0.0..1.0).contains(&loss_prob),
-                        "SetLoss: loss_prob must be in [0, 1) (got {loss_prob})"
-                    );
-                    state.loss_override = Some(loss_prob);
-                }
-                LinkAction::ClearLoss => state.loss_override = None,
                 LinkAction::SetDelay { delay_s, jitter_s } => {
                     assert!(
                         delay_s.is_finite()
@@ -526,6 +501,6 @@ mod tests {
     #[should_panic(expected = "references link")]
     fn script_validates_link_indices() {
         let mut sim = sim_with_link(LinkParams::ideal(), 0);
-        sim.script(&NetScenario::new().lossy(3, 0.0..1.0, 0.5));
+        sim.script(&NetScenario::new().partition(3, 0.0..1.0));
     }
 }

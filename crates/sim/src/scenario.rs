@@ -33,19 +33,9 @@ pub(crate) enum ScenarioAction {
         /// Per-frame loss probability in `[0, 1)`.
         loss_prob: f64,
     },
-    /// Override the aggregator→edge uplink's loss probability.
-    DegradeUplink {
-        /// Per-frame loss probability in `[0, 1)`.
-        loss_prob: f64,
-    },
     /// Clear the sensor-link degradation override (loss returns to the
     /// deployment's configured value).
     RestoreSensorLink,
-    /// Clear the uplink degradation override.
-    RestoreUplink,
-    /// Clear all link-degradation overrides (losses return to the
-    /// deployment's configured values).
-    RestoreLinks,
     /// Multiply device `device`'s compute time by `multiplier` (straggler).
     SetStraggler {
         /// Device index.
@@ -170,11 +160,9 @@ impl Scenario {
                 | ScenarioAction::SetStraggler { device, .. }
                 | ScenarioAction::ClearStraggler { device }
                 | ScenarioAction::TrafficBurst { device, .. } => Some(device),
-                ScenarioAction::DegradeSensorLink { .. }
-                | ScenarioAction::DegradeUplink { .. }
-                | ScenarioAction::RestoreSensorLink
-                | ScenarioAction::RestoreUplink
-                | ScenarioAction::RestoreLinks => None,
+                ScenarioAction::DegradeSensorLink { .. } | ScenarioAction::RestoreSensorLink => {
+                    None
+                }
             };
             if let Some(device) = device {
                 assert!(
@@ -203,20 +191,10 @@ mod tests {
 
     #[test]
     fn window_helpers_script_both_edges() {
-        let s = Scenario::new().degrade_uplink(2.0..4.0, 0.5);
+        let s = Scenario::new().degrade_sensor_link(2.0..4.0, 0.5);
         let sorted = s.sorted_actions();
-        assert_eq!(sorted[0], (2.0, ScenarioAction::DegradeUplink { loss_prob: 0.5 }));
-        assert_eq!(sorted[1], (4.0, ScenarioAction::RestoreUplink));
-    }
-
-    #[test]
-    fn overlapping_windows_restore_only_their_own_link() {
-        // A sensor window ending inside an uplink window must not clear
-        // the uplink override.
-        let s = Scenario::new().degrade_sensor_link(0.0..10.0, 0.3).degrade_uplink(5.0..20.0, 0.1);
-        let sorted = s.sorted_actions();
-        assert_eq!(sorted[2], (10.0, ScenarioAction::RestoreSensorLink));
-        assert_eq!(sorted[3], (20.0, ScenarioAction::RestoreUplink));
+        assert_eq!(sorted[0], (2.0, ScenarioAction::DegradeSensorLink { loss_prob: 0.5 }));
+        assert_eq!(sorted[1], (4.0, ScenarioAction::RestoreSensorLink));
     }
 
     #[test]

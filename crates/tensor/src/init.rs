@@ -97,7 +97,7 @@ mod tests {
     fn zeros_and_constant() {
         let mut rng = OrcoRng::from_label("init", 0);
         assert!(Init::Zeros.matrix(3, 3, &mut rng).as_slice().iter().all(|&v| v == 0.0));
-        assert!(Init::Constant(2.5).vector(4, &mut rng).iter().all(|&v| v == 2.5));
+        assert!(Init::Constant(2.5).matrix(1, 4, &mut rng).as_slice().iter().all(|&v| v == 2.5));
     }
 
     #[test]

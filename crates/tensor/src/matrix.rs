@@ -754,13 +754,6 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_checks_ragged() {
-        let err = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0]]).unwrap_err();
-        assert!(matches!(err, TensorError::ShapeMismatch { .. }));
-        assert!(matches!(Matrix::from_rows(&[]).unwrap_err(), TensorError::EmptyDimension { .. }));
-    }
-
-    #[test]
     fn identity_multiplication_is_neutral() {
         let m = sample();
         let left = Matrix::identity(2).matmul(&m);
@@ -812,21 +805,11 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_order() {
-        let m = sample().reshape(3, 2).unwrap();
-        assert_eq!(m.as_slice(), sample().as_slice());
-        assert!(sample().reshape(4, 2).is_err());
-    }
-
-    #[test]
     fn stack_operations() {
         let a = sample();
         let v = a.vstack(&a);
         assert_eq!(v.shape(), (4, 3));
         assert_eq!(v.row(2), a.row(0));
-        let h = a.hstack(&a);
-        assert_eq!(h.shape(), (2, 6));
-        assert_eq!(&h.row(0)[3..], a.row(0));
     }
 
     #[test]
@@ -834,7 +817,6 @@ mod tests {
         let m = sample();
         assert_eq!(m.col_sums(), vec![5.0, 7.0, 9.0]);
         assert_eq!(m.row_sums(), vec![6.0, 15.0]);
-        assert_eq!(m.col_means(), vec![2.5, 3.5, 4.5]);
         assert_eq!(m.sum(), 21.0);
         assert!((m.mean() - 3.5).abs() < 1e-6);
         assert_eq!(m.min(), 1.0);
@@ -908,14 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_detection() {
-        let mut m = sample();
-        assert!(!m.has_non_finite());
-        m.set(0, 0, f32::NAN);
-        assert!(m.has_non_finite());
-    }
-
-    #[test]
     fn display_does_not_panic_on_large() {
         let big = Matrix::zeros(20, 20);
         let s = format!("{big}");
@@ -932,15 +906,6 @@ mod tests {
         assert_eq!(m[(0, 1)], 9.0);
         m[(0, 1)] = 10.0;
         assert_eq!(m.get(0, 1), Some(10.0));
-    }
-
-    #[test]
-    fn diag_matrix() {
-        let d = Matrix::from_diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(0, 1)], 0.0);
-        let v = d.matvec(&[1.0, 1.0, 1.0]);
-        assert_eq!(v, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -127,22 +127,4 @@ mod tests {
     fn rejects_non_numeric() {
         assert!(matrix_from_text("MAT 1 1\nhello").is_err());
     }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("orco-tensor-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.mat");
-        let m = Matrix::from_fn(3, 3, |r, c| (r + c) as f32 * 0.5);
-        write_matrix(&path, &m).unwrap();
-        let back = read_matrix(&path).unwrap();
-        assert_eq!(m, back);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn read_missing_file_is_parse_error() {
-        let err = read_matrix(std::path::Path::new("/nonexistent/nope.mat")).unwrap_err();
-        assert!(matches!(err, TensorError::Parse { .. }));
-    }
 }

@@ -158,49 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts() {
-        let xs = [0.05, 0.15, 0.15, 0.95, -1.0, 2.0];
-        let h = histogram(&xs, 0.0, 1.0, 10);
-        assert_eq!(h[0], 2); // 0.05 and clamped -1.0
-        assert_eq!(h[1], 2);
-        assert_eq!(h[9], 2); // 0.95 and clamped 2.0
-        assert_eq!(h.iter().sum::<usize>(), xs.len());
-    }
-
-    #[test]
-    fn welford_matches_batch() {
-        let xs: Vec<f32> = (0..100).map(|v| (v as f32).sin() * 3.0 + 1.0).collect();
-        let mut w = running::Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert!((w.mean() - mean(&xs)).abs() < 1e-5);
-        assert!((w.variance() - variance(&xs)).abs() < 1e-4);
-    }
-
-    #[test]
-    fn welford_merge_matches_single_pass() {
-        let xs: Vec<f32> = (0..50).map(|v| v as f32 * 0.1).collect();
-        let ys: Vec<f32> = (0..30).map(|v| v as f32 * -0.2 + 3.0).collect();
-        let mut all = running::Welford::new();
-        for &v in xs.iter().chain(&ys) {
-            all.push(v);
-        }
-        let mut a = running::Welford::new();
-        let mut b = running::Welford::new();
-        for &v in &xs {
-            a.push(v);
-        }
-        for &v in &ys {
-            b.push(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-5);
-        assert!((a.variance() - all.variance()).abs() < 1e-4);
-    }
-
-    #[test]
     fn psnr_rows_shape() {
         let a = Matrix::ones(3, 4);
         let b = a.map(|v| v * 0.9);

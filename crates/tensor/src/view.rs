@@ -696,21 +696,7 @@ mod tests {
     }
 
     #[test]
-    fn map_into_applies_elementwise() {
-        let m = a();
-        let mut out = Matrix::zeros(5, 3);
-        m.as_view().map_into(|v| v * 2.0 + 1.0, out.as_view_mut());
-        assert_eq!(out, m.map(|v| v * 2.0 + 1.0));
-    }
-
-    #[test]
-    fn mut_view_rows_and_fill() {
-        let mut m = Matrix::zeros(2, 3);
-        let mut v = m.as_view_mut();
-        v.fill(1.0);
-        v.row_mut(1)[2] = 5.0;
-        assert_eq!(v.as_view().row(1), &[1.0, 1.0, 5.0]);
-        assert_eq!(m[(1, 2)], 5.0);
+    fn mut_view_checks_its_buffer_length() {
         let mut buf = vec![0.0f32; 4];
         assert!(MatViewMut::new(2, 2, &mut buf).is_ok());
         let mut short = vec![0.0f32; 3];

@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn walks_inward_on_a_line() {
         let devices = vec![device(1, 1.0), device(2, 2.0), device(3, 3.0), device(4, 4.0)];
-        let chain = ChainSchedule::greedy_nearest(&devices, Point::origin());
+        let chain = ChainSchedule::greedy_nearest(&devices, Point::new(0.0, 0.0));
         assert_eq!(chain.order(), &[NodeId(4), NodeId(3), NodeId(2), NodeId(1)]);
         assert_eq!(chain.last(), NodeId(1));
         assert_eq!(chain.device_hops().len(), 3);
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn single_device_chain() {
-        let chain = ChainSchedule::greedy_nearest(&[device(7, 5.0)], Point::origin());
+        let chain = ChainSchedule::greedy_nearest(&[device(7, 5.0)], Point::new(0.0, 0.0));
         assert_eq!(chain.order(), &[NodeId(7)]);
         assert!(chain.device_hops().is_empty());
         assert_eq!(chain.last(), NodeId(7));
@@ -151,15 +151,10 @@ mod tests {
 
     #[test]
     fn remove_splices_chain() {
-        let mut chain = ChainSchedule::from_order(vec![NodeId(1), NodeId(2), NodeId(3)]);
+        let devices = [device(1, 1.0), device(2, 2.0), device(3, 3.0)];
+        let mut chain = ChainSchedule::greedy_nearest(&devices, Point::new(0.0, 0.0));
         chain.remove(NodeId(2));
-        assert_eq!(chain.order(), &[NodeId(1), NodeId(3)]);
-        assert_eq!(chain.device_hops(), vec![(NodeId(1), NodeId(3))]);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate")]
-    fn from_order_rejects_duplicates() {
-        let _ = ChainSchedule::from_order(vec![NodeId(1), NodeId(1)]);
+        assert_eq!(chain.order(), &[NodeId(3), NodeId(1)]);
+        assert_eq!(chain.device_hops(), vec![(NodeId(3), NodeId(1))]);
     }
 }

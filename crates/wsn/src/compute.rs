@@ -97,14 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_time_multiplies() {
-        let m = ComputeModel::default();
-        let single = m.time_for_flops(DeviceClass::IotDevice, 500);
-        let batch = m.time_for_batch(DeviceClass::IotDevice, 500, 8);
-        assert!((batch / single - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn efficiency_slows_everything() {
         let ideal = ComputeModel { efficiency: 1.0, ..Default::default() };
         let real = ComputeModel { efficiency: 0.5, ..Default::default() };

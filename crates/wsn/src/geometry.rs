@@ -81,24 +81,4 @@ mod tests {
         }
         assert!(p1.iter().all(|p| (0.0..50.0).contains(&p.x) && (0.0..50.0).contains(&p.y)));
     }
-
-    #[test]
-    fn centroid_of_square() {
-        let pts = [
-            Point::new(0.0, 0.0),
-            Point::new(2.0, 0.0),
-            Point::new(2.0, 2.0),
-            Point::new(0.0, 2.0),
-        ];
-        let c = centroid(&pts);
-        assert_eq!(c, Point::new(1.0, 1.0));
-        assert_eq!(centroid(&[]), Point::origin());
-    }
-
-    #[test]
-    fn nearest_finds_closest() {
-        let pts = [Point::new(0.0, 0.0), Point::new(10.0, 0.0), Point::new(4.9, 0.0)];
-        assert_eq!(nearest(&pts, Point::new(5.0, 0.0)), Some(2));
-        assert_eq!(nearest(&[], Point::origin()), None);
-    }
 }

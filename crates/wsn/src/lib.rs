@@ -59,7 +59,6 @@ pub use accounting::LinkStats;
 pub use accounting::TrafficAccounting;
 pub use backend::DeploymentBackend;
 pub use chain::ChainSchedule;
-pub(crate) use clock::SimClock;
 pub use compute::ComputeModel;
 pub use error::WsnError;
 pub use geometry::Point;

@@ -113,13 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_attempts() {
-        assert_eq!(LinkModel::sensor_radio().expected_attempts(), 1.0);
-        let lossy = LinkModel::sensor_radio().with_loss(0.5);
-        assert_eq!(lossy.expected_attempts(), 2.0);
-    }
-
-    #[test]
     #[should_panic(expected = "bandwidth")]
     fn rejects_zero_bandwidth() {
         let _ = LinkModel::new(0.0, 0.0, 0.0);

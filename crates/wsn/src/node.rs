@@ -59,7 +59,6 @@ impl DeviceClass {
 /// One simulated device.
 #[derive(Debug, Clone)]
 pub struct Node {
-    id: NodeId,
     class: DeviceClass,
     position: Point,
     energy_j: f64,
@@ -69,8 +68,8 @@ pub struct Node {
 impl Node {
     /// Creates a node with the class's default energy budget.
     #[must_use]
-    pub(crate) fn new(id: NodeId, class: DeviceClass, position: Point) -> Self {
-        Self { id, class, position, energy_j: class.initial_energy_j(), alive: true }
+    pub(crate) fn new(class: DeviceClass, position: Point) -> Self {
+        Self { class, position, energy_j: class.initial_energy_j(), alive: true }
     }
 
     /// The node's device class.
@@ -142,7 +141,7 @@ mod tests {
 
     #[test]
     fn drain_kills_at_zero() {
-        let mut n = Node::new(NodeId(0), DeviceClass::IotDevice, Point::origin());
+        let mut n = Node::new(DeviceClass::IotDevice, Point::new(0.0, 0.0));
         assert!(n.is_alive());
         assert!(n.drain(1.0));
         assert!(!n.drain(5.0));
@@ -154,14 +153,14 @@ mod tests {
 
     #[test]
     fn edge_server_never_runs_out() {
-        let mut n = Node::new(NodeId(1), DeviceClass::EdgeServer, Point::origin());
+        let mut n = Node::new(DeviceClass::EdgeServer, Point::new(0.0, 0.0));
         assert!(n.drain(1e12));
         assert!(n.is_alive());
     }
 
     #[test]
     fn kill_and_revive() {
-        let mut n = Node::new(NodeId(2), DeviceClass::IotDevice, Point::origin());
+        let mut n = Node::new(DeviceClass::IotDevice, Point::new(0.0, 0.0));
         n.kill();
         assert!(!n.is_alive());
         n.revive(1.0);

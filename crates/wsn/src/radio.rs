@@ -86,17 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn breakeven_is_consistent() {
-        let r = RadioModel::default();
-        let d = r.multihop_breakeven_m();
-        let direct = r.tx_energy_j(1, d);
-        let relayed = 2.0 * r.tx_energy_j(1, d / 2.0) + r.rx_energy_j(1);
-        assert!((direct - relayed).abs() / direct < 1e-9);
-        // With the default constants: 2*sqrt(50n/100p) ≈ 44.7 m.
-        assert!((d - 44.72).abs() < 0.1);
-    }
-
-    #[test]
     #[should_panic(expected = "distance")]
     fn negative_distance_rejected() {
         let _ = RadioModel::default().tx_energy_j(1, -1.0);
