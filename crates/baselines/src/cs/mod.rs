@@ -14,13 +14,11 @@
 //! quality is **limited by the dimension and sparsity of measurements** —
 //! both measurable with the benches in `orco-bench`.
 
-pub(crate) mod codec;
-pub(crate) mod dct;
-pub(crate) mod ista;
-pub(crate) mod measurement;
-pub(crate) mod omp;
+mod codec;
+mod dct;
+mod ista;
+mod measurement;
+mod omp;
 
-pub use codec::ClassicalCodec;
-
-pub use codec::CsSolver;
+pub use codec::{ClassicalCodec, CsSolver};
 pub use ista::IstaConfig;

@@ -21,8 +21,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub(crate) mod crop;
+mod crop;
+
 pub mod cs;
 pub mod dcsnet;
 

@@ -31,11 +31,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod cnn;
 
-pub use cnn::Cnn;
-
-pub use cnn::EpochPoint;
-
-pub use cnn::TrainConfig;
+pub use cnn::{Cnn, EpochPoint, TrainConfig};

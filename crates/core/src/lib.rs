@@ -64,42 +64,37 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
+mod autoencoder;
+mod compression;
 mod config;
+mod decoder;
+mod distribution;
 mod error;
+mod history;
+mod monitor;
+mod noise;
+mod orchestrator;
+mod split;
 
 pub mod aggregation;
-pub(crate) mod autoencoder;
 pub mod checkpoint;
 pub mod codec;
-pub(crate) mod compression;
-pub(crate) mod decoder;
-pub(crate) mod distribution;
-pub(crate) mod history;
-pub(crate) mod monitor;
 pub mod multi_cluster;
-pub(crate) mod noise;
-pub(crate) mod orchestrator;
 pub mod pipeline;
-pub(crate) mod split;
 
 pub use autoencoder::AsymmetricAutoencoder;
 pub use checkpoint::EncoderCheckpoint;
-pub use codec::Codec;
-pub use codec::FrameDims;
-pub use codec::TrainSpec;
+pub use codec::{Codec, FrameDims, TrainSpec};
 pub use compression::GradCompression;
 pub use config::OrcoConfig;
 pub use distribution::EncoderColumns;
 pub use error::OrcoError;
-pub use history::RoundStats;
-pub use history::TrainingHistory;
+pub use history::{RoundStats, TrainingHistory};
 pub use monitor::FineTuneMonitor;
 pub use orchestrator::Orchestrator;
-pub use pipeline::ClusterScale;
-pub use pipeline::DeploymentSpec;
-pub use pipeline::Experiment;
-pub use pipeline::ExperimentBuilder;
-pub use pipeline::Report;
-pub use pipeline::TrainingMode;
+pub use pipeline::{
+    ClusterScale, DeploymentSpec, Experiment, ExperimentBuilder, Report, TrainingMode,
+};
 pub use split::SplitModel;

@@ -26,15 +26,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod dataset;
+mod raster;
 
 pub mod drift;
 pub mod gtsrb_like;
 pub mod mnist_like;
-pub(crate) mod raster;
 pub mod split;
 
-pub use dataset::Dataset;
-
-pub use dataset::DatasetKind;
+pub use dataset::{Dataset, DatasetKind};

@@ -62,19 +62,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub(crate) mod agent;
-pub(crate) mod client;
-pub(crate) mod directory;
+mod agent;
+mod client;
+mod directory;
+
 pub mod scenarios;
 
-pub use agent::AgentConfig;
-
-pub use agent::GatewayAgent;
-pub use client::DirectoryClient;
-pub use client::FleetClient;
-pub use directory::Directory;
-pub use directory::DirectoryConfig;
-pub use scenarios::replay_scenario;
-pub use scenarios::run_scenario;
-pub use scenarios::FLEET_GAUNTLET;
+pub use agent::{AgentConfig, GatewayAgent};
+pub use client::{DirectoryClient, FleetClient};
+pub use directory::{Directory, DirectoryConfig};
+pub use scenarios::{replay_scenario, run_scenario, FLEET_GAUNTLET};

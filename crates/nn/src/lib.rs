@@ -51,24 +51,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod activation;
 mod conv;
 mod dense;
+mod layer;
 mod loss;
 mod model;
 mod optimizer;
 mod pool;
 
 pub mod gradcheck;
-pub(crate) mod layer;
 pub mod metrics;
 
 pub use activation::Activation;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use layer::Layer;
-pub use layer::Param;
+pub use layer::{Layer, Param};
 pub use loss::Loss;
 pub use model::Sequential;
 pub use optimizer::Optimizer;

@@ -68,21 +68,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub(crate) mod metrics;
-pub(crate) mod trace;
+mod metrics;
+mod trace;
 
-pub use metrics::Counter;
-
-pub use metrics::Gauge;
-
-pub use metrics::Histogram;
-
-pub use metrics::HistogramSnapshot;
-
-pub use metrics::Registry;
-pub use trace::verify_chains;
-pub use trace::ChainSummary;
-pub use trace::Span;
-pub use trace::SpanKind;
-pub use trace::Tracer;
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use trace::{verify_chains, ChainSummary, Span, SpanKind, Tracer};

@@ -81,17 +81,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub(crate) mod scenarios;
+mod scenarios;
 
 use orco_serve::{Client, Connection, ModelVersion, VersionInfo};
 use orcodcs::{EncoderCheckpoint, OrcoError};
 
-pub use scenarios::replay_scenario;
-
-pub use scenarios::run_scenario;
-
-pub use scenarios::ROLLOUT_GAUNTLET;
+pub use scenarios::{replay_scenario, run_scenario, ROLLOUT_GAUNTLET};
 
 /// Stages `checkpoint` as `version` on the gateway behind `client` and
 /// activates it, returning the gateway's post-swap version state.

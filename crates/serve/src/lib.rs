@@ -98,56 +98,37 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+
+mod backoff;
+mod client;
+mod clock;
+mod des_transport;
+mod gateway;
+mod outbox;
+mod service;
+mod shard;
+mod tcp;
+mod transport;
 
 pub mod auth;
-pub(crate) mod backoff;
-pub(crate) mod client;
-pub(crate) mod clock;
-pub(crate) mod des_transport;
 pub mod fleet_view;
-pub(crate) mod gateway;
-pub(crate) mod outbox;
 pub mod protocol;
 pub mod scenarios;
-pub(crate) mod service;
-mod shard;
 pub mod stats;
-pub(crate) mod tcp;
-pub(crate) mod transport;
 
 pub use backoff::Backoff;
-pub use client::Client;
-pub use client::GatewayInfo;
-pub use client::PushOutcome;
-pub use client::VersionInfo;
+pub use client::{Client, GatewayInfo, PushOutcome, VersionInfo};
 pub use clock::Clock;
-pub use des_transport::DesConfig;
-pub use des_transport::DesNet;
-pub use des_transport::DesTransport;
+pub use des_transport::{DesConfig, DesNet, DesTransport};
 pub use fleet_view::FleetView;
-pub use gateway::Gateway;
-pub use gateway::GatewayConfig;
+pub use gateway::{Gateway, GatewayConfig};
 pub use outbox::Outbox;
-pub use protocol::ErrorCode;
-pub use protocol::GatewayEntry;
-pub use protocol::GatewayStats;
-pub use protocol::Message;
-pub use protocol::ModelVersion;
-pub use protocol::WireError;
-pub use protocol::MAX_LABEL;
-pub use scenarios::replay_scenario;
-pub use scenarios::run_scenario;
-pub use scenarios::Outcome;
-pub use scenarios::RunLog;
-pub use scenarios::ScenarioError;
-pub use scenarios::GAUNTLET;
+pub use protocol::{
+    ErrorCode, GatewayEntry, GatewayStats, Message, ModelVersion, WireError, MAX_LABEL,
+};
+pub use scenarios::{replay_scenario, run_scenario, Outcome, RunLog, ScenarioError, GAUNTLET};
 pub use service::Service;
-pub use stats::ShardRow;
-pub use stats::StatsSnapshot;
+pub use stats::{ShardRow, StatsSnapshot};
 pub use tcp::TcpServer;
-pub use transport::Connection;
-pub use transport::Loopback;
-pub use transport::LoopbackConnection;
-pub use transport::Tcp;
-pub use transport::TcpConnection;
-pub use transport::Transport;
+pub use transport::{Connection, Loopback, LoopbackConnection, Tcp, TcpConnection, Transport};

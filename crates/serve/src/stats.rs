@@ -319,7 +319,7 @@ macro_rules! snapshot_table {
         impl ServeStats {
             /// Freezes the registry into a snapshot.
             #[must_use]
-            pub fn snapshot(&self) -> StatsSnapshot {
+            pub(crate) fn snapshot(&self) -> StatsSnapshot {
                 let $stats = self;
                 let latency = self.flush_latency.snapshot();
                 StatsSnapshot {
@@ -343,7 +343,7 @@ macro_rules! snapshot_table {
             /// Fills `reg` with every series this registry tracks, in a fixed
             /// order, so the rendered exposition is byte-stable for a given
             /// counter state.
-            pub fn fill_registry(&self, reg: &mut Registry) {
+            pub(crate) fn fill_registry(&self, reg: &mut Registry) {
                 let snap = self.snapshot();
                 reg.set_int("orco_shards", u64::from(snap.shards));
                 $( reg.set_int($key, snap.$name); )+

@@ -78,6 +78,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod des;
 mod event;
@@ -85,16 +86,8 @@ mod netsim;
 mod params;
 mod scenario;
 
-pub use des::DesNetwork;
-
-pub use des::SimSpec;
+pub use des::{DesNetwork, SimSpec};
 pub use event::EventQueue;
-pub use netsim::LinkParams;
-pub use netsim::NetScenario;
-pub use netsim::NetSim;
-pub use netsim::SendRecord;
-pub use netsim::SendVerdict;
-pub use params::DutyCycle;
-pub use params::MacMode;
-pub use params::SimParams;
+pub use netsim::{LinkParams, NetScenario, NetSim, SendRecord, SendVerdict};
+pub use params::{DutyCycle, MacMode, SimParams};
 pub use scenario::Scenario;

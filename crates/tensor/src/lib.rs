@@ -28,25 +28,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod error;
 mod matrix;
+mod rng;
 mod view;
 
 pub mod im2col;
 pub mod init;
 pub mod parallel;
-pub(crate) mod rng;
 pub mod serialize;
 pub mod stats;
 
 pub use error::TensorError;
-pub use im2col::col2im_into;
-pub use im2col::im2col;
-pub use im2col::im2col_into;
-pub use im2col::Conv2dGeom;
+pub use im2col::{col2im_into, im2col, im2col_into, Conv2dGeom};
 pub use matrix::Matrix;
-pub use rng::fnv1a64;
-pub use rng::OrcoRng;
-pub use view::MatView;
-pub use view::MatViewMut;
+pub use rng::{fnv1a64, OrcoRng};
+pub use view::{MatView, MatViewMut};

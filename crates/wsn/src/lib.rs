@@ -39,37 +39,32 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+
+mod backend;
+mod chain;
+mod compute;
+mod error;
+mod geometry;
+mod link;
+mod network;
+mod node;
+mod radio;
+mod tree;
 
 pub mod accounting;
-pub(crate) mod backend;
-pub(crate) mod chain;
 pub mod clock;
-pub(crate) mod compute;
-pub(crate) mod error;
-pub(crate) mod geometry;
-pub(crate) mod link;
-pub(crate) mod network;
-pub(crate) mod node;
 pub mod packet;
-pub(crate) mod radio;
-pub(crate) mod tree;
 
-pub use accounting::LinkStats;
-
-pub use accounting::TrafficAccounting;
+pub use accounting::{LinkStats, TrafficAccounting};
 pub use backend::DeploymentBackend;
 pub use chain::ChainSchedule;
 pub use compute::ComputeModel;
 pub use error::WsnError;
 pub use geometry::Point;
 pub use link::LinkModel;
-pub use network::Network;
-pub use network::NetworkConfig;
-pub use node::DeviceClass;
-pub use node::Node;
-pub use node::NodeId;
-pub use packet::Packet;
-pub use packet::PacketKind;
-pub use packet::HEADER_BYTES;
+pub use network::{Network, NetworkConfig};
+pub use node::{DeviceClass, Node, NodeId};
+pub use packet::{Packet, PacketKind, HEADER_BYTES};
 pub use radio::RadioModel;
 pub use tree::AggregationTree;
