@@ -9,19 +9,6 @@ use orco_nn::{Layer, Param};
 use orco_tensor::{MatView, Matrix};
 
 /// Centre-crops `(C, in, in)` feature maps to `(C, out, out)`.
-///
-/// # Examples
-///
-/// ```
-/// use orco_baselines::Crop2d;
-/// use orco_nn::Layer;
-/// use orco_tensor::Matrix;
-///
-/// let mut crop = Crop2d::new(1, 4, 2);
-/// let x = Matrix::from_fn(1, 16, |_, c| c as f32);
-/// let y = crop.forward(&x, false);
-/// assert_eq!(y.as_slice(), &[5.0, 6.0, 9.0, 10.0]);
-/// ```
 #[derive(Debug, Clone)]
 pub(crate) struct Crop2d {
     channels: usize,

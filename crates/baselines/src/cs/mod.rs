@@ -5,7 +5,7 @@
 //! `Φ` (no training needed), then reconstruct by exploiting sparsity of `x`
 //! in a transform basis `Ψ` (here the 2-D DCT): solve
 //! `min ‖θ‖₁ s.t. ΦΨθ ≈ y` with a convex solver. Two reference solvers are
-//! provided: [`ista`] (iterative shrinkage-thresholding) and [`omp`]
+//! provided: `ista` (iterative shrinkage-thresholding) and `omp`
 //! (orthogonal matching pursuit, greedy).
 //!
 //! The paper's critique is implemented verbatim by this module's behaviour:

@@ -27,7 +27,7 @@ use crate::error::OrcoError;
 /// let b = Matrix::from_vec(1, 2, vec![0.1, -0.2])?;
 /// let columns = EncoderColumns::split(&w, &b);
 /// assert_eq!(columns.num_devices(), 3);
-/// assert_eq!(columns.column(2), &[2.0, -1.0]);
+/// assert_eq!(columns.reassemble(), (w, b));
 /// # Ok::<(), orco_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]

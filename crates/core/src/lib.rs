@@ -25,11 +25,11 @@
 //!
 //! | Paper | Module |
 //! |-------|--------|
-//! | §III-B encoder/decoder/noise/loss | [`autoencoder`], [`decoder`], [`noise`] |
-//! | §III-B training procedure | [`orchestrator`], [`history`] |
-//! | §III-C encoder distribution | [`distribution`] |
+//! | §III-B encoder/decoder/noise/loss | `autoencoder`, `decoder`, `noise` |
+//! | §III-B training procedure | `orchestrator`, `history` |
+//! | §III-C encoder distribution | `distribution` |
 //! | §III-C compressed aggregation | [`aggregation`] |
-//! | §III-D model fine-tuning | [`monitor`] |
+//! | §III-D model fine-tuning | `monitor` |
 //! | §IV experiment pipeline | [`codec`], [`pipeline`] |
 //!
 //! ## Quick start

@@ -29,7 +29,6 @@ pub struct FineTuneMonitor {
     threshold: f32,
     window: VecDeque<f32>,
     capacity: usize,
-    triggers: usize,
 }
 
 impl FineTuneMonitor {
@@ -43,7 +42,7 @@ impl FineTuneMonitor {
     pub fn new(threshold: f32, window: usize) -> Self {
         assert!(threshold > 0.0 && threshold.is_finite(), "threshold must be positive");
         assert!(window > 0, "window must be non-zero");
-        Self { threshold, window: VecDeque::with_capacity(window), capacity: window, triggers: 0 }
+        Self { threshold, window: VecDeque::with_capacity(window), capacity: window }
     }
 
     /// The trigger threshold.
@@ -76,10 +75,9 @@ impl FineTuneMonitor {
         self.windowed_error().is_some_and(|e| e > self.threshold)
     }
 
-    /// Resets the window after a retrain was launched, counting the trigger.
+    /// Resets the window after a retrain was launched.
     pub fn acknowledge(&mut self) {
         self.window.clear();
-        self.triggers += 1;
     }
 }
 
@@ -118,7 +116,7 @@ mod tests {
     }
 
     #[test]
-    fn acknowledge_resets_and_counts() {
+    fn acknowledge_resets_the_window() {
         let mut m = FineTuneMonitor::new(0.1, 2);
         m.record(1.0);
         m.record(1.0);

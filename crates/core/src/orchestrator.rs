@@ -48,8 +48,8 @@ use crate::split::SplitModel;
 /// let net = NetworkConfig { num_devices: 16, ..Default::default() };
 /// let mut orch = Orchestrator::new(cfg, net).unwrap();
 /// let data = mnist_like::generate(16, 0);
-/// let history = orch.train(data.x()).unwrap();
-/// assert!(!history.rounds.is_empty());
+/// let (loss, round_s) = orch.train_round(data.x()).unwrap();
+/// assert!(loss.is_finite() && round_s > 0.0);
 /// assert!(orch.network().now_s() > 0.0);
 /// ```
 #[derive(Debug)]

@@ -19,7 +19,7 @@
 //! and emit a [`Dataset`]: a design matrix with one flattened sample per
 //! row (the layout every other crate consumes) plus integer labels.
 //!
-//! Supporting modules: [`raster`] (tiny software rasterizer), [`split`]
+//! Supporting modules: `raster` (tiny software rasterizer), [`split`]
 //! (train/test and fractional subsets — DCSNet-30/50/70% in the paper's
 //! Figure 5), and [`drift`] (environment-change simulation driving the
 //! paper's §III-D fine-tuning monitor).

@@ -323,7 +323,7 @@ impl FleetClient {
     }
 
     /// Fetches the directory's aggregated fleet view (see
-    /// [`DirectoryClient::fleet_stats`]).
+    /// `DirectoryClient::fleet_stats`).
     ///
     /// # Errors
     ///

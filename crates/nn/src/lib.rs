@@ -35,17 +35,17 @@
 //! use orco_tensor::{Matrix, OrcoRng};
 //!
 //! let mut rng = OrcoRng::from_label("doc-xor", 0);
-//! let mut model = Sequential::new()
-//!     .with(Dense::new(2, 8, Activation::Tanh, &mut rng))
-//!     .with(Dense::new(8, 1, Activation::Sigmoid, &mut rng));
+//! let mut model = Sequential::new();
+//! model.push(Dense::new(2, 8, Activation::Tanh, &mut rng));
+//! model.push(Dense::new(8, 1, Activation::Sigmoid, &mut rng));
 //! let x = Matrix::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.])?;
 //! let y = Matrix::from_vec(4, 1, vec![0., 1., 1., 0.])?;
-//! let mut opt = Optimizer::sgd(0.5);
-//! let before = model.evaluate(&x, &y, &Loss::L2);
+//! let mut opt = Optimizer::adam(0.05);
+//! let before = Loss::L2.value(&model.forward(&x, false), &y);
 //! for _ in 0..200 {
 //!     model.train_batch(&x, &y, &Loss::L2, &mut opt);
 //! }
-//! assert!(model.evaluate(&x, &y, &Loss::L2) < before);
+//! assert!(Loss::L2.value(&model.forward(&x, false), &y) < before);
 //! # Ok::<(), orco_tensor::TensorError>(())
 //! ```
 

@@ -18,9 +18,9 @@ use crate::optimizer::Optimizer;
 /// use orco_tensor::{Matrix, OrcoRng};
 ///
 /// let mut rng = OrcoRng::from_label("seq-doc", 0);
-/// let mut ae = Sequential::new()
-///     .with(Dense::new(784, 128, Activation::Sigmoid, &mut rng))
-///     .with(Dense::new(128, 784, Activation::Sigmoid, &mut rng));
+/// let mut ae = Sequential::new();
+/// ae.push(Dense::new(784, 128, Activation::Sigmoid, &mut rng));
+/// ae.push(Dense::new(128, 784, Activation::Sigmoid, &mut rng));
 /// assert_eq!(ae.input_dim(), Some(784));
 /// assert_eq!(ae.output_dim(), Some(784));
 /// let out = ae.forward(&Matrix::zeros(2, 784), false);

@@ -1,14 +1,14 @@
 //! # orco-obs — deterministic, allocation-bounded observability
 //!
 //! The observability layer of the OrcoDCS reproduction: typed
-//! [`metrics`] (counters, clamped gauges, log2-bucketed histograms, and
+//! `metrics` (counters, clamped gauges, log2-bucketed histograms, and
 //! a byte-stable text exposition) and ring-buffered structured
-//! [`trace`] spans whose export is **bit-identical** between a live run
+//! `trace` spans whose export is **bit-identical** between a live run
 //! and its replay when both are stamped from the same virtual clock.
 //!
-//! Everything here is `std`-only and bounded: a [`trace::Tracer`] holds
+//! Everything here is `std`-only and bounded: a [`Tracer`] holds
 //! at most its configured capacity of spans (dropping the oldest and
-//! counting the drops), a [`metrics::Histogram`] is a fixed 64-bucket
+//! counting the drops), a [`Histogram`] is a fixed 64-bucket
 //! array, and nothing allocates on the hot path beyond the ring itself.
 //! Timestamps are plain `f64` seconds supplied by the caller — under a
 //! manual clock they are exact event times, so two runs with the same
@@ -17,11 +17,11 @@
 //! ## Quickstart: trace one frame's journey
 //!
 //! A span chain follows one client push through the gateway: push →
-//! enqueue → flush → store → pull. [`trace::verify_chains`] checks the
+//! enqueue → flush → store → pull. [`verify_chains`] checks the
 //! conservation law (no stage may see rows the previous stage did not).
 //!
 //! ```
-//! use orco_obs::trace::{verify_chains, Span, SpanKind, Tracer};
+//! use orco_obs::{verify_chains, Span, SpanKind, Tracer};
 //!
 //! let tracer = Tracer::new(64);
 //! let span = |kind, detail| Span {
@@ -41,7 +41,7 @@
 //!
 //! let spans = tracer.spans();
 //! let summary = verify_chains(&spans).expect("one complete chain");
-//! assert_eq!((summary.traces, summary.pushed_rows, summary.delivered_rows), (1, 3, 3));
+//! assert_eq!((summary.pushed_rows, summary.delivered_rows), (3, 3));
 //! assert_eq!(tracer.dropped(), 0);
 //! // The export is deterministic: same spans, same bytes.
 //! assert_eq!(tracer.export_text(), tracer.export_text());
@@ -50,9 +50,9 @@
 //! ## Quickstart: metrics exposition
 //!
 //! ```
-//! use orco_obs::metrics::{Counter, Histogram, Registry};
+//! use orco_obs::{Counter, Histogram, Registry};
 //!
-//! let pushes = Counter::new();
+//! let pushes = Counter::default();
 //! pushes.add(3);
 //! let lat = Histogram::new();
 //! lat.record_secs(0.004);

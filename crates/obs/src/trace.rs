@@ -154,8 +154,6 @@ impl Tracer {
 /// What [`verify_chains`] tallied across all traces.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ChainSummary {
-    /// Distinct trace ids that pushed rows.
-    pub(crate) traces: usize,
     /// Rows accepted across all traces.
     pub pushed_rows: u64,
     /// Rows delivered (pull + stream) across all traces.
@@ -229,7 +227,6 @@ pub fn verify_chains(spans: &[Span]) -> Result<ChainSummary, String> {
                 t.delivered, t.stored
             ));
         }
-        summary.traces += 1;
         summary.pushed_rows += t.pushed;
         summary.delivered_rows += t.delivered;
     }
@@ -303,7 +300,7 @@ mod tests {
             span(9, SpanKind::Subscribe, 4), // annotation, not a chain
         ];
         let s = verify_chains(&spans).expect("conserved");
-        assert_eq!(s, ChainSummary { traces: 1, pushed_rows: 3, delivered_rows: 3 });
+        assert_eq!(s, ChainSummary { pushed_rows: 3, delivered_rows: 3 });
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!   a time, aborting on the first refusal so a bad version never
 //!   reaches the whole fleet.
 //!
-//! The [`scenarios`] module adds `rollout_storm` to the chaos gauntlet:
+//! The `scenarios` module adds `rollout_storm` to the chaos gauntlet:
 //! the shared fleet cast of `orco_fleet::scenarios` (3 gateways over
 //! impaired DES links) plus a controller role, drift injected mid-run, a
 //! staged rollout racing it, one gateway killed mid-swap — and the whole

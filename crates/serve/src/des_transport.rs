@@ -54,11 +54,10 @@
 //! ## Quickstart
 //!
 //! ```
-//! use std::rc::Rc;
 //! use std::sync::Arc;
 //! use std::time::Duration;
-//! use orco_serve::{Clock, DesConfig, DesNet, Gateway, GatewayConfig, Message};
-//! use orco_sim::{LinkParams, NetScenario};
+//! use orco_serve::{Client, Clock, DesConfig, DesNet, DesTransport, Gateway, GatewayConfig};
+//! use orco_sim::LinkParams;
 //! use orco_tensor::Matrix;
 //! use orcodcs::{AsymmetricAutoencoder, Codec, OrcoConfig};
 //! use orco_datasets::DatasetKind;
@@ -79,10 +78,9 @@
 //!     },
 //!     42,
 //! );
-//! let conn = net.connect();
-//! let seq = net.submit(conn, &Message::PushFrames { cluster_id: 7, trace: 1, frames: Matrix::zeros(4, 784) });
-//! net.pump_until_idle();
-//! assert!(matches!(net.take_reply(conn, seq), Some(Message::PushAck { accepted: 4 })));
+//! let mut client = Client::connect(&DesTransport::new(net))?;
+//! let outcome = client.push(7, Matrix::zeros(4, 784).as_view())?;
+//! assert!(matches!(outcome, orco_serve::PushOutcome::Accepted(4)));
 //! # Ok::<(), orcodcs::OrcoError>(())
 //! ```
 
@@ -111,7 +109,7 @@ pub struct DesConfig {
     /// Ceiling of the per-retry doubled RTO.
     pub rto_cap: Duration,
     /// Transmission attempts (first send included) before
-    /// [`NetEvent::GaveUp`].
+    /// `NetEvent::GaveUp`.
     pub max_attempts: u32,
 }
 
@@ -381,7 +379,7 @@ impl DesNet {
         self.reconnect_to(conn, ep)
     }
 
-    /// Like [`DesNet::reconnect`], but the replacement connection dials
+    /// Like `DesNet::reconnect`, but the replacement connection dials
     /// endpoint `ep` — the failover primitive: the session (and its
     /// client-side sequence state) resumes against a **new server**. When
     /// the endpoint actually changes, the server-side dedup memory is
@@ -468,7 +466,7 @@ impl DesNet {
 
     /// Submits a request on `conn`, assigning it the session's next
     /// sequence number; the frame is transmitted immediately and the RTO
-    /// armed. Returns the sequence to pass to [`DesNet::take_reply`].
+    /// armed. Returns the sequence to pass to `DesNet::take_reply`.
     ///
     /// # Panics
     ///
@@ -494,7 +492,7 @@ impl DesNet {
         seq
     }
 
-    /// Schedules a [`NetEvent::Wakeup`] `dt` from now — the hook backoff
+    /// Schedules a `NetEvent::Wakeup` `dt` from now — the hook backoff
     /// sleeps and scenario actors hang their timers on.
     pub fn schedule_wakeup(&self, dt: Duration, token: u64) {
         let mut inner = self.inner.borrow_mut();

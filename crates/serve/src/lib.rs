@@ -75,7 +75,7 @@
 //! jitter, and partitions under virtual time, with a stop-and-wait ARQ
 //! and server-side dedup providing exactly-once delivery, and a
 //! record→replay trace that reproduces any run bit-identically from its
-//! log. See [`des_transport`] for a quickstart, [`scenarios`] for the
+//! log. See `des_transport` for a quickstart, [`scenarios`] for the
 //! chaos-gauntlet harness — the event loop, connection routing and
 //! contract checks every layer's scenarios run on, the one [`Outcome`]
 //! they all return, and this layer's five scenarios ([`run_scenario`] /

@@ -117,7 +117,7 @@ pub enum WireError {
         /// Bytes actually remaining.
         got: usize,
     },
-    /// The frame does not start with [`MAGIC`].
+    /// The frame does not start with `MAGIC`.
     BadMagic {
         /// The four bytes found instead.
         found: u32,

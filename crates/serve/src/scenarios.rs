@@ -386,7 +386,7 @@ impl<R: Copy> Roles<R> {
     }
 
     /// Resumes `conn`'s session on fresh links to the same endpoint
-    /// ([`DesNet::reconnect`]: an outstanding request rides over and is
+    /// (`DesNet::reconnect`: an outstanding request rides over and is
     /// re-offered), the replacement inheriting the role. Returns the new
     /// connection id.
     pub fn reconnect(&mut self, net: &DesNet, conn: usize) -> usize {
@@ -537,7 +537,7 @@ pub fn push_window(cluster: u64, frames: &Matrix, lo: usize, hi: usize) -> Messa
     }
 }
 
-/// The pull of `cluster`'s next [`PULL_CHUNK`] reconstructions.
+/// The pull of `cluster`'s next `PULL_CHUNK` reconstructions.
 #[must_use]
 pub fn pull_chunk(cluster: u64) -> Message {
     Message::PullDecoded { cluster_id: cluster, max_frames: PULL_CHUNK, trace: 0 }

@@ -1,7 +1,7 @@
 //! The serving-statistics registry and its wire snapshot.
 //!
 //! Every shard and connection thread records into one shared
-//! [`ServeStats`], built on the typed primitives of [`orco_obs`]:
+//! `ServeStats`, built on the typed primitives of [`orco_obs`]:
 //! lock-free [`Counter`]s for the hot-path tallies, [`Gauge`]s that
 //! clamp at zero instead of wrapping (a pull racing a flush recording
 //! can momentarily read low, never ~`u64::MAX`), a log2-bucketed

@@ -171,7 +171,7 @@ impl DesNetwork {
     ///
     /// Panics if the scenario references a device index outside
     /// `0..config.num_devices` (see
-    /// [`Scenario::validate_device_indices`]).
+    /// `Scenario::validate_device_indices`).
     #[must_use]
     pub fn new(config: NetworkConfig, spec: SimSpec) -> Self {
         spec.scenario.validate_device_indices(config.num_devices);

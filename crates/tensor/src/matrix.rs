@@ -467,7 +467,7 @@ impl Matrix {
     }
 
     /// `out = self · v` into a caller-owned buffer; see
-    /// [`crate::MatView::matvec_into`].
+    /// `crate::MatView::matvec_into`.
     ///
     /// # Panics
     ///
@@ -477,7 +477,7 @@ impl Matrix {
     }
 
     /// `out = selfᵀ · v` without materializing the transpose; see
-    /// [`crate::MatView::t_matvec_into`].
+    /// `crate::MatView::t_matvec_into`.
     ///
     /// # Panics
     ///

@@ -25,10 +25,10 @@
 ///
 /// let mut a = OrcoRng::from_label("encoder-init", 0);
 /// let mut b = OrcoRng::from_label("encoder-init", 0);
-/// assert_eq!(a.next_f32(), b.next_f32());
+/// assert_eq!(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0));
 ///
 /// let mut c = OrcoRng::from_label("encoder-init", 1);
-/// assert_ne!(a.next_f32(), c.next_f32());
+/// assert_ne!(a.uniform(0.0, 1.0), c.uniform(0.0, 1.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct OrcoRng {

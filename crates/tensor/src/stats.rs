@@ -1,8 +1,7 @@
 //! Descriptive statistics and image-quality metrics.
 //!
 //! The figure harnesses report reconstruction quality via [`psnr`] and a
-//! luminance-only structural-similarity proxy [`ssim_global`]; the training
-//! loops use [`running::Welford`] for numerically stable loss averaging.
+//! luminance-only structural-similarity proxy [`ssim_global`].
 
 use crate::matrix::Matrix;
 

@@ -51,20 +51,6 @@ pub struct LinkStats {
 }
 
 /// Workspace-wide traffic ledger.
-///
-/// # Examples
-///
-/// ```
-/// use orco_wsn::{accounting::TrafficAccounting, NodeId, PacketKind};
-///
-/// let mut ledger = TrafficAccounting::new();
-/// ledger.record_tx(NodeId(0), 100, 1e-6, PacketKind::RawData);
-/// ledger.record_rx(NodeId(1), 100, 5e-7, PacketKind::RawData);
-/// ledger.record_delivery(0.012);
-/// assert_eq!(ledger.total_tx_bytes(), 100);
-/// assert_eq!(ledger.bytes_by_kind(PacketKind::RawData), 100);
-/// assert_eq!(ledger.link_stats().delivered_packets, 1);
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct TrafficAccounting {
     // Ordered map: the energy totals are f64 sums over all nodes, and a

@@ -5,18 +5,18 @@
 //! the host machine. `SimClock` is a monotone accumulator those costs are
 //! added to.
 //!
-//! Every clock in the workspace — the analytic [`SimClock`], the per-node
+//! Every clock in the workspace — the analytic `SimClock`, the per-node
 //! clocks of the `orco-sim` discrete-event backend — shares one
 //! monotonicity contract, checked by [`assert_monotone_dt`]: time is
 //! measured in **seconds as `f64`**, steps are finite and non-negative, and
-//! absolute synchronization ([`SimClock::advance_to`]) never rewinds.
+//! absolute synchronization (`SimClock::advance_to`) never rewinds.
 
 /// Asserts the shared monotonicity contract for a simulated time step.
 ///
 /// All simulated time in this workspace is **seconds, stored as `f64`**.
 /// A valid step is finite and non-negative; anything else is a programming
 /// error in a cost model, so this panics rather than returning an error.
-/// Both the analytic [`SimClock`] and the event-driven per-node clocks of
+/// Both the analytic `SimClock` and the event-driven per-node clocks of
 /// `orco-sim` funnel their advances through this one check.
 ///
 /// # Panics
@@ -31,17 +31,6 @@ pub fn assert_monotone_dt(dt_s: f64) {
 }
 
 /// A monotone simulated clock measured in seconds.
-///
-/// # Examples
-///
-/// ```
-/// use orco_wsn::SimClock;
-///
-/// let mut clock = SimClock::new();
-/// clock.advance(1.5);
-/// clock.advance(0.25);
-/// assert_eq!(clock.now_s(), 1.75);
-/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct SimClock {
     now_s: f64,

@@ -8,28 +8,28 @@
 //! data aggregator that collaborates with an edge server. This crate
 //! provides that world:
 //!
-//! * [`geometry`] — 2-D field, node placement;
-//! * [`node`] — devices with a [`node::DeviceClass`] (IoT device, data
+//! * `geometry` — 2-D field, node placement;
+//! * `node` — devices with a [`node::DeviceClass`] (IoT device, data
 //!   aggregator, edge server), battery budget, and compute rate;
-//! * [`radio`] — the first-order radio energy model
+//! * `radio` — the first-order radio energy model
 //!   (`E_tx = E_elec·k + ε_amp·k·d²`, `E_rx = E_elec·k`) standard in the WSN
 //!   literature the paper builds on;
-//! * [`link`] — bandwidth/latency/loss link models for intra-cluster radio,
+//! * `link` — bandwidth/latency/loss link models for intra-cluster radio,
 //!   aggregator→edge uplink, and edge→aggregator downlink;
 //! * [`clock`] — the simulated clock: every byte moved and FLOP executed
 //!   advances simulated time, which is the x-axis of the paper's Figures 4
 //!   and 6–8;
-//! * [`compute`] — FLOPS rates per device class, turning the per-layer FLOP
+//! * `compute` — FLOPS rates per device class, turning the per-layer FLOP
 //!   counts reported by `orco-nn` into simulated seconds;
-//! * [`tree`] — multi-hop data-aggregation trees (ref \[1\] of the paper) for
+//! * `tree` — multi-hop data-aggregation trees (ref \[1\] of the paper) for
 //!   intra-cluster **raw** aggregation, with failure injection and
 //!   re-parenting;
-//! * [`chain`] — the latent-element chain aggregation of §III-C for
+//! * `chain` — the latent-element chain aggregation of §III-C for
 //!   **compressed** aggregation;
 //! * [`accounting`] — per-node byte and energy accounting, packet
 //!   outcomes, and delivery-latency statistics;
-//! * [`network`] — the façade tying all of it together;
-//! * [`backend`] — the [`DeploymentBackend`] trait making the deployment
+//! * `network` — the façade tying all of it together;
+//! * `backend` — the [`DeploymentBackend`] trait making the deployment
 //!   pluggable: this crate's analytic [`Network`] and the `orco-sim`
 //!   discrete-event simulator both implement it.
 //!

@@ -12,9 +12,9 @@
 /// ```
 /// use orco_wsn::LinkModel;
 ///
-/// let uplink = LinkModel::aggregator_uplink();
+/// let uplink = LinkModel::new(2e6, 0.02, 0.0);
 /// let t = uplink.transmission_time_s(2_000_000 / 8); // 250 kB at 2 Mb/s
-/// assert!((t - (1.0 + uplink.latency_s)).abs() < 1e-9);
+/// assert!((t - (1.0 + 0.02)).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {

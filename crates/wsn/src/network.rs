@@ -395,7 +395,7 @@ impl Network {
     }
 
     /// Synchronizes the global clock to an absolute event time (never
-    /// rewinds; see [`SimClock::advance_to`]).
+    /// rewinds; see `SimClock::advance_to`).
     pub fn advance_clock_to(&mut self, t_s: f64) {
         self.clock.advance_to(t_s);
     }
