@@ -21,13 +21,9 @@
 //! protocol ([`split_model`]), persist its distributable half
 //! ([`checkpoint`]) — without the caller special-casing backends.
 //!
-//! # Migration: per-frame → batched
+//! # The batched data plane
 //!
-//! Through PR 2 the data plane was strictly per-frame:
-//! `encode_frame(&[f32]) -> Vec<f32>` allocated one `Vec` and ran one
-//! matvec per frame, and every sweep, probe, and DES payload loop paid
-//! that tax frame by frame. The batched API moves a round of `N` frames
-//! as **one call over borrowed memory**:
+//! A round of `N` frames moves as **one call over borrowed memory**:
 //!
 //! * [`encode_batch`] / [`decode_batch`] take an
 //!   [`orco_tensor::MatView`] of frames and write into a caller-owned
@@ -35,17 +31,16 @@
 //!   [`Matrix::reset`] internally, reusing its allocation). Shapes are
 //!   validated **once per batch** against [`frame_dims`], returning typed
 //!   [`OrcoError::Shape`] errors instead of panicking mid-experiment.
-//! * The per-frame methods survive as the compatibility/default layer:
-//!   `encode_frame`/`decode_frame` are what a minimal backend implements,
-//!   and the batch methods' default bodies delegate to them row by row.
-//!   The contract is **bit-identity** — a native batched override must
+//! * `encode_frame`/`decode_frame` are what a minimal backend implements;
+//!   the batch methods' default bodies delegate to them row by row. The
+//!   contract is **bit-identity** — a native batched override must
 //!   produce exactly the per-frame loop's output (regression- and
 //!   property-tested for all three backends).
-//! * When do the defaults suffice? When the backend's per-frame cost is
-//!   dominated by real work (e.g. an ISTA solve). Backends whose encode
-//!   is one matvec ([`crate::AsymmetricAutoencoder`], `Dcsnet`, the
-//!   classical `Φ` stack) override the batch methods with one blocked
-//!   GEMM over the whole round.
+//! * The defaults suffice when the backend's per-frame cost is dominated
+//!   by real work (e.g. an ISTA solve). Backends whose encode is one
+//!   matvec ([`crate::AsymmetricAutoencoder`], `Dcsnet`, the classical
+//!   `Φ` stack) override the batch methods with one blocked GEMM over the
+//!   whole round.
 //! * Buffer-reuse idiom: hold one `codes`/`recon` `Matrix` per loop (or
 //!   experiment) and pass `&mut` per round — allocation happens on the
 //!   first round only.

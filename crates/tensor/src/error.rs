@@ -16,29 +16,6 @@ pub enum TensorError {
         /// Number of elements actually provided.
         actual: usize,
     },
-    /// A dimension was zero where a non-empty tensor is required.
-    EmptyDimension {
-        /// Human-readable name of the offending dimension.
-        dim: &'static str,
-    },
-    /// Two shapes that must agree do not.
-    ShapeMismatch {
-        /// Shape of the left-hand operand.
-        left: (usize, usize),
-        /// Shape of the right-hand operand.
-        right: (usize, usize),
-        /// The operation that was attempted.
-        op: &'static str,
-    },
-    /// An index was out of bounds.
-    OutOfBounds {
-        /// The offending index.
-        index: usize,
-        /// The exclusive bound it must be below.
-        bound: usize,
-        /// Which axis the index addressed.
-        axis: &'static str,
-    },
     /// A serialized tensor could not be parsed.
     Parse {
         /// Description of what failed to parse.
@@ -51,17 +28,6 @@ impl fmt::Display for TensorError {
         match self {
             TensorError::LengthMismatch { expected, actual } => {
                 write!(f, "buffer length mismatch: expected {expected} elements, got {actual}")
-            }
-            TensorError::EmptyDimension { dim } => {
-                write!(f, "dimension `{dim}` must be non-zero")
-            }
-            TensorError::ShapeMismatch { left, right, op } => write!(
-                f,
-                "shape mismatch in `{op}`: left is {}x{}, right is {}x{}",
-                left.0, left.1, right.0, right.1
-            ),
-            TensorError::OutOfBounds { index, bound, axis } => {
-                write!(f, "index {index} out of bounds for axis `{axis}` (len {bound})")
             }
             TensorError::Parse { detail } => write!(f, "parse error: {detail}"),
         }
@@ -81,22 +47,13 @@ mod tests {
     }
 
     #[test]
-    fn display_shape_mismatch() {
-        let e = TensorError::ShapeMismatch { left: (2, 3), right: (4, 5), op: "add" };
-        assert!(e.to_string().contains("`add`"));
-        assert!(e.to_string().contains("2x3"));
-    }
-
-    #[test]
     fn error_is_std_error() {
         fn assert_err<E: std::error::Error + Send + Sync + 'static>() {}
         assert_err::<TensorError>();
     }
 
     #[test]
-    fn display_out_of_bounds_and_parse() {
-        let e = TensorError::OutOfBounds { index: 9, bound: 4, axis: "row" };
-        assert!(e.to_string().contains("axis `row`"));
+    fn display_parse() {
         let p = TensorError::Parse { detail: "bad header".into() };
         assert!(p.to_string().contains("bad header"));
     }
