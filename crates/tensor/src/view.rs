@@ -9,8 +9,8 @@
 //!
 //! The `_into` kernels ([`MatView::matmul_into`],
 //! [`MatView::t_matmul_into`], [`MatView::matmul_t_into`],
-//! [`MatView::matvec_into`], [`MatView::t_matvec_into`],
-//! [`MatView::map_into`]) are the one body of each product: the
+//! [`MatView::matvec_into`], [`MatView::t_matvec_into`]) are the one
+//! body of each product: the
 //! allocating [`Matrix`] products are a fresh matrix plus one call of
 //! them, so results are bit-identical to the owning API at any thread
 //! count, while the output lands in a buffer the caller reuses across

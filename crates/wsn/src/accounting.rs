@@ -57,8 +57,8 @@ pub struct TrafficAccounting {
     // hash map's randomized iteration order would make those sums differ
     // in the last ulps between otherwise identical runs.
     per_node: BTreeMap<NodeId, NodeTraffic>,
-    // Ordered for the same reason: `tx_bytes_by_kind` feeds reports, and
-    // the breakdown must enumerate kinds in the same order every run.
+    // Read by point lookup (`bytes_by_kind`); an ordered map so that
+    // enumerating it could never reorder a report between runs.
     per_kind_tx_bytes: BTreeMap<PacketKind, u64>,
     delivered_packets: u64,
     dropped_packets: u64,
