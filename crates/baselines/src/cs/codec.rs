@@ -147,13 +147,7 @@ impl ClassicalCodec {
         let m = self.measurements();
         let pixels = match self.solver {
             CsSolver::Ista(config) => {
-                let _ = ista_reconstruct_with(
-                    &self.sensing,
-                    self.ista_l,
-                    y,
-                    &config,
-                    &mut self.ista_ws,
-                );
+                ista_reconstruct_with(&self.sensing, self.ista_l, y, &config, &mut self.ista_ws);
                 self.dct.inverse(&self.ista_ws.theta)
             }
             CsSolver::Omp { sparsity } => {

@@ -86,7 +86,7 @@ fn soft_threshold(x: f32, t: f32) -> f32 {
 /// left in [`IstaScratch::theta`]). All matrix products run through the
 /// `_into` kernels — no allocation per iteration, and no `Aᵀ`
 /// materialization — with results bit-identical to the historical
-/// allocating loop. Returns the residual norm `‖Aθ − y‖`.
+/// allocating loop.
 ///
 /// # Panics
 ///
@@ -97,7 +97,7 @@ pub(crate) fn ista_reconstruct_with(
     y: &[f32],
     config: &IstaConfig,
     ws: &mut IstaScratch,
-) -> f32 {
+) {
     assert_eq!(y.len(), a.rows(), "ista: measurement length mismatch");
     let step = 1.0 / lipschitz_l;
     let thresh = config.lambda * step;
@@ -126,11 +126,6 @@ pub(crate) fn ista_reconstruct_with(
             break;
         }
     }
-    a.matvec_into(&ws.theta, &mut ws.residual);
-    for (r, &yi) in ws.residual.iter_mut().zip(y) {
-        *r -= yi;
-    }
-    ws.residual.iter().map(|v| v * v).sum::<f32>().sqrt()
 }
 
 #[cfg(test)]
@@ -138,11 +133,13 @@ mod tests {
     use super::*;
     use orco_tensor::OrcoRng;
 
-    /// One solve on a fresh scratch: `(θ, residual_norm)`.
+    /// One solve on a fresh scratch: `(θ, ‖Aθ − y‖)`.
     fn solve(a: &Matrix, y: &[f32], config: &IstaConfig) -> (Vec<f32>, f32) {
         let mut ws = IstaScratch::default();
         let l = lipschitz_estimate(a, LIPSCHITZ_POWER_ITERS);
-        let rnorm = ista_reconstruct_with(a, l, y, config, &mut ws);
+        ista_reconstruct_with(a, l, y, config, &mut ws);
+        let rnorm =
+            a.matvec(&ws.theta).iter().zip(y).map(|(ai, yi)| (yi - ai).powi(2)).sum::<f32>().sqrt();
         (ws.theta, rnorm)
     }
 
@@ -225,10 +222,8 @@ mod tests {
         let mut ws = IstaScratch::default();
         for frame in 0..3 {
             let y: Vec<f32> = (0..24).map(|i| ((i + frame) as f32 * 0.3).sin()).collect();
-            let rnorm = ista_reconstruct_with(&a, l, &y, &config, &mut ws);
-            let (fresh_theta, fresh_rnorm) = solve(&a, &y, &config);
-            assert_eq!(ws.theta, fresh_theta, "frame {frame} diverged");
-            assert_eq!(rnorm, fresh_rnorm);
+            ista_reconstruct_with(&a, l, &y, &config, &mut ws);
+            assert_eq!(ws.theta, solve(&a, &y, &config).0, "frame {frame} diverged");
         }
     }
 }
