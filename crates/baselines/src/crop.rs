@@ -41,7 +41,7 @@ impl Crop2d {
 }
 
 impl Layer for Crop2d {
-    // `backward` needs only the geometry, so neither mode keeps anything.
+    // The backward pass needs only the geometry, so neither mode keeps anything.
     fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, _: bool) {
         assert_eq!(x.cols(), self.input_dim(), "Crop2d::forward_into: width mismatch");
         out.reset(x.rows(), self.output_dim());
@@ -53,21 +53,23 @@ impl Layer for Crop2d {
         }
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        assert_eq!(grad_output.cols(), self.output_dim(), "Crop2d::backward: width mismatch");
-        let mut out = Matrix::zeros(grad_output.rows(), self.input_dim());
-        for (r, g) in grad_output.iter_rows().enumerate() {
-            let dst = out.row_mut(r);
+    /// Zero-pads the gradient back out to the uncropped map. There are no
+    /// parameters, so without a `grad_in` only the check remains.
+    // orco-lint: region(no-alloc)
+    fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>) {
+        assert_eq!(grad_out.cols(), self.output_dim(), "Crop2d::backward: width mismatch");
+        let Some(grad_in) = grad_in else { return };
+        grad_in.reset(grad_out.rows(), self.input_dim());
+        for (r, g) in grad_out.iter_rows().enumerate() {
+            let dst = grad_in.row_mut(r);
             for (i, o) in self.window_rows() {
                 dst[o..o + self.out_side].copy_from_slice(&g[i..i + self.out_side]);
             }
         }
-        out
     }
+    // orco-lint: endregion
 
-    fn params(&mut self) -> Vec<Param<'_>> {
-        Vec::new()
-    }
+    fn for_each_param<'a>(&'a mut self, _: &mut dyn FnMut(Param<'a>)) {}
 
     fn zero_grad(&mut self) {}
 
@@ -127,6 +129,21 @@ mod tests {
         let lhs = crop.forward(&x, false).dot(&g);
         let rhs = x.dot(&crop.backward(&g));
         assert!((lhs - rhs).abs() < 1e-4);
+    }
+
+    #[test]
+    fn backward_into_overwrites_a_dirty_buffer_and_skips_without_one() {
+        let mut crop = Crop2d::new(2, 5, 3);
+        let g = Matrix::from_fn(3, 18, |r, c| ((r * 18 + c) as f32 * 0.3).sin());
+        let want = crop.backward(&g);
+        let mut grad_in = Matrix::filled(2, 3, f32::NAN);
+        for _ in 0..2 {
+            crop.backward_into(g.as_view(), Some(&mut grad_in));
+            assert_eq!(grad_in, want);
+        }
+        // No parameters and no consumer: nothing to do, nothing to panic on.
+        crop.backward_into(g.as_view(), None);
+        assert!(crop.params().is_empty());
     }
 
     #[test]

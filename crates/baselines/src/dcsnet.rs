@@ -50,9 +50,6 @@ pub struct Dcsnet {
     encoder_opt: Optimizer,
     decoder_opt: Optimizer,
     input_dim: usize,
-    /// The decoder's second ping-pong buffer on the batched decode path
-    /// (not a parameter).
-    decode_scratch: Matrix,
 }
 
 impl Dcsnet {
@@ -123,7 +120,6 @@ impl Dcsnet {
             encoder_opt: Optimizer::adam(1e-3).with_grad_clip(10.0),
             decoder_opt: Optimizer::adam(1e-3).with_grad_clip(10.0),
             input_dim,
-            decode_scratch: Matrix::zeros(0, 0),
         }
     }
 
@@ -140,12 +136,8 @@ impl Dcsnet {
         let xr = self.decoder.forward(&latent, true);
         let value = loss.value(&xr, x);
         let grad = loss.grad(&xr, x);
-        self.decoder.zero_grad();
-        let grad_latent = self.decoder.backward(&grad);
-        self.decoder_opt.step(self.decoder.params());
-        self.encoder.zero_grad();
-        let _ = self.encoder.backward(&grad_latent);
-        self.encoder_opt.step(self.encoder.params());
+        let grad_latent = self.edge_decoder_update(&grad);
+        self.aggregator_encoder_update(&grad_latent);
         value
     }
 }
@@ -211,15 +203,15 @@ impl Codec for Dcsnet {
     // orco-lint: endregion
 
     /// One batch pass of the 4-conv-layer decoder stack instead of a
-    /// per-frame loop: `Conv2d` and `Crop2d` write into the two ping-pong
-    /// buffers and retain nothing. Each convolution lowers a sample into
-    /// its own workspace and multiplies straight into the sample's output
-    /// row, so once those and the two buffers have grown a decode
-    /// allocates nothing.
+    /// per-frame loop: the convolutions write into the stack's two
+    /// ping-pong buffers, the crop into `out`, and nothing is retained.
+    /// Each convolution lowers a sample into its own workspace and
+    /// multiplies straight into the sample's output row, so once those,
+    /// the two buffers and `out` have grown a decode allocates nothing.
     // orco-lint: region(no-alloc)
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
-        self.decoder.infer_into(codes, &mut self.decode_scratch, out);
+        self.decoder.infer_into(codes, out);
         Ok(())
     }
     // orco-lint: endregion
@@ -262,15 +254,17 @@ impl SplitModel for Dcsnet {
 
     fn edge_decoder_update(&mut self, grad_reconstruction: &Matrix) -> Matrix {
         self.decoder.zero_grad();
-        let grad_latent = self.decoder.backward(grad_reconstruction);
-        self.decoder_opt.step(self.decoder.params());
+        let mut grad_latent = Matrix::zeros(0, 0);
+        self.decoder.backward_into(grad_reconstruction.as_view(), Some(&mut grad_latent));
+        self.decoder_opt.step(|f| self.decoder.for_each_param(f));
         grad_latent
     }
 
     fn aggregator_encoder_update(&mut self, grad_latent: &Matrix) {
+        // Nobody reads the first layer's ∂L/∂x, so it is not computed.
         self.encoder.zero_grad();
-        let _ = self.encoder.backward(grad_latent);
-        self.encoder_opt.step(self.encoder.params());
+        self.encoder.backward_into(grad_latent.as_view(), None);
+        self.encoder_opt.step(|f| self.encoder.for_each_param(f));
     }
 
     fn reconstruct_inference(&mut self, x: &Matrix) -> Matrix {

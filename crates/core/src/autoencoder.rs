@@ -52,9 +52,6 @@ pub struct AsymmetricAutoencoder {
     latent_dim: usize,
     input_dim: usize,
     loss: Loss,
-    /// The decoder's second ping-pong buffer on the batched decode path
-    /// (not a parameter; excluded from snapshots and checkpoints).
-    decode_scratch: Matrix,
 }
 
 impl AsymmetricAutoencoder {
@@ -81,7 +78,6 @@ impl AsymmetricAutoencoder {
             latent_dim: config.latent_dim,
             input_dim: config.input_dim,
             loss: config.loss(),
-            decode_scratch: Matrix::zeros(0, 0),
         })
     }
 
@@ -189,7 +185,7 @@ impl AsymmetricAutoencoder {
     /// decoding each row through [`AsymmetricAutoencoder::decode`], and
     /// allocation-free once `out` has grown to size.
     pub(crate) fn decode_batch_into(&mut self, codes: MatView<'_>, out: &mut Matrix) {
-        self.decoder.infer_into(codes, &mut self.decode_scratch, out);
+        self.decoder.infer_into(codes, out);
     }
     // orco-lint: endregion
 
@@ -198,13 +194,17 @@ impl AsymmetricAutoencoder {
     // ------------------------------------------------------------------
 
     /// **Aggregator step 1**: encode a batch in training mode and add the
-    /// Gaussian latent noise (eqs. 1–2). Returns the noisy latent `Ŷ`.
+    /// Gaussian latent noise (eqs. 1–2). Returns the noisy latent `Ŷ`, the
+    /// one matrix the step allocates.
     pub(crate) fn aggregator_encode_train(&mut self, x: &Matrix) -> Matrix {
-        let latent = self.encoder.forward(x, true);
-        noise::add_gaussian(&latent, self.noise_variance, &mut self.noise_rng)
+        let mut latent = self.encoder.forward(x, true);
+        noise::add_gaussian(&mut latent, self.noise_variance, &mut self.noise_rng);
+        latent
     }
 
     /// **Edge step**: decode the noisy latent in training mode (eq. 3).
+    /// The returned reconstruction is the one matrix the step allocates,
+    /// whatever the decoder's depth.
     pub(crate) fn edge_decode_train(&mut self, noisy_latent: &Matrix) -> Matrix {
         self.decoder.forward(noisy_latent, true)
     }
@@ -218,21 +218,24 @@ impl AsymmetricAutoencoder {
 
     /// **Edge step**: backpropagate the reconstruction gradient through the
     /// decoder, apply the decoder optimizer, and return `∂L/∂Ŷ` (the latent
-    /// gradient sent back down to the aggregator).
+    /// gradient sent back down to the aggregator) — the one matrix the step
+    /// allocates.
     pub(crate) fn edge_decoder_update(&mut self, grad_reconstruction: &Matrix) -> Matrix {
         self.decoder.zero_grad();
-        let grad_latent = self.decoder.backward(grad_reconstruction);
-        self.decoder_opt.step(self.decoder.params());
+        let mut grad_latent = Matrix::zeros(0, 0);
+        self.decoder.backward_into(grad_reconstruction.as_view(), Some(&mut grad_latent));
+        self.decoder_opt.step(|f| self.decoder.for_each_param(f));
         grad_latent
     }
 
     /// **Aggregator step 3**: backpropagate the latent gradient through the
     /// encoder and apply the encoder optimizer. (Additive noise has unit
-    /// Jacobian, so `∂L/∂Y = ∂L/∂Ŷ`.)
+    /// Jacobian, so `∂L/∂Y = ∂L/∂Ŷ`.) Nobody reads `∂L/∂x` of the first
+    /// layer, so it is not computed, and the step allocates nothing.
     pub(crate) fn aggregator_encoder_update(&mut self, grad_latent: &Matrix) {
         self.encoder.zero_grad();
-        let _ = self.encoder.backward(grad_latent);
-        self.encoder_opt.step(self.encoder.params());
+        self.encoder.backward_into(grad_latent.as_view(), None);
+        self.encoder_opt.step(|f| self.encoder.for_each_param(f));
     }
 
     // ------------------------------------------------------------------

@@ -8,25 +8,22 @@
 use orco_tensor::{Matrix, OrcoRng};
 
 /// Adds zero-mean Gaussian noise of the given **variance** to a latent
-/// batch, returning a new matrix.
+/// batch in place, one draw per element in row-major order.
 ///
-/// A variance of 0 returns the input unchanged.
+/// A variance of 0 leaves the batch as it is and draws nothing.
 ///
 /// # Panics
 ///
 /// Panics if `variance` is negative or not finite.
-#[must_use]
-pub(crate) fn add_gaussian(latent: &Matrix, variance: f32, rng: &mut OrcoRng) -> Matrix {
+pub(crate) fn add_gaussian(latent: &mut Matrix, variance: f32, rng: &mut OrcoRng) {
     assert!(variance.is_finite() && variance >= 0.0, "noise variance must be ≥ 0");
     if variance == 0.0 {
-        return latent.clone();
+        return;
     }
     let std = variance.sqrt();
-    let mut out = latent.clone();
-    for v in out.as_mut_slice() {
+    for v in latent.as_mut_slice() {
         *v += rng.normal(0.0, std);
     }
-    out
 }
 
 #[cfg(test)]
@@ -34,17 +31,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zero_variance_is_identity() {
+    fn zero_variance_is_identity_and_draws_nothing() {
         let mut rng = OrcoRng::from_label("noise-core", 0);
         let y = Matrix::from_fn(4, 8, |r, c| (r + c) as f32);
-        assert_eq!(add_gaussian(&y, 0.0, &mut rng), y);
+        let mut same = y.clone();
+        add_gaussian(&mut same, 0.0, &mut rng);
+        assert_eq!(same, y);
+        assert_eq!(rng.normal(0.0, 1.0), OrcoRng::from_label("noise-core", 0).normal(0.0, 1.0));
     }
 
     #[test]
     fn noise_is_zero_mean_with_requested_variance() {
         let mut rng = OrcoRng::from_label("noise-core", 1);
-        let y = Matrix::zeros(50, 200);
-        let noisy = add_gaussian(&y, 0.36, &mut rng);
+        let mut noisy = Matrix::zeros(50, 200);
+        add_gaussian(&mut noisy, 0.36, &mut rng);
         let mean = noisy.mean();
         let var =
             noisy.as_slice().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / noisy.len() as f32;
@@ -53,17 +53,21 @@ mod tests {
     }
 
     #[test]
-    fn input_is_not_mutated() {
+    fn each_element_takes_the_next_draw_in_row_major_order() {
         let mut rng = OrcoRng::from_label("noise-core", 2);
-        let y = Matrix::ones(2, 4);
-        let _ = add_gaussian(&y, 0.5, &mut rng);
-        assert_eq!(y, Matrix::ones(2, 4));
+        let mut draws = rng.clone();
+        let y = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32);
+        let mut noisy = y.clone();
+        add_gaussian(&mut noisy, 0.25, &mut rng);
+        for (n, v) in noisy.as_slice().iter().zip(y.as_slice()) {
+            assert_eq!(*n, v + draws.normal(0.0, 0.5));
+        }
     }
 
     #[test]
     #[should_panic(expected = "variance")]
     fn rejects_negative_variance() {
         let mut rng = OrcoRng::from_label("noise-core", 3);
-        let _ = add_gaussian(&Matrix::zeros(1, 1), -1.0, &mut rng);
+        add_gaussian(&mut Matrix::zeros(1, 1), -1.0, &mut rng);
     }
 }

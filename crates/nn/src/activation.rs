@@ -81,12 +81,6 @@ impl Activation {
         m.map_inplace(|v| self.apply(v));
     }
 
-    /// Element-wise derivative matrix from the pre-activation matrix.
-    #[must_use]
-    pub(crate) fn derivative_matrix(self, pre: &Matrix) -> Matrix {
-        pre.map(|v| self.derivative(v))
-    }
-
     /// Approximate FLOPs to evaluate this activation once (used by the
     /// simulated-compute model; exact constants do not matter, relative
     /// magnitudes do).
@@ -144,10 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn matrix_application() {
-        let m = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]).unwrap();
-        let d = Activation::Relu.derivative_matrix(&m);
-        assert_eq!(d.as_slice(), &[0.0, 0.0, 1.0]);
+    fn relu_derivative_is_zero_at_and_below_zero() {
+        assert_eq!([-1.0, 0.0, 2.0].map(|x| Activation::Relu.derivative(x)), [0.0, 0.0, 1.0]);
     }
 
     #[test]

@@ -3,7 +3,7 @@ use orco_tensor::{
 };
 
 use crate::activation::Activation;
-use crate::layer::{Layer, Param};
+use crate::layer::{size_workspace, Layer, Param};
 
 /// A 2-D convolutional layer lowered to GEMM via im2col.
 ///
@@ -110,13 +110,6 @@ impl Conv2d {
     }
 }
 
-/// Sizes a one-sample workspace on its first use; afterwards a no-op.
-fn size_workspace(workspace: &mut Matrix, rows: usize, cols: usize) {
-    if workspace.shape() != (rows, cols) {
-        workspace.reset(rows, cols);
-    }
-}
-
 impl Layer for Conv2d {
     /// Per sample: [`im2col_into`] the workspace, `kernels × patches`
     /// ([`MatView::matmul_into`]) into the sample's output row, and the
@@ -156,20 +149,33 @@ impl Layer for Conv2d {
     }
     // orco-lint: endregion
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+    /// Per sample: `δ`, the sample lowered again, `∂L/∂K += δ·patchesᵀ`
+    /// ([`MatView::matmul_t_into`]) and `∂L/∂b +=` the per-channel sums of
+    /// `δ`; and — only for a caller that reads `∂L/∂input` —
+    /// `∂L/∂patches = Kᵀ·δ` ([`MatView::t_matmul_into`]) scattered back by
+    /// [`col2im_into`]. Allocates nothing once the workspaces and the
+    /// caller's `grad_in` have grown to size.
+    // orco-lint: region(no-alloc)
+    fn backward_into(&mut self, grad_out: MatView<'_>, mut grad_in: Option<&mut Matrix>) {
         let (input, pre) = self.cache.as_ref().expect("Conv2d::backward: no training-mode forward");
-        assert_eq!(grad_output.shape(), pre.shape(), "Conv2d::backward: grad shape mismatch");
+        assert_eq!(
+            (grad_out.rows(), grad_out.cols()),
+            pre.shape(),
+            "Conv2d::backward: grad shape mismatch"
+        );
         let (patch_len, positions) = (self.geom.patch_len(), self.geom.out_positions());
         size_workspace(&mut self.patches, patch_len, positions);
         size_workspace(&mut self.delta, self.out_c, positions);
         size_workspace(&mut self.sample_grad_kernels, self.out_c, patch_len);
-        size_workspace(&mut self.grad_patches, patch_len, positions);
+        if let Some(grad_in) = grad_in.as_deref_mut() {
+            size_workspace(&mut self.grad_patches, patch_len, positions);
+            size_workspace(grad_in, input.rows(), self.geom.input_len());
+        }
 
-        let mut grad_input = Matrix::zeros(input.rows(), self.geom.input_len());
         for i in 0..input.rows() {
-            // δ = grad_output ⊙ σ'(pre) for this sample, as (out_c, positions)
+            // δ = grad_out ⊙ σ'(pre) for this sample, as (out_c, positions)
             let delta = self.delta.as_mut_slice();
-            for ((d, &g), &z) in delta.iter_mut().zip(grad_output.row(i)).zip(pre.row(i)) {
+            for ((d, &g), &z) in delta.iter_mut().zip(grad_out.row(i)).zip(pre.row(i)) {
                 *d = g * self.activation.derivative(z);
             }
             im2col_into(input.row(i), &self.geom, self.patches.as_mut_slice());
@@ -183,20 +189,20 @@ impl Layer for Conv2d {
             for (gb, channel) in self.grad_bias.as_mut_slice().iter_mut().zip(channels) {
                 *gb += channel.iter().sum::<f32>();
             }
-            // ∂L/∂patches = Kᵀ · δ  (patch_len, positions), then scatter.
-            self.kernels
-                .as_view()
-                .t_matmul_into(self.delta.as_view(), self.grad_patches.as_view_mut());
-            col2im_into(self.grad_patches.as_slice(), &self.geom, grad_input.row_mut(i));
+            if let Some(grad_in) = grad_in.as_deref_mut() {
+                // ∂L/∂patches = Kᵀ · δ  (patch_len, positions), then scatter.
+                self.kernels
+                    .as_view()
+                    .t_matmul_into(self.delta.as_view(), self.grad_patches.as_view_mut());
+                col2im_into(self.grad_patches.as_slice(), &self.geom, grad_in.row_mut(i));
+            }
         }
-        grad_input
     }
+    // orco-lint: endregion
 
-    fn params(&mut self) -> Vec<Param<'_>> {
-        vec![
-            Param { value: &mut self.kernels, grad: &mut self.grad_kernels },
-            Param { value: &mut self.bias, grad: &mut self.grad_bias },
-        ]
+    fn for_each_param<'a>(&'a mut self, f: &mut dyn FnMut(Param<'a>)) {
+        f(Param { value: &mut self.kernels, grad: &mut self.grad_kernels });
+        f(Param { value: &mut self.bias, grad: &mut self.grad_bias });
     }
 
     fn zero_grad(&mut self) {
@@ -235,7 +241,9 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::assert_inference_leaves_the_round_alone;
+    use crate::layer::tests::{
+        assert_backward_into_contract, assert_inference_leaves_the_round_alone,
+    };
 
     #[test]
     fn forward_shape_and_padding() {
@@ -330,6 +338,18 @@ mod tests {
         assert_eq!(conv.backward(&grad), first);
         assert_eq!(conv.grad_kernels, gk.scale(2.0));
         assert_eq!(conv.grad_bias, gb.scale(2.0));
+    }
+
+    #[test]
+    fn backward_into_meets_the_layer_contract() {
+        let mut rng = OrcoRng::from_label("conv-backward-into", 0);
+        // Strided and padded, then overlapping taps at stride 1.
+        for (stride, pad) in [(2, 1), (1, 0)] {
+            let conv = Conv2d::new(2, 5, 5, 3, 3, stride, pad, Activation::Tanh, &mut rng);
+            let x = Matrix::from_fn(3, 50, |r, c| ((r * 7 + c) as f32 * 0.01).sin());
+            let grad = Matrix::from_fn(3, conv.output_dim(), |r, c| ((r + c) as f32 * 0.05).cos());
+            assert_backward_into_contract(&conv, &x, &grad);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use orco_tensor::{init::Init, MatView, Matrix, OrcoRng};
 
 use crate::activation::Activation;
-use crate::layer::{Layer, Param};
+use crate::layer::{size_workspace, Layer, Param};
 
 /// A fully-connected layer computing `σ(x·Wᵀ + b)` over a batch.
 ///
@@ -35,6 +35,11 @@ pub struct Dense {
     // Input and pre-activation of the latest training-mode forward (`None`
     // until there is one); the buffers are reused from round to round.
     cache: Option<(Matrix, Matrix)>,
+    // Backward's workspaces: empty until first used, then dirty — each use
+    // overwrites every element, nothing is read back across calls.
+    delta: Matrix,             // (batch, out): grad_out ⊙ σ'(pre)
+    batch_grad_weight: Matrix, // (out, in): this call's δᵀ·x
+    batch_grad_bias: Matrix,   // (1, out): this call's column sums of δ
 }
 
 impl Dense {
@@ -80,6 +85,9 @@ impl Dense {
             grad_bias: Matrix::zeros(1, output_dim),
             activation,
             cache: None,
+            delta: Matrix::zeros(0, 0),
+            batch_grad_weight: Matrix::zeros(0, 0),
+            batch_grad_bias: Matrix::zeros(0, 0),
         }
     }
 
@@ -141,30 +149,46 @@ impl Layer for Dense {
     }
     // orco-lint: endregion
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+    /// `δ = grad_out ⊙ σ'(pre)`, then `∂L/∂W += δᵀ·x`
+    /// ([`MatView::t_matmul_into`]), `∂L/∂b +=` the column sums of `δ`, and
+    /// — only for a caller that reads it — `∂L/∂x = δ·W`
+    /// ([`MatView::matmul_into`]). Each call's `δᵀ·x` and column sums are
+    /// formed from zero in a workspace and then added, so a second call
+    /// adds exactly what the first did.
+    // orco-lint: region(no-alloc)
+    fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>) {
         let (input, pre) = self.cache.as_ref().expect("Dense::backward: no training-mode forward");
+        let (batch, out_dim) = pre.shape();
         assert_eq!(
-            grad_output.shape(),
-            (input.rows(), self.weight.rows()),
+            (grad_out.rows(), grad_out.cols()),
+            (batch, out_dim),
             "Dense::backward: grad_output shape mismatch"
         );
+        size_workspace(&mut self.delta, batch, out_dim);
+        size_workspace(&mut self.batch_grad_weight, out_dim, input.cols());
+        self.batch_grad_bias.reset(1, out_dim);
 
-        // δ = grad_output ⊙ σ'(pre)         (batch, out)
-        let delta = grad_output.hadamard(&self.activation.derivative_matrix(pre));
-        // ∂L/∂W = δᵀ · x                    (out, in)
-        self.grad_weight += &delta.t_matmul(input);
-        // ∂L/∂b = column sums of δ          (1, out)
-        let bias_grad = Matrix::row_vector(&delta.col_sums());
-        self.grad_bias += &bias_grad;
-        // ∂L/∂x = δ · W                     (batch, in)
-        delta.matmul(&self.weight)
+        let sums = self.batch_grad_bias.as_mut_slice();
+        for (r, g_row) in grad_out.iter_rows().enumerate() {
+            let cells = self.delta.row_mut(r).iter_mut().zip(g_row).zip(pre.row(r));
+            for (((d, &g), &z), sum) in cells.zip(sums.iter_mut()) {
+                *d = g * self.activation.derivative(z);
+                *sum += *d;
+            }
+        }
+        self.delta.as_view().t_matmul_into(input.as_view(), self.batch_grad_weight.as_view_mut());
+        self.grad_weight += &self.batch_grad_weight;
+        self.grad_bias += &self.batch_grad_bias;
+        if let Some(grad_in) = grad_in {
+            size_workspace(grad_in, batch, input.cols());
+            self.delta.as_view().matmul_into(self.weight.as_view(), grad_in.as_view_mut());
+        }
     }
+    // orco-lint: endregion
 
-    fn params(&mut self) -> Vec<Param<'_>> {
-        vec![
-            Param { value: &mut self.weight, grad: &mut self.grad_weight },
-            Param { value: &mut self.bias, grad: &mut self.grad_bias },
-        ]
+    fn for_each_param<'a>(&'a mut self, f: &mut dyn FnMut(Param<'a>)) {
+        f(Param { value: &mut self.weight, grad: &mut self.grad_weight });
+        f(Param { value: &mut self.bias, grad: &mut self.grad_bias });
     }
 
     fn zero_grad(&mut self) {
@@ -202,7 +226,9 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::assert_inference_leaves_the_round_alone;
+    use crate::layer::tests::{
+        assert_backward_into_contract, assert_inference_leaves_the_round_alone,
+    };
 
     #[test]
     fn forward_known_values() {
@@ -283,6 +309,17 @@ mod tests {
         assert_inference_leaves_the_round_alone(&layer, &x, &served, &grad);
         let _ = layer.forward(&served, false);
         assert!(layer.cache.is_none());
+    }
+
+    #[test]
+    fn backward_into_meets_the_layer_contract() {
+        let mut rng = OrcoRng::from_label("dense-backward-into", 0);
+        for activation in [Activation::Sigmoid, Activation::Relu, Activation::Identity] {
+            let layer = Dense::new(7, 4, activation, &mut rng);
+            let x = Matrix::from_fn(9, 7, |r, c| ((r * 11 + c) as f32 * 0.13).sin());
+            let grad = Matrix::from_fn(9, 4, |r, c| ((r * 4 + c) as f32 * 0.11).cos());
+            assert_backward_into_contract(&layer, &x, &grad);
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@ use orco_tensor::{MatView, Matrix};
 
 /// A mutable view over one parameter tensor and its accumulated gradient.
 ///
-/// [`crate::Optimizer`]s receive the parameters of a model as a flat
-/// `Vec<Param>` in a stable order (layer by layer), so per-parameter
-/// optimizer state can be indexed positionally.
+/// [`crate::Optimizer`]s visit the parameters of a model in a stable order
+/// (layer by layer, [`Layer::for_each_param`]), so per-parameter optimizer
+/// state can be indexed positionally.
 #[derive(Debug)]
 pub struct Param<'a> {
     /// The parameter values, updated in place by the optimizer.
@@ -21,29 +21,41 @@ pub struct Param<'a> {
 ///
 /// * [`forward_into`](Layer::forward_into) is the layer's one forward body:
 ///   it consumes a batch (one flattened sample per row) and writes the
-///   result into the caller's buffer. `train` means *keep what `backward`
-///   needs*: a training-mode call replaces the layer's cache, an
+///   result into the caller's buffer. `train` means *keep what the backward
+///   pass needs*: a training-mode call replaces the layer's cache, an
 ///   inference-mode call (`train == false`) neither reads nor writes it —
 ///   so inference may run between a round's forward and its backward —
 ///   and produces the same values.
 /// * [`forward`](Layer::forward) is `forward_into` into a fresh [`Matrix`].
-/// * [`backward`](Layer::backward) receives `∂L/∂output`, **accumulates**
-///   `∂L/∂params` into the layer's gradient buffers, and returns
-///   `∂L/∂input`, differentiating the latest *training-mode* forward (a
-///   layer that keeps a cache panics if there has been none, or on a
-///   different batch size). It leaves the cache as it found it, so it may
-///   be called repeatedly after one training forward.
+/// * [`backward_into`](Layer::backward_into) is the layer's one backward
+///   body: it receives `∂L/∂output`, **accumulates** `∂L/∂params` into the
+///   layer's gradient buffers, and writes `∂L/∂input` into the caller's
+///   buffer *if there is one* — the first layer of a model has no consumer
+///   for it, and `None` skips the work of producing it (a whole `δ·W`
+///   product for [`crate::Dense`]) without moving one bit of `∂L/∂params`.
+///   It differentiates the latest *training-mode* forward (a layer that
+///   keeps a cache panics if there has been none, or on a different batch
+///   size) and leaves the cache as it found it, so it may be called
+///   repeatedly after one training forward. Intermediates live in
+///   workspaces the layer owns — sized on first use, dirty afterwards — so
+///   a steady-state call allocates nothing.
+/// * [`backward`](Layer::backward) is `backward_into` into a fresh
+///   [`Matrix`].
+/// * [`for_each_param`](Layer::for_each_param) visits every parameter with
+///   its gradient in a stable order; [`params`](Layer::params) collects
+///   the visit into a `Vec`.
 /// * [`zero_grad`](Layer::zero_grad) clears accumulated gradients; called by
 ///   the model before each training step.
 /// * [`flops_forward`](Layer::flops_forward) /
 ///   [`flops_backward`](Layer::flops_backward) report *per-sample* floating
 ///   point operation estimates. The WSN simulator multiplies these by batch
 ///   sizes and divides by device FLOPS rates to obtain the simulated
-///   training times plotted in the paper's Figures 4 and 6–8.
+///   training times plotted in the paper's Figures 4 and 6–8. They price
+///   the full backward pass, `∂L/∂input` included, wherever the layer sits.
 pub trait Layer: std::fmt::Debug + Send {
     /// Runs the layer on a borrowed batch into a caller-owned buffer,
     /// which is reshaped and fully overwritten (its allocation reused when
-    /// large enough). State for `backward` is kept only when `train`.
+    /// large enough). State for the backward pass is kept only when `train`.
     fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool);
 
     /// [`forward_into`](Layer::forward_into) into a fresh matrix.
@@ -53,13 +65,30 @@ pub trait Layer: std::fmt::Debug + Send {
         out
     }
 
-    /// Backpropagates `grad_output` through the latest training-mode
-    /// forward, accumulating parameter gradients, and returns the gradient
-    /// with respect to the layer's input.
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix;
+    /// Backpropagates `grad_out` through the latest training-mode forward,
+    /// accumulating parameter gradients. The gradient with respect to the
+    /// layer's input is written into `grad_in` when one is given (reshaped
+    /// and fully overwritten, its allocation reused when large enough) and
+    /// not computed otherwise.
+    fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>);
 
-    /// Mutable views of all parameters with their gradients (may be empty).
-    fn params(&mut self) -> Vec<Param<'_>>;
+    /// [`backward_into`](Layer::backward_into) into a fresh matrix.
+    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+        let mut grad_in = Matrix::zeros(0, 0);
+        self.backward_into(grad_output.as_view(), Some(&mut grad_in));
+        grad_in
+    }
+
+    /// Calls `f` on every parameter with its gradient, in a stable order
+    /// (a layer without parameters never calls it).
+    fn for_each_param<'a>(&'a mut self, f: &mut dyn FnMut(Param<'a>));
+
+    /// [`for_each_param`](Layer::for_each_param) collected into a `Vec`.
+    fn params(&mut self) -> Vec<Param<'_>> {
+        let mut params = Vec::new();
+        self.for_each_param(&mut |p| params.push(p));
+        params
+    }
 
     /// Clears the accumulated gradients.
     fn zero_grad(&mut self);
@@ -93,6 +122,15 @@ pub trait Layer: std::fmt::Debug + Send {
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 
+/// Shapes a workspace (or a gradient buffer about to be overwritten whole)
+/// without zeroing it: a no-op once it has the shape, which is every call
+/// after the first at a steady batch size.
+pub(crate) fn size_workspace(workspace: &mut Matrix, rows: usize, cols: usize) {
+    if workspace.shape() != (rows, cols) {
+        workspace.reset(rows, cols);
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -117,6 +155,58 @@ pub(crate) mod tests {
         assert_eq!(interleaved.backward(grad), plain.backward(grad), "{}: ∂L/∂input", layer.name());
         for (a, b) in interleaved.params().iter().zip(plain.params()) {
             assert_eq!(a.grad, b.grad, "{}: ∂L/∂params", layer.name());
+        }
+    }
+
+    pub(crate) fn bits_of(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn param_grad_bits(layer: &mut dyn Layer) -> Vec<Vec<u32>> {
+        layer.params().iter().map(|p| bits_of(p.grad)).collect()
+    }
+
+    /// Every value times two (exact in `f32`), as bits.
+    pub(crate) fn doubled(bits: &[Vec<u32>]) -> Vec<Vec<u32>> {
+        let twice = |&b: &u32| (2.0 * f32::from_bits(b)).to_bits();
+        bits.iter().map(|g| g.iter().map(twice).collect()).collect()
+    }
+
+    /// The one backward body, held to its contract on a layer fresh from
+    /// construction: without a `grad_in` it moves the parameter gradients
+    /// exactly as with one; into a dirty, wrongly-shaped `grad_in` (and
+    /// workspaces a smaller batch has used) it writes what `backward`
+    /// returns; and either way a second call on one sample adds exactly
+    /// what the first did — one sample adds s to 0 + s, and s + s is exact.
+    pub(crate) fn assert_backward_into_contract(layer: &dyn Layer, x: &Matrix, grad: &Matrix) {
+        let name = layer.name();
+        let (mut whole, mut skipped, mut dirty) =
+            (layer.clone_box(), layer.clone_box(), layer.clone_box());
+        let _ = dirty.forward(&x.slice_rows(0..1), true);
+        let mut grad_in = Matrix::filled(2, 3, f32::NAN);
+        dirty.backward_into(grad.view_rows(0..1), Some(&mut grad_in));
+        dirty.zero_grad();
+        for l in [&mut whole, &mut skipped, &mut dirty] {
+            let _ = l.forward(x, true);
+        }
+        let want = whole.backward(grad);
+        skipped.backward_into(grad.as_view(), None);
+        dirty.backward_into(grad.as_view(), Some(&mut grad_in));
+        assert_eq!((grad_in.shape(), bits_of(&grad_in)), (want.shape(), bits_of(&want)), "{name}");
+        let want = param_grad_bits(whole.as_mut());
+        assert_eq!(param_grad_bits(skipped.as_mut()), want, "{name}: ∂L/∂params without grad_in");
+        assert_eq!(param_grad_bits(dirty.as_mut()), want, "{name}: ∂L/∂params, dirty buffers");
+
+        let mut once = layer.clone_box();
+        let _ = once.forward(&x.slice_rows(0..1), true);
+        let mut twice = [once.clone_box(), once.clone_box()];
+        once.backward_into(grad.view_rows(0..1), None);
+        let doubled = doubled(&param_grad_bits(once.as_mut()));
+        for (l, with_grad_in) in twice.iter_mut().zip([false, true]) {
+            for _ in 0..2 {
+                l.backward_into(grad.view_rows(0..1), with_grad_in.then_some(&mut grad_in));
+            }
+            assert_eq!(param_grad_bits(l.as_mut()), doubled, "{name}: grad_in {with_grad_in}");
         }
     }
 

@@ -21,8 +21,10 @@
 //! * Every layer has one forward body, [`Layer::forward_into`], which
 //!   writes into the caller's buffer and keeps what its backward pass needs
 //!   only when told it is training — inference disturbs no round in
-//!   flight. Gradients accumulate inside the layer and are exposed to
-//!   [`Optimizer`]s through [`layer::Param`] views.
+//!   flight — and one backward body, [`Layer::backward_into`], which
+//!   writes `∂L/∂input` only for a caller that reads it. Gradients
+//!   accumulate inside the layer and are visited in place by
+//!   [`Optimizer`]s as [`layer::Param`] views.
 //! * Every layer reports per-sample forward/backward FLOP counts, which the
 //!   WSN simulator converts into simulated training time (the paper's
 //!   time-to-loss axis).

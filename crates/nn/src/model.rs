@@ -26,14 +26,25 @@ use crate::optimizer::Optimizer;
 /// let out = ae.forward(&Matrix::zeros(2, 784), false);
 /// assert_eq!(out.shape(), (2, 784));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    // What the layers between the first and the last hand each other —
+    // activations on the way forward, gradients on the way back, which
+    // have the same shapes: two ping-pong buffers, empty until first used,
+    // then dirty (every use overwrites, nothing is read back across calls).
+    between: [Matrix; 2],
 }
 
 impl Clone for Sequential {
     fn clone(&self) -> Self {
-        Self { layers: self.layers.iter().map(|l| l.clone_box()).collect() }
+        Self { layers: self.layers.iter().map(|l| l.clone_box()).collect(), ..Self::new() }
+    }
+}
+
+impl Default for Sequential {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -41,7 +52,7 @@ impl Sequential {
     /// Creates an empty model.
     #[must_use]
     pub fn new() -> Self {
-        Self { layers: Vec::new() }
+        Self { layers: Vec::new(), between: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)] }
     }
 
     /// Appends a layer.
@@ -107,64 +118,92 @@ impl Sequential {
         self.layers.iter().map(|l| l.flops_backward()).sum()
     }
 
-    /// Runs the batch through every layer.
+    /// Runs a borrowed batch through every layer, the last one writing
+    /// into the caller's `out` (reshaped and fully overwritten) and the ones
+    /// before it ping-ponging between two buffers the model owns.
     ///
     /// `train` is handed to every layer ([`Layer::forward_into`]): pass
-    /// `true` when a [`Sequential::backward`] will follow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is empty.
-    pub fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
-        let (first, rest) =
-            self.layers.split_first_mut().expect("Sequential::forward on empty model");
-        let mut x = first.forward(input, train);
-        for layer in rest {
-            x = layer.forward(&x, train);
-        }
-        x
-    }
-
-    /// Inference-mode forward over a borrowed batch, ping-ponging between
-    /// two caller-owned buffers so the last layer lands in `out`: the
-    /// values of `forward(x, false)`, with no layer's cache touched and —
-    /// for the layers whose body allocates nothing, as [`crate::Dense`]'s —
-    /// nothing allocated once `scratch` and `out` have grown to size.
+    /// `true` when a [`Sequential::backward_into`] will follow. The values
+    /// are the same either way; `false` touches no layer's cache. For the
+    /// layers whose body allocates nothing, as [`crate::Dense`]'s and
+    /// [`crate::Conv2d`]'s, nothing is allocated once the buffers and `out`
+    /// have grown to size.
     ///
     /// # Panics
     ///
     /// Panics if the model is empty.
     // orco-lint: region(no-alloc)
-    pub fn infer_into(&mut self, x: MatView<'_>, scratch: &mut Matrix, out: &mut Matrix) {
-        let (first, rest) =
-            self.layers.split_first_mut().expect("Sequential::infer_into on empty model");
-        // Layers alternate buffers; start on the one that puts the last in `out`.
-        let (mut src, mut dst) = if rest.len() % 2 == 0 { (scratch, out) } else { (out, scratch) };
-        first.forward_into(x, dst, false);
-        for layer in rest {
+    pub fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
+        let (last, rest) =
+            self.layers.split_last_mut().expect("Sequential::forward_into on empty model");
+        let Some((first, middle)) = rest.split_first_mut() else {
+            return last.forward_into(x, out, train);
+        };
+        let [src, dst] = &mut self.between;
+        let (mut src, mut dst) = (src, dst);
+        first.forward_into(x, dst, train);
+        for layer in middle {
             std::mem::swap(&mut src, &mut dst);
-            layer.forward_into(src.as_view(), dst, false);
+            layer.forward_into(src.as_view(), dst, train);
         }
+        last.forward_into(dst.as_view(), out, train);
     }
     // orco-lint: endregion
 
-    /// Backpropagates a gradient through every layer (reverse order),
-    /// accumulating parameter gradients, and returns `∂L/∂input`.
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut layers = self.layers.iter_mut().rev();
-        let Some(last) = layers.next() else {
-            return grad_output.clone();
-        };
-        let mut g = last.backward(grad_output);
-        for layer in layers {
-            g = layer.backward(&g);
-        }
-        g
+    /// [`forward_into`](Sequential::forward_into) into a fresh matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is empty.
+    pub fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(input.as_view(), &mut out, train);
+        out
     }
 
-    /// Collects parameter views from every layer in a stable order.
-    pub fn params(&mut self) -> Vec<Param<'_>> {
-        self.layers.iter_mut().flat_map(|l| l.params()).collect()
+    /// Inference over a borrowed batch: [`Sequential::forward_into`] with
+    /// `train = false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is empty.
+    pub fn infer_into(&mut self, x: MatView<'_>, out: &mut Matrix) {
+        self.forward_into(x, out, false);
+    }
+
+    /// Backpropagates a gradient through every layer (reverse order),
+    /// accumulating parameter gradients, the layers handing each other
+    /// `∂L/∂input` through the model's two ping-pong buffers. The first
+    /// layer's goes into `grad_in` when the caller has a use for it and is
+    /// not computed otherwise ([`Layer::backward_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is empty.
+    // orco-lint: region(no-alloc)
+    pub fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>) {
+        let (first, rest) =
+            self.layers.split_first_mut().expect("Sequential::backward_into on empty model");
+        let Some((last, middle)) = rest.split_last_mut() else {
+            return first.backward_into(grad_out, grad_in);
+        };
+        let [src, dst] = &mut self.between;
+        let (mut src, mut dst) = (src, dst);
+        last.backward_into(grad_out, Some(&mut *dst));
+        for layer in middle.iter_mut().rev() {
+            std::mem::swap(&mut src, &mut dst);
+            layer.backward_into(src.as_view(), Some(&mut *dst));
+        }
+        first.backward_into(dst.as_view(), grad_in);
+    }
+    // orco-lint: endregion
+
+    /// Visits every layer's parameters in a stable order
+    /// ([`Layer::for_each_param`]).
+    pub fn for_each_param<'a>(&'a mut self, f: &mut dyn FnMut(Param<'a>)) {
+        for layer in &mut self.layers {
+            layer.for_each_param(f);
+        }
     }
 
     /// Zeroes all accumulated gradients.
@@ -187,8 +226,8 @@ impl Sequential {
         let pred = self.forward(input, true);
         let value = loss.value(&pred, target);
         let grad = loss.grad(&pred, target);
-        let _ = self.backward(&grad);
-        optimizer.step(self.params());
+        self.backward_into(grad.as_view(), None);
+        optimizer.step(|f| self.for_each_param(f));
         value
     }
 }
@@ -196,6 +235,7 @@ impl Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{bits_of, doubled};
     use crate::{Activation, Conv2d, Dense, MaxPool2d};
     use orco_tensor::OrcoRng;
 
@@ -279,11 +319,10 @@ mod tests {
                 model.push(Dense::new(w[0], w[1], Activation::Tanh, &mut rng));
             }
             let reference = model.forward(&x, true);
-            // Dirty, wrongly-shaped reused buffers.
-            let mut scratch = Matrix::filled(2, 3, f32::NAN);
+            // A dirty, wrongly-shaped reused buffer.
             let mut out = Matrix::filled(1, 1, f32::NAN);
             for _ in 0..2 {
-                model.infer_into(x.as_view(), &mut scratch, &mut out);
+                model.infer_into(x.as_view(), &mut out);
                 assert_eq!(out, reference, "depth {depth}");
             }
         }
@@ -304,12 +343,76 @@ mod tests {
         let _ = plain.forward(&x, true);
         let _ = interleaved.forward(&x, true);
         // Both inference entry points, on a batch of another size.
-        let (mut scratch, mut out) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        interleaved.infer_into(served.as_view(), &mut scratch, &mut out);
+        let mut out = Matrix::zeros(0, 0);
+        interleaved.infer_into(served.as_view(), &mut out);
         assert_eq!(interleaved.forward(&served, false), out);
-        assert_eq!(interleaved.backward(&grad), plain.backward(&grad));
-        for (a, b) in interleaved.params().iter().zip(plain.params()) {
-            assert_eq!(a.grad, b.grad);
+        let (mut got, mut want) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        interleaved.backward_into(grad.as_view(), Some(&mut got));
+        plain.backward_into(grad.as_view(), Some(&mut want));
+        assert_eq!(got, want);
+        assert_eq!(param_grad_bits(&mut interleaved), param_grad_bits(&mut plain));
+    }
+
+    /// Every parameter gradient of the model, bit for bit, in visiting order.
+    fn param_grad_bits(model: &mut Sequential) -> Vec<Vec<u32>> {
+        let mut bits = Vec::new();
+        model.for_each_param(&mut |p| bits.push(bits_of(p.grad)));
+        bits
+    }
+
+    /// A stack of every layer kind of this crate, and a batch of `rows`
+    /// inputs with the gradient to push back through it.
+    fn mixed_stack(rows: usize) -> (Sequential, Matrix, Matrix) {
+        let mut rng = OrcoRng::from_label("seq-backward-into", 0);
+        let mut model = Sequential::new();
+        model.push(Dense::new(6, 16, Activation::Tanh, &mut rng));
+        model.push(Conv2d::new(1, 4, 4, 2, 3, 1, 1, Activation::Relu, &mut rng));
+        model.push(MaxPool2d::new(2, 4, 4, 2));
+        model.push(Dense::new(8, 3, Activation::Sigmoid, &mut rng));
+        let x = Matrix::from_fn(rows, 6, |r, c| ((r * 6 + c) as f32 * 0.19).sin());
+        let grad = Matrix::from_fn(rows, 3, |r, c| ((r * 3 + c) as f32 * 0.07).cos());
+        (model, x, grad)
+    }
+
+    #[test]
+    fn skipping_the_input_gradient_moves_no_parameter_gradient() {
+        let (mut whole, x, grad) = mixed_stack(5);
+        let mut skipped = whole.clone();
+        // Buffers a smaller batch has used, and a dirty, wrongly-shaped `grad_in`.
+        let (_, small_x, small_grad) = mixed_stack(2);
+        let _ = whole.forward(&small_x, true);
+        let mut grad_in = Matrix::filled(2, 3, f32::NAN);
+        whole.backward_into(small_grad.as_view(), Some(&mut grad_in));
+        whole.zero_grad();
+
+        let _ = whole.forward(&x, true);
+        let _ = skipped.forward(&x, true);
+        whole.backward_into(grad.as_view(), Some(&mut grad_in));
+        skipped.backward_into(grad.as_view(), None);
+        assert_eq!(param_grad_bits(&mut skipped), param_grad_bits(&mut whole));
+
+        // Layer by layer through the allocating wrapper, for `grad_in`.
+        let (mut by_layer, ..) = mixed_stack(5);
+        let _ = by_layer.forward(&x, true);
+        let want = by_layer.layers.iter_mut().rev().fold(grad, |g, layer| layer.backward(&g));
+        assert_eq!(bits_of(&grad_in), bits_of(&want));
+        assert_eq!(param_grad_bits(&mut by_layer), param_grad_bits(&mut whole));
+    }
+
+    #[test]
+    fn a_second_backward_exactly_doubles_a_one_sample_gradient() {
+        // One sample adds s to 0 + s, and s + s is exact.
+        let (mut model, x, grad) = mixed_stack(1);
+        let _ = model.forward(&x, true);
+        let mut once = model.clone();
+        once.backward_into(grad.as_view(), None);
+        let doubled = doubled(&param_grad_bits(&mut once));
+        for with_grad_in in [false, true] {
+            let (mut twice, mut grad_in) = (model.clone(), Matrix::zeros(0, 0));
+            for _ in 0..2 {
+                twice.backward_into(grad.as_view(), with_grad_in.then_some(&mut grad_in));
+            }
+            assert_eq!(param_grad_bits(&mut twice), doubled, "grad_in: {with_grad_in}");
         }
     }
 
@@ -318,5 +421,12 @@ mod tests {
     fn forward_on_empty_model_panics() {
         let mut m = Sequential::new();
         let _ = m.forward(&Matrix::zeros(1, 1), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty model")]
+    fn backward_on_empty_model_panics() {
+        let mut m = Sequential::new();
+        m.backward_into(Matrix::zeros(1, 1).as_view(), None);
     }
 }

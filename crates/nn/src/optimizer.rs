@@ -11,8 +11,8 @@ use crate::layer::Param;
 /// faster, and the choice is orthogonal to the framework design.
 ///
 /// State (first- and second-moment buffers) is keyed by the *position* of
-/// each parameter in the `Vec<Param>` handed to [`Optimizer::step`], so a
-/// given optimizer instance must always be used with the same model.
+/// each parameter in the visit handed to [`Optimizer::step`], so a given
+/// optimizer instance must always be used with the same model.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     lr: f32,
@@ -25,10 +25,11 @@ const BETA1: f32 = 0.9;
 const BETA2: f32 = 0.999;
 const EPS: f32 = 1e-8;
 
-#[derive(Debug, Clone, Default)]
+/// One parameter's moment buffers, shaped like it.
+#[derive(Debug, Clone)]
 struct Slot {
-    first: Option<Matrix>,  // first moment
-    second: Option<Matrix>, // second moment
+    first: Matrix,
+    second: Matrix,
 }
 
 impl Optimizer {
@@ -61,62 +62,67 @@ impl Optimizer {
 
     /// Applies one update to every parameter given its accumulated gradient.
     ///
+    /// `visit` walks the model's parameters in their stable order (a
+    /// model's `for_each_param`) and is called twice: once to count them
+    /// and take the global gradient norm, once to update. Parameters and
+    /// moments are updated in place, one fused pass per parameter, and the
+    /// gradients are only read; nothing is allocated after the first step.
+    ///
     /// # Panics
     ///
     /// Panics if the number of parameters changes between calls (the
     /// optimizer would silently mis-associate its state otherwise).
-    pub fn step(&mut self, mut params: Vec<Param<'_>>) {
-        if self.slots.is_empty() {
-            self.slots = params.iter().map(|_| Slot::default()).collect();
-        }
-        assert_eq!(
-            self.slots.len(),
-            params.len(),
-            "Optimizer::step: parameter count changed ({} -> {})",
-            self.slots.len(),
-            params.len()
-        );
+    // orco-lint: region(no-alloc)
+    pub fn step(&mut self, mut visit: impl FnMut(&mut dyn FnMut(Param<'_>))) {
+        let first_step = self.step_count == 0;
         self.step_count += 1;
 
-        // Optional global gradient-norm clipping.
-        let clip_scale = self.grad_clip.map(|max_norm| {
-            let total_sq: f32 =
-                params.iter().map(|p| p.grad.as_slice().iter().map(|g| g * g).sum::<f32>()).sum();
-            let norm = total_sq.sqrt();
-            if norm > max_norm {
-                max_norm / norm
-            } else {
-                1.0
+        // Global gradient-norm clipping: each parameter's squares summed
+        // on their own, the sums added in visiting order.
+        let (mut count, mut total_sq) = (0, 0.0f32);
+        visit(&mut |p| {
+            if first_step {
+                let (rows, cols) = p.grad.shape();
+                self.slots.push(Slot {
+                    first: Matrix::zeros(rows, cols),
+                    second: Matrix::zeros(rows, cols),
+                });
             }
+            if self.grad_clip.is_some() {
+                total_sq += p.grad.as_slice().iter().map(|g| g * g).sum::<f32>();
+            }
+            count += 1;
         });
+        assert_eq!(
+            self.slots.len(),
+            count,
+            "Optimizer::step: parameter count changed ({} -> {count})",
+            self.slots.len()
+        );
+        // Multiplying by exactly 1.0 changes no bit of a gradient.
+        let scale = match self.grad_clip {
+            Some(max_norm) if total_sq.sqrt() > max_norm => max_norm / total_sq.sqrt(),
+            _ => 1.0,
+        };
 
-        for (slot, param) in self.slots.iter_mut().zip(params.iter_mut()) {
-            let mut grad = param.grad.clone();
-            if let Some(scale) = clip_scale {
-                if scale != 1.0 {
-                    grad *= scale;
-                }
-            }
-            let t = self.step_count as f32;
-            let m = slot.first.get_or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-            for (mv, &g) in m.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                *mv = BETA1 * *mv + (1.0 - BETA1) * g;
-            }
-            let v = slot.second.get_or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-            for (vv, &g) in v.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                *vv = BETA2 * *vv + (1.0 - BETA2) * g * g;
-            }
-            let bc1 = 1.0 - BETA1.powf(t);
-            let bc2 = 1.0 - BETA2.powf(t);
-            for ((w, &mv), &vv) in
-                param.value.as_mut_slice().iter_mut().zip(m.as_slice()).zip(v.as_slice())
-            {
-                let m_hat = mv / bc1;
-                let v_hat = vv / bc2;
+        let t = self.step_count as f32;
+        let (bc1, bc2) = (1.0 - BETA1.powf(t), 1.0 - BETA2.powf(t));
+        let mut slots = self.slots.iter_mut();
+        visit(&mut |p| {
+            let slot = slots.next().expect("counted above");
+            let moments = slot.first.as_mut_slice().iter_mut().zip(slot.second.as_mut_slice());
+            let cells = p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice());
+            for ((w, &g), (m, v)) in cells.zip(moments) {
+                let g = g * scale;
+                *m = BETA1 * *m + (1.0 - BETA1) * g;
+                *v = BETA2 * *v + (1.0 - BETA2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
                 *w -= self.lr * m_hat / (v_hat.sqrt() + EPS);
             }
-        }
+        });
     }
+    // orco-lint: endregion
 }
 
 #[cfg(test)]
@@ -134,7 +140,7 @@ mod tests {
             {
                 *gi = wi - ti;
             }
-            opt.step(vec![Param { value: &mut w, grad: &mut g }]);
+            opt.step(|f| f(Param { value: &mut w, grad: &mut g }));
         }
         (&w - &target).norm_l2()
     }
@@ -152,7 +158,7 @@ mod tests {
             let mut w = Matrix::zeros(1, 2);
             for g in grads {
                 let mut g = Matrix::from_vec(1, 2, g.to_vec()).unwrap();
-                opt.step(vec![Param { value: &mut w, grad: &mut g }]);
+                opt.step(|f| f(Param { value: &mut w, grad: &mut g }));
             }
             w
         };
@@ -170,13 +176,13 @@ mod tests {
         let mut opt = Optimizer::adam(0.1);
         let mut w = Matrix::zeros(1, 2);
         let mut g = Matrix::zeros(1, 2);
-        opt.step(vec![Param { value: &mut w, grad: &mut g }]);
+        opt.step(|f| f(Param { value: &mut w, grad: &mut g }));
         let mut w2 = Matrix::zeros(1, 2);
         let mut g2 = Matrix::zeros(1, 2);
-        opt.step(vec![
-            Param { value: &mut w, grad: &mut g },
-            Param { value: &mut w2, grad: &mut g2 },
-        ]);
+        opt.step(|f| {
+            f(Param { value: &mut w, grad: &mut g });
+            f(Param { value: &mut w2, grad: &mut g2 });
+        });
     }
 
     #[test]

@@ -100,25 +100,27 @@ impl Layer for MaxPool2d {
         }
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+    /// Routes each window's gradient to the input cell that won it. There
+    /// are no parameters, so without a `grad_in` only the checks remain.
+    // orco-lint: region(no-alloc)
+    fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>) {
         let input =
             self.cached_input.as_ref().expect("MaxPool2d::backward: no training-mode forward");
         assert_eq!(
-            grad_output.shape(),
+            (grad_out.rows(), grad_out.cols()),
             (input.rows(), self.output_dim()),
             "MaxPool2d::backward: grad_output shape mismatch"
         );
-        let mut grad_input = Matrix::zeros(input.rows(), self.input_dim());
+        let Some(grad_in) = grad_in else { return };
+        grad_in.reset(input.rows(), self.input_dim());
         for (i, sample) in input.iter_rows().enumerate() {
-            let (go, gi) = (grad_output.row(i), grad_input.row_mut(i));
+            let (go, gi) = (grad_out.row(i), grad_in.row_mut(i));
             self.for_each_window(sample, |o, _, winner| gi[winner] += go[o]);
         }
-        grad_input
     }
+    // orco-lint: endregion
 
-    fn params(&mut self) -> Vec<Param<'_>> {
-        Vec::new()
-    }
+    fn for_each_param<'a>(&'a mut self, _: &mut dyn FnMut(Param<'a>)) {}
 
     fn zero_grad(&mut self) {}
 
@@ -147,7 +149,9 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::assert_inference_leaves_the_round_alone;
+    use crate::layer::tests::{
+        assert_backward_into_contract, assert_inference_leaves_the_round_alone,
+    };
 
     #[test]
     fn pools_known_values() {
@@ -175,6 +179,14 @@ mod tests {
         assert_inference_leaves_the_round_alone(&pool, &x, &served, &grad);
         let _ = pool.forward(&served, false);
         assert!(pool.cached_input.is_none());
+    }
+
+    #[test]
+    fn backward_into_meets_the_layer_contract() {
+        let pool = MaxPool2d::new(2, 4, 4, 2);
+        let x = Matrix::from_fn(3, 32, |r, c| ((r * 32 + c) as f32 * 0.37).sin());
+        let grad = Matrix::from_fn(3, 8, |r, c| (r * 8 + c) as f32 + 1.0);
+        assert_backward_into_contract(&pool, &x, &grad);
     }
 
     #[test]

@@ -61,7 +61,6 @@ fn matmul_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
         for (tile_idx, o_tile) in block.chunks_mut(GEMM_ROW_TILE * n).enumerate() {
             let i0 = first_row + tile_idx * GEMM_ROW_TILE;
-            let tile_rows = o_tile.len() / n;
             for kk in 0..k {
                 let b_row = &b[kk * n..(kk + 1) * n];
                 for (r, o_row) in o_tile.chunks_exact_mut(n).enumerate() {
@@ -73,7 +72,6 @@ fn matmul_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
                         *o += av * bv;
                     }
                 }
-                debug_assert!(tile_rows <= GEMM_ROW_TILE);
             }
         }
     });
@@ -81,29 +79,38 @@ fn matmul_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
 
 /// `out[m×n] = aᵀ · b` where `a` is `k×m` and `b` is `k×n`, row-parallel.
 /// `out` must be zeroed by the caller (the kernel accumulates).
+///
+/// Row-tiled like [`matmul_kernel`]: a [`GEMM_ROW_TILE`]-row tile of `out`
+/// stays in cache while `b` streams past it once, instead of the whole
+/// block of `out` streaming past once per `kk` — the backward products
+/// (`δᵀ·x`, `Kᵀ·δ`) have a short `k` and an `out` far larger than `b`.
+/// Every output element is still one accumulator from `+0.0` taking its
+/// terms in ascending `k`, zero left factors skipped.
+// orco-lint: region(no-alloc)
 fn t_matmul_kernel(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if n == 0 || k == 0 {
         return;
     }
     // out[i][j] = sum_k a[k][i] * b[k][j]
     crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
-        let rows_here = block.len() / n;
-        for kk in 0..k {
-            let a_row = &a[kk * m..(kk + 1) * m];
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (r, o_row) in block.chunks_exact_mut(n).enumerate() {
-                let av = a_row[first_row + r];
-                if av == 0.0 {
-                    continue;
-                }
-                for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
+        for (tile_idx, o_tile) in block.chunks_mut(GEMM_ROW_TILE * n).enumerate() {
+            let i0 = first_row + tile_idx * GEMM_ROW_TILE;
+            for kk in 0..k {
+                let a_tile = &a[kk * m + i0..(kk + 1) * m];
+                let b_row = &b[kk * n..(kk + 1) * n];
+                for (o_row, &av) in o_tile.chunks_exact_mut(n).zip(a_tile) {
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                        *o += av * bv;
+                    }
                 }
             }
-            debug_assert!(rows_here <= m);
         }
     });
 }
+// orco-lint: endregion
 
 /// Panel depth (`k` extent) of the packed `Bᵀ` tile in [`matmul_t_kernel`].
 /// Free to retune: each output element still sums in ascending `k`.
@@ -556,17 +563,27 @@ mod tests {
         }
     }
 
-    /// The codecs' dominant shapes and shapes one off each edge of the
-    /// row tile and the packed panel (single and multiple panels).
-    const EDGE_SHAPES: [(usize, usize, usize); 8] = [
+    /// Rows of a thread block that is not a whole number of row tiles, so
+    /// the blocks after the first start mid-tile.
+    const RAGGED_BLOCK: usize = GEMM_MIN_ROWS_PER_THREAD + GEMM_ROW_TILE / 2;
+
+    /// The codecs' dominant shapes, the backward products' (`Conv2d`
+    /// 16→16 `∂patches`, the DCSNet encoder's `∂W`), shapes one off each
+    /// edge of the row tile and the packed panel (single and multiple
+    /// panels), and an `m` one off each side of four ragged thread blocks.
+    const EDGE_SHAPES: [(usize, usize, usize); 12] = [
         (64, 128, 784),
         (32, 784, 128),
         (16, 1024, 144),
+        (144, 16, 1024),
+        (1024, 32, 784),
         (GEMM_ROW_TILE - 1, MATMUL_T_PANEL_K - 1, MATMUL_T_PANEL_N - 1),
         (GEMM_ROW_TILE, MATMUL_T_PANEL_K, MATMUL_T_PANEL_N),
         (GEMM_ROW_TILE + 1, MATMUL_T_PANEL_K + 1, MATMUL_T_PANEL_N + 1),
         (2 * GEMM_MIN_ROWS_PER_THREAD - 1, 2 * MATMUL_T_PANEL_K - 1, 2 * MATMUL_T_PANEL_N - 1),
         (2 * GEMM_MIN_ROWS_PER_THREAD + 1, 2 * MATMUL_T_PANEL_K + 1, 2 * MATMUL_T_PANEL_N + 1),
+        (4 * RAGGED_BLOCK - 1, 5, 33),
+        (4 * RAGGED_BLOCK + 1, 5, 33),
     ];
 
     /// Three ragged shapes for every one drawn from [`EDGE_SHAPES`].

@@ -4,7 +4,10 @@
 //! decoder's ping-pong scratch and — for DCSNet — each convolution's
 //! one-sample workspace, `encode_batch` + `decode_batch` make **zero**
 //! calls into the allocator, at batch 64 on the autoencoder and batch 16
-//! on DCSNet — counted, not inferred.
+//! on DCSNet — counted, not inferred. The training round (ROADMAP item 1)
+//! is held to the same count: after one warm-up round at batch 32, the
+//! four `SplitModel` steps allocate only the matrices they hand across the
+//! simulated wire.
 //!
 //! The file is its own test binary because `#[global_allocator]` is
 //! process-wide. Only the test's own thread is counted, and the kernels
@@ -15,8 +18,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use orcodcs_repro::baselines::Dcsnet;
-use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig};
+use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig, SplitModel};
 use orcodcs_repro::datasets::{gtsrb_like, mnist_like, DatasetKind};
+use orcodcs_repro::nn::Loss;
 use orcodcs_repro::tensor::{parallel, Matrix};
 
 thread_local! {
@@ -61,11 +65,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocator calls this thread makes while running `f`.
-fn allocations_during(f: impl FnOnce()) -> usize {
+/// Allocator calls this thread makes while running `f`, and what `f` made.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
     ALLOCATIONS.with(|c| c.set(Some(0)));
-    f();
-    ALLOCATIONS.with(|c| c.take()).expect("counting was on")
+    let made = f();
+    (ALLOCATIONS.with(|c| c.take()).expect("counting was on"), made)
 }
 
 /// Allocator calls of one warm-up `encode_batch` + `decode_batch` of
@@ -77,7 +81,7 @@ fn warm_up_and_steady_allocations(codec: &mut dyn Codec, frames: &Matrix) -> (us
         codec.decode_batch(codes.as_view(), &mut decoded).expect("codes fit");
     };
     let counts = parallel::with_thread_budget(1, || {
-        (allocations_during(&mut round_trip), allocations_during(&mut round_trip))
+        (allocations_during(&mut round_trip).0, allocations_during(&mut round_trip).0)
     });
     assert_eq!(decoded.shape(), frames.shape());
     counts
@@ -125,6 +129,55 @@ fn steady_state_dcsnet_codec_allocates_nothing() {
             steady, 0,
             "{kind:?}: a steady-state batch-{BATCH} DCSNet encode + decode made {steady} \
              allocator calls"
+        );
+    }
+}
+
+/// Allocator calls of each step of one split training round — encode,
+/// decode, decoder update, encoder update — on a thread budget of 1. The
+/// loss gradient between them is the orchestrator's, not counted here.
+fn split_round_allocations(model: &mut dyn SplitModel, x: &Matrix) -> [usize; 4] {
+    parallel::with_thread_budget(1, || {
+        let (encode, latent) = allocations_during(|| model.aggregator_encode_train(x));
+        let (decode, recon) = allocations_during(|| model.edge_decode_train(&latent));
+        let grad = Loss::L2.grad(&recon, x);
+        let (decoder_update, grad_latent) = allocations_during(|| model.edge_decoder_update(&grad));
+        let (encoder_update, ()) =
+            allocations_during(|| model.aggregator_encoder_update(&grad_latent));
+        [encode, decode, decoder_update, encoder_update]
+    })
+}
+
+/// The write side: once a warm-up round has grown every layer's cache and
+/// workspaces, the decoder's ping-pong buffers and the optimizers' moments,
+/// a round's steps allocate the matrix each returns and nothing else — the
+/// encoder update, which returns nothing, allocates nothing. Before the
+/// layers had one `backward_into` body this read 2 / 1 / 10 / 9 on the
+/// one-layer autoencoder, 2 / 3 / 29 / 9 on the three-layer one and
+/// 1 / 5 / 19 / 9 on DCSNet, in either profile.
+#[test]
+fn steady_state_split_round_allocates_only_what_crosses_the_wire() {
+    const BATCH: usize = 32;
+    let x = mnist_like::generate(BATCH, 3);
+    let autoencoder = |decoder_layers| {
+        let config =
+            OrcoConfig::for_dataset(DatasetKind::MnistLike).with_decoder_layers(decoder_layers);
+        Box::new(AsymmetricAutoencoder::new(&config).expect("valid config")) as Box<dyn SplitModel>
+    };
+    let models = [
+        ("OrcoDCS, 1 decoder layer", autoencoder(1)),
+        ("OrcoDCS, 3 decoder layers", autoencoder(3)),
+        ("DCSNet", Box::new(Dcsnet::new(DatasetKind::MnistLike, 3))),
+    ];
+    for (name, mut model) in models {
+        let warm_up = split_round_allocations(model.as_mut(), x.x());
+        assert!(warm_up.iter().sum::<usize>() > 4, "{name}: the counter counts");
+        let steady = split_round_allocations(model.as_mut(), x.x());
+        assert_eq!(
+            steady,
+            [1, 1, 1, 0],
+            "{name}: allocator calls of a steady-state batch-{BATCH} encode / decode / \
+             decoder update / encoder update"
         );
     }
 }
