@@ -158,11 +158,7 @@ impl Layer for Conv2d {
     // orco-lint: region(no-alloc)
     fn backward_into(&mut self, grad_out: MatView<'_>, mut grad_in: Option<&mut Matrix>) {
         let (input, pre) = self.cache.as_ref().expect("Conv2d::backward: no training-mode forward");
-        assert_eq!(
-            (grad_out.rows(), grad_out.cols()),
-            pre.shape(),
-            "Conv2d::backward: grad shape mismatch"
-        );
+        assert_eq!(grad_out.shape(), pre.shape(), "Conv2d::backward: grad shape mismatch");
         let (patch_len, positions) = (self.geom.patch_len(), self.geom.out_positions());
         size_workspace(&mut self.patches, patch_len, positions);
         size_workspace(&mut self.delta, self.out_c, positions);

@@ -160,7 +160,7 @@ impl Layer for Dense {
         let (input, pre) = self.cache.as_ref().expect("Dense::backward: no training-mode forward");
         let (batch, out_dim) = pre.shape();
         assert_eq!(
-            (grad_out.rows(), grad_out.cols()),
+            grad_out.shape(),
             (batch, out_dim),
             "Dense::backward: grad_output shape mismatch"
         );

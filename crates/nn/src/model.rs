@@ -139,8 +139,7 @@ impl Sequential {
         let Some((first, middle)) = rest.split_first_mut() else {
             return last.forward_into(x, out, train);
         };
-        let [src, dst] = &mut self.between;
-        let (mut src, mut dst) = (src, dst);
+        let [mut src, mut dst] = self.between.each_mut();
         first.forward_into(x, dst, train);
         for layer in middle {
             std::mem::swap(&mut src, &mut dst);
@@ -187,8 +186,7 @@ impl Sequential {
         let Some((last, middle)) = rest.split_last_mut() else {
             return first.backward_into(grad_out, grad_in);
         };
-        let [src, dst] = &mut self.between;
-        let (mut src, mut dst) = (src, dst);
+        let [mut src, mut dst] = self.between.each_mut();
         last.backward_into(grad_out, Some(&mut *dst));
         for layer in middle.iter_mut().rev() {
             std::mem::swap(&mut src, &mut dst);

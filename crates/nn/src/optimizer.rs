@@ -100,8 +100,9 @@ impl Optimizer {
             self.slots.len()
         );
         // Multiplying by exactly 1.0 changes no bit of a gradient.
+        let norm = total_sq.sqrt();
         let scale = match self.grad_clip {
-            Some(max_norm) if total_sq.sqrt() > max_norm => max_norm / total_sq.sqrt(),
+            Some(max_norm) if norm > max_norm => max_norm / norm,
             _ => 1.0,
         };
 

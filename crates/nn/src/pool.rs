@@ -107,7 +107,7 @@ impl Layer for MaxPool2d {
         let input =
             self.cached_input.as_ref().expect("MaxPool2d::backward: no training-mode forward");
         assert_eq!(
-            (grad_out.rows(), grad_out.cols()),
+            grad_out.shape(),
             (input.rows(), self.output_dim()),
             "MaxPool2d::backward: grad_output shape mismatch"
         );

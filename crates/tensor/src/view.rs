@@ -223,7 +223,7 @@ impl<'a> MatView<'a> {
 
     /// `(rows, cols)` pair.
     #[must_use]
-    pub(crate) fn shape(&self) -> (usize, usize) {
+    pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
