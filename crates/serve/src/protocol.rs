@@ -940,8 +940,102 @@ impl Message {
         Ok(msg)
         // orco-lint: endregion
     }
+}
 
-    /// Reads one frame from a byte stream. Returns `Ok(None)` on a clean
+/// Outcome of [`FrameReader::next_frame`].
+#[derive(Debug)]
+pub(crate) enum FrameRead<'a> {
+    /// Clean end-of-stream at a frame boundary.
+    Eof,
+    /// One complete frame (header + payload), borrowed from the reader's
+    /// buffer until its next call.
+    Frame(&'a [u8]),
+    /// The header was malformed — framing is lost, so no payload was
+    /// read. A server should reply with an `ErrorReply` and close the
+    /// connection.
+    Malformed(WireError),
+}
+
+/// Smallest buffer a [`FrameReader`] reads into: room for a one-frame
+/// push or any control message beside the next request's header, so a
+/// request/reply exchange costs one `read` a frame.
+const MIN_READ_BUF: usize = 16 << 10;
+
+/// Reads frames off a byte stream through one reusable buffer, owned by
+/// the connection for its lifetime.
+///
+/// Each `read` takes as much as the stream has ready, so a whole small
+/// frame — or several — arrives in one call, and a frame is handed out as
+/// a slice of the buffer. What has been read of an incomplete frame stays
+/// in the buffer across calls: a `read` that fails with a timeout
+/// mid-frame loses nothing, and the next call carries on from there. The
+/// buffer grows to the largest frame seen and only then; the header's
+/// per-type payload bound is enforced **before** it grows, so a hostile
+/// length field cannot reserve more memory than a legitimate message of
+/// that type.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    /// Initialised storage; `buf[start..end]` holds the bytes read and
+    /// not yet handed out.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameReader {
+    /// A reader with nothing buffered.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The next frame off `r`, reading only when the buffer does not
+    /// already hold a whole one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OrcoError::Io`] for transport failures (including EOF
+    /// mid-frame); header malformations are [`FrameRead::Malformed`], not
+    /// errors, so servers can still answer them. After `Malformed` the
+    /// stream has no frame boundary left to find and every further call
+    /// reports the same header.
+    pub(crate) fn next_frame(&mut self, r: &mut impl Read) -> Result<FrameRead<'_>, OrcoError> {
+        loop {
+            let have = self.end - self.start;
+            let mut need = HEADER_LEN;
+            if have >= HEADER_LEN {
+                match parse_header(&self.buf[self.start..self.start + HEADER_LEN]) {
+                    Ok((_, declared)) => need += declared,
+                    Err(e) => return Ok(FrameRead::Malformed(e)),
+                }
+                if have >= need {
+                    let frame = self.start..self.start + need;
+                    self.start = frame.end;
+                    return Ok(FrameRead::Frame(&self.buf[frame]));
+                }
+            }
+            // Move the partial frame (usually nothing) to the front, so
+            // the read below has the rest of the buffer to fill.
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, have);
+            }
+            if self.buf.len() < need.max(MIN_READ_BUF) {
+                self.buf.resize(need.max(MIN_READ_BUF), 0);
+            }
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if have == 0 => return Ok(FrameRead::Eof),
+                Ok(0) => {
+                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof mid-frame").into())
+                }
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// Reads and decodes one message. Returns `Ok(None)` on a clean
     /// end-of-stream at a frame boundary (the peer closed between
     /// messages); EOF mid-frame is an error.
     ///
@@ -949,61 +1043,13 @@ impl Message {
     ///
     /// Returns [`OrcoError::Io`] for transport failures and for wire-level
     /// malformations (wrapped [`WireError`]).
-    pub fn read_from(r: &mut impl Read) -> Result<Option<Message>, OrcoError> {
-        let mut buf = Vec::new();
-        match read_frame(r, &mut buf)? {
+    pub fn read_message(&mut self, r: &mut impl Read) -> Result<Option<Message>, OrcoError> {
+        match self.next_frame(r)? {
             FrameRead::Eof => Ok(None),
             FrameRead::Malformed(e) => Err(e.into()),
-            FrameRead::Frame => Ok(Some(Message::decode(&buf)?)),
+            FrameRead::Frame(frame) => Ok(Some(Message::decode(frame)?)),
         }
     }
-}
-
-/// Outcome of [`read_frame`]: one read off a byte stream.
-#[derive(Debug)]
-pub(crate) enum FrameRead {
-    /// Clean end-of-stream at a frame boundary.
-    Eof,
-    /// The caller's buffer holds one complete frame (header + payload).
-    Frame,
-    /// The header was malformed — framing is lost, so no payload was
-    /// read. A server should reply with an `ErrorReply` and close the
-    /// connection.
-    Malformed(WireError),
-}
-
-/// Reads one raw frame (header + payload bytes) into `buf` (cleared
-/// first; reuse it across calls). The header's per-type payload bound is
-/// enforced **before** the payload allocation, so a hostile length field
-/// cannot reserve more memory than a legitimate message of that type.
-///
-/// # Errors
-///
-/// Returns [`OrcoError::Io`] for transport failures (including EOF
-/// mid-frame); header malformations are [`FrameRead::Malformed`], not
-/// errors, so servers can still answer them.
-pub(crate) fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<FrameRead, OrcoError> {
-    buf.clear();
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        let n = r.read(&mut header[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(FrameRead::Eof);
-            }
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof mid-header").into());
-        }
-        filled += n;
-    }
-    let declared = match parse_header(&header) {
-        Ok((_, declared)) => declared,
-        Err(e) => return Ok(FrameRead::Malformed(e)),
-    };
-    buf.extend_from_slice(&header);
-    buf.resize(HEADER_LEN + declared, 0);
-    r.read_exact(&mut buf[HEADER_LEN..])?;
-    Ok(FrameRead::Frame)
 }
 
 /// Validates a frame header and returns `(message type, payload length)`.
@@ -1079,13 +1125,15 @@ mod tests {
             let header = header_declaring(id, cap + 1);
             let oversized = WireError::Oversized { declared: cap + 1 };
             assert_eq!(Message::decode(&header), Err(oversized.clone()), "{kind}");
-            // The stream reader refuses at the header: the reader below
-            // holds no payload, so reaching for one would be an I/O error.
-            let mut buf = Vec::new();
-            match read_frame(&mut io::Cursor::new(header), &mut buf).expect("no payload read") {
+            // The stream reader refuses at the header, before its buffer
+            // grows: the stream below holds no payload, so reaching for
+            // one would be an I/O error.
+            let mut reader = FrameReader::new();
+            match reader.next_frame(&mut io::Cursor::new(header)).expect("no payload read") {
                 FrameRead::Malformed(e) => assert_eq!(e, oversized, "{kind}"),
                 other => panic!("{kind}: {other:?}"),
             }
+            assert!(reader.buf.len() <= MIN_READ_BUF, "{kind}: grew for a refused length");
             // ... and the bound itself is accepted by the header check.
             assert_eq!(parse_header(&header_declaring(id, cap)), Ok((id, cap)), "{kind}");
         }
@@ -1182,16 +1230,134 @@ mod tests {
         let mut stream = a.encode();
         stream.extend_from_slice(&b.encode());
         let mut r = io::Cursor::new(stream);
-        assert_eq!(Message::read_from(&mut r).unwrap(), Some(a));
-        assert_eq!(Message::read_from(&mut r).unwrap(), Some(b));
-        assert_eq!(Message::read_from(&mut r).unwrap(), None);
+        let mut reader = FrameReader::new();
+        assert_eq!(reader.read_message(&mut r).unwrap(), Some(a));
+        assert_eq!(reader.read_message(&mut r).unwrap(), Some(b));
+        assert_eq!(reader.read_message(&mut r).unwrap(), None);
     }
 
     #[test]
-    fn eof_mid_frame_is_an_error() {
+    fn eof_mid_header_and_mid_payload_are_errors() {
         let frame = Message::Hello { client_id: 42, nonce: 0, mac: 0 }.encode();
-        let mut r = io::Cursor::new(frame[..frame.len() - 1].to_vec());
-        let err = Message::read_from(&mut r).unwrap_err();
-        assert!(matches!(err, OrcoError::Io(_)), "unexpected: {err}");
+        for cut in [HEADER_LEN - 1, frame.len() - 1] {
+            let mut r = io::Cursor::new(frame[..cut].to_vec());
+            let err = FrameReader::new().read_message(&mut r).unwrap_err();
+            assert!(matches!(err, OrcoError::Io(_)), "cut at {cut}: unexpected: {err}");
+        }
+    }
+
+    #[test]
+    fn malformed_header_is_reported_with_no_payload_read() {
+        let mut stream = Message::Hello { client_id: 42, nonce: 0, mac: 0 }.encode();
+        stream[0] = b'X';
+        stream.truncate(HEADER_LEN);
+        let mut reader = FrameReader::new();
+        let mut r = io::Cursor::new(stream);
+        for _ in 0..2 {
+            // Framing is lost for good: the answer does not change.
+            match reader.next_frame(&mut r).expect("the header is all it needs") {
+                FrameRead::Malformed(WireError::BadMagic { .. }) => {}
+                other => panic!("{other:?}"),
+            }
+        }
+        assert!(matches!(reader.read_message(&mut r), Err(OrcoError::Io(_))));
+    }
+
+    /// Hands out at most `chunk` bytes a `read`, whatever the room.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+        reads: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.reads += 1;
+            Ok(n)
+        }
+    }
+
+    fn three_messages() -> [Message; 3] {
+        [
+            Message::PushAck { accepted: 3 },
+            Message::PushFrames {
+                cluster_id: 9,
+                trace: 0,
+                frames: Matrix::from_fn(2, 5, |r, c| (r * 5 + c) as f32),
+            },
+            Message::Shutdown,
+        ]
+    }
+
+    #[test]
+    fn one_byte_per_read_assembles_every_frame() {
+        let messages = three_messages();
+        let stream: Vec<u8> = messages.iter().flat_map(Message::encode).collect();
+        let mut r = Trickle { bytes: &stream, chunk: 1, reads: 0 };
+        let mut reader = FrameReader::new();
+        for msg in &messages {
+            assert_eq!(reader.read_message(&mut r).unwrap().as_ref(), Some(msg));
+        }
+        assert_eq!(reader.read_message(&mut r).unwrap(), None);
+        assert_eq!(r.reads, stream.len() + 1, "one read a byte, and the one that saw EOF");
+    }
+
+    #[test]
+    fn three_frames_in_one_read_cost_one_read() {
+        let messages = three_messages();
+        let stream: Vec<u8> = messages.iter().flat_map(Message::encode).collect();
+        let mut r = Trickle { bytes: &stream, chunk: usize::MAX, reads: 0 };
+        let mut reader = FrameReader::new();
+        for msg in &messages {
+            assert_eq!(reader.read_message(&mut r).unwrap().as_ref(), Some(msg));
+            assert_eq!(r.reads, 1, "{}: served from the buffer", msg.kind());
+        }
+        assert_eq!(reader.read_message(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn a_failed_read_mid_frame_loses_nothing() {
+        /// The first half of a frame, an error, the second half.
+        struct Stalls<'a>(Vec<io::Result<&'a [u8]>>);
+        impl Read for Stalls<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let bytes = self.0.remove(0)?;
+                buf[..bytes.len()].copy_from_slice(bytes);
+                Ok(bytes.len())
+            }
+        }
+        let msg = Message::Hello { client_id: 42, nonce: 1, mac: 2 };
+        let frame = msg.encode();
+        let (head, rest) = frame.split_at(HEADER_LEN + 3);
+        let mut r =
+            Stalls(vec![Ok(head), Err(io::ErrorKind::WouldBlock.into()), Ok(rest), Ok(&[])]);
+        let mut reader = FrameReader::new();
+        assert!(matches!(reader.read_message(&mut r), Err(OrcoError::Io(_))));
+        assert_eq!(reader.read_message(&mut r).unwrap(), Some(msg));
+        assert_eq!(reader.read_message(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_grows_it_once_and_is_then_reused() {
+        let big = Message::PushFrames {
+            cluster_id: 1,
+            trace: 0,
+            frames: Matrix::from_fn(8, 784, |r, c| (r + c) as f32),
+        };
+        let frame = big.encode();
+        assert!(frame.len() > MIN_READ_BUF);
+        let stream = [frame.clone(), frame.clone()].concat();
+        // 1000 bytes a read: frames straddle reads and each other.
+        let mut r = Trickle { bytes: &stream, chunk: 1000, reads: 0 };
+        let mut reader = FrameReader::new();
+        assert_eq!(reader.read_message(&mut r).unwrap().as_ref(), Some(&big));
+        let grown = reader.buf.len();
+        assert_eq!(grown, frame.len(), "exactly the frame, past the floor");
+        assert_eq!(reader.read_message(&mut r).unwrap().as_ref(), Some(&big));
+        assert_eq!(reader.buf.len(), grown);
+        assert_eq!(reader.read_message(&mut r).unwrap(), None);
     }
 }

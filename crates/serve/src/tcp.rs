@@ -7,11 +7,20 @@
 //! Thread model:
 //!
 //! * one **acceptor** blocks in `accept`; every connection gets its own
-//!   handler thread reading frames until EOF or `Shutdown`;
-//! * every connection also gets a **writer** thread draining the
-//!   connection's [`Outbox`] to the socket — replies and streamed
-//!   frames share the outbox, so writes are serialized without a lock
-//!   around the socket;
+//!   **reader** thread, which reads frames through the connection's
+//!   [`FrameReader`] until EOF or `Shutdown`, handles each, and **writes
+//!   the reply to the socket itself** whenever the reply is next in
+//!   outbox order — nothing queued, nobody mid-write — which
+//!   [`Outbox::try_claim`] decides. A request/reply exchange then wakes
+//!   two threads, the server's reader and the client, and no third;
+//! * every connection also gets a **writer** thread, asleep on the
+//!   connection's [`Outbox`] until something is queued there: a streamed
+//!   delivery (pushed by whichever thread flushed the shard), or a reply
+//!   the reader could not claim the socket for — a `Subscribe`'s ack
+//!   behind its backlog, a reply that met a delivery in flight. It takes
+//!   each frame together with the write claim, so the two threads' bytes
+//!   never interleave and reach the socket in outbox order, with no lock
+//!   held across a write;
 //! * the service's **background workers** (the gateway's one deadline
 //!   timer, whatever its shard count; the directory's heartbeat sweeper)
 //!   run on their own threads via [`Service::run_worker`] — a gateway
@@ -25,13 +34,12 @@ use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use orcodcs::OrcoError;
 
 use crate::gateway::Gateway;
 use crate::outbox::Outbox;
-use crate::protocol::{read_frame, ErrorCode, FrameRead, Message};
+use crate::protocol::{ErrorCode, FrameRead, FrameReader, Message};
 use crate::service::Service;
 
 /// A running TCP server around an `Arc` of any [`Service`].
@@ -143,25 +151,17 @@ fn accept_loop<S: Service + ?Sized + 'static>(
     }
 }
 
-/// Drains a connection's outbox to its socket until the outbox closes
-/// and is empty. All frames bound for the peer — replies and streamed
-/// deliveries alike — pass through here, so socket writes are serialized
-/// by construction.
+/// Writes what is queued in a connection's outbox to its socket until
+/// the outbox closes and is empty, asleep in between: streamed deliveries,
+/// and the replies the reader could not write itself. Each frame comes
+/// with the write claim, so the reader's inline replies and these writes
+/// take turns on the socket.
 fn writer_loop(mut stream: TcpStream, outbox: &Outbox) {
-    loop {
-        match outbox.wait_next(Duration::from_millis(100)) {
-            Some(frame) => {
-                if stream.write_all(&frame).is_err() {
-                    // Peer is gone; stop draining. The reader side will
-                    // observe EOF and close the outbox.
-                    return;
-                }
-            }
-            None => {
-                if outbox.is_closed() {
-                    return;
-                }
-            }
+    while let Some((frame, _claim)) = outbox.claim_next() {
+        if stream.write_all(&frame).is_err() {
+            // Peer is gone; stop draining. The reader side will
+            // observe EOF and close the outbox.
+            return;
         }
     }
 }
@@ -178,9 +178,7 @@ struct ReadEnd {
 /// Reads frames off one connection until EOF or `Shutdown`, replying to
 /// each through the same [`Service::handle_frame`] path the loopback
 /// transport uses — a malformed frame draws an `ErrorReply` before the
-/// connection closes, exactly as in-process callers see it. Replies are
-/// routed through the connection's outbox so they interleave safely with
-/// streamed frames.
+/// connection closes, exactly as in-process callers see it.
 ///
 /// The reply that ends the connection is not queued but written to the
 /// socket here, after the outbox has closed and the writer has drained
@@ -223,13 +221,13 @@ fn read_loop<S: Service + ?Sized>(
     svc: &Arc<S>,
     outbox: &Arc<Outbox>,
 ) -> Result<ReadEnd, OrcoError> {
-    let mut frame = Vec::new();
+    let mut reader = FrameReader::new();
     let mut reply = Vec::new();
     // Header bytes 6..8 carry a frame's type id; `Shutdown`'s comes from
     // the message table.
     let shutdown_id = Message::Shutdown.wire_type().0.to_le_bytes();
     loop {
-        match read_frame(stream, &mut frame)? {
+        match reader.next_frame(stream)? {
             FrameRead::Eof => return Ok(ReadEnd { last_reply: None, shutdown: false }),
             FrameRead::Malformed(e) => {
                 // Framing is lost: answer with the typed rejection, then
@@ -238,16 +236,25 @@ fn read_loop<S: Service + ?Sized>(
                     .encode_into(&mut reply);
                 return Ok(ReadEnd { last_reply: Some(reply), shutdown: false });
             }
-            FrameRead::Frame => {
-                svc.handle_frame(&frame, &mut reply, Some(outbox));
+            FrameRead::Frame(frame) => {
+                svc.handle_frame(frame, &mut reply, Some(outbox));
                 if frame[6..8] == shutdown_id {
                     return Ok(ReadEnd { last_reply: Some(reply), shutdown: true });
                 }
-                // Hand the buffer over: the reply is encoded once, into
-                // the bytes the writer sends (`encode_into` reserves a
-                // matrix payload exactly, so the next reply does not
-                // regrow by doubling).
-                outbox.push_frame(std::mem::take(&mut reply));
+                // Dispatch may have queued frames that go first (a
+                // `Subscribe`'s backlog), and the writer may be mid-frame:
+                // the claim is granted exactly when neither is so, and
+                // `reply` is then written from here and kept for the next
+                // request.
+                match outbox.try_claim() {
+                    Some(_claim) => {
+                        if stream.write_all(&reply).is_err() {
+                            // As in `writer_loop`: the peer is gone.
+                            return Ok(ReadEnd { last_reply: None, shutdown: false });
+                        }
+                    }
+                    None => outbox.push_frame(std::mem::take(&mut reply)),
+                }
             }
         }
     }

@@ -6,9 +6,11 @@
 //! [`Connection::poll_stream`]. Two implementations ship here:
 //!
 //! * [`Tcp`] — a real socket. Frames are written and read with the
-//!   length-prefixed protocol of [`crate::protocol`]; streamed
-//!   [`Message::StreamFrames`] arriving while a reply is awaited are
-//!   stashed and handed out by `poll_stream`.
+//!   length-prefixed protocol of [`crate::protocol`], read through the
+//!   connection's [`FrameReader`] — a small frame costs one `read`, and a
+//!   `poll_stream` that times out halfway through one picks it up again on
+//!   the next call; streamed [`Message::StreamFrames`] arriving while a
+//!   reply is awaited are stashed and handed out by `poll_stream`.
 //! * [`Loopback`] — in-process and deterministic, generic over any
 //!   [`Service`] (gateway or fleet directory). Requests are still
 //!   encoded to bytes and decoded on the server side, so the full wire
@@ -31,7 +33,7 @@ use orcodcs::OrcoError;
 
 use crate::gateway::Gateway;
 use crate::outbox::Outbox;
-use crate::protocol::Message;
+use crate::protocol::{FrameReader, Message};
 use crate::service::Service;
 
 /// A factory of request/reply [`Connection`]s.
@@ -160,7 +162,12 @@ impl Transport for Tcp {
         })?;
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(TcpConnection { stream, scratch: Vec::new(), streamed: VecDeque::new() })
+        Ok(TcpConnection {
+            stream,
+            scratch: Vec::new(),
+            reader: FrameReader::new(),
+            streamed: VecDeque::new(),
+        })
     }
 }
 
@@ -169,6 +176,9 @@ impl Transport for Tcp {
 pub struct TcpConnection {
     stream: TcpStream,
     scratch: Vec<u8>,
+    /// Holds what has arrived of the next frame, across calls: a
+    /// `poll_stream` that times out mid-frame resumes where it stopped.
+    reader: FrameReader,
     /// Streamed frames that arrived interleaved with a reply; drained by
     /// [`Connection::poll_stream`].
     streamed: VecDeque<Message>,
@@ -179,7 +189,7 @@ impl Connection for TcpConnection {
         msg.encode_into(&mut self.scratch);
         self.stream.write_all(&self.scratch)?;
         loop {
-            match Message::read_from(&mut self.stream)? {
+            match self.reader.read_message(&mut self.stream)? {
                 // The server may interleave streamed deliveries with the
                 // reply on the same socket; stash them for poll_stream.
                 Some(streamed @ Message::StreamFrames { .. }) => self.streamed.push_back(streamed),
@@ -202,7 +212,7 @@ impl Connection for TcpConnection {
         // A zero timeout would mean "block forever" to set_read_timeout;
         // clamp it to the shortest real wait instead.
         self.stream.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-        let read = Message::read_from(&mut self.stream);
+        let read = self.reader.read_message(&mut self.stream);
         self.stream.set_read_timeout(None)?;
         match read {
             Ok(msg) => Ok(msg),

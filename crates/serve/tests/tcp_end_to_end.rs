@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orco_datasets::DatasetKind;
-use orco_serve::{Client, Clock, Gateway, GatewayConfig, PushOutcome, Tcp, TcpServer};
+use orco_serve::{Client, Clock, Gateway, GatewayConfig, Message, PushOutcome, Tcp, TcpServer};
 use orco_tensor::{Matrix, OrcoRng};
 use orcodcs::{AsymmetricAutoencoder, Codec, OrcoConfig};
 
@@ -79,7 +79,10 @@ fn tcp_gateway_serves_and_shuts_down() {
         use std::io::Write;
         let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connects");
         raw.write_all(b"XXXXgarbage-that-is-not-a-frame").expect("writes");
-        let reply = orco_serve::Message::read_from(&mut raw).expect("reply frame").expect("reply");
+        let reply = orco_serve::protocol::FrameReader::new()
+            .read_message(&mut raw)
+            .expect("reply frame")
+            .expect("reply");
         assert!(
             matches!(reply, orco_serve::Message::ErrorReply { .. }),
             "expected ErrorReply, got {}",
@@ -197,4 +200,219 @@ fn parked_frames_on_every_shard_are_streamed_with_no_further_traffic() {
 
     pusher.shutdown().expect("shutdown acked");
     server.join();
+}
+
+/// A connection subscribed to the cluster it pushes to has two threads
+/// writing to its socket at once: its reader, answering each push, and
+/// its writer, streaming what the deadline timer flushes meanwhile. Every
+/// byte must still parse as whole frames (a torn one is a bad header, and
+/// the client errors), every request must draw exactly its own reply (the
+/// acks count 1, 2, 3 rows in turn), and the cluster's rows must come
+/// back in push order, bit-identical to the direct codec's. 200 fresh
+/// connections, each pushing across several deadlines.
+#[test]
+fn replies_and_streamed_deliveries_share_a_socket_without_tearing() {
+    const CLUSTER: u64 = 7;
+    const PUSHES: usize = 30;
+    let config = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_seed(5);
+    let gateway = Arc::new(
+        Gateway::new(
+            GatewayConfig {
+                shards: 1,
+                // Never reached: every flush is the timer's, on its thread.
+                batch_max_frames: 4096,
+                batch_deadline: Duration::from_micros(300),
+                ..GatewayConfig::default()
+            },
+            Clock::real(),
+            |_| {
+                Box::new(AsymmetricAutoencoder::new(&config).expect("valid config"))
+                    as Box<dyn Codec>
+            },
+        )
+        .expect("valid gateway"),
+    );
+    let server = TcpServer::spawn(Arc::clone(&gateway), "127.0.0.1:0").expect("binds");
+    let transport = Tcp::new(server.local_addr().to_string());
+
+    let total: usize = (0..PUSHES).map(|k| k % 3 + 1).sum();
+    let mut rng = OrcoRng::from_seed_u64(23);
+    let frames = Matrix::from_fn(total, 784, |_, _| rng.uniform(0.0, 1.0));
+    let mut direct = AsymmetricAutoencoder::new(&config).expect("valid config");
+    let (mut codes, mut expect) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    direct.encode_batch(frames.as_view(), &mut codes).expect("encodes");
+    direct.decode_batch(codes.as_view(), &mut expect).expect("decodes");
+
+    for round in 0..200 {
+        let mut client = Client::connect(&transport).expect("connects");
+        client.hello(round).expect("hello");
+        assert_eq!(client.subscribe(CLUSTER).expect("subscribes"), 0, "round {round}");
+        let mut pushed = 0;
+        for k in 0..PUSHES {
+            let rows = k % 3 + 1;
+            let outcome = client
+                .push(CLUSTER, frames.view_rows(pushed..pushed + rows))
+                .unwrap_or_else(|e| panic!("round {round}, push {k}: {e}"));
+            assert_eq!(outcome, PushOutcome::Accepted(rows as u32), "round {round}, push {k}");
+            pushed += rows;
+            // A second request kind between pushes: its reply must not be
+            // mistaken for, or swapped with, an ack.
+            if k % 8 == 0 {
+                client.version_info().unwrap_or_else(|e| panic!("round {round}, info {k}: {e}"));
+            }
+        }
+        let mut got = 0;
+        while got < total {
+            let (cluster, rows) = client
+                .recv_streamed(Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("round {round}: stream broke after {got} rows: {e}"))
+                .unwrap_or_else(|| panic!("round {round}: {got} of {total} rows, then silence"));
+            assert_eq!(cluster, CLUSTER);
+            for r in 0..rows.rows() {
+                assert_eq!(rows.row(r), expect.row(got + r), "round {round}: row {}", got + r);
+            }
+            got += rows.rows();
+        }
+        assert_eq!(got, total, "round {round}");
+        client.unsubscribe(CLUSTER).expect("unsubscribes");
+    }
+    // The test is about concurrent writers only if the timer did deliver
+    // while pushes were in flight: more than one flush a connection.
+    let stats = gateway.stats();
+    assert_eq!(stats.size_flushes, 0);
+    assert!(stats.deadline_flushes > 400, "{} deadline flushes", stats.deadline_flushes);
+
+    let mut control = Client::connect(&transport).expect("control connects");
+    control.shutdown().expect("shutdown acked");
+    server.join();
+}
+
+/// The claim, made to fail on purpose: a subscriber that reads nothing
+/// while megabytes of deliveries are queued for it leaves its writer
+/// thread stuck mid-frame in a full socket, the claim in hand and frames
+/// behind it. A request sent now must have its reply queued behind all of
+/// them — written inline it would land inside the frame the writer is
+/// halfway through, or ahead of rows delivered before it was asked for.
+#[test]
+fn a_reply_waits_its_turn_behind_deliveries_the_peer_has_not_read() {
+    use orco_serve::protocol::FrameReader;
+    use std::io::Write;
+
+    const CLUSTER: u64 = 7;
+    const CHUNK: usize = 64;
+    // ~10 MB on the wire: past what a loopback socket pair buffers for a
+    // peer that is not reading.
+    const ROWS: usize = CHUNK * 50;
+    let config = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_seed(5);
+    let gateway = Arc::new(
+        Gateway::new(
+            GatewayConfig {
+                shards: 1,
+                batch_max_frames: CHUNK,
+                batch_deadline: Duration::from_millis(1),
+                ..GatewayConfig::default()
+            },
+            Clock::real(),
+            |_| {
+                Box::new(AsymmetricAutoencoder::new(&config).expect("valid config"))
+                    as Box<dyn Codec>
+            },
+        )
+        .expect("valid gateway"),
+    );
+    let server = TcpServer::spawn(Arc::clone(&gateway), "127.0.0.1:0").expect("binds");
+
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connects");
+    let mut reader = FrameReader::new();
+    raw.write_all(&Message::Subscribe { cluster_id: CLUSTER, trace: 0 }.encode()).expect("writes");
+    match reader.read_message(&mut raw).expect("reply frame") {
+        Some(Message::SubscribeAck { backlog: 0, .. }) => {}
+        other => panic!("expected SubscribeAck, got {other:?}"),
+    }
+
+    let mut pusher = Client::connect(&Tcp::new(server.local_addr().to_string())).expect("connects");
+    let frames = Matrix::from_fn(CHUNK, 784, |r, c| ((r * 784 + c) % 17) as f32 / 17.0);
+    let mut pushed = 0;
+    while pushed < ROWS {
+        match pusher.push(CLUSTER, frames.as_view()).expect("push") {
+            PushOutcome::Accepted(n) => pushed += n as usize,
+            PushOutcome::Busy { .. } => std::thread::sleep(Duration::from_millis(1)),
+            PushOutcome::Redirected { .. } => unreachable!("no fleet view installed"),
+        }
+    }
+    // A pull takes the shard lock a delivery holds from its first row to
+    // its last `push_frame`: once it returns empty with every row
+    // counted as streamed, every delivery is in the subscriber's outbox.
+    while gateway.stats().streamed_rows < ROWS as u64 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(pusher.pull(CLUSTER, 1).expect("pull").rows(), 0);
+
+    raw.write_all(&Message::StatsRequest.encode()).expect("writes");
+    // Not needed for the assertions to hold, only for them to bite: let
+    // the server's reader get to the reply while the socket is still full.
+    std::thread::sleep(Duration::from_millis(50));
+    let mut streamed = 0;
+    loop {
+        match reader.read_message(&mut raw).expect("whole frames").expect("no EOF") {
+            Message::StreamFrames { cluster_id, frames, .. } => {
+                assert_eq!(cluster_id, CLUSTER);
+                streamed += frames.rows();
+            }
+            Message::StatsReply(stats) => {
+                assert_eq!(stats.streamed_rows, ROWS as u64);
+                break;
+            }
+            other => panic!("unexpected {}", other.kind()),
+        }
+    }
+    assert_eq!(streamed, ROWS, "the reply overtook deliveries queued before its request");
+
+    pusher.shutdown().expect("shutdown acked");
+    server.join();
+}
+
+/// A streamed frame that arrives in two pieces, with a `recv_streamed`
+/// timing out in between, is still delivered whole: what the first call
+/// read stays in the connection's reader. (The per-call reader this
+/// replaced dropped those bytes, and the next call parsed payload as a
+/// header: `BadMagic`.)
+#[test]
+fn a_stream_poll_that_times_out_mid_frame_resumes_it() {
+    use std::io::Write;
+    use std::sync::mpsc;
+
+    let frames = Matrix::from_fn(2, 64, |r, c| (r * 64 + c) as f32);
+    let wire = Message::StreamFrames { cluster_id: 9, version: 0, frames: frames.clone() }.encode();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("bound");
+    let (sent_tx, sent_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let (mut peer, _) = listener.accept().expect("accepts");
+        peer.set_nodelay(true).expect("nodelay");
+        // The header and part of the payload, then nothing until told.
+        peer.write_all(&wire[..100]).expect("first piece");
+        sent_tx.send(()).expect("test is listening");
+        go_rx.recv().expect("test says go");
+        peer.write_all(&wire[100..]).expect("second piece");
+        // Keep the socket open until the client has read it all.
+        go_rx.recv().expect("test says done");
+    });
+
+    let mut client = Client::connect(&Tcp::new(addr.to_string())).expect("connects");
+    sent_rx.recv().expect("first piece written");
+    assert_eq!(
+        client.recv_streamed(Duration::from_millis(10)).expect("a timeout, not an error"),
+        None
+    );
+    go_tx.send(()).expect("server is waiting");
+    let (cluster, rows) = client
+        .recv_streamed(Duration::from_secs(10))
+        .expect("the frame resumes")
+        .expect("the rest arrives in time");
+    assert_eq!(cluster, 9);
+    assert_eq!(rows, frames);
+    go_tx.send(()).expect("server is waiting");
+    server.join().expect("server thread");
 }
