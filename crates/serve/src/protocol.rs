@@ -1020,8 +1020,9 @@ impl FrameReader {
                 self.buf.copy_within(self.start..self.end, 0);
                 (self.start, self.end) = (0, have);
             }
-            if self.buf.len() < need.max(MIN_READ_BUF) {
-                self.buf.resize(need.max(MIN_READ_BUF), 0);
+            let room = need.max(MIN_READ_BUF);
+            if self.buf.len() < room {
+                self.buf.resize(room, 0);
             }
             match r.read(&mut self.buf[self.end..]) {
                 Ok(0) if have == 0 => return Ok(FrameRead::Eof),

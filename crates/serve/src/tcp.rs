@@ -178,7 +178,10 @@ struct ReadEnd {
 /// Reads frames off one connection until EOF or `Shutdown`, replying to
 /// each through the same [`Service::handle_frame`] path the loopback
 /// transport uses — a malformed frame draws an `ErrorReply` before the
-/// connection closes, exactly as in-process callers see it.
+/// connection closes, exactly as in-process callers see it. A reply is
+/// written from this thread when the outbox grants it the socket's write
+/// side and queued for the writer otherwise, so it never lands inside, or
+/// ahead of, a streamed frame queued before it.
 ///
 /// The reply that ends the connection is not queued but written to the
 /// socket here, after the outbox has closed and the writer has drained

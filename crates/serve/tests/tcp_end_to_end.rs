@@ -202,43 +202,49 @@ fn parked_frames_on_every_shard_are_streamed_with_no_further_traffic() {
     server.join();
 }
 
+/// The 784 → 16 autoencoder every test here serves.
+fn codec_config() -> OrcoConfig {
+    OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_seed(5)
+}
+
+/// A one-shard gateway on the real clock behind a TCP server on an
+/// ephemeral port.
+fn serve_one_shard(batch_max_frames: usize, batch_deadline: Duration) -> (Arc<Gateway>, TcpServer) {
+    let config = codec_config();
+    let gateway = Gateway::new(
+        GatewayConfig { shards: 1, batch_max_frames, batch_deadline, ..GatewayConfig::default() },
+        Clock::real(),
+        |_| Box::new(AsymmetricAutoencoder::new(&config).expect("valid config")) as Box<dyn Codec>,
+    )
+    .expect("valid gateway");
+    let gateway = Arc::new(gateway);
+    let server = TcpServer::spawn(Arc::clone(&gateway), "127.0.0.1:0").expect("binds");
+    (gateway, server)
+}
+
 /// A connection subscribed to the cluster it pushes to has two threads
 /// writing to its socket at once: its reader, answering each push, and
 /// its writer, streaming what the deadline timer flushes meanwhile. Every
-/// byte must still parse as whole frames (a torn one is a bad header, and
-/// the client errors), every request must draw exactly its own reply (the
-/// acks count 1, 2, 3 rows in turn), and the cluster's rows must come
-/// back in push order, bit-identical to the direct codec's. 200 fresh
-/// connections, each pushing across several deadlines.
+/// byte must still parse as whole frames, every request must draw exactly
+/// its own reply (the acks count 1, 2, 3 rows in turn), and the cluster's
+/// rows must come back in push order, bit-identical to the direct
+/// codec's. 200 fresh connections, each pushing across several deadlines.
+/// (Frames this small go out in one `send` each, which the kernel will
+/// not split; what tears a frame is a writer stalled halfway through a
+/// large one, and the test after this one sets that up.)
 #[test]
-fn replies_and_streamed_deliveries_share_a_socket_without_tearing() {
+fn replies_and_streamed_deliveries_share_a_socket_in_order() {
     const CLUSTER: u64 = 7;
     const PUSHES: usize = 30;
-    let config = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_seed(5);
-    let gateway = Arc::new(
-        Gateway::new(
-            GatewayConfig {
-                shards: 1,
-                // Never reached: every flush is the timer's, on its thread.
-                batch_max_frames: 4096,
-                batch_deadline: Duration::from_micros(300),
-                ..GatewayConfig::default()
-            },
-            Clock::real(),
-            |_| {
-                Box::new(AsymmetricAutoencoder::new(&config).expect("valid config"))
-                    as Box<dyn Codec>
-            },
-        )
-        .expect("valid gateway"),
-    );
-    let server = TcpServer::spawn(Arc::clone(&gateway), "127.0.0.1:0").expect("binds");
+    // The size threshold is never reached: every flush is the timer's,
+    // on its thread.
+    let (gateway, server) = serve_one_shard(4096, Duration::from_micros(300));
     let transport = Tcp::new(server.local_addr().to_string());
 
     let total: usize = (0..PUSHES).map(|k| k % 3 + 1).sum();
     let mut rng = OrcoRng::from_seed_u64(23);
     let frames = Matrix::from_fn(total, 784, |_, _| rng.uniform(0.0, 1.0));
-    let mut direct = AsymmetricAutoencoder::new(&config).expect("valid config");
+    let mut direct = AsymmetricAutoencoder::new(&codec_config()).expect("valid config");
     let (mut codes, mut expect) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
     direct.encode_batch(frames.as_view(), &mut codes).expect("encodes");
     direct.decode_batch(codes.as_view(), &mut expect).expect("decodes");
@@ -303,24 +309,7 @@ fn a_reply_waits_its_turn_behind_deliveries_the_peer_has_not_read() {
     // ~10 MB on the wire: past what a loopback socket pair buffers for a
     // peer that is not reading.
     const ROWS: usize = CHUNK * 50;
-    let config = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_seed(5);
-    let gateway = Arc::new(
-        Gateway::new(
-            GatewayConfig {
-                shards: 1,
-                batch_max_frames: CHUNK,
-                batch_deadline: Duration::from_millis(1),
-                ..GatewayConfig::default()
-            },
-            Clock::real(),
-            |_| {
-                Box::new(AsymmetricAutoencoder::new(&config).expect("valid config"))
-                    as Box<dyn Codec>
-            },
-        )
-        .expect("valid gateway"),
-    );
-    let server = TcpServer::spawn(Arc::clone(&gateway), "127.0.0.1:0").expect("binds");
+    let (gateway, server) = serve_one_shard(CHUNK, Duration::from_millis(1));
 
     let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connects");
     let mut reader = FrameReader::new();
