@@ -21,10 +21,24 @@
 //!   [`Gateway::advance_clock`] runs across **all** shards — a batch on an
 //!   idle shard is flushed as soon as time passes its deadline, not when
 //!   the next request happens to land on that shard. Under a real clock
-//!   (TCP mode) one timer thread runs the same sweep when the earliest
-//!   armed batch falls due, so deadlines are kept with no traffic at all.
-//!   The sweep asks each shard through a lock-free gate (one atomic load)
-//!   and takes a shard's lock only to flush a batch that is due;
+//!   (TCP mode) one timer thread flushes each batch when it falls due, so
+//!   deadlines are kept with no traffic at all. The sweep and the timer
+//!   ask each shard through a lock-free gate (an atomic load or two) and
+//!   take a shard's lock only to flush a batch that is due;
+//! * **hold**: the deadline is what a batch waits when nobody is waiting
+//!   for it. A pending batch is *wanted* from the enqueue time of its
+//!   first row for a cluster with a subscriber (or from the `Subscribe`
+//!   that finds such rows pending), and the timer flushes a wanted batch
+//!   — as a deadline flush — once it has been wanted for the shard's
+//!   **hold**: the time the timer's own previous flush of that shard
+//!   took, encode and delivery, starting at 0 and capped at the deadline.
+//!   At low load a streamed row leaves about one flush-cost after it
+//!   arrives and the timer spends at most half a shard's time on early
+//!   flushes; as load grows, batches, their cost and the hold grow
+//!   together until size flushes and the configured deadline take over
+//!   again. Pull-only clusters never make a batch wanted, and under a
+//!   virtual clock there is no timer: the sweep alone keeps the deadline,
+//!   so a manual-clock schedule cannot observe the hold;
 //! * **pull**: a `PullDecoded` flushes the shard's pending batch first,
 //!   so clients always read their own writes.
 //!
@@ -59,7 +73,7 @@ use crate::clock::Clock;
 use crate::fleet_view::FleetView;
 use crate::outbox::Outbox;
 use crate::protocol::{ErrorCode, Message, ModelVersion, MAX_LABEL, PROTOCOL_VERSION};
-use crate::shard::{DriftProbe, ShardCore, ShardGate};
+use crate::shard::{due_at, DriftProbe, GateTimes, ShardCore, ShardGate};
 use crate::stats::{FlushReason, ServeStats, MAX_SHARDS};
 
 /// Sizing and flush policy of a [`Gateway`].
@@ -192,8 +206,8 @@ pub struct Gateway {
     /// The fleet assignment this gateway enforces, or `None` for a
     /// standalone gateway (pre-fleet behavior: serve every cluster).
     fleet: Mutex<Option<FleetView>>,
-    /// The deadline timer's thread once it runs (TCP mode), for a push
-    /// that arms an empty batch to wake; never set under a virtual clock.
+    /// The deadline timer's thread once it runs (TCP mode), for whoever
+    /// moves a batch's due-time to wake; never set under a virtual clock.
     timer: OnceLock<Thread>,
     /// The rollout control plane: active/staged/prior model versions.
     ///
@@ -376,18 +390,19 @@ impl Gateway {
         (orco_tensor::fnv1a64(&cluster_id.to_le_bytes()) % self.shards.len() as u64) as usize
     }
 
-    /// Test hook: per shard, `[mirror, truth]` — when the shard's
-    /// lock-free gate says the pending batch was armed beside what its
-    /// locked core holds. The two must be equal whenever the shard's lock
-    /// is free; each pair is read under it.
+    /// Test hook: per shard, `[mirror, truth]`, each as `[armed, wanted]`
+    /// — when the shard's lock-free gate says the pending batch was armed
+    /// and since when it is wanted, beside what its locked core holds.
+    /// The two must be equal whenever the shard's lock is free; each pair
+    /// is read under it.
     #[doc(hidden)]
     #[must_use]
-    pub fn gate_check(&self) -> Vec<[Option<f64>; 2]> {
+    pub fn gate_check(&self) -> Vec<[[Option<f64>; 2]; 2]> {
         self.shards
             .iter()
             .map(|slot| {
                 let core = slot.core.lock().expect("shard lock");
-                [slot.gate.armed_at(), core.gate_truth()]
+                [slot.gate.times(), core.gate_truth()]
             })
             .collect()
     }
@@ -529,7 +544,7 @@ impl Gateway {
                 detail: "gateway is shutting down".into(),
             };
         }
-        let arms_batch = core.pending_rows() == 0;
+        let gate_before = core.gate_truth();
         if !core.try_enqueue(cluster_id, trace, frames, now, self.cfg.queue_capacity) {
             self.stats.record_busy();
             // No spans for a refused push: the client will retry, and a
@@ -557,15 +572,11 @@ impl Gateway {
             if let Err(e) = core.flush(now, FlushReason::Size, &self.stats, &self.tracer) {
                 return internal(&e);
             }
-        } else if arms_batch {
-            // A batch started pending: wake the deadline timer to time it
-            // (TCP mode; under a virtual clock there is none and the
-            // dispatch-time sweep keeps the deadline). Later pushes into
-            // the same batch do not move its deadline, so they wake
-            // nobody.
-            if let Some(timer) = self.timer.get() {
-                timer.unpark();
-            }
+        } else {
+            // A push that arms a batch, or makes an armed one wanted,
+            // moves the shard's due-time; any other push into the batch
+            // does not, and wakes nobody.
+            self.wake_timer_if_moved(gate_before, &core);
         }
         Message::PushAck { accepted: rows as u32 }
     }
@@ -815,7 +826,10 @@ impl Gateway {
                 detail: "",
             });
         }
+        let gate_before = core.gate_truth();
         core.subscribe(cluster_id, outbox, now, &self.stats, &self.tracer);
+        // Rows of the cluster still pending are wanted as of now.
+        self.wake_timer_if_moved(gate_before, &core);
         Message::SubscribeAck { cluster_id, backlog: backlog as u32 }
     }
 
@@ -827,6 +841,17 @@ impl Gateway {
             slot.core.lock().expect("shard lock").unsubscribe(cluster_id, outbox);
         }
         Message::SubscribeAck { cluster_id, backlog: 0 }
+    }
+
+    /// Wakes the deadline timer to re-time `core`'s shard if its gate
+    /// times are no longer `before` (TCP mode; under a virtual clock
+    /// there is no timer and the dispatch-time sweep keeps the deadline).
+    fn wake_timer_if_moved(&self, before: GateTimes, core: &ShardCore) {
+        if core.gate_truth() != before {
+            if let Some(timer) = self.timer.get() {
+                timer.unpark();
+            }
+        }
     }
 
     fn begin_shutdown(&self, now: f64) {
@@ -887,34 +912,63 @@ impl Gateway {
         self.sweep_deadlines();
     }
 
-    /// Runs the deadline timer until shutdown: sweep, then sleep until
-    /// the earliest armed batch falls due. Spawned once by the TCP server,
-    /// whatever the shard count; under a virtual clock nothing sleeps and
-    /// the dispatch-time sweep keeps the deadlines alone.
-    ///
-    /// No wake-up is lost: a push that arms a batch after this loop read
-    /// the gates unparks the thread, and an unpark that lands before the
-    /// park makes the park return at once. (Only a push that arms before
-    /// the first line below has run finds no thread to wake, and the
-    /// sleep's cap bounds that wait.)
-    pub(crate) fn run_deadline_timer(&self) {
+    /// One turn of the deadline timer: flushes every shard whose pending
+    /// batch is due — [`GatewayConfig::batch_deadline`] after it was
+    /// armed, or the shard's hold after it became wanted, whichever comes
+    /// first — and returns how long the timer may sleep before the next
+    /// batch falls due. `hold_s` is the timer's own state, one entry a
+    /// shard, all 0 at first: after each flush here it holds what that
+    /// flush took on the gateway clock, capped at the deadline.
+    #[doc(hidden)]
+    pub fn timer_step(&self, hold_s: &mut [f64]) -> Duration {
         /// The sleep when nothing is armed: how soon shutdown is noticed
         /// should its wake-up be missed.
         const IDLE_S: f64 = 0.05;
-        // Were a second timer ever started, it would stay unregistered
-        // and merely sweep once per `IDLE_S`.
-        let _ = self.timer.set(std::thread::current());
         let deadline_s = self.cfg.batch_deadline.as_secs_f64();
+        let mut next_due = f64::INFINITY;
+        for ((idx, slot), hold) in self.shards.iter().enumerate().zip(hold_s) {
+            let is_due = |times, now| due_at(times, deadline_s, *hold).is_some_and(|at| now >= at);
+            if is_due(slot.gate.times(), self.clock.now_s()) {
+                let mut core = slot.core.lock().expect("shard lock");
+                let now = self.clock.now_s();
+                if is_due(core.gate_truth(), now) {
+                    if let Err(e) =
+                        core.flush(now, FlushReason::Deadline, &self.stats, &self.tracer)
+                    {
+                        eprintln!("orco-serve: shard {idx} deadline flush failed: {e}");
+                    }
+                    *hold = (self.clock.now_s() - now).min(deadline_s);
+                }
+            }
+            // Whatever is pending now — left to wait, or pushed meanwhile.
+            if let Some(at) = due_at(slot.gate.times(), deadline_s, *hold) {
+                next_due = next_due.min(at);
+            }
+        }
+        Duration::from_secs_f64((next_due - self.clock.now_s()).clamp(0.0, IDLE_S))
+    }
+
+    /// Runs the deadline timer until shutdown: [`Self::timer_step`], then
+    /// sleep until the earliest due-time it found. Spawned once by the
+    /// TCP server, whatever the shard count; under a virtual clock nothing
+    /// sleeps and the dispatch-time sweep keeps the deadlines alone.
+    ///
+    /// No wake-up is lost. A shard's due-time moves earlier for two
+    /// reasons — a push arms its batch, or a push or a `Subscribe` makes
+    /// the armed batch wanted — and whoever does either, after this loop
+    /// read that shard's gate, unparks the thread once the gate is
+    /// written; an unpark that lands before the park makes the park
+    /// return at once. (A hold that shrinks moves a due-time earlier too,
+    /// but only this thread writes holds, before it computes the sleep.
+    /// Only a push that lands before the first line below has run finds
+    /// no thread to wake, and the sleep's cap bounds that wait.)
+    pub(crate) fn run_deadline_timer(&self) {
+        // Were a second timer ever started, it would stay unregistered
+        // and merely look once per idle sleep.
+        let _ = self.timer.set(std::thread::current());
+        let mut hold_s = vec![0.0; self.shards.len()];
         while !self.is_shutting_down() {
-            self.sweep_deadlines();
-            let now = self.clock.now_s();
-            let due_in = self
-                .shards
-                .iter()
-                .filter_map(|slot| slot.gate.armed_at())
-                .map(|armed| armed + deadline_s - now)
-                .fold(IDLE_S, f64::min);
-            std::thread::park_timeout(Duration::from_secs_f64(due_in.max(0.0)));
+            std::thread::park_timeout(self.timer_step(&mut hold_s));
         }
     }
 }

@@ -24,7 +24,8 @@
 //!   cluster with a live subscriber stores nothing*, and its rows reach
 //!   each outbox in push order because nothing else can run in between;
 //! * **its gate** ([`ShardGate`]) — a lock-free mirror of "when was the
-//!   pending batch armed", kept by `try_enqueue` / `flush`, so the
+//!   pending batch armed, and since when has a subscriber been waiting
+//!   on it", kept by `try_enqueue` / `subscribe` / `flush`, so the
 //!   gateway's per-dispatch deadline sweep and its deadline timer can
 //!   pass over this shard without taking its lock.
 //!
@@ -81,37 +82,68 @@ impl DriftProbe {
     }
 }
 
-/// A lock-free mirror of the fact other threads ask a shard on every
-/// dispatch — "is a batch overdue?" — so that asking does not take the
-/// shard's lock. Written only by [`ShardCore`] under that lock, at the
-/// points the truth changes; read anywhere. A reader that acts on the
-/// mirror still takes the lock and re-checks the truth, so a stale read
-/// costs a skipped or a wasted look, never a wrong flush.
+/// The two times a shard's pending batch falls due from, as
+/// `[armed, wanted]`: the enqueue time of its oldest row, and of its
+/// first row a subscriber is waiting for. Both `None` when nothing is
+/// pending; `wanted` is `None` while no subscribed cluster has a row in
+/// the batch, and never earlier than `armed`.
+pub(crate) type GateTimes = [Option<f64>; 2];
+
+/// When a batch with these gate times is due: `deadline_s` after it was
+/// armed, or `hold_s` after it became wanted, whichever is earlier.
+/// `None` when nothing is pending.
+pub(crate) fn due_at([armed, wanted]: GateTimes, deadline_s: f64, hold_s: f64) -> Option<f64> {
+    let due = armed? + deadline_s;
+    Some(wanted.map_or(due, |wanted| due.min(wanted + hold_s)))
+}
+
+/// A lock-free mirror of the facts other threads ask a shard on every
+/// dispatch and every turn of the deadline timer — "is a batch overdue?",
+/// "is someone waiting on it?" — so that asking does not take the shard's
+/// lock. Written only by [`ShardCore`] under that lock, at the points the
+/// truth changes; read anywhere. A reader that acts on the mirror still
+/// takes the lock and re-checks the truth, so a stale read costs a
+/// skipped or a wasted look, never a wrong flush.
 pub(crate) struct ShardGate {
     /// f64 bits of the pending batch's `oldest_enqueue_s`, or
-    /// [`Self::NOT_ARMED`].
+    /// [`Self::NEVER`].
     armed: AtomicU64,
+    /// f64 bits of the pending batch's `wanted_since_s`, or
+    /// [`Self::NEVER`].
+    wanted: AtomicU64,
 }
 
 impl ShardGate {
-    /// `armed` when no batch is pending. As f64 bits this is a NaN, which
-    /// no clock reading is.
-    const NOT_ARMED: u64 = u64::MAX;
+    /// What a slot holds while it has no time to tell. As f64 bits this
+    /// is a NaN, which no clock reading is.
+    const NEVER: u64 = u64::MAX;
 
     /// Enqueue time of the pending batch's oldest row, `None` when
     /// nothing is pending.
     pub(crate) fn armed_at(&self) -> Option<f64> {
-        // Acquire: pairs with the Release store in `set_armed` — a
-        // sweeper that sees the batch armed and then takes the lock
-        // finds those rows pending.
-        let bits = self.armed.load(Ordering::Acquire);
-        (bits != Self::NOT_ARMED).then(|| f64::from_bits(bits))
+        Self::load(&self.armed)
     }
 
-    fn set_armed(&self, at: Option<f64>) {
-        // Release: publishes the arming (or the clear) to the Acquire
-        // load in `armed_at`; the caller holds the shard lock.
-        self.armed.store(at.map_or(Self::NOT_ARMED, f64::to_bits), Ordering::Release);
+    /// Both mirrored times. Two loads, not one snapshot: a reader that
+    /// straddles a push or a flush may pair times of two batches, which
+    /// costs it a wasted look or a short sleep — a push that moves
+    /// either time wakes the timer after storing it.
+    pub(crate) fn times(&self) -> GateTimes {
+        [Self::load(&self.armed), Self::load(&self.wanted)]
+    }
+
+    fn load(slot: &AtomicU64) -> Option<f64> {
+        // Acquire: pairs with the Release store in `store` — a sweeper
+        // that sees the batch armed (or wanted) and then takes the lock
+        // finds those rows pending.
+        let bits = slot.load(Ordering::Acquire);
+        (bits != Self::NEVER).then(|| f64::from_bits(bits))
+    }
+
+    fn store(slot: &AtomicU64, at: Option<f64>) {
+        // Release: publishes the time (or the clear) to the Acquire load
+        // in `load`; the caller holds the shard lock.
+        slot.store(at.map_or(Self::NEVER, f64::to_bits), Ordering::Release);
     }
 }
 
@@ -169,6 +201,11 @@ pub(crate) struct ShardCore {
     /// Enqueue time of the oldest pending row; meaningful only while
     /// `pending` is non-empty.
     oldest_enqueue_s: f64,
+    /// Since when a subscriber has been waiting on the pending batch:
+    /// the enqueue time of its first row for a cluster with a
+    /// subscriber, or the time a `Subscribe` found such rows pending.
+    /// `None` while nobody waits (and while nothing is pending).
+    wanted_since_s: Option<f64>,
     /// Reused `encode_batch` output.
     codes_ws: Matrix,
     /// Reused `decode_batch` input / output.
@@ -178,8 +215,8 @@ pub(crate) struct ShardCore {
     clusters: BTreeMap<u64, ClusterState>,
     /// Total stored rows across `clusters`.
     stored_rows: usize,
-    /// Mirror of `oldest_enqueue_s` (while pending), shared with the
-    /// gateway's `ShardSlot`.
+    /// Mirror of `oldest_enqueue_s` (while pending) and
+    /// `wanted_since_s`, shared with the gateway's `ShardSlot`.
     gate: Arc<ShardGate>,
 }
 
@@ -200,12 +237,16 @@ impl ShardCore {
             pending_data: Vec::new(),
             pending: Vec::new(),
             oldest_enqueue_s: 0.0,
+            wanted_since_s: None,
             codes_ws: Matrix::zeros(0, 0),
             decode_in_ws: Matrix::zeros(0, 0),
             decode_out_ws: Matrix::zeros(0, 0),
             clusters: BTreeMap::new(),
             stored_rows: 0,
-            gate: Arc::new(ShardGate { armed: AtomicU64::new(ShardGate::NOT_ARMED) }),
+            gate: Arc::new(ShardGate {
+                armed: AtomicU64::new(ShardGate::NEVER),
+                wanted: AtomicU64::new(ShardGate::NEVER),
+            }),
         }
     }
 
@@ -215,20 +256,29 @@ impl ShardCore {
         Arc::clone(&self.gate)
     }
 
-    /// What the gate should say: when the pending batch was armed.
-    pub(crate) fn gate_truth(&self) -> Option<f64> {
-        (!self.pending.is_empty()).then_some(self.oldest_enqueue_s)
+    /// What the gate should say: when the pending batch was armed, and
+    /// since when it is wanted.
+    pub(crate) fn gate_truth(&self) -> GateTimes {
+        [(!self.pending.is_empty()).then_some(self.oldest_enqueue_s), self.wanted_since_s]
     }
 
-    /// Mirror ≡ truth. Both methods that change `pending_*` end here, so
-    /// the two agree at every release of the shard lock.
+    /// Mirror ≡ truth, for both times. Every method that changes
+    /// `pending_*` or `wanted_since_s` ends here, so the two agree at
+    /// every release of the shard lock.
     fn debug_assert_gate(&self) {
         debug_assert_eq!(
-            self.gate.armed_at(),
+            self.gate.times(),
             self.gate_truth(),
             "shard {}: gate out of step with the core",
             self.index
         );
+    }
+
+    /// Marks the pending batch, not wanted so far, wanted as of `now_s`:
+    /// a subscriber is waiting on a row in it.
+    fn want(&mut self, now_s: f64) {
+        self.wanted_since_s = Some(now_s);
+        ShardGate::store(&self.gate.wanted, self.wanted_since_s);
     }
 
     /// Derives a staged codec from the active one by grafting the
@@ -355,7 +405,15 @@ impl ShardCore {
         }
         if self.pending.is_empty() {
             self.oldest_enqueue_s = now_s;
-            self.gate.set_armed(Some(now_s));
+            ShardGate::store(&self.gate.armed, Some(now_s));
+        }
+        // The list as the last delivery pruned it: a connection that
+        // vanished without `Unsubscribe` makes one more batch wanted,
+        // whose flush forgets it.
+        if self.wanted_since_s.is_none()
+            && self.clusters.get(&cluster).is_some_and(|state| !state.subscribers.is_empty())
+        {
+            self.want(now_s);
         }
         self.pending_data.extend_from_slice(frames.as_slice());
         self.pending.extend(std::iter::repeat_n((cluster, trace), rows));
@@ -418,7 +476,9 @@ impl ShardCore {
         // cluster (once — a repeat visit finds nothing stored) from the
         // list whose buffer goes back to the next batch.
         let mut flushed = std::mem::take(&mut self.pending);
-        self.gate.set_armed(None);
+        self.wanted_since_s = None;
+        ShardGate::store(&self.gate.armed, None);
+        ShardGate::store(&self.gate.wanted, None);
         self.debug_assert_gate();
         flushed.dedup_by_key(|&mut (cluster, _)| cluster);
         for &(cluster, _) in &flushed {
@@ -463,7 +523,8 @@ impl ShardCore {
     }
 
     /// Subscribes `outbox` to `cluster` (once, however often it asks) and
-    /// streams the cluster's stored backlog to its subscribers.
+    /// streams the cluster's stored backlog to its subscribers. Rows of
+    /// the cluster still pending are waited on from now.
     pub(crate) fn subscribe(
         &mut self,
         cluster: u64,
@@ -481,6 +542,10 @@ impl ShardCore {
             subscribers.push(Arc::downgrade(outbox));
         }
         self.deliver(cluster, now_s, stats, tracer);
+        if self.wanted_since_s.is_none() && self.has_pending_for(cluster) {
+            self.want(now_s);
+        }
+        self.debug_assert_gate();
     }
 
     /// Removes `outbox`'s subscription to `cluster`, if it has one.

@@ -24,7 +24,11 @@
 //! * the service's **background workers** (the gateway's one deadline
 //!   timer, whatever its shard count; the directory's heartbeat sweeper)
 //!   run on their own threads via [`Service::run_worker`] — a gateway
-//!   is acceptor + 1 timer + 2 threads a connection;
+//!   is acceptor + 1 timer + 2 threads a connection. The timer sleeps
+//!   until a shard's batch falls due — the configured deadline after it
+//!   was armed, or one flush-cost after a subscriber began waiting on it
+//!   — and is woken by the push or `Subscribe` that moves a due-time; it
+//!   is the thread that flushes, and so delivers, at low load;
 //! * `Shutdown` sets the service flag; the handling connection drains its
 //!   outbox, writes the ack to the socket itself, then pokes the acceptor
 //!   awake with a throwaway connect so `accept` returns and the loop

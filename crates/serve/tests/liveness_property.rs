@@ -12,6 +12,13 @@
 //! The sweep decides from a lock-free mirror of each shard's pending
 //! batch; the same schedules assert, after every step, that each mirror
 //! equals the locked state it mirrors ([`Gateway::gate_check`]).
+//!
+//! Under a real clock the deadline timer also flushes a batch a
+//! subscriber is waiting on *early*. The schedules take turns of that
+//! timer ([`Gateway::timer_step`]) between their other steps — under a
+//! virtual clock a flush costs no time, so every turn flushes every
+//! wanted batch at once, the most eager the timer can be — and the same
+//! assertions must hold wherever an early flush lands.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,14 +67,15 @@ fn gateway(clock: Clock, batch_deadline: Duration) -> Arc<Gateway> {
 }
 
 /// One step of a schedule: push `rows` frames to a cluster, pull a
-/// chunk from it, subscribe the connection to it, or let virtual time
-/// pass with no traffic.
+/// chunk from it, subscribe the connection to it, let virtual time pass
+/// with no traffic, or give the deadline timer a turn.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Push { cluster: usize, rows: usize },
     Pull { cluster: usize },
     Subscribe { cluster: usize },
     Advance { ticks: u32 },
+    TimerStep,
 }
 
 fn any_schedule() -> BoxedStrategy<Vec<Op>> {
@@ -78,6 +86,7 @@ fn any_schedule() -> BoxedStrategy<Vec<Op>> {
             (0usize..CLUSTERS.len()).prop_map(|cluster| Op::Pull { cluster }),
             (0usize..CLUSTERS.len()).prop_map(|cluster| Op::Subscribe { cluster }),
             (0u32..60).prop_map(|ticks| Op::Advance { ticks }),
+            Just(Op::TimerStep),
         ],
         1..40,
     )
@@ -111,6 +120,8 @@ fn assert_liveness<C: Connection>(
     let mut rng = OrcoRng::from_seed_u64(seed);
     let mut acked = [0usize; CLUSTERS.len()];
     let mut pulled = [0usize; CLUSTERS.len()];
+    // The timer's state: no flush costs virtual time, so it stays 0.
+    let mut hold_s = vec![0.0; gw.config().shards];
     for op in schedule {
         match *op {
             Op::Push { cluster, rows } => {
@@ -130,6 +141,18 @@ fn assert_liveness<C: Connection>(
                 let _ = client.subscribe(CLUSTERS[cluster]);
             }
             Op::Advance { ticks } => gw.advance_clock(TICK * ticks),
+            Op::TimerStep => {
+                let sleep = gw.timer_step(&mut hold_s);
+                prop_assert!(sleep <= Duration::from_millis(50), "timer sleeps {sleep:?}");
+                for (shard, [[_, wanted], _]) in gw.gate_check().into_iter().enumerate() {
+                    prop_assert_eq!(
+                        wanted,
+                        None,
+                        "shard {}: a wanted batch outlived a turn",
+                        shard
+                    );
+                }
+            }
         }
         assert_gates_mirror_the_cores(gw, op);
     }

@@ -168,6 +168,60 @@ fn unsubscribe_stops_the_stream_and_rows_fall_back_to_pulls() {
     assert_eq!(recv_rows(&mut second, 4), recv_rows(&mut third, 4));
 }
 
+/// The written guarantee that a virtual-clock schedule — loopback, the
+/// DES, every golden tape — cannot see the deadline timer's early flush:
+/// under `Clock::manual` nothing runs that timer, so a subscribed
+/// cluster's row parked below the size threshold waits out the whole
+/// `batch_deadline` of virtual time, to the tick, and the sweep delivers
+/// it.
+#[test]
+fn under_a_virtual_clock_a_subscribed_row_waits_out_the_whole_deadline() {
+    const TICK: Duration = Duration::from_micros(100);
+    let gw = gateway();
+    let deadline = gw.config().batch_deadline;
+    let mut c = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("connects");
+    assert_eq!(c.subscribe(CLUSTER).expect("subscribe"), 0);
+    assert_eq!(c.push(CLUSTER, frames(1, 21).as_view()).expect("push"), PushOutcome::Accepted(1));
+
+    gw.advance_clock(deadline - TICK);
+    assert_eq!(c.recv_streamed(Duration::ZERO).expect("stream healthy"), None, "a tick early");
+    assert_eq!(gw.stats().queue_depth, 1);
+    gw.advance_clock(TICK);
+    assert_eq!(recv_rows(&mut c, 1).rows(), 1);
+    assert_eq!(gw.stats().deadline_flushes, 1);
+}
+
+/// A subscriber whose connection vanished with no `Unsubscribe` is still
+/// listed until a delivery finds it dead, so it makes one more batch of
+/// its cluster wanted — and no batch after that one's flush: the timer
+/// leaves those to the configured deadline, as for any pull-only cluster.
+#[test]
+fn a_vanished_subscriber_makes_at_most_one_more_batch_wanted() {
+    let gw = gateway();
+    let shard = gw.shard_of(CLUSTER);
+    let wanted = |gw: &Gateway| gw.gate_check()[shard][1][1];
+    let transport = Loopback::new(Arc::clone(&gw));
+    let mut pusher = Client::connect(&transport).expect("connects");
+    let mut gone = Client::connect(&transport).expect("connects");
+    assert_eq!(gone.subscribe(CLUSTER).expect("subscribe"), 0);
+    drop(gone);
+    // One timer, as the TCP server would run it; no flush costs virtual
+    // time, so its hold stays 0 and a wanted batch is flushed on sight.
+    let mut hold_s = vec![0.0; gw.config().shards];
+
+    pusher.push(CLUSTER, frames(1, 31).as_view()).expect("push");
+    assert!(wanted(&gw).is_some(), "the dead subscription is still listed");
+    gw.timer_step(&mut hold_s);
+    assert_eq!((gw.stats().queue_depth, gw.stats().deadline_flushes), (0, 1));
+
+    pusher.push(CLUSTER, frames(1, 32).as_view()).expect("push");
+    assert_eq!(wanted(&gw), None, "the flush forgot the dead subscription");
+    gw.timer_step(&mut hold_s);
+    assert_eq!((gw.stats().queue_depth, gw.stats().deadline_flushes), (1, 1));
+    gw.advance_clock(gw.config().batch_deadline);
+    assert_eq!(pusher.pull(CLUSTER, 8).expect("pull").rows(), 2, "both rows stayed stored");
+}
+
 /// Per-cluster FIFO on the streamed path with a second thread in the
 /// gateway. One thread pushes single-row batches (every push is a size
 /// flush, delivered by the flush itself) while a second hammers

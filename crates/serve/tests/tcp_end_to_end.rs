@@ -207,12 +207,15 @@ fn codec_config() -> OrcoConfig {
     OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_seed(5)
 }
 
-/// A one-shard gateway on the real clock behind a TCP server on an
-/// ephemeral port.
-fn serve_one_shard(batch_max_frames: usize, batch_deadline: Duration) -> (Arc<Gateway>, TcpServer) {
+/// A gateway on the real clock behind a TCP server on an ephemeral port.
+fn serve(
+    shards: usize,
+    batch_max_frames: usize,
+    batch_deadline: Duration,
+) -> (Arc<Gateway>, TcpServer) {
     let config = codec_config();
     let gateway = Gateway::new(
-        GatewayConfig { shards: 1, batch_max_frames, batch_deadline, ..GatewayConfig::default() },
+        GatewayConfig { shards, batch_max_frames, batch_deadline, ..GatewayConfig::default() },
         Clock::real(),
         |_| Box::new(AsymmetricAutoencoder::new(&config).expect("valid config")) as Box<dyn Codec>,
     )
@@ -237,8 +240,10 @@ fn replies_and_streamed_deliveries_share_a_socket_in_order() {
     const CLUSTER: u64 = 7;
     const PUSHES: usize = 30;
     // The size threshold is never reached: every flush is the timer's,
-    // on its thread.
-    let (gateway, server) = serve_one_shard(4096, Duration::from_micros(300));
+    // on its thread — when the batch has been wanted for the shard's hold
+    // (what the timer's last flush took: tens of microseconds here), or,
+    // should a flush ever take that long, 300 us after it was armed.
+    let (gateway, server) = serve(1, 4096, Duration::from_micros(300));
     let transport = Tcp::new(server.local_addr().to_string());
 
     let total: usize = (0..PUSHES).map(|k| k % 3 + 1).sum();
@@ -293,6 +298,152 @@ fn replies_and_streamed_deliveries_share_a_socket_in_order() {
     server.join();
 }
 
+/// The deadline is what a batch waits when nobody is waiting for it. Two
+/// seconds of it, one row parked on each of two shards: the row a
+/// subscriber waits for is flushed by the timer about one flush-cost after
+/// it arrives, while the row of a pull-only cluster is still pending, and
+/// that one waits out the whole deadline. Both are deadline flushes.
+#[test]
+fn a_row_a_subscriber_waits_for_leaves_early_and_a_pull_only_row_waits_out_the_deadline() {
+    const DEADLINE: Duration = Duration::from_secs(2);
+    let (gateway, server) = serve(2, 8, DEADLINE);
+    let transport = Tcp::new(server.local_addr().to_string());
+    let [subscribed, pull_only] = [0, 1]
+        .map(|shard| (1..).find(|&c| gateway.shard_of(c) == shard).expect("every shard reachable"));
+    let mut subscriber = Client::connect(&transport).expect("connects");
+    assert_eq!(subscriber.subscribe(subscribed).expect("subscribes"), 0);
+    let mut pusher = Client::connect(&transport).expect("connects");
+    let frame = Matrix::from_fn(1, 784, |_, c| (c % 17) as f32 / 17.0);
+
+    let clock = gateway.clock();
+    let before_s = clock.now_s();
+    for cluster in [pull_only, subscribed] {
+        assert_eq!(pusher.push(cluster, frame.as_view()).expect("push"), PushOutcome::Accepted(1));
+    }
+    let (cluster, rows) = subscriber
+        .recv_streamed(Duration::from_secs(10))
+        .expect("stream healthy")
+        .expect("the subscribed row is streamed");
+    let waited_s = clock.now_s() - before_s;
+    assert_eq!((cluster, rows.rows()), (subscribed, 1));
+    assert_eq!(gateway.stats().queue_depth, 1, "the pull-only row is still pending");
+    // The patience is for a busy host; an idle one reads under 1 ms.
+    assert!(waited_s < DEADLINE.as_secs_f64() / 8.0, "a subscriber waited {waited_s:.3} s");
+
+    // No pull meanwhile: a pull would flush the row for its own reason.
+    while gateway.stats().deadline_flushes < 2 {
+        assert!(clock.now_s() - before_s < 30.0, "the pull-only row was never flushed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(clock.now_s() - before_s >= DEADLINE.as_secs_f64(), "flushed before its deadline");
+    assert_eq!(pusher.pull(pull_only, 8).expect("pull").rows(), 1);
+    let stats = gateway.stats();
+    assert_eq!([stats.size_flushes, stats.deadline_flushes, stats.pull_flushes], [0, 2, 0]);
+
+    pusher.shutdown().expect("shutdown acked");
+    server.join();
+}
+
+/// A `Subscribe` that finds rows of its cluster *pending* starts the wait
+/// they are held for: the batch is wanted as of the subscription and the
+/// timer is woken to re-time it, instead of the rows waiting out a
+/// deadline that was set when nobody was listening. (What fails here is a
+/// batch left unwanted — 2 s; a missed wake-up alone costs at most the
+/// timer's 50 ms idle sleep, inside this test's patience.)
+#[test]
+fn a_subscribe_that_finds_rows_pending_is_served_early() {
+    const CLUSTER: u64 = 7;
+    const DEADLINE: Duration = Duration::from_secs(2);
+    let (gateway, server) = serve(1, 8, DEADLINE);
+    let transport = Tcp::new(server.local_addr().to_string());
+    let mut pusher = Client::connect(&transport).expect("connects");
+    let frame = Matrix::from_fn(1, 784, |_, c| (c % 17) as f32 / 17.0);
+    let before_s = gateway.clock().now_s();
+    assert_eq!(pusher.push(CLUSTER, frame.as_view()).expect("push"), PushOutcome::Accepted(1));
+
+    let mut subscriber = Client::connect(&transport).expect("connects");
+    assert_eq!(subscriber.subscribe(CLUSTER).expect("subscribes"), 0, "pending is not stored");
+    let (_, rows) = subscriber
+        .recv_streamed(Duration::from_secs(10))
+        .expect("stream healthy")
+        .expect("the pending row is streamed");
+    let waited_s = gateway.clock().now_s() - before_s;
+    assert_eq!(rows.rows(), 1);
+    assert!(waited_s < DEADLINE.as_secs_f64() / 8.0, "the subscriber waited {waited_s:.3} s");
+    assert_eq!(gateway.stats().deadline_flushes, 1);
+
+    pusher.shutdown().expect("shutdown acked");
+    server.join();
+}
+
+/// The hold is one flush-cost, so batching comes back by itself under
+/// load: a burst of one-row pushes to a subscribed cluster, written as
+/// fast as the socket takes them, arrives faster than the timer flushes,
+/// and rows pile up behind each flush. Every row is still delivered once,
+/// in push order, bit-identical to the direct codec's — in fewer flushes
+/// than rows.
+#[test]
+fn a_burst_to_a_subscribed_cluster_is_batched_and_delivered_once_in_order() {
+    use orco_serve::protocol::FrameReader;
+    use std::io::Write;
+
+    const CLUSTER: u64 = 7;
+    const ROWS: usize = 2_000;
+    let (gateway, server) = serve(1, 4096, Duration::from_millis(5));
+
+    let mut rng = OrcoRng::from_seed_u64(29);
+    let frames = Matrix::from_fn(ROWS, 784, |_, _| rng.uniform(0.0, 1.0));
+    let mut direct = AsymmetricAutoencoder::new(&codec_config()).expect("valid config");
+    let (mut codes, mut expect) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    direct.encode_batch(frames.as_view(), &mut codes).expect("encodes");
+    direct.decode_batch(codes.as_view(), &mut expect).expect("decodes");
+    let mut burst = Vec::new();
+    for r in 0..ROWS {
+        let frames = frames.view_rows(r..r + 1).to_matrix();
+        burst.extend(Message::PushFrames { cluster_id: CLUSTER, trace: 0, frames }.encode());
+    }
+
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connects");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout set");
+    let mut reader = FrameReader::new();
+    raw.write_all(&Message::Subscribe { cluster_id: CLUSTER, trace: 0 }.encode()).expect("writes");
+    match reader.read_message(&mut raw).expect("reply frame") {
+        Some(Message::SubscribeAck { backlog: 0, .. }) => {}
+        other => panic!("expected SubscribeAck, got {other:?}"),
+    }
+    let (mut acked, mut got) = (0, 0);
+    std::thread::scope(|scope| {
+        let mut socket = raw.try_clone().expect("clones");
+        scope.spawn(move || socket.write_all(&burst).expect("the burst is written"));
+        while acked < ROWS || got < ROWS {
+            match reader.read_message(&mut raw).expect("whole frames").expect("no EOF") {
+                Message::PushAck { accepted: 1 } => acked += 1,
+                Message::StreamFrames { cluster_id: CLUSTER, frames, .. } => {
+                    for r in 0..frames.rows() {
+                        assert_eq!(frames.row(r), expect.row(got + r), "row {}", got + r);
+                    }
+                    got += frames.rows();
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    });
+    assert_eq!((acked, got), (ROWS, ROWS));
+    let stats = gateway.stats();
+    assert_eq!((stats.frames_in, stats.streamed_rows), (ROWS as u64, ROWS as u64));
+    assert_eq!(stats.size_flushes, 0);
+    assert!(
+        (stats.deadline_flushes as usize) < ROWS,
+        "{} flushes for {ROWS} rows: load did not bring batching back",
+        stats.deadline_flushes
+    );
+
+    let mut control =
+        Client::connect(&Tcp::new(server.local_addr().to_string())).expect("control connects");
+    control.shutdown().expect("shutdown acked");
+    server.join();
+}
+
 /// The claim, made to fail on purpose: a subscriber that reads nothing
 /// while megabytes of deliveries are queued for it leaves its writer
 /// thread stuck mid-frame in a full socket, the claim in hand and frames
@@ -309,7 +460,7 @@ fn a_reply_waits_its_turn_behind_deliveries_the_peer_has_not_read() {
     // ~10 MB on the wire: past what a loopback socket pair buffers for a
     // peer that is not reading.
     const ROWS: usize = CHUNK * 50;
-    let (gateway, server) = serve_one_shard(CHUNK, Duration::from_millis(1));
+    let (gateway, server) = serve(1, CHUNK, Duration::from_millis(1));
 
     let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connects");
     let mut reader = FrameReader::new();
