@@ -205,8 +205,8 @@ mod tests {
         let a = Matrix::from_fn(20, 50, |_, _| rng.normal(0.0, 0.2));
         let l = lipschitz_estimate(&a, 40);
         // L must be ≥ the largest column norm² of A.
-        let max_col: f32 =
-            (0..50).map(|c| a.col_iter(c).map(|v| v * v).sum::<f32>()).fold(0.0, f32::max);
+        let col_norms = (0..50).map(|c| a.col_iter(c).map(|v| v * v).sum::<f32>());
+        let max_col = col_norms.fold(0.0, |m, v| if v > m { v } else { m });
         assert!(l >= max_col * 0.99, "L={l} max_col={max_col}");
     }
 

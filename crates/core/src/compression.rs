@@ -62,7 +62,8 @@ impl QuantizedMatrix {
     /// codes).
     #[must_use]
     pub(crate) fn quantize(m: &Matrix) -> Self {
-        let max_abs = m.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+        let max_abs =
+            m.as_slice().iter().map(|v| v.abs()).fold(0.0, |a, v| if v > a { v } else { a });
         if max_abs == 0.0 {
             return Self { rows: m.rows(), cols: m.cols(), scale: 0.0, data: vec![0; m.len()] };
         }

@@ -68,7 +68,8 @@ impl MultiClusterOutcome {
     /// loss-priority scheduling optimizes).
     #[must_use]
     pub fn worst_loss(&self) -> f32 {
-        self.reports.iter().map(|r| r.final_loss).fold(f32::NEG_INFINITY, f32::max)
+        let losses = self.reports.iter().map(|r| r.final_loss);
+        losses.fold(f32::NEG_INFINITY, |m, v| if v > m { v } else { m })
     }
 
     /// Mean edge-wait across clusters, seconds.

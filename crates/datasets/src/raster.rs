@@ -264,7 +264,7 @@ mod tests {
         c.set(4, 4, 1.0);
         let before_max = 1.0;
         c.blur(1);
-        let after_max = c.pixels().iter().copied().fold(0.0f32, f32::max);
+        let after_max = c.pixels().iter().fold(0.0, |m, &v| if v > m { v } else { m });
         assert!(after_max < before_max);
         assert!(c.get(4, 5) > 0.0, "energy spreads to neighbours");
     }

@@ -118,8 +118,8 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    /// `out = σ(x·Wᵀ + b)` as one packed-panel GEMM
-    /// ([`MatView::matmul_t_into`]), a bias broadcast and an in-place
+    /// `out = σ(x·Wᵀ + b)` as one GEMM ([`MatView::matmul_t_into`], which
+    /// writes every element of `out`), a bias broadcast and an in-place
     /// activation; allocates nothing once `out` (and, under `train`, the
     /// cache) has grown to size.
     // orco-lint: region(no-alloc)

@@ -174,7 +174,7 @@ pub(crate) fn softmax_rows(logits: &Matrix) -> Matrix {
     let mut out = logits.clone();
     for r in 0..out.rows() {
         let row = out.row_mut(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
         let mut sum = 0.0f32;
         for v in row.iter_mut() {
             *v = (*v - max).exp();

@@ -538,16 +538,24 @@ impl Matrix {
         }
     }
 
-    /// Minimum element (`+inf` for an empty matrix).
+    /// Minimum element (`+inf` for an empty matrix); NaN elements are
+    /// ignored, as by `f32::min`.
+    ///
+    /// The `f32` folds in this workspace are compare-select, not
+    /// `f32::min` / `f32::max`: rustc 1.95 under `+avx`, optimising (the
+    /// dev profile's opt-level 2 as well as release), drops the tail of the
+    /// vectorised `maxnum` reduction it makes of such a fold over a slice
+    /// whose length is known at compile time.
     #[must_use]
     pub fn min(&self) -> f32 {
-        self.data.iter().copied().fold(f32::INFINITY, f32::min)
+        self.data.iter().fold(f32::INFINITY, |m, &v| if v < m { v } else { m })
     }
 
-    /// Maximum element (`-inf` for an empty matrix).
+    /// Maximum element (`-inf` for an empty matrix); NaN elements are
+    /// ignored, as by `f32::max`. Compare-select, like [`Matrix::min`].
     #[must_use]
     pub fn max(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+        self.data.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m })
     }
 
     /// L1 norm (sum of absolute values).
@@ -597,7 +605,8 @@ impl Matrix {
             && self.data.iter().zip(&other.data).all(|(a, b)| (a - b).abs() <= tol)
     }
 
-    /// Maximum absolute element-wise difference.
+    /// Maximum absolute element-wise difference (compare-select, like
+    /// [`Matrix::min`]).
     ///
     /// # Panics
     ///
@@ -605,7 +614,8 @@ impl Matrix {
     #[must_use]
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
         self.assert_same_shape(other, "max_abs_diff");
-        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max)
+        let diffs = self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs());
+        diffs.fold(0.0, |m, d| if d > m { d } else { m })
     }
 
     fn assert_same_shape(&self, other: &Matrix, op: &str) {
@@ -916,5 +926,30 @@ mod tests {
         assert!(m.approx_eq(&n, 0.01));
         assert!(!m.approx_eq(&n, 0.0001));
         assert!((m.max_abs_diff(&n) - 0.001).abs() < 1e-4);
+    }
+
+    /// `max`, `min` and `max_abs_diff` of a `1 × N` matrix built from an
+    /// `[f32; N]` — a length the optimiser knows, as in the test above —
+    /// with the extremum at each position in turn.
+    fn check_folds_of_length<const N: usize>() {
+        let ones = Matrix::from_vec(1, N, [1.0; N].to_vec()).unwrap();
+        for at in 0..N {
+            let (mut hi, mut lo) = ([1.0f32; N], [1.0f32; N]);
+            (hi[at], lo[at]) = (5.5, -5.5);
+            let hi = Matrix::from_vec(1, N, hi.to_vec()).unwrap();
+            let lo = Matrix::from_vec(1, N, lo.to_vec()).unwrap();
+            assert_eq!(hi.max(), 5.5, "max, length {N}, extremum at {at}");
+            assert_eq!(lo.min(), -5.5, "min, length {N}, extremum at {at}");
+            assert_eq!(hi.max_abs_diff(&ones), 4.5, "max_abs_diff, length {N}, at {at}");
+            assert_eq!(ones.max_abs_diff(&lo), 6.5, "max_abs_diff, length {N}, at {at}");
+        }
+    }
+
+    #[test]
+    fn folds_see_every_element_at_every_fixed_length() {
+        macro_rules! lengths {
+            ($($n:literal)*) => { $(check_folds_of_length::<$n>();)* };
+        }
+        lengths!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17);
     }
 }

@@ -24,6 +24,28 @@
 //! per-element order and the two zero-skips may not — the unit tests hold
 //! all three products bitwise to scalar oracles that spell this out.
 //!
+//! All three are one register-blocked micro-kernel under one driver
+//! (Goto & van de Geijn's GEMM):
+//!
+//! - **The register tile.** A tile of `out` — 4 rows × 16 columns under
+//!   AVX2, 2 × 16 under SSE2, 8 vector registers either way — is held in
+//!   a local accumulator array for a whole `k` panel. Each `kk` loads one
+//!   row of `B` and broadcasts one value of `a` per tile row against it,
+//!   so the accumulators never touch memory inside the panel. A tile of
+//!   fewer rows spans more columns, keeping as many independent chains.
+//! - **The packed panel.** `B` is copied, one tile wide and up to 256
+//!   rows deep, into a stack panel every row tile of the thread's block
+//!   then reads from L1 — by row segments for `matmul` / `t_matmul`, by
+//!   transposed gather for `matmul_t`. A block of one row tile (4 rows
+//!   or fewer under AVX2) would read a panel once, so it reads a
+//!   row-major `B` where it lies.
+//! - **Stored, not accumulated.** A tile starts its first panel at `+0.0`,
+//!   reloads what it stored before a later one, and stores its result:
+//!   `out` is written, never added to, so nobody zeroes it first (a `k = 0`
+//!   product writes `+0.0`). Rust never contracts `a * b + c` into an FMA,
+//!   so the AVX2 build (`x86-64-v3`, `.cargo/config.toml`) and an SSE2 one
+//!   give the same bits.
+//!
 //! ```
 //! use orco_tensor::{MatView, Matrix};
 //!
@@ -35,14 +57,35 @@
 //! assert_eq!(out, a.matmul(&b));
 //! ```
 
+use std::ops::Range;
+
 use crate::error::TensorError;
 use crate::matrix::Matrix;
 
-/// Row-tile height for the blocked GEMM kernels: `B` is streamed once per
-/// tile instead of once per output row. Must stay constant — per-row
-/// summation order (ascending `k`) is what keeps results bit-identical
-/// across thread counts.
-const GEMM_ROW_TILE: usize = 4;
+/// Columns of one strip: two vectors of the target, i.e. 16 under AVX2
+/// (`x86-64-v3`, what `.cargo/config.toml` builds x86-64 for) and 8 under
+/// SSE2. A property of the build, not an option.
+const GEMM_COL_TILE: usize = if cfg!(target_feature = "avx2") { 16 } else { 8 };
+
+/// Strip rows of accumulators in a full register tile: 8 vector registers
+/// under AVX2 and SSE2 alike.
+const GEMM_TILE_STRIPS: usize = 4;
+
+/// Rows of `out` in a full register tile, which spans `GEMM_TILE_STRIPS /
+/// GEMM_ROW_TILE` strips: each `kk` broadcasts this many values of `a`. 4
+/// under AVX2, whose broadcast is a load; 2 under SSE2, whose broadcast is a
+/// load and a shuffle, so its 2-row, 2-strip tile pays half the shuffles for
+/// the same accumulators. A property of the build, like [`GEMM_COL_TILE`].
+const GEMM_ROW_TILE: usize = if cfg!(target_feature = "avx2") { 4 } else { 2 };
+
+/// Strips in one packed panel of `B`: one full tile wide (16 columns in
+/// both builds).
+const GEMM_PANEL_STRIPS: usize = GEMM_TILE_STRIPS / GEMM_ROW_TILE;
+
+/// Depth (`k` extent) of one packed panel: `GEMM_PANEL_K × 16` floats on
+/// the stack (16 KB), which stays in L1 while every row tile of the block
+/// streams past it.
+const GEMM_PANEL_K: usize = 256;
 
 /// Minimum rows a worker thread must own before the GEMM kernels
 /// parallelize; below this the spawn overhead dominates.
@@ -52,122 +95,335 @@ const GEMM_MIN_ROWS_PER_THREAD: usize = 8;
 // Kernels
 // ----------------------------------------------------------------------
 
-/// `out[m×n] = a[m×k] · b[k×n]`, blocked and row-parallel. `out` must be
-/// zeroed by the caller (the kernel accumulates).
-fn matmul_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    if n == 0 || k == 0 {
-        return;
-    }
-    crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
-        for (tile_idx, o_tile) in block.chunks_mut(GEMM_ROW_TILE * n).enumerate() {
-            let i0 = first_row + tile_idx * GEMM_ROW_TILE;
-            for kk in 0..k {
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (r, o_row) in o_tile.chunks_exact_mut(n).enumerate() {
-                    let av = a[(i0 + r) * k + kk];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        }
-    });
+/// One row of one strip: of a register tile, or of a panel of `B`.
+type TileRow = [f32; GEMM_COL_TILE];
+
+/// One `kk` of a packed panel of `B`.
+type PanelRow = [TileRow; GEMM_PANEL_STRIPS];
+
+/// One `kk` of `B` read in place: `GEMM_TILE_STRIPS` strips.
+type WideRow = [TileRow; GEMM_TILE_STRIPS];
+
+// orco-lint: region(no-alloc)
+/// The left factor as the micro-kernel reads it: the `R` values row tile
+/// `i0..i0 + R` broadcasts at each `kk` of the panel `k0..k0 + kb`.
+trait Lhs: Copy + Sync {
+    fn panel<const R: usize>(
+        self,
+        i0: usize,
+        k0: usize,
+        kb: usize,
+    ) -> impl Iterator<Item = [f32; R]>;
 }
 
-/// `out[m×n] = aᵀ · b` where `a` is `k×m` and `b` is `k×n`, row-parallel.
-/// `out` must be zeroed by the caller (the kernel accumulates).
-///
-/// Row-tiled like [`matmul_kernel`]: a [`GEMM_ROW_TILE`]-row tile of `out`
-/// stays in cache while `b` streams past it once, instead of the whole
-/// block of `out` streaming past once per `kk` — the backward products
-/// (`δᵀ·x`, `Kᵀ·δ`) have a short `k` and an `out` far larger than `b`.
-/// Every output element is still one accumulator from `+0.0` taking its
-/// terms in ascending `k`, zero left factors skipped.
-// orco-lint: region(no-alloc)
-fn t_matmul_kernel(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    if n == 0 || k == 0 {
-        return;
+/// `a` is `m × k`: a tile broadcasts one value of each of its rows
+/// (`matmul`, `matmul_t`).
+#[derive(Clone, Copy)]
+struct ByRow<'a> {
+    a: &'a [f32],
+    k: usize,
+}
+
+impl Lhs for ByRow<'_> {
+    fn panel<const R: usize>(
+        self,
+        i0: usize,
+        k0: usize,
+        kb: usize,
+    ) -> impl Iterator<Item = [f32; R]> {
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &self.a[(i0 + r) * self.k + k0..][..kb]);
+        (0..kb).map(move |kk| rows.map(|row| row[kk]))
     }
-    // out[i][j] = sum_k a[k][i] * b[k][j]
-    crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
-        for (tile_idx, o_tile) in block.chunks_mut(GEMM_ROW_TILE * n).enumerate() {
-            let i0 = first_row + tile_idx * GEMM_ROW_TILE;
-            for kk in 0..k {
-                let a_tile = &a[kk * m + i0..(kk + 1) * m];
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (o_row, &av) in o_tile.chunks_exact_mut(n).zip(a_tile) {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                }
+}
+
+/// `a` is `k × m`: a tile's `R` values at one `kk` are contiguous,
+/// `a[kk·m + i0..][..R]` (`t_matmul`).
+#[derive(Clone, Copy)]
+struct ByCol<'a> {
+    a: &'a [f32],
+    m: usize,
+}
+
+impl Lhs for ByCol<'_> {
+    fn panel<const R: usize>(
+        self,
+        i0: usize,
+        k0: usize,
+        kb: usize,
+    ) -> impl Iterator<Item = [f32; R]> {
+        let (a, m) = (self.a, self.m);
+        (k0..k0 + kb).map(move |kk| *a[kk * m + i0..].first_chunk().expect("tile inside a"))
+    }
+}
+
+/// The micro-kernel: `R` rows × `C` strips of `out` (`o` starts at the
+/// tile's first element, rows `n` apart, `nb` valid columns) over one panel
+/// — at each `kk`, the `R` broadcast values of `a` from `avs` against the
+/// `C` strip rows of `B` from `bvs`. The tile is held in `acc`, `V = R · C`
+/// strip rows (cell `v` is row `v / C`, strip `v % C`) indexed only by
+/// constants, so it lives in registers for the whole panel: the first panel
+/// starts every accumulator at `+0.0`, a later one (`reload`) resumes from
+/// what the panel before it stored. `SKIP` leaves a row's accumulators
+/// alone where its value of `a` is zero. The finished tile is stored, never
+/// added.
+#[inline(never)]
+fn row_tile<'p, const R: usize, const C: usize, const V: usize, const SKIP: bool>(
+    avs: impl Iterator<Item = [f32; R]>,
+    bvs: impl Iterator<Item = &'p [TileRow; C]>,
+    reload: bool,
+    o: &mut [f32],
+    n: usize,
+    nb: usize,
+) {
+    const { assert!(R * C == V) };
+    // Where cell `v` lives in `o`, and how many of its columns are valid.
+    let cell = |v: usize| {
+        let strip = v % C;
+        ((v / C) * n + strip * GEMM_COL_TILE, nb.saturating_sub(strip * GEMM_COL_TILE))
+    };
+    let mut acc = [[0.0; GEMM_COL_TILE]; V];
+    if reload {
+        for (v, acc_row) in acc.iter_mut().enumerate() {
+            let (at, width) = cell(v);
+            if width > 0 {
+                *acc_row = load_row(&o[at..], width.min(GEMM_COL_TILE));
             }
         }
-    });
-}
-// orco-lint: endregion
-
-/// Panel depth (`k` extent) of the packed `Bᵀ` tile in [`matmul_t_kernel`].
-/// Free to retune: each output element still sums in ascending `k`.
-const MATMUL_T_PANEL_K: usize = 32;
-
-/// Panel width (`n` extent) of the packed `Bᵀ` tile in [`matmul_t_kernel`].
-/// Free to retune, like [`MATMUL_T_PANEL_K`].
-const MATMUL_T_PANEL_N: usize = 128;
-
-/// `out[m×n] = a · bᵀ` where `a` is `m×k` and `b` is `n×k`, row-parallel.
-/// `out` must be zeroed by the caller (the kernel accumulates).
-///
-/// Packed-panel: a `PANEL_K × PANEL_N` tile of `bᵀ` is transposed into a
-/// stack array, then output rows stream over it in [`GEMM_ROW_TILE`] tiles
-/// exactly as [`matmul_kernel`] streams `b` — so the inner loop is a
-/// contiguous `o += av · panel_row` that vectorises, instead of one
-/// dependent scalar accumulator chain per element.
-///
-/// Summation-order contract: every output element is one accumulator that
-/// starts at `+0.0` and adds `a[i][kk] · b[j][kk]` for `kk` ascending, with
-/// **no** zero-skip — bit for bit the naive dot product (NaN and ±inf
-/// included), whatever the panel sizes or the thread count.
-// orco-lint: region(no-alloc)
-fn matmul_t_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    const KB: usize = MATMUL_T_PANEL_K;
-    const NB: usize = MATMUL_T_PANEL_N;
-    if n == 0 {
-        return;
     }
-    crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
-        let mut panel = [0.0f32; KB * NB];
-        for j0 in (0..n).step_by(NB) {
-            let nb = NB.min(n - j0);
-            // Ascending k0 inside a fixed column panel keeps each element's
-            // additions in ascending k across panels.
-            for k0 in (0..k).step_by(KB) {
-                let kb = KB.min(k - k0);
-                for (jj, b_row) in b[j0 * k..(j0 + nb) * k].chunks_exact(k).enumerate() {
-                    for (kk, &bv) in b_row[k0..k0 + kb].iter().enumerate() {
-                        panel[kk * NB + jj] = bv;
-                    }
-                }
-                for (tile_idx, o_tile) in block.chunks_mut(GEMM_ROW_TILE * n).enumerate() {
-                    let i0 = first_row + tile_idx * GEMM_ROW_TILE;
-                    for (kk, p_row) in panel.chunks_exact(NB).take(kb).enumerate() {
-                        let p_row = &p_row[..nb];
-                        for (r, o_row) in o_tile.chunks_exact_mut(n).enumerate() {
-                            let av = a[(i0 + r) * k + k0 + kk];
-                            for (o, &bv) in o_row[j0..j0 + nb].iter_mut().zip(p_row) {
-                                *o += av * bv;
-                            }
+    for (av, bv) in avs.zip(bvs) {
+        for (v, acc_row) in acc.iter_mut().enumerate() {
+            let a = av[v / C];
+            if SKIP && a == 0.0 {
+                continue;
+            }
+            for (x, &b) in acc_row.iter_mut().zip(&bv[v % C]) {
+                *x += a * b;
+            }
+        }
+    }
+    for (v, acc_row) in acc.into_iter().enumerate() {
+        let (at, width) = cell(v);
+        if width > 0 {
+            store_row(&mut o[at..], width.min(GEMM_COL_TILE), acc_row);
+        }
+    }
+}
+
+/// The first `nb` values of `src` as a strip row, zero-padded: a
+/// fixed-size copy when the row is whole, so nothing calls `memcpy` and a
+/// tile it loads stays in registers.
+#[inline(always)]
+fn load_row(src: &[f32], nb: usize) -> TileRow {
+    match src.first_chunk() {
+        Some(&full) if nb == GEMM_COL_TILE => full,
+        _ => {
+            let mut row = [0.0; GEMM_COL_TILE];
+            row[..nb].copy_from_slice(&src[..nb]);
+            row
+        }
+    }
+}
+
+/// Writes the first `nb` values of `row` to `dst`, like [`load_row`].
+#[inline(always)]
+fn store_row(dst: &mut [f32], nb: usize, row: TileRow) {
+    match dst.first_chunk_mut() {
+        Some(full) if nb == GEMM_COL_TILE => *full = row,
+        _ => dst[..nb].copy_from_slice(&row[..nb]),
+    }
+}
+
+/// The right factor as the driver reads it.
+#[derive(Clone, Copy)]
+enum Rhs<'a> {
+    /// `b` is `k × n`, row-major (`matmul`, `t_matmul`): a panel row is a
+    /// copy of a row segment — and a block of one row tile, which would
+    /// read a packed panel once, reads `b` where it lies.
+    Rows { b: &'a [f32], n: usize },
+    /// `b` is `n × k`, row-major, i.e. `Bᵀ` (`matmul_t`): packed by
+    /// transposed gather, panel column `jj` a segment of row `j0 + jj`.
+    Cols { b: &'a [f32], k: usize },
+}
+
+impl Rhs<'_> {
+    /// Fills `panel[kk]` with row `k0 + kk`, columns `cols` of `B`,
+    /// zero-padded.
+    fn pack(self, panel: &mut [PanelRow], k0: usize, cols: Range<usize>) {
+        let nb = cols.len();
+        match self {
+            Rhs::Rows { b, n } => {
+                for (kk, panel_row) in panel.iter_mut().enumerate() {
+                    let (dst, src) =
+                        (panel_row.as_flattened_mut(), &b[(k0 + kk) * n + cols.start..]);
+                    match src.first_chunk::<{ GEMM_PANEL_STRIPS * GEMM_COL_TILE }>() {
+                        Some(whole) if nb == dst.len() => dst.copy_from_slice(whole),
+                        _ => {
+                            dst[..nb].copy_from_slice(&src[..nb]);
+                            dst[nb..].fill(0.0);
                         }
                     }
                 }
             }
+            Rhs::Cols { b, k } => {
+                if nb < GEMM_PANEL_STRIPS * GEMM_COL_TILE {
+                    panel.fill([[0.0; GEMM_COL_TILE]; GEMM_PANEL_STRIPS]);
+                }
+                let kb = panel.len();
+                for (jj, j) in cols.enumerate() {
+                    let (strip, lane) = (jj / GEMM_COL_TILE, jj % GEMM_COL_TILE);
+                    for (panel_row, &v) in panel.iter_mut().zip(&b[j * k + k0..][..kb]) {
+                        panel_row[strip][lane] = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The one GEMM driver: `out[m×n]` (row-major, `m = out.len() / n`) is
+/// written, not accumulated into, as the product of `lhs` (`m × k`) and
+/// `rhs` (`k × n`).
+///
+/// Row-parallel over [`crate::parallel::for_each_row_block`]; inside a
+/// block, per `GEMM_PANEL_K` rows of `B` (`k` ascending): one packed panel
+/// per full tile's width of columns, and every row tile of the block over
+/// it ([`packed_tiles`]). A block of one row tile takes a row-major `B` in
+/// place instead, `GEMM_TILE_STRIPS` strips at a time ([`in_place_tile`]),
+/// and packs only the columns left over.
+fn gemm<const SKIP: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, out: &mut [f32]) {
+    const WIDE: usize = GEMM_TILE_STRIPS * GEMM_COL_TILE;
+    const PANEL: usize = GEMM_PANEL_STRIPS * GEMM_COL_TILE;
+    if k == 0 {
+        // An empty sum: the one product with no panel to store it.
+        out.fill(0.0);
+        return;
+    }
+    if n == 0 {
+        return;
+    }
+    crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
+        let rows = block.len() / n;
+        let in_place = match rhs {
+            Rhs::Rows { b, .. } if rows <= GEMM_ROW_TILE => Some(b),
+            _ => None,
+        };
+        let packed_from = if in_place.is_some() { n - n % WIDE } else { 0 };
+        let mut panel = [[[0.0; GEMM_COL_TILE]; GEMM_PANEL_STRIPS]; GEMM_PANEL_K];
+        for k0 in (0..k).step_by(GEMM_PANEL_K) {
+            let kb = GEMM_PANEL_K.min(k - k0);
+            if let Some(b) = in_place {
+                for j0 in (0..packed_from).step_by(WIDE) {
+                    let b_row = move |kk: usize| {
+                        let (strips, _) = b[(k0 + kk) * n + j0..].as_chunks();
+                        strips.first_chunk::<GEMM_TILE_STRIPS>().expect("whole strips")
+                    };
+                    in_place_tile::<SKIP>(lhs, b_row, kb, first_row, &mut block[j0..], n, k0);
+                }
+            }
+            for j0 in (packed_from..n).step_by(PANEL) {
+                let (panel, cols) = (&mut panel[..kb], j0..n.min(j0 + PANEL));
+                let (o, nb) = (&mut block[j0..], cols.len());
+                rhs.pack(panel, k0, cols);
+                // A skipped term `±0 · b` is `±0`, which leaves an
+                // accumulator (never `-0.0`: it starts at `+0.0`) exactly as
+                // it was — unless `b` is ±inf or NaN. So only a panel that
+                // holds one takes the skip's per-row branches.
+                if SKIP && has_non_finite(panel) {
+                    packed_tiles::<true>(lhs, panel, first_row, o, n, k0, nb);
+                } else {
+                    packed_tiles::<false>(lhs, panel, first_row, o, n, k0, nb);
+                }
+            }
         }
     });
+}
+
+/// Every row tile of a block (`first_row` its first row of `out`, `o` its
+/// elements from the panel's first column on) over one packed panel of
+/// `nb` valid columns, the panel's rows starting at `k0`: `GEMM_ROW_TILE`
+/// rows at a time, then the remainder rows as one tile — no padding row is
+/// ever computed.
+fn packed_tiles<const SKIP: bool>(
+    lhs: impl Lhs,
+    panel: &[PanelRow],
+    first_row: usize,
+    o: &mut [f32],
+    n: usize,
+    k0: usize,
+    nb: usize,
+) {
+    // `o` starts inside the block's first row.
+    let rows = o.len().div_ceil(n);
+    for i in (0..rows).step_by(GEMM_ROW_TILE) {
+        let (i0, o) = (first_row + i, &mut o[i * n..]);
+        macro_rules! tile {
+            ($r:literal) => {{
+                let avs = lhs.panel::<$r>(i0, k0, panel.len());
+                let bvs = panel.iter();
+                row_tile::<$r, GEMM_PANEL_STRIPS, { $r * GEMM_PANEL_STRIPS }, SKIP>(
+                    avs,
+                    bvs,
+                    k0 > 0,
+                    o,
+                    n,
+                    nb,
+                );
+            }};
+        }
+        match (rows - i).min(GEMM_ROW_TILE) {
+            1 => tile!(1),
+            2 => tile!(2),
+            3 => tile!(3),
+            _ => tile!(4),
+        }
+    }
+}
+
+/// A block of at most `GEMM_ROW_TILE` rows (`o` its elements from the
+/// group's first column on) over `GEMM_TILE_STRIPS` whole strips of `B`
+/// read in place — `b_row(kk)` is row `k0 + kk`, `kk < kb` — as one tile of
+/// `R` rows × `GEMM_TILE_STRIPS / R` strips at a time, so even one row holds
+/// a full tile's independent accumulators. The skip stays on the per-row
+/// branches: scanning `B` for a non-finite value would cost the pass that
+/// reading it in place saves.
+fn in_place_tile<'b, const SKIP: bool>(
+    lhs: impl Lhs,
+    b_row: impl Fn(usize) -> &'b WideRow + Copy,
+    kb: usize,
+    first_row: usize,
+    o: &mut [f32],
+    n: usize,
+    k0: usize,
+) {
+    macro_rules! tiles {
+        ($r:literal, $c:expr) => {
+            for s0 in (0..GEMM_TILE_STRIPS).step_by($c) {
+                let avs = lhs.panel::<$r>(first_row, k0, kb);
+                let bvs = (0..kb).map(move |kk| {
+                    b_row(kk)[s0..].first_chunk::<{ $c }>().expect("strips inside the row")
+                });
+                let (o, nb) = (&mut o[s0 * GEMM_COL_TILE..], $c * GEMM_COL_TILE);
+                row_tile::<$r, { $c }, { $r * $c }, SKIP>(avs, bvs, k0 > 0, o, n, nb);
+            }
+        };
+    }
+    // `o` starts inside the block's first row.
+    match o.len().div_ceil(n) {
+        1 => tiles!(1, GEMM_TILE_STRIPS),
+        2 => tiles!(2, GEMM_TILE_STRIPS / 2),
+        3 => tiles!(3, 1),
+        _ => tiles!(4, GEMM_TILE_STRIPS / 4),
+    }
+}
+
+/// Whether any value in `panel` is ±inf or NaN, i.e. has an all-ones
+/// exponent field: integer compares OR-ed together, a scan that vectorises
+/// under SSE2 too.
+fn has_non_finite(panel: &[PanelRow]) -> bool {
+    const EXPONENT: u32 = 0x7f80_0000;
+    let values = panel.as_flattened().as_flattened();
+    let non_finite = |v: &f32| u32::from(v.to_bits() & EXPONENT == EXPONENT);
+    values.iter().fold(0, |any, v| any | non_finite(v)) != 0
 }
 // orco-lint: endregion
 
@@ -284,9 +540,10 @@ impl<'a> MatView<'a> {
             .expect("view shape is consistent by construction")
     }
 
-    /// `out = self · other`, the body of [`Matrix::matmul`]: blocked
-    /// (4-row tiles over a streamed `other`) and row-parallel across the
-    /// [`crate::parallel`] thread budget. `out` is fully overwritten.
+    /// `out = self · other`, the body of [`Matrix::matmul`]: register tiles
+    /// over packed panels of `other`, row-parallel across the
+    /// [`crate::parallel`] thread budget. `out` is fully overwritten; its
+    /// previous contents are never read.
     ///
     /// # Panics
     ///
@@ -309,13 +566,15 @@ impl<'a> MatView<'a> {
             self.rows,
             other.cols
         );
-        out.data.fill(0.0);
-        matmul_kernel(self.data, self.cols, other.data, other.cols, out.data);
+        let (lhs, rhs) =
+            (ByRow { a: self.data, k: self.cols }, Rhs::Rows { b: other.data, n: other.cols });
+        gemm::<true>(lhs, rhs, self.cols, other.cols, out.data);
     }
 
     /// `out = selfᵀ · other` without materializing the transpose — the
     /// body of [`Matrix::t_matmul`], row-parallel over output rows (columns
-    /// of `self`). `out` is fully overwritten.
+    /// of `self`). `out` is fully overwritten, like
+    /// [`MatView::matmul_into`]'s.
     ///
     /// # Panics
     ///
@@ -338,13 +597,14 @@ impl<'a> MatView<'a> {
             self.cols,
             other.cols
         );
-        out.data.fill(0.0);
-        t_matmul_kernel(self.data, self.cols, self.rows, other.data, other.cols, out.data);
+        let (lhs, rhs) =
+            (ByCol { a: self.data, m: self.cols }, Rhs::Rows { b: other.data, n: other.cols });
+        gemm::<true>(lhs, rhs, self.rows, other.cols, out.data);
     }
 
     /// `out = self · otherᵀ` without materializing the transpose — the
-    /// body of [`Matrix::matmul_t`], row-parallel over packed panels of
-    /// `otherᵀ`. `out` is fully overwritten.
+    /// body of [`Matrix::matmul_t`], `otherᵀ` packed by transposed gather.
+    /// `out` is fully overwritten, like [`MatView::matmul_into`]'s.
     ///
     /// # Panics
     ///
@@ -367,8 +627,9 @@ impl<'a> MatView<'a> {
             self.rows,
             other.rows
         );
-        out.data.fill(0.0);
-        matmul_t_kernel(self.data, self.cols, other.data, other.rows, out.data);
+        let (lhs, rhs) =
+            (ByRow { a: self.data, k: self.cols }, Rhs::Cols { b: other.data, k: other.cols });
+        gemm::<false>(lhs, rhs, self.cols, other.rows, out.data);
     }
 
     /// `out = self · v`, the allocation-free twin of [`Matrix::matvec`]
@@ -511,8 +772,8 @@ mod tests {
         })
     }
 
-    /// `a[m×k] · bᵀ` for `b[n×k]`: the dot product `matmul_t_kernel` was
-    /// before it packed panels. No zero-skip.
+    /// `a[m×k] · bᵀ` for `b[n×k]`, one dot product per element. No
+    /// zero-skip.
     fn matmul_t_oracle(a: &Matrix, b: &Matrix) -> Matrix {
         Matrix::from_fn(a.rows(), b.rows(), |i, j| {
             let mut acc = 0.0f32;
@@ -567,21 +828,35 @@ mod tests {
     /// the blocks after the first start mid-tile.
     const RAGGED_BLOCK: usize = GEMM_MIN_ROWS_PER_THREAD + GEMM_ROW_TILE / 2;
 
+    /// Columns a block of one row tile reads in place per group.
+    const WIDE: usize = GEMM_TILE_STRIPS * GEMM_COL_TILE;
+
     /// The codecs' dominant shapes, the backward products' (`Conv2d`
-    /// 16→16 `∂patches`, the DCSNet encoder's `∂W`), shapes one off each
-    /// edge of the row tile and the packed panel (single and multiple
-    /// panels), and an `m` one off each side of four ragged thread blocks.
-    const EDGE_SHAPES: [(usize, usize, usize); 12] = [
+    /// 16→16 `∂patches`, the DCSNet encoder's `∂W`), DCSNet's three conv
+    /// forward products (`m = cout`: 16, 8 and 1 rows — the last read in
+    /// place), shapes one off each edge of the register tile (`m` 1, 2, 3
+    /// and `GEMM_ROW_TILE + 1`, `n` one off the strip width), of the panel
+    /// (`k` one off one and two panels, so later panels reload), blocks of
+    /// one row tile read in place with a later panel and columns left over
+    /// for a pack, and an `m` one off each side of four ragged thread
+    /// blocks.
+    const EDGE_SHAPES: [(usize, usize, usize); 18] = [
         (64, 128, 784),
         (32, 784, 128),
         (16, 1024, 144),
         (144, 16, 1024),
         (1024, 32, 784),
-        (GEMM_ROW_TILE - 1, MATMUL_T_PANEL_K - 1, MATMUL_T_PANEL_N - 1),
-        (GEMM_ROW_TILE, MATMUL_T_PANEL_K, MATMUL_T_PANEL_N),
-        (GEMM_ROW_TILE + 1, MATMUL_T_PANEL_K + 1, MATMUL_T_PANEL_N + 1),
-        (2 * GEMM_MIN_ROWS_PER_THREAD - 1, 2 * MATMUL_T_PANEL_K - 1, 2 * MATMUL_T_PANEL_N - 1),
-        (2 * GEMM_MIN_ROWS_PER_THREAD + 1, 2 * MATMUL_T_PANEL_K + 1, 2 * MATMUL_T_PANEL_N + 1),
+        (16, 9, 1024),
+        (8, 144, 1024),
+        (1, 72, 1024),
+        (1, GEMM_PANEL_K - 1, GEMM_COL_TILE - 1),
+        (2, GEMM_PANEL_K, GEMM_COL_TILE),
+        (3, GEMM_PANEL_K + 1, GEMM_COL_TILE + 1),
+        (GEMM_ROW_TILE + 1, 2 * GEMM_PANEL_K + 1, 2 * GEMM_COL_TILE + 1),
+        (2 * GEMM_MIN_ROWS_PER_THREAD + 1, 2 * GEMM_PANEL_K - 1, 3 * GEMM_COL_TILE - 1),
+        (1, GEMM_PANEL_K + 1, 2 * WIDE + GEMM_COL_TILE + 1),
+        (2, 2 * GEMM_PANEL_K + 1, WIDE + 1),
+        (GEMM_ROW_TILE, GEMM_PANEL_K + 1, WIDE - 1),
         (4 * RAGGED_BLOCK - 1, 5, 33),
         (4 * RAGGED_BLOCK + 1, 5, 33),
     ];
