@@ -1,5 +1,12 @@
 //! A typed client over any [`Transport`]: the request/reply pairing of
 //! the protocol as plain method calls.
+//!
+//! [`Client::push`] builds no [`Message`]: the `PushFrames` frame is
+//! written from the caller's [`MatView`] by the protocol's one matrix
+//! encoder, through [`Connection::exchange`], into the connection's
+//! reused buffer. A steady-state push over [`crate::Loopback`] therefore
+//! makes no allocator call on its way to the shard and back
+//! (`tests/codec_no_alloc.rs` at the workspace root counts them).
 
 use std::time::Duration;
 
@@ -9,7 +16,7 @@ use orcodcs::OrcoError;
 use orcodcs::EncoderCheckpoint;
 
 use crate::auth;
-use crate::protocol::{Message, ModelVersion};
+use crate::protocol::{Message, ModelVersion, Push};
 use crate::stats::StatsSnapshot;
 use crate::transport::{Connection, Transport};
 
@@ -151,12 +158,8 @@ impl<C: Connection> Client<C> {
                 ),
             });
         }
-        let msg = Message::PushFrames {
-            cluster_id,
-            trace: self.mint_trace(),
-            frames: frames.to_matrix(),
-        };
-        match self.conn.request(&msg)? {
+        let push = Push { cluster_id, trace: self.mint_trace(), frames };
+        match self.conn.exchange(&mut |out| push.encode_into(out))? {
             Message::PushAck { accepted } => Ok(PushOutcome::Accepted(accepted)),
             Message::Busy { queued, capacity } => Ok(PushOutcome::Busy { queued, capacity }),
             Message::Redirect { epoch, addr, .. } => Ok(PushOutcome::Redirected { epoch, addr }),

@@ -474,6 +474,12 @@ impl DesNet {
     /// is stop-and-wait: one request per session at a time) or the
     /// connection is dead.
     pub fn submit(&self, conn: usize, msg: &Message) -> u64 {
+        self.submit_frame(conn, &mut |out| msg.encode_into(out))
+    }
+
+    /// [`DesNet::submit`] of the frame `encode` writes (see
+    /// [`Connection::exchange`]).
+    fn submit_frame(&self, conn: usize, encode: &mut dyn FnMut(&mut Vec<u8>)) -> u64 {
         let mut inner = self.inner.borrow_mut();
         assert!(inner.conns[conn].alive, "submit on dead connection {conn} (reconnect first)");
         let session = inner.conns[conn].session;
@@ -482,7 +488,7 @@ impl DesNet {
             "submit while a request is outstanding: the DES ARQ is stop-and-wait"
         );
         let mut bytes = Vec::new();
-        msg.encode_into(&mut bytes);
+        encode(&mut bytes);
         let rto_s = inner.cfg.rto.as_secs_f64();
         let s = &mut inner.sessions[session];
         s.next_seq += 1;
@@ -666,8 +672,8 @@ pub struct DesConnection {
 }
 
 impl Connection for DesConnection {
-    fn request(&mut self, msg: &Message) -> Result<Message, OrcoError> {
-        let seq = self.net.submit(self.conn, msg);
+    fn exchange(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>)) -> Result<Message, OrcoError> {
+        let seq = self.net.submit_frame(self.conn, encode);
         loop {
             match self.net.poll() {
                 NetEvent::Reply { conn, seq: got } if conn == self.conn && got == seq => {

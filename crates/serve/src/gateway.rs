@@ -72,7 +72,9 @@ use crate::auth;
 use crate::clock::Clock;
 use crate::fleet_view::FleetView;
 use crate::outbox::Outbox;
-use crate::protocol::{ErrorCode, Message, ModelVersion, MAX_LABEL, PROTOCOL_VERSION};
+use crate::protocol::{
+    ErrorCode, FrameRows, Message, ModelVersion, Push, Request, MAX_LABEL, PROTOCOL_VERSION,
+};
 use crate::shard::{due_at, DriftProbe, GateTimes, ShardCore, ShardGate};
 use crate::stats::{FlushReason, ServeStats, MAX_SHARDS};
 
@@ -412,14 +414,16 @@ impl Gateway {
     /// is no streaming outbox behind this call, so `Subscribe` draws a
     /// typed error.
     pub fn handle(&self, msg: Message) -> Message {
-        self.handle_with_outbox(msg, None)
+        self.dispatch(Request::Other(msg), None)
     }
 
-    /// Handles one decoded request on a connection whose server-push
-    /// channel is `outbox` (when the transport has one). `Subscribe`
-    /// registers the outbox for the cluster's decoded batches; on
-    /// outbox-less transports it draws [`ErrorCode::BadRequest`].
-    pub(crate) fn handle_with_outbox(&self, msg: Message, outbox: Option<&Arc<Outbox>>) -> Message {
+    /// Handles one request — a push whose rows are still the bytes of
+    /// its frame, or a decoded message — on a connection whose
+    /// server-push channel is `outbox` (when the transport has one).
+    /// `Subscribe` registers the outbox for the cluster's decoded
+    /// batches; on outbox-less transports it draws
+    /// [`ErrorCode::BadRequest`].
+    pub(crate) fn dispatch(&self, request: Request<'_>, outbox: Option<&Arc<Outbox>>) -> Message {
         self.clock.tick();
         // Sweep *every* shard for overdue batches before dispatching
         // (lock-free unless one is due). Without this, a pending batch on
@@ -429,7 +433,20 @@ impl Gateway {
         // in `tests/gateway_loopback.rs` pins the fix).
         self.sweep_deadlines();
         let now = self.clock.now_s();
-        let reply = match msg {
+        let reply = match request {
+            Request::Push(Push { cluster_id, trace, frames }) => {
+                self.push(cluster_id, trace, frames, now)
+            }
+            Request::Other(msg) => self.handle_message(msg, now, outbox),
+        };
+        // The post-swap guard runs after dispatch so it sees the drift
+        // samples any flush above just recorded.
+        self.maybe_rollback(now);
+        reply
+    }
+
+    fn handle_message(&self, msg: Message, now: f64, outbox: Option<&Arc<Outbox>>) -> Message {
+        match msg {
             Message::Hello { client_id, nonce, mac } => match self.cfg.auth_secret {
                 // Recompute over the wire fields; a garbled or unkeyed
                 // Hello fails closed before any connection state exists.
@@ -442,7 +459,7 @@ impl Gateway {
                 _ => self.hello_ack(),
             },
             Message::PushFrames { cluster_id, trace, frames } => {
-                self.push(cluster_id, trace, &frames, now)
+                self.push(cluster_id, trace, frames.as_view(), now)
             }
             Message::PullDecoded { cluster_id, max_frames, trace: _ } => {
                 // The request's trace id rides the wire for client-side
@@ -475,11 +492,7 @@ impl Gateway {
                 code: ErrorCode::BadRequest,
                 detail: format!("{} is a reply, not a request", other.kind()),
             },
-        };
-        // The post-swap guard runs after dispatch so it sees the drift
-        // samples any flush above just recorded.
-        self.maybe_rollback(now);
-        reply
+        }
     }
 
     fn hello_ack(&self) -> Message {
@@ -492,7 +505,9 @@ impl Gateway {
         }
     }
 
-    fn push(&self, cluster_id: u64, trace: u64, frames: &Matrix, now: f64) -> Message {
+    /// One push, wherever its rows are: a typed message's matrix, or the
+    /// bytes of the frame that carried it.
+    fn push(&self, cluster_id: u64, trace: u64, frames: impl FrameRows, now: f64) -> Message {
         // Ownership first: a fleet gateway never accepts (or silently
         // misroutes) a push for a cluster assigned elsewhere — the
         // client is bounced to the owner with the epoch that named it.

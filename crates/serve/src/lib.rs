@@ -23,8 +23,11 @@
 //!   two threads per connection and one deadline timer are the honest
 //!   model.
 //! * **Sharded ownership.** Each shard owns its codec and its reusable
-//!   workspaces; the steady-state ingest path (push → flush → encode)
-//!   performs no allocation, and nothing contends across shards.
+//!   workspaces; the steady-state ingest path performs no allocation from
+//!   the client's encode to the shard's batch (a push's rows go from the
+//!   caller's view onto the wire and from the frame's bytes into the
+//!   batch, with no `Matrix` in between), and nothing contends across
+//!   shards.
 //! * **Bounded memory, explicit backpressure.** A shard's in-flight rows
 //!   (pending + stored) never exceed [`GatewayConfig::queue_capacity`];
 //!   beyond it clients get [`protocol::Message::Busy`], never an

@@ -17,7 +17,27 @@
 //! Matrices travel as `rows: u32, cols: u32` followed by `rows × cols`
 //! f32 values in row-major order; the bytes are the exact bit patterns of
 //! the floats, so a round trip through the wire is **bit-identical**
-//! (property-tested in `tests/protocol_roundtrip.rs`, NaNs included).
+//! (property-tested in `tests/protocol_roundtrip.rs`, NaNs included,
+//! against a per-element reference encoder).
+//!
+//! # The matrix codec at memory speed
+//!
+//! A matrix has one encoder, from a [`MatView`], and one decoder, to a
+//! borrowed `WireRows` (shape + the frame's bytes). The encoder sizes
+//! the frame's tail once and converts each row over fixed 4-byte chunks
+//! of it, which LLVM vectorises; the decoder reads 4-byte chunks back.
+//! `PushFrames` is encoded and decoded through `Push`, a view of its
+//! fields that borrows the rows, so a push moves between client and
+//! shard with no `Matrix` made on either side:
+//!
+//! * a client writes the frame from the caller's `MatView`
+//!   ([`crate::Connection::exchange`] takes the encoder);
+//! * the gateway parses it in place (`Request::decode`) and the shard
+//!   appends the rows to its pending batch straight from the bytes.
+//!
+//! [`Message::decode`] goes through the same `Push` parse and then copies
+//! the rows into a `Matrix`, so a malformed push draws the same
+//! [`WireError`] — and the same `ErrorReply` — on either path.
 //!
 //! Decoding is total: any byte sequence either parses into a [`Message`]
 //! or yields a typed [`WireError`] (truncated, bad magic, unknown type,
@@ -47,7 +67,7 @@
 use std::fmt;
 use std::io::{self, Read};
 
-use orco_tensor::Matrix;
+use orco_tensor::{MatView, Matrix};
 use orcodcs::OrcoError;
 
 use crate::stats::StatsSnapshot;
@@ -370,32 +390,187 @@ impl<T: Wire, const MAX: usize> Wire<Vec<T>> for List<MAX> {
     }
 }
 
-/// `rows: u32, cols: u32`, then the row-major f32 bit patterns. A matrix
-/// is bounded by the frame itself, not by a size of its own.
-impl Wire for Matrix {
-    const CAP: usize = MAX_PAYLOAD;
-
-    fn put(v: &Self, out: &mut Vec<u8>) {
-        u32::put(&(v.rows() as u32), out);
-        u32::put(&(v.cols() as u32), out);
-        out.reserve(v.as_slice().len() * 4);
-        for x in v.as_slice() {
-            out.extend_from_slice(&x.to_le_bytes());
+/// The one matrix encoder, from a view: `rows: u32, cols: u32`, then the
+/// row-major f32 bit patterns, 4 little-endian bytes each. The tail is
+/// sized once and each row converted over fixed 4-byte chunks of it, a
+/// loop LLVM vectorises — no per-element `extend_from_slice`.
+fn put_rows(v: MatView<'_>, out: &mut Vec<u8>) {
+    u32::put(&(v.rows() as u32), out);
+    u32::put(&(v.cols() as u32), out);
+    let start = out.len();
+    out.resize(start + v.len() * 4, 0);
+    let (_, mut tail) = out.split_at_mut(start);
+    for row in v.iter_rows() {
+        let (bytes, rest) = tail.split_at_mut(row.len() * 4);
+        for (le, x) in bytes.chunks_exact_mut(4).zip(row) {
+            le.copy_from_slice(&x.to_le_bytes());
         }
+        tail = rest;
     }
+}
 
-    fn take(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+/// A matrix as it lies in a frame: its shape and its `rows × cols`
+/// little-endian f32s, borrowed from the frame. The one matrix decoder
+/// makes these; the rows are then read straight into a shard's batch
+/// ([`FrameRows::append_to`]) or into an owned [`Matrix`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WireRows<'a> {
+    rows: usize,
+    cols: usize,
+    bytes: &'a [u8],
+}
+
+impl<'a> WireRows<'a> {
+    fn take(cur: &mut Cursor<'a>) -> Result<Self, WireError> {
         let rows = u32::take(cur)? as usize;
         let cols = u32::take(cur)? as usize;
         let nbytes = rows
             .checked_mul(cols)
             .and_then(|elems| elems.checked_mul(4))
             .ok_or(WireError::Corrupt { detail: "matrix dimensions overflow" })?;
-        let bytes = cur.take(nbytes)?;
-        let data: Vec<f32> =
-            bytes.chunks_exact(4).map(|b| f32::from_le_bytes(le_bytes(b))).collect();
-        Matrix::from_vec(rows, cols, data)
+        Ok(Self { rows, cols, bytes: cur.take(nbytes)? })
+    }
+
+    fn to_matrix(self) -> Result<Matrix, WireError> {
+        let mut data = Vec::with_capacity(self.rows * self.cols);
+        self.append_to(&mut data);
+        Matrix::from_vec(self.rows, self.cols, data)
             .map_err(|_| WireError::Corrupt { detail: "matrix length mismatch" })
+    }
+}
+
+/// Where the rows of a push are: a caller's [`MatView`] (a typed
+/// `PushFrames`), or the bytes of the frame that carried them
+/// ([`WireRows`]). A shard takes either the same way.
+pub(crate) trait FrameRows: Copy {
+    /// Number of rows.
+    fn rows(&self) -> usize;
+    /// Floats per row.
+    fn cols(&self) -> usize;
+    /// Appends every row, row-major, to `out`.
+    fn append_to(&self, out: &mut Vec<f32>);
+}
+
+impl FrameRows for WireRows<'_> {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn append_to(&self, out: &mut Vec<f32>) {
+        out.extend(self.bytes.chunks_exact(4).map(|le| f32::from_le_bytes(le_bytes(le))));
+    }
+}
+
+impl FrameRows for MatView<'_> {
+    fn rows(&self) -> usize {
+        MatView::rows(self)
+    }
+
+    fn cols(&self) -> usize {
+        MatView::cols(self)
+    }
+
+    fn append_to(&self, out: &mut Vec<f32>) {
+        for row in self.iter_rows() {
+            out.extend_from_slice(row);
+        }
+    }
+}
+
+/// A matrix is bounded by the frame itself, not by a size of its own.
+impl Wire for Matrix {
+    const CAP: usize = MAX_PAYLOAD;
+
+    fn put(v: &Self, out: &mut Vec<u8>) {
+        put_rows(v.as_view(), out);
+    }
+
+    fn take(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        WireRows::take(cur)?.to_matrix()
+    }
+}
+
+/// A `PushFrames` payload whose rows stay where they are: the caller's
+/// [`MatView`] when a client encodes a push, the frame's [`WireRows`]
+/// when the gateway decodes one. Its table row is encoded and decoded
+/// through it (`via Push`), so a typed [`Message::PushFrames`], a
+/// client's push and the gateway's borrowed parse have one layout, and a
+/// malformed push draws one [`WireError`] whichever path reads it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Push<R> {
+    /// Cluster the frames belong to.
+    pub(crate) cluster_id: u64,
+    /// Client-minted trace id; 0 means untraced.
+    pub(crate) trace: u64,
+    /// The frames, one per row.
+    pub(crate) frames: R,
+}
+
+impl Push<MatView<'_>> {
+    fn put(&self, out: &mut Vec<u8>) {
+        u64::put(&self.cluster_id, out);
+        u64::put(&self.trace, out);
+        put_rows(self.frames, out);
+    }
+
+    /// Encodes the whole `PushFrames` frame into `out`, clearing it
+    /// first: the bytes `Message::PushFrames` encodes to, with no
+    /// [`Matrix`] made.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_frame(Self::WIRE_ID, out, |out| self.put(out));
+    }
+}
+
+impl<'a> Push<WireRows<'a>> {
+    fn take(cur: &mut Cursor<'a>) -> Result<Self, WireError> {
+        Ok(Self {
+            cluster_id: u64::take(cur)?,
+            trace: u64::take(cur)?,
+            frames: WireRows::take(cur)?,
+        })
+    }
+}
+
+/// A field of a `via` row (see [`Push`]): lent to the row's borrowed
+/// view to be encoded, and owned again from what the view decoded.
+trait Carried<'a>: Sized {
+    /// The field as the view holds it to encode.
+    type Lent;
+    /// The field as the view decodes it.
+    type Taken;
+
+    fn lend(&'a self) -> Self::Lent;
+
+    fn own(taken: Self::Taken) -> Result<Self, WireError>;
+}
+
+impl Carried<'_> for u64 {
+    type Lent = u64;
+    type Taken = u64;
+
+    fn lend(&self) -> u64 {
+        *self
+    }
+
+    fn own(taken: u64) -> Result<u64, WireError> {
+        Ok(taken)
+    }
+}
+
+impl<'a> Carried<'a> for Matrix {
+    type Lent = MatView<'a>;
+    type Taken = WireRows<'a>;
+
+    fn lend(&'a self) -> MatView<'a> {
+        self.as_view()
+    }
+
+    fn own(taken: WireRows<'a>) -> Result<Matrix, WireError> {
+        taken.to_matrix()
     }
 }
 
@@ -530,10 +705,52 @@ const fn payload_bound(field_caps: usize) -> usize {
     }
 }
 
+/// One table row's payload encoder: its fields' codecs back to back, or,
+/// for a `via` row, its borrowed view's encoder over the lent fields.
+macro_rules! put_row {
+    ($out:ident; ; $($field:ident : $codec:ty as $ty:ty),* ; $($inner:ident : $ity:ty)?) => {{
+        $( <$codec as Wire<$ty>>::put($field, $out); )*
+        $( <$ity as Wire>::put($inner, $out); )?
+    }};
+    ($out:ident; $via:ident ; $($field:ident : $codec:ty as $ty:ty),* ; ) => {
+        $via { $( $field: Carried::lend($field), )* }.put($out)
+    };
+}
+
+/// One table row's payload decoder, the counterpart of [`put_row`].
+macro_rules! take_row {
+    ($cur:ident; $name:ident :: $variant:ident; ;
+        $($field:ident : $codec:ty as $ty:ty),* ; $($inner:ident : $ity:ty)?) => {
+        Ok($name::$variant {
+            $( $field: <$codec as Wire<$ty>>::take($cur)?, )*
+            $( 0: <$ity as Wire>::take($cur)? )?
+        })
+    };
+    ($cur:ident; $name:ident :: $variant:ident; $via:ident ;
+        $($field:ident : $codec:ty as $ty:ty),* ; ) => {{
+        let view = $via::take($cur)?;
+        Ok($name::$variant { $( $field: Carried::own(view.$field)?, )* })
+    }};
+}
+
+/// A `via` row's view learns its row's wire id.
+macro_rules! via_id {
+    ($id:literal;) => {};
+    ($id:literal; $via:ident) => {
+        impl<R> $via<R> {
+            /// The wire id of this view's message.
+            const WIRE_ID: u16 = $id;
+        }
+    };
+}
+
 /// Generates the message enum and everything that must agree with it —
 /// wire ids, kind names, per-type payload bounds, the encoder and the
 /// decoder — from one row per message: `id => Variant { fields }`, fields
-/// in wire order, each `name: Type` or `name: Type as Codec`.
+/// in wire order, each `name: Type` or `name: Type as Codec`. A row
+/// ending `via View` is encoded and decoded through `View`, a struct of
+/// the same fields that borrows what the typed message owns ([`Push`]);
+/// its field order is the view's.
 macro_rules! messages {
     (
         $(#[$emeta:meta])*
@@ -543,9 +760,12 @@ macro_rules! messages {
                 $id:literal => $variant:ident
                     $({ $( $(#[$fmeta:meta])* $field:ident : $ty:ty $(as $codec:ty)? ),+ $(,)? })?
                     $(( $inner:ident : $ity:ty ))?
+                    $(via $via:ident)?
             ),+ $(,)?
         }
     ) => {
+        $( via_id!($id; $($via)?); )+
+
         $(#[$emeta])*
         pub enum $name {
             $(
@@ -581,20 +801,22 @@ macro_rules! messages {
             /// Appends the payload: the fields' encodings back to back.
             fn put_payload(&self, out: &mut Vec<u8>) {
                 match self {
-                    $( $name::$variant { $($( $field, )+)? $( 0: $inner )? } => {
-                        $($( <codec!($ty $(, $codec)?) as Wire<$ty>>::put($field, out); )+)?
-                        $( <$ity as Wire>::put($inner, out); )?
-                    } )+
+                    $( $name::$variant { $($( $field, )+)? $( 0: $inner )? } => put_row!(
+                        out; $($via)?;
+                        $($( $field: codec!($ty $(, $codec)?) as $ty ),+)?;
+                        $( $inner: $ity )?
+                    ), )+
                 }
             }
 
             /// Reads the payload of a frame of type `id`.
             fn take_payload(id: u16, cur: &mut Cursor<'_>) -> Result<Self, WireError> {
                 match id {
-                    $( $id => Ok($name::$variant {
-                        $($( $field: <codec!($ty $(, $codec)?) as Wire<$ty>>::take(cur)?, )+)?
-                        $( 0: <$ity as Wire>::take(cur)? )?
-                    }), )+
+                    $( $id => take_row!(
+                        cur; $name::$variant; $($via)?;
+                        $($( $field: codec!($ty $(, $codec)?) as $ty ),+)?;
+                        $( $inner: $ity )?
+                    ), )+
                     found => Err(WireError::UnknownType { found }),
                 }
             }
@@ -651,7 +873,7 @@ messages! {
             trace: u64,
             /// Frames, one per row, `frame_dim` wide.
             frames: Matrix,
-        },
+        } via Push,
         /// The push was accepted into the shard's micro-batcher.
         4 => PushAck {
             /// Rows accepted (always the full push).
@@ -895,18 +1117,7 @@ impl Message {
     /// on the wire; [`crate::Client`] rejects oversized pushes with a
     /// typed error before encoding).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        u32::put(&MAGIC, out);
-        u16::put(&PROTOCOL_VERSION, out);
-        u16::put(&self.wire_type().0, out);
-        u32::put(&0, out); // payload length, patched below
-        self.put_payload(out);
-        let len = out.len() - HEADER_LEN;
-        assert!(
-            u32::try_from(len).is_ok(),
-            "payload of {len} bytes overflows the u32 length field"
-        );
-        out[8..12].copy_from_slice(&(len as u32).to_le_bytes());
+        encode_frame(self.wire_type().0, out, |out| self.put_payload(out));
     }
 
     /// Encodes the full frame into a fresh buffer.
@@ -924,21 +1135,78 @@ impl Message {
     ///
     /// Returns a [`WireError`] describing the first malformation found.
     pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
-        // orco-lint: region(wire-decode)
-        let Some((header, payload)) = frame.split_at_checked(HEADER_LEN) else {
-            return Err(WireError::Truncated { needed: HEADER_LEN, got: frame.len() });
-        };
-        let (msg_type, declared) = parse_header(header)?;
-        if payload.len() != declared {
-            return Err(WireError::LengthMismatch { declared, actual: payload.len() });
-        }
-        let mut cur = Cursor::new(payload);
-        let msg = Message::take_payload(msg_type, &mut cur)?;
-        if cur.remaining() != 0 {
-            return Err(WireError::Corrupt { detail: "payload has trailing bytes" });
-        }
-        Ok(msg)
-        // orco-lint: endregion
+        decode_frame(frame, Message::take_payload)
+    }
+}
+
+/// Writes one frame into `out`, cleared first: the header of wire type
+/// `id`, the payload `put_payload` appends, and its length in the header.
+///
+/// # Panics
+///
+/// Panics if the payload overflows the u32 length field.
+fn encode_frame(id: u16, out: &mut Vec<u8>, put_payload: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    u32::put(&MAGIC, out);
+    u16::put(&PROTOCOL_VERSION, out);
+    u16::put(&id, out);
+    u32::put(&0, out); // payload length, patched below
+    put_payload(out);
+    let len = out.len() - HEADER_LEN;
+    assert!(u32::try_from(len).is_ok(), "payload of {len} bytes overflows the u32 length field");
+    out[8..12].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Decodes exactly one frame: the header, the declared length against
+/// the bytes present, the payload through `take_payload`, and no
+/// trailing bytes.
+// orco-lint: region(wire-decode)
+fn decode_frame<'a, T>(
+    frame: &'a [u8],
+    take_payload: impl FnOnce(u16, &mut Cursor<'a>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let Some((header, payload)) = frame.split_at_checked(HEADER_LEN) else {
+        return Err(WireError::Truncated { needed: HEADER_LEN, got: frame.len() });
+    };
+    let (msg_type, declared) = parse_header(header)?;
+    if payload.len() != declared {
+        return Err(WireError::LengthMismatch { declared, actual: payload.len() });
+    }
+    let mut cur = Cursor::new(payload);
+    let decoded = take_payload(msg_type, &mut cur)?;
+    if cur.remaining() != 0 {
+        return Err(WireError::Corrupt { detail: "payload has trailing bytes" });
+    }
+    Ok(decoded)
+}
+// orco-lint: endregion
+
+/// A request frame as the gateway dispatches it: a push with its rows
+/// still in the frame, or any other message.
+#[derive(Debug)]
+pub(crate) enum Request<'a> {
+    /// A `PushFrames`, parsed in place.
+    Push(Push<WireRows<'a>>),
+    /// Anything else, decoded.
+    Other(Message),
+}
+
+impl<'a> Request<'a> {
+    /// Decodes one frame as [`Message::decode`] does — the same checks,
+    /// the same [`Push`] parse, the same [`WireError`] on a malformed
+    /// frame — except that a push's rows are not copied out.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] describing the first malformation found.
+    pub(crate) fn decode(frame: &'a [u8]) -> Result<Self, WireError> {
+        decode_frame(frame, |id, cur| {
+            if id == Push::<WireRows<'a>>::WIRE_ID {
+                Push::take(cur).map(Request::Push)
+            } else {
+                Message::take_payload(id, cur).map(Request::Other)
+            }
+        })
     }
 }
 
@@ -1002,18 +1270,11 @@ impl FrameReader {
     pub(crate) fn next_frame(&mut self, r: &mut impl Read) -> Result<FrameRead<'_>, OrcoError> {
         loop {
             let have = self.end - self.start;
-            let mut need = HEADER_LEN;
-            if have >= HEADER_LEN {
-                match parse_header(&self.buf[self.start..self.start + HEADER_LEN]) {
-                    Ok((_, declared)) => need += declared,
-                    Err(e) => return Ok(FrameRead::Malformed(e)),
-                }
-                if have >= need {
-                    let frame = self.start..self.start + need;
-                    self.start = frame.end;
-                    return Ok(FrameRead::Frame(&self.buf[frame]));
-                }
-            }
+            let need = match self.front_len() {
+                Err(e) => return Ok(FrameRead::Malformed(e)),
+                Ok(need) if have >= need => return Ok(FrameRead::Frame(self.take_front(need))),
+                Ok(need) => need,
+            };
             // Move the partial frame (usually nothing) to the front, so
             // the read below has the rest of the buffer to fill.
             if self.start > 0 {
@@ -1051,6 +1312,39 @@ impl FrameReader {
             FrameRead::Frame(frame) => Ok(Some(Message::decode(frame)?)),
         }
     }
+
+    /// [`Self::read_message`] for a message the buffer already holds
+    /// whole; `Ok(None)` when it does not. Reads nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::read_message`], for a malformed buffered frame.
+    pub(crate) fn buffered_message(&mut self) -> Result<Option<Message>, OrcoError> {
+        match self.front_len() {
+            Err(e) => Err(e.into()),
+            Ok(need) if self.end - self.start >= need => {
+                Ok(Some(Message::decode(self.take_front(need))?))
+            }
+            Ok(_) => Ok(None),
+        }
+    }
+
+    /// Bytes the frame at the front of the buffer takes, header
+    /// included, as far as the buffer tells: the header alone until it
+    /// has arrived. A malformed header is its error.
+    fn front_len(&self) -> Result<usize, WireError> {
+        match self.buf.get(self.start..self.end).and_then(|b| b.get(..HEADER_LEN)) {
+            Some(header) => parse_header(header).map(|(_, declared)| HEADER_LEN + declared),
+            None => Ok(HEADER_LEN),
+        }
+    }
+
+    /// Hands out the buffer's first `len` bytes, which hold a frame.
+    fn take_front(&mut self, len: usize) -> &[u8] {
+        let frame = self.start..self.start + len;
+        self.start = frame.end;
+        &self.buf[frame]
+    }
 }
 
 /// Validates a frame header and returns `(message type, payload length)`.
@@ -1077,6 +1371,33 @@ fn parse_header(header: &[u8]) -> Result<(u16, usize), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The borrowed push paths against the typed message: a client's push
+    /// encoded from a view of some rows is the frame `Message::PushFrames`
+    /// of those rows encodes to, and the gateway's parse of it appends
+    /// the same floats `Message::decode` makes a matrix of.
+    #[test]
+    fn a_push_from_a_view_and_its_parse_in_place_agree_with_the_typed_message() {
+        let all = Matrix::from_fn(5, 7, |r, c| (r * 7 + c) as f32 * -0.75);
+        for (lo, hi) in [(0, 0), (1, 2), (0, 5), (2, 5)] {
+            let frames = all.view_rows(lo..hi);
+            let push = Push { cluster_id: 11, trace: 12, frames };
+            let typed =
+                Message::PushFrames { cluster_id: 11, trace: 12, frames: frames.to_matrix() };
+            let mut frame = vec![0xAA; 3]; // cleared first
+            push.encode_into(&mut frame);
+            assert_eq!(frame, typed.encode(), "rows {lo}..{hi}");
+            let Ok(Request::Push(parsed)) = Request::decode(&frame) else {
+                panic!("rows {lo}..{hi}: not parsed as a push");
+            };
+            assert_eq!((parsed.cluster_id, parsed.trace), (11, 12));
+            assert_eq!((parsed.frames.rows(), parsed.frames.cols()), (hi - lo, 7));
+            let mut appended = vec![-1.0];
+            parsed.frames.append_to(&mut appended);
+            assert_eq!(appended[1..], *frames.to_matrix().as_slice(), "rows {lo}..{hi}");
+        }
+        assert!(matches!(Request::decode(&Message::Shutdown.encode()), Ok(Request::Other(_))));
+    }
 
     #[test]
     fn header_layout_is_stable() {

@@ -10,6 +10,10 @@
 //!
 //! The gateway's impl is the one way raw frames reach it: decode,
 //! [`Gateway::handle`]'s dispatch with the connection's outbox, encode.
+//! A push is decoded in place — its rows go from the frame's bytes into
+//! the shard's batch, with no `Matrix` in between — through the same
+//! parse `Message::decode` makes, so a malformed push draws the same
+//! `ErrorReply` either way.
 //! Its background work is one deadline timer, whatever its shard count,
 //! and its time-advance hook is the deadline sweep — a flush delivers to
 //! subscribers itself, so there is nothing else to run.
@@ -19,7 +23,7 @@ use std::sync::Arc;
 use crate::clock::Clock;
 use crate::gateway::Gateway;
 use crate::outbox::Outbox;
-use crate::protocol::{ErrorCode, Message};
+use crate::protocol::{ErrorCode, Message, Request};
 
 /// A wire-protocol endpoint the transports can host: the gateway, the
 /// fleet directory, or anything else that maps request frames to reply
@@ -54,8 +58,8 @@ pub trait Service: Send + Sync {
 
 impl Service for Gateway {
     fn handle_frame(&self, frame: &[u8], reply: &mut Vec<u8>, outbox: Option<&Arc<Outbox>>) {
-        let resp = match Message::decode(frame) {
-            Ok(msg) => self.handle_with_outbox(msg, outbox),
+        let resp = match Request::decode(frame) {
+            Ok(request) => self.dispatch(request, outbox),
             Err(e) => Message::ErrorReply { code: ErrorCode::BadRequest, detail: e.to_string() },
         };
         resp.encode_into(reply);

@@ -9,10 +9,15 @@
 //!   (possibly from several clusters; rows are independent, so one flush
 //!   serves them all) and flushed as **one** `encode_batch` call;
 //! * **reusable workspaces** — the encode output and decode input
-//!   matrices are `Matrix::reset` per call, so the steady-state ingest
-//!   path (push → flush → encode) performs no allocation; a pull's
-//!   decoded rows are *moved* into the reply (the reply must own its
-//!   payload), costing one allocation per pull and zero extra copies;
+//!   matrices are `Matrix::reset` per call, and a push's rows are
+//!   appended to the pending batch straight from whatever holds them —
+//!   the bytes of the frame that carried them, on the wire path — so the
+//!   steady-state ingest path performs no allocation from client to
+//!   shard: the client's encode, the gateway's parse, the enqueue, the
+//!   flush and its encode, and the ack (`tests/codec_no_alloc.rs` at the
+//!   workspace root counts zero). A pull's decoded rows are *moved* into
+//!   the reply (the reply must own its payload), costing one allocation
+//!   per pull and zero extra copies;
 //! * **one record per cluster** (`ClusterState`) — the encoded rows
 //!   awaiting delivery, oldest first in push order, each with the trace
 //!   id and model version it was flushed under, and the outboxes of the
@@ -43,7 +48,7 @@ use orco_tensor::{MatView, Matrix};
 use orcodcs::{Codec, EncoderCheckpoint, FineTuneMonitor, FrameDims, OrcoError};
 
 use crate::outbox::Outbox;
-use crate::protocol::Message;
+use crate::protocol::{FrameRows, Message};
 use crate::stats::{FlushReason, ServeStats};
 
 /// Deterministic sampling of decoded reconstructions through a
@@ -389,16 +394,18 @@ impl ShardCore {
         self.clusters.get(&cluster).map_or(0, |state| state.rows.len())
     }
 
-    /// Appends a push to the pending micro-batch, or refuses it when the
+    /// Appends a push to the pending micro-batch — straight from the
+    /// frame's bytes when it came off the wire — or refuses it when the
     /// in-flight budget would be exceeded (the caller replies `Busy`).
     pub(crate) fn try_enqueue(
         &mut self,
         cluster: u64,
         trace: u64,
-        frames: &Matrix,
+        frames: impl FrameRows,
         now_s: f64,
         capacity: usize,
     ) -> bool {
+        // orco-lint: region(no-alloc)
         let rows = frames.rows();
         if self.in_flight() + rows > capacity {
             return false;
@@ -415,10 +422,11 @@ impl ShardCore {
         {
             self.want(now_s);
         }
-        self.pending_data.extend_from_slice(frames.as_slice());
+        frames.append_to(&mut self.pending_data);
         self.pending.extend(std::iter::repeat_n((cluster, trace), rows));
         self.debug_assert_gate();
         true
+        // orco-lint: endregion
     }
 
     /// Encodes the entire pending micro-batch in ONE `encode_batch` call,

@@ -7,10 +7,12 @@
 //!
 //! * [`Tcp`] — a real socket. Frames are written and read with the
 //!   length-prefixed protocol of [`crate::protocol`], read through the
-//!   connection's [`FrameReader`] — a small frame costs one `read`, and a
+//!   connection's [`FrameReader`] — a small frame costs one `read`, a
 //!   `poll_stream` that times out halfway through one picks it up again on
-//!   the next call; streamed [`Message::StreamFrames`] arriving while a
-//!   reply is awaited are stashed and handed out by `poll_stream`.
+//!   the next call, and one that finds a whole frame already buffered
+//!   hands it out without touching the socket; streamed
+//!   [`Message::StreamFrames`] arriving while a reply is awaited are
+//!   stashed and handed out by `poll_stream`.
 //! * [`Loopback`] — in-process and deterministic, generic over any
 //!   [`Service`] (gateway or fleet directory). Requests are still
 //!   encoded to bytes and decoded on the server side, so the full wire
@@ -24,7 +26,7 @@
 //! ad-hoc error mapping.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,13 +53,26 @@ pub trait Transport {
 
 /// One request/reply channel to a gateway.
 pub trait Connection {
-    /// Sends `msg` and waits for the gateway's reply.
+    /// Sends the request frame `encode` writes and waits for the
+    /// gateway's reply. `encode` writes one whole frame into the
+    /// connection's buffer, clearing it first, as
+    /// [`Message::encode_into`] does; a client's push writes its frame
+    /// from the caller's rows this way, with no [`Message`] built.
     ///
     /// # Errors
     ///
     /// Returns [`OrcoError::Io`] on transport failure or a malformed
     /// reply.
-    fn request(&mut self, msg: &Message) -> Result<Message, OrcoError>;
+    fn exchange(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>)) -> Result<Message, OrcoError>;
+
+    /// Sends `msg` and waits for the gateway's reply.
+    ///
+    /// # Errors
+    ///
+    /// As [`Connection::exchange`].
+    fn request(&mut self, msg: &Message) -> Result<Message, OrcoError> {
+        self.exchange(&mut |out| msg.encode_into(out))
+    }
 
     /// Returns the next server-pushed frame (a streaming delivery for a
     /// subscribed cluster), waiting up to `timeout` for one to arrive.
@@ -123,8 +138,8 @@ pub struct LoopbackConnection<S: Service + ?Sized = Gateway> {
 }
 
 impl<S: Service + ?Sized> Connection for LoopbackConnection<S> {
-    fn request(&mut self, msg: &Message) -> Result<Message, OrcoError> {
-        msg.encode_into(&mut self.frame);
+    fn exchange(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>)) -> Result<Message, OrcoError> {
+        encode(&mut self.frame);
         self.svc.handle_frame(&self.frame, &mut self.reply, Some(&self.outbox));
         Ok(Message::decode(&self.reply)?)
     }
@@ -185,8 +200,8 @@ pub struct TcpConnection {
 }
 
 impl Connection for TcpConnection {
-    fn request(&mut self, msg: &Message) -> Result<Message, OrcoError> {
-        msg.encode_into(&mut self.scratch);
+    fn exchange(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>)) -> Result<Message, OrcoError> {
+        encode(&mut self.scratch);
         self.stream.write_all(&self.scratch)?;
         loop {
             match self.reader.read_message(&mut self.stream)? {
@@ -206,22 +221,91 @@ impl Connection for TcpConnection {
     }
 
     fn poll_stream(&mut self, timeout: Duration) -> Result<Option<Message>, OrcoError> {
-        if let Some(msg) = self.streamed.pop_front() {
-            return Ok(Some(msg));
+        poll_stream(&mut self.streamed, &mut self.reader, &mut self.stream, timeout)
+    }
+}
+
+/// A stream whose reads can be bounded in time, as a socket's can.
+trait TimedRead: Read {
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()>;
+}
+
+impl TimedRead for TcpStream {
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        TcpStream::set_read_timeout(self, timeout)
+    }
+}
+
+/// [`TcpConnection`]'s `poll_stream`: a frame stashed by a request, else
+/// one the reader already holds whole — neither touches the socket — else
+/// one read off it within `timeout`.
+fn poll_stream(
+    streamed: &mut VecDeque<Message>,
+    reader: &mut FrameReader,
+    stream: &mut impl TimedRead,
+    timeout: Duration,
+) -> Result<Option<Message>, OrcoError> {
+    if let Some(msg) = streamed.pop_front() {
+        return Ok(Some(msg));
+    }
+    if let Some(msg) = reader.buffered_message()? {
+        return Ok(Some(msg));
+    }
+    // A zero timeout would mean "block forever" to set_read_timeout;
+    // clamp it to the shortest real wait instead.
+    stream.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+    let read = reader.read_message(stream);
+    stream.set_read_timeout(None)?;
+    match read {
+        Ok(msg) => Ok(msg),
+        Err(OrcoError::Io(e))
+            if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+        {
+            Ok(None)
         }
-        // A zero timeout would mean "block forever" to set_read_timeout;
-        // clamp it to the shortest real wait instead.
-        self.stream.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-        let read = self.reader.read_message(&mut self.stream);
-        self.stream.set_read_timeout(None)?;
-        match read {
-            Ok(msg) => Ok(msg),
-            Err(OrcoError::Io(e))
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(e),
+        Err(e) => Err(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    use orco_tensor::Matrix;
+
+    /// Serves its bytes on the first read, and fails the test if it is
+    /// touched again — read or timed.
+    struct Once(Option<Vec<u8>>);
+
+    impl Read for Once {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let bytes = self.0.take().expect("the stream is read once");
+            buf[..bytes.len()].copy_from_slice(&bytes);
+            Ok(bytes.len())
         }
+    }
+
+    impl TimedRead for Once {
+        fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+            assert!(timeout.is_none() || self.0.is_some(), "only the one read is timed");
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_streamed_frame_already_buffered_is_polled_without_touching_the_socket() {
+        let delivery = |version| Message::StreamFrames {
+            cluster_id: 4,
+            version,
+            frames: Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32),
+        };
+        let stream = [delivery(1).encode(), delivery(2).encode()].concat();
+        let mut stream = Once(Some(stream));
+        let (mut streamed, mut reader) = (VecDeque::new(), FrameReader::new());
+        let mut poll = || poll_stream(&mut streamed, &mut reader, &mut stream, Duration::ZERO);
+        // One read brings both frames; the second is handed out from the
+        // buffer, and `Once` panics if the socket is read or timed for it.
+        assert_eq!(poll().unwrap(), Some(delivery(1)));
+        assert_eq!(poll().unwrap(), Some(delivery(2)));
     }
 }

@@ -17,7 +17,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orco_datasets::DatasetKind;
-use orco_serve::{Client, Clock, Gateway, GatewayConfig, Loopback, Message, PushOutcome};
+use orco_serve::{
+    Client, Clock, ErrorCode, Gateway, GatewayConfig, Loopback, Message, PushOutcome, WireError,
+};
 use orco_tensor::{parallel, Matrix, OrcoRng};
 use orcodcs::{AsymmetricAutoencoder, Codec, OrcoConfig};
 
@@ -204,6 +206,111 @@ fn wrong_frame_width_rejected() {
     let err = client.push(9, bad.as_view()).unwrap_err();
     let text = err.to_string();
     assert!(text.contains("784") && text.contains("42"), "unhelpful error: {text}");
+}
+
+/// A `PushFrames` frame as raw bytes: the header, then `payload`.
+fn push_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = b"ORCO".to_vec();
+    frame.extend_from_slice(&5u16.to_le_bytes()); // protocol version
+    frame.extend_from_slice(&3u16.to_le_bytes()); // PushFrames
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// A `PushFrames` payload: cluster, trace, a `rows × cols` header and
+/// `values` f32s.
+fn push_payload(rows: u32, cols: u32, values: usize) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&7u64.to_le_bytes());
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.extend_from_slice(&rows.to_le_bytes());
+    payload.extend_from_slice(&cols.to_le_bytes());
+    for v in 0..values {
+        payload.extend_from_slice(&(v as f32).to_le_bytes());
+    }
+    payload
+}
+
+/// Every malformed push draws the `ErrorReply` it drew when the gateway
+/// decoded a push into a `Message` first: the errors below were measured
+/// on that decoder, and the reply bytes are its encoding of them. The
+/// well-formed pushes beside them draw the gateway's own verdicts.
+#[test]
+fn a_malformed_push_draws_the_same_error_reply_through_handle_frame() {
+    let gw = gateway(GatewayConfig { shards: 1, ..GatewayConfig::default() });
+    let bad_request = |e: WireError| {
+        Message::ErrorReply { code: ErrorCode::BadRequest, detail: e.to_string() }.encode()
+    };
+    let mut truncated = push_frame(&push_payload(2, 784, 784));
+    truncated.pop();
+    let mut trailing = push_frame(&push_payload(1, 4, 5));
+    let mut bad_magic = push_frame(&push_payload(1, 784, 784));
+    bad_magic[0] = b'X';
+    let mut oversized = push_frame(&[]);
+    oversized[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    let cases: Vec<(&str, Vec<u8>, Vec<u8>)> = vec![
+        (
+            "rows × cols × 4 overflows",
+            push_frame(&push_payload(u32::MAX, u32::MAX, 0)),
+            bad_request(WireError::Corrupt { detail: "matrix dimensions overflow" }),
+        ),
+        (
+            "fewer values than rows × cols",
+            push_frame(&push_payload(2, 784, 784)),
+            bad_request(WireError::Truncated { needed: 6272, got: 3136 }),
+        ),
+        (
+            "a byte short of the declared length",
+            truncated,
+            bad_request(WireError::LengthMismatch { declared: 3160, actual: 3159 }),
+        ),
+        (
+            "a value past rows × cols",
+            trailing.clone(),
+            bad_request(WireError::Corrupt { detail: "payload has trailing bytes" }),
+        ),
+        (
+            "no room for the trace",
+            push_frame(&7u64.to_le_bytes()[..]),
+            bad_request(WireError::Truncated { needed: 8, got: 0 }),
+        ),
+        (
+            "a cut matrix header",
+            push_frame(&push_payload(1, 784, 0)[..22]),
+            bad_request(WireError::Truncated { needed: 4, got: 2 }),
+        ),
+        ("bad magic", bad_magic, bad_request(WireError::BadMagic { found: 0x4f43_5258 })),
+        (
+            "a length past the bound",
+            oversized,
+            bad_request(WireError::Oversized { declared: u32::MAX as usize }),
+        ),
+        (
+            "well formed, four wide",
+            {
+                trailing.truncate(trailing.len() - 4);
+                trailing[8..12].copy_from_slice(&40u32.to_le_bytes());
+                trailing
+            },
+            Message::ErrorReply {
+                code: ErrorCode::Shape,
+                detail: "frame width mismatch: expected 784 f32 elements, got 4".into(),
+            }
+            .encode(),
+        ),
+        (
+            "well formed, no rows",
+            push_frame(&push_payload(0, 784, 0)),
+            Message::PushAck { accepted: 0 }.encode(),
+        ),
+    ];
+    let mut reply = Vec::new();
+    for (what, frame, want) in cases {
+        orco_serve::Service::handle_frame(&*gw, &frame, &mut reply, None);
+        assert_eq!(reply, want, "{what}: {:?}", Message::decode(&reply));
+    }
+    assert_eq!(gw.stats().frames_in, 0, "nothing was enqueued");
 }
 
 /// The batch deadline flushes a lingering small batch (virtual clock;

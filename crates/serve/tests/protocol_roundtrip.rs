@@ -334,6 +334,102 @@ proptest! {
     }
 }
 
+/// f32 bit patterns a vectorised conversion could mishandle: signed
+/// zeros, the subnormal extremes, infinities, and quiet and signalling
+/// NaNs of either sign with payloads.
+const EDGE_BITS: [u32; 12] = [
+    0x0000_0000, // +0.0
+    0x8000_0000, // -0.0
+    0x0000_0001, // smallest subnormal
+    0x007f_ffff, // largest subnormal
+    0x8040_0001, // a negative subnormal
+    0x7f80_0000, // +inf
+    0xff80_0000, // -inf
+    0x7fc0_0000, // the canonical quiet NaN
+    0x7fc1_2345, // a quiet NaN with a payload
+    0xffe5_4321, // a negative quiet NaN with a payload
+    0x7f80_0001, // a signalling NaN
+    0xffbf_ffff, // a negative signalling NaN, every payload bit set
+];
+
+/// Matrix shapes around the codec's chunking: empty both ways, 1 × 1,
+/// single rows of 1..=33 floats, and small blocks.
+fn codec_shape() -> BoxedStrategy<(usize, usize)> {
+    prop_oneof![
+        (0usize..=33).prop_map(|cols| (0usize, cols)),
+        (0usize..=33).prop_map(|rows| (rows, 0usize)),
+        Just((1usize, 1usize)),
+        (1usize..=33).prop_map(|cols| (1usize, cols)),
+        (1usize..=5, 1usize..=9),
+    ]
+    .boxed()
+}
+
+/// Element bits: one in three an edge pattern, the rest anything.
+fn codec_bits() -> BoxedStrategy<u32> {
+    prop_oneof![(0..EDGE_BITS.len()).prop_map(|i| EDGE_BITS[i]), 0u32..=u32::MAX, 0u32..=u32::MAX,]
+        .boxed()
+}
+
+fn codec_matrix() -> BoxedStrategy<Matrix> {
+    codec_shape()
+        .prop_flat_map(|(rows, cols)| {
+            prop::collection::vec(codec_bits(), rows * cols).prop_map(move |bits| {
+                Matrix::from_vec(rows, cols, bits.into_iter().map(f32::from_bits).collect())
+                    .expect("length matches")
+            })
+        })
+        .boxed()
+}
+
+/// The reference matrix encoder, one element at a time: what the wire
+/// format says a matrix is.
+fn reference_matrix_bytes(m: &Matrix) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(m.rows() as u32).to_le_bytes());
+    out.extend_from_slice(&(m.cols() as u32).to_le_bytes());
+    for x in m.as_slice() {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+    out
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The matrix codec against the per-element reference: a push and a
+    /// pull reply encode their matrix to exactly the reference's bytes
+    /// after their two `u64` fields, and decode back to the same bit
+    /// patterns, NaN payloads and signed zeros included.
+    #[test]
+    fn the_matrix_codec_matches_the_per_element_reference(
+        m in codec_matrix(), a in any::<u64>(), b in any::<u64>()
+    ) {
+        let want = reference_matrix_bytes(&m);
+        for msg in [
+            Message::PushFrames { cluster_id: a, trace: b, frames: m.clone() },
+            Message::Decoded { cluster_id: a, version: b, frames: m.clone() },
+        ] {
+            let frame = msg.encode();
+            prop_assert_eq!(frame.len(), HEADER_LEN + 16 + want.len());
+            prop_assert_eq!(&frame[HEADER_LEN..HEADER_LEN + 8], &a.to_le_bytes()[..]);
+            prop_assert_eq!(&frame[HEADER_LEN + 8..HEADER_LEN + 16], &b.to_le_bytes()[..]);
+            prop_assert_eq!(&frame[HEADER_LEN + 16..], &want[..], "{} bytes", msg.kind());
+            match Message::decode(&frame).expect("own encoding decodes") {
+                Message::PushFrames { frames, .. } | Message::Decoded { frames, .. } => {
+                    prop_assert_eq!(frames.shape(), m.shape());
+                    prop_assert_eq!(bits(&frames), bits(&m), "{} bits", msg.kind());
+                }
+                other => prop_assert!(false, "decoded to {}", other.kind()),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1))]
 

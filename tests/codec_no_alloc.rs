@@ -9,6 +9,12 @@
 //! four `SplitModel` steps allocate only the matrices they hand across the
 //! simulated wire.
 //!
+//! The serving layer is held to it from client to shard: after a warm-up,
+//! a push over `Loopback` — encoded from the caller's rows, parsed in
+//! place by the gateway, its rows appended to the shard's batch (and the
+//! batch encoded, when the push fills it), the ack encoded and decoded —
+//! makes zero allocator calls.
+//!
 //! The file is its own test binary because `#[global_allocator]` is
 //! process-wide. Only the test's own thread is counted, and the kernels
 //! run on a thread budget of 1: spawning a scoped worker allocates, and
@@ -16,11 +22,16 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
+use std::time::Duration;
 
 use orcodcs_repro::baselines::Dcsnet;
 use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig, SplitModel};
 use orcodcs_repro::datasets::{gtsrb_like, mnist_like, DatasetKind};
 use orcodcs_repro::nn::Loss;
+use orcodcs_repro::serve::{
+    Client, Clock, Gateway, GatewayConfig, Loopback, LoopbackConnection, PushOutcome,
+};
 use orcodcs_repro::tensor::{parallel, Matrix};
 
 thread_local! {
@@ -180,4 +191,74 @@ fn steady_state_split_round_allocates_only_what_crosses_the_wire() {
              decoder update / encoder update"
         );
     }
+}
+
+/// Client → shard at batch 64 over `Loopback`, on a thread budget of 1:
+/// a 1-row push that only enqueues, the 1-row push that fills the batch
+/// and so flushes it (one `encode_batch`), and a 64-row push, which
+/// flushes too. Each makes zero allocator calls once a warm-up has grown
+/// the connection's frame buffers, the shard's batch, the cluster's
+/// stored rows (left non-empty, so its record stays), the codec's
+/// workspaces and the trace ring. Before a push was encoded from the
+/// caller's view and parsed into the batch in place, each made two: the
+/// client's `Matrix` and the gateway's.
+#[test]
+fn steady_state_push_allocates_nothing_from_client_to_shard() {
+    const BATCH: usize = 64;
+    const CLUSTER: u64 = 7;
+    let config = OrcoConfig::for_dataset(DatasetKind::MnistLike);
+    let gateway = Gateway::new(
+        GatewayConfig {
+            shards: 1,
+            batch_max_frames: BATCH,
+            // Long enough that only a full batch flushes.
+            batch_deadline: Duration::from_secs(1),
+            trace_capacity: 64,
+            ..GatewayConfig::default()
+        },
+        Clock::manual(Duration::from_micros(100)),
+        |_| Box::new(AsymmetricAutoencoder::new(&config).expect("valid config")) as Box<dyn Codec>,
+    )
+    .expect("valid gateway");
+    let gateway = Arc::new(gateway);
+    let mut client = Client::connect(&Loopback::new(Arc::clone(&gateway))).expect("connects");
+    client.hello(1).expect("hello");
+    let dataset = mnist_like::generate(BATCH, 3);
+    let frames = dataset.x();
+    let batches = || gateway.stats().batches;
+
+    parallel::with_thread_budget(1, || {
+        let push = |client: &mut Client<LoopbackConnection>, rows: std::ops::Range<usize>| {
+            let n = rows.len();
+            let (calls, outcome) =
+                allocations_during(|| client.push(CLUSTER, frames.view_rows(rows)));
+            assert_eq!(outcome.expect("push"), PushOutcome::Accepted(n as u32));
+            calls
+        };
+        for _ in 0..4 {
+            for r in 0..BATCH {
+                push(&mut client, r..r + 1);
+            }
+            push(&mut client, 0..BATCH);
+        }
+        // 8 batches stored; keep 2 of them.
+        client.pull(CLUSTER, 6 * BATCH as u32).expect("pull");
+
+        let before = batches();
+        let enqueue = push(&mut client, 0..1);
+        assert_eq!(batches(), before, "the first row of a batch only enqueues");
+        for r in 1..BATCH - 1 {
+            push(&mut client, r..r + 1);
+        }
+        let size_flush = push(&mut client, BATCH - 1..BATCH);
+        assert_eq!(batches(), before + 1, "the 64th row flushes the batch");
+        let batch_push = push(&mut client, 0..BATCH);
+        assert_eq!(batches(), before + 2, "a 64-row push flushes at once");
+        assert_eq!(
+            [enqueue, size_flush, batch_push],
+            [0, 0, 0],
+            "allocator calls of a steady-state 1-row push that enqueues, the 1-row push that \
+             flushes, and a 64-row push, client to shard and back"
+        );
+    });
 }
