@@ -28,9 +28,9 @@
 //!   over the [`orco_serve::DesNet`] impaired links, shared with
 //!   `orco-rollout`. On it, `fleet_kill`: four gateways + six clients
 //!   with a scripted mid-run gateway kill and join, pinned to
-//!   exactly-once delivery and bit-identical decode. [`run_scenario`] /
-//!   [`replay_scenario`] run it (and hand the serve layer's names down)
-//!   and return the gauntlet's one [`orco_serve::Outcome`]
+//!   exactly-once delivery and bit-identical decode. It is this crate's
+//!   one row of the gauntlet ([`scenarios::SCENARIOS`]); `orco-rollout`
+//!   holds the seven-row table and the one entry point that runs it
 //!   (`cargo run -p orco-rollout --bin chaos`).
 //!
 //! ## Quickstart (in-process directory)
@@ -73,4 +73,3 @@ pub mod scenarios;
 pub use agent::{AgentConfig, GatewayAgent};
 pub use client::{DirectoryClient, FleetClient};
 pub use directory::{Directory, DirectoryConfig};
-pub use scenarios::{replay_scenario, run_scenario, FLEET_GAUNTLET};

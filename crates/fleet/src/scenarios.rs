@@ -48,7 +48,8 @@
 //!
 //! The kill and the join are triggered by **delivery progress**, not
 //! wall-clock hacks, so a run is a pure function of its seed; the
-//! recorded [`RunLog`] replays it bit-identically ([`replay_scenario`]).
+//! recorded [`orco_serve::RunLog`] replays it bit-identically
+//! ([`orco_serve::scenarios::Run::replay`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -58,11 +59,11 @@ use orco_serve::fleet_view::owner_of;
 use orco_serve::scenarios::{
     self as serve, check_drained, client_backoff, codec_config, exactly_once, gateway_config, play,
     pull_chunk, push_window, reference_decode, row_digest, stats_frame, uniform_frames, Cast,
-    Outcome, Roles, Run, ROWS_PER_PUSH,
+    Outcome, Roles, Run, Scenario, ROWS_PER_PUSH,
 };
 use orco_serve::{
     auth, Backoff, Clock, DesConfig, DesNet, FleetView, Gateway, GatewayConfig, GatewayEntry,
-    Message, RunLog, ScenarioError, Service, StatsSnapshot,
+    Message, Service, StatsSnapshot,
 };
 use orco_sim::LinkParams;
 use orco_tensor::Matrix;
@@ -70,47 +71,13 @@ use orcodcs::{AsymmetricAutoencoder, Codec, OrcoConfig};
 
 use crate::directory::{Directory, DirectoryConfig};
 
-/// The scenario names this layer adds to [`orco_serve::GAUNTLET`].
-pub const FLEET_GAUNTLET: [&str; 1] = ["fleet_kill"];
-
-/// Runs one gauntlet scenario live, drawing impairments from `seed`:
-/// `fleet_kill` here, any of [`orco_serve::GAUNTLET`] in the layer below.
-/// `quick` shrinks the per-client stream for CI; the topology and the
-/// kill/join schedule are the same either way.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] (with its replay log) when a contract is
-/// violated, and on an unknown scenario name.
-pub fn run_scenario(name: &str, seed: u64, quick: bool) -> Result<Outcome, ScenarioError> {
-    drive(&Run::live(name, seed, quick))
-}
-
-/// Re-runs a recorded scenario, consuming the logged impairment schedule
-/// instead of drawing randomness. A correct replay reproduces the
-/// original [`Outcome`] bit for bit.
-///
-/// # Errors
-///
-/// As [`run_scenario`]; additionally, a replay whose send sequence
-/// diverges from the tape panics with a `replay divergence` diagnostic.
-pub fn replay_scenario(log: &RunLog) -> Result<Outcome, ScenarioError> {
-    drive(&Run::replay(log))
-}
-
-/// Runs `run` if this layer knows its name, else hands it down to
-/// [`orco_serve::scenarios::drive`].
-///
-/// # Errors
-///
-/// As [`run_scenario`].
-pub fn drive(run: &Run) -> Result<Outcome, ScenarioError> {
-    if run.name != "fleet_kill" {
-        return serve::drive(run);
-    }
-    let net = run.arm(DesNet::new_multi(lossy_des(), run.seed));
-    run.conclude(&net, fleet_kill(run, &net))
-}
+/// This layer's row of the gauntlet. `quick` shrinks the per-client
+/// stream; the topology and the kill/join schedule are the same either
+/// way.
+pub const SCENARIOS: [Scenario; 1] = [Scenario {
+    name: "fleet_kill",
+    run: |run| run.on(DesNet::new_multi(lossy_des(), run.seed), |net| fleet_kill(run, net)),
+}];
 
 // ---- The shared cast --------------------------------------------------
 

@@ -23,13 +23,17 @@
 //! On any contract violation the run's log is written to `--record-dir`
 //! (default `.`) and the process exits nonzero — the log is everything a
 //! debugging session needs to step through the identical event sequence.
+//! A malformed flag, an unknown scenario name (given, or read off a tape)
+//! and an unreadable tape exit 2 before anything runs or is written.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use orco_fleet::FLEET_GAUNTLET;
-use orco_rollout::{replay_scenario, run_scenario, ROLLOUT_GAUNTLET};
-use orco_serve::{Outcome, RunLog, GAUNTLET};
+use orco_rollout::{replay_scenario, verify, SCENARIOS};
+use orco_serve::{Outcome, RunLog};
+
+const USAGE: &str =
+    "usage: chaos [--quick|--full] [--seed N] [--scenario NAME] [--record-dir DIR] [--replay FILE]";
 
 struct Args {
     quick: bool,
@@ -40,7 +44,7 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Args {
+    fn parse() -> Result<Args, String> {
         let mut args = Args {
             quick: false,
             seed: 0xC4A05,
@@ -50,26 +54,50 @@ impl Args {
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
-            let mut value =
-                |name: &str| it.next().unwrap_or_else(|| panic!("{name} requires a value"));
+            let mut value = || it.next().ok_or_else(|| format!("{flag} requires a value"));
             match flag.as_str() {
                 "--quick" => args.quick = true,
                 "--full" => args.quick = false,
-                "--seed" => args.seed = value("--seed").parse().expect("u64"),
-                "--scenario" => args.scenario = Some(value("--scenario")),
-                "--record-dir" => args.record_dir = PathBuf::from(value("--record-dir")),
-                "--replay" => args.replay = Some(PathBuf::from(value("--replay"))),
-                other => {
-                    eprintln!(
-                        "unknown flag {other}\nusage: chaos [--quick|--full] [--seed N] \
-                         [--scenario NAME] [--record-dir DIR] [--replay FILE]"
-                    );
-                    std::process::exit(2);
+                "--seed" => {
+                    let seed = value()?;
+                    args.seed =
+                        seed.parse().map_err(|_| format!("--seed {seed:?} is not a u64"))?;
                 }
+                "--scenario" => args.scenario = Some(known(value()?)?),
+                "--record-dir" => args.record_dir = PathBuf::from(value()?),
+                "--replay" => args.replay = Some(PathBuf::from(value()?)),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        args
+        Ok(args)
     }
+}
+
+/// `name`, if a row of the gauntlet has it.
+fn known(name: String) -> Result<String, String> {
+    if SCENARIOS.iter().any(|s| s.name == name) {
+        Ok(name)
+    } else {
+        Err(format!("unknown scenario {name:?}"))
+    }
+}
+
+/// Reads and parses the tape at `path`, refusing one whose scenario the
+/// gauntlet does not know.
+fn read_tape(path: &Path) -> Result<RunLog, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let log = RunLog::from_text(&text)
+        .map_err(|e| format!("malformed run log {}: {e}", path.display()))?;
+    known(log.name.clone())?;
+    Ok(log)
+}
+
+/// The input error, the usage line and the known names; exit code 2.
+fn refuse(error: &str) -> ExitCode {
+    let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+    eprintln!("chaos: {error}\n{USAGE}\nscenarios: {}", names.join(" "));
+    ExitCode::from(2)
 }
 
 /// One line per run. A counter at 0 is omitted: either nothing of the
@@ -99,7 +127,7 @@ fn summarize(tag: &str, o: &Outcome) {
     );
 }
 
-fn persist_log(dir: &PathBuf, log: &RunLog) {
+fn persist_log(dir: &Path, log: &RunLog) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("chaos: cannot create {}: {e}", dir.display());
         return;
@@ -111,78 +139,16 @@ fn persist_log(dir: &PathBuf, log: &RunLog) {
     }
 }
 
-/// The text round trip must be exact, or an uploaded log is useless.
-fn roundtrip_log(name: &str, args: &Args, log: &RunLog) -> Option<RunLog> {
-    match RunLog::from_text(&log.to_text()) {
-        Ok(l) if l == *log => Some(l),
-        Ok(_) => {
-            eprintln!("chaos: FAILED {name}: run log text round trip is lossy");
-            persist_log(&args.record_dir, log);
-            None
-        }
-        Err(e) => {
-            eprintln!("chaos: FAILED {name}: run log does not reparse: {e}");
-            persist_log(&args.record_dir, log);
-            None
-        }
-    }
-}
-
-/// Runs one scenario live, then replays it from its own log and demands
-/// a bit-identical [`Outcome`] — stats frames, decoded digest, trace
-/// export, tape, and every counter (so a replay that, say, swaps at a
-/// different flush boundary fails on the v0/v1 split). Returns false (and
-/// persists the log) on any violation.
-fn run_and_verify(name: &str, args: &Args) -> bool {
-    let outcome = match run_scenario(name, args.seed, args.quick) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("chaos: FAILED {e}");
-            persist_log(&args.record_dir, &e.log);
-            return false;
-        }
-    };
-    summarize("live ", &outcome);
-
-    let log = outcome.tape(args.quick);
-    let Some(reparsed) = roundtrip_log(name, args, &log) else {
-        return false;
-    };
-    match replay_scenario(&reparsed) {
-        Ok(replayed) if replayed == outcome => {
-            summarize("replay", &replayed);
-            true
-        }
-        Ok(_) => {
-            eprintln!("chaos: FAILED {name}: replay diverged from the live run");
-            persist_log(&args.record_dir, &log);
-            false
-        }
-        Err(e) => {
-            eprintln!("chaos: FAILED replay of {name}: {e}");
-            persist_log(&args.record_dir, &e.log);
-            false
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = match Args::parse() {
+        Ok(args) => args,
+        Err(e) => return refuse(&e),
+    };
 
     if let Some(path) = &args.replay {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("chaos: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let log = match RunLog::from_text(&text) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("chaos: malformed run log {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
+        let log = match read_tape(path) {
+            Ok(log) => log,
+            Err(e) => return refuse(&e),
         };
         println!("chaos: replaying {} (seed {}, quick {})", log.name, log.seed, log.quick);
         return match replay_scenario(&log) {
@@ -200,12 +166,7 @@ fn main() -> ExitCode {
 
     let names: Vec<&str> = match &args.scenario {
         Some(s) => vec![s.as_str()],
-        None => GAUNTLET
-            .iter()
-            .chain(FLEET_GAUNTLET.iter())
-            .chain(ROLLOUT_GAUNTLET.iter())
-            .copied()
-            .collect(),
+        None => SCENARIOS.iter().map(|s| s.name).collect(),
     };
     println!(
         "chaos: gauntlet of {} scenario(s), seed {}, {} mode",
@@ -216,7 +177,14 @@ fn main() -> ExitCode {
     let mut ok = true;
     for name in names {
         println!("chaos: == {name} ==");
-        ok &= run_and_verify(name, &args);
+        match verify(name, args.seed, args.quick) {
+            Ok(o) => summarize("live = replay", &o),
+            Err(e) => {
+                eprintln!("chaos: FAILED {e}");
+                persist_log(&args.record_dir, &e.log);
+                ok = false;
+            }
+        }
     }
     if ok {
         println!(

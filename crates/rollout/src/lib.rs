@@ -37,10 +37,12 @@
 //! staged rollout racing it, one gateway killed mid-swap — and the whole
 //! run replayable bit-identically from its tape (`cargo run -p
 //! orco-rollout --bin chaos -- --scenario rollout_storm`). This crate
-//! sits on top of the gauntlet's layers, so its [`run_scenario`] /
-//! [`replay_scenario`] are the single entry point to all seven scenarios
-//! and the `chaos` binary lives here; every scenario returns the one
-//! [`orco_serve::Outcome`].
+//! sits on top of the gauntlet's layers, so it owns the registry:
+//! [`SCENARIOS`] is the seven-row table (each layer contributes its
+//! [`orco_serve::Scenario`] rows), [`run_scenario`] / [`replay_scenario`]
+//! are the one entry point that looks a name up in it, [`verify`] is the
+//! one live → tape → text → replay check the `chaos` binary and the tests
+//! both call, and every scenario returns the one [`orco_serve::Outcome`].
 //!
 //! ## Quickstart (in-process loopback)
 //!
@@ -88,7 +90,7 @@ mod scenarios;
 use orco_serve::{Client, Connection, ModelVersion, VersionInfo};
 use orcodcs::{EncoderCheckpoint, OrcoError};
 
-pub use scenarios::{replay_scenario, run_scenario, ROLLOUT_GAUNTLET};
+pub use scenarios::{replay_scenario, run_scenario, verify, SCENARIOS};
 
 /// Stages `checkpoint` as `version` on the gateway behind `client` and
 /// activates it, returning the gateway's post-swap version state.

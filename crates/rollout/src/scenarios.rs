@@ -36,49 +36,88 @@ use orco_fleet::scenarios::{
     self as fleet, cluster_owned_by, lossy_des, Fleet, Role, GOLDEN, SECRET, TOKEN_RELEASE,
     TOKEN_SCRIPT,
 };
-use orco_serve::scenarios::{codec_config, gateway_config, play, Cast, Outcome, Run};
+use orco_serve::scenarios::{self as serve, codec_config, gateway_config, play, Cast, Run};
 use orco_serve::{
-    auth, DesNet, GatewayConfig, GatewayEntry, Message, ModelVersion, RunLog, ScenarioError,
+    auth, DesNet, GatewayConfig, GatewayEntry, Message, ModelVersion, Outcome, RunLog, Scenario,
+    ScenarioError,
 };
 use orco_tensor::OrcoRng;
 use orcodcs::{AsymmetricAutoencoder, Codec, EncoderCheckpoint};
 
-/// The scenario names this layer adds to the gauntlet below it
-/// ([`orco_serve::GAUNTLET`], [`orco_fleet::FLEET_GAUNTLET`]).
-pub const ROLLOUT_GAUNTLET: [&str; 1] = ["rollout_storm"];
-
-/// Runs one gauntlet scenario live, drawing impairments from `seed` —
-/// the single entry point of the whole gauntlet: `rollout_storm` here,
-/// every other name in the layers below. `quick` shrinks the per-client
-/// stream for CI; the topology, the drift injection point, and the kill
+/// The whole gauntlet, in order: the serve layer's five rows, the fleet
+/// layer's one, and `rollout_storm`. `quick` shrinks the per-client
+/// stream of `rollout_storm`; its topology, drift injection point and kill
 /// schedule are the same either way.
+pub const SCENARIOS: [Scenario; 7] = {
+    let [flash, partition, lossy, straggler, reconnect] = serve::SCENARIOS;
+    let [fleet_kill] = fleet::SCENARIOS;
+    let storm = Scenario {
+        name: "rollout_storm",
+        run: |run| run.on(DesNet::new_multi(lossy_des(), run.seed), |net| rollout_storm(run, net)),
+    };
+    [flash, partition, lossy, straggler, reconnect, fleet_kill, storm]
+};
+
+/// Runs the scenario `run` names, or fails with an empty tape when no
+/// row of [`SCENARIOS`] has that name.
+fn dispatch(run: &Run) -> Result<Outcome, ScenarioError> {
+    match SCENARIOS.iter().find(|s| s.name == run.name) {
+        Some(scenario) => (scenario.run)(run),
+        None => {
+            let known: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+            Err(run.fail(format!("unknown scenario; the gauntlet knows {known:?}"), Vec::new()))
+        }
+    }
+}
+
+/// Runs one gauntlet scenario live, drawing impairments from `seed`.
+/// `quick` shrinks the population for CI.
 ///
 /// # Errors
 ///
 /// Returns a [`ScenarioError`] (with its replay log) when a contract is
-/// violated, and on an unknown scenario name.
+/// violated, and on an unknown scenario name (with an empty tape).
 pub fn run_scenario(name: &str, seed: u64, quick: bool) -> Result<Outcome, ScenarioError> {
-    drive(&Run::live(name, seed, quick))
+    dispatch(&Run::live(name, seed, quick))
 }
 
 /// Re-runs a recorded scenario, consuming the logged impairment schedule
 /// instead of drawing randomness. A correct replay reproduces the
-/// original [`Outcome`] bit for bit — including the mid-swap kill.
+/// original [`Outcome`] bit for bit.
 ///
 /// # Errors
 ///
 /// As [`run_scenario`]; additionally, a replay whose send sequence
 /// diverges from the tape panics with a `replay divergence` diagnostic.
 pub fn replay_scenario(log: &RunLog) -> Result<Outcome, ScenarioError> {
-    drive(&Run::replay(log))
+    dispatch(&Run::replay(log))
 }
 
-fn drive(run: &Run) -> Result<Outcome, ScenarioError> {
-    if run.name != "rollout_storm" {
-        return fleet::drive(run);
+/// Runs one scenario live, round-trips its tape through the text format,
+/// replays the reparsed tape, and demands a replay equal to the live run
+/// on the whole [`Outcome`] — stats frames, decoded digest, trace export,
+/// tape and every counter.
+///
+/// # Errors
+///
+/// The first failure, carrying the tape to persist: the live run's
+/// contract violation, a lossy text round trip, the replay's violation,
+/// or a replay that diverged from the live run.
+pub fn verify(name: &str, seed: u64, quick: bool) -> Result<Outcome, ScenarioError> {
+    let live = run_scenario(name, seed, quick)?;
+    let tape = live.tape();
+    let fail = |detail: String| ScenarioError { detail, log: tape.clone() };
+    let reparsed = match RunLog::from_text(&tape.to_text()) {
+        Ok(log) if log == tape => log,
+        Ok(_) => return Err(fail("run log text round trip is lossy".into())),
+        Err(e) => return Err(fail(format!("run log does not reparse: {e}"))),
+    };
+    let replayed = replay_scenario(&reparsed)
+        .map_err(|e| ScenarioError { detail: format!("replay: {}", e.detail), ..e })?;
+    if replayed != live {
+        return Err(fail("replay diverged from the live run".into()));
     }
-    let net = run.arm(DesNet::new_multi(lossy_des(), run.seed));
-    run.conclude(&net, rollout_storm(run, &net))
+    Ok(live)
 }
 
 /// Windowed decoded-sample error separating the base distribution from
@@ -475,29 +514,5 @@ mod tests {
             shifted_mean > DRIFT_THRESHOLD + 0.02,
             "shifted band {shifted_mean} too close to the threshold {DRIFT_THRESHOLD}"
         );
-    }
-
-    /// The single entry point reaches every layer's names and rejects
-    /// what none of them knows.
-    #[test]
-    fn names_resolve_across_layers_and_unknown_names_do_not() {
-        let seed = 0xC4A05;
-        for name in ["mass_reconnect", "fleet_kill"] {
-            let below = orco_fleet::run_scenario(name, seed, true).expect("runs");
-            assert_eq!(run_scenario(name, seed, true).expect("delegated"), below);
-        }
-        let err = run_scenario("nope", 1, true).unwrap_err();
-        assert!(err.detail.contains("unknown scenario"), "{}", err.detail);
-    }
-
-    #[test]
-    fn rollout_storm_quick_runs_and_replays() {
-        let outcome = run_scenario("rollout_storm", 0xC4A05, true)
-            .unwrap_or_else(|e| panic!("storm failed: {e}"));
-        assert_eq!(outcome.delivered_rows, outcome.clients * outcome.frames_per_client);
-        assert!(outcome.v1_rows > 0);
-        let log = outcome.tape(true);
-        let replayed = replay_scenario(&log).unwrap_or_else(|e| panic!("replay failed: {e}"));
-        assert_eq!(replayed, outcome);
     }
 }

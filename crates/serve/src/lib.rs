@@ -81,9 +81,10 @@
 //! log. See `des_transport` for a quickstart, [`scenarios`] for the
 //! chaos-gauntlet harness — the event loop, connection routing and
 //! contract checks every layer's scenarios run on, the one [`Outcome`]
-//! they all return, and this layer's five scenarios ([`run_scenario`] /
-//! [`replay_scenario`]) — and the `chaos` CLI in the `orco-rollout`
-//! crate, which reaches all seven
+//! they all return, the [`Scenario`] row type, and this layer's five rows
+//! ([`scenarios::SCENARIOS`]) — and the `orco-rollout` crate for the
+//! seven-row gauntlet, its one `run_scenario` / `replay_scenario` /
+//! `verify`, and the `chaos` CLI
 //! (`cargo run -p orco-rollout --bin chaos -- --quick`).
 //!
 //! ## Fleets
@@ -130,7 +131,7 @@ pub use outbox::Outbox;
 pub use protocol::{
     ErrorCode, GatewayEntry, GatewayStats, Message, ModelVersion, WireError, MAX_LABEL,
 };
-pub use scenarios::{replay_scenario, run_scenario, Outcome, RunLog, ScenarioError, GAUNTLET};
+pub use scenarios::{Outcome, RunLog, Scenario, ScenarioError};
 pub use service::Service;
 pub use stats::{ShardRow, StatsSnapshot};
 pub use tcp::TcpServer;

@@ -19,18 +19,29 @@
 //!   `decode_batch` the pulled bytes must equal), [`exactly_once`],
 //!   [`check_drained`], [`stats_frame`], [`row_digest`].
 //!
-//! A body returns `Result<Outcome, String>`; [`Run::conclude`] stamps the
-//! run's identity and tape onto either arm, so a failed contract is one
-//! `return Err(format!(..))`. This module holds the serve cast (greet,
-//! push everything, honor `Busy` with backed-off drains, pull it all
-//! back); `orco_fleet::scenarios` holds the directory / agent / client
-//! cast that `fleet_kill` and `orco_rollout`'s `rollout_storm` share. Each
-//! layer's `drive` runs the names it knows and hands the rest down, so
-//! `orco_rollout::run_scenario` reaches all seven.
+//! A body returns `Result<Outcome, String>`; [`Run::on`] runs it on a
+//! net armed for the run (live, or replaying its tape) and stamps the
+//! run's identity, sizing and tape onto either arm, so a failed contract
+//! is one `return Err(format!(..))`.
+//!
+//! ## The registry
+//!
+//! A [`Scenario`] row is a name and the body that runs it. Each layer
+//! exports only its rows: [`SCENARIOS`] here, the five on the serve cast;
+//! `orco_fleet::scenarios::SCENARIOS`, `fleet_kill` on the fleet cast that
+//! `rollout_storm` shares. `orco_rollout::SCENARIOS` is the seven-row
+//! gauntlet, and `orco_rollout` is the one place a name is looked up.
+//!
+//! The serve cast's client (push the whole stream, drain on `Busy`, then
+//! pull it all back) stays separate from the fleet cast's window-by-window
+//! `ClientActor`. Every `net.submit` draws one verdict onto the tape, so an
+//! actor's send order *is* what its tapes record: one actor for both casts
+//! would re-pin the five serve tapes, which `tests/gauntlet_golden.rs`
+//! forbids.
 //!
 //! ## The serve scenarios
 //!
-//! Each scenario in [`GAUNTLET`] passes only if the serving layer's
+//! Each scenario in [`SCENARIOS`] passes only if the serving layer's
 //! liveness and exactly-once contracts hold under fire:
 //!
 //! * every `PushAck`'d frame is eventually pulled back **exactly once**
@@ -56,7 +67,7 @@
 //! ## Record → replay
 //!
 //! Every run logs its seed and the full per-send impairment schedule
-//! ([`RunLog`]); [`replay_scenario`] re-runs the scenario consuming the
+//! ([`RunLog`]); [`Run::replay`] re-runs the scenario consuming the
 //! recorded verdicts instead of drawing randomness, reproducing the run —
 //! the whole [`Outcome`] — bit for bit. A failing run in CI uploads its
 //! log; `chaos --replay <file>` resurrects it locally.
@@ -75,9 +86,23 @@ use crate::gateway::{Gateway, GatewayConfig};
 use crate::protocol::Message;
 use crate::stats::StatsSnapshot;
 
-/// The scenario names this layer's [`run_scenario`] knows, gauntlet order.
-pub const GAUNTLET: [&str; 5] =
-    ["flash_crowd", "rolling_partition", "lossy_links", "straggler_shard", "mass_reconnect"];
+/// One named scenario of the gauntlet.
+#[derive(Debug, Clone, Copy)]
+pub struct Scenario {
+    /// The name a run, a tape and the `chaos` CLI know it by.
+    pub name: &'static str,
+    /// Runs it: live or from a tape, as the [`Run`] says.
+    pub run: fn(&Run) -> Result<Outcome, ScenarioError>,
+}
+
+/// This layer's rows of the gauntlet, in gauntlet order.
+pub const SCENARIOS: [Scenario; 5] = [
+    Scenario { name: "flash_crowd", run: |run| run_crowd(run, flash_crowd) },
+    Scenario { name: "rolling_partition", run: |run| run_crowd(run, rolling_partition) },
+    Scenario { name: "lossy_links", run: |run| run_crowd(run, lossy_links) },
+    Scenario { name: "straggler_shard", run: |run| run_crowd(run, straggler_shard) },
+    Scenario { name: "mass_reconnect", run: |run| run_crowd(run, mass_reconnect) },
+];
 
 /// What a completed scenario run measured — one shape for every layer's
 /// scenarios. A counter a scenario's cast has no notion of stays 0.
@@ -87,6 +112,8 @@ pub struct Outcome {
     pub name: String,
     /// Seed the impairment randomness was drawn from.
     pub seed: u64,
+    /// Whether the run used quick sizing.
+    pub quick: bool,
     /// Client actors driven.
     pub clients: usize,
     /// Frames each client pushed (and pulled back).
@@ -131,10 +158,15 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// The run's replayable record; `quick` is the sizing it ran at.
+    /// The run's replayable record.
     #[must_use]
-    pub fn tape(&self, quick: bool) -> RunLog {
-        RunLog { name: self.name.clone(), seed: self.seed, quick, trace: self.trace.clone() }
+    pub fn tape(&self) -> RunLog {
+        RunLog {
+            name: self.name.clone(),
+            seed: self.seed,
+            quick: self.quick,
+            trace: self.trace.clone(),
+        }
     }
 }
 
@@ -243,7 +275,7 @@ impl RunLog {
 }
 
 /// One run's identity and, on replay, the tape it consumes — what every
-/// layer's `drive` takes.
+/// [`Scenario`] body takes.
 #[derive(Debug, Clone)]
 pub struct Run {
     /// Scenario name.
@@ -268,84 +300,36 @@ impl Run {
         Run { tape: Some(log.trace.clone()), ..Run::live(&log.name, log.seed, log.quick) }
     }
 
-    /// Switches `net` into replay mode when this run carries a tape. Call
-    /// before any traffic.
-    #[must_use]
-    pub fn arm(&self, net: DesNet) -> DesNet {
-        if let Some(tape) = &self.tape {
-            net.begin_replay(tape.clone());
-        }
-        net
-    }
-
     /// The error of a run that broke a contract after drawing `trace`.
-    fn fail(&self, detail: String, trace: Vec<SendRecord>) -> ScenarioError {
+    #[must_use]
+    pub fn fail(&self, detail: String, trace: Vec<SendRecord>) -> ScenarioError {
         let log = RunLog { name: self.name.clone(), seed: self.seed, quick: self.quick, trace };
         ScenarioError { detail, log }
     }
 
-    /// Stamps this run's identity and `net`'s tape onto a scenario body's
-    /// verdict.
+    /// Runs a scenario body on `net` — switched into replay mode first when
+    /// this run carries a tape — and stamps this run's identity, its sizing
+    /// and the tape `net` recorded onto the body's verdict.
     ///
     /// # Errors
     ///
     /// The body's `Err(detail)`, as a [`ScenarioError`] carrying the tape.
-    pub fn conclude(
+    pub fn on(
         &self,
-        net: &DesNet,
-        verdict: Result<Outcome, String>,
+        net: DesNet,
+        body: impl FnOnce(&DesNet) -> Result<Outcome, String>,
     ) -> Result<Outcome, ScenarioError> {
-        match verdict {
+        if let Some(tape) = &self.tape {
+            net.begin_replay(tape.clone());
+        }
+        match body(&net) {
             Ok(o) => {
-                Ok(Outcome { name: self.name.clone(), seed: self.seed, trace: net.trace(), ..o })
+                let (name, seed, quick) = (self.name.clone(), self.seed, self.quick);
+                Ok(Outcome { name, seed, quick, trace: net.trace(), ..o })
             }
             Err(detail) => Err(self.fail(detail, net.trace())),
         }
     }
-}
-
-/// Runs one gauntlet scenario live, drawing impairments from `seed`.
-/// `quick` shrinks the population for CI; the impairment windows are the
-/// same either way.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] (with its replay log) when a liveness or
-/// exactly-once contract is violated, and on an unknown scenario name.
-pub fn run_scenario(name: &str, seed: u64, quick: bool) -> Result<Outcome, ScenarioError> {
-    drive(&Run::live(name, seed, quick))
-}
-
-/// Re-runs a recorded scenario, consuming the logged impairment schedule
-/// instead of drawing randomness. A correct replay reproduces the
-/// original [`Outcome`] bit for bit.
-///
-/// # Errors
-///
-/// As [`run_scenario`]; additionally, a replay whose send sequence
-/// diverges from the tape panics with a `replay divergence` diagnostic.
-pub fn replay_scenario(log: &RunLog) -> Result<Outcome, ScenarioError> {
-    drive(&Run::replay(log))
-}
-
-/// Runs `run` if it names one of [`GAUNTLET`] — the bottom of the
-/// delegation chain the layers above hand unknown names down.
-///
-/// # Errors
-///
-/// As [`run_scenario`].
-pub fn drive(run: &Run) -> Result<Outcome, ScenarioError> {
-    let Some(spec) = spec_for(&run.name, run.quick) else {
-        let detail = format!(
-            "unknown scenario (no layer above claimed the name, and the serve layer knows {GAUNTLET:?})"
-        );
-        return Err(run.fail(detail, Vec::new()));
-    };
-    let codec = codec_config(11);
-    let gateway =
-        gateway(GatewayConfig { queue_capacity: spec.queue_capacity, ..gateway_config() }, &codec);
-    let net = run.arm(DesNet::new(Arc::clone(&gateway), spec.des, run.seed));
-    run.conclude(&net, crowd(run.seed, &spec, &codec, &gateway, &net))
 }
 
 // ---- The harness: loop, routing, shared contracts --------------------
@@ -637,115 +621,134 @@ struct Spec {
     script: fn(&DesNet, &[(usize, u64)]) -> NetScenario,
 }
 
-fn spec_for(name: &str, quick: bool) -> Option<Spec> {
-    let scale = if quick { 1 } else { 4 };
+/// Runs one serve scenario: `spec` at the run's sizing (`quick` shrinks
+/// the population; the impairment windows are the same either way), the
+/// crowd cast against one gateway.
+fn run_crowd(run: &Run, spec: fn(usize, DesConfig) -> Spec) -> Result<Outcome, ScenarioError> {
+    let scale = if run.quick { 1 } else { 4 };
     let base = DesConfig {
         rto: Duration::from_millis(10),
         rto_cap: Duration::from_millis(160),
         max_attempts: 8,
         ..DesConfig::default()
     };
-    let spec = match name {
-        // Every client pushes into a deliberately tiny budget: Busy
-        // storms that must drain via backed-off pulls, not spin.
-        "flash_crowd" => Spec {
-            clients: 6,
-            frames_per_client: 18 * scale,
-            queue_capacity: 16,
-            des: DesConfig {
-                link: orco_sim::LinkParams { delay_s: 0.0005, jitter_s: 0.0, loss_prob: 0.0 },
-                ..base
-            },
-            script: |_, _| NetScenario::new(),
+    let spec = spec(scale, base);
+    let codec = codec_config(11);
+    let gateway =
+        gateway(GatewayConfig { queue_capacity: spec.queue_capacity, ..gateway_config() }, &codec);
+    let net = DesNet::new(Arc::clone(&gateway), spec.des, run.seed);
+    run.on(net, |net| crowd(run.seed, &spec, &codec, &gateway, net))
+}
+
+/// Every client pushes into a deliberately tiny budget: Busy storms that
+/// must drain via backed-off pulls, not spin.
+fn flash_crowd(scale: usize, base: DesConfig) -> Spec {
+    Spec {
+        clients: 6,
+        frames_per_client: 18 * scale,
+        queue_capacity: 16,
+        des: DesConfig {
+            link: orco_sim::LinkParams { delay_s: 0.0005, jitter_s: 0.0, loss_prob: 0.0 },
+            ..base
         },
-        // Staggered cuts: client i loses both directions for 200 ms,
-        // windows marching across the population. The ARQ must outlast
-        // each window (8 attempts of doubled-and-capped RTOs ~ 900 ms of
-        // patience).
-        "rolling_partition" => Spec {
-            clients: 4,
-            frames_per_client: 12 * scale,
-            queue_capacity: 4096,
-            des: DesConfig {
-                link: orco_sim::LinkParams { delay_s: 0.005, jitter_s: 0.0, loss_prob: 0.0 },
-                rto: Duration::from_millis(20),
-                ..base
-            },
-            script: |net, actors| {
-                let mut s = NetScenario::new();
-                for (i, &(conn, _)) in actors.iter().enumerate() {
-                    let w = 0.01 + 0.02 * i as f64..0.21 + 0.02 * i as f64;
-                    s = s.partition(net.uplink(conn), w.clone()).partition(net.downlink(conn), w);
+        script: |_, _| NetScenario::new(),
+    }
+}
+
+/// Staggered cuts: client i loses both directions for 200 ms, windows
+/// marching across the population. The ARQ must outlast each window
+/// (8 attempts of doubled-and-capped RTOs ~ 900 ms of patience).
+fn rolling_partition(scale: usize, base: DesConfig) -> Spec {
+    Spec {
+        clients: 4,
+        frames_per_client: 12 * scale,
+        queue_capacity: 4096,
+        des: DesConfig {
+            link: orco_sim::LinkParams { delay_s: 0.005, jitter_s: 0.0, loss_prob: 0.0 },
+            rto: Duration::from_millis(20),
+            ..base
+        },
+        script: |net, actors| {
+            let mut s = NetScenario::new();
+            for (i, &(conn, _)) in actors.iter().enumerate() {
+                let w = 0.01 + 0.02 * i as f64..0.21 + 0.02 * i as f64;
+                s = s.partition(net.uplink(conn), w.clone()).partition(net.downlink(conn), w);
+            }
+            s
+        },
+    }
+}
+
+/// Steady 15% loss with jitter wide enough to reorder: the dedup layer
+/// must absorb retransmit duplicates and stragglers.
+fn lossy_links(scale: usize, base: DesConfig) -> Spec {
+    Spec {
+        clients: 4,
+        frames_per_client: 12 * scale,
+        queue_capacity: 4096,
+        des: DesConfig {
+            link: orco_sim::LinkParams { delay_s: 0.002, jitter_s: 0.004, loss_prob: 0.15 },
+            ..base
+        },
+        script: |_, _| NetScenario::new(),
+    }
+}
+
+/// Every client of shard 0 goes slow for 400 ms: the other shard's
+/// traffic must still sweep shard 0's deadline flushes (the starvation
+/// bugfix), and nothing head-of-line blocks.
+fn straggler_shard(scale: usize, base: DesConfig) -> Spec {
+    Spec {
+        clients: 4,
+        frames_per_client: 12 * scale,
+        queue_capacity: 4096,
+        des: DesConfig {
+            link: orco_sim::LinkParams { delay_s: 0.001, jitter_s: 0.0, loss_prob: 0.0 },
+            ..base
+        },
+        script: |net, actors| {
+            // Straggle the shard that serves the first client, so at
+            // least one shard always plays the role.
+            let straggler = net.gateway().shard_of(actors[0].1);
+            let mut s = NetScenario::new();
+            for &(conn, cluster) in actors {
+                if net.gateway().shard_of(cluster) == straggler {
+                    s = s.slow(net.uplink(conn), 0.005..0.35, 0.060, 0.0).slow(
+                        net.downlink(conn),
+                        0.005..0.35,
+                        0.060,
+                        0.0,
+                    );
                 }
-                s
-            },
+            }
+            s
         },
-        // Steady 15% loss with jitter wide enough to reorder: the dedup
-        // layer must absorb retransmit duplicates and stragglers.
-        "lossy_links" => Spec {
-            clients: 4,
-            frames_per_client: 12 * scale,
-            queue_capacity: 4096,
-            des: DesConfig {
-                link: orco_sim::LinkParams { delay_s: 0.002, jitter_s: 0.004, loss_prob: 0.15 },
-                ..base
-            },
-            script: |_, _| NetScenario::new(),
+    }
+}
+
+/// A partition longer than a 3-attempt ARQ can outlast: every in-flight
+/// request gives up, every client reconnects, and the resumed sessions
+/// must still deliver exactly once.
+fn mass_reconnect(scale: usize, base: DesConfig) -> Spec {
+    Spec {
+        clients: 4,
+        frames_per_client: 10 * scale,
+        queue_capacity: 4096,
+        des: DesConfig {
+            link: orco_sim::LinkParams { delay_s: 0.002, jitter_s: 0.0, loss_prob: 0.0 },
+            max_attempts: 3,
+            ..base
         },
-        // Every client of shard 0 goes slow for 400 ms: the other shard's
-        // traffic must still sweep shard 0's deadline flushes (the
-        // starvation bugfix), and nothing head-of-line blocks.
-        "straggler_shard" => Spec {
-            clients: 4,
-            frames_per_client: 12 * scale,
-            queue_capacity: 4096,
-            des: DesConfig {
-                link: orco_sim::LinkParams { delay_s: 0.001, jitter_s: 0.0, loss_prob: 0.0 },
-                ..base
-            },
-            script: |net, actors| {
-                // Straggle the shard that serves the first client, so at
-                // least one shard always plays the role.
-                let straggler = net.gateway().shard_of(actors[0].1);
-                let mut s = NetScenario::new();
-                for &(conn, cluster) in actors {
-                    if net.gateway().shard_of(cluster) == straggler {
-                        s = s.slow(net.uplink(conn), 0.005..0.35, 0.060, 0.0).slow(
-                            net.downlink(conn),
-                            0.005..0.35,
-                            0.060,
-                            0.0,
-                        );
-                    }
-                }
-                s
-            },
+        script: |net, actors| {
+            let mut s = NetScenario::new();
+            for &(conn, _) in actors {
+                s = s
+                    .partition(net.uplink(conn), 0.01..0.5)
+                    .partition(net.downlink(conn), 0.01..0.5);
+            }
+            s
         },
-        // A partition longer than a 3-attempt ARQ can outlast: every
-        // in-flight request gives up, every client reconnects, and the
-        // resumed sessions must still deliver exactly once.
-        "mass_reconnect" => Spec {
-            clients: 4,
-            frames_per_client: 10 * scale,
-            queue_capacity: 4096,
-            des: DesConfig {
-                link: orco_sim::LinkParams { delay_s: 0.002, jitter_s: 0.0, loss_prob: 0.0 },
-                max_attempts: 3,
-                ..base
-            },
-            script: |net, actors| {
-                let mut s = NetScenario::new();
-                for &(conn, _) in actors {
-                    s = s
-                        .partition(net.uplink(conn), 0.01..0.5)
-                        .partition(net.downlink(conn), 0.01..0.5);
-                }
-                s
-            },
-        },
-        _ => return None,
-    };
-    Some(spec)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -774,8 +777,7 @@ enum Pending {
 
 /// The serve cast's client: greet, push the whole stream (draining a
 /// chunk whenever the gateway says `Busy`), then pull everything back.
-/// Deliberately not the fleet cast's window-by-window client — its send
-/// sequence is what these five tapes record.
+/// Why it is not the fleet cast's client: see the module doc.
 struct Actor {
     conn: usize,
     cluster: u64,

@@ -14,18 +14,20 @@
 //! cargo run --release --example serving_under_fire
 //! ```
 //!
-//! `orcodcs_repro::rollout::run_scenario` is the same entry point one
-//! layer up and reaches all seven scenarios (`fleet_kill` and
-//! `rollout_storm` included); for the whole gauntlet and `--replay FILE`,
-//! use the CLI: `cargo run --release -p orco-rollout --bin chaos -- --quick`.
+//! `run_scenario` / `replay_scenario` are the gauntlet's one entry point
+//! and reach all seven scenarios (`fleet_kill` and `rollout_storm`
+//! included); for the whole gauntlet and `--replay FILE`, use the CLI:
+//! `cargo run --release -p orco-rollout --bin chaos -- --quick`.
 
-use orcodcs_repro::serve::{replay_scenario, run_scenario, GAUNTLET};
+use orcodcs_repro::rollout::{replay_scenario, run_scenario, SCENARIOS};
 
 fn main() {
-    let name = "lossy_links";
+    // Row 2 is `lossy_links`: 15% loss and jittered delays on every link.
+    let name = SCENARIOS[2].name;
     let seed = 0xF12E_5EED;
-    println!("serve-layer gauntlet scenarios: {GAUNTLET:?}");
-    println!("running `{name}` with seed {seed:#x} (15% loss, jittered delays)...\n");
+    let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+    println!("gauntlet scenarios: {names:?}");
+    println!("running `{name}` with seed {seed:#x}...\n");
 
     let live = run_scenario(name, seed, true).unwrap_or_else(|e| {
         eprintln!("scenario failed: {e}");
@@ -51,7 +53,7 @@ fn main() {
 
     // Replay from the tape: no randomness is drawn; every send consumes
     // its recorded verdict instead.
-    let log = live.tape(true);
+    let log = live.tape();
     let replayed = replay_scenario(&log).expect("replay upholds the same contracts");
 
     assert_eq!(replayed, live, "the replayed Outcome must be bit-identical");
