@@ -220,3 +220,27 @@ fn refusals_surface_and_halt_staged_walks() {
     assert!(err.to_string().contains("halted at gateway 1"), "unexpected error: {err}");
     assert_eq!(fresh.stats().active_version, 1, "the canary before the halt stays rolled");
 }
+
+/// Rows outlive two rollouts: the version that encoded them is retired
+/// twice over, is no longer the rollback target, and still decodes its
+/// last stored rows, bit-identical, before it is dropped.
+#[test]
+fn rows_of_a_twice_retired_version_still_drain() {
+    let gw = gateway(GatewayConfig { shards: 1, batch_max_frames: 4, ..GatewayConfig::default() });
+    let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("loopback connects");
+    client.hello(1).expect("hello");
+    let frames = stream(4);
+    let ckpt = donor_checkpoint();
+
+    // A size flush stores the rows under v0; two rollouts retire it.
+    client.push(CLUSTER, frames.view_rows(0..4)).expect("push");
+    rollout_one(&mut client, version_one(), &ckpt).expect("rollout to v1");
+    let version_two = ModelVersion { id: 2, label: "retrain-99b".into(), ..version_one() };
+    let state = rollout_one(&mut client, version_two, &ckpt).expect("rollout to v2");
+    assert_eq!(state.prior.as_ref().map(|p| p.id), Some(1));
+
+    let (v, got) = client.pull_versioned(CLUSTER, 64).expect("pull");
+    assert_eq!((v, got.rows()), (0, 4));
+    rows_eq(&got, &reference(None, &frames), 0);
+    assert_eq!(gw.stats().frames_out, 4);
+}

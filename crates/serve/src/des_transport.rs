@@ -218,9 +218,6 @@ struct Inner {
     cfg: DesConfig,
     sim: NetSim<Packet>,
     endpoints: Vec<EndpointState>,
-    /// The gateway passed to [`DesNet::new`], kept typed for the legacy
-    /// single-gateway accessor; `None` for multi-endpoint nets.
-    primary: Option<Arc<Gateway>>,
     sessions: Vec<Session>,
     conns: Vec<ConnState>,
 }
@@ -258,7 +255,6 @@ impl DesNet {
     #[must_use]
     pub fn new(gateway: Arc<Gateway>, cfg: DesConfig, seed: u64) -> Self {
         let net = Self::new_multi(cfg, seed);
-        net.inner.borrow_mut().primary = Some(Arc::clone(&gateway));
         let ep = net.add_service(gateway);
         debug_assert_eq!(ep, 0);
         net
@@ -274,7 +270,6 @@ impl DesNet {
                 cfg,
                 sim: NetSim::new(seed),
                 endpoints: Vec::new(),
-                primary: None,
                 sessions: Vec::new(),
                 conns: Vec::new(),
             })),
@@ -299,23 +294,6 @@ impl DesNet {
         let mut inner = self.inner.borrow_mut();
         inner.endpoints.push(EndpointState { svc, alive: true });
         inner.endpoints.len() - 1
-    }
-
-    /// The gateway this network serves.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`DesNet::new_multi`] network — there, endpoints are
-    /// plain services with no distinguished gateway.
-    #[must_use]
-    pub(crate) fn gateway(&self) -> Arc<Gateway> {
-        Arc::clone(
-            self.inner
-                .borrow()
-                .primary
-                .as_ref()
-                .expect("DesNet::gateway on a multi-endpoint net (built with new_multi)"),
-        )
     }
 
     /// Marks endpoint `ep` crashed: every request delivered to it from now

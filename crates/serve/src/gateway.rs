@@ -56,12 +56,14 @@
 //! Dispatch is shard-local: a request for a cluster on shard *i* takes
 //! shard *i*'s lock and no other, unless another shard has a batch
 //! overdue (the sweep flushes it). Two connections on two shards run
-//! their codecs side by side. Lock order: `rollout` → a shard's `core` →
+//! their codecs side by side. Lock order: `rollout` → a shard's core →
 //! an [`Outbox`] (leaf).
+//!
+//! Every lock here is taken at one door (see [`crate::shard`]), which
+//! keeps each shard's gate, wakes the deadline timer, and fails the
+//! gateway whole on a panic under any lock.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::Thread;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use orco_obs::{Registry, Span, SpanKind, Tracer};
@@ -75,8 +77,11 @@ use crate::outbox::Outbox;
 use crate::protocol::{
     ErrorCode, FrameRows, Message, ModelVersion, Push, Request, MAX_LABEL, PROTOCOL_VERSION,
 };
-use crate::shard::{due_at, DriftProbe, GateTimes, ShardCore, ShardGate};
+use crate::shard::{due_at, Door, DriftProbe, Failed, GateTimes, Shard, ShardCore};
 use crate::stats::{FlushReason, ServeStats, MAX_SHARDS};
+
+/// A reply, or the door's word that the gateway has failed.
+type Reply = Result<Message, Failed>;
 
 /// Sizing and flush policy of a [`Gateway`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,54 +150,31 @@ impl GatewayConfig {
     /// Returns [`OrcoError::Config`] naming the first violated
     /// constraint.
     pub(crate) fn validate(&self) -> Result<(), OrcoError> {
-        if self.shards == 0 {
-            return Err(OrcoError::Config { detail: "GatewayConfig: shards must be > 0".into() });
-        }
-        if self.shards > MAX_SHARDS {
-            return Err(OrcoError::Config {
-                detail: format!("GatewayConfig: shards must be <= {MAX_SHARDS}"),
-            });
-        }
-        if self.batch_max_frames == 0 {
-            return Err(OrcoError::Config {
-                detail: "GatewayConfig: batch_max_frames must be > 0".into(),
-            });
-        }
-        if self.queue_capacity < self.batch_max_frames {
-            return Err(OrcoError::Config {
-                detail: "GatewayConfig: queue_capacity must be >= batch_max_frames".into(),
-            });
-        }
-        if self.drift_sample_every > 0 {
-            if !self.drift_threshold.is_finite() || self.drift_threshold <= 0.0 {
-                return Err(OrcoError::Config {
-                    detail: "GatewayConfig: drift_threshold must be > 0 when sampling is enabled"
-                        .into(),
-                });
-            }
-            if self.drift_window == 0 {
-                return Err(OrcoError::Config {
-                    detail: "GatewayConfig: drift_window must be > 0 when sampling is enabled"
-                        .into(),
-                });
-            }
-        }
-        if self.rollback_guard > 0.0 && self.drift_sample_every == 0 {
-            return Err(OrcoError::Config {
-                detail:
-                    "GatewayConfig: rollback_guard requires drift sampling (drift_sample_every > 0)"
-                        .into(),
-            });
-        }
-        Ok(())
+        let fail = |bad: bool, detail: &str| {
+            let detail = format!("GatewayConfig: {detail}");
+            bad.then_some(OrcoError::Config { detail }).map_or(Ok(()), Err)
+        };
+        let sampling = self.drift_sample_every > 0;
+        fail(self.shards == 0, "shards must be > 0")?;
+        fail(self.shards > MAX_SHARDS, &format!("shards must be <= {MAX_SHARDS}"))?;
+        fail(self.batch_max_frames == 0, "batch_max_frames must be > 0")?;
+        fail(
+            self.queue_capacity < self.batch_max_frames,
+            "queue_capacity must be >= batch_max_frames",
+        )?;
+        fail(
+            sampling && (!self.drift_threshold.is_finite() || self.drift_threshold <= 0.0),
+            "drift_threshold must be > 0 when sampling is enabled",
+        )?;
+        fail(
+            sampling && self.drift_window == 0,
+            "drift_window must be > 0 when sampling is enabled",
+        )?;
+        fail(
+            self.rollback_guard > 0.0 && !sampling,
+            "rollback_guard requires drift sampling (drift_sample_every > 0)",
+        )
     }
-}
-
-struct ShardSlot {
-    core: Mutex<ShardCore>,
-    /// The core's lock-free mirror: what the deadline sweep and the
-    /// deadline timer read instead of locking `core`.
-    gate: Arc<ShardGate>,
 }
 
 /// The sharded ingestion gateway. Shared across connection threads as an
@@ -203,14 +185,12 @@ pub struct Gateway {
     dims: FrameDims,
     stats: ServeStats,
     tracer: Tracer,
-    shards: Vec<ShardSlot>,
-    shutting_down: AtomicBool,
+    shards: Vec<Shard>,
+    /// Where every lock below is taken; closed on shutdown or failure.
+    door: Door,
     /// The fleet assignment this gateway enforces, or `None` for a
     /// standalone gateway (pre-fleet behavior: serve every cluster).
     fleet: Mutex<Option<FleetView>>,
-    /// The deadline timer's thread once it runs (TCP mode), for whoever
-    /// moves a batch's due-time to wake; never set under a virtual clock.
-    timer: OnceLock<Thread>,
     /// The rollout control plane: active/staged/prior model versions.
     ///
     /// Lock order: this lock may be held while taking a shard core lock
@@ -230,9 +210,6 @@ struct RolloutState {
     /// post-swap guard window is still open, `None` once the guard
     /// passes (or after a rollback).
     prior: Option<ModelVersion>,
-    /// Guard-triggered rollbacks since boot (mirrors the stats counter,
-    /// kept here so `VersionReply` needs no snapshot).
-    rollbacks: u64,
 }
 
 impl std::fmt::Debug for Gateway {
@@ -240,7 +217,7 @@ impl std::fmt::Debug for Gateway {
         f.debug_struct("Gateway")
             .field("cfg", &self.cfg)
             .field("dims", &self.dims)
-            .field("shutting_down", &self.shutting_down)
+            .field("shutting_down", &self.is_shutting_down())
             .finish_non_exhaustive()
     }
 }
@@ -268,20 +245,16 @@ impl Gateway {
                 DriftProbe::new(cfg.drift_sample_every, cfg.drift_threshold, cfg.drift_window)
             });
             let core = ShardCore::new(i, codec_for_shard(i), drift);
-            match dims {
-                None => dims = Some(core.dims()),
-                Some(d) if d == core.dims() => {}
-                Some(d) => {
-                    return Err(OrcoError::Config {
-                        detail: format!(
-                            "Gateway: shard {i} codec geometry {:?} differs from shard 0 ({d:?})",
-                            core.dims()
-                        ),
-                    });
-                }
+            let d = *dims.get_or_insert(core.dims());
+            if core.dims() != d {
+                return Err(OrcoError::Config {
+                    detail: format!(
+                        "Gateway: shard {i} codec geometry {:?} differs from shard 0 ({d:?})",
+                        core.dims()
+                    ),
+                });
             }
-            let gate = core.gate();
-            shards.push(ShardSlot { core: Mutex::new(core), gate });
+            shards.push(Shard::new(core));
         }
         let dims = dims.expect("at least one shard");
         Ok(Self {
@@ -291,9 +264,8 @@ impl Gateway {
             stats: ServeStats::new(cfg.shards as u16),
             tracer: Tracer::new(cfg.trace_capacity),
             shards,
-            shutting_down: AtomicBool::new(false),
+            door: Door::default(),
             fleet: Mutex::new(None),
-            timer: OnceLock::new(),
             rollout: Mutex::new(RolloutState {
                 active: ModelVersion {
                     id: 0,
@@ -303,7 +275,6 @@ impl Gateway {
                 },
                 staged: None,
                 prior: None,
-                rollbacks: 0,
             }),
         })
     }
@@ -312,15 +283,17 @@ impl Gateway {
     /// With a view installed, a push for a cluster this gateway does not
     /// own draws [`Message::Redirect`] naming the current owner; pulls
     /// are always served locally so clients can drain rows stored here
-    /// before a rebalance moved the cluster away.
+    /// before a rebalance moved the cluster away. A failed gateway keeps
+    /// the view it had.
     pub fn set_fleet_view(&self, view: Option<FleetView>) {
-        *self.fleet.lock().expect("fleet lock") = view;
+        let _ = self.door.enter(&self.fleet, |fleet| *fleet = view);
     }
 
-    /// The currently installed fleet view, if any.
+    /// The currently installed fleet view, if any (`None` once the
+    /// gateway has failed).
     #[must_use]
     pub fn fleet_view(&self) -> Option<FleetView> {
-        self.fleet.lock().expect("fleet lock").clone()
+        self.door.enter(&self.fleet, |fleet| fleet.clone()).ok()?
     }
 
     /// The gateway's flush/backpressure configuration.
@@ -373,13 +346,11 @@ impl Gateway {
         reg.render()
     }
 
-    /// Whether [`Message::Shutdown`] has been received.
+    /// Whether [`Message::Shutdown`] has been received, or the gateway
+    /// has failed: a thread panicked holding one of its locks.
     #[must_use]
     pub fn is_shutting_down(&self) -> bool {
-        // SeqCst: pairs with the store in begin_shutdown — after a
-        // client observes the flag, every pre-shutdown flush must also
-        // be visible to it.
-        self.shutting_down.load(Ordering::SeqCst)
+        self.door.is_closed()
     }
 
     /// The shard serving a cluster: FNV-1a over the id's little-endian
@@ -396,15 +367,14 @@ impl Gateway {
     /// — when the shard's lock-free gate says the pending batch was armed
     /// and since when it is wanted, beside what its locked core holds.
     /// The two must be equal whenever the shard's lock is free; each pair
-    /// is read under it.
+    /// is read under it. A shard whose lock is poisoned is left out.
     #[doc(hidden)]
     #[must_use]
     pub fn gate_check(&self) -> Vec<[[Option<f64>; 2]; 2]> {
         self.shards
             .iter()
-            .map(|slot| {
-                let core = slot.core.lock().expect("shard lock");
-                [slot.gate.times(), core.gate_truth()]
+            .filter_map(|shard| {
+                shard.enter(&self.door, |core| [shard.gate.times(), core.gate_truth()]).ok()
             })
             .collect()
     }
@@ -415,6 +385,11 @@ impl Gateway {
     /// typed error.
     pub fn handle(&self, msg: Message) -> Message {
         self.dispatch(Request::Other(msg), None)
+    }
+
+    /// Runs `f` on shard `idx`'s core, at the door.
+    fn shard<R>(&self, idx: usize, f: impl FnOnce(&mut ShardCore) -> R) -> Result<R, Failed> {
+        self.shards[idx].enter(&self.door, f)
     }
 
     /// Handles one request — a push whose rows are still the bytes of
@@ -438,15 +413,18 @@ impl Gateway {
                 self.push(cluster_id, trace, frames, now)
             }
             Request::Other(msg) => self.handle_message(msg, now, outbox),
-        };
+        }
         // The post-swap guard runs after dispatch so it sees the drift
         // samples any flush above just recorded.
-        self.maybe_rollback(now);
-        reply
+        .and_then(|reply| self.maybe_rollback(now).map(|()| reply));
+        reply.unwrap_or_else(|Failed| Message::ErrorReply {
+            code: ErrorCode::Internal,
+            detail: "the gateway has failed: a thread panicked holding one of its locks".into(),
+        })
     }
 
-    fn handle_message(&self, msg: Message, now: f64, outbox: Option<&Arc<Outbox>>) -> Message {
-        match msg {
+    fn handle_message(&self, msg: Message, now: f64, outbox: Option<&Arc<Outbox>>) -> Reply {
+        Ok(match msg {
             Message::Hello { client_id, nonce, mac } => match self.cfg.auth_secret {
                 // Recompute over the wire fields; a garbled or unkeyed
                 // Hello fails closed before any connection state exists.
@@ -456,30 +434,56 @@ impl Gateway {
                         detail: "Hello MAC does not verify against the shared secret".into(),
                     }
                 }
-                _ => self.hello_ack(),
+                _ => Message::HelloAck {
+                    version: PROTOCOL_VERSION,
+                    shards: self.shards.len() as u16,
+                    frame_dim: self.dims.input as u32,
+                    code_dim: self.dims.code as u32,
+                    active_version: self.door.enter(&self.rollout, |state| state.active.id)?,
+                },
             },
             Message::PushFrames { cluster_id, trace, frames } => {
-                self.push(cluster_id, trace, frames.as_view(), now)
+                self.push(cluster_id, trace, frames.as_view(), now)?
             }
             Message::PullDecoded { cluster_id, max_frames, trace: _ } => {
                 // The request's trace id rides the wire for client-side
                 // correlation; delivery spans carry the *originating*
                 // push traces so the chain stays causal.
-                self.pull(cluster_id, max_frames as usize, now)
+                self.pull(cluster_id, max_frames as usize, now)?
             }
-            Message::Subscribe { cluster_id, trace } => {
-                self.subscribe(cluster_id, trace, now, outbox)
+            Message::Subscribe { cluster_id, trace } => match outbox {
+                Some(outbox) => self.subscribe(cluster_id, trace, now, outbox)?,
+                None => Message::ErrorReply {
+                    code: ErrorCode::BadRequest,
+                    detail: "this transport does not support streaming subscriptions".into(),
+                },
+            },
+            Message::Unsubscribe { cluster_id } => {
+                // Acked with a zero-backlog `SubscribeAck`.
+                if let Some(outbox) = outbox {
+                    let shard = self.shard_of(cluster_id);
+                    self.shard(shard, |core| core.unsubscribe(cluster_id, outbox))?;
+                }
+                Message::SubscribeAck { cluster_id, backlog: 0 }
             }
-            Message::Unsubscribe { cluster_id } => self.unsubscribe(cluster_id, outbox),
             Message::StatsRequest => Message::StatsReply(self.stats.snapshot()),
             Message::MetricsRequest => Message::MetricsReply { text: self.metrics_text() },
             Message::RolloutPropose { version, weight, bias, nonce, mac } => {
-                self.propose(version, weight, bias, nonce, mac)
+                self.propose(version, weight, bias, nonce, mac)?
             }
             Message::ActivateVersion { version_id, nonce, mac } => {
-                self.activate(version_id, nonce, mac, now)
+                self.activate(version_id, nonce, mac, now)?
             }
-            Message::VersionQuery => self.version_reply(),
+            Message::VersionQuery => self.door.enter(&self.rollout, |state| {
+                let stats = self.stats.snapshot();
+                Message::VersionReply {
+                    active: state.active.clone(),
+                    staged: state.staged.as_ref().map(|(v, _)| v.clone()),
+                    prior: state.prior.clone(),
+                    rollbacks: stats.rollbacks,
+                    drift: stats.drift,
+                }
+            })?,
             Message::FleetStatsQuery => Message::ErrorReply {
                 code: ErrorCode::BadRequest,
                 detail: "fleet stats are aggregated by the directory, not a gateway".into(),
@@ -492,127 +496,107 @@ impl Gateway {
                 code: ErrorCode::BadRequest,
                 detail: format!("{} is a reply, not a request", other.kind()),
             },
-        }
-    }
-
-    fn hello_ack(&self) -> Message {
-        Message::HelloAck {
-            version: PROTOCOL_VERSION,
-            shards: self.shards.len() as u16,
-            frame_dim: self.dims.input as u32,
-            code_dim: self.dims.code as u32,
-            active_version: self.rollout.lock().expect("rollout lock").active.id,
-        }
+        })
     }
 
     /// One push, wherever its rows are: a typed message's matrix, or the
     /// bytes of the frame that carried it.
-    fn push(&self, cluster_id: u64, trace: u64, frames: impl FrameRows, now: f64) -> Message {
+    fn push(&self, cluster_id: u64, trace: u64, frames: impl FrameRows, now: f64) -> Reply {
         // Ownership first: a fleet gateway never accepts (or silently
         // misroutes) a push for a cluster assigned elsewhere — the
         // client is bounced to the owner with the epoch that named it.
-        if let Some(view) = self.fleet.lock().expect("fleet lock").as_ref() {
-            if !view.owns(cluster_id) {
-                if let Some(owner) = view.owner_of(cluster_id) {
-                    self.stats.record_redirect();
-                    return Message::Redirect {
-                        cluster_id,
-                        epoch: view.epoch,
-                        addr: owner.addr.clone(),
-                    };
-                }
-            }
+        let redirect = self.door.enter(&self.fleet, |fleet| {
+            let view = fleet.as_ref().filter(|view| !view.owns(cluster_id))?;
+            let owner = view.owner_of(cluster_id)?;
+            self.stats.record_redirect();
+            Some(Message::Redirect { cluster_id, epoch: view.epoch, addr: owner.addr.clone() })
+        })?;
+        if let Some(redirect) = redirect {
+            return Ok(redirect);
         }
         if frames.cols() != self.dims.input {
-            return Message::ErrorReply {
+            return Ok(Message::ErrorReply {
                 code: ErrorCode::Shape,
                 detail: format!(
                     "frame width mismatch: expected {} f32 elements, got {}",
                     self.dims.input,
                     frames.cols()
                 ),
-            };
+            });
         }
         let rows = frames.rows();
         if rows == 0 {
-            return Message::PushAck { accepted: 0 };
+            return Ok(Message::PushAck { accepted: 0 });
         }
         if rows > self.cfg.queue_capacity {
-            return Message::ErrorReply {
+            return Ok(Message::ErrorReply {
                 code: ErrorCode::BadRequest,
                 detail: format!(
                     "push of {rows} rows exceeds the shard capacity of {}; split the push",
                     self.cfg.queue_capacity
                 ),
-            };
+            });
         }
         let shard_idx = self.shard_of(cluster_id);
-        let mut core = self.shards[shard_idx].core.lock().expect("shard lock");
-        // The shutdown check must happen under the shard lock: either
-        // this push wins the lock and its frames are flushed by
-        // `begin_shutdown`'s subsequent per-shard flush, or shutdown wins
-        // and the push is rejected here — a PushAck'd frame can never be
-        // stranded in a batcher nothing will sweep again.
-        if self.is_shutting_down() {
-            return Message::ErrorReply {
-                code: ErrorCode::ShuttingDown,
-                detail: "gateway is shutting down".into(),
-            };
-        }
-        let gate_before = core.gate_truth();
-        if !core.try_enqueue(cluster_id, trace, frames, now, self.cfg.queue_capacity) {
-            self.stats.record_busy();
-            // No spans for a refused push: the client will retry, and a
-            // retry must not double-count the trace's pushed rows.
-            return Message::Busy {
-                queued: core.in_flight() as u32,
-                capacity: self.cfg.queue_capacity as u32,
-            };
-        }
-        self.stats.record_push(shard_idx, rows as u64, (rows * self.dims.input * 4) as u64);
-        if trace != 0 && self.tracer.enabled() {
-            let base = Span {
-                trace_id: trace,
-                kind: SpanKind::Push,
-                cluster_id,
-                shard: shard_idx as u16,
-                rows: rows as u32,
-                at_s: now,
-                detail: "",
-            };
-            self.tracer.record(base);
-            self.tracer.record(Span { kind: SpanKind::Enqueue, ..base });
-        }
-        if core.pending_rows() >= self.cfg.batch_max_frames {
-            if let Err(e) = core.flush(now, FlushReason::Size, &self.stats, &self.tracer) {
-                return internal(&e);
+        self.shard(shard_idx, |core| {
+            // The shutdown check must happen under the shard lock: either
+            // this push wins the lock and its frames are flushed by
+            // `begin_shutdown`'s subsequent per-shard flush, or shutdown
+            // wins and the push is rejected here — a PushAck'd frame can
+            // never be stranded in a batcher nothing will sweep again.
+            if self.is_shutting_down() {
+                return Message::ErrorReply {
+                    code: ErrorCode::ShuttingDown,
+                    detail: "gateway is shutting down".into(),
+                };
             }
-        } else {
-            // A push that arms a batch, or makes an armed one wanted,
-            // moves the shard's due-time; any other push into the batch
-            // does not, and wakes nobody.
-            self.wake_timer_if_moved(gate_before, &core);
-        }
-        Message::PushAck { accepted: rows as u32 }
+            if !core.try_enqueue(cluster_id, trace, frames, now, self.cfg.queue_capacity) {
+                self.stats.record_busy();
+                // No spans for a refused push: the client will retry, and
+                // a retry must not double-count the trace's pushed rows.
+                return Message::Busy {
+                    queued: core.in_flight() as u32,
+                    capacity: self.cfg.queue_capacity as u32,
+                };
+            }
+            self.stats.record_push(shard_idx, rows as u64, (rows * self.dims.input * 4) as u64);
+            if trace != 0 && self.tracer.enabled() {
+                let base = Span {
+                    trace_id: trace,
+                    kind: SpanKind::Push,
+                    cluster_id,
+                    shard: shard_idx as u16,
+                    rows: rows as u32,
+                    at_s: now,
+                    detail: "",
+                };
+                self.tracer.record(base);
+                self.tracer.record(Span { kind: SpanKind::Enqueue, ..base });
+            }
+            if core.pending_rows() >= self.cfg.batch_max_frames {
+                if let Err(e) = core.flush(now, FlushReason::Size, &self.stats, &self.tracer) {
+                    return internal(&e);
+                }
+            }
+            Message::PushAck { accepted: rows as u32 }
+        })
     }
 
-    fn pull(&self, cluster_id: u64, max: usize, now: f64) -> Message {
-        let slot = &self.shards[self.shard_of(cluster_id)];
-        let mut core = slot.core.lock().expect("shard lock");
-        // Read-your-writes needs a flush only when the puller's own
-        // frames are pending (overdue batches were already swept at
-        // dispatch). Anything else stays pending — a polling consumer
-        // must not collapse other clusters' half-built batches to size-1
-        // flushes.
-        if core.has_pending_for(cluster_id) {
-            if let Err(e) = core.flush(now, FlushReason::Pull, &self.stats, &self.tracer) {
-                return internal(&e);
+    fn pull(&self, cluster_id: u64, max: usize, now: f64) -> Reply {
+        self.shard(self.shard_of(cluster_id), |core| -> Result<Message, OrcoError> {
+            // Read-your-writes needs a flush only when the puller's own
+            // frames are pending (overdue batches were already swept at
+            // dispatch). Anything else stays pending — a polling consumer
+            // must not collapse other clusters' half-built batches to
+            // size-1 flushes.
+            if core.has_pending_for(cluster_id) {
+                core.flush(now, FlushReason::Pull, &self.stats, &self.tracer)?;
             }
-        }
-        match core.pull(cluster_id, max, now, &self.stats, &self.tracer, false) {
-            Ok((version, frames)) => Message::Decoded { cluster_id, version, frames },
-            Err(e) => internal(&e),
-        }
+            let (version, frames) =
+                core.pull(cluster_id, max, now, &self.stats, &self.tracer, false)?;
+            Ok(Message::Decoded { cluster_id, version, frames })
+        })
+        .map(|reply| reply.unwrap_or_else(|e| internal(&e)))
     }
 
     /// Stages `version` (checkpoint weights ride the proposal) without
@@ -626,17 +610,18 @@ impl Gateway {
         bias: Matrix,
         nonce: u64,
         mac: u64,
-    ) -> Message {
+    ) -> Reply {
         if let Some(secret) = self.cfg.auth_secret {
             if auth::rollout_mac(secret, version.id, nonce) != mac {
-                return Message::ErrorReply {
+                return Ok(Message::ErrorReply {
                     code: ErrorCode::Unauthorized,
                     detail: "RolloutPropose MAC does not verify against the shared secret".into(),
-                };
+                });
             }
         }
         let version_id = version.id;
-        let reject = |detail: String| Message::RolloutAck { version_id, accepted: false, detail };
+        let reject =
+            |detail: String| Ok(Message::RolloutAck { version_id, accepted: false, detail });
         if version.label.len() > MAX_LABEL {
             return reject(format!("version label exceeds {MAX_LABEL} bytes"));
         }
@@ -666,99 +651,76 @@ impl Gateway {
             ));
         }
         let checkpoint = EncoderCheckpoint { weight, bias, label: version.label.clone() };
-        let mut state = self.rollout.lock().expect("rollout lock");
-        if version.id <= state.active.id {
-            return reject(format!(
-                "version id {} is not newer than the active {}",
-                version.id, state.active.id
-            ));
-        }
-        // Prove the checkpoint grafts onto this gateway's codec family
-        // before accepting (all shards share one geometry, so shard 0
-        // answers for all of them).
-        if let Err(e) =
-            self.shards[0].core.lock().expect("shard lock").stage_from_active(&checkpoint)
-        {
-            return reject(format!("checkpoint does not stage onto the active codec: {e}"));
-        }
-        // Restaging replaces any earlier staged version — last writer
-        // wins, mirroring how a controller retries a revised candidate.
-        state.staged = Some((version, checkpoint));
-        Message::RolloutAck { version_id, accepted: true, detail: String::new() }
+        self.door.enter(&self.rollout, |state| {
+            if version.id <= state.active.id {
+                return reject(format!(
+                    "version id {} is not newer than the active {}",
+                    version.id, state.active.id
+                ));
+            }
+            // Prove the checkpoint grafts onto this gateway's codec family
+            // before accepting (all shards share one geometry, so shard 0
+            // answers for all of them).
+            if let Err(e) = self.shard(0, |core| core.stage_from_active(&checkpoint))? {
+                return reject(format!("checkpoint does not stage onto the active codec: {e}"));
+            }
+            // Restaging replaces any earlier staged version — last writer
+            // wins, mirroring how a controller retries a revised candidate.
+            state.staged = Some((version, checkpoint));
+            Ok(Message::RolloutAck { version_id, accepted: true, detail: String::new() })
+        })?
     }
 
     /// Cuts the staged version over to active on every shard, each at
     /// its own flush boundary (pending rows flush under the old codec
     /// first — zero drops, no mixed-version flush).
-    fn activate(&self, version_id: u64, nonce: u64, mac: u64, now: f64) -> Message {
+    fn activate(&self, version_id: u64, nonce: u64, mac: u64, now: f64) -> Reply {
         if let Some(secret) = self.cfg.auth_secret {
             if auth::rollout_mac(secret, version_id, nonce) != mac {
-                return Message::ErrorReply {
+                return Ok(Message::ErrorReply {
                     code: ErrorCode::Unauthorized,
                     detail: "ActivateVersion MAC does not verify against the shared secret".into(),
-                };
+                });
             }
         }
-        let mut state = self.rollout.lock().expect("rollout lock");
-        match &state.staged {
-            Some((v, _)) if v.id == version_id => {}
-            Some((v, _)) => {
-                return Message::RolloutAck {
-                    version_id,
-                    accepted: false,
-                    detail: format!("staged version is {}, not {version_id}", v.id),
-                };
+        let reject =
+            |detail: String| Ok(Message::RolloutAck { version_id, accepted: false, detail });
+        self.door.enter(&self.rollout, |state| {
+            match &state.staged {
+                Some((v, _)) if v.id == version_id => {}
+                Some((v, _)) => {
+                    return reject(format!("staged version is {}, not {version_id}", v.id));
+                }
+                None => return reject("no version is staged".into()),
             }
-            None => {
-                return Message::RolloutAck {
-                    version_id,
-                    accepted: false,
-                    detail: "no version is staged".into(),
-                };
-            }
-        }
-        // Derive every shard's new codec before touching any of them, so
-        // a failure leaves the gateway fully on the old version.
-        let checkpoint = &state.staged.as_ref().expect("matched above").1;
-        let mut staged_codecs = Vec::with_capacity(self.shards.len());
-        for slot in &self.shards {
-            match slot.core.lock().expect("shard lock").stage_from_active(checkpoint) {
-                Ok(codec) => staged_codecs.push(codec),
-                Err(e) => {
-                    return Message::RolloutAck {
-                        version_id,
-                        accepted: false,
-                        detail: format!("staging failed: {e}"),
-                    };
+            // Derive every shard's new codec before touching any of them,
+            // so a failure leaves the gateway fully on the old version.
+            let checkpoint = &state.staged.as_ref().expect("matched above").1;
+            let mut staged_codecs = Vec::with_capacity(self.shards.len());
+            for idx in 0..self.shards.len() {
+                match self.shard(idx, |core| core.stage_from_active(checkpoint))? {
+                    Ok(codec) => staged_codecs.push(codec),
+                    Err(e) => return reject(format!("staging failed: {e}")),
                 }
             }
-        }
-        let (version, _) = state.staged.take().expect("matched above");
-        for (slot, codec) in self.shards.iter().zip(staged_codecs) {
-            let mut core = slot.core.lock().expect("shard lock");
-            if let Err(e) = core.install_codec(version.id, codec, now, &self.stats, &self.tracer) {
-                // Only a codec shape error can land here, which the
-                // staging pass above has already ruled out; surface it
-                // rather than unwrapping, but do not try to unwind.
-                return internal(&e);
+            let (version, _) = state.staged.take().expect("matched above");
+            for (idx, codec) in staged_codecs.into_iter().enumerate() {
+                let installed = self.shard(idx, |core| {
+                    core.install_codec(version.id, codec, now, &self.stats, &self.tracer)
+                })?;
+                if let Err(e) = installed {
+                    // Only a codec shape error can land here, which the
+                    // staging pass above has already ruled out; surface it
+                    // rather than unwrapping, but do not try to unwind.
+                    return Ok(internal(&e));
+                }
             }
-        }
-        state.prior = Some(std::mem::replace(&mut state.active, version));
-        self.stats.record_swap();
-        self.stats.set_active_version(state.active.id);
-        self.stats.set_drift(false);
-        Message::RolloutAck { version_id, accepted: true, detail: String::new() }
-    }
-
-    fn version_reply(&self) -> Message {
-        let state = self.rollout.lock().expect("rollout lock");
-        Message::VersionReply {
-            active: state.active.clone(),
-            staged: state.staged.as_ref().map(|(v, _)| v.clone()),
-            prior: state.prior.clone(),
-            rollbacks: state.rollbacks,
-            drift: self.stats.snapshot().drift,
-        }
+            state.prior = Some(std::mem::replace(&mut state.active, version));
+            self.stats.record_swap();
+            self.stats.set_active_version(state.active.id);
+            self.stats.set_drift(false);
+            Ok(Message::RolloutAck { version_id, accepted: true, detail: String::new() })
+        })?
     }
 
     /// The post-swap safety rail. While a prior version is retained and
@@ -767,128 +729,115 @@ impl Gateway {
     /// to the prior version (at flush boundaries, like the swap);
     /// a full window under the bound on every shard commits the swap
     /// and releases the prior.
-    fn maybe_rollback(&self, now: f64) {
+    fn maybe_rollback(&self, now: f64) -> Result<(), Failed> {
         if self.cfg.rollback_guard <= 0.0 {
-            return;
+            return Ok(());
         }
-        let mut state = self.rollout.lock().expect("rollout lock");
-        let Some(prior) = state.prior.clone() else {
-            return;
-        };
-        let mut tripped = false;
-        let mut all_windows_full = true;
-        for slot in &self.shards {
-            match slot.core.lock().expect("shard lock").drift_windowed_error() {
-                Some(err) if err > self.cfg.rollback_guard => tripped = true,
-                Some(_) => {}
-                None => all_windows_full = false,
-            }
-        }
-        if tripped {
-            for (idx, slot) in self.shards.iter().enumerate() {
-                let mut core = slot.core.lock().expect("shard lock");
-                match core.rollback_to(prior.id, now, &self.stats, &self.tracer) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        eprintln!("orco-serve: shard {idx} no longer retains version {}", prior.id);
-                    }
-                    Err(e) => eprintln!("orco-serve: shard {idx} rollback flush failed: {e}"),
+        self.door.enter(&self.rollout, |state| {
+            let Some(prior) = state.prior.clone() else {
+                return Ok(());
+            };
+            let mut tripped = false;
+            let mut all_windows_full = true;
+            for idx in 0..self.shards.len() {
+                match self.shard(idx, |core| core.drift_windowed_error())? {
+                    Some(err) if err > self.cfg.rollback_guard => tripped = true,
+                    Some(_) => {}
+                    None => all_windows_full = false,
                 }
             }
-            let demoted = std::mem::replace(&mut state.active, prior);
-            state.prior = None;
-            state.rollbacks += 1;
-            self.stats.record_rollback();
-            self.stats.set_active_version(state.active.id);
-            self.stats.set_drift(false);
-            eprintln!(
-                "orco-serve: post-swap guard tripped; rolled back from version {} to {}",
-                demoted.id, state.active.id
-            );
-        } else if all_windows_full {
-            // Every shard completed a clean window on the new model:
-            // the swap is committed and the prior is no longer a target.
-            state.prior = None;
-        }
+            if tripped {
+                for idx in 0..self.shards.len() {
+                    match self.shard(idx, |core| {
+                        core.rollback_to(prior.id, now, &self.stats, &self.tracer)
+                    })? {
+                        Ok(true) => {}
+                        Ok(false) => eprintln!(
+                            "orco-serve: shard {idx} no longer retains version {}",
+                            prior.id
+                        ),
+                        Err(e) => eprintln!("orco-serve: shard {idx} rollback flush failed: {e}"),
+                    }
+                }
+                let demoted = std::mem::replace(&mut state.active, prior);
+                state.prior = None;
+                self.stats.record_rollback();
+                self.stats.set_active_version(state.active.id);
+                self.stats.set_drift(false);
+                eprintln!(
+                    "orco-serve: post-swap guard tripped; rolled back from version {} to {}",
+                    demoted.id, state.active.id
+                );
+            } else if all_windows_full {
+                // Every shard completed a clean window on the new model:
+                // the swap is committed and the prior is no longer a target.
+                state.prior = None;
+            }
+            Ok(())
+        })?
     }
 
     /// Subscribes `outbox` to `cluster_id`'s decoded batches. The reply
     /// reports the stored backlog, which is streamed out ahead of it.
-    fn subscribe(
-        &self,
-        cluster_id: u64,
-        trace: u64,
-        now: f64,
-        outbox: Option<&Arc<Outbox>>,
-    ) -> Message {
-        let Some(outbox) = outbox else {
-            return Message::ErrorReply {
-                code: ErrorCode::BadRequest,
-                detail: "this transport does not support streaming subscriptions".into(),
-            };
-        };
+    /// Rows of the cluster still pending are wanted as of now.
+    fn subscribe(&self, cluster_id: u64, trace: u64, now: f64, outbox: &Arc<Outbox>) -> Reply {
         let shard_idx = self.shard_of(cluster_id);
-        let mut core = self.shards[shard_idx].core.lock().expect("shard lock");
-        let backlog = core.stored_rows_for(cluster_id);
-        if trace != 0 && self.tracer.enabled() {
-            self.tracer.record(Span {
-                trace_id: trace,
-                kind: SpanKind::Subscribe,
-                cluster_id,
-                shard: shard_idx as u16,
-                rows: backlog as u32,
-                at_s: now,
-                detail: "",
-            });
-        }
-        let gate_before = core.gate_truth();
-        core.subscribe(cluster_id, outbox, now, &self.stats, &self.tracer);
-        // Rows of the cluster still pending are wanted as of now.
-        self.wake_timer_if_moved(gate_before, &core);
-        Message::SubscribeAck { cluster_id, backlog: backlog as u32 }
-    }
-
-    /// Removes `outbox`'s subscription for `cluster_id`. Acked with a
-    /// zero-backlog [`Message::SubscribeAck`].
-    fn unsubscribe(&self, cluster_id: u64, outbox: Option<&Arc<Outbox>>) -> Message {
-        if let Some(outbox) = outbox {
-            let slot = &self.shards[self.shard_of(cluster_id)];
-            slot.core.lock().expect("shard lock").unsubscribe(cluster_id, outbox);
-        }
-        Message::SubscribeAck { cluster_id, backlog: 0 }
-    }
-
-    /// Wakes the deadline timer to re-time `core`'s shard if its gate
-    /// times are no longer `before` (TCP mode; under a virtual clock
-    /// there is no timer and the dispatch-time sweep keeps the deadline).
-    fn wake_timer_if_moved(&self, before: GateTimes, core: &ShardCore) {
-        if core.gate_truth() != before {
-            if let Some(timer) = self.timer.get() {
-                timer.unpark();
+        self.shard(shard_idx, |core| {
+            let backlog = core.stored_rows_for(cluster_id);
+            if trace != 0 && self.tracer.enabled() {
+                self.tracer.record(Span {
+                    trace_id: trace,
+                    kind: SpanKind::Subscribe,
+                    cluster_id,
+                    shard: shard_idx as u16,
+                    rows: backlog as u32,
+                    at_s: now,
+                    detail: "",
+                });
             }
-        }
+            core.subscribe(cluster_id, outbox, now, &self.stats, &self.tracer);
+            Message::SubscribeAck { cluster_id, backlog: backlog as u32 }
+        })
     }
 
+    /// Closes the door — no push is accepted from here on — then drains
+    /// every shard a panic has not failed.
     fn begin_shutdown(&self, now: f64) {
-        // SeqCst: this store must be globally ordered before the drain
-        // flushes below so no worker accepts work after the flag rises
-        // (pairs with the load in is_shutting_down).
-        self.shutting_down.store(true, Ordering::SeqCst);
-        for slot in &self.shards {
-            let mut core = slot.core.lock().expect("shard lock");
-            if let Err(e) = core.flush(now, FlushReason::Drain, &self.stats, &self.tracer) {
-                eprintln!("orco-serve: flush during shutdown failed: {e}");
-            }
+        self.door.close();
+        for idx in 0..self.shards.len() {
+            let _ = self.shard(idx, |core| {
+                if let Err(e) = core.flush(now, FlushReason::Drain, &self.stats, &self.tracer) {
+                    eprintln!("orco-serve: flush during shutdown failed: {e}");
+                }
+            });
         }
         // Every shard's drained rows are in the outboxes: end every
         // subscription (a connection can hold one on several shards, so
-        // not before the last flush), and let the timer see the flag.
-        for slot in &self.shards {
-            slot.core.lock().expect("shard lock").end_subscriptions();
+        // not before the last flush).
+        for idx in 0..self.shards.len() {
+            let _ = self.shard(idx, |core| core.end_subscriptions());
         }
-        if let Some(timer) = self.timer.get() {
-            timer.unpark();
+    }
+
+    /// The sweep's and the timer's one flush-if-due body: asks shard
+    /// `idx`'s gate whether `due(times, now)`, and only then takes the
+    /// lock, asks the core the same, and makes a deadline flush. Returns
+    /// what the flush took. A shard whose lock is poisoned is passed over.
+    fn flush_if_due(&self, idx: usize, due: impl Fn(GateTimes, f64) -> bool) -> Option<f64> {
+        if !due(self.shards[idx].gate.times(), self.clock.now_s()) {
+            return None;
         }
+        self.shard(idx, |core| {
+            let now = self.clock.now_s();
+            if !due(core.gate_truth(), now) {
+                return None;
+            }
+            if let Err(e) = core.flush(now, FlushReason::Deadline, &self.stats, &self.tracer) {
+                eprintln!("orco-serve: shard {idx} deadline flush failed: {e}");
+            }
+            Some(self.clock.now_s() - now)
+        })
+        .ok()?
     }
 
     /// Flushes every shard whose pending micro-batch has outlived
@@ -896,26 +845,16 @@ impl Gateway {
     /// external schedulers (the DES transport, tests advancing a manual
     /// clock) should call it after moving virtual time so idle shards'
     /// batches are flushed without waiting for traffic. When nothing is
-    /// due it costs one atomic load per shard and takes no lock: a
-    /// shard's lock is taken only once its gate says the batch is due,
-    /// and the batch is re-checked under the lock before it is flushed —
-    /// so a dispatch never waits out another shard's encode or decode.
+    /// due it costs one atomic load per shard and takes no lock, so a
+    /// dispatch never waits out another shard's encode or decode.
     pub(crate) fn sweep_deadlines(&self) {
-        let now = self.clock.now_s();
         let deadline_s = self.cfg.batch_deadline.as_secs_f64();
-        for (idx, slot) in self.shards.iter().enumerate() {
-            // The comparison `ShardCore::deadline_due` makes, on the
-            // mirror: on one thread the two always agree.
-            if slot.gate.armed_at().is_some_and(|armed| now - armed >= deadline_s) {
-                let mut core = slot.core.lock().expect("shard lock");
-                if core.deadline_due(now, deadline_s) {
-                    if let Err(e) =
-                        core.flush(now, FlushReason::Deadline, &self.stats, &self.tracer)
-                    {
-                        eprintln!("orco-serve: shard {idx} deadline sweep failed: {e}");
-                    }
-                }
-            }
+        for idx in 0..self.shards.len() {
+            // The configured deadline alone, in the form every virtual-
+            // clock schedule and tape pins.
+            self.flush_if_due(idx, |[armed, _], now| {
+                armed.is_some_and(|armed| now - armed >= deadline_s)
+            });
         }
     }
 
@@ -941,22 +880,14 @@ impl Gateway {
         const IDLE_S: f64 = 0.05;
         let deadline_s = self.cfg.batch_deadline.as_secs_f64();
         let mut next_due = f64::INFINITY;
-        for ((idx, slot), hold) in self.shards.iter().enumerate().zip(hold_s) {
-            let is_due = |times, now| due_at(times, deadline_s, *hold).is_some_and(|at| now >= at);
-            if is_due(slot.gate.times(), self.clock.now_s()) {
-                let mut core = slot.core.lock().expect("shard lock");
-                let now = self.clock.now_s();
-                if is_due(core.gate_truth(), now) {
-                    if let Err(e) =
-                        core.flush(now, FlushReason::Deadline, &self.stats, &self.tracer)
-                    {
-                        eprintln!("orco-serve: shard {idx} deadline flush failed: {e}");
-                    }
-                    *hold = (self.clock.now_s() - now).min(deadline_s);
-                }
+        for ((idx, shard), hold) in self.shards.iter().enumerate().zip(hold_s) {
+            let held = *hold;
+            let due = |times, now| due_at(times, deadline_s, held).is_some_and(|at| now >= at);
+            if let Some(took) = self.flush_if_due(idx, due) {
+                *hold = took.min(deadline_s);
             }
             // Whatever is pending now — left to wait, or pushed meanwhile.
-            if let Some(at) = due_at(slot.gate.times(), deadline_s, *hold) {
+            if let Some(at) = due_at(shard.gate.times(), deadline_s, *hold) {
                 next_due = next_due.min(at);
             }
         }
@@ -970,17 +901,17 @@ impl Gateway {
     ///
     /// No wake-up is lost. A shard's due-time moves earlier for two
     /// reasons — a push arms its batch, or a push or a `Subscribe` makes
-    /// the armed batch wanted — and whoever does either, after this loop
-    /// read that shard's gate, unparks the thread once the gate is
-    /// written; an unpark that lands before the park makes the park
-    /// return at once. (A hold that shrinks moves a due-time earlier too,
-    /// but only this thread writes holds, before it computes the sleep.
-    /// Only a push that lands before the first line below has run finds
-    /// no thread to wake, and the sleep's cap bounds that wait.)
+    /// the armed batch wanted — and the release of the shard's lock that
+    /// ends either, after this loop read that shard's gate, unparks the
+    /// thread once the gate is written; an unpark that lands before the
+    /// park makes the park return at once. (A hold that shrinks moves a
+    /// due-time earlier too, but only this thread writes holds, before it
+    /// computes the sleep. Only a push that lands before the first line
+    /// below has run finds no thread to wake, and the sleep's cap bounds
+    /// that wait.) A closed door — shutdown, or a failed gateway — ends
+    /// the loop; closing it wakes the thread.
     pub(crate) fn run_deadline_timer(&self) {
-        // Were a second timer ever started, it would stay unregistered
-        // and merely look once per idle sleep.
-        let _ = self.timer.set(std::thread::current());
+        self.door.register_timer();
         let mut hold_s = vec![0.0; self.shards.len()];
         while !self.is_shutting_down() {
             std::thread::park_timeout(self.timer_step(&mut hold_s));

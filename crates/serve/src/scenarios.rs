@@ -617,8 +617,9 @@ struct Spec {
     queue_capacity: usize,
     des: DesConfig,
     /// Builds the impairment script once links exist. Receives the net
-    /// (for link ids) and the actors' conns + clusters.
-    script: fn(&DesNet, &[(usize, u64)]) -> NetScenario,
+    /// (for link ids), the gateway (for shard ids) and the actors' conns +
+    /// clusters.
+    script: fn(&DesNet, &Gateway, &[(usize, u64)]) -> NetScenario,
 }
 
 /// Runs one serve scenario: `spec` at the run's sizing (`quick` shrinks
@@ -651,7 +652,7 @@ fn flash_crowd(scale: usize, base: DesConfig) -> Spec {
             link: orco_sim::LinkParams { delay_s: 0.0005, jitter_s: 0.0, loss_prob: 0.0 },
             ..base
         },
-        script: |_, _| NetScenario::new(),
+        script: |_, _, _| NetScenario::new(),
     }
 }
 
@@ -668,7 +669,7 @@ fn rolling_partition(scale: usize, base: DesConfig) -> Spec {
             rto: Duration::from_millis(20),
             ..base
         },
-        script: |net, actors| {
+        script: |net, _, actors| {
             let mut s = NetScenario::new();
             for (i, &(conn, _)) in actors.iter().enumerate() {
                 let w = 0.01 + 0.02 * i as f64..0.21 + 0.02 * i as f64;
@@ -690,7 +691,7 @@ fn lossy_links(scale: usize, base: DesConfig) -> Spec {
             link: orco_sim::LinkParams { delay_s: 0.002, jitter_s: 0.004, loss_prob: 0.15 },
             ..base
         },
-        script: |_, _| NetScenario::new(),
+        script: |_, _, _| NetScenario::new(),
     }
 }
 
@@ -706,13 +707,13 @@ fn straggler_shard(scale: usize, base: DesConfig) -> Spec {
             link: orco_sim::LinkParams { delay_s: 0.001, jitter_s: 0.0, loss_prob: 0.0 },
             ..base
         },
-        script: |net, actors| {
+        script: |net, gateway, actors| {
             // Straggle the shard that serves the first client, so at
             // least one shard always plays the role.
-            let straggler = net.gateway().shard_of(actors[0].1);
+            let straggler = gateway.shard_of(actors[0].1);
             let mut s = NetScenario::new();
             for &(conn, cluster) in actors {
-                if net.gateway().shard_of(cluster) == straggler {
+                if gateway.shard_of(cluster) == straggler {
                     s = s.slow(net.uplink(conn), 0.005..0.35, 0.060, 0.0).slow(
                         net.downlink(conn),
                         0.005..0.35,
@@ -739,7 +740,7 @@ fn mass_reconnect(scale: usize, base: DesConfig) -> Spec {
             max_attempts: 3,
             ..base
         },
-        script: |net, actors| {
+        script: |net, _, actors| {
             let mut s = NetScenario::new();
             for &(conn, _) in actors {
                 s = s
@@ -989,8 +990,8 @@ fn crowd(
         .collect();
     let mut cast = Crowd { actors, roles };
 
-    let script =
-        (spec.script)(net, &cast.actors.iter().map(|a| (a.conn, a.cluster)).collect::<Vec<_>>());
+    let actors: Vec<_> = cast.actors.iter().map(|a| (a.conn, a.cluster)).collect();
+    let script = (spec.script)(net, gateway, &actors);
     net.script(&script);
 
     // Kick off: every actor greets (unkeyed — the gauntlet gateway runs

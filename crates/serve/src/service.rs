@@ -16,7 +16,10 @@
 //! `ErrorReply` either way.
 //! Its background work is one deadline timer, whatever its shard count,
 //! and its time-advance hook is the deadline sweep — a flush delivers to
-//! subscribers itself, so there is nothing else to run.
+//! subscribers itself, so there is nothing else to run. For the gateway,
+//! [`Service::is_shutting_down`] also means "a shard failed": a panic
+//! under any of its locks raises the same flag (without the drain), so
+//! the transports wind down a failed gateway as they do a shut-down one.
 
 use std::sync::Arc;
 
@@ -39,7 +42,8 @@ pub trait Service: Send + Sync {
     /// The clock this service schedules against.
     fn clock(&self) -> &Clock;
 
-    /// Whether a `Shutdown` has been accepted.
+    /// Whether a `Shutdown` has been accepted, or the service has failed
+    /// (the gateway: a thread panicked holding one of its locks).
     fn is_shutting_down(&self) -> bool;
 
     /// Hook run by virtual-time schedulers (the DES transport) after

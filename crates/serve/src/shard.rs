@@ -17,7 +17,7 @@
 //!   flush and its encode, and the ack (`tests/codec_no_alloc.rs` at the
 //!   workspace root counts zero). A pull's decoded rows are *moved* into
 //!   the reply (the reply must own its payload), costing one allocation
-//!   per pull and zero extra copies;
+//!   per pull and zero extra copies (the same file counts one);
 //! * **one record per cluster** (`ClusterState`) — the encoded rows
 //!   awaiting delivery, oldest first in push order, each with the trace
 //!   id and model version it was flushed under, and the outboxes of the
@@ -30,18 +30,31 @@
 //!   each outbox in push order because nothing else can run in between;
 //! * **its gate** ([`ShardGate`]) — a lock-free mirror of "when was the
 //!   pending batch armed, and since when has a subscriber been waiting
-//!   on it", kept by `try_enqueue` / `subscribe` / `flush`, so the
-//!   gateway's per-dispatch deadline sweep and its deadline timer can
-//!   pass over this shard without taking its lock.
+//!   on it", so the gateway's per-dispatch deadline sweep and its
+//!   deadline timer can pass over this shard without taking its lock.
 //!
 //! The in-flight budget (`pending rows + stored rows ≤ capacity`) is
 //! enforced at enqueue time: a shard's memory is bounded no matter how
 //! fast clients push or how rarely they pull.
+//!
+//! # The door
+//!
+//! Every lock the gateway takes is taken by [`Door::enter`] around a
+//! closure, and a core's by [`Shard::enter`]: the one writer of the gate
+//! (so mirror ≡ truth whenever the lock is free) and the one waker of the
+//! deadline timer (for a batch left pending with its times moved; a flush
+//! empties the gate and wakes nobody). The door decides the poison policy
+//! once — **the gateway fails whole**: a panic out of a closure, on any
+//! thread, closes it (the shutdown flag, without the drain), and so does
+//! a lock found poisoned, whose request fails (`ErrorReply { code:
+//! Internal }`). Pushes then draw `ShuttingDown`, the timer and the TCP
+//! acceptor exit, and healthy shards' stored rows stay pullable.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::thread::Thread;
 
 use orco_obs::{Span, SpanKind, Tracer};
 use orco_tensor::{MatView, Matrix};
@@ -78,13 +91,6 @@ impl DriftProbe {
             last_windowed: None,
         }
     }
-
-    /// Forgets the previous model's error history (called at every
-    /// cutover/rollback so the guard judges only the new model).
-    fn reset(&mut self) {
-        self.monitor.acknowledge();
-        self.last_windowed = None;
-    }
 }
 
 /// The two times a shard's pending batch falls due from, as
@@ -104,11 +110,10 @@ pub(crate) fn due_at([armed, wanted]: GateTimes, deadline_s: f64, hold_s: f64) -
 
 /// A lock-free mirror of the facts other threads ask a shard on every
 /// dispatch and every turn of the deadline timer — "is a batch overdue?",
-/// "is someone waiting on it?" — so that asking does not take the shard's
-/// lock. Written only by [`ShardCore`] under that lock, at the points the
-/// truth changes; read anywhere. A reader that acts on the mirror still
-/// takes the lock and re-checks the truth, so a stale read costs a
-/// skipped or a wasted look, never a wrong flush.
+/// "is someone waiting on it?" — written only by [`Shard::enter`]. A
+/// reader that acts on the mirror still takes the lock and re-checks the
+/// truth, so a stale read costs a skipped or a wasted look, never a wrong
+/// flush.
 pub(crate) struct ShardGate {
     /// f64 bits of the pending batch's `oldest_enqueue_s`, or
     /// [`Self::NEVER`].
@@ -123,32 +128,133 @@ impl ShardGate {
     /// is a NaN, which no clock reading is.
     const NEVER: u64 = u64::MAX;
 
-    /// Enqueue time of the pending batch's oldest row, `None` when
-    /// nothing is pending.
-    pub(crate) fn armed_at(&self) -> Option<f64> {
-        Self::load(&self.armed)
-    }
-
     /// Both mirrored times. Two loads, not one snapshot: a reader that
     /// straddles a push or a flush may pair times of two batches, which
-    /// costs it a wasted look or a short sleep — a push that moves
-    /// either time wakes the timer after storing it.
+    /// costs it a wasted look or a short sleep — a push that moves either
+    /// time earlier wakes the timer after storing it.
     pub(crate) fn times(&self) -> GateTimes {
         [Self::load(&self.armed), Self::load(&self.wanted)]
     }
 
     fn load(slot: &AtomicU64) -> Option<f64> {
-        // Acquire: pairs with the Release store in `store` — a sweeper
+        // Acquire: pairs with the Release stores in `set` — a sweeper
         // that sees the batch armed (or wanted) and then takes the lock
         // finds those rows pending.
         let bits = slot.load(Ordering::Acquire);
         (bits != Self::NEVER).then(|| f64::from_bits(bits))
     }
 
-    fn store(slot: &AtomicU64, at: Option<f64>) {
-        // Release: publishes the time (or the clear) to the Acquire load
-        // in `load`; the caller holds the shard lock.
-        slot.store(at.map_or(Self::NEVER, f64::to_bits), Ordering::Release);
+    /// The gate's one writer; the caller holds the shard lock.
+    fn set(&self, times: GateTimes) {
+        for (slot, at) in [&self.armed, &self.wanted].into_iter().zip(times) {
+            // Release: publishes the time (or the clear) to the Acquire
+            // load in `load`.
+            slot.store(at.map_or(Self::NEVER, f64::to_bits), Ordering::Release);
+        }
+    }
+}
+
+/// A lock found poisoned at the [`Door`]: the gateway has failed.
+pub(crate) struct Failed;
+
+/// The one door to a gateway's state (see the module doc). Closed, it is
+/// the gateway's shutdown flag: raised by `Shutdown` or by a failure at
+/// the door, never lowered.
+#[derive(Default)]
+pub(crate) struct Door {
+    closed: AtomicBool,
+    /// The deadline timer's thread once it runs (TCP mode); never set
+    /// under a virtual clock.
+    timer: OnceLock<Thread>,
+}
+
+impl Door {
+    pub(crate) fn is_closed(&self) -> bool {
+        // SeqCst: pairs with the store in `close` — after a client
+        // observes the flag, every pre-shutdown flush must also be
+        // visible to it.
+        self.closed.load(Ordering::SeqCst)
+    }
+
+    /// Closes the door and wakes the deadline timer to see it.
+    pub(crate) fn close(&self) {
+        // SeqCst: globally ordered before a shutdown's drain flushes, so
+        // no worker accepts work after the flag rises.
+        self.closed.store(true, Ordering::SeqCst);
+        self.wake_timer();
+    }
+
+    /// Registers the calling thread as the deadline timer; a second one
+    /// would stay unregistered and merely look once per idle sleep.
+    pub(crate) fn register_timer(&self) {
+        let _ = self.timer.set(std::thread::current());
+    }
+
+    fn wake_timer(&self) {
+        if let Some(timer) = self.timer.get() {
+            timer.unpark();
+        }
+    }
+
+    /// Runs `f` on what `lock` guards, or closes the door and fails if
+    /// the lock is poisoned. A panic out of `f` closes the door before
+    /// the lock is released (and poisoned).
+    pub(crate) fn enter<T, R>(
+        &self,
+        lock: &Mutex<T>,
+        f: impl FnOnce(&mut T) -> R,
+    ) -> Result<R, Failed> {
+        let Ok(mut guard) = lock.lock() else {
+            self.close();
+            return Err(Failed);
+        };
+        let _on_unwind = CloseOnUnwind(self);
+        Ok(f(&mut guard))
+    }
+}
+
+/// Closes its door if dropped by a panic.
+struct CloseOnUnwind<'a>(&'a Door);
+
+impl Drop for CloseOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+        }
+    }
+}
+
+/// A shard: its core under its lock, and the core's gate beside it.
+pub(crate) struct Shard {
+    core: Mutex<ShardCore>,
+    pub(crate) gate: ShardGate,
+}
+
+impl Shard {
+    pub(crate) fn new(core: ShardCore) -> Self {
+        let never = || AtomicU64::new(ShardGate::NEVER);
+        Self { core: Mutex::new(core), gate: ShardGate { armed: never(), wanted: never() } }
+    }
+
+    /// [`Door::enter`] on the core, mirroring it into the gate after `f`.
+    pub(crate) fn enter<R>(
+        &self,
+        door: &Door,
+        f: impl FnOnce(&mut ShardCore) -> R,
+    ) -> Result<R, Failed> {
+        door.enter(&self.core, |core| {
+            let done = f(core);
+            let truth = core.gate_truth();
+            if self.gate.times() != truth {
+                self.gate.set(truth);
+                // Still pending, so a push armed the batch or made it
+                // wanted, or a `Subscribe` did: its due-time moved earlier.
+                if truth[0].is_some() {
+                    door.wake_timer();
+                }
+            }
+            done
+        })
     }
 }
 
@@ -220,9 +326,6 @@ pub(crate) struct ShardCore {
     clusters: BTreeMap<u64, ClusterState>,
     /// Total stored rows across `clusters`.
     stored_rows: usize,
-    /// Mirror of `oldest_enqueue_s` (while pending) and
-    /// `wanted_since_s`, shared with the gateway's `ShardSlot`.
-    gate: Arc<ShardGate>,
 }
 
 impl ShardCore {
@@ -248,42 +351,13 @@ impl ShardCore {
             decode_out_ws: Matrix::zeros(0, 0),
             clusters: BTreeMap::new(),
             stored_rows: 0,
-            gate: Arc::new(ShardGate {
-                armed: AtomicU64::new(ShardGate::NEVER),
-                wanted: AtomicU64::new(ShardGate::NEVER),
-            }),
         }
-    }
-
-    /// The shard's lock-free mirror, for the gateway to read without
-    /// this core's lock.
-    pub(crate) fn gate(&self) -> Arc<ShardGate> {
-        Arc::clone(&self.gate)
     }
 
     /// What the gate should say: when the pending batch was armed, and
     /// since when it is wanted.
     pub(crate) fn gate_truth(&self) -> GateTimes {
         [(!self.pending.is_empty()).then_some(self.oldest_enqueue_s), self.wanted_since_s]
-    }
-
-    /// Mirror ≡ truth, for both times. Every method that changes
-    /// `pending_*` or `wanted_since_s` ends here, so the two agree at
-    /// every release of the shard lock.
-    fn debug_assert_gate(&self) {
-        debug_assert_eq!(
-            self.gate.times(),
-            self.gate_truth(),
-            "shard {}: gate out of step with the core",
-            self.index
-        );
-    }
-
-    /// Marks the pending batch, not wanted so far, wanted as of `now_s`:
-    /// a subscriber is waiting on a row in it.
-    fn want(&mut self, now_s: f64) {
-        self.wanted_since_s = Some(now_s);
-        ShardGate::store(&self.gate.wanted, self.wanted_since_s);
     }
 
     /// Derives a staged codec from the active one by grafting the
@@ -317,12 +391,7 @@ impl ShardCore {
         tracer: &Tracer,
     ) -> Result<(), OrcoError> {
         self.flush(now_s, FlushReason::Swap, stats, tracer)?;
-        let old = std::mem::replace(&mut self.codec, codec);
-        let old_id = std::mem::replace(&mut self.version, id);
-        self.retire(old_id, old);
-        if let Some(probe) = &mut self.drift {
-            probe.reset();
-        }
+        self.cut_over(id, codec);
         Ok(())
     }
 
@@ -341,25 +410,28 @@ impl ShardCore {
         }
         self.flush(now_s, FlushReason::Swap, stats, tracer)?;
         let target = self.retired.remove(&id).expect("checked above");
-        let old = std::mem::replace(&mut self.codec, target);
-        let old_id = std::mem::replace(&mut self.version, id);
-        self.retire(old_id, old);
-        if let Some(probe) = &mut self.drift {
-            probe.reset();
-        }
+        self.cut_over(id, target);
         Ok(true)
     }
 
-    /// Retires a codec, dropping the previously retired one if its
-    /// stored rows have fully drained (the newest retiree replaces it
-    /// as the rollback target).
-    fn retire(&mut self, id: u64, codec: Box<dyn Codec>) {
-        if let Some(prev) = self.last_retired.replace(id) {
-            if prev != id && !self.rows_by_version.contains_key(&prev) {
+    /// Makes `codec` the active version `id` and retires the old one,
+    /// dropping the previous retiree if its stored rows have fully
+    /// drained (the newest retiree replaces it as the rollback target).
+    /// The drift history starts over, so the guard judges only the new
+    /// model.
+    fn cut_over(&mut self, id: u64, codec: Box<dyn Codec>) {
+        let old = std::mem::replace(&mut self.codec, codec);
+        let old_id = std::mem::replace(&mut self.version, id);
+        if let Some(prev) = self.last_retired.replace(old_id) {
+            if prev != old_id && !self.rows_by_version.contains_key(&prev) {
                 self.retired.remove(&prev);
             }
         }
-        self.retired.insert(id, codec);
+        self.retired.insert(old_id, old);
+        if let Some(probe) = &mut self.drift {
+            probe.monitor.acknowledge();
+            probe.last_windowed = None;
+        }
     }
 
     pub(crate) fn dims(&self) -> FrameDims {
@@ -381,11 +453,6 @@ impl ShardCore {
     /// of collapsing *other* clusters' half-built batches.
     pub(crate) fn has_pending_for(&self, cluster: u64) -> bool {
         self.pending.iter().any(|&(c, _)| c == cluster)
-    }
-
-    /// Whether the pending batch has outlived the flush deadline.
-    pub(crate) fn deadline_due(&self, now_s: f64, deadline_s: f64) -> bool {
-        self.pending_rows() > 0 && now_s - self.oldest_enqueue_s >= deadline_s
     }
 
     /// Encoded rows currently stored for `cluster` (awaiting pull or
@@ -412,7 +479,6 @@ impl ShardCore {
         }
         if self.pending.is_empty() {
             self.oldest_enqueue_s = now_s;
-            ShardGate::store(&self.gate.armed, Some(now_s));
         }
         // The list as the last delivery pruned it: a connection that
         // vanished without `Unsubscribe` makes one more batch wanted,
@@ -420,11 +486,10 @@ impl ShardCore {
         if self.wanted_since_s.is_none()
             && self.clusters.get(&cluster).is_some_and(|state| !state.subscribers.is_empty())
         {
-            self.want(now_s);
+            self.wanted_since_s = Some(now_s);
         }
         frames.append_to(&mut self.pending_data);
         self.pending.extend(std::iter::repeat_n((cluster, trace), rows));
-        self.debug_assert_gate();
         true
         // orco-lint: endregion
     }
@@ -485,9 +550,6 @@ impl ShardCore {
         // list whose buffer goes back to the next batch.
         let mut flushed = std::mem::take(&mut self.pending);
         self.wanted_since_s = None;
-        ShardGate::store(&self.gate.armed, None);
-        ShardGate::store(&self.gate.wanted, None);
-        self.debug_assert_gate();
         flushed.dedup_by_key(|&mut (cluster, _)| cluster);
         for &(cluster, _) in &flushed {
             self.deliver(cluster, now_s, stats, tracer);
@@ -551,9 +613,8 @@ impl ShardCore {
         }
         self.deliver(cluster, now_s, stats, tracer);
         if self.wanted_since_s.is_none() && self.has_pending_for(cluster) {
-            self.want(now_s);
+            self.wanted_since_s = Some(now_s);
         }
-        self.debug_assert_gate();
     }
 
     /// Removes `outbox`'s subscription to `cluster`, if it has one.
@@ -651,7 +712,25 @@ impl ShardCore {
         {
             *slot = v;
         }
-        let traces: Vec<u64> = state.rows.drain(..k).map(|(trace, _)| trace).collect();
+        if tracer.enabled() {
+            // One delivery span per contiguous run of the same trace id,
+            // mirroring the push-granular grouping on the ingest side.
+            // Nothing records a span between here and the decode.
+            let kind = if streamed { SpanKind::Stream } else { SpanKind::Pull };
+            let rows = &state.rows.make_contiguous()[..k];
+            for run in rows.chunk_by(|a, b| a.0 == b.0).filter(|run| run[0].0 != 0) {
+                tracer.record(Span {
+                    trace_id: run[0].0,
+                    kind,
+                    cluster_id: cluster,
+                    shard: self.index as u16,
+                    rows: run.len() as u32,
+                    at_s: now_s,
+                    detail: "",
+                });
+            }
+        }
+        state.rows.drain(..k);
         if !state.is_live() {
             self.clusters.remove(&cluster);
         }
@@ -661,12 +740,9 @@ impl ShardCore {
             .get_mut(&run_version)
             .expect("per-version row count is flush-maintained");
         *remaining -= k;
-        if *remaining == 0 {
+        let drained = *remaining == 0;
+        if drained {
             self.rows_by_version.remove(&run_version);
-            // Drained retirees are dropped — except the rollback target.
-            if run_version != self.version && self.last_retired != Some(run_version) {
-                self.retired.remove(&run_version);
-            }
         }
         let codec = if run_version == self.version {
             &mut self.codec
@@ -674,26 +750,15 @@ impl ShardCore {
             self.retired.get_mut(&run_version).expect("retired codec retained while rows stored")
         };
         codec.decode_batch(self.decode_in_ws.as_view(), &mut self.decode_out_ws)?;
+        // A drained retiree is dropped once it has decoded its last rows —
+        // except the rollback target.
+        if drained && run_version != self.version && self.last_retired != Some(run_version) {
+            self.retired.remove(&run_version);
+        }
         if streamed {
             stats.record_streamed(self.index, k as u64, (k * self.dims.input * 4) as u64);
         } else {
             stats.record_pull(self.index, k as u64, (k * self.dims.input * 4) as u64);
-        }
-        if tracer.enabled() {
-            // One delivery span per contiguous run of the same trace id,
-            // mirroring the push-granular grouping on the ingest side.
-            let kind = if streamed { SpanKind::Stream } else { SpanKind::Pull };
-            for run in traces.chunk_by(|a, b| a == b).filter(|run| run[0] != 0) {
-                tracer.record(Span {
-                    trace_id: run[0],
-                    kind,
-                    cluster_id: cluster,
-                    shard: self.index as u16,
-                    rows: run.len() as u32,
-                    at_s: now_s,
-                    detail: "",
-                });
-            }
         }
         // Move the decoded rows into the reply instead of cloning them;
         // the reply owns the buffer and the next decode_batch regrows the

@@ -32,7 +32,11 @@
 //! * `Shutdown` sets the service flag; the handling connection drains its
 //!   outbox, writes the ack to the socket itself, then pokes the acceptor
 //!   awake with a throwaway connect so `accept` returns and the loop
-//!   observes the flag (the standard `std::net` unblock idiom).
+//!   observes the flag (the standard `std::net` unblock idiom);
+//! * a gateway that fails — a panic under one of its locks, on a reader
+//!   or on the timer — raises the same flag: the timer exits, pushes draw
+//!   `ShuttingDown` on the connections still open, and the acceptor exits
+//!   at its next connection (nothing pokes it: no `Shutdown` was sent).
 
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

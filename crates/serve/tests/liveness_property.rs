@@ -10,15 +10,21 @@
 //! which shard subsequent traffic lands on.
 //!
 //! The sweep decides from a lock-free mirror of each shard's pending
-//! batch; the same schedules assert, after every step, that each mirror
-//! equals the locked state it mirrors ([`Gateway::gate_check`]).
+//! batch, which the gateway's one door writes before it releases a
+//! shard's lock; the same schedules assert, after every step, that each
+//! mirror equals the locked state it mirrors ([`Gateway::gate_check`]).
+//! With no `debug_assert` behind it, that check is the mirror's only
+//! guard, so CI also runs this file in release, the profile the
+//! benchmark measures.
 //!
 //! Under a real clock the deadline timer also flushes a batch a
 //! subscriber is waiting on *early*. The schedules take turns of that
 //! timer ([`Gateway::timer_step`]) between their other steps — under a
 //! virtual clock a flush costs no time, so every turn flushes every
 //! wanted batch at once, the most eager the timer can be — and the same
-//! assertions must hold wherever an early flush lands.
+//! assertions must hold wherever an early flush lands. Subscribes and
+//! unsubscribes are steps too: a batch made wanted by a subscriber who
+//! then leaves must still be flushed by the deadline.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,13 +73,14 @@ fn gateway(clock: Clock, batch_deadline: Duration) -> Arc<Gateway> {
 }
 
 /// One step of a schedule: push `rows` frames to a cluster, pull a
-/// chunk from it, subscribe the connection to it, let virtual time pass
-/// with no traffic, or give the deadline timer a turn.
+/// chunk from it, subscribe the connection to it or unsubscribe it, let
+/// virtual time pass with no traffic, or give the deadline timer a turn.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Push { cluster: usize, rows: usize },
     Pull { cluster: usize },
     Subscribe { cluster: usize },
+    Unsubscribe { cluster: usize },
     Advance { ticks: u32 },
     TimerStep,
 }
@@ -85,6 +92,7 @@ fn any_schedule() -> BoxedStrategy<Vec<Op>> {
                 .prop_map(|(cluster, rows)| Op::Push { cluster, rows }),
             (0usize..CLUSTERS.len()).prop_map(|cluster| Op::Pull { cluster }),
             (0usize..CLUSTERS.len()).prop_map(|cluster| Op::Subscribe { cluster }),
+            (0usize..CLUSTERS.len()).prop_map(|cluster| Op::Unsubscribe { cluster }),
             (0u32..60).prop_map(|ticks| Op::Advance { ticks }),
             Just(Op::TimerStep),
         ],
@@ -139,6 +147,11 @@ fn assert_liveness<C: Connection>(
                 // Refused on transports with no server-push channel (the
                 // DES): a request like any other, and nothing changes.
                 let _ = client.subscribe(CLUSTERS[cluster]);
+            }
+            Op::Unsubscribe { cluster } => {
+                // Rows streamed before it stay counted; later flushes of
+                // the cluster's rows are stored for the closing pulls.
+                client.unsubscribe(CLUSTERS[cluster]).expect("unsubscribe");
             }
             Op::Advance { ticks } => gw.advance_clock(TICK * ticks),
             Op::TimerStep => {

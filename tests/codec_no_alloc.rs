@@ -30,7 +30,7 @@ use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig, SplitModel};
 use orcodcs_repro::datasets::{gtsrb_like, mnist_like, DatasetKind};
 use orcodcs_repro::nn::Loss;
 use orcodcs_repro::serve::{
-    Client, Clock, Gateway, GatewayConfig, Loopback, LoopbackConnection, PushOutcome,
+    Client, Clock, Gateway, GatewayConfig, Loopback, LoopbackConnection, Message, PushOutcome,
 };
 use orcodcs_repro::tensor::{parallel, Matrix};
 
@@ -261,4 +261,48 @@ fn steady_state_push_allocates_nothing_from_client_to_shard() {
              flushes, and a 64-row push, client to shard and back"
         );
     });
+}
+
+/// A pull at the gateway, on a thread budget of 1: each steady-state
+/// 64-row `PullDecoded` of traced rows makes one allocator call — the
+/// decoded rows, which the reply owns. Before the delivery spans were
+/// recorded straight from the stored rows, each made two: the rows' trace
+/// ids were collected into a list first.
+#[test]
+fn steady_state_pull_allocates_only_the_reply() {
+    const BATCH: usize = 64;
+    const CLUSTER: u64 = 7;
+    let config = OrcoConfig::for_dataset(DatasetKind::MnistLike);
+    let gateway = Gateway::new(
+        GatewayConfig { shards: 1, batch_max_frames: BATCH, ..GatewayConfig::default() },
+        Clock::manual(Duration::from_micros(100)),
+        |_| Box::new(AsymmetricAutoencoder::new(&config).expect("valid config")) as Box<dyn Codec>,
+    )
+    .expect("valid gateway");
+    let dataset = mnist_like::generate(BATCH, 3);
+    let pull = Message::PullDecoded { cluster_id: CLUSTER, max_frames: BATCH as u32, trace: 0 };
+
+    let counts: Vec<usize> = parallel::with_thread_budget(1, || {
+        (0..5)
+            .map(|round| {
+                // Two pushes, two traces: the pull records two spans.
+                for (trace, rows) in
+                    [(round * 2 + 1, 0..BATCH / 2), (round * 2 + 2, BATCH / 2..BATCH)]
+                {
+                    let frames = dataset.x().view_rows(rows).to_matrix();
+                    gateway.handle(Message::PushFrames { cluster_id: CLUSTER, trace, frames });
+                }
+                let (calls, reply) = allocations_during(|| gateway.handle(pull.clone()));
+                let Message::Decoded { frames, .. } = reply else { panic!("{reply:?}") };
+                assert_eq!(frames.rows(), BATCH);
+                calls
+            })
+            .collect()
+    });
+    assert_eq!(gateway.stats().batches, 5, "each round's second push flushes the batch");
+    assert_eq!(
+        counts[1..],
+        [1, 1, 1, 1],
+        "allocator calls of a steady-state 64-row pull (the first is the warm-up)"
+    );
 }

@@ -1,4 +1,5 @@
-//! A request locks only the shard it serves.
+//! A request locks only the shard it serves, and a shard that panics fails
+//! the gateway whole.
 //!
 //! Shard 1's codec parks inside `encode_batch` until the test releases
 //! it, so the thread that filled shard 1's batch sits there *holding
@@ -7,8 +8,16 @@
 //! while it does: a dispatch that took shard 1's lock to ask "is a batch
 //! overdue?", or to deliver to a subscriber, would hang here until the
 //! 10 s patience ran out.
+//!
+//! The same codec can panic there instead. The panic unwinds through
+//! the gateway's door on whatever thread flushed — a pushing thread over
+//! loopback, the deadline timer over TCP — and the gateway must fail
+//! whole, at once and without a hang: it reports shutting down, refuses
+//! pushes, still serves shard 0's stored rows, answers shard 1's cluster
+//! `ErrorReply { code: Internal }`, and its timer and acceptor stop.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::net::TcpStream;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,19 +25,24 @@ use orcodcs_repro::core::{
     AsymmetricAutoencoder, Codec, OrcoError, SplitModel, TrainSpec, TrainingHistory,
 };
 use orcodcs_repro::serve::scenarios::codec_config;
-use orcodcs_repro::serve::{Client, Clock, Gateway, GatewayConfig, Loopback, Message, PushOutcome};
+use orcodcs_repro::serve::{
+    Client, Clock, Connection, ErrorCode, Gateway, GatewayConfig, Loopback, Message, PushOutcome,
+    Tcp, TcpServer, Transport,
+};
 use orcodcs_repro::tensor::{MatView, Matrix, OrcoRng};
 
 const BATCH: usize = 64;
 const PATIENCE: Duration = Duration::from_secs(10);
 
-/// An autoencoder whose `encode_batch` reports that it was entered, then
-/// waits to be released (a send, or the sender dropping) before encoding.
+/// An autoencoder whose `encode_batch` reports the name of the thread that
+/// entered it, then waits to be released (a send, or the sender dropping)
+/// before encoding — or, when it `fails`, panics instead.
 #[derive(Debug)]
 struct Parked {
     inner: AsymmetricAutoencoder,
-    entered: Sender<()>,
+    entered: Sender<String>,
     release: Receiver<()>,
+    fails: bool,
 }
 
 impl Codec for Parked {
@@ -51,8 +65,9 @@ impl Codec for Parked {
         self.inner.decode_frame(code)
     }
     fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
-        let _ = self.entered.send(());
+        let _ = self.entered.send(std::thread::current().name().unwrap_or_default().into());
         let _ = self.release.recv();
+        assert!(!self.fails, "shard 1's codec fails inside encode_batch");
         self.inner.encode_batch(frames, out)
     }
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
@@ -67,9 +82,46 @@ fn plain_codec() -> AsymmetricAutoencoder {
     AsymmetricAutoencoder::new(&codec_config(11)).expect("valid config")
 }
 
+/// A [`Parked`] codec that panics as soon as a batch reaches it, and the
+/// receiver of the names of the threads it panics on.
+fn failing_codec() -> (Parked, Receiver<String>) {
+    let (entered, names) = channel();
+    let (_, release) = channel();
+    (Parked { inner: plain_codec(), entered, release, fails: true }, names)
+}
+
+/// Two shards, shard 1 on `shard_1`'s codec.
+fn gateway(shard_1: Parked, clock: Clock, batch_deadline: Duration) -> Arc<Gateway> {
+    let mut shard_1 = Some(shard_1);
+    let gw = Gateway::new(
+        GatewayConfig { shards: 2, batch_max_frames: BATCH, batch_deadline, ..Default::default() },
+        clock,
+        |shard| match shard {
+            1 => Box::new(shard_1.take().expect("one codec per shard")) as Box<dyn Codec>,
+            _ => Box::new(plain_codec()),
+        },
+    )
+    .expect("valid gateway");
+    Arc::new(gw)
+}
+
 /// The first cluster id the gateway pins to `shard`.
 fn cluster_on(gw: &Gateway, shard: usize) -> u64 {
     (1..).find(|&c| gw.shard_of(c) == shard).expect("two shards, both reachable")
+}
+
+/// Runs `f` on its own thread: its value, or the test fails if `f`
+/// panics or outlasts [`PATIENCE`].
+fn within_patience<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = channel();
+    let worker = std::thread::spawn(move || done.send(f()));
+    match result.recv_timeout(PATIENCE) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("the sender is gone"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("no answer within {PATIENCE:?}"),
+    }
 }
 
 /// What the shard-0 client got back.
@@ -87,21 +139,12 @@ struct Served {
 fn serve_beside_a_parked_shard(frames: &Matrix, subscribed: bool) -> Served {
     let (entered_tx, entered) = channel();
     let (release, release_rx) = channel();
-    let mut parked =
-        Some(Parked { inner: plain_codec(), entered: entered_tx, release: release_rx });
+    let parked =
+        Parked { inner: plain_codec(), entered: entered_tx, release: release_rx, fails: false };
     // A 1 µs tick: the ~70 dispatches below must not carry virtual time
     // past shard 1's deadline, or sweeping its overdue batch would be
     // right — and would wait for the lock.
-    let gw = Gateway::new(
-        GatewayConfig { shards: 2, batch_max_frames: BATCH, ..GatewayConfig::default() },
-        Clock::manual(Duration::from_micros(1)),
-        |shard| match shard {
-            1 => Box::new(parked.take().expect("one codec per shard")) as Box<dyn Codec>,
-            _ => Box::new(plain_codec()),
-        },
-    )
-    .expect("valid gateway");
-    let gw = Arc::new(gw);
+    let gw = gateway(parked, Clock::manual(Duration::from_micros(1)), Duration::from_millis(5));
     let (near, far) = (cluster_on(&gw, 0), cluster_on(&gw, 1));
 
     let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("loopback connects");
@@ -166,6 +209,21 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+fn push(cluster_id: u64, frames: &Matrix) -> Message {
+    Message::PushFrames { cluster_id, trace: 0, frames: frames.clone() }
+}
+
+fn pull(cluster_id: u64) -> Message {
+    Message::PullDecoded { cluster_id, max_frames: BATCH as u32, trace: 0 }
+}
+
+fn error_code(reply: &Message) -> Option<ErrorCode> {
+    match reply {
+        Message::ErrorReply { code, .. } => Some(*code),
+        _ => None,
+    }
+}
+
 #[test]
 fn shard_0_is_served_while_shard_1_is_locked() {
     let frames = frames();
@@ -184,4 +242,70 @@ fn a_subscription_is_served_while_shard_1_is_locked() {
     // The size flush's rows went to the subscriber; nothing is left to pull.
     assert_eq!(served.pulled.rows(), 0);
     assert_eq!(bits(&served.streamed), bits(direct(&frames).as_slice()));
+}
+
+#[test]
+fn a_panicking_flush_fails_a_loopback_gateway_whole() {
+    let frames = frames();
+    let (codec, entered) = failing_codec();
+    let gw = gateway(codec, Clock::manual(Duration::from_micros(1)), Duration::from_millis(5));
+    let (near, far) = (cluster_on(&gw, 0), cluster_on(&gw, 1));
+    // Shard 0 stores a batch (a size flush) before anything fails.
+    assert_eq!(gw.handle(push(near, &frames)), Message::PushAck { accepted: BATCH as u32 });
+
+    // Shard 1's size flush panics on the pushing thread.
+    let flusher = Arc::clone(&gw);
+    let fill = frames.clone();
+    let died = std::thread::spawn(move || flusher.handle(push(far, &fill))).join();
+    assert!(died.is_err(), "the flush panics on its thread");
+    assert!(entered.try_recv().is_ok(), "the batch reached the codec");
+
+    let one_row = frames.view_rows(0..1).to_matrix();
+    within_patience(move || {
+        assert!(gw.is_shutting_down(), "a panic under a shard lock fails the gateway");
+        assert_eq!(error_code(&gw.handle(push(near, &one_row))), Some(ErrorCode::ShuttingDown));
+        let Message::Decoded { frames: pulled, .. } = gw.handle(pull(near)) else {
+            panic!("shard 0's stored rows stay pullable")
+        };
+        assert_eq!(bits(pulled.as_slice()), bits(direct(&frames).as_slice()));
+        for request in [push(far, &one_row), pull(far)] {
+            assert_eq!(error_code(&gw.handle(request)), Some(ErrorCode::Internal));
+        }
+        assert_eq!(gw.stats().frames_out, BATCH as u64);
+        gw.timer_step(&mut [0.0; 2]);
+        gw.advance_clock(Duration::from_secs(1));
+    });
+}
+
+#[test]
+fn a_panic_on_the_timer_thread_fails_a_tcp_gateway_whole() {
+    let (codec, entered) = failing_codec();
+    let gw = gateway(codec, Clock::real(), Duration::from_millis(2));
+    let (near, far) = (cluster_on(&gw, 0), cluster_on(&gw, 1));
+    let server = TcpServer::spawn(Arc::clone(&gw), "127.0.0.1:0").expect("binds");
+    let addr = server.local_addr();
+    let one_row = frames().view_rows(0..1).to_matrix();
+    within_patience(move || {
+        let transport = Tcp::new(addr.to_string());
+        // Both connections are served before anything fails.
+        let [mut a, mut b] = [1, 2].map(|client_id| {
+            let mut conn = transport.connect().expect("connects");
+            let hello = Message::Hello { client_id, nonce: 0, mac: 0 };
+            assert!(matches!(conn.request(&hello), Ok(Message::HelloAck { .. })));
+            conn
+        });
+        // One row under a 2 ms deadline: only the timer can flush it.
+        assert_eq!(a.request(&push(far, &one_row)).ok(), Some(Message::PushAck { accepted: 1 }));
+        assert_eq!(entered.recv().expect("the timer flushes"), "orco-serve-worker-0");
+        while !gw.is_shutting_down() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let reply = b.request(&push(near, &one_row)).expect("b's connection is served");
+        assert_eq!(error_code(&reply), Some(ErrorCode::ShuttingDown));
+        let reply = a.request(&pull(far)).expect("a's connection is served");
+        assert_eq!(error_code(&reply), Some(ErrorCode::Internal));
+        // The acceptor sees the closed door at its next connection.
+        drop(TcpStream::connect(addr));
+        server.join();
+    });
 }
