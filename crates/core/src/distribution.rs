@@ -10,6 +10,7 @@
 //! computes per-device contributions, folds partial sums along the chain,
 //! and can reassemble the full matrix (used to verify the broadcast).
 
+use orco_nn::Activation;
 use orco_tensor::Matrix;
 
 use crate::error::OrcoError;
@@ -111,7 +112,7 @@ impl EncoderColumns {
     #[must_use]
     pub fn finish_at_aggregator(&self, partial_sum: &[f32]) -> Vec<f32> {
         assert_eq!(partial_sum.len(), self.latent_dim, "partial sum length mismatch");
-        partial_sum.iter().zip(&self.bias).map(|(s, b)| 1.0 / (1.0 + (-(s + b)).exp())).collect()
+        partial_sum.iter().zip(&self.bias).map(|(s, b)| Activation::Sigmoid.apply(s + b)).collect()
     }
 
     /// Reassembles the full `(M, N)` weight matrix and `(1, M)` bias —
@@ -133,7 +134,6 @@ impl EncoderColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orco_nn::Activation;
 
     fn sample_encoder() -> (Matrix, Matrix) {
         let w = Matrix::from_fn(4, 6, |r, c| ((r * 6 + c) as f32 * 0.1).sin());

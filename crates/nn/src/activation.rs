@@ -9,8 +9,8 @@
 //! rounded to an integer `k` by the `SHIFT` trick, the remainder `r` from
 //! one fused multiply-add, `2^(k/32)` from a 32-entry table and the
 //! exponent bits, and a degree-3 polynomial for `2^(r/32)` — all in f64,
-//! rounded to f32 once. Every step is a vector lane operation (the table
-//! read is a gather), so the loop vectorises where the libm call cannot.
+//! rounded to f32 once. Every step is a lane-wise operation (the table read
+//! one load per lane), so the loop vectorises where the libm call cannot.
 //!
 //! The port serves only the arguments glibc's main path serves,
 //! `EXP_LO ..= EXP_HI` (`log 2⁻¹⁵⁰ ..= log 2¹²⁸`, rounded inward), and
@@ -19,7 +19,7 @@
 //! sigmoid gives the same bits on every path. The tests below hold the
 //! port to `f32::exp` on a sample of bit patterns; the `#[ignore]`d
 //! `exp_fast_path_matches_libm_on_every_bit_pattern` checks all 2³² of
-//! them (~30 s in release, run by name in CI).
+//! them (~20 s in release, run by name in CI).
 //!
 //! Backward reads σ′ from the forward's *output* (see
 //! [`Activation::derivative_from_output`]), so training calls no `exp`
@@ -53,8 +53,6 @@ pub enum Activation {
     Relu,
     /// Hyperbolic tangent.
     Tanh,
-    /// Leaky ReLU with the given negative-side slope.
-    LeakyRelu(f32),
 }
 
 impl Activation {
@@ -66,40 +64,6 @@ impl Activation {
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Relu => x.max(0.0),
             Activation::Tanh => x.tanh(),
-            Activation::LeakyRelu(slope) => {
-                if x >= 0.0 {
-                    x
-                } else {
-                    slope * x
-                }
-            }
-        }
-    }
-
-    /// Derivative expressed in terms of the **pre-activation** input `x`.
-    #[must_use]
-    pub(crate) fn derivative(self, x: f32) -> f32 {
-        match self {
-            Activation::Identity => 1.0,
-            Activation::Sigmoid => {
-                let s = self.apply(x);
-                s * (1.0 - s)
-            }
-            Activation::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Tanh => 1.0 - x.tanh().powi(2),
-            Activation::LeakyRelu(slope) => {
-                if x >= 0.0 {
-                    1.0
-                } else {
-                    slope
-                }
-            }
         }
     }
 
@@ -119,14 +83,16 @@ impl Activation {
                 }
             }
             Activation::Tanh => 1.0 - y.powi(2),
-            Activation::LeakyRelu(_) => unimplemented!("no slope can be read from a -0.0 output"),
         }
     }
 
     /// Applies the activation element-wise in place, with the same bits as
     /// [`Activation::apply`] on each element.
     pub(crate) fn apply_inplace(self, m: &mut Matrix) {
-        m.map_inplace(|v| self.apply(v));
+        match self {
+            Activation::Sigmoid => sigmoid_inplace(m.as_mut_slice()),
+            _ => m.map_inplace(|v| self.apply(v)),
+        }
     }
 
     /// Approximate FLOPs to evaluate this activation once (used by the
@@ -136,7 +102,7 @@ impl Activation {
     pub(crate) fn flops(self) -> u64 {
         match self {
             Activation::Identity => 0,
-            Activation::Relu | Activation::LeakyRelu(_) => 1,
+            Activation::Relu => 1,
             Activation::Sigmoid => 4,
             Activation::Tanh => 5,
         }
@@ -166,6 +132,7 @@ const C: [f64; 3] = [
 ];
 /// `EXP2_TABLE[i] = bits(2^(i/N)) − (i << 47)`: adding `k << 47` to entry
 /// `k mod N` puts `k div N` into the exponent field, giving `2^(k/N)`.
+#[rustfmt::skip]
 const EXP2_TABLE: [u64; 32] = [
     0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
     0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
@@ -179,7 +146,7 @@ const EXP2_TABLE: [u64; 32] = [
 
 /// Whether `x` is an argument the ported `expf` serves (false for NaN).
 fn exp_admits(x: f32) -> bool {
-    (x >= EXP_LO) & (x <= EXP_HI)
+    (EXP_LO..=EXP_HI).contains(&x)
 }
 
 /// glibc 2.36's `expf` main path: `f32::exp(x)`'s bits for `x` that
@@ -191,8 +158,10 @@ fn exp_in_range(x: f32) -> f32 {
     let kd = INV_LN2_N * xd + SHIFT;
     let ki = kd.to_bits();
     let kd = kd - SHIFT;
-    // One rounding, as glibc's FMA build computes it; a separate multiply
-    // and subtract gives other bits on 2 inputs.
+    // One rounding, as glibc's FMA build computes it (`mul_add` is
+    // exact in every build: `vfmadd` here, libm's `fma` without the
+    // feature); a separate multiply and subtract gives other bits on 2
+    // inputs.
     let r = INV_LN2_N.mul_add(xd, -kd);
     let s = f64::from_bits(EXP2_TABLE[(ki % 32) as usize].wrapping_add(ki << 47));
     let z = C[0] * r + C[1];
@@ -232,7 +201,8 @@ mod tests {
     //! host the `x86-64-v3` build runs on — and that is the build the port
     //! reproduces. glibc's non-FMA build (an older CPU, running the SSE2
     //! build) computes `r` with a separate multiply and subtract and differs
-    //! from the port on 2 of the 2³² inputs.
+    //! from the port on 2 of the 2³² inputs, `0x4202422f` (≈ 32.56) and
+    //! `0xc27c65d9` (≈ −63.10).
 
     use super::*;
 
@@ -257,6 +227,26 @@ mod tests {
     /// `apply`'s bits, compared as bits so NaN payloads count.
     fn bits_of(act: Activation, xs: &[f32]) -> Vec<u32> {
         xs.iter().map(|&x| act.apply(x).to_bits()).collect()
+    }
+
+    /// The derivative as the layers formed it before backward read it from
+    /// the output: from the pre-activation, calling `exp` / `tanh` again.
+    fn derivative_from_pre(act: Activation, x: f32) -> f32 {
+        match act {
+            Activation::Identity => 1.0,
+            Activation::Sigmoid => {
+                let s = act.apply(x);
+                s * (1.0 - s)
+            }
+            Activation::Relu => {
+                if x > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Activation::Tanh => 1.0 - x.tanh().powi(2),
+        }
     }
 
     #[test]
@@ -310,7 +300,8 @@ mod tests {
         let (in_range, out_of_range): (Vec<f32>, Vec<f32>) =
             xs.iter().partition(|&&x| exp_admits(-x));
         assert!(!in_range.is_empty() && !out_of_range.is_empty());
-        let batches = [in_range.clone(), out_of_range, [&in_range[..100], &[f32::NAN]].concat(), xs];
+        let batches =
+            [in_range.clone(), out_of_range, [&in_range[..100], &[f32::NAN]].concat(), xs];
         for values in batches {
             let mut m = Matrix::from_vec(1, values.len(), values.clone()).expect("one row");
             Activation::Sigmoid.apply_inplace(&mut m);
@@ -328,7 +319,7 @@ mod tests {
             for (&x, &y) in xs.iter().zip(out.as_slice()) {
                 assert_eq!(
                     act.derivative_from_output(y).to_bits(),
-                    act.derivative(x).to_bits(),
+                    derivative_from_pre(act, x).to_bits(),
                     "{act:?} at {x:e} ({:#010x})",
                     x.to_bits()
                 );
@@ -338,10 +329,10 @@ mod tests {
 
     /// All 2³² bit patterns: the port equals `f32::exp` on each one the
     /// guard admits, and the guard admits exactly the patterns of
-    /// `EXP_LO ..= EXP_HI` (both zeros included). About 30 s in release on
+    /// `EXP_LO ..= EXP_HI` (both zeros included). About 20 s in release on
     /// one thread; CI runs it by name.
     #[test]
-    #[ignore = "exhaustive: every f32 bit pattern, ~30 s in release"]
+    #[ignore = "exhaustive: every f32 bit pattern, ~20 s in release"]
     fn exp_fast_path_matches_libm_on_every_bit_pattern() {
         let mut admitted = 0u64;
         for bits in 0..=u32::MAX {
@@ -351,7 +342,8 @@ mod tests {
                 assert_eq!(exp_in_range(x).to_bits(), x.exp().to_bits(), "pattern {bits:#010x}");
             }
         }
-        let expected = u64::from(EXP_HI.to_bits()) + 1 + u64::from(EXP_LO.to_bits() - 0x8000_0000) + 1;
+        let expected =
+            u64::from(EXP_HI.to_bits()) + 1 + u64::from(EXP_LO.to_bits() - 0x8000_0000) + 1;
         assert_eq!(admitted, expected);
     }
 

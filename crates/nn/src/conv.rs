@@ -21,8 +21,9 @@ use crate::layer::{size_workspace, Layer, Param};
 /// A sample is lowered into a one-sample workspace the layer owns, sized
 /// on first use and overwritten by every sample after it, so a forward
 /// allocates nothing once the workspace and the caller's `out` have grown.
-/// Under `train` the layer keeps the **input batch and the pre-activation**
-/// (in buffers reused from round to round), not the lowered patches:
+/// Under `train` the layer keeps the **input batch and the output** (in
+/// buffers reused from round to round; σ′ is read from the output), not
+/// the lowered patches:
 /// `backward` lowers each sample again, which costs a twentieth of the
 /// products it feeds and leaves the workspaces holding nothing between
 /// calls — an inference forward cannot disturb a round in flight, and
@@ -50,8 +51,9 @@ pub struct Conv2d {
     grad_kernels: Matrix,
     grad_bias: Matrix,
     activation: Activation,
-    // Input and pre-activation of the latest training-mode forward (`None`
-    // until there is one); the buffers are reused from round to round.
+    // Input and output of the latest training-mode forward (`None` until
+    // there is one): backward reads σ′ from the output, so it calls no
+    // `exp`. The buffers are reused from round to round.
     cache: Option<(Matrix, Matrix)>,
     // One-sample workspaces: empty until first used, then dirty — each use
     // overwrites every element, nothing is read back across calls.
@@ -90,7 +92,7 @@ impl Conv2d {
         let fan_in = geom.patch_len();
         let fan_out = out_c * kernel * kernel;
         let init = match activation {
-            Activation::Relu | Activation::LeakyRelu(_) => Init::HeNormal,
+            Activation::Relu => Init::HeNormal,
             _ => Init::XavierUniform,
         };
         Self {
@@ -139,13 +141,13 @@ impl Layer for Conv2d {
                 }
             }
         }
+        self.activation.apply_inplace(out);
         if train {
-            let (input, pre) =
+            let (input, output) =
                 self.cache.get_or_insert_with(|| (Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
             input.copy_from(x);
-            pre.copy_from(out.as_view());
+            output.copy_from(out.as_view());
         }
-        self.activation.apply_inplace(out);
     }
     // orco-lint: endregion
 
@@ -157,8 +159,9 @@ impl Layer for Conv2d {
     /// caller's `grad_in` have grown to size.
     // orco-lint: region(no-alloc)
     fn backward_into(&mut self, grad_out: MatView<'_>, mut grad_in: Option<&mut Matrix>) {
-        let (input, pre) = self.cache.as_ref().expect("Conv2d::backward: no training-mode forward");
-        assert_eq!(grad_out.shape(), pre.shape(), "Conv2d::backward: grad shape mismatch");
+        let (input, output) =
+            self.cache.as_ref().expect("Conv2d::backward: no training-mode forward");
+        assert_eq!(grad_out.shape(), output.shape(), "Conv2d::backward: grad shape mismatch");
         let (patch_len, positions) = (self.geom.patch_len(), self.geom.out_positions());
         size_workspace(&mut self.patches, patch_len, positions);
         size_workspace(&mut self.delta, self.out_c, positions);
@@ -169,10 +172,10 @@ impl Layer for Conv2d {
         }
 
         for i in 0..input.rows() {
-            // δ = grad_out ⊙ σ'(pre) for this sample, as (out_c, positions)
+            // δ = grad_out ⊙ σ' for this sample, as (out_c, positions)
             let delta = self.delta.as_mut_slice();
-            for ((d, &g), &z) in delta.iter_mut().zip(grad_out.row(i)).zip(pre.row(i)) {
-                *d = g * self.activation.derivative(z);
+            for ((d, &g), &y) in delta.iter_mut().zip(grad_out.row(i)).zip(output.row(i)) {
+                *d = g * self.activation.derivative_from_output(y);
             }
             im2col_into(input.row(i), &self.geom, self.patches.as_mut_slice());
             // ∂L/∂K = δ · patchesᵀ   (out_c, patch_len)

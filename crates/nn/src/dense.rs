@@ -32,12 +32,13 @@ pub struct Dense {
     grad_weight: Matrix,
     grad_bias: Matrix,
     activation: Activation,
-    // Input and pre-activation of the latest training-mode forward (`None`
-    // until there is one); the buffers are reused from round to round.
+    // Input and output of the latest training-mode forward (`None` until
+    // there is one): backward reads σ′ from the output, so it calls no
+    // `exp`. The buffers are reused from round to round.
     cache: Option<(Matrix, Matrix)>,
     // Backward's workspaces: empty until first used, then dirty — each use
     // overwrites every element, nothing is read back across calls.
-    delta: Matrix,             // (batch, out): grad_out ⊙ σ'(pre)
+    delta: Matrix,             // (batch, out): grad_out ⊙ σ'
     batch_grad_weight: Matrix, // (out, in): this call's δᵀ·x
     batch_grad_bias: Matrix,   // (1, out): this call's column sums of δ
 }
@@ -57,7 +58,7 @@ impl Dense {
         rng: &mut OrcoRng,
     ) -> Self {
         let init = match activation {
-            Activation::Relu | Activation::LeakyRelu(_) => Init::HeNormal,
+            Activation::Relu => Init::HeNormal,
             _ => Init::XavierUniform,
         };
         Self::with_init(input_dim, output_dim, activation, init, rng)
@@ -139,26 +140,27 @@ impl Layer for Dense {
                 *v += b;
             }
         }
+        self.activation.apply_inplace(out);
         if train {
-            let (input, pre) =
+            let (input, output) =
                 self.cache.get_or_insert_with(|| (Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
             input.copy_from(x);
-            pre.copy_from(out.as_view());
+            output.copy_from(out.as_view());
         }
-        self.activation.apply_inplace(out);
     }
     // orco-lint: endregion
 
-    /// `δ = grad_out ⊙ σ'(pre)`, then `∂L/∂W += δᵀ·x`
-    /// ([`MatView::t_matmul_into`]), `∂L/∂b +=` the column sums of `δ`, and
-    /// — only for a caller that reads it — `∂L/∂x = δ·W`
+    /// `δ = grad_out ⊙ σ'` (σ′ read from the kept output), then
+    /// `∂L/∂W += δᵀ·x` ([`MatView::t_matmul_into`]), `∂L/∂b +=` the column
+    /// sums of `δ`, and — only for a caller that reads it — `∂L/∂x = δ·W`
     /// ([`MatView::matmul_into`]). Each call's `δᵀ·x` and column sums are
     /// formed from zero in a workspace and then added, so a second call
     /// adds exactly what the first did.
     // orco-lint: region(no-alloc)
     fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>) {
-        let (input, pre) = self.cache.as_ref().expect("Dense::backward: no training-mode forward");
-        let (batch, out_dim) = pre.shape();
+        let (input, output) =
+            self.cache.as_ref().expect("Dense::backward: no training-mode forward");
+        let (batch, out_dim) = output.shape();
         assert_eq!(
             grad_out.shape(),
             (batch, out_dim),
@@ -170,9 +172,9 @@ impl Layer for Dense {
 
         let sums = self.batch_grad_bias.as_mut_slice();
         for (r, g_row) in grad_out.iter_rows().enumerate() {
-            let cells = self.delta.row_mut(r).iter_mut().zip(g_row).zip(pre.row(r));
-            for (((d, &g), &z), sum) in cells.zip(sums.iter_mut()) {
-                *d = g * self.activation.derivative(z);
+            let cells = self.delta.row_mut(r).iter_mut().zip(g_row).zip(output.row(r));
+            for (((d, &g), &y), sum) in cells.zip(sums.iter_mut()) {
+                *d = g * self.activation.derivative_from_output(y);
                 *sum += *d;
             }
         }

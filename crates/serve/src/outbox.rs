@@ -132,7 +132,9 @@ impl Outbox {
     /// Marks the outbox finished and wakes any blocked writer. Already
     /// queued frames stay drainable; new pushes are dropped.
     pub(crate) fn close(&self) {
-        self.state.lock().expect("outbox lock").closed = true;
+        // As in `WriteClaim::drop`: a panicking reader's unwind calls this,
+        // and it must not panic in its turn.
+        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).closed = true;
         self.cv.notify_all();
     }
 }

@@ -37,6 +37,8 @@
 //!   or on the timer — raises the same flag: the timer exits, pushes draw
 //!   `ShuttingDown` on the connections still open, and the acceptor exits
 //!   at its next connection (nothing pokes it: no `Shutdown` was sent).
+//!   A reader that panics closes its connection's outbox as it unwinds,
+//!   so the writer exits too and that peer reads EOF.
 
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -210,7 +212,10 @@ fn serve_connection<S: Service + ?Sized>(
             .name("orco-serve-write".into())
             .spawn(move || writer_loop(stream, &outbox))?
     };
-    let end = read_loop(&mut stream, svc, &outbox);
+    let end = {
+        let _on_unwind = CloseOnUnwind(&outbox);
+        read_loop(&mut stream, svc, &outbox)
+    };
     outbox.close();
     let _ = writer.join();
     let end = end?;
@@ -225,6 +230,20 @@ fn serve_connection<S: Service + ?Sized>(
         drop(TcpStream::connect(poke_addr(addr)));
     }
     Ok(())
+}
+
+/// Closes a connection's outbox if dropped by a panic on its reader: the
+/// writer then wakes from [`Outbox::claim_next`] and drops its clone of
+/// the socket, so the peer reads EOF instead of waiting on a socket
+/// nobody will write to or close.
+struct CloseOnUnwind<'a>(&'a Outbox);
+
+impl Drop for CloseOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+        }
+    }
 }
 
 fn read_loop<S: Service + ?Sized>(

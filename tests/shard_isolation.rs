@@ -14,7 +14,9 @@
 //! loopback, the deadline timer over TCP — and the gateway must fail
 //! whole, at once and without a hang: it reports shutting down, refuses
 //! pushes, still serves shard 0's stored rows, answers shard 1's cluster
-//! `ErrorReply { code: Internal }`, and its timer and acceptor stop.
+//! `ErrorReply { code: Internal }`, and its timer and acceptor stop. A
+//! TCP connection whose reader thread panicked must end with EOF, not
+//! leave its client waiting on a socket its writer thread holds open.
 
 use std::net::TcpStream;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -274,6 +276,32 @@ fn a_panicking_flush_fails_a_loopback_gateway_whole() {
         assert_eq!(gw.stats().frames_out, BATCH as u64);
         gw.timer_step(&mut [0.0; 2]);
         gw.advance_clock(Duration::from_secs(1));
+    });
+}
+
+#[test]
+fn a_panic_on_a_tcp_reader_thread_ends_its_connection_with_eof() {
+    let (codec, entered) = failing_codec();
+    // A deadline the test never reaches: only the size flush can fail.
+    let gw = gateway(codec, Clock::real(), Duration::from_secs(60));
+    let far = cluster_on(&gw, 1);
+    let server = TcpServer::spawn(Arc::clone(&gw), "127.0.0.1:0").expect("binds");
+    let addr = server.local_addr();
+    let frames = frames();
+    within_patience(move || {
+        let mut conn = Tcp::new(addr.to_string()).connect().expect("connects");
+        let hello = Message::Hello { client_id: 1, nonce: 0, mac: 0 };
+        assert!(matches!(conn.request(&hello), Ok(Message::HelloAck { .. })));
+        // A full batch: the connection's reader flushes it, and panics.
+        let reply = conn.request(&push(far, &frames));
+        assert_eq!(entered.recv().expect("the reader flushes"), "orco-serve-conn");
+        match reply {
+            Err(OrcoError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected EOF, got {other:?}"),
+        }
+        assert!(gw.is_shutting_down());
+        drop(TcpStream::connect(addr));
+        server.join();
     });
 }
 
