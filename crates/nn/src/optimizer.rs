@@ -191,4 +191,219 @@ mod tests {
     fn rejects_zero_lr() {
         let _ = Optimizer::adam(0.0);
     }
+
+    impl Optimizer {
+        /// The step with the clip norm as one recursive `f32` sum of every
+        /// square in visiting order, and nothing else: the oracle
+        /// [`Optimizer::step`] is held to, bit for bit.
+        fn reference_step(&mut self, mut visit: impl FnMut(&mut dyn FnMut(Param<'_>))) {
+            let first_step = self.step_count == 0;
+            self.step_count += 1;
+            let (mut count, mut total_sq) = (0, 0.0f32);
+            visit(&mut |p| {
+                if first_step {
+                    let (rows, cols) = p.grad.shape();
+                    self.slots.push(Slot {
+                        first: Matrix::zeros(rows, cols),
+                        second: Matrix::zeros(rows, cols),
+                    });
+                }
+                if self.grad_clip.is_some() {
+                    total_sq += p.grad.as_slice().iter().map(|g| g * g).sum::<f32>();
+                }
+                count += 1;
+            });
+            assert_eq!(self.slots.len(), count);
+            let norm = total_sq.sqrt();
+            let scale = match self.grad_clip {
+                Some(max_norm) if norm > max_norm => max_norm / norm,
+                _ => 1.0,
+            };
+            let t = self.step_count as f32;
+            let (bc1, bc2) = (1.0 - BETA1.powf(t), 1.0 - BETA2.powf(t));
+            let mut slots = self.slots.iter_mut();
+            visit(&mut |p| {
+                let slot = slots.next().expect("counted above");
+                let moments = slot.first.as_mut_slice().iter_mut().zip(slot.second.as_mut_slice());
+                let cells = p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice());
+                for ((w, &g), (m, v)) in cells.zip(moments) {
+                    let g = g * scale;
+                    *m = BETA1 * *m + (1.0 - BETA1) * g;
+                    *v = BETA2 * *v + (1.0 - BETA2) * g * g;
+                    let m_hat = *m / bc1;
+                    let v_hat = *v / bc2;
+                    *w -= self.lr * m_hat / (v_hat.sqrt() + EPS);
+                }
+            });
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The clip norm exactly as the oracle computes it.
+    fn plain_norm(grads: &[Matrix]) -> f32 {
+        let squares = |g: &Matrix| g.as_slice().iter().map(|g| g * g).sum::<f32>();
+        grads.iter().fold(0.0f32, |total, g| total + squares(g)).sqrt()
+    }
+
+    /// One step of `opt` and of `oracle` over the same gradients; values
+    /// and both moments must come out bit-equal.
+    fn step_both(
+        opt: &mut Optimizer,
+        oracle: &mut Optimizer,
+        ours: &mut [(Matrix, Matrix)],
+        theirs: &mut [(Matrix, Matrix)],
+        case: &str,
+    ) {
+        opt.step(|f| ours.iter_mut().for_each(|(w, g)| f(Param { value: w, grad: g })));
+        oracle.reference_step(|f| {
+            theirs.iter_mut().for_each(|(w, g)| f(Param { value: w, grad: g }))
+        });
+        for (i, ((w, _), (w_ref, _))) in ours.iter().zip(theirs.iter()).enumerate() {
+            assert_eq!(bits(w), bits(w_ref), "{case}: param {i} values");
+        }
+        for (i, (slot, slot_ref)) in opt.slots.iter().zip(&oracle.slots).enumerate() {
+            assert_eq!(bits(&slot.first), bits(&slot_ref.first), "{case}: param {i} first moment");
+            assert_eq!(
+                bits(&slot.second),
+                bits(&slot_ref.second),
+                "{case}: param {i} second moment"
+            );
+        }
+    }
+
+    /// Where a case's gradients sit against the clip.
+    #[derive(Debug, Clone, Copy)]
+    enum Clip {
+        Off,
+        /// Norms one to three orders of magnitude under `max_norm`.
+        Under,
+        /// The plain norm this many ulps from `max_norm`, when the scaling
+        /// search lands there.
+        Near(i32),
+        /// Norms one to six orders of magnitude over `max_norm`.
+        Over,
+    }
+
+    /// Values a gradient element is overwritten with in one case in four.
+    const SPECIALS: [f32; 9] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE,
+        1.0e-40,  // subnormal
+        -1.0e-45, // the smallest subnormal, negated
+        3.0e19,   // squares to +inf in f32
+    ];
+
+    #[test]
+    fn step_matches_the_plain_recursive_sum_bit_for_bit() {
+        let mut rng = orco_tensor::OrcoRng::from_label("optimizer-oracle", 0);
+        let widths = [1, 2, 3, 17, 40];
+        let mut near_offsets = Vec::new();
+        for case in 0..600 {
+            let clip = match rng.below(4) {
+                0 => Clip::Off,
+                1 => Clip::Under,
+                2 => Clip::Near(rng.below(9) as i32 - 4),
+                _ => Clip::Over,
+            };
+            let max_norm = [1.0, 0.25, 7.5, 1.0e-30, 1.0e30][rng.below(5)];
+            let n_params = 1 + rng.below(4);
+            let shapes: Vec<(usize, usize)> =
+                (0..n_params).map(|_| (1 + rng.below(3), widths[rng.below(5)])).collect();
+            let lr = rng.uniform(1e-4, 0.1);
+            let (mut opt, mut oracle) = (Optimizer::adam(lr), Optimizer::adam(lr));
+            if !matches!(clip, Clip::Off) {
+                opt = opt.with_grad_clip(max_norm);
+                oracle = oracle.with_grad_clip(max_norm);
+            }
+            let mut ours: Vec<(Matrix, Matrix)> = shapes
+                .iter()
+                .map(|&(r, c)| {
+                    (Matrix::from_fn(r, c, |_, _| rng.normal(0.0, 1.0)), Matrix::zeros(r, c))
+                })
+                .collect();
+            let mut theirs = ours.clone();
+            for step in 0..3 {
+                let mut grads: Vec<Matrix> = shapes
+                    .iter()
+                    .map(|&(r, c)| Matrix::from_fn(r, c, |_, _| rng.normal(0.0, 1.0)))
+                    .collect();
+                let target = match clip {
+                    Clip::Off | Clip::Under => max_norm * 10f32.powi(-1 - rng.below(3) as i32),
+                    Clip::Over => max_norm * 10f32.powi(1 + rng.below(6) as i32),
+                    Clip::Near(k) => f32::from_bits(max_norm.to_bits().wrapping_add_signed(k)),
+                };
+                // Scale towards the target norm; a few rounds of the
+                // correction land within an ulp or two of it.
+                for _ in 0..8 {
+                    let norm = plain_norm(&grads);
+                    if norm == target || norm == 0.0 || !norm.is_finite() {
+                        break;
+                    }
+                    let c = target / norm;
+                    grads.iter_mut().for_each(|g| g.map_inplace(|v| v * c));
+                }
+                // At 1e±30 the squares leave f32's range and the norm with
+                // them; those cases test underflow and overflow instead.
+                if matches!(clip, Clip::Near(_)) && (1e-3..1e3).contains(&max_norm) {
+                    let norm = plain_norm(&grads);
+                    near_offsets.push(i64::from(norm.to_bits()) - i64::from(max_norm.to_bits()));
+                }
+                if rng.below(4) == 0 {
+                    let g = &mut grads[rng.below(n_params)];
+                    let at = rng.below(g.len());
+                    g.as_mut_slice()[at] = SPECIALS[rng.below(SPECIALS.len())];
+                }
+                for ((slot, slot_ref), g) in ours.iter_mut().zip(theirs.iter_mut()).zip(&grads) {
+                    slot.1.as_mut_slice().copy_from_slice(g.as_slice());
+                    slot_ref.1.as_mut_slice().copy_from_slice(g.as_slice());
+                }
+                let label =
+                    format!("case {case} step {step}: {clip:?} at {max_norm}, shapes {shapes:?}");
+                step_both(&mut opt, &mut oracle, &mut ours, &mut theirs, &label);
+            }
+        }
+        // The near cases straddle the threshold: some norms land under it,
+        // some on it, some over it.
+        for want in [-1, 0, 1] {
+            assert!(
+                near_offsets.iter().any(|&d| d.signum() == want),
+                "no near case landed with sign {want}: {near_offsets:?}"
+            );
+        }
+        assert!(near_offsets.iter().all(|d| d.abs() <= 6), "{near_offsets:?}");
+    }
+
+    /// One gradient element, stepped across `max_norm` one ulp at a time:
+    /// the norm is then `|g|` itself, so the cut between clipped and
+    /// unclipped steps is where the oracle puts it.
+    #[test]
+    fn a_single_gradient_steps_across_the_clip_one_ulp_at_a_time() {
+        for max_norm in [1.0f32, 0.3, 1.0e-20, 2.5e18] {
+            for offset in -64i32..=64 {
+                for sign in [1.0f32, -1.0] {
+                    let g = sign * f32::from_bits(max_norm.to_bits().wrapping_add_signed(offset));
+                    let mut opt = Optimizer::adam(0.01).with_grad_clip(max_norm);
+                    let mut oracle = Optimizer::adam(0.01).with_grad_clip(max_norm);
+                    let param = || {
+                        (
+                            Matrix::from_vec(1, 1, vec![0.5]).unwrap(),
+                            Matrix::from_vec(1, 1, vec![g]).unwrap(),
+                        )
+                    };
+                    let (mut ours, mut theirs) = ([param()], [param()]);
+                    for _ in 0..3 {
+                        let label = format!("g {g:e} against {max_norm:e}");
+                        step_both(&mut opt, &mut oracle, &mut ours, &mut theirs, &label);
+                    }
+                }
+            }
+        }
+    }
 }

@@ -72,8 +72,7 @@ impl OrcoRng {
     /// Uniform `f32` in `[0, 1)`.
     #[must_use]
     pub(crate) fn next_f32(&mut self) -> f32 {
-        // 24 high bits → all representable multiples of 2⁻²⁴ in [0, 1).
-        (self.inner.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+        unit_f32(self.inner.next_u32())
     }
 
     /// Uniform `f64` in `[0, 1)`.
@@ -108,16 +107,31 @@ impl OrcoRng {
     /// Standard normal sample via Box–Muller.
     #[must_use]
     pub(crate) fn standard_normal(&mut self) -> f32 {
-        // Box–Muller: avoids pulling in rand_distr.
-        let u1 = self.next_f32().max(f32::MIN_POSITIVE);
-        let u2 = self.next_f32();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+        let w1 = self.inner.next_u32();
+        box_muller(w1, self.inner.next_u32())
     }
 
     /// Normal sample with the given mean and standard deviation.
     #[must_use]
     pub fn normal(&mut self, mean: f32, std_dev: f32) -> f32 {
         mean + std_dev * self.standard_normal()
+    }
+
+    /// Adds a normal sample with the given mean and standard deviation to
+    /// each element of `out`, in order: the same words, the same formula
+    /// and the same bits as `for x in out { *x += self.normal(mean,
+    /// std_dev) }`, with the words drawn in bulk.
+    pub fn add_normal(&mut self, out: &mut [f32], mean: f32, std_dev: f32) {
+        // Two words per draw; a fixed stack buffer, so nothing is allocated.
+        const DRAWS: usize = 256;
+        let mut words = [0u32; 2 * DRAWS];
+        for chunk in out.chunks_mut(DRAWS) {
+            let words = &mut words[..2 * chunk.len()];
+            self.inner.fill(words);
+            for (x, w) in chunk.iter_mut().zip(words.chunks_exact(2)) {
+                *x += mean + std_dev * box_muller(w[0], w[1]);
+            }
+        }
     }
 
     /// Bernoulli trial with probability `p` of `true`.
@@ -177,6 +191,20 @@ impl OrcoRng {
     }
 }
 
+/// Uniform `f32` in `[0, 1)` from one word: its 24 high bits, so every
+/// representable multiple of 2⁻²⁴ in `[0, 1)`.
+fn unit_f32(word: u32) -> f32 {
+    (word >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+}
+
+/// Box–Muller (avoids pulling in rand_distr): one standard normal from two
+/// words, the first drawn first.
+fn box_muller(w1: u32, w2: u32) -> f32 {
+    let u1 = unit_f32(w1).max(f32::MIN_POSITIVE);
+    let u2 = unit_f32(w2);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
 /// FNV-1a 64-bit hash — the workspace's one stable, dependency-free hash.
 /// Used for RNG label hashing here and for cluster→shard pinning in the
 /// serving layer; public so the constants live in exactly one place.
@@ -221,6 +249,13 @@ impl ChaCha8 {
         let w = self.block[self.next_word];
         self.next_word += 1;
         w
+    }
+
+    /// Fills `out` with the next `out.len()` words of the stream.
+    fn fill(&mut self, out: &mut [u32]) {
+        for w in out {
+            *w = self.next_u32();
+        }
     }
 
     fn refill(&mut self) {
@@ -316,6 +351,155 @@ mod tests {
         assert_eq!(x[1], 0xcb1c_f8ce);
         assert_eq!(x[2], 0x4581_472e);
         assert_eq!(x[3], 0x5881_c4bb);
+    }
+
+    /// The first 32 words (two blocks) of two seeds, as the one-block
+    /// generator produced them.
+    #[test]
+    fn chacha8_known_answers() {
+        const SEED_0: [u32; 32] = [
+            0x2d8e_e5e8,
+            0xbf94_d133,
+            0xa6da_5a01,
+            0x3a73_8775,
+            0xc143_ee06,
+            0x3d46_ff10,
+            0xe9f6_424f,
+            0x17c6_ab23,
+            0x2fb6_898b,
+            0x5ce2_479b,
+            0x86bf_f662,
+            0x0ae8_099f,
+            0xc72f_90bd,
+            0x5f2f_09fd,
+            0x28e5_a01f,
+            0x95d5_3efa,
+            0x94ef_af48,
+            0x1131_e62b,
+            0x17d7_a4e4,
+            0x9eec_7e55,
+            0xcd4c_18d1,
+            0xe553_e127,
+            0x3505_e613,
+            0xb9d5_51f1,
+            0xd28d_82a2,
+            0x0a1f_fcc2,
+            0xf64a_441d,
+            0xfc92_16ba,
+            0x4b01_7931,
+            0xb3c6_1fd5,
+            0x23eb_502b,
+            0xe857_b19d,
+        ];
+        const SEED_7: [u32; 32] = [
+            0x5082_5212,
+            0x6686_d7a0,
+            0x9db4_1d41,
+            0xc63a_5f92,
+            0xe54a_caef,
+            0x81e7_7dd0,
+            0x2451_b109,
+            0x112b_2c0d,
+            0x4fdc_0bfc,
+            0x88c0_87ca,
+            0xc126_42c0,
+            0x3e15_afb0,
+            0x351f_857a,
+            0xa752_b476,
+            0x72ae_3ab2,
+            0xbdb5_1629,
+            0x5330_b601,
+            0x4874_2709,
+            0x1c89_1403,
+            0x7ea5_2bd1,
+            0xf9f0_07b6,
+            0x23fe_d27a,
+            0x0f26_f865,
+            0x1d70_a621,
+            0x559b_7d6b,
+            0xa798_974c,
+            0x3909_7ade,
+            0xe9be_ef81,
+            0xda10_7685,
+            0x77d9_767e,
+            0x993b_6e50,
+            0x848d_006f,
+        ];
+        for (seed, want) in [(0, SEED_0), (7, SEED_7)] {
+            let mut c = ChaCha8::from_seed_u64(seed);
+            let got: [u32; 32] = std::array::from_fn(|_| c.next_u32());
+            assert_eq!(got, want, "seed {seed}");
+        }
+    }
+
+    /// `fill` hands out exactly the words repeated `next_u32` would — from
+    /// every read position in the buffered block, across a block counter's
+    /// low-word carry — and leaves the stream where those calls leave it.
+    #[test]
+    fn fill_matches_repeated_next_u32() {
+        for first_block in [0, (1u64 << 32) - 3] {
+            for offset in 0..=16 {
+                for len in [0, 1, 127, 128, 129, 1000] {
+                    let mut ours = ChaCha8::from_seed_u64(7);
+                    ours.counter = first_block;
+                    ours.refill();
+                    for _ in 0..offset {
+                        let _ = ours.next_u32();
+                    }
+                    let mut theirs = ours.clone();
+                    let case = format!("block {first_block}, offset {offset}, len {len}");
+
+                    let mut got = vec![0; len];
+                    ours.fill(&mut got);
+                    let want: Vec<u32> = (0..len).map(|_| theirs.next_u32()).collect();
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(ours.counter, theirs.counter, "{case}");
+
+                    let mut more = [0; 300];
+                    ours.fill(&mut more);
+                    let want: Vec<u32> = (0..300).map(|_| theirs.next_u32()).collect();
+                    assert_eq!(more[..], want[..], "{case}, then 300 more");
+                    for _ in 0..40 {
+                        assert_eq!(
+                            ours.next_u32(),
+                            theirs.next_u32(),
+                            "{case}, then one at a time"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `add_normal` is a loop of `normal`, bit for bit, wherever the stream
+    /// stands and however long the slice. `std_dev = 0` over `−0.0` pins
+    /// the `mean +`: `0.0 + −0.0` is `+0.0`, and without it the sign of the
+    /// draw would show.
+    #[test]
+    fn add_normal_matches_a_loop_of_normal() {
+        let params = [(0.0, 1.0), (2.0, 3.0), (-1.5, 0.25), (0.0, 0.0), (0.0, -0.0)];
+        for (mean, std_dev) in params {
+            for offset in [0, 1, 15, 16, 17] {
+                for len in [0, 1, 7, 63, 64, 65, 255, 256, 257, 1000] {
+                    let mut ours = OrcoRng::from_label("add-normal", len as u64);
+                    for _ in 0..offset {
+                        let _ = ours.inner.next_u32();
+                    }
+                    let mut theirs = ours.clone();
+                    let base: Vec<f32> = (0..len)
+                        .map(|i| if i % 3 == 0 { -0.0 } else { i as f32 * 0.37 - 5.0 })
+                        .collect();
+                    let mut got = base.clone();
+                    ours.add_normal(&mut got, mean, std_dev);
+                    let want: Vec<u32> =
+                        base.iter().map(|x| (x + theirs.normal(mean, std_dev)).to_bits()).collect();
+                    let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+                    let case = format!("N({mean}, {std_dev}), offset {offset}, len {len}");
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(ours.next_u64(), theirs.next_u64(), "{case}: stream after");
+                }
+            }
+        }
     }
 
     #[test]
