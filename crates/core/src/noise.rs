@@ -20,10 +20,7 @@ pub(crate) fn add_gaussian(latent: &mut Matrix, variance: f32, rng: &mut OrcoRng
     if variance == 0.0 {
         return;
     }
-    let std = variance.sqrt();
-    for v in latent.as_mut_slice() {
-        *v += rng.normal(0.0, std);
-    }
+    rng.add_normal(latent.as_mut_slice(), 0.0, variance.sqrt());
 }
 
 #[cfg(test)]

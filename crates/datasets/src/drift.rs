@@ -66,10 +66,8 @@ pub fn apply_matrix(x: &mut Matrix, drift: Drift, severity: f32, rng: &mut OrcoR
             x.map_inplace(|v| 0.5 + (v - 0.5) * (1.0 - severity));
         }
         Drift::NoiseBurst => {
-            let std = 0.3 * severity;
-            for v in x.as_mut_slice() {
-                *v = (*v + rng.normal(0.0, std)).clamp(0.0, 1.0);
-            }
+            rng.add_normal(x.as_mut_slice(), 0.0, 0.3 * severity);
+            x.map_inplace(|v| v.clamp(0.0, 1.0));
         }
     }
 }
@@ -132,6 +130,24 @@ mod tests {
             apply_matrix(&mut x, d, 0.6, &mut rng_b);
             assert_eq!(via_ds.x().as_slice(), x.as_slice(), "{d:?} diverged between entry points");
         }
+    }
+
+    /// Both corpora and a noise burst, pinned as FNV-1a digests of their
+    /// bits (measured when each pixel drew its noise with its own
+    /// `normal` call): the bulk draw must not move one pixel.
+    #[test]
+    fn corpora_and_a_noise_burst_match_their_pinned_digests() {
+        let digest = |m: &Matrix| {
+            let bytes: Vec<u8> =
+                m.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+            orco_tensor::fnv1a64(&bytes)
+        };
+        let mnist = mnist_like::generate(20, 3);
+        assert_eq!(digest(mnist.x()), 0xad98_a36a_5467_a25b);
+        assert_eq!(digest(crate::gtsrb_like::generate(6, 1).x()), 0xdc5c_dcbb_c6b0_ee5f);
+        let mut rng = OrcoRng::from_label("drift-pin", 0);
+        let burst = apply(&mnist, Drift::NoiseBurst, 0.7, &mut rng);
+        assert_eq!(digest(burst.x()), 0x5817_0636_f41f_490e);
     }
 
     #[test]

@@ -197,9 +197,8 @@ pub(crate) fn render_sign(class: usize, style: &SignStyle, rng: &mut OrcoRng) ->
         out.extend_from_slice(canvas.pixels());
     }
     if style.noise_std > 0.0 {
-        for p in &mut out {
-            *p = (*p + rng.normal(0.0, style.noise_std)).clamp(0.0, 1.0);
-        }
+        rng.add_normal(&mut out, 0.0, style.noise_std);
+        out.iter_mut().for_each(|p| *p = p.clamp(0.0, 1.0));
     }
     out
 }

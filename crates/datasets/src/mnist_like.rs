@@ -108,9 +108,8 @@ pub(crate) fn render_digit(digit: usize, style: &GlyphStyle, rng: &mut OrcoRng) 
     canvas.blur(style.blur_passes);
     let mut pixels = canvas.into_pixels();
     if style.noise_std > 0.0 {
-        for p in &mut pixels {
-            *p = (*p + rng.normal(0.0, style.noise_std)).clamp(0.0, 1.0);
-        }
+        rng.add_normal(&mut pixels, 0.0, style.noise_std);
+        pixels.iter_mut().for_each(|p| *p = p.clamp(0.0, 1.0));
     }
     pixels
 }

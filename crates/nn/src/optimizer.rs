@@ -64,9 +64,17 @@ impl Optimizer {
     ///
     /// `visit` walks the model's parameters in their stable order (a
     /// model's `for_each_param`) and is called twice: once to count them
-    /// and take the global gradient norm, once to update. Parameters and
+    /// and bound the global gradient norm, once to update. Parameters and
     /// moments are updated in place, one fused pass per parameter, and the
     /// gradients are only read; nothing is allocated after the first step.
+    ///
+    /// The clip norm is defined as one `f32` sum of squares: each
+    /// parameter's squares summed in order, the sums added in visiting
+    /// order. That sum is one serial chain of dependent adds, so it is only
+    /// taken — in a third visit, between the two — when an `f64` bound
+    /// from the first visit cannot prove the clip stays off (the proof is
+    /// `certainly_unclipped`'s doc); either way the step has the same
+    /// bits.
     ///
     /// # Panics
     ///
@@ -77,9 +85,7 @@ impl Optimizer {
         let first_step = self.step_count == 0;
         self.step_count += 1;
 
-        // Global gradient-norm clipping: each parameter's squares summed
-        // on their own, the sums added in visiting order.
-        let (mut count, mut total_sq) = (0, 0.0f32);
+        let (mut count, mut elements, mut lanes) = (0, 0, [0.0f64; LANES]);
         visit(&mut |p| {
             if first_step {
                 let (rows, cols) = p.grad.shape();
@@ -89,7 +95,8 @@ impl Optimizer {
                 });
             }
             if self.grad_clip.is_some() {
-                total_sq += p.grad.as_slice().iter().map(|g| g * g).sum::<f32>();
+                add_squares(&mut lanes, p.grad.as_slice());
+                elements += p.grad.len();
             }
             count += 1;
         });
@@ -100,9 +107,17 @@ impl Optimizer {
             self.slots.len()
         );
         // Multiplying by exactly 1.0 changes no bit of a gradient.
-        let norm = total_sq.sqrt();
         let scale = match self.grad_clip {
-            Some(max_norm) if norm > max_norm => max_norm / norm,
+            Some(max_norm) if !certainly_unclipped(&lanes, elements, max_norm) => {
+                let mut total_sq = 0.0f32;
+                visit(&mut |p| total_sq += p.grad.as_slice().iter().map(|g| g * g).sum::<f32>());
+                let norm = total_sq.sqrt();
+                if norm > max_norm {
+                    max_norm / norm
+                } else {
+                    1.0
+                }
+            }
             _ => 1.0,
         };
 
@@ -124,6 +139,73 @@ impl Optimizer {
         });
     }
     // orco-lint: endregion
+}
+
+/// Independent `f64` partial sums in [`add_squares`]: four ymm registers
+/// on x86-64-v3, enough to hide the add latency.
+const LANES: usize = 16;
+
+/// Adds `(g as f64)²` for every `g` in `grad` to `lanes`, element `i` to
+/// lane `i % LANES`. Each square is exact in `f64` (24 significant bits
+/// squared fit in 53, and 2⁻²⁹⁸ is far above `f64`'s underflow), and the
+/// lanes are independent, so the loop vectorises; out of line, so that it
+/// does inside the optimizer's closure too.
+#[inline(never)]
+fn add_squares(lanes: &mut [f64; LANES], grad: &[f32]) {
+    let mut acc = *lanes;
+    let mut chunks = grad.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (a, &g) in acc.iter_mut().zip(chunk) {
+            *a += f64::from(g) * f64::from(g);
+        }
+    }
+    for (a, &g) in acc.iter_mut().zip(chunks.remainder()) {
+        *a += f64::from(g) * f64::from(g);
+    }
+    *lanes = acc;
+}
+
+/// Whether the clip norm of `n` gradient elements, whose exact squares
+/// [`add_squares`] summed into `lanes`, is certainly at most `max_norm`:
+/// then the step's `scale` is `1.0` without taking the `f32` sum.
+///
+/// Let `S = Σ gᵢ²` exactly, `Ŝ` the `f32` sum [`Optimizer::step`] defines
+/// (each parameter's squares added in order, the sums added in visiting
+/// order), `u = 2⁻²⁴` and `γ = n·u / (1 − n·u)`. Recursive summation
+/// bounds (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+/// ed., §3.1 and ch. 4):
+///
+/// * `fl(g·g) ≤ g²·(1 + u) + 2⁻¹⁵⁰`: relative error `u`, or, for a
+///   square that underflows, at most half of the least subnormal.
+/// * An `f32` add is exact when its result is subnormal and otherwise
+///   off by a factor `1 + δ`, `|δ| ≤ u`. Starting from `±0.0` is exact,
+///   and so is adding an empty parameter's `−0.0`. So a square meets at
+///   most `(nₚ − 1) + (P − 1) ≤ n − 1` rounded adds, `nₚ` its parameter's
+///   size and `P` the non-empty parameters.
+/// * Hence, while nothing overflows, `Ŝ ≤ (1 + u)ⁿ·S + (1 + u)ⁿ⁻¹·n·2⁻¹⁵⁰
+///   ≤ (1 + γ)·S + n·2⁻¹⁴⁹`, using `(1 + u)ⁿ ≤ 1 + γ` for `n·u < 1` and
+///   `γ ≤ 1` for `n·u ≤ ½`. Every partial sum obeys the same bound, all
+///   terms being non-negative; kept under `f32::MAX`, no add overflows.
+///
+/// The lanes' sum `B` is `S` with at most `n + LANES` `f64` roundings, so
+/// `S ≤ B·(1 + 2⁻²⁹)` for `n < 2²³`; the test below rounds a few times
+/// more, each below `2⁻⁵²`. Against the `γ ≥ 2⁻²⁴` the doubled `γ` adds,
+/// these are lost: if `n·u < ½` and `B·(1 + 2γ) + n·2⁻¹⁴⁹` is below both
+/// `max_norm²` and `f32::MAX` in `f64`, then `Ŝ ≤ max_norm²`. The square
+/// root is correctly rounded and monotone, and `max_norm` is an `f32`, so
+/// `fl(√Ŝ) ≤ max_norm`: no clip fires, and the scale is `1.0`. (For
+/// `n = 0` both sides are 0.) A NaN or infinite gradient makes `B` NaN or
+/// infinite and the test false.
+fn certainly_unclipped(lanes: &[f64; LANES], n: usize, max_norm: f32) -> bool {
+    let n = n as f64;
+    let nu = n * f64::powi(2.0, -24);
+    if nu >= 0.5 {
+        return false;
+    }
+    let gamma = nu / (1.0 - nu);
+    let b: f64 = lanes.iter().sum();
+    let limit = (f64::from(max_norm) * f64::from(max_norm)).min(f64::from(f32::MAX));
+    b * (1.0 + 2.0 * gamma) + n * f64::powi(2.0, -149) < limit
 }
 
 #[cfg(test)]
@@ -378,6 +460,73 @@ mod tests {
             );
         }
         assert!(near_offsets.iter().all(|d| d.abs() <= 6), "{near_offsets:?}");
+    }
+
+    /// `max_norm` an `f32` strictly between the exact norm and the `f32`
+    /// one — next to the exact norm, or half-way — so that the rounding of
+    /// the sum alone decides whether the clip fires. Two regimes: 1000
+    /// elements in `[0.5, 1)`, whose sum is tens of ulps off, and 100
+    /// elements whose squares underflow to multiples of the least
+    /// subnormal, a few percent off.
+    #[test]
+    fn max_norm_between_the_exact_and_the_plain_norm() {
+        let mut rng = orco_tensor::OrcoRng::from_label("optimizer-straddle", 0);
+        // Cases whose plain norm is under / over `max_norm`.
+        let mut straddles = [0; 2];
+        for case in 0..400 {
+            let (len, lo, hi) = if case % 2 == 0 {
+                (1000, 0.5, 1.0)
+            } else {
+                (100, 2f32.powi(-75), 2f32.powi(-74))
+            };
+            let grad = Matrix::from_fn(1, len, |_, _| rng.uniform(lo, hi));
+            let exact = grad.as_slice().iter().map(|&g| f64::from(g).powi(2)).sum::<f64>().sqrt();
+            let plain = plain_norm(std::slice::from_ref(&grad));
+            let next_to_exact = if f64::from(plain) > exact {
+                (exact as f32).next_up()
+            } else {
+                (exact as f32).next_down()
+            };
+            let half_way = ((exact + f64::from(plain)) / 2.0) as f32;
+            for max_norm in [next_to_exact, half_way] {
+                let m = f64::from(max_norm);
+                if (m - exact) * (m - f64::from(plain)) >= 0.0 || (m / exact - 1.0).abs() < 1e-12 {
+                    continue;
+                }
+                straddles[usize::from(plain > max_norm)] += 1;
+                let mut opt = Optimizer::adam(0.01).with_grad_clip(max_norm);
+                let mut oracle = opt.clone();
+                let param = || (Matrix::from_fn(1, len, |_, c| c as f32 * 0.01), grad.clone());
+                let (mut ours, mut theirs) = ([param()], [param()]);
+                let label = format!("case {case}: exact {exact:e}, plain {plain:e}, max {m:e}");
+                step_both(&mut opt, &mut oracle, &mut ours, &mut theirs, &label);
+            }
+        }
+        assert!(straddles.iter().all(|&n| n >= 50), "straddles (under, over) {straddles:?}");
+    }
+
+    /// The `f32` sum is taken only when the bound cannot decide: a
+    /// gradient well under the clip is visited twice, one at or over it,
+    /// or with a NaN in it, three times.
+    #[test]
+    fn the_plain_sum_is_visited_only_when_the_bound_cannot_decide() {
+        let visits = |grad: Vec<f32>| {
+            let mut opt = Optimizer::adam(0.1).with_grad_clip(1.0);
+            let mut w = Matrix::zeros(1, grad.len());
+            let mut g = Matrix::from_vec(1, grad.len(), grad).unwrap();
+            let mut calls = 0;
+            opt.step(|f| {
+                calls += 1;
+                f(Param { value: &mut w, grad: &mut g });
+            });
+            calls
+        };
+        assert_eq!(visits(vec![0.3; 10]), 2);
+        assert_eq!(visits(vec![0.0; 1000]), 2);
+        assert_eq!(visits(vec![0.6, 0.8]), 3);
+        assert_eq!(visits(vec![30.0, 40.0]), 3);
+        assert_eq!(visits(vec![0.1, f32::NAN]), 3);
+        assert_eq!(visits(vec![0.1, f32::INFINITY]), 3);
     }
 
     /// One gradient element, stepped across `max_norm` one ulp at a time:

@@ -47,21 +47,27 @@ pub struct Outbox {
 }
 
 /// Ownership of the connection's write side; released on drop.
-pub(crate) struct WriteClaim<'a>(&'a Outbox);
+pub(crate) struct WriteClaim<'a> {
+    outbox: &'a Outbox,
+    /// Taken by the reader ([`Outbox::try_claim`]), so the writer may be
+    /// asleep behind it. The writer's own claim wakes nobody: only the
+    /// writer waits in `claim_next`.
+    by_reader: bool,
+}
 
 impl Drop for WriteClaim<'_> {
     fn drop(&mut self) {
         // A poisoned lock means a producer panicked; the flag is still
         // valid, and `Drop` must not panic in its turn.
-        let mut st = self.0.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut st = self.outbox.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         st.writing = false;
         let writer_has_work = !st.frames.is_empty() || st.closed;
         drop(st);
         // The writer may have been woken for a frame (or the close) while
-        // this claim was out and gone back to sleep behind it. With
+        // the reader's claim was out and gone back to sleep behind it. With
         // nothing queued it sleeps for a frame, and `push_frame` wakes it.
-        if writer_has_work {
-            self.0.cv.notify_all();
+        if self.by_reader && writer_has_work {
+            self.outbox.cv.notify_all();
         }
     }
 }
@@ -112,7 +118,7 @@ impl Outbox {
             return None;
         }
         st.writing = true;
-        Some(WriteClaim(self))
+        Some(WriteClaim { outbox: self, by_reader: true })
     }
 
     /// The writer thread's claim: blocks until a frame is queued and the
@@ -126,7 +132,7 @@ impl Outbox {
         }
         let frame = st.frames.pop_front()?;
         st.writing = true;
-        Some((frame, WriteClaim(self)))
+        Some((frame, WriteClaim { outbox: self, by_reader: false }))
     }
 
     /// Marks the outbox finished and wakes any blocked writer. Already

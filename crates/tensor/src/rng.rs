@@ -11,6 +11,18 @@
 //! The ChaCha8 core is implemented in this module (the build environment has
 //! no crates.io access, so `rand_chacha` is not available); its output is a
 //! pure function of the seed and is stable across platforms and releases.
+//!
+//! The stream is the keystream blocks at counters 0, 1, 2, …, 16 words
+//! each, in order; block `c` puts `c`'s low word in state word 12 and its
+//! high word in 13. Blocks are computed eight at a time: lane `l` of each
+//! state word runs counter `c + l` (a lane past `u32::MAX` carries into its
+//! word 13), so every ChaCha op is one vector op, and the eight blocks are
+//! written out in counter order — the same words one block at a time would
+//! give. Scalar draws read them through a one-batch buffer; bulk draws
+//! ([`OrcoRng::add_normal`]) write whole batches straight into their own
+//! buffer. Either way a stream's words never depend on how they were
+//! taken. The price of the batch is paid up front: a generator that draws
+//! only a word or two computes eight blocks for them.
 
 /// A deterministic random number generator with labelled sub-streams.
 ///
@@ -225,10 +237,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone)]
 struct ChaCha8 {
     key: [u32; 8],
+    /// The counter of the next block to compute; the buffered batch holds
+    /// the [`WIDE`] blocks before it.
     counter: u64,
-    block: [u32; 16],
+    batch: [u32; BATCH],
     next_word: usize,
 }
+
+/// Blocks computed at once: each state word is a vector of eight lanes,
+/// one ymm register on x86-64-v3.
+const WIDE: usize = 8;
+
+/// Words in one batch of [`WIDE`] blocks.
+const BATCH: usize = 16 * WIDE;
 
 impl ChaCha8 {
     fn from_seed_u64(seed: u64) -> Self {
@@ -239,44 +260,78 @@ impl ChaCha8 {
             pair[0] = v as u32;
             pair[1] = (v >> 32) as u32;
         }
-        Self { key, counter: 0, block: [0; 16], next_word: 16 }
+        Self { key, counter: 0, batch: [0; BATCH], next_word: BATCH }
     }
 
     fn next_u32(&mut self) -> u32 {
-        if self.next_word == 16 {
+        if self.next_word == BATCH {
             self.refill();
         }
-        let w = self.block[self.next_word];
+        let w = self.batch[self.next_word];
         self.next_word += 1;
         w
     }
 
-    /// Fills `out` with the next `out.len()` words of the stream.
+    /// Fills `out` with the next `out.len()` words of the stream — the
+    /// words, and the state after, of `out.len()` calls to `next_u32`:
+    /// first the buffered batch's unread words, then whole batches
+    /// straight from [`blocks`](Self::blocks), and the last under
+    /// [`BATCH`] words through the buffer.
     fn fill(&mut self, out: &mut [u32]) {
-        for w in out {
-            *w = self.next_u32();
+        let buffered = (BATCH - self.next_word).min(out.len());
+        let (head, rest) = out.split_at_mut(buffered);
+        head.copy_from_slice(&self.batch[self.next_word..self.next_word + buffered]);
+        self.next_word += buffered;
+        // `rest` is empty unless the buffer now is, so the stream goes on
+        // at block `counter`.
+        let mut batches = rest.chunks_exact_mut(BATCH);
+        for batch in &mut batches {
+            Self::blocks(&self.key, self.counter, batch.try_into().expect("whole batches"));
+            self.counter = self.counter.wrapping_add(WIDE as u64);
+        }
+        let tail = batches.into_remainder();
+        if !tail.is_empty() {
+            self.refill();
+            tail.copy_from_slice(&self.batch[..tail.len()]);
+            self.next_word = tail.len();
         }
     }
 
     fn refill(&mut self) {
+        Self::blocks(&self.key, self.counter, &mut self.batch);
+        self.counter = self.counter.wrapping_add(WIDE as u64);
+        self.next_word = 0;
+    }
+
+    /// Writes the [`WIDE`] keystream blocks at counters `counter + l`,
+    /// `l < WIDE`, to `out` in counter order. The one ChaCha8 body: lane
+    /// `l` of each state word belongs to block `l`, so every ChaCha op is
+    /// one vector op. The 64-bit counter is split low word first into
+    /// state words 12 and 13, so a lane past `u32::MAX` carries into its
+    /// word 13. Out of line, so the batch keeps its own register
+    /// allocation.
+    #[inline(never)]
+    fn blocks(key: &[u32; 8], counter: u64, out: &mut [u32; BATCH]) {
+        let counter = |l: usize| counter.wrapping_add(l as u64);
+        let k = |i: usize| [key[i]; WIDE];
         // "expand 32-byte k" constants.
         let mut x = [
-            0x6170_7865,
-            0x3320_646e,
-            0x7962_2d32,
-            0x6b20_6574,
-            self.key[0],
-            self.key[1],
-            self.key[2],
-            self.key[3],
-            self.key[4],
-            self.key[5],
-            self.key[6],
-            self.key[7],
-            self.counter as u32,
-            (self.counter >> 32) as u32,
-            0,
-            0,
+            [0x6170_7865; WIDE],
+            [0x3320_646e; WIDE],
+            [0x7962_2d32; WIDE],
+            [0x6b20_6574; WIDE],
+            k(0),
+            k(1),
+            k(2),
+            k(3),
+            k(4),
+            k(5),
+            k(6),
+            k(7),
+            std::array::from_fn(|l| counter(l) as u32),
+            std::array::from_fn(|l| (counter(l) >> 32) as u32),
+            [0; WIDE],
+            [0; WIDE],
         ];
         let input = x;
         for _ in 0..4 {
@@ -291,23 +346,43 @@ impl ChaCha8 {
             quarter_round(&mut x, 2, 7, 8, 13);
             quarter_round(&mut x, 3, 4, 9, 14);
         }
-        for (out, (a, b)) in self.block.iter_mut().zip(x.iter().zip(&input)) {
-            *out = a.wrapping_add(*b);
+        for (word, start) in x.iter_mut().zip(&input) {
+            *word = add(*word, *start);
         }
-        self.counter = self.counter.wrapping_add(1);
-        self.next_word = 0;
+        for (lane, block) in out.chunks_exact_mut(16).enumerate() {
+            for (w, word) in block.iter_mut().zip(&x) {
+                *w = word[lane];
+            }
+        }
     }
 }
 
-fn quarter_round(x: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    x[a] = x[a].wrapping_add(x[b]);
-    x[d] = (x[d] ^ x[a]).rotate_left(16);
-    x[c] = x[c].wrapping_add(x[d]);
-    x[b] = (x[b] ^ x[c]).rotate_left(12);
-    x[a] = x[a].wrapping_add(x[b]);
-    x[d] = (x[d] ^ x[a]).rotate_left(8);
-    x[c] = x[c].wrapping_add(x[d]);
-    x[b] = (x[b] ^ x[c]).rotate_left(7);
+/// The ChaCha quarter round on state words `a`, `b`, `c`, `d`, each a
+/// vector of [`WIDE`] lanes. Inlined, so the word indices are constants
+/// and the state stays in registers.
+#[inline(always)]
+fn quarter_round(x: &mut [Lanes; 16], a: usize, b: usize, c: usize, d: usize) {
+    x[a] = add(x[a], x[b]);
+    x[d] = xor_rotate(x[d], x[a], 16);
+    x[c] = add(x[c], x[d]);
+    x[b] = xor_rotate(x[b], x[c], 12);
+    x[a] = add(x[a], x[b]);
+    x[d] = xor_rotate(x[d], x[a], 8);
+    x[c] = add(x[c], x[d]);
+    x[b] = xor_rotate(x[b], x[c], 7);
+}
+
+/// One ChaCha state word across the [`WIDE`] blocks of a batch.
+type Lanes = [u32; WIDE];
+
+#[inline(always)]
+fn add(a: Lanes, b: Lanes) -> Lanes {
+    std::array::from_fn(|l| a[l].wrapping_add(b[l]))
+}
+
+#[inline(always)]
+fn xor_rotate(a: Lanes, b: Lanes, by: u32) -> Lanes {
+    std::array::from_fn(|l| (a[l] ^ b[l]).rotate_left(by))
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -340,17 +415,17 @@ mod tests {
 
     #[test]
     fn chacha_quarter_round_reference() {
-        // RFC 7539 §2.1.1 test vector.
-        let mut x = [0u32; 16];
-        x[0] = 0x1111_1111;
-        x[1] = 0x0102_0304;
-        x[2] = 0x9b8d_6f43;
-        x[3] = 0x0123_4567;
+        // RFC 7539 §2.1.1 test vector, in every lane.
+        let mut x = [[0u32; WIDE]; 16];
+        x[0] = [0x1111_1111; WIDE];
+        x[1] = [0x0102_0304; WIDE];
+        x[2] = [0x9b8d_6f43; WIDE];
+        x[3] = [0x0123_4567; WIDE];
         quarter_round(&mut x, 0, 1, 2, 3);
-        assert_eq!(x[0], 0xea2a_92f4);
-        assert_eq!(x[1], 0xcb1c_f8ce);
-        assert_eq!(x[2], 0x4581_472e);
-        assert_eq!(x[3], 0x5881_c4bb);
+        assert_eq!(x[0], [0xea2a_92f4; WIDE]);
+        assert_eq!(x[1], [0xcb1c_f8ce; WIDE]);
+        assert_eq!(x[2], [0x4581_472e; WIDE]);
+        assert_eq!(x[3], [0x5881_c4bb; WIDE]);
     }
 
     /// The first 32 words (two blocks) of two seeds, as the one-block
@@ -433,12 +508,12 @@ mod tests {
     }
 
     /// `fill` hands out exactly the words repeated `next_u32` would — from
-    /// every read position in the buffered block, across a block counter's
+    /// every read position in the buffered batch, across a block counter's
     /// low-word carry — and leaves the stream where those calls leave it.
     #[test]
     fn fill_matches_repeated_next_u32() {
         for first_block in [0, (1u64 << 32) - 3] {
-            for offset in 0..=16 {
+            for offset in 0..=BATCH {
                 for len in [0, 1, 127, 128, 129, 1000] {
                     let mut ours = ChaCha8::from_seed_u64(7);
                     ours.counter = first_block;
@@ -479,7 +554,7 @@ mod tests {
     fn add_normal_matches_a_loop_of_normal() {
         let params = [(0.0, 1.0), (2.0, 3.0), (-1.5, 0.25), (0.0, 0.0), (0.0, -0.0)];
         for (mean, std_dev) in params {
-            for offset in [0, 1, 15, 16, 17] {
+            for offset in [0, 1, 16, 17, 127, 128, 129, 255] {
                 for len in [0, 1, 7, 63, 64, 65, 255, 256, 257, 1000] {
                     let mut ours = OrcoRng::from_label("add-normal", len as u64);
                     for _ in 0..offset {
