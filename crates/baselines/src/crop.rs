@@ -55,7 +55,6 @@ impl Layer for Crop2d {
 
     /// Zero-pads the gradient back out to the uncropped map. There are no
     /// parameters, so without a `grad_in` only the check remains.
-    // orco-lint: region(no-alloc)
     fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>) {
         assert_eq!(grad_out.cols(), self.output_dim(), "Crop2d::backward: width mismatch");
         let Some(grad_in) = grad_in else { return };
@@ -67,7 +66,6 @@ impl Layer for Crop2d {
             }
         }
     }
-    // orco-lint: endregion
 
     fn for_each_param<'a>(&'a mut self, _: &mut dyn FnMut(Param<'a>)) {}
 

@@ -194,13 +194,11 @@ impl Codec for Dcsnet {
     /// One packed-panel GEMM + bias broadcast + sigmoid over the whole
     /// round (the fixed 1024-dim dense encoder), into the caller-owned
     /// buffer.
-    // orco-lint: region(no-alloc)
     fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_frames(Codec::name(self), frames)?;
         self.encoder.forward_into(frames, out, false);
         Ok(())
     }
-    // orco-lint: endregion
 
     /// One batch pass of the 4-conv-layer decoder stack instead of a
     /// per-frame loop: the convolutions write into the stack's two
@@ -208,13 +206,11 @@ impl Codec for Dcsnet {
     /// Each convolution lowers a sample into its own workspace and
     /// multiplies straight into the sample's output row, so once those,
     /// the two buffers and `out` have grown a decode allocates nothing.
-    // orco-lint: region(no-alloc)
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
         self.decoder.infer_into(codes, out);
         Ok(())
     }
-    // orco-lint: endregion
 
     fn loss(&self) -> Loss {
         Dcsnet::loss()

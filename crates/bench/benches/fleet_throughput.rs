@@ -14,10 +14,11 @@
 //! Run with: `cargo bench -p orco_bench --bench fleet_throughput`
 //! (`ORCO_SCALE=quick` shrinks the measurement for CI.)
 
-// Benches time real work; wall-clock reads are the point (benches/ is
-// likewise exempt from orco-lint's wall-clock rule).
-#![allow(clippy::disallowed_methods)]
-use std::collections::HashMap;
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benches time real work; wall-clock reads are the point"
+)]
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -133,7 +134,7 @@ fn run(n: usize, total: usize) -> f64 {
     let frames = Matrix::from_fn(256, frame_dim, |_, _| rng.uniform(0.0, 1.0));
 
     // cluster -> (accepting addr, rows awaiting drain)
-    let mut outstanding: HashMap<u64, (String, usize)> = HashMap::new();
+    let mut outstanding: BTreeMap<u64, (String, usize)> = BTreeMap::new();
     let mut served = 0usize;
     let mut pushed = 0usize;
     let mut since_drain = 0usize;
@@ -170,7 +171,7 @@ fn run(n: usize, total: usize) -> f64 {
     total as f64 / elapsed
 }
 
-fn drain(client: &mut FleetClient, outstanding: &mut HashMap<u64, (String, usize)>) -> usize {
+fn drain(client: &mut FleetClient, outstanding: &mut BTreeMap<u64, (String, usize)>) -> usize {
     let mut got = 0;
     for (&cluster, (addr, owed)) in outstanding.iter_mut() {
         while *owed > 0 {

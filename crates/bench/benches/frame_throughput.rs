@@ -14,9 +14,10 @@
 //! Run with: `cargo bench --bench frame_throughput`
 //! (`ORCO_SCALE=quick` shrinks the measurement budget for CI.)
 
-// Benches time real work; wall-clock reads are the point (benches/ is
-// likewise exempt from orco-lint's wall-clock rule).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benches time real work; wall-clock reads are the point"
+)]
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 

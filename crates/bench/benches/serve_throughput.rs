@@ -15,9 +15,10 @@
 //! Run with: `cargo bench -p orco_bench --bench serve_throughput`
 //! (`ORCO_SCALE=quick` shrinks the measurement for CI.)
 
-// Benches time real work; wall-clock reads are the point (benches/ is
-// likewise exempt from orco-lint's wall-clock rule).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benches time real work; wall-clock reads are the point"
+)]
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

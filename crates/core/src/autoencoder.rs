@@ -174,7 +174,6 @@ impl AsymmetricAutoencoder {
     /// Bit-identical to encoding each row through
     /// [`AsymmetricAutoencoder::encode`], without the per-frame
     /// allocations.
-    // orco-lint: region(no-alloc)
     pub(crate) fn encode_batch_into(&mut self, frames: MatView<'_>, out: &mut Matrix) {
         self.encoder.forward_into(frames, out, false);
     }
@@ -187,7 +186,6 @@ impl AsymmetricAutoencoder {
     pub(crate) fn decode_batch_into(&mut self, codes: MatView<'_>, out: &mut Matrix) {
         self.decoder.infer_into(codes, out);
     }
-    // orco-lint: endregion
 
     // ------------------------------------------------------------------
     // Split-training primitives (driven by the orchestrator)

@@ -253,7 +253,6 @@ impl MultiClusterCoordinator {
 /// worker runs under [`orco_tensor::parallel::with_thread_budget`] with its
 /// fair slice of that budget so the GEMMs inside `train_round` cannot
 /// multiply worker counts into `budget × budget` threads.
-#[allow(clippy::type_complexity)]
 fn run_cluster_rounds(
     clusters: &mut [Orchestrator],
     datasets: &[Dataset],

@@ -609,7 +609,10 @@ impl Experiment {
         })
     }
 
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a private tuple of the run's five products, unpacked by its one caller"
+    )]
     fn run_orchestrated(
         &mut self,
         probe: &Matrix,
@@ -709,7 +712,10 @@ impl Experiment {
         Ok((rounds, records, sim_time_s, training_radio, data_plane))
     }
 
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a private tuple of the run's five products, unpacked by its one caller"
+    )]
     fn run_local(
         &mut self,
         probe: &Matrix,

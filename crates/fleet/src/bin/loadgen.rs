@@ -40,9 +40,10 @@
 //!     --fleet 127.0.0.1:7300 --clients 4 --frames 64 --shutdown
 //! ```
 
-// A load generator times real sockets; wall-clock reads are its job
-// (bin/ targets are likewise exempt from orco-lint's wall-clock rule).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a load generator times real sockets; wall-clock reads are its job"
+)]
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

@@ -3,7 +3,7 @@
 //! the directory, caches the assignment table, and chases redirects
 //! ([`FleetClient`]).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use orco_serve::fleet_view::owner_of;
 use orco_serve::protocol::{GatewayStats, Message};
@@ -143,12 +143,12 @@ pub struct FleetClient {
     auth_secret: Option<u64>,
     view: FleetView,
     /// One data connection per gateway address, opened lazily.
-    conns: HashMap<String, Client<TcpConnection>>,
+    conns: BTreeMap<String, Client<TcpConnection>>,
     /// The geometry each greeted gateway announced.
-    infos: HashMap<String, GatewayInfo>,
+    infos: BTreeMap<String, GatewayInfo>,
     /// Rows pushed per gateway address (the per-gateway throughput
     /// ledger `loadgen --fleet` reports).
-    pushed_rows: HashMap<String, u64>,
+    pushed_rows: BTreeMap<String, u64>,
     redirects_chased: u64,
 }
 
@@ -179,9 +179,9 @@ impl FleetClient {
             client_id,
             auth_secret,
             view: FleetView::new(None, epoch, members),
-            conns: HashMap::new(),
-            infos: HashMap::new(),
-            pushed_rows: HashMap::new(),
+            conns: BTreeMap::new(),
+            infos: BTreeMap::new(),
+            pushed_rows: BTreeMap::new(),
             redirects_chased: 0,
         })
     }
@@ -201,9 +201,7 @@ impl FleetClient {
     /// Rows pushed per gateway address, ascending by address.
     #[must_use]
     pub fn pushed_rows_by_gateway(&self) -> Vec<(String, u64)> {
-        let mut rows: Vec<_> = self.pushed_rows.iter().map(|(a, &n)| (a.clone(), n)).collect();
-        rows.sort();
-        rows
+        self.pushed_rows.iter().map(|(a, &n)| (a.clone(), n)).collect()
     }
 
     /// The address of the gateway the cached table assigns `cluster_id`.

@@ -74,7 +74,10 @@ impl Conv2d {
     ///
     /// Panics if `out_c == 0` or the geometry is invalid (see
     /// [`Conv2dGeom::new`]).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the conv geometry is seven numbers, the activation and the rng"
+    )]
     #[must_use]
     pub fn new(
         in_c: usize,
@@ -118,7 +121,6 @@ impl Layer for Conv2d {
     /// per-channel bias onto it; then an in-place activation over the batch.
     /// Allocates nothing once `out`, the workspace and (under `train`) the
     /// cache have grown to size.
-    // orco-lint: region(no-alloc)
     fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
         assert_eq!(
             x.cols(),
@@ -149,7 +151,6 @@ impl Layer for Conv2d {
             output.copy_from(out.as_view());
         }
     }
-    // orco-lint: endregion
 
     /// Per sample: `δ`, the sample lowered again, `∂L/∂K += δ·patchesᵀ`
     /// ([`MatView::matmul_t_into`]) and `∂L/∂b +=` the per-channel sums of
@@ -157,7 +158,6 @@ impl Layer for Conv2d {
     /// `∂L/∂patches = Kᵀ·δ` ([`MatView::t_matmul_into`]) scattered back by
     /// [`col2im_into`]. Allocates nothing once the workspaces and the
     /// caller's `grad_in` have grown to size.
-    // orco-lint: region(no-alloc)
     fn backward_into(&mut self, grad_out: MatView<'_>, mut grad_in: Option<&mut Matrix>) {
         let (input, output) =
             self.cache.as_ref().expect("Conv2d::backward: no training-mode forward");
@@ -197,7 +197,6 @@ impl Layer for Conv2d {
             }
         }
     }
-    // orco-lint: endregion
 
     fn for_each_param<'a>(&'a mut self, f: &mut dyn FnMut(Param<'a>)) {
         f(Param { value: &mut self.kernels, grad: &mut self.grad_kernels });

@@ -123,7 +123,6 @@ impl Layer for Dense {
     /// writes every element of `out`), a bias broadcast and an in-place
     /// activation; allocates nothing once `out` (and, under `train`, the
     /// cache) has grown to size.
-    // orco-lint: region(no-alloc)
     fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
         assert_eq!(
             x.cols(),
@@ -148,7 +147,6 @@ impl Layer for Dense {
             output.copy_from(out.as_view());
         }
     }
-    // orco-lint: endregion
 
     /// `δ = grad_out ⊙ σ'` (σ′ read from the kept output), then
     /// `∂L/∂W += δᵀ·x` ([`MatView::t_matmul_into`]), `∂L/∂b +=` the column
@@ -156,7 +154,6 @@ impl Layer for Dense {
     /// ([`MatView::matmul_into`]). Each call's `δᵀ·x` and column sums are
     /// formed from zero in a workspace and then added, so a second call
     /// adds exactly what the first did.
-    // orco-lint: region(no-alloc)
     fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>) {
         let (input, output) =
             self.cache.as_ref().expect("Dense::backward: no training-mode forward");
@@ -186,7 +183,6 @@ impl Layer for Dense {
             self.delta.as_view().matmul_into(self.weight.as_view(), grad_in.as_view_mut());
         }
     }
-    // orco-lint: endregion
 
     fn for_each_param<'a>(&'a mut self, f: &mut dyn FnMut(Param<'a>)) {
         f(Param { value: &mut self.weight, grad: &mut self.grad_weight });

@@ -132,7 +132,6 @@ impl Sequential {
     /// # Panics
     ///
     /// Panics if the model is empty.
-    // orco-lint: region(no-alloc)
     pub fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
         let (last, rest) =
             self.layers.split_last_mut().expect("Sequential::forward_into on empty model");
@@ -147,7 +146,6 @@ impl Sequential {
         }
         last.forward_into(dst.as_view(), out, train);
     }
-    // orco-lint: endregion
 
     /// [`forward_into`](Sequential::forward_into) into a fresh matrix.
     ///
@@ -179,7 +177,6 @@ impl Sequential {
     /// # Panics
     ///
     /// Panics if the model is empty.
-    // orco-lint: region(no-alloc)
     pub fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>) {
         let (first, rest) =
             self.layers.split_first_mut().expect("Sequential::backward_into on empty model");
@@ -194,7 +191,6 @@ impl Sequential {
         }
         first.backward_into(dst.as_view(), grad_in);
     }
-    // orco-lint: endregion
 
     /// Visits every layer's parameters in a stable order
     /// ([`Layer::for_each_param`]).

@@ -80,7 +80,6 @@ impl Optimizer {
     ///
     /// Panics if the number of parameters changes between calls (the
     /// optimizer would silently mis-associate its state otherwise).
-    // orco-lint: region(no-alloc)
     pub fn step(&mut self, mut visit: impl FnMut(&mut dyn FnMut(Param<'_>))) {
         let first_step = self.step_count == 0;
         self.step_count += 1;
@@ -138,7 +137,6 @@ impl Optimizer {
             }
         });
     }
-    // orco-lint: endregion
 }
 
 /// Independent `f64` partial sums in [`add_squares`]: four ymm registers

@@ -102,7 +102,6 @@ impl Layer for MaxPool2d {
 
     /// Routes each window's gradient to the input cell that won it. There
     /// are no parameters, so without a `grad_in` only the checks remain.
-    // orco-lint: region(no-alloc)
     fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>) {
         let input =
             self.cached_input.as_ref().expect("MaxPool2d::backward: no training-mode forward");
@@ -118,7 +117,6 @@ impl Layer for MaxPool2d {
             self.for_each_window(sample, |o, _, winner| gi[winner] += go[o]);
         }
     }
-    // orco-lint: endregion
 
     fn for_each_param<'a>(&'a mut self, _: &mut dyn FnMut(Param<'a>)) {}
 

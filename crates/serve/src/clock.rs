@@ -38,11 +38,10 @@ impl Clock {
     /// A monotonic wall clock starting at zero now.
     #[must_use]
     pub fn real() -> Self {
-        // The one blessed OS-clock read in library code: every other
-        // consumer goes through a `Clock` value (orco-lint `wall-clock`
-        // allows this file; clippy's disallowed-methods backstop is
-        // waived here for the same reason).
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one OS-clock read in library code: every other consumer goes through a `Clock` value"
+        )]
         Clock::Real { epoch: Instant::now() }
     }
 

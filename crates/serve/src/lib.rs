@@ -129,10 +129,10 @@ pub use fleet_view::FleetView;
 pub use gateway::{Gateway, GatewayConfig};
 pub use outbox::Outbox;
 pub use protocol::{
-    ErrorCode, GatewayEntry, GatewayStats, Message, ModelVersion, WireError, MAX_LABEL,
+    ErrorCode, GatewayEntry, GatewayStats, Message, ModelVersion, ShardRow, WireError, MAX_LABEL,
 };
 pub use scenarios::{Outcome, RunLog, Scenario, ScenarioError};
 pub use service::Service;
-pub use stats::{ShardRow, StatsSnapshot};
+pub use stats::StatsSnapshot;
 pub use tcp::TcpServer;
 pub use transport::{Connection, Loopback, LoopbackConnection, Tcp, TcpConnection, Transport};

@@ -472,7 +472,6 @@ impl ShardCore {
         now_s: f64,
         capacity: usize,
     ) -> bool {
-        // orco-lint: region(no-alloc)
         let rows = frames.rows();
         if self.in_flight() + rows > capacity {
             return false;
@@ -491,7 +490,6 @@ impl ShardCore {
         frames.append_to(&mut self.pending_data);
         self.pending.extend(std::iter::repeat_n((cluster, trace), rows));
         true
-        // orco-lint: endregion
     }
 
     /// Encodes the entire pending micro-batch in ONE `encode_batch` call,
@@ -514,7 +512,6 @@ impl ShardCore {
         if rows == 0 {
             return Ok(());
         }
-        // orco-lint: region(no-alloc)
         let view = MatView::new(rows, self.dims.input, &self.pending_data)?;
         self.codec.encode_batch(view, &mut self.codes_ws)?;
         self.sample_drift(rows, stats)?;
@@ -544,7 +541,6 @@ impl ShardCore {
             }
         }
         self.pending_data.clear();
-        // orco-lint: endregion
         // The batch is stored: disarm, then deliver to each flushed
         // cluster (once — a repeat visit finds nothing stored) from the
         // list whose buffer goes back to the next batch.

@@ -19,7 +19,7 @@
 
 use orco_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 
-use crate::protocol::{codec, wire_struct, Cursor, Wire, WireError};
+use crate::protocol::ShardRow;
 
 /// Upper bound on the shard count a [`StatsSnapshot`] may carry on the
 /// wire (bounds the per-shard rows before any allocation, like
@@ -223,28 +223,21 @@ impl ServeStats {
     }
 }
 
-wire_struct! {
-    /// One shard's counters inside a [`StatsSnapshot`]: enough to see
-    /// hot-shard skew from any scrape.
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct ShardRow {
-        /// Raw frames this shard accepted.
-        pub frames_in: u64,
-        /// Decoded frames this shard delivered (pulls + streams).
-        pub frames_out: u64,
-        /// Micro-batches this shard flushed.
-        pub batches: u64,
-    }
-}
-
 /// Generates everything that must list the snapshot's `u64` cells in the
-/// same order — the [`StatsSnapshot`] struct, its [`Wire`] codec (and so
-/// its worst-case size), [`ServeStats::snapshot`] and the exposition —
-/// from one row per cell: `field: "exposition key" = the cell to read`,
-/// in wire order, with `$stats` naming the `&ServeStats` the cell column
+/// same order — the [`StatsSnapshot`] struct, its wire codec (and so its
+/// worst-case size), [`ServeStats::snapshot`] and the exposition — from
+/// one row per cell: `field: "exposition key" = the cell to read`, in
+/// wire order, with `$stats` naming the `&ServeStats` the cell column
 /// reads from. The irregular fields (the shard count up front; the drift
 /// flag, the two percentiles and the per-shard rows behind) are written
 /// once each in this template.
+///
+/// The codec is generated as a macro, `snapshot_codec!`, which
+/// `protocol::wire` expands: its decoder then falls under that module's
+/// panic-free lints, which clippy applies where a macro is invoked. Clippy
+/// does not lint `unwrap` or `expect` inside a local macro's expansion,
+/// though: what guards the decoder's body is `tests/protocol_roundtrip.rs`'s
+/// `every_payload_cut_is_truncated_under_a_restamped_header`, not clippy.
 macro_rules! snapshot_table {
     (|$stats:ident| $( $(#[$meta:meta])* $name:ident : $key:literal = $cell:expr ),+ $(,)?) => {
         /// The registry frozen at one instant; the payload of
@@ -267,54 +260,59 @@ macro_rules! snapshot_table {
             pub per_shard: Vec<ShardRow>,
         }
 
-        /// The shard count, the `u64` cells, the drift flag, the two
+        /// [`StatsSnapshot`]'s codec, for `protocol::wire` to expand: the
+        /// shard count, the `u64` cells, the drift flag, the two
         /// percentiles, then `shards` per-shard rows (the count up front
         /// is the rows' length prefix).
-        // orco-lint: region(wire-decode)
-        impl Wire for StatsSnapshot {
-            const CAP: usize = u16::CAP
-                + [$( stringify!($name) ),+].len() * u64::CAP
-                + bool::CAP
-                + 2 * f64::CAP
-                + MAX_SHARDS * ShardRow::CAP;
+        macro_rules! snapshot_codec {
+            () => {
+                impl Wire for StatsSnapshot {
+                    const CAP: usize = u16::CAP
+                        + [$( stringify!($name) ),+].len() * u64::CAP
+                        + bool::CAP
+                        + 2 * f64::CAP
+                        + MAX_SHARDS * ShardRow::CAP;
 
-            fn put(v: &Self, out: &mut Vec<u8>) {
-                assert!(
-                    v.per_shard.len() == usize::from(v.shards) && v.per_shard.len() <= MAX_SHARDS,
-                    "snapshot per-shard rows must match the shard count (≤ MAX_SHARDS)"
-                );
-                u16::put(&v.shards, out);
-                $( u64::put(&v.$name, out); )+
-                bool::put(&v.drift, out);
-                f64::put(&v.batch_latency_p50_s, out);
-                f64::put(&v.batch_latency_p99_s, out);
-                for row in &v.per_shard {
-                    ShardRow::put(row, out);
-                }
-            }
+                    fn put(v: &Self, out: &mut Vec<u8>) {
+                        assert!(
+                            v.per_shard.len() == usize::from(v.shards)
+                                && v.per_shard.len() <= MAX_SHARDS,
+                            "snapshot per-shard rows must match the shard count (≤ MAX_SHARDS)"
+                        );
+                        u16::put(&v.shards, out);
+                        $( u64::put(&v.$name, out); )+
+                        bool::put(&v.drift, out);
+                        f64::put(&v.batch_latency_p50_s, out);
+                        f64::put(&v.batch_latency_p99_s, out);
+                        for row in &v.per_shard {
+                            ShardRow::put(row, out);
+                        }
+                    }
 
-            fn take(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
-                let shards = u16::take(cur)?;
-                if usize::from(shards) > MAX_SHARDS {
-                    return Err(WireError::Corrupt {
-                        detail: "snapshot shard count exceeds MAX_SHARDS",
-                    });
+                    fn take(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                        let shards = u16::take(cur)?;
+                        if usize::from(shards) > MAX_SHARDS {
+                            return Err(WireError::Corrupt {
+                                detail: "snapshot shard count exceeds MAX_SHARDS",
+                            });
+                        }
+                        let mut snap = Self {
+                            shards,
+                            $( $name: u64::take(cur)?, )+
+                            drift: bool::take(cur)?,
+                            batch_latency_p50_s: f64::take(cur)?,
+                            batch_latency_p99_s: f64::take(cur)?,
+                            per_shard: Vec::with_capacity(usize::from(shards)),
+                        };
+                        for _ in 0..shards {
+                            snap.per_shard.push(ShardRow::take(cur)?);
+                        }
+                        Ok(snap)
+                    }
                 }
-                let mut snap = Self {
-                    shards,
-                    $( $name: u64::take(cur)?, )+
-                    drift: bool::take(cur)?,
-                    batch_latency_p50_s: f64::take(cur)?,
-                    batch_latency_p99_s: f64::take(cur)?,
-                    per_shard: Vec::with_capacity(usize::from(shards)),
-                };
-                for _ in 0..shards {
-                    snap.per_shard.push(ShardRow::take(cur)?);
-                }
-                Ok(snap)
-            }
+            };
         }
-        // orco-lint: endregion
+        pub(crate) use snapshot_codec;
 
         impl ServeStats {
             /// Freezes the registry into a snapshot.

@@ -256,8 +256,10 @@ fn acked_frames_pullable_within_deadline_tcp() {
 
     // 3 rows < batch_max_frames = 8: only the deadline can flush these.
     // Generous slack over the 5 ms deadline for CI scheduling noise.
-    #[allow(clippy::disallowed_methods)]
-    // orco-lint: allow(wall-clock, reason = "patience timer bounding a real TCP server; this test runs outside the DES by design")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "patience timer bounding a real TCP server; this test runs outside the DES by design"
+    )]
     let patience = std::time::Instant::now();
     for &cluster in &CLUSTERS {
         let mut got = 0;

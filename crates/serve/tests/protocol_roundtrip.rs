@@ -314,6 +314,27 @@ proptest! {
         );
     }
 
+    /// Every strict prefix of a valid payload, under a header re-stamped
+    /// to its length, is `Truncated`: the header check passes, so the
+    /// message's own decoder meets the cut (`every_truncation_rejected`
+    /// stops at the header's length check). This is what guards the
+    /// decoders the message table and `snapshot_table!` generate: clippy
+    /// does not lint `unwrap` or `expect` inside a local macro's expansion.
+    #[test]
+    fn every_payload_cut_is_truncated_under_a_restamped_header(msg in any_message()) {
+        let frame = msg.encode();
+        let payload = frame.len() - HEADER_LEN;
+        for cut in 0..payload {
+            let mut cut_frame = frame[..HEADER_LEN + cut].to_vec();
+            cut_frame[8..12].copy_from_slice(&(cut as u32).to_le_bytes());
+            let err = Message::decode(&cut_frame).expect_err("a cut payload must not decode");
+            prop_assert!(
+                matches!(err, WireError::Truncated { .. }),
+                "{} cut to {} of {} payload bytes: {:?}", msg.kind(), cut, payload, err
+            );
+        }
+    }
+
     /// Flipping any single header byte is caught by a typed error or, at
     /// worst (a corrupted length that still fits), a clean parse of the
     /// same kind — never a panic.

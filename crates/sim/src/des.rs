@@ -494,7 +494,10 @@ impl DesNetwork {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one delivery's fields, passed once from the event loop"
+    )]
     fn on_delivery(
         &mut self,
         tdel: f64,

@@ -365,7 +365,10 @@ impl<T> NetSim<T> {
     ///
     /// Not an [`Iterator`]: stepping mutates link/partition state and
     /// callers interleave `send`s between pops.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "stepping mutates link state and callers send between pops; not an Iterator"
+    )]
     pub fn next(&mut self) -> Option<(f64, T)> {
         let (t, payload) = self.queue.pop()?;
         self.now_s = t;

@@ -140,7 +140,6 @@ pub fn im2col(input: &[f32], geom: &Conv2dGeom) -> Matrix {
 ///
 /// Panics if `input.len() != geom.input_len()` or
 /// `out.len() != geom.patch_len() * geom.out_positions()`.
-// orco-lint: region(no-alloc)
 pub fn im2col_into(input: &[f32], geom: &Conv2dGeom, out: &mut [f32]) {
     assert_eq!(input.len(), geom.input_len(), "im2col: input length mismatch");
     let (oh, ow, k, stride) = (geom.out_h(), geom.out_w(), geom.kernel, geom.stride);
@@ -172,7 +171,6 @@ pub fn im2col_into(input: &[f32], geom: &Conv2dGeom, out: &mut [f32]) {
         }
     }
 }
-// orco-lint: endregion
 
 /// Scatters a row-major `(patch_len, out_positions)` patch slice back onto
 /// a caller-owned flattened `(C, H, W)` image, accumulating overlapping
@@ -187,7 +185,6 @@ pub fn im2col_into(input: &[f32], geom: &Conv2dGeom, out: &mut [f32]) {
 ///
 /// Panics if `patches.len() != geom.patch_len() * geom.out_positions()` or
 /// `img.len() != geom.input_len()`.
-// orco-lint: region(no-alloc)
 pub fn col2im_into(patches: &[f32], geom: &Conv2dGeom, img: &mut [f32]) {
     let (oh, ow, k, stride) = (geom.out_h(), geom.out_w(), geom.kernel, geom.stride);
     assert_eq!(patches.len(), geom.patch_len() * oh * ow, "col2im: patch buffer length mismatch");
@@ -217,7 +214,6 @@ pub fn col2im_into(patches: &[f32], geom: &Conv2dGeom, img: &mut [f32]) {
         }
     }
 }
-// orco-lint: endregion
 
 #[cfg(test)]
 mod tests {

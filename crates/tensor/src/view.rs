@@ -104,7 +104,6 @@ type PanelRow = [TileRow; GEMM_PANEL_STRIPS];
 /// One `kk` of `B` read in place: `GEMM_TILE_STRIPS` strips.
 type WideRow = [TileRow; GEMM_TILE_STRIPS];
 
-// orco-lint: region(no-alloc)
 /// The left factor as the micro-kernel reads it: the `R` values row tile
 /// `i0..i0 + R` broadcasts at each `kk` of the panel `k0..k0 + kb`.
 trait Lhs: Copy + Sync {
@@ -425,7 +424,6 @@ fn has_non_finite(panel: &[PanelRow]) -> bool {
     let non_finite = |v: &f32| u32::from(v.to_bits() & EXPONENT == EXPONENT);
     values.iter().fold(0, |any, v| any | non_finite(v)) != 0
 }
-// orco-lint: endregion
 
 // ----------------------------------------------------------------------
 // MatView

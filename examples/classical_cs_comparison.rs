@@ -55,8 +55,10 @@ fn main() {
     let mut recon = Matrix::zeros(0, 0);
     let mean_psnr = |codec: &mut dyn Codec, codes: &mut Matrix, recon: &mut Matrix| -> (f32, f64) {
         codec.encode_batch(probe.as_view(), codes).expect("probe frames fit the codec");
-        #[allow(clippy::disallowed_methods)]
-        // orco-lint: allow(wall-clock, reason = "example measures real decode latency of classical solvers; no DES involved")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "example measures real decode latency of classical solvers; no DES involved"
+        )]
         let t0 = Instant::now();
         codec.decode_batch(codes.as_view(), recon).expect("codes fit the codec");
         let decode_s = t0.elapsed().as_secs_f64();

@@ -7,7 +7,8 @@
 //! on DCSNet — counted, not inferred. The training round (ROADMAP item 1)
 //! is held to the same count: after one warm-up round at batch 32, the
 //! four `SplitModel` steps allocate only the matrices they hand across the
-//! simulated wire.
+//! simulated wire, and a training step of the classifier's layer stack
+//! (conv → max-pool → dense) allocates nothing.
 //!
 //! The serving layer is held to it from client to shard: after a warm-up,
 //! a push over `Loopback` — encoded from the caller's rows, parsed in
@@ -28,11 +29,11 @@ use std::time::Duration;
 use orcodcs_repro::baselines::Dcsnet;
 use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig, SplitModel};
 use orcodcs_repro::datasets::{gtsrb_like, mnist_like, DatasetKind};
-use orcodcs_repro::nn::Loss;
+use orcodcs_repro::nn::{Activation, Conv2d, Dense, Loss, MaxPool2d, Optimizer, Sequential};
 use orcodcs_repro::serve::{
     Client, Clock, Gateway, GatewayConfig, Loopback, LoopbackConnection, Message, PushOutcome,
 };
-use orcodcs_repro::tensor::{parallel, Matrix};
+use orcodcs_repro::tensor::{parallel, Matrix, OrcoRng};
 
 thread_local! {
     /// `Some(n)` while this thread is counting its allocator calls.
@@ -191,6 +192,43 @@ fn steady_state_split_round_allocates_only_what_crosses_the_wire() {
              decoder update / encoder update"
         );
     }
+}
+
+/// The classifier's layer stack, the one model with a `MaxPool2d`: conv →
+/// max-pool → dense on MNIST-sized frames at batch 16, on a thread budget
+/// of 1. Once a warm-up step has grown the layers' caches and workspaces,
+/// the model's ping-pong buffers and Adam's moments, a step's forward,
+/// backward (the pool routing its gradient to the conv) and clipped update
+/// each make zero allocator calls.
+#[test]
+fn steady_state_conv_pool_dense_step_allocates_nothing() {
+    const BATCH: usize = 16;
+    let mut rng = OrcoRng::from_label("no-alloc-cnn", 0);
+    let mut model = Sequential::new();
+    model.push(Conv2d::new(1, 28, 28, 8, 3, 1, 1, Activation::Relu, &mut rng));
+    model.push(MaxPool2d::new(8, 28, 28, 2));
+    model.push(Dense::new(8 * 14 * 14, 10, Activation::Identity, &mut rng));
+    let dataset = mnist_like::generate(BATCH, 3);
+    let grad = Matrix::from_fn(BATCH, 10, |r, c| (r * 10 + c) as f32 * 1e-3 - 0.05);
+    let mut opt = Optimizer::adam(1e-3).with_grad_clip(5.0);
+    let mut out = Matrix::zeros(0, 0);
+    let mut step = || {
+        let (forward, ()) =
+            allocations_during(|| model.forward_into(dataset.x().as_view(), &mut out, true));
+        let (backward, ()) = allocations_during(|| {
+            model.zero_grad();
+            model.backward_into(grad.as_view(), None);
+        });
+        let (update, ()) = allocations_during(|| opt.step(|f| model.for_each_param(f)));
+        [forward, backward, update]
+    };
+    let (warm_up, steady) = parallel::with_thread_budget(1, || (step(), step()));
+    assert!(warm_up.iter().all(|&n| n > 0), "the counter counts: {warm_up:?}");
+    assert_eq!(
+        steady,
+        [0, 0, 0],
+        "allocator calls of a steady-state batch-{BATCH} forward / backward / update"
+    );
 }
 
 /// Client → shard at batch 64 over `Loopback`, on a thread budget of 1:
