@@ -135,7 +135,7 @@ pub fn ascii_image(pixels: &[f32], h: usize, w: usize) -> String {
     out
 }
 
-/// Renders two images side by side with labels (for Fig. 2 previews).
+/// Renders images side by side, each under its label (for Fig. 2 previews).
 #[must_use]
 pub fn ascii_side_by_side(labels: &[&str], images: &[&[f32]], h: usize, w: usize) -> String {
     assert_eq!(labels.len(), images.len(), "label/image count mismatch");
@@ -144,9 +144,8 @@ pub fn ascii_side_by_side(labels: &[&str], images: &[&[f32]], h: usize, w: usize
         .map(|img| ascii_image(img, h, w).lines().map(str::to_string).collect())
         .collect();
     let mut out = String::new();
-    for (i, label) in labels.iter().enumerate() {
+    for label in labels {
         out.push_str(&format!("{label:^w$}", w = w + 2));
-        let _ = i;
     }
     out.push('\n');
     for row in 0..h {

@@ -2,7 +2,7 @@
 //!
 //! The benchmark harness of the OrcoDCS reproduction: one module — and one
 //! runnable binary — per figure of the paper's evaluation (§IV), plus
-//! Criterion micro-benchmarks of the components in `benches/`.
+//! throughput benches in `benches/` (plain `harness = false` programs).
 //!
 //! | Binary | Paper figure | What it regenerates |
 //! |--------|--------------|---------------------|

@@ -45,8 +45,6 @@ pub struct OrcoConfig {
     pub batch_size: usize,
     /// Number of passes over the aggregated training data.
     pub epochs: usize,
-    /// Fine-tuning monitor threshold on reconstruction loss (§III-D).
-    pub finetune_threshold: f32,
     /// Compression policy for the reconstruction-gradient uplink.
     pub grad_compression: GradCompression,
     /// RNG seed for weights, noise and batching.
@@ -78,7 +76,6 @@ impl OrcoConfig {
             },
             batch_size: 32,
             epochs: 10,
-            finetune_threshold: 0.05,
             grad_compression: GradCompression::default(),
             seed: 0,
         }
@@ -182,7 +179,6 @@ impl OrcoConfig {
         )?;
         check(self.batch_size > 0, "batch_size must be non-zero")?;
         check(self.epochs > 0, "epochs must be non-zero")?;
-        check(self.finetune_threshold > 0.0, "finetune_threshold must be positive")?;
         Ok(())
     }
 

@@ -45,12 +45,6 @@ impl FineTuneMonitor {
         Self { threshold, window: VecDeque::with_capacity(window), capacity: window }
     }
 
-    /// The trigger threshold.
-    #[must_use]
-    pub(crate) fn threshold(&self) -> f32 {
-        self.threshold
-    }
-
     /// Records one reconstruction-error observation.
     pub fn record(&mut self, error: f32) {
         if self.window.len() == self.capacity {

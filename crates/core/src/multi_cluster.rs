@@ -128,15 +128,12 @@ impl MultiClusterCoordinator {
     }
 
     /// The edge-side seconds one round of cluster `i` occupies (decoder
-    /// forward + backward at the edge rate for one batch).
+    /// forward + backward for one batch, at the edge rate every `Network`
+    /// computes with).
     fn edge_time_per_round(&self, i: usize, batch: usize) -> f64 {
         let model = self.clusters[i].model();
         let flops = (model.decoder_flops_forward() + model.decoder_flops_backward()) * batch as u64;
-        self.clusters[i]
-            .network()
-            .config()
-            .compute
-            .time_for_flops(orco_wsn::DeviceClass::EdgeServer, flops)
+        orco_wsn::ComputeModel::default().time_for_flops(orco_wsn::DeviceClass::EdgeServer, flops)
     }
 
     fn sweep_order(&self, sweep: usize) -> Vec<usize> {

@@ -21,6 +21,7 @@ use orco_tensor::{Matrix, OrcoRng};
 use orco_wsn::{DeploymentBackend, Network, NetworkConfig, PacketKind};
 
 use crate::autoencoder::AsymmetricAutoencoder;
+use crate::compression::GradCompression;
 use crate::config::OrcoConfig;
 use crate::distribution::EncoderColumns;
 use crate::error::OrcoError;
@@ -55,11 +56,22 @@ use crate::split::SplitModel;
 #[derive(Debug)]
 pub struct Orchestrator<M: SplitModel = AsymmetricAutoencoder, D: DeploymentBackend = Network> {
     model: M,
-    config: OrcoConfig,
     loss: Loss,
     network: D,
+    run: RunSettings,
     batch_rng: OrcoRng,
     rounds_run: usize,
+}
+
+/// What a training run reads of its configuration: the batch shuffle's
+/// seed, the gradient uplink's compression, the batch size and the epoch
+/// count — named, so a batch size and an epoch count cannot trade places.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunSettings {
+    pub(crate) seed: u64,
+    pub(crate) grad_compression: GradCompression,
+    pub(crate) batch_size: usize,
+    pub(crate) epochs: usize,
 }
 
 impl Orchestrator<AsymmetricAutoencoder> {
@@ -103,8 +115,13 @@ impl<M: SplitModel> Orchestrator<M, Network> {
     /// OrcoDCS-specific constraints such as `latent_dim < input_dim`.
     #[must_use]
     pub fn with_model(model: M, config: OrcoConfig, net_config: NetworkConfig) -> Self {
-        let loss = config.loss();
-        Self::with_parts(model, config, loss, Network::new(net_config))
+        let run = RunSettings {
+            seed: config.seed,
+            grad_compression: config.grad_compression,
+            batch_size: config.batch_size,
+            epochs: config.epochs,
+        };
+        Self::with_parts(model, config.loss(), Network::new(net_config), run)
     }
 }
 
@@ -116,9 +133,9 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
     /// the deployment may already carry simulated time from earlier
     /// phases, and it may be either simulator (or a boxed one).
     #[must_use]
-    pub(crate) fn with_parts(model: M, config: OrcoConfig, loss: Loss, network: D) -> Self {
-        let batch_rng = OrcoRng::from_label("orcodcs-batching", config.seed);
-        Self { model, config, loss, network, batch_rng, rounds_run: 0 }
+    pub(crate) fn with_parts(model: M, loss: Loss, network: D, run: RunSettings) -> Self {
+        let batch_rng = OrcoRng::from_label("orcodcs-batching", run.seed);
+        Self { model, loss, network, run, batch_rng, rounds_run: 0 }
     }
 
     /// Consumes the orchestrator, releasing the deployment (with its clock
@@ -215,7 +232,7 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
         }
         // The gradient uplink honours the configured compression policy:
         // the edge trains on exactly what arrived over the wire.
-        let (grad_rx, grad_bytes) = self.config.grad_compression.apply(&grad);
+        let (grad_rx, grad_bytes) = self.run.grad_compression.apply(&grad);
         self.network.transmit(agg, edge, grad_bytes, PacketKind::ModelUpdate)?;
 
         // 5. Edge: decoder backward + update, downlink latent gradient.
@@ -231,8 +248,8 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
         Ok((value, self.network.now_s() - t0))
     }
 
-    /// Full online training (paper eq. 5): `config.epochs` shuffled passes
-    /// over `x` in `config.batch_size` batches.
+    /// Full online training (paper eq. 5): `epochs` shuffled passes over
+    /// `x` in batches of `batch_size`.
     ///
     /// # Errors
     ///
@@ -259,14 +276,14 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
         if n == 0 {
             return Err(OrcoError::Config { detail: "training set is empty".into() });
         }
-        if self.config.batch_size == 0 {
+        if self.run.batch_size == 0 {
             return Err(OrcoError::Config { detail: "batch_size must be non-zero".into() });
         }
-        let bs = self.config.batch_size.min(n);
+        let bs = self.run.batch_size.min(n);
         let mut order: Vec<usize> = (0..n).collect();
         let mut history = TrainingHistory::default();
         let mut round = 0usize;
-        for epoch in 0..self.config.epochs {
+        for epoch in 0..self.run.epochs {
             self.batch_rng.shuffle(&mut order);
             for chunk in order.chunks(bs) {
                 let xb = x.select_rows(chunk);
@@ -321,7 +338,7 @@ mod tests {
     fn training_reduces_loss_over_rounds() {
         let mut orch = tiny_setup(8);
         let ds = mnist_like::generate(32, 0);
-        let loss_fn = orch.config.loss();
+        let loss_fn = orch.loss;
         let before = loss_fn.value(&orch.model_mut().reconstruct(ds.x()), ds.x());
         let history = orch.train(ds.x()).unwrap();
         assert!(history.rounds.len() >= 8);

@@ -42,11 +42,10 @@ use crate::aggregation::{self, TransmissionReport};
 use crate::checkpoint::CheckpointStore;
 use crate::codec::{fraction_rows, Codec, TrainSpec};
 use crate::compression::GradCompression;
-use crate::config::OrcoConfig;
 use crate::error::OrcoError;
 use crate::history::{RoundStats, TrainingHistory};
 use crate::monitor::FineTuneMonitor;
-use crate::orchestrator::Orchestrator;
+use crate::orchestrator::{Orchestrator, RunSettings};
 
 /// Which simulator executes the deployment of an orchestrated experiment.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -514,26 +513,6 @@ impl Experiment {
         self.retrains
     }
 
-    fn protocol_config(&self, seed: u64) -> OrcoConfig {
-        OrcoConfig {
-            input_dim: self.codec.input_dim(),
-            latent_dim: self.codec.code_len(),
-            // Fields below parameterize model construction, which the
-            // pipeline never does (the codec arrives pre-built); only the
-            // protocol-facing fields matter to the orchestrator.
-            decoder_layers: 1,
-            noise_variance: 0.0,
-            huber_delta: 1.0,
-            vector_huber: false,
-            learning_rate: 1e-3,
-            batch_size: self.batch_size,
-            epochs: self.epochs.max(1),
-            finetune_threshold: self.monitor.as_ref().map_or(0.05, FineTuneMonitor::threshold),
-            grad_compression: self.grad_compression,
-            seed,
-        }
-    }
-
     fn training_stream(&self) -> Matrix {
         if self.data_fraction < 1.0 {
             let mut rng = OrcoRng::from_label("experiment-data-fraction", self.seed);
@@ -623,7 +602,6 @@ impl Experiment {
         let train_x = self.training_stream();
         let column_bytes = self.codec.bytes_per_frame();
         let loss = self.codec.loss();
-        let config = self.protocol_config(self.seed);
         let net_config = NetworkConfig {
             num_devices: self.scale.device_count(self.codec.input_dim()),
             seed: self.seed,
@@ -642,7 +620,13 @@ impl Experiment {
                 Box::new(DesNetwork::new(net_config, spec.clone()))
             }
         };
-        let mut orch = Orchestrator::with_parts(split, config, loss, backend);
+        let run = RunSettings {
+            seed: self.seed,
+            grad_compression: self.grad_compression,
+            batch_size: self.batch_size,
+            epochs,
+        };
+        let mut orch = Orchestrator::with_parts(split, loss, backend, run);
 
         // §III-A: one raw frame per accessible training sample reaches the
         // aggregator (unless the caller opted out of the collection phase).
@@ -793,13 +777,17 @@ impl Experiment {
                 let network = self.network.take().ok_or_else(|| OrcoError::Config {
                     detail: "orchestrated retrain requires the deployment from run()".into(),
                 })?;
-                // `protocol_config` already carries the full epoch count.
-                let config = self.protocol_config(seed);
                 let loss = self.codec.loss();
                 let split = self.codec.split_model().ok_or_else(|| OrcoError::Config {
                     detail: "orchestrated retrain requires a split model".into(),
                 })?;
-                let mut orch = Orchestrator::with_parts(split, config, loss, network);
+                let run = RunSettings {
+                    seed,
+                    grad_compression: self.grad_compression,
+                    batch_size: self.batch_size,
+                    epochs: self.epochs.max(1),
+                };
+                let mut orch = Orchestrator::with_parts(split, loss, network, run);
                 let history = orch.train(x)?;
                 self.network = Some(orch.into_network());
                 history
@@ -823,6 +811,7 @@ impl Experiment {
 mod tests {
     use super::*;
     use crate::autoencoder::AsymmetricAutoencoder;
+    use crate::config::OrcoConfig;
     use orco_datasets::{mnist_like, DatasetKind};
 
     fn tiny_builder(n: usize, seed: u64) -> (Dataset, ExperimentBuilder) {

@@ -20,7 +20,7 @@
 //! `--drift <frame-idx>` injects the datasets crate's `Bias` field
 //! drift into every frame from that index on — the exact transform the
 //! rollout gauntlet uses — so a drift-monitoring gateway
-//! (`drift_sample_every > 0`) visibly trips its monitor mid-run and a
+//! (`drift: Some(DriftGuard { .. })`) visibly trips its monitor mid-run and a
 //! live `orco-rollout` cutover can be rehearsed end to end.
 //!
 //! `--metrics` skips the load entirely and one-shots the metrics text

@@ -33,20 +33,17 @@ pub struct DirectoryConfig {
     /// A gateway silent for longer than this is declared dead on the
     /// next sweep (choose several heartbeat intervals).
     pub heartbeat_timeout: Duration,
-    /// How often the TCP background worker sweeps; virtual-time hosts
-    /// sweep on every event instead ([`Service::on_time_advance`]).
-    pub sweep_interval: Duration,
 }
 
 impl Default for DirectoryConfig {
     fn default() -> Self {
-        Self {
-            auth_secret: None,
-            heartbeat_timeout: Duration::from_millis(500),
-            sweep_interval: Duration::from_millis(100),
-        }
+        Self { auth_secret: None, heartbeat_timeout: Duration::from_millis(500) }
     }
 }
+
+/// How often the TCP background worker sweeps; virtual-time hosts sweep on
+/// every event instead ([`Service::on_time_advance`]).
+const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 
 #[derive(Debug)]
 struct Member {
@@ -286,7 +283,7 @@ impl Service for Directory {
     /// for the next request to arrive.
     fn run_worker(&self, _idx: usize) {
         while !self.is_shutting_down() {
-            std::thread::sleep(self.cfg.sweep_interval);
+            std::thread::sleep(SWEEP_INTERVAL);
             self.sweep();
         }
     }

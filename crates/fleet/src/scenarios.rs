@@ -328,11 +328,7 @@ impl Fleet {
     #[must_use]
     pub fn new(net: &DesNet, gateways: u64, cfg: GatewayConfig, codec: &OrcoConfig) -> Fleet {
         let directory = Directory::new(
-            DirectoryConfig {
-                auth_secret: Some(SECRET),
-                heartbeat_timeout: BEAT_TIMEOUT,
-                sweep_interval: Duration::from_millis(100),
-            },
+            DirectoryConfig { auth_secret: Some(SECRET), heartbeat_timeout: BEAT_TIMEOUT },
             Clock::manual(Duration::ZERO),
         );
         let directory = Arc::new(directory.expect("valid directory config"));

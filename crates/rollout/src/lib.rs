@@ -9,7 +9,7 @@
 //! distributions drift, and an offline-trained codec quietly degrades.
 //! The serving layer already detects this — gateways sample decoded
 //! reconstructions through a [`orcodcs::FineTuneMonitor`]
-//! ([`orco_serve::GatewayConfig::drift_sample_every`]) and surface trips
+//! ([`orco_serve::GatewayConfig::drift`]) and surface trips
 //! as the `drift` flag on [`orco_serve::StatsSnapshot`] and on
 //! [`orco_serve::Message::VersionReply`]. This crate closes the loop:
 //!
@@ -23,7 +23,7 @@
 //!   drain through the codec that encoded them, and every delivery is
 //!   tagged with its producing version. No flush ever mixes versions.
 //! * **Rollback guard** — a gateway configured with
-//!   [`orco_serve::GatewayConfig::rollback_guard`] watches the post-swap
+//!   [`orco_serve::DriftGuard::rollback_above`] watches the post-swap
 //!   windowed reconstruction error and reverts to the prior codec on
 //!   regression; [`rollout_one`] surfaces the final state in the
 //!   returned [`orco_serve::VersionInfo`].

@@ -38,8 +38,8 @@ use orco_fleet::scenarios::{
 };
 use orco_serve::scenarios::{self as serve, codec_config, gateway_config, play, Cast, Run};
 use orco_serve::{
-    auth, DesNet, GatewayConfig, GatewayEntry, Message, ModelVersion, Outcome, RunLog, Scenario,
-    ScenarioError,
+    auth, DesNet, DriftGuard, GatewayConfig, GatewayEntry, Message, ModelVersion, Outcome, RunLog,
+    Scenario, ScenarioError,
 };
 use orco_tensor::OrcoRng;
 use orcodcs::{AsymmetricAutoencoder, Codec, EncoderCheckpoint};
@@ -120,13 +120,15 @@ pub fn verify(name: &str, seed: u64, quick: bool) -> Result<Outcome, ScenarioErr
     Ok(live)
 }
 
-/// Windowed decoded-sample error separating the base distribution from
-/// the drifted one for the gauntlet codec: uniform frames reconstruct
-/// at a windowed MSE near 0.09, [`Drift::Bias`]-shifted frames near
-/// 0.16 (measured; asserted by the `drift_threshold_separates_bands`
-/// test below), so the monitor trips on the shift and only the shift.
-const DRIFT_THRESHOLD: f32 = 0.125;
-const DRIFT_WINDOW: usize = 8;
+/// Every gateway's drift monitor: each samples every flushed row's
+/// decode-back error through an 8-sample window. The threshold separates
+/// the base distribution from the drifted one for the gauntlet codec:
+/// uniform frames reconstruct at a windowed MSE near 0.09,
+/// [`Drift::Bias`]-shifted frames near 0.16 (measured; asserted by the
+/// `drift_threshold_separates_bands` test below), so the monitor trips on
+/// the shift and only the shift.
+const DRIFT: DriftGuard =
+    DriftGuard { sample_every: 1, threshold: 0.125, window: 8, rollback_above: None };
 
 const GATEWAYS: [u64; 3] = [1, 2, 3];
 /// Gateway id (== endpoint) killed mid-swap: after it acks the staged
@@ -349,15 +351,9 @@ fn rollout_storm(run: &Run, net: &DesNet) -> Result<Outcome, String> {
     // stream's last quarter races the swap.
     let hold_at = frames_per_client * 3 / 4;
 
-    // Three identical gateways, every one drift-monitored: each samples
-    // every flushed row's decode-back error through an 8-sample window.
+    // Three identical gateways, every one drift-monitored.
     let codec = codec_config(11);
-    let gateway_cfg = GatewayConfig {
-        drift_sample_every: 1,
-        drift_threshold: DRIFT_THRESHOLD,
-        drift_window: DRIFT_WINDOW,
-        ..gateway_config()
-    };
+    let gateway_cfg = GatewayConfig { drift: Some(DRIFT), ..gateway_config() };
     let mut fleet = Fleet::new(net, GATEWAYS.len() as u64, gateway_cfg, &codec);
 
     // Two clients per gateway under the initial membership; the victim's
@@ -487,7 +483,7 @@ mod tests {
     use super::*;
     use orco_serve::scenarios::{reference_decode, uniform_frames};
 
-    /// Pins the empirical basis for [`DRIFT_THRESHOLD`]: the gauntlet
+    /// Pins the empirical basis for [`DRIFT`]'s threshold: the gauntlet
     /// codec reconstructs uniform frames strictly below it and
     /// Bias-shifted frames strictly above it, windowed-mean-wise.
     #[test]
@@ -506,13 +502,14 @@ mod tests {
             sum / x.as_slice().len() as f32
         };
         let (base_mean, shifted_mean) = (mean(&base), mean(&shifted));
+        let threshold = DRIFT.threshold;
         assert!(
-            base_mean < DRIFT_THRESHOLD - 0.02,
-            "base band {base_mean} too close to the threshold {DRIFT_THRESHOLD}"
+            base_mean < threshold - 0.02,
+            "base band {base_mean} too close to the threshold {threshold}"
         );
         assert!(
-            shifted_mean > DRIFT_THRESHOLD + 0.02,
-            "shifted band {shifted_mean} too close to the threshold {DRIFT_THRESHOLD}"
+            shifted_mean > threshold + 0.02,
+            "shifted band {shifted_mean} too close to the threshold {threshold}"
         );
     }
 }

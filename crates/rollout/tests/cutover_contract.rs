@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use orco_rollout::{rollout_one, rollout_staged};
 use orco_serve::scenarios::codec_config;
-use orco_serve::{Client, Clock, Gateway, GatewayConfig, Loopback, ModelVersion};
+use orco_serve::{Client, Clock, DriftGuard, Gateway, GatewayConfig, Loopback, ModelVersion};
 use orco_tensor::{Matrix, OrcoRng};
 use orcodcs::{AsymmetricAutoencoder, Codec, EncoderCheckpoint};
 
@@ -144,10 +144,12 @@ fn rollback_guard_reverts_without_dropping_rows() {
     let gw = gateway(GatewayConfig {
         shards: 1,
         batch_max_frames: 4,
-        drift_sample_every: 1,
-        drift_threshold: 1.0, // the monitor itself stays quiet
-        drift_window: 4,
-        rollback_guard: 0.05, // the untrained donor reconstructs far worse
+        drift: Some(DriftGuard {
+            sample_every: 1,
+            threshold: 1.0, // the monitor itself stays quiet
+            window: 4,
+            rollback_above: Some(0.05), // the untrained donor reconstructs far worse
+        }),
         ..GatewayConfig::default()
     });
     let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("loopback connects");

@@ -222,7 +222,8 @@ struct Inner {
     conns: Vec<ConnState>,
 }
 
-/// A deterministic impaired network binding DES clients to one gateway.
+/// A deterministic impaired network binding DES clients to one or more
+/// services (gateways, a directory), each an endpoint of its own.
 ///
 /// Cheaply cloneable (`Rc`-shared); deliberately single-threaded — the
 /// whole point is that every run is one totally-ordered event sequence.

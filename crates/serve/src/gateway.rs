@@ -105,24 +105,30 @@ pub struct GatewayConfig {
     /// ([`orco_obs::Tracer`]); 0 disables tracing entirely (record
     /// becomes a no-op that never takes the ring lock).
     pub trace_capacity: usize,
-    /// Sample every N-th flushed row through the drift monitor
-    /// (decode-back reconstruction error); 0 disables drift detection.
-    /// The schedule is a pure function of the row sequence, so drift
-    /// trips are deterministic under a manual clock.
-    pub drift_sample_every: u64,
-    /// Windowed reconstruction error above which the drift monitor
-    /// trips (raises `drift_trips`/`drift` in the stats). Must be > 0
-    /// when sampling is enabled.
-    pub drift_threshold: f32,
-    /// Sliding-window length of the drift monitor, in samples. Must be
-    /// > 0 when sampling is enabled.
-    pub drift_window: usize,
+    /// The drift monitor every shard samples its flushed rows through;
+    /// `None` disables drift detection.
+    pub drift: Option<DriftGuard>,
+}
+
+/// The gateway's drift monitor (paper §III-D): every shard decodes back a
+/// sample of its flushed rows and scores each against its raw frame
+/// through a [`orcodcs::FineTuneMonitor`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DriftGuard {
+    /// Sample every N-th flushed row (≥ 1). The schedule is a pure
+    /// function of the row sequence, so drift trips are deterministic
+    /// under a manual clock.
+    pub sample_every: u64,
+    /// Windowed reconstruction error above which the monitor trips
+    /// (raises `drift_trips`/`drift` in the stats); finite and > 0.
+    pub threshold: f32,
+    /// Sliding-window length of the monitor, in samples (≥ 1).
+    pub window: usize,
     /// Post-swap safety rail: if, after a codec hot-swap, any shard's
-    /// windowed sample error exceeds this bound before the first full
-    /// window passes clean, the gateway reverts to the prior version.
-    /// 0.0 disables the guard. Requires drift sampling to be enabled
-    /// to have any effect (the guard reads the same monitor).
-    pub rollback_guard: f32,
+    /// windowed sample error exceeds this bound (finite and > 0) before
+    /// the first full window passes clean, the gateway reverts to the
+    /// prior version. `None` disables the rail.
+    pub rollback_above: Option<f32>,
 }
 
 impl Default for GatewayConfig {
@@ -134,10 +140,7 @@ impl Default for GatewayConfig {
             queue_capacity: 4096,
             auth_secret: None,
             trace_capacity: 4096,
-            drift_sample_every: 0,
-            drift_threshold: 0.0,
-            drift_window: 0,
-            rollback_guard: 0.0,
+            drift: None,
         }
     }
 }
@@ -154,7 +157,6 @@ impl GatewayConfig {
             let detail = format!("GatewayConfig: {detail}");
             bad.then_some(OrcoError::Config { detail }).map_or(Ok(()), Err)
         };
-        let sampling = self.drift_sample_every > 0;
         fail(self.shards == 0, "shards must be > 0")?;
         fail(self.shards > MAX_SHARDS, &format!("shards must be <= {MAX_SHARDS}"))?;
         fail(self.batch_max_frames == 0, "batch_max_frames must be > 0")?;
@@ -162,17 +164,14 @@ impl GatewayConfig {
             self.queue_capacity < self.batch_max_frames,
             "queue_capacity must be >= batch_max_frames",
         )?;
+        let Some(g) = self.drift else { return Ok(()) };
+        let positive = |x: f32| x.is_finite() && x > 0.0;
+        fail(g.sample_every == 0, "drift.sample_every must be > 0")?;
+        fail(!positive(g.threshold), "drift.threshold must be finite and > 0")?;
+        fail(g.window == 0, "drift.window must be > 0")?;
         fail(
-            sampling && (!self.drift_threshold.is_finite() || self.drift_threshold <= 0.0),
-            "drift_threshold must be > 0 when sampling is enabled",
-        )?;
-        fail(
-            sampling && self.drift_window == 0,
-            "drift_window must be > 0 when sampling is enabled",
-        )?;
-        fail(
-            self.rollback_guard > 0.0 && !sampling,
-            "rollback_guard requires drift sampling (drift_sample_every > 0)",
+            g.rollback_above.is_some_and(|b| !positive(b)),
+            "drift.rollback_above must be finite and > 0",
         )
     }
 }
@@ -241,9 +240,7 @@ impl Gateway {
         let mut shards = Vec::with_capacity(cfg.shards);
         let mut dims: Option<FrameDims> = None;
         for i in 0..cfg.shards {
-            let drift = (cfg.drift_sample_every > 0).then(|| {
-                DriftProbe::new(cfg.drift_sample_every, cfg.drift_threshold, cfg.drift_window)
-            });
+            let drift = cfg.drift.map(|g| DriftProbe::new(g.sample_every, g.threshold, g.window));
             let core = ShardCore::new(i, codec_for_shard(i), drift);
             let d = *dims.get_or_insert(core.dims());
             if core.dims() != d {
@@ -730,9 +727,9 @@ impl Gateway {
     /// a full window under the bound on every shard commits the swap
     /// and releases the prior.
     fn maybe_rollback(&self, now: f64) -> Result<(), Failed> {
-        if self.cfg.rollback_guard <= 0.0 {
+        let Some(bound) = self.cfg.drift.and_then(|g| g.rollback_above) else {
             return Ok(());
-        }
+        };
         self.door.enter(&self.rollout, |state| {
             let Some(prior) = state.prior.clone() else {
                 return Ok(());
@@ -741,7 +738,7 @@ impl Gateway {
             let mut all_windows_full = true;
             for idx in 0..self.shards.len() {
                 match self.shard(idx, |core| core.drift_windowed_error())? {
-                    Some(err) if err > self.cfg.rollback_guard => tripped = true,
+                    Some(err) if err > bound => tripped = true,
                     Some(_) => {}
                     None => all_windows_full = false,
                 }

@@ -126,7 +126,7 @@ pub use client::{Client, GatewayInfo, PushOutcome, VersionInfo};
 pub use clock::Clock;
 pub use des_transport::{DesConfig, DesNet, DesTransport};
 pub use fleet_view::FleetView;
-pub use gateway::{Gateway, GatewayConfig};
+pub use gateway::{DriftGuard, Gateway, GatewayConfig};
 pub use outbox::Outbox;
 pub use protocol::{
     ErrorCode, GatewayEntry, GatewayStats, Message, ModelVersion, ShardRow, WireError, MAX_LABEL,

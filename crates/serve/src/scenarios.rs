@@ -456,7 +456,6 @@ pub fn codec_config(seed: u64) -> OrcoConfig {
         learning_rate: 1e-2,
         batch_size: 32,
         epochs: 1,
-        finetune_threshold: 0.05,
         grad_compression: GradCompression::default(),
         seed,
     }

@@ -86,7 +86,7 @@ impl DriftProbe {
     pub(crate) fn new(every: u64, threshold: f32, window: usize) -> Self {
         Self {
             monitor: FineTuneMonitor::new(threshold, window),
-            every: every.max(1),
+            every,
             seen: 0,
             last_windowed: None,
         }

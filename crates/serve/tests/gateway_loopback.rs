@@ -18,10 +18,11 @@ use std::time::Duration;
 
 use orco_datasets::DatasetKind;
 use orco_serve::{
-    Client, Clock, ErrorCode, Gateway, GatewayConfig, Loopback, Message, PushOutcome, WireError,
+    Client, Clock, DriftGuard, ErrorCode, Gateway, GatewayConfig, Loopback, Message, PushOutcome,
+    WireError,
 };
 use orco_tensor::{parallel, Matrix, OrcoRng};
-use orcodcs::{AsymmetricAutoencoder, Codec, OrcoConfig};
+use orcodcs::{AsymmetricAutoencoder, Codec, OrcoConfig, OrcoError};
 
 fn ae_config() -> OrcoConfig {
     OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_seed(11)
@@ -36,6 +37,67 @@ fn gateway(cfg: GatewayConfig) -> Arc<Gateway> {
         Gateway::new(cfg, Clock::manual(Duration::from_micros(100)), |_| make_codec())
             .expect("valid gateway"),
     )
+}
+
+/// The config gate: every rule `GatewayConfig::validate` checks, and
+/// `Gateway::new`'s shard-geometry check, refuses with a typed
+/// `OrcoError::Config` naming the rule. A drift guard's values are checked
+/// before any shard builds its `FineTuneMonitor`, whose constructor panics
+/// on them.
+#[test]
+fn every_config_rule_refuses_with_a_typed_error() {
+    let build = |cfg: GatewayConfig, codec: &dyn Fn(usize) -> Box<dyn Codec>| {
+        Gateway::new(cfg, Clock::manual(Duration::ZERO), codec)
+    };
+    let base = GatewayConfig::default();
+    let guard =
+        DriftGuard { sample_every: 1, threshold: 0.5, window: 4, rollback_above: Some(0.5) };
+    let drift = |g: DriftGuard| GatewayConfig { drift: Some(g), ..base };
+    let (nan, inf) = (f32::NAN, f32::INFINITY);
+    let cases = [
+        ("shards must be > 0", GatewayConfig { shards: 0, ..base }),
+        ("shards must be <= 1024", GatewayConfig { shards: 1025, ..base }),
+        ("batch_max_frames must be > 0", GatewayConfig { batch_max_frames: 0, ..base }),
+        (
+            "queue_capacity must be >= batch_max_frames",
+            GatewayConfig { batch_max_frames: 64, queue_capacity: 63, ..base },
+        ),
+        ("drift.sample_every must be > 0", drift(DriftGuard { sample_every: 0, ..guard })),
+        ("drift.threshold must be finite and > 0", drift(DriftGuard { threshold: 0.0, ..guard })),
+        ("drift.threshold must be finite and > 0", drift(DriftGuard { threshold: -1.0, ..guard })),
+        ("drift.threshold must be finite and > 0", drift(DriftGuard { threshold: nan, ..guard })),
+        ("drift.threshold must be finite and > 0", drift(DriftGuard { threshold: inf, ..guard })),
+        ("drift.window must be > 0", drift(DriftGuard { window: 0, ..guard })),
+        ("drift.rollback_above", drift(DriftGuard { rollback_above: Some(0.0), ..guard })),
+        ("drift.rollback_above", drift(DriftGuard { rollback_above: Some(-1.0), ..guard })),
+        ("drift.rollback_above", drift(DriftGuard { rollback_above: Some(nan), ..guard })),
+        ("drift.rollback_above", drift(DriftGuard { rollback_above: Some(inf), ..guard })),
+    ];
+    for (rule, cfg) in cases {
+        match build(cfg, &|_| make_codec()) {
+            Err(OrcoError::Config { detail }) => {
+                assert!(detail.contains(rule), "{rule}: refused as {detail:?}");
+            }
+            other => panic!("{rule}: want a Config error, got {other:?}"),
+        }
+    }
+    assert!(build(drift(guard), &|_| make_codec()).is_ok());
+    assert!(build(drift(DriftGuard { rollback_above: None, ..guard }), &|_| make_codec()).is_ok());
+
+    let narrower = ae_config().with_latent_dim(8);
+    let mixed = |shard: usize| -> Box<dyn Codec> {
+        if shard == 0 {
+            make_codec()
+        } else {
+            Box::new(AsymmetricAutoencoder::new(&narrower).expect("valid config"))
+        }
+    };
+    match build(base, &mixed) {
+        Err(OrcoError::Config { detail }) => {
+            assert!(detail.contains("shard 1 codec geometry"), "refused as {detail:?}");
+        }
+        other => panic!("mixed geometry: want a Config error, got {other:?}"),
+    }
 }
 
 /// Random frames for one cluster, deterministic in `seed`.

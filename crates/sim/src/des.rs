@@ -9,9 +9,9 @@
 //! It reuses the analytic [`Network`] as its *world state* — topology,
 //! batteries, traffic ledger, cost formulas — while scheduling time itself.
 //! That shared substrate is what makes the equivalence contract tight: in
-//! [`MacMode::Sequential`] with zero loss and zero jitter, every energy and
-//! byte total lands in the ledger through the very same arithmetic, in the
-//! very same order, as the analytic backend.
+//! [`MacMode::Sequential`] with zero loss, every energy and byte total
+//! lands in the ledger through the very same arithmetic, in the very same
+//! order, as the analytic backend.
 
 use std::collections::BTreeMap;
 
@@ -30,7 +30,7 @@ use crate::scenario::{Scenario, ScenarioAction};
 /// parameters plus the scripted scenario.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimSpec {
-    /// MAC, duty-cycle, and jitter knobs.
+    /// MAC and duty-cycle knobs.
     pub params: SimParams,
     /// Scripted perturbations (empty = healthy deployment).
     pub scenario: Scenario,
@@ -475,10 +475,7 @@ impl DesNetwork {
                 lost_last = true;
             }
         }
-        let mut delivery = start + duration;
-        if self.params.latency_jitter_s > 0.0 {
-            delivery += self.rng.next_f64() * self.params.latency_jitter_s;
-        }
+        let delivery = start + duration;
         self.transfers[tid].attempt_collided = collided;
         self.queue.schedule(
             delivery,

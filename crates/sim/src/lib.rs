@@ -67,8 +67,8 @@
 //! ## Analytic-vs-DES equivalence contract
 //!
 //! With [`SimParams::ideal`] (contention-free [`MacMode::Sequential`]
-//! schedule, zero loss, zero jitter, always-on radios, no scenario) the
-//! event-driven backend reproduces the analytic backend's traffic-ledger
+//! schedule, zero loss, always-on radios, no scenario) the event-driven
+//! backend reproduces the analytic backend's traffic-ledger
 //! byte counts, per-node energy totals, and simulated-clock totals
 //! **exactly** — same formulas, same floating-point operation order. The
 //! workspace test `tests/des_equivalence.rs` pins this contract. Any other

@@ -1,4 +1,4 @@
-//! Simulation parameters: medium-access mode, duty cycling, jitter.
+//! Simulation parameters: medium-access mode, duty cycling.
 
 /// How the shared intra-cluster radio medium is arbitrated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -7,8 +7,8 @@ pub enum MacMode {
     /// Every round's transmissions and computations execute one at a time
     /// in exactly the order the analytic [`orco_wsn::Network`] iterates
     /// them, and the medium is held for the full transmission time
-    /// (latency included). With zero loss and zero jitter this reproduces
-    /// the analytic byte, energy, *and* clock totals exactly.
+    /// (latency included). With zero loss this reproduces the analytic
+    /// byte, energy, *and* clock totals exactly.
     Sequential,
     /// Work-conserving FIFO medium: transmissions are granted in request
     /// order, concurrency across nodes is real (computes overlap, link
@@ -85,28 +85,25 @@ impl DutyCycle {
 ///
 /// The default is [`SimParams::ideal`]: the contention-free schedule whose
 /// totals are regression-tested to match the analytic backend exactly.
-/// Concurrency, contention, duty cycling, and jitter are opt-in knobs.
+/// Concurrency, contention, and duty cycling are opt-in knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimParams {
     /// Medium-access mode for the shared intra-cluster radio.
     pub mac: MacMode,
     /// Radio duty cycle of the IoT devices (`None` = always on).
     pub duty_cycle: Option<DutyCycle>,
-    /// Maximum uniform random addition to every delivery latency, seconds
-    /// (0 = deterministic links).
-    pub latency_jitter_s: f64,
     /// Extra seed folded into the simulator's private RNG stream (backoff,
-    /// jitter, per-frame loss draws), independent of the deployment seed.
+    /// per-frame loss draws), independent of the deployment seed.
     pub seed: u64,
 }
 
 impl SimParams {
-    /// The equivalence mode: [`MacMode::Sequential`], always-on radios,
-    /// zero jitter. With zero-loss links this reproduces the analytic
-    /// backend's byte, energy, and clock totals exactly.
+    /// The equivalence mode: [`MacMode::Sequential`] and always-on radios.
+    /// With zero-loss links this reproduces the analytic backend's byte,
+    /// energy, and clock totals exactly.
     #[must_use]
     pub fn ideal() -> Self {
-        Self { mac: MacMode::Sequential, duty_cycle: None, latency_jitter_s: 0.0, seed: 0 }
+        Self { mac: MacMode::Sequential, duty_cycle: None, seed: 0 }
     }
 }
 

@@ -356,32 +356,10 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    #[must_use]
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_map(other, |a, b| a * b)
-    }
-
     /// Multiplies every element by `s`, returning a new matrix.
     #[must_use]
     pub fn scale(&self, s: f32) -> Matrix {
         self.map(|v| v * s)
-    }
-
-    /// `self + alpha * other`, the BLAS `axpy` pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn add_scaled_inplace(&mut self, other: &Matrix, alpha: f32) {
-        self.assert_same_shape(other, "add_scaled_inplace");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -873,18 +851,9 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_dot() {
+    fn dot_sums_elementwise_products() {
         let m = sample();
-        assert_eq!(m.hadamard(&m).as_slice(), &[1.0, 4.0, 9.0, 16.0, 25.0, 36.0]);
         assert_eq!(m.dot(&m), 91.0);
-    }
-
-    #[test]
-    fn add_scaled_inplace_is_axpy() {
-        let mut m = sample();
-        let other = Matrix::ones(2, 3);
-        m.add_scaled_inplace(&other, -2.0);
-        assert_eq!(m.as_slice(), &[-1.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

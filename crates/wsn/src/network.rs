@@ -40,22 +40,10 @@ pub struct NetworkConfig {
     pub field_side_m: f64,
     /// Seed for node placement and loss draws.
     pub seed: u64,
-    /// Radio energy model for intra-cluster hops.
-    pub radio: RadioModel,
     /// Intra-cluster device↔device/aggregator link.
     pub sensor_link: LinkModel,
-    /// Aggregator→edge uplink.
-    pub uplink: LinkModel,
-    /// Edge→aggregator downlink.
-    pub downlink: LinkModel,
-    /// FLOPS rates per device class.
-    pub compute: ComputeModel,
     /// Per-packet retransmission budget on lossy links.
     pub max_retries: u32,
-    /// Multiplier on every node's initial battery (1.0 = the device-class
-    /// defaults; raise for long experiments that would otherwise be cut
-    /// short by battery death rather than the phenomenon under study).
-    pub battery_scale: f64,
 }
 
 impl Default for NetworkConfig {
@@ -64,18 +52,14 @@ impl Default for NetworkConfig {
             num_devices: 64,
             field_side_m: 100.0,
             seed: 0,
-            radio: RadioModel::default(),
             sensor_link: LinkModel::sensor_radio(),
-            uplink: LinkModel::aggregator_uplink(),
-            downlink: LinkModel::edge_downlink(),
-            compute: ComputeModel::default(),
             max_retries: 7,
-            battery_scale: 1.0,
         }
     }
 }
 
-/// The simulated deployment.
+/// The simulated deployment. Its radio energy model, edge links and
+/// compute rates are the crate's defaults; [`NetworkConfig`] sets the rest.
 ///
 /// # Examples
 ///
@@ -91,6 +75,10 @@ impl Default for NetworkConfig {
 #[derive(Debug)]
 pub struct Network {
     config: NetworkConfig,
+    radio: RadioModel,
+    uplink: LinkModel,
+    downlink: LinkModel,
+    compute: ComputeModel,
     nodes: Vec<Node>,
     aggregator: NodeId,
     edge: NodeId,
@@ -117,13 +105,9 @@ impl Network {
 
         let mut nodes = Vec::with_capacity(config.num_devices + 2);
         let mut devices = Vec::with_capacity(config.num_devices);
-        assert!(config.battery_scale > 0.0, "Network: battery_scale must be positive");
         for (i, p) in device_positions.iter().enumerate() {
-            let id = NodeId(i);
-            let mut node = Node::new(DeviceClass::IotDevice, *p);
-            node.revive(DeviceClass::IotDevice.initial_energy_j() * config.battery_scale);
-            nodes.push(node);
-            devices.push(id);
+            nodes.push(Node::new(DeviceClass::IotDevice, *p));
+            devices.push(NodeId(i));
         }
         let aggregator = NodeId(config.num_devices);
         let centre = Point::new(config.field_side_m / 2.0, config.field_side_m / 2.0);
@@ -145,6 +129,10 @@ impl Network {
 
         Self {
             config,
+            radio: RadioModel::default(),
+            uplink: LinkModel::aggregator_uplink(),
+            downlink: LinkModel::edge_downlink(),
+            compute: ComputeModel::default(),
             nodes,
             aggregator,
             edge,
@@ -340,7 +328,7 @@ impl Network {
         kind: PacketKind,
     ) -> Result<bool, WsnError> {
         self.node(from)?;
-        let tx_energy = self.config.radio.tx_energy_j(wire_bytes, distance_m);
+        let tx_energy = self.radio.tx_energy_j(wire_bytes, distance_m);
         let survived = self.nodes[from.0].drain(tx_energy);
         self.accounting.record_tx(from, wire_bytes, tx_energy, kind);
         Ok(survived)
@@ -359,7 +347,7 @@ impl Network {
         kind: PacketKind,
     ) -> Result<(), WsnError> {
         self.node(to)?;
-        let rx_energy = self.config.radio.rx_energy_j(wire_bytes);
+        let rx_energy = self.radio.rx_energy_j(wire_bytes);
         self.nodes[to.0].drain(rx_energy);
         self.accounting.record_rx(to, wire_bytes, rx_energy, kind);
         Ok(())
@@ -381,8 +369,8 @@ impl Network {
             }
             n.class()
         };
-        let dt = self.config.compute.time_for_flops(class, flops);
-        let energy = self.config.compute.energy_for_flops(class, flops);
+        let dt = self.compute.time_for_flops(class, flops);
+        let energy = self.compute.energy_for_flops(class, flops);
         self.nodes[at.0].drain(energy);
         Ok(dt)
     }
@@ -407,9 +395,9 @@ impl Network {
     fn link_for(&self, from: NodeId, to: NodeId) -> LinkModel {
         if from == self.edge || to == self.edge {
             if from == self.edge {
-                self.config.downlink
+                self.downlink
             } else {
-                self.config.uplink
+                self.uplink
             }
         } else {
             self.config.sensor_link
@@ -464,7 +452,7 @@ impl Network {
             attempts += 1;
             elapsed += link.transmission_time_s(wire);
             self.accounting.record_airtime(link.airtime_s(wire));
-            let tx_energy = self.config.radio.tx_energy_j(wire, radio_distance);
+            let tx_energy = self.radio.tx_energy_j(wire, radio_distance);
             let sender = &mut self.nodes[from.0];
             let survived = sender.drain(tx_energy);
             self.accounting.record_tx(from, wire, tx_energy, kind);
@@ -479,7 +467,7 @@ impl Network {
             // (f32-rounded) Bernoulli threshold.
             let lost = link.loss_prob > 0.0 && self.rng.bernoulli_f64(link.loss_prob);
             if !lost {
-                let rx_energy = self.config.radio.rx_energy_j(wire);
+                let rx_energy = self.radio.rx_energy_j(wire);
                 self.nodes[to.0].drain(rx_energy);
                 self.accounting.record_rx(to, wire, rx_energy, kind);
                 self.accounting.record_retransmits(u64::from(attempts - 1) * packet.frame_count());

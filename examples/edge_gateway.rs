@@ -15,7 +15,7 @@
 //! ```
 //!
 //! The gateway also samples decoded reconstructions through a drift
-//! monitor (`drift_sample_every`), so a drifting load — `loadgen
+//! monitor (`drift: Some(DriftGuard { .. })`), so a drifting load — `loadgen
 //! --drift 32` Bias-shifts every frame from index 32 on — trips the
 //! `drift` flag in the stats snapshot, the cue for an `orco-rollout`
 //! cutover.
@@ -25,11 +25,10 @@
 //! (default `127.0.0.1:7117`).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig, TrainSpec};
 use orcodcs_repro::datasets::mnist_like;
-use orcodcs_repro::serve::{Clock, Gateway, GatewayConfig, TcpServer};
+use orcodcs_repro::serve::{Clock, DriftGuard, Gateway, GatewayConfig, TcpServer};
 
 fn main() {
     let addr = std::env::var("ORCO_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7117".into());
@@ -49,12 +48,7 @@ fn main() {
     let gateway = Arc::new(
         Gateway::new(
             GatewayConfig {
-                shards: 2,
                 batch_max_frames: 32,
-                batch_deadline: Duration::from_millis(5),
-                queue_capacity: 4096,
-                auth_secret: None,
-                trace_capacity: 4096,
                 // Sample every other decoded row through a drift
                 // monitor: a `loadgen --drift 32` run trips the stats
                 // `drift` flag, signalling that a rollout is due. The
@@ -63,9 +57,12 @@ fn main() {
                 // (~0.69); the window must fill with shifted samples
                 // inside one drifted run (64 frames/client, half
                 // shifted, every 2nd sampled -> 16 shifted samples).
-                drift_sample_every: 2,
-                drift_threshold: 0.4,
-                drift_window: 16,
+                drift: Some(DriftGuard {
+                    sample_every: 2,
+                    threshold: 0.4,
+                    window: 16,
+                    rollback_above: None,
+                }),
                 ..GatewayConfig::default()
             },
             Clock::real(),
