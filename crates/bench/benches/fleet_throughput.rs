@@ -106,7 +106,8 @@ impl Fleet {
         let mut control =
             FleetClient::connect(&self.directory_addr, u64::MAX, None).expect("control connects");
         for member in control.members().to_vec() {
-            control.shutdown_gateway(&member.addr).expect("gateway shutdown");
+            let gateway = control.gateway(&member.addr).expect("gateway connects");
+            gateway.shutdown().expect("gateway shutdown");
         }
         control.shutdown_directory().expect("directory shutdown");
         for s in self.gw_servers {
@@ -175,7 +176,8 @@ fn drain(client: &mut FleetClient, outstanding: &mut BTreeMap<u64, (String, usiz
     let mut got = 0;
     for (&cluster, (addr, owed)) in outstanding.iter_mut() {
         while *owed > 0 {
-            let rows = client.pull_from(addr, cluster, WINDOW as u32).expect("pull").rows();
+            let gateway = client.gateway(addr).expect("gateway connects");
+            let rows = gateway.pull(cluster, WINDOW as u32).expect("pull").rows();
             if rows == 0 {
                 // Micro-batch still in flight; spin on the next cluster.
                 break;

@@ -12,7 +12,7 @@ use orco_serve::{
     auth, Client, Connection, FleetView, GatewayEntry, GatewayInfo, PushOutcome, Tcp,
     TcpConnection, Transport,
 };
-use orco_tensor::{MatView, Matrix};
+use orco_tensor::MatView;
 use orcodcs::OrcoError;
 
 /// A typed client for the directory half of the protocol, over any
@@ -132,10 +132,11 @@ fn unexpected(expected: &str, got: &Message) -> OrcoError {
 const MAX_CHASES: usize = 8;
 
 /// A TCP data-plane client for a whole fleet: bootstraps the assignment
-/// table from the directory, routes every push/pull to the owner it
-/// computes locally, and on [`PushOutcome::Redirected`] refreshes or
-/// chases to the named owner — a stale epoch costs one extra round trip,
-/// never a misrouted frame.
+/// table from the directory, routes every push to the owner it computes
+/// locally, and on [`PushOutcome::Redirected`] refreshes or chases to
+/// the named owner — a stale epoch costs one extra round trip, never a
+/// misrouted frame. Everything else goes to a gateway the caller names
+/// ([`FleetClient::gateway`]).
 #[derive(Debug)]
 pub struct FleetClient {
     directory: DirectoryClient<TcpConnection>,
@@ -146,9 +147,6 @@ pub struct FleetClient {
     conns: BTreeMap<String, Client<TcpConnection>>,
     /// The geometry each greeted gateway announced.
     infos: BTreeMap<String, GatewayInfo>,
-    /// Rows pushed per gateway address (the per-gateway throughput
-    /// ledger `loadgen --fleet` reports).
-    pushed_rows: BTreeMap<String, u64>,
     redirects_chased: u64,
 }
 
@@ -181,7 +179,6 @@ impl FleetClient {
             view: FleetView::new(None, epoch, members),
             conns: BTreeMap::new(),
             infos: BTreeMap::new(),
-            pushed_rows: BTreeMap::new(),
             redirects_chased: 0,
         })
     }
@@ -196,12 +193,6 @@ impl FleetClient {
     #[must_use]
     pub fn members(&self) -> &[GatewayEntry] {
         &self.view.members
-    }
-
-    /// Rows pushed per gateway address, ascending by address.
-    #[must_use]
-    pub fn pushed_rows_by_gateway(&self) -> Vec<(String, u64)> {
-        self.pushed_rows.iter().map(|(a, &n)| (a.clone(), n)).collect()
     }
 
     /// The address of the gateway the cached table assigns `cluster_id`.
@@ -246,7 +237,7 @@ impl FleetClient {
     ) -> Result<(PushOutcome, String), OrcoError> {
         let mut addr = self.owner_addr(cluster_id)?;
         for _ in 0..MAX_CHASES {
-            let outcome = self.data_client(&addr)?.push(cluster_id, frames)?;
+            let outcome = self.gateway(&addr)?.push(cluster_id, frames)?;
             match outcome {
                 PushOutcome::Redirected { epoch, addr: owner } => {
                     self.redirects_chased += 1;
@@ -257,12 +248,7 @@ impl FleetClient {
                     // still-stale) directory answer: it named an owner.
                     addr = owner;
                 }
-                outcome @ (PushOutcome::Accepted(_) | PushOutcome::Busy { .. }) => {
-                    if let PushOutcome::Accepted(n) = outcome {
-                        *self.pushed_rows.entry(addr.clone()).or_insert(0) += u64::from(n);
-                    }
-                    return Ok((outcome, addr));
-                }
+                outcome => return Ok((outcome, addr)),
             }
         }
         Err(OrcoError::Config {
@@ -273,23 +259,6 @@ impl FleetClient {
         })
     }
 
-    /// Pulls up to `max_frames` decoded rows for `cluster_id` from the
-    /// gateway at `addr` (pulls are served where the rows are stored, so
-    /// the caller names the gateway — typically the address
-    /// [`FleetClient::push`] returned).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures and gateway rejections.
-    pub fn pull_from(
-        &mut self,
-        addr: &str,
-        cluster_id: u64,
-        max_frames: u32,
-    ) -> Result<Matrix, OrcoError> {
-        self.data_client(addr)?.pull(cluster_id, max_frames)
-    }
-
     /// The geometry the gateway at `addr` announced in its `HelloAck`
     /// (dialing and greeting it first if needed).
     ///
@@ -298,26 +267,8 @@ impl FleetClient {
     /// Transport failures, protocol violations, and authentication
     /// rejections.
     pub fn info_of(&mut self, addr: &str) -> Result<GatewayInfo, OrcoError> {
-        self.data_client(addr)?;
+        self.gateway(addr)?;
         Ok(self.infos[addr])
-    }
-
-    /// Fetches the stats snapshot of the gateway at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures and protocol violations.
-    pub fn stats_of(&mut self, addr: &str) -> Result<orco_serve::StatsSnapshot, OrcoError> {
-        self.data_client(addr)?.stats()
-    }
-
-    /// Scrapes the metrics text exposition of the gateway at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures and protocol violations.
-    pub fn metrics_of(&mut self, addr: &str) -> Result<String, OrcoError> {
-        self.data_client(addr)?.metrics()
     }
 
     /// Fetches the directory's aggregated fleet view (see
@@ -330,15 +281,6 @@ impl FleetClient {
         self.directory.fleet_stats()
     }
 
-    /// Asks the gateway at `addr` to shut down.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures and protocol violations.
-    pub fn shutdown_gateway(&mut self, addr: &str) -> Result<(), OrcoError> {
-        self.data_client(addr)?.shutdown()
-    }
-
     /// Asks the directory to shut down.
     ///
     /// # Errors
@@ -348,9 +290,16 @@ impl FleetClient {
         self.directory.shutdown()
     }
 
-    /// The cached (or freshly dialed and greeted) data connection to
-    /// `addr`.
-    fn data_client(&mut self, addr: &str) -> Result<&mut Client<TcpConnection>, OrcoError> {
+    /// The data connection to the gateway at `addr`, cached or freshly
+    /// dialed and greeted; pulls, stats, metrics and shutdown go through
+    /// it. Pulls are served where the rows are stored, so a caller pulls
+    /// from the address [`FleetClient::push`] returned.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures, protocol violations, and authentication
+    /// rejections.
+    pub fn gateway(&mut self, addr: &str) -> Result<&mut Client<TcpConnection>, OrcoError> {
         if !self.conns.contains_key(addr) {
             let mut client = Client::connect(&Tcp::new(addr))?;
             client.set_auth_secret(self.auth_secret);

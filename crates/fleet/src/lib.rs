@@ -58,7 +58,9 @@
 //!
 //! For a full TCP fleet (directory + gateways + agents in one process),
 //! see the `fleet_gateway` example at the workspace root and
-//! `loadgen --fleet`.
+//! `loadgen --fleet`. `loadgen` runs one client loop for a lone gateway
+//! and a fleet alike; it reaches each member's pulls, stats, metrics and
+//! shutdown through [`FleetClient::gateway`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

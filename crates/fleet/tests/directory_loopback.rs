@@ -12,7 +12,7 @@ use orco_serve::{
     Client, Clock, FleetView, Gateway, GatewayConfig, GatewayEntry, Loopback, PushOutcome, Service,
 };
 use orco_tensor::{Matrix, OrcoRng};
-use orcodcs::{AsymmetricAutoencoder, Codec, OrcoConfig};
+use orcodcs::{AsymmetricAutoencoder, Codec, OrcoConfig, OrcoError};
 
 const SECRET: u64 = 0x005E_C2E7;
 
@@ -22,6 +22,19 @@ fn directory(cfg: DirectoryConfig) -> Arc<Directory> {
 
 fn dir_client(d: &Arc<Directory>) -> DirectoryClient<orco_serve::LoopbackConnection<Directory>> {
     DirectoryClient::connect(&Loopback::new(Arc::clone(d))).expect("loopback connects")
+}
+
+/// A zero heartbeat timeout would evict every gateway on the first
+/// sweep: the directory refuses it as a typed config error.
+#[test]
+fn a_zero_heartbeat_timeout_is_refused() {
+    let cfg = DirectoryConfig { heartbeat_timeout: Duration::ZERO, ..DirectoryConfig::default() };
+    match Directory::new(cfg, Clock::manual(Duration::ZERO)) {
+        Err(OrcoError::Config { detail }) => {
+            assert!(detail.contains("heartbeat_timeout must be positive"), "{detail}");
+        }
+        other => panic!("want a Config error, got {other:?}"),
+    }
 }
 
 #[test]

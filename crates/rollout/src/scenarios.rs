@@ -29,6 +29,7 @@
 //! index, so a run is a pure function of its seed; the recorded
 //! [`RunLog`] replays it bit-identically ([`replay_scenario`]).
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::time::Duration;
 
 use orco_datasets::drift::{apply_matrix, Drift};
@@ -127,8 +128,12 @@ pub fn verify(name: &str, seed: u64, quick: bool) -> Result<Outcome, ScenarioErr
 /// [`Drift::Bias`]-shifted frames near 0.16 (measured; asserted by the
 /// `drift_threshold_separates_bands` test below), so the monitor trips on
 /// the shift and only the shift.
-const DRIFT: DriftGuard =
-    DriftGuard { sample_every: 1, threshold: 0.125, window: 8, rollback_above: None };
+const DRIFT: DriftGuard = DriftGuard {
+    sample_every: NonZeroU64::MIN,
+    threshold: 0.125,
+    window: NonZeroUsize::new(8).expect("a window of 8 samples"),
+    rollback_above: None,
+};
 
 const GATEWAYS: [u64; 3] = [1, 2, 3];
 /// Gateway id (== endpoint) killed mid-swap: after it acks the staged

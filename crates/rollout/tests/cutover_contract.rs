@@ -5,6 +5,7 @@
 //! duplicated across the boundary — including through a rollback-guard
 //! revert.
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -145,9 +146,9 @@ fn rollback_guard_reverts_without_dropping_rows() {
         shards: 1,
         batch_max_frames: 4,
         drift: Some(DriftGuard {
-            sample_every: 1,
+            sample_every: NonZeroU64::MIN,
             threshold: 1.0, // the monitor itself stays quiet
-            window: 4,
+            window: NonZeroUsize::new(4).unwrap(),
             rollback_above: Some(0.05), // the untrained donor reconstructs far worse
         }),
         ..GatewayConfig::default()

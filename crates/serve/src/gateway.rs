@@ -63,6 +63,7 @@
 //! keeps each shard's gate, wakes the deadline timer, and fails the
 //! gateway whole on a panic under any lock.
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -115,15 +116,15 @@ pub struct GatewayConfig {
 /// through a [`orcodcs::FineTuneMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftGuard {
-    /// Sample every N-th flushed row (≥ 1). The schedule is a pure
-    /// function of the row sequence, so drift trips are deterministic
-    /// under a manual clock.
-    pub sample_every: u64,
+    /// Sample every N-th flushed row. The schedule is a pure function of
+    /// the row sequence, so drift trips are deterministic under a manual
+    /// clock.
+    pub sample_every: NonZeroU64,
     /// Windowed reconstruction error above which the monitor trips
     /// (raises `drift_trips`/`drift` in the stats); finite and > 0.
     pub threshold: f32,
-    /// Sliding-window length of the monitor, in samples (≥ 1).
-    pub window: usize,
+    /// Sliding-window length of the monitor, in samples.
+    pub window: NonZeroUsize,
     /// Post-swap safety rail: if, after a codec hot-swap, any shard's
     /// windowed sample error exceeds this bound (finite and > 0) before
     /// the first full window passes clean, the gateway reverts to the
@@ -166,9 +167,7 @@ impl GatewayConfig {
         )?;
         let Some(g) = self.drift else { return Ok(()) };
         let positive = |x: f32| x.is_finite() && x > 0.0;
-        fail(g.sample_every == 0, "drift.sample_every must be > 0")?;
         fail(!positive(g.threshold), "drift.threshold must be finite and > 0")?;
-        fail(g.window == 0, "drift.window must be > 0")?;
         fail(
             g.rollback_above.is_some_and(|b| !positive(b)),
             "drift.rollback_above must be finite and > 0",

@@ -52,6 +52,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::thread::Thread;
@@ -72,8 +73,8 @@ use crate::stats::{FlushReason, ServeStats};
 /// drift trips replay bit-identically under the DES harness.
 pub(crate) struct DriftProbe {
     monitor: FineTuneMonitor,
-    /// Sample every `every`-th flushed row (≥ 1).
-    every: u64,
+    /// Sample every `every`-th flushed row.
+    every: NonZeroU64,
     /// Rows seen since the probe was created or reset.
     seen: u64,
     /// The monitor's windowed error as of the latest sample; survives
@@ -83,9 +84,9 @@ pub(crate) struct DriftProbe {
 }
 
 impl DriftProbe {
-    pub(crate) fn new(every: u64, threshold: f32, window: usize) -> Self {
+    pub(crate) fn new(every: NonZeroU64, threshold: f32, window: NonZeroUsize) -> Self {
         Self {
-            monitor: FineTuneMonitor::new(threshold, window),
+            monitor: FineTuneMonitor::new(threshold, window.get()),
             every,
             seen: 0,
             last_windowed: None,
@@ -644,7 +645,7 @@ impl ShardCore {
         };
         for r in 0..rows {
             probe.seen += 1;
-            if !probe.seen.is_multiple_of(probe.every) {
+            if !probe.seen.is_multiple_of(probe.every.get()) {
                 continue;
             }
             self.drift_in_ws.reset(1, self.dims.code);

@@ -13,6 +13,7 @@
 //!    byte-identical decoded frames whether the tensor kernels run on 1
 //!    thread or many (`ORCO_THREADS` must not leak into served bytes).
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,8 +51,12 @@ fn every_config_rule_refuses_with_a_typed_error() {
         Gateway::new(cfg, Clock::manual(Duration::ZERO), codec)
     };
     let base = GatewayConfig::default();
-    let guard =
-        DriftGuard { sample_every: 1, threshold: 0.5, window: 4, rollback_above: Some(0.5) };
+    let guard = DriftGuard {
+        sample_every: NonZeroU64::MIN,
+        threshold: 0.5,
+        window: NonZeroUsize::new(4).unwrap(),
+        rollback_above: Some(0.5),
+    };
     let drift = |g: DriftGuard| GatewayConfig { drift: Some(g), ..base };
     let (nan, inf) = (f32::NAN, f32::INFINITY);
     let cases = [
@@ -62,12 +67,10 @@ fn every_config_rule_refuses_with_a_typed_error() {
             "queue_capacity must be >= batch_max_frames",
             GatewayConfig { batch_max_frames: 64, queue_capacity: 63, ..base },
         ),
-        ("drift.sample_every must be > 0", drift(DriftGuard { sample_every: 0, ..guard })),
         ("drift.threshold must be finite and > 0", drift(DriftGuard { threshold: 0.0, ..guard })),
         ("drift.threshold must be finite and > 0", drift(DriftGuard { threshold: -1.0, ..guard })),
         ("drift.threshold must be finite and > 0", drift(DriftGuard { threshold: nan, ..guard })),
         ("drift.threshold must be finite and > 0", drift(DriftGuard { threshold: inf, ..guard })),
-        ("drift.window must be > 0", drift(DriftGuard { window: 0, ..guard })),
         ("drift.rollback_above", drift(DriftGuard { rollback_above: Some(0.0), ..guard })),
         ("drift.rollback_above", drift(DriftGuard { rollback_above: Some(-1.0), ..guard })),
         ("drift.rollback_above", drift(DriftGuard { rollback_above: Some(nan), ..guard })),

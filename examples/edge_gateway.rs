@@ -24,6 +24,7 @@
 //! `--shutdown` flag). Bind address comes from `ORCO_SERVE_ADDR`
 //! (default `127.0.0.1:7117`).
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::sync::Arc;
 
 use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig, TrainSpec};
@@ -58,9 +59,9 @@ fn main() {
                 // inside one drifted run (64 frames/client, half
                 // shifted, every 2nd sampled -> 16 shifted samples).
                 drift: Some(DriftGuard {
-                    sample_every: 2,
+                    sample_every: NonZeroU64::new(2).expect("every 2nd row"),
                     threshold: 0.4,
-                    window: 16,
+                    window: NonZeroUsize::new(16).expect("a window of 16 samples"),
                     rollback_above: None,
                 }),
                 ..GatewayConfig::default()
