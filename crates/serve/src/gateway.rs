@@ -367,10 +367,9 @@ impl Gateway {
     #[doc(hidden)]
     #[must_use]
     pub fn gate_check(&self) -> Vec<[[Option<f64>; 2]; 2]> {
-        self.shards
-            .iter()
-            .filter_map(|shard| {
-                shard.enter(&self.door, |core| [shard.gate.times(), core.gate_truth()]).ok()
+        (0..self.shards.len())
+            .filter_map(|idx| {
+                self.shard(idx, |core| [self.shards[idx].gate.times(), core.gate_truth()]).ok()
             })
             .collect()
     }
@@ -383,9 +382,10 @@ impl Gateway {
         self.dispatch(Request::Other(msg), None)
     }
 
-    /// Runs `f` on shard `idx`'s core, at the door.
+    /// Runs `f` on shard `idx`'s core, at the door, timing the wait for
+    /// its lock.
     fn shard<R>(&self, idx: usize, f: impl FnOnce(&mut ShardCore) -> R) -> Result<R, Failed> {
-        self.shards[idx].enter(&self.door, f)
+        self.shards[idx].enter(&self.door, &self.clock, self.stats.shard_lock_wait(), f)
     }
 
     /// Handles one request — a push whose rows are still the bytes of

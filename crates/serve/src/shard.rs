@@ -57,10 +57,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::thread::Thread;
 
-use orco_obs::{Span, SpanKind, Tracer};
+use orco_obs::{Histogram, Span, SpanKind, Tracer};
 use orco_tensor::{MatView, Matrix};
 use orcodcs::{Codec, EncoderCheckpoint, FineTuneMonitor, FrameDims, OrcoError};
 
+use crate::clock::Clock;
 use crate::outbox::Outbox;
 use crate::protocol::{FrameRows, Message};
 use crate::stats::{FlushReason, ServeStats};
@@ -212,6 +213,23 @@ impl Door {
         let _on_unwind = CloseOnUnwind(self);
         Ok(f(&mut guard))
     }
+
+    /// [`Self::enter`], recording into `waits` how long the lock took to
+    /// take on `clock` (0 under a manual clock, which only dispatches
+    /// move).
+    pub(crate) fn enter_timed<T, R>(
+        &self,
+        lock: &Mutex<T>,
+        clock: &Clock,
+        waits: &Histogram,
+        f: impl FnOnce(&mut T) -> R,
+    ) -> Result<R, Failed> {
+        let asked = clock.now_s();
+        self.enter(lock, |guarded| {
+            waits.record_secs(clock.now_s() - asked);
+            f(guarded)
+        })
+    }
 }
 
 /// Closes its door if dropped by a panic.
@@ -237,13 +255,16 @@ impl Shard {
         Self { core: Mutex::new(core), gate: ShardGate { armed: never(), wanted: never() } }
     }
 
-    /// [`Door::enter`] on the core, mirroring it into the gate after `f`.
+    /// [`Door::enter_timed`] on the core, mirroring it into the gate
+    /// after `f`.
     pub(crate) fn enter<R>(
         &self,
         door: &Door,
+        clock: &Clock,
+        waits: &Histogram,
         f: impl FnOnce(&mut ShardCore) -> R,
     ) -> Result<R, Failed> {
-        door.enter(&self.core, |core| {
+        door.enter_timed(&self.core, clock, waits, |core| {
             let done = f(core);
             let truth = core.gate_truth();
             if self.gate.times() != truth {

@@ -106,6 +106,10 @@ pub(crate) struct ServeStats {
     drift: Gauge,
     per_shard: Vec<ShardCounters>,
     flush_latency: Histogram,
+    /// How long a request waited to take a shard's lock, on the gateway
+    /// clock (every wait reads 0 under a manual clock). Exposition only:
+    /// [`StatsSnapshot`]'s bytes are pinned.
+    shard_lock_wait: Histogram,
 }
 
 impl ServeStats {
@@ -220,6 +224,11 @@ impl ServeStats {
     #[must_use]
     pub(crate) fn flush_latency_histogram(&self) -> HistogramSnapshot {
         self.flush_latency.snapshot()
+    }
+
+    /// Where the waits for a shard's lock are recorded.
+    pub(crate) fn shard_lock_wait(&self) -> &Histogram {
+        &self.shard_lock_wait
     }
 }
 
@@ -362,6 +371,7 @@ macro_rules! snapshot_table {
                     reg.set_int(Registry::label("orco_shard_batches_total", labels), row.batches);
                 }
                 reg.set_histogram("orco_flush_latency_ns", &self.flush_latency_histogram());
+                reg.set_histogram("orco_shard_lock_wait_ns", &self.shard_lock_wait.snapshot());
             }
         }
     };
