@@ -9,6 +9,11 @@
 //! overdue?", or to deliver to a subscriber, would hang here until the
 //! 10 s patience ran out.
 //!
+//! The parked batch also pins what a shard owes the rows it is encoding:
+//! a pull sent meanwhile returns all of them, once; they still count
+//! against the shard's in-flight budget; and an encode that returns an
+//! error leaves every acked row to the next flush, in push order.
+//!
 //! The same codec can panic there instead. The panic unwinds through
 //! the gateway's door on whatever thread flushed — a pushing thread over
 //! loopback, the deadline timer over TCP — and the gateway must fail
@@ -21,6 +26,7 @@
 use std::net::TcpStream;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::Duration;
 
 use orcodcs_repro::core::{
@@ -35,16 +41,21 @@ use orcodcs_repro::tensor::{MatView, Matrix, OrcoRng};
 
 const BATCH: usize = 64;
 const PATIENCE: Duration = Duration::from_secs(10);
+/// How long a request sent to a shard whose encode is parked is given to
+/// reach the gateway before the encode is released.
+const SETTLE: Duration = Duration::from_millis(50);
 
 /// An autoencoder whose `encode_batch` reports the name of the thread that
 /// entered it, then waits to be released (a send, or the sender dropping)
-/// before encoding — or, when it `fails`, panics instead.
+/// before encoding — or, when it `fails`, panics instead, and while it has
+/// `refusals` left, returns an error instead.
 #[derive(Debug)]
 struct Parked {
     inner: AsymmetricAutoencoder,
     entered: Sender<String>,
     release: Receiver<()>,
     fails: bool,
+    refusals: usize,
 }
 
 impl Codec for Parked {
@@ -70,6 +81,10 @@ impl Codec for Parked {
         let _ = self.entered.send(std::thread::current().name().unwrap_or_default().into());
         let _ = self.release.recv();
         assert!(!self.fails, "shard 1's codec fails inside encode_batch");
+        if self.refusals > 0 {
+            self.refusals -= 1;
+            return Err(OrcoError::Config { detail: "shard 1's codec refuses a batch".into() });
+        }
         self.inner.encode_batch(frames, out)
     }
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
@@ -89,27 +104,74 @@ fn plain_codec() -> AsymmetricAutoencoder {
 fn failing_codec() -> (Parked, Receiver<String>) {
     let (entered, names) = channel();
     let (_, release) = channel();
-    (Parked { inner: plain_codec(), entered, release, fails: true }, names)
+    (Parked { inner: plain_codec(), entered, release, fails: true, refusals: 0 }, names)
 }
 
 /// Two shards, shard 1 on `shard_1`'s codec.
 fn gateway(shard_1: Parked, clock: Clock, batch_deadline: Duration) -> Arc<Gateway> {
+    let cfg = GatewayConfig { batch_deadline, ..GatewayConfig::default() };
+    gateway_with(shard_1, clock, cfg)
+}
+
+/// [`gateway`] with the rest of `cfg`.
+fn gateway_with(shard_1: Parked, clock: Clock, cfg: GatewayConfig) -> Arc<Gateway> {
     let mut shard_1 = Some(shard_1);
-    let gw = Gateway::new(
-        GatewayConfig { shards: 2, batch_max_frames: BATCH, batch_deadline, ..Default::default() },
-        clock,
-        |shard| match shard {
-            1 => Box::new(shard_1.take().expect("one codec per shard")) as Box<dyn Codec>,
-            _ => Box::new(plain_codec()),
-        },
-    )
-    .expect("valid gateway");
+    let gw =
+        Gateway::new(GatewayConfig { shards: 2, batch_max_frames: BATCH, ..cfg }, clock, |shard| {
+            match shard {
+                1 => Box::new(shard_1.take().expect("one codec per shard")) as Box<dyn Codec>,
+                _ => Box::new(plain_codec()),
+            }
+        })
+        .expect("valid gateway");
     Arc::new(gw)
 }
 
 /// The first cluster id the gateway pins to `shard`.
 fn cluster_on(gw: &Gateway, shard: usize) -> u64 {
     (1..).find(|&c| gw.shard_of(c) == shard).expect("two shards, both reachable")
+}
+
+/// The first two cluster ids the gateway pins to `shard`.
+fn two_clusters_on(gw: &Gateway, shard: usize) -> [u64; 2] {
+    let mut on = (1..).filter(|&c| gw.shard_of(c) == shard);
+    [0; 2].map(|_| on.next().expect("two shards, both reachable"))
+}
+
+/// A gateway whose shard 1 parks every batch that reaches its codec until
+/// `release` sends or drops, and refuses the first `refusals` of them
+/// once released; `entered` names each thread that reaches the codec.
+struct Parking {
+    gw: Arc<Gateway>,
+    entered: Receiver<String>,
+    release: Sender<()>,
+}
+
+fn parking(refusals: usize, queue_capacity: usize) -> Parking {
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
+    let parked = Parked {
+        inner: plain_codec(),
+        entered: entered_tx,
+        release: release_rx,
+        fails: false,
+        refusals,
+    };
+    // A 1 µs tick, as in `serve_beside_a_parked_shard`: no deadline
+    // passes, so only the requests below flush.
+    let cfg = GatewayConfig { queue_capacity, ..GatewayConfig::default() };
+    let gw = gateway_with(parked, Clock::manual(Duration::from_micros(1)), cfg);
+    Parking { gw, entered, release }
+}
+
+/// Runs `f` on a thread of `scope`; its value arrives on the receiver.
+fn asked<'scope, T: Send + 'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> Receiver<T> {
+    let (answer, answered) = channel();
+    scope.spawn(move || answer.send(f()));
+    answered
 }
 
 /// Runs `f` on its own thread: its value, or the test fails if `f`
@@ -141,8 +203,13 @@ struct Served {
 fn serve_beside_a_parked_shard(frames: &Matrix, subscribed: bool) -> Served {
     let (entered_tx, entered) = channel();
     let (release, release_rx) = channel();
-    let parked =
-        Parked { inner: plain_codec(), entered: entered_tx, release: release_rx, fails: false };
+    let parked = Parked {
+        inner: plain_codec(),
+        entered: entered_tx,
+        release: release_rx,
+        fails: false,
+        refusals: 0,
+    };
     // A 1 µs tick: the ~70 dispatches below must not carry virtual time
     // past shard 1's deadline, or sweeping its overdue batch would be
     // right — and would wait for the lock.
@@ -336,4 +403,79 @@ fn a_panic_on_the_timer_thread_fails_a_tcp_gateway_whole() {
         drop(TcpStream::connect(addr));
         server.join();
     });
+}
+
+#[test]
+fn a_pull_sent_mid_encode_returns_that_batch_once() {
+    let frames = frames();
+    let Parking { gw, entered, release } = parking(0, GatewayConfig::default().queue_capacity);
+    let far = cluster_on(&gw, 1);
+    std::thread::scope(|scope| {
+        let filler = asked(scope, || gw.handle(push(far, &frames)));
+        entered.recv_timeout(PATIENCE).expect("shard 1's size flush reaches the codec");
+        let pulled = asked(scope, || gw.handle(pull(far)));
+        std::thread::sleep(SETTLE);
+        drop(release);
+        let filled = filler.recv_timeout(PATIENCE);
+        assert_eq!(filled, Ok(Message::PushAck { accepted: BATCH as u32 }));
+        let Ok(Message::Decoded { frames: pulled, .. }) = pulled.recv_timeout(PATIENCE) else {
+            panic!("the pull is answered with rows")
+        };
+        assert_eq!(bits(pulled.as_slice()), bits(direct(&frames).as_slice()));
+    });
+    let Message::Decoded { frames: again, .. } = gw.handle(pull(far)) else {
+        panic!("a second pull is answered with rows")
+    };
+    assert_eq!(again.rows(), 0, "each row is delivered once");
+}
+
+#[test]
+fn rows_mid_encode_count_against_the_queue_capacity() {
+    let frames = frames();
+    let Parking { gw, entered, release } = parking(0, BATCH + 1);
+    let [far, other] = two_clusters_on(&gw, 1);
+    let rows = |n: usize| frames.view_rows(0..n).to_matrix();
+    std::thread::scope(|scope| {
+        let filler = asked(scope, || gw.handle(push(far, &frames)));
+        entered.recv_timeout(PATIENCE).expect("shard 1's size flush reaches the codec");
+        let over = asked(scope, || gw.handle(push(other, &rows(2))));
+        std::thread::sleep(SETTLE);
+        drop(release);
+        let filled = filler.recv_timeout(PATIENCE);
+        assert_eq!(filled, Ok(Message::PushAck { accepted: BATCH as u32 }));
+        let busy = Message::Busy { queued: BATCH as u32, capacity: BATCH as u32 + 1 };
+        assert_eq!(over.recv_timeout(PATIENCE), Ok(busy), "the batch mid-encode is in flight");
+    });
+    assert_eq!(gw.handle(push(other, &rows(1))), Message::PushAck { accepted: 1 });
+    assert_eq!(gw.stats().busy_rejections, 1);
+}
+
+#[test]
+fn an_encode_error_strands_no_acked_row() {
+    let mut rng = OrcoRng::from_seed_u64(0xE_4404);
+    let all = Matrix::from_fn(BATCH + 2, codec_config(11).input_dim, |_, _| rng.uniform(0.0, 1.0));
+    let part = |rows: std::ops::Range<usize>| all.view_rows(rows).to_matrix();
+    let Parking { gw, entered, release } = parking(1, GatewayConfig::default().queue_capacity);
+    let far = cluster_on(&gw, 1);
+    assert_eq!(gw.handle(push(far, &part(0..1))), Message::PushAck { accepted: 1 });
+    std::thread::scope(|scope| {
+        // The push that fills the batch meets the refusal; the row acked
+        // above is in that batch, and two more rows arrive meanwhile.
+        let filler = asked(scope, || gw.handle(push(far, &part(1..BATCH))));
+        entered.recv_timeout(PATIENCE).expect("shard 1's size flush reaches the codec");
+        let late = asked(scope, || gw.handle(push(far, &part(BATCH..BATCH + 2))));
+        std::thread::sleep(SETTLE);
+        drop(release);
+        let refused = filler.recv_timeout(PATIENCE).expect("the filling push is answered");
+        assert_eq!(error_code(&refused), Some(ErrorCode::Internal));
+        assert_eq!(late.recv_timeout(PATIENCE), Ok(Message::PushAck { accepted: 2 }));
+    });
+    assert!(!gw.is_shutting_down(), "an encode error is not a panic");
+    let everything =
+        Message::PullDecoded { cluster_id: far, max_frames: 2 * BATCH as u32, trace: 0 };
+    let Message::Decoded { frames: pulled, .. } = gw.handle(everything) else {
+        panic!("the pull is answered with rows")
+    };
+    assert_eq!(bits(pulled.as_slice()), bits(direct(&all).as_slice()), "every row, in push order");
+    assert_eq!(gw.stats().frames_out, (BATCH + 2) as u64);
 }
