@@ -49,15 +49,18 @@
 //!
 //! Everything about a cluster lives in its shard — pending frames,
 //! stored rows, streaming subscriptions — so a flush delivers what it
-//! stored to each subscriber of the cluster before the shard's lock is
-//! released, and a cluster's rows reach every subscriber in push order by
-//! construction.
+//! stored to each subscriber of the cluster before the shard's core lock
+//! is released, and a cluster's rows reach every subscriber in push order
+//! by construction.
 //!
 //! Dispatch is shard-local: a request for a cluster on shard *i* takes
-//! shard *i*'s lock and no other, unless another shard has a batch
+//! shard *i*'s locks and no other, unless another shard has a batch
 //! overdue (the sweep flushes it). Two connections on two shards run
-//! their codecs side by side. Lock order: `rollout` → a shard's core →
-//! an [`Outbox`] (leaf).
+//! their codecs side by side. Within a shard, a push takes the core lock
+//! alone unless it fills the batch, and encodes and decodes run under the
+//! codec lock with the core free, so two connections on one shard push
+//! past each other's codec work (see [`crate::shard`]). Lock order:
+//! `rollout` → a shard's codec side → its core → an [`Outbox`] (leaf).
 //!
 //! Every lock here is taken at one door (see [`crate::shard`]), which
 //! keeps each shard's gate, wakes the deadline timer, and fails the
@@ -78,11 +81,16 @@ use crate::outbox::Outbox;
 use crate::protocol::{
     ErrorCode, FrameRows, Message, ModelVersion, Push, Request, MAX_LABEL, PROTOCOL_VERSION,
 };
-use crate::shard::{due_at, Door, DriftProbe, Failed, GateTimes, Shard, ShardCore};
+use crate::shard::{due_at, CodecSide, Door, DriftProbe, Failed, GateTimes, Shard, ShardCore};
 use crate::stats::{FlushReason, ServeStats, MAX_SHARDS};
 
 /// A reply, or the door's word that the gateway has failed.
 type Reply = Result<Message, Failed>;
+
+/// What a flush did: stored a batch (`true`) or found none to take
+/// (`false`); a codec error, after which the batch is pending again; or
+/// the door's word that the gateway has failed.
+type Flushed = Result<Result<bool, OrcoError>, Failed>;
 
 /// Sizing and flush policy of a [`Gateway`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -191,9 +199,9 @@ pub struct Gateway {
     fleet: Mutex<Option<FleetView>>,
     /// The rollout control plane: active/staged/prior model versions.
     ///
-    /// Lock order: this lock may be held while taking a shard core lock
+    /// Lock order: this lock may be held while taking a shard's locks
     /// (activation walks every shard), so no path may take it while
-    /// holding a shard lock.
+    /// holding one of them.
     rollout: Mutex<RolloutState>,
 }
 
@@ -240,17 +248,17 @@ impl Gateway {
         let mut dims: Option<FrameDims> = None;
         for i in 0..cfg.shards {
             let drift = cfg.drift.map(|g| DriftProbe::new(g.sample_every, g.threshold, g.window));
-            let core = ShardCore::new(i, codec_for_shard(i), drift);
-            let d = *dims.get_or_insert(core.dims());
-            if core.dims() != d {
+            let codec = codec_for_shard(i);
+            let d = *dims.get_or_insert(codec.frame_dims());
+            if codec.frame_dims() != d {
                 return Err(OrcoError::Config {
                     detail: format!(
                         "Gateway: shard {i} codec geometry {:?} differs from shard 0 ({d:?})",
-                        core.dims()
+                        codec.frame_dims()
                     ),
                 });
             }
-            shards.push(Shard::new(core));
+            shards.push(Shard::new(i, codec, drift));
         }
         let dims = dims.expect("at least one shard");
         Ok(Self {
@@ -388,6 +396,45 @@ impl Gateway {
         self.shards[idx].enter(&self.door, &self.clock, self.stats.shard_lock_wait(), f)
     }
 
+    /// Runs `f` on shard `idx`'s codec side, at the door, timing the wait
+    /// for its lock. `f` may enter the core; nothing that holds the core
+    /// may call this.
+    fn codec<R>(&self, idx: usize, f: impl FnOnce(&mut CodecSide) -> R) -> Result<R, Failed> {
+        self.shards[idx].enter_codec(&self.door, &self.clock, self.stats.codec_lock_wait(), f)
+    }
+
+    /// Flushes shard `idx`'s pending batch, if `take_if` says so of its
+    /// core, with the shard's codec side `side` held throughout: under the
+    /// core it takes the batch, with the core free it encodes it, and
+    /// under the core again it stores and delivers it — or, on a codec
+    /// error, puts it back at the head of the pending batch (see
+    /// [`crate::shard`]). Pushes that land meanwhile join the next batch.
+    fn flush(
+        &self,
+        idx: usize,
+        side: &mut CodecSide,
+        now: f64,
+        reason: FlushReason,
+        take_if: impl FnOnce(&ShardCore) -> bool,
+    ) -> Flushed {
+        let taken =
+            self.shard(idx, |core| if take_if(core) { core.take_batch(side) } else { None })?;
+        let Some(taken) = taken else {
+            return Ok(Ok(false));
+        };
+        let encoded = side.encode(&self.stats);
+        self.shard(idx, |core| match encoded {
+            Ok(()) => {
+                core.store(side, taken, now, reason, &self.stats, &self.tracer);
+                Ok(true)
+            }
+            Err(e) => {
+                core.put_back(side, taken);
+                Err(e)
+            }
+        })
+    }
+
     /// Handles one request — a push whose rows are still the bytes of
     /// its frame, or a decoded message — on a connection whose
     /// server-push channel is `outbox` (when the transport has one).
@@ -496,7 +543,10 @@ impl Gateway {
     }
 
     /// One push, wherever its rows are: a typed message's matrix, or the
-    /// bytes of the frame that carried it.
+    /// bytes of the frame that carried it. It takes its shard's core lock
+    /// alone — never waiting out an encode or a decode on the shard —
+    /// unless its rows fill the batch: then it also makes the size flush,
+    /// under the shard's codec lock, and acks once the batch is stored.
     fn push(&self, cluster_id: u64, trace: u64, frames: impl FrameRows, now: f64) -> Reply {
         // Ownership first: a fleet gateway never accepts (or silently
         // misroutes) a push for a cluster assigned elsewhere — the
@@ -534,8 +584,10 @@ impl Gateway {
             });
         }
         let shard_idx = self.shard_of(cluster_id);
-        self.shard(shard_idx, |core| {
-            // The shutdown check must happen under the shard lock: either
+        let max = self.cfg.batch_max_frames;
+        let mut filled = false;
+        let reply = self.shard(shard_idx, |core| {
+            // The shutdown check must happen under the core lock: either
             // this push wins the lock and its frames are flushed by
             // `begin_shutdown`'s subsequent per-shard flush, or shutdown
             // wins and the push is rejected here — a PushAck'd frame can
@@ -569,30 +621,57 @@ impl Gateway {
                 self.tracer.record(base);
                 self.tracer.record(Span { kind: SpanKind::Enqueue, ..base });
             }
-            if core.pending_rows() >= self.cfg.batch_max_frames {
-                if let Err(e) = core.flush(now, FlushReason::Size, &self.stats, &self.tracer) {
-                    return internal(&e);
-                }
-            }
+            filled = core.pending_rows() >= max;
             Message::PushAck { accepted: rows as u32 }
-        })
+        })?;
+        if filled {
+            // A size flush, if the batch is still full: a flush that ran
+            // between the two locks may have taken it.
+            let full = |core: &ShardCore| core.pending_rows() >= max;
+            let flushed = self.codec(shard_idx, |side| {
+                self.flush(shard_idx, side, now, FlushReason::Size, full)
+            })??;
+            if let Err(e) = flushed {
+                return Ok(internal(&e));
+            }
+        }
+        Ok(reply)
     }
 
+    /// Up to `max` of the cluster's oldest decoded rows, of one model
+    /// version. Under the shard's codec lock: a flush of the puller's own
+    /// pending rows, if it has any, then the run of codes taken under the
+    /// core lock, then the decode with the core free. A pull sent while
+    /// the shard encodes waits for that batch, and so reads it.
     fn pull(&self, cluster_id: u64, max: usize, now: f64) -> Reply {
-        self.shard(self.shard_of(cluster_id), |core| -> Result<Message, OrcoError> {
+        let idx = self.shard_of(cluster_id);
+        self.codec(idx, |side| {
             // Read-your-writes needs a flush only when the puller's own
             // frames are pending (overdue batches were already swept at
             // dispatch). Anything else stays pending — a polling consumer
             // must not collapse other clusters' half-built batches to
             // size-1 flushes.
-            if core.has_pending_for(cluster_id) {
-                core.flush(now, FlushReason::Pull, &self.stats, &self.tracer)?;
+            let mine = |core: &ShardCore| core.has_pending_for(cluster_id);
+            if let Err(e) = self.flush(idx, side, now, FlushReason::Pull, mine)? {
+                return Ok(internal(&e));
             }
-            let (version, frames) =
-                core.pull(cluster_id, max, now, &self.stats, &self.tracer, false)?;
-            Ok(Message::Decoded { cluster_id, version, frames })
-        })
-        .map(|reply| reply.unwrap_or_else(|e| internal(&e)))
+            let run = self.shard(idx, |core| {
+                core.take_run(side, cluster_id, max, now, &self.tracer, false)
+            })?;
+            let Some((version, rows)) = run else {
+                let frames = Matrix::zeros(0, self.dims.input);
+                return Ok(Message::Decoded { cluster_id, version: side.version(), frames });
+            };
+            // The decode runs with the core free: pushes to this shard go on.
+            Ok(match side.decode_run(version) {
+                Ok(frames) => {
+                    let bytes = (rows * self.dims.input * 4) as u64;
+                    self.stats.record_pull(idx, rows as u64, bytes);
+                    Message::Decoded { cluster_id, version, frames }
+                }
+                Err(e) => internal(&e),
+            })
+        })?
     }
 
     /// Stages `version` (checkpoint weights ride the proposal) without
@@ -657,7 +736,7 @@ impl Gateway {
             // Prove the checkpoint grafts onto this gateway's codec family
             // before accepting (all shards share one geometry, so shard 0
             // answers for all of them).
-            if let Err(e) = self.shard(0, |core| core.stage_from_active(&checkpoint))? {
+            if let Err(e) = self.codec(0, |side| side.stage_from_active(&checkpoint))? {
                 return reject(format!("checkpoint does not stage onto the active codec: {e}"));
             }
             // Restaging replaces any earlier staged version — last writer
@@ -694,16 +773,19 @@ impl Gateway {
             let checkpoint = &state.staged.as_ref().expect("matched above").1;
             let mut staged_codecs = Vec::with_capacity(self.shards.len());
             for idx in 0..self.shards.len() {
-                match self.shard(idx, |core| core.stage_from_active(checkpoint))? {
+                match self.codec(idx, |side| side.stage_from_active(checkpoint))? {
                     Ok(codec) => staged_codecs.push(codec),
                     Err(e) => return reject(format!("staging failed: {e}")),
                 }
             }
             let (version, _) = state.staged.take().expect("matched above");
             for (idx, codec) in staged_codecs.into_iter().enumerate() {
-                let installed = self.shard(idx, |core| {
-                    core.install_codec(version.id, codec, now, &self.stats, &self.tracer)
-                })?;
+                // Each shard cuts over at a flush boundary: its pending
+                // batch flushes under the old codec first.
+                let installed = self.codec(idx, |side| {
+                    let flushed = self.flush(idx, side, now, FlushReason::Swap, |_| true)?;
+                    Ok(flushed.map(|_| side.cut_over(version.id, codec)))
+                })??;
                 if let Err(e) = installed {
                     // Only a codec shape error can land here, which the
                     // staging pass above has already ruled out; surface it
@@ -736,7 +818,7 @@ impl Gateway {
             let mut tripped = false;
             let mut all_windows_full = true;
             for idx in 0..self.shards.len() {
-                match self.shard(idx, |core| core.drift_windowed_error())? {
+                match self.codec(idx, |side| side.drift_windowed_error())? {
                     Some(err) if err > bound => tripped = true,
                     Some(_) => {}
                     None => all_windows_full = false,
@@ -744,9 +826,18 @@ impl Gateway {
             }
             if tripped {
                 for idx in 0..self.shards.len() {
-                    match self.shard(idx, |core| {
-                        core.rollback_to(prior.id, now, &self.stats, &self.tracer)
-                    })? {
+                    // At a flush boundary, like the swap.
+                    let rolled = self.codec(idx, |side| {
+                        if !side.retains(prior.id) {
+                            return Ok(Ok(false));
+                        }
+                        let flushed = self.flush(idx, side, now, FlushReason::Swap, |_| true)?;
+                        Ok(flushed.map(|_| {
+                            side.roll_back_to(prior.id);
+                            true
+                        }))
+                    })??;
+                    match rolled {
                         Ok(true) => {}
                         Ok(false) => eprintln!(
                             "orco-serve: shard {idx} no longer retains version {}",
@@ -778,22 +869,25 @@ impl Gateway {
     /// Rows of the cluster still pending are wanted as of now.
     fn subscribe(&self, cluster_id: u64, trace: u64, now: f64, outbox: &Arc<Outbox>) -> Reply {
         let shard_idx = self.shard_of(cluster_id);
-        self.shard(shard_idx, |core| {
-            let backlog = core.stored_rows_for(cluster_id);
-            if trace != 0 && self.tracer.enabled() {
-                self.tracer.record(Span {
-                    trace_id: trace,
-                    kind: SpanKind::Subscribe,
-                    cluster_id,
-                    shard: shard_idx as u16,
-                    rows: backlog as u32,
-                    at_s: now,
-                    detail: "",
-                });
-            }
-            core.subscribe(cluster_id, outbox, now, &self.stats, &self.tracer);
-            Message::SubscribeAck { cluster_id, backlog: backlog as u32 }
-        })
+        // The backlog is decoded as it streams: the codec side first.
+        self.codec(shard_idx, |side| {
+            self.shard(shard_idx, |core| {
+                let backlog = core.stored_rows_for(cluster_id);
+                if trace != 0 && self.tracer.enabled() {
+                    self.tracer.record(Span {
+                        trace_id: trace,
+                        kind: SpanKind::Subscribe,
+                        cluster_id,
+                        shard: shard_idx as u16,
+                        rows: backlog as u32,
+                        at_s: now,
+                        detail: "",
+                    });
+                }
+                core.subscribe(side, cluster_id, outbox, now, &self.stats, &self.tracer);
+                Message::SubscribeAck { cluster_id, backlog: backlog as u32 }
+            })
+        })?
     }
 
     /// Closes the door — no push is accepted from here on — then drains
@@ -801,8 +895,8 @@ impl Gateway {
     fn begin_shutdown(&self, now: f64) {
         self.door.close();
         for idx in 0..self.shards.len() {
-            let _ = self.shard(idx, |core| {
-                if let Err(e) = core.flush(now, FlushReason::Drain, &self.stats, &self.tracer) {
+            let _ = self.codec(idx, |side| {
+                if let Ok(Err(e)) = self.flush(idx, side, now, FlushReason::Drain, |_| true) {
                     eprintln!("orco-serve: flush during shutdown failed: {e}");
                 }
             });
@@ -817,19 +911,21 @@ impl Gateway {
 
     /// The sweep's and the timer's one flush-if-due body: asks shard
     /// `idx`'s gate whether `due(times, now)`, and only then takes the
-    /// lock, asks the core the same, and makes a deadline flush. Returns
-    /// what the flush took. A shard whose lock is poisoned is passed over.
+    /// shard's codec lock, asks the core the same, and makes a deadline
+    /// flush. Returns what the flush took, encode and delivery. A shard
+    /// whose lock is poisoned is passed over. The core lock is free while
+    /// the batch encodes, so pushes to the shard go on meanwhile.
     fn flush_if_due(&self, idx: usize, due: impl Fn(GateTimes, f64) -> bool) -> Option<f64> {
         if !due(self.shards[idx].gate.times(), self.clock.now_s()) {
             return None;
         }
-        self.shard(idx, |core| {
+        self.codec(idx, |side| {
             let now = self.clock.now_s();
-            if !due(core.gate_truth(), now) {
-                return None;
-            }
-            if let Err(e) = core.flush(now, FlushReason::Deadline, &self.stats, &self.tracer) {
-                eprintln!("orco-serve: shard {idx} deadline flush failed: {e}");
+            let is_due = |core: &ShardCore| due(core.gate_truth(), now);
+            match self.flush(idx, side, now, FlushReason::Deadline, is_due) {
+                Ok(Ok(true)) => {}
+                Ok(Ok(false)) | Err(Failed) => return None,
+                Ok(Err(e)) => eprintln!("orco-serve: shard {idx} deadline flush failed: {e}"),
             }
             Some(self.clock.now_s() - now)
         })

@@ -9,46 +9,84 @@
 //!   (possibly from several clusters; rows are independent, so one flush
 //!   serves them all) and flushed as **one** `encode_batch` call;
 //! * **reusable workspaces** — the encode output and decode input
-//!   matrices are `Matrix::reset` per call, and a push's rows are
-//!   appended to the pending batch straight from whatever holds them —
-//!   the bytes of the frame that carried them, on the wire path — so the
-//!   steady-state ingest path performs no allocation from client to
-//!   shard: the client's encode, the gateway's parse, the enqueue, the
-//!   flush and its encode, and the ack (`tests/codec_no_alloc.rs` at the
-//!   workspace root counts zero). A pull's decoded rows are *moved* into
-//!   the reply (the reply must own its payload), costing one allocation
-//!   per pull and zero extra copies (the same file counts one);
+//!   matrices are `Matrix::reset` per call, a flush trades the pending
+//!   batch's buffers for the emptied ones of the batch before, and a
+//!   push's rows are appended to the pending batch straight from whatever
+//!   holds them — the bytes of the frame that carried them, on the wire
+//!   path — so the steady-state ingest path performs no allocation from
+//!   client to shard: the client's encode, the gateway's parse, the
+//!   enqueue, the flush and its encode, and the ack
+//!   (`tests/codec_no_alloc.rs` at the workspace root counts zero). A
+//!   pull's decoded rows are *moved* into the reply (the reply must own
+//!   its payload), costing one allocation per pull and zero extra copies
+//!   (the same file counts one);
 //! * **one record per cluster** (`ClusterState`) — the encoded rows
 //!   awaiting delivery, oldest first in push order, each with the trace
 //!   id and model version it was flushed under, and the outboxes of the
 //!   connections subscribed to the cluster. Rows and subscribers sit
-//!   under the one shard lock, so delivery happens where rows appear:
-//!   every flush ends by streaming what it stored to the live
-//!   subscribers of the clusters it touched, and a `Subscribe` streams
-//!   the backlog as it registers. *Whenever the shard's lock is free, a
-//!   cluster with a live subscriber stores nothing*, and its rows reach
-//!   each outbox in push order because nothing else can run in between;
+//!   under the same lock, so delivery happens where rows appear: every
+//!   flush ends by streaming what it stored to the live subscribers of
+//!   the clusters it touched, and a `Subscribe` streams the backlog as it
+//!   registers;
 //! * **its gate** ([`ShardGate`]) — a lock-free mirror of "when was the
 //!   pending batch armed, and since when has a subscriber been waiting
 //!   on it", so the gateway's per-dispatch deadline sweep and its
-//!   deadline timer can pass over this shard without taking its lock.
+//!   deadline timer can pass over this shard without taking its locks.
 //!
-//! The in-flight budget (`pending rows + stored rows ≤ capacity`) is
-//! enforced at enqueue time: a shard's memory is bounded no matter how
-//! fast clients push or how rarely they pull.
+//! The in-flight budget (`pending + mid-encode + stored rows ≤
+//! capacity`) is enforced at enqueue time: a shard's memory is bounded no
+//! matter how fast clients push or how rarely they pull.
+//!
+//! # Two locks
+//!
+//! A shard's state is split in two, each half under its own lock, always
+//! taken **codec side, then core** — a core's holder never waits for a
+//! codec:
+//!
+//! * [`CodecSide`] — the active codec, the retired ones (with the count
+//!   of stored rows that keeps each alive), the drift probe, and the
+//!   encode/decode workspaces;
+//! * [`ShardCore`] — the pending batch, the per-cluster store and its
+//!   subscribers, the in-flight count, and the truth the gate mirrors.
+//!
+//! A push takes the core alone, unless it fills its batch. Whatever uses
+//! a codec takes the codec side first: a flush (size, deadline, pull,
+//! drain or swap), a `Subscribe`, a pull, and the rollout's stage, cut
+//! over and rollback. A flush holds the codec side throughout, in three
+//! steps: under the core, it takes the pending batch and disarms the gate
+//! ([`ShardCore::take_batch`]; the rows stay in flight); with the core
+//! free, it encodes the batch and samples it for drift
+//! ([`CodecSide::encode`]); under the core again, it files the codes under
+//! the active version and delivers them ([`ShardCore::store`]) — or, if
+//! the encode failed, puts the rows back at the head of the pending
+//! batch ([`ShardCore::put_back`]). Pushes that land during the encode
+//! join the next batch. A pull flushes its own pending rows the same way,
+//! takes its run of codes under the core ([`ShardCore::take_run`]) and
+//! decodes it with the core free ([`CodecSide::decode_run`]). Streamed
+//! delivery decodes under the core.
+//!
+//! Flushes on one shard are serialised by its codec side, so rows are
+//! stored in push order, and only a flush's last step stores rows — with
+//! the core held until it has delivered them. So *whenever the core's
+//! lock is free, a cluster with a live subscriber stores nothing*, and its
+//! rows reach each outbox in push order because nothing else can run in
+//! between.
 //!
 //! # The door
 //!
 //! Every lock the gateway takes is taken by [`Door::enter`] around a
-//! closure, and a core's by [`Shard::enter`]: the one writer of the gate
-//! (so mirror ≡ truth whenever the lock is free) and the one waker of the
-//! deadline timer (for a batch left pending with its times moved; a flush
-//! empties the gate and wakes nobody). The door decides the poison policy
-//! once — **the gateway fails whole**: a panic out of a closure, on any
-//! thread, closes it (the shutdown flag, without the drain), and so does
-//! a lock found poisoned, whose request fails (`ErrorReply { code:
-//! Internal }`). Pushes then draw `ShuttingDown`, the timer and the TCP
-//! acceptor exit, and healthy shards' stored rows stay pullable.
+//! closure — a shard's two by [`Door::enter_timed`], which records how
+//! long each took to take — and a core's by [`Shard::enter`]: the one
+//! writer of the gate (so mirror ≡ truth whenever the core's lock is
+//! free) and the one waker of the deadline timer (for a batch left
+//! pending with its times moved; a flush empties the gate and wakes
+//! nobody). The door decides the poison policy once — **the gateway
+//! fails whole**: a panic out of a closure, on any thread, closes it (the
+//! shutdown flag, without the drain), and so does a lock found poisoned,
+//! whose request fails (`ErrorReply { code: Internal }`); a shard whose
+//! codec side is poisoned — a panic mid-encode holds no core lock — has
+//! failed whole too. Pushes then draw `ShuttingDown`, the timer and the
+//! TCP acceptor exit, and healthy shards' stored rows stay pullable.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -146,7 +184,7 @@ impl ShardGate {
         (bits != Self::NEVER).then(|| f64::from_bits(bits))
     }
 
-    /// The gate's one writer; the caller holds the shard lock.
+    /// The gate's one writer; the caller holds the core's lock.
     fn set(&self, times: GateTimes) {
         for (slot, at) in [&self.armed, &self.wanted].into_iter().zip(times) {
             // Release: publishes the time (or the clear) to the Acquire
@@ -243,16 +281,23 @@ impl Drop for CloseOnUnwind<'_> {
     }
 }
 
-/// A shard: its core under its lock, and the core's gate beside it.
+/// A shard: its codec side and its core, each under its own lock (codec
+/// first, then core), and the core's gate beside them.
 pub(crate) struct Shard {
+    codec: Mutex<CodecSide>,
     core: Mutex<ShardCore>,
     pub(crate) gate: ShardGate,
 }
 
 impl Shard {
-    pub(crate) fn new(core: ShardCore) -> Self {
+    pub(crate) fn new(index: usize, codec: Box<dyn Codec>, drift: Option<DriftProbe>) -> Self {
+        let dims = codec.frame_dims();
         let never = || AtomicU64::new(ShardGate::NEVER);
-        Self { core: Mutex::new(core), gate: ShardGate { armed: never(), wanted: never() } }
+        Self {
+            codec: Mutex::new(CodecSide::new(codec, drift)),
+            core: Mutex::new(ShardCore::new(index, dims)),
+            gate: ShardGate { armed: never(), wanted: never() },
+        }
     }
 
     /// [`Door::enter_timed`] on the core, mirroring it into the gate
@@ -264,19 +309,243 @@ impl Shard {
         waits: &Histogram,
         f: impl FnOnce(&mut ShardCore) -> R,
     ) -> Result<R, Failed> {
+        // A panic mid-encode holds no core lock to poison, only the
+        // codec side's: either one poisoned fails the whole shard.
+        if self.codec.is_poisoned() {
+            door.close();
+            return Err(Failed);
+        }
         door.enter_timed(&self.core, clock, waits, |core| {
             let done = f(core);
             let truth = core.gate_truth();
             if self.gate.times() != truth {
                 self.gate.set(truth);
                 // Still pending, so a push armed the batch or made it
-                // wanted, or a `Subscribe` did: its due-time moved earlier.
+                // wanted, a `Subscribe` made it wanted, or a failed
+                // encode put its rows back: its due-time moved earlier.
                 if truth[0].is_some() {
                     door.wake_timer();
                 }
             }
             done
         })
+    }
+
+    /// [`Door::enter_timed`] on the codec side. Whoever holds it may enter
+    /// the core; a core's holder never waits for it.
+    pub(crate) fn enter_codec<R>(
+        &self,
+        door: &Door,
+        clock: &Clock,
+        waits: &Histogram,
+        f: impl FnOnce(&mut CodecSide) -> R,
+    ) -> Result<R, Failed> {
+        door.enter_timed(&self.codec, clock, waits, f)
+    }
+}
+
+/// When the batch a flush took was armed, and since when it was wanted:
+/// what its stats are measured from, or what it is put back with.
+#[derive(Clone, Copy)]
+pub(crate) struct Taken {
+    armed: f64,
+    wanted: Option<f64>,
+}
+
+/// The codec half of a shard: every codec it serves with, and the buffers
+/// they work in.
+pub(crate) struct CodecSide {
+    codec: Box<dyn Codec>,
+    /// Id of the model version the active codec serves.
+    version: u64,
+    /// Retired codecs kept alive to decode rows they encoded and to
+    /// serve as the rollback target. Keyed by version id; an entry is
+    /// dropped once its stored rows drain, except the most recently
+    /// retired one (the rollback target), which is always kept.
+    retired: BTreeMap<u64, Box<dyn Codec>>,
+    /// The most recently retired version id (the rollback target).
+    last_retired: Option<u64>,
+    /// Stored rows per producing version; drives retired-codec dropping.
+    /// Every path that stores or takes rows holds this side, so the
+    /// count lives with the codecs it keeps alive.
+    rows_by_version: BTreeMap<u64, usize>,
+    /// Decoded-sample drift monitor (None = drift detection disabled).
+    drift: Option<DriftProbe>,
+    /// Reused 1-row workspaces for drift sampling.
+    drift_in_ws: Matrix,
+    drift_out_ws: Matrix,
+    dims: FrameDims,
+    /// The batch being flushed — its raw rows, and the `(cluster, trace)`
+    /// of each — taken from the core's pending batch in exchange for
+    /// these buffers, emptied: between flushes both are empty, and the
+    /// two pairs of buffers trade places every flush without allocating.
+    batch_data: Vec<f32>,
+    batch: Vec<(u64, u64)>,
+    /// Reused `encode_batch` output.
+    codes_ws: Matrix,
+    /// Reused `decode_batch` input / output.
+    decode_in_ws: Matrix,
+    decode_out_ws: Matrix,
+}
+
+impl CodecSide {
+    fn new(codec: Box<dyn Codec>, drift: Option<DriftProbe>) -> Self {
+        let dims = codec.frame_dims();
+        Self {
+            codec,
+            version: 0,
+            retired: BTreeMap::new(),
+            last_retired: None,
+            rows_by_version: BTreeMap::new(),
+            drift,
+            drift_in_ws: Matrix::zeros(0, 0),
+            drift_out_ws: Matrix::zeros(0, 0),
+            dims,
+            batch_data: Vec::new(),
+            batch: Vec::new(),
+            codes_ws: Matrix::zeros(0, 0),
+            decode_in_ws: Matrix::zeros(0, 0),
+            decode_out_ws: Matrix::zeros(0, 0),
+        }
+    }
+
+    /// Id of the model version the active codec serves.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Derives a staged codec from the active one by grafting the
+    /// checkpoint's encoder onto a copy (decoder and all other state
+    /// carry over bit-identically).
+    pub(crate) fn stage_from_active(
+        &self,
+        checkpoint: &EncoderCheckpoint,
+    ) -> Result<Box<dyn Codec>, OrcoError> {
+        self.codec.with_encoder(checkpoint)
+    }
+
+    /// The drift monitor's current windowed error (None while the
+    /// window is refilling or drift detection is disabled). The
+    /// rollback guard compares this against its threshold.
+    pub(crate) fn drift_windowed_error(&self) -> Option<f32> {
+        self.drift.as_ref().and_then(|p| p.last_windowed)
+    }
+
+    /// Whether retired version `id` is still kept (the rollback guard's
+    /// target must be).
+    pub(crate) fn retains(&self, id: u64) -> bool {
+        self.retired.contains_key(&id)
+    }
+
+    /// Reverts to retired version `id`, which [`Self::retains`] must
+    /// have confirmed; the caller has flushed under the active codec.
+    pub(crate) fn roll_back_to(&mut self, id: u64) {
+        let target = self.retired.remove(&id).expect("checked by the caller");
+        self.cut_over(id, target);
+    }
+
+    /// Makes `codec` the active version `id` and retires the old one,
+    /// dropping the previous retiree if its stored rows have fully
+    /// drained (the newest retiree replaces it as the rollback target).
+    /// The drift history starts over, so the guard judges only the new
+    /// model. The caller has flushed under the old codec first, so no
+    /// flush ever mixes model versions and no frame is dropped.
+    pub(crate) fn cut_over(&mut self, id: u64, codec: Box<dyn Codec>) {
+        let old = std::mem::replace(&mut self.codec, codec);
+        let old_id = std::mem::replace(&mut self.version, id);
+        if let Some(prev) = self.last_retired.replace(old_id) {
+            if prev != old_id && !self.rows_by_version.contains_key(&prev) {
+                self.retired.remove(&prev);
+            }
+        }
+        self.retired.insert(old_id, old);
+        if let Some(probe) = &mut self.drift {
+            probe.monitor.acknowledge();
+            probe.last_windowed = None;
+        }
+    }
+
+    /// Encodes the taken batch in ONE `encode_batch` call, then samples
+    /// it for drift: a flush's middle step, which runs with the core's
+    /// lock free.
+    ///
+    /// # Errors
+    ///
+    /// Propagates codec shape errors (impossible for frames admitted by
+    /// the gateway's width check, but surfaced rather than unwrapped).
+    pub(crate) fn encode(&mut self, stats: &ServeStats) -> Result<(), OrcoError> {
+        let rows = self.batch.len();
+        let view = MatView::new(rows, self.dims.input, &self.batch_data)?;
+        self.codec.encode_batch(view, &mut self.codes_ws)?;
+        self.sample_drift(rows, stats)
+    }
+
+    /// Feeds every `every`-th row of the just-encoded batch through a
+    /// decode and scores the reconstruction against the raw frame,
+    /// recording the error into the drift monitor. Both the raw row
+    /// (`batch_data`) and its code (`codes_ws`) are live until the batch
+    /// is stored. Trips surface as `drift_trips`/`drift` in
+    /// [`ServeStats`].
+    fn sample_drift(&mut self, rows: usize, stats: &ServeStats) -> Result<(), OrcoError> {
+        let Some(probe) = &mut self.drift else {
+            return Ok(());
+        };
+        for r in 0..rows {
+            probe.seen += 1;
+            if !probe.seen.is_multiple_of(probe.every.get()) {
+                continue;
+            }
+            self.drift_in_ws.reset(1, self.dims.code);
+            self.drift_in_ws.as_view_mut().as_mut_slice().copy_from_slice(self.codes_ws.row(r));
+            self.codec.decode_batch(self.drift_in_ws.as_view(), &mut self.drift_out_ws)?;
+            let raw = &self.batch_data[r * self.dims.input..(r + 1) * self.dims.input];
+            let recon = self.drift_out_ws.row(0);
+            let mse = raw
+                .iter()
+                .zip(recon)
+                .map(|(a, b)| {
+                    let d = a - b;
+                    d * d
+                })
+                .sum::<f32>()
+                / self.dims.input as f32;
+            probe.monitor.record(mse);
+            probe.last_windowed = probe.monitor.windowed_error();
+            if probe.monitor.should_retrain() {
+                stats.record_drift_trip();
+                probe.monitor.acknowledge();
+            }
+        }
+        Ok(())
+    }
+
+    /// Decodes the run [`ShardCore::take_run`] left in the decode
+    /// workspace, of producing version `version`, in ONE `decode_batch`
+    /// call by the codec that encoded it — mid-swap, old rows drain
+    /// through the retired codec while new rows queue behind them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates codec shape errors.
+    pub(crate) fn decode_run(&mut self, version: u64) -> Result<Matrix, OrcoError> {
+        let codec = if version == self.version {
+            &mut self.codec
+        } else {
+            self.retired.get_mut(&version).expect("retired codec retained while rows stored")
+        };
+        codec.decode_batch(self.decode_in_ws.as_view(), &mut self.decode_out_ws)?;
+        // A drained retiree is dropped once it has decoded its last rows —
+        // except the rollback target.
+        if !self.rows_by_version.contains_key(&version)
+            && version != self.version
+            && self.last_retired != Some(version)
+        {
+            self.retired.remove(&version);
+        }
+        // Move the decoded rows into the reply instead of cloning them;
+        // the reply owns the buffer and the next decode_batch regrows the
+        // workspace. One allocation either way, but no second memcpy.
+        Ok(std::mem::replace(&mut self.decode_out_ws, Matrix::zeros(0, 0)))
     }
 }
 
@@ -305,26 +574,12 @@ impl ClusterState {
     }
 }
 
+/// The core half of a shard: what a push needs — the pending batch, the
+/// stored rows and their subscribers, the in-flight count and the truth
+/// the gate mirrors.
 pub(crate) struct ShardCore {
     /// This shard's index in the gateway (labels stats and trace spans).
     index: usize,
-    codec: Box<dyn Codec>,
-    /// Id of the model version the active codec serves.
-    version: u64,
-    /// Retired codecs kept alive to decode rows they encoded and to
-    /// serve as the rollback target. Keyed by version id; an entry is
-    /// dropped once its stored rows drain, except the most recently
-    /// retired one (the rollback target), which is always kept.
-    retired: BTreeMap<u64, Box<dyn Codec>>,
-    /// The most recently retired version id (the rollback target).
-    last_retired: Option<u64>,
-    /// Stored rows per producing version; drives retired-codec dropping.
-    rows_by_version: BTreeMap<u64, usize>,
-    /// Decoded-sample drift monitor (None = drift detection disabled).
-    drift: Option<DriftProbe>,
-    /// Reused 1-row workspaces for drift sampling.
-    drift_in_ws: Matrix,
-    drift_out_ws: Matrix,
     dims: FrameDims,
     /// Pending raw frames, row-major, `dims.input` wide.
     pending_data: Vec<f32>,
@@ -339,11 +594,8 @@ pub(crate) struct ShardCore {
     /// subscriber, or the time a `Subscribe` found such rows pending.
     /// `None` while nobody waits (and while nothing is pending).
     wanted_since_s: Option<f64>,
-    /// Reused `encode_batch` output.
-    codes_ws: Matrix,
-    /// Reused `decode_batch` input / output.
-    decode_in_ws: Matrix,
-    decode_out_ws: Matrix,
+    /// Rows a flush has taken and not yet stored.
+    encoding_rows: usize,
     /// Stored rows and subscribers, per cluster.
     clusters: BTreeMap<u64, ClusterState>,
     /// Total stored rows across `clusters`.
@@ -351,26 +603,15 @@ pub(crate) struct ShardCore {
 }
 
 impl ShardCore {
-    pub(crate) fn new(index: usize, codec: Box<dyn Codec>, drift: Option<DriftProbe>) -> Self {
-        let dims = codec.frame_dims();
+    fn new(index: usize, dims: FrameDims) -> Self {
         Self {
             index,
-            codec,
-            version: 0,
-            retired: BTreeMap::new(),
-            last_retired: None,
-            rows_by_version: BTreeMap::new(),
-            drift,
-            drift_in_ws: Matrix::zeros(0, 0),
-            drift_out_ws: Matrix::zeros(0, 0),
             dims,
             pending_data: Vec::new(),
             pending: Vec::new(),
             oldest_enqueue_s: 0.0,
             wanted_since_s: None,
-            codes_ws: Matrix::zeros(0, 0),
-            decode_in_ws: Matrix::zeros(0, 0),
-            decode_out_ws: Matrix::zeros(0, 0),
+            encoding_rows: 0,
             clusters: BTreeMap::new(),
             stored_rows: 0,
         }
@@ -382,91 +623,14 @@ impl ShardCore {
         [(!self.pending.is_empty()).then_some(self.oldest_enqueue_s), self.wanted_since_s]
     }
 
-    /// Derives a staged codec from the active one by grafting the
-    /// checkpoint's encoder onto a copy (decoder and all other state
-    /// carry over bit-identically).
-    pub(crate) fn stage_from_active(
-        &self,
-        checkpoint: &EncoderCheckpoint,
-    ) -> Result<Box<dyn Codec>, OrcoError> {
-        self.codec.with_encoder(checkpoint)
-    }
-
-    /// The drift monitor's current windowed error (None while the
-    /// window is refilling or drift detection is disabled). The
-    /// rollback guard compares this against its threshold.
-    pub(crate) fn drift_windowed_error(&self) -> Option<f32> {
-        self.drift.as_ref().and_then(|p| p.last_windowed)
-    }
-
-    /// Cuts the shard over to `codec` as version `id` at a flush
-    /// boundary: the pending micro-batch flushes under the *old* codec
-    /// first (so no flush ever mixes model versions and no frame is
-    /// dropped), then the old codec is retired — kept alive to decode
-    /// its stored rows and as the rollback target.
-    pub(crate) fn install_codec(
-        &mut self,
-        id: u64,
-        codec: Box<dyn Codec>,
-        now_s: f64,
-        stats: &ServeStats,
-        tracer: &Tracer,
-    ) -> Result<(), OrcoError> {
-        self.flush(now_s, FlushReason::Swap, stats, tracer)?;
-        self.cut_over(id, codec);
-        Ok(())
-    }
-
-    /// Reverts to retired version `id` (the rollback path). Returns
-    /// false when that version is no longer retained. Like
-    /// [`Self::install_codec`], the cutover happens at a flush boundary.
-    pub(crate) fn rollback_to(
-        &mut self,
-        id: u64,
-        now_s: f64,
-        stats: &ServeStats,
-        tracer: &Tracer,
-    ) -> Result<bool, OrcoError> {
-        if !self.retired.contains_key(&id) {
-            return Ok(false);
-        }
-        self.flush(now_s, FlushReason::Swap, stats, tracer)?;
-        let target = self.retired.remove(&id).expect("checked above");
-        self.cut_over(id, target);
-        Ok(true)
-    }
-
-    /// Makes `codec` the active version `id` and retires the old one,
-    /// dropping the previous retiree if its stored rows have fully
-    /// drained (the newest retiree replaces it as the rollback target).
-    /// The drift history starts over, so the guard judges only the new
-    /// model.
-    fn cut_over(&mut self, id: u64, codec: Box<dyn Codec>) {
-        let old = std::mem::replace(&mut self.codec, codec);
-        let old_id = std::mem::replace(&mut self.version, id);
-        if let Some(prev) = self.last_retired.replace(old_id) {
-            if prev != old_id && !self.rows_by_version.contains_key(&prev) {
-                self.retired.remove(&prev);
-            }
-        }
-        self.retired.insert(old_id, old);
-        if let Some(probe) = &mut self.drift {
-            probe.monitor.acknowledge();
-            probe.last_windowed = None;
-        }
-    }
-
-    pub(crate) fn dims(&self) -> FrameDims {
-        self.dims
-    }
-
     pub(crate) fn pending_rows(&self) -> usize {
         self.pending.len()
     }
 
-    /// Rows currently charged against the shard's capacity budget.
+    /// Rows currently charged against the shard's capacity budget:
+    /// pending, mid-encode and stored.
     pub(crate) fn in_flight(&self) -> usize {
-        self.pending_rows() + self.stored_rows
+        self.pending_rows() + self.encoding_rows + self.stored_rows
     }
 
     /// Whether the pending micro-batch holds rows for `cluster`. Scans at
@@ -514,41 +678,49 @@ impl ShardCore {
         true
     }
 
-    /// Encodes the entire pending micro-batch in ONE `encode_batch` call,
-    /// files the code rows into their clusters' records, and streams
-    /// them on to the clusters' live subscribers. No-op when nothing is
-    /// pending.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec shape errors (impossible for frames admitted by
-    /// the gateway's width check, but surfaced rather than unwrapped).
-    pub(crate) fn flush(
+    /// A flush's first step: hands the whole pending batch to `side` in
+    /// exchange for its emptied buffers, so nothing allocates, and
+    /// disarms the gate. The rows stay in flight until
+    /// [`Self::store`] files them or [`Self::put_back`] returns them.
+    /// `None` when nothing is pending.
+    pub(crate) fn take_batch(&mut self, side: &mut CodecSide) -> Option<Taken> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let taken = Taken { armed: self.oldest_enqueue_s, wanted: self.wanted_since_s.take() };
+        std::mem::swap(&mut self.pending_data, &mut side.batch_data);
+        std::mem::swap(&mut self.pending, &mut side.batch);
+        self.encoding_rows = side.batch.len();
+        Some(taken)
+    }
+
+    /// A flush's last step, after `side` encoded the batch it took: files
+    /// the code rows into their clusters' records under the active
+    /// version, and streams them on to the clusters' live subscribers.
+    /// The batch's emptied buffers stay with `side` for the next flush.
+    pub(crate) fn store(
         &mut self,
+        side: &mut CodecSide,
+        taken: Taken,
         now_s: f64,
         reason: FlushReason,
         stats: &ServeStats,
         tracer: &Tracer,
-    ) -> Result<(), OrcoError> {
-        let rows = self.pending_rows();
-        if rows == 0 {
-            return Ok(());
-        }
-        let view = MatView::new(rows, self.dims.input, &self.pending_data)?;
-        self.codec.encode_batch(view, &mut self.codes_ws)?;
-        self.sample_drift(rows, stats)?;
-        for (r, &(cluster, trace)) in self.pending.iter().enumerate() {
+    ) {
+        let rows = side.batch.len();
+        for (r, &(cluster, trace)) in side.batch.iter().enumerate() {
             let state = self.clusters.entry(cluster).or_default();
-            state.codes.extend(self.codes_ws.row(r).iter().copied());
-            state.rows.push_back((trace, self.version));
+            state.codes.extend(side.codes_ws.row(r).iter().copied());
+            state.rows.push_back((trace, side.version));
         }
+        self.encoding_rows = 0;
         self.stored_rows += rows;
-        *self.rows_by_version.entry(self.version).or_insert(0) += rows;
-        stats.record_flush(self.index, rows as u64, now_s - self.oldest_enqueue_s, reason);
+        *side.rows_by_version.entry(side.version).or_insert(0) += rows;
+        stats.record_flush(self.index, rows as u64, now_s - taken.armed, reason);
         if tracer.enabled() {
             // One Flush + Store span per contiguous (cluster, trace) run.
             // Pushes append rows contiguously, so runs are push-granular.
-            for run in self.pending.chunk_by(|a, b| a == b).filter(|run| run[0].1 != 0) {
+            for run in side.batch.chunk_by(|a, b| a == b).filter(|run| run[0].1 != 0) {
                 let base = Span {
                     trace_id: run[0].1,
                     kind: SpanKind::Flush,
@@ -562,19 +734,35 @@ impl ShardCore {
                 tracer.record(Span { kind: SpanKind::Store, detail: "", ..base });
             }
         }
-        self.pending_data.clear();
-        // The batch is stored: disarm, then deliver to each flushed
-        // cluster (once — a repeat visit finds nothing stored) from the
-        // list whose buffer goes back to the next batch.
-        let mut flushed = std::mem::take(&mut self.pending);
-        self.wanted_since_s = None;
+        side.batch_data.clear();
+        // The batch is stored: deliver to each flushed cluster (once — a
+        // repeat visit finds nothing stored) from the list whose buffer
+        // goes back to the next batch.
+        let mut flushed = std::mem::take(&mut side.batch);
         flushed.dedup_by_key(|&mut (cluster, _)| cluster);
         for &(cluster, _) in &flushed {
-            self.deliver(cluster, now_s, stats, tracer);
+            self.deliver(side, cluster, now_s, stats, tracer);
         }
         flushed.clear();
-        self.pending = flushed;
-        Ok(())
+        side.batch = flushed;
+    }
+
+    /// Undoes [`Self::take_batch`] after a failed encode: the taken rows
+    /// go back to the head of the pending batch, ahead of any pushed
+    /// since, as if the flush had never started.
+    pub(crate) fn put_back(&mut self, side: &mut CodecSide, taken: Taken) {
+        side.batch_data.extend_from_slice(&self.pending_data);
+        side.batch.extend_from_slice(&self.pending);
+        self.pending_data.clear();
+        self.pending.clear();
+        std::mem::swap(&mut self.pending_data, &mut side.batch_data);
+        std::mem::swap(&mut self.pending, &mut side.batch);
+        self.encoding_rows = 0;
+        self.oldest_enqueue_s = taken.armed;
+        self.wanted_since_s = match (taken.wanted, self.wanted_since_s) {
+            (Some(then), Some(since)) => Some(then.min(since)),
+            (then, since) => then.or(since),
+        };
     }
 
     /// Streams everything stored for `cluster` to its live subscribers,
@@ -582,7 +770,14 @@ impl ShardCore {
     /// a backlog can span model versions, and every delivery stays
     /// version-pure), encoded once and pushed to each outbox (copied for
     /// all but the last).
-    fn deliver(&mut self, cluster: u64, now_s: f64, stats: &ServeStats, tracer: &Tracer) {
+    fn deliver(
+        &mut self,
+        side: &mut CodecSide,
+        cluster: u64,
+        now_s: f64,
+        stats: &ServeStats,
+        tracer: &Tracer,
+    ) {
         let Some(state) = self.clusters.get_mut(&cluster) else {
             return;
         };
@@ -592,9 +787,13 @@ impl ShardCore {
         let Some(last) = live.pop() else {
             return;
         };
-        while self.stored_rows_for(cluster) > 0 {
-            match self.pull(cluster, usize::MAX, now_s, stats, tracer, true) {
-                Ok((version, frames)) => {
+        while let Some((version, rows)) =
+            self.take_run(side, cluster, usize::MAX, now_s, tracer, true)
+        {
+            match side.decode_run(version) {
+                Ok(frames) => {
+                    let bytes = (rows * self.dims.input * 4) as u64;
+                    stats.record_streamed(self.index, rows as u64, bytes);
                     let frame =
                         Message::StreamFrames { cluster_id: cluster, version, frames }.encode();
                     for outbox in &live {
@@ -615,6 +814,7 @@ impl ShardCore {
     /// the cluster still pending are waited on from now.
     pub(crate) fn subscribe(
         &mut self,
+        side: &mut CodecSide,
         cluster: u64,
         outbox: &Arc<Outbox>,
         now_s: f64,
@@ -629,7 +829,7 @@ impl ShardCore {
         if !subscribers.iter().any(|w| std::ptr::eq(w.as_ptr(), Arc::as_ptr(outbox))) {
             subscribers.push(Arc::downgrade(outbox));
         }
-        self.deliver(cluster, now_s, stats, tracer);
+        self.deliver(side, cluster, now_s, stats, tracer);
         if self.wanted_since_s.is_none() && self.has_pending_for(cluster) {
             self.wanted_since_s = Some(now_s);
         }
@@ -654,78 +854,30 @@ impl ShardCore {
         }
     }
 
-    /// Feeds every `every`-th row of the just-encoded batch through a
-    /// decode and scores the reconstruction against the raw frame,
-    /// recording the error into the drift monitor. Runs between
-    /// `encode_batch` and the pending-buffer clear, so both the raw row
-    /// (`pending_data`) and its code (`codes_ws`) are still live. Trips
-    /// surface as `drift_trips`/`drift` in [`ServeStats`].
-    fn sample_drift(&mut self, rows: usize, stats: &ServeStats) -> Result<(), OrcoError> {
-        let Some(probe) = &mut self.drift else {
-            return Ok(());
-        };
-        for r in 0..rows {
-            probe.seen += 1;
-            if !probe.seen.is_multiple_of(probe.every.get()) {
-                continue;
-            }
-            self.drift_in_ws.reset(1, self.dims.code);
-            self.drift_in_ws.as_view_mut().as_mut_slice().copy_from_slice(self.codes_ws.row(r));
-            self.codec.decode_batch(self.drift_in_ws.as_view(), &mut self.drift_out_ws)?;
-            let raw = &self.pending_data[r * self.dims.input..(r + 1) * self.dims.input];
-            let recon = self.drift_out_ws.row(0);
-            let mse = raw
-                .iter()
-                .zip(recon)
-                .map(|(a, b)| {
-                    let d = a - b;
-                    d * d
-                })
-                .sum::<f32>()
-                / self.dims.input as f32;
-            probe.monitor.record(mse);
-            probe.last_windowed = probe.monitor.windowed_error();
-            if probe.monitor.should_retrain() {
-                stats.record_drift_trip();
-                probe.monitor.acknowledge();
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes up to `max` of the cluster's oldest stored codes in ONE
-    /// `decode_batch` call and returns `(producing version, rows)` in
-    /// push order. A delivery never mixes model versions: it is capped
-    /// at the oldest contiguous same-version run, and each row is
-    /// decoded by the codec that encoded it — mid-swap, old rows drain
-    /// through the retired codec while new rows queue behind them.
-    /// Returns an empty matrix (tagged with the active version) when
-    /// the cluster has nothing stored. `streamed` selects which stats
-    /// counter books the delivery (client pull vs streaming fan-out).
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec shape errors.
-    pub(crate) fn pull(
+    /// Takes up to `max` of the cluster's oldest stored codes into
+    /// `side`'s decode workspace, for [`CodecSide::decode_run`], and
+    /// returns `(producing version, rows)`; `None` when the cluster has
+    /// nothing stored. A run never mixes model versions: it is capped at
+    /// the oldest contiguous same-version run. `streamed` picks the span
+    /// kind (client pull vs streaming fan-out).
+    pub(crate) fn take_run(
         &mut self,
+        side: &mut CodecSide,
         cluster: u64,
         max: usize,
         now_s: f64,
-        stats: &ServeStats,
         tracer: &Tracer,
         streamed: bool,
-    ) -> Result<(u64, Matrix), OrcoError> {
+    ) -> Option<(u64, usize)> {
         // The oldest run of one model version, capped at `max` rows.
-        let run = self.clusters.get_mut(&cluster).and_then(|state| {
-            let &(_, version) = state.rows.front()?;
-            let k = state.rows.iter().take_while(|(_, v)| *v == version).count().min(max);
-            (k > 0).then_some((state, version, k))
-        });
-        let Some((state, run_version, k)) = run else {
-            return Ok((self.version, Matrix::zeros(0, self.dims.input)));
-        };
-        self.decode_in_ws.reset(k, self.dims.code);
-        let mut dst = self.decode_in_ws.as_view_mut();
+        let state = self.clusters.get_mut(&cluster)?;
+        let &(_, version) = state.rows.front()?;
+        let k = state.rows.iter().take_while(|(_, v)| *v == version).count().min(max);
+        if k == 0 {
+            return None;
+        }
+        side.decode_in_ws.reset(k, self.dims.code);
+        let mut dst = side.decode_in_ws.as_view_mut();
         for (slot, v) in dst.as_mut_slice().iter_mut().zip(state.codes.drain(..k * self.dims.code))
         {
             *slot = v;
@@ -753,34 +905,14 @@ impl ShardCore {
             self.clusters.remove(&cluster);
         }
         self.stored_rows -= k;
-        let remaining = self
+        let remaining = side
             .rows_by_version
-            .get_mut(&run_version)
+            .get_mut(&version)
             .expect("per-version row count is flush-maintained");
         *remaining -= k;
-        let drained = *remaining == 0;
-        if drained {
-            self.rows_by_version.remove(&run_version);
+        if *remaining == 0 {
+            side.rows_by_version.remove(&version);
         }
-        let codec = if run_version == self.version {
-            &mut self.codec
-        } else {
-            self.retired.get_mut(&run_version).expect("retired codec retained while rows stored")
-        };
-        codec.decode_batch(self.decode_in_ws.as_view(), &mut self.decode_out_ws)?;
-        // A drained retiree is dropped once it has decoded its last rows —
-        // except the rollback target.
-        if drained && run_version != self.version && self.last_retired != Some(run_version) {
-            self.retired.remove(&run_version);
-        }
-        if streamed {
-            stats.record_streamed(self.index, k as u64, (k * self.dims.input * 4) as u64);
-        } else {
-            stats.record_pull(self.index, k as u64, (k * self.dims.input * 4) as u64);
-        }
-        // Move the decoded rows into the reply instead of cloning them;
-        // the reply owns the buffer and the next decode_batch regrows the
-        // workspace. One allocation either way, but no second memcpy.
-        Ok((run_version, std::mem::replace(&mut self.decode_out_ws, Matrix::zeros(0, 0))))
+        Some((version, k))
     }
 }

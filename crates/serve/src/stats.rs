@@ -106,10 +106,12 @@ pub(crate) struct ServeStats {
     drift: Gauge,
     per_shard: Vec<ShardCounters>,
     flush_latency: Histogram,
-    /// How long a request waited to take a shard's lock, on the gateway
-    /// clock (every wait reads 0 under a manual clock). Exposition only:
-    /// [`StatsSnapshot`]'s bytes are pinned.
+    /// How long the gateway waited to take a shard's core lock, and its
+    /// codec lock, on the gateway clock (every wait reads 0 under a
+    /// manual clock). Exposition only: [`StatsSnapshot`]'s bytes are
+    /// pinned.
     shard_lock_wait: Histogram,
+    codec_lock_wait: Histogram,
 }
 
 impl ServeStats {
@@ -226,9 +228,14 @@ impl ServeStats {
         self.flush_latency.snapshot()
     }
 
-    /// Where the waits for a shard's lock are recorded.
+    /// Where the waits for a shard's core lock are recorded.
     pub(crate) fn shard_lock_wait(&self) -> &Histogram {
         &self.shard_lock_wait
+    }
+
+    /// Where the waits for a shard's codec lock are recorded.
+    pub(crate) fn codec_lock_wait(&self) -> &Histogram {
+        &self.codec_lock_wait
     }
 }
 
@@ -372,6 +379,7 @@ macro_rules! snapshot_table {
                 }
                 reg.set_histogram("orco_flush_latency_ns", &self.flush_latency_histogram());
                 reg.set_histogram("orco_shard_lock_wait_ns", &self.shard_lock_wait.snapshot());
+                reg.set_histogram("orco_codec_lock_wait_ns", &self.codec_lock_wait.snapshot());
             }
         }
     };

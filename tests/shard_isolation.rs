@@ -3,16 +3,19 @@
 //!
 //! Shard 1's codec parks inside `encode_batch` until the test releases
 //! it, so the thread that filled shard 1's batch sits there *holding
-//! shard 1's lock*. Everything a client can ask of a cluster on shard 0 —
-//! hello, pushes, a pull, stats, a streamed delivery — must complete
-//! while it does: a dispatch that took shard 1's lock to ask "is a batch
-//! overdue?", or to deliver to a subscriber, would hang here until the
-//! 10 s patience ran out.
+//! shard 1's codec lock*. Everything a client can ask of a cluster on
+//! shard 0 — hello, pushes, a pull, stats, a streamed delivery — must
+//! complete while it does: a dispatch that took shard 1's lock to ask "is
+//! a batch overdue?", or to deliver to a subscriber, would hang here until
+//! the 10 s patience ran out.
 //!
-//! The parked batch also pins what a shard owes the rows it is encoding:
-//! a pull sent meanwhile returns all of them, once; they still count
-//! against the shard's in-flight budget; and an encode that returns an
-//! error leaves every acked row to the next flush, in push order.
+//! Nor may a push to shard 1 itself wait for that encode, unless it
+//! fills the next batch: the encode runs under the shard's codec lock
+//! alone, and a push takes only its core's. The parked batch also pins
+//! what a shard owes the rows it is encoding: a pull sent meanwhile
+//! returns all of them, once; they still count against the shard's
+//! in-flight budget; and an encode that returns an error leaves every
+//! acked row to the next flush, in push order.
 //!
 //! The same codec can panic there instead. The panic unwinds through
 //! the gateway's door on whatever thread flushed — a pushing thread over
@@ -41,8 +44,8 @@ use orcodcs_repro::tensor::{MatView, Matrix, OrcoRng};
 
 const BATCH: usize = 64;
 const PATIENCE: Duration = Duration::from_secs(10);
-/// How long a request sent to a shard whose encode is parked is given to
-/// reach the gateway before the encode is released.
+/// How long a pull sent to a shard whose encode is parked is watched for
+/// an answer before the encode is released: it must have none.
 const SETTLE: Duration = Duration::from_millis(50);
 
 /// An autoencoder whose `encode_batch` reports the name of the thread that
@@ -406,6 +409,39 @@ fn a_panic_on_the_timer_thread_fails_a_tcp_gateway_whole() {
 }
 
 #[test]
+fn a_push_beside_an_encode_on_its_shard_is_acked_at_once() {
+    let frames = frames();
+    let Parking { gw, entered, release } = parking(0, GatewayConfig::default().queue_capacity);
+    let [far, other] = two_clusters_on(&gw, 1);
+    let rows = 8;
+    std::thread::scope(|scope| {
+        let filler = asked(scope, || gw.handle(push(far, &frames)));
+        entered.recv_timeout(PATIENCE).expect("shard 1's size flush reaches the codec");
+        // A second connection, pushing rows that do not fill a batch.
+        let acked = asked(scope, || {
+            let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("connects");
+            client.hello(2).expect("hello");
+            (0..rows)
+                .map(|r| client.push(other, frames.view_rows(r..r + 1)).expect("push"))
+                .collect::<Vec<_>>()
+        });
+        let acked = acked.recv_timeout(PATIENCE);
+        // Release before judging, so a failure reports instead of hanging
+        // the scope's joins.
+        drop(release);
+        let filled = filler.recv_timeout(PATIENCE);
+        assert_eq!(filled, Ok(Message::PushAck { accepted: BATCH as u32 }));
+        let acked = acked.expect("a push that does not fill its batch waits for no encode");
+        assert_eq!(acked, vec![PushOutcome::Accepted(1); rows]);
+    });
+    let Message::Decoded { frames: pulled, .. } = gw.handle(pull(other)) else {
+        panic!("the pull is answered with rows")
+    };
+    let expected = direct(&frames.view_rows(0..rows).to_matrix());
+    assert_eq!(bits(pulled.as_slice()), bits(expected.as_slice()));
+}
+
+#[test]
 fn a_pull_sent_mid_encode_returns_that_batch_once() {
     let frames = frames();
     let Parking { gw, entered, release } = parking(0, GatewayConfig::default().queue_capacity);
@@ -414,8 +450,9 @@ fn a_pull_sent_mid_encode_returns_that_batch_once() {
         let filler = asked(scope, || gw.handle(push(far, &frames)));
         entered.recv_timeout(PATIENCE).expect("shard 1's size flush reaches the codec");
         let pulled = asked(scope, || gw.handle(pull(far)));
-        std::thread::sleep(SETTLE);
+        let early = pulled.recv_timeout(SETTLE);
         drop(release);
+        assert_eq!(early, Err(RecvTimeoutError::Timeout), "the pull waits for the batch");
         let filled = filler.recv_timeout(PATIENCE);
         assert_eq!(filled, Ok(Message::PushAck { accepted: BATCH as u32 }));
         let Ok(Message::Decoded { frames: pulled, .. }) = pulled.recv_timeout(PATIENCE) else {
@@ -439,12 +476,12 @@ fn rows_mid_encode_count_against_the_queue_capacity() {
         let filler = asked(scope, || gw.handle(push(far, &frames)));
         entered.recv_timeout(PATIENCE).expect("shard 1's size flush reaches the codec");
         let over = asked(scope, || gw.handle(push(other, &rows(2))));
-        std::thread::sleep(SETTLE);
+        let over = over.recv_timeout(PATIENCE);
         drop(release);
         let filled = filler.recv_timeout(PATIENCE);
         assert_eq!(filled, Ok(Message::PushAck { accepted: BATCH as u32 }));
         let busy = Message::Busy { queued: BATCH as u32, capacity: BATCH as u32 + 1 };
-        assert_eq!(over.recv_timeout(PATIENCE), Ok(busy), "the batch mid-encode is in flight");
+        assert_eq!(over, Ok(busy), "the batch mid-encode is in flight");
     });
     assert_eq!(gw.handle(push(other, &rows(1))), Message::PushAck { accepted: 1 });
     assert_eq!(gw.stats().busy_rejections, 1);
@@ -464,11 +501,11 @@ fn an_encode_error_strands_no_acked_row() {
         let filler = asked(scope, || gw.handle(push(far, &part(1..BATCH))));
         entered.recv_timeout(PATIENCE).expect("shard 1's size flush reaches the codec");
         let late = asked(scope, || gw.handle(push(far, &part(BATCH..BATCH + 2))));
-        std::thread::sleep(SETTLE);
+        let late = late.recv_timeout(PATIENCE);
         drop(release);
         let refused = filler.recv_timeout(PATIENCE).expect("the filling push is answered");
         assert_eq!(error_code(&refused), Some(ErrorCode::Internal));
-        assert_eq!(late.recv_timeout(PATIENCE), Ok(Message::PushAck { accepted: 2 }));
+        assert_eq!(late, Ok(Message::PushAck { accepted: 2 }), "acked while the batch encodes");
     });
     assert!(!gw.is_shutting_down(), "an encode error is not a panic");
     let everything =
