@@ -160,8 +160,9 @@ fn parking(refusals: usize, queue_capacity: usize) -> Parking {
         fails: false,
         refusals,
     };
-    // A 1 µs tick, as in `serve_beside_a_parked_shard`: no deadline
-    // passes, so only the requests below flush.
+    // A 1 µs tick: the ~70 dispatches of a test must not carry virtual
+    // time past shard 1's 5 ms deadline, or sweeping its overdue batch
+    // would be right — and would wait for the parked encode.
     let cfg = GatewayConfig { queue_capacity, ..GatewayConfig::default() };
     let gw = gateway_with(parked, Clock::manual(Duration::from_micros(1)), cfg);
     Parking { gw, entered, release }
@@ -204,19 +205,7 @@ struct Served {
 /// with a second subscription on the parked shard's cluster, which no
 /// dispatch for shard 0 may touch: it lives under shard 1's lock).
 fn serve_beside_a_parked_shard(frames: &Matrix, subscribed: bool) -> Served {
-    let (entered_tx, entered) = channel();
-    let (release, release_rx) = channel();
-    let parked = Parked {
-        inner: plain_codec(),
-        entered: entered_tx,
-        release: release_rx,
-        fails: false,
-        refusals: 0,
-    };
-    // A 1 µs tick: the ~70 dispatches below must not carry virtual time
-    // past shard 1's deadline, or sweeping its overdue batch would be
-    // right — and would wait for the lock.
-    let gw = gateway(parked, Clock::manual(Duration::from_micros(1)), Duration::from_millis(5));
+    let Parking { gw, entered, release } = parking(0, GatewayConfig::default().queue_capacity);
     let (near, far) = (cluster_on(&gw, 0), cluster_on(&gw, 1));
 
     let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("loopback connects");
