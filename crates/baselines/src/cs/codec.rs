@@ -19,7 +19,7 @@
 //! blocked GEMM per channel, the ISTA Lipschitz constant is estimated
 //! once per operator instead of once per frame, and both solvers reuse
 //! workspaces across the frames of a round ([`IstaScratch`] /
-//! [`OmpScratch`]) — all bit-identical to the per-frame loop.
+//! [`OmpScratch`]).
 
 use orco_datasets::DatasetKind;
 use orco_tensor::{MatView, Matrix, OrcoRng};
@@ -141,8 +141,7 @@ impl ClassicalCodec {
     }
 
     /// Solves one channel's recovery problem and writes the reconstructed
-    /// pixels into `out_px`. Shared by the per-frame and batched decode
-    /// paths, so the two are bit-identical by construction.
+    /// pixels into `out_px`.
     fn decode_channel(&mut self, y: &[f32], out_px: &mut [f32]) {
         let m = self.measurements();
         let pixels = match self.solver {
@@ -181,27 +180,6 @@ impl Codec for ClassicalCodec {
     fn train(&mut self, _x: &Matrix, spec: &TrainSpec) -> Result<TrainingHistory, OrcoError> {
         spec.validate()?;
         Ok(TrainingHistory::default())
-    }
-
-    fn encode_frame(&mut self, frame: &[f32]) -> Result<Vec<f32>, OrcoError> {
-        Codec::frame_dims(self).check_frames(Codec::name(self), MatView::from_row(frame))?;
-        let hw = self.pixels_per_channel();
-        let mut code = Vec::with_capacity(self.channels * self.measurements());
-        for c in 0..self.channels {
-            code.extend(self.phi.measure(&frame[c * hw..(c + 1) * hw]));
-        }
-        Ok(code)
-    }
-
-    fn decode_frame(&mut self, code: &[f32]) -> Result<Vec<f32>, OrcoError> {
-        Codec::frame_dims(self).check_codes(Codec::name(self), MatView::from_row(code))?;
-        let m = self.measurements();
-        let hw = self.pixels_per_channel();
-        let mut frame = vec![0.0f32; self.channels * hw];
-        for c in 0..self.channels {
-            self.decode_channel(&code[c * m..(c + 1) * m], &mut frame[c * hw..(c + 1) * hw]);
-        }
-        Ok(frame)
     }
 
     /// One blocked GEMM against the cached `Φᵀ` per channel — the
@@ -307,35 +285,25 @@ mod tests {
     }
 
     #[test]
-    fn batched_paths_bit_identical_to_per_frame_for_colour() {
-        // 3-channel frames exercise the gather/scatter encode path and the
-        // per-channel decode loop.
-        let ds = gtsrb_like::generate(3, 1);
-        let mut codec =
-            ClassicalCodec::new(DatasetKind::GtsrbLike, 32, CsSolver::Omp { sparsity: 8 }, 0);
-        let mut codes = Matrix::zeros(0, 0);
-        codec.encode_batch(ds.x().as_view(), &mut codes).unwrap();
-        let mut recon = Matrix::zeros(0, 0);
-        codec.decode_batch(codes.as_view(), &mut recon).unwrap();
-        for r in 0..ds.len() {
-            let code = codec.encode_frame(ds.sample(r)).unwrap();
-            assert_eq!(codes.row(r), &code[..], "encode row {r} diverged");
-            let frame = codec.decode_frame(&code).unwrap();
-            assert_eq!(recon.row(r), &frame[..], "decode row {r} diverged");
+    fn batch_encode_is_phi_times_each_channel() {
+        // `y = Φx` per channel, against the 1-channel GEMM straight into
+        // `out` and the 3-channel gather/scatter path.
+        let cases = [
+            (DatasetKind::MnistLike, mnist_like::generate(3, 1)),
+            (DatasetKind::GtsrbLike, gtsrb_like::generate(3, 1)),
+        ];
+        for (kind, ds) in cases {
+            let mut codec = ClassicalCodec::new(kind, 32, CsSolver::Omp { sparsity: 8 }, 0);
+            let mut codes = Matrix::filled(1, 1, f32::NAN);
+            codec.encode_batch(ds.x().as_view(), &mut codes).unwrap();
+            let hw = codec.pixels_per_channel();
+            for r in 0..ds.len() {
+                let frame = ds.sample(r);
+                let want: Vec<f32> =
+                    frame.chunks(hw).flat_map(|channel| codec.phi.measure(channel)).collect();
+                assert_eq!(codes.row(r), &want[..], "{kind:?} row {r}");
+            }
         }
-    }
-
-    #[test]
-    fn shape_errors_are_typed() {
-        let mut codec = ista_codec(64);
-        assert!(matches!(
-            codec.encode_frame(&[0.0; 5]),
-            Err(OrcoError::Shape { what: "frame", expected: 784, actual: 5, .. })
-        ));
-        assert!(matches!(
-            codec.decode_frame(&[0.0; 5]),
-            Err(OrcoError::Shape { what: "code", expected: 64, actual: 5, .. })
-        ));
     }
 
     #[test]

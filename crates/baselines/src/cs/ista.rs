@@ -41,8 +41,8 @@ pub(crate) struct IstaScratch {
 }
 
 /// Power-iteration count every caller passes to [`lipschitz_estimate`].
-/// One shared constant: the batched/per-frame bit-identity contract
-/// depends on every estimate of one operator being the same value.
+/// One shared constant: a solve against the codec's cached estimate is
+/// bit-identical to a one-shot solve that estimates `L` itself.
 pub(crate) const LIPSCHITZ_POWER_ITERS: usize = 30;
 
 /// Estimates the Lipschitz constant `L = ‖AᵀA‖₂` by power iteration.

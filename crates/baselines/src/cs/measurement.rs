@@ -38,16 +38,6 @@ impl GaussianMeasurement {
         &self.phi
     }
 
-    /// Measures a signal: `y = Φx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != n`.
-    #[must_use]
-    pub(crate) fn measure(&self, x: &[f32]) -> Vec<f32> {
-        self.phi.matvec(x)
-    }
-
     /// The effective sensing matrix `A = Φ·Ψ` for a synthesis basis Ψ.
     ///
     /// # Panics
@@ -56,6 +46,18 @@ impl GaussianMeasurement {
     #[must_use]
     pub(crate) fn sensing_matrix(&self, psi: &Matrix) -> Matrix {
         self.phi.matmul(psi)
+    }
+
+    /// Measures a signal: `y = Φx` — the reference the codec's batched
+    /// encode is checked against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != n`.
+    #[cfg(test)]
+    #[must_use]
+    pub(crate) fn measure(&self, x: &[f32]) -> Vec<f32> {
+        self.phi.matvec(x)
     }
 }
 

@@ -181,16 +181,6 @@ impl Codec for Dcsnet {
         )
     }
 
-    fn encode_frame(&mut self, frame: &[f32]) -> Result<Vec<f32>, OrcoError> {
-        Codec::frame_dims(self).check_frames(Codec::name(self), MatView::from_row(frame))?;
-        Ok(self.encoder.forward(&Matrix::row_vector(frame), false).into_vec())
-    }
-
-    fn decode_frame(&mut self, code: &[f32]) -> Result<Vec<f32>, OrcoError> {
-        Codec::frame_dims(self).check_codes(Codec::name(self), MatView::from_row(code))?;
-        Ok(self.decoder.forward(&Matrix::row_vector(code), false).into_vec())
-    }
-
     /// One packed-panel GEMM + bias broadcast + sigmoid over the whole
     /// round (the fixed 1024-dim dense encoder), into the caller-owned
     /// buffer.
@@ -200,15 +190,15 @@ impl Codec for Dcsnet {
         Ok(())
     }
 
-    /// One batch pass of the 4-conv-layer decoder stack instead of a
-    /// per-frame loop: the convolutions write into the stack's two
-    /// ping-pong buffers, the crop into `out`, and nothing is retained.
-    /// Each convolution lowers a sample into its own workspace and
-    /// multiplies straight into the sample's output row, so once those,
-    /// the two buffers and `out` have grown a decode allocates nothing.
+    /// One batch pass of the 4-conv-layer decoder stack: the convolutions
+    /// write into the stack's two ping-pong buffers, the crop into `out`,
+    /// and nothing is retained. Each convolution lowers a sample into its
+    /// own workspace and multiplies straight into the sample's output row,
+    /// so once those, the two buffers and `out` have grown a decode
+    /// allocates nothing.
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
-        self.decoder.infer_into(codes, out);
+        self.decoder.forward_into(codes, out, false);
         Ok(())
     }
 
@@ -338,7 +328,7 @@ mod tests {
     #[test]
     fn batch_decode_matches_the_training_forward() {
         // Cropping (28x28) and identity (32x32) geometry: the inference
-        // path through `Sequential::infer_into` against `forward(.., true)`.
+        // path, `forward_into(.., false)`, against `forward(.., true)`.
         for kind in [DatasetKind::MnistLike, DatasetKind::GtsrbLike] {
             let mut net = Dcsnet::new(kind, 3);
             let codes = Matrix::from_fn(2, DCSNET_LATENT_DIM, |r, c| ((r * 31 + c) as f32).sin());

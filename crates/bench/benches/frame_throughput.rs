@@ -1,11 +1,11 @@
 //! Data-plane throughput bench: frames/s and MB/s per codec for the
-//! batched `encode_batch`/`decode_batch` API at batch sizes 1/16/64/256,
-//! against the per-frame `encode_frame` loop it replaced.
+//! batched `encode_batch` API at batch sizes 1/16/64/256, against a loop
+//! of `encode_frame`, i.e. 64 one-row batches.
 //!
-//! This is the perf stake of the batched-data-plane redesign: on one core
-//! the blocked-GEMM batch encode must beat the per-frame matvec loop by
-//! ≥ 1.5× at batch 64 for the OrcoDCS autoencoder (the sensing-side cost
-//! the paper's Figs. 5–9 comparisons lean on). Results are printed as a
+//! This is the perf stake of the batched data plane: on one core one
+//! batch-64 encode must be no slower than 64 one-row encodes for the
+//! OrcoDCS autoencoder (the sensing-side cost the paper's Figs. 5–9
+//! comparisons lean on). Results are printed as a
 //! table and appended-free-written as a JSON point
 //! (`BENCH_frame_throughput.json`, override with `ORCO_BENCH_JSON`) to
 //! seed the benchmark trajectory; CI uploads the quick-mode JSON as a
@@ -73,7 +73,7 @@ fn throughput(codec: &mut dyn Codec, frames: &Matrix, budget: Duration, rows: &m
             mb_per_s: frames_per_s * frame_mb,
         });
     }
-    // The per-frame loop the batch API replaced, at the pivot batch size.
+    // The same frames as one-row batches, at the pivot batch size.
     let secs = time_per_call(budget, || {
         for r in 0..PIVOT_BATCH {
             let _ = codec.encode_frame(frames.row(r)).expect("frame width is valid");
@@ -134,7 +134,7 @@ fn main() {
         batch.frames_per_s / per_frame.frames_per_s
     };
     let ae_speedup = speedup("OrcoDCS");
-    println!("\nbatch-{PIVOT_BATCH} encode speedup vs per-frame loop:");
+    println!("\nbatch-{PIVOT_BATCH} encode speedup vs one-row batches:");
     for codec in ["OrcoDCS", "DCSNet", "DCT+ISTA"] {
         println!("  {codec:<10} {:.2}x", speedup(codec));
     }
@@ -171,8 +171,5 @@ fn main() {
     std::fs::write(&path, &json).expect("bench JSON is writable");
     println!("\nwrote {path}");
 
-    assert!(
-        ae_speedup >= 1.0,
-        "batched AE encode slower than the per-frame loop ({ae_speedup:.2}x)"
-    );
+    assert!(ae_speedup >= 1.0, "batched AE encode slower than one-row batches ({ae_speedup:.2}x)");
 }

@@ -31,15 +31,17 @@ use crate::noise;
 /// # Examples
 ///
 /// ```
-/// use orcodcs::{AsymmetricAutoencoder, OrcoConfig};
+/// use orcodcs::{AsymmetricAutoencoder, Codec, OrcoConfig};
 /// use orco_datasets::DatasetKind;
 /// use orco_tensor::Matrix;
 ///
 /// let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16);
-/// let mut ae = AsymmetricAutoencoder::new(&cfg).unwrap();
+/// let mut ae = AsymmetricAutoencoder::new(&cfg)?;
 /// let x = Matrix::zeros(4, 784);
-/// let latent = ae.encode(&x);
+/// let mut latent = Matrix::zeros(0, 0);
+/// ae.encode_batch(x.as_view(), &mut latent)?;
 /// assert_eq!(latent.shape(), (4, 16));
+/// # Ok::<(), orcodcs::OrcoError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct AsymmetricAutoencoder {
@@ -152,39 +154,25 @@ impl AsymmetricAutoencoder {
     // Inference
     // ------------------------------------------------------------------
 
-    /// Encodes a batch (inference mode — eq. 1).
-    pub fn encode(&mut self, x: &Matrix) -> Matrix {
-        self.encoder.forward(x, false)
-    }
-
-    /// Decodes a latent batch (inference mode — eq. 3).
-    pub(crate) fn decode(&mut self, latent: &Matrix) -> Matrix {
-        self.decoder.forward(latent, false)
-    }
-
     /// Full reconstruction without noise (inference).
     pub(crate) fn reconstruct(&mut self, x: &Matrix) -> Matrix {
-        let latent = self.encode(x);
-        self.decode(&latent)
+        let latent = self.encoder.forward(x, false);
+        self.decoder.forward(&latent, false)
     }
 
-    /// Batched inference encode into a caller-owned buffer — the native
-    /// `Codec::encode_batch` path: one packed-panel GEMM against the
+    /// Inference encode into a caller-owned buffer — the body of
+    /// `Codec::encode_batch` (eq. 1): one packed-panel GEMM against the
     /// encoder weight, a bias broadcast, and the sigmoid in place.
-    /// Bit-identical to encoding each row through
-    /// [`AsymmetricAutoencoder::encode`], without the per-frame
-    /// allocations.
     pub(crate) fn encode_batch_into(&mut self, frames: MatView<'_>, out: &mut Matrix) {
         self.encoder.forward_into(frames, out, false);
     }
 
-    /// Batched inference decode into a caller-owned buffer — the native
-    /// `Codec::decode_batch` path: the decoder stack's
-    /// [`Sequential::infer_into`] over the whole batch. Bit-identical to
-    /// decoding each row through [`AsymmetricAutoencoder::decode`], and
-    /// allocation-free once `out` has grown to size.
+    /// Inference decode into a caller-owned buffer — the body of
+    /// `Codec::decode_batch` (eq. 3): the decoder stack's
+    /// [`Sequential::forward_into`] with `train = false` over the whole
+    /// batch, allocation-free once `out` has grown to size.
     pub(crate) fn decode_batch_into(&mut self, codes: MatView<'_>, out: &mut Matrix) {
-        self.decoder.infer_into(codes, out);
+        self.decoder.forward_into(codes, out, false);
     }
 
     // ------------------------------------------------------------------
@@ -256,19 +244,28 @@ impl AsymmetricAutoencoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Codec;
     use orco_datasets::DatasetKind;
 
     fn tiny_config() -> OrcoConfig {
         OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_learning_rate(0.1)
     }
 
+    /// The inference encode, through the `Codec` data plane.
+    fn encode(ae: &mut AsymmetricAutoencoder, x: &Matrix) -> Matrix {
+        let mut latent = Matrix::zeros(0, 0);
+        ae.encode_batch(x.as_view(), &mut latent).expect("frames fit the codec");
+        latent
+    }
+
     #[test]
     fn shapes_are_consistent() {
         let mut ae = AsymmetricAutoencoder::new(&tiny_config()).unwrap();
         let x = Matrix::from_fn(3, 784, |r, c| ((r * 7 + c) as f32 * 0.01).sin().abs());
-        let y = ae.encode(&x);
+        let y = encode(&mut ae, &x);
         assert_eq!(y.shape(), (3, 16));
-        let xr = ae.decode(&y);
+        let mut xr = Matrix::zeros(0, 0);
+        ae.decode_batch(y.as_view(), &mut xr).expect("codes fit the codec");
         assert_eq!(xr.shape(), (3, 784));
         assert_eq!(ae.reconstruct(&x).shape(), (3, 784));
     }
@@ -299,11 +296,11 @@ mod tests {
         let cfg = tiny_config().with_noise_variance(0.5);
         let mut ae = AsymmetricAutoencoder::new(&cfg).unwrap();
         let x = Matrix::from_fn(2, 784, |_, c| (c % 5) as f32 / 5.0);
-        let clean = ae.encode(&x);
+        let clean = encode(&mut ae, &x);
         let noisy = ae.aggregator_encode_train(&x);
         assert!(clean.max_abs_diff(&noisy) > 0.01, "training path must add noise");
         // Inference path is deterministic.
-        assert_eq!(ae.encode(&x), clean);
+        assert_eq!(encode(&mut ae, &x), clean);
     }
 
     #[test]

@@ -31,16 +31,10 @@
 //!   [`Matrix::reset`] internally, reusing its allocation). Shapes are
 //!   validated **once per batch** against [`frame_dims`], returning typed
 //!   [`OrcoError::Shape`] errors instead of panicking mid-experiment.
-//! * `encode_frame`/`decode_frame` are what a minimal backend implements;
-//!   the batch methods' default bodies delegate to them row by row. The
-//!   contract is **bit-identity** — a native batched override must
-//!   produce exactly the per-frame loop's output (regression- and
-//!   property-tested for all three backends).
-//! * The defaults suffice when the backend's per-frame cost is dominated
-//!   by real work (e.g. an ISTA solve). Backends whose encode is one
-//!   matvec ([`crate::AsymmetricAutoencoder`], `Dcsnet`, the classical
-//!   `Φ` stack) override the batch methods with one blocked GEMM over the
-//!   whole round.
+//! * The batch methods are every backend's only encode and decode
+//!   bodies. `encode_frame`/`decode_frame` are provided: a frame is a
+//!   one-row batch, so the per-frame output is the batch's row bit for
+//!   bit (property-tested for all three backends).
 //! * Buffer-reuse idiom: hold one `codes`/`recon` `Matrix` per loop (or
 //!   experiment) and pass `&mut` per round — allocation happens on the
 //!   first round only.
@@ -244,9 +238,8 @@ impl FrameDims {
 ///
 /// Object-safe: experiments, figures, and tests hold `Box<dyn Codec>` and
 /// never know which backend they drive. The batch methods are the data
-/// plane proper; the per-frame methods are the compatibility/default
-/// layer (see the [module docs](self) for the migration guide and the
-/// bit-identity contract between the two).
+/// plane, and the per-frame methods run a one-row batch through them
+/// (see the [module docs](self)).
 pub trait Codec: std::fmt::Debug + Send {
     /// Short backend label for reports and tables (e.g. `"OrcoDCS"`).
     fn name(&self) -> &'static str;
@@ -278,83 +271,49 @@ pub trait Codec: std::fmt::Debug + Send {
     /// [`OrcoError::Diverged`] on non-finite losses.
     fn train(&mut self, x: &Matrix, spec: &TrainSpec) -> Result<TrainingHistory, OrcoError>;
 
-    /// Encodes one frame of readings into its on-air code (`code_len()`
-    /// values). Per-frame compatibility layer — hot paths should call
-    /// [`Codec::encode_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OrcoError::Shape`] when the frame is not `input_dim()`
-    /// long.
-    fn encode_frame(&mut self, frame: &[f32]) -> Result<Vec<f32>, OrcoError>;
-
-    /// Decodes one code back into a frame reconstruction (`input_dim()`
-    /// values). Per-frame compatibility layer — hot paths should call
-    /// [`Codec::decode_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OrcoError::Shape`] when the code is not `code_len()`
-    /// long.
-    fn decode_frame(&mut self, code: &[f32]) -> Result<Vec<f32>, OrcoError>;
-
     /// Encodes a round of frames (one per row) into `out`, which is
     /// reshaped to `frames.rows() × code_len()` reusing its allocation.
-    ///
-    /// The default delegates to [`Codec::encode_frame`] row by row;
-    /// native overrides must be **bit-identical** to that loop. Shape
-    /// validation happens once here, not per frame.
+    /// Shape validation happens once here, not per frame.
     ///
     /// # Errors
     ///
     /// Returns [`OrcoError::Shape`] when `frames` is not `input_dim()`
     /// wide.
-    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
-        let dims = self.frame_dims();
-        dims.check_frames(self.name(), frames)?;
-        out.reset(frames.rows(), dims.code);
-        for r in 0..frames.rows() {
-            let code = self.encode_frame(frames.row(r))?;
-            if code.len() != dims.code {
-                return Err(OrcoError::Shape {
-                    codec: self.name(),
-                    what: "code",
-                    expected: dims.code,
-                    actual: code.len(),
-                });
-            }
-            out.row_mut(r).copy_from_slice(&code);
-        }
-        Ok(())
-    }
+    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError>;
 
     /// Decodes a round of codes (one per row) into `out`, which is
     /// reshaped to `codes.rows() × input_dim()` reusing its allocation.
-    ///
-    /// The default delegates to [`Codec::decode_frame`] row by row;
-    /// native overrides must be **bit-identical** to that loop.
     ///
     /// # Errors
     ///
     /// Returns [`OrcoError::Shape`] when `codes` is not `code_len()`
     /// wide.
-    fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
-        let dims = self.frame_dims();
-        dims.check_codes(self.name(), codes)?;
-        out.reset(codes.rows(), dims.input);
-        for r in 0..codes.rows() {
-            let frame = self.decode_frame(codes.row(r))?;
-            if frame.len() != dims.input {
-                return Err(OrcoError::Shape {
-                    codec: self.name(),
-                    what: "frame",
-                    expected: dims.input,
-                    actual: frame.len(),
-                });
-            }
-            out.row_mut(r).copy_from_slice(&frame);
-        }
-        Ok(())
+    fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError>;
+
+    /// Encodes one frame of readings into its on-air code (`code_len()`
+    /// values): [`Codec::encode_batch`] of a one-row batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OrcoError::Shape`] when the frame is not `input_dim()`
+    /// long.
+    fn encode_frame(&mut self, frame: &[f32]) -> Result<Vec<f32>, OrcoError> {
+        let mut code = Matrix::zeros(0, 0);
+        self.encode_batch(MatView::from_row(frame), &mut code)?;
+        Ok(code.into_vec())
+    }
+
+    /// Decodes one code back into a frame reconstruction (`input_dim()`
+    /// values): [`Codec::decode_batch`] of a one-row batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OrcoError::Shape`] when the code is not `code_len()`
+    /// long.
+    fn decode_frame(&mut self, code: &[f32]) -> Result<Vec<f32>, OrcoError> {
+        let mut frame = Matrix::zeros(0, 0);
+        self.decode_batch(MatView::from_row(code), &mut frame)?;
+        Ok(frame.into_vec())
     }
 
     /// The codec's native reconstruction loss (used for reporting and the
@@ -450,16 +409,6 @@ impl Codec for AsymmetricAutoencoder {
         })
     }
 
-    fn encode_frame(&mut self, frame: &[f32]) -> Result<Vec<f32>, OrcoError> {
-        Codec::frame_dims(self).check_frames(Codec::name(self), MatView::from_row(frame))?;
-        Ok(self.encode(&Matrix::row_vector(frame)).into_vec())
-    }
-
-    fn decode_frame(&mut self, code: &[f32]) -> Result<Vec<f32>, OrcoError> {
-        Codec::frame_dims(self).check_codes(Codec::name(self), MatView::from_row(code))?;
-        Ok(self.decode(&Matrix::row_vector(code)).into_vec())
-    }
-
     fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_frames(Codec::name(self), frames)?;
         self.encode_batch_into(frames, out);
@@ -517,71 +466,6 @@ mod tests {
         assert_eq!(code.len(), 16);
         let recon = boxed.decode_frame(&code).expect("code width is valid");
         assert_eq!(recon.len(), 784);
-    }
-
-    #[test]
-    fn shape_violations_surface_as_typed_errors() {
-        let mut codec = tiny_codec();
-        let err = codec.encode_frame(&[0.0; 3]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                OrcoError::Shape { codec: "OrcoDCS", what: "frame", expected: 784, actual: 3 }
-            ),
-            "unexpected error: {err}"
-        );
-        let err = codec.decode_frame(&[0.0; 3]).unwrap_err();
-        assert!(matches!(err, OrcoError::Shape { what: "code", expected: 16, .. }));
-        // Batch-boundary validation: one typed error for the whole round.
-        let mut out = Matrix::zeros(0, 0);
-        let bad = Matrix::zeros(5, 42);
-        let err = codec.encode_batch(bad.as_view(), &mut out).unwrap_err();
-        assert!(matches!(err, OrcoError::Shape { what: "frame", expected: 784, actual: 42, .. }));
-        let err = codec.decode_batch(bad.as_view(), &mut out).unwrap_err();
-        assert!(matches!(err, OrcoError::Shape { what: "code", expected: 16, actual: 42, .. }));
-    }
-
-    /// A codec that implements only the per-frame compatibility layer, so
-    /// every batch method runs its default body. Used to pin the
-    /// bit-identity contract between defaults and native overrides.
-    #[derive(Debug)]
-    struct PerFrameOnly(AsymmetricAutoencoder);
-    impl Codec for PerFrameOnly {
-        fn name(&self) -> &'static str {
-            Codec::name(&self.0)
-        }
-        fn input_dim(&self) -> usize {
-            Codec::input_dim(&self.0)
-        }
-        fn bytes_per_frame(&self) -> u64 {
-            Codec::bytes_per_frame(&self.0)
-        }
-        fn train(&mut self, x: &Matrix, spec: &TrainSpec) -> Result<TrainingHistory, OrcoError> {
-            self.0.train(x, spec)
-        }
-        fn encode_frame(&mut self, frame: &[f32]) -> Result<Vec<f32>, OrcoError> {
-            self.0.encode_frame(frame)
-        }
-        fn decode_frame(&mut self, code: &[f32]) -> Result<Vec<f32>, OrcoError> {
-            self.0.decode_frame(code)
-        }
-    }
-
-    #[test]
-    fn per_frame_defaults_bit_identical_to_native_batch() {
-        let ds = mnist_like::generate(4, 0);
-        let mut wrapped = PerFrameOnly(tiny_codec());
-        let via_default = wrapped.reconstruct(ds.x()).unwrap();
-        let mut ae = tiny_codec();
-        let via_batch = Codec::reconstruct(&mut ae, ds.x()).unwrap();
-        assert_eq!(via_default, via_batch, "defaults and native batch path must agree bit for bit");
-
-        // And the batch stages individually, into dirty reused buffers.
-        let mut codes_default = Matrix::filled(1, 1, f32::NAN);
-        let mut codes_native = Matrix::filled(2, 3, -7.0);
-        wrapped.encode_batch(ds.x().as_view(), &mut codes_default).unwrap();
-        ae.encode_batch(ds.x().as_view(), &mut codes_native).unwrap();
-        assert_eq!(codes_default, codes_native);
     }
 
     #[test]

@@ -16,8 +16,8 @@ pub enum OrcoError {
     /// Data with the wrong per-frame width reached a codec boundary —
     /// raised by the batch-level validation of
     /// [`Codec::encode_batch`](crate::Codec::encode_batch) /
-    /// [`decode_batch`](crate::Codec::decode_batch) and by the per-frame
-    /// compatibility methods.
+    /// [`decode_batch`](crate::Codec::decode_batch), which the per-frame
+    /// methods run too.
     Shape {
         /// The codec that rejected the data (its `Codec::name`).
         codec: &'static str,

@@ -158,16 +158,6 @@ impl Sequential {
         out
     }
 
-    /// Inference over a borrowed batch: [`Sequential::forward_into`] with
-    /// `train = false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is empty.
-    pub fn infer_into(&mut self, x: MatView<'_>, out: &mut Matrix) {
-        self.forward_into(x, out, false);
-    }
-
     /// Backpropagates a gradient through every layer (reverse order),
     /// accumulating parameter gradients, the layers handing each other
     /// `∂L/∂input` through the model's two ping-pong buffers. The first
@@ -316,7 +306,7 @@ mod tests {
             // A dirty, wrongly-shaped reused buffer.
             let mut out = Matrix::filled(1, 1, f32::NAN);
             for _ in 0..2 {
-                model.infer_into(x.as_view(), &mut out);
+                model.forward_into(x.as_view(), &mut out, false);
                 assert_eq!(out, reference, "depth {depth}");
             }
         }
@@ -338,7 +328,7 @@ mod tests {
         let _ = interleaved.forward(&x, true);
         // Both inference entry points, on a batch of another size.
         let mut out = Matrix::zeros(0, 0);
-        interleaved.infer_into(served.as_view(), &mut out);
+        interleaved.forward_into(served.as_view(), &mut out, false);
         assert_eq!(interleaved.forward(&served, false), out);
         let (mut got, mut want) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         interleaved.backward_into(grad.as_view(), Some(&mut got));

@@ -42,10 +42,11 @@
 //! * **pull**: a `PullDecoded` flushes the shard's pending batch first,
 //!   so clients always read their own writes.
 //!
-//! Backpressure is explicit: a shard's `pending + stored` rows never
-//! exceed [`GatewayConfig::queue_capacity`]; a push over budget is
-//! answered with [`Message::Busy`] and **nothing is buffered** — gateway
-//! memory is bounded by configuration, not by client behavior.
+//! Backpressure is explicit: a shard's pending, mid-encode and stored
+//! rows never exceed [`GatewayConfig::queue_capacity`]; a push over
+//! budget is answered with [`Message::Busy`] and **nothing is
+//! buffered** — gateway memory is bounded by configuration, not by
+//! client behavior.
 //!
 //! Everything about a cluster lives in its shard — pending frames,
 //! stored rows, streaming subscriptions — so a flush delivers what it
@@ -102,8 +103,8 @@ pub struct GatewayConfig {
     pub batch_max_frames: usize,
     /// Maximum age of a pending batch before a deadline flush.
     pub batch_deadline: Duration,
-    /// Per-shard in-flight row budget (pending + stored); pushes beyond
-    /// it draw `Busy`.
+    /// Per-shard in-flight row budget (pending + mid-encode + stored);
+    /// pushes beyond it draw `Busy`.
     pub queue_capacity: usize,
     /// Shared secret for `Hello` authentication ([`crate::auth`]). When
     /// set, a `Hello` whose MAC does not verify draws

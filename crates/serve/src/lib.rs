@@ -29,9 +29,9 @@
 //!   batch, with no `Matrix` in between), and nothing contends across
 //!   shards.
 //! * **Bounded memory, explicit backpressure.** A shard's in-flight rows
-//!   (pending + stored) never exceed [`GatewayConfig::queue_capacity`];
-//!   beyond it clients get [`protocol::Message::Busy`], never an
-//!   unbounded buffer.
+//!   (pending + mid-encode + stored) never exceed
+//!   [`GatewayConfig::queue_capacity`]; beyond it clients get
+//!   [`protocol::Message::Busy`], never an unbounded buffer.
 //! * **Deterministic by construction.** The [`Loopback`] transport plus
 //!   [`Clock::manual`] make a full gateway run — stats included — a pure
 //!   function of the message schedule, bit-identical at any

@@ -701,7 +701,8 @@ messages! {
         /// The client should drain with [`Message::PullDecoded`] or retry
         /// later — the gateway never buffers unboundedly.
         5 => Busy {
-            /// Rows currently in flight on the shard (pending + stored).
+            /// Rows currently in flight on the shard: pending, mid-encode
+            /// and stored.
             queued: u32,
             /// The shard's in-flight row budget.
             capacity: u32,

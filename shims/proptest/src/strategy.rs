@@ -252,7 +252,7 @@ tuple_strategy!(
     (A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7)
 );
 
-/// Length specification for [`vec`]: a fixed size or a half-open range.
+/// Length specification for [`vec()`]: a fixed size or a half-open range.
 #[derive(Debug, Clone)]
 pub struct SizeRange {
     lo: usize,

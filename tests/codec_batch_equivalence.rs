@@ -1,22 +1,19 @@
-//! The batched data plane's bit-identity contract, pinned at the
-//! workspace level:
+//! The data plane's contracts, pinned at the workspace level for **all
+//! three backends** (OrcoDCS autoencoder, DCSNet, classical
+//! DCT+ISTA/OMP):
 //!
-//! * for **all three backends** (OrcoDCS autoencoder, DCSNet, classical
-//!   DCT+ISTA/OMP), `encode_batch`/`decode_batch` output is bit-identical
-//!   to the per-frame `encode_frame`/`decode_frame` loop across random
-//!   shapes, batch sizes, and seeds (property tests);
-//! * `Experiment::run()` reports are unchanged by the batched path — a
-//!   codec stripped down to the per-frame compatibility layer (batch
-//!   defaults) produces a bit-equal `Report` to the natively batched one
-//!   (regression).
+//! * `encode_batch`/`decode_batch` output is bit-identical to the
+//!   per-frame `encode_frame`/`decode_frame` loop — each frame a one-row
+//!   batch — across random shapes, batch sizes, and seeds (property
+//!   tests);
+//! * every data-plane method refuses a wrong width with one typed
+//!   `OrcoError::Shape` naming the codec, the width checked, and both
+//!   widths.
 
 use orcodcs_repro::baselines::cs::{ClassicalCodec, CsSolver, IstaConfig};
 use orcodcs_repro::baselines::Dcsnet;
-use orcodcs_repro::core::{
-    AsymmetricAutoencoder, Codec, ExperimentBuilder, OrcoConfig, OrcoError, SplitModel, TrainSpec,
-    TrainingHistory, TrainingMode,
-};
-use orcodcs_repro::datasets::{mnist_like, DatasetKind};
+use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig, OrcoError, TrainSpec};
+use orcodcs_repro::datasets::{gtsrb_like, mnist_like, DatasetKind};
 use orcodcs_repro::tensor::Matrix;
 use proptest::prelude::*;
 
@@ -83,96 +80,67 @@ proptest! {
         assert_batch_matches_per_frame(&mut codec, ds.x());
     }
 
-    /// Classical CS, both solvers: the batched encode GEMM against the
-    /// cached Φᵀ and the workspace-reusing solves must reproduce the
-    /// per-frame loop exactly.
+    /// Classical CS, both solvers, grey and colour frames: the batched
+    /// encode GEMM against the cached Φᵀ (zero-copy for one channel,
+    /// gathered per channel for three) and the workspace-reusing solves
+    /// must reproduce the per-frame loop exactly.
     #[test]
     fn classical_batch_bit_identical(
         m in 8usize..48,
         batch in 1usize..5,
         seed in 0u64..500,
         use_omp in any::<bool>(),
+        colour in any::<bool>(),
     ) {
         let solver = if use_omp {
             CsSolver::Omp { sparsity: (m / 4).max(2) }
         } else {
             CsSolver::Ista(IstaConfig { lambda: 0.01, max_iters: 40, tol: 1e-5 })
         };
-        let mut codec = ClassicalCodec::new(DatasetKind::MnistLike, m, solver, seed);
-        let ds = mnist_like::generate(batch, seed);
+        let (kind, ds) = if colour {
+            (DatasetKind::GtsrbLike, gtsrb_like::generate(batch, seed))
+        } else {
+            (DatasetKind::MnistLike, mnist_like::generate(batch, seed))
+        };
+        let mut codec = ClassicalCodec::new(kind, m, solver, seed);
         assert_batch_matches_per_frame(&mut codec, ds.x());
     }
 }
 
-/// A codec that forwards only the per-frame compatibility layer (plus the
-/// training hooks), so every batch entry point runs its default
-/// per-frame-loop body.
-#[derive(Debug)]
-struct PerFrameOnly(AsymmetricAutoencoder);
+/// A width no backend accepts, for frames or for codes.
+const WRONG: usize = 5;
 
-impl Codec for PerFrameOnly {
-    fn name(&self) -> &'static str {
-        Codec::name(&self.0)
-    }
-    fn input_dim(&self) -> usize {
-        Codec::input_dim(&self.0)
-    }
-    fn bytes_per_frame(&self) -> u64 {
-        Codec::bytes_per_frame(&self.0)
-    }
-    fn train(&mut self, x: &Matrix, spec: &TrainSpec) -> Result<TrainingHistory, OrcoError> {
-        self.0.train(x, spec)
-    }
-    fn encode_frame(&mut self, frame: &[f32]) -> Result<Vec<f32>, OrcoError> {
-        self.0.encode_frame(frame)
-    }
-    fn decode_frame(&mut self, code: &[f32]) -> Result<Vec<f32>, OrcoError> {
-        self.0.decode_frame(code)
-    }
-    fn loss(&self) -> orcodcs_repro::nn::Loss {
-        Codec::loss(&self.0)
-    }
-    fn split_model(&mut self) -> Option<&mut dyn SplitModel> {
-        self.0.split_model()
-    }
-    fn checkpoint(&self) -> Option<orcodcs_repro::core::EncoderCheckpoint> {
-        Codec::checkpoint(&self.0)
-    }
-}
-
-fn small_cfg() -> OrcoConfig {
-    OrcoConfig::for_dataset(DatasetKind::MnistLike)
-        .with_latent_dim(16)
-        .with_epochs(2)
-        .with_batch_size(8)
-}
-
-/// Regression: the full pipeline — probes, final loss/PSNR, and the
-/// data-plane measurement that now batch-encodes real frames — reports
-/// **bit-equal** results whether the codec runs its native batched paths
-/// or the per-frame default bodies.
+/// Every backend and every data-plane method, on a row `WRONG` wide: the
+/// batch methods' one check, which the per-frame methods reach through
+/// their one-row batch.
 #[test]
-fn experiment_reports_unchanged_by_batched_path() {
-    for mode in [TrainingMode::Orchestrated, TrainingMode::Local] {
-        let dataset = mnist_like::generate(24, 9);
-        let run = |codec: Box<dyn Codec>| {
-            let mut exp = ExperimentBuilder::new()
-                .dataset(&dataset)
-                .codec_boxed(codec)
-                .training(mode)
-                .epochs(2)
-                .batch_size(8)
-                .seed(9)
-                .build()
-                .expect("consistent experiment");
-            exp.run().expect("pipeline runs")
-        };
-        let native = run(Box::new(AsymmetricAutoencoder::new(&small_cfg()).unwrap()));
-        let per_frame =
-            run(Box::new(PerFrameOnly(AsymmetricAutoencoder::new(&small_cfg()).unwrap())));
-        assert_eq!(
-            native, per_frame,
-            "{mode:?} report diverged between batched and per-frame paths"
-        );
+fn every_backend_refuses_a_wrong_width_with_a_typed_shape_error() {
+    let ae_cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16);
+    let omp = CsSolver::Omp { sparsity: 8 };
+    // Each backend with its name and its (frame, code) widths.
+    let backends: [(Box<dyn Codec>, &str, usize, usize); 3] = [
+        (Box::new(AsymmetricAutoencoder::new(&ae_cfg).unwrap()), "OrcoDCS", 784, 16),
+        (Box::new(Dcsnet::new(DatasetKind::MnistLike, 0)), "DCSNet", 784, 1024),
+        (Box::new(ClassicalCodec::new(DatasetKind::MnistLike, 64, omp, 0)), "DCT+OMP", 784, 64),
+    ];
+    let bad = Matrix::zeros(3, WRONG);
+    let mut out = Matrix::zeros(0, 0);
+    for (mut codec, name, input, code) in backends {
+        let calls = [
+            ("encode_batch", "frame", input, codec.encode_batch(bad.as_view(), &mut out)),
+            ("decode_batch", "code", code, codec.decode_batch(bad.as_view(), &mut out)),
+            ("encode_frame", "frame", input, codec.encode_frame(bad.row(0)).map(drop)),
+            ("decode_frame", "code", code, codec.decode_frame(bad.row(0)).map(drop)),
+        ];
+        for (method, what, expected, result) in calls {
+            match result {
+                Err(OrcoError::Shape { codec, what: w, expected: e, actual }) => assert_eq!(
+                    (codec, w, e, actual),
+                    (name, what, expected, WRONG),
+                    "{name}::{method}"
+                ),
+                other => panic!("{name}::{method}: want a shape error, got {other:?}"),
+            }
+        }
     }
 }

@@ -3,9 +3,10 @@
 //! running it on one machine, and in-network (chain) encoding must equal
 //! centralized encoding.
 
-use orcodcs_repro::core::{AsymmetricAutoencoder, EncoderColumns, Orchestrator, OrcoConfig};
+use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, EncoderColumns, Orchestrator, OrcoConfig};
 use orcodcs_repro::datasets::{mnist_like, DatasetKind};
 use orcodcs_repro::nn::Activation;
+use orcodcs_repro::tensor::Matrix;
 use orcodcs_repro::wsn::NetworkConfig;
 
 fn cfg() -> OrcoConfig {
@@ -91,8 +92,9 @@ fn reassembled_encoder_reproduces_the_original_model() {
     // Load the reassembled parts into a fresh autoencoder: encodings match.
     let mut fresh = AsymmetricAutoencoder::new(&config).expect("valid config");
     fresh.set_encoder_parts(w, b);
-    let original = ae.encode(dataset.x());
-    let roundtripped = fresh.encode(dataset.x());
+    let (mut original, mut roundtripped) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    ae.encode_batch(dataset.x().as_view(), &mut original).expect("frames fit the codec");
+    fresh.encode_batch(dataset.x().as_view(), &mut roundtripped).expect("frames fit the codec");
     assert_eq!(original, roundtripped);
 }
 

@@ -74,12 +74,6 @@ impl Codec for Parked {
     fn train(&mut self, x: &Matrix, spec: &TrainSpec) -> Result<TrainingHistory, OrcoError> {
         self.inner.train(x, spec)
     }
-    fn encode_frame(&mut self, frame: &[f32]) -> Result<Vec<f32>, OrcoError> {
-        self.inner.encode_frame(frame)
-    }
-    fn decode_frame(&mut self, code: &[f32]) -> Result<Vec<f32>, OrcoError> {
-        self.inner.decode_frame(code)
-    }
     fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         let _ = self.entered.send(std::thread::current().name().unwrap_or_default().into());
         let _ = self.release.recv();
