@@ -347,7 +347,10 @@ pub trait Codec: std::fmt::Debug + Send {
     }
 
     /// A persistable snapshot of the codec's distributable (device-side)
-    /// parameters, when it has any.
+    /// parameters, when it has any. A codec that supports
+    /// [`Codec::with_encoder`] must return `Some`: the serving layer
+    /// captures the encoder an activation replaces here, and without it
+    /// a gateway has no rollback target.
     fn checkpoint(&self) -> Option<EncoderCheckpoint> {
         None
     }
@@ -357,7 +360,9 @@ pub trait Codec: std::fmt::Debug + Send {
     /// layer derives the next model version from the active one without
     /// knowing the backend's construction recipe, and the decoder (and any
     /// other state) carries over exactly so the two versions differ only
-    /// in the distributed encoder.
+    /// in the distributed encoder. That carry-over is load-bearing: a
+    /// serving shard keeps only the codec of its active version and
+    /// decodes the stored rows of every version it has served with it.
     ///
     /// # Errors
     ///

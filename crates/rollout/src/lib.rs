@@ -18,14 +18,15 @@
 //!   `RolloutPropose`/`ActivateVersion` wire lifecycle. Version ids are
 //!   monotonic, so replayed or reordered proposals can never regress a
 //!   gateway.
-//! * **Zero-drop cutover** — the gateway swaps codecs only at a flush
-//!   boundary: pending rows flush under the old codec first, stored rows
-//!   drain through the codec that encoded them, and every delivery is
-//!   tagged with its producing version. No flush ever mixes versions.
+//! * **Zero-drop cutover** — the gateway swaps encoders only at a flush
+//!   boundary: pending rows flush under the old encoder first, stored
+//!   rows of every version drain through the one decoder they share, and
+//!   every delivery is tagged with its producing version. No flush ever
+//!   mixes versions.
 //! * **Rollback guard** — a gateway configured with
 //!   [`orco_serve::DriftGuard::rollback_above`] watches the post-swap
-//!   windowed reconstruction error and reverts to the prior codec on
-//!   regression; [`rollout_one`] surfaces the final state in the
+//!   windowed reconstruction error and cuts over once more, to the
+//!   encoder the last activation replaced, on regression; [`rollout_one`] surfaces the final state in the
 //!   returned [`orco_serve::VersionInfo`].
 //! * **Staged fleets** — [`rollout_staged`] walks a fleet one gateway at
 //!   a time, aborting on the first refusal so a bad version never
@@ -77,7 +78,7 @@
 //! assert_eq!(state.active.id, 1);
 //!
 //! let (served_by, frames) = client.pull_versioned(7, 64)?;
-//! assert_eq!((served_by, frames.rows()), (0, 4)); // zero-drop: old rows, old codec
+//! assert_eq!((served_by, frames.rows()), (0, 4)); // zero-drop: old rows, old version
 //! # Ok::<(), orcodcs::OrcoError>(())
 //! ```
 

@@ -20,6 +20,17 @@ const DIM: usize = 32;
 const CODE: usize = 8;
 const CLUSTER: u64 = 7;
 
+/// A guard whose monitor stays quiet and whose rollback rail trips on one
+/// full window of an untrained donor's reconstructions.
+fn guard() -> Option<DriftGuard> {
+    Some(DriftGuard {
+        sample_every: NonZeroU64::MIN,
+        threshold: 1.0, // the monitor itself stays quiet
+        window: NonZeroUsize::new(4).unwrap(),
+        rollback_above: Some(0.05), // an untrained donor reconstructs far worse
+    })
+}
+
 fn gateway(cfg: GatewayConfig) -> Arc<Gateway> {
     let codec_cfg = codec_config(11);
     Arc::new(
@@ -33,8 +44,8 @@ fn gateway(cfg: GatewayConfig) -> Arc<Gateway> {
 
 /// The retrain stand-in every test rolls out: a differently-seeded
 /// encoder grafted onto the served decoder.
-fn donor_checkpoint() -> EncoderCheckpoint {
-    AsymmetricAutoencoder::new(&codec_config(99))
+fn donor_checkpoint(seed: u64) -> EncoderCheckpoint {
+    AsymmetricAutoencoder::new(&codec_config(seed))
         .expect("valid config")
         .checkpoint()
         .expect("autoencoder codecs checkpoint")
@@ -92,7 +103,7 @@ fn cutover_is_version_pure_and_bit_identical() {
     assert_eq!(info.active_version, 0);
 
     let frames = stream(12);
-    let ckpt = donor_checkpoint();
+    let ckpt = donor_checkpoint(99);
     let recon_v0 = reference(None, &frames);
     let recon_v1 = reference(Some(&ckpt), &frames);
 
@@ -145,19 +156,14 @@ fn rollback_guard_reverts_without_dropping_rows() {
     let gw = gateway(GatewayConfig {
         shards: 1,
         batch_max_frames: 4,
-        drift: Some(DriftGuard {
-            sample_every: NonZeroU64::MIN,
-            threshold: 1.0, // the monitor itself stays quiet
-            window: NonZeroUsize::new(4).unwrap(),
-            rollback_above: Some(0.05), // the untrained donor reconstructs far worse
-        }),
+        drift: guard(),
         ..GatewayConfig::default()
     });
     let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("loopback connects");
     client.hello(1).expect("hello");
 
     let frames = stream(8);
-    let ckpt = donor_checkpoint();
+    let ckpt = donor_checkpoint(99);
     let recon_v0 = reference(None, &frames);
     let recon_v1 = reference(Some(&ckpt), &frames);
 
@@ -198,7 +204,7 @@ fn refusals_surface_and_halt_staged_walks() {
     let gw = gateway(GatewayConfig { shards: 1, ..GatewayConfig::default() });
     let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("loopback connects");
     client.hello(1).expect("hello");
-    let ckpt = donor_checkpoint();
+    let ckpt = donor_checkpoint(99);
 
     // Wrong geometry.
     let bad = ModelVersion { id: 1, label: "bad".into(), frame_dim: 999, code_dim: CODE as u32 };
@@ -224,16 +230,17 @@ fn refusals_surface_and_halt_staged_walks() {
     assert_eq!(fresh.stats().active_version, 1, "the canary before the halt stays rolled");
 }
 
-/// Rows outlive two rollouts: the version that encoded them is retired
-/// twice over, is no longer the rollback target, and still decodes its
-/// last stored rows, bit-identical, before it is dropped.
+/// Rows outlive two rollouts: the version that encoded them is replaced
+/// twice over and is no longer the rollback target, yet its last stored
+/// rows still drain tagged with it, bit-identical — through the decoder
+/// every version shares.
 #[test]
 fn rows_of_a_twice_retired_version_still_drain() {
     let gw = gateway(GatewayConfig { shards: 1, batch_max_frames: 4, ..GatewayConfig::default() });
     let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("loopback connects");
     client.hello(1).expect("hello");
     let frames = stream(4);
-    let ckpt = donor_checkpoint();
+    let ckpt = donor_checkpoint(99);
 
     // A size flush stores the rows under v0; two rollouts retire it.
     client.push(CLUSTER, frames.view_rows(0..4)).expect("push");
@@ -246,4 +253,64 @@ fn rows_of_a_twice_retired_version_still_drain() {
     assert_eq!((v, got.rows()), (0, 4));
     rows_eq(&got, &reference(None, &frames), 0);
     assert_eq!(gw.stats().frames_out, 4);
+}
+
+/// A rollback after two rollouts: the target is the version the last
+/// cut-over replaced (v1, not the boot v0), on every shard. The bad
+/// version's rows — a size flush on one shard, and the batch the revert
+/// flushed on the other — drain tagged with it, and rows pushed after the
+/// revert encode under v1 on both shards.
+#[test]
+fn a_rollback_reverts_every_shard_to_the_version_the_last_cut_over_replaced() {
+    let gw = gateway(GatewayConfig {
+        shards: 2,
+        batch_max_frames: 4,
+        drift: guard(),
+        ..GatewayConfig::default()
+    });
+    let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("loopback connects");
+    client.hello(1).expect("hello");
+    let here = CLUSTER;
+    let there = (0..).find(|&c| gw.shard_of(c) != gw.shard_of(here)).expect("two shards");
+
+    let frames = stream(12);
+    let (v1, v2) = (donor_checkpoint(99), donor_checkpoint(98));
+    let recon_v1 = reference(Some(&v1), &frames);
+    let recon_v2 = reference(Some(&v2), &frames);
+
+    // Nothing flushes under v1, so its window never fills: v0 stays the
+    // prior until v2 replaces v1.
+    rollout_one(&mut client, version_one(), &v1).expect("rollout to v1");
+    let version_two = ModelVersion { id: 2, label: "retrain-98".into(), ..version_one() };
+    let state = rollout_one(&mut client, version_two, &v2).expect("rollout to v2");
+    assert_eq!(state.prior.as_ref().map(|p| p.id), Some(1));
+
+    // Two rows wait on the other shard; one full bad window on this one
+    // trips the guard on the size flush inside the second push.
+    client.push(there, frames.view_rows(0..2)).expect("push");
+    client.push(here, frames.view_rows(2..6)).expect("push");
+    let info = client.version_info().expect("version query");
+    assert_eq!(info.active.id, 1, "the target is the version v2 replaced, not the boot v0");
+    assert_eq!(info.rollbacks, 1);
+    assert!(info.prior.is_none(), "the demoted version is not a rollback target");
+
+    // v2's rows drain tagged v2 on both shards ...
+    for (cluster, lo, rows) in [(here, 2, 4), (there, 0, 2)] {
+        let (v, got) = client.pull_versioned(cluster, 64).expect("pull");
+        assert_eq!((v, got.rows()), (2, rows));
+        rows_eq(&got, &recon_v2, lo);
+    }
+
+    // ... and post-revert rows encode under v1 on both shards.
+    client.push(here, frames.view_rows(6..9)).expect("push");
+    client.push(there, frames.view_rows(9..12)).expect("push");
+    for (cluster, lo) in [(here, 6), (there, 9)] {
+        let (v, got) = client.pull_versioned(cluster, 64).expect("pull");
+        assert_eq!((v, got.rows()), (1, 3));
+        rows_eq(&got, &recon_v1, lo);
+    }
+
+    let stats = gw.stats();
+    assert_eq!((stats.swaps, stats.rollbacks, stats.active_version), (2, 1, 1));
+    assert_eq!(stats.frames_out, 12);
 }

@@ -65,7 +65,8 @@ pub struct VersionInfo {
     pub active: ModelVersion,
     /// A proposed version staged but not yet activated, if any.
     pub(crate) staged: Option<ModelVersion>,
-    /// The pre-swap version still retained as the rollback target.
+    /// The version the last activation replaced, while it is the
+    /// rollback target.
     pub prior: Option<ModelVersion>,
     /// Lifetime count of guard-triggered rollbacks.
     pub rollbacks: u64,

@@ -213,10 +213,11 @@ struct RolloutState {
     /// A proposed version staged for activation, with the checkpoint
     /// its per-shard codecs will be derived from at cutover.
     staged: Option<(ModelVersion, EncoderCheckpoint)>,
-    /// The previous active version: the rollback target while the
-    /// post-swap guard window is still open, `None` once the guard
-    /// passes (or after a rollback).
-    prior: Option<ModelVersion>,
+    /// The version the last activation replaced, with its encoder: the
+    /// rollback target while the post-swap guard window is still open,
+    /// `None` once the guard passes (or after a rollback), or when the
+    /// codec has no encoder to checkpoint.
+    prior: Option<(ModelVersion, EncoderCheckpoint)>,
 }
 
 impl std::fmt::Debug for Gateway {
@@ -523,7 +524,7 @@ impl Gateway {
                 Message::VersionReply {
                     active: state.active.clone(),
                     staged: state.staged.as_ref().map(|(v, _)| v.clone()),
-                    prior: state.prior.clone(),
+                    prior: state.prior.as_ref().map(|(v, _)| v.clone()),
                     rollbacks: stats.rollbacks,
                     drift: stats.drift,
                 }
@@ -664,7 +665,7 @@ impl Gateway {
                 return Ok(Message::Decoded { cluster_id, version: side.version(), frames });
             };
             // The decode runs with the core free: pushes to this shard go on.
-            Ok(match side.decode_run(version) {
+            Ok(match side.decode_run() {
                 Ok(frames) => {
                     let bytes = (rows * self.dims.input * 4) as u64;
                     self.stats.record_pull(idx, rows as u64, bytes);
@@ -737,7 +738,7 @@ impl Gateway {
             // Prove the checkpoint grafts onto this gateway's codec family
             // before accepting (all shards share one geometry, so shard 0
             // answers for all of them).
-            if let Err(e) = self.codec(0, |side| side.stage_from_active(&checkpoint))? {
+            if let Err(e) = self.codec(0, |side| side.codec().with_encoder(&checkpoint))? {
                 return reject(format!("checkpoint does not stage onto the active codec: {e}"));
             }
             // Restaging replaces any earlier staged version — last writer
@@ -747,9 +748,9 @@ impl Gateway {
         })?
     }
 
-    /// Cuts the staged version over to active on every shard, each at
-    /// its own flush boundary (pending rows flush under the old codec
-    /// first — zero drops, no mixed-version flush).
+    /// Cuts the staged version over to active on every shard (see
+    /// [`Self::cut_over`]); the version it replaces becomes the rollback
+    /// target.
     fn activate(&self, version_id: u64, nonce: u64, mac: u64, now: f64) -> Reply {
         if let Some(secret) = self.cfg.auth_secret {
             if auth::rollout_mac(secret, version_id, nonce) != mac {
@@ -762,58 +763,34 @@ impl Gateway {
         let reject =
             |detail: String| Ok(Message::RolloutAck { version_id, accepted: false, detail });
         self.door.enter(&self.rollout, |state| {
-            match &state.staged {
-                Some((v, _)) if v.id == version_id => {}
-                Some((v, _)) => {
-                    return reject(format!("staged version is {}, not {version_id}", v.id));
-                }
-                None => return reject("no version is staged".into()),
+            let Some((version, checkpoint)) = state.staged.take_if(|(v, _)| v.id == version_id)
+            else {
+                return reject(match &state.staged {
+                    Some((v, _)) => format!("staged version is {}, not {version_id}", v.id),
+                    None => "no version is staged".into(),
+                });
+            };
+            if let Err(e) = self.cut_over(state, &version, &checkpoint, now)? {
+                state.staged = Some((version, checkpoint));
+                return reject(format!("staging failed: {e}"));
             }
-            // Derive every shard's new codec before touching any of them,
-            // so a failure leaves the gateway fully on the old version.
-            let checkpoint = &state.staged.as_ref().expect("matched above").1;
-            let mut staged_codecs = Vec::with_capacity(self.shards.len());
-            for idx in 0..self.shards.len() {
-                match self.codec(idx, |side| side.stage_from_active(checkpoint))? {
-                    Ok(codec) => staged_codecs.push(codec),
-                    Err(e) => return reject(format!("staging failed: {e}")),
-                }
-            }
-            let (version, _) = state.staged.take().expect("matched above");
-            for (idx, codec) in staged_codecs.into_iter().enumerate() {
-                // Each shard cuts over at a flush boundary: its pending
-                // batch flushes under the old codec first.
-                let installed = self.codec(idx, |side| {
-                    let flushed = self.flush(idx, side, now, FlushReason::Swap, |_| true)?;
-                    Ok(flushed.map(|_| side.cut_over(version.id, codec)))
-                })??;
-                if let Err(e) = installed {
-                    // Only a codec shape error can land here, which the
-                    // staging pass above has already ruled out; surface it
-                    // rather than unwrapping, but do not try to unwind.
-                    return Ok(internal(&e));
-                }
-            }
-            state.prior = Some(std::mem::replace(&mut state.active, version));
             self.stats.record_swap();
-            self.stats.set_active_version(state.active.id);
-            self.stats.set_drift(false);
             Ok(Message::RolloutAck { version_id, accepted: true, detail: String::new() })
         })?
     }
 
-    /// The post-swap safety rail. While a prior version is retained and
-    /// the guard is armed, each dispatch checks every shard's windowed
-    /// sample error: one shard over the bound reverts the whole gateway
-    /// to the prior version (at flush boundaries, like the swap);
-    /// a full window under the bound on every shard commits the swap
-    /// and releases the prior.
+    /// The post-swap safety rail. While the guard is armed and a prior
+    /// version is the rollback target, each dispatch checks every shard's
+    /// windowed sample error: one shard over the bound cuts the whole
+    /// gateway over to the prior version's encoder (see
+    /// [`Self::cut_over`]); a full window under the bound on every shard
+    /// commits the swap and releases the prior.
     fn maybe_rollback(&self, now: f64) -> Result<(), Failed> {
         let Some(bound) = self.cfg.drift.and_then(|g| g.rollback_above) else {
             return Ok(());
         };
         self.door.enter(&self.rollout, |state| {
-            let Some(prior) = state.prior.clone() else {
+            let Some((prior, checkpoint)) = state.prior.take() else {
                 return Ok(());
             };
             let mut tripped = false;
@@ -826,43 +803,74 @@ impl Gateway {
                 }
             }
             if tripped {
-                for idx in 0..self.shards.len() {
-                    // At a flush boundary, like the swap.
-                    let rolled = self.codec(idx, |side| {
-                        if !side.retains(prior.id) {
-                            return Ok(Ok(false));
-                        }
-                        let flushed = self.flush(idx, side, now, FlushReason::Swap, |_| true)?;
-                        Ok(flushed.map(|_| {
-                            side.roll_back_to(prior.id);
-                            true
-                        }))
-                    })??;
-                    match rolled {
-                        Ok(true) => {}
-                        Ok(false) => eprintln!(
-                            "orco-serve: shard {idx} no longer retains version {}",
-                            prior.id
-                        ),
-                        Err(e) => eprintln!("orco-serve: shard {idx} rollback flush failed: {e}"),
+                let demoted = state.active.id;
+                match self.cut_over(state, &prior, &checkpoint, now)? {
+                    Ok(()) => {
+                        // The demoted version is no rollback target.
+                        state.prior = None;
+                        self.stats.record_rollback();
+                        eprintln!(
+                            "orco-serve: post-swap guard tripped; rolled back from version \
+                             {demoted} to {}",
+                            state.active.id
+                        );
                     }
+                    Err(e) => eprintln!(
+                        "orco-serve: post-swap guard tripped, but the rollback from version \
+                         {demoted} failed to stage: {e}"
+                    ),
                 }
-                let demoted = std::mem::replace(&mut state.active, prior);
-                state.prior = None;
-                self.stats.record_rollback();
-                self.stats.set_active_version(state.active.id);
-                self.stats.set_drift(false);
-                eprintln!(
-                    "orco-serve: post-swap guard tripped; rolled back from version {} to {}",
-                    demoted.id, state.active.id
-                );
-            } else if all_windows_full {
-                // Every shard completed a clean window on the new model:
-                // the swap is committed and the prior is no longer a target.
-                state.prior = None;
+            } else if !all_windows_full {
+                // The window is still open: the prior stays the target.
+                // Once every shard has completed a clean window on the new
+                // model, the swap is committed and the prior is released.
+                state.prior = Some((prior, checkpoint));
             }
             Ok(())
         })?
+    }
+
+    /// Makes `version`, whose encoder is `checkpoint`, active on every
+    /// shard, and the version it replaces the prior — with the encoder
+    /// captured from the serving codec ([`Codec::checkpoint`]). Every
+    /// shard's codec is derived first ([`Codec::with_encoder`]: the
+    /// decoder carries over), so a checkpoint that does not stage leaves
+    /// the gateway wholly on its current version. Then each shard cuts
+    /// over at a flush boundary: its pending batch flushes under the old
+    /// encoder first — zero drops, no mixed-version flush.
+    fn cut_over(
+        &self,
+        state: &mut RolloutState,
+        version: &ModelVersion,
+        checkpoint: &EncoderCheckpoint,
+        now: f64,
+    ) -> Result<Result<(), OrcoError>, Failed> {
+        let mut codecs = Vec::with_capacity(self.shards.len());
+        for idx in 0..self.shards.len() {
+            match self.codec(idx, |side| side.codec().with_encoder(checkpoint))? {
+                Ok(codec) => codecs.push(codec),
+                Err(e) => return Ok(Err(e)),
+            }
+        }
+        // Every shard serves the same encoder, so shard 0 answers for all.
+        let replaced = self.codec(0, |side| side.codec().checkpoint())?;
+        for (idx, codec) in codecs.into_iter().enumerate() {
+            self.codec(idx, |side| {
+                // A failed flush — a codec shape error, which the width
+                // check at push rules out — leaves its rows pending, to
+                // encode under the new version: no shard is left behind.
+                if let Err(e) = self.flush(idx, side, now, FlushReason::Swap, |_| true)? {
+                    eprintln!("orco-serve: shard {idx} swap flush failed: {e}");
+                }
+                side.cut_over(version.id, codec);
+                Ok(())
+            })??;
+        }
+        let old = std::mem::replace(&mut state.active, version.clone());
+        state.prior = replaced.map(|encoder| (old, encoder));
+        self.stats.set_active_version(state.active.id);
+        self.stats.set_drift(false);
+        Ok(Ok(()))
     }
 
     /// Subscribes `outbox` to `cluster_id`'s decoded batches. The reply

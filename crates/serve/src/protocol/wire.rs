@@ -908,8 +908,8 @@ messages! {
             active: ModelVersion,
             /// A staged version waiting for [`Message::ActivateVersion`].
             staged: Option<ModelVersion>,
-            /// The previous active version, retained until its in-flight
-            /// rows drain (and as the rollback target).
+            /// The version the last activation replaced: the rollback
+            /// target until the post-swap guard passes or trips.
             prior: Option<ModelVersion>,
             /// Number of guard-triggered rollbacks since boot.
             rollbacks: u64,

@@ -43,9 +43,8 @@
 //! taken **codec side, then core** — a core's holder never waits for a
 //! codec:
 //!
-//! * [`CodecSide`] — the active codec, the retired ones (with the count
-//!   of stored rows that keeps each alive), the drift probe, and the
-//!   encode/decode workspaces;
+//! * [`CodecSide`] — the codec, the drift probe, and the encode/decode
+//!   workspaces;
 //! * [`ShardCore`] — the pending batch, the per-cluster store and its
 //!   subscribers, the in-flight count, and the truth the gate mirrors.
 //!
@@ -97,7 +96,7 @@ use std::thread::Thread;
 
 use orco_obs::{Histogram, Span, SpanKind, Tracer};
 use orco_tensor::{MatView, Matrix};
-use orcodcs::{Codec, EncoderCheckpoint, FineTuneMonitor, FrameDims, OrcoError};
+use orcodcs::{Codec, FineTuneMonitor, FrameDims, OrcoError};
 
 use crate::clock::Clock;
 use crate::outbox::Outbox;
@@ -352,23 +351,14 @@ pub(crate) struct Taken {
     wanted: Option<f64>,
 }
 
-/// The codec half of a shard: every codec it serves with, and the buffers
-/// they work in.
+/// The codec half of a shard: the one codec it serves with, and the
+/// buffers it works in. A model version is an encoder: a cut-over grafts a
+/// new one onto the same decoder, so this codec decodes the stored rows of
+/// every version the shard has served.
 pub(crate) struct CodecSide {
     codec: Box<dyn Codec>,
-    /// Id of the model version the active codec serves.
+    /// Id of the model version whose encoder the codec carries.
     version: u64,
-    /// Retired codecs kept alive to decode rows they encoded and to
-    /// serve as the rollback target. Keyed by version id; an entry is
-    /// dropped once its stored rows drain, except the most recently
-    /// retired one (the rollback target), which is always kept.
-    retired: BTreeMap<u64, Box<dyn Codec>>,
-    /// The most recently retired version id (the rollback target).
-    last_retired: Option<u64>,
-    /// Stored rows per producing version; drives retired-codec dropping.
-    /// Every path that stores or takes rows holds this side, so the
-    /// count lives with the codecs it keeps alive.
-    rows_by_version: BTreeMap<u64, usize>,
     /// Decoded-sample drift monitor (None = drift detection disabled).
     drift: Option<DriftProbe>,
     /// Reused 1-row workspaces for drift sampling.
@@ -394,9 +384,6 @@ impl CodecSide {
         Self {
             codec,
             version: 0,
-            retired: BTreeMap::new(),
-            last_retired: None,
-            rows_by_version: BTreeMap::new(),
             drift,
             drift_in_ws: Matrix::zeros(0, 0),
             drift_out_ws: Matrix::zeros(0, 0),
@@ -409,19 +396,16 @@ impl CodecSide {
         }
     }
 
-    /// Id of the model version the active codec serves.
+    /// Id of the model version whose encoder the codec carries.
     pub(crate) fn version(&self) -> u64 {
         self.version
     }
 
-    /// Derives a staged codec from the active one by grafting the
-    /// checkpoint's encoder onto a copy (decoder and all other state
-    /// carry over bit-identically).
-    pub(crate) fn stage_from_active(
-        &self,
-        checkpoint: &EncoderCheckpoint,
-    ) -> Result<Box<dyn Codec>, OrcoError> {
-        self.codec.with_encoder(checkpoint)
+    /// The codec: what a rollout stages the next version from
+    /// ([`Codec::with_encoder`]) and captures the rollback target of
+    /// ([`Codec::checkpoint`]).
+    pub(crate) fn codec(&self) -> &dyn Codec {
+        &*self.codec
     }
 
     /// The drift monitor's current windowed error (None while the
@@ -431,34 +415,15 @@ impl CodecSide {
         self.drift.as_ref().and_then(|p| p.last_windowed)
     }
 
-    /// Whether retired version `id` is still kept (the rollback guard's
-    /// target must be).
-    pub(crate) fn retains(&self, id: u64) -> bool {
-        self.retired.contains_key(&id)
-    }
-
-    /// Reverts to retired version `id`, which [`Self::retains`] must
-    /// have confirmed; the caller has flushed under the active codec.
-    pub(crate) fn roll_back_to(&mut self, id: u64) {
-        let target = self.retired.remove(&id).expect("checked by the caller");
-        self.cut_over(id, target);
-    }
-
-    /// Makes `codec` the active version `id` and retires the old one,
-    /// dropping the previous retiree if its stored rows have fully
-    /// drained (the newest retiree replaces it as the rollback target).
-    /// The drift history starts over, so the guard judges only the new
-    /// model. The caller has flushed under the old codec first, so no
-    /// flush ever mixes model versions and no frame is dropped.
+    /// Makes `codec` — this codec with another encoder grafted on — the
+    /// one that serves, as version `id`, and drops the old one: its
+    /// stored rows decode through the same decoder. The drift history
+    /// starts over, so the guard judges only the new encoder. The caller
+    /// has flushed under the old codec first, so no flush ever mixes
+    /// model versions and no frame is dropped.
     pub(crate) fn cut_over(&mut self, id: u64, codec: Box<dyn Codec>) {
-        let old = std::mem::replace(&mut self.codec, codec);
-        let old_id = std::mem::replace(&mut self.version, id);
-        if let Some(prev) = self.last_retired.replace(old_id) {
-            if prev != old_id && !self.rows_by_version.contains_key(&prev) {
-                self.retired.remove(&prev);
-            }
-        }
-        self.retired.insert(old_id, old);
+        self.codec = codec;
+        self.version = id;
         if let Some(probe) = &mut self.drift {
             probe.monitor.acknowledge();
             probe.last_windowed = None;
@@ -520,28 +485,14 @@ impl CodecSide {
     }
 
     /// Decodes the run [`ShardCore::take_run`] left in the decode
-    /// workspace, of producing version `version`, in ONE `decode_batch`
-    /// call by the codec that encoded it — mid-swap, old rows drain
-    /// through the retired codec while new rows queue behind them.
+    /// workspace in ONE `decode_batch` call. Whichever version encoded
+    /// the run, its decoder is this codec's.
     ///
     /// # Errors
     ///
     /// Propagates codec shape errors.
-    pub(crate) fn decode_run(&mut self, version: u64) -> Result<Matrix, OrcoError> {
-        let codec = if version == self.version {
-            &mut self.codec
-        } else {
-            self.retired.get_mut(&version).expect("retired codec retained while rows stored")
-        };
-        codec.decode_batch(self.decode_in_ws.as_view(), &mut self.decode_out_ws)?;
-        // A drained retiree is dropped once it has decoded its last rows —
-        // except the rollback target.
-        if !self.rows_by_version.contains_key(&version)
-            && version != self.version
-            && self.last_retired != Some(version)
-        {
-            self.retired.remove(&version);
-        }
+    pub(crate) fn decode_run(&mut self) -> Result<Matrix, OrcoError> {
+        self.codec.decode_batch(self.decode_in_ws.as_view(), &mut self.decode_out_ws)?;
         // Move the decoded rows into the reply instead of cloning them;
         // the reply owns the buffer and the next decode_batch regrows the
         // workspace. One allocation either way, but no second memcpy.
@@ -558,7 +509,7 @@ struct ClusterState {
     codes: VecDeque<f32>,
     /// `(trace id, producing model version)` of each stored row — the
     /// trace closes the causal chain at delivery (0 = untraced), the
-    /// version picks the codec that decodes the row mid-swap.
+    /// version tags the delivery that carries the row.
     rows: VecDeque<(u64, u64)>,
     /// Outboxes of the connections subscribed to this cluster. `Weak`,
     /// so a vanished connection unsubscribes itself.
@@ -715,7 +666,6 @@ impl ShardCore {
         }
         self.encoding_rows = 0;
         self.stored_rows += rows;
-        *side.rows_by_version.entry(side.version).or_insert(0) += rows;
         stats.record_flush(self.index, rows as u64, now_s - taken.armed, reason);
         if tracer.enabled() {
             // One Flush + Store span per contiguous (cluster, trace) run.
@@ -790,7 +740,7 @@ impl ShardCore {
         while let Some((version, rows)) =
             self.take_run(side, cluster, usize::MAX, now_s, tracer, true)
         {
-            match side.decode_run(version) {
+            match side.decode_run() {
                 Ok(frames) => {
                     let bytes = (rows * self.dims.input * 4) as u64;
                     stats.record_streamed(self.index, rows as u64, bytes);
@@ -905,14 +855,6 @@ impl ShardCore {
             self.clusters.remove(&cluster);
         }
         self.stored_rows -= k;
-        let remaining = side
-            .rows_by_version
-            .get_mut(&version)
-            .expect("per-version row count is flush-maintained");
-        *remaining -= k;
-        if *remaining == 0 {
-            side.rows_by_version.remove(&version);
-        }
         Some((version, k))
     }
 }

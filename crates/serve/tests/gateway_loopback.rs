@@ -586,14 +586,19 @@ fn per_shard_metrics_expose_hot_shard_skew() {
     // The flush-latency distribution is exposed in full, not just as
     // percentiles.
     assert!(text.contains("orco_flush_latency_ns_count 3"), "histogram missing:\n{text}");
-    // So is the wait for a shard's lock: a sample per entry, each 0 under
-    // the manual clock (only dispatches move it).
+    // So are the waits for a shard's two locks: a sample per entry, each 0
+    // under the manual clock (only dispatches move it).
     let waits = |key: &str| -> u64 {
         let line = text.lines().find_map(|l| l.strip_prefix(key)).expect("series present");
         line.trim().parse().expect("integer value")
     };
     assert!(waits("orco_shard_lock_wait_ns_count ") >= 4, "a push or a pull enters its shard");
     assert_eq!(waits("orco_shard_lock_wait_ns_sum_ns "), 0);
+    assert!(
+        waits("orco_codec_lock_wait_ns_count ") >= 4,
+        "three size flushes and a pull enter the codec side"
+    );
+    assert_eq!(waits("orco_codec_lock_wait_ns_sum_ns "), 0);
 }
 
 /// The trace pillar's determinism contract on the loopback path: the
