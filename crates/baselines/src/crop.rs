@@ -5,7 +5,7 @@
 //! `Crop2d` takes the centre window (identity when sizes match, as for
 //! 32×32 GTSRB), and its backward pass zero-pads gradients back out.
 
-use orco_nn::{Layer, Param};
+use orco_nn::{Layer, Param, Workspace};
 use orco_tensor::{MatView, Matrix};
 
 /// Centre-crops `(C, in, in)` feature maps to `(C, out, out)`.
@@ -41,8 +41,8 @@ impl Crop2d {
 }
 
 impl Layer for Crop2d {
-    // The backward pass needs only the geometry, so neither mode keeps anything.
-    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, _: bool) {
+    /// Needs no scratch.
+    fn infer_into(&self, x: MatView<'_>, out: &mut Matrix, _: &mut Workspace) {
         assert_eq!(x.cols(), self.input_dim(), "Crop2d::forward_into: width mismatch");
         out.reset(x.rows(), self.output_dim());
         for (r, sample) in x.iter_rows().enumerate() {
@@ -51,6 +51,11 @@ impl Layer for Crop2d {
                 dst[i..i + self.out_side].copy_from_slice(&sample[o..o + self.out_side]);
             }
         }
+    }
+
+    // The backward pass needs only the geometry, so neither mode keeps anything.
+    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, _: bool) {
+        self.infer_into(x, out, &mut Workspace::default());
     }
 
     /// Zero-pads the gradient back out to the uncropped map. There are no

@@ -19,11 +19,11 @@
 //! blocked GEMM per channel, the ISTA Lipschitz constant is estimated
 //! once per operator instead of once per frame, and both solvers reuse
 //! workspaces across the frames of a round ([`IstaScratch`] /
-//! [`OmpScratch`]).
+//! [`OmpScratch`], held in the caller's [`Workspace`]).
 
 use orco_datasets::DatasetKind;
 use orco_tensor::{MatView, Matrix, OrcoRng};
-use orcodcs::{Codec, OrcoError, TrainSpec, TrainingHistory};
+use orcodcs::{Codec, OrcoError, TrainSpec, TrainingHistory, Workspace};
 
 use crate::cs::dct::Dct2;
 use crate::cs::ista::{
@@ -87,11 +87,29 @@ pub struct ClassicalCodec {
     /// per frame, so caching is bit-neutral.
     ista_l: f32,
     solver: CsSolver,
-    // Round-persistent workspaces for the batched paths.
-    ista_ws: IstaScratch,
-    omp_ws: OmpScratch,
-    chan_scratch: Matrix,
-    code_scratch: Matrix,
+    /// Where [`Codec::encode_batch`] and [`Codec::decode_batch`] run the
+    /// batch bodies.
+    workspace: Workspace,
+}
+
+/// The batched paths' round-persistent scratch, kept in a [`Workspace`].
+struct CsScratch {
+    ista: IstaScratch,
+    omp: OmpScratch,
+    /// One channel of a colour round, gathered, and its codes.
+    chan: Matrix,
+    code: Matrix,
+}
+
+impl CsScratch {
+    fn new() -> Self {
+        Self {
+            ista: IstaScratch::default(),
+            omp: OmpScratch::default(),
+            chan: Matrix::zeros(0, 0),
+            code: Matrix::zeros(0, 0),
+        }
+    }
 }
 
 impl ClassicalCodec {
@@ -123,10 +141,7 @@ impl ClassicalCodec {
             sensing,
             ista_l,
             solver,
-            ista_ws: IstaScratch::default(),
-            omp_ws: OmpScratch::default(),
-            chan_scratch: Matrix::zeros(0, 0),
-            code_scratch: Matrix::zeros(0, 0),
+            workspace: Workspace::default(),
         }
     }
 
@@ -140,18 +155,18 @@ impl ClassicalCodec {
         self.side * self.side
     }
 
-    /// Solves one channel's recovery problem and writes the reconstructed
-    /// pixels into `out_px`.
-    fn decode_channel(&mut self, y: &[f32], out_px: &mut [f32]) {
+    /// Solves one channel's recovery problem in `ws` and writes the
+    /// reconstructed pixels into `out_px`.
+    fn decode_channel(&self, ws: &mut CsScratch, y: &[f32], out_px: &mut [f32]) {
         let m = self.measurements();
         let pixels = match self.solver {
             CsSolver::Ista(config) => {
-                ista_reconstruct_with(&self.sensing, self.ista_l, y, &config, &mut self.ista_ws);
-                self.dct.inverse(&self.ista_ws.theta)
+                ista_reconstruct_with(&self.sensing, self.ista_l, y, &config, &mut ws.ista);
+                self.dct.inverse(&ws.ista.theta)
             }
             CsSolver::Omp { sparsity } => {
                 let coefficients =
-                    omp_reconstruct_with(&self.sensing, y, sparsity.clamp(1, m), &mut self.omp_ws);
+                    omp_reconstruct_with(&self.sensing, y, sparsity.clamp(1, m), &mut ws.omp);
                 self.dct.inverse(&coefficients)
             }
         };
@@ -185,7 +200,12 @@ impl Codec for ClassicalCodec {
     /// One blocked GEMM against the cached `Φᵀ` per channel — the
     /// single-channel case runs zero-copy from the frame view straight
     /// into `out`.
-    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+    fn encode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        frames: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_frames(Codec::name(self), frames)?;
         let (m, hw) = (self.measurements(), self.pixels_per_channel());
         let rows = frames.rows();
@@ -194,19 +214,18 @@ impl Codec for ClassicalCodec {
             frames.matmul_into(self.phi_t.as_view(), out.as_view_mut());
             return Ok(());
         }
+        let CsScratch { chan, code, .. } = ws.scratch(CsScratch::new);
         for c in 0..self.channels {
             // Gather the channel block (strided across rows) into the
             // round-persistent scratch, then one GEMM for the whole round.
-            self.chan_scratch.reset(rows, hw);
+            chan.reset(rows, hw);
             for r in 0..rows {
-                self.chan_scratch.row_mut(r).copy_from_slice(&frames.row(r)[c * hw..(c + 1) * hw]);
+                chan.row_mut(r).copy_from_slice(&frames.row(r)[c * hw..(c + 1) * hw]);
             }
-            self.code_scratch.reset(rows, m);
-            self.chan_scratch
-                .as_view()
-                .matmul_into(self.phi_t.as_view(), self.code_scratch.as_view_mut());
+            code.reset(rows, m);
+            chan.as_view().matmul_into(self.phi_t.as_view(), code.as_view_mut());
             for r in 0..rows {
-                out.row_mut(r)[c * m..(c + 1) * m].copy_from_slice(self.code_scratch.row(r));
+                out.row_mut(r)[c * m..(c + 1) * m].copy_from_slice(code.row(r));
             }
         }
         Ok(())
@@ -215,17 +234,37 @@ impl Codec for ClassicalCodec {
     /// Per-frame solves (ISTA/OMP are inherently sequential per code
     /// column), but against the cached operator/Lipschitz constant and
     /// round-persistent workspaces — no allocation per solver iteration.
-    fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+    fn decode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        codes: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
         let (m, hw) = (self.measurements(), self.pixels_per_channel());
+        let ws = ws.scratch(CsScratch::new);
         out.reset(codes.rows(), self.channels * hw);
         for r in 0..codes.rows() {
             for c in 0..self.channels {
                 let y = &codes.row(r)[c * m..(c + 1) * m];
-                self.decode_channel(y, &mut out.row_mut(r)[c * hw..(c + 1) * hw]);
+                self.decode_channel(ws, y, &mut out.row_mut(r)[c * hw..(c + 1) * hw]);
             }
         }
         Ok(())
+    }
+
+    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+        let mut ws = std::mem::take(&mut self.workspace);
+        let encoded = self.encode_batch_with(&mut ws, frames, out);
+        self.workspace = ws;
+        encoded
+    }
+
+    fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+        let mut ws = std::mem::take(&mut self.workspace);
+        let decoded = self.decode_batch_with(&mut ws, codes, out);
+        self.workspace = ws;
+        decoded
     }
 }
 

@@ -13,7 +13,7 @@
 //! or (b) through the same IoT-Edge orchestrated protocol as OrcoDCS —
 //! which is how the paper obtains its time-to-loss comparison.
 
-use orco_nn::{Activation, Conv2d, Dense, Layer, Loss, Optimizer, Sequential};
+use orco_nn::{Activation, Conv2d, Dense, Layer, Loss, Optimizer, Sequential, Workspace};
 use orco_tensor::{MatView, Matrix, OrcoRng};
 
 use orco_datasets::DatasetKind;
@@ -184,18 +184,42 @@ impl Codec for Dcsnet {
     /// One packed-panel GEMM + bias broadcast + sigmoid over the whole
     /// round (the fixed 1024-dim dense encoder), into the caller-owned
     /// buffer.
-    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+    fn encode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        frames: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_frames(Codec::name(self), frames)?;
-        self.encoder.forward_into(frames, out, false);
+        self.encoder.infer_into(frames, out, ws);
         Ok(())
     }
 
     /// One batch pass of the 4-conv-layer decoder stack: the convolutions
-    /// write into the stack's two ping-pong buffers, the crop into `out`,
-    /// and nothing is retained. Each convolution lowers a sample into its
-    /// own workspace and multiplies straight into the sample's output row,
-    /// so once those, the two buffers and `out` have grown a decode
+    /// write into the two ping-pong buffers `ws` holds, the crop into
+    /// `out`, and nothing is retained. Each convolution lowers a sample
+    /// into its own workspace in `ws` and multiplies straight into the
+    /// sample's output row, so once `ws` and `out` have grown a decode
     /// allocates nothing.
+    fn decode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        codes: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
+        Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
+        self.decoder.infer_into(codes, out, ws);
+        Ok(())
+    }
+
+    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+        // The dense encoder keeps no scratch: a workspace stays empty.
+        self.encode_batch_with(&mut Workspace::default(), frames, out)
+    }
+
+    /// The decode body in the stack's own scratch ([`Sequential::forward_into`]
+    /// with `train = false`): its two buffers and each convolution's own
+    /// workspace.
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
         self.decoder.forward_into(codes, out, false);

@@ -10,13 +10,13 @@
 //! distributed and centralized training are bit-identical given the same
 //! random streams.
 //!
-//! The inference methods run the layers with `train = false`
-//! ([`orco_nn::Layer::forward_into`]), which keeps nothing for a backward
+//! The inference methods run the layers' `&self` body
+//! ([`orco_nn::Layer::infer_into`]), which keeps nothing for a backward
 //! pass, so the edge may decode for consumers between a round's
 //! [`AsymmetricAutoencoder::edge_decode_train`] and its
 //! [`AsymmetricAutoencoder::edge_decoder_update`].
 
-use orco_nn::{Activation, Dense, Layer, Loss, Optimizer, Sequential};
+use orco_nn::{Activation, Dense, Layer, Loss, Optimizer, Sequential, Workspace};
 
 use orco_tensor::{MatView, Matrix, OrcoRng};
 
@@ -161,17 +161,34 @@ impl AsymmetricAutoencoder {
     }
 
     /// Inference encode into a caller-owned buffer — the body of
-    /// `Codec::encode_batch` (eq. 1): one packed-panel GEMM against the
-    /// encoder weight, a bias broadcast, and the sigmoid in place.
-    pub(crate) fn encode_batch_into(&mut self, frames: MatView<'_>, out: &mut Matrix) {
-        self.encoder.forward_into(frames, out, false);
+    /// `Codec::encode_batch_with` (eq. 1): one packed-panel GEMM against
+    /// the encoder weight, a bias broadcast, and the sigmoid in place.
+    pub(crate) fn encode_batch_into(
+        &self,
+        ws: &mut Workspace,
+        frames: MatView<'_>,
+        out: &mut Matrix,
+    ) {
+        self.encoder.infer_into(frames, out, ws);
     }
 
     /// Inference decode into a caller-owned buffer — the body of
-    /// `Codec::decode_batch` (eq. 3): the decoder stack's
-    /// [`Sequential::forward_into`] with `train = false` over the whole
-    /// batch, allocation-free once `out` has grown to size.
-    pub(crate) fn decode_batch_into(&mut self, codes: MatView<'_>, out: &mut Matrix) {
+    /// `Codec::decode_batch_with` (eq. 3): the decoder stack's
+    /// [`Sequential::infer_into`] over the whole batch, allocation-free
+    /// once `ws` and `out` have grown to size.
+    pub(crate) fn decode_batch_into(
+        &self,
+        ws: &mut Workspace,
+        codes: MatView<'_>,
+        out: &mut Matrix,
+    ) {
+        self.decoder.infer_into(codes, out, ws);
+    }
+
+    /// [`Self::decode_batch_into`] in the decoder's own scratch — the body
+    /// of `Codec::decode_batch` — through [`Sequential::forward_into`] with
+    /// `train = false`.
+    pub(crate) fn decode_batch_own(&mut self, codes: MatView<'_>, out: &mut Matrix) {
         self.decoder.forward_into(codes, out, false);
     }
 

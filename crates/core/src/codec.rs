@@ -14,8 +14,8 @@
 //!   the baselines (implemented in `orco-baselines`).
 //!
 //! The core methods mirror a codec's deployment lifecycle: [`train`] on
-//! aggregated data, [`encode_batch`] on the sensing side,
-//! [`decode_batch`] on the edge, [`bytes_per_frame`] for the data-plane
+//! aggregated data, [`encode_batch_with`] on the sensing side,
+//! [`decode_batch_with`] on the edge, [`bytes_per_frame`] for the data-plane
 //! cost model, and [`name`] for reporting. The defaulted hooks let the
 //! pipeline exploit what a backend *can* do — train over the orchestrated
 //! protocol ([`split_model`]), persist its distributable half
@@ -25,16 +25,23 @@
 //!
 //! A round of `N` frames moves as **one call over borrowed memory**:
 //!
-//! * [`encode_batch`] / [`decode_batch`] take an
+//! * [`encode_batch_with`] / [`decode_batch_with`] take an
 //!   [`orco_tensor::MatView`] of frames and write into a caller-owned
 //!   [`Matrix`] that is recycled across rounds (`out` is
 //!   [`Matrix::reset`] internally, reusing its allocation). Shapes are
 //!   validated **once per batch** against [`frame_dims`], returning typed
 //!   [`OrcoError::Shape`] errors instead of panicking mid-experiment.
-//! * The batch methods are every backend's only encode and decode
-//!   bodies. `encode_frame`/`decode_frame` are provided: a frame is a
-//!   one-row batch, so the per-frame output is the batch's row bit for
-//!   bit (property-tested for all three backends).
+//! * They are every backend's only encode and decode bodies, and they run
+//!   on `&self`: the weights do not change between trainings, and the
+//!   scratch a body needs lives in a [`Workspace`] the caller owns. A
+//!   codec is `Sync`, so one codec serves several threads at once, each in
+//!   its own workspace — the serving gateway decodes a pull that way with
+//!   no lock held.
+//! * The rest are adapters. [`encode_batch`] / [`decode_batch`] run the
+//!   same layer bodies in the codec's own scratch, for a caller that holds
+//!   the codec alone; `encode_frame`/`decode_frame` are a one-row batch,
+//!   so the per-frame output is the batch's row bit for bit
+//!   (property-tested for all three backends).
 //! * Buffer-reuse idiom: hold one `codes`/`recon` `Matrix` per loop (or
 //!   experiment) and pass `&mut` per round — allocation happens on the
 //!   first round only.
@@ -54,6 +61,8 @@
 //! ```
 //!
 //! [`train`]: Codec::train
+//! [`encode_batch_with`]: Codec::encode_batch_with
+//! [`decode_batch_with`]: Codec::decode_batch_with
 //! [`encode_batch`]: Codec::encode_batch
 //! [`decode_batch`]: Codec::decode_batch
 //! [`frame_dims`]: Codec::frame_dims
@@ -64,6 +73,8 @@
 
 use orco_nn::Loss;
 use orco_tensor::{MatView, Matrix, OrcoRng};
+
+pub use orco_nn::Workspace;
 
 use crate::autoencoder::AsymmetricAutoencoder;
 use crate::checkpoint::EncoderCheckpoint;
@@ -237,10 +248,10 @@ impl FrameDims {
 /// A compression backend runnable by the experiment pipeline.
 ///
 /// Object-safe: experiments, figures, and tests hold `Box<dyn Codec>` and
-/// never know which backend they drive. The batch methods are the data
-/// plane, and the per-frame methods run a one-row batch through them
-/// (see the [module docs](self)).
-pub trait Codec: std::fmt::Debug + Send {
+/// never know which backend they drive. The `&self` batch bodies are the
+/// data plane, and the `&mut self` batch and per-frame methods run them in
+/// the codec's own scratch (see the [module docs](self)).
+pub trait Codec: std::fmt::Debug + Send + Sync {
     /// Short backend label for reports and tables (e.g. `"OrcoDCS"`).
     fn name(&self) -> &'static str;
 
@@ -272,8 +283,38 @@ pub trait Codec: std::fmt::Debug + Send {
     fn train(&mut self, x: &Matrix, spec: &TrainSpec) -> Result<TrainingHistory, OrcoError>;
 
     /// Encodes a round of frames (one per row) into `out`, which is
-    /// reshaped to `frames.rows() × code_len()` reusing its allocation.
-    /// Shape validation happens once here, not per frame.
+    /// reshaped to `frames.rows() × code_len()` reusing its allocation,
+    /// with the codec's scratch in `ws`. The one encode body. Shape
+    /// validation happens once here, not per frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OrcoError::Shape`] when `frames` is not `input_dim()`
+    /// wide.
+    fn encode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        frames: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError>;
+
+    /// Decodes a round of codes (one per row) into `out`, which is
+    /// reshaped to `codes.rows() × input_dim()` reusing its allocation,
+    /// with the codec's scratch in `ws`. The one decode body.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OrcoError::Shape`] when `codes` is not `code_len()`
+    /// wide.
+    fn decode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        codes: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError>;
+
+    /// [`Codec::encode_batch_with`] in the codec's own scratch,
+    /// allocation-free once it has grown.
     ///
     /// # Errors
     ///
@@ -281,8 +322,8 @@ pub trait Codec: std::fmt::Debug + Send {
     /// wide.
     fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError>;
 
-    /// Decodes a round of codes (one per row) into `out`, which is
-    /// reshaped to `codes.rows() × input_dim()` reusing its allocation.
+    /// [`Codec::decode_batch_with`] in the codec's own scratch,
+    /// allocation-free once it has grown.
     ///
     /// # Errors
     ///
@@ -414,15 +455,36 @@ impl Codec for AsymmetricAutoencoder {
         })
     }
 
-    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+    fn encode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        frames: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_frames(Codec::name(self), frames)?;
-        self.encode_batch_into(frames, out);
+        self.encode_batch_into(ws, frames, out);
         Ok(())
+    }
+
+    fn decode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        codes: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
+        Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
+        self.decode_batch_into(ws, codes, out);
+        Ok(())
+    }
+
+    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+        // The dense encoder keeps no scratch: a workspace stays empty.
+        self.encode_batch_with(&mut Workspace::default(), frames, out)
     }
 
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
-        self.decode_batch_into(codes, out);
+        self.decode_batch_own(codes, out);
         Ok(())
     }
 

@@ -86,7 +86,7 @@ pub mod pipeline;
 
 pub use autoencoder::AsymmetricAutoencoder;
 pub use checkpoint::EncoderCheckpoint;
-pub use codec::{Codec, FrameDims, TrainSpec};
+pub use codec::{Codec, FrameDims, TrainSpec, Workspace};
 pub use compression::GradCompression;
 pub use config::OrcoConfig;
 pub use distribution::EncoderColumns;

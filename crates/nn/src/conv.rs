@@ -3,7 +3,7 @@ use orco_tensor::{
 };
 
 use crate::activation::Activation;
-use crate::layer::{size_workspace, Layer, Param};
+use crate::layer::{size_workspace, Layer, Param, Workspace};
 
 /// A 2-D convolutional layer lowered to GEMM via im2col.
 ///
@@ -18,7 +18,8 @@ use crate::layer::{size_workspace, Layer, Param};
 /// into that sample's output row — which *is* the `(out_c, positions)`
 /// product, row-major.
 ///
-/// A sample is lowered into a one-sample workspace the layer owns, sized
+/// A sample is lowered into a one-sample workspace — the layer's own, or
+/// one in the caller's [`Workspace`] for [`Layer::infer_into`] — sized
 /// on first use and overwritten by every sample after it, so a forward
 /// allocates nothing once the workspace and the caller's `out` have grown.
 /// Under `train` the layer keeps the **input batch and the output** (in
@@ -115,13 +116,13 @@ impl Conv2d {
     }
 }
 
-impl Layer for Conv2d {
-    /// Per sample: [`im2col_into`] the workspace, `kernels × patches`
-    /// ([`MatView::matmul_into`]) into the sample's output row, and the
-    /// per-channel bias onto it; then an in-place activation over the batch.
-    /// Allocates nothing once `out`, the workspace and (under `train`) the
-    /// cache have grown to size.
-    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
+impl Conv2d {
+    /// The forward body. Per sample: [`im2col_into`] `patches`,
+    /// `kernels × patches` ([`MatView::matmul_into`]) into the sample's
+    /// output row, and the per-channel bias onto it; then an in-place
+    /// activation over the batch. Allocates nothing once `out` and
+    /// `patches` have grown to size.
+    fn forward_in(&self, x: MatView<'_>, out: &mut Matrix, patches: &mut Matrix) {
         assert_eq!(
             x.cols(),
             self.geom.input_len(),
@@ -131,12 +132,12 @@ impl Layer for Conv2d {
         );
         let positions = self.geom.out_positions();
         out.reset(x.rows(), self.out_c * positions);
-        size_workspace(&mut self.patches, self.geom.patch_len(), positions);
+        size_workspace(patches, self.geom.patch_len(), positions);
         for (i, sample) in x.iter_rows().enumerate() {
-            im2col_into(sample, &self.geom, self.patches.as_mut_slice());
+            im2col_into(sample, &self.geom, patches.as_mut_slice());
             let product = MatViewMut::new(self.out_c, positions, out.row_mut(i))
                 .expect("an output row is out_c * positions long");
-            self.kernels.as_view().matmul_into(self.patches.as_view(), product);
+            self.kernels.as_view().matmul_into(patches.as_view(), product);
             for (channel, &b) in out.row_mut(i).chunks_exact_mut(positions).zip(self.bias.row(0)) {
                 for v in channel {
                     *v += b;
@@ -144,6 +145,22 @@ impl Layer for Conv2d {
             }
         }
         self.activation.apply_inplace(out);
+    }
+}
+
+impl Layer for Conv2d {
+    /// The forward body with its lowered sample in `ws`.
+    fn infer_into(&self, x: MatView<'_>, out: &mut Matrix, ws: &mut Workspace) {
+        self.forward_in(x, out, ws.scratch(|| Matrix::zeros(0, 0)));
+    }
+
+    /// The forward body with the layer's own workspace, which backward
+    /// lowers into too. Allocates nothing once `out`, the workspace and
+    /// (under `train`) the cache have grown to size.
+    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
+        let mut patches = std::mem::replace(&mut self.patches, Matrix::zeros(0, 0));
+        self.forward_in(x, out, &mut patches);
+        self.patches = patches;
         if train {
             let (input, output) =
                 self.cache.get_or_insert_with(|| (Matrix::zeros(0, 0), Matrix::zeros(0, 0)));

@@ -1,7 +1,7 @@
 use orco_tensor::{init::Init, MatView, Matrix, OrcoRng};
 
 use crate::activation::Activation;
-use crate::layer::{size_workspace, Layer, Param};
+use crate::layer::{size_workspace, Layer, Param, Workspace};
 
 /// A fully-connected layer computing `σ(x·Wᵀ + b)` over a batch.
 ///
@@ -121,9 +121,9 @@ impl Dense {
 impl Layer for Dense {
     /// `out = σ(x·Wᵀ + b)` as one GEMM ([`MatView::matmul_t_into`], which
     /// writes every element of `out`), a bias broadcast and an in-place
-    /// activation; allocates nothing once `out` (and, under `train`, the
-    /// cache) has grown to size.
-    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
+    /// activation; needs no scratch, and allocates nothing once `out` has
+    /// grown to size.
+    fn infer_into(&self, x: MatView<'_>, out: &mut Matrix, _: &mut Workspace) {
         assert_eq!(
             x.cols(),
             self.weight.cols(),
@@ -140,6 +140,12 @@ impl Layer for Dense {
             }
         }
         self.activation.apply_inplace(out);
+    }
+
+    /// Allocates nothing once `out` (and, under `train`, the cache) has
+    /// grown to size.
+    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
+        self.infer_into(x, out, &mut Workspace::default());
         if train {
             let (input, output) =
                 self.cache.get_or_insert_with(|| (Matrix::zeros(0, 0), Matrix::zeros(0, 0)));

@@ -1,6 +1,44 @@
-//! The [`Layer`] abstraction shared by every trainable component.
+//! The [`Layer`] abstraction shared by every trainable component, and the
+//! [`Workspace`] its inference body works in.
+
+use std::any::Any;
 
 use orco_tensor::{MatView, Matrix};
+
+/// Scratch an inference body works in, owned by its caller: what lets a
+/// layer, a model or a codec run on `&self` from several threads at once,
+/// each caller with its own workspace.
+///
+/// A workspace starts empty and holds whatever its user makes in it on
+/// first use ([`Workspace::scratch`]) — a [`crate::Conv2d`]'s lowered
+/// sample, a [`crate::Sequential`]'s ping-pong buffers — sized on first
+/// use and dirty afterwards: every use overwrites what it reads, so the
+/// values never depend on which workspace a call was given, and a
+/// steady-state call allocates nothing. A clone starts empty.
+#[derive(Debug, Default)]
+pub struct Workspace(Option<Box<dyn Any + Send + Sync>>);
+
+impl Clone for Workspace {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl Workspace {
+    /// The scratch of type `T` this workspace holds, made by `make` on
+    /// first use — or when it last served a user of another type, so a
+    /// workspace handed to the wrong model costs an allocation, never a
+    /// wrong value.
+    pub fn scratch<T: Any + Send + Sync>(&mut self, make: impl FnOnce() -> T) -> &mut T {
+        if !self.0.as_ref().is_some_and(|held| held.is::<T>()) {
+            self.0 = Some(Box::new(make()));
+        }
+        self.0
+            .as_mut()
+            .and_then(|held| held.downcast_mut())
+            .expect("the workspace holds a T: checked or made just above")
+    }
+}
 
 /// A mutable view over one parameter tensor and its accumulated gradient.
 ///
@@ -19,10 +57,15 @@ pub struct Param<'a> {
 ///
 /// ### Contract
 ///
-/// * [`forward_into`](Layer::forward_into) is the layer's one forward body:
+/// * [`infer_into`](Layer::infer_into) is the layer's one forward body:
 ///   it consumes a batch (one flattened sample per row) and writes the
-///   result into the caller's buffer. `train` means *keep what the backward
-///   pass needs*: a training-mode call replaces the layer's cache, an
+///   result into the caller's buffer, on `&self` — the weights do not
+///   change under it — with its intermediates in a [`Workspace`] the
+///   caller owns. Layers are `Sync`, so threads may run it side by side on
+///   one layer, each in its own workspace.
+/// * [`forward_into`](Layer::forward_into) runs that body in the layer's
+///   own workspace. `train` means *keep what the backward pass needs*: a
+///   training-mode call then replaces the layer's cache; an
 ///   inference-mode call (`train == false`) neither reads nor writes it —
 ///   so inference may run between a round's forward and its backward —
 ///   and produces the same values.
@@ -52,10 +95,14 @@ pub struct Param<'a> {
 ///   sizes and divides by device FLOPS rates to obtain the simulated
 ///   training times plotted in the paper's Figures 4 and 6–8. They price
 ///   the full backward pass, `∂L/∂input` included, wherever the layer sits.
-pub trait Layer: std::fmt::Debug + Send {
+pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Runs the layer on a borrowed batch into a caller-owned buffer,
     /// which is reshaped and fully overwritten (its allocation reused when
-    /// large enough). State for the backward pass is kept only when `train`.
+    /// large enough), with its scratch in `ws`. Keeps nothing.
+    fn infer_into(&self, x: MatView<'_>, out: &mut Matrix, ws: &mut Workspace);
+
+    /// [`infer_into`](Layer::infer_into) in the layer's own workspace.
+    /// State for the backward pass is kept only when `train`.
     fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool);
 
     /// [`forward_into`](Layer::forward_into) into a fresh matrix.

@@ -18,10 +18,12 @@
 //!
 //! * Data flows as [`orco_tensor::Matrix`] batches, one flattened sample per
 //!   row; conv layers carry their own `(C, H, W)` geometry.
-//! * Every layer has one forward body, [`Layer::forward_into`], which
-//!   writes into the caller's buffer and keeps what its backward pass needs
-//!   only when told it is training — inference disturbs no round in
-//!   flight — and one backward body, [`Layer::backward_into`], which
+//! * Every layer has one forward body, [`Layer::infer_into`], on `&self`
+//!   with its scratch in a caller-owned [`Workspace`], so threads can share
+//!   one model's weights; [`Layer::forward_into`] runs it in the layer's
+//!   own workspace and keeps what the backward pass needs only when told it
+//!   is training — inference disturbs no round in flight. There is one
+//!   backward body, [`Layer::backward_into`], which
 //!   writes `∂L/∂input` only for a caller that reads it. Gradients
 //!   accumulate inside the layer and are visited in place by
 //!   [`Optimizer`]s as [`layer::Param`] views.
@@ -70,7 +72,7 @@ pub mod metrics;
 pub use activation::Activation;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use layer::{Layer, Param};
+pub use layer::{Layer, Param, Workspace};
 pub use loss::Loss;
 pub use model::Sequential;
 pub use optimizer::Optimizer;

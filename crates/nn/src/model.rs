@@ -1,6 +1,6 @@
 use orco_tensor::{MatView, Matrix};
 
-use crate::layer::{Layer, Param};
+use crate::layer::{Layer, Param, Workspace};
 use crate::loss::Loss;
 use crate::optimizer::Optimizer;
 
@@ -118,33 +118,43 @@ impl Sequential {
         self.layers.iter().map(|l| l.flops_backward()).sum()
     }
 
-    /// Runs a borrowed batch through every layer, the last one writing
-    /// into the caller's `out` (reshaped and fully overwritten) and the ones
-    /// before it ping-ponging between two buffers the model owns.
+    /// Runs a borrowed batch through every layer's inference body
+    /// ([`Layer::infer_into`]) on `&self`, the last one writing into the
+    /// caller's `out` (reshaped and fully overwritten) and the ones before
+    /// it ping-ponging between two buffers in `ws`, which also holds each
+    /// layer's workspace. For the layers whose body allocates nothing, as
+    /// [`crate::Dense`]'s and [`crate::Conv2d`]'s, nothing is allocated
+    /// once `ws` and `out` have grown to size.
     ///
-    /// `train` is handed to every layer ([`Layer::forward_into`]): pass
-    /// `true` when a [`Sequential::backward_into`] will follow. The values
-    /// are the same either way; `false` touches no layer's cache. For the
-    /// layers whose body allocates nothing, as [`crate::Dense`]'s and
-    /// [`crate::Conv2d`]'s, nothing is allocated once the buffers and `out`
-    /// have grown to size.
+    /// # Panics
+    ///
+    /// Panics if the model is empty.
+    pub fn infer_into(&self, x: MatView<'_>, out: &mut Matrix, ws: &mut Workspace) {
+        let scratch = ws.scratch(|| ModelScratch {
+            between: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
+            layers: Vec::new(),
+        });
+        scratch.layers.resize_with(self.layers.len(), Workspace::default);
+        let ModelScratch { between, layers } = scratch;
+        ping_pong(self.layers.len(), between, x, out, |i, src, dst| {
+            self.layers[i].infer_into(src, dst, &mut layers[i]);
+        });
+    }
+
+    /// [`infer_into`](Sequential::infer_into) through every layer's
+    /// [`Layer::forward_into`] — each in its own workspace, the model's
+    /// two buffers between them — handing each layer `train`: pass `true`
+    /// when a [`Sequential::backward_into`] will follow. The values are the
+    /// same either way; `false` touches no layer's cache.
     ///
     /// # Panics
     ///
     /// Panics if the model is empty.
     pub fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
-        let (last, rest) =
-            self.layers.split_last_mut().expect("Sequential::forward_into on empty model");
-        let Some((first, middle)) = rest.split_first_mut() else {
-            return last.forward_into(x, out, train);
-        };
-        let [mut src, mut dst] = self.between.each_mut();
-        first.forward_into(x, dst, train);
-        for layer in middle {
-            std::mem::swap(&mut src, &mut dst);
-            layer.forward_into(src.as_view(), dst, train);
-        }
-        last.forward_into(dst.as_view(), out, train);
+        let layers = &mut self.layers;
+        ping_pong(layers.len(), &mut self.between, x, out, |i, src, dst| {
+            layers[i].forward_into(src, dst, train);
+        });
     }
 
     /// [`forward_into`](Sequential::forward_into) into a fresh matrix.
@@ -214,6 +224,40 @@ impl Sequential {
         optimizer.step(|f| self.for_each_param(f));
         value
     }
+}
+
+/// A model's inference scratch: the two buffers its layers hand each other
+/// activations through, and each layer's workspace.
+struct ModelScratch {
+    between: [Matrix; 2],
+    layers: Vec<Workspace>,
+}
+
+/// Runs `x` through `steps` steps, step `i` reading what step `i - 1`
+/// wrote: the first reads `x`, the last writes `out`, and the ones between
+/// ping-pong between the two buffers of `between`.
+///
+/// # Panics
+///
+/// Panics if there are no steps.
+fn ping_pong(
+    steps: usize,
+    between: &mut [Matrix; 2],
+    x: MatView<'_>,
+    out: &mut Matrix,
+    mut step: impl FnMut(usize, MatView<'_>, &mut Matrix),
+) {
+    let last = steps.checked_sub(1).expect("Sequential::forward_into on empty model");
+    if last == 0 {
+        return step(0, x, out);
+    }
+    let [mut src, mut dst] = between.each_mut();
+    step(0, x, dst);
+    for i in 1..last {
+        std::mem::swap(&mut src, &mut dst);
+        step(i, src.as_view(), dst);
+    }
+    step(last, dst.as_view(), out);
 }
 
 #[cfg(test)]
@@ -290,6 +334,8 @@ mod tests {
         let mut rng = OrcoRng::from_label("seq-infer", 0);
         let x = Matrix::from_fn(9, 6, |r, c| ((r * 13 + c) as f32 * 0.21).sin());
         let widths = [6usize, 11, 3, 8, 5];
+        // A caller's workspace, left by the model one layer shallower.
+        let mut ws = Workspace::default();
         for depth in 1..widths.len() {
             // Every layer kind of this crate sits in the stack (a 3-tap
             // padded convolution over the 1x11 map, then 1x1 pooling
@@ -308,6 +354,9 @@ mod tests {
             for _ in 0..2 {
                 model.forward_into(x.as_view(), &mut out, false);
                 assert_eq!(out, reference, "depth {depth}");
+                out.reset(1, 1);
+                model.infer_into(x.as_view(), &mut out, &mut ws);
+                assert_eq!(out, reference, "depth {depth}, the caller's workspace");
             }
         }
     }

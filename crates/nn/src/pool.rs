@@ -1,6 +1,6 @@
 use orco_tensor::{MatView, Matrix};
 
-use crate::layer::{Layer, Param};
+use crate::layer::{Layer, Param, Workspace};
 
 /// A 2-D max-pooling layer over non-overlapping windows.
 ///
@@ -82,7 +82,8 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
+    /// Needs no scratch.
+    fn infer_into(&self, x: MatView<'_>, out: &mut Matrix, _: &mut Workspace) {
         assert_eq!(
             x.cols(),
             self.input_dim(),
@@ -95,6 +96,10 @@ impl Layer for MaxPool2d {
             let row = out.row_mut(i);
             self.for_each_window(sample, |o, best, _| row[o] = best);
         }
+    }
+
+    fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
+        self.infer_into(x, out, &mut Workspace::default());
         if train {
             self.cached_input.get_or_insert_with(|| Matrix::zeros(0, 0)).copy_from(x);
         }

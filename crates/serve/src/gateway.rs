@@ -58,10 +58,14 @@
 //! shard *i*'s locks and no other, unless another shard has a batch
 //! overdue (the sweep flushes it). Two connections on two shards run
 //! their codecs side by side. Within a shard, a push takes the core lock
-//! alone unless it fills the batch, and encodes and decodes run under the
-//! codec lock with the core free, so two connections on one shard push
-//! past each other's codec work (see [`crate::shard`]). Lock order:
-//! `rollout` → a shard's codec side → its core → an [`Outbox`] (leaf).
+//! alone unless it fills the batch, and a flush encodes under the shard's
+//! flush lock with the core free, so two connections on one shard push
+//! past each other's encodes. A pull takes the flush lock only to read
+//! its own pending or mid-encode rows, and decodes with no lock held, in
+//! a workspace from the shard's pool, so pulls and flushes on one shard
+//! run side by side (see [`crate::shard`]). Lock order: `rollout` → a
+//! shard's flush lock → its core → an [`Outbox`] or the shard's pool of
+//! decode workspaces (leaves).
 //!
 //! Every lock here is taken at one door (see [`crate::shard`]), which
 //! keeps each shard's gate, wakes the deadline timer, and fails the
@@ -82,7 +86,7 @@ use crate::outbox::Outbox;
 use crate::protocol::{
     ErrorCode, FrameRows, Message, ModelVersion, Push, Request, MAX_LABEL, PROTOCOL_VERSION,
 };
-use crate::shard::{due_at, CodecSide, Door, DriftProbe, Failed, GateTimes, Shard, ShardCore};
+use crate::shard::{due_at, Door, DriftProbe, Failed, FlushSide, GateTimes, Shard, ShardCore};
 use crate::stats::{FlushReason, ServeStats, MAX_SHARDS};
 
 /// A reply, or the door's word that the gateway has failed.
@@ -260,7 +264,7 @@ impl Gateway {
                     ),
                 });
             }
-            shards.push(Shard::new(i, codec, drift));
+            shards.push(Shard::new(i, Arc::from(codec), drift));
         }
         let dims = dims.expect("at least one shard");
         Ok(Self {
@@ -398,33 +402,39 @@ impl Gateway {
         self.shards[idx].enter(&self.door, &self.clock, self.stats.shard_lock_wait(), f)
     }
 
-    /// Runs `f` on shard `idx`'s codec side, at the door, timing the wait
-    /// for its lock. `f` may enter the core; nothing that holds the core
-    /// may call this.
-    fn codec<R>(&self, idx: usize, f: impl FnOnce(&mut CodecSide) -> R) -> Result<R, Failed> {
-        self.shards[idx].enter_codec(&self.door, &self.clock, self.stats.codec_lock_wait(), f)
+    /// The codec shard `idx` serves with, taken under its core.
+    fn serving(&self, idx: usize) -> Result<Arc<dyn Codec>, Failed> {
+        self.shard(idx, |core| Arc::clone(core.codec()))
+    }
+
+    /// Runs `f` on shard `idx`'s flush lock, at the door, timing the wait
+    /// for it. `f` may enter the core; nothing that holds the core may
+    /// call this.
+    fn flushing<R>(&self, idx: usize, f: impl FnOnce(&mut FlushSide) -> R) -> Result<R, Failed> {
+        self.shards[idx].enter_flush(&self.door, &self.clock, self.stats.flush_lock_wait(), f)
     }
 
     /// Flushes shard `idx`'s pending batch, if `take_if` says so of its
-    /// core, with the shard's codec side `side` held throughout: under the
-    /// core it takes the batch, with the core free it encodes it, and
-    /// under the core again it stores and delivers it — or, on a codec
-    /// error, puts it back at the head of the pending batch (see
-    /// [`crate::shard`]). Pushes that land meanwhile join the next batch.
+    /// core, with the shard's flush lock `side` held throughout: under the
+    /// core it takes the batch and the codec, with the core free it
+    /// encodes the batch, and under the core again it stores and delivers
+    /// it — or, on a codec error, puts it back at the head of the pending
+    /// batch (see [`crate::shard`]). Pushes that land meanwhile join the
+    /// next batch.
     fn flush(
         &self,
         idx: usize,
-        side: &mut CodecSide,
+        side: &mut FlushSide,
         now: f64,
         reason: FlushReason,
         take_if: impl FnOnce(&ShardCore) -> bool,
     ) -> Flushed {
         let taken =
             self.shard(idx, |core| if take_if(core) { core.take_batch(side) } else { None })?;
-        let Some(taken) = taken else {
+        let Some((taken, codec)) = taken else {
             return Ok(Ok(false));
         };
-        let encoded = side.encode(&self.stats);
+        let encoded = side.encode(&*codec, &self.stats);
         self.shard(idx, |core| match encoded {
             Ok(()) => {
                 core.store(side, taken, now, reason, &self.stats, &self.tracer);
@@ -548,7 +558,7 @@ impl Gateway {
     /// bytes of the frame that carried it. It takes its shard's core lock
     /// alone — never waiting out an encode or a decode on the shard —
     /// unless its rows fill the batch: then it also makes the size flush,
-    /// under the shard's codec lock, and acks once the batch is stored.
+    /// under the shard's flush lock, and acks once the batch is stored.
     fn push(&self, cluster_id: u64, trace: u64, frames: impl FrameRows, now: f64) -> Reply {
         // Ownership first: a fleet gateway never accepts (or silently
         // misroutes) a push for a cluster assigned elsewhere — the
@@ -630,7 +640,7 @@ impl Gateway {
             // A size flush, if the batch is still full: a flush that ran
             // between the two locks may have taken it.
             let full = |core: &ShardCore| core.pending_rows() >= max;
-            let flushed = self.codec(shard_idx, |side| {
+            let flushed = self.flushing(shard_idx, |side| {
                 self.flush(shard_idx, side, now, FlushReason::Size, full)
             })??;
             if let Err(e) = flushed {
@@ -641,39 +651,52 @@ impl Gateway {
     }
 
     /// Up to `max` of the cluster's oldest decoded rows, of one model
-    /// version. Under the shard's codec lock: a flush of the puller's own
-    /// pending rows, if it has any, then the run of codes taken under the
-    /// core lock, then the decode with the core free. A pull sent while
-    /// the shard encodes waits for that batch, and so reads it.
+    /// version. Under the shard's core lock, the run of codes and the
+    /// codec to decode it with; then the decode, with no lock held, in a
+    /// workspace from the shard's pool. A pull whose cluster has rows
+    /// pending or mid-encode takes the flush lock first — to flush them,
+    /// or to wait out the flush that has them — so it reads its own
+    /// writes; it never waits out another cluster's encode.
     fn pull(&self, cluster_id: u64, max: usize, now: f64) -> Reply {
         let idx = self.shard_of(cluster_id);
-        self.codec(idx, |side| {
-            // Read-your-writes needs a flush only when the puller's own
-            // frames are pending (overdue batches were already swept at
-            // dispatch). Anything else stays pending — a polling consumer
-            // must not collapse other clusters' half-built batches to
-            // size-1 flushes.
-            let mine = |core: &ShardCore| core.has_pending_for(cluster_id);
-            if let Err(e) = self.flush(idx, side, now, FlushReason::Pull, mine)? {
-                return Ok(internal(&e));
-            }
-            let run = self.shard(idx, |core| {
-                core.take_run(side, cluster_id, max, now, &self.tracer, false)
-            })?;
-            let Some((version, rows)) = run else {
-                let frames = Matrix::zeros(0, self.dims.input);
-                return Ok(Message::Decoded { cluster_id, version: side.version(), frames });
-            };
-            // The decode runs with the core free: pushes to this shard go on.
-            Ok(match side.decode_run() {
-                Ok(frames) => {
-                    let bytes = (rows * self.dims.input * 4) as u64;
-                    self.stats.record_pull(idx, rows as u64, bytes);
-                    Message::Decoded { cluster_id, version, frames }
+        let shard = &self.shards[idx];
+        let mut decoding = shard.decoding(&self.door)?;
+        let mut take = |core: &mut ShardCore| {
+            let run = core.take_run(&mut decoding, cluster_id, max, now, &self.tracer, false);
+            (run, core.version(), Arc::clone(core.codec()))
+        };
+        // Overdue batches were already swept at dispatch. A flush for the
+        // puller's own pending rows leaves the rest pending — a polling
+        // consumer must not collapse other clusters' half-built batches
+        // to size-1 flushes.
+        let taken = match self.shard(idx, |core| (!core.owes(cluster_id)).then(|| take(core)))? {
+            Some(taken) => taken,
+            None => {
+                let mine = |core: &ShardCore| core.has_pending_for(cluster_id);
+                let flushed = self
+                    .flushing(idx, |side| self.flush(idx, side, now, FlushReason::Pull, mine))??;
+                if let Err(e) = flushed {
+                    return Ok(internal(&e));
                 }
-                Err(e) => internal(&e),
-            })
-        })?
+                self.shard(idx, take)?
+            }
+        };
+        let (run, serving, codec) = taken;
+        let Some((version, rows)) = run else {
+            shard.give_back(&self.door, decoding)?;
+            let frames = Matrix::zeros(0, self.dims.input);
+            return Ok(Message::Decoded { cluster_id, version: serving, frames });
+        };
+        let decoded = shard.unlocked(&self.door, || decoding.decode(&*codec));
+        shard.give_back(&self.door, decoding)?;
+        Ok(match decoded {
+            Ok(frames) => {
+                let bytes = (rows * self.dims.input * 4) as u64;
+                self.stats.record_pull(idx, rows as u64, bytes);
+                Message::Decoded { cluster_id, version, frames }
+            }
+            Err(e) => internal(&e),
+        })
     }
 
     /// Stages `version` (checkpoint weights ride the proposal) without
@@ -738,7 +761,7 @@ impl Gateway {
             // Prove the checkpoint grafts onto this gateway's codec family
             // before accepting (all shards share one geometry, so shard 0
             // answers for all of them).
-            if let Err(e) = self.codec(0, |side| side.codec().with_encoder(&checkpoint))? {
+            if let Err(e) = self.serving(0)?.with_encoder(&checkpoint) {
                 return reject(format!("checkpoint does not stage onto the active codec: {e}"));
             }
             // Restaging replaces any earlier staged version — last writer
@@ -796,7 +819,7 @@ impl Gateway {
             let mut tripped = false;
             let mut all_windows_full = true;
             for idx in 0..self.shards.len() {
-                match self.codec(idx, |side| side.drift_windowed_error())? {
+                match self.flushing(idx, |side| side.drift_windowed_error())? {
                     Some(err) if err > bound => tripped = true,
                     Some(_) => {}
                     None => all_windows_full = false,
@@ -847,23 +870,23 @@ impl Gateway {
     ) -> Result<Result<(), OrcoError>, Failed> {
         let mut codecs = Vec::with_capacity(self.shards.len());
         for idx in 0..self.shards.len() {
-            match self.codec(idx, |side| side.codec().with_encoder(checkpoint))? {
-                Ok(codec) => codecs.push(codec),
+            match self.serving(idx)?.with_encoder(checkpoint) {
+                Ok(codec) => codecs.push(Arc::<dyn Codec>::from(codec)),
                 Err(e) => return Ok(Err(e)),
             }
         }
         // Every shard serves the same encoder, so shard 0 answers for all.
-        let replaced = self.codec(0, |side| side.codec().checkpoint())?;
+        let replaced = self.serving(0)?.checkpoint();
         for (idx, codec) in codecs.into_iter().enumerate() {
-            self.codec(idx, |side| {
+            self.flushing(idx, |side| {
                 // A failed flush — a codec shape error, which the width
                 // check at push rules out — leaves its rows pending, to
                 // encode under the new version: no shard is left behind.
                 if let Err(e) = self.flush(idx, side, now, FlushReason::Swap, |_| true)? {
                     eprintln!("orco-serve: shard {idx} swap flush failed: {e}");
                 }
-                side.cut_over(version.id, codec);
-                Ok(())
+                side.restart_drift();
+                self.shard(idx, |core| core.cut_over(version.id, codec))
             })??;
         }
         let old = std::mem::replace(&mut state.active, version.clone());
@@ -878,25 +901,23 @@ impl Gateway {
     /// Rows of the cluster still pending are wanted as of now.
     fn subscribe(&self, cluster_id: u64, trace: u64, now: f64, outbox: &Arc<Outbox>) -> Reply {
         let shard_idx = self.shard_of(cluster_id);
-        // The backlog is decoded as it streams: the codec side first.
-        self.codec(shard_idx, |side| {
-            self.shard(shard_idx, |core| {
-                let backlog = core.stored_rows_for(cluster_id);
-                if trace != 0 && self.tracer.enabled() {
-                    self.tracer.record(Span {
-                        trace_id: trace,
-                        kind: SpanKind::Subscribe,
-                        cluster_id,
-                        shard: shard_idx as u16,
-                        rows: backlog as u32,
-                        at_s: now,
-                        detail: "",
-                    });
-                }
-                core.subscribe(side, cluster_id, outbox, now, &self.stats, &self.tracer);
-                Message::SubscribeAck { cluster_id, backlog: backlog as u32 }
-            })
-        })?
+        // The backlog is decoded as it streams, under the core.
+        self.shard(shard_idx, |core| {
+            let backlog = core.stored_rows_for(cluster_id);
+            if trace != 0 && self.tracer.enabled() {
+                self.tracer.record(Span {
+                    trace_id: trace,
+                    kind: SpanKind::Subscribe,
+                    cluster_id,
+                    shard: shard_idx as u16,
+                    rows: backlog as u32,
+                    at_s: now,
+                    detail: "",
+                });
+            }
+            core.subscribe(cluster_id, outbox, now, &self.stats, &self.tracer);
+            Message::SubscribeAck { cluster_id, backlog: backlog as u32 }
+        })
     }
 
     /// Closes the door — no push is accepted from here on — then drains
@@ -904,7 +925,7 @@ impl Gateway {
     fn begin_shutdown(&self, now: f64) {
         self.door.close();
         for idx in 0..self.shards.len() {
-            let _ = self.codec(idx, |side| {
+            let _ = self.flushing(idx, |side| {
                 if let Ok(Err(e)) = self.flush(idx, side, now, FlushReason::Drain, |_| true) {
                     eprintln!("orco-serve: flush during shutdown failed: {e}");
                 }
@@ -920,7 +941,7 @@ impl Gateway {
 
     /// The sweep's and the timer's one flush-if-due body: asks shard
     /// `idx`'s gate whether `due(times, now)`, and only then takes the
-    /// shard's codec lock, asks the core the same, and makes a deadline
+    /// shard's flush lock, asks the core the same, and makes a deadline
     /// flush. Returns what the flush took, encode and delivery. A shard
     /// whose lock is poisoned is passed over. The core lock is free while
     /// the batch encodes, so pushes to the shard go on meanwhile.
@@ -928,7 +949,7 @@ impl Gateway {
         if !due(self.shards[idx].gate.times(), self.clock.now_s()) {
             return None;
         }
-        self.codec(idx, |side| {
+        self.flushing(idx, |side| {
             let now = self.clock.now_s();
             let is_due = |core: &ShardCore| due(core.gate_truth(), now);
             match self.flush(idx, side, now, FlushReason::Deadline, is_due) {

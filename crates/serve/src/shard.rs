@@ -3,13 +3,15 @@
 //!
 //! A shard is the unit of both parallelism and memory accounting. It owns:
 //!
-//! * **its codec** — no cross-shard sharing, so encode/decode never
-//!   contends on model state;
+//! * **its codec** — an `Arc` of immutable weights, no cross-shard
+//!   sharing; its encode and decode bodies run on `&self` in a workspace
+//!   their caller owns, so a pull decodes with no lock held;
 //! * **the pending micro-batch** — raw frames accumulated across pushes
 //!   (possibly from several clusters; rows are independent, so one flush
-//!   serves them all) and flushed as **one** `encode_batch` call;
-//! * **reusable workspaces** — the encode output and decode input
-//!   matrices are `Matrix::reset` per call, a flush trades the pending
+//!   serves them all) and flushed as **one** `encode_batch_with` call;
+//! * **reusable workspaces** — the encode output and each decode's input
+//!   are `Matrix::reset` per call, a pull's decode workspace comes from a
+//!   per-shard pool and goes back to it, a flush trades the pending
 //!   batch's buffers for the emptied ones of the batch before, and a
 //!   push's rows are appended to the pending batch straight from whatever
 //!   holds them — the bytes of the frame that carried them, on the wire
@@ -17,9 +19,9 @@
 //!   client to shard: the client's encode, the gateway's parse, the
 //!   enqueue, the flush and its encode, and the ack
 //!   (`tests/codec_no_alloc.rs` at the workspace root counts zero). A
-//!   pull's decoded rows are *moved* into the reply (the reply must own
-//!   its payload), costing one allocation per pull and zero extra copies
-//!   (the same file counts one);
+//!   pull's decoded rows are written into a fresh matrix the reply owns,
+//!   costing one allocation per pull and no copy (the same file counts
+//!   one);
 //! * **one record per cluster** (`ClusterState`) — the encoded rows
 //!   awaiting delivery, oldest first in push order, each with the trace
 //!   id and model version it was flushed under, and the outboxes of the
@@ -40,31 +42,37 @@
 //! # Two locks
 //!
 //! A shard's state is split in two, each half under its own lock, always
-//! taken **codec side, then core** — a core's holder never waits for a
-//! codec:
+//! taken **flush lock, then core** — a core's holder never waits for a
+//! flush:
 //!
-//! * [`CodecSide`] — the codec, the drift probe, and the encode/decode
-//!   workspaces;
-//! * [`ShardCore`] — the pending batch, the per-cluster store and its
-//!   subscribers, the in-flight count, and the truth the gate mirrors.
+//! * [`FlushSide`], the *flush lock* — the batch being flushed, the encode
+//!   workspace and the drift probe;
+//! * [`ShardCore`] — the codec the shard serves with and its version, the
+//!   pending batch and the rows mid-encode, the per-cluster store and its
+//!   subscribers, and the truth the gate mirrors.
 //!
-//! A push takes the core alone, unless it fills its batch. Whatever uses
-//! a codec takes the codec side first: a flush (size, deadline, pull,
-//! drain or swap), a `Subscribe`, a pull, and the rollout's stage, cut
-//! over and rollback. A flush holds the codec side throughout, in three
-//! steps: under the core, it takes the pending batch and disarms the gate
-//! ([`ShardCore::take_batch`]; the rows stay in flight); with the core
-//! free, it encodes the batch and samples it for drift
-//! ([`CodecSide::encode`]); under the core again, it files the codes under
-//! the active version and delivers them ([`ShardCore::store`]) — or, if
-//! the encode failed, puts the rows back at the head of the pending
-//! batch ([`ShardCore::put_back`]). Pushes that land during the encode
-//! join the next batch. A pull flushes its own pending rows the same way,
-//! takes its run of codes under the core ([`ShardCore::take_run`]) and
-//! decodes it with the core free ([`CodecSide::decode_run`]). Streamed
-//! delivery decodes under the core.
+//! A push takes the core alone, unless it fills its batch. A flush (size,
+//! deadline, pull, drain or swap) holds the flush lock throughout, in
+//! three steps: under the core, it takes the pending batch and the codec
+//! and disarms the gate ([`ShardCore::take_batch`]; the rows stay in
+//! flight, mid-encode); with the core free, it encodes the batch and
+//! samples it for drift ([`FlushSide::encode`]); under the core again, it
+//! files the codes under the active version and delivers them
+//! ([`ShardCore::store`]) — or, if the encode failed, puts the rows back
+//! at the head of the pending batch ([`ShardCore::put_back`]). Pushes that
+//! land during the encode join the next batch. A cut-over swaps the codec
+//! under both locks ([`ShardCore::cut_over`]), at a flush boundary.
 //!
-//! Flushes on one shard are serialised by its codec side, so rows are
+//! A pull takes the flush lock only when its cluster has rows pending or
+//! mid-encode ([`ShardCore::owes`]): to flush them, or to wait out the
+//! flush that has them, so it reads its own writes. Then, under the core,
+//! it takes its run of codes into a workspace from the shard's pool
+//! ([`ShardCore::take_run`]) and a clone of the codec's `Arc`, and decodes
+//! with no lock held ([`Decoding::decode`]) — beside the shard's flushes
+//! and its other pulls. A `Subscribe` takes the core alone. Streamed
+//! delivery decodes under the core, in the core's own workspace.
+//!
+//! Flushes on one shard are serialised by its flush lock, so rows are
 //! stored in push order, and only a flush's last step stores rows — with
 //! the core held until it has delivered them. So *whenever the core's
 //! lock is free, a cluster with a live subscriber stores nothing*, and its
@@ -83,9 +91,11 @@
 //! fails whole**: a panic out of a closure, on any thread, closes it (the
 //! shutdown flag, without the drain), and so does a lock found poisoned,
 //! whose request fails (`ErrorReply { code: Internal }`); a shard whose
-//! codec side is poisoned — a panic mid-encode holds no core lock — has
-//! failed whole too. Pushes then draw `ShuttingDown`, the timer and the
-//! TCP acceptor exit, and healthy shards' stored rows stay pullable.
+//! flush lock is poisoned — a panic mid-encode holds no core lock — has
+//! failed whole too, and so has one whose lock-free decode panicked
+//! ([`Shard::unlocked`] closes the door as it unwinds). Pushes then draw
+//! `ShuttingDown`, the timer and the TCP acceptor exit, and healthy
+//! shards' stored rows stay pullable.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -96,7 +106,7 @@ use std::thread::Thread;
 
 use orco_obs::{Histogram, Span, SpanKind, Tracer};
 use orco_tensor::{MatView, Matrix};
-use orcodcs::{Codec, FineTuneMonitor, FrameDims, OrcoError};
+use orcodcs::{Codec, FineTuneMonitor, FrameDims, OrcoError, Workspace};
 
 use crate::clock::Clock;
 use crate::outbox::Outbox;
@@ -247,7 +257,7 @@ impl Door {
             self.close();
             return Err(Failed);
         };
-        let _on_unwind = CloseOnUnwind(self);
+        let _on_unwind = CloseOnUnwind(self, None);
         Ok(f(&mut guard))
     }
 
@@ -269,34 +279,61 @@ impl Door {
     }
 }
 
-/// Closes its door if dropped by a panic.
-struct CloseOnUnwind<'a>(&'a Door);
+/// Closes its door if dropped by a panic — and, for a decode run with no
+/// lock held, fails its shard.
+struct CloseOnUnwind<'a>(&'a Door, Option<&'a AtomicBool>);
 
 impl Drop for CloseOnUnwind<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
+            if let Some(failed) = self.1 {
+                // SeqCst: ordered before the door's close below, so a
+                // request that sees the door closed sees the shard failed.
+                failed.store(true, Ordering::SeqCst);
+            }
             self.0.close();
         }
     }
 }
 
-/// A shard: its codec side and its core, each under its own lock (codec
-/// first, then core), and the core's gate beside them.
+/// A shard: its flush lock and its core, each under its own lock (flush
+/// first, then core), the core's gate beside them, and the pool of
+/// workspaces its pulls decode in.
 pub(crate) struct Shard {
-    codec: Mutex<CodecSide>,
+    flush: Mutex<FlushSide>,
     core: Mutex<ShardCore>,
+    /// One workspace per pull decoding at once, made on demand and reused:
+    /// a leaf lock, held to pop one or push one back.
+    pulls: Mutex<Vec<Decoding>>,
+    /// Raised by a panic in a decode run with no lock held: the shard has
+    /// then failed as if the panic had poisoned its flush lock.
+    failed: AtomicBool,
     pub(crate) gate: ShardGate,
 }
 
 impl Shard {
-    pub(crate) fn new(index: usize, codec: Box<dyn Codec>, drift: Option<DriftProbe>) -> Self {
+    pub(crate) fn new(index: usize, codec: Arc<dyn Codec>, drift: Option<DriftProbe>) -> Self {
         let dims = codec.frame_dims();
         let never = || AtomicU64::new(ShardGate::NEVER);
         Self {
-            codec: Mutex::new(CodecSide::new(codec, drift)),
-            core: Mutex::new(ShardCore::new(index, dims)),
+            flush: Mutex::new(FlushSide::new(dims, drift)),
+            core: Mutex::new(ShardCore::new(index, dims, codec)),
+            pulls: Mutex::new(Vec::new()),
+            failed: AtomicBool::new(false),
             gate: ShardGate { armed: never(), wanted: never() },
         }
+    }
+
+    /// Fails the shard's caller if a panic has failed the shard: one that
+    /// poisoned its flush lock (a panic mid-encode holds no core lock to
+    /// poison), or one in a decode that held no lock at all.
+    fn check(&self, door: &Door) -> Result<(), Failed> {
+        // SeqCst: pairs with the store in `CloseOnUnwind::drop`.
+        if self.flush.is_poisoned() || self.failed.load(Ordering::SeqCst) {
+            door.close();
+            return Err(Failed);
+        }
+        Ok(())
     }
 
     /// [`Door::enter_timed`] on the core, mirroring it into the gate
@@ -308,12 +345,7 @@ impl Shard {
         waits: &Histogram,
         f: impl FnOnce(&mut ShardCore) -> R,
     ) -> Result<R, Failed> {
-        // A panic mid-encode holds no core lock to poison, only the
-        // codec side's: either one poisoned fails the whole shard.
-        if self.codec.is_poisoned() {
-            door.close();
-            return Err(Failed);
-        }
+        self.check(door)?;
         door.enter_timed(&self.core, clock, waits, |core| {
             let done = f(core);
             let truth = core.gate_truth();
@@ -330,16 +362,36 @@ impl Shard {
         })
     }
 
-    /// [`Door::enter_timed`] on the codec side. Whoever holds it may enter
+    /// [`Door::enter_timed`] on the flush lock. Whoever holds it may enter
     /// the core; a core's holder never waits for it.
-    pub(crate) fn enter_codec<R>(
+    pub(crate) fn enter_flush<R>(
         &self,
         door: &Door,
         clock: &Clock,
         waits: &Histogram,
-        f: impl FnOnce(&mut CodecSide) -> R,
+        f: impl FnOnce(&mut FlushSide) -> R,
     ) -> Result<R, Failed> {
-        door.enter_timed(&self.codec, clock, waits, f)
+        self.check(door)?;
+        door.enter_timed(&self.flush, clock, waits, f)
+    }
+
+    /// A decode workspace from the pool, or a new one when every pooled
+    /// one is in use.
+    pub(crate) fn decoding(&self, door: &Door) -> Result<Decoding, Failed> {
+        Ok(door.enter(&self.pulls, Vec::pop)?.unwrap_or_else(Decoding::new))
+    }
+
+    /// Returns a decode workspace to the pool.
+    pub(crate) fn give_back(&self, door: &Door, decoding: Decoding) -> Result<(), Failed> {
+        door.enter(&self.pulls, |pool| pool.push(decoding))
+    }
+
+    /// Runs `f` with none of the shard's locks held. A panic out of it
+    /// fails the shard and closes the door, as a panic under the flush
+    /// lock would.
+    pub(crate) fn unlocked<R>(&self, door: &Door, f: impl FnOnce() -> R) -> R {
+        let _on_unwind = CloseOnUnwind(door, Some(&self.failed));
+        f()
     }
 }
 
@@ -351,61 +403,63 @@ pub(crate) struct Taken {
     wanted: Option<f64>,
 }
 
-/// The codec half of a shard: the one codec it serves with, and the
-/// buffers it works in. A model version is an encoder: a cut-over grafts a
-/// new one onto the same decoder, so this codec decodes the stored rows of
-/// every version the shard has served.
-pub(crate) struct CodecSide {
-    codec: Box<dyn Codec>,
-    /// Id of the model version whose encoder the codec carries.
-    version: u64,
+/// What a decode works in: the run of codes it decodes, and the codec's
+/// workspace.
+pub(crate) struct Decoding {
+    codes: Matrix,
+    ws: Workspace,
+}
+
+impl Decoding {
+    fn new() -> Self {
+        Self { codes: Matrix::zeros(0, 0), ws: Workspace::default() }
+    }
+
+    /// Decodes the run [`ShardCore::take_run`] left here in ONE
+    /// `decode_batch_with` call, into a fresh matrix the reply owns.
+    /// Whichever version encoded the run, its decoder is `codec`'s.
+    ///
+    /// # Errors
+    ///
+    /// Propagates codec shape errors.
+    pub(crate) fn decode(&mut self, codec: &dyn Codec) -> Result<Matrix, OrcoError> {
+        let mut frames = Matrix::zeros(0, 0);
+        codec.decode_batch_with(&mut self.ws, self.codes.as_view(), &mut frames)?;
+        Ok(frames)
+    }
+}
+
+/// The flush half of a shard: the batch a flush is encoding, and what the
+/// encode and its drift sampling work in.
+pub(crate) struct FlushSide {
     /// Decoded-sample drift monitor (None = drift detection disabled).
     drift: Option<DriftProbe>,
     /// Reused 1-row workspaces for drift sampling.
     drift_in_ws: Matrix,
     drift_out_ws: Matrix,
     dims: FrameDims,
-    /// The batch being flushed — its raw rows, and the `(cluster, trace)`
-    /// of each — taken from the core's pending batch in exchange for
-    /// these buffers, emptied: between flushes both are empty, and the
-    /// two pairs of buffers trade places every flush without allocating.
+    /// The raw rows of the batch being flushed, taken from the core's
+    /// pending batch in exchange for this buffer, emptied: between
+    /// flushes it is empty, and the two buffers trade places every flush
+    /// without allocating.
     batch_data: Vec<f32>,
-    batch: Vec<(u64, u64)>,
-    /// Reused `encode_batch` output.
+    /// Reused `encode_batch_with` output.
     codes_ws: Matrix,
-    /// Reused `decode_batch` input / output.
-    decode_in_ws: Matrix,
-    decode_out_ws: Matrix,
+    /// The codec's workspace for the encode and the drift decodes.
+    ws: Workspace,
 }
 
-impl CodecSide {
-    fn new(codec: Box<dyn Codec>, drift: Option<DriftProbe>) -> Self {
-        let dims = codec.frame_dims();
+impl FlushSide {
+    fn new(dims: FrameDims, drift: Option<DriftProbe>) -> Self {
         Self {
-            codec,
-            version: 0,
             drift,
             drift_in_ws: Matrix::zeros(0, 0),
             drift_out_ws: Matrix::zeros(0, 0),
             dims,
             batch_data: Vec::new(),
-            batch: Vec::new(),
             codes_ws: Matrix::zeros(0, 0),
-            decode_in_ws: Matrix::zeros(0, 0),
-            decode_out_ws: Matrix::zeros(0, 0),
+            ws: Workspace::default(),
         }
-    }
-
-    /// Id of the model version whose encoder the codec carries.
-    pub(crate) fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The codec: what a rollout stages the next version from
-    /// ([`Codec::with_encoder`]) and captures the rollback target of
-    /// ([`Codec::checkpoint`]).
-    pub(crate) fn codec(&self) -> &dyn Codec {
-        &*self.codec
     }
 
     /// The drift monitor's current windowed error (None while the
@@ -415,34 +469,32 @@ impl CodecSide {
         self.drift.as_ref().and_then(|p| p.last_windowed)
     }
 
-    /// Makes `codec` — this codec with another encoder grafted on — the
-    /// one that serves, as version `id`, and drops the old one: its
-    /// stored rows decode through the same decoder. The drift history
-    /// starts over, so the guard judges only the new encoder. The caller
-    /// has flushed under the old codec first, so no flush ever mixes
-    /// model versions and no frame is dropped.
-    pub(crate) fn cut_over(&mut self, id: u64, codec: Box<dyn Codec>) {
-        self.codec = codec;
-        self.version = id;
+    /// Starts the drift history over, so the guard judges only the
+    /// encoder a cut-over installs.
+    pub(crate) fn restart_drift(&mut self) {
         if let Some(probe) = &mut self.drift {
             probe.monitor.acknowledge();
             probe.last_windowed = None;
         }
     }
 
-    /// Encodes the taken batch in ONE `encode_batch` call, then samples
-    /// it for drift: a flush's middle step, which runs with the core's
-    /// lock free.
+    /// Encodes the taken batch with `codec` in ONE `encode_batch_with`
+    /// call, then samples it for drift: a flush's middle step, which runs
+    /// with the core's lock free.
     ///
     /// # Errors
     ///
     /// Propagates codec shape errors (impossible for frames admitted by
     /// the gateway's width check, but surfaced rather than unwrapped).
-    pub(crate) fn encode(&mut self, stats: &ServeStats) -> Result<(), OrcoError> {
-        let rows = self.batch.len();
+    pub(crate) fn encode(
+        &mut self,
+        codec: &dyn Codec,
+        stats: &ServeStats,
+    ) -> Result<(), OrcoError> {
+        let rows = self.batch_data.len() / self.dims.input;
         let view = MatView::new(rows, self.dims.input, &self.batch_data)?;
-        self.codec.encode_batch(view, &mut self.codes_ws)?;
-        self.sample_drift(rows, stats)
+        codec.encode_batch_with(&mut self.ws, view, &mut self.codes_ws)?;
+        self.sample_drift(codec, rows, stats)
     }
 
     /// Feeds every `every`-th row of the just-encoded batch through a
@@ -451,7 +503,12 @@ impl CodecSide {
     /// (`batch_data`) and its code (`codes_ws`) are live until the batch
     /// is stored. Trips surface as `drift_trips`/`drift` in
     /// [`ServeStats`].
-    fn sample_drift(&mut self, rows: usize, stats: &ServeStats) -> Result<(), OrcoError> {
+    fn sample_drift(
+        &mut self,
+        codec: &dyn Codec,
+        rows: usize,
+        stats: &ServeStats,
+    ) -> Result<(), OrcoError> {
         let Some(probe) = &mut self.drift else {
             return Ok(());
         };
@@ -462,7 +519,11 @@ impl CodecSide {
             }
             self.drift_in_ws.reset(1, self.dims.code);
             self.drift_in_ws.as_view_mut().as_mut_slice().copy_from_slice(self.codes_ws.row(r));
-            self.codec.decode_batch(self.drift_in_ws.as_view(), &mut self.drift_out_ws)?;
+            codec.decode_batch_with(
+                &mut self.ws,
+                self.drift_in_ws.as_view(),
+                &mut self.drift_out_ws,
+            )?;
             let raw = &self.batch_data[r * self.dims.input..(r + 1) * self.dims.input];
             let recon = self.drift_out_ws.row(0);
             let mse = raw
@@ -482,21 +543,6 @@ impl CodecSide {
             }
         }
         Ok(())
-    }
-
-    /// Decodes the run [`ShardCore::take_run`] left in the decode
-    /// workspace in ONE `decode_batch` call. Whichever version encoded
-    /// the run, its decoder is this codec's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec shape errors.
-    pub(crate) fn decode_run(&mut self) -> Result<Matrix, OrcoError> {
-        self.codec.decode_batch(self.decode_in_ws.as_view(), &mut self.decode_out_ws)?;
-        // Move the decoded rows into the reply instead of cloning them;
-        // the reply owns the buffer and the next decode_batch regrows the
-        // workspace. One allocation either way, but no second memcpy.
-        Ok(std::mem::replace(&mut self.decode_out_ws, Matrix::zeros(0, 0)))
     }
 }
 
@@ -525,13 +571,22 @@ impl ClusterState {
     }
 }
 
-/// The core half of a shard: what a push needs — the pending batch, the
-/// stored rows and their subscribers, the in-flight count and the truth
-/// the gate mirrors.
+/// The core half of a shard: the codec it serves with, and what a push
+/// needs — the pending batch, the stored rows and their subscribers, the
+/// in-flight rows and the truth the gate mirrors. A model version is an
+/// encoder: a cut-over grafts a new one onto the same decoder, so the
+/// codec decodes the stored rows of every version the shard has served.
 pub(crate) struct ShardCore {
     /// This shard's index in the gateway (labels stats and trace spans).
     index: usize,
     dims: FrameDims,
+    /// The codec the shard serves with: immutable, so a flush encodes and
+    /// a pull decodes through a clone of the `Arc` with the core free.
+    codec: Arc<dyn Codec>,
+    /// Id of the model version whose encoder the codec carries.
+    version: u64,
+    /// Where streamed delivery decodes, under the core.
+    streaming: Decoding,
     /// Pending raw frames, row-major, `dims.input` wide.
     pending_data: Vec<f32>,
     /// `(cluster, trace id)` of each pending row: the cluster routes the
@@ -545,8 +600,10 @@ pub(crate) struct ShardCore {
     /// subscriber, or the time a `Subscribe` found such rows pending.
     /// `None` while nobody waits (and while nothing is pending).
     wanted_since_s: Option<f64>,
-    /// Rows a flush has taken and not yet stored.
-    encoding_rows: usize,
+    /// `(cluster, trace id)` of each row a flush has taken and not yet
+    /// stored, in the pending batch's order; empty between flushes, when
+    /// it holds the buffer the next flush takes the pending list into.
+    encoding: Vec<(u64, u64)>,
     /// Stored rows and subscribers, per cluster.
     clusters: BTreeMap<u64, ClusterState>,
     /// Total stored rows across `clusters`.
@@ -554,18 +611,44 @@ pub(crate) struct ShardCore {
 }
 
 impl ShardCore {
-    fn new(index: usize, dims: FrameDims) -> Self {
+    fn new(index: usize, dims: FrameDims, codec: Arc<dyn Codec>) -> Self {
         Self {
             index,
             dims,
+            codec,
+            version: 0,
+            streaming: Decoding::new(),
             pending_data: Vec::new(),
             pending: Vec::new(),
             oldest_enqueue_s: 0.0,
             wanted_since_s: None,
-            encoding_rows: 0,
+            encoding: Vec::new(),
             clusters: BTreeMap::new(),
             stored_rows: 0,
         }
+    }
+
+    /// The codec the shard serves with: what a rollout stages the next
+    /// version from ([`Codec::with_encoder`]) and captures the rollback
+    /// target of ([`Codec::checkpoint`]), and what a pull decodes with.
+    pub(crate) fn codec(&self) -> &Arc<dyn Codec> {
+        &self.codec
+    }
+
+    /// Id of the model version whose encoder the codec carries.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Makes `codec` — this codec with another encoder grafted on — the
+    /// one that serves, as version `id`, and drops the shard's hold on the
+    /// old one: its stored rows decode through the same decoder. The
+    /// caller holds the flush lock and has flushed under the old codec
+    /// first, so no flush ever mixes model versions and no frame is
+    /// dropped.
+    pub(crate) fn cut_over(&mut self, id: u64, codec: Arc<dyn Codec>) {
+        self.codec = codec;
+        self.version = id;
     }
 
     /// What the gate should say: when the pending batch was armed, and
@@ -581,7 +664,7 @@ impl ShardCore {
     /// Rows currently charged against the shard's capacity budget:
     /// pending, mid-encode and stored.
     pub(crate) fn in_flight(&self) -> usize {
-        self.pending_rows() + self.encoding_rows + self.stored_rows
+        self.pending_rows() + self.encoding.len() + self.stored_rows
     }
 
     /// Whether the pending micro-batch holds rows for `cluster`. Scans at
@@ -590,6 +673,12 @@ impl ShardCore {
     /// of collapsing *other* clusters' half-built batches.
     pub(crate) fn has_pending_for(&self, cluster: u64) -> bool {
         self.pending.iter().any(|&(c, _)| c == cluster)
+    }
+
+    /// Whether rows of `cluster` are pending or mid-encode: what a pull
+    /// must flush, or wait for a flush to store, to read its own writes.
+    pub(crate) fn owes(&self, cluster: u64) -> bool {
+        self.has_pending_for(cluster) || self.encoding.iter().any(|&(c, _)| c == cluster)
     }
 
     /// Encoded rows currently stored for `cluster` (awaiting pull or
@@ -629,48 +718,47 @@ impl ShardCore {
         true
     }
 
-    /// A flush's first step: hands the whole pending batch to `side` in
-    /// exchange for its emptied buffers, so nothing allocates, and
-    /// disarms the gate. The rows stay in flight until
-    /// [`Self::store`] files them or [`Self::put_back`] returns them.
-    /// `None` when nothing is pending.
-    pub(crate) fn take_batch(&mut self, side: &mut CodecSide) -> Option<Taken> {
+    /// A flush's first step: hands the pending batch's rows to `side` in
+    /// exchange for its emptied buffer, moves their `(cluster, trace)`
+    /// list to the rows mid-encode, so nothing allocates, and disarms the
+    /// gate; returns the codec to encode with. The rows stay in flight
+    /// until [`Self::store`] files them or [`Self::put_back`] returns
+    /// them. `None` when nothing is pending.
+    pub(crate) fn take_batch(&mut self, side: &mut FlushSide) -> Option<(Taken, Arc<dyn Codec>)> {
         if self.pending.is_empty() {
             return None;
         }
         let taken = Taken { armed: self.oldest_enqueue_s, wanted: self.wanted_since_s.take() };
         std::mem::swap(&mut self.pending_data, &mut side.batch_data);
-        std::mem::swap(&mut self.pending, &mut side.batch);
-        self.encoding_rows = side.batch.len();
-        Some(taken)
+        std::mem::swap(&mut self.pending, &mut self.encoding);
+        Some((taken, Arc::clone(&self.codec)))
     }
 
     /// A flush's last step, after `side` encoded the batch it took: files
     /// the code rows into their clusters' records under the active
     /// version, and streams them on to the clusters' live subscribers.
-    /// The batch's emptied buffers stay with `side` for the next flush.
+    /// The batch's emptied buffers stay for the next flush.
     pub(crate) fn store(
         &mut self,
-        side: &mut CodecSide,
+        side: &mut FlushSide,
         taken: Taken,
         now_s: f64,
         reason: FlushReason,
         stats: &ServeStats,
         tracer: &Tracer,
     ) {
-        let rows = side.batch.len();
-        for (r, &(cluster, trace)) in side.batch.iter().enumerate() {
+        let rows = self.encoding.len();
+        for (r, &(cluster, trace)) in self.encoding.iter().enumerate() {
             let state = self.clusters.entry(cluster).or_default();
             state.codes.extend(side.codes_ws.row(r).iter().copied());
-            state.rows.push_back((trace, side.version));
+            state.rows.push_back((trace, self.version));
         }
-        self.encoding_rows = 0;
         self.stored_rows += rows;
         stats.record_flush(self.index, rows as u64, now_s - taken.armed, reason);
         if tracer.enabled() {
             // One Flush + Store span per contiguous (cluster, trace) run.
             // Pushes append rows contiguously, so runs are push-granular.
-            for run in side.batch.chunk_by(|a, b| a == b).filter(|run| run[0].1 != 0) {
+            for run in self.encoding.chunk_by(|a, b| a == b).filter(|run| run[0].1 != 0) {
                 let base = Span {
                     trace_id: run[0].1,
                     kind: SpanKind::Flush,
@@ -688,26 +776,25 @@ impl ShardCore {
         // The batch is stored: deliver to each flushed cluster (once — a
         // repeat visit finds nothing stored) from the list whose buffer
         // goes back to the next batch.
-        let mut flushed = std::mem::take(&mut side.batch);
+        let mut flushed = std::mem::take(&mut self.encoding);
         flushed.dedup_by_key(|&mut (cluster, _)| cluster);
         for &(cluster, _) in &flushed {
-            self.deliver(side, cluster, now_s, stats, tracer);
+            self.deliver(cluster, now_s, stats, tracer);
         }
         flushed.clear();
-        side.batch = flushed;
+        self.encoding = flushed;
     }
 
     /// Undoes [`Self::take_batch`] after a failed encode: the taken rows
     /// go back to the head of the pending batch, ahead of any pushed
     /// since, as if the flush had never started.
-    pub(crate) fn put_back(&mut self, side: &mut CodecSide, taken: Taken) {
+    pub(crate) fn put_back(&mut self, side: &mut FlushSide, taken: Taken) {
         side.batch_data.extend_from_slice(&self.pending_data);
-        side.batch.extend_from_slice(&self.pending);
+        self.encoding.extend_from_slice(&self.pending);
         self.pending_data.clear();
         self.pending.clear();
         std::mem::swap(&mut self.pending_data, &mut side.batch_data);
-        std::mem::swap(&mut self.pending, &mut side.batch);
-        self.encoding_rows = 0;
+        std::mem::swap(&mut self.pending, &mut self.encoding);
         self.oldest_enqueue_s = taken.armed;
         self.wanted_since_s = match (taken.wanted, self.wanted_since_s) {
             (Some(then), Some(since)) => Some(then.min(since)),
@@ -719,15 +806,8 @@ impl ShardCore {
     /// if it has any: one `StreamFrames` per single-version run (mid-swap
     /// a backlog can span model versions, and every delivery stays
     /// version-pure), encoded once and pushed to each outbox (copied for
-    /// all but the last).
-    fn deliver(
-        &mut self,
-        side: &mut CodecSide,
-        cluster: u64,
-        now_s: f64,
-        stats: &ServeStats,
-        tracer: &Tracer,
-    ) {
+    /// all but the last). Decodes in the core's own workspace.
+    fn deliver(&mut self, cluster: u64, now_s: f64, stats: &ServeStats, tracer: &Tracer) {
         let Some(state) = self.clusters.get_mut(&cluster) else {
             return;
         };
@@ -737,10 +817,11 @@ impl ShardCore {
         let Some(last) = live.pop() else {
             return;
         };
+        let mut decoding = std::mem::replace(&mut self.streaming, Decoding::new());
         while let Some((version, rows)) =
-            self.take_run(side, cluster, usize::MAX, now_s, tracer, true)
+            self.take_run(&mut decoding, cluster, usize::MAX, now_s, tracer, true)
         {
-            match side.decode_run() {
+            match decoding.decode(&*self.codec) {
                 Ok(frames) => {
                     let bytes = (rows * self.dims.input * 4) as u64;
                     stats.record_streamed(self.index, rows as u64, bytes);
@@ -753,10 +834,11 @@ impl ShardCore {
                 }
                 Err(e) => {
                     eprintln!("orco-serve: streaming pull for cluster {cluster} failed: {e}");
-                    return;
+                    break;
                 }
             }
         }
+        self.streaming = decoding;
     }
 
     /// Subscribes `outbox` to `cluster` (once, however often it asks) and
@@ -764,7 +846,6 @@ impl ShardCore {
     /// the cluster still pending are waited on from now.
     pub(crate) fn subscribe(
         &mut self,
-        side: &mut CodecSide,
         cluster: u64,
         outbox: &Arc<Outbox>,
         now_s: f64,
@@ -779,7 +860,7 @@ impl ShardCore {
         if !subscribers.iter().any(|w| std::ptr::eq(w.as_ptr(), Arc::as_ptr(outbox))) {
             subscribers.push(Arc::downgrade(outbox));
         }
-        self.deliver(side, cluster, now_s, stats, tracer);
+        self.deliver(cluster, now_s, stats, tracer);
         if self.wanted_since_s.is_none() && self.has_pending_for(cluster) {
             self.wanted_since_s = Some(now_s);
         }
@@ -805,14 +886,14 @@ impl ShardCore {
     }
 
     /// Takes up to `max` of the cluster's oldest stored codes into
-    /// `side`'s decode workspace, for [`CodecSide::decode_run`], and
-    /// returns `(producing version, rows)`; `None` when the cluster has
-    /// nothing stored. A run never mixes model versions: it is capped at
-    /// the oldest contiguous same-version run. `streamed` picks the span
-    /// kind (client pull vs streaming fan-out).
+    /// `decoding`, for [`Decoding::decode`], and returns `(producing
+    /// version, rows)`; `None` when the cluster has nothing stored. A run
+    /// never mixes model versions: it is capped at the oldest contiguous
+    /// same-version run. `streamed` picks the span kind (client pull vs
+    /// streaming fan-out).
     pub(crate) fn take_run(
         &mut self,
-        side: &mut CodecSide,
+        decoding: &mut Decoding,
         cluster: u64,
         max: usize,
         now_s: f64,
@@ -826,8 +907,8 @@ impl ShardCore {
         if k == 0 {
             return None;
         }
-        side.decode_in_ws.reset(k, self.dims.code);
-        let mut dst = side.decode_in_ws.as_view_mut();
+        decoding.codes.reset(k, self.dims.code);
+        let mut dst = decoding.codes.as_view_mut();
         for (slot, v) in dst.as_mut_slice().iter_mut().zip(state.codes.drain(..k * self.dims.code))
         {
             *slot = v;

@@ -107,11 +107,14 @@ pub(crate) struct ServeStats {
     per_shard: Vec<ShardCounters>,
     flush_latency: Histogram,
     /// How long the gateway waited to take a shard's core lock, and its
-    /// codec lock, on the gateway clock (every wait reads 0 under a
+    /// flush lock, on the gateway clock (every wait reads 0 under a
     /// manual clock). Exposition only: [`StatsSnapshot`]'s bytes are
-    /// pinned.
+    /// pinned. The flush lock's series keeps the name it had when the
+    /// lock also serialised every decode, `orco_codec_lock_wait_ns`; a
+    /// pull enters it only when its cluster has rows pending or
+    /// mid-encode.
     shard_lock_wait: Histogram,
-    codec_lock_wait: Histogram,
+    flush_lock_wait: Histogram,
 }
 
 impl ServeStats {
@@ -233,9 +236,9 @@ impl ServeStats {
         &self.shard_lock_wait
     }
 
-    /// Where the waits for a shard's codec lock are recorded.
-    pub(crate) fn codec_lock_wait(&self) -> &Histogram {
-        &self.codec_lock_wait
+    /// Where the waits for a shard's flush lock are recorded.
+    pub(crate) fn flush_lock_wait(&self) -> &Histogram {
+        &self.flush_lock_wait
     }
 }
 
@@ -379,7 +382,7 @@ macro_rules! snapshot_table {
                 }
                 reg.set_histogram("orco_flush_latency_ns", &self.flush_latency_histogram());
                 reg.set_histogram("orco_shard_lock_wait_ns", &self.shard_lock_wait.snapshot());
-                reg.set_histogram("orco_codec_lock_wait_ns", &self.codec_lock_wait.snapshot());
+                reg.set_histogram("orco_codec_lock_wait_ns", &self.flush_lock_wait.snapshot());
             }
         }
     };

@@ -14,10 +14,11 @@
 //!   [`Outbox::try_claim`] decides. A request/reply exchange then wakes
 //!   two threads, the server's reader and the client, and no third. The
 //!   reader does the codec work its requests cause: it encodes the batch
-//!   its push fills and decodes what its pull takes, under that shard's
-//!   codec lock, while a push that only enqueues takes the shard's core
-//!   lock alone — so readers on one shard push past each other's encodes
-//!   and decodes instead of queueing behind them;
+//!   its push fills under that shard's flush lock, and decodes what its
+//!   pull takes with no lock held, in a workspace from the shard's pool,
+//!   while a push that only enqueues takes the shard's core lock alone —
+//!   so readers on one shard push past each other's encodes, and pull
+//!   beside them, instead of queueing behind them;
 //! * every connection also gets a **writer** thread, asleep on the
 //!   connection's [`Outbox`] until something is queued there: a streamed
 //!   delivery (pushed by whichever thread flushed the shard), or a reply

@@ -177,19 +177,44 @@ impl Transport for Tcp {
         })?;
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(TcpConnection {
-            stream,
-            scratch: Vec::new(),
-            reader: FrameReader::new(),
-            streamed: VecDeque::new(),
-        })
+        Ok(TcpConnection(Framed::new(stream)))
     }
 }
 
 /// A [`Tcp`] connection; one in-flight request at a time.
 #[derive(Debug)]
-pub struct TcpConnection {
-    stream: TcpStream,
+pub struct TcpConnection(Framed<TcpStream>);
+
+impl Connection for TcpConnection {
+    fn exchange(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>)) -> Result<Message, OrcoError> {
+        self.0.exchange(encode)
+    }
+
+    fn poll_stream(&mut self, timeout: Duration) -> Result<Option<Message>, OrcoError> {
+        self.0.poll_stream(timeout)
+    }
+}
+
+/// A stream whose reads can be bounded in time, as a socket's can.
+trait TimedRead: Read {
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()>;
+}
+
+impl TimedRead for TcpStream {
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        TcpStream::set_read_timeout(self, timeout)
+    }
+}
+
+/// [`TcpConnection`]'s socket and what the connection keeps of it across
+/// calls.
+#[derive(Debug)]
+struct Framed<S> {
+    stream: S,
+    /// The read timeout last set on `stream`. A poll sets one only when it
+    /// differs, and a request clears it only when one is set, so a
+    /// steady-state poll makes no `setsockopt`.
+    read_timeout: Option<Duration>,
     scratch: Vec<u8>,
     /// Holds what has arrived of the next frame, across calls: a
     /// `poll_stream` that times out mid-frame resumes where it stopped.
@@ -199,8 +224,29 @@ pub struct TcpConnection {
     streamed: VecDeque<Message>,
 }
 
-impl Connection for TcpConnection {
+impl<S: TimedRead + Write> Framed<S> {
+    fn new(stream: S) -> Self {
+        Self {
+            stream,
+            read_timeout: None,
+            scratch: Vec::new(),
+            reader: FrameReader::new(),
+            streamed: VecDeque::new(),
+        }
+    }
+
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        if self.read_timeout != timeout {
+            self.stream.set_read_timeout(timeout)?;
+            self.read_timeout = timeout;
+        }
+        Ok(())
+    }
+
+    /// Writes the request `encode` makes, then reads until its reply,
+    /// with no read timeout.
     fn exchange(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>)) -> Result<Message, OrcoError> {
+        self.set_read_timeout(None)?;
         encode(&mut self.scratch);
         self.stream.write_all(&self.scratch)?;
         loop {
@@ -220,50 +266,28 @@ impl Connection for TcpConnection {
         }
     }
 
+    /// A frame stashed by a request, else one the reader already holds
+    /// whole — neither touches the socket — else one read off it within
+    /// `timeout`.
     fn poll_stream(&mut self, timeout: Duration) -> Result<Option<Message>, OrcoError> {
-        poll_stream(&mut self.streamed, &mut self.reader, &mut self.stream, timeout)
-    }
-}
-
-/// A stream whose reads can be bounded in time, as a socket's can.
-trait TimedRead: Read {
-    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl TimedRead for TcpStream {
-    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        TcpStream::set_read_timeout(self, timeout)
-    }
-}
-
-/// [`TcpConnection`]'s `poll_stream`: a frame stashed by a request, else
-/// one the reader already holds whole — neither touches the socket — else
-/// one read off it within `timeout`.
-fn poll_stream(
-    streamed: &mut VecDeque<Message>,
-    reader: &mut FrameReader,
-    stream: &mut impl TimedRead,
-    timeout: Duration,
-) -> Result<Option<Message>, OrcoError> {
-    if let Some(msg) = streamed.pop_front() {
-        return Ok(Some(msg));
-    }
-    if let Some(msg) = reader.buffered_message()? {
-        return Ok(Some(msg));
-    }
-    // A zero timeout would mean "block forever" to set_read_timeout;
-    // clamp it to the shortest real wait instead.
-    stream.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-    let read = reader.read_message(stream);
-    stream.set_read_timeout(None)?;
-    match read {
-        Ok(msg) => Ok(msg),
-        Err(OrcoError::Io(e))
-            if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-        {
-            Ok(None)
+        if let Some(msg) = self.streamed.pop_front() {
+            return Ok(Some(msg));
         }
-        Err(e) => Err(e),
+        if let Some(msg) = self.reader.buffered_message()? {
+            return Ok(Some(msg));
+        }
+        // A zero timeout would mean "block forever" to set_read_timeout;
+        // clamp it to the shortest real wait instead.
+        self.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+        match self.reader.read_message(&mut self.stream) {
+            Ok(msg) => Ok(msg),
+            Err(OrcoError::Io(e))
+                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+            {
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
     }
 }
 
@@ -273,39 +297,81 @@ mod tests {
 
     use orco_tensor::Matrix;
 
-    /// Serves its bytes on the first read, and fails the test if it is
-    /// touched again — read or timed.
-    struct Once(Option<Vec<u8>>);
+    /// Serves each of its reads once, fails the test if read past them,
+    /// swallows what is written to it, and records every read timeout set
+    /// on it.
+    struct Once {
+        reads: VecDeque<Vec<u8>>,
+        timeouts: Vec<Option<Duration>>,
+    }
+
+    impl Once {
+        fn new(reads: impl IntoIterator<Item = Vec<u8>>) -> Framed<Self> {
+            Framed::new(Self { reads: reads.into_iter().collect(), timeouts: Vec::new() })
+        }
+    }
 
     impl Read for Once {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let bytes = self.0.take().expect("the stream is read once");
+            let bytes = self.reads.pop_front().expect("each read is served once");
             buf[..bytes.len()].copy_from_slice(&bytes);
             Ok(bytes.len())
         }
     }
 
+    impl Write for Once {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     impl TimedRead for Once {
         fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-            assert!(timeout.is_none() || self.0.is_some(), "only the one read is timed");
+            self.timeouts.push(timeout);
             Ok(())
+        }
+    }
+
+    fn delivery(version: u64) -> Message {
+        Message::StreamFrames {
+            cluster_id: 4,
+            version,
+            frames: Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32),
         }
     }
 
     #[test]
     fn a_streamed_frame_already_buffered_is_polled_without_touching_the_socket() {
-        let delivery = |version| Message::StreamFrames {
-            cluster_id: 4,
-            version,
-            frames: Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32),
-        };
-        let stream = [delivery(1).encode(), delivery(2).encode()].concat();
-        let mut stream = Once(Some(stream));
-        let (mut streamed, mut reader) = (VecDeque::new(), FrameReader::new());
-        let mut poll = || poll_stream(&mut streamed, &mut reader, &mut stream, Duration::ZERO);
+        let mut conn = Once::new([[delivery(1).encode(), delivery(2).encode()].concat()]);
         // One read brings both frames; the second is handed out from the
-        // buffer, and `Once` panics if the socket is read or timed for it.
-        assert_eq!(poll().unwrap(), Some(delivery(1)));
-        assert_eq!(poll().unwrap(), Some(delivery(2)));
+        // buffer, and `Once` panics if the socket is read for it.
+        assert_eq!(conn.poll_stream(Duration::ZERO).unwrap(), Some(delivery(1)));
+        assert_eq!(conn.poll_stream(Duration::ZERO).unwrap(), Some(delivery(2)));
+        assert_eq!(
+            conn.stream.timeouts,
+            [Some(Duration::from_millis(1))],
+            "only one read is timed"
+        );
+    }
+
+    #[test]
+    fn a_read_timeout_is_set_only_when_it_changes() {
+        let ack = Message::PushAck { accepted: 1 };
+        let reads = [delivery(1).encode(), delivery(2).encode(), ack.encode(), ack.encode()];
+        let mut conn = Once::new(reads);
+        let wait = Duration::from_millis(5);
+        assert_eq!(conn.poll_stream(wait).unwrap(), Some(delivery(1)));
+        assert_eq!(conn.poll_stream(wait).unwrap(), Some(delivery(2)));
+        assert_eq!(conn.stream.timeouts, [Some(wait)], "two polls, one timeout set");
+        let reply = conn.exchange(&mut |buf| *buf = Message::StatsRequest.encode());
+        assert_eq!(reply.unwrap(), ack);
+        assert_eq!(conn.stream.timeouts, [Some(wait), None], "the request clears it, once");
+        let again = conn.exchange(&mut |buf| *buf = Message::StatsRequest.encode());
+        assert_eq!(again.unwrap(), ack);
+        assert_eq!(conn.stream.timeouts, [Some(wait), None], "a cleared timeout stays cleared");
     }
 }

@@ -551,6 +551,12 @@ fn per_shard_metrics_expose_hot_shard_skew() {
         let outcome = client.push(hot, frames.view_rows(lo..lo + 8)).expect("push");
         assert_eq!(outcome, PushOutcome::Accepted(8));
     }
+    let flush_lock_entries = |text: &str| -> u64 {
+        let key = "orco_codec_lock_wait_ns_count ";
+        let line = text.lines().find_map(|l| l.strip_prefix(key)).expect("series present");
+        line.trim().parse().expect("integer value")
+    };
+    let before_pull = flush_lock_entries(&gw.metrics_text());
     assert_eq!(client.pull(hot, 64).expect("pull").rows(), 24);
 
     let snap = gw.stats();
@@ -594,9 +600,14 @@ fn per_shard_metrics_expose_hot_shard_skew() {
     };
     assert!(waits("orco_shard_lock_wait_ns_count ") >= 4, "a push or a pull enters its shard");
     assert_eq!(waits("orco_shard_lock_wait_ns_sum_ns "), 0);
-    assert!(
-        waits("orco_codec_lock_wait_ns_count ") >= 4,
-        "three size flushes and a pull enter the codec side"
+    // `orco_codec_lock_wait_ns` times the flush lock: the three size
+    // flushes enter it, and the pull does not — it finds none of its rows
+    // pending or mid-encode, and decodes with no lock held.
+    assert_eq!(before_pull, 3, "three size flushes enter the flush lock");
+    assert_eq!(
+        flush_lock_entries(&text),
+        before_pull,
+        "a pull with nothing of its own pending or mid-encode adds no sample"
     );
     assert_eq!(waits("orco_codec_lock_wait_ns_sum_ns "), 0);
 }

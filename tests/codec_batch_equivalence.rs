@@ -8,11 +8,16 @@
 //!   tests);
 //! * every data-plane method refuses a wrong width with one typed
 //!   `OrcoError::Shape` naming the codec, the width checked, and both
-//!   widths.
+//!   widths;
+//! * the `&self` bodies, run on one shared codec from two threads at once,
+//!   each in its own `Workspace` (one of them left by another backend),
+//!   write what the `&mut self` methods write in the codec's own.
 
 use orcodcs_repro::baselines::cs::{ClassicalCodec, CsSolver, IstaConfig};
 use orcodcs_repro::baselines::Dcsnet;
-use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig, OrcoError, TrainSpec};
+use orcodcs_repro::core::{
+    AsymmetricAutoencoder, Codec, OrcoConfig, OrcoError, TrainSpec, Workspace,
+};
 use orcodcs_repro::datasets::{gtsrb_like, mnist_like, DatasetKind};
 use orcodcs_repro::tensor::Matrix;
 use proptest::prelude::*;
@@ -141,6 +146,45 @@ fn every_backend_refuses_a_wrong_width_with_a_typed_shape_error() {
                 ),
                 other => panic!("{name}::{method}: want a shape error, got {other:?}"),
             }
+        }
+    }
+}
+
+/// Encodes and decodes `frames` in `ws` through the `&self` bodies.
+fn round_trip_with(codec: &dyn Codec, ws: &mut Workspace, frames: &Matrix) -> (Matrix, Matrix) {
+    let (mut codes, mut recon) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    codec.encode_batch_with(ws, frames.as_view(), &mut codes).expect("frames fit the codec");
+    codec.decode_batch_with(ws, codes.as_view(), &mut recon).expect("codes fit the codec");
+    (codes, recon)
+}
+
+/// Each backend in turn, the reused workspace carrying over what the
+/// backend before it left in it.
+#[test]
+fn shared_bodies_in_callers_workspaces_match_the_codecs_own() {
+    let ae_cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_decoder_layers(3);
+    let ista = CsSolver::Ista(IstaConfig { lambda: 0.01, max_iters: 40, tol: 1e-5 });
+    let backends: [Box<dyn Codec>; 3] = [
+        Box::new(AsymmetricAutoencoder::new(&ae_cfg).unwrap()),
+        Box::new(Dcsnet::new(DatasetKind::MnistLike, 0)),
+        Box::new(ClassicalCodec::new(DatasetKind::MnistLike, 32, ista, 0)),
+    ];
+    let frames = mnist_like::generate(3, 7);
+    let mut left_over = Workspace::default();
+    for mut codec in backends {
+        let (mut codes, mut recon) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        codec.encode_batch(frames.x().as_view(), &mut codes).expect("frames fit the codec");
+        codec.decode_batch(codes.as_view(), &mut recon).expect("codes fit the codec");
+        let shared: &dyn Codec = codec.as_ref();
+        let [fresh, reused] = std::thread::scope(|scope| {
+            let fresh =
+                scope.spawn(|| round_trip_with(shared, &mut Workspace::default(), frames.x()));
+            let reused = scope.spawn(|| round_trip_with(shared, &mut left_over, frames.x()));
+            [fresh.join().expect("no panic"), reused.join().expect("no panic")]
+        });
+        for (codes_with, recon_with) in [fresh, reused] {
+            assert_eq!(codes_with, codes, "{}: encode", codec.name());
+            assert_eq!(recon_with, recon, "{}: decode", codec.name());
         }
     }
 }

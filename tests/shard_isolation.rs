@@ -1,39 +1,43 @@
 //! A request locks only the shard it serves, and a shard that panics fails
 //! the gateway whole.
 //!
-//! Shard 1's codec parks inside `encode_batch` until the test releases
+//! Shard 1's codec parks inside `encode_batch_with` until the test releases
 //! it, so the thread that filled shard 1's batch sits there *holding
-//! shard 1's codec lock*. Everything a client can ask of a cluster on
+//! shard 1's flush lock*. Everything a client can ask of a cluster on
 //! shard 0 — hello, pushes, a pull, stats, a streamed delivery — must
 //! complete while it does: a dispatch that took shard 1's lock to ask "is
 //! a batch overdue?", or to deliver to a subscriber, would hang here until
 //! the 10 s patience ran out.
 //!
 //! Nor may a push to shard 1 itself wait for that encode, unless it
-//! fills the next batch: the encode runs under the shard's codec lock
-//! alone, and a push takes only its core's. The parked batch also pins
-//! what a shard owes the rows it is encoding: a pull sent meanwhile
-//! returns all of them, once; they still count against the shard's
-//! in-flight budget; and an encode that returns an error leaves every
-//! acked row to the next flush, in push order.
+//! fills the next batch: the encode runs under the shard's flush lock
+//! alone, and a push takes only its core's. Nor may a pull of rows shard
+//! 1 has already stored: it takes the flush lock only for rows of its own
+//! cluster pending or mid-encode. The parked batch also pins what a shard
+//! owes the rows it is encoding: a pull sent meanwhile returns all of
+//! them, once; they still count against the shard's in-flight budget;
+//! and an encode that returns an error leaves every acked row to the next
+//! flush, in push order. The codec can park in its decode body instead,
+//! under a pull that holds no lock: a push that fills shard 1's batch
+//! beside it is flushed and acked.
 //!
 //! The same codec can panic there instead. The panic unwinds through
 //! the gateway's door on whatever thread flushed — a pushing thread over
-//! loopback, the deadline timer over TCP — and the gateway must fail
-//! whole, at once and without a hang: it reports shutting down, refuses
-//! pushes, still serves shard 0's stored rows, answers shard 1's cluster
-//! `ErrorReply { code: Internal }`, and its timer and acceptor stop. A
-//! TCP connection whose reader thread panicked must end with EOF, not
-//! leave its client waiting on a socket its writer thread holds open.
+//! loopback, the deadline timer over TCP — or pulled, and the gateway
+//! must fail whole, at once and without a hang: it reports shutting down,
+//! refuses pushes, still serves shard 0's stored rows, answers shard 1's
+//! cluster `ErrorReply { code: Internal }`, and its timer and acceptor
+//! stop. A TCP connection whose reader thread panicked must end with EOF,
+//! not leave its client waiting on a socket its writer thread holds open.
 
 use std::net::TcpStream;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::Scope;
 use std::time::Duration;
 
 use orcodcs_repro::core::{
-    AsymmetricAutoencoder, Codec, OrcoError, SplitModel, TrainSpec, TrainingHistory,
+    AsymmetricAutoencoder, Codec, OrcoError, SplitModel, TrainSpec, TrainingHistory, Workspace,
 };
 use orcodcs_repro::serve::scenarios::codec_config;
 use orcodcs_repro::serve::{
@@ -48,17 +52,60 @@ const PATIENCE: Duration = Duration::from_secs(10);
 /// an answer before the encode is released: it must have none.
 const SETTLE: Duration = Duration::from_millis(50);
 
-/// An autoencoder whose `encode_batch` reports the name of the thread that
-/// entered it, then waits to be released (a send, or the sender dropping)
-/// before encoding — or, when it `fails`, panics instead, and while it has
-/// `refusals` left, returns an error instead.
+/// Where a [`Parked`] codec parks: in its encode body, or its decode body.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Stage {
+    Encode,
+    Decode,
+}
+
+/// An autoencoder whose body at `stage` reports the name of the thread
+/// that entered it, then waits to be released (a send, or the sender
+/// dropping) before running — or, when it `fails`, panics instead, and
+/// while it has `refusals` left, returns an error instead. What a parked
+/// call waits on sits behind a lock, so the codec is `Sync`: a shard
+/// shares it between its flushes and its pulls.
 #[derive(Debug)]
 struct Parked {
     inner: AsymmetricAutoencoder,
+    stage: Stage,
+    fails: bool,
+    park: Mutex<Park>,
+}
+
+#[derive(Debug)]
+struct Park {
     entered: Sender<String>,
     release: Receiver<()>,
-    fails: bool,
     refusals: usize,
+}
+
+impl Parked {
+    /// A codec parking at `stage`, the receiver of the names of the
+    /// threads that reach it there, and the sender that releases them.
+    fn new(stage: Stage, fails: bool, refusals: usize) -> (Self, Receiver<String>, Sender<()>) {
+        let (entered, names) = channel();
+        let (release, release_rx) = channel();
+        let park = Mutex::new(Park { entered, release: release_rx, refusals });
+        (Self { inner: plain_codec(), stage, fails, park }, names, release)
+    }
+
+    /// Parks the calling thread when `stage` is where this codec parks,
+    /// then panics, refuses, or lets the batch through.
+    fn park(&self, stage: Stage) -> Result<(), OrcoError> {
+        if stage != self.stage {
+            return Ok(());
+        }
+        let mut park = self.park.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = park.entered.send(std::thread::current().name().unwrap_or_default().into());
+        let _ = park.release.recv();
+        assert!(!self.fails, "shard 1's codec fails inside its {stage:?} body");
+        if park.refusals > 0 {
+            park.refusals -= 1;
+            return Err(OrcoError::Config { detail: "shard 1's codec refuses a batch".into() });
+        }
+        Ok(())
+    }
 }
 
 impl Codec for Parked {
@@ -74,18 +121,29 @@ impl Codec for Parked {
     fn train(&mut self, x: &Matrix, spec: &TrainSpec) -> Result<TrainingHistory, OrcoError> {
         self.inner.train(x, spec)
     }
+    fn encode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        frames: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
+        self.park(Stage::Encode)?;
+        self.inner.encode_batch_with(ws, frames, out)
+    }
+    fn decode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        codes: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
+        self.park(Stage::Decode)?;
+        self.inner.decode_batch_with(ws, codes, out)
+    }
     fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
-        let _ = self.entered.send(std::thread::current().name().unwrap_or_default().into());
-        let _ = self.release.recv();
-        assert!(!self.fails, "shard 1's codec fails inside encode_batch");
-        if self.refusals > 0 {
-            self.refusals -= 1;
-            return Err(OrcoError::Config { detail: "shard 1's codec refuses a batch".into() });
-        }
-        self.inner.encode_batch(frames, out)
+        self.encode_batch_with(&mut Workspace::default(), frames, out)
     }
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
-        self.inner.decode_batch(codes, out)
+        self.decode_batch_with(&mut Workspace::default(), codes, out)
     }
     fn split_model(&mut self) -> Option<&mut dyn SplitModel> {
         self.inner.split_model()
@@ -96,12 +154,11 @@ fn plain_codec() -> AsymmetricAutoencoder {
     AsymmetricAutoencoder::new(&codec_config(11)).expect("valid config")
 }
 
-/// A [`Parked`] codec that panics as soon as a batch reaches it, and the
-/// receiver of the names of the threads it panics on.
+/// A [`Parked`] codec that panics as soon as a batch reaches its encode
+/// body, and the receiver of the names of the threads it panics on.
 fn failing_codec() -> (Parked, Receiver<String>) {
-    let (entered, names) = channel();
-    let (_, release) = channel();
-    (Parked { inner: plain_codec(), entered, release, fails: true, refusals: 0 }, names)
+    let (codec, names, _) = Parked::new(Stage::Encode, true, 0);
+    (codec, names)
 }
 
 /// Two shards, shard 1 on `shard_1`'s codec.
@@ -135,9 +192,10 @@ fn two_clusters_on(gw: &Gateway, shard: usize) -> [u64; 2] {
     [0; 2].map(|_| on.next().expect("two shards, both reachable"))
 }
 
-/// A gateway whose shard 1 parks every batch that reaches its codec until
+/// A gateway whose shard 1 parks every batch that reaches its codec's
+/// encode body ([`parking_at`]: the body at a given stage) until
 /// `release` sends or drops, and refuses the first `refusals` of them
-/// once released; `entered` names each thread that reaches the codec.
+/// once released; `entered` names each thread that reaches the body.
 struct Parking {
     gw: Arc<Gateway>,
     entered: Receiver<String>,
@@ -145,15 +203,12 @@ struct Parking {
 }
 
 fn parking(refusals: usize, queue_capacity: usize) -> Parking {
-    let (entered_tx, entered) = channel();
-    let (release, release_rx) = channel();
-    let parked = Parked {
-        inner: plain_codec(),
-        entered: entered_tx,
-        release: release_rx,
-        fails: false,
-        refusals,
-    };
+    parking_at(Stage::Encode, refusals, queue_capacity)
+}
+
+/// [`parking`], with shard 1 parking at `stage`.
+fn parking_at(stage: Stage, refusals: usize, queue_capacity: usize) -> Parking {
+    let (parked, entered, release) = Parked::new(stage, false, refusals);
     // A 1 µs tick: the ~70 dispatches of a test must not carry virtual
     // time past shard 1's 5 ms deadline, or sweeping its overdue batch
     // would be right — and would wait for the parked encode.
@@ -498,4 +553,93 @@ fn an_encode_error_strands_no_acked_row() {
     };
     assert_eq!(bits(pulled.as_slice()), bits(direct(&all).as_slice()), "every row, in push order");
     assert_eq!(gw.stats().frames_out, (BATCH + 2) as u64);
+}
+
+#[test]
+fn a_pull_of_stored_rows_returns_beside_an_encode_of_another_cluster() {
+    let frames = frames();
+    let Parking { gw, entered, release } = parking(0, GatewayConfig::default().queue_capacity);
+    let [far, other] = two_clusters_on(&gw, 1);
+    std::thread::scope(|scope| {
+        // `other`'s batch is let through the codec, and stored.
+        let stored = asked(scope, || gw.handle(push(other, &frames)));
+        entered.recv_timeout(PATIENCE).expect("other's size flush reaches the codec");
+        release.send(()).expect("the codec waits for its release");
+        let stored = stored.recv_timeout(PATIENCE);
+        assert_eq!(stored, Ok(Message::PushAck { accepted: BATCH as u32 }));
+        // `far`'s batch parks in the encode.
+        let filler = asked(scope, || gw.handle(push(far, &frames)));
+        entered.recv_timeout(PATIENCE).expect("far's size flush reaches the codec");
+        let pulled = asked(scope, || gw.handle(pull(other)));
+        let pulled = pulled.recv_timeout(PATIENCE);
+        // Release before judging, so a failure reports instead of hanging
+        // the scope's joins.
+        drop(release);
+        let filled = filler.recv_timeout(PATIENCE);
+        assert_eq!(filled, Ok(Message::PushAck { accepted: BATCH as u32 }));
+        let Ok(Message::Decoded { frames: pulled, .. }) = pulled else {
+            panic!("a pull of stored rows waits for no other cluster's encode: {pulled:?}")
+        };
+        assert_eq!(bits(pulled.as_slice()), bits(direct(&frames).as_slice()));
+    });
+}
+
+#[test]
+fn a_push_that_fills_its_batch_is_acked_beside_a_parked_pull_decode() {
+    let frames = frames();
+    let Parking { gw, entered, release } =
+        parking_at(Stage::Decode, 0, GatewayConfig::default().queue_capacity);
+    let [far, other] = two_clusters_on(&gw, 1);
+    assert_eq!(gw.handle(push(far, &frames)), Message::PushAck { accepted: BATCH as u32 });
+    std::thread::scope(|scope| {
+        let pulled = asked(scope, || gw.handle(pull(far)));
+        entered.recv_timeout(PATIENCE).expect("the pull's decode reaches the codec");
+        let filled = asked(scope, || gw.handle(push(other, &frames)));
+        let filled = filled.recv_timeout(PATIENCE);
+        drop(release);
+        let pulled = pulled.recv_timeout(PATIENCE);
+        let acked = Message::PushAck { accepted: BATCH as u32 };
+        assert_eq!(filled, Ok(acked), "a size flush waits for no pull's decode");
+        let Ok(Message::Decoded { frames: pulled, .. }) = pulled else {
+            panic!("the parked pull is answered with rows: {pulled:?}")
+        };
+        assert_eq!(bits(pulled.as_slice()), bits(direct(&frames).as_slice()));
+    });
+    let Message::Decoded { frames: flushed, .. } = gw.handle(pull(other)) else {
+        panic!("the batch flushed beside the decode is stored")
+    };
+    assert_eq!(bits(flushed.as_slice()), bits(direct(&frames).as_slice()));
+}
+
+/// A decode that panics holds no lock to poison, so it fails its shard
+/// and closes the door as it unwinds: the gateway answers as it does after
+/// a panicking flush.
+#[test]
+fn a_panic_in_a_lock_free_decode_fails_the_gateway_whole() {
+    let frames = frames();
+    let (codec, entered, _) = Parked::new(Stage::Decode, true, 0);
+    let gw = gateway(codec, Clock::manual(Duration::from_micros(1)), Duration::from_millis(5));
+    let (near, far) = (cluster_on(&gw, 0), cluster_on(&gw, 1));
+    for cluster in [near, far] {
+        assert_eq!(gw.handle(push(cluster, &frames)), Message::PushAck { accepted: BATCH as u32 });
+    }
+
+    let puller = Arc::clone(&gw);
+    let died = std::thread::spawn(move || puller.handle(pull(far))).join();
+    assert!(died.is_err(), "the decode panics on the pulling thread");
+    assert!(entered.try_recv().is_ok(), "the pull reached the decode");
+
+    let one_row = frames.view_rows(0..1).to_matrix();
+    within_patience(move || {
+        assert!(gw.is_shutting_down(), "a panic in a lock-free decode fails the gateway");
+        assert_eq!(error_code(&gw.handle(push(near, &one_row))), Some(ErrorCode::ShuttingDown));
+        let Message::Decoded { frames: pulled, .. } = gw.handle(pull(near)) else {
+            panic!("shard 0's stored rows stay pullable")
+        };
+        assert_eq!(bits(pulled.as_slice()), bits(direct(&frames).as_slice()));
+        for request in [push(far, &one_row), pull(far)] {
+            assert_eq!(error_code(&gw.handle(request)), Some(ErrorCode::Internal));
+        }
+        assert_eq!(gw.stats().frames_out, BATCH as u64);
+    });
 }
