@@ -62,6 +62,16 @@ impl EncoderCheckpoint {
                 ),
             });
         }
+        if self.bias.shape() != (1, ae.latent_dim()) {
+            return Err(OrcoError::Config {
+                detail: format!(
+                    "checkpoint encoder bias is {}x{}, model expects 1x{}",
+                    self.bias.rows(),
+                    self.bias.cols(),
+                    ae.latent_dim()
+                ),
+            });
+        }
         ae.set_encoder_parts(self.weight.clone(), self.bias.clone());
         Ok(())
     }
@@ -310,6 +320,12 @@ mod tests {
         let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16);
         let mut other = AsymmetricAutoencoder::new(&cfg).unwrap();
         assert!(matches!(ckpt.restore(&mut other), Err(OrcoError::Config { .. })));
+        // The weight fits; only the bias is one column too wide.
+        let mut ae = ae;
+        let mut bias_only = ckpt.clone();
+        bias_only.bias = Matrix::zeros(1, ae.latent_dim() + 1);
+        let err = bias_only.restore(&mut ae).expect_err("a wrong bias must not restore");
+        assert!(matches!(err, OrcoError::Config { .. }), "unexpected error: {err}");
     }
 
     #[test]

@@ -388,10 +388,7 @@ pub trait Codec: std::fmt::Debug + Send + Sync {
     }
 
     /// A persistable snapshot of the codec's distributable (device-side)
-    /// parameters, when it has any. A codec that supports
-    /// [`Codec::with_encoder`] must return `Some`: the serving layer
-    /// captures the encoder an activation replaces here, and without it
-    /// a gateway has no rollback target.
+    /// parameters, when it has any.
     fn checkpoint(&self) -> Option<EncoderCheckpoint> {
         None
     }

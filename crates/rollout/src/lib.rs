@@ -26,8 +26,9 @@
 //! * **Rollback guard** — a gateway configured with
 //!   [`orco_serve::DriftGuard::rollback_above`] watches the post-swap
 //!   windowed reconstruction error and cuts over once more, to the
-//!   encoder the last activation replaced, on regression; [`rollout_one`] surfaces the final state in the
-//!   returned [`orco_serve::VersionInfo`].
+//!   codec the last activation replaced, on regression; [`rollout_one`]
+//!   surfaces the final state in the returned
+//!   [`orco_serve::VersionInfo`].
 //! * **Staged fleets** — [`rollout_staged`] walks a fleet one gateway at
 //!   a time, aborting on the first refusal so a bad version never
 //!   reaches the whole fleet.

@@ -3,17 +3,21 @@
 //! bit-identical to the old codec, flushes after it to the new one, no
 //! delivery ever mixes versions, and not a single row is dropped or
 //! duplicated across the boundary — including through a rollback-guard
-//! revert.
+//! revert. A version is one codec, shared by every shard.
 
+use std::collections::BTreeSet;
 use std::num::{NonZeroU64, NonZeroUsize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use orco_rollout::{rollout_one, rollout_staged};
 use orco_serve::scenarios::codec_config;
 use orco_serve::{Client, Clock, DriftGuard, Gateway, GatewayConfig, Loopback, ModelVersion};
-use orco_tensor::{Matrix, OrcoRng};
-use orcodcs::{AsymmetricAutoencoder, Codec, EncoderCheckpoint};
+use orco_tensor::{MatView, Matrix, OrcoRng};
+use orcodcs::{
+    AsymmetricAutoencoder, Codec, EncoderCheckpoint, OrcoError, TrainSpec, TrainingHistory,
+    Workspace,
+};
 
 /// The gauntlet codec's geometry ([`codec_config`]).
 const DIM: usize = 32;
@@ -228,6 +232,27 @@ fn refusals_surface_and_halt_staged_walks() {
         .expect_err("the walk must halt at the stale gateway");
     assert!(err.to_string().contains("halted at gateway 1"), "unexpected error: {err}");
     assert_eq!(fresh.stats().active_version, 1, "the canary before the halt stays rolled");
+
+    // Activation refusals, on a gateway still at v0: nothing staged, then
+    // the wrong id.
+    let staging = gateway(GatewayConfig { shards: 1, ..GatewayConfig::default() });
+    let mut client =
+        Client::connect(&Loopback::new(Arc::clone(&staging))).expect("loopback connects");
+    client.hello(3).expect("hello");
+    let err = client.activate_version(1).expect_err("nothing is staged");
+    assert!(err.to_string().contains("no version is staged"), "unexpected error: {err}");
+    let version_two = ModelVersion { id: 2, label: "retrain-99b".into(), ..version_one() };
+    client.propose_rollout(version_two, &ckpt).expect("stage v2");
+    let err = client.activate_version(1).expect_err("v1 is not staged");
+    assert!(err.to_string().contains("staged version is 2, not 1"), "unexpected error: {err}");
+
+    // Last writer wins: re-proposing v1 replaces the staged v2, so the
+    // first proposal's id is refused and the second's activates.
+    client.propose_rollout(version_one(), &ckpt).expect("restage v1");
+    let err = client.activate_version(2).expect_err("v2 was replaced");
+    assert!(err.to_string().contains("staged version is 1, not 2"), "unexpected error: {err}");
+    client.activate_version(1).expect("the second proposal activates");
+    assert_eq!(staging.stats().active_version, 1);
 }
 
 /// Rows outlive two rollouts: the version that encoded them is replaced
@@ -313,4 +338,154 @@ fn a_rollback_reverts_every_shard_to_the_version_the_last_cut_over_replaced() {
     let stats = gw.stats();
     assert_eq!((stats.swaps, stats.rollbacks, stats.active_version), (2, 1, 1));
     assert_eq!(stats.frames_out, 12);
+}
+
+/// What every [`Counted`] codec of one gateway shares: the number of
+/// `with_encoder` calls, the ids of the live instances, and the ids of the
+/// instances that encoded a batch.
+#[derive(Debug, Default)]
+struct Tally {
+    with_encoder: usize,
+    next_id: usize,
+    live: BTreeSet<usize>,
+    encoded_by: BTreeSet<usize>,
+}
+
+/// The gauntlet's autoencoder, counted: each instance takes the next id,
+/// is live until it drops, and records its id on every encode.
+#[derive(Debug)]
+struct Counted {
+    id: usize,
+    inner: Box<dyn Codec>,
+    tally: Arc<Mutex<Tally>>,
+}
+
+/// The tally, as a panicking test thread left it: a drop must not panic.
+fn tally(t: &Mutex<Tally>) -> MutexGuard<'_, Tally> {
+    t.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Counted {
+    fn new(inner: Box<dyn Codec>, shared: &Arc<Mutex<Tally>>) -> Self {
+        let mut t = tally(shared);
+        let id = t.next_id;
+        t.next_id += 1;
+        t.live.insert(id);
+        Self { id, inner, tally: Arc::clone(shared) }
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        tally(&self.tally).live.remove(&self.id);
+    }
+}
+
+impl Codec for Counted {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn input_dim(&self) -> usize {
+        self.inner.input_dim()
+    }
+    fn bytes_per_frame(&self) -> u64 {
+        self.inner.bytes_per_frame()
+    }
+    fn train(&mut self, x: &Matrix, spec: &TrainSpec) -> Result<TrainingHistory, OrcoError> {
+        self.inner.train(x, spec)
+    }
+    fn encode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        frames: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
+        tally(&self.tally).encoded_by.insert(self.id);
+        self.inner.encode_batch_with(ws, frames, out)
+    }
+    fn decode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        codes: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
+        self.inner.decode_batch_with(ws, codes, out)
+    }
+    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+        self.encode_batch_with(&mut Workspace::default(), frames, out)
+    }
+    fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+        self.decode_batch_with(&mut Workspace::default(), codes, out)
+    }
+    fn checkpoint(&self) -> Option<EncoderCheckpoint> {
+        self.inner.checkpoint()
+    }
+    fn with_encoder(&self, checkpoint: &EncoderCheckpoint) -> Result<Box<dyn Codec>, OrcoError> {
+        tally(&self.tally).with_encoder += 1;
+        Ok(Box::new(Counted::new(self.inner.with_encoder(checkpoint)?, &self.tally)))
+    }
+}
+
+/// A model version is one codec: the proposal derives it once, the
+/// activation installs that one instance on every shard, and the guard's
+/// rollback reinstalls version 0's — shard 0's boot codec — on all four,
+/// deriving nothing.
+#[test]
+fn a_version_is_one_codec_that_every_shard_serves_and_a_rollback_restores() {
+    let shared = Arc::new(Mutex::new(Tally::default()));
+    let factory = Arc::clone(&shared);
+    let codec_cfg = codec_config(11);
+    let cfg = GatewayConfig {
+        shards: 4,
+        batch_max_frames: 4,
+        drift: guard(),
+        ..GatewayConfig::default()
+    };
+    let gw = Arc::new(
+        Gateway::new(cfg, Clock::manual(Duration::from_micros(100)), move |_| {
+            let ae = AsymmetricAutoencoder::new(&codec_cfg).expect("valid config");
+            Box::new(Counted::new(Box::new(ae), &factory)) as Box<dyn Codec>
+        })
+        .expect("valid gateway config"),
+    );
+    let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("loopback connects");
+    client.hello(1).expect("hello");
+    let clusters: Vec<u64> =
+        (0..4).map(|s| (0..).find(|&c| gw.shard_of(c) == s).expect("every shard")).collect();
+    let frames = stream(8);
+    let seen = || {
+        let t = tally(&shared);
+        (t.with_encoder, t.live.iter().copied().collect::<Vec<_>>())
+    };
+    // Boot: one codec a shard (ids 0..4, in shard order).
+    assert_eq!(seen(), (0, vec![0, 1, 2, 3]));
+
+    client.propose_rollout(version_one(), &donor_checkpoint(99)).expect("stage v1");
+    assert_eq!(seen(), (1, vec![0, 1, 2, 3, 4]), "the proposal derives v1's one codec");
+    client.activate_version(1).expect("activate v1");
+    assert_eq!(
+        seen(),
+        (1, vec![0, 4]),
+        "every shard serves v1's one codec; v0's (shard 0's) is the rollback target"
+    );
+
+    // One row waits on shards 1..4; one full bad window on shard 0 trips
+    // the guard, and the revert flushes the waiting rows under v1 first.
+    for &cluster in &clusters[1..] {
+        client.push(cluster, frames.view_rows(0..1)).expect("push");
+    }
+    client.push(clusters[0], frames.view_rows(0..4)).expect("push");
+    let info = client.version_info().expect("version query");
+    assert_eq!((info.active.id, info.rollbacks), (0, 1), "the guard reverts to v0");
+    assert_eq!(tally(&shared).encoded_by, BTreeSet::from([4]), "all four encoded with v1's codec");
+    assert_eq!(seen(), (1, vec![0]), "one codec, v0's, serves all four shards after the revert");
+
+    // Post-revert rows encode with that one codec on every shard.
+    tally(&shared).encoded_by.clear();
+    for &cluster in &clusters {
+        client.push(cluster, frames.view_rows(4..5)).expect("push");
+        client.pull_versioned(cluster, 64).expect("pull");
+    }
+    assert_eq!(tally(&shared).encoded_by, BTreeSet::from([0]));
+    assert_eq!(seen(), (1, vec![0]));
 }

@@ -1,14 +1,14 @@
 //! The sharded ingestion gateway: request dispatch, micro-batch flush
 //! policy, and backpressure.
 //!
-//! A [`Gateway`] owns `shards` independent shard cores (codec +
-//! micro-batcher + encoded store); a cluster is pinned to a shard by an
-//! FNV-1a hash of its id, so one cluster's frames always meet the same
-//! codec and stay in push order. Dispatch is transport-agnostic: the TCP
-//! server and the in-process loopback both funnel decoded requests into
-//! [`Gateway::handle`] (raw frames go through its [`crate::Service`]
-//! impl), which makes the loopback tests exercise exactly the production
-//! path.
+//! A [`Gateway`] owns `shards` independent shard cores (micro-batcher +
+//! encoded store, serving the active model version's codec); a cluster is
+//! pinned to a shard by an FNV-1a hash of its id, so one cluster's frames
+//! always meet the same shard and stay in push order. Dispatch is
+//! transport-agnostic: the TCP server and the in-process loopback both
+//! funnel decoded requests into [`Gateway::handle`] (raw frames go
+//! through its [`crate::Service`] impl), which makes the loopback tests
+//! exercise exactly the production path.
 //!
 //! Flush policy — the adaptive micro-batcher:
 //!
@@ -70,6 +70,12 @@
 //! Every lock here is taken at one door (see [`crate::shard`]), which
 //! keeps each shard's gate, wakes the deadline timer, and fails the
 //! gateway whole on a panic under any lock.
+//!
+//! A model version is one codec, shared by every shard as an
+//! `Arc<dyn Codec>`: a proposal derives it once from the active codec
+//! ([`Codec::with_encoder`]: a new encoder on the same decoder), an
+//! activation installs it on every shard, and a rollback installs the
+//! replaced version's codec again.
 
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::sync::{Arc, Mutex};
@@ -100,8 +106,8 @@ type Flushed = Result<Result<bool, OrcoError>, Failed>;
 /// Sizing and flush policy of a [`Gateway`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatewayConfig {
-    /// Worker shards; each owns a codec and serves `hash(cluster) %
-    /// shards`.
+    /// Worker shards; each serves `hash(cluster) % shards` with the
+    /// active version's codec.
     pub shards: usize,
     /// Pending rows that trigger an immediate (size) flush.
     pub batch_max_frames: usize,
@@ -210,18 +216,22 @@ pub struct Gateway {
     rollout: Mutex<RolloutState>,
 }
 
+/// A model version and its codec: the one instance every shard serves
+/// while the version is active.
+type Served = (ModelVersion, Arc<dyn Codec>);
+
 /// The gateway's model-version bookkeeping (behind `Gateway::rollout`).
 struct RolloutState {
-    /// The version currently encoding new flushes on every shard.
-    active: ModelVersion,
-    /// A proposed version staged for activation, with the checkpoint
-    /// its per-shard codecs will be derived from at cutover.
-    staged: Option<(ModelVersion, EncoderCheckpoint)>,
-    /// The version the last activation replaced, with its encoder: the
-    /// rollback target while the post-swap guard window is still open,
-    /// `None` once the guard passes (or after a rollback), or when the
-    /// codec has no encoder to checkpoint.
-    prior: Option<(ModelVersion, EncoderCheckpoint)>,
+    /// The version currently encoding new flushes on every shard; at
+    /// boot, version 0 with shard 0's codec.
+    active: Served,
+    /// A proposed version staged for activation, its codec already
+    /// derived from the active one.
+    staged: Option<Served>,
+    /// The version the last activation replaced: the rollback target
+    /// while the post-swap guard window is still open, `None` once the
+    /// guard passes (or after a rollback).
+    prior: Option<Served>,
 }
 
 impl std::fmt::Debug for Gateway {
@@ -235,10 +245,11 @@ impl std::fmt::Debug for Gateway {
 }
 
 impl Gateway {
-    /// Builds a gateway, asking `codec_for_shard` for each shard's codec.
-    /// All shards must serve the same frame geometry (build them from the
-    /// same deterministic config/seed and they will also produce
-    /// bit-identical codes).
+    /// Builds a gateway, asking `codec_for_shard` for each shard's boot
+    /// codec. Every shard serves one model: build them from the same
+    /// deterministic config/seed, so they produce bit-identical codes.
+    /// Shard 0's codec is version 0 for rollouts — the one a proposal
+    /// derives from and a rollback to version 0 installs on every shard.
     ///
     /// # Errors
     ///
@@ -251,22 +262,27 @@ impl Gateway {
     ) -> Result<Self, OrcoError> {
         cfg.validate()?;
         let mut shards = Vec::with_capacity(cfg.shards);
-        let mut dims: Option<FrameDims> = None;
+        let boot: Arc<dyn Codec> = Arc::from(codec_for_shard(0));
+        let dims = boot.frame_dims();
         for i in 0..cfg.shards {
             let drift = cfg.drift.map(|g| DriftProbe::new(g.sample_every, g.threshold, g.window));
-            let codec = codec_for_shard(i);
-            let d = *dims.get_or_insert(codec.frame_dims());
-            if codec.frame_dims() != d {
+            let codec = if i == 0 { Arc::clone(&boot) } else { Arc::from(codec_for_shard(i)) };
+            if codec.frame_dims() != dims {
                 return Err(OrcoError::Config {
                     detail: format!(
-                        "Gateway: shard {i} codec geometry {:?} differs from shard 0 ({d:?})",
+                        "Gateway: shard {i} codec geometry {:?} differs from shard 0 ({dims:?})",
                         codec.frame_dims()
                     ),
                 });
             }
-            shards.push(Shard::new(i, Arc::from(codec), drift));
+            shards.push(Shard::new(i, codec, drift));
         }
-        let dims = dims.expect("at least one shard");
+        let version_0 = ModelVersion {
+            id: 0,
+            label: "boot".into(),
+            frame_dim: dims.input as u32,
+            code_dim: dims.code as u32,
+        };
         Ok(Self {
             cfg,
             clock,
@@ -277,12 +293,7 @@ impl Gateway {
             door: Door::default(),
             fleet: Mutex::new(None),
             rollout: Mutex::new(RolloutState {
-                active: ModelVersion {
-                    id: 0,
-                    label: "boot".into(),
-                    frame_dim: dims.input as u32,
-                    code_dim: dims.code as u32,
-                },
+                active: (version_0, boot),
                 staged: None,
                 prior: None,
             }),
@@ -402,11 +413,6 @@ impl Gateway {
         self.shards[idx].enter(&self.door, &self.clock, self.stats.shard_lock_wait(), f)
     }
 
-    /// The codec shard `idx` serves with, taken under its core.
-    fn serving(&self, idx: usize) -> Result<Arc<dyn Codec>, Failed> {
-        self.shard(idx, |core| Arc::clone(core.codec()))
-    }
-
     /// Runs `f` on shard `idx`'s flush lock, at the door, timing the wait
     /// for it. `f` may enter the core; nothing that holds the core may
     /// call this.
@@ -494,7 +500,7 @@ impl Gateway {
                     shards: self.shards.len() as u16,
                     frame_dim: self.dims.input as u32,
                     code_dim: self.dims.code as u32,
-                    active_version: self.door.enter(&self.rollout, |state| state.active.id)?,
+                    active_version: self.door.enter(&self.rollout, |state| state.active.0.id)?,
                 },
             },
             Message::PushFrames { cluster_id, trace, frames } => {
@@ -532,7 +538,7 @@ impl Gateway {
             Message::VersionQuery => self.door.enter(&self.rollout, |state| {
                 let stats = self.stats.snapshot();
                 Message::VersionReply {
-                    active: state.active.clone(),
+                    active: state.active.0.clone(),
                     staged: state.staged.as_ref().map(|(v, _)| v.clone()),
                     prior: state.prior.as_ref().map(|(v, _)| v.clone()),
                     rollbacks: stats.rollbacks,
@@ -700,7 +706,9 @@ impl Gateway {
     }
 
     /// Stages `version` (checkpoint weights ride the proposal) without
-    /// touching what serves. Rejections are [`Message::RolloutAck`] with
+    /// touching what serves: its codec is the active codec with the
+    /// proposed encoder ([`Codec::with_encoder`]), derived here once for
+    /// every shard. Rejections are [`Message::RolloutAck`] with
     /// `accepted: false`, so a controller can distinguish a policy
     /// refusal from a transport error.
     fn propose(
@@ -752,21 +760,21 @@ impl Gateway {
         }
         let checkpoint = EncoderCheckpoint { weight, bias, label: version.label.clone() };
         self.door.enter(&self.rollout, |state| {
-            if version.id <= state.active.id {
+            if version.id <= state.active.0.id {
                 return reject(format!(
                     "version id {} is not newer than the active {}",
-                    version.id, state.active.id
+                    version.id, state.active.0.id
                 ));
             }
-            // Prove the checkpoint grafts onto this gateway's codec family
-            // before accepting (all shards share one geometry, so shard 0
-            // answers for all of them).
-            if let Err(e) = self.serving(0)?.with_encoder(&checkpoint) {
-                return reject(format!("checkpoint does not stage onto the active codec: {e}"));
-            }
+            let codec = match state.active.1.with_encoder(&checkpoint) {
+                Ok(codec) => Arc::from(codec),
+                Err(e) => {
+                    return reject(format!("checkpoint does not stage onto the active codec: {e}"))
+                }
+            };
             // Restaging replaces any earlier staged version — last writer
             // wins, mirroring how a controller retries a revised candidate.
-            state.staged = Some((version, checkpoint));
+            state.staged = Some((version, codec));
             Ok(Message::RolloutAck { version_id, accepted: true, detail: String::new() })
         })?
     }
@@ -786,17 +794,13 @@ impl Gateway {
         let reject =
             |detail: String| Ok(Message::RolloutAck { version_id, accepted: false, detail });
         self.door.enter(&self.rollout, |state| {
-            let Some((version, checkpoint)) = state.staged.take_if(|(v, _)| v.id == version_id)
-            else {
+            let Some(staged) = state.staged.take_if(|(v, _)| v.id == version_id) else {
                 return reject(match &state.staged {
                     Some((v, _)) => format!("staged version is {}, not {version_id}", v.id),
                     None => "no version is staged".into(),
                 });
             };
-            if let Err(e) = self.cut_over(state, &version, &checkpoint, now)? {
-                state.staged = Some((version, checkpoint));
-                return reject(format!("staging failed: {e}"));
-            }
+            state.prior = Some(self.cut_over(state, staged, now)?);
             self.stats.record_swap();
             Ok(Message::RolloutAck { version_id, accepted: true, detail: String::new() })
         })?
@@ -805,7 +809,7 @@ impl Gateway {
     /// The post-swap safety rail. While the guard is armed and a prior
     /// version is the rollback target, each dispatch checks every shard's
     /// windowed sample error: one shard over the bound cuts the whole
-    /// gateway over to the prior version's encoder (see
+    /// gateway over to the prior version's codec (see
     /// [`Self::cut_over`]); a full window under the bound on every shard
     /// commits the swap and releases the prior.
     fn maybe_rollback(&self, now: f64) -> Result<(), Failed> {
@@ -813,7 +817,7 @@ impl Gateway {
             return Ok(());
         };
         self.door.enter(&self.rollout, |state| {
-            let Some((prior, checkpoint)) = state.prior.take() else {
+            let Some(prior) = state.prior.take() else {
                 return Ok(());
             };
             let mut tripped = false;
@@ -826,58 +830,30 @@ impl Gateway {
                 }
             }
             if tripped {
-                let demoted = state.active.id;
-                match self.cut_over(state, &prior, &checkpoint, now)? {
-                    Ok(()) => {
-                        // The demoted version is no rollback target.
-                        state.prior = None;
-                        self.stats.record_rollback();
-                        eprintln!(
-                            "orco-serve: post-swap guard tripped; rolled back from version \
-                             {demoted} to {}",
-                            state.active.id
-                        );
-                    }
-                    Err(e) => eprintln!(
-                        "orco-serve: post-swap guard tripped, but the rollback from version \
-                         {demoted} failed to stage: {e}"
-                    ),
-                }
+                // The demoted version is no rollback target: it is dropped.
+                let (demoted, _) = self.cut_over(state, prior, now)?;
+                self.stats.record_rollback();
+                eprintln!(
+                    "orco-serve: post-swap guard tripped; rolled back from version {} to {}",
+                    demoted.id, state.active.0.id
+                );
             } else if !all_windows_full {
                 // The window is still open: the prior stays the target.
                 // Once every shard has completed a clean window on the new
                 // model, the swap is committed and the prior is released.
-                state.prior = Some((prior, checkpoint));
+                state.prior = Some(prior);
             }
             Ok(())
         })?
     }
 
-    /// Makes `version`, whose encoder is `checkpoint`, active on every
-    /// shard, and the version it replaces the prior — with the encoder
-    /// captured from the serving codec ([`Codec::checkpoint`]). Every
-    /// shard's codec is derived first ([`Codec::with_encoder`]: the
-    /// decoder carries over), so a checkpoint that does not stage leaves
-    /// the gateway wholly on its current version. Then each shard cuts
-    /// over at a flush boundary: its pending batch flushes under the old
-    /// encoder first — zero drops, no mixed-version flush.
-    fn cut_over(
-        &self,
-        state: &mut RolloutState,
-        version: &ModelVersion,
-        checkpoint: &EncoderCheckpoint,
-        now: f64,
-    ) -> Result<Result<(), OrcoError>, Failed> {
-        let mut codecs = Vec::with_capacity(self.shards.len());
+    /// Makes `next` active, installing its one codec on every shard, and
+    /// returns the version it replaces. Each shard cuts over at a flush
+    /// boundary: its pending batch flushes under the old codec first —
+    /// zero drops, no mixed-version flush.
+    fn cut_over(&self, state: &mut RolloutState, next: Served, now: f64) -> Result<Served, Failed> {
+        let (version, codec) = &next;
         for idx in 0..self.shards.len() {
-            match self.serving(idx)?.with_encoder(checkpoint) {
-                Ok(codec) => codecs.push(Arc::<dyn Codec>::from(codec)),
-                Err(e) => return Ok(Err(e)),
-            }
-        }
-        // Every shard serves the same encoder, so shard 0 answers for all.
-        let replaced = self.serving(0)?.checkpoint();
-        for (idx, codec) in codecs.into_iter().enumerate() {
             self.flushing(idx, |side| {
                 // A failed flush — a codec shape error, which the width
                 // check at push rules out — leaves its rows pending, to
@@ -886,14 +862,12 @@ impl Gateway {
                     eprintln!("orco-serve: shard {idx} swap flush failed: {e}");
                 }
                 side.restart_drift();
-                self.shard(idx, |core| core.cut_over(version.id, codec))
+                self.shard(idx, |core| core.cut_over(version.id, Arc::clone(codec)))
             })??;
         }
-        let old = std::mem::replace(&mut state.active, version.clone());
-        state.prior = replaced.map(|encoder| (old, encoder));
-        self.stats.set_active_version(state.active.id);
+        self.stats.set_active_version(version.id);
         self.stats.set_drift(false);
-        Ok(Ok(()))
+        Ok(std::mem::replace(&mut state.active, next))
     }
 
     /// Subscribes `outbox` to `cluster_id`'s decoded batches. The reply

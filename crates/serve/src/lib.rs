@@ -2,15 +2,15 @@
 //!
 //! The serving layer of the OrcoDCS reproduction: a **sharded
 //! edge-ingestion gateway** that exposes the batched codec data plane
-//! ([`orcodcs::Codec::encode_batch`] / `decode_batch`) as a network
-//! service over a length-prefixed binary wire protocol.
+//! ([`orcodcs::Codec::encode_batch_with`] / `decode_batch_with`) as a
+//! network service over a length-prefixed binary wire protocol.
 //!
 //! The paper's pipeline ends at the edge server; this crate is what a
 //! production deployment puts in front of it. Sensor clusters push raw
 //! frames ([`protocol::Message::PushFrames`]); the gateway routes each
 //! cluster to a shard by deterministic hash, micro-batches frames across
-//! pushes, and encodes every flush as **one** `encode_batch` call — the
-//! 4–6× batched-over-per-frame win measured in
+//! pushes, and encodes every flush as **one** `encode_batch_with` call —
+//! the 4–6× batched-over-per-frame win measured in
 //! `BENCH_frame_throughput.json` becomes a serving-throughput win
 //! (measured in `BENCH_serve_throughput.json`). Consumers drain decoded
 //! reconstructions with [`protocol::Message::PullDecoded`]; operators
@@ -22,12 +22,13 @@
 //!   runtime. The protocol is request/reply and the work is CPU-bound —
 //!   two threads per connection and one deadline timer are the honest
 //!   model.
-//! * **Sharded ownership.** Each shard owns its codec and its reusable
-//!   workspaces; the steady-state ingest path performs no allocation from
-//!   the client's encode to the shard's batch (a push's rows go from the
-//!   caller's view onto the wire and from the frame's bytes into the
-//!   batch, with no `Matrix` in between), and nothing contends across
-//!   shards.
+//! * **Sharded ownership.** Every shard serves the active model
+//!   version's one codec, an `Arc` of immutable weights shared by all
+//!   shards, and owns its reusable workspaces; the steady-state ingest
+//!   path performs no allocation from the client's encode to the shard's
+//!   batch (a push's rows go from the caller's view onto the wire and
+//!   from the frame's bytes into the batch, with no `Matrix` in between),
+//!   and nothing contends across shards.
 //! * **Bounded memory, explicit backpressure.** A shard's in-flight rows
 //!   (pending + mid-encode + stored) never exceed
 //!   [`GatewayConfig::queue_capacity`]; beyond it clients get

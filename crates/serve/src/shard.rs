@@ -1,11 +1,13 @@
-//! One shard of the gateway: a codec, its micro-batcher, and the encoded
-//! store for the clusters hashed onto it.
+//! One shard of the gateway: the codec it serves with, its
+//! micro-batcher, and the encoded store for the clusters hashed onto it.
 //!
-//! A shard is the unit of both parallelism and memory accounting. It owns:
+//! A shard is the unit of both parallelism and memory accounting. It
+//! holds:
 //!
-//! * **its codec** — an `Arc` of immutable weights, no cross-shard
-//!   sharing; its encode and decode bodies run on `&self` in a workspace
-//!   their caller owns, so a pull decodes with no lock held;
+//! * **the codec it serves with** — an `Arc` of immutable weights, the
+//!   active model version's one codec, shared by every shard; its encode
+//!   and decode bodies run on `&self` in a workspace their caller owns,
+//!   so a pull decodes with no lock held;
 //! * **the pending micro-batch** — raw frames accumulated across pushes
 //!   (possibly from several clusters; rows are independent, so one flush
 //!   serves them all) and flushed as **one** `encode_batch_with` call;
@@ -573,9 +575,10 @@ impl ClusterState {
 
 /// The core half of a shard: the codec it serves with, and what a push
 /// needs — the pending batch, the stored rows and their subscribers, the
-/// in-flight rows and the truth the gate mirrors. A model version is an
-/// encoder: a cut-over grafts a new one onto the same decoder, so the
-/// codec decodes the stored rows of every version the shard has served.
+/// in-flight rows and the truth the gate mirrors. Model versions differ
+/// only in the encoder: every version's codec carries the same decoder,
+/// so the codec decodes the stored rows of every version the shard has
+/// served.
 pub(crate) struct ShardCore {
     /// This shard's index in the gateway (labels stats and trace spans).
     index: usize,
@@ -628,9 +631,8 @@ impl ShardCore {
         }
     }
 
-    /// The codec the shard serves with: what a rollout stages the next
-    /// version from ([`Codec::with_encoder`]) and captures the rollback
-    /// target of ([`Codec::checkpoint`]), and what a pull decodes with.
+    /// The codec the shard serves with — the active version's, shared by
+    /// every shard — and what a pull decodes with.
     pub(crate) fn codec(&self) -> &Arc<dyn Codec> {
         &self.codec
     }
@@ -640,12 +642,11 @@ impl ShardCore {
         self.version
     }
 
-    /// Makes `codec` — this codec with another encoder grafted on — the
-    /// one that serves, as version `id`, and drops the shard's hold on the
-    /// old one: its stored rows decode through the same decoder. The
-    /// caller holds the flush lock and has flushed under the old codec
-    /// first, so no flush ever mixes model versions and no frame is
-    /// dropped.
+    /// Makes `codec`, version `id`'s one codec shared by every shard, the
+    /// one that serves, and drops the shard's hold on the old one: its
+    /// stored rows decode through the same decoder. The caller holds the
+    /// flush lock and has flushed under the old codec first, so no flush
+    /// ever mixes model versions and no frame is dropped.
     pub(crate) fn cut_over(&mut self, id: u64, codec: Arc<dyn Codec>) {
         self.codec = codec;
         self.version = id;
