@@ -1,4 +1,6 @@
-use orco_tensor::{init::Init, MatView, Matrix, OrcoRng};
+use std::sync::OnceLock;
+
+use orco_tensor::{init::Init, MatView, MatViewMut, Matrix, OrcoRng, Panels};
 
 use crate::activation::Activation;
 use crate::layer::{size_workspace, Layer, Param, Workspace};
@@ -12,6 +14,19 @@ use crate::layer::{size_workspace, Layer, Param, Workspace};
 /// Weights are stored as `(out, in)`, so row `j` holds the weights of output
 /// unit `j` — which is also the layout the OrcoDCS encoder distribution
 /// (§III-C of the paper) slices into per-device columns.
+///
+/// Inference ([`Layer::infer_into`], and [`Layer::forward_into`] without
+/// `train`) reads the weight as [`Panels`], `Wᵀ` packed once for the GEMM:
+/// built by the first inference after the weight last changed — one copy
+/// however many threads race to build it — and dropped by the only two
+/// `&mut` ways to change the weight, [`Layer::for_each_param`] (so an
+/// optimizer step) and [`Dense::set_parts`]. A served layer's weight never
+/// changes, so its `x·Wᵀ` gathers nothing per call: at one row, the
+/// gather was most of the product. A training forward keeps
+/// [`MatView::matmul_t_into`], which packs per call: its weight changes
+/// every round, so panels kept for it would be re-packed every round
+/// anyway, and training allocates nothing for them. Both products give
+/// the same bits.
 ///
 /// # Examples
 ///
@@ -40,7 +55,12 @@ pub struct Dense {
     // overwrites every element, nothing is read back across calls.
     delta: Matrix,             // (batch, out): grad_out ⊙ σ'
     batch_grad_weight: Matrix, // (out, in): this call's δᵀ·x
-    batch_grad_bias: Matrix,   // (1, out): this call's column sums of δ
+    batch_grad_bias: Vec<f32>, // (out): this call's column sums of δ
+    // `Wᵀ` packed for inference, built on first use and dropped whenever
+    // the weight may change. Together with `batch_grad_bias` being a
+    // plain `Vec`, the layer keeps its size: a field that grew it moved
+    // the training rounds' heap state, and with it their speed.
+    panels: OnceLock<Box<Panels>>,
 }
 
 impl Dense {
@@ -88,7 +108,8 @@ impl Dense {
             cache: None,
             delta: Matrix::zeros(0, 0),
             batch_grad_weight: Matrix::zeros(0, 0),
-            batch_grad_bias: Matrix::zeros(0, 0),
+            batch_grad_bias: Vec::new(),
+            panels: OnceLock::new(),
         }
     }
 
@@ -115,15 +136,21 @@ impl Dense {
         assert_eq!(bias.shape(), self.bias.shape(), "Dense::set_parts: bias shape mismatch");
         self.weight = weight;
         self.bias = bias;
+        self.panels.take();
     }
-}
 
-impl Layer for Dense {
-    /// `out = σ(x·Wᵀ + b)` as one GEMM ([`MatView::matmul_t_into`], which
-    /// writes every element of `out`), a bias broadcast and an in-place
-    /// activation; needs no scratch, and allocates nothing once `out` has
-    /// grown to size.
-    fn infer_into(&self, x: MatView<'_>, out: &mut Matrix, _: &mut Workspace) {
+    /// `Wᵀ`'s panels, packed on first use.
+    fn panels(&self) -> &Panels {
+        self.panels.get_or_init(|| Box::new(Panels::new(self.weight.as_view())))
+    }
+
+    /// `out = σ(x·Wᵀ + b)`, `x·Wᵀ` computed by `product` into `out`.
+    fn affine_into(
+        &self,
+        x: MatView<'_>,
+        out: &mut Matrix,
+        product: impl FnOnce(MatView<'_>, MatViewMut<'_>),
+    ) {
         assert_eq!(
             x.cols(),
             self.weight.cols(),
@@ -132,7 +159,7 @@ impl Layer for Dense {
             self.weight.cols()
         );
         out.reset(x.rows(), self.weight.rows());
-        x.matmul_t_into(self.weight.as_view(), out.as_view_mut());
+        product(x, out.as_view_mut());
         let bias = self.bias.row(0);
         for r in 0..out.rows() {
             for (v, &b) in out.row_mut(r).iter_mut().zip(bias) {
@@ -141,16 +168,32 @@ impl Layer for Dense {
         }
         self.activation.apply_inplace(out);
     }
+}
 
-    /// Allocates nothing once `out` (and, under `train`, the cache) has
-    /// grown to size.
+impl Layer for Dense {
+    /// `out = σ(x·Wᵀ + b)` as one GEMM over the weight's panels
+    /// ([`MatView::matmul_panels_into`], which writes every element of
+    /// `out`), a bias broadcast and an in-place activation; needs no
+    /// scratch, and allocates nothing once `out` has grown to size and the
+    /// panels are built.
+    fn infer_into(&self, x: MatView<'_>, out: &mut Matrix, _: &mut Workspace) {
+        self.affine_into(x, out, |x, out| x.matmul_panels_into(self.panels(), out));
+    }
+
+    /// Under `train`, the same values with `x·Wᵀ` packed per call
+    /// ([`MatView::matmul_t_into`]), the panels left unbuilt. Allocates
+    /// nothing once `out` (and, under `train`, the cache) has grown to
+    /// size.
     fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
-        self.infer_into(x, out, &mut Workspace::default());
         if train {
+            let weight = self.weight.as_view();
+            self.affine_into(x, out, |x, out| x.matmul_t_into(weight, out));
             let (input, output) =
                 self.cache.get_or_insert_with(|| (Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
             input.copy_from(x);
             output.copy_from(out.as_view());
+        } else {
+            self.infer_into(x, out, &mut Workspace::default());
         }
     }
 
@@ -171,9 +214,10 @@ impl Layer for Dense {
         );
         size_workspace(&mut self.delta, batch, out_dim);
         size_workspace(&mut self.batch_grad_weight, out_dim, input.cols());
-        self.batch_grad_bias.reset(1, out_dim);
+        self.batch_grad_bias.clear();
+        self.batch_grad_bias.resize(out_dim, 0.0);
 
-        let sums = self.batch_grad_bias.as_mut_slice();
+        let sums = &mut self.batch_grad_bias;
         for (r, g_row) in grad_out.iter_rows().enumerate() {
             let cells = self.delta.row_mut(r).iter_mut().zip(g_row).zip(output.row(r));
             for (((d, &g), &y), sum) in cells.zip(sums.iter_mut()) {
@@ -183,14 +227,18 @@ impl Layer for Dense {
         }
         self.delta.as_view().t_matmul_into(input.as_view(), self.batch_grad_weight.as_view_mut());
         self.grad_weight += &self.batch_grad_weight;
-        self.grad_bias += &self.batch_grad_bias;
+        for (g, &s) in self.grad_bias.as_mut_slice().iter_mut().zip(&self.batch_grad_bias) {
+            *g += s;
+        }
         if let Some(grad_in) = grad_in {
             size_workspace(grad_in, batch, input.cols());
             self.delta.as_view().matmul_into(self.weight.as_view(), grad_in.as_view_mut());
         }
     }
 
+    /// Drops the panels: the visitor may change the weight.
     fn for_each_param<'a>(&'a mut self, f: &mut dyn FnMut(Param<'a>)) {
+        self.panels.take();
         f(Param { value: &mut self.weight, grad: &mut self.grad_weight });
         f(Param { value: &mut self.bias, grad: &mut self.grad_bias });
     }
@@ -341,6 +389,71 @@ mod tests {
         let mut rng = OrcoRng::from_label("dense-bad", 0);
         let mut layer = Dense::new(4, 2, Activation::Identity, &mut rng);
         let _ = layer.forward(&Matrix::zeros(1, 5), true);
+    }
+
+    /// `infer_into`'s product over the panels against a training
+    /// forward's, which packs the weight per call: bit for bit.
+    fn assert_inference_matches_training(layer: &mut Dense, x: &Matrix, what: &str) {
+        let mut served = Matrix::zeros(0, 0);
+        layer.infer_into(x.as_view(), &mut served, &mut Workspace::default());
+        let trained = layer.forward(x, true);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&served), bits(&trained), "{what}");
+    }
+
+    #[test]
+    fn inference_reads_the_weight_as_it_is_after_every_change() {
+        let mut rng = OrcoRng::from_label("dense-panels", 0);
+        let mut layer = Dense::new(37, 21, Activation::Sigmoid, &mut rng);
+        let x = Matrix::from_fn(5, 37, |r, c| ((r * 37 + c) as f32 * 0.07).sin());
+        assert_inference_matches_training(&mut layer, &x, "fresh");
+
+        // An optimizer step, on panels an inference has just built.
+        let mut opt = crate::Optimizer::adam(0.05);
+        let _ = layer.backward(&Matrix::ones(5, 21));
+        opt.step(|f| layer.for_each_param(f));
+        assert_inference_matches_training(&mut layer, &x, "after a step");
+
+        // A direct edit through `params()`.
+        layer.params()[0].value.map_inplace(|w| -w);
+        assert_inference_matches_training(&mut layer, &x, "after a params() edit");
+
+        // `set_parts`.
+        let w = Matrix::from_fn(21, 37, |r, c| ((r + 3 * c) as f32 * 0.11).cos());
+        layer.set_parts(w, Matrix::filled(1, 21, 0.25));
+        assert_inference_matches_training(&mut layer, &x, "after set_parts");
+    }
+
+    #[test]
+    fn racing_first_inferences_share_one_copy_of_the_panels() {
+        fn sync<T: Sync>(_: &T) {}
+        let mut rng = OrcoRng::from_label("dense-race", 0);
+        let layer = Dense::new(64, 16, Activation::Sigmoid, &mut rng);
+        sync(&layer);
+        let x = Matrix::from_fn(3, 64, |r, c| ((r * 64 + c) as f32 * 0.05).cos());
+        let start = std::sync::Barrier::new(2);
+        let first_use = || {
+            start.wait();
+            let mut out = Matrix::zeros(0, 0);
+            layer.infer_into(x.as_view(), &mut out, &mut Workspace::default());
+            (layer.panels(), out)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(first_use);
+            let b = s.spawn(first_use);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(std::ptr::eq(a.0, b.0), "two threads built two copies");
+        assert_eq!(a.1, b.1);
+    }
+
+    /// Training's speed moved with this struct's size through the heap
+    /// state a fresh model leaves (8 more bytes read 0.79× on DCSNet's
+    /// rounds): a new field is paid for by a field that shrinks.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_layer_keeps_its_size() {
+        assert_eq!(std::mem::size_of::<Dense>(), 368);
     }
 
     #[test]

@@ -45,4 +45,4 @@ pub use error::TensorError;
 pub use im2col::{col2im_into, im2col, im2col_into, Conv2dGeom};
 pub use matrix::Matrix;
 pub use rng::{fnv1a64, OrcoRng};
-pub use view::{MatView, MatViewMut};
+pub use view::{MatView, MatViewMut, Panels};

@@ -346,10 +346,15 @@ impl Matrix {
 
     /// Combines two same-shape matrices element-wise with `f`.
     ///
+    /// Kept out of line: inlined into `Loss::grad`'s match arms, its loop
+    /// ran 1.6× slower, and whether it was inlined flipped with unrelated
+    /// edits.
+    ///
     /// # Panics
     ///
     /// Panics if shapes differ.
     #[must_use]
+    #[inline(never)]
     pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         self.assert_same_shape(other, "zip_map");
         let data = self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect();

@@ -8,7 +8,8 @@
 //! zero-copy row-range.
 //!
 //! The `_into` kernels ([`MatView::matmul_into`],
-//! [`MatView::t_matmul_into`], [`MatView::matmul_t_into`],
+//! [`MatView::t_matmul_into`], [`MatView::matmul_t_into`] and its
+//! pre-packed twin [`MatView::matmul_panels_into`],
 //! [`MatView::matvec_into`], [`MatView::t_matvec_into`]) are the one
 //! body of each product: the
 //! allocating [`Matrix`] products are a fresh matrix plus one call of
@@ -38,7 +39,13 @@
 //!   then reads from L1 — by row segments for `matmul` / `t_matmul`, by
 //!   transposed gather for `matmul_t`. A block of one row tile (4 rows
 //!   or fewer under AVX2) would read a panel once, so it reads a
-//!   row-major `B` where it lies.
+//!   row-major `B` where it lies. The gather is the costly pack: it
+//!   visits `Bᵀ` one column at a time, whatever the batch, so a one-row
+//!   `784 → 128` product spends most of its time on it. A `Bᵀ` that many
+//!   products read unchanged — a served layer's weight — is gathered
+//!   once into [`Panels`], whose panels [`MatView::matmul_panels_into`]
+//!   borrows instead of packing: the same micro-kernel over the same
+//!   panel bytes, so the same bits as `matmul_t`.
 //! - **Stored, not accumulated.** A tile starts its first panel at `+0.0`,
 //!   reloads what it stored before a later one, and stores its result:
 //!   `out` is written, never added to, so nobody zeroes it first (a `k = 0`
@@ -232,6 +239,9 @@ fn store_row(dst: &mut [f32], nb: usize, row: TileRow) {
     }
 }
 
+/// Columns of `B` in one packed panel.
+const PANEL_WIDTH: usize = GEMM_PANEL_STRIPS * GEMM_COL_TILE;
+
 /// The right factor as the driver reads it.
 #[derive(Clone, Copy)]
 enum Rhs<'a> {
@@ -242,19 +252,26 @@ enum Rhs<'a> {
     /// `b` is `n × k`, row-major, i.e. `Bᵀ` (`matmul_t`): packed by
     /// transposed gather, panel column `jj` a segment of row `j0 + jj`.
     Cols { b: &'a [f32], k: usize },
+    /// `Bᵀ` gathered beforehand, every panel as `Cols` packs it
+    /// (`matmul_panels`): packing is a borrow.
+    Packed(&'a Panels),
 }
 
-impl Rhs<'_> {
-    /// Fills `panel[kk]` with row `k0 + kk`, columns `cols` of `B`,
-    /// zero-padded.
-    fn pack(self, panel: &mut [PanelRow], k0: usize, cols: Range<usize>) {
+impl<'a> Rhs<'a> {
+    /// Row `k0 + kk`, columns `cols` of `B`, zero-padded, as `panel[kk]`
+    /// for every `kk < panel.len()`: written into the caller's `panel`, or
+    /// borrowed where [`Panels`] holds it.
+    fn pack<'p>(self, panel: &'p mut [PanelRow], k0: usize, cols: Range<usize>) -> &'p [PanelRow]
+    where
+        'a: 'p,
+    {
         let nb = cols.len();
         match self {
             Rhs::Rows { b, n } => {
                 for (kk, panel_row) in panel.iter_mut().enumerate() {
                     let (dst, src) =
                         (panel_row.as_flattened_mut(), &b[(k0 + kk) * n + cols.start..]);
-                    match src.first_chunk::<{ GEMM_PANEL_STRIPS * GEMM_COL_TILE }>() {
+                    match src.first_chunk::<PANEL_WIDTH>() {
                         Some(whole) if nb == dst.len() => dst.copy_from_slice(whole),
                         _ => {
                             dst[..nb].copy_from_slice(&src[..nb]);
@@ -264,7 +281,7 @@ impl Rhs<'_> {
                 }
             }
             Rhs::Cols { b, k } => {
-                if nb < GEMM_PANEL_STRIPS * GEMM_COL_TILE {
+                if nb < PANEL_WIDTH {
                     panel.fill([[0.0; GEMM_COL_TILE]; GEMM_PANEL_STRIPS]);
                 }
                 let kb = panel.len();
@@ -275,7 +292,89 @@ impl Rhs<'_> {
                     }
                 }
             }
+            Rhs::Packed(panels) => return panels.panel(k0, panel.len(), cols.start),
         }
+        panel
+    }
+}
+
+/// A right factor packed once for any number of products: `Bᵀ` (`n × k`,
+/// row-major, e.g. a dense layer's `(out, in)` weight) in the GEMM
+/// driver's panel layout, gathered by the same body
+/// [`MatView::matmul_t_into`] runs on every call.
+/// [`MatView::matmul_panels_into`] reads it in place, so a product over
+/// it skips the gather and is bit-identical to `matmul_t_into` over the
+/// `Bᵀ` it was packed from, at any thread count.
+///
+/// The panels of each `GEMM_PANEL_K` rows of `B` lie together, in column
+/// order, each as deep as those rows and zero-padded to a whole panel's
+/// width.
+///
+/// ```
+/// use orco_tensor::{Matrix, Panels};
+///
+/// let w = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f32); // (out, in)
+/// let panels = Panels::new(w.as_view());
+/// let x = Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.5);
+/// let mut out = Matrix::zeros(2, 5);
+/// x.as_view().matmul_panels_into(&panels, out.as_view_mut());
+/// assert_eq!(out, x.matmul_t(&w));
+/// ```
+#[derive(Clone, Default)]
+pub struct Panels {
+    k: usize,
+    n: usize,
+    rows: Vec<PanelRow>,
+}
+
+impl std::fmt::Debug for Panels {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Panels").field("k", &self.k).field("n", &self.n).finish_non_exhaustive()
+    }
+}
+
+impl Panels {
+    /// `bt`'s panels: `B = btᵀ`, so `bt` is `n × k`.
+    #[must_use]
+    pub fn new(bt: MatView<'_>) -> Self {
+        let mut panels = Self::default();
+        panels.repack(bt);
+        panels
+    }
+
+    /// Packs `bt` in place of what these panels held, reusing their
+    /// buffer.
+    pub fn repack(&mut self, bt: MatView<'_>) {
+        let (n, k) = bt.shape();
+        let per_row = n.div_ceil(PANEL_WIDTH);
+        self.rows.resize(k * per_row, [[0.0; GEMM_COL_TILE]; GEMM_PANEL_STRIPS]);
+        (self.k, self.n) = (k, n);
+        let gather = Rhs::Cols { b: bt.data, k };
+        for k0 in (0..k).step_by(GEMM_PANEL_K) {
+            let kb = GEMM_PANEL_K.min(k - k0);
+            for j0 in (0..n).step_by(PANEL_WIDTH) {
+                let at = self.offset(k0, kb, j0);
+                gather.pack(&mut self.rows[at..at + kb], k0, j0..n.min(j0 + PANEL_WIDTH));
+            }
+        }
+    }
+
+    /// `(k, n)`: the shape of `B`, i.e. `bt` transposed.
+    #[must_use]
+    pub fn shape(&self) -> (usize, usize) {
+        (self.k, self.n)
+    }
+
+    /// Where the panel of rows `k0..k0 + kb` and columns from `j0` starts:
+    /// every earlier block of rows holds `k0` rows of panels in all.
+    fn offset(&self, k0: usize, kb: usize, j0: usize) -> usize {
+        k0 * self.n.div_ceil(PANEL_WIDTH) + j0 / PANEL_WIDTH * kb
+    }
+
+    /// The packed panel of rows `k0..k0 + kb`, columns from `j0`.
+    fn panel(&self, k0: usize, kb: usize, j0: usize) -> &[PanelRow] {
+        let at = self.offset(k0, kb, j0);
+        &self.rows[at..at + kb]
     }
 }
 
@@ -285,13 +384,13 @@ impl Rhs<'_> {
 ///
 /// Row-parallel over [`crate::parallel::for_each_row_block`]; inside a
 /// block, per `GEMM_PANEL_K` rows of `B` (`k` ascending): one packed panel
-/// per full tile's width of columns, and every row tile of the block over
-/// it ([`packed_tiles`]). A block of one row tile takes a row-major `B` in
+/// per full tile's width of columns — packed into the block's stack
+/// buffer, or borrowed from [`Panels`] — and every row tile of the block
+/// over it ([`packed_tiles`]). A block of one row tile takes a row-major `B` in
 /// place instead, `GEMM_TILE_STRIPS` strips at a time ([`in_place_tile`]),
 /// and packs only the columns left over.
 fn gemm<const SKIP: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, out: &mut [f32]) {
     const WIDE: usize = GEMM_TILE_STRIPS * GEMM_COL_TILE;
-    const PANEL: usize = GEMM_PANEL_STRIPS * GEMM_COL_TILE;
     if k == 0 {
         // An empty sum: the one product with no panel to store it.
         out.fill(0.0);
@@ -319,10 +418,10 @@ fn gemm<const SKIP: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, out: 
                     in_place_tile::<SKIP>(lhs, b_row, kb, first_row, &mut block[j0..], n, k0);
                 }
             }
-            for j0 in (packed_from..n).step_by(PANEL) {
-                let (panel, cols) = (&mut panel[..kb], j0..n.min(j0 + PANEL));
+            for j0 in (packed_from..n).step_by(PANEL_WIDTH) {
+                let cols = j0..n.min(j0 + PANEL_WIDTH);
                 let (o, nb) = (&mut block[j0..], cols.len());
-                rhs.pack(panel, k0, cols);
+                let panel = rhs.pack(&mut panel[..kb], k0, cols);
                 // A skipped term `±0 · b` is `±0`, which leaves an
                 // accumulator (never `-0.0`: it starts at `+0.0`) exactly as
                 // it was — unless `b` is ±inf or NaN. So only a panel that
@@ -630,6 +729,33 @@ impl<'a> MatView<'a> {
         gemm::<false>(lhs, rhs, self.cols, other.rows, out.data);
     }
 
+    /// `out = self · B` over `B`'s pre-packed [`Panels`]: the product of
+    /// [`MatView::matmul_t_into`] without its gather, bit-identical to it
+    /// over the `Bᵀ` the panels were packed from. `out` is fully
+    /// overwritten, like [`MatView::matmul_into`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols()` is not `B`'s row count or `out` is not
+    /// `self.rows()` × `B`'s column count.
+    pub fn matmul_panels_into(&self, panels: &Panels, out: MatViewMut<'_>) {
+        let (k, n) = panels.shape();
+        assert!(
+            self.cols == k,
+            "matmul_panels_into shape mismatch: {}x{} * {k}x{n}",
+            self.rows,
+            self.cols
+        );
+        assert!(
+            out.shape() == (self.rows, n),
+            "matmul_panels_into: out is {}x{}, need {}x{n}",
+            out.rows,
+            out.cols,
+            self.rows
+        );
+        gemm::<false>(ByRow { a: self.data, k }, Rhs::Packed(panels), k, n, out.data);
+    }
+
     /// `out = self · v`, the allocation-free twin of [`Matrix::matvec`]
     /// (same per-row dot products, bit-identical).
     ///
@@ -797,12 +923,21 @@ mod tests {
     }
 
     /// Holds the three products, owning and `_into` (into a dirty buffer),
+    /// and `matmul_t`'s pre-packed twin over `panels` re-packed from `bt`,
     /// to their oracles at thread budgets 1, 2 and 4.
-    fn check_kernel_contract(a: &Matrix, b: &Matrix, at: &Matrix, bt: &Matrix) {
+    fn check_kernel_contract(
+        a: &Matrix,
+        b: &Matrix,
+        at: &Matrix,
+        bt: &Matrix,
+        panels: &mut Panels,
+    ) {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         let want_mm = matmul_oracle(a, b);
         let want_tm = t_matmul_oracle(at, b);
         let want_mt = matmul_t_oracle(a, bt);
+        panels.repack(bt.as_view());
+        assert_eq!(panels.shape(), (k, n), "panels of {n}x{k}");
         for threads in [1, 2, 4] {
             crate::parallel::with_thread_budget(threads, || {
                 let what = |name: &str| format!("{name} {m}x{k}x{n} at {threads} threads");
@@ -818,6 +953,9 @@ mod tests {
                 out.as_mut_slice().fill(f32::NAN);
                 a.as_view().matmul_t_into(bt.as_view(), out.as_view_mut());
                 assert_bitwise(&out, &want_mt, &what("matmul_t_into"));
+                out.as_mut_slice().fill(f32::NAN);
+                a.as_view().matmul_panels_into(panels, out.as_view_mut());
+                assert_bitwise(&out, &want_mt, &what("matmul_panels_into"));
             });
         }
     }
@@ -896,18 +1034,25 @@ mod tests {
                 matrix_strategy(n, k),
             ))
         ) {
-            check_kernel_contract(&a, &b, &at, &bt);
+            // Re-packed for the case's smaller shape: no stale NaN may
+            // reach a product.
+            let (n, k) = bt.shape();
+            let stale = Matrix::filled(n + PANEL_WIDTH + 1, k + GEMM_PANEL_K + 1, f32::NAN);
+            check_kernel_contract(&a, &b, &at, &bt, &mut Panels::new(stale.as_view()));
         }
     }
 
     #[test]
     fn every_edge_shape_meets_the_kernel_contract() {
         let mut rng = crate::OrcoRng::from_label("kernel-contract", 0);
+        // One `Panels` for every shape, each re-packed in place of the
+        // last, larger and smaller.
+        let mut panels = Panels::default();
         for (m, k, n) in EDGE_SHAPES {
             let mut random =
                 |rows, cols| Matrix::from_fn(rows, cols, |_, _| rng.uniform(-1.0, 1.0));
             let (a, b, at, bt) = (random(m, k), random(k, n), random(k, m), random(n, k));
-            check_kernel_contract(&a, &b, &at, &bt);
+            check_kernel_contract(&a, &b, &at, &bt, &mut panels);
         }
     }
 
