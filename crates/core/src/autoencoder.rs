@@ -3,30 +3,31 @@
 //! *Asymmetric* is the load split, not just the shape: the encoder is a
 //! single dense layer (eq. 1) sized for a gateway-class data aggregator,
 //! while the decoder (eq. 3) can be arbitrarily deep because it runs on the
-//! edge server. [`AsymmetricAutoencoder`] keeps the two halves as separate
-//! models with separate optimizers, exposing exactly the split-training
-//! primitives the [`crate::Orchestrator`] drives over the network — and a
-//! local joint-training path built from the *same* primitives, so
-//! distributed and centralized training are bit-identical given the same
-//! random streams.
-//!
-//! The inference methods run the layers' `&self` body
-//! ([`orco_nn::Layer::infer_into`]), which keeps nothing for a backward
-//! pass, so the edge may decode for consumers between a round's
-//! [`AsymmetricAutoencoder::edge_decode_train`] and its
-//! [`AsymmetricAutoencoder::edge_decoder_update`].
+//! edge server. [`AsymmetricAutoencoder`] is [`SplitHalves`] — the two
+//! halves with separate optimizers, and every split-training step the
+//! [`crate::Orchestrator`] drives over the network — plus what OrcoDCS
+//! adds: eq. 2's latent noise, its one override of the
+//! [`SplitModel`] steps, and the configured reconstruction loss. Local
+//! joint training ([`SplitModel::train_batch_local`]) runs the *same*
+//! steps, so distributed and centralized training are bit-identical given
+//! the same random streams.
 
-use orco_nn::{Activation, Dense, Layer, Loss, Optimizer, Sequential, Workspace};
+use orco_nn::{Activation, Dense, Layer, Loss, Workspace};
 
 use orco_tensor::{MatView, Matrix, OrcoRng};
 
+use crate::checkpoint::EncoderCheckpoint;
+use crate::codec::{fraction_rows, shuffled_batch_train, Codec, TrainSpec};
 use crate::config::OrcoConfig;
 use crate::decoder::build_decoder;
 use crate::error::OrcoError;
+use crate::history::TrainingHistory;
 use crate::noise;
+use crate::split::{SplitHalves, SplitModel};
 
-/// The OrcoDCS asymmetric autoencoder: one-dense-layer encoder +
-/// configurable-depth decoder, each with its own optimizer.
+/// The OrcoDCS asymmetric autoencoder: [`SplitHalves`] (a one-dense-layer
+/// encoder and a configurable-depth decoder, each with its own optimizer)
+/// plus eq. 2's latent noise and the configured loss.
 ///
 /// # Examples
 ///
@@ -45,12 +46,11 @@ use crate::noise;
 /// ```
 #[derive(Debug, Clone)]
 pub struct AsymmetricAutoencoder {
-    encoder: Dense,
-    decoder: Sequential,
-    encoder_opt: Optimizer,
-    decoder_opt: Optimizer,
+    halves: SplitHalves,
     noise_variance: f32,
     noise_rng: OrcoRng,
+    // The halves carry both widths; these copies keep the struct at the
+    // size its training speed was measured at.
     latent_dim: usize,
     input_dim: usize,
     loss: Loss,
@@ -71,10 +71,7 @@ impl AsymmetricAutoencoder {
             build_decoder(config.latent_dim, config.input_dim, config.decoder_layers, &mut rng);
         let noise_rng = rng.derive("latent-noise");
         Ok(Self {
-            encoder,
-            decoder,
-            encoder_opt: Optimizer::adam(config.learning_rate).with_grad_clip(10.0),
-            decoder_opt: Optimizer::adam(config.learning_rate).with_grad_clip(10.0),
+            halves: SplitHalves::new(encoder, decoder, config.learning_rate),
             noise_variance: config.noise_variance,
             noise_rng,
             latent_dim: config.latent_dim,
@@ -83,37 +80,18 @@ impl AsymmetricAutoencoder {
         })
     }
 
-    /// Latent dimension `M`.
-    #[must_use]
-    pub(crate) fn latent_dim(&self) -> usize {
-        self.latent_dim
-    }
-
-    /// Input dimension `N`.
-    #[must_use]
-    pub(crate) fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// The reconstruction loss this model was configured to train with
-    /// ([`OrcoConfig::loss`] at construction time).
-    #[must_use]
-    pub(crate) fn training_loss(&self) -> Loss {
-        self.loss
-    }
-
     /// The encoder's weight matrix, shaped `(M, N)` — the object distributed
     /// column-wise to IoT devices (§III-C).
     ///
     #[must_use]
     pub fn encoder_weight(&self) -> &Matrix {
-        self.encoder.weight()
+        self.halves.encoder.weight()
     }
 
     /// The encoder's bias row vector, shaped `(1, M)`.
     #[must_use]
     pub fn encoder_bias(&self) -> &Matrix {
-        self.encoder.bias()
+        self.halves.encoder.bias()
     }
 
     /// Overwrites the encoder's parameters (applying a reassembled or
@@ -123,145 +101,113 @@ impl AsymmetricAutoencoder {
     ///
     /// Panics if shapes do not match `(M, N)` / `(1, M)`.
     pub fn set_encoder_parts(&mut self, weight: Matrix, bias: Matrix) {
-        self.encoder.set_parts(weight, bias);
+        self.halves.encoder.set_parts(weight, bias);
+    }
+}
+
+impl SplitModel for AsymmetricAutoencoder {
+    fn halves(&self) -> &SplitHalves {
+        &self.halves
     }
 
-    /// Per-sample forward FLOPs of the encoder (aggregator-side cost).
-    #[must_use]
-    pub(crate) fn encoder_flops_forward(&self) -> u64 {
-        Layer::flops_forward(&self.encoder)
+    fn halves_mut(&mut self) -> &mut SplitHalves {
+        &mut self.halves
     }
 
-    /// Per-sample backward FLOPs of the encoder.
-    #[must_use]
-    pub(crate) fn encoder_flops_backward(&self) -> u64 {
-        Layer::flops_backward(&self.encoder)
+    /// Encodes in training mode and adds the Gaussian latent noise
+    /// (eqs. 1–2). Returns the noisy latent `Ŷ`, the one matrix the step
+    /// allocates.
+    fn aggregator_encode_train(&mut self, x: &Matrix) -> Matrix {
+        let mut latent = self.halves.encoder.forward(x, true);
+        noise::add_gaussian(&mut latent, self.noise_variance, &mut self.noise_rng);
+        latent
+    }
+}
+
+impl Codec for AsymmetricAutoencoder {
+    fn name(&self) -> &'static str {
+        "OrcoDCS"
     }
 
-    /// Per-sample forward FLOPs of the decoder (edge-side cost).
-    #[must_use]
-    pub(crate) fn decoder_flops_forward(&self) -> u64 {
-        self.decoder.flops_forward()
+    fn input_dim(&self) -> usize {
+        self.input_dim
     }
 
-    /// Per-sample backward FLOPs of the decoder.
-    #[must_use]
-    pub(crate) fn decoder_flops_backward(&self) -> u64 {
-        self.decoder.flops_backward()
+    fn bytes_per_frame(&self) -> u64 {
+        (self.latent_dim * 4) as u64
     }
 
-    // ------------------------------------------------------------------
-    // Inference
-    // ------------------------------------------------------------------
-
-    /// Full reconstruction without noise (inference).
-    pub(crate) fn reconstruct(&mut self, x: &Matrix) -> Matrix {
-        let latent = self.encoder.forward(x, false);
-        self.decoder.forward(&latent, false)
+    fn train(&mut self, x: &Matrix, spec: &TrainSpec) -> Result<TrainingHistory, OrcoError> {
+        spec.validate()?;
+        if x.rows() == 0 {
+            return Err(OrcoError::Config { detail: "training set is empty".into() });
+        }
+        let x_frac;
+        let x = if spec.data_fraction < 1.0 {
+            let mut frng = OrcoRng::from_label("orcodcs-codec-fraction", spec.seed);
+            x_frac = fraction_rows(x, spec.data_fraction, &mut frng);
+            &x_frac
+        } else {
+            x
+        };
+        let loss = self.loss;
+        // The batching label predates this trait (the figure harness's
+        // local trainer); it is kept so seeded runs reproduce earlier
+        // releases bit-for-bit.
+        let mut rng = OrcoRng::from_label("bench-local-batching", spec.seed);
+        shuffled_batch_train(x, spec.epochs, spec.batch_size, &mut rng, |xb| {
+            self.train_batch_local(xb, &loss)
+        })
     }
 
-    /// Inference encode into a caller-owned buffer — the body of
-    /// `Codec::encode_batch_with` (eq. 1): one packed-panel GEMM against
-    /// the encoder weight, a bias broadcast, and the sigmoid in place.
-    pub(crate) fn encode_batch_into(
+    fn encode_batch_with(
         &self,
         ws: &mut Workspace,
         frames: MatView<'_>,
         out: &mut Matrix,
-    ) {
-        self.encoder.infer_into(frames, out, ws);
+    ) -> Result<(), OrcoError> {
+        self.halves.encode_batch_with(self.name(), ws, frames, out)
     }
 
-    /// Inference decode into a caller-owned buffer — the body of
-    /// `Codec::decode_batch_with` (eq. 3): the decoder stack's
-    /// [`Sequential::infer_into`] over the whole batch, allocation-free
-    /// once `ws` and `out` have grown to size.
-    pub(crate) fn decode_batch_into(
+    fn decode_batch_with(
         &self,
         ws: &mut Workspace,
         codes: MatView<'_>,
         out: &mut Matrix,
-    ) {
-        self.decoder.infer_into(codes, out, ws);
+    ) -> Result<(), OrcoError> {
+        self.halves.decode_batch_with(self.name(), ws, codes, out)
     }
 
-    /// [`Self::decode_batch_into`] in the decoder's own scratch — the body
-    /// of `Codec::decode_batch` — through [`Sequential::forward_into`] with
-    /// `train = false`.
-    pub(crate) fn decode_batch_own(&mut self, codes: MatView<'_>, out: &mut Matrix) {
-        self.decoder.forward_into(codes, out, false);
+    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+        self.halves.encode_batch(self.name(), frames, out)
     }
 
-    // ------------------------------------------------------------------
-    // Split-training primitives (driven by the orchestrator)
-    // ------------------------------------------------------------------
-
-    /// **Aggregator step 1**: encode a batch in training mode and add the
-    /// Gaussian latent noise (eqs. 1–2). Returns the noisy latent `Ŷ`, the
-    /// one matrix the step allocates.
-    pub(crate) fn aggregator_encode_train(&mut self, x: &Matrix) -> Matrix {
-        let mut latent = self.encoder.forward(x, true);
-        noise::add_gaussian(&mut latent, self.noise_variance, &mut self.noise_rng);
-        latent
+    fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+        self.halves.decode_batch(self.name(), codes, out)
     }
 
-    /// **Edge step**: decode the noisy latent in training mode (eq. 3).
-    /// The returned reconstruction is the one matrix the step allocates,
-    /// whatever the decoder's depth.
-    pub(crate) fn edge_decode_train(&mut self, noisy_latent: &Matrix) -> Matrix {
-        self.decoder.forward(noisy_latent, true)
+    fn loss(&self) -> Loss {
+        self.loss
     }
 
-    /// **Aggregator step 2**: compute the reconstruction loss and its
-    /// gradient (eq. 4) against the original batch.
-    #[must_use]
-    pub(crate) fn reconstruction_grad(x: &Matrix, xr: &Matrix, loss: &Loss) -> (f32, Matrix) {
-        (loss.value(xr, x), loss.grad(xr, x))
+    fn split_model(&mut self) -> Option<&mut dyn SplitModel> {
+        Some(self)
     }
 
-    /// **Edge step**: backpropagate the reconstruction gradient through the
-    /// decoder, apply the decoder optimizer, and return `∂L/∂Ŷ` (the latent
-    /// gradient sent back down to the aggregator) — the one matrix the step
-    /// allocates.
-    pub(crate) fn edge_decoder_update(&mut self, grad_reconstruction: &Matrix) -> Matrix {
-        self.decoder.zero_grad();
-        let mut grad_latent = Matrix::zeros(0, 0);
-        self.decoder.backward_into(grad_reconstruction.as_view(), Some(&mut grad_latent));
-        self.decoder_opt.step(|f| self.decoder.for_each_param(f));
-        grad_latent
+    fn checkpoint(&self) -> Option<EncoderCheckpoint> {
+        Some(EncoderCheckpoint::capture(&self.halves, self.name()))
     }
 
-    /// **Aggregator step 3**: backpropagate the latent gradient through the
-    /// encoder and apply the encoder optimizer. (Additive noise has unit
-    /// Jacobian, so `∂L/∂Y = ∂L/∂Ŷ`.) Nobody reads `∂L/∂x` of the first
-    /// layer, so it is not computed, and the step allocates nothing.
-    pub(crate) fn aggregator_encoder_update(&mut self, grad_latent: &Matrix) {
-        self.encoder.zero_grad();
-        self.encoder.backward_into(grad_latent.as_view(), None);
-        self.encoder_opt.step(|f| self.encoder.for_each_param(f));
-    }
-
-    // ------------------------------------------------------------------
-    // Snapshots (rollback support for the fine-tuning monitor)
-    // ------------------------------------------------------------------
-
-    /// One complete training round executed locally (no network): the same
-    /// primitives the orchestrator calls, in the same order. Returns the
-    /// batch loss before the update.
-    pub fn train_batch_local(&mut self, x: &Matrix, loss: &Loss) -> f32 {
-        let noisy_latent = self.aggregator_encode_train(x);
-        let xr = self.edge_decode_train(&noisy_latent);
-        let (value, grad) = Self::reconstruction_grad(x, &xr, loss);
-        let grad_latent = self.edge_decoder_update(&grad);
-        self.aggregator_encoder_update(&grad_latent);
-        value
+    fn with_encoder(&self, checkpoint: &EncoderCheckpoint) -> Result<Box<dyn Codec>, OrcoError> {
+        let mut next = self.clone();
+        checkpoint.restore(&mut next.halves)?;
+        Ok(Box::new(next))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Codec;
     use orco_datasets::DatasetKind;
 
     fn tiny_config() -> OrcoConfig {
@@ -284,7 +230,7 @@ mod tests {
         let mut xr = Matrix::zeros(0, 0);
         ae.decode_batch(y.as_view(), &mut xr).expect("codes fit the codec");
         assert_eq!(xr.shape(), (3, 784));
-        assert_eq!(ae.reconstruct(&x).shape(), (3, 784));
+        assert_eq!(ae.reconstruct_inference(&x).shape(), (3, 784));
     }
 
     #[test]
@@ -292,11 +238,11 @@ mod tests {
         let mut ae = AsymmetricAutoencoder::new(&tiny_config()).unwrap();
         let ds = orco_datasets::mnist_like::generate(32, 0);
         let loss = Loss::VectorHuber { delta: 1.0 };
-        let before = loss.value(&ae.reconstruct(ds.x()), ds.x());
+        let before = loss.value(&ae.reconstruct_inference(ds.x()), ds.x());
         for _ in 0..30 {
             let _ = ae.train_batch_local(ds.x(), &loss);
         }
-        let after = loss.value(&ae.reconstruct(ds.x()), ds.x());
+        let after = loss.value(&ae.reconstruct_inference(ds.x()), ds.x());
         assert!(after < before, "loss {before} -> {after}");
     }
 
@@ -304,7 +250,7 @@ mod tests {
     fn sigmoid_outputs_stay_in_unit_range() {
         let mut ae = AsymmetricAutoencoder::new(&tiny_config()).unwrap();
         let x = Matrix::from_fn(2, 784, |_, c| (c % 7) as f32 / 7.0);
-        let xr = ae.reconstruct(&x);
+        let xr = ae.reconstruct_inference(&x);
         assert!(xr.min() >= 0.0 && xr.max() <= 1.0);
     }
 
@@ -339,6 +285,17 @@ mod tests {
         let cfg = tiny_config().with_decoder_layers(3);
         let ae = AsymmetricAutoencoder::new(&cfg).unwrap();
         assert!(ae.decoder_flops_forward() > ae.encoder_flops_forward());
+    }
+
+    /// Training's speed moves with the models' sizes through the heap
+    /// state a fresh model leaves: dropping the width copies the halves
+    /// make redundant, here (1144 B) and in DCSNet (568 B), read 0.864× on
+    /// the benchmark's DCSNet training rounds (0 of 10 pairs faster). A
+    /// field goes only with a measurement.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_model_keeps_its_size() {
+        assert_eq!(std::mem::size_of::<AsymmetricAutoencoder>(), 1160);
     }
 
     #[test]

@@ -3,17 +3,17 @@
 //! The fine-tuning monitor (§III-D) relaunches training when the
 //! environment drifts; deployments also restart, and the edge may want to
 //! roll a decoder back after a bad adaptation. This module saves and
-//! restores the asymmetric autoencoder's parameters in the workspace's
-//! plain-text `MAT` format (diff-able, no format crate): one file per
-//! tensor plus a small manifest.
+//! restores a split model's encoder in the workspace's plain-text `MAT`
+//! format (diff-able, no format crate): one file per tensor plus a small
+//! manifest.
 
 use std::path::{Path, PathBuf};
 
 use orco_tensor::serialize::{matrix_from_text, matrix_to_text};
 use orco_tensor::{fnv1a64, Matrix};
 
-use crate::autoencoder::AsymmetricAutoencoder;
 use crate::error::OrcoError;
+use crate::split::SplitHalves;
 
 /// Files inside a checkpoint directory.
 const MANIFEST: &str = "manifest.txt";
@@ -34,45 +34,43 @@ pub struct EncoderCheckpoint {
 }
 
 impl EncoderCheckpoint {
-    /// Captures the current encoder of an autoencoder.
+    /// Captures the current encoder of a split model's halves.
     #[must_use]
-    pub(crate) fn capture(ae: &AsymmetricAutoencoder, label: impl Into<String>) -> Self {
+    pub fn capture(halves: &SplitHalves, label: impl Into<String>) -> Self {
         Self {
-            weight: ae.encoder_weight().clone(),
-            bias: ae.encoder_bias().clone(),
+            weight: halves.encoder.weight().clone(),
+            bias: halves.encoder.bias().clone(),
             label: label.into(),
         }
     }
 
-    /// Restores this checkpoint into an autoencoder.
+    /// Restores this checkpoint into a split model's halves.
     ///
     /// # Errors
     ///
     /// Returns [`OrcoError::Config`] if the shapes do not match the target
     /// model.
-    pub fn restore(&self, ae: &mut AsymmetricAutoencoder) -> Result<(), OrcoError> {
-        if self.weight.shape() != (ae.latent_dim(), ae.input_dim()) {
+    pub fn restore(&self, halves: &mut SplitHalves) -> Result<(), OrcoError> {
+        let (latent_dim, input_dim) = halves.encoder.weight().shape();
+        if self.weight.shape() != (latent_dim, input_dim) {
             return Err(OrcoError::Config {
                 detail: format!(
-                    "checkpoint encoder is {}x{}, model expects {}x{}",
+                    "checkpoint encoder is {}x{}, model expects {latent_dim}x{input_dim}",
                     self.weight.rows(),
                     self.weight.cols(),
-                    ae.latent_dim(),
-                    ae.input_dim()
                 ),
             });
         }
-        if self.bias.shape() != (1, ae.latent_dim()) {
+        if self.bias.shape() != (1, latent_dim) {
             return Err(OrcoError::Config {
                 detail: format!(
-                    "checkpoint encoder bias is {}x{}, model expects 1x{}",
+                    "checkpoint encoder bias is {}x{}, model expects 1x{latent_dim}",
                     self.bias.rows(),
                     self.bias.cols(),
-                    ae.latent_dim()
                 ),
             });
         }
-        ae.set_encoder_parts(self.weight.clone(), self.bias.clone());
+        halves.encoder.set_parts(self.weight.clone(), self.bias.clone());
         Ok(())
     }
 
@@ -259,7 +257,9 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autoencoder::AsymmetricAutoencoder;
     use crate::config::OrcoConfig;
+    use crate::split::SplitModel;
     use crate::Codec;
     use orco_datasets::DatasetKind;
 
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn save_load_roundtrip_is_exact() {
         let ae = trained_ae();
-        let ckpt = EncoderCheckpoint::capture(&ae, "test-roundtrip");
+        let ckpt = EncoderCheckpoint::capture(ae.halves(), "test-roundtrip");
         let dir = tmpdir("roundtrip");
         ckpt.save(&dir).unwrap();
         let loaded = EncoderCheckpoint::load(&dir).unwrap();
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn restore_recovers_encodings() {
         let mut ae = trained_ae();
-        let ckpt = EncoderCheckpoint::capture(&ae, "restore");
+        let ckpt = EncoderCheckpoint::capture(ae.halves(), "restore");
         let ds = orco_datasets::mnist_like::generate(4, 1);
         let encode = |ae: &mut AsymmetricAutoencoder| {
             let mut codes = Matrix::zeros(0, 0);
@@ -309,22 +309,22 @@ mod tests {
         }
         assert_ne!(encode(&mut ae), before);
         // Roll back.
-        ckpt.restore(&mut ae).unwrap();
+        ckpt.restore(ae.halves_mut()).unwrap();
         assert_eq!(encode(&mut ae), before);
     }
 
     #[test]
     fn restore_rejects_shape_mismatch() {
         let ae = trained_ae(); // latent 8
-        let ckpt = EncoderCheckpoint::capture(&ae, "mismatch");
+        let ckpt = EncoderCheckpoint::capture(ae.halves(), "mismatch");
         let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16);
         let mut other = AsymmetricAutoencoder::new(&cfg).unwrap();
-        assert!(matches!(ckpt.restore(&mut other), Err(OrcoError::Config { .. })));
+        assert!(matches!(ckpt.restore(other.halves_mut()), Err(OrcoError::Config { .. })));
         // The weight fits; only the bias is one column too wide.
         let mut ae = ae;
         let mut bias_only = ckpt.clone();
         bias_only.bias = Matrix::zeros(1, ae.latent_dim() + 1);
-        let err = bias_only.restore(&mut ae).expect_err("a wrong bias must not restore");
+        let err = bias_only.restore(ae.halves_mut()).expect_err("a wrong bias must not restore");
         assert!(matches!(err, OrcoError::Config { .. }), "unexpected error: {err}");
     }
 
@@ -334,7 +334,7 @@ mod tests {
         let dir = tmpdir("store");
         let mut store = CheckpointStore::new(&dir, 2);
         for i in 0..3 {
-            let ckpt = EncoderCheckpoint::capture(&ae, format!("v{i}"));
+            let ckpt = EncoderCheckpoint::capture(ae.halves(), format!("v{i}"));
             store.push(&ckpt).unwrap();
         }
         assert_eq!(store.len(), 2);
@@ -356,7 +356,7 @@ mod tests {
         // its tail (power cut mid-write, partial copy) must surface as
         // `OrcoError::Corrupt`, never as weights.
         let ae = trained_ae();
-        let ckpt = EncoderCheckpoint::capture(&ae, "torn");
+        let ckpt = EncoderCheckpoint::capture(ae.halves(), "torn");
         let dir = tmpdir("torn-write");
         ckpt.save(&dir).unwrap();
         let weight_path = dir.join(ENCODER_WEIGHT);
@@ -370,7 +370,7 @@ mod tests {
     #[test]
     fn flipped_payload_byte_is_rejected_as_corrupt() {
         let ae = trained_ae();
-        let ckpt = EncoderCheckpoint::capture(&ae, "bitrot");
+        let ckpt = EncoderCheckpoint::capture(ae.halves(), "bitrot");
         let dir = tmpdir("bitrot");
         ckpt.save(&dir).unwrap();
         let bias_path = dir.join(ENCODER_BIAS);
@@ -386,7 +386,7 @@ mod tests {
     #[test]
     fn save_leaves_no_temp_files() {
         let ae = trained_ae();
-        let ckpt = EncoderCheckpoint::capture(&ae, "atomic");
+        let ckpt = EncoderCheckpoint::capture(ae.halves(), "atomic");
         let dir = tmpdir("atomic");
         ckpt.save(&dir).unwrap();
         for entry in std::fs::read_dir(&dir).unwrap() {
@@ -406,7 +406,7 @@ mod tests {
         let ae = trained_ae();
         let dir = tmpdir("store-corrupt");
         let mut store = CheckpointStore::new(&dir, 2);
-        let ckpt = EncoderCheckpoint::capture(&ae, "good");
+        let ckpt = EncoderCheckpoint::capture(ae.halves(), "good");
         let saved = store.push(&ckpt).unwrap().to_path_buf();
         std::fs::write(saved.join(ENCODER_WEIGHT), "MAT 1 1\n0.0\n").unwrap();
         let err = store.latest().unwrap_err();

@@ -8,8 +8,7 @@
 //! pointed at any of them through the
 //! [`ExperimentBuilder`](crate::pipeline::ExperimentBuilder):
 //!
-//! * [`crate::AsymmetricAutoencoder`] — the OrcoDCS path (implemented
-//!   here);
+//! * [`crate::AsymmetricAutoencoder`] — the OrcoDCS path;
 //! * `Dcsnet` and the `Dct2` + `GaussianMeasurement` + ISTA/OMP stacks —
 //!   the baselines (implemented in `orco-baselines`).
 //!
@@ -76,7 +75,6 @@ use orco_tensor::{MatView, Matrix, OrcoRng};
 
 pub use orco_nn::Workspace;
 
-use crate::autoencoder::AsymmetricAutoencoder;
 use crate::checkpoint::EncoderCheckpoint;
 use crate::error::OrcoError;
 use crate::history::{RoundStats, TrainingHistory};
@@ -416,97 +414,10 @@ pub trait Codec: std::fmt::Debug + Send + Sync {
     }
 }
 
-impl Codec for AsymmetricAutoencoder {
-    fn name(&self) -> &'static str {
-        "OrcoDCS"
-    }
-
-    fn input_dim(&self) -> usize {
-        AsymmetricAutoencoder::input_dim(self)
-    }
-
-    fn bytes_per_frame(&self) -> u64 {
-        (self.latent_dim() * 4) as u64
-    }
-
-    fn train(&mut self, x: &Matrix, spec: &TrainSpec) -> Result<TrainingHistory, OrcoError> {
-        spec.validate()?;
-        if x.rows() == 0 {
-            return Err(OrcoError::Config { detail: "training set is empty".into() });
-        }
-        let x_frac;
-        let x = if spec.data_fraction < 1.0 {
-            let mut frng = OrcoRng::from_label("orcodcs-codec-fraction", spec.seed);
-            x_frac = fraction_rows(x, spec.data_fraction, &mut frng);
-            &x_frac
-        } else {
-            x
-        };
-        let loss = self.training_loss();
-        // The batching label predates this trait (the figure harness's
-        // local trainer); it is kept so seeded runs reproduce earlier
-        // releases bit-for-bit.
-        let mut rng = OrcoRng::from_label("bench-local-batching", spec.seed);
-        shuffled_batch_train(x, spec.epochs, spec.batch_size, &mut rng, |xb| {
-            self.train_batch_local(xb, &loss)
-        })
-    }
-
-    fn encode_batch_with(
-        &self,
-        ws: &mut Workspace,
-        frames: MatView<'_>,
-        out: &mut Matrix,
-    ) -> Result<(), OrcoError> {
-        Codec::frame_dims(self).check_frames(Codec::name(self), frames)?;
-        self.encode_batch_into(ws, frames, out);
-        Ok(())
-    }
-
-    fn decode_batch_with(
-        &self,
-        ws: &mut Workspace,
-        codes: MatView<'_>,
-        out: &mut Matrix,
-    ) -> Result<(), OrcoError> {
-        Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
-        self.decode_batch_into(ws, codes, out);
-        Ok(())
-    }
-
-    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
-        // The dense encoder keeps no scratch: a workspace stays empty.
-        self.encode_batch_with(&mut Workspace::default(), frames, out)
-    }
-
-    fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
-        Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
-        self.decode_batch_own(codes, out);
-        Ok(())
-    }
-
-    fn loss(&self) -> Loss {
-        self.training_loss()
-    }
-
-    fn split_model(&mut self) -> Option<&mut dyn SplitModel> {
-        Some(self)
-    }
-
-    fn checkpoint(&self) -> Option<EncoderCheckpoint> {
-        Some(EncoderCheckpoint::capture(self, Codec::name(self)))
-    }
-
-    fn with_encoder(&self, checkpoint: &EncoderCheckpoint) -> Result<Box<dyn Codec>, OrcoError> {
-        let mut next = self.clone();
-        checkpoint.restore(&mut next)?;
-        Ok(Box::new(next))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autoencoder::AsymmetricAutoencoder;
     use crate::config::OrcoConfig;
     use orco_datasets::{mnist_like, DatasetKind};
 

@@ -97,4 +97,4 @@ pub use orchestrator::Orchestrator;
 pub use pipeline::{
     ClusterScale, DeploymentSpec, Experiment, ExperimentBuilder, Report, TrainingMode,
 };
-pub use split::SplitModel;
+pub use split::{SplitHalves, SplitModel};

@@ -25,6 +25,7 @@ use orco_wsn::NetworkConfig;
 use crate::config::OrcoConfig;
 use crate::error::OrcoError;
 use crate::orchestrator::Orchestrator;
+use crate::split::SplitModel;
 
 /// How the shared edge serves competing clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

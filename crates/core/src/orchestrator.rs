@@ -339,10 +339,10 @@ mod tests {
         let mut orch = tiny_setup(8);
         let ds = mnist_like::generate(32, 0);
         let loss_fn = orch.loss;
-        let before = loss_fn.value(&orch.model_mut().reconstruct(ds.x()), ds.x());
+        let before = loss_fn.value(&orch.model_mut().reconstruct_inference(ds.x()), ds.x());
         let history = orch.train(ds.x()).unwrap();
         assert!(history.rounds.len() >= 8);
-        let after = loss_fn.value(&orch.model_mut().reconstruct(ds.x()), ds.x());
+        let after = loss_fn.value(&orch.model_mut().reconstruct_inference(ds.x()), ds.x());
         assert!(after < before, "loss {before} -> {after}");
         // Simulated time strictly increases.
         for w in history.rounds.windows(2) {

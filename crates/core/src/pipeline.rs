@@ -788,9 +788,11 @@ impl Experiment {
                     epochs: self.epochs.max(1),
                 };
                 let mut orch = Orchestrator::with_parts(split, loss, network, run);
-                let history = orch.train(x)?;
+                let history = orch.train(x);
+                // The deployment comes back whether or not the retrain did,
+                // so a failed retrain does not strand later ones.
                 self.network = Some(orch.into_network());
-                history
+                history?
             }
             TrainingMode::Local => {
                 let spec = TrainSpec {
@@ -938,6 +940,20 @@ mod tests {
             long.final_loss,
             short.final_loss
         );
+    }
+
+    #[test]
+    fn a_failed_orchestrated_retrain_keeps_the_deployment() {
+        let (_ds, builder) = tiny_builder(8, 8);
+        let mut exp = builder.monitor(FineTuneMonitor::new(1e-9, 1)).build().unwrap();
+        let _ = exp.run().unwrap();
+        let overflow = Matrix::filled(8, 784, f32::MAX);
+        let err = exp.observe(&overflow).expect_err("an overflowing batch diverges");
+        assert!(matches!(err, OrcoError::Diverged { round: 0 }), "unexpected error: {err}");
+        assert!(exp.network().is_some(), "the deployment must survive a failed retrain");
+        let (ds, _) = tiny_builder(8, 9);
+        let outcome = exp.observe(ds.x()).expect("the next retrain runs");
+        assert!(outcome.retraining.is_some());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! running it on one machine, and in-network (chain) encoding must equal
 //! centralized encoding.
 
-use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, EncoderColumns, Orchestrator, OrcoConfig};
+use orcodcs_repro::core::{
+    AsymmetricAutoencoder, Codec, EncoderColumns, Orchestrator, OrcoConfig, SplitModel,
+};
 use orcodcs_repro::datasets::{mnist_like, DatasetKind};
 use orcodcs_repro::nn::Activation;
 use orcodcs_repro::tensor::Matrix;

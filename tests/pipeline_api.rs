@@ -10,7 +10,7 @@ use orcodcs_repro::core::aggregation::TransmissionReport;
 use orcodcs_repro::core::checkpoint::{CheckpointStore, EncoderCheckpoint};
 use orcodcs_repro::core::{
     AsymmetricAutoencoder, ClusterScale, Codec, ExperimentBuilder, FineTuneMonitor, OrcoConfig,
-    TrainingMode,
+    SplitModel, TrainingMode,
 };
 use orcodcs_repro::datasets::{drift, mnist_like, DatasetKind};
 use orcodcs_repro::tensor::OrcoRng;
@@ -112,7 +112,7 @@ fn pipeline_checkpoints_roundtrip_through_disk() {
     // Restoring the loaded checkpoint into a fresh model reproduces the
     // trained encoder exactly.
     let mut fresh = AsymmetricAutoencoder::new(&cfg).expect("valid config");
-    loaded.restore(&mut fresh).expect("shapes match");
+    loaded.restore(fresh.halves_mut()).expect("shapes match");
     assert_eq!(fresh.encoder_weight(), &live.weight);
 
     // Direct save/load round-trip of the captured checkpoint.
