@@ -60,6 +60,18 @@ impl SplitHalves {
         }
     }
 
+    /// The encoder, to read.
+    #[must_use]
+    pub fn encoder(&self) -> &Dense {
+        &self.encoder
+    }
+
+    /// The decoder stack, to read.
+    #[must_use]
+    pub fn decoder(&self) -> &Sequential {
+        &self.decoder
+    }
+
     /// The frame and code widths: the encoder's input and output.
     fn frame_dims(&self) -> FrameDims {
         FrameDims { input: self.encoder.input_dim(), code: self.encoder.output_dim() }
