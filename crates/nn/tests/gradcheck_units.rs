@@ -4,12 +4,14 @@
 //! `gradient_properties.rs` with stable, debuggable cases wired straight to
 //! `orco_nn::gradcheck`.
 //!
-//! On tolerances: `check_layer` uses f32 central differences with
-//! `eps = 1e-2`. For a coordinate with a small gradient the difference
-//! `L(+ε) − L(−ε)` cancels down to f32 rounding noise, which puts the
-//! method's floor near 1e-3 relative error even for perfectly correct
-//! analytic gradients. The tests therefore assert 1e-3 where the
-//! construction keeps every checked coordinate well-conditioned, and a
+//! On tolerances: `check_layer` takes central differences with
+//! `eps = 1e-2` of a loss it sums in `f64` from the layer's `f32`
+//! outputs. Summed in `f32`, the difference `L(+ε) − L(−ε)` of a
+//! coordinate with a small gradient cancelled down to the loss's own
+//! rounding noise, which put the method's floor near 1e-3 relative error
+//! (3.2e-4 on `dense_identity_l2_gradients`, 1.5e-3 once the GEMM step
+//! fused); the `f64` loss reads 4e-5 there. The tests assert 1e-3 where
+//! the construction keeps every checked coordinate well-conditioned, and a
 //! documented small multiple of it where the layer mixes coordinate scales.
 
 use orco_nn::gradcheck::check_layer;
