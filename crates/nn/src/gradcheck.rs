@@ -120,9 +120,8 @@ pub fn check_layer(
 
     let mut max_param_rel_err = 0.0f32;
 
-    let n_params = analytic_params.len();
-    for pi in 0..n_params {
-        let len = analytic_params[pi].len();
+    for (pi, analytic) in analytic_params.iter().enumerate() {
+        let len = analytic.len();
         let stride = (len / max_coords).max(1);
         for flat in (0..len).step_by(stride) {
             let set =
@@ -133,8 +132,7 @@ pub fn check_layer(
                 loss_f64(loss, &layer.forward(input, false), target)
             });
             set(layer, saved);
-            let analytic = analytic_params[pi].as_slice()[flat];
-            max_param_rel_err = max_param_rel_err.max(rel_err(analytic, numeric));
+            max_param_rel_err = max_param_rel_err.max(rel_err(analytic.as_slice()[flat], numeric));
         }
     }
 

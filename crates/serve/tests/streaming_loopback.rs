@@ -326,8 +326,17 @@ fn le_bytes(values: &[f32]) -> Vec<u8> {
 /// `StreamFrames` carry a run of rows. The constants were measured when
 /// delivery was a pump over a gateway-wide subscriber registry, before it
 /// moved into the shard's flush; a change to the gateway may edit this
-/// test's imports and comments, never its constants.
+/// test's imports and comments, never its constants. The five row digests
+/// were re-pinned once, with every other absolute pin, when the GEMM
+/// micro-kernel's step became one fused multiply-add (the row counts and
+/// version runs held); the root package's `shadow_ledger.rs` holds their
+/// distance from an `f64` shadow. They are the `x86-64-v3` build's values,
+/// so a build without FMA ignores the test.
 #[test]
+#[cfg_attr(
+    not(target_feature = "fma"),
+    ignore = "absolute values of the x86-64-v3 build, whose GEMM step is one fused multiply-add"
+)]
 fn a_fixed_streamed_schedule_matches_its_golden_values() {
     use orco_serve::scenarios::codec_config;
     use orco_serve::{Message, ModelVersion};
@@ -425,18 +434,18 @@ fn a_fixed_streamed_schedule_matches_its_golden_values() {
     assert_eq!(
         streamed,
         [
-            (A, golden(20, 0xa148_8953_1573_fb99, &[(0, 14), (1, 6)])),
-            (B, golden(17, 0xaa6f_c5ac_ec1f_4395, &[(0, 8), (1, 9)])),
-            (C, golden(15, 0x8124_7ad0_f44f_48a6, &[(0, 12), (1, 3)])),
+            (A, golden(20, 0xa45b_2728_03ab_b655, &[(0, 14), (1, 6)])),
+            (B, golden(17, 0xee3f_33a8_5215_1d6f, &[(0, 8), (1, 9)])),
+            (C, golden(15, 0x3a45_550d_97ab_98d2, &[(0, 12), (1, 3)])),
         ]
     );
     assert_eq!(
         (pulled_neighbour.rows(), fnv1a64(&le_bytes(pulled_neighbour.as_slice()))),
-        (2, 0xc12b_5557_f30c_cc67)
+        (2, 0x5fe8_6414_674a_4e8d)
     );
     assert_eq!(
         (pulled_a_version, pulled_a.rows(), fnv1a64(&le_bytes(pulled_a.as_slice()))),
-        (1, 6, 0xd9c8_1633_f9c3_1a95)
+        (1, 6, 0xfd03_f5bd_ac7e_8088)
     );
 
     let snap = gw.stats();

@@ -411,7 +411,8 @@ impl Matrix {
         out
     }
 
-    /// Matrix–vector product `self * v`.
+    /// Matrix–vector product `self * v`: a fresh vector filled by
+    /// `crate::MatView::matvec_into`.
     ///
     /// # Panics
     ///
@@ -419,7 +420,9 @@ impl Matrix {
     #[must_use]
     pub fn matvec(&self, v: &[f32]) -> Vec<f32> {
         assert_eq!(v.len(), self.cols, "matvec: vector length {} != cols {}", v.len(), self.cols);
-        self.iter_rows().map(|row| row.iter().zip(v).map(|(a, b)| a * b).sum()).collect()
+        let mut out = vec![0.0; self.rows];
+        self.as_view().matvec_into(v, &mut out);
+        out
     }
 
     /// Dot product of two equally-shaped matrices viewed as flat vectors.

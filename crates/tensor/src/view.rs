@@ -19,11 +19,15 @@
 //!
 //! What the kernels promise is a **summation order**, not a loop nest:
 //! every output element is one `f32` accumulator that starts at `+0.0`
-//! and takes its terms in ascending `k`. `matmul` and `t_matmul` skip a
-//! term whose left factor is zero; `matmul_t` (the `x·Wᵀ` of every dense
-//! layer) skips nothing. Tile and panel sizes may be retuned freely; the
-//! per-element order and the two zero-skips may not — the unit tests hold
-//! all three products bitwise to scalar oracles that spell this out.
+//! and takes its terms in ascending `k`, each term one step `acc + a·b`
+//! — one fused multiply-add where the build has FMA (`x86-64-v3`,
+//! `.cargo/config.toml`), a multiply then an add where it has not. In
+//! `matmul` and `t_matmul`, a term whose left factor is zero and whose
+//! right factor is ±inf or NaN contributes nothing (a zero weight never
+//! turns an output NaN); `matmul_t` (the `x·Wᵀ` of every dense layer)
+//! takes every term. Tile and panel sizes may be retuned freely; the
+//! per-element order, the step and the zero rule may not — the unit tests
+//! hold all three products bitwise to scalar oracles that spell this out.
 //!
 //! All three are one register-blocked micro-kernel under one driver
 //! (Goto & van de Geijn's GEMM):
@@ -49,9 +53,14 @@
 //! - **Stored, not accumulated.** A tile starts its first panel at `+0.0`,
 //!   reloads what it stored before a later one, and stores its result:
 //!   `out` is written, never added to, so nobody zeroes it first (a `k = 0`
-//!   product writes `+0.0`). Rust never contracts `a * b + c` into an FMA,
-//!   so the AVX2 build (`x86-64-v3`, `.cargo/config.toml`) and an SSE2 one
-//!   give the same bits.
+//!   product writes `+0.0`). A `k = 1` product is an outer product, each
+//!   output one step from `+0.0`: it is written row by row, with no panel.
+//! - **One step, chosen by the build.** The step is `madd`: `a.mul_add(b,
+//!   acc)` under `target_feature = "fma"`, `acc + a * b` otherwise (rustc
+//!   never contracts the latter into an FMA, and without the feature
+//!   `mul_add` is a libm call per term). So the `x86-64-v3` build and an
+//!   SSE2 one round differently; each is bit-identical to its own oracles
+//!   at any thread count.
 //!
 //! ```
 //! use orco_tensor::{MatView, Matrix};
@@ -101,6 +110,29 @@ const GEMM_MIN_ROWS_PER_THREAD: usize = 8;
 // ----------------------------------------------------------------------
 // Kernels
 // ----------------------------------------------------------------------
+
+/// One step of every product's sum, `acc + a·b`: one fused multiply-add
+/// (one rounding) where the build has FMA, a multiply and an add (two)
+/// where it has not. A property of the build, like [`GEMM_COL_TILE`].
+#[inline(always)]
+fn madd(acc: f32, a: f32, b: f32) -> f32 {
+    if cfg!(target_feature = "fma") {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
+    }
+}
+
+/// The step of `matmul` / `t_matmul` under their zero rule: a zero `a`
+/// against a non-finite `b` contributes nothing.
+#[inline(always)]
+fn madd_zero_rule(acc: f32, a: f32, b: f32) -> f32 {
+    if a == 0.0 && !b.is_finite() {
+        acc
+    } else {
+        madd(acc, a, b)
+    }
+}
 
 /// One row of one strip: of a register tile, or of a panel of `B`.
 type TileRow = [f32; GEMM_COL_TILE];
@@ -169,11 +201,11 @@ impl Lhs for ByCol<'_> {
 /// strip rows (cell `v` is row `v / C`, strip `v % C`) indexed only by
 /// constants, so it lives in registers for the whole panel: the first panel
 /// starts every accumulator at `+0.0`, a later one (`reload`) resumes from
-/// what the panel before it stored. `SKIP` leaves a row's accumulators
-/// alone where its value of `a` is zero. The finished tile is stored, never
+/// what the panel before it stored. `ZERO_RULE` applies the zero rule on the
+/// rows whose value of `a` is zero. The finished tile is stored, never
 /// added.
 #[inline(never)]
-fn row_tile<'p, const R: usize, const C: usize, const V: usize, const SKIP: bool>(
+fn row_tile<'p, const R: usize, const C: usize, const V: usize, const ZERO_RULE: bool>(
     avs: impl Iterator<Item = [f32; R]>,
     bvs: impl Iterator<Item = &'p [TileRow; C]>,
     reload: bool,
@@ -198,12 +230,15 @@ fn row_tile<'p, const R: usize, const C: usize, const V: usize, const SKIP: bool
     }
     for (av, bv) in avs.zip(bvs) {
         for (v, acc_row) in acc.iter_mut().enumerate() {
-            let a = av[v / C];
-            if SKIP && a == 0.0 {
-                continue;
-            }
-            for (x, &b) in acc_row.iter_mut().zip(&bv[v % C]) {
-                *x += a * b;
+            let (a, b_row) = (av[v / C], &bv[v % C]);
+            if ZERO_RULE && a == 0.0 {
+                for (x, &b) in acc_row.iter_mut().zip(b_row) {
+                    *x = madd_zero_rule(*x, a, b);
+                }
+            } else {
+                for (x, &b) in acc_row.iter_mut().zip(b_row) {
+                    *x = madd(*x, a, b);
+                }
             }
         }
     }
@@ -258,6 +293,15 @@ enum Rhs<'a> {
 }
 
 impl<'a> Rhs<'a> {
+    /// The one row of a `1 × n` `B`, where it lies: `Bᵀ` is then a column,
+    /// and one row's panels hold it in column order.
+    fn only_row(self, n: usize) -> &'a [f32] {
+        match self {
+            Rhs::Rows { b, .. } | Rhs::Cols { b, .. } => &b[..n],
+            Rhs::Packed(panels) => &panels.rows.as_flattened().as_flattened()[..n],
+        }
+    }
+
     /// Row `k0 + kk`, columns `cols` of `B`, zero-padded, as `panel[kk]`
     /// for every `kk < panel.len()`: written into the caller's `panel`, or
     /// borrowed where [`Panels`] holds it.
@@ -388,8 +432,9 @@ impl Panels {
 /// buffer, or borrowed from [`Panels`] — and every row tile of the block
 /// over it ([`packed_tiles`]). A block of one row tile takes a row-major `B` in
 /// place instead, `GEMM_TILE_STRIPS` strips at a time ([`in_place_tile`]),
-/// and packs only the columns left over.
-fn gemm<const SKIP: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, out: &mut [f32]) {
+/// and packs only the columns left over. A `k = 1` product, an outer
+/// product, is one step per output ([`outer`]).
+fn gemm<const ZERO_RULE: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, out: &mut [f32]) {
     const WIDE: usize = GEMM_TILE_STRIPS * GEMM_COL_TILE;
     if k == 0 {
         // An empty sum: the one product with no panel to store it.
@@ -397,6 +442,10 @@ fn gemm<const SKIP: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, out: 
         return;
     }
     if n == 0 {
+        return;
+    }
+    if k == 1 {
+        outer::<ZERO_RULE>(lhs, rhs.only_row(n), out);
         return;
     }
     crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
@@ -415,18 +464,17 @@ fn gemm<const SKIP: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, out: 
                         let (strips, _) = b[(k0 + kk) * n + j0..].as_chunks();
                         strips.first_chunk::<GEMM_TILE_STRIPS>().expect("whole strips")
                     };
-                    in_place_tile::<SKIP>(lhs, b_row, kb, first_row, &mut block[j0..], n, k0);
+                    in_place_tile::<ZERO_RULE>(lhs, b_row, kb, first_row, &mut block[j0..], n, k0);
                 }
             }
             for j0 in (packed_from..n).step_by(PANEL_WIDTH) {
                 let cols = j0..n.min(j0 + PANEL_WIDTH);
                 let (o, nb) = (&mut block[j0..], cols.len());
                 let panel = rhs.pack(&mut panel[..kb], k0, cols);
-                // A skipped term `±0 · b` is `±0`, which leaves an
-                // accumulator (never `-0.0`: it starts at `+0.0`) exactly as
-                // it was — unless `b` is ±inf or NaN. So only a panel that
-                // holds one takes the skip's per-row branches.
-                if SKIP && has_non_finite(panel) {
+                // The zero rule drops only a term whose `b` is ±inf or NaN,
+                // so a finite panel takes every term, and only a panel that
+                // holds a non-finite value takes the rule's per-row branches.
+                if ZERO_RULE && has_non_finite(panel) {
                     packed_tiles::<true>(lhs, panel, first_row, o, n, k0, nb);
                 } else {
                     packed_tiles::<false>(lhs, panel, first_row, o, n, k0, nb);
@@ -441,7 +489,7 @@ fn gemm<const SKIP: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, out: 
 /// `nb` valid columns, the panel's rows starting at `k0`: `GEMM_ROW_TILE`
 /// rows at a time, then the remainder rows as one tile — no padding row is
 /// ever computed.
-fn packed_tiles<const SKIP: bool>(
+fn packed_tiles<const ZERO_RULE: bool>(
     lhs: impl Lhs,
     panel: &[PanelRow],
     first_row: usize,
@@ -458,7 +506,7 @@ fn packed_tiles<const SKIP: bool>(
             ($r:literal) => {{
                 let avs = lhs.panel::<$r>(i0, k0, panel.len());
                 let bvs = panel.iter();
-                row_tile::<$r, GEMM_PANEL_STRIPS, { $r * GEMM_PANEL_STRIPS }, SKIP>(
+                row_tile::<$r, GEMM_PANEL_STRIPS, { $r * GEMM_PANEL_STRIPS }, ZERO_RULE>(
                     avs,
                     bvs,
                     k0 > 0,
@@ -481,10 +529,10 @@ fn packed_tiles<const SKIP: bool>(
 /// group's first column on) over `GEMM_TILE_STRIPS` whole strips of `B`
 /// read in place — `b_row(kk)` is row `k0 + kk`, `kk < kb` — as one tile of
 /// `R` rows × `GEMM_TILE_STRIPS / R` strips at a time, so even one row holds
-/// a full tile's independent accumulators. The skip stays on the per-row
-/// branches: scanning `B` for a non-finite value would cost the pass that
-/// reading it in place saves.
-fn in_place_tile<'b, const SKIP: bool>(
+/// a full tile's independent accumulators. The zero rule stays on the
+/// per-row branches: scanning `B` for a non-finite value would cost the
+/// pass that reading it in place saves.
+fn in_place_tile<'b, const ZERO_RULE: bool>(
     lhs: impl Lhs,
     b_row: impl Fn(usize) -> &'b WideRow + Copy,
     kb: usize,
@@ -501,7 +549,7 @@ fn in_place_tile<'b, const SKIP: bool>(
                     b_row(kk)[s0..].first_chunk::<{ $c }>().expect("strips inside the row")
                 });
                 let (o, nb) = (&mut o[s0 * GEMM_COL_TILE..], $c * GEMM_COL_TILE);
-                row_tile::<$r, { $c }, { $r * $c }, SKIP>(avs, bvs, k0 > 0, o, n, nb);
+                row_tile::<$r, { $c }, { $r * $c }, ZERO_RULE>(avs, bvs, k0 > 0, o, n, nb);
             }
         };
     }
@@ -512,6 +560,28 @@ fn in_place_tile<'b, const SKIP: bool>(
         3 => tiles!(3, 1),
         _ => tiles!(4, GEMM_TILE_STRIPS / 4),
     }
+}
+
+/// `out[i][j] = a[i]·b[j]`, the product of `k = 1`: `b` the one row of `B`,
+/// each output one step from `+0.0` under the product's zero rule — the
+/// kernel's bits, with no panel to pack and no tile to hold. Row-parallel
+/// like [`gemm`].
+fn outer<const ZERO_RULE: bool>(lhs: impl Lhs, b: &[f32], out: &mut [f32]) {
+    let n = b.len();
+    crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
+        for (i, o) in block.chunks_exact_mut(n).enumerate() {
+            let [a] = lhs.panel::<1>(first_row + i, 0, 1).next().expect("a one-term panel");
+            if ZERO_RULE && a == 0.0 {
+                for (x, &b) in o.iter_mut().zip(b) {
+                    *x = madd_zero_rule(0.0, a, b);
+                }
+            } else {
+                for (x, &b) in o.iter_mut().zip(b) {
+                    *x = madd(0.0, a, b);
+                }
+            }
+        }
+    });
 }
 
 /// Whether any value in `panel` is ±inf or NaN, i.e. has an all-ones
@@ -756,8 +826,9 @@ impl<'a> MatView<'a> {
         gemm::<false>(ByRow { a: self.data, k }, Rhs::Packed(panels), k, n, out.data);
     }
 
-    /// `out = self · v`, the allocation-free twin of [`Matrix::matvec`]
-    /// (same per-row dot products, bit-identical).
+    /// `out = self · v`, the body of [`Matrix::matvec`]: each element the
+    /// sum `matmul_t` forms, from `+0.0` in ascending column order, one
+    /// step a term.
     ///
     /// # Panics
     ///
@@ -778,7 +849,7 @@ impl<'a> MatView<'a> {
             self.rows
         );
         for (o, row) in out.iter_mut().zip(self.iter_rows()) {
-            *o = row.iter().zip(v).map(|(a, b)| a * b).sum();
+            *o = row.iter().zip(v).fold(0.0, |acc, (&a, &b)| madd(acc, a, b));
         }
     }
 
@@ -808,7 +879,7 @@ impl<'a> MatView<'a> {
         out.fill(0.0);
         for (row, &vk) in self.iter_rows().zip(v) {
             for (o, &a) in out.iter_mut().zip(row) {
-                *o += a * vk;
+                *o = madd(*o, a, vk);
             }
         }
     }
@@ -870,39 +941,42 @@ mod tests {
     // Scalar oracles: the products as their summation-order contracts state
     // them, one element and one accumulator at a time, on one thread.
 
-    /// `a[m×k] · b[k×n]`; terms whose `a` factor is zero are skipped.
+    /// `a[m×k] · b[k×n]`; a term whose `a` factor is zero and whose `b`
+    /// factor is not finite contributes nothing.
     fn matmul_oracle(a: &Matrix, b: &Matrix) -> Matrix {
         Matrix::from_fn(a.rows(), b.cols(), |i, j| {
             let mut acc = 0.0f32;
             for kk in 0..a.cols() {
-                if a[(i, kk)] != 0.0 {
-                    acc += a[(i, kk)] * b[(kk, j)];
+                let (a, b) = (a[(i, kk)], b[(kk, j)]);
+                if a != 0.0 || b.is_finite() {
+                    acc = madd(acc, a, b);
                 }
             }
             acc
         })
     }
 
-    /// `aᵀ · b` for `a[k×m]`, `b[k×n]`; same zero-skip as `matmul`.
+    /// `aᵀ · b` for `a[k×m]`, `b[k×n]`; the same zero rule as `matmul`.
     fn t_matmul_oracle(a: &Matrix, b: &Matrix) -> Matrix {
         Matrix::from_fn(a.cols(), b.cols(), |i, j| {
             let mut acc = 0.0f32;
             for kk in 0..a.rows() {
-                if a[(kk, i)] != 0.0 {
-                    acc += a[(kk, i)] * b[(kk, j)];
+                let (a, b) = (a[(kk, i)], b[(kk, j)]);
+                if a != 0.0 || b.is_finite() {
+                    acc = madd(acc, a, b);
                 }
             }
             acc
         })
     }
 
-    /// `a[m×k] · bᵀ` for `b[n×k]`, one dot product per element. No
-    /// zero-skip.
+    /// `a[m×k] · bᵀ` for `b[n×k]`, one dot product per element, every
+    /// term taken.
     fn matmul_t_oracle(a: &Matrix, b: &Matrix) -> Matrix {
         Matrix::from_fn(a.rows(), b.rows(), |i, j| {
             let mut acc = 0.0f32;
-            for (av, bv) in a.row(i).iter().zip(b.row(j)) {
-                acc += av * bv;
+            for (&av, &bv) in a.row(i).iter().zip(b.row(j)) {
+                acc = madd(acc, av, bv);
             }
             acc
         })
@@ -968,7 +1042,8 @@ mod tests {
     const WIDE: usize = GEMM_TILE_STRIPS * GEMM_COL_TILE;
 
     /// The codecs' dominant shapes, the backward products' (`Conv2d`
-    /// 16→16 `∂patches`, the DCSNet encoder's `∂W`), DCSNet's three conv
+    /// 16→16 `∂patches`, the DCSNet encoder's `∂W`, and its last layer's
+    /// `∂patches`, a `k = 1` outer product), DCSNet's three conv
     /// forward products (`m = cout`: 16, 8 and 1 rows — the last read in
     /// place), shapes one off each edge of the register tile (`m` 1, 2, 3
     /// and `GEMM_ROW_TILE + 1`, `n` one off the strip width), of the panel
@@ -976,12 +1051,13 @@ mod tests {
     /// one row tile read in place with a later panel and columns left over
     /// for a pack, and an `m` one off each side of four ragged thread
     /// blocks.
-    const EDGE_SHAPES: [(usize, usize, usize); 18] = [
+    const EDGE_SHAPES: [(usize, usize, usize); 19] = [
         (64, 128, 784),
         (32, 784, 128),
         (16, 1024, 144),
         (144, 16, 1024),
         (1024, 32, 784),
+        (72, 1, 1024),
         (16, 9, 1024),
         (8, 144, 1024),
         (1, 72, 1024),
@@ -1003,7 +1079,7 @@ mod tests {
             .prop_map(|(pick, m, k, n)| EDGE_SHAPES.get(pick).copied().unwrap_or((m, k, n)))
     }
 
-    /// Mostly ordinary values, one in eight a signed zero (the zero-skip),
+    /// Mostly ordinary values, one in eight a signed zero (the zero rule),
     /// and a sprinkle of NaN and ±inf rare enough that most dot products
     /// of length 70 stay finite.
     fn element_strategy() -> impl Strategy<Value = f32> {
@@ -1022,8 +1098,56 @@ mod tests {
             .prop_map(move |data| Matrix::from_vec(rows, cols, data).unwrap())
     }
 
+    /// Any `f32` bit pattern, one in four instead a value that makes the
+    /// zero rule and the step's rounding matter: a signed zero, ±inf, NaN,
+    /// a subnormal, or `±1e-30`, whose products underflow — `−1e-30 ·
+    /// 1e-30` is the FMA step's way to an accumulator of `−0.0`.
+    fn bits_strategy() -> impl Strategy<Value = f32> {
+        (0u32..16, 0u32..=u32::MAX).prop_map(|(tag, bits)| match tag {
+            0 => 0.0,
+            1 => -0.0,
+            2 => [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][bits as usize % 3],
+            3 => f32::from_bits(bits & 0x807f_ffff),
+            4 => -1e-30,
+            5 => 1e-30,
+            _ => f32::from_bits(bits),
+        })
+    }
+
+    fn bits_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
+        prop::collection::vec(bits_strategy(), rows * cols)
+            .prop_map(move |data| Matrix::from_vec(rows, cols, data).unwrap())
+    }
+
+    #[test]
+    fn the_step_fuses_in_a_build_that_says_it_does() {
+        // a² = 1 + 2⁻¹¹ + 2⁻²⁴: rounded on its own it loses the 2⁻²⁴ (a tie,
+        // to even), fused with the −1 it keeps it.
+        let a = std::hint::black_box(1.0 + 2.0f32.powi(-12));
+        let (fused, unfused) = (2.0f32.powi(-11) + 2.0f32.powi(-24), 2.0f32.powi(-11));
+        let want = if cfg!(target_feature = "fma") { fused } else { unfused };
+        assert_eq!(madd(-1.0, a, a).to_bits(), want.to_bits());
+        // The accumulator the zero rule exists for: fused, a negative
+        // product too small for `f32` leaves `−0.0`; unfused, `+0.0`.
+        let zero = madd(0.0, std::hint::black_box(-1e-30), 1e-30);
+        let want = if cfg!(target_feature = "fma") { -0.0f32 } else { 0.0 };
+        assert_eq!(zero.to_bits(), want.to_bits());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn any_bit_pattern_meets_the_zero_rule_in_all_three_products(
+            (a, b, at, bt) in shape_strategy().prop_flat_map(|(m, k, n)| (
+                bits_matrix(m, k),
+                bits_matrix(k, n),
+                bits_matrix(k, m),
+                bits_matrix(n, k),
+            ))
+        ) {
+            check_kernel_contract(&a, &b, &at, &bt, &mut Panels::default());
+        }
 
         #[test]
         fn products_are_bitwise_their_scalar_oracles(

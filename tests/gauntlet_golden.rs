@@ -14,7 +14,12 @@
 //! ledger was deleted: `batch_latency_p50_s`/`_p99_s` became the upper
 //! bound of their flush-latency histogram bucket (e.g. 5.0 ms reads
 //! 8.388607 ms), and a byte diff of every stats frame against the old
-//! ones showed those 16 bytes, and no others, changed.
+//! ones showed those 16 bytes, and no others, changed. The `decoded_fnv`
+//! column was re-pinned once, when the GEMM micro-kernel's step became one
+//! fused multiply-add: every other column of every row held, and
+//! `shadow_ledger.rs` holds the decoded rows' distance from an `f64`
+//! shadow. Those digests are the `x86-64-v3` build's, so a build without
+//! FMA ignores the test.
 
 use orcodcs_repro::rollout::{run_scenario, SCENARIOS};
 use orcodcs_repro::tensor::fnv1a64;
@@ -53,7 +58,7 @@ const GOLDEN: [Pins; 7] = [
         tape: 0xc07d_87a2_7595_b530,
         stats: 0x04b9_ef70_80f9_3324,
         trace_export: 0x5855_6d29_f20b_c330,
-        decoded_fnv: 0x8d30_a9f2_e309_2312,
+        decoded_fnv: 0x32f2_4885_2517_33dd,
         sends: 168,
         stats_frames: 1,
         clients: 6,
@@ -74,7 +79,7 @@ const GOLDEN: [Pins; 7] = [
         tape: 0x61b0_7ff9_ca8e_8084,
         stats: 0x20cd_50cd_dd1a_f527,
         trace_export: 0x2c9a_807c_f788_7858,
-        decoded_fnv: 0x3531_a11c_168a_4f0e,
+        decoded_fnv: 0x42a4_a04a_bac2_fc3d,
         sends: 69,
         stats_frames: 1,
         clients: 4,
@@ -95,7 +100,7 @@ const GOLDEN: [Pins; 7] = [
         tape: 0x6e9a_8fd4_b5e9_efe1,
         stats: 0x3696_c9e6_8e49_3f8e,
         trace_export: 0x6f04_e298_c4b9_1072,
-        decoded_fnv: 0x3531_a11c_168a_4f0e,
+        decoded_fnv: 0x42a4_a04a_bac2_fc3d,
         sends: 82,
         stats_frames: 1,
         clients: 4,
@@ -116,7 +121,7 @@ const GOLDEN: [Pins; 7] = [
         tape: 0xcc55_f4fb_cbc3_abfa,
         stats: 0xd170_0fab_debd_fc74,
         trace_export: 0xb450_650c_3f8e_545b,
-        decoded_fnv: 0x3531_a11c_168a_4f0e,
+        decoded_fnv: 0x42a4_a04a_bac2_fc3d,
         sends: 92,
         stats_frames: 1,
         clients: 4,
@@ -137,7 +142,7 @@ const GOLDEN: [Pins; 7] = [
         tape: 0x325e_3e10_7612_976c,
         stats: 0x04a6_3777_e9a1_d1e8,
         trace_export: 0x2f49_cccb_1cb7_51fc,
-        decoded_fnv: 0x3f14_8ee6_0f7a_9818,
+        decoded_fnv: 0x54cb_7b7e_186c_917a,
         sends: 72,
         stats_frames: 1,
         clients: 4,
@@ -158,7 +163,7 @@ const GOLDEN: [Pins; 7] = [
         tape: 0x11fc_3d32_8abf_2727,
         stats: 0x58d7_7c2f_7072_4e84,
         trace_export: 0xe60c_e0c2_e824_a290,
-        decoded_fnv: 0x959a_84ee_26c1_b9a7,
+        decoded_fnv: 0xcbf9_c1ec_4723_2dc2,
         sends: 196,
         stats_frames: 3,
         clients: 6,
@@ -179,7 +184,7 @@ const GOLDEN: [Pins; 7] = [
         tape: 0xffac_ac0f_d829_99e9,
         stats: 0x4ead_80b9_11cb_da8a,
         trace_export: 0x0c1b_7ed6_5849_7ae0,
-        decoded_fnv: 0xa5b2_feed_74c2_440c,
+        decoded_fnv: 0xde91_ae93_1a91_8f8e,
         sends: 388,
         stats_frames: 2,
         clients: 6,
@@ -226,6 +231,10 @@ fn measure(golden: &Pins) -> Pins {
 }
 
 #[test]
+#[cfg_attr(
+    not(target_feature = "fma"),
+    ignore = "absolute values of the x86-64-v3 build, whose GEMM step is one fused multiply-add"
+)]
 fn every_scenario_matches_its_golden_values() {
     for golden in &GOLDEN {
         assert_eq!(&measure(golden), golden, "{}: the gauntlet moved", golden.name);

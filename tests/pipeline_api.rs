@@ -32,8 +32,16 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 /// legacy single-backend driver `run_orcodcs` measured at the same seed:
 /// per-round losses, final loss and PSNR, the simulated clock, the
 /// data-plane report. The wrapper is deleted; its values stay pinned here
-/// (taken from its last run, at the commit that removed it).
+/// (taken from its last run, at the commit that removed it). One was
+/// re-pinned, with every other absolute pin, when the GEMM micro-kernel's
+/// step became one fused multiply-add: round 5's loss moved one ulp
+/// (`0x3d04_9b68` → `0x3d04_9b69`). They are the `x86-64-v3` build's
+/// values, so a build without FMA ignores the test.
 #[test]
+#[cfg_attr(
+    not(target_feature = "fma"),
+    ignore = "absolute values of the x86-64-v3 build, whose GEMM step is one fused multiply-add"
+)]
 fn builder_chain_matches_legacy_run_orcodcs_bit_for_bit() {
     let dataset = mnist_like::generate(40, 11);
     let cfg = small_cfg();
@@ -71,7 +79,7 @@ fn builder_chain_matches_legacy_run_orcodcs_bit_for_bit() {
         0x3d95_93fb,
         0x3d5d_3ec0,
         0x3d27_dc15,
-        0x3d04_9b68,
+        0x3d04_9b69,
         0x3cf0_c433,
         0x3cda_1dc5,
         0x3c96_43db,
