@@ -1099,23 +1099,25 @@ mod tests {
     }
 
     /// Any `f32` bit pattern, one in four instead a value that makes the
-    /// zero rule and the step's rounding matter: a signed zero, ±inf, NaN,
-    /// a subnormal, or `±1e-30`, whose products underflow — `−1e-30 ·
-    /// 1e-30` is the FMA step's way to an accumulator of `−0.0`.
-    fn bits_strategy() -> impl Strategy<Value = f32> {
-        (0u32..16, 0u32..=u32::MAX).prop_map(|(tag, bits)| match tag {
+    /// zero rule and the step's rounding matter: a signed zero, ±inf, NaN
+    /// or a subnormal. `tiny` draws every finite value from signed zeros,
+    /// subnormals and `±1e-30`, so every product underflows and every sum
+    /// of finite terms is a signed zero: `−1e-30 · 1e-30` is the FMA step's
+    /// way to an accumulator of `−0.0`, and a zero term after it decides
+    /// the output's sign — the case the zero rule is stated for.
+    fn bits_strategy(tiny: bool) -> impl Strategy<Value = f32> {
+        (0u32..16, 0u32..=u32::MAX).prop_map(move |(tag, bits)| match tag {
             0 => 0.0,
             1 => -0.0,
             2 => [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][bits as usize % 3],
             3 => f32::from_bits(bits & 0x807f_ffff),
-            4 => -1e-30,
-            5 => 1e-30,
+            _ if tiny => [1e-30, -1e-30, 0.0, -0.0][bits as usize % 4],
             _ => f32::from_bits(bits),
         })
     }
 
-    fn bits_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
-        prop::collection::vec(bits_strategy(), rows * cols)
+    fn bits_matrix(rows: usize, cols: usize, tiny: bool) -> impl Strategy<Value = Matrix> {
+        prop::collection::vec(bits_strategy(tiny), rows * cols)
             .prop_map(move |data| Matrix::from_vec(rows, cols, data).unwrap())
     }
 
@@ -1139,11 +1141,11 @@ mod tests {
 
         #[test]
         fn any_bit_pattern_meets_the_zero_rule_in_all_three_products(
-            (a, b, at, bt) in shape_strategy().prop_flat_map(|(m, k, n)| (
-                bits_matrix(m, k),
-                bits_matrix(k, n),
-                bits_matrix(k, m),
-                bits_matrix(n, k),
+            (a, b, at, bt) in (shape_strategy(), 0u32..2).prop_flat_map(|((m, k, n), tiny)| (
+                bits_matrix(m, k, tiny == 1),
+                bits_matrix(k, n, tiny == 1),
+                bits_matrix(k, m, tiny == 1),
+                bits_matrix(n, k, tiny == 1),
             ))
         ) {
             check_kernel_contract(&a, &b, &at, &bt, &mut Panels::default());

@@ -11,9 +11,11 @@
 //! ~2⁻²⁹ times smaller).
 //!
 //! [`Errors`] measures that distance in `f32` ulps; [`check_product`] holds
-//! one GEMM output to Higham's forward error bound for a recursively summed
-//! dot product, `|ŝ − s| ≤ γ_k · Σ|aᵢbᵢ|` with `γ_k = k·u / (1 − k·u)`,
-//! `u = 2⁻²⁴` (*Accuracy and Stability of Numerical Algorithms*, ch. 3).
+//! each GEMM output to Higham's forward error bound for a recursively
+//! summed dot product, `|ŝ − s| ≤ γ_k · Σ|aᵢbᵢ|` with `γ_k = k·u / (1 −
+//! k·u)`, `u = 2⁻²⁴`, and to the running-error bound of the kernels'
+//! ascending order (*Accuracy and Stability of Numerical Algorithms*,
+//! ch. 3).
 
 use orcodcs_repro::nn::{Activation, Loss};
 use orcodcs_repro::tensor::{Conv2dGeom, Matrix};
@@ -411,31 +413,45 @@ pub fn gamma(k: usize) -> f64 {
     ku / (1.0 - ku)
 }
 
-/// The worst ratio, over `out`'s elements, of an element's distance from
-/// its `f64` dot product to `γ_k · Σ|aᵢbᵢ|`: at most 1 for any order of
-/// `k` rounded steps. `terms(i, j)` yields element `(i, j)`'s `k` factor
-/// pairs.
+/// Where `out`'s elements sit against two bounds on their distance from
+/// their exact dot products, as the worst ratio of each (at most 1 when it
+/// holds). `terms(i, j)` yields element `(i, j)`'s `k` factor pairs in
+/// ascending `k`.
+///
+/// - Higham's `γ_k · Σ|aᵢbᵢ|`, which any order of `k` rounded steps meets.
+/// - The running-error bound of the kernels' order, `u · Σᵢ(|sᵢ| + |aᵢbᵢ|)`
+///   over the exact partial sums `sᵢ` in ascending `k`: each step rounds its
+///   product at most once and its sum once (Higham §3.1), so a sum taken in
+///   ascending `k` meets it, fused or not, while one taken in another order
+///   — split across accumulators, say — need not.
+///
+/// The exact sums are compensated `f64` sums; each bound allows its own
+/// second-order terms.
 pub fn check_product<I: Iterator<Item = (f32, f32)>>(
     out: &Matrix,
     k: usize,
     terms: impl Fn(usize, usize) -> I,
-) -> f64 {
-    let mut worst = 0.0f64;
+) -> (f64, f64) {
+    let u = f64::from(f32::EPSILON) / 2.0;
+    let ratio = |error: f64, bound: f64| if error == 0.0 { 0.0 } else { error / bound };
+    let (mut worst_gamma, mut worst_running) = (0.0f64, 0.0f64);
     for i in 0..out.rows() {
         for j in 0..out.cols() {
-            let (mut exact, mut magnitude) = (0.0f64, 0.0f64);
+            let (mut sum, mut carry, mut magnitude, mut partials) = (0.0f64, 0.0f64, 0.0, 0.0);
             for (a, b) in terms(i, j) {
                 let p = f64::from(a) * f64::from(b);
-                exact += p;
+                // Neumaier's compensated sum: `carry` holds what `sum` lost.
+                let t = sum + p;
+                carry += if sum.abs() >= p.abs() { (sum - t) + p } else { (p - t) + sum };
+                sum = t;
                 magnitude += p.abs();
+                partials += (sum + carry).abs();
             }
-            let bound = gamma(k) * magnitude;
-            let error = (f64::from(out[(i, j)]) - exact).abs();
-            // The f64 sum's own error is ~2⁻²⁹ of γ_k's: allow it, and let
-            // an exact zero bound pass an exact result.
-            let ratio = if error == 0.0 { 0.0 } else { error / (bound * (1.0 + 1e-6)) };
-            worst = worst.max(ratio);
+            let error = (f64::from(out[(i, j)]) - (sum + carry)).abs();
+            worst_gamma = worst_gamma.max(ratio(error, gamma(k) * magnitude * (1.0 + 1e-9)));
+            let slack = 1.0 + 2.0 * (k + 1) as f64 * u;
+            worst_running = worst_running.max(ratio(error, u * (partials + magnitude) * slack));
         }
     }
-    worst
+    (worst_gamma, worst_running)
 }

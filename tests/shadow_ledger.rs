@@ -340,9 +340,9 @@ fn fusing_the_step_is_no_further_from_f64_in_aggregate() {
 }
 
 /// Every output of each product (`matmul`, `t_matmul`, `matmul_t` and its
-/// pre-packed twin) against Higham's bound on its `f64` dot product: the
-/// worst ratio of the four.
-fn worst_product_ratio(a: &Matrix, b: &Matrix, at: &Matrix, bt: &Matrix) -> f64 {
+/// pre-packed twin) against the two bounds of [`check_product`]: the worst
+/// ratio of the four products to each, `(γ_k, running)`.
+fn worst_product_ratios(a: &Matrix, b: &Matrix, at: &Matrix, bt: &Matrix) -> (f64, f64) {
     let k = a.cols();
     let panels = orcodcs_repro::tensor::Panels::new(bt.as_view());
     let mut packed = Matrix::zeros(a.rows(), bt.rows());
@@ -354,44 +354,70 @@ fn worst_product_ratio(a: &Matrix, b: &Matrix, at: &Matrix, bt: &Matrix) -> f64 
         check_product(&packed, k, |i, j| (0..k).map(move |kk| (a[(i, kk)], bt[(j, kk)]))),
     ]
     .into_iter()
-    .fold(0.0, f64::max)
+    .fold((0.0, 0.0), |(g, r), (g2, r2)| (f64::max(g, g2), f64::max(r, r2)))
 }
 
 fn random(rows: usize, cols: usize, rng: &mut OrcoRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.uniform(-1.0, 1.0))
 }
 
+/// `(a, b, aᵀ, bᵀ)`: the same terms through every product.
+fn operands(a: Matrix, b: Matrix) -> (Matrix, Matrix, Matrix, Matrix) {
+    let (at, bt) = (a.transpose(), b.transpose());
+    (a, b, at, bt)
+}
+
 /// The codecs' products: the AE's encode and decode, DCSNet's conv forward
-/// (its last layer's one row included) and backward, at batch 64.
+/// (its last layer's one row included) and backward (its last layer's
+/// `k = 1` one too), at batch 64.
 #[test]
-fn every_codec_product_is_within_gamma_k_of_its_f64_dot_product() {
+fn every_codec_product_meets_both_error_bounds() {
     let mut rng = OrcoRng::from_label("shadow-gamma", 0);
-    for (m, k, n) in
-        [(64, 784, 128), (64, 128, 784), (16, 144, 1024), (1, 72, 1024), (144, 16, 1024)]
-    {
-        let (a, b, at, bt) = (
-            random(m, k, &mut rng),
-            random(k, n, &mut rng),
-            random(k, m, &mut rng),
-            random(n, k, &mut rng),
-        );
-        let worst = worst_product_ratio(&a, &b, &at, &bt);
-        assert!(worst <= 1.0, "{m}x{k}x{n}: an output is {worst:.3} of its γ_k bound from f64");
+    for (m, k, n) in [
+        (64, 784, 128),
+        (64, 128, 784),
+        (16, 144, 1024),
+        (1, 72, 1024),
+        (144, 16, 1024),
+        (72, 1, 1024),
+    ] {
+        let (a, b, at, bt) = operands(random(m, k, &mut rng), random(k, n, &mut rng));
+        let (gamma, running) = worst_product_ratios(&a, &b, &at, &bt);
+        assert!(gamma <= 1.0, "{m}x{k}x{n}: an output is {gamma:.3} of its γ_k bound from f64");
+        assert!(running <= 1.0, "{m}x{k}x{n}: an output is {running:.3} of its running bound");
     }
+}
+
+/// Terms of alternating sign and nearly equal size: in ascending `k` the
+/// partial sums stay small, so the running bound is tight, and a sum
+/// taken in another order — the even and the odd terms in two
+/// accumulators, say — grows partial sums of ~k/2 and leaves it.
+#[test]
+fn alternating_terms_meet_the_running_bound_of_ascending_k() {
+    let mut rng = OrcoRng::from_label("shadow-alternating", 0);
+    let (m, k, n) = (8, 784, 24);
+    let a = Matrix::from_fn(m, k, |_, kk| {
+        let sign = if kk % 2 == 0 { 1.0 } else { -1.0 };
+        sign * rng.uniform(1.0, 1.001)
+    });
+    let b = Matrix::from_fn(k, n, |_, _| rng.uniform(1.0, 1.001));
+    let (a, b, at, bt) = operands(a, b);
+    let (gamma, running) = worst_product_ratios(&a, &b, &at, &bt);
+    assert!(gamma <= 1.0 && running <= 1.0, "γ_k {gamma:.3}, running {running:.3}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn any_shape_is_within_gamma_k_of_its_f64_dot_product(
+    fn any_shape_meets_both_error_bounds(
         (m, k, n, seed) in (1usize..=20, 1usize..=600, 1usize..=40, 0u64..1 << 20)
     ) {
         let mut rng = OrcoRng::from_seed_u64(seed);
         let (a, b, at, bt) =
             (random(m, k, &mut rng), random(k, n, &mut rng), random(k, m, &mut rng), random(n, k, &mut rng));
-        let worst = worst_product_ratio(&a, &b, &at, &bt);
-        prop_assert!(worst <= 1.0, "{}x{}x{}: {:.3} of γ_k", m, k, n, worst);
+        let (gamma, running) = worst_product_ratios(&a, &b, &at, &bt);
+        prop_assert!(gamma <= 1.0 && running <= 1.0, "{}x{}x{}: γ_k {:.3}, running {:.3}", m, k, n, gamma, running);
     }
 }
 
