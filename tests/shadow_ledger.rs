@@ -125,8 +125,8 @@ fn last(mut outs: Vec<M64>) -> M64 {
     outs.pop().expect("a stack has a layer")
 }
 
-/// One split round, `round` of `model` on `x`, every digested value
-/// against its shadow: the loss and the latent gradient from the edge step
+/// One split round of `model` on `x`, every digested value against its
+/// shadow: the loss and the latent gradient from the edge step
 /// (the `f32` latent in, the `f32` reconstruction gradient back through
 /// the decoder as it was before the update).
 fn split_round<M: SplitModel + ?Sized>(
