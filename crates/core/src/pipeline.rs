@@ -55,9 +55,9 @@ pub enum DeploymentSpec {
     #[default]
     Analytic,
     /// The `orco-sim` discrete-event simulator: per-node clocks, a
-    /// TDMA/CSMA MAC, ARQ + fragmentation events, duty cycles, and a
-    /// scripted fault [`orco_sim::Scenario`]. With [`SimSpec::ideal`] it
-    /// reproduces the analytic totals exactly (regression-tested).
+    /// FIFO or TDMA MAC, ARQ + fragmentation events, and a scripted fault
+    /// [`orco_sim::Scenario`]. With [`SimSpec::ideal`] it reproduces the
+    /// analytic totals exactly (regression-tested).
     EventDriven(SimSpec),
 }
 
@@ -268,8 +268,8 @@ impl ExperimentBuilder {
     /// Which simulator executes the deployment (default:
     /// [`DeploymentSpec::Analytic`]). Select
     /// [`DeploymentSpec::EventDriven`] to run the same protocol over the
-    /// `orco-sim` discrete-event backend — with MAC contention, ARQ,
-    /// duty cycles, and scripted fault scenarios.
+    /// `orco-sim` discrete-event backend — with a shared medium, ARQ, and
+    /// scripted fault scenarios.
     #[must_use]
     pub fn deployment(mut self, deployment: DeploymentSpec) -> Self {
         self.deployment = Some(deployment);

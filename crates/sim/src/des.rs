@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 use orco_tensor::OrcoRng;
 use orco_wsn::packet::MAX_PAYLOAD_BYTES;
 use orco_wsn::{
-    DeploymentBackend, DeviceClass, Network, NetworkConfig, NodeId, Packet, PacketKind,
-    TrafficAccounting, WsnError,
+    DeploymentBackend, Network, NetworkConfig, NodeId, Packet, PacketKind, TrafficAccounting,
+    WsnError,
 };
 
 use crate::event::EventQueue;
@@ -30,7 +30,7 @@ use crate::scenario::{Scenario, ScenarioAction};
 /// parameters plus the scripted scenario.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimSpec {
-    /// MAC and duty-cycle knobs.
+    /// The MAC and the simulator's seed.
     pub params: SimParams,
     /// Scripted perturbations (empty = healthy deployment).
     pub scenario: Scenario,
@@ -85,7 +85,6 @@ struct Transfer {
     last_frame_payload: u64,
     submitted_s: f64,
     retries_used: u32,
-    attempt_collided: bool,
     tag: Tag,
     outcome: Option<Outcome>,
 }
@@ -96,14 +95,7 @@ enum Event {
     /// if `last_frame`) wants the medium.
     Request { tid: usize, full_frames: u64, last_frame: bool, retry: bool },
     /// A granted burst reaches the receiver; `lost_*` were drawn at grant.
-    Delivery {
-        tid: usize,
-        full_frames: u64,
-        last_frame: bool,
-        lost_full: u64,
-        lost_last: bool,
-        attempt_wire: u64,
-    },
+    Delivery { tid: usize, lost_full: u64, lost_last: bool, attempt_wire: u64 },
     /// A scheduled computation finished at chain position `index`.
     ComputeDone { index: usize },
 }
@@ -155,7 +147,6 @@ pub struct DesNetwork {
     now_s: f64,
     node_free_s: Vec<f64>,
     medium_free_s: f64,
-    last_csma_grant: Option<(usize, f64)>,
     sensor_loss_override: Option<f64>,
     straggle: Vec<f64>,
     transfers: Vec<Transfer>,
@@ -187,7 +178,6 @@ impl DesNetwork {
             now_s: 0.0,
             node_free_s: vec![0.0; n],
             medium_free_s: 0.0,
-            last_csma_grant: None,
             sensor_loss_override: None,
             straggle: vec![1.0; n],
             transfers: Vec::new(),
@@ -302,7 +292,6 @@ impl DesNetwork {
             last_frame_payload,
             submitted_s: ready_s,
             retries_used: 0,
-            attempt_collided: false,
             tag,
             outcome: None,
         });
@@ -341,24 +330,6 @@ impl DesNetwork {
         }
     }
 
-    fn duty_aligned_start(&self, from: NodeId, to: NodeId, mut start: f64) -> f64 {
-        let Some(duty) = self.params.duty_cycle else { return start };
-        let duty_bound = |id: NodeId, t: f64, world: &Network| -> f64 {
-            match world.node(id).map(orco_wsn::Node::class) {
-                Ok(DeviceClass::IotDevice) => duty.next_active_s(t),
-                _ => t, // aggregator/edge are always on
-            }
-        };
-        for _ in 0..16 {
-            let s = duty_bound(to, duty_bound(from, start, &self.world), &self.world);
-            if s == start {
-                break;
-            }
-            start = s;
-        }
-        start
-    }
-
     fn on_request(
         &mut self,
         treq: f64,
@@ -386,45 +357,15 @@ impl DesNetwork {
         let intra = self.is_intra(from, to);
         let wire = self.burst_wire(tid, full_frames, last_frame);
 
-        // Earliest start: sender free, medium access, duty cycle.
+        // Earliest start: sender free, then medium access.
         let mut start = treq.max(self.node_free_s[from.0]);
-        let mut collided = false;
         if intra {
             match self.params.mac {
                 MacMode::Sequential => {}
-                MacMode::Fifo | MacMode::Tdma { .. } => {
-                    start = start.max(self.medium_free_s);
+                MacMode::Fifo => start = start.max(self.medium_free_s),
+                MacMode::Tdma { slot_s } => {
+                    start = self.next_owned_slot(from, start.max(self.medium_free_s), slot_s);
                 }
-                MacMode::Csma { cca_s, max_backoff_s } => {
-                    if self.medium_free_s > treq {
-                        // Sensed busy: defer with a random backoff.
-                        let backoff = self.rng.next_f64() * max_backoff_s;
-                        self.queue.schedule(
-                            self.medium_free_s + backoff,
-                            from.0 as u64,
-                            Event::Request { tid, full_frames, last_frame, retry },
-                        );
-                        return;
-                    }
-                    if let Some((prev_tid, prev_start)) = self.last_csma_grant {
-                        if start - prev_start < cca_s && self.transfers[prev_tid].outcome.is_none()
-                        {
-                            // Two senders inside the CCA window: both bursts
-                            // are corrupted and go through the ARQ path.
-                            collided = true;
-                            self.transfers[prev_tid].attempt_collided = true;
-                        }
-                    }
-                }
-            }
-            if let MacMode::Tdma { slot_s } = self.params.mac {
-                start = self.next_owned_slot(from, start, slot_s);
-            }
-        }
-        let start = self.duty_aligned_start(from, to, start);
-        if let MacMode::Csma { .. } = self.params.mac {
-            if intra {
-                self.last_csma_grant = Some((tid, start));
             }
         }
 
@@ -476,31 +417,17 @@ impl DesNetwork {
             }
         }
         let delivery = start + duration;
-        self.transfers[tid].attempt_collided = collided;
         self.queue.schedule(
             delivery,
             from.0 as u64,
-            Event::Delivery {
-                tid,
-                full_frames,
-                last_frame,
-                lost_full,
-                lost_last,
-                attempt_wire: wire,
-            },
+            Event::Delivery { tid, lost_full, lost_last, attempt_wire: wire },
         );
     }
 
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one delivery's fields, passed once from the event loop"
-    )]
     fn on_delivery(
         &mut self,
         tdel: f64,
         tid: usize,
-        full_frames: u64,
-        last_frame: bool,
         lost_full: u64,
         lost_last: bool,
         attempt_wire: u64,
@@ -516,10 +443,6 @@ impl DesNetwork {
             self.finish(tid, Outcome::EndpointDead(to), tdel);
             return;
         }
-        let collided = std::mem::take(&mut self.transfers[tid].attempt_collided);
-        let (lost_full, lost_last) =
-            if collided { (full_frames, last_frame) } else { (lost_full, lost_last) };
-
         // Receiver hears whatever arrived intact.
         let lost_wire = self.burst_wire(tid, lost_full, lost_last);
         let delivered_wire = attempt_wire - lost_wire;
@@ -589,23 +512,8 @@ impl DesNetwork {
                 Event::Request { tid, full_frames, last_frame, retry } => {
                     self.on_request(t, tid, full_frames, last_frame, retry);
                 }
-                Event::Delivery {
-                    tid,
-                    full_frames,
-                    last_frame,
-                    lost_full,
-                    lost_last,
-                    attempt_wire,
-                } => {
-                    self.on_delivery(
-                        t,
-                        tid,
-                        full_frames,
-                        last_frame,
-                        lost_full,
-                        lost_last,
-                        attempt_wire,
-                    );
+                Event::Delivery { tid, lost_full, lost_last, attempt_wire } => {
+                    self.on_delivery(t, tid, lost_full, lost_last, attempt_wire);
                 }
                 Event::ComputeDone { index } => self.on_compute_done(index, t),
             }
@@ -734,7 +642,7 @@ impl DesNetwork {
     }
 
     // ------------------------------------------------------------------
-    // Concurrent primitives — Fifo / Tdma / Csma
+    // Concurrent primitives — Fifo / Tdma
     // ------------------------------------------------------------------
 
     /// Submits a raw-round node's accumulated payload (or skips it) once

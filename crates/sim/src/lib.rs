@@ -6,11 +6,11 @@
 //!
 //! Where the analytic model accumulates costs on one global clock, this
 //! backend schedules them: a total-ordered [`EventQueue`] (simulated time +
-//! deterministic tie-break), per-node clocks, a TDMA-slotted intra-cluster
-//! radio with a CSMA-style contention fallback, ARQ retransmissions and
-//! packet fragmentation as first-class events, duty-cycled radios, and a
-//! [`Scenario`] scripting API for node death/recovery, link-degradation
-//! windows, straggler compute multipliers, and traffic bursts.
+//! deterministic tie-break), per-node clocks, an intra-cluster radio
+//! granted in order or in TDMA slots ([`MacMode`]), ARQ retransmissions and
+//! packet fragmentation as first-class events, and a [`Scenario`] scripting
+//! API for node death/recovery, link-degradation windows, straggler compute
+//! multipliers, and traffic bursts.
 //!
 //! ## Quick start
 //!
@@ -67,14 +67,13 @@
 //! ## Analytic-vs-DES equivalence contract
 //!
 //! With [`SimParams::ideal`] (contention-free [`MacMode::Sequential`]
-//! schedule, zero loss, always-on radios, no scenario) the event-driven
-//! backend reproduces the analytic backend's traffic-ledger
-//! byte counts, per-node energy totals, and simulated-clock totals
-//! **exactly** — same formulas, same floating-point operation order. The
+//! schedule, zero loss, no scenario) the event-driven backend reproduces
+//! the analytic backend's traffic-ledger byte counts, per-node energy
+//! totals, and simulated-clock totals **exactly** — same formulas, same floating-point operation order. The
 //! workspace test `tests/des_equivalence.rs` pins this contract. Any other
 //! parameterization trades that equivalence for expressiveness the
-//! analytic model cannot offer: overlapping computation, MAC contention,
-//! partial-packet ARQ, duty-cycle stalls, and scripted faults.
+//! analytic model cannot offer: overlapping computation, slotted medium
+//! access, partial-packet ARQ, and scripted faults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,5 +88,5 @@ mod scenario;
 pub use des::{DesNetwork, SimSpec};
 pub use event::EventQueue;
 pub use netsim::{LinkParams, NetScenario, NetSim, SendRecord, SendVerdict};
-pub use params::{DutyCycle, MacMode, SimParams};
+pub use params::{MacMode, SimParams};
 pub use scenario::Scenario;

@@ -49,15 +49,14 @@ proptest! {
     fn replaying_the_same_scenario_and_seed_is_bit_identical(
         seed in 0u64..50,
         devices in 3usize..10,
-        mac_pick in 0u32..4,
+        mac_pick in 0u32..3,
         loss_pct in 0u32..40,
         kill_index in 0usize..3,
     ) {
         let mac = match mac_pick {
             0 => MacMode::Sequential,
             1 => MacMode::Fifo,
-            2 => MacMode::Tdma { slot_s: 0.02 },
-            _ => MacMode::Csma { cca_s: 1e-3, max_backoff_s: 0.01 },
+            _ => MacMode::Tdma { slot_s: 0.02 },
         };
         let spec = SimSpec {
             params: SimParams { mac, ..SimParams::ideal() },
@@ -147,40 +146,6 @@ fn tdma_slotting_stretches_rounds_but_moves_the_same_bytes() {
 }
 
 #[test]
-fn duty_cycled_radios_defer_transmissions() {
-    let config = || NetworkConfig { num_devices: 4, seed: 2, ..Default::default() };
-    let mut always_on = DesNetwork::new(
-        config(),
-        SimSpec {
-            params: SimParams { mac: MacMode::Fifo, ..SimParams::ideal() },
-            ..Default::default()
-        },
-    );
-    let mut cycled = DesNetwork::new(
-        config(),
-        SimSpec {
-            params: SimParams {
-                mac: MacMode::Fifo,
-                duty_cycle: Some(orco_sim::DutyCycle::new(0.5, 0.1)),
-                ..SimParams::ideal()
-            },
-            ..Default::default()
-        },
-    );
-    // Push time past the first awake window, then transmit.
-    always_on.wait(0.08);
-    cycled.wait(0.08);
-    let d = cycled.devices()[0];
-    let agg = cycled.aggregator();
-    let t_on = always_on.transmit(d, agg, 512, orco_wsn::PacketKind::RawData).unwrap();
-    let t_cycled = cycled.transmit(d, agg, 512, orco_wsn::PacketKind::RawData).unwrap();
-    assert!(
-        t_cycled > t_on,
-        "sleeping radio defers the burst: cycled {t_cycled:.3}s vs on {t_on:.3}s"
-    );
-}
-
-#[test]
 fn wait_interleaves_scenario_actions_with_spawned_events() {
     // A traffic burst at t = 1 from device 2 and a kill of device 2 at
     // t = 3 both sit inside one wait window. The burst must be granted
@@ -206,24 +171,4 @@ fn out_of_range_scenario_index_is_rejected() {
         NetworkConfig { num_devices: 4, ..Default::default() },
         SimSpec::with_scenario(Scenario::new().kill_at(1.0, 30)),
     );
-}
-
-#[test]
-fn csma_contention_collides_and_recovers() {
-    // Many devices all report at once under CSMA: collisions must occur
-    // (retransmissions observed) yet every packet eventually lands.
-    let mut csma = DesNetwork::new(
-        NetworkConfig { num_devices: 12, seed: 3, ..Default::default() },
-        SimSpec {
-            params: SimParams {
-                mac: MacMode::Csma { cca_s: 2e-3, max_backoff_s: 0.02 },
-                ..SimParams::ideal()
-            },
-            ..Default::default()
-        },
-    );
-    csma.raw_aggregation_round(16).unwrap();
-    let stats = csma.accounting().link_stats();
-    assert!(stats.delivered_packets >= 12, "all reports land: {stats:?}");
-    assert!(stats.retransmitted_frames > 0, "simultaneous senders must collide: {stats:?}");
 }

@@ -9,8 +9,8 @@
 //!   clock, sequential transmissions, losses drawn inline — fast and exact
 //!   for cost accounting;
 //! * the **event-driven** model in `orco-sim`: a discrete-event simulator
-//!   with per-node clocks, a TDMA/CSMA MAC, ARQ, fragmentation, duty
-//!   cycles, and scripted fault scenarios.
+//!   with per-node clocks, a FIFO or TDMA MAC, ARQ, fragmentation, and
+//!   scripted fault scenarios.
 //!
 //! The contract between them: a contention-free, zero-loss, zero-jitter
 //! event-driven schedule reproduces the analytic backend's byte and energy

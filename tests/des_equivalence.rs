@@ -8,8 +8,8 @@
 //! counts, radio energy totals, **and** simulated-clock readings exactly
 //! (bitwise, not approximately): both backends execute the same cost
 //! formulas in the same floating-point operation order. Everything the
-//! event-driven backend does beyond that mode (contention, ARQ, duty
-//! cycles, scripted faults) is additive expressiveness.
+//! event-driven backend does beyond that mode (a shared medium, ARQ,
+//! scripted faults) is additive expressiveness.
 
 use orcodcs_repro::core::{
     AsymmetricAutoencoder, DeploymentSpec, ExperimentBuilder, OrcoConfig, Report, TrainingMode,
