@@ -463,7 +463,7 @@ impl DesNetwork {
             t.retries_used += 1;
             t.retries_used
         };
-        if retries_used > self.world.config().max_retries {
+        if retries_used > orco_wsn::MAX_RETRIES {
             self.finish(tid, Outcome::Lost, tdel);
             return;
         }

@@ -63,7 +63,7 @@ pub use compute::ComputeModel;
 pub use error::WsnError;
 pub use geometry::Point;
 pub use link::LinkModel;
-pub use network::{Network, NetworkConfig};
+pub use network::{Network, NetworkConfig, MAX_RETRIES};
 pub use node::{DeviceClass, Node, NodeId};
 pub use packet::{Packet, PacketKind, HEADER_BYTES};
 pub use radio::RadioModel;

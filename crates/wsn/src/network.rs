@@ -31,30 +31,27 @@ use crate::packet::{Packet, PacketKind};
 use crate::radio::RadioModel;
 use crate::tree::AggregationTree;
 
+/// Side length of the square deployment field, meters.
+const FIELD_SIDE_M: f64 = 100.0;
+
+/// Per-packet retransmission budget on lossy links, in both backends: a
+/// packet is sent at most `MAX_RETRIES + 1` times.
+pub const MAX_RETRIES: u32 = 7;
+
 /// Deployment and channel configuration.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Number of IoT devices in the cluster.
     pub num_devices: usize,
-    /// Side length of the square deployment field, meters.
-    pub field_side_m: f64,
     /// Seed for node placement and loss draws.
     pub seed: u64,
     /// Intra-cluster device↔device/aggregator link.
     pub sensor_link: LinkModel,
-    /// Per-packet retransmission budget on lossy links.
-    pub max_retries: u32,
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
-        Self {
-            num_devices: 64,
-            field_side_m: 100.0,
-            seed: 0,
-            sensor_link: LinkModel::sensor_radio(),
-            max_retries: 7,
-        }
+        Self { num_devices: 64, seed: 0, sensor_link: LinkModel::sensor_radio() }
     }
 }
 
@@ -101,7 +98,7 @@ impl Network {
     pub fn new(config: NetworkConfig) -> Self {
         assert!(config.num_devices > 0, "Network: need at least one device");
         let mut rng = OrcoRng::from_label("wsn-network", config.seed);
-        let device_positions = scatter_uniform(config.num_devices, config.field_side_m, &mut rng);
+        let device_positions = scatter_uniform(config.num_devices, FIELD_SIDE_M, &mut rng);
 
         let mut nodes = Vec::with_capacity(config.num_devices + 2);
         let mut devices = Vec::with_capacity(config.num_devices);
@@ -110,12 +107,12 @@ impl Network {
             devices.push(NodeId(i));
         }
         let aggregator = NodeId(config.num_devices);
-        let centre = Point::new(config.field_side_m / 2.0, config.field_side_m / 2.0);
+        let centre = Point::new(FIELD_SIDE_M / 2.0, FIELD_SIDE_M / 2.0);
         nodes.push(Node::new(DeviceClass::DataAggregator, centre));
         let edge = NodeId(config.num_devices + 1);
         // The edge server sits outside the sensor field; its link is modelled
         // by bandwidth/latency, not by radio distance.
-        let edge_pos = Point::new(config.field_side_m * 2.0, config.field_side_m / 2.0);
+        let edge_pos = Point::new(FIELD_SIDE_M * 2.0, FIELD_SIDE_M / 2.0);
         nodes.push(Node::new(DeviceClass::EdgeServer, edge_pos));
 
         let mut tree_nodes: Vec<(NodeId, Point)> =
@@ -148,12 +145,6 @@ impl Network {
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
-
-    /// The deployment configuration.
-    #[must_use]
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
 
     /// Ids of the IoT devices.
     #[must_use]
@@ -408,7 +399,7 @@ impl Network {
     ///
     /// Advances the clock by the link transmission time (per attempt),
     /// drains radio energy on both ends, and records the traffic. Lossy
-    /// links retransmit up to `max_retries` times.
+    /// links retransmit up to [`MAX_RETRIES`] times.
     ///
     /// Returns the elapsed simulated seconds.
     ///
@@ -475,7 +466,7 @@ impl Network {
                 self.clock.advance(elapsed);
                 return Ok(elapsed);
             }
-            if attempts > self.config.max_retries {
+            if attempts > MAX_RETRIES {
                 self.accounting.record_retransmits(u64::from(attempts - 1) * packet.frame_count());
                 self.accounting.record_drop();
                 self.clock.advance(elapsed);

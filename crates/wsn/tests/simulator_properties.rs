@@ -141,16 +141,13 @@ proptest! {
         prop_assert!(fast.transmission_time_s(bytes) <= slow.transmission_time_s(bytes));
     }
 
-    /// Deployment geometry: every device lands inside the field.
+    /// Deployment geometry: every device lands inside the field, 100 m a
+    /// side.
     #[test]
     fn devices_inside_field(devices in 1usize..64, seed in 0u64..1000) {
         let side = 100.0;
-        let network = Network::new(NetworkConfig {
-            num_devices: devices,
-            field_side_m: side,
-            seed,
-            ..Default::default()
-        });
+        let network =
+            Network::new(NetworkConfig { num_devices: devices, seed, ..Default::default() });
         for d in network.devices() {
             let p = network.node(*d).expect("exists").position();
             prop_assert!(p.x >= 0.0 && p.x < side && p.y >= 0.0 && p.y < side);

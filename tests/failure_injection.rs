@@ -15,7 +15,7 @@ use orcodcs_repro::core::{
 use orcodcs_repro::datasets::{mnist_like, DatasetKind};
 use orcodcs_repro::sim::{DesNetwork, Scenario, SimSpec};
 use orcodcs_repro::wsn::{
-    DeploymentBackend, LinkModel, Network, NetworkConfig, PacketKind, WsnError,
+    DeploymentBackend, LinkModel, Network, NetworkConfig, PacketKind, WsnError, MAX_RETRIES,
 };
 
 /// Runs the full pipeline over the event-driven backend with a scripted
@@ -189,8 +189,7 @@ fn scripted_lossy_window_retries_and_eventually_delivers() {
 
 #[test]
 fn hopeless_link_reports_transmission_failed() {
-    let mut config =
-        NetworkConfig { num_devices: 2, seed: 3, max_retries: 2, ..Default::default() };
+    let mut config = NetworkConfig { num_devices: 2, seed: 3, ..Default::default() };
     config.sensor_link = LinkModel::sensor_radio().with_loss(0.99);
     let mut net = Network::new(config);
     let d = net.devices()[0];
@@ -198,14 +197,14 @@ fn hopeless_link_reports_transmission_failed() {
     for _ in 0..20 {
         match net.transmit(d, net.aggregator(), 32, PacketKind::RawData) {
             Err(WsnError::TransmissionFailed { attempts, .. }) => {
-                assert!(attempts > 2);
+                assert!(attempts > MAX_RETRIES);
                 saw_failure = true;
                 break;
             }
             _ => continue,
         }
     }
-    assert!(saw_failure, "99% loss with 2 retries must eventually fail");
+    assert!(saw_failure, "99% loss with {MAX_RETRIES} retries must eventually fail");
     // Drops land in the ledger for both backends.
     assert!(net.accounting().link_stats().dropped_packets > 0);
 }
