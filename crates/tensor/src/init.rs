@@ -20,10 +20,6 @@ use crate::rng::OrcoRng;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Init {
-    /// All zeros (used for biases).
-    Zeros,
-    /// Every element set to the given constant.
-    Constant(f32),
     /// Uniform in `[-limit, limit]` with `limit = sqrt(6 / (fan_in + fan_out))`
     /// (Glorot & Bengio 2010). Suits sigmoid/tanh layers — the paper's
     /// encoder/decoder use sigmoid activations.
@@ -31,36 +27,15 @@ pub enum Init {
     /// Normal with `std = sqrt(2 / fan_in)` (He et al. 2015). Suits ReLU
     /// layers — used in the conv stacks of DCSNet and the classifier.
     HeNormal,
-    /// Uniform in `[lo, hi]`.
-    Uniform(f32, f32),
-    /// Normal with the given mean and standard deviation.
-    Normal(f32, f32),
 }
 
 impl Init {
-    /// Materializes a `rows`×`cols` weight matrix.
-    ///
-    /// For the fan-based schemes, `cols` is treated as fan-in and `rows` as
-    /// fan-out, matching the `output = W · input` convention used by the
-    /// dense layers in `orco-nn`.
+    /// Materializes a `rows`×`cols` weight matrix, with `cols` as fan-in
+    /// and `rows` as fan-out, matching the `output = W · input` convention
+    /// used by the dense layers in `orco-nn`.
     #[must_use]
     pub fn matrix(self, rows: usize, cols: usize, rng: &mut OrcoRng) -> Matrix {
-        let fan_in = cols.max(1) as f32;
-        let fan_out = rows.max(1) as f32;
-        match self {
-            Init::Zeros => Matrix::zeros(rows, cols),
-            Init::Constant(v) => Matrix::filled(rows, cols, v),
-            Init::XavierUniform => {
-                let limit = (6.0 / (fan_in + fan_out)).sqrt();
-                Matrix::from_fn(rows, cols, |_, _| rng.uniform(-limit, limit))
-            }
-            Init::HeNormal => {
-                let std = (2.0 / fan_in).sqrt();
-                Matrix::from_fn(rows, cols, |_, _| rng.normal(0.0, std))
-            }
-            Init::Uniform(lo, hi) => Matrix::from_fn(rows, cols, |_, _| rng.uniform(lo, hi)),
-            Init::Normal(mean, std) => Matrix::from_fn(rows, cols, |_, _| rng.normal(mean, std)),
-        }
+        self.matrix_with_fans(rows, cols, cols, rows, rng)
     }
 
     /// Materializes weights with explicit fan-in/fan-out, for layers whose
@@ -84,7 +59,6 @@ impl Init {
                 let std = (2.0 / fan_in.max(1) as f32).sqrt();
                 Matrix::from_fn(rows, cols, |_, _| rng.normal(0.0, std))
             }
-            other => other.matrix(rows, cols, rng),
         }
     }
 }
@@ -92,13 +66,6 @@ impl Init {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zeros_and_constant() {
-        let mut rng = OrcoRng::from_label("init", 0);
-        assert!(Init::Zeros.matrix(3, 3, &mut rng).as_slice().iter().all(|&v| v == 0.0));
-        assert!(Init::Constant(2.5).matrix(1, 4, &mut rng).as_slice().iter().all(|&v| v == 2.5));
-    }
 
     #[test]
     fn xavier_respects_limit() {
@@ -126,8 +93,8 @@ mod tests {
     fn deterministic_given_same_rng() {
         let mut a = OrcoRng::from_label("init-det", 0);
         let mut b = OrcoRng::from_label("init-det", 0);
-        let wa = Init::Normal(0.0, 1.0).matrix(5, 5, &mut a);
-        let wb = Init::Normal(0.0, 1.0).matrix(5, 5, &mut b);
+        let wa = Init::HeNormal.matrix(5, 5, &mut a);
+        let wb = Init::HeNormal.matrix(5, 5, &mut b);
         assert_eq!(wa, wb);
     }
 
