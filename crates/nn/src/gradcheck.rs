@@ -39,7 +39,6 @@ fn loss_f64(loss: &Loss, pred: &Matrix, target: &Matrix) -> f64 {
     let rows = pred.iter_rows().zip(target.iter_rows()).map(|(p, t)| {
         let d = p.iter().zip(t).map(|(&p, &t)| f64::from(p) - f64::from(t));
         match *loss {
-            Loss::L1 => d.map(f64::abs).sum(),
             Loss::L2 => d.map(|d| 0.5 * d * d).sum(),
             Loss::Huber { delta } => {
                 let delta = f64::from(delta);

@@ -6,15 +6,13 @@ use orco_tensor::Matrix;
 /// loss**: it switches between ½‖X − Xr‖₂² and δ‖X − Xr‖₁ − ½δ² depending on
 /// whether the *whole residual vector's* L1 norm is within δ — this is
 /// [`Loss::VectorHuber`]. The conventional element-wise Huber
-/// ([`Loss::Huber`]) is provided for ablation, along with plain L1/L2 and
-/// softmax cross-entropy for the follow-up classifier.
+/// ([`Loss::Huber`]) is the configuration's default, L2 trains DCSNet, and
+/// softmax cross-entropy trains the follow-up classifier.
 ///
 /// All losses report the **mean over samples** so values are comparable
 /// across batch sizes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Loss {
-    /// Mean absolute error.
-    L1,
     /// Mean squared error, scaled by ½ per element so the gradient is the
     /// plain residual.
     L2,
@@ -44,10 +42,6 @@ impl Loss {
         assert!(pred.rows() > 0, "Loss::value: empty batch");
         let n = pred.rows() as f32;
         match *self {
-            Loss::L1 => {
-                let diff = pred - target;
-                diff.norm_l1() / (n * pred.cols() as f32)
-            }
             Loss::L2 => {
                 let diff = pred - target;
                 0.5 * diff.as_slice().iter().map(|v| v * v).sum::<f32>() / (n * pred.cols() as f32)
@@ -103,7 +97,6 @@ impl Loss {
         assert!(pred.rows() > 0, "Loss::grad: empty batch");
         let scale = 1.0 / (pred.rows() as f32 * pred.cols() as f32);
         match *self {
-            Loss::L1 => pred.zip_map(target, |p, t| sign(p - t)).scale(scale),
             Loss::L2 => pred.zip_map(target, |p, t| p - t).scale(scale),
             Loss::Huber { delta } => {
                 assert!(delta > 0.0, "Huber: delta must be positive");
@@ -151,7 +144,7 @@ impl Loss {
     pub fn flops(&self, features: usize) -> u64 {
         let f = features as u64;
         match self {
-            Loss::L1 | Loss::L2 => 3 * f,
+            Loss::L2 => 3 * f,
             Loss::Huber { .. } | Loss::VectorHuber { .. } => 5 * f,
             Loss::SoftmaxCrossEntropy => 8 * f,
         }
@@ -210,7 +203,6 @@ mod tests {
     fn l2_zero_at_perfect_prediction() {
         let m = Matrix::from_fn(2, 3, |r, c| (r + c) as f32);
         assert_eq!(Loss::L2.value(&m, &m), 0.0);
-        assert_eq!(Loss::L1.value(&m, &m), 0.0);
         assert_eq!(Loss::Huber { delta: 1.0 }.value(&m, &m), 0.0);
         assert_eq!(Loss::VectorHuber { delta: 1.0 }.value(&m, &m), 0.0);
     }

@@ -96,14 +96,13 @@ proptest! {
     fn loss_gradients_match_directional_derivative(
         cols in 2usize..10,
         seed in 0u64..10_000,
-        which in 0usize..4,
+        which in 0usize..3,
     ) {
         let mut rng = OrcoRng::from_seed_u64(seed);
         let loss = match which {
             0 => Loss::L2,
             1 => Loss::Huber { delta: 0.5 },
-            2 => Loss::VectorHuber { delta: 0.4 * cols as f32 },
-            _ => Loss::L1,
+            _ => Loss::VectorHuber { delta: 0.4 * cols as f32 },
         };
         let pred = Matrix::from_fn(2, cols, |_, _| rng.uniform(-1.0, 1.0));
         let target = Matrix::from_fn(2, cols, |_, _| rng.uniform(-1.0, 1.0));
@@ -113,9 +112,9 @@ proptest! {
         let minus = &pred - &dir.scale(eps);
         let numeric = (loss.value(&plus, &target) - loss.value(&minus, &target)) / (2.0 * eps);
         let analytic = loss.grad(&pred, &target).dot(&dir);
-        // L1/Huber kinks can make single points disagree; allow slack
+        // Huber kinks can make single points disagree; allow slack
         // proportional to the direction's magnitude.
-        let tol = 0.05 * (1.0 + dir.norm_l1() / dir.len() as f32);
+        let tol = 0.05 * (1.0 + dir.as_slice().iter().map(|v| v.abs()).sum::<f32>() / dir.len() as f32);
         prop_assert!((numeric - analytic).abs() < tol,
             "{loss:?}: numeric {numeric} vs analytic {analytic}");
     }

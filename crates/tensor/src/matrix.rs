@@ -544,12 +544,6 @@ impl Matrix {
         self.data.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m })
     }
 
-    /// L1 norm (sum of absolute values).
-    #[must_use]
-    pub fn norm_l1(&self) -> f32 {
-        self.data.iter().map(|v| v.abs()).sum()
-    }
-
     /// L2 (Frobenius) norm.
     #[must_use]
     pub fn norm_l2(&self) -> f32 {
@@ -822,7 +816,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_vec(1, 2, vec![3.0, -4.0]).unwrap();
-        assert_eq!(m.norm_l1(), 7.0);
         assert_eq!(m.norm_l2(), 5.0);
     }
 
