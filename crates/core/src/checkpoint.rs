@@ -49,7 +49,8 @@ impl EncoderCheckpoint {
     /// # Errors
     ///
     /// Returns [`OrcoError::Config`] if the shapes do not match the target
-    /// model.
+    /// model, or if a weight or bias is not finite: a diverged training run
+    /// yields such an encoder, and every code it produced would be NaN.
     pub fn restore(&self, halves: &mut SplitHalves) -> Result<(), OrcoError> {
         let (latent_dim, input_dim) = halves.encoder.weight().shape();
         if self.weight.shape() != (latent_dim, input_dim) {
@@ -68,6 +69,12 @@ impl EncoderCheckpoint {
                     self.bias.rows(),
                     self.bias.cols(),
                 ),
+            });
+        }
+        let finite = |m: &Matrix| m.as_slice().iter().all(|v| v.is_finite());
+        if !finite(&self.weight) || !finite(&self.bias) {
+            return Err(OrcoError::Config {
+                detail: "checkpoint encoder holds a non-finite weight or bias".into(),
             });
         }
         halves.encoder.set_parts(self.weight.clone(), self.bias.clone());
@@ -326,6 +333,23 @@ mod tests {
         bias_only.bias = Matrix::zeros(1, ae.latent_dim() + 1);
         let err = bias_only.restore(ae.halves_mut()).expect_err("a wrong bias must not restore");
         assert!(matches!(err, OrcoError::Config { .. }), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn restore_refuses_a_non_finite_encoder() {
+        let mut ae = trained_ae();
+        let ckpt = EncoderCheckpoint::capture(ae.halves(), "diverged");
+        let before = ae.encoder_weight().clone();
+        let mut nan_weight = ckpt.clone();
+        nan_weight.weight[(0, 3)] = f32::NAN;
+        let mut inf_bias = ckpt;
+        inf_bias.bias[(0, 1)] = f32::INFINITY;
+        for bad in [nan_weight, inf_bias] {
+            let err =
+                bad.restore(ae.halves_mut()).expect_err("a non-finite encoder must not restore");
+            assert!(err.to_string().contains("non-finite"), "unexpected error: {err}");
+        }
+        assert_eq!(ae.encoder_weight(), &before, "a refused restore leaves the encoder as it was");
     }
 
     #[test]

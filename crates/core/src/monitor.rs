@@ -63,10 +63,11 @@ impl FineTuneMonitor {
         }
     }
 
-    /// Whether the windowed error exceeds the threshold.
+    /// Whether the windowed error exceeds the threshold. A NaN error — a
+    /// diverged model's reconstructions — counts as exceeding it.
     #[must_use]
     pub fn should_retrain(&self) -> bool {
-        self.windowed_error().is_some_and(|e| e > self.threshold)
+        self.windowed_error().is_some_and(|e| e.is_nan() || e > self.threshold)
     }
 
     /// Resets the window after a retrain was launched.
@@ -107,6 +108,15 @@ mod tests {
         m.record(0.1);
         m.record(1.2); // spike; mean = 0.375 < 0.5
         assert!(!m.should_retrain());
+    }
+
+    #[test]
+    fn a_nan_window_triggers() {
+        let mut m = FineTuneMonitor::new(0.1, 2);
+        m.record(0.01);
+        m.record(f32::NAN);
+        assert!(m.windowed_error().is_some_and(f32::is_nan));
+        assert!(m.should_retrain(), "a NaN error is not a clean window");
     }
 
     #[test]

@@ -489,3 +489,120 @@ fn a_version_is_one_codec_that_every_shard_serves_and_a_rollback_restores() {
     assert_eq!(tally(&shared).encoded_by, BTreeSet::from([0]));
     assert_eq!(seen(), (1, vec![0]));
 }
+
+/// A proposal whose encoder holds a NaN — what a diverged training run
+/// yields — is refused, and nothing is staged.
+#[test]
+fn a_non_finite_proposal_is_refused() {
+    let gw = gateway(GatewayConfig { shards: 1, ..GatewayConfig::default() });
+    let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("loopback connects");
+    client.hello(1).expect("hello");
+    let mut diverged = donor_checkpoint(99);
+    diverged.weight[(2, 5)] = f32::NAN;
+    let err = client.propose_rollout(version_one(), &diverged).expect_err("a NaN must refuse");
+    assert!(err.to_string().contains("non-finite"), "unexpected error: {err}");
+    let err = client.activate_version(1).expect_err("nothing was staged");
+    assert!(err.to_string().contains("no version is staged"), "unexpected error: {err}");
+    assert_eq!(gw.stats().active_version, 0);
+}
+
+/// The gauntlet's autoencoder, whose grafted versions decode every row
+/// to NaN: a cut-over that serves garbage the drift probe cannot score.
+#[derive(Debug)]
+struct NanAfterSwap {
+    inner: Box<dyn Codec>,
+    nan: bool,
+}
+
+impl Codec for NanAfterSwap {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn input_dim(&self) -> usize {
+        self.inner.input_dim()
+    }
+    fn bytes_per_frame(&self) -> u64 {
+        self.inner.bytes_per_frame()
+    }
+    fn train(&mut self, x: &Matrix, spec: &TrainSpec) -> Result<TrainingHistory, OrcoError> {
+        self.inner.train(x, spec)
+    }
+    fn encode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        frames: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
+        self.inner.encode_batch_with(ws, frames, out)
+    }
+    fn decode_batch_with(
+        &self,
+        ws: &mut Workspace,
+        codes: MatView<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), OrcoError> {
+        self.inner.decode_batch_with(ws, codes, out)?;
+        if self.nan {
+            out.as_mut_slice().fill(f32::NAN);
+        }
+        Ok(())
+    }
+    fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+        self.encode_batch_with(&mut Workspace::default(), frames, out)
+    }
+    fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
+        self.decode_batch_with(&mut Workspace::default(), codes, out)
+    }
+    fn checkpoint(&self) -> Option<EncoderCheckpoint> {
+        self.inner.checkpoint()
+    }
+    fn with_encoder(&self, checkpoint: &EncoderCheckpoint) -> Result<Box<dyn Codec>, OrcoError> {
+        Ok(Box::new(NanAfterSwap { inner: self.inner.with_encoder(checkpoint)?, nan: true }))
+    }
+}
+
+/// A cut-over to a codec that decodes NaN is rolled back: the drift
+/// probe's windowed error is NaN, and the guard reads that as over its
+/// bound, not as a clean window that commits the swap. The bound is the
+/// largest finite one, so only a NaN can trip it.
+#[test]
+fn a_cut_over_that_decodes_nan_is_rolled_back() {
+    let codec_cfg = codec_config(11);
+    let cfg = GatewayConfig {
+        shards: 1,
+        batch_max_frames: 4,
+        drift: Some(DriftGuard {
+            sample_every: NonZeroU64::MIN,
+            threshold: f32::MAX,
+            window: NonZeroUsize::new(4).unwrap(),
+            rollback_above: Some(f32::MAX),
+        }),
+        ..GatewayConfig::default()
+    };
+    let gw = Arc::new(
+        Gateway::new(cfg, Clock::manual(Duration::from_micros(100)), move |_| {
+            let ae = AsymmetricAutoencoder::new(&codec_cfg).expect("valid config");
+            Box::new(NanAfterSwap { inner: Box::new(ae), nan: false }) as Box<dyn Codec>
+        })
+        .expect("valid gateway config"),
+    );
+    let mut client = Client::connect(&Loopback::new(Arc::clone(&gw))).expect("loopback connects");
+    client.hello(1).expect("hello");
+    let frames = stream(8);
+
+    let state = rollout_one(&mut client, version_one(), &donor_checkpoint(99)).expect("rollout");
+    assert_eq!(state.active.id, 1);
+    // One full window of NaN reconstructions, on the size flush inside
+    // this push.
+    client.push(CLUSTER, frames.view_rows(0..4)).expect("push");
+    let info = client.version_info().expect("version query");
+    assert_eq!(info.active.id, 0, "a NaN window must revert to the prior version");
+    assert_eq!(info.rollbacks, 1);
+
+    // Post-revert rows decode under v0, finite again.
+    client.pull_versioned(CLUSTER, 64).expect("pull the NaN version's rows");
+    client.push(CLUSTER, frames.view_rows(4..8)).expect("push");
+    let (v, got) = client.pull_versioned(CLUSTER, 64).expect("pull");
+    assert_eq!((v, got.rows()), (0, 4));
+    rows_eq(&got, &reference(None, &frames), 4);
+}

@@ -811,7 +811,8 @@ impl Gateway {
     /// windowed sample error: one shard over the bound cuts the whole
     /// gateway over to the prior version's codec (see
     /// [`Self::cut_over`]); a full window under the bound on every shard
-    /// commits the swap and releases the prior.
+    /// commits the swap and releases the prior. A NaN windowed error — a
+    /// codec decoding NaN — is over the bound.
     fn maybe_rollback(&self, now: f64) -> Result<(), Failed> {
         let Some(bound) = self.cfg.drift.and_then(|g| g.rollback_above) else {
             return Ok(());
@@ -824,7 +825,7 @@ impl Gateway {
             let mut all_windows_full = true;
             for idx in 0..self.shards.len() {
                 match self.flushing(idx, |side| side.drift_windowed_error())? {
-                    Some(err) if err > bound => tripped = true,
+                    Some(err) if err.is_nan() || err > bound => tripped = true,
                     Some(_) => {}
                     None => all_windows_full = false,
                 }
