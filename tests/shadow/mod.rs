@@ -293,7 +293,8 @@ fn crop_back(channels: usize, side: usize, out: usize, g: &M64) -> M64 {
 }
 
 /// The mean loss over the batch, and its gradient with respect to `pred`
-/// (L2 and element-wise Huber, the losses the pinned rounds train with).
+/// (L2, element-wise Huber and the paper's eq. 4 vector Huber, the
+/// reconstruction losses).
 ///
 /// # Panics
 ///
@@ -302,24 +303,53 @@ pub fn loss(loss: Loss, pred: &M64, target: &Matrix) -> (f64, M64) {
     let scale = 1.0 / pred.data.len() as f64;
     let mut grad = M64::zeros(pred.rows, pred.cols);
     let mut total = 0.0;
-    for ((g, &p), &t) in grad.data.iter_mut().zip(&pred.data).zip(target.as_slice()) {
-        let d = p - f64::from(t);
-        let (value, slope) = match loss {
-            Loss::L2 => (0.5 * d * d, d),
-            Loss::Huber { delta } => {
-                let delta = f64::from(delta);
-                if d.abs() <= delta {
-                    (0.5 * d * d, d)
-                } else {
-                    (delta * d.abs() - 0.5 * delta * delta, delta * d.signum())
-                }
+    for r in 0..pred.rows {
+        let d: Vec<f64> =
+            pred.row(r).iter().zip(target.row(r)).map(|(&p, &t)| p - f64::from(t)).collect();
+        let g = grad.row_mut(r);
+        if let Loss::VectorHuber { delta } = loss {
+            // One regime for the whole row, chosen by its L1 norm.
+            let (delta, l1) = (f64::from(delta), d.iter().map(|d| d.abs()).sum::<f64>());
+            let quadratic = l1 <= delta;
+            total += if quadratic {
+                0.5 * d.iter().map(|d| d * d).sum::<f64>()
+            } else {
+                delta * l1 - 0.5 * delta * delta
+            };
+            for (g, &d) in g.iter_mut().zip(&d) {
+                *g = if quadratic { d } else { delta * sign(d) } * scale;
             }
-            other => panic!("no shadow of {other:?}"),
-        };
-        total += value;
-        *g = slope * scale;
+            continue;
+        }
+        for (g, &d) in g.iter_mut().zip(&d) {
+            let (value, slope) = match loss {
+                Loss::L2 => (0.5 * d * d, d),
+                Loss::Huber { delta } => {
+                    let delta = f64::from(delta);
+                    if d.abs() <= delta {
+                        (0.5 * d * d, d)
+                    } else {
+                        (delta * d.abs() - 0.5 * delta * delta, delta * d.signum())
+                    }
+                }
+                other => panic!("no shadow of {other:?}"),
+            };
+            total += value;
+            *g = slope * scale;
+        }
     }
     (total * scale, grad)
+}
+
+/// `d`'s sign, `0` at `0` as `orco_nn`'s losses take it.
+fn sign(d: f64) -> f64 {
+    if d > 0.0 {
+        1.0
+    } else if d < 0.0 {
+        -1.0
+    } else {
+        0.0
+    }
 }
 
 /// Adam with the global gradient norm clipped, as `orco_nn::Optimizer`
