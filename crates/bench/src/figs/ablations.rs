@@ -13,7 +13,7 @@
 use orco_datasets::{drift, mnist_like, DatasetKind};
 use orco_nn::Loss;
 use orco_tensor::OrcoRng;
-use orco_wsn::{Network, NetworkConfig, PacketKind};
+use orco_wsn::{DeploymentBackend, Network, NetworkConfig, PacketKind};
 use orcodcs::{ClusterScale, ExperimentBuilder, GradCompression, OrcoConfig};
 
 use crate::harness::{banner, Scale};

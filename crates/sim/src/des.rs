@@ -8,8 +8,11 @@
 //!
 //! It reuses the analytic [`Network`] as its *world state* — topology,
 //! batteries, traffic ledger, cost formulas — while scheduling time itself.
-//! That shared substrate is what makes the equivalence contract tight: in
-//! [`MacMode::Sequential`] with zero loss, every energy and byte total
+//! In [`MacMode::Sequential`] its rounds are the round bodies `orco_wsn`
+//! writes once for both backends, over this backend's `hop` (a lost hop is
+//! a recorded drop, not a failed round) and `round_compute` (scaled by the
+//! straggler factor); [`MacMode::Fifo`] and [`MacMode::Tdma`] schedule
+//! their own concurrent rounds. With zero loss, every energy and byte total
 //! lands in the ledger through the very same arithmetic, in the very same
 //! order, as the analytic backend.
 
@@ -18,8 +21,8 @@ use std::collections::BTreeMap;
 use orco_tensor::OrcoRng;
 use orco_wsn::packet::MAX_PAYLOAD_BYTES;
 use orco_wsn::{
-    DeploymentBackend, Network, NetworkConfig, NodeId, Packet, PacketKind, TrafficAccounting,
-    WsnError,
+    broadcast_round, chain_round, raw_round, DeploymentBackend, Network, NetworkConfig, NodeId,
+    Packet, PacketKind, WsnError,
 };
 
 use crate::event::EventQueue;
@@ -256,10 +259,6 @@ impl DesNetwork {
     // Transfer plumbing
     // ------------------------------------------------------------------
 
-    fn is_alive(&self, id: NodeId) -> bool {
-        self.world.node(id).map(orco_wsn::Node::is_alive).unwrap_or(false)
-    }
-
     fn is_intra(&self, from: NodeId, to: NodeId) -> bool {
         from != self.world.edge() && to != self.world.edge()
     }
@@ -345,11 +344,11 @@ impl DesNetwork {
             let t = &self.transfers[tid];
             (t.from, t.to, t.kind)
         };
-        if !self.is_alive(from) {
+        if !self.world.is_alive(from) {
             self.finish(tid, Outcome::EndpointDead(from), treq);
             return;
         }
-        if !self.is_alive(to) {
+        if !self.world.is_alive(to) {
             self.finish(tid, Outcome::EndpointDead(to), treq);
             return;
         }
@@ -439,7 +438,7 @@ impl DesNetwork {
             let t = &self.transfers[tid];
             (t.from, t.to, t.kind)
         };
-        if !self.is_alive(to) {
+        if !self.world.is_alive(to) {
             self.finish(tid, Outcome::EndpointDead(to), tdel);
             return;
         }
@@ -522,7 +521,7 @@ impl DesNetwork {
     }
 
     // ------------------------------------------------------------------
-    // Sequential (analytic-order) primitives — the equivalence mode
+    // The sequential transfer — a direct transmit and a round's hop
     // ------------------------------------------------------------------
 
     /// Runs one transfer to completion on the event queue, sequentially.
@@ -548,99 +547,6 @@ impl DesNetwork {
         }
     }
 
-    /// Round-primitive wrapper around [`Self::execute_transfer_now`]:
-    /// faults that only a richer-than-analytic schedule can produce — a
-    /// scenario killing an endpoint while a packet is in flight, a lossy
-    /// window running a packet's retries dry — are recorded as drops and
-    /// the round goes on (a live deployment does not abort a whole
-    /// aggregation round because one hop failed). Faults the analytic
-    /// backend also produces and propagates (battery exhaustion, unknown
-    /// nodes) propagate identically, preserving the ideal-mode error
-    /// surface. Returns whether the hop was delivered.
-    fn hop_transfer(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        payload: u64,
-        kind: PacketKind,
-    ) -> Result<bool, WsnError> {
-        match self.execute_transfer_now(from, to, payload, kind) {
-            Ok(_) => Ok(true),
-            Err(e @ (WsnError::UnknownNode { .. } | WsnError::EnergyExhausted { .. })) => Err(e),
-            Err(_) => Ok(false), // drop already recorded by `finish`
-        }
-    }
-
-    fn compute_inline(&mut self, at: NodeId, flops: u64) -> Result<f64, WsnError> {
-        let dt = self.world.charge_compute(at, flops)? * self.straggle[at.0];
-        self.now_s += dt;
-        self.node_free_s[at.0] = self.node_free_s[at.0].max(self.now_s);
-        self.world.advance_clock_to(self.now_s);
-        Ok(dt)
-    }
-
-    fn raw_round_sequential(&mut self, bytes_per_device: u64) -> Result<f64, WsnError> {
-        let start = self.now_s;
-        let mut carried: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for id in self.world.alive_devices() {
-            carried.insert(id, bytes_per_device);
-        }
-        let aggregator = self.world.aggregator();
-        for id in self.world.tree().bottom_up_order() {
-            if !self.is_alive(id) {
-                continue;
-            }
-            let payload = carried.get(&id).copied().unwrap_or(0);
-            if payload == 0 {
-                continue;
-            }
-            // Mid-round scenario deaths repair the tree, so the parent is
-            // looked up per hop, exactly like the analytic loop.
-            let Some(parent) = self.world.tree().parent(id) else {
-                continue; // reparented out of the tree mid-round
-            };
-            if self.hop_transfer(id, parent, payload, PacketKind::RawData)? && parent != aggregator
-            {
-                *carried.entry(parent).or_insert(0) += payload;
-            }
-        }
-        Ok(self.now_s - start)
-    }
-
-    fn broadcast_sequential(&mut self, column_bytes: u64) -> Result<f64, WsnError> {
-        let start = self.now_s;
-        let aggregator = self.world.aggregator();
-        for id in self.world.alive_devices() {
-            self.hop_transfer(aggregator, id, column_bytes, PacketKind::EncoderColumn)?;
-        }
-        Ok(self.now_s - start)
-    }
-
-    fn chain_round_sequential(
-        &mut self,
-        latent_bytes: u64,
-        flops_per_device: u64,
-    ) -> Result<f64, WsnError> {
-        let start = self.now_s;
-        let order: Vec<NodeId> = self.world.chain().order().to_vec();
-        for id in &order {
-            if self.is_alive(*id) {
-                self.compute_inline(*id, flops_per_device)?;
-            }
-        }
-        for (from, to) in self.world.chain().device_hops() {
-            if self.is_alive(from) && self.is_alive(to) {
-                self.hop_transfer(from, to, latent_bytes, PacketKind::CompressedElement)?;
-            }
-        }
-        let last = self.world.chain().last();
-        let aggregator = self.world.aggregator();
-        if self.is_alive(last) {
-            self.hop_transfer(last, aggregator, latent_bytes, PacketKind::CompressedElement)?;
-        }
-        Ok(self.now_s - start)
-    }
-
     // ------------------------------------------------------------------
     // Concurrent primitives — Fifo / Tdma
     // ------------------------------------------------------------------
@@ -654,7 +560,7 @@ impl DesNetwork {
         let Some(&p) = parent.get(&node) else { return };
         let payload =
             own.get(&node).copied().unwrap_or(0) + received.get(&node).copied().unwrap_or(0);
-        if payload == 0 || !self.is_alive(node) {
+        if payload == 0 || !self.world.is_alive(node) {
             self.resolve_raw_child(p, 0, t_s);
             return;
         }
@@ -703,7 +609,7 @@ impl DesNetwork {
             if p != aggregator {
                 *expected.entry(p).or_insert(0) += 1;
             }
-            if self.is_alive(*id) {
+            if self.world.is_alive(*id) {
                 own.insert(*id, bytes_per_device);
             }
         }
@@ -761,7 +667,7 @@ impl DesNetwork {
             (from, to, *latent_bytes)
         };
         let to = to.unwrap_or_else(|| self.world.aggregator());
-        if !self.is_alive(from) {
+        if !self.world.is_alive(from) {
             // The node (and its partial sum) is gone; downstream devices
             // still forward their own contributions.
             self.resolve_chain_hop(index, t_s);
@@ -822,7 +728,7 @@ impl DesNetwork {
         // Per-node clocks: every device computes concurrently; stragglers
         // finish later and stall only their own chain position.
         for (i, id) in order.iter().enumerate() {
-            if self.is_alive(*id) && flops_per_device > 0 {
+            if self.world.is_alive(*id) && flops_per_device > 0 {
                 let dt = self.world.charge_compute(*id, flops_per_device)? * self.straggle[id.0];
                 let begin = start.max(self.node_free_s[id.0]);
                 let done = begin + dt;
@@ -859,8 +765,8 @@ impl DeploymentBackend for DesNetwork {
         self.now_s
     }
 
-    fn accounting(&self) -> &TrafficAccounting {
-        self.world.accounting()
+    fn world(&self) -> &Network {
+        &self.world
     }
 
     fn reset_accounting(&mut self) {
@@ -893,26 +799,6 @@ impl DeploymentBackend for DesNetwork {
         self.world.advance_clock_to(self.now_s);
     }
 
-    fn aggregator(&self) -> NodeId {
-        self.world.aggregator()
-    }
-
-    fn edge(&self) -> NodeId {
-        self.world.edge()
-    }
-
-    fn devices(&self) -> &[NodeId] {
-        self.world.devices()
-    }
-
-    fn alive_devices(&self) -> Vec<NodeId> {
-        self.world.alive_devices()
-    }
-
-    fn node_energy_j(&self, id: NodeId) -> Result<f64, WsnError> {
-        Ok(self.world.node(id)?.energy_j())
-    }
-
     fn kill_device(&mut self, id: NodeId) -> Result<(), WsnError> {
         self.world.kill_device(id)
     }
@@ -925,25 +811,50 @@ impl DeploymentBackend for DesNetwork {
         kind: PacketKind,
     ) -> Result<f64, WsnError> {
         self.apply_actions_upto(self.now_s);
-        // Analytic-parity endpoint validation.
-        if !self.world.node(from)?.is_alive() {
-            return Err(WsnError::NodeDead { id: from });
-        }
-        if !self.world.node(to)?.is_alive() {
-            return Err(WsnError::NodeDead { id: to });
-        }
+        self.world.check_endpoints(from, to)?;
         self.execute_transfer_now(from, to, payload_bytes, kind)
     }
 
     fn compute(&mut self, at: NodeId, flops: u64) -> Result<f64, WsnError> {
         self.apply_actions_upto(self.now_s);
-        self.compute_inline(at, flops)
+        self.round_compute(at, flops)
+    }
+
+    /// Faults that only a richer-than-analytic schedule can produce — a
+    /// scenario killing an endpoint while a packet is in flight, a lossy
+    /// window running a packet's retries dry — are recorded as drops and
+    /// the round goes on (a live deployment does not abort a whole
+    /// aggregation round because one hop failed). Faults the analytic
+    /// backend also produces and propagates (battery exhaustion, unknown
+    /// nodes) propagate identically, preserving the ideal-mode error
+    /// surface.
+    fn hop(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        payload_bytes: u64,
+        kind: PacketKind,
+    ) -> Result<bool, WsnError> {
+        match self.execute_transfer_now(from, to, payload_bytes, kind) {
+            Ok(_) => Ok(true),
+            Err(e @ (WsnError::UnknownNode { .. } | WsnError::EnergyExhausted { .. })) => Err(e),
+            Err(_) => Ok(false), // drop already recorded by `finish`
+        }
+    }
+
+    /// Scaled by the device's straggler factor.
+    fn round_compute(&mut self, at: NodeId, flops: u64) -> Result<f64, WsnError> {
+        let dt = self.world.charge_compute(at, flops)? * self.straggle[at.0];
+        self.now_s += dt;
+        self.node_free_s[at.0] = self.node_free_s[at.0].max(self.now_s);
+        self.world.advance_clock_to(self.now_s);
+        Ok(dt)
     }
 
     fn raw_aggregation_round(&mut self, bytes_per_device: u64) -> Result<f64, WsnError> {
         self.apply_actions_upto(self.now_s);
         match self.params.mac {
-            MacMode::Sequential => self.raw_round_sequential(bytes_per_device),
+            MacMode::Sequential => raw_round(self, bytes_per_device),
             _ => self.raw_round_concurrent(bytes_per_device),
         }
     }
@@ -951,7 +862,7 @@ impl DeploymentBackend for DesNetwork {
     fn broadcast_encoder_columns(&mut self, column_bytes: u64) -> Result<f64, WsnError> {
         self.apply_actions_upto(self.now_s);
         match self.params.mac {
-            MacMode::Sequential => self.broadcast_sequential(column_bytes),
+            MacMode::Sequential => broadcast_round(self, column_bytes),
             _ => self.broadcast_concurrent(column_bytes),
         }
     }
@@ -963,7 +874,7 @@ impl DeploymentBackend for DesNetwork {
     ) -> Result<f64, WsnError> {
         self.apply_actions_upto(self.now_s);
         match self.params.mac {
-            MacMode::Sequential => self.chain_round_sequential(latent_bytes, flops_per_device),
+            MacMode::Sequential => chain_round(self, latent_bytes, latent_bytes, flops_per_device),
             _ => self.chain_round_concurrent(latent_bytes, flops_per_device),
         }
     }

@@ -69,7 +69,9 @@
 //! With [`SimParams::ideal`] (contention-free [`MacMode::Sequential`]
 //! schedule, zero loss, no scenario) the event-driven backend reproduces
 //! the analytic backend's traffic-ledger byte counts, per-node energy
-//! totals, and simulated-clock totals **exactly** — same formulas, same floating-point operation order. The
+//! totals, and simulated-clock totals **exactly**: the two backends run
+//! one body for each round, and their transfers and computations charge
+//! the same formulas in the same floating-point operation order. The
 //! workspace test `tests/des_equivalence.rs` pins this contract. Any other
 //! parameterization trades that equivalence for expressiveness the
 //! analytic model cannot offer: overlapping computation, slotted medium

@@ -4,11 +4,11 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MacMode {
     /// **Contention-free, analytic-order schedule** — the equivalence mode.
-    /// Every round's transmissions and computations execute one at a time
-    /// in exactly the order the analytic [`orco_wsn::Network`] iterates
-    /// them, and the medium is held for the full transmission time
-    /// (latency included). With zero loss this reproduces the analytic
-    /// byte, energy, *and* clock totals exactly.
+    /// Every round runs the one body the analytic [`orco_wsn::Network`]
+    /// runs (`orco_wsn::raw_round` and its siblings), one transmission or
+    /// computation at a time, and the medium is held for the full
+    /// transmission time (latency included). With zero loss this
+    /// reproduces the analytic byte, energy, *and* clock totals exactly.
     Sequential,
     /// Work-conserving FIFO medium: transmissions are granted in request
     /// order, concurrency across nodes is real (computes overlap, link

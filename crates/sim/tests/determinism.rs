@@ -184,6 +184,51 @@ fn out_of_range_scenario_index_is_rejected() {
     );
 }
 
+#[test]
+fn rounds_with_every_device_dead_send_nothing() {
+    for mac in [MacMode::Sequential, MacMode::Fifo, MacMode::Tdma { slot_s: 0.02 }] {
+        let scenario = (0..6).fold(Scenario::new(), |s, device| s.kill_at(0.0, device));
+        let mut des = DesNetwork::new(
+            NetworkConfig { num_devices: 6, seed: 2, ..Default::default() },
+            SimSpec { params: SimParams { mac, ..SimParams::ideal() }, scenario },
+        );
+        des.raw_aggregation_round(8).expect("raw round runs");
+        des.compressed_aggregation_round(64, 100).expect("chain round runs");
+        des.broadcast_encoder_columns(32).expect("broadcast runs");
+        assert!(des.alive_devices().is_empty(), "{mac:?}");
+        assert_eq!(des.accounting().total_tx_bytes(), 0, "{mac:?}");
+    }
+}
+
+/// Two raw rounds and a compute-heavy chain round, then a broadcast.
+fn three_rounds<B: DeploymentBackend>(mut net: B) -> Digest {
+    for _ in 0..2 {
+        net.raw_aggregation_round(8).expect("raw round runs");
+    }
+    net.compressed_aggregation_round(64, 2_000_000).expect("chain round runs");
+    net.broadcast_encoder_columns(32).expect("broadcast runs");
+    digest(&net)
+}
+
+/// The pipeline holds its backend as `Box<dyn DeploymentBackend>`: the box
+/// must run the DES's own concurrent rounds, not the sequential bodies.
+#[test]
+fn a_boxed_des_runs_its_own_rounds() {
+    let des = |mac| {
+        DesNetwork::new(
+            NetworkConfig { num_devices: 8, seed: 4, ..Default::default() },
+            SimSpec { params: SimParams { mac, ..SimParams::ideal() }, ..Default::default() },
+        )
+    };
+    let sequential = three_rounds(des(MacMode::Sequential));
+    for mac in [MacMode::Fifo, MacMode::Tdma { slot_s: 0.02 }] {
+        let unboxed = three_rounds(des(mac));
+        let boxed: Box<dyn DeploymentBackend> = Box::new(des(mac));
+        assert_eq!(three_rounds(boxed), unboxed, "{mac:?}");
+        assert_ne!(unboxed, sequential, "{mac:?}");
+    }
+}
+
 /// The outcomes of `calls` rounds, as one line: `Ok` or the error.
 fn outcomes(calls: impl IntoIterator<Item = Result<f64, WsnError>>) -> String {
     let names: Vec<String> = calls

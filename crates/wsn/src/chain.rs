@@ -82,7 +82,8 @@ impl ChainSchedule {
         Self { order }
     }
 
-    /// The visit order; the last entry forwards to the aggregator.
+    /// The visit order; the last entry forwards to the aggregator. Empty
+    /// once every device on it was removed.
     #[must_use]
     pub fn order(&self) -> &[NodeId] {
         &self.order
@@ -93,12 +94,6 @@ impl ChainSchedule {
     #[must_use]
     pub fn device_hops(&self) -> Vec<(NodeId, NodeId)> {
         self.order.windows(2).map(|w| (w[0], w[1])).collect()
-    }
-
-    /// The device that performs the final hop to the aggregator.
-    #[must_use]
-    pub fn last(&self) -> NodeId {
-        *self.order.last().expect("chain is non-empty")
     }
 
     /// Removes a dead device, splicing its neighbours together.
@@ -120,7 +115,7 @@ mod tests {
         let devices = vec![device(1, 1.0), device(2, 2.0), device(3, 3.0), device(4, 4.0)];
         let chain = ChainSchedule::greedy_nearest(&devices, Point::new(0.0, 0.0));
         assert_eq!(chain.order(), &[NodeId(4), NodeId(3), NodeId(2), NodeId(1)]);
-        assert_eq!(chain.last(), NodeId(1));
+        assert_eq!(chain.order().last(), Some(&NodeId(1)));
         assert_eq!(chain.device_hops().len(), 3);
     }
 
@@ -146,7 +141,7 @@ mod tests {
         let chain = ChainSchedule::greedy_nearest(&[device(7, 5.0)], Point::new(0.0, 0.0));
         assert_eq!(chain.order(), &[NodeId(7)]);
         assert!(chain.device_hops().is_empty());
-        assert_eq!(chain.last(), NodeId(7));
+        assert_eq!(chain.order().last(), Some(&NodeId(7)));
     }
 
     #[test]

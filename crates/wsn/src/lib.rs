@@ -31,7 +31,8 @@
 //! * `network` — the façade tying all of it together;
 //! * `backend` — the [`DeploymentBackend`] trait making the deployment
 //!   pluggable: this crate's analytic [`Network`] and the `orco-sim`
-//!   discrete-event simulator both implement it.
+//!   discrete-event simulator both implement it, and the three protocol
+//!   rounds, written once over it.
 //!
 //! Everything is deterministic given a [`NetworkConfig`] seed: re-running an
 //! experiment reproduces identical byte counts, energies and simulated
@@ -57,7 +58,7 @@ pub mod clock;
 pub mod packet;
 
 pub use accounting::{LinkStats, TrafficAccounting};
-pub use backend::DeploymentBackend;
+pub use backend::{broadcast_round, chain_round, raw_round, DeploymentBackend};
 pub use chain::ChainSchedule;
 pub use compute::ComputeModel;
 pub use error::WsnError;

@@ -2,24 +2,24 @@
 //!
 //! A [`Network`] owns the whole simulated deployment of paper Fig. 1 — `N`
 //! IoT devices scattered over a field, one data aggregator at the field
-//! centre, one edge server reachable over an uplink — and exposes the three
-//! traffic primitives the OrcoDCS protocol is written in terms of:
-//!
-//! 1. [`Network::raw_aggregation_round`] — multi-hop tree aggregation of raw
-//!    sensing data (paper §III-A);
-//! 2. [`Network::broadcast_encoder_columns`] — one-round distribution of
-//!    per-device encoder columns (§III-C);
-//! 3. [`Network::compressed_aggregation_round`] — chain aggregation of
-//!    latent partial sums (§III-C).
-//!
-//! plus point-to-point [`Network::transmit`] (aggregator ⇄ edge training
-//! traffic) and [`Network::compute`] (simulated FLOP execution). Every call
-//! advances the [`SimClock`], drains node batteries and lands in the
+//! centre, one edge server reachable over an uplink — and exposes the
+//! point-to-point primitives the OrcoDCS protocol is written in terms of:
+//! [`Network::transmit`] (aggregator ⇄ edge training traffic, and every hop
+//! of a round) and [`Network::compute`] (simulated FLOP execution). Every
+//! call advances the [`SimClock`], drains node batteries and lands in the
 //! [`TrafficAccounting`] ledger.
+//!
+//! The three traffic rounds — raw tree aggregation (§III-A), the encoder
+//! broadcast and chain aggregation of latent partial sums (§III-C) — are
+//! [`DeploymentBackend`](crate::DeploymentBackend) methods, written once
+//! over both backends in `backend.rs`. [`Network`] is also the world state
+//! of the `orco-sim` event-driven backend, which charges its transfers
+//! through the same hooks `transmit` is built from.
 
 use orco_tensor::OrcoRng;
 
 use crate::accounting::TrafficAccounting;
+use crate::backend::chain_round;
 use crate::chain::ChainSchedule;
 use crate::clock::SimClock;
 use crate::compute::ComputeModel;
@@ -61,7 +61,7 @@ impl Default for NetworkConfig {
 /// # Examples
 ///
 /// ```
-/// use orco_wsn::{Network, NetworkConfig};
+/// use orco_wsn::{DeploymentBackend, Network, NetworkConfig};
 ///
 /// let mut net = Network::new(NetworkConfig { num_devices: 8, ..Default::default() });
 /// let t = net.raw_aggregation_round(4)?; // every device reports 4 raw bytes
@@ -219,6 +219,12 @@ impl Network {
         self.devices.iter().copied().filter(|id| self.nodes[id.0].is_alive()).collect()
     }
 
+    /// Whether `id` names a node that is alive (`false` for unknown ids).
+    #[must_use]
+    pub fn is_alive(&self, id: NodeId) -> bool {
+        self.node(id).is_ok_and(Node::is_alive)
+    }
+
     // ------------------------------------------------------------------
     // Failure injection
     // ------------------------------------------------------------------
@@ -279,17 +285,39 @@ impl Network {
     //
     // The `orco-sim` event-driven backend reuses this struct as its world
     // state — topology, batteries, ledger, global clock — while scheduling
-    // time itself. These hooks expose exactly the cost-model operations
-    // `transmit`/`compute` are built from, with identical formulas, so a
-    // contention-free event-driven schedule reproduces the analytic byte
-    // and energy totals bit for bit.
+    // time itself. `transmit` and `compute` are built from these hooks, so
+    // a contention-free event-driven schedule charges the same formulas in
+    // the same order and reproduces the analytic totals bit for bit.
     // ------------------------------------------------------------------
 
     /// The link model governing a `from → to` transmission (sensor radio,
     /// uplink, or downlink).
     #[must_use]
     pub fn link_between(&self, from: NodeId, to: NodeId) -> LinkModel {
-        self.link_for(from, to)
+        if from == self.edge {
+            self.downlink
+        } else if to == self.edge {
+            self.uplink
+        } else {
+            self.config.sensor_link
+        }
+    }
+
+    /// Checks a transmission's endpoints: both ids resolve, then both
+    /// nodes are alive.
+    ///
+    /// # Errors
+    ///
+    /// [`WsnError::UnknownNode`], then [`WsnError::NodeDead`], sender first.
+    pub fn check_endpoints(&self, from: NodeId, to: NodeId) -> Result<(), WsnError> {
+        let (sender, receiver) = (self.node(from)?, self.node(to)?);
+        if !sender.is_alive() {
+            return Err(WsnError::NodeDead { id: from });
+        }
+        if !receiver.is_alive() {
+            return Err(WsnError::NodeDead { id: to });
+        }
+        Ok(())
     }
 
     /// Radio distance for the energy model: the geometric distance for
@@ -383,18 +411,6 @@ impl Network {
     // Primitives
     // ------------------------------------------------------------------
 
-    fn link_for(&self, from: NodeId, to: NodeId) -> LinkModel {
-        if from == self.edge || to == self.edge {
-            if from == self.edge {
-                self.downlink
-            } else {
-                self.uplink
-            }
-        } else {
-            self.config.sensor_link
-        }
-    }
-
     /// Sends `payload_bytes` of `kind` from `from` to `to`.
     ///
     /// Advances the clock by the link transmission time (per attempt),
@@ -415,64 +431,40 @@ impl Network {
         payload_bytes: u64,
         kind: PacketKind,
     ) -> Result<f64, WsnError> {
-        let (sender_alive, sender_pos) = {
-            let n = self.node(from)?;
-            (n.is_alive(), n.position())
-        };
-        let (receiver_alive, receiver_pos) = {
-            let n = self.node(to)?;
-            (n.is_alive(), n.position())
-        };
-        if !sender_alive {
-            return Err(WsnError::NodeDead { id: from });
-        }
-        if !receiver_alive {
-            return Err(WsnError::NodeDead { id: to });
-        }
-
+        self.check_endpoints(from, to)?;
         let packet = Packet::new(from, to, payload_bytes, kind);
         let wire = packet.wire_bytes();
-        let link = self.link_for(from, to);
-        let distance = sender_pos.distance(receiver_pos);
-        // Edge links are wired/cellular: radio distance does not apply.
-        let radio_distance = if from == self.edge || to == self.edge { 0.0 } else { distance };
+        let link = self.link_between(from, to);
+        let distance = self.radio_distance_m(from, to)?;
 
         let mut elapsed = 0.0;
         let mut attempts = 0u32;
-        loop {
+        let outcome = loop {
             attempts += 1;
             elapsed += link.transmission_time_s(wire);
             self.accounting.record_airtime(link.airtime_s(wire));
-            let tx_energy = self.radio.tx_energy_j(wire, radio_distance);
-            let sender = &mut self.nodes[from.0];
-            let survived = sender.drain(tx_energy);
-            self.accounting.record_tx(from, wire, tx_energy, kind);
-            if !survived {
-                self.accounting.record_retransmits(u64::from(attempts - 1) * packet.frame_count());
-                self.accounting.record_drop();
-                self.clock.advance(elapsed);
-                return Err(WsnError::EnergyExhausted { id: from });
+            if !self.charge_tx(from, wire, distance, kind)? {
+                break Err(WsnError::EnergyExhausted { id: from });
             }
             // Loss probabilities are natively f64; drawing at full precision
             // keeps e.g. a 1e-9 uplink loss from truncating to a different
             // (f32-rounded) Bernoulli threshold.
             let lost = link.loss_prob > 0.0 && self.rng.bernoulli_f64(link.loss_prob);
             if !lost {
-                let rx_energy = self.radio.rx_energy_j(wire);
-                self.nodes[to.0].drain(rx_energy);
-                self.accounting.record_rx(to, wire, rx_energy, kind);
-                self.accounting.record_retransmits(u64::from(attempts - 1) * packet.frame_count());
-                self.accounting.record_delivery(elapsed);
-                self.clock.advance(elapsed);
-                return Ok(elapsed);
+                self.charge_rx(to, wire, kind)?;
+                break Ok(elapsed);
             }
             if attempts > MAX_RETRIES {
-                self.accounting.record_retransmits(u64::from(attempts - 1) * packet.frame_count());
-                self.accounting.record_drop();
-                self.clock.advance(elapsed);
-                return Err(WsnError::TransmissionFailed { from, to, attempts });
+                break Err(WsnError::TransmissionFailed { from, to, attempts });
             }
+        };
+        self.accounting.record_retransmits(u64::from(attempts - 1) * packet.frame_count());
+        match outcome {
+            Ok(_) => self.accounting.record_delivery(elapsed),
+            Err(_) => self.accounting.record_drop(),
         }
+        self.clock.advance(elapsed);
+        outcome
     }
 
     /// Executes `flops` at node `at`; advances the clock and drains compute
@@ -487,106 +479,11 @@ impl Network {
         Ok(dt)
     }
 
-    // ------------------------------------------------------------------
-    // Protocol rounds
-    // ------------------------------------------------------------------
-
-    /// One round of intra-cluster **raw** aggregation over the tree: every
-    /// alive device contributes `bytes_per_device` raw bytes; interior nodes
-    /// forward their own plus all descendants' bytes one hop up.
-    ///
-    /// Returns elapsed simulated seconds for the whole round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transmission errors.
-    pub fn raw_aggregation_round(&mut self, bytes_per_device: u64) -> Result<f64, WsnError> {
-        let start = self.clock.now_s();
-        // Accumulated payload (own + descendants) per node. Ordered map
-        // for uniformity with the rest of the accounting plane — nothing
-        // here iterates it today, but a BTreeMap can never regress into
-        // iteration-order nondeterminism when someone does.
-        let mut carried: std::collections::BTreeMap<NodeId, u64> =
-            std::collections::BTreeMap::new();
-        for id in self.alive_devices() {
-            carried.insert(id, bytes_per_device);
-        }
-        for id in self.tree.bottom_up_order() {
-            if !self.nodes[id.0].is_alive() {
-                continue;
-            }
-            let payload = carried.get(&id).copied().unwrap_or(0);
-            if payload == 0 {
-                continue;
-            }
-            let parent = self.tree.parent(id).expect("non-root nodes have parents");
-            self.transmit(id, parent, payload, PacketKind::RawData)?;
-            if parent != self.aggregator {
-                *carried.entry(parent).or_insert(0) += payload;
-            }
-        }
-        Ok(self.clock.now_s() - start)
-    }
-
-    /// Distributes per-device encoder columns from the aggregator (paper
-    /// §III-C: "a single round of broadcast"): one transmission of
-    /// `column_bytes` to every alive device.
-    ///
-    /// Returns elapsed simulated seconds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transmission errors.
-    pub(crate) fn broadcast_encoder_columns(&mut self, column_bytes: u64) -> Result<f64, WsnError> {
-        let start = self.clock.now_s();
-        for id in self.alive_devices() {
-            self.transmit(self.aggregator, id, column_bytes, PacketKind::EncoderColumn)?;
-        }
-        Ok(self.clock.now_s() - start)
-    }
-
-    /// One round of **compressed** aggregation along the chain: every hop
-    /// carries the fixed-size latent partial sum (`latent_bytes`), ending at
-    /// the aggregator.
-    ///
-    /// Each device also spends `flops_per_device` computing its encoder
-    /// column contribution.
-    ///
-    /// Returns elapsed simulated seconds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transmission errors.
-    pub fn compressed_aggregation_round(
-        &mut self,
-        latent_bytes: u64,
-        flops_per_device: u64,
-    ) -> Result<f64, WsnError> {
-        let start = self.clock.now_s();
-        let hops = self.chain.device_hops();
-        let order: Vec<NodeId> = self.chain.order().to_vec();
-        for id in &order {
-            if self.nodes[id.0].is_alive() {
-                self.compute(*id, flops_per_device)?;
-            }
-        }
-        for (from, to) in hops {
-            if self.nodes[from.0].is_alive() && self.nodes[to.0].is_alive() {
-                self.transmit(from, to, latent_bytes, PacketKind::CompressedElement)?;
-            }
-        }
-        let last = self.chain.last();
-        if self.nodes[last.0].is_alive() {
-            self.transmit(last, self.aggregator, latent_bytes, PacketKind::CompressedElement)?;
-        }
-        Ok(self.clock.now_s() - start)
-    }
-
     /// One round of **hybrid** compressed aggregation (ref \[1\] of the
     /// paper): early chain positions forward raw readings while that is
     /// smaller than the latent partial sum, switching to CS mode at the
     /// crossover. Hop `i` (0-based) carries
-    /// `min((i+1)·reading_bytes, latent_bytes)`.
+    /// `min((i+1)·reading_bytes, latent_bytes)`; see [`chain_round`].
     ///
     /// Returns elapsed simulated seconds.
     ///
@@ -599,34 +496,14 @@ impl Network {
         reading_bytes: u64,
         flops_per_device: u64,
     ) -> Result<f64, WsnError> {
-        let start = self.clock.now_s();
-        let order: Vec<NodeId> = self.chain.order().to_vec();
-        for id in &order {
-            if self.nodes[id.0].is_alive() {
-                self.compute(*id, flops_per_device)?;
-            }
-        }
-        let mut accumulated: u64 = 0;
-        for (from, to) in self.chain.device_hops() {
-            if self.nodes[from.0].is_alive() && self.nodes[to.0].is_alive() {
-                accumulated += reading_bytes;
-                let payload = accumulated.min(latent_bytes);
-                self.transmit(from, to, payload, PacketKind::CompressedElement)?;
-            }
-        }
-        let last = self.chain.last();
-        if self.nodes[last.0].is_alive() {
-            accumulated += reading_bytes;
-            let payload = accumulated.min(latent_bytes);
-            self.transmit(last, self.aggregator, payload, PacketKind::CompressedElement)?;
-        }
-        Ok(self.clock.now_s() - start)
+        chain_round(self, latent_bytes, reading_bytes, flops_per_device)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeploymentBackend;
 
     fn small_net(devices: usize) -> Network {
         Network::new(NetworkConfig { num_devices: devices, seed: 7, ..Default::default() })

@@ -4,7 +4,8 @@
 //! structures stay sound under arbitrary workloads.
 
 use orco_wsn::{
-    DeviceClass, LinkModel, Network, NetworkConfig, PacketKind, Point, RadioModel, HEADER_BYTES,
+    DeploymentBackend, DeviceClass, LinkModel, Network, NetworkConfig, PacketKind, Point,
+    RadioModel, HEADER_BYTES,
 };
 use proptest::prelude::*;
 
@@ -93,18 +94,24 @@ proptest! {
     }
 
     /// Raw aggregation delivers every alive device's payload to the
-    /// aggregator regardless of which devices have been killed.
+    /// aggregator regardless of which devices have been killed — all of
+    /// them included — and a chain round runs on what is left.
     #[test]
     fn raw_aggregation_delivers_all_alive(
         devices in 3usize..16,
         seed in 0u64..1000,
         kill_mask in prop::collection::vec(any::<bool>(), 3..16),
+        kill_all in any::<bool>(),
     ) {
         let mut net = net(devices, seed);
         for (i, kill) in kill_mask.iter().enumerate().take(devices) {
-            // Keep at least one device alive.
-            if *kill && net.alive_devices().len() > 1 {
+            if *kill {
                 let _ = net.kill_device(net.devices()[i]);
+            }
+        }
+        if kill_all {
+            for id in net.devices().to_vec() {
+                let _ = net.kill_device(id);
             }
         }
         let alive = net.alive_devices().len() as u64;
@@ -115,6 +122,10 @@ proptest! {
         prop_assert!(agg_rx >= rx_payload_floor,
             "aggregator got {agg_rx} < floor {rx_payload_floor} for {alive} devices");
         prop_assert!(net.tree().check_invariants());
+        net.compressed_aggregation_round(64, 10).expect("chain round runs");
+        if alive == 0 {
+            prop_assert_eq!(net.accounting().total_tx_bytes(), 0);
+        }
     }
 
     /// Hybrid aggregation never costs more bytes than plain CS chaining.

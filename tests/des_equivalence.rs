@@ -1,13 +1,19 @@
 //! The analytic ↔ event-driven equivalence contract, and the scenario
 //! statistics the event-driven backend adds beyond it.
 //!
-//! Contract (regression-pinned here): running the experiment pipeline over
-//! the `orco-sim` discrete-event backend with [`SimSpec::ideal`] — the
-//! contention-free sequential schedule, zero loss, zero jitter, no
-//! scenario — reproduces the analytic backend's traffic-ledger byte
-//! counts, radio energy totals, **and** simulated-clock readings exactly
-//! (bitwise, not approximately): both backends execute the same cost
-//! formulas in the same floating-point operation order. Everything the
+//! Both backends run *one* body for each aggregation round
+//! (`orco_wsn::{raw_round, broadcast_round, chain_round}`): the analytic
+//! backend always, the event-driven one in its sequential MAC mode. What
+//! this file pins is that their `transmit` and `compute` scheduling
+//! matches: running the experiment pipeline over the `orco-sim`
+//! discrete-event backend with [`SimSpec::ideal`] — the contention-free
+//! sequential schedule, zero loss, zero jitter, no scenario — reproduces
+//! the analytic backend's traffic-ledger byte counts, radio energy totals,
+//! **and** simulated-clock readings exactly (bitwise, not approximately):
+//! both backends charge the same cost formulas in the same floating-point
+//! operation order. The round bodies themselves are pinned by the literal
+//! ledger rows in `crates/sim/tests/determinism.rs`, since comparing one
+//! body with itself cannot catch a change to it. Everything the
 //! event-driven backend does beyond that mode (a shared medium, ARQ,
 //! scripted faults) is additive expressiveness.
 
