@@ -74,8 +74,6 @@ impl Layer for Crop2d {
 
     fn for_each_param<'a>(&'a mut self, _: &mut dyn FnMut(Param<'a>)) {}
 
-    fn zero_grad(&mut self) {}
-
     fn input_dim(&self) -> usize {
         self.channels * self.in_side * self.in_side
     }

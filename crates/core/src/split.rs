@@ -195,7 +195,6 @@ pub trait SplitModel: std::fmt::Debug + Send {
     /// allocates.
     fn edge_decoder_update(&mut self, grad_reconstruction: &Matrix) -> Matrix {
         let SplitHalves { decoder, decoder_opt, .. } = self.halves_mut();
-        decoder.zero_grad();
         let mut grad_latent = Matrix::zeros(0, 0);
         decoder.backward_into(grad_reconstruction.as_view(), Some(&mut grad_latent));
         decoder_opt.step(|f| decoder.for_each_param(f));
@@ -208,7 +207,6 @@ pub trait SplitModel: std::fmt::Debug + Send {
     /// layer, so it is not computed, and the step allocates nothing.
     fn aggregator_encoder_update(&mut self, grad_latent: &Matrix) {
         let SplitHalves { encoder, encoder_opt, .. } = self.halves_mut();
-        encoder.zero_grad();
         encoder.backward_into(grad_latent.as_view(), None);
         encoder_opt.step(|f| encoder.for_each_param(f));
     }

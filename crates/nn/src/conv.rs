@@ -169,9 +169,9 @@ impl Layer for Conv2d {
         }
     }
 
-    /// Per sample: `δ`, the sample lowered again, `∂L/∂K += δ·patchesᵀ`
-    /// ([`MatView::matmul_t_into`]) and `∂L/∂b +=` the per-channel sums of
-    /// `δ`; and — only for a caller that reads `∂L/∂input` —
+    /// From `∂L/∂K = 0` and `∂L/∂b = 0`, per sample: `δ`, the sample
+    /// lowered again, `∂L/∂K += δ·patchesᵀ` ([`MatView::matmul_t_into`])
+    /// and `∂L/∂b +=` the per-channel sums of `δ`; and — only for a caller that reads `∂L/∂input` —
     /// `∂L/∂patches = Kᵀ·δ` ([`MatView::t_matmul_into`]) scattered back by
     /// [`col2im_into`]. Allocates nothing once the workspaces and the
     /// caller's `grad_in` have grown to size.
@@ -187,6 +187,8 @@ impl Layer for Conv2d {
             size_workspace(&mut self.grad_patches, patch_len, positions);
             size_workspace(grad_in, input.rows(), self.geom.input_len());
         }
+        self.grad_kernels.as_mut_slice().fill(0.0);
+        self.grad_bias.as_mut_slice().fill(0.0);
 
         for i in 0..input.rows() {
             // δ = grad_out ⊙ σ' for this sample, as (out_c, positions)
@@ -218,11 +220,6 @@ impl Layer for Conv2d {
     fn for_each_param<'a>(&'a mut self, f: &mut dyn FnMut(Param<'a>)) {
         f(Param { value: &mut self.kernels, grad: &mut self.grad_kernels });
         f(Param { value: &mut self.bias, grad: &mut self.grad_bias });
-    }
-
-    fn zero_grad(&mut self) {
-        self.grad_kernels.map_inplace(|_| 0.0);
-        self.grad_bias.map_inplace(|_| 0.0);
     }
 
     fn input_dim(&self) -> usize {
@@ -257,7 +254,7 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::layer::tests::{
-        assert_backward_into_contract, assert_inference_leaves_the_round_alone,
+        assert_backward_into_contract, assert_inference_leaves_the_round_alone, bits_of,
     };
 
     #[test]
@@ -293,17 +290,16 @@ mod tests {
     }
 
     #[test]
-    fn backward_shapes_and_accumulation() {
+    fn backward_shapes_and_a_second_backward_sets_what_the_first_did() {
         let mut rng = OrcoRng::from_label("conv-back", 0);
         let mut conv = Conv2d::new(2, 5, 5, 3, 3, 1, 1, Activation::Sigmoid, &mut rng);
         let x = Matrix::from_fn(2, 2 * 25, |r, c| ((r * 7 + c) as f32 * 0.01).sin());
         let y = conv.forward(&x, true);
         let gi = conv.backward(&Matrix::ones(2, y.cols()));
         assert_eq!(gi.shape(), x.shape());
-        let g1 = conv.grad_kernels.clone();
-        let _ = conv.forward(&x, true);
+        let (gk, gb) = (conv.grad_kernels.clone(), conv.grad_bias.clone());
         let _ = conv.backward(&Matrix::ones(2, y.cols()));
-        assert!(conv.grad_kernels.approx_eq(&g1.scale(2.0), 1e-4));
+        assert_eq!((&conv.grad_kernels, &conv.grad_bias), (&gk, &gb));
     }
 
     #[test]
@@ -336,23 +332,14 @@ mod tests {
 
     #[test]
     fn backward_twice_after_one_training_forward_repeats_itself() {
-        let (mut conv, grad) = trained_once(3);
-        let first = conv.backward(&grad);
-        let (gk, gb) = (conv.grad_kernels.clone(), conv.grad_bias.clone());
-        conv.zero_grad();
-        assert_eq!(conv.backward(&grad), first);
-        assert_eq!((&conv.grad_kernels, &conv.grad_bias), (&gk, &gb));
-    }
-
-    #[test]
-    fn a_second_backward_exactly_doubles_a_one_sample_gradient() {
-        // One sample adds s to 0 + s, and s + s is exact.
-        let (mut conv, grad) = trained_once(1);
-        let first = conv.backward(&grad);
-        let (gk, gb) = (conv.grad_kernels.clone(), conv.grad_bias.clone());
-        assert_eq!(conv.backward(&grad), first);
-        assert_eq!(conv.grad_kernels, gk.scale(2.0));
-        assert_eq!(conv.grad_bias, gb.scale(2.0));
+        for batch in [1, 3] {
+            let (mut conv, grad) = trained_once(batch);
+            let first = conv.backward(&grad);
+            let (gk, gb) = (bits_of(&conv.grad_kernels), bits_of(&conv.grad_bias));
+            assert_eq!(conv.backward(&grad), first, "batch {batch}");
+            let again = (bits_of(&conv.grad_kernels), bits_of(&conv.grad_bias));
+            assert_eq!(again, (gk, gb), "batch {batch}");
+        }
     }
 
     #[test]
@@ -386,7 +373,6 @@ mod tests {
         let grad = Matrix::from_fn(5, fresh.output_dim(), |r, c| ((r + 3 * c) as f32 * 0.04).sin());
         let _ = used.forward(&small, true);
         let _ = used.backward(&Matrix::ones(2, fresh.output_dim()));
-        used.zero_grad();
         let mut fresh = fresh;
         assert_eq!(used.forward(&large, true), fresh.forward(&large, true));
         assert_eq!(used.backward(&grad), fresh.backward(&grad));

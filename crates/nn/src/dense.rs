@@ -51,16 +51,17 @@ pub struct Dense {
     // there is one): backward reads σ′ from the output, so it calls no
     // `exp`. The buffers are reused from round to round.
     cache: Option<(Matrix, Matrix)>,
-    // Backward's workspaces: empty until first used, then dirty — each use
+    // Backward's workspace: empty until first used, then dirty — each use
     // overwrites every element, nothing is read back across calls.
-    delta: Matrix,             // (batch, out): grad_out ⊙ σ'
-    batch_grad_weight: Matrix, // (out, in): this call's δᵀ·x
-    batch_grad_bias: Vec<f32>, // (out): this call's column sums of δ
+    delta: Matrix, // (batch, out): grad_out ⊙ σ'
     // `Wᵀ` packed for inference, built on first use and dropped whenever
-    // the weight may change. Together with `batch_grad_bias` being a
-    // plain `Vec`, the layer keeps its size: a field that grew it moved
-    // the training rounds' heap state, and with it their speed.
+    // the weight may change.
     panels: OnceLock<Box<Panels>>,
+    // Unused: the bytes of the two workspaces backward no longer needs (a
+    // `Matrix` and a `Vec<f32>`), kept so the layer keeps its size. A field
+    // that grew it moved the training rounds' heap state, and with it their
+    // speed; the size goes when that placement is decided in code.
+    _padding: [u64; 8],
 }
 
 impl Dense {
@@ -107,9 +108,8 @@ impl Dense {
             activation,
             cache: None,
             delta: Matrix::zeros(0, 0),
-            batch_grad_weight: Matrix::zeros(0, 0),
-            batch_grad_bias: Vec::new(),
             panels: OnceLock::new(),
+            _padding: [0; 8],
         }
     }
 
@@ -198,11 +198,10 @@ impl Layer for Dense {
     }
 
     /// `δ = grad_out ⊙ σ'` (σ′ read from the kept output), then
-    /// `∂L/∂W += δᵀ·x` ([`MatView::t_matmul_into`]), `∂L/∂b +=` the column
-    /// sums of `δ`, and — only for a caller that reads it — `∂L/∂x = δ·W`
-    /// ([`MatView::matmul_into`]). Each call's `δᵀ·x` and column sums are
-    /// formed from zero in a workspace and then added, so a second call
-    /// adds exactly what the first did.
+    /// `∂L/∂W = δᵀ·x` ([`MatView::t_matmul_into`], written straight into
+    /// the gradient), `∂L/∂b =` the column sums of `δ` (each from `+0.0`),
+    /// and — only for a caller that reads it — `∂L/∂x = δ·W`
+    /// ([`MatView::matmul_into`]).
     fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>) {
         let (input, output) =
             self.cache.as_ref().expect("Dense::backward: no training-mode forward");
@@ -213,11 +212,9 @@ impl Layer for Dense {
             "Dense::backward: grad_output shape mismatch"
         );
         size_workspace(&mut self.delta, batch, out_dim);
-        size_workspace(&mut self.batch_grad_weight, out_dim, input.cols());
-        self.batch_grad_bias.clear();
-        self.batch_grad_bias.resize(out_dim, 0.0);
 
-        let sums = &mut self.batch_grad_bias;
+        let sums = self.grad_bias.as_mut_slice();
+        sums.fill(0.0);
         for (r, g_row) in grad_out.iter_rows().enumerate() {
             let cells = self.delta.row_mut(r).iter_mut().zip(g_row).zip(output.row(r));
             for (((d, &g), &y), sum) in cells.zip(sums.iter_mut()) {
@@ -225,11 +222,7 @@ impl Layer for Dense {
                 *sum += *d;
             }
         }
-        self.delta.as_view().t_matmul_into(input.as_view(), self.batch_grad_weight.as_view_mut());
-        self.grad_weight += &self.batch_grad_weight;
-        for (g, &s) in self.grad_bias.as_mut_slice().iter_mut().zip(&self.batch_grad_bias) {
-            *g += s;
-        }
+        self.delta.as_view().t_matmul_into(input.as_view(), self.grad_weight.as_view_mut());
         if let Some(grad_in) = grad_in {
             size_workspace(grad_in, batch, input.cols());
             self.delta.as_view().matmul_into(self.weight.as_view(), grad_in.as_view_mut());
@@ -241,11 +234,6 @@ impl Layer for Dense {
         self.panels.take();
         f(Param { value: &mut self.weight, grad: &mut self.grad_weight });
         f(Param { value: &mut self.bias, grad: &mut self.grad_bias });
-    }
-
-    fn zero_grad(&mut self) {
-        self.grad_weight.map_inplace(|_| 0.0);
-        self.grad_bias.map_inplace(|_| 0.0);
     }
 
     fn input_dim(&self) -> usize {
@@ -279,7 +267,7 @@ impl Layer for Dense {
 mod tests {
     use super::*;
     use crate::layer::tests::{
-        assert_backward_into_contract, assert_inference_leaves_the_round_alone,
+        assert_backward_into_contract, assert_inference_leaves_the_round_alone, bits_of,
     };
 
     #[test]
@@ -313,19 +301,16 @@ mod tests {
     }
 
     #[test]
-    fn gradients_accumulate_until_zeroed() {
+    fn a_second_backward_sets_the_gradients_the_first_did() {
         let mut rng = OrcoRng::from_label("dense-acc", 0);
-        let mut layer = Dense::new(2, 2, Activation::Identity, &mut rng);
-        let x = Matrix::ones(1, 2);
-        let g = Matrix::ones(1, 2);
+        let mut layer = Dense::new(3, 2, Activation::Sigmoid, &mut rng);
+        let x = Matrix::from_fn(4, 3, |r, c| ((r * 3 + c) as f32 * 0.3).sin());
+        let g = Matrix::from_fn(4, 2, |r, c| ((r * 2 + c) as f32 * 0.7).cos());
         let _ = layer.forward(&x, true);
         let _ = layer.backward(&g);
-        let after_one = layer.grad_weight.clone();
-        let _ = layer.forward(&x, true);
+        let once = (bits_of(&layer.grad_weight), bits_of(&layer.grad_bias));
         let _ = layer.backward(&g);
-        assert!(layer.grad_weight.approx_eq(&after_one.scale(2.0), 1e-5));
-        layer.zero_grad();
-        assert_eq!(layer.grad_weight.sum(), 0.0);
+        assert_eq!((bits_of(&layer.grad_weight), bits_of(&layer.grad_bias)), once);
     }
 
     #[test]
@@ -347,6 +332,17 @@ mod tests {
             for r in 0..x.rows() {
                 layer.forward_into(MatView::from_row(x.row(r)), &mut out, false);
                 assert_eq!(out.row(0), reference.row(r), "{activation:?} row {r}");
+            }
+            // Training: a batch of 32 rows fills a panel and has fewer rows
+            // than the layer has outputs, so its `x·Wᵀ` gathers the batch's
+            // rows; one row gathers `Wᵀ`. Two panels deep and one more.
+            let mut layer = Dense::new(513, 40, activation, &mut rng);
+            let x = Matrix::from_fn(32, 513, |r, c| ((r * 13 + c) as f32 * 0.07).cos());
+            let reference = layer.forward(&x, true);
+            for r in 0..x.rows() {
+                layer.forward_into(MatView::from_row(x.row(r)), &mut out, true);
+                let row = |m: &Matrix, r| bits_of(&m.slice_rows(r..r + 1));
+                assert_eq!(row(&out, 0), row(&reference, r), "{activation:?} training row {r}");
             }
         }
     }
@@ -449,7 +445,9 @@ mod tests {
 
     /// Training's speed moved with this struct's size through the heap
     /// state a fresh model leaves (8 more bytes read 0.79× on DCSNet's
-    /// rounds): a new field is paid for by a field that shrinks.
+    /// rounds): a new field is paid for by a field that shrinks. The 64
+    /// bytes of `_padding` hold the size where backward's two deleted
+    /// workspaces held it.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn the_layer_keeps_its_size() {

@@ -109,7 +109,6 @@ pub fn check_layer(
     let eps = 1e-2f32; // f32 arithmetic: large-ish eps, central differences
 
     // Analytic gradients.
-    layer.zero_grad();
     let out = layer.forward(input, true);
     assert_eq!(out.shape(), target.shape(), "gradcheck: target shape mismatch");
     let grad_out = loss.grad(&out, target);

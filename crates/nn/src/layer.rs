@@ -40,7 +40,7 @@ impl Workspace {
     }
 }
 
-/// A mutable view over one parameter tensor and its accumulated gradient.
+/// A mutable view over one parameter tensor and its gradient.
 ///
 /// [`crate::Optimizer`]s visit the parameters of a model in a stable order
 /// (layer by layer, [`Layer::for_each_param`]), so per-parameter optimizer
@@ -49,7 +49,7 @@ impl Workspace {
 pub struct Param<'a> {
     /// The parameter values, updated in place by the optimizer.
     pub value: &'a mut Matrix,
-    /// The gradient accumulated by the latest backward pass.
+    /// `∂L/∂value` for the batch of the latest backward pass.
     pub grad: &'a mut Matrix,
 }
 
@@ -71,15 +71,16 @@ pub struct Param<'a> {
 ///   and produces the same values.
 /// * [`forward`](Layer::forward) is `forward_into` into a fresh [`Matrix`].
 /// * [`backward_into`](Layer::backward_into) is the layer's one backward
-///   body: it receives `∂L/∂output`, **accumulates** `∂L/∂params` into the
-///   layer's gradient buffers, and writes `∂L/∂input` into the caller's
+///   body: it receives `∂L/∂output`, **sets** each parameter's gradient
+///   to this batch's `∂L/∂params` (nothing is accumulated across calls, so
+///   nothing is zeroed between them), and writes `∂L/∂input` into the caller's
 ///   buffer *if there is one* — the first layer of a model has no consumer
 ///   for it, and `None` skips the work of producing it (a whole `δ·W`
 ///   product for [`crate::Dense`]) without moving one bit of `∂L/∂params`.
 ///   It differentiates the latest *training-mode* forward (a layer that
 ///   keeps a cache panics if there has been none, or on a different batch
-///   size) and leaves the cache as it found it, so it may be called
-///   repeatedly after one training forward. Intermediates live in
+///   size) and leaves the cache as it found it, so a repeated call after
+///   one training forward gives the same bits. Intermediates live in
 ///   workspaces the layer owns — sized on first use, dirty afterwards — so
 ///   a steady-state call allocates nothing.
 /// * [`backward`](Layer::backward) is `backward_into` into a fresh
@@ -87,8 +88,6 @@ pub struct Param<'a> {
 /// * [`for_each_param`](Layer::for_each_param) visits every parameter with
 ///   its gradient in a stable order; [`params`](Layer::params) collects
 ///   the visit into a `Vec`.
-/// * [`zero_grad`](Layer::zero_grad) clears accumulated gradients; called by
-///   the model before each training step.
 /// * [`flops_forward`](Layer::flops_forward) /
 ///   [`flops_backward`](Layer::flops_backward) report *per-sample* floating
 ///   point operation estimates. The WSN simulator multiplies these by batch
@@ -113,7 +112,7 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     }
 
     /// Backpropagates `grad_out` through the latest training-mode forward,
-    /// accumulating parameter gradients. The gradient with respect to the
+    /// setting the parameter gradients. The gradient with respect to the
     /// layer's input is written into `grad_in` when one is given (reshaped
     /// and fully overwritten, its allocation reused when large enough) and
     /// not computed otherwise.
@@ -136,9 +135,6 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
         self.for_each_param(&mut |p| params.push(p));
         params
     }
-
-    /// Clears the accumulated gradients.
-    fn zero_grad(&mut self);
 
     /// Number of input features per sample.
     fn input_dim(&self) -> usize;
@@ -213,18 +209,13 @@ pub(crate) mod tests {
         layer.params().iter().map(|p| bits_of(p.grad)).collect()
     }
 
-    /// Every value times two (exact in `f32`), as bits.
-    pub(crate) fn doubled(bits: &[Vec<u32>]) -> Vec<Vec<u32>> {
-        let twice = |&b: &u32| (2.0 * f32::from_bits(b)).to_bits();
-        bits.iter().map(|g| g.iter().map(twice).collect()).collect()
-    }
-
     /// The one backward body, held to its contract on a layer fresh from
-    /// construction: without a `grad_in` it moves the parameter gradients
+    /// construction: without a `grad_in` it sets the parameter gradients
     /// exactly as with one; into a dirty, wrongly-shaped `grad_in` (and
-    /// workspaces a smaller batch has used) it writes what `backward`
-    /// returns; and either way a second call on one sample adds exactly
-    /// what the first did — one sample adds s to 0 + s, and s + s is exact.
+    /// workspaces and gradients a smaller batch has left) it writes what
+    /// `backward` returns; and either way a second call after the same
+    /// training forward sets every parameter gradient to the bits the first
+    /// did — it adds nothing to them.
     pub(crate) fn assert_backward_into_contract(layer: &dyn Layer, x: &Matrix, grad: &Matrix) {
         let name = layer.name();
         let (mut whole, mut skipped, mut dirty) =
@@ -232,7 +223,6 @@ pub(crate) mod tests {
         let _ = dirty.forward(&x.slice_rows(0..1), true);
         let mut grad_in = Matrix::filled(2, 3, f32::NAN);
         dirty.backward_into(grad.view_rows(0..1), Some(&mut grad_in));
-        dirty.zero_grad();
         for l in [&mut whole, &mut skipped, &mut dirty] {
             let _ = l.forward(x, true);
         }
@@ -244,16 +234,9 @@ pub(crate) mod tests {
         assert_eq!(param_grad_bits(skipped.as_mut()), want, "{name}: ∂L/∂params without grad_in");
         assert_eq!(param_grad_bits(dirty.as_mut()), want, "{name}: ∂L/∂params, dirty buffers");
 
-        let mut once = layer.clone_box();
-        let _ = once.forward(&x.slice_rows(0..1), true);
-        let mut twice = [once.clone_box(), once.clone_box()];
-        once.backward_into(grad.view_rows(0..1), None);
-        let doubled = doubled(&param_grad_bits(once.as_mut()));
-        for (l, with_grad_in) in twice.iter_mut().zip([false, true]) {
-            for _ in 0..2 {
-                l.backward_into(grad.view_rows(0..1), with_grad_in.then_some(&mut grad_in));
-            }
-            assert_eq!(param_grad_bits(l.as_mut()), doubled, "{name}: grad_in {with_grad_in}");
+        for (l, with_grad_in) in [(&mut skipped, false), (&mut dirty, true)] {
+            l.backward_into(grad.as_view(), with_grad_in.then_some(&mut grad_in));
+            assert_eq!(param_grad_bits(l.as_mut()), want, "{name}: again, grad_in {with_grad_in}");
         }
     }
 

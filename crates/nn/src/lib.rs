@@ -24,9 +24,9 @@
 //!   own workspace and keeps what the backward pass needs only when told it
 //!   is training — inference disturbs no round in flight. There is one
 //!   backward body, [`Layer::backward_into`], which
-//!   writes `∂L/∂input` only for a caller that reads it. Gradients
-//!   accumulate inside the layer and are visited in place by
-//!   [`Optimizer`]s as [`layer::Param`] views.
+//!   writes `∂L/∂input` only for a caller that reads it. It sets each
+//!   parameter's gradient to the batch's, inside the layer, where
+//!   [`Optimizer`]s visit it in place as [`layer::Param`] views.
 //! * Every layer reports per-sample forward/backward FLOP counts, which the
 //!   WSN simulator converts into simulated training time (the paper's
 //!   time-to-loss axis).

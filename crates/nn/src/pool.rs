@@ -125,8 +125,6 @@ impl Layer for MaxPool2d {
 
     fn for_each_param<'a>(&'a mut self, _: &mut dyn FnMut(Param<'a>)) {}
 
-    fn zero_grad(&mut self) {}
-
     fn input_dim(&self) -> usize {
         self.c * self.h * self.w
     }

@@ -44,12 +44,20 @@
 //!   transposed gather for `matmul_t`. A block of one row tile (4 rows
 //!   or fewer under AVX2) would read a panel once, so it reads a
 //!   row-major `B` where it lies. The gather is the costly pack: it
-//!   visits `Bᵀ` one column at a time, whatever the batch, so a one-row
-//!   `784 → 128` product spends most of its time on it. A `Bᵀ` that many
-//!   products read unchanged — a served layer's weight — is gathered
-//!   once into [`Panels`], whose panels [`MatView::matmul_panels_into`]
-//!   borrows instead of packing: the same micro-kernel over the same
-//!   panel bytes, so the same bits as `matmul_t`.
+//!   visits `Bᵀ` one column at a time, so a one-row `784 → 128` product
+//!   spends most of its time on it. A `Bᵀ` that many products read
+//!   unchanged — a served layer's weight — is gathered once into
+//!   [`Panels`], whose panels [`MatView::matmul_panels_into`] borrows
+//!   instead of packing: the same micro-kernel over the same panel bytes,
+//!   so the same bits as `matmul_t`.
+//! - **The smaller factor is the one packed.** `matmul_t` gathers `Bᵀ`
+//!   only while `A` has fewer rows than a panel is wide, or no fewer rows
+//!   than `B` has columns. Otherwise — a training forward's `x·Wᵀ` at
+//!   batch 32, a convolution's `∂K = δ·patchesᵀ` at 16 output channels —
+//!   each thread gathers its own rows of `A` instead, streams the rows of
+//!   `Bᵀ` past them as the broadcast side, and stores each tile transposed
+//!   (reloading it transposed between panels): `(B·Aᵀ)ᵀ`, each term `b·a`
+//!   for `a·b`, the same bits.
 //! - **Stored, not accumulated.** A tile starts its first panel at `+0.0`,
 //!   reloads what it stored before a later one, and stores its result:
 //!   `out` is written, never added to, so nobody zeroes it first (a `k = 0`
@@ -203,9 +211,18 @@ impl Lhs for ByCol<'_> {
 /// starts every accumulator at `+0.0`, a later one (`reload`) resumes from
 /// what the panel before it stored. `ZERO_RULE` applies the zero rule on the
 /// rows whose value of `a` is zero. The finished tile is stored, never
-/// added.
+/// added. A `TRANSPOSED` tile is the transpose of its block of `out`: its
+/// row `r` is column `r` of `o`, and its `nb` valid strip lanes are rows of
+/// `o`, `n` apart; only its store and reload differ.
 #[inline(never)]
-fn row_tile<'p, const R: usize, const C: usize, const V: usize, const ZERO_RULE: bool>(
+fn row_tile<
+    'p,
+    const R: usize,
+    const C: usize,
+    const V: usize,
+    const ZERO_RULE: bool,
+    const TRANSPOSED: bool,
+>(
     avs: impl Iterator<Item = [f32; R]>,
     bvs: impl Iterator<Item = &'p [TileRow; C]>,
     reload: bool,
@@ -214,17 +231,32 @@ fn row_tile<'p, const R: usize, const C: usize, const V: usize, const ZERO_RULE:
     nb: usize,
 ) {
     const { assert!(R * C == V) };
-    // Where cell `v` lives in `o`, and how many of its columns are valid.
+    // Where lane 0 of cell `v` lives in `o`, and how many of its lanes are
+    // valid: a row segment, or `TRANSPOSED` a column segment.
     let cell = |v: usize| {
-        let strip = v % C;
-        ((v / C) * n + strip * GEMM_COL_TILE, nb.saturating_sub(strip * GEMM_COL_TILE))
+        let (row, strip) = (v / C, v % C);
+        let width = nb.saturating_sub(strip * GEMM_COL_TILE).min(GEMM_COL_TILE);
+        let at = if TRANSPOSED {
+            strip * GEMM_COL_TILE * n + row
+        } else {
+            row * n + strip * GEMM_COL_TILE
+        };
+        (at, width)
     };
     let mut acc = [[0.0; GEMM_COL_TILE]; V];
     if reload {
         for (v, acc_row) in acc.iter_mut().enumerate() {
             let (at, width) = cell(v);
-            if width > 0 {
-                *acc_row = load_row(&o[at..], width.min(GEMM_COL_TILE));
+            if !TRANSPOSED && width > 0 {
+                *acc_row = load_row(&o[at..], width);
+            } else if TRANSPOSED {
+                // Every lane by a constant index, so the tile stays in
+                // registers; the padding lanes keep their `+0.0`.
+                for (lane, x) in acc_row.iter_mut().enumerate() {
+                    if lane < width {
+                        *x = o[at + lane * n];
+                    }
+                }
             }
         }
     }
@@ -244,8 +276,14 @@ fn row_tile<'p, const R: usize, const C: usize, const V: usize, const ZERO_RULE:
     }
     for (v, acc_row) in acc.into_iter().enumerate() {
         let (at, width) = cell(v);
-        if width > 0 {
-            store_row(&mut o[at..], width.min(GEMM_COL_TILE), acc_row);
+        if !TRANSPOSED && width > 0 {
+            store_row(&mut o[at..], width, acc_row);
+        } else if TRANSPOSED {
+            for (lane, x) in acc_row.into_iter().enumerate() {
+                if lane < width {
+                    o[at + lane * n] = x;
+                }
+            }
         }
     }
 }
@@ -475,10 +513,41 @@ fn gemm<const ZERO_RULE: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, 
                 // so a finite panel takes every term, and only a panel that
                 // holds a non-finite value takes the rule's per-row branches.
                 if ZERO_RULE && has_non_finite(panel) {
-                    packed_tiles::<true>(lhs, panel, first_row, o, n, k0, nb);
+                    packed_tiles::<true, false>(lhs, panel, first_row, o, n, k0, nb);
                 } else {
-                    packed_tiles::<false>(lhs, panel, first_row, o, n, k0, nb);
+                    packed_tiles::<false, false>(lhs, panel, first_row, o, n, k0, nb);
                 }
+            }
+        }
+    });
+}
+
+/// `out = a · bᵀ` (`a` is `m × k`, `b` is `n × k`) as `(b · aᵀ)ᵀ`: the
+/// driver [`MatView::matmul_t_into`] takes when `b` has more rows than `a`
+/// and `a` fills a panel, so it packs the smaller factor (Goto & van de
+/// Geijn's rule). Row-parallel over `out` like [`gemm`], but in blocks of
+/// at least a panel's width of rows, so no thread fills half a panel (a
+/// 16-row `∂K` split in two read 2.2× slower, nproc 2, x86-64-v3). Each
+/// block gathers its own rows of `a`, `PANEL_WIDTH` at a time, by the
+/// gather `Rhs::Cols` packs `b` with, and streams every row of `b` past
+/// the panel as the broadcast side — so it reads `b` where it lies instead
+/// of gathering all of it. Each tile is stored transposed ([`row_tile`]'s
+/// `TRANSPOSED`). An element takes the same terms in the same order, each
+/// `b·a` for `a·b` — the same bits, fused or not — and `matmul_t` has no
+/// zero rule to break the symmetry.
+fn gemm_own_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    let broadcast = ByRow { a: b, k };
+    crate::parallel::for_each_row_block(out, n, PANEL_WIDTH, |first_row, block| {
+        let rows = block.len() / n;
+        let own = Rhs::Cols { b: &a[first_row * k..][..rows * k], k };
+        let mut panel = [[[0.0; GEMM_COL_TILE]; GEMM_PANEL_STRIPS]; GEMM_PANEL_K];
+        for k0 in (0..k).step_by(GEMM_PANEL_K) {
+            let kb = GEMM_PANEL_K.min(k - k0);
+            for i0 in (0..rows).step_by(PANEL_WIDTH) {
+                let own_rows = i0..rows.min(i0 + PANEL_WIDTH);
+                let nb = own_rows.len();
+                let panel = own.pack(&mut panel[..kb], k0, own_rows);
+                packed_tiles::<false, true>(broadcast, panel, 0, &mut block[i0 * n..], n, k0, nb);
             }
         }
     });
@@ -488,8 +557,11 @@ fn gemm<const ZERO_RULE: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, 
 /// elements from the panel's first column on) over one packed panel of
 /// `nb` valid columns, the panel's rows starting at `k0`: `GEMM_ROW_TILE`
 /// rows at a time, then the remainder rows as one tile — no padding row is
-/// ever computed.
-fn packed_tiles<const ZERO_RULE: bool>(
+/// ever computed. Under `TRANSPOSED` ([`gemm_own_rows`]) the roles swap:
+/// `lhs` broadcasts the rows of `b` (`first_row` is 0), a tile of `R` of
+/// them covers `R` columns of `o`, the tiles run along all `n` columns,
+/// and the panel's `nb` valid columns are `o`'s rows.
+fn packed_tiles<const ZERO_RULE: bool, const TRANSPOSED: bool>(
     lhs: impl Lhs,
     panel: &[PanelRow],
     first_row: usize,
@@ -499,21 +571,20 @@ fn packed_tiles<const ZERO_RULE: bool>(
     nb: usize,
 ) {
     // `o` starts inside the block's first row.
-    let rows = o.len().div_ceil(n);
+    let (rows, step) = if TRANSPOSED { (n, 1) } else { (o.len().div_ceil(n), n) };
     for i in (0..rows).step_by(GEMM_ROW_TILE) {
-        let (i0, o) = (first_row + i, &mut o[i * n..]);
+        let (i0, o) = (first_row + i, &mut o[i * step..]);
         macro_rules! tile {
             ($r:literal) => {{
                 let avs = lhs.panel::<$r>(i0, k0, panel.len());
                 let bvs = panel.iter();
-                row_tile::<$r, GEMM_PANEL_STRIPS, { $r * GEMM_PANEL_STRIPS }, ZERO_RULE>(
-                    avs,
-                    bvs,
-                    k0 > 0,
-                    o,
-                    n,
-                    nb,
-                );
+                row_tile::<
+                    $r,
+                    GEMM_PANEL_STRIPS,
+                    { $r * GEMM_PANEL_STRIPS },
+                    ZERO_RULE,
+                    TRANSPOSED,
+                >(avs, bvs, k0 > 0, o, n, nb);
             }};
         }
         match (rows - i).min(GEMM_ROW_TILE) {
@@ -549,7 +620,7 @@ fn in_place_tile<'b, const ZERO_RULE: bool>(
                     b_row(kk)[s0..].first_chunk::<{ $c }>().expect("strips inside the row")
                 });
                 let (o, nb) = (&mut o[s0 * GEMM_COL_TILE..], $c * GEMM_COL_TILE);
-                row_tile::<$r, { $c }, { $r * $c }, ZERO_RULE>(avs, bvs, k0 > 0, o, n, nb);
+                row_tile::<$r, { $c }, { $r * $c }, ZERO_RULE, false>(avs, bvs, k0 > 0, o, n, nb);
             }
         };
     }
@@ -770,8 +841,11 @@ impl<'a> MatView<'a> {
     }
 
     /// `out = self · otherᵀ` without materializing the transpose — the
-    /// body of [`Matrix::matmul_t`], `otherᵀ` packed by transposed gather.
-    /// `out` is fully overwritten, like [`MatView::matmul_into`]'s.
+    /// body of [`Matrix::matmul_t`]. The smaller factor is packed by
+    /// transposed gather: `otherᵀ`, unless `self` fills a panel and has
+    /// fewer rows than `other`, when each thread gathers its own rows of
+    /// `self`; both give the same bits. `out` is fully overwritten, like
+    /// [`MatView::matmul_into`]'s.
     ///
     /// # Panics
     ///
@@ -794,9 +868,13 @@ impl<'a> MatView<'a> {
             self.rows,
             other.rows
         );
-        let (lhs, rhs) =
-            (ByRow { a: self.data, k: self.cols }, Rhs::Cols { b: other.data, k: other.cols });
-        gemm::<false>(lhs, rhs, self.cols, other.rows, out.data);
+        let (m, k, n) = (self.rows, self.cols, other.rows);
+        if (PANEL_WIDTH..n).contains(&m) && k > 1 {
+            gemm_own_rows(self.data, other.data, k, n, out.data);
+        } else {
+            let (lhs, rhs) = (ByRow { a: self.data, k }, Rhs::Cols { b: other.data, k });
+            gemm::<false>(lhs, rhs, k, n, out.data);
+        }
     }
 
     /// `out = self · B` over `B`'s pre-packed [`Panels`]: the product of
@@ -1050,8 +1128,11 @@ mod tests {
     /// (`k` one off one and two panels, so later panels reload), blocks of
     /// one row tile read in place with a later panel and columns left over
     /// for a pack, and an `m` one off each side of four ragged thread
-    /// blocks.
-    const EDGE_SHAPES: [(usize, usize, usize); 19] = [
+    /// blocks. The last six straddle `matmul_t`'s choice of the factor to
+    /// pack (`PANEL_WIDTH ≤ m < n` packs `a`): `m` one off a panel's width,
+    /// `n` just past `m` and three times it, two panels deep and one more,
+    /// so a transposed tile reloads.
+    const EDGE_SHAPES: [(usize, usize, usize); 25] = [
         (64, 128, 784),
         (32, 784, 128),
         (16, 1024, 144),
@@ -1071,6 +1152,12 @@ mod tests {
         (GEMM_ROW_TILE, GEMM_PANEL_K + 1, WIDE - 1),
         (4 * RAGGED_BLOCK - 1, 5, 33),
         (4 * RAGGED_BLOCK + 1, 5, 33),
+        (PANEL_WIDTH - 1, 2 * GEMM_PANEL_K + 1, PANEL_WIDTH),
+        (PANEL_WIDTH - 1, 2 * GEMM_PANEL_K + 1, 3 * (PANEL_WIDTH - 1)),
+        (PANEL_WIDTH, 2 * GEMM_PANEL_K + 1, PANEL_WIDTH + 1),
+        (PANEL_WIDTH, 2 * GEMM_PANEL_K + 1, 3 * PANEL_WIDTH),
+        (PANEL_WIDTH + 1, 2 * GEMM_PANEL_K + 1, PANEL_WIDTH + 2),
+        (PANEL_WIDTH + 1, 2 * GEMM_PANEL_K + 1, 3 * (PANEL_WIDTH + 1)),
     ];
 
     /// Three ragged shapes for every one drawn from [`EDGE_SHAPES`].

@@ -8,7 +8,8 @@
 //! is held to the same count: after one warm-up round at batch 32, the
 //! four `SplitModel` steps allocate only the matrices they hand across the
 //! simulated wire, and a training step of the classifier's layer stack
-//! (conv → max-pool → dense) allocates nothing.
+//! (conv → max-pool → dense), or of a dense layer whose forward packs its
+//! batch rather than its weight, allocates nothing.
 //!
 //! The serving layer is held to it from client to shard: after a warm-up,
 //! a push over `Loopback` — encoded from the caller's rows, parsed in
@@ -195,40 +196,44 @@ fn steady_state_split_round_allocates_only_what_crosses_the_wire() {
 }
 
 /// The classifier's layer stack, the one model with a `MaxPool2d`: conv →
-/// max-pool → dense on MNIST-sized frames at batch 16, on a thread budget
-/// of 1. Once a warm-up step has grown the layers' caches and workspaces,
-/// the model's ping-pong buffers and Adam's moments, a step's forward,
-/// backward (the pool routing its gradient to the conv) and clipped update
-/// each make zero allocator calls.
+/// max-pool → dense on MNIST-sized frames at batch 16; and a dense
+/// `784 → 128` at batch 32, whose training forward packs the batch's rows
+/// of `x·Wᵀ` rather than `Wᵀ` (the classifier's 10-output dense does not,
+/// nor does its 8-channel conv's `∂K`). Each on a thread budget of 1: once
+/// a warm-up step has grown the layers' caches and workspaces, the model's
+/// ping-pong buffers and Adam's moments, a step's forward, backward (the
+/// pool routing its gradient to the conv) and clipped update each make
+/// zero allocator calls.
 #[test]
 fn steady_state_conv_pool_dense_step_allocates_nothing() {
-    const BATCH: usize = 16;
     let mut rng = OrcoRng::from_label("no-alloc-cnn", 0);
-    let mut model = Sequential::new();
-    model.push(Conv2d::new(1, 28, 28, 8, 3, 1, 1, Activation::Relu, &mut rng));
-    model.push(MaxPool2d::new(8, 28, 28, 2));
-    model.push(Dense::new(8 * 14 * 14, 10, Activation::Identity, &mut rng));
-    let dataset = mnist_like::generate(BATCH, 3);
-    let grad = Matrix::from_fn(BATCH, 10, |r, c| (r * 10 + c) as f32 * 1e-3 - 0.05);
-    let mut opt = Optimizer::adam(1e-3).with_grad_clip(5.0);
-    let mut out = Matrix::zeros(0, 0);
-    let mut step = || {
-        let (forward, ()) =
-            allocations_during(|| model.forward_into(dataset.x().as_view(), &mut out, true));
-        let (backward, ()) = allocations_during(|| {
-            model.zero_grad();
-            model.backward_into(grad.as_view(), None);
-        });
-        let (update, ()) = allocations_during(|| opt.step(|f| model.for_each_param(f)));
-        [forward, backward, update]
-    };
-    let (warm_up, steady) = parallel::with_thread_budget(1, || (step(), step()));
-    assert!(warm_up.iter().all(|&n| n > 0), "the counter counts: {warm_up:?}");
-    assert_eq!(
-        steady,
-        [0, 0, 0],
-        "allocator calls of a steady-state batch-{BATCH} forward / backward / update"
-    );
+    let mut classifier = Sequential::new();
+    classifier.push(Conv2d::new(1, 28, 28, 8, 3, 1, 1, Activation::Relu, &mut rng));
+    classifier.push(MaxPool2d::new(8, 28, 28, 2));
+    classifier.push(Dense::new(8 * 14 * 14, 10, Activation::Identity, &mut rng));
+    let mut dense = Sequential::new();
+    dense.push(Dense::new(784, 128, Activation::Sigmoid, &mut rng));
+    for (name, mut model, batch) in [("classifier", classifier, 16), ("dense", dense, 32)] {
+        let dataset = mnist_like::generate(batch, 3);
+        let outputs = model.output_dim().expect("a non-empty model");
+        let grad = Matrix::from_fn(batch, outputs, |r, c| (r * 10 + c) as f32 * 1e-3 - 0.05);
+        let mut opt = Optimizer::adam(1e-3).with_grad_clip(5.0);
+        let mut out = Matrix::zeros(0, 0);
+        let mut step = || {
+            let (forward, ()) =
+                allocations_during(|| model.forward_into(dataset.x().as_view(), &mut out, true));
+            let (backward, ()) = allocations_during(|| model.backward_into(grad.as_view(), None));
+            let (update, ()) = allocations_during(|| opt.step(|f| model.for_each_param(f)));
+            [forward, backward, update]
+        };
+        let (warm_up, steady) = parallel::with_thread_budget(1, || (step(), step()));
+        assert!(warm_up.iter().all(|&n| n > 0), "{name}: the counter counts: {warm_up:?}");
+        assert_eq!(
+            steady,
+            [0, 0, 0],
+            "{name}: allocator calls of a steady-state batch-{batch} forward / backward / update"
+        );
+    }
 }
 
 /// Client → shard at batch 64 over `Loopback`, on a thread budget of 1:
