@@ -51,17 +51,23 @@ pub struct Dense {
     // there is one): backward reads σ′ from the output, so it calls no
     // `exp`. The buffers are reused from round to round.
     cache: Option<(Matrix, Matrix)>,
-    // Backward's workspace: empty until first used, then dirty — each use
+    // Backward's workspaces: empty until first used, then dirty — each use
     // overwrites every element, nothing is read back across calls.
-    delta: Matrix, // (batch, out): grad_out ⊙ σ'
+    delta: Matrix,             // (batch, out): grad_out ⊙ σ'
+    batch_grad_bias: Vec<f32>, // (out): this call's column sums of δ
+    // The sums could go into `grad_bias` directly, but this small buffer,
+    // allocated by the first backward, decides where a fresh model's
+    // buffers land: without it, the heap under `train_online`'s one-round
+    // DCSNet trials was returned to the system after every trial, and the
+    // next trial faulted ~30 MB back in (0.73× its rounds/s, nproc 2).
     // `Wᵀ` packed for inference, built on first use and dropped whenever
     // the weight may change.
     panels: OnceLock<Box<Panels>>,
-    // Unused: the bytes of the two workspaces backward no longer needs (a
-    // `Matrix` and a `Vec<f32>`), kept so the layer keeps its size. A field
-    // that grew it moved the training rounds' heap state, and with it their
-    // speed; the size goes when that placement is decided in code.
-    _padding: [u64; 8],
+    // Unused: the bytes of the `Matrix` backward no longer needs (its `δᵀ·x`
+    // goes straight into `grad_weight`), kept so the layer keeps its size.
+    // A field that grew it moved the training rounds' heap state, and with
+    // it their speed; the size goes when that placement is decided in code.
+    _padding: [u64; 5],
 }
 
 impl Dense {
@@ -108,8 +114,9 @@ impl Dense {
             activation,
             cache: None,
             delta: Matrix::zeros(0, 0),
+            batch_grad_bias: Vec::new(),
             panels: OnceLock::new(),
-            _padding: [0; 8],
+            _padding: [0; 5],
         }
     }
 
@@ -199,9 +206,9 @@ impl Layer for Dense {
 
     /// `δ = grad_out ⊙ σ'` (σ′ read from the kept output), then
     /// `∂L/∂W = δᵀ·x` ([`MatView::t_matmul_into`], written straight into
-    /// the gradient), `∂L/∂b =` the column sums of `δ` (each from `+0.0`),
-    /// and — only for a caller that reads it — `∂L/∂x = δ·W`
-    /// ([`MatView::matmul_into`]).
+    /// the gradient), `∂L/∂b =` the column sums of `δ` (each from `+0.0`,
+    /// in a workspace, then copied), and — only for a caller that reads
+    /// it — `∂L/∂x = δ·W` ([`MatView::matmul_into`]).
     fn backward_into(&mut self, grad_out: MatView<'_>, grad_in: Option<&mut Matrix>) {
         let (input, output) =
             self.cache.as_ref().expect("Dense::backward: no training-mode forward");
@@ -212,9 +219,10 @@ impl Layer for Dense {
             "Dense::backward: grad_output shape mismatch"
         );
         size_workspace(&mut self.delta, batch, out_dim);
+        self.batch_grad_bias.clear();
+        self.batch_grad_bias.resize(out_dim, 0.0);
 
-        let sums = self.grad_bias.as_mut_slice();
-        sums.fill(0.0);
+        let sums = &mut self.batch_grad_bias;
         for (r, g_row) in grad_out.iter_rows().enumerate() {
             let cells = self.delta.row_mut(r).iter_mut().zip(g_row).zip(output.row(r));
             for (((d, &g), &y), sum) in cells.zip(sums.iter_mut()) {
@@ -222,6 +230,7 @@ impl Layer for Dense {
                 *sum += *d;
             }
         }
+        self.grad_bias.as_mut_slice().copy_from_slice(sums);
         self.delta.as_view().t_matmul_into(input.as_view(), self.grad_weight.as_view_mut());
         if let Some(grad_in) = grad_in {
             size_workspace(grad_in, batch, input.cols());
@@ -445,9 +454,9 @@ mod tests {
 
     /// Training's speed moved with this struct's size through the heap
     /// state a fresh model leaves (8 more bytes read 0.79× on DCSNet's
-    /// rounds): a new field is paid for by a field that shrinks. The 64
-    /// bytes of `_padding` hold the size where backward's two deleted
-    /// workspaces held it.
+    /// rounds): a new field is paid for by a field that shrinks. The 40
+    /// bytes of `_padding` hold the size where backward's deleted `δᵀ·x`
+    /// workspace held it.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn the_layer_keeps_its_size() {
