@@ -171,7 +171,8 @@ impl Layer for Conv2d {
 
     /// From `∂L/∂K = 0` and `∂L/∂b = 0`, per sample: `δ`, the sample
     /// lowered again, `∂L/∂K += δ·patchesᵀ` ([`MatView::matmul_t_into`])
-    /// and `∂L/∂b +=` the per-channel sums of `δ`; and — only for a caller that reads `∂L/∂input` —
+    /// and `∂L/∂b +=` the per-channel sums of `δ`; and — only for a caller
+    /// that reads `∂L/∂input` —
     /// `∂L/∂patches = Kᵀ·δ` ([`MatView::t_matmul_into`]) scattered back by
     /// [`col2im_into`]. Allocates nothing once the workspaces and the
     /// caller's `grad_in` have grown to size.

@@ -59,7 +59,7 @@ pub struct Dense {
     // allocated by the first backward, decides where a fresh model's
     // buffers land: without it, the heap under `train_online`'s one-round
     // DCSNet trials was returned to the system after every trial, and the
-    // next trial faulted ~30 MB back in (0.73× its rounds/s, nproc 2).
+    // next trial faulted ~30 MB back in (0.73–0.78× its rounds/s, nproc 2).
     // `Wᵀ` packed for inference, built on first use and dropped whenever
     // the weight may change.
     panels: OnceLock<Box<Panels>>,

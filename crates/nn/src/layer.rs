@@ -73,8 +73,8 @@ pub struct Param<'a> {
 /// * [`backward_into`](Layer::backward_into) is the layer's one backward
 ///   body: it receives `∂L/∂output`, **sets** each parameter's gradient
 ///   to this batch's `∂L/∂params` (nothing is accumulated across calls, so
-///   nothing is zeroed between them), and writes `∂L/∂input` into the caller's
-///   buffer *if there is one* — the first layer of a model has no consumer
+///   nothing is zeroed between them), and writes `∂L/∂input` into the
+///   caller's buffer *if there is one* — the first layer of a model has no consumer
 ///   for it, and `None` skips the work of producing it (a whole `δ·W`
 ///   product for [`crate::Dense`]) without moving one bit of `∂L/∂params`.
 ///   It differentiates the latest *training-mode* forward (a layer that

@@ -247,9 +247,7 @@ fn row_tile<
     if reload {
         for (v, acc_row) in acc.iter_mut().enumerate() {
             let (at, width) = cell(v);
-            if !TRANSPOSED && width > 0 {
-                *acc_row = load_row(&o[at..], width);
-            } else if TRANSPOSED {
+            if TRANSPOSED {
                 // Every lane by a constant index, so the tile stays in
                 // registers; the padding lanes keep their `+0.0`.
                 for (lane, x) in acc_row.iter_mut().enumerate() {
@@ -257,6 +255,8 @@ fn row_tile<
                         *x = o[at + lane * n];
                     }
                 }
+            } else if width > 0 {
+                *acc_row = load_row(&o[at..], width);
             }
         }
     }
@@ -276,14 +276,14 @@ fn row_tile<
     }
     for (v, acc_row) in acc.into_iter().enumerate() {
         let (at, width) = cell(v);
-        if !TRANSPOSED && width > 0 {
-            store_row(&mut o[at..], width, acc_row);
-        } else if TRANSPOSED {
+        if TRANSPOSED {
             for (lane, x) in acc_row.into_iter().enumerate() {
                 if lane < width {
                     o[at + lane * n] = x;
                 }
             }
+        } else if width > 0 {
+            store_row(&mut o[at..], width, acc_row);
         }
     }
 }
