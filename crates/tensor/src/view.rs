@@ -25,9 +25,11 @@
 //! `matmul` and `t_matmul`, a term whose left factor is zero and whose
 //! right factor is ±inf or NaN contributes nothing (a zero weight never
 //! turns an output NaN); `matmul_t` (the `x·Wᵀ` of every dense layer)
-//! takes every term. Tile and panel sizes may be retuned freely; the
-//! per-element order, the step and the zero rule may not — the unit tests
-//! hold all three products bitwise to scalar oracles that spell this out.
+//! takes every term. Tile, panel and block sizes, the order in which blocks
+//! of `out` are visited and how often a factor is re-packed may be retuned
+//! freely; the per-element order, the step and the zero rule may not — the
+//! unit tests hold all three products bitwise to scalar oracles that spell
+//! this out.
 //!
 //! All three are one register-blocked micro-kernel under one driver
 //! (Goto & van de Geijn's GEMM):
@@ -54,10 +56,18 @@
 //!   only while `A` has fewer rows than a panel is wide, or no fewer rows
 //!   than `B` has columns. Otherwise — a training forward's `x·Wᵀ` at
 //!   batch 32, a convolution's `∂K = δ·patchesᵀ` at 16 output channels —
-//!   each thread gathers its own rows of `A` instead, streams the rows of
-//!   `Bᵀ` past them as the broadcast side, and stores each tile transposed
-//!   (reloading it transposed between panels): `(B·Aᵀ)ᵀ`, each term `b·a`
-//!   for `a·b`, the same bits.
+//!   each thread gathers its own rows of `A` instead, two panels (32 rows)
+//!   side by side, streams the rows of `Bᵀ` past both as the broadcast
+//!   side, so a batch-32 forward reads its weight once, and stores each
+//!   tile transposed (reloading it transposed between panels): `(B·Aᵀ)ᵀ`,
+//!   each term `b·a` for `a·b`, the same bits.
+//! - **Blocks sized to the cache they must stay in.** A shallow product
+//!   (`k` no deeper than one panel) whose block of `out` outgrows L2 — a
+//!   training step's `∂W = δᵀ·x`, 512 × 3072 at batch 32 — is written in
+//!   slabs of 32 rows, each slab over every column panel before the next,
+//!   so its rows stay cached while the panels pass; each slab re-packs the
+//!   small `B`. Panel-outer over the whole block, every row would take 64
+//!   bytes per panel and be evicted before the next.
 //! - **Stored, not accumulated.** A tile starts its first panel at `+0.0`,
 //!   reloads what it stored before a later one, and stores its result:
 //!   `out` is written, never added to, so nobody zeroes it first (a `k = 0`
@@ -114,6 +124,29 @@ const GEMM_PANEL_K: usize = 256;
 /// Minimum rows a worker thread must own before the GEMM kernels
 /// parallelize; below this the spawn overhead dominates.
 const GEMM_MIN_ROWS_PER_THREAD: usize = 8;
+
+/// Own-row panels [`gemm_own_rows`] packs side by side before it streams
+/// `B` past them: 2, i.e. 32 rows of `A` (a batch-32 training forward's
+/// whole block on one thread) in 32 KB of stack, so such a block reads
+/// `B` once per `GEMM_PANEL_K` slice instead of once per panel.
+const OWN_ROW_GROUP: usize = 2;
+
+/// Output bytes of one thread's block above which a shallow product
+/// (`k ≤ GEMM_PANEL_K`, a right factor it packs itself) writes the block
+/// in slabs of [`GEMM_SLAB_ROWS`] rows: 2 MiB, an L2 of the host the
+/// kernels were tuned on. Below it the block's rows stay cached across
+/// its column panels anyway, and slabs only re-pack `B` (slabbed, the
+/// MNIST-like `∂W` products, 128 × 784 and 784 × 128, read 1.13–1.23×
+/// slower).
+const GEMM_SLAB_MIN_OUT_BYTES: usize = 2 << 20;
+
+/// Rows of one slab of a block [`GEMM_SLAB_MIN_OUT_BYTES`] splits: each
+/// slab re-packs `B`, so a slab must be tall enough to amortise that
+/// (at `k = 32`, a `512 × 3072` `∂W` re-packs ~3 % of its FMAs' worth) and
+/// short enough that its rows stay cached while its panels pass (against
+/// no slabs, a `3072 × 512` `∂W` read 0.72–1.00× in 32-row slabs and 1.4×
+/// in 256-row ones; nproc 2, x86-64-v3).
+const GEMM_SLAB_ROWS: usize = 32;
 
 // ----------------------------------------------------------------------
 // Kernels
@@ -464,16 +497,16 @@ impl Panels {
 /// written, not accumulated into, as the product of `lhs` (`m × k`) and
 /// `rhs` (`k × n`).
 ///
-/// Row-parallel over [`crate::parallel::for_each_row_block`]; inside a
-/// block, per `GEMM_PANEL_K` rows of `B` (`k` ascending): one packed panel
-/// per full tile's width of columns — packed into the block's stack
-/// buffer, or borrowed from [`Panels`] — and every row tile of the block
-/// over it ([`packed_tiles`]). A block of one row tile takes a row-major `B` in
-/// place instead, `GEMM_TILE_STRIPS` strips at a time ([`in_place_tile`]),
-/// and packs only the columns left over. A `k = 1` product, an outer
-/// product, is one step per output ([`outer`]).
+/// Row-parallel over [`crate::parallel::for_each_row_block`]; each block
+/// is one run of [`gemm_block`], or — when the product is shallow (`k ≤
+/// GEMM_PANEL_K`), packs its own `B` and the block's output exceeds
+/// [`GEMM_SLAB_MIN_OUT_BYTES`] — one run per slab of [`GEMM_SLAB_ROWS`]
+/// rows. Panel-outer over the whole block, a `t_matmul` `∂W = δᵀ·x` of
+/// 512 × 3072 writes 64 bytes to every one of its rows per panel, and no
+/// cache holds them until the next; a slab's rows stay cached across all
+/// its panels, for one re-pack of the small `B` per slab. A `k = 1`
+/// product, an outer product, is one step per output ([`outer`]).
 fn gemm<const ZERO_RULE: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, out: &mut [f32]) {
-    const WIDE: usize = GEMM_TILE_STRIPS * GEMM_COL_TILE;
     if k == 0 {
         // An empty sum: the one product with no panel to store it.
         out.fill(0.0);
@@ -486,40 +519,67 @@ fn gemm<const ZERO_RULE: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, 
         outer::<ZERO_RULE>(lhs, rhs.only_row(n), out);
         return;
     }
+    let shallow = k <= GEMM_PANEL_K && !matches!(rhs, Rhs::Packed(_));
     crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
-        let rows = block.len() / n;
-        let in_place = match rhs {
-            Rhs::Rows { b, .. } if rows <= GEMM_ROW_TILE => Some(b),
-            _ => None,
+        let slab_rows = if shallow && size_of_val(block) > GEMM_SLAB_MIN_OUT_BYTES {
+            GEMM_SLAB_ROWS
+        } else {
+            block.len() / n
         };
-        let packed_from = if in_place.is_some() { n - n % WIDE } else { 0 };
-        let mut panel = [[[0.0; GEMM_COL_TILE]; GEMM_PANEL_STRIPS]; GEMM_PANEL_K];
-        for k0 in (0..k).step_by(GEMM_PANEL_K) {
-            let kb = GEMM_PANEL_K.min(k - k0);
-            if let Some(b) = in_place {
-                for j0 in (0..packed_from).step_by(WIDE) {
-                    let b_row = move |kk: usize| {
-                        let (strips, _) = b[(k0 + kk) * n + j0..].as_chunks();
-                        strips.first_chunk::<GEMM_TILE_STRIPS>().expect("whole strips")
-                    };
-                    in_place_tile::<ZERO_RULE>(lhs, b_row, kb, first_row, &mut block[j0..], n, k0);
-                }
-            }
-            for j0 in (packed_from..n).step_by(PANEL_WIDTH) {
-                let cols = j0..n.min(j0 + PANEL_WIDTH);
-                let (o, nb) = (&mut block[j0..], cols.len());
-                let panel = rhs.pack(&mut panel[..kb], k0, cols);
-                // The zero rule drops only a term whose `b` is ±inf or NaN,
-                // so a finite panel takes every term, and only a panel that
-                // holds a non-finite value takes the rule's per-row branches.
-                if ZERO_RULE && has_non_finite(panel) {
-                    packed_tiles::<true, false>(lhs, panel, first_row, o, n, k0, nb);
-                } else {
-                    packed_tiles::<false, false>(lhs, panel, first_row, o, n, k0, nb);
-                }
-            }
+        for (s, slab) in block.chunks_mut(slab_rows * n).enumerate() {
+            gemm_block::<ZERO_RULE>(lhs, rhs, k, n, first_row + s * slab_rows, slab);
         }
     });
+}
+
+/// Rows `first_row..` of `out`, `block` (whole rows): per `GEMM_PANEL_K`
+/// rows of `B` (`k` ascending), one packed panel per full tile's width of
+/// columns — packed into the block's stack buffer, or borrowed from
+/// [`Panels`] — and every row tile of the block over it
+/// ([`packed_tiles`]). A block of one row tile takes a row-major `B` in
+/// place instead, `GEMM_TILE_STRIPS` strips at a time ([`in_place_tile`]),
+/// and packs only the columns left over.
+fn gemm_block<const ZERO_RULE: bool>(
+    lhs: impl Lhs,
+    rhs: Rhs<'_>,
+    k: usize,
+    n: usize,
+    first_row: usize,
+    block: &mut [f32],
+) {
+    const WIDE: usize = GEMM_TILE_STRIPS * GEMM_COL_TILE;
+    let rows = block.len() / n;
+    let in_place = match rhs {
+        Rhs::Rows { b, .. } if rows <= GEMM_ROW_TILE => Some(b),
+        _ => None,
+    };
+    let packed_from = if in_place.is_some() { n - n % WIDE } else { 0 };
+    let mut panel = [[[0.0; GEMM_COL_TILE]; GEMM_PANEL_STRIPS]; GEMM_PANEL_K];
+    for k0 in (0..k).step_by(GEMM_PANEL_K) {
+        let kb = GEMM_PANEL_K.min(k - k0);
+        if let Some(b) = in_place {
+            for j0 in (0..packed_from).step_by(WIDE) {
+                let b_row = move |kk: usize| {
+                    let (strips, _) = b[(k0 + kk) * n + j0..].as_chunks();
+                    strips.first_chunk::<GEMM_TILE_STRIPS>().expect("whole strips")
+                };
+                in_place_tile::<ZERO_RULE>(lhs, b_row, kb, first_row, &mut block[j0..], n, k0);
+            }
+        }
+        for j0 in (packed_from..n).step_by(PANEL_WIDTH) {
+            let cols = j0..n.min(j0 + PANEL_WIDTH);
+            let (o, nb) = (&mut block[j0..], cols.len());
+            let panel = rhs.pack(&mut panel[..kb], k0, cols);
+            // The zero rule drops only a term whose `b` is ±inf or NaN, so
+            // a finite panel takes every term, and only a panel that holds
+            // a non-finite value takes the rule's per-row branches.
+            if ZERO_RULE && has_non_finite(panel) {
+                packed_tiles::<true, false, 1>(lhs, [(panel, nb)], first_row, o, n, k0);
+            } else {
+                packed_tiles::<false, false, 1>(lhs, [(panel, nb)], first_row, o, n, k0);
+            }
+        }
+    }
 }
 
 /// `out = a · bᵀ` (`a` is `m × k`, `b` is `n × k`) as `(b · aᵀ)ᵀ`: the
@@ -528,70 +588,91 @@ fn gemm<const ZERO_RULE: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, 
 /// Geijn's rule). Row-parallel over `out` like [`gemm`], but in blocks of
 /// at least a panel's width of rows, so no thread fills half a panel (a
 /// 16-row `∂K` split in two read 2.2× slower, nproc 2, x86-64-v3). Each
-/// block gathers its own rows of `a`, `PANEL_WIDTH` at a time, by the
-/// gather `Rhs::Cols` packs `b` with, and streams every row of `b` past
-/// the panel as the broadcast side — so it reads `b` where it lies instead
-/// of gathering all of it. Each tile is stored transposed ([`row_tile`]'s
-/// `TRANSPOSED`). An element takes the same terms in the same order, each
-/// `b·a` for `a·b` — the same bits, fused or not — and `matmul_t` has no
-/// zero rule to break the symmetry.
+/// block gathers its own rows of `a` by the gather `Rhs::Cols` packs `b`
+/// with, a group of [`OWN_ROW_GROUP`] panels (`PANEL_WIDTH` rows each) at
+/// a time, and streams every row of `b` past the whole group as the
+/// broadcast side — so it reads `b` where it lies, once per group and
+/// `GEMM_PANEL_K` slice, instead of gathering all of it. Each tile is
+/// stored transposed ([`row_tile`]'s `TRANSPOSED`). An element takes the
+/// same terms in the same order, each `b·a` for `a·b` — the same bits,
+/// fused or not — and `matmul_t` has no zero rule to break the symmetry.
 fn gemm_own_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    const GROUP_ROWS: usize = OWN_ROW_GROUP * PANEL_WIDTH;
     let broadcast = ByRow { a: b, k };
     crate::parallel::for_each_row_block(out, n, PANEL_WIDTH, |first_row, block| {
         let rows = block.len() / n;
         let own = Rhs::Cols { b: &a[first_row * k..][..rows * k], k };
-        let mut panel = [[[0.0; GEMM_COL_TILE]; GEMM_PANEL_STRIPS]; GEMM_PANEL_K];
+        let mut group = [[[[0.0; GEMM_COL_TILE]; GEMM_PANEL_STRIPS]; GEMM_PANEL_K]; OWN_ROW_GROUP];
         for k0 in (0..k).step_by(GEMM_PANEL_K) {
             let kb = GEMM_PANEL_K.min(k - k0);
-            for i0 in (0..rows).step_by(PANEL_WIDTH) {
-                let own_rows = i0..rows.min(i0 + PANEL_WIDTH);
-                let nb = own_rows.len();
-                let panel = own.pack(&mut panel[..kb], k0, own_rows);
-                packed_tiles::<false, true>(broadcast, panel, 0, &mut block[i0 * n..], n, k0, nb);
+            for g0 in (0..rows).step_by(GROUP_ROWS) {
+                let mut panels: [(&[PanelRow], usize); OWN_ROW_GROUP] = [(&[], 0); OWN_ROW_GROUP];
+                let group_end = rows.min(g0 + GROUP_ROWS);
+                for ((i0, buffer), panel) in
+                    (g0..group_end).step_by(PANEL_WIDTH).zip(&mut group).zip(&mut panels)
+                {
+                    let own_rows = i0..group_end.min(i0 + PANEL_WIDTH);
+                    let nb = own_rows.len();
+                    *panel = (own.pack(&mut buffer[..kb], k0, own_rows), nb);
+                }
+                let o = &mut block[g0 * n..];
+                packed_tiles::<false, true, OWN_ROW_GROUP>(broadcast, panels, 0, o, n, k0);
             }
         }
     });
 }
 
 /// Every row tile of a block (`first_row` its first row of `out`, `o` its
-/// elements from the panel's first column on) over one packed panel of
-/// `nb` valid columns, the panel's rows starting at `k0`: `GEMM_ROW_TILE`
-/// rows at a time, then the remainder rows as one tile — no padding row is
-/// ever computed. Under `TRANSPOSED` ([`gemm_own_rows`]) the roles swap:
-/// `lhs` broadcasts the rows of `b` (`first_row` is 0), a tile of `R` of
-/// them covers `R` columns of `o`, the tiles run along all `n` columns,
-/// and the panel's `nb` valid columns are `o`'s rows.
-fn packed_tiles<const ZERO_RULE: bool, const TRANSPOSED: bool>(
+/// elements from the first panel's first column on) over `P` packed panels
+/// side by side, each with its count `nb` of valid columns (panel `p`
+/// holds columns `p · PANEL_WIDTH..` of `o`; a panel with no valid column
+/// ends the list), the panels' rows starting at `k0`: `GEMM_ROW_TILE` rows at
+/// a time, then the remainder rows as one tile — no padding row is ever
+/// computed — each tile over every panel before the next. Under
+/// `TRANSPOSED` ([`gemm_own_rows`]) the roles swap: `lhs` broadcasts the
+/// rows of `b` (`first_row` is 0), a tile of `R` of them covers `R`
+/// columns of `o`, the tiles run along all `n` columns, and a panel's `nb`
+/// valid columns are rows of `o`. Each `nb` reaches [`row_tile`] as the
+/// caller counted it: bounding it here (`min(PANEL_WIDTH)`) changed how
+/// the compiler built `row_tile`, and the MNIST-like `∂W` products read
+/// 1.02–1.03× slower.
+fn packed_tiles<const ZERO_RULE: bool, const TRANSPOSED: bool, const P: usize>(
     lhs: impl Lhs,
-    panel: &[PanelRow],
+    panels: [(&[PanelRow], usize); P],
     first_row: usize,
     o: &mut [f32],
     n: usize,
     k0: usize,
-    nb: usize,
 ) {
-    // `o` starts inside the block's first row.
-    let (rows, step) = if TRANSPOSED { (n, 1) } else { (o.len().div_ceil(n), n) };
+    // `o` starts inside the block's first row. A step along `rows` moves
+    // `step` elements of `o`, one of the panels' columns `across`.
+    let (rows, step, across) = if TRANSPOSED { (n, 1, n) } else { (o.len().div_ceil(n), n, 1) };
     for i in (0..rows).step_by(GEMM_ROW_TILE) {
-        let (i0, o) = (first_row + i, &mut o[i * step..]);
-        macro_rules! tile {
-            ($r:literal) => {{
-                let avs = lhs.panel::<$r>(i0, k0, panel.len());
-                let bvs = panel.iter();
-                row_tile::<
-                    $r,
-                    GEMM_PANEL_STRIPS,
-                    { $r * GEMM_PANEL_STRIPS },
-                    ZERO_RULE,
-                    TRANSPOSED,
-                >(avs, bvs, k0 > 0, o, n, nb);
-            }};
-        }
-        match (rows - i).min(GEMM_ROW_TILE) {
-            1 => tile!(1),
-            2 => tile!(2),
-            3 => tile!(3),
-            _ => tile!(4),
+        let i0 = first_row + i;
+        for (p, (panel, nb)) in panels.into_iter().enumerate() {
+            if P > 1 && nb == 0 {
+                break;
+            }
+            let o = &mut o[i * step + p * PANEL_WIDTH * across..];
+            macro_rules! tile {
+                ($r:literal) => {{
+                    let avs = lhs.panel::<$r>(i0, k0, panel.len());
+                    let bvs = panel.iter();
+                    row_tile::<
+                        $r,
+                        GEMM_PANEL_STRIPS,
+                        { $r * GEMM_PANEL_STRIPS },
+                        ZERO_RULE,
+                        TRANSPOSED,
+                    >(avs, bvs, k0 > 0, o, n, nb);
+                }};
+            }
+            match (rows - i).min(GEMM_ROW_TILE) {
+                1 => tile!(1),
+                2 => tile!(2),
+                3 => tile!(3),
+                _ => tile!(4),
+            }
         }
     }
 }
@@ -1131,8 +1212,15 @@ mod tests {
     /// blocks. The last six straddle `matmul_t`'s choice of the factor to
     /// pack (`PANEL_WIDTH ≤ m < n` packs `a`): `m` one off a panel's width,
     /// `n` just past `m` and three times it, two panels deep and one more,
-    /// so a transposed tile reloads.
-    const EDGE_SHAPES: [(usize, usize, usize); 25] = [
+    /// so a transposed tile reloads. The next four group `a`'s own-row
+    /// panels ([`OWN_ROW_GROUP`]): `m` one off two panels and three panels
+    /// and five rows — two and three groups, a ragged last one — two
+    /// slices deep and one more, so a transposed tile reloads across
+    /// groups. The last three are shallow products around
+    /// [`GEMM_SLAB_MIN_OUT_BYTES`]: an output just over it in slabs, `m`
+    /// not a multiple of [`GEMM_SLAB_ROWS`], one a whole panel deep; and
+    /// one just under it.
+    const EDGE_SHAPES: [(usize, usize, usize); 32] = [
         (64, 128, 784),
         (32, 784, 128),
         (16, 1024, 144),
@@ -1158,7 +1246,29 @@ mod tests {
         (PANEL_WIDTH, 2 * GEMM_PANEL_K + 1, 3 * PANEL_WIDTH),
         (PANEL_WIDTH + 1, 2 * GEMM_PANEL_K + 1, PANEL_WIDTH + 2),
         (PANEL_WIDTH + 1, 2 * GEMM_PANEL_K + 1, 3 * (PANEL_WIDTH + 1)),
+        (2 * PANEL_WIDTH - 1, 2 * GEMM_PANEL_K + 1, 2 * PANEL_WIDTH),
+        (2 * PANEL_WIDTH, 2 * GEMM_PANEL_K + 1, 3 * PANEL_WIDTH + 1),
+        (2 * PANEL_WIDTH + 1, 2 * GEMM_PANEL_K + 1, 2 * PANEL_WIDTH + 2),
+        (3 * PANEL_WIDTH + 5, 2 * GEMM_PANEL_K + 1, 4 * PANEL_WIDTH + 3),
+        (SLAB_OVER, 32, SLAB_COLS),
+        (SLAB_OVER, GEMM_PANEL_K, SLAB_COLS),
+        (SLAB_OVER - 1, 32, SLAB_COLS),
     ];
+
+    /// Columns of the slab rows of [`EDGE_SHAPES`]: a ragged last panel.
+    const SLAB_COLS: usize = 1027;
+
+    /// Rows of the first output of [`SLAB_COLS`] columns over
+    /// [`GEMM_SLAB_MIN_OUT_BYTES`].
+    const SLAB_OVER: usize = GEMM_SLAB_MIN_OUT_BYTES / size_of::<f32>() / SLAB_COLS + 1;
+
+    const _: () = {
+        let row_bytes = SLAB_COLS * size_of::<f32>();
+        assert!(SLAB_OVER * row_bytes > GEMM_SLAB_MIN_OUT_BYTES);
+        assert!((SLAB_OVER - 1) * row_bytes <= GEMM_SLAB_MIN_OUT_BYTES);
+        assert!(!SLAB_OVER.is_multiple_of(GEMM_SLAB_ROWS));
+        assert!(!(SLAB_OVER - 1).is_multiple_of(GEMM_SLAB_ROWS));
+    };
 
     /// Three ragged shapes for every one drawn from [`EDGE_SHAPES`].
     fn shape_strategy() -> impl Strategy<Value = (usize, usize, usize)> {

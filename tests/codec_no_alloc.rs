@@ -196,10 +196,12 @@ fn steady_state_split_round_allocates_only_what_crosses_the_wire() {
 }
 
 /// The classifier's layer stack, the one model with a `MaxPool2d`: conv →
-/// max-pool → dense on MNIST-sized frames at batch 16; and a dense
-/// `784 → 128` at batch 32, whose training forward packs the batch's rows
-/// of `x·Wᵀ` rather than `Wᵀ` (the classifier's 10-output dense does not,
-/// nor does its 8-channel conv's `∂K`). Each on a thread budget of 1: once
+/// max-pool → dense on MNIST-sized frames at batch 16; a dense `784 → 128`
+/// at batch 32, whose training forward packs the batch's rows of `x·Wᵀ`
+/// rather than `Wᵀ` (the classifier's 10-output dense does not, nor does
+/// its 8-channel conv's `∂K`); and DCSNet's dense `784 → 1024` encoder at
+/// batch 32, whose forward packs its 32 rows as one group of panels and
+/// whose 3.2 MB `∂W` is written in row slabs. Each on a thread budget of 1: once
 /// a warm-up step has grown the layers' caches and workspaces, the model's
 /// ping-pong buffers and Adam's moments, a step's forward, backward (the
 /// pool routing its gradient to the conv) and clipped update each make
@@ -213,7 +215,10 @@ fn steady_state_conv_pool_dense_step_allocates_nothing() {
     classifier.push(Dense::new(8 * 14 * 14, 10, Activation::Identity, &mut rng));
     let mut dense = Sequential::new();
     dense.push(Dense::new(784, 128, Activation::Sigmoid, &mut rng));
-    for (name, mut model, batch) in [("classifier", classifier, 16), ("dense", dense, 32)] {
+    let mut encoder = Sequential::new();
+    encoder.push(Dense::new(784, 1024, Activation::Sigmoid, &mut rng));
+    let models = [("classifier", classifier, 16), ("dense", dense, 32), ("encoder", encoder, 32)];
+    for (name, mut model, batch) in models {
         let dataset = mnist_like::generate(batch, 3);
         let outputs = model.output_dim().expect("a non-empty model");
         let grad = Matrix::from_fn(batch, outputs, |r, c| (r * 10 + c) as f32 * 1e-3 - 0.05);
