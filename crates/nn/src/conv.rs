@@ -5,7 +5,8 @@ use orco_tensor::{
 use crate::activation::Activation;
 use crate::layer::{size_workspace, Layer, Param, Workspace};
 
-/// A 2-D convolutional layer lowered to GEMM via im2col.
+/// A 2-D convolutional layer: a direct convolution forward, a backward
+/// lowered to GEMM via im2col.
 ///
 /// Inputs and outputs are [`Matrix`] batches with one flattened
 /// `(C, H, W)` sample per row; the layer carries its own geometry so it can
@@ -13,22 +14,25 @@ use crate::layer::{size_workspace, Layer, Param, Workspace};
 /// 4-convolutional-layer decoder and the follow-up 2-layer CNN classifier
 /// are built from this type.
 ///
-/// Kernels are stored as a `(out_c, in_c·k·k)` matrix so the forward pass on
-/// one sample is a single `kernels × patches` product, written straight
-/// into that sample's output row — which *is* the `(out_c, positions)`
-/// product, row-major.
+/// Kernels are stored as a `(out_c, in_c·k·k)` matrix, so the forward pass
+/// on one sample is the product `kernels × im2col(sample)`, written
+/// straight into that sample's output row — which *is* the `(out_c,
+/// positions)` product, row-major. The forward builds no patch matrix:
+/// [`MatView::conv_into`] copies the sample, zero-bordered, into a
+/// one-sample workspace and reads each tap's pixels from there, with the
+/// bits of the lowered product. The workspace is the layer's own, or one in
+/// the caller's [`Workspace`] for [`Layer::infer_into`]; it keeps the
+/// lowered sample's `(patch_len, positions)` size, is sized on first use
+/// and overwritten by every sample after it, so a forward allocates nothing
+/// once the workspace and the caller's `out` have grown.
 ///
-/// A sample is lowered into a one-sample workspace — the layer's own, or
-/// one in the caller's [`Workspace`] for [`Layer::infer_into`] — sized
-/// on first use and overwritten by every sample after it, so a forward
-/// allocates nothing once the workspace and the caller's `out` have grown.
 /// Under `train` the layer keeps the **input batch and the output** (in
 /// buffers reused from round to round; σ′ is read from the output), not
-/// the lowered patches:
-/// `backward` lowers each sample again, which costs a twentieth of the
-/// products it feeds and leaves the workspaces holding nothing between
-/// calls — an inference forward cannot disturb a round in flight, and
-/// `backward` can be repeated.
+/// patches: `backward` lowers each sample with [`im2col_into`] into the
+/// layer's workspace, which costs a twentieth of the products it feeds and
+/// leaves the workspaces holding nothing between calls — an inference
+/// forward cannot disturb a round in flight, and `backward` can be
+/// repeated.
 ///
 /// # Examples
 ///
@@ -58,6 +62,9 @@ pub struct Conv2d {
     cache: Option<(Matrix, Matrix)>,
     // One-sample workspaces: empty until first used, then dirty — each use
     // overwrites every element, nothing is read back across calls.
+    // `patches` holds backward's lowered sample and, in its front, the
+    // forward's bordered image (grown past `(patch_len, positions)` only
+    // for a 1×1 kernel or a stride past the kernel).
     patches: Matrix,             // (patch_len, positions): a lowered sample
     delta: Matrix,               // (out_c, positions): backward's δ
     sample_grad_kernels: Matrix, // (out_c, patch_len): one sample's ∂L/∂K
@@ -117,10 +124,14 @@ impl Conv2d {
 }
 
 impl Conv2d {
-    /// The forward body. Per sample: [`im2col_into`] `patches`,
-    /// `kernels × patches` ([`MatView::matmul_into`]) into the sample's
-    /// output row, and the per-channel bias onto it; then an in-place
-    /// activation over the batch. Allocates nothing once `out` and
+    /// The forward body. Per sample: `kernels ⊛ sample`
+    /// ([`MatView::conv_into`], with the sample's bordered copy in the
+    /// front of `patches`) into the sample's output row, and the
+    /// per-channel bias onto it; then an in-place activation over the
+    /// batch. `patches` keeps the lowered sample's `(patch_len, positions)`
+    /// shape, grown only where the bordered image outsizes it (a 1×1 kernel,
+    /// or a stride past the kernel): how the heap is laid out moves
+    /// training's speed (ROADMAP item 18). Allocates nothing once `out` and
     /// `patches` have grown to size.
     fn forward_in(&self, x: MatView<'_>, out: &mut Matrix, patches: &mut Matrix) {
         assert_eq!(
@@ -130,14 +141,14 @@ impl Conv2d {
             x.cols(),
             self.geom.input_len()
         );
-        let positions = self.geom.out_positions();
+        let (patch_len, positions) = (self.geom.patch_len(), self.geom.out_positions());
         out.reset(x.rows(), self.out_c * positions);
-        size_workspace(patches, self.geom.patch_len(), positions);
+        let image_cols = self.geom.image_len().div_ceil(patch_len);
+        size_workspace(patches, patch_len, positions.max(image_cols));
         for (i, sample) in x.iter_rows().enumerate() {
-            im2col_into(sample, &self.geom, patches.as_mut_slice());
             let product = MatViewMut::new(self.out_c, positions, out.row_mut(i))
                 .expect("an output row is out_c * positions long");
-            self.kernels.as_view().matmul_into(patches.as_view(), product);
+            self.kernels.as_view().conv_into(sample, &self.geom, patches.as_mut_slice(), product);
             for (channel, &b) in out.row_mut(i).chunks_exact_mut(positions).zip(self.bias.row(0)) {
                 for v in channel {
                     *v += b;
@@ -149,13 +160,13 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    /// The forward body with its lowered sample in `ws`.
+    /// The forward body with its bordered sample in `ws`.
     fn infer_into(&self, x: MatView<'_>, out: &mut Matrix, ws: &mut Workspace) {
         self.forward_in(x, out, ws.scratch(|| Matrix::zeros(0, 0)));
     }
 
     /// The forward body with the layer's own workspace, which backward
-    /// lowers into too. Allocates nothing once `out`, the workspace and
+    /// lowers into. Allocates nothing once `out`, the workspace and
     /// (under `train`) the cache have grown to size.
     fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
         let mut patches = std::mem::replace(&mut self.patches, Matrix::zeros(0, 0));
@@ -170,7 +181,7 @@ impl Layer for Conv2d {
     }
 
     /// From `∂L/∂K = 0` and `∂L/∂b = 0`, per sample: `δ`, the sample
-    /// lowered again, `∂L/∂K += δ·patchesᵀ` ([`MatView::matmul_t_into`])
+    /// lowered ([`im2col_into`]), `∂L/∂K += δ·patchesᵀ` ([`MatView::matmul_t_into`])
     /// and `∂L/∂b +=` the per-channel sums of `δ`; and — only for a caller
     /// that reads `∂L/∂input` —
     /// `∂L/∂patches = Kᵀ·δ` ([`MatView::t_matmul_into`]) scattered back by
@@ -381,6 +392,58 @@ mod tests {
         assert_eq!(used.grad_bias, fresh.grad_bias);
     }
 
+    /// The forward as it was lowered: per sample `im2col_into`, `kernels ×
+    /// patches` ([`MatView::matmul_into`]) and the bias, then the
+    /// activation — the oracle of the direct forward.
+    fn lowered_forward(conv: &Conv2d, x: &Matrix) -> Matrix {
+        let positions = conv.geom.out_positions();
+        let mut patches = Matrix::zeros(conv.geom.patch_len(), positions);
+        let mut out = Matrix::zeros(x.rows(), conv.output_dim());
+        for i in 0..x.rows() {
+            im2col_into(x.row(i), &conv.geom, patches.as_mut_slice());
+            let product = MatViewMut::new(conv.out_c, positions, out.row_mut(i)).unwrap();
+            conv.kernels.as_view().matmul_into(patches.as_view(), product);
+            for (channel, &b) in out.row_mut(i).chunks_exact_mut(positions).zip(conv.bias.row(0)) {
+                channel.iter_mut().for_each(|v| *v += b);
+            }
+        }
+        conv.activation.apply_inplace(&mut out);
+        out
+    }
+
+    /// A forward after a backward on the same layer, whose workspace then
+    /// holds backward's patches, and an inference in a workspace another
+    /// geometry's layer left dirty, against [`lowered_forward`] bit for
+    /// bit: 3×3 at pad 1 and 2 (the image fits in the patch workspace),
+    /// and a 1×1 kernel and a stride past the kernel (the workspace grows
+    /// to hold it), at thread budgets 1 and 2.
+    #[test]
+    fn a_forward_in_a_dirty_workspace_matches_the_lowered_forward() {
+        let mut rng = OrcoRng::from_label("conv-direct-dirty", 0);
+        let mut ws = Workspace::default();
+        for (in_c, kernel, stride, pad) in [(3, 3, 1, 1), (16, 3, 2, 2), (2, 1, 1, 0), (2, 2, 3, 1)]
+        {
+            let mut conv =
+                Conv2d::new(in_c, 7, 9, 9, kernel, stride, pad, Activation::Tanh, &mut rng);
+            conv.bias = Matrix::from_fn(1, 9, |_, c| c as f32 * 0.1 - 0.4);
+            let (inputs, outputs) = (conv.input_dim(), conv.output_dim());
+            let x = Matrix::from_fn(3, inputs, |r, c| ((r * 7 + c) as f32 * 0.01).sin());
+            let served = Matrix::from_fn(2, inputs, |r, c| ((r * 3 + c) as f32 * 0.02).cos());
+            let grad = Matrix::from_fn(3, outputs, |r, c| ((r + c) as f32 * 0.05).cos());
+            let want = bits_of(&lowered_forward(&conv, &served));
+            for threads in [1, 2] {
+                orco_tensor::parallel::with_thread_budget(threads, || {
+                    let _ = conv.forward(&x, true);
+                    let _ = conv.backward(&grad);
+                    assert_eq!(bits_of(&conv.forward(&served, false)), want, "{:?}", conv.geom);
+                    let mut out = Matrix::zeros(0, 0);
+                    conv.infer_into(served.as_view(), &mut out, &mut ws);
+                    assert_eq!(bits_of(&out), want, "{:?} in a shared workspace", conv.geom);
+                });
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "Conv2d::backward: no training-mode forward")]
     fn backward_after_only_an_inference_forward_panics() {
@@ -388,6 +451,17 @@ mod tests {
         let mut conv = Conv2d::new(1, 3, 3, 1, 2, 1, 0, Activation::Identity, &mut rng);
         let _ = conv.forward(&Matrix::ones(2, 9), false);
         let _ = conv.backward(&Matrix::ones(2, 4));
+    }
+
+    /// Training's speed moved with the heap state a fresh model leaves
+    /// (ROADMAP item 18: 8 more bytes of `Dense` read 0.79× on DCSNet's
+    /// rounds, and a forward whose workspace was sized to the bordered
+    /// image alone 0.73×): a new field is paid for by a field that
+    /// shrinks.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_layer_keeps_its_size() {
+        assert_eq!(std::mem::size_of::<Conv2d>(), 464);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Lowering of 2-D convolutions to matrix products.
+//! Lowering of 2-D convolutions to matrix products, and the geometry the
+//! direct forward shares.
 //!
 //! [`im2col`] unrolls every receptive field of an input image into one
 //! column of a patch matrix, so a convolution becomes a single GEMM with the
@@ -9,12 +10,24 @@
 //! reuses from sample to sample; [`im2col`] is a fresh buffer around its
 //! body.
 //!
+//! Only a convolution's backward pass lowers: `∂K = δ·patchesᵀ` reads the
+//! patch matrix, and `∂patches = Kᵀ·δ` is scattered by [`col2im_into`]. The
+//! forward, [`crate::MatView::conv_into`], reads each tap's pixels from a
+//! zero-bordered copy of the image where they lie, in the same order and
+//! with the same bits as `kernels · im2col(x)`, and builds no patch matrix.
+//!
 //! The pair satisfies the adjoint identity
 //! `⟨im2col(x), p⟩ = ⟨x, col2im(p)⟩`, which the property tests in this
 //! module exercise — that identity is exactly what makes the convolution
 //! backward pass correct.
 
 use crate::matrix::Matrix;
+
+/// Floats after the last phase plane of a bordered image
+/// ([`Conv2dGeom::image_len`]): a register tile reads whole strips of
+/// columns, and the strip of a row's last output may run up to 15 floats
+/// past the plane's end. The lanes it reads there are never stored.
+pub(crate) const IMAGE_SLACK: usize = 16;
 
 /// Geometry of a 2-D convolution: input extent, kernel, stride and padding.
 ///
@@ -101,10 +114,36 @@ impl Conv2dGeom {
         self.in_c * self.in_h * self.in_w
     }
 
+    /// Floats of the zero-bordered image [`crate::MatView::conv_into`]
+    /// copies a sample into: `in_c · stride²` phase planes, each the
+    /// padded rows and columns of one phase of the stride — one plane a
+    /// channel at stride 1 — and 16 floats of slack after them.
+    #[must_use]
+    pub fn image_len(&self) -> usize {
+        let (rows, cols) = self.plane_shape();
+        self.in_c * self.stride * self.stride * rows * cols + IMAGE_SLACK
+    }
+
+    /// `(rows, cols)` of one phase plane of the bordered image: plane
+    /// `(kh mod stride, kw mod stride)` of a channel holds the padded
+    /// rows and columns of that phase, so a tap `(kh, kw)` reads output
+    /// row `y`'s pixels at plane row `y + kh / stride`, columns from `kw /
+    /// stride` on, side by side. At stride 1 the one plane is the padded
+    /// channel.
+    pub(crate) fn plane_shape(&self) -> (usize, usize) {
+        let (hp, wp) = (self.in_h + 2 * self.pad, self.in_w + 2 * self.pad);
+        (hp.div_ceil(self.stride), wp.div_ceil(self.stride))
+    }
+
     /// The outputs `o` along one axis whose tap `k_off` reads a real
     /// pixel — `0 <= o·stride + k_off − pad < in_extent` — as `(first,
     /// end)`; `first == end` when the tap only ever sees padding.
-    fn valid_outputs(&self, k_off: usize, in_extent: usize, out_extent: usize) -> (usize, usize) {
+    pub(crate) fn valid_outputs(
+        &self,
+        k_off: usize,
+        in_extent: usize,
+        out_extent: usize,
+    ) -> (usize, usize) {
         let end = (in_extent + self.pad).saturating_sub(k_off).div_ceil(self.stride);
         let end = end.min(out_extent);
         (self.pad.saturating_sub(k_off).div_ceil(self.stride).min(end), end)

@@ -9,9 +9,9 @@
 //!
 //! The `_into` kernels ([`MatView::matmul_into`],
 //! [`MatView::t_matmul_into`], [`MatView::matmul_t_into`] and its
-//! pre-packed twin [`MatView::matmul_panels_into`],
-//! [`MatView::matvec_into`], [`MatView::t_matvec_into`]) are the one
-//! body of each product: the
+//! pre-packed twin [`MatView::matmul_panels_into`], the convolution
+//! forward [`MatView::conv_into`], [`MatView::matvec_into`],
+//! [`MatView::t_matvec_into`]) are the one body of each product: the
 //! allocating [`Matrix`] products are a fresh matrix plus one call of
 //! them, so results are bit-identical to the owning API at any thread
 //! count, while the output lands in a buffer the caller reuses across
@@ -29,10 +29,12 @@
 //! of `out` are visited and how often a factor is re-packed may be retuned
 //! freely; the per-element order, the step and the zero rule may not — the
 //! unit tests hold all three products bitwise to scalar oracles that spell
-//! this out.
+//! this out, and the convolution to `im2col` then `matmul`.
 //!
-//! All three are one register-blocked micro-kernel under one driver
-//! (Goto & van de Geijn's GEMM):
+//! All four are one register-blocked micro-kernel under three drivers:
+//! `gemm` and `gemm_own_rows` (Goto & van de Geijn's GEMM: the first packs
+//! `B`, the second each thread's own rows of `A`) and `direct_conv`, which
+//! reads a factor where it lies instead of materialising it:
 //!
 //! - **The register tile.** A tile of `out` — 4 rows × 16 columns under
 //!   AVX2, 2 × 16 under SSE2, 8 vector registers either way — is held in
@@ -68,6 +70,16 @@
 //!   so its rows stay cached while the panels pass; each slab re-packs the
 //!   small `B`. Panel-outer over the whole block, every row would take 64
 //!   bytes per panel and be evicted before the next.
+//! - **The convolution reads its image in place.** `conv_into` is
+//!   `kernels · im2col(x)` with no patch matrix and no panel (Dukhan's
+//!   indirect convolution, 2019; Zhang, Franchetti & Low's direct one,
+//!   2018): the sample is copied once into a zero-bordered image — at
+//!   stride `s`, `s × s` phase planes, so every tap reads contiguous
+//!   columns — whose scan for a non-finite value rides in the copy, and a
+//!   stack table of tap offsets makes row `kk` of `B`, for one output row
+//!   and strip of columns, a strip of that image. A finite sample takes
+//!   every term, as a finite panel does. The same terms, order, step and
+//!   zero rule as `matmul`, so the same bits; backward still lowers.
 //! - **Stored, not accumulated.** A tile starts its first panel at `+0.0`,
 //!   reloads what it stored before a later one, and stores its result:
 //!   `out` is written, never added to, so nobody zeroes it first (a `k = 0`
@@ -94,6 +106,7 @@
 use std::ops::Range;
 
 use crate::error::TensorError;
+use crate::im2col::{Conv2dGeom, IMAGE_SLACK};
 use crate::matrix::Matrix;
 
 /// Columns of one strip: two vectors of the target, i.e. 16 under AVX2
@@ -120,6 +133,9 @@ const GEMM_PANEL_STRIPS: usize = GEMM_TILE_STRIPS / GEMM_ROW_TILE;
 /// the stack (16 KB), which stays in L1 while every row tile of the block
 /// streams past it.
 const GEMM_PANEL_K: usize = 256;
+
+// A bordered image's slack covers the strip of a row's last output.
+const _: () = assert!(IMAGE_SLACK >= GEMM_COL_TILE);
 
 /// Minimum rows a worker thread must own before the GEMM kernels
 /// parallelize; below this the spawn overhead dominates.
@@ -740,10 +756,149 @@ fn outer<const ZERO_RULE: bool>(lhs: impl Lhs, b: &[f32], out: &mut [f32]) {
 /// exponent field: integer compares OR-ed together, a scan that vectorises
 /// under SSE2 too.
 fn has_non_finite(panel: &[PanelRow]) -> bool {
-    const EXPONENT: u32 = 0x7f80_0000;
     let values = panel.as_flattened().as_flattened();
-    let non_finite = |v: &f32| u32::from(v.to_bits() & EXPONENT == EXPONENT);
-    values.iter().fold(0, |any, v| any | non_finite(v)) != 0
+    values.iter().fold(0, |any, &v| any | non_finite(v)) != 0
+}
+
+/// 1 if `v` is ±inf or NaN, i.e. has an all-ones exponent field, else 0.
+#[inline(always)]
+fn non_finite(v: f32) -> u32 {
+    const EXPONENT: u32 = 0x7f80_0000;
+    u32::from(v.to_bits() & EXPONENT == EXPONENT)
+}
+
+/// The direct convolution driver: `out[m × positions]` (one sample's
+/// output, row-major, `m` output channels) is written, not accumulated
+/// into, as `kernels · im2col(sample)`, reading each tap's pixels from
+/// `image`, the sample's bordered copy ([`bordered_copy`]), where they lie
+/// (Dukhan's indirect convolution; Zhang, Franchetti & Low's direct one).
+/// Row-parallel over output channels like [`gemm`]; each block is one run
+/// of [`direct_block`].
+fn direct_conv<const ZERO_RULE: bool>(
+    kernels: ByRow<'_>,
+    geom: &Conv2dGeom,
+    image: &[f32],
+    out: &mut [f32],
+) {
+    let positions = geom.out_positions();
+    crate::parallel::for_each_row_block(
+        out,
+        positions,
+        GEMM_MIN_ROWS_PER_THREAD,
+        |first, block| {
+            direct_block::<ZERO_RULE>(kernels, geom, image, first, block);
+        },
+    );
+}
+
+/// Output channels `first_row..` of [`direct_conv`]'s `out`, `block`
+/// (whole channels). Per `GEMM_PANEL_K` taps (`k` ascending), a stack
+/// table holds each tap's offset in `image`; for every row tile of
+/// channels, output row `y` and strip of up to `GEMM_COL_TILE` outputs
+/// from `x0`, row `kk` of `B` is then the strip `image[y·cols + x0 +
+/// taps[kk]..]`, read where it lies ([`row_tile`], one strip wide). No
+/// patch matrix is built and no panel is packed; an element takes the
+/// same terms in the same order as `matmul`, from `+0.0`, reloaded
+/// between slices, so the same bits. The table is read, not recomputed:
+/// an iterator that derived each offset from the last ran 1.5–2.0× slower
+/// than im2col and `matmul`.
+fn direct_block<const ZERO_RULE: bool>(
+    kernels: ByRow<'_>,
+    geom: &Conv2dGeom,
+    image: &[f32],
+    first_row: usize,
+    block: &mut [f32],
+) {
+    let (k, s, patch_len) = (geom.kernel, geom.stride, geom.patch_len());
+    let (oh, ow) = (geom.out_h(), geom.out_w());
+    let positions = oh * ow;
+    let (rows, cols) = geom.plane_shape();
+    // Tap `(c, kh, kw)` reads plane `(c, kh mod s, kw mod s)` from row
+    // `kh / s`, column `kw / s` on: `(c·rows + kh)·cols + kw` at stride 1.
+    let tap = |t: usize| {
+        let (c, kh, kw) = (t / (k * k), t / k % k, t % k);
+        ((c * s + kh % s) * s + kw % s) * rows * cols + kh / s * cols + kw / s
+    };
+    let mut table = [0; GEMM_PANEL_K];
+    for k0 in (0..patch_len).step_by(GEMM_PANEL_K) {
+        let kb = GEMM_PANEL_K.min(patch_len - k0);
+        for (t, offset) in table[..kb].iter_mut().enumerate() {
+            *offset = tap(k0 + t);
+        }
+        let taps = &table[..kb];
+        let channels = block.len() / positions;
+        for i in (0..channels).step_by(GEMM_ROW_TILE) {
+            for y in 0..oh {
+                for x0 in (0..ow).step_by(GEMM_COL_TILE) {
+                    let (image, nb) = (&image[y * cols + x0..], GEMM_COL_TILE.min(ow - x0));
+                    let o = &mut block[i * positions + y * ow + x0..];
+                    macro_rules! tile {
+                        ($r:literal) => {{
+                            let avs = kernels.panel::<$r>(first_row + i, k0, kb);
+                            let bvs = taps.iter().map(|&offset| {
+                                std::array::from_ref(image[offset..].first_chunk().expect("slack"))
+                            });
+                            let (reload, n) = (k0 > 0, positions);
+                            row_tile::<$r, 1, $r, ZERO_RULE, false>(avs, bvs, reload, o, n, nb);
+                        }};
+                    }
+                    match (channels - i).min(GEMM_ROW_TILE) {
+                        1 => tile!(1),
+                        2 => tile!(2),
+                        3 => tile!(3),
+                        _ => tile!(4),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Copies `sample` (`in_c × in_h × in_w`) into `image` as
+/// [`Conv2dGeom::image_len`] lays it out — per channel, `stride²` phase
+/// planes of the zero-padded channel, then slack — writing every float,
+/// border zeros included, so `image` may be dirty. Returns whether the
+/// sample holds a non-finite value, found by the OR of [`non_finite`] in
+/// the copy's own loop: at stride 1 each row is one contiguous copy, which
+/// vectorises with its scan.
+#[inline(never)]
+fn bordered_copy(sample: &[f32], geom: &Conv2dGeom, image: &mut [f32]) -> bool {
+    #[inline(always)]
+    fn copy_row<'a>(dst: &mut [f32], src: impl Iterator<Item = &'a f32>) -> u32 {
+        dst.iter_mut().zip(src).fold(0, |any, (d, &v)| {
+            *d = v;
+            any | non_finite(v)
+        })
+    }
+    let (in_h, in_w, s, pad) = (geom.in_h, geom.in_w, geom.stride, geom.pad);
+    let (rows, cols) = geom.plane_shape();
+    let (planes, slack) = image.split_at_mut(geom.in_c * s * s * rows * cols);
+    slack.fill(0.0);
+    let mut any = 0;
+    for (p, plane) in planes.chunks_exact_mut(rows * cols).enumerate() {
+        let (c, rh, rw) = (p / (s * s), p / s % s, p % s);
+        let (i0, i1) = geom.valid_outputs(rh, in_h, rows);
+        let (j0, j1) = geom.valid_outputs(rw, in_w, cols);
+        if i0 == i1 || j0 == j1 {
+            plane.fill(0.0);
+            continue;
+        }
+        plane[..i0 * cols].fill(0.0);
+        plane[i1 * cols..].fill(0.0);
+        let channel = &sample[c * in_h * in_w..][..in_h * in_w];
+        for (i, row) in plane.chunks_exact_mut(cols).enumerate().take(i1).skip(i0) {
+            let src = &channel[(i * s + rh - pad) * in_w..][j0 * s + rw - pad..in_w];
+            row[..j0].fill(0.0);
+            row[j1..].fill(0.0);
+            let dst = &mut row[j0..j1];
+            any |= if s == 1 {
+                copy_row(dst, src.iter())
+            } else {
+                copy_row(dst, src.iter().step_by(s))
+            };
+        }
+    }
+    any != 0
 }
 
 // ----------------------------------------------------------------------
@@ -985,6 +1140,48 @@ impl<'a> MatView<'a> {
         gemm::<false>(ByRow { a: self.data, k }, Rhs::Packed(panels), k, n, out.data);
     }
 
+    /// `out = self · im2col(sample)` without the patch matrix: `self` is a
+    /// convolution's `(out_c, patch_len)` kernel matrix and `out` the
+    /// sample's `(out_c, out_positions)` output, fully overwritten. The
+    /// sample is copied, zero-bordered, into the front of `image` (dirty is
+    /// fine; it needs [`Conv2dGeom::image_len`] floats), and each tap's
+    /// pixels are read from there: bit-identical to `im2col_into` then
+    /// [`MatView::matmul_into`], zero rule included, at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample` is not `geom.input_len()` long, `self.cols()`
+    /// is not `geom.patch_len()`, `out` is not `self.rows() ×
+    /// geom.out_positions()` or `image` is shorter than
+    /// `geom.image_len()`.
+    pub fn conv_into(
+        &self,
+        sample: &[f32],
+        geom: &Conv2dGeom,
+        image: &mut [f32],
+        out: MatViewMut<'_>,
+    ) {
+        assert_eq!(sample.len(), geom.input_len(), "conv_into: sample length mismatch");
+        assert_eq!(self.cols, geom.patch_len(), "conv_into: kernels are not patch_len wide");
+        assert!(
+            out.shape() == (self.rows, geom.out_positions()),
+            "conv_into: out is {}x{}, need {}x{}",
+            out.rows,
+            out.cols,
+            self.rows,
+            geom.out_positions()
+        );
+        let image = &mut image[..geom.image_len()];
+        let kernels = ByRow { a: self.data, k: self.cols };
+        // The zero rule drops only a term whose pixel is ±inf or NaN, so a
+        // finite sample takes every term, as a finite panel does.
+        if bordered_copy(sample, geom, image) {
+            direct_conv::<true>(kernels, geom, image, out.data);
+        } else {
+            direct_conv::<false>(kernels, geom, image, out.data);
+        }
+    }
+
     /// `out = self · v`, the body of [`Matrix::matvec`]: each element the
     /// sum `matmul_t` forms, from `+0.0` in ascending column order, one
     /// step a term.
@@ -1202,9 +1399,9 @@ mod tests {
 
     /// The codecs' dominant shapes, the backward products' (`Conv2d`
     /// 16→16 `∂patches`, the DCSNet encoder's `∂W`, and its last layer's
-    /// `∂patches`, a `k = 1` outer product), DCSNet's three conv
-    /// forward products (`m = cout`: 16, 8 and 1 rows — the last read in
-    /// place), shapes one off each edge of the register tile (`m` 1, 2, 3
+    /// `∂patches`, a `k = 1` outer product), the im2col products that
+    /// the conv oracle forms at DCSNet's three layers (`m = cout`: 16, 8
+    /// and 1 rows — the last read in place), shapes one off each edge of the register tile (`m` 1, 2, 3
     /// and `GEMM_ROW_TILE + 1`, `n` one off the strip width), of the panel
     /// (`k` one off one and two panels, so later panels reload), blocks of
     /// one row tile read in place with a later panel and columns left over
@@ -1376,6 +1573,107 @@ mod tests {
                 |rows, cols| Matrix::from_fn(rows, cols, |_, _| rng.uniform(-1.0, 1.0));
             let (a, b, at, bt) = (random(m, k), random(k, n), random(k, m), random(n, k));
             check_kernel_contract(&a, &b, &at, &bt, &mut panels);
+        }
+    }
+
+    /// Holds [`MatView::conv_into`] to its oracle, `im2col_into` then
+    /// `matmul_into`, bit for bit at thread budgets 1, 2 and 4, each call
+    /// into an output and an image buffer full of NaN: a float the driver
+    /// does not write, border or slack, shows.
+    fn check_conv(kernels: &Matrix, sample: &[f32], geom: &Conv2dGeom, what: &str) {
+        let positions = geom.out_positions();
+        let mut patches = Matrix::zeros(geom.patch_len(), positions);
+        crate::im2col_into(sample, geom, patches.as_mut_slice());
+        let mut want = Matrix::zeros(kernels.rows(), positions);
+        kernels.as_view().matmul_into(patches.as_view(), want.as_view_mut());
+        for threads in [1, 2, 4] {
+            crate::parallel::with_thread_budget(threads, || {
+                let mut image = vec![f32::NAN; geom.image_len() + 3];
+                let mut out = Matrix::filled(kernels.rows(), positions, f32::NAN);
+                kernels.as_view().conv_into(sample, geom, &mut image, out.as_view_mut());
+                assert_bitwise(&out, &want, &format!("{what}, {geom:?}, at {threads} threads"));
+            });
+        }
+    }
+
+    /// Kernels of `out_c` rows for `geom`, one weight in five exactly zero.
+    fn conv_kernels(rng: &mut crate::OrcoRng, out_c: usize, geom: &Conv2dGeom) -> Matrix {
+        Matrix::from_fn(out_c, geom.patch_len(), |r, c| {
+            if (r + c) % 5 == 0 {
+                0.0
+            } else {
+                rng.uniform(-1.0, 1.0)
+            }
+        })
+    }
+
+    /// Kernel 1, 2, 3 and 5 by pad 0, 1 and 2 by stride 1, 2 and 3, each
+    /// at output widths 5, 14, 16, 17, 28, 32 and 33 — a ragged last strip,
+    /// one-strip rows and strips that end on a row — with the output
+    /// channels cycling through 1–5, 8, 16 and 17, so every row-tile
+    /// remainder and, at 17 over two threads, a block starting mid-tile.
+    #[test]
+    fn the_direct_conv_matches_im2col_then_matmul_on_every_geometry() {
+        const OUT_C: [usize; 8] = [1, 2, 3, 4, 5, 8, 16, 17];
+        let mut rng = crate::OrcoRng::from_label("direct-conv", 0);
+        let mut case = 0;
+        for kernel in [1, 2, 3, 5] {
+            for pad in [0, 1, 2] {
+                for stride in [1, 2, 3] {
+                    for out_w in [5, 14, 16, 17, 28, 32, 33] {
+                        let in_w = (out_w - 1) * stride + kernel - 2 * pad;
+                        let in_h = kernel.max(3 + case % 3);
+                        let geom = Conv2dGeom::new(1 + case % 2, in_h, in_w, kernel, stride, pad);
+                        assert_eq!(geom.out_w(), out_w);
+                        let kernels = conv_kernels(&mut rng, OUT_C[case % OUT_C.len()], &geom);
+                        let sample: Vec<f32> =
+                            (0..geom.input_len()).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                        check_conv(&kernels, &sample, &geom, "geometry");
+                        case += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// 32 channels at 3×3: a patch of 288 taps spans two table slices, so
+    /// every tile reloads what the first slice stored.
+    #[test]
+    fn the_direct_conv_reloads_across_table_slices() {
+        let mut rng = crate::OrcoRng::from_label("direct-conv-deep", 0);
+        for (stride, out_c) in [(1, 16), (1, 5), (2, 3)] {
+            let geom = Conv2dGeom::new(32, 9, 18, 3, stride, 1);
+            assert!(geom.patch_len() > GEMM_PANEL_K);
+            let kernels = conv_kernels(&mut rng, out_c, &geom);
+            let sample: Vec<f32> = (0..geom.input_len()).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            check_conv(&kernels, &sample, &geom, "two slices");
+        }
+    }
+
+    /// A NaN pixel in channel 0 and a ±inf pixel in channel 1, each under
+    /// a zero weight and under a non-zero one: output channel `o` zeroes
+    /// channel 0's weights when `o` is even and channel 1's when `o / 2`
+    /// is even, so the four channels cover every pairing. `matmul`'s zero
+    /// rule leaves a zero weight's outputs finite.
+    #[test]
+    fn the_direct_conv_keeps_the_zero_rule() {
+        let mut rng = crate::OrcoRng::from_label("direct-conv-non-finite", 0);
+        for (stride, infinity) in [(1, f32::INFINITY), (2, f32::NEG_INFINITY)] {
+            let geom = Conv2dGeom::new(2, 9, 10, 3, stride, 1);
+            let taps = geom.patch_len() / 2;
+            let kernels = Matrix::from_fn(8, geom.patch_len(), |o, t| {
+                let zero = if t < taps { o % 2 == 0 } else { o / 2 % 2 == 0 };
+                if zero {
+                    0.0
+                } else {
+                    rng.uniform(-1.0, 1.0)
+                }
+            });
+            let mut sample: Vec<f32> =
+                (0..geom.input_len()).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            sample[4 * 10 + 5] = f32::NAN;
+            sample[90 + 2 * 10 + 3] = infinity;
+            check_conv(&kernels, &sample, &geom, "non-finite pixels");
         }
     }
 

@@ -199,9 +199,12 @@ fn steady_state_split_round_allocates_only_what_crosses_the_wire() {
 /// max-pool → dense on MNIST-sized frames at batch 16; a dense `784 → 128`
 /// at batch 32, whose training forward packs the batch's rows of `x·Wᵀ`
 /// rather than `Wᵀ` (the classifier's 10-output dense does not, nor does
-/// its 8-channel conv's `∂K`); and DCSNet's dense `784 → 1024` encoder at
+/// its 8-channel conv's `∂K`); DCSNet's dense `784 → 1024` encoder at
 /// batch 32, whose forward packs its 32 rows as one group of panels and
-/// whose 3.2 MB `∂W` is written in row slabs. Each on a thread budget of 1: once
+/// whose 3.2 MB `∂W` is written in row slabs; and DCSNet's `Conv2d(16 →
+/// 16)` on 32×32 at batch 32, whose direct forward copies each sample
+/// into the front of the workspace its backward lowers into. Each on a
+/// thread budget of 1: once
 /// a warm-up step has grown the layers' caches and workspaces, the model's
 /// ping-pong buffers and Adam's moments, a step's forward, backward (the
 /// pool routing its gradient to the conv) and clipped update each make
@@ -217,16 +220,27 @@ fn steady_state_conv_pool_dense_step_allocates_nothing() {
     dense.push(Dense::new(784, 128, Activation::Sigmoid, &mut rng));
     let mut encoder = Sequential::new();
     encoder.push(Dense::new(784, 1024, Activation::Sigmoid, &mut rng));
-    let models = [("classifier", classifier, 16), ("dense", dense, 32), ("encoder", encoder, 32)];
+    let mut conv = Sequential::new();
+    conv.push(Conv2d::new(16, 32, 32, 16, 3, 1, 1, Activation::Relu, &mut rng));
+    let models = [
+        ("classifier", classifier, 16),
+        ("dense", dense, 32),
+        ("encoder", encoder, 32),
+        ("dcsnet conv", conv, 32),
+    ];
     for (name, mut model, batch) in models {
-        let dataset = mnist_like::generate(batch, 3);
+        let inputs = model.input_dim().expect("a non-empty model");
+        let dataset = match inputs {
+            784 => mnist_like::generate(batch, 3).x().clone(),
+            _ => Matrix::from_fn(batch, inputs, |r, c| ((r * 31 + c) as f32 * 0.01).sin()),
+        };
         let outputs = model.output_dim().expect("a non-empty model");
         let grad = Matrix::from_fn(batch, outputs, |r, c| (r * 10 + c) as f32 * 1e-3 - 0.05);
         let mut opt = Optimizer::adam(1e-3).with_grad_clip(5.0);
         let mut out = Matrix::zeros(0, 0);
         let mut step = || {
             let (forward, ()) =
-                allocations_during(|| model.forward_into(dataset.x().as_view(), &mut out, true));
+                allocations_during(|| model.forward_into(dataset.as_view(), &mut out, true));
             let (backward, ()) = allocations_during(|| model.backward_into(grad.as_view(), None));
             let (update, ()) = allocations_during(|| opt.step(|f| model.for_each_param(f)));
             [forward, backward, update]
