@@ -127,8 +127,11 @@ mod tests {
         let mut crop = Crop2d::new(1, 5, 3);
         let x = Matrix::from_fn(1, 25, |_, c| ((c * 13 % 7) as f32) - 3.0);
         let g = Matrix::from_fn(1, 9, |_, c| ((c * 5 % 11) as f32) - 5.0);
-        let lhs = crop.forward(&x, false).dot(&g);
-        let rhs = x.dot(&crop.backward(&g));
+        let dot = |a: &Matrix, b: &Matrix| -> f32 {
+            a.as_slice().iter().zip(b.as_slice()).map(|(p, q)| p * q).sum()
+        };
+        let lhs = dot(&crop.forward(&x, false), &g);
+        let rhs = dot(&x, &crop.backward(&g));
         assert!((lhs - rhs).abs() < 1e-4);
     }
 
@@ -137,7 +140,7 @@ mod tests {
         let mut crop = Crop2d::new(2, 5, 3);
         let g = Matrix::from_fn(3, 18, |r, c| ((r * 18 + c) as f32 * 0.3).sin());
         let want = crop.backward(&g);
-        let mut grad_in = Matrix::filled(2, 3, f32::NAN);
+        let mut grad_in = Matrix::from_fn(2, 3, |_, _| f32::NAN);
         for _ in 0..2 {
             crop.backward_into(g.as_view(), Some(&mut grad_in));
             assert_eq!(grad_in, want);

@@ -333,7 +333,7 @@ mod tests {
         ];
         for (kind, ds) in cases {
             let mut codec = ClassicalCodec::new(kind, 32, CsSolver::Omp { sparsity: 8 }, 0);
-            let mut codes = Matrix::filled(1, 1, f32::NAN);
+            let mut codes = Matrix::from_fn(1, 1, |_, _| f32::NAN);
             codec.encode_batch(ds.x().as_view(), &mut codes).unwrap();
             let hw = codec.pixels_per_channel();
             for r in 0..ds.len() {

@@ -70,14 +70,17 @@ mod tests {
     /// Image → coefficients through `Ψᵀ` (Ψ is orthonormal, so its
     /// transpose is the analysis transform).
     fn analyse(dct: &Dct2, img: &[f32]) -> Vec<f32> {
-        dct.synthesis_matrix().transpose().matvec(img)
+        let mut coeffs = vec![0.0; img.len()];
+        dct.synthesis_matrix().t_matvec_into(img, &mut coeffs);
+        coeffs
     }
 
     #[test]
     fn basis_is_orthonormal() {
         let dct = Dct2::new(8);
-        let eye = dct.basis.matmul_t(&dct.basis);
-        assert!(eye.approx_eq(&Matrix::identity(8), 1e-5));
+        let eye = dct.basis.matmul(&dct.basis.transpose());
+        let identity = Matrix::from_fn(8, 8, |r, c| if r == c { 1.0 } else { 0.0 });
+        assert!(eye.max_abs_diff(&identity) <= 1e-5);
     }
 
     #[test]
@@ -118,7 +121,8 @@ mod tests {
         let dct = Dct2::new(4);
         let psi = dct.synthesis_matrix();
         let coeffs: Vec<f32> = (0..16).map(|i| (i as f32 * 0.3).cos()).collect();
-        let via_matrix = psi.matvec(&coeffs);
+        let mut via_matrix = vec![0.0; 16];
+        psi.matvec_into(&coeffs, &mut via_matrix);
         let via_inverse = dct.inverse(&coeffs);
         for (a, b) in via_matrix.iter().zip(&via_inverse) {
             assert!((a - b).abs() < 1e-4);

@@ -138,8 +138,9 @@ mod tests {
         let mut ws = IstaScratch::default();
         let l = lipschitz_estimate(a, LIPSCHITZ_POWER_ITERS);
         ista_reconstruct_with(a, l, y, config, &mut ws);
-        let rnorm =
-            a.matvec(&ws.theta).iter().zip(y).map(|(ai, yi)| (yi - ai).powi(2)).sum::<f32>().sqrt();
+        let mut ax = vec![0.0; a.rows()];
+        a.matvec_into(&ws.theta, &mut ax);
+        let rnorm = ax.iter().zip(y).map(|(ai, yi)| (yi - ai).powi(2)).sum::<f32>().sqrt();
         (ws.theta, rnorm)
     }
 
@@ -153,7 +154,8 @@ mod tests {
         for i in [3usize, 27, 55, 90].iter().take(k) {
             theta[*i] = 1.0 + (*i as f32) * 0.01;
         }
-        let y = a.matvec(&theta);
+        let mut y = vec![0.0; a.rows()];
+        a.matvec_into(&theta, &mut y);
         let (coefficients, residual_norm) =
             solve(&a, &y, &IstaConfig { lambda: 0.005, max_iters: 2000, tol: 1e-7 });
         for (i, (rec, truth)) in coefficients.iter().zip(&theta).enumerate() {
@@ -181,7 +183,8 @@ mod tests {
         }
         let err_for_m = |m: usize, rng: &mut OrcoRng| -> f32 {
             let a = Matrix::from_fn(m, n, |_, _| rng.normal(0.0, (1.0 / m as f32).sqrt()));
-            let y = a.matvec(&theta);
+            let mut y = vec![0.0; a.rows()];
+            a.matvec_into(&theta, &mut y);
             let (coefficients, _) =
                 solve(&a, &y, &IstaConfig { lambda: 0.005, max_iters: 1500, tol: 1e-7 });
             coefficients.iter().zip(&theta).map(|(a, b)| (a - b).powi(2)).sum::<f32>().sqrt()
@@ -205,7 +208,7 @@ mod tests {
         let a = Matrix::from_fn(20, 50, |_, _| rng.normal(0.0, 0.2));
         let l = lipschitz_estimate(&a, 40);
         // L must be ≥ the largest column norm² of A.
-        let col_norms = (0..50).map(|c| a.col_iter(c).map(|v| v * v).sum::<f32>());
+        let col_norms = (0..50).map(|c| a.col(c).iter().map(|v| v * v).sum::<f32>());
         let max_col = col_norms.fold(0.0, |m, v| if v > m { v } else { m });
         assert!(l >= max_col * 0.99, "L={l} max_col={max_col}");
     }

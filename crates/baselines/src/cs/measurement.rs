@@ -57,7 +57,9 @@ impl GaussianMeasurement {
     #[cfg(test)]
     #[must_use]
     pub(crate) fn measure(&self, x: &[f32]) -> Vec<f32> {
-        self.phi.matvec(x)
+        let mut y = vec![0.0; self.phi.rows()];
+        self.phi.matvec_into(x, &mut y);
+        y
     }
 }
 

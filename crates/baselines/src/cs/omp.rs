@@ -150,8 +150,9 @@ mod tests {
     /// One solve on a fresh scratch: `(θ, ‖Aθ − y‖)`.
     fn solve(a: &Matrix, y: &[f32], k: usize) -> (Vec<f32>, f32) {
         let theta = omp_reconstruct_with(a, y, k, &mut OmpScratch::default());
-        let rnorm =
-            a.matvec(&theta).iter().zip(y).map(|(ai, yi)| (yi - ai).powi(2)).sum::<f32>().sqrt();
+        let mut ax = vec![0.0; a.rows()];
+        a.matvec_into(&theta, &mut ax);
+        let rnorm = ax.iter().zip(y).map(|(ai, yi)| (yi - ai).powi(2)).sum::<f32>().sqrt();
         (theta, rnorm)
     }
 
@@ -168,7 +169,8 @@ mod tests {
         theta[7] = 2.0;
         theta[33] = -1.5;
         theta[61] = 0.8;
-        let y = a.matvec(&theta);
+        let mut y = vec![0.0; a.rows()];
+        a.matvec_into(&theta, &mut y);
         let (coefficients, residual_norm) = solve(&a, &y, 3);
         assert_eq!(support(&coefficients), vec![7, 33, 61]);
         for (rec, truth) in coefficients.iter().zip(&theta) {
@@ -186,7 +188,8 @@ mod tests {
         for i in [5usize, 20, 40, 70] {
             theta[i] = 1.0;
         }
-        let y = a.matvec(&theta);
+        let mut y = vec![0.0; a.rows()];
+        a.matvec_into(&theta, &mut y);
         let (_, full) = solve(&a, &y, 4);
         let (_, starved) = solve(&a, &y, 1);
         assert!(starved > full * 5.0);

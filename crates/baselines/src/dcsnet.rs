@@ -282,7 +282,7 @@ mod tests {
             let mut net = Dcsnet::new(kind, 3);
             let codes = Matrix::from_fn(2, DCSNET_LATENT_DIM, |r, c| ((r * 31 + c) as f32).sin());
             let reference = net.edge_decode_train(&codes);
-            let mut out = Matrix::filled(1, 1, f32::NAN); // dirty reused buffer
+            let mut out = Matrix::from_fn(1, 1, |_, _| f32::NAN); // dirty reused buffer
             net.decode_batch(codes.as_view(), &mut out).unwrap();
             assert_eq!(out, reference, "{kind:?}");
         }

@@ -79,30 +79,6 @@ impl AsymmetricAutoencoder {
             loss: config.loss(),
         })
     }
-
-    /// The encoder's weight matrix, shaped `(M, N)` — the object distributed
-    /// column-wise to IoT devices (§III-C).
-    ///
-    #[must_use]
-    pub fn encoder_weight(&self) -> &Matrix {
-        self.halves.encoder.weight()
-    }
-
-    /// The encoder's bias row vector, shaped `(1, M)`.
-    #[must_use]
-    pub fn encoder_bias(&self) -> &Matrix {
-        self.halves.encoder.bias()
-    }
-
-    /// Overwrites the encoder's parameters (applying a reassembled or
-    /// remotely updated encoder).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes do not match `(M, N)` / `(1, M)`.
-    pub fn set_encoder_parts(&mut self, weight: Matrix, bias: Matrix) {
-        self.halves.encoder.set_parts(weight, bias);
-    }
 }
 
 impl SplitModel for AsymmetricAutoencoder {
@@ -211,7 +187,8 @@ mod tests {
     use orco_datasets::DatasetKind;
 
     fn tiny_config() -> OrcoConfig {
-        OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_learning_rate(0.1)
+        let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16);
+        OrcoConfig { learning_rate: 0.1, ..cfg }
     }
 
     /// The inference encode, through the `Codec` data plane.
@@ -277,7 +254,7 @@ mod tests {
             let lb = b.train_batch_local(ds.x(), &loss);
             assert_eq!(la, lb);
         }
-        assert_eq!(a.encoder_weight(), b.encoder_weight());
+        assert_eq!(a.halves.encoder.weight(), b.halves.encoder.weight());
     }
 
     #[test]
@@ -301,7 +278,7 @@ mod tests {
     #[test]
     fn encoder_weight_shape_matches_distribution_needs() {
         let ae = AsymmetricAutoencoder::new(&tiny_config()).unwrap();
-        assert_eq!(ae.encoder_weight().shape(), (16, 784));
-        assert_eq!(ae.encoder_bias().shape(), (1, 16));
+        assert_eq!(ae.halves.encoder.weight().shape(), (16, 784));
+        assert_eq!(ae.halves.encoder.bias().shape(), (1, 16));
     }
 }

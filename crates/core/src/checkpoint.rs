@@ -339,7 +339,7 @@ mod tests {
     fn restore_refuses_a_non_finite_encoder() {
         let mut ae = trained_ae();
         let ckpt = EncoderCheckpoint::capture(ae.halves(), "diverged");
-        let before = ae.encoder_weight().clone();
+        let before = ae.halves().encoder.weight().clone();
         let mut nan_weight = ckpt.clone();
         nan_weight.weight[(0, 3)] = f32::NAN;
         let mut inf_bias = ckpt;
@@ -349,7 +349,8 @@ mod tests {
                 bad.restore(ae.halves_mut()).expect_err("a non-finite encoder must not restore");
             assert!(err.to_string().contains("non-finite"), "unexpected error: {err}");
         }
-        assert_eq!(ae.encoder_weight(), &before, "a refused restore leaves the encoder as it was");
+        let after = ae.halves().encoder.weight();
+        assert_eq!(after, &before, "a refused restore leaves the encoder as it was");
     }
 
     #[test]

@@ -124,11 +124,11 @@ impl Default for TrainSpec {
     }
 }
 
-/// Selects a random `fraction` of a design matrix's rows — the matrix-level
-/// twin of `orco_datasets::split::fraction`, drawing the same index sample
-/// from the given RNG. At least one row is always kept, so tiny datasets
-/// with small fractions degrade to a 1-sample subset instead of panicking
-/// mid-experiment.
+/// Selects a random `fraction` of a design matrix's rows (the paper's
+/// DCSNet-`x`% training subsets), `round(rows · fraction)` of them drawn
+/// by `OrcoRng::sample_indices`. At least one row is always kept, so tiny
+/// datasets with small fractions degrade to a 1-sample subset instead of
+/// panicking mid-experiment.
 ///
 /// # Panics
 ///
@@ -422,10 +422,8 @@ mod tests {
     use orco_datasets::{mnist_like, DatasetKind};
 
     fn tiny_codec() -> AsymmetricAutoencoder {
-        let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike)
-            .with_latent_dim(16)
-            .with_learning_rate(0.1);
-        AsymmetricAutoencoder::new(&cfg).unwrap()
+        let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16);
+        AsymmetricAutoencoder::new(&OrcoConfig { learning_rate: 0.1, ..cfg }).unwrap()
     }
 
     #[test]
@@ -476,15 +474,15 @@ mod tests {
     }
 
     #[test]
-    fn fraction_rows_matches_dataset_split() {
-        // Same RNG stream → fraction_rows picks the same rows as
-        // orco_datasets::split::fraction.
-        let ds = mnist_like::generate(20, 3);
-        let mut a = OrcoRng::from_label("frac-eq", 0);
-        let mut b = OrcoRng::from_label("frac-eq", 0);
-        let via_matrix = fraction_rows(ds.x(), 0.4, &mut a);
-        let via_dataset = orco_datasets::split::fraction(&ds, 0.4, &mut b);
-        assert_eq!(&via_matrix, via_dataset.x());
+    fn fraction_rows_keeps_its_share_and_is_deterministic_per_seed() {
+        let ds = mnist_like::generate(100, 3);
+        for (fraction, rows) in [(0.3, 30), (0.5, 50), (0.7, 70), (1.0, 100)] {
+            let mut rng = OrcoRng::from_label("frac", 0);
+            assert_eq!(fraction_rows(ds.x(), fraction, &mut rng).rows(), rows);
+        }
+        let pick = |label: &str| fraction_rows(ds.x(), 0.4, &mut OrcoRng::from_label(label, 0));
+        assert_eq!(pick("frac-eq"), pick("frac-eq"));
+        assert_ne!(pick("frac-eq"), pick("frac-other"));
     }
 
     #[test]

@@ -116,13 +116,6 @@ impl OrcoConfig {
         self
     }
 
-    /// Sets the learning rate.
-    #[must_use]
-    pub fn with_learning_rate(mut self, lr: f32) -> Self {
-        self.learning_rate = lr;
-        self
-    }
-
     /// Sets the RNG seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -182,18 +175,6 @@ impl OrcoConfig {
         Ok(())
     }
 
-    /// Bytes of one latent vector on the wire (f32 elements).
-    #[must_use]
-    pub fn latent_bytes(&self) -> u64 {
-        (self.latent_dim * 4) as u64
-    }
-
-    /// Bytes of one raw sample on the wire (f32 elements).
-    #[must_use]
-    pub fn sample_bytes(&self) -> u64 {
-        (self.input_dim * 4) as u64
-    }
-
     /// Compression ratio `N / M`.
     #[must_use]
     pub fn compression_ratio(&self) -> f32 {
@@ -223,7 +204,6 @@ mod tests {
             .with_noise_variance(0.3)
             .with_epochs(3)
             .with_batch_size(16)
-            .with_learning_rate(0.01)
             .with_seed(9);
         assert_eq!(cfg.latent_dim, 256);
         assert_eq!(cfg.decoder_layers, 5);
@@ -253,10 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn byte_helpers() {
+    fn compression_ratio_is_n_over_m() {
         let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike);
-        assert_eq!(cfg.latent_bytes(), 512);
-        assert_eq!(cfg.sample_bytes(), 3136);
         assert!((cfg.compression_ratio() - 6.125).abs() < 1e-6);
     }
 }

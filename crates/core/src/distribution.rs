@@ -7,8 +7,9 @@
 //! the bias and applies the activation after the partial sums arrive.
 //!
 //! [`EncoderColumns`] slices a trained encoder into per-device shares,
-//! computes per-device contributions, folds partial sums along the chain,
-//! and can reassemble the full matrix (used to verify the broadcast).
+//! computes per-device contributions and folds partial sums along the
+//! chain. The `environmental_monitoring` example runs it on a trained
+//! encoder and checks the folded latent against the codec's own encode.
 
 use orco_nn::Activation;
 use orco_tensor::Matrix;
@@ -28,8 +29,10 @@ use crate::error::OrcoError;
 /// let b = Matrix::from_vec(1, 2, vec![0.1, -0.2])?;
 /// let columns = EncoderColumns::split(&w, &b);
 /// assert_eq!(columns.num_devices(), 3);
-/// assert_eq!(columns.reassemble(), (w, b));
-/// # Ok::<(), orco_tensor::TensorError>(())
+/// // The chain visits device 2, then 0, then 1: W·x arrives at the aggregator.
+/// let partial = columns.chain_partial_sum(&[1.0, 2.0, 3.0], &[2, 0, 1])?;
+/// assert_eq!(partial, vec![7.0, 0.5]);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncoderColumns {
@@ -84,21 +87,37 @@ impl EncoderColumns {
     /// # Errors
     ///
     /// Returns [`OrcoError::Config`] if `readings.len()` differs from the
-    /// number of devices or the order references an invalid device.
+    /// number of devices, or if `order` does not visit every device exactly
+    /// once (it repeats one, omits one or names one out of range).
     pub fn chain_partial_sum(
         &self,
         readings: &[f32],
         order: &[usize],
     ) -> Result<Vec<f32>, OrcoError> {
-        if readings.len() != self.num_devices() {
+        let n = self.num_devices();
+        if readings.len() != n {
             return Err(OrcoError::Config {
-                detail: format!("expected {} readings, got {}", self.num_devices(), readings.len()),
+                detail: format!("expected {n} readings, got {}", readings.len()),
             });
         }
+        if order.len() != n {
+            return Err(OrcoError::Config {
+                detail: format!(
+                    "chain order visits {} devices, expected each of {n} once",
+                    order.len()
+                ),
+            });
+        }
+        let mut visited = vec![false; n];
         let mut acc = vec![0.0f32; self.latent_dim];
         for &i in order {
-            if i >= self.num_devices() {
+            if i >= n {
                 return Err(OrcoError::Config { detail: format!("device index {i} out of range") });
+            }
+            if std::mem::replace(&mut visited[i], true) {
+                return Err(OrcoError::Config {
+                    detail: format!("chain order visits device {i} twice"),
+                });
             }
             for (a, c) in acc.iter_mut().zip(self.contribution(i, readings[i])) {
                 *a += c;
@@ -114,21 +133,6 @@ impl EncoderColumns {
         assert_eq!(partial_sum.len(), self.latent_dim, "partial sum length mismatch");
         partial_sum.iter().zip(&self.bias).map(|(s, b)| Activation::Sigmoid.apply(s + b)).collect()
     }
-
-    /// Reassembles the full `(M, N)` weight matrix and `(1, M)` bias —
-    /// verification that a broadcast distributed every coefficient.
-    #[must_use]
-    pub fn reassemble(&self) -> (Matrix, Matrix) {
-        let m = self.latent_dim;
-        let n = self.num_devices();
-        let mut w = Matrix::zeros(m, n);
-        for (i, col) in self.columns.iter().enumerate() {
-            for (j, &v) in col.iter().enumerate() {
-                w.set(j, i, v);
-            }
-        }
-        (w, Matrix::row_vector(&self.bias))
-    }
 }
 
 #[cfg(test)]
@@ -142,15 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn split_reassemble_roundtrip() {
-        let (w, b) = sample_encoder();
-        let cols = EncoderColumns::split(&w, &b);
-        let (w2, b2) = cols.reassemble();
-        assert_eq!(w, w2);
-        assert_eq!(b, b2);
-    }
-
-    #[test]
     fn distributed_encoding_matches_centralized() {
         let (w, b) = sample_encoder();
         let cols = EncoderColumns::split(&w, &b);
@@ -160,12 +155,10 @@ mod tests {
             let partial = cols.chain_partial_sum(&readings, &order).unwrap();
             let latent = cols.finish_at_aggregator(&partial);
             // Centralized: σ(W·x + b).
-            let central: Vec<f32> = w
-                .matvec(&readings)
-                .iter()
-                .zip(b.row(0))
-                .map(|(s, bb)| Activation::Sigmoid.apply(s + bb))
-                .collect();
+            let mut wx = vec![0.0; 4];
+            w.matvec_into(&readings, &mut wx);
+            let central: Vec<f32> =
+                wx.iter().zip(b.row(0)).map(|(s, bb)| Activation::Sigmoid.apply(s + bb)).collect();
             for (d, c) in latent.iter().zip(&central) {
                 assert!((d - c).abs() < 1e-5, "distributed {d} vs centralized {c}");
             }

@@ -23,7 +23,6 @@ use orco_wsn::{DeploymentBackend, Network, NetworkConfig, PacketKind};
 use crate::autoencoder::AsymmetricAutoencoder;
 use crate::compression::GradCompression;
 use crate::config::OrcoConfig;
-use crate::distribution::EncoderColumns;
 use crate::error::OrcoError;
 use crate::history::{RoundStats, TrainingHistory};
 use crate::split::SplitModel;
@@ -83,27 +82,6 @@ impl Orchestrator<AsymmetricAutoencoder> {
     pub fn new(config: OrcoConfig, net_config: NetworkConfig) -> Result<Self, OrcoError> {
         let autoencoder = AsymmetricAutoencoder::new(&config)?;
         Ok(Self::with_model(autoencoder, config, net_config))
-    }
-}
-
-impl<D: DeploymentBackend> Orchestrator<AsymmetricAutoencoder, D> {
-    // ------------------------------------------------------------------
-    // §III-C: distribution + compressed aggregation (OrcoDCS-specific:
-    // only the one-dense-layer encoder can be distributed column-wise)
-    // ------------------------------------------------------------------
-
-    /// Splits the trained encoder into per-device columns and broadcasts
-    /// them over the sensor network ("a single round of broadcast").
-    ///
-    /// Returns the shares and the elapsed simulated seconds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transmission failures.
-    pub fn distribute_encoder(&mut self) -> Result<(EncoderColumns, f64), OrcoError> {
-        let columns = EncoderColumns::split(self.model.encoder_weight(), self.model.encoder_bias());
-        let t = self.network.broadcast_encoder_columns(columns.column_bytes())?;
-        Ok((columns, t))
     }
 }
 
@@ -309,14 +287,15 @@ impl<M: SplitModel, D: DeploymentBackend> Orchestrator<M, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution::EncoderColumns;
     use orco_datasets::{mnist_like, DatasetKind};
 
     fn tiny_setup(devices: usize) -> Orchestrator {
         let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike)
             .with_latent_dim(16)
             .with_epochs(2)
-            .with_batch_size(8)
-            .with_learning_rate(0.1);
+            .with_batch_size(8);
+        let cfg = OrcoConfig { learning_rate: 0.1, ..cfg };
         let net = NetworkConfig { num_devices: devices, seed: 1, ..Default::default() };
         Orchestrator::new(cfg, net).unwrap()
     }
@@ -371,7 +350,7 @@ mod tests {
             let l_local = local.train_batch_local(ds.x(), &loss);
             assert_eq!(l_orch, l_local, "orchestrated and local losses must match");
         }
-        assert_eq!(orch.model().encoder_weight(), local.encoder_weight());
+        assert_eq!(orch.model().halves().encoder.weight(), local.halves().encoder.weight());
     }
 
     #[test]
@@ -389,7 +368,9 @@ mod tests {
         let mut orch = tiny_setup(8);
         let ds = mnist_like::generate(8, 4);
         let _ = orch.train_round(ds.x()).unwrap();
-        let (columns, t_dist) = orch.distribute_encoder().unwrap();
+        let encoder = &orch.model().halves().encoder;
+        let columns = EncoderColumns::split(encoder.weight(), encoder.bias());
+        let t_dist = orch.network_mut().broadcast_encoder_columns(columns.column_bytes()).unwrap();
         assert_eq!(columns.num_devices(), 784);
         assert!(t_dist > 0.0);
     }

@@ -368,7 +368,8 @@ impl ExperimentBuilder {
 
     /// Persists the codec's distributable parameters to a rolling
     /// [`CheckpointStore`] rooted at `dir` after initial training and after
-    /// every monitor-triggered retrain.
+    /// every monitor-triggered retrain, keeping the latest `capacity`
+    /// (non-zero, or [`ExperimentBuilder::build`] refuses).
     #[must_use]
     pub fn checkpoints(mut self, dir: impl Into<PathBuf>, capacity: usize) -> Self {
         self.checkpoints = Some((dir.into(), capacity));
@@ -380,8 +381,8 @@ impl ExperimentBuilder {
     /// # Errors
     ///
     /// Returns [`OrcoError::Config`] when `dataset`/`codec` are missing or
-    /// any knob is inconsistent (dimension mismatch, empty dataset,
-    /// orchestrated mode on a codec without a split model, …).
+    /// any knob is inconsistent (dimension mismatch, orchestrated mode on a
+    /// codec without a split model, a checkpoint store of capacity 0, …).
     pub fn build(self) -> Result<Experiment, OrcoError> {
         let config_err = |detail: String| OrcoError::Config { detail };
         let dataset = self
@@ -389,9 +390,6 @@ impl ExperimentBuilder {
             .ok_or_else(|| config_err("ExperimentBuilder: dataset is required".into()))?;
         let mut codec =
             self.codec.ok_or_else(|| config_err("ExperimentBuilder: codec is required".into()))?;
-        if dataset.is_empty() {
-            return Err(config_err("ExperimentBuilder: dataset is empty".into()));
-        }
         if codec.input_dim() != dataset.x().cols() {
             return Err(config_err(format!(
                 "codec expects {}-dim frames, dataset has {}-dim samples",
@@ -426,6 +424,9 @@ impl ExperimentBuilder {
                 }
             }
         };
+        if matches!(self.checkpoints, Some((_, 0))) {
+            return Err(config_err("checkpoint capacity must be non-zero".into()));
+        }
         let probe_n = self.probe_n.unwrap_or(64).max(1);
         let store = self.checkpoints.map(|(dir, capacity)| CheckpointStore::new(dir, capacity));
         Ok(Experiment {
@@ -818,11 +819,9 @@ mod tests {
 
     fn tiny_builder(n: usize, seed: u64) -> (Dataset, ExperimentBuilder) {
         let ds = mnist_like::generate(n, seed);
-        let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike)
-            .with_latent_dim(16)
-            .with_batch_size(8)
-            .with_learning_rate(0.1);
-        let codec = AsymmetricAutoencoder::new(&cfg).unwrap();
+        let cfg =
+            OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_batch_size(8);
+        let codec = AsymmetricAutoencoder::new(&OrcoConfig { learning_rate: 0.1, ..cfg }).unwrap();
         let builder = ExperimentBuilder::new().dataset(&ds).codec(codec).epochs(2).batch_size(8);
         (ds, builder)
     }
@@ -893,9 +892,6 @@ mod tests {
         // Missing dataset.
         let codec = AsymmetricAutoencoder::new(&cfg).unwrap();
         assert!(ExperimentBuilder::new().codec(codec).build().is_err());
-        // Empty dataset.
-        let codec = AsymmetricAutoencoder::new(&cfg).unwrap();
-        assert!(ExperimentBuilder::new().dataset(&ds.subset(&[])).codec(codec).build().is_err());
         // Dimension mismatch.
         let gtsrb_cfg = OrcoConfig::for_dataset(DatasetKind::GtsrbLike);
         let codec = AsymmetricAutoencoder::new(&gtsrb_cfg).unwrap();
@@ -908,6 +904,18 @@ mod tests {
             .data_fraction(0.0)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn builder_refuses_a_checkpoint_store_of_capacity_zero() {
+        let (_ds, builder) = tiny_builder(4, 4);
+        let dir = std::env::temp_dir().join("orcodcs-never-created");
+        let err = builder.checkpoints(&dir, 0).build().map(|_| ()).expect_err("capacity 0 refused");
+        assert!(
+            matches!(&err, OrcoError::Config { detail } if detail.contains("capacity")),
+            "{err}"
+        );
+        assert!(!dir.exists(), "a refused build creates no store");
     }
 
     #[test]
@@ -947,7 +955,7 @@ mod tests {
         let (_ds, builder) = tiny_builder(8, 8);
         let mut exp = builder.monitor(FineTuneMonitor::new(1e-9, 1)).build().unwrap();
         let _ = exp.run().unwrap();
-        let overflow = Matrix::filled(8, 784, f32::MAX);
+        let overflow = Matrix::from_fn(8, 784, |_, _| f32::MAX);
         let err = exp.observe(&overflow).expect_err("an overflowing batch diverges");
         assert!(matches!(err, OrcoError::Diverged { round: 0 }), "unexpected error: {err}");
         assert!(exp.network().is_some(), "the deployment must survive a failed retrain");

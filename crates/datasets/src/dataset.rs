@@ -128,20 +128,6 @@ impl Dataset {
         self.x.row(i)
     }
 
-    /// A new dataset containing the selected rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    #[must_use]
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            kind: self.kind,
-            x: self.x.select_rows(indices),
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
-        }
-    }
-
     /// Replaces the design matrix (drift, or a codec's reconstructions
     /// standing in for the samples), keeping labels.
     ///
@@ -176,16 +162,6 @@ mod tests {
         assert_eq!(ds.len(), 3);
         assert_eq!(ds.labels()[1], 5);
         assert_eq!(ds.sample(0).len(), 784);
-    }
-
-    #[test]
-    fn subset_selects_rows() {
-        let x = Matrix::from_fn(4, 784, |r, _| r as f32);
-        let ds = Dataset::new(DatasetKind::MnistLike, x, vec![0, 1, 2, 3]);
-        let sub = ds.subset(&[3, 1]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.labels(), &[3, 1]);
-        assert_eq!(sub.sample(0)[0], 3.0);
     }
 
     #[test]

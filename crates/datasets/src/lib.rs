@@ -19,10 +19,10 @@
 //! and emit a [`Dataset`]: a design matrix with one flattened sample per
 //! row (the layout every other crate consumes) plus integer labels.
 //!
-//! Supporting modules: `raster` (tiny software rasterizer), [`split`]
-//! (train/test and fractional subsets — DCSNet-30/50/70% in the paper's
-//! Figure 5), and [`drift`] (environment-change simulation driving the
-//! paper's §III-D fine-tuning monitor).
+//! Supporting modules: `raster` (tiny software rasterizer) and [`drift`]
+//! (environment-change simulation driving the paper's §III-D fine-tuning
+//! monitor). The DCSNet-30/50/70% subsets of the paper's Figure 5 are
+//! drawn by `orcodcs::codec::fraction_rows`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +34,5 @@ mod raster;
 pub mod drift;
 pub mod gtsrb_like;
 pub mod mnist_like;
-pub mod split;
 
 pub use dataset::{Dataset, DatasetKind};

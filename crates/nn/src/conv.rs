@@ -298,7 +298,7 @@ mod tests {
         let x = Matrix::from_vec(1, 9, (1..=9).map(|v| v as f32).collect()).unwrap();
         let y = conv.forward(&x, true);
         // 2x2 means over the four quadrants of the 3x3 image.
-        assert!(y.approx_eq(&Matrix::from_vec(1, 4, vec![3.0, 4.0, 6.0, 7.0]).unwrap(), 1e-5));
+        assert!(y.max_abs_diff(&Matrix::from_vec(1, 4, vec![3.0, 4.0, 6.0, 7.0]).unwrap()) <= 1e-5);
     }
 
     #[test]
@@ -307,10 +307,10 @@ mod tests {
         let mut conv = Conv2d::new(2, 5, 5, 3, 3, 1, 1, Activation::Sigmoid, &mut rng);
         let x = Matrix::from_fn(2, 2 * 25, |r, c| ((r * 7 + c) as f32 * 0.01).sin());
         let y = conv.forward(&x, true);
-        let gi = conv.backward(&Matrix::ones(2, y.cols()));
+        let gi = conv.backward(&Matrix::from_fn(2, y.cols(), |_, _| 1.0));
         assert_eq!(gi.shape(), x.shape());
         let (gk, gb) = (conv.grad_kernels.clone(), conv.grad_bias.clone());
-        let _ = conv.backward(&Matrix::ones(2, y.cols()));
+        let _ = conv.backward(&Matrix::from_fn(2, y.cols(), |_, _| 1.0));
         assert_eq!((&conv.grad_kernels, &conv.grad_bias), (&gk, &gb));
     }
 
@@ -371,8 +371,8 @@ mod tests {
     fn backward_on_another_batch_size_than_the_kept_forward_panics() {
         let mut rng = OrcoRng::from_label("conv-stale", 0);
         let mut conv = Conv2d::new(1, 3, 3, 1, 2, 1, 0, Activation::Identity, &mut rng);
-        let _ = conv.forward(&Matrix::ones(2, 9), true);
-        let _ = conv.backward(&Matrix::ones(3, 4));
+        let _ = conv.forward(&Matrix::from_fn(2, 9, |_, _| 1.0), true);
+        let _ = conv.backward(&Matrix::from_fn(3, 4, |_, _| 1.0));
     }
 
     #[test]
@@ -384,7 +384,7 @@ mod tests {
         let large = Matrix::from_fn(5, 60, |r, c| ((r * 7 + c) as f32 * 0.02).sin());
         let grad = Matrix::from_fn(5, fresh.output_dim(), |r, c| ((r + 3 * c) as f32 * 0.04).sin());
         let _ = used.forward(&small, true);
-        let _ = used.backward(&Matrix::ones(2, fresh.output_dim()));
+        let _ = used.backward(&Matrix::from_fn(2, fresh.output_dim(), |_, _| 1.0));
         let mut fresh = fresh;
         assert_eq!(used.forward(&large, true), fresh.forward(&large, true));
         assert_eq!(used.backward(&grad), fresh.backward(&grad));
@@ -449,8 +449,8 @@ mod tests {
     fn backward_after_only_an_inference_forward_panics() {
         let mut rng = OrcoRng::from_label("conv-no-train", 0);
         let mut conv = Conv2d::new(1, 3, 3, 1, 2, 1, 0, Activation::Identity, &mut rng);
-        let _ = conv.forward(&Matrix::ones(2, 9), false);
-        let _ = conv.backward(&Matrix::ones(2, 4));
+        let _ = conv.forward(&Matrix::from_fn(2, 9, |_, _| 1.0), false);
+        let _ = conv.backward(&Matrix::from_fn(2, 4, |_, _| 1.0));
     }
 
     /// Training's speed moved with the heap state a fresh model leaves

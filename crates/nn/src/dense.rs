@@ -293,7 +293,7 @@ mod tests {
         let x = Matrix::from_vec(1, 3, vec![2.0, 4.0, 6.0]).unwrap();
         let y = layer.forward(&x, true);
         // [2-6+0.1, 1+2+3-0.1] = [-3.9, 5.9]
-        assert!(y.approx_eq(&Matrix::from_vec(1, 2, vec![-3.9, 5.9]).unwrap(), 1e-5));
+        assert!(y.max_abs_diff(&Matrix::from_vec(1, 2, vec![-3.9, 5.9]).unwrap()) <= 1e-5);
     }
 
     #[test]
@@ -302,7 +302,7 @@ mod tests {
         let mut layer = Dense::new(5, 3, Activation::Sigmoid, &mut rng);
         let x = Matrix::from_fn(4, 5, |r, c| (r + c) as f32 * 0.1);
         let _ = layer.forward(&x, true);
-        let grad_in = layer.backward(&Matrix::ones(4, 3));
+        let grad_in = layer.backward(&Matrix::from_fn(4, 3, |_, _| 1.0));
         assert_eq!(grad_in.shape(), (4, 5));
         let params = layer.params();
         assert_eq!(params[0].grad.shape(), (3, 5));
@@ -337,7 +337,7 @@ mod tests {
             let mut layer = Dense::new(7, 4, activation, &mut rng);
             let x = Matrix::from_fn(9, 7, |r, c| ((r * 11 + c) as f32 * 0.13).sin());
             let reference = layer.forward(&x, false);
-            let mut out = Matrix::filled(1, 1, f32::NAN); // dirty reused buffer
+            let mut out = Matrix::from_fn(1, 1, |_, _| f32::NAN); // dirty reused buffer
             for r in 0..x.rows() {
                 layer.forward_into(MatView::from_row(x.row(r)), &mut out, false);
                 assert_eq!(out.row(0), reference.row(r), "{activation:?} row {r}");
@@ -384,8 +384,8 @@ mod tests {
     fn backward_after_only_an_inference_forward_panics() {
         let mut rng = OrcoRng::from_label("dense-no-train", 0);
         let mut layer = Dense::new(4, 2, Activation::Identity, &mut rng);
-        let _ = layer.forward(&Matrix::ones(3, 4), false);
-        let _ = layer.backward(&Matrix::ones(3, 2));
+        let _ = layer.forward(&Matrix::from_fn(3, 4, |_, _| 1.0), false);
+        let _ = layer.backward(&Matrix::from_fn(3, 2, |_, _| 1.0));
     }
 
     #[test]
@@ -415,7 +415,7 @@ mod tests {
 
         // An optimizer step, on panels an inference has just built.
         let mut opt = crate::Optimizer::adam(0.05);
-        let _ = layer.backward(&Matrix::ones(5, 21));
+        let _ = layer.backward(&Matrix::from_fn(5, 21, |_, _| 1.0));
         opt.step(|f| layer.for_each_param(f));
         assert_inference_matches_training(&mut layer, &x, "after a step");
 
@@ -425,7 +425,7 @@ mod tests {
 
         // `set_parts`.
         let w = Matrix::from_fn(21, 37, |r, c| ((r + 3 * c) as f32 * 0.11).cos());
-        layer.set_parts(w, Matrix::filled(1, 21, 0.25));
+        layer.set_parts(w, Matrix::from_fn(1, 21, |_, _| 0.25));
         assert_inference_matches_training(&mut layer, &x, "after set_parts");
     }
 
@@ -467,7 +467,7 @@ mod tests {
     fn set_parts_replaces_weights() {
         let mut rng = OrcoRng::from_label("dense-set", 0);
         let mut layer = Dense::new(2, 2, Activation::Identity, &mut rng);
-        let w = Matrix::identity(2);
+        let w = Matrix::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
         let b = Matrix::zeros(1, 2);
         layer.set_parts(w.clone(), b);
         let x = Matrix::from_vec(1, 2, vec![3.0, -4.0]).unwrap();

@@ -221,7 +221,7 @@ pub(crate) mod tests {
         let (mut whole, mut skipped, mut dirty) =
             (layer.clone_box(), layer.clone_box(), layer.clone_box());
         let _ = dirty.forward(&x.slice_rows(0..1), true);
-        let mut grad_in = Matrix::filled(2, 3, f32::NAN);
+        let mut grad_in = Matrix::from_fn(2, 3, |_, _| f32::NAN);
         dirty.backward_into(grad.view_rows(0..1), Some(&mut grad_in));
         for l in [&mut whole, &mut skipped, &mut dirty] {
             let _ = l.forward(x, true);

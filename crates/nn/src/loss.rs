@@ -215,7 +215,7 @@ mod tests {
             let analytic = loss.grad(&pred, &target);
             let numeric = fd_grad(&loss, &pred, &target);
             assert!(
-                analytic.approx_eq(&numeric, 2e-2),
+                analytic.max_abs_diff(&numeric) <= 2e-2,
                 "{loss:?}: analytic {analytic} vs numeric {numeric}"
             );
         }
@@ -230,7 +230,7 @@ mod tests {
         let loss = Loss::SoftmaxCrossEntropy;
         let analytic = loss.grad(&pred, &target);
         let numeric = fd_grad(&loss, &pred, &target);
-        assert!(analytic.approx_eq(&numeric, 2e-2));
+        assert!(analytic.max_abs_diff(&numeric) <= 2e-2);
     }
 
     #[test]

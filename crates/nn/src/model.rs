@@ -342,7 +342,7 @@ mod tests {
             }
             let reference = model.forward(&x, true);
             // A dirty, wrongly-shaped reused buffer.
-            let mut out = Matrix::filled(1, 1, f32::NAN);
+            let mut out = Matrix::from_fn(1, 1, |_, _| f32::NAN);
             for _ in 0..2 {
                 model.forward_into(x.as_view(), &mut out, false);
                 assert_eq!(out, reference, "depth {depth}");
@@ -406,7 +406,7 @@ mod tests {
         // Buffers a smaller batch has used, and a dirty, wrongly-shaped `grad_in`.
         let (_, small_x, small_grad) = mixed_stack(2);
         let _ = whole.forward(&small_x, true);
-        let mut grad_in = Matrix::filled(2, 3, f32::NAN);
+        let mut grad_in = Matrix::from_fn(2, 3, |_, _| f32::NAN);
         whole.backward_into(small_grad.as_view(), Some(&mut grad_in));
 
         let _ = whole.forward(&x, true);

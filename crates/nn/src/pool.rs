@@ -194,8 +194,8 @@ mod tests {
     #[should_panic(expected = "MaxPool2d::backward: no training-mode forward")]
     fn backward_after_only_an_inference_forward_panics() {
         let mut pool = MaxPool2d::new(1, 2, 2, 2);
-        let _ = pool.forward(&Matrix::ones(1, 4), false);
-        let _ = pool.backward(&Matrix::ones(1, 1));
+        let _ = pool.forward(&Matrix::from_fn(1, 4, |_, _| 1.0), false);
+        let _ = pool.backward(&Matrix::from_fn(1, 1, |_, _| 1.0));
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //!   codec the last activation replaced, on regression; [`rollout_one`]
 //!   surfaces the final state in the returned
 //!   [`orco_serve::VersionInfo`].
-//! * **Staged fleets** — [`rollout_staged`] walks a fleet one gateway at
-//!   a time, aborting on the first refusal so a bad version never
-//!   reaches the whole fleet.
+//! * **Staged fleets** — `rollout_storm`'s controller (below) walks a
+//!   fleet one gateway at a time, staging then activating on each, and
+//!   halts the run on the first refusal so a bad version never reaches
+//!   the whole fleet.
 //!
 //! The `scenarios` module adds `rollout_storm` to the chaos gauntlet:
 //! the shared fleet cast of `orco_fleet::scenarios` (3 gateways over
@@ -127,39 +128,4 @@ pub fn rollout_one<C: Connection>(
         });
     }
     Ok(info)
-}
-
-/// Rolls `version` out across a fleet **one gateway at a time**, in
-/// slice order, aborting on the first gateway that refuses or rolls
-/// back — a bad version stops at the first canary instead of reaching
-/// the whole fleet.
-///
-/// Returns the per-gateway [`VersionInfo`] in rollout order on success.
-///
-/// # Errors
-///
-/// As [`rollout_one`]; the error names the gateway index it stopped at,
-/// and earlier gateways are left serving the new version (roll forward
-/// or rely on their rollback guards — this helper never auto-reverts).
-pub fn rollout_staged<C: Connection>(
-    clients: &mut [Client<C>],
-    version: &ModelVersion,
-    checkpoint: &EncoderCheckpoint,
-) -> Result<Vec<VersionInfo>, OrcoError> {
-    let mut states = Vec::with_capacity(clients.len());
-    for (i, client) in clients.iter_mut().enumerate() {
-        match rollout_one(client, version.clone(), checkpoint) {
-            Ok(info) => states.push(info),
-            Err(e) => {
-                return Err(OrcoError::Config {
-                    detail: format!(
-                        "staged rollout of version {} halted at gateway {i}/{}: {e}",
-                        version.id,
-                        clients.len()
-                    ),
-                });
-            }
-        }
-    }
-    Ok(states)
 }

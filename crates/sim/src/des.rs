@@ -45,12 +45,6 @@ impl SimSpec {
     pub fn ideal() -> Self {
         Self::default()
     }
-
-    /// A spec with the given scenario on otherwise-ideal parameters.
-    #[must_use]
-    pub fn with_scenario(scenario: Scenario) -> Self {
-        Self { params: SimParams::ideal(), scenario }
-    }
 }
 
 /// Why a transfer finished.
@@ -130,7 +124,7 @@ enum RoundState {
 /// use orco_sim::{DesNetwork, Scenario, SimSpec};
 /// use orco_wsn::{DeploymentBackend, NetworkConfig, PacketKind};
 ///
-/// let spec = SimSpec::with_scenario(Scenario::new().kill_at(1_000.0, 0));
+/// let spec = SimSpec { scenario: Scenario::new().kill_at(1_000.0, 0), ..SimSpec::ideal() };
 /// let mut des =
 ///     DesNetwork::new(NetworkConfig { num_devices: 8, ..Default::default() }, spec);
 /// let d = des.devices()[1];

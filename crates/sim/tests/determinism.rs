@@ -21,10 +21,11 @@ type Digest = (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64);
 
 fn digest(des: &(impl DeploymentBackend + ?Sized)) -> Digest {
     let stats = des.accounting().link_stats();
+    let nodes = des.devices().iter().copied().chain([des.aggregator(), des.edge()]);
     (
         des.now_s().to_bits(),
         des.accounting().total_tx_bytes(),
-        des.accounting().total_rx_bytes(),
+        nodes.map(|id| des.accounting().node(id).rx_bytes).sum(),
         des.accounting().total_tx_energy_j().to_bits(),
         stats.delivered_packets,
         stats.dropped_packets,
@@ -162,7 +163,10 @@ fn wait_interleaves_scenario_actions_with_spawned_events() {
     // t = 3 both sit inside one wait window. The burst must be granted
     // with the world as scripted at t = 1 (device alive), not with the
     // later kill pre-applied.
-    let spec = SimSpec::with_scenario(Scenario::new().burst_at(1.0, 2, 64, 4).kill_at(3.0, 2));
+    let spec = SimSpec {
+        scenario: Scenario::new().burst_at(1.0, 2, 64, 4).kill_at(3.0, 2),
+        ..SimSpec::ideal()
+    };
     let mut des =
         DesNetwork::new(NetworkConfig { num_devices: 4, seed: 0, ..Default::default() }, spec);
     let victim = des.devices()[2];
@@ -180,7 +184,7 @@ fn wait_interleaves_scenario_actions_with_spawned_events() {
 fn out_of_range_scenario_index_is_rejected() {
     let _ = DesNetwork::new(
         NetworkConfig { num_devices: 4, ..Default::default() },
-        SimSpec::with_scenario(Scenario::new().kill_at(1.0, 30)),
+        SimSpec { scenario: Scenario::new().kill_at(1.0, 30), ..SimSpec::ideal() },
     );
 }
 
@@ -269,7 +273,7 @@ fn scripted_sequential_row() -> (String, Digest) {
         .revive_at(1.63, 5, 1.0);
     let mut des = DesNetwork::new(
         NetworkConfig { num_devices: 8, seed: 3, ..Default::default() },
-        SimSpec::with_scenario(scenario),
+        SimSpec { scenario, ..SimSpec::ideal() },
     );
     let mut calls = Vec::new();
     for _ in 0..3 {

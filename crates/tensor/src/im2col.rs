@@ -316,7 +316,7 @@ mod tests {
         let input: Vec<f32> = (0..16).map(|v| v as f32).collect();
         let kernel: Vec<f32> = vec![0.0, 1.0, 0.0, 1.0, -4.0, 1.0, 0.0, 1.0, 0.0]; // laplacian
         let patches = im2col(&input, &g);
-        let k = Matrix::row_vector(&kernel);
+        let k = Matrix::from_vec(1, 9, kernel.clone()).unwrap();
         let out = k.matmul(&patches);
         assert_eq!(out.shape(), (1, 16));
 
@@ -349,7 +349,7 @@ mod tests {
             ((r * 31 + c * 17) as f32).cos()
         });
         let ix = im2col(&x, &g);
-        let lhs = ix.dot(&p);
+        let lhs: f32 = ix.as_slice().iter().zip(p.as_slice()).map(|(a, b)| a * b).sum();
         let mut scattered = vec![f32::NAN; g.input_len()];
         col2im_into(p.as_slice(), &g, &mut scattered);
         let rhs: f32 = x.iter().zip(&scattered).map(|(a, b)| a * b).sum();

@@ -27,7 +27,7 @@ use crate::error::TensorError;
 /// ```
 /// use orco_tensor::Matrix;
 ///
-/// let eye = Matrix::identity(3);
+/// let eye = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
 /// let x = Matrix::from_vec(3, 1, vec![1.0, 2.0, 3.0])?;
 /// assert_eq!(eye.matmul(&x).as_slice(), x.as_slice());
 /// # Ok::<(), orco_tensor::TensorError>(())
@@ -48,28 +48,6 @@ impl Matrix {
     #[must_use]
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self { rows, cols, data: vec![0.0; rows * cols] }
-    }
-
-    /// Creates a `rows`×`cols` matrix filled with ones.
-    #[must_use]
-    pub fn ones(rows: usize, cols: usize) -> Self {
-        Self::filled(rows, cols, 1.0)
-    }
-
-    /// Creates a `rows`×`cols` matrix filled with `value`.
-    #[must_use]
-    pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
-        Self { rows, cols, data: vec![value; rows * cols] }
-    }
-
-    /// Creates the `n`×`n` identity matrix.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
     }
 
     /// Creates a matrix from a row-major buffer.
@@ -94,12 +72,6 @@ impl Matrix {
             }
         }
         Self { rows, cols, data }
-    }
-
-    /// Creates a single-row matrix from a slice.
-    #[must_use]
-    pub fn row_vector(values: &[f32]) -> Self {
-        Self { rows: 1, cols: values.len(), data: values.to_vec() }
     }
 
     /// Creates a single-column matrix from a slice.
@@ -223,17 +195,6 @@ impl Matrix {
     /// Iterates over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols.max(1))
-    }
-
-    /// Iterates over column `c` top to bottom without allocating (the
-    /// lazy twin of [`Matrix::col`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= self.cols()`.
-    pub fn col_iter(&self, c: usize) -> impl Iterator<Item = f32> + '_ {
-        assert!(c < self.cols, "col {c} out of bounds for {} cols", self.cols);
-        (0..self.rows).map(move |r| self.data[r * self.cols + c])
     }
 
     /// A borrowed view of the whole matrix (the entry point into the
@@ -398,44 +359,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * otherᵀ` without materializing the transpose:
-    /// a fresh matrix filled by [`crate::MatView::matmul_t_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    #[must_use]
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        self.as_view().matmul_t_into(other.as_view(), out.as_view_mut());
-        out
-    }
-
-    /// Matrix–vector product `self * v`: a fresh vector filled by
-    /// `crate::MatView::matvec_into`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    #[must_use]
-    pub fn matvec(&self, v: &[f32]) -> Vec<f32> {
-        assert_eq!(v.len(), self.cols, "matvec: vector length {} != cols {}", v.len(), self.cols);
-        let mut out = vec![0.0; self.rows];
-        self.as_view().matvec_into(v, &mut out);
-        out
-    }
-
-    /// Dot product of two equally-shaped matrices viewed as flat vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    #[must_use]
-    pub fn dot(&self, other: &Matrix) -> f32 {
-        self.assert_same_shape(other, "dot");
-        self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
-    }
-
     // ------------------------------------------------------------------
     // Structural operations
     // ------------------------------------------------------------------
@@ -472,41 +395,9 @@ impl Matrix {
         self.as_view().t_matvec_into(v, out);
     }
 
-    /// Stacks `self` on top of `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if column counts differ.
-    #[must_use]
-    pub fn vstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "vstack: col mismatch {} vs {}", self.cols, other.cols);
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Matrix { rows: self.rows + other.rows, cols: self.cols, data }
-    }
-
     // ------------------------------------------------------------------
     // Reductions
     // ------------------------------------------------------------------
-
-    /// Sums over rows, producing a length-`cols` vector.
-    #[must_use]
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut sums = vec![0.0f32; self.cols];
-        for row in self.iter_rows() {
-            for (s, &v) in sums.iter_mut().zip(row) {
-                *s += v;
-            }
-        }
-        sums
-    }
-
-    /// Sums over columns, producing a length-`rows` vector.
-    #[must_use]
-    pub fn row_sums(&self) -> Vec<f32> {
-        self.iter_rows().map(|r| r.iter().sum()).collect()
-    }
 
     /// Sum of all elements.
     #[must_use]
@@ -544,12 +435,6 @@ impl Matrix {
         self.data.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m })
     }
 
-    /// L2 (Frobenius) norm.
-    #[must_use]
-    pub fn norm_l2(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Index of the maximum element in each row.
     ///
     /// Ties resolve to the first maximum; an empty row yields index 0.
@@ -577,13 +462,6 @@ impl Matrix {
     // ------------------------------------------------------------------
     // Comparison helpers
     // ------------------------------------------------------------------
-
-    /// Whether `self` and `other` agree element-wise within `tol`.
-    #[must_use]
-    pub fn approx_eq(&self, other: &Matrix, tol: f32) -> bool {
-        self.shape() == other.shape()
-            && self.data.iter().zip(&other.data).all(|(a, b)| (a - b).abs() <= tol)
-    }
 
     /// Maximum absolute element-wise difference (compare-select, like
     /// [`Matrix::min`]).
@@ -725,10 +603,8 @@ mod tests {
     }
 
     #[test]
-    fn zeros_ones_filled() {
+    fn zeros_are_zero() {
         assert!(Matrix::zeros(2, 2).as_slice().iter().all(|&v| v == 0.0));
-        assert!(Matrix::ones(2, 2).as_slice().iter().all(|&v| v == 1.0));
-        assert!(Matrix::filled(3, 1, 7.5).as_slice().iter().all(|&v| v == 7.5));
     }
 
     #[test]
@@ -741,15 +617,6 @@ mod tests {
     fn from_fn_layout_is_row_major() {
         let m = Matrix::from_fn(2, 3, |r, c| (r * 10 + c) as f32);
         assert_eq!(m.as_slice(), &[0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
-    }
-
-    #[test]
-    fn identity_multiplication_is_neutral() {
-        let m = sample();
-        let left = Matrix::identity(2).matmul(&m);
-        let right = m.matmul(&Matrix::identity(3));
-        assert_eq!(left, m);
-        assert_eq!(right, m);
     }
 
     #[test]
@@ -770,22 +637,17 @@ mod tests {
     fn t_matmul_matches_explicit_transpose() {
         let a = sample();
         let b = Matrix::from_vec(2, 4, (0..8).map(|v| v as f32).collect()).unwrap();
-        assert!(a.t_matmul(&b).approx_eq(&a.transpose().matmul(&b), 1e-6));
+        assert!(a.t_matmul(&b).max_abs_diff(&a.transpose().matmul(&b)) <= 1e-6);
     }
 
     #[test]
-    fn matmul_t_matches_explicit_transpose() {
-        let a = sample();
-        let b = Matrix::from_vec(4, 3, (0..12).map(|v| v as f32).collect()).unwrap();
-        assert!(a.matmul_t(&b).approx_eq(&a.matmul(&b.transpose()), 1e-6));
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
+    fn matvec_into_matches_matmul() {
         let a = sample();
         let v = vec![1.0, -1.0, 2.0];
         let expected = a.matmul(&Matrix::col_vector(&v));
-        assert_eq!(a.matvec(&v), expected.as_slice());
+        let mut out = vec![f32::NAN; 2];
+        a.matvec_into(&v, &mut out);
+        assert_eq!(out, expected.as_slice());
     }
 
     #[test]
@@ -795,28 +657,12 @@ mod tests {
     }
 
     #[test]
-    fn stack_operations() {
-        let a = sample();
-        let v = a.vstack(&a);
-        assert_eq!(v.shape(), (4, 3));
-        assert_eq!(v.row(2), a.row(0));
-    }
-
-    #[test]
-    fn broadcasting_and_reductions() {
+    fn reductions() {
         let m = sample();
-        assert_eq!(m.col_sums(), vec![5.0, 7.0, 9.0]);
-        assert_eq!(m.row_sums(), vec![6.0, 15.0]);
         assert_eq!(m.sum(), 21.0);
         assert!((m.mean() - 3.5).abs() < 1e-6);
         assert_eq!(m.min(), 1.0);
         assert_eq!(m.max(), 6.0);
-    }
-
-    #[test]
-    fn norms() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, -4.0]).unwrap();
-        assert_eq!(m.norm_l2(), 5.0);
     }
 
     #[test]
@@ -852,12 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_sums_elementwise_products() {
-        let m = sample();
-        assert_eq!(m.dot(&m), 91.0);
-    }
-
-    #[test]
     fn reset_and_copy_from_reuse_buffers() {
         let mut m = sample();
         let cap_before = m.as_slice().len();
@@ -889,12 +729,10 @@ mod tests {
     }
 
     #[test]
-    fn approx_eq_and_max_abs_diff() {
+    fn max_abs_diff_reads_the_largest_gap() {
         let m = sample();
         let mut n = m.clone();
         n.set(1, 1, 5.001);
-        assert!(m.approx_eq(&n, 0.01));
-        assert!(!m.approx_eq(&n, 0.0001));
         assert!((m.max_abs_diff(&n) - 0.001).abs() < 1e-4);
     }
 

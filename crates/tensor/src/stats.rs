@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn psnr_rows_shape() {
-        let a = Matrix::ones(3, 4);
+        let a = Matrix::from_fn(3, 4, |_, _| 1.0);
         let b = a.map(|v| v * 0.9);
         let p = psnr_rows(&a, &b, 1.0);
         assert_eq!(p.len(), 3);

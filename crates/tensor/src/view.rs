@@ -449,7 +449,9 @@ impl<'a> Rhs<'a> {
 /// let x = Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.5);
 /// let mut out = Matrix::zeros(2, 5);
 /// x.as_view().matmul_panels_into(&panels, out.as_view_mut());
-/// assert_eq!(out, x.matmul_t(&w));
+/// let mut gathered = Matrix::zeros(2, 5);
+/// x.as_view().matmul_t_into(w.as_view(), gathered.as_view_mut());
+/// assert_eq!(out, gathered);
 /// ```
 #[derive(Clone, Default)]
 pub struct Panels {
@@ -1076,12 +1078,12 @@ impl<'a> MatView<'a> {
         gemm::<true>(lhs, rhs, self.rows, other.cols, out.data);
     }
 
-    /// `out = self · otherᵀ` without materializing the transpose — the
-    /// body of [`Matrix::matmul_t`]. The smaller factor is packed by
-    /// transposed gather: `otherᵀ`, unless `self` fills a panel and has
-    /// fewer rows than `other`, when each thread gathers its own rows of
-    /// `self`; both give the same bits. `out` is fully overwritten, like
-    /// [`MatView::matmul_into`]'s.
+    /// `out = self · otherᵀ` without materializing the transpose (the
+    /// `x·Wᵀ` of a dense layer's training forward). The smaller factor is
+    /// packed by transposed gather: `otherᵀ`, unless `self` fills a panel
+    /// and has fewer rows than `other`, when each thread gathers its own
+    /// rows of `self`; both give the same bits. `out` is fully
+    /// overwritten, like [`MatView::matmul_into`]'s.
     ///
     /// # Panics
     ///
@@ -1182,7 +1184,7 @@ impl<'a> MatView<'a> {
         }
     }
 
-    /// `out = self · v`, the body of [`Matrix::matvec`]: each element the
+    /// `out = self · v`, the body of [`Matrix::matvec_into`]: each element the
     /// sum `matmul_t` forms, from `+0.0` in ascending column order, one
     /// step a term.
     ///
@@ -1211,7 +1213,7 @@ impl<'a> MatView<'a> {
 
     /// `out = selfᵀ · v` without materializing the transpose. Each output
     /// element accumulates in ascending row order, so the result is
-    /// bit-identical to `self.transpose().matvec(v)` — minus the
+    /// bit-identical to `self.transpose()`'s `matvec_into` — minus the
     /// transpose allocation the solvers used to pay per iteration.
     ///
     /// # Panics
@@ -1373,8 +1375,7 @@ mod tests {
                 let what = |name: &str| format!("{name} {m}x{k}x{n} at {threads} threads");
                 assert_bitwise(&a.matmul(b), &want_mm, &what("matmul"));
                 assert_bitwise(&at.t_matmul(b), &want_tm, &what("t_matmul"));
-                assert_bitwise(&a.matmul_t(bt), &want_mt, &what("matmul_t"));
-                let mut out = Matrix::filled(m, n, f32::NAN);
+                let mut out = Matrix::from_fn(m, n, |_, _| f32::NAN);
                 a.as_view().matmul_into(b.as_view(), out.as_view_mut());
                 assert_bitwise(&out, &want_mm, &what("matmul_into"));
                 out.as_mut_slice().fill(f32::NAN);
@@ -1557,7 +1558,7 @@ mod tests {
             // Re-packed for the case's smaller shape: no stale NaN may
             // reach a product.
             let (n, k) = bt.shape();
-            let stale = Matrix::filled(n + PANEL_WIDTH + 1, k + GEMM_PANEL_K + 1, f32::NAN);
+            let stale = Matrix::from_fn(n + PANEL_WIDTH + 1, k + GEMM_PANEL_K + 1, |_, _| f32::NAN);
             check_kernel_contract(&a, &b, &at, &bt, &mut Panels::new(stale.as_view()));
         }
     }
@@ -1589,7 +1590,7 @@ mod tests {
         for threads in [1, 2, 4] {
             crate::parallel::with_thread_budget(threads, || {
                 let mut image = vec![f32::NAN; geom.image_len() + 3];
-                let mut out = Matrix::filled(kernels.rows(), positions, f32::NAN);
+                let mut out = Matrix::from_fn(kernels.rows(), positions, |_, _| f32::NAN);
                 kernels.as_view().conv_into(sample, geom, &mut image, out.as_view_mut());
                 assert_bitwise(&out, &want, &format!("{what}, {geom:?}, at {threads} threads"));
             });
@@ -1730,25 +1731,23 @@ mod tests {
     }
 
     #[test]
-    fn matmul_t_into_bit_identical() {
-        let a = a();
-        let b = Matrix::from_fn(6, 3, |r, c| ((r + c) as f32).sqrt());
-        let mut out = Matrix::zeros(5, 6);
-        a.as_view().matmul_t_into(b.as_view(), out.as_view_mut());
-        assert_eq!(out, a.matmul_t(&b));
-    }
-
-    #[test]
     fn matvec_variants_bit_identical() {
         let a = a();
         let v3 = [0.3f32, -1.0, 2.5];
         let v5 = [1.0f32, 0.0, -0.5, 2.0, 0.25];
         let mut out = vec![0.0f32; 5];
         a.as_view().matvec_into(&v3, &mut out);
-        assert_eq!(out, a.matvec(&v3));
+        let mut want = Matrix::zeros(5, 1);
+        a.as_view().matmul_t_into(
+            Matrix::from_vec(1, 3, v3.to_vec()).unwrap().as_view(),
+            want.as_view_mut(),
+        );
+        assert_eq!(out, want.as_slice());
         let mut out_t = vec![9.0f32; 3];
         a.as_view().t_matvec_into(&v5, &mut out_t);
-        assert_eq!(out_t, a.transpose().matvec(&v5));
+        let mut want_t = vec![0.0f32; 3];
+        a.transpose().as_view().matvec_into(&v5, &mut want_t);
+        assert_eq!(out_t, want_t);
     }
 
     #[test]
@@ -1768,7 +1767,7 @@ mod tests {
         assert_eq!(out.shape(), (0, 2));
         let kless = Matrix::zeros(2, 0);
         let bless = Matrix::zeros(0, 4);
-        let mut out2 = Matrix::filled(2, 4, 3.0);
+        let mut out2 = Matrix::from_fn(2, 4, |_, _| 3.0);
         kless.as_view().matmul_into(bless.as_view(), out2.as_view_mut());
         assert_eq!(out2, Matrix::zeros(2, 4), "k = 0 product must still zero the buffer");
     }

@@ -125,7 +125,7 @@ proptest! {
         // (AB)ᵀ == Bᵀ Aᵀ
         let lhs = a.matmul(&b).transpose();
         let rhs = b.transpose().matmul(&a.transpose());
-        prop_assert!(lhs.approx_eq(&rhs, 1e-3), "max diff {}", lhs.max_abs_diff(&rhs));
+        prop_assert!(lhs.max_abs_diff(&rhs) <= 1e-3, "max diff {}", lhs.max_abs_diff(&rhs));
     }
 
     #[test]
@@ -134,15 +134,16 @@ proptest! {
         let prod = a.matmul(&b);
         let lhs = a.t_matmul(&prod);
         let rhs = a.transpose().matmul(&prod);
-        prop_assert!(lhs.approx_eq(&rhs, 1e-2));
+        prop_assert!(lhs.max_abs_diff(&rhs) <= 1e-2);
     }
 
     #[test]
     fn matmul_t_equals_explicit((a, b) in matmul_pair(8)) {
-        // a · (bᵀ)ᵀ computed via matmul_t must equal a · b.
-        let lhs = a.matmul_t(&b.transpose());
+        // a · (bᵀ)ᵀ computed via matmul_t_into must equal a · b.
+        let mut lhs = Matrix::zeros(a.rows(), b.cols());
+        a.as_view().matmul_t_into(b.transpose().as_view(), lhs.as_view_mut());
         let rhs = a.matmul(&b);
-        prop_assert!(lhs.approx_eq(&rhs, 1e-2));
+        prop_assert!(lhs.max_abs_diff(&rhs) <= 1e-2);
     }
 
     #[test]
@@ -150,7 +151,7 @@ proptest! {
         // The `_into` kernels over borrowed views must reproduce the
         // allocating products **bit for bit** — same kernels, same
         // summation order — even into a dirty reused buffer.
-        let mut out = Matrix::filled(3, 3, f32::NAN);
+        let mut out = Matrix::from_fn(3, 3, |_, _| f32::NAN);
         out.reset(a.rows(), b.cols());
         a.as_view().matmul_into(b.as_view(), out.as_view_mut());
         prop_assert_eq!(&out, &a.matmul(&b));
@@ -160,10 +161,6 @@ proptest! {
         a.as_view().t_matmul_into(ab.as_view(), out.as_view_mut());
         prop_assert_eq!(&out, &a.t_matmul(&ab));
 
-        out.reset(a.rows(), b.cols());
-        let bt = b.transpose();
-        a.as_view().matmul_t_into(bt.as_view(), out.as_view_mut());
-        prop_assert_eq!(&out, &a.matmul_t(&bt));
     }
 
     #[test]
@@ -173,21 +170,23 @@ proptest! {
         let v_rows: Vec<f32> = (0..m.rows()).map(|_| rng.uniform(-3.0, 3.0)).collect();
         let mut out = vec![f32::NAN; m.rows()];
         m.matvec_into(&v_cols, &mut out);
-        prop_assert_eq!(&out, &m.matvec(&v_cols));
+        let mut want = Matrix::zeros(m.rows(), 1);
+        let v_row = Matrix::from_vec(1, m.cols(), v_cols.clone()).unwrap();
+        m.as_view().matmul_t_into(v_row.as_view(), want.as_view_mut());
+        prop_assert_eq!(out.as_slice(), want.as_slice());
         let mut out_t = vec![f32::NAN; m.cols()];
         m.t_matvec_into(&v_rows, &mut out_t);
-        prop_assert_eq!(&out_t, &m.transpose().matvec(&v_rows));
+        let mut want_t = vec![f32::NAN; m.cols()];
+        m.transpose().matvec_into(&v_rows, &mut want_t);
+        prop_assert_eq!(&out_t, &want_t);
     }
 
     #[test]
-    fn row_range_views_and_col_iter_agree(m in matrix_strategy(10), seed in 0u64..1000) {
+    fn row_range_views_agree(m in matrix_strategy(10), seed in 0u64..1000) {
         let mut rng = orco_tensor::OrcoRng::from_seed_u64(seed);
         let lo = (rng.next_u64() as usize) % m.rows();
         let hi = lo + (rng.next_u64() as usize) % (m.rows() - lo + 1);
         prop_assert_eq!(m.view_rows(lo..hi).to_matrix(), m.slice_rows(lo..hi));
-        let c = (rng.next_u64() as usize) % m.cols();
-        let lazy: Vec<f32> = m.col_iter(c).collect();
-        prop_assert_eq!(lazy, m.col(c));
     }
 
     #[test]
@@ -197,7 +196,7 @@ proptest! {
         let c = Matrix::from_fn(b.rows(), b.cols(), |_, _| rng.uniform(-5.0, 5.0));
         let lhs = a.matmul(&(&b + &c));
         let rhs = &a.matmul(&b) + &a.matmul(&c);
-        prop_assert!(lhs.approx_eq(&rhs, 1e-2), "max diff {}", lhs.max_abs_diff(&rhs));
+        prop_assert!(lhs.max_abs_diff(&rhs) <= 1e-2, "max diff {}", lhs.max_abs_diff(&rhs));
     }
 
     #[test]
@@ -214,29 +213,10 @@ proptest! {
     }
 
     #[test]
-    fn vstack_preserves_rows(m in matrix_strategy(8)) {
-        let v = m.vstack(&m);
-        prop_assert_eq!(v.rows(), 2 * m.rows());
-        for r in 0..m.rows() {
-            prop_assert_eq!(v.row(r), m.row(r));
-            prop_assert_eq!(v.row(r + m.rows()), m.row(r));
-        }
-    }
-
-    #[test]
     fn serializer_roundtrips(m in matrix_strategy(10)) {
         let text = serialize::matrix_to_text(&m);
         let back = serialize::matrix_from_text(&text).unwrap();
         prop_assert_eq!(m, back);
-    }
-
-    #[test]
-    fn col_sums_match_transpose_row_sums(m in matrix_strategy(12)) {
-        let cs = m.col_sums();
-        let rs = m.transpose().row_sums();
-        for (a, b) in cs.iter().zip(&rs) {
-            prop_assert!((a - b).abs() < 1e-4);
-        }
     }
 
     #[test]
@@ -249,7 +229,8 @@ proptest! {
         let mut rng = orco_tensor::OrcoRng::from_seed_u64(seed);
         let x: Vec<f32> = (0..geom.input_len()).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let p = Matrix::from_fn(geom.patch_len(), geom.out_positions(), |_, _| rng.uniform(-1.0, 1.0));
-        let lhs = im2col(&x, &geom).dot(&p);
+        let patches = im2col(&x, &geom);
+        let lhs: f32 = patches.as_slice().iter().zip(p.as_slice()).map(|(a, b)| a * b).sum();
         let mut scattered = vec![f32::NAN; geom.input_len()];
         col2im_into(p.as_slice(), &geom, &mut scattered);
         let rhs: f32 = x.iter().zip(&scattered).map(|(a, b)| a * b).sum();

@@ -157,12 +157,6 @@ impl TrafficAccounting {
         self.per_node.values().map(|t| t.tx_bytes).sum()
     }
 
-    /// Total bytes received across all nodes.
-    #[must_use]
-    pub fn total_rx_bytes(&self) -> u64 {
-        self.per_node.values().map(|t| t.rx_bytes).sum()
-    }
-
     /// Total transmit energy across all nodes, joules.
     #[must_use]
     pub fn total_tx_energy_j(&self) -> f64 {
@@ -227,7 +221,7 @@ mod tests {
         l.record_tx(NodeId(1), 50, 0.5, PacketKind::LatentVector);
         l.record_rx(NodeId(2), 150, 0.2, PacketKind::RawData);
         assert_eq!(l.total_tx_bytes(), 150);
-        assert_eq!(l.total_rx_bytes(), 150);
+        assert_eq!(l.node(NodeId(2)).rx_bytes, 150);
         assert!((l.total_tx_energy_j() - 1.5).abs() < 1e-12);
         assert_eq!(l.node(NodeId(0)).tx_packets, 1);
         assert_eq!(l.node(NodeId(9)), NodeTraffic::default());

@@ -30,7 +30,9 @@ proptest! {
             let from = net.devices()[i % devices];
             net.transmit(from, agg, *bytes, PacketKind::RawData).expect("clean link");
         }
-        prop_assert_eq!(net.accounting().total_tx_bytes(), net.accounting().total_rx_bytes());
+        let nodes = net.devices().iter().copied().chain([agg, net.edge()]);
+        let rx: u64 = nodes.map(|id| net.accounting().node(id).rx_bytes).sum();
+        prop_assert_eq!(net.accounting().total_tx_bytes(), rx);
     }
 
     /// Wire bytes always exceed payload bytes by at least one header.

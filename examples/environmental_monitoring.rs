@@ -7,16 +7,21 @@
 //! drift pushes it over threshold.
 //!
 //! This example builds the deployment with the pipeline's `.monitor(..)`
-//! and `.checkpoints(..)` hooks, trains online, then hits the deployment
-//! with three escalating environmental drifts (dimming — e.g. fog or dusk
-//! — then a sensor bias, then a noise burst) and streams the new
-//! conditions through `Experiment::observe`, showing the monitor catching
-//! each drift, retraining, and checkpointing the adapted encoder.
+//! and `.checkpoints(..)` hooks and trains online. It then runs §III-C's
+//! in-network encode once: the trained encoder is split into one column
+//! share per reading, one sensing frame is folded along the deployment's
+//! chain, and the aggregator's latent is checked against the codec's own
+//! encode. Finally it hits the deployment with three escalating
+//! environmental drifts (dimming — e.g. fog or dusk — then a sensor bias,
+//! then a noise burst) and streams the new conditions through
+//! `Experiment::observe`, showing the monitor catching each drift,
+//! retraining, and checkpointing the adapted encoder.
 //!
 //! Run with: `cargo run --release --example environmental_monitoring`
 
 use orcodcs_repro::core::{
-    AsymmetricAutoencoder, ClusterScale, ExperimentBuilder, FineTuneMonitor, OrcoConfig,
+    AsymmetricAutoencoder, ClusterScale, EncoderColumns, Experiment, ExperimentBuilder,
+    FineTuneMonitor, OrcoConfig,
 };
 use orcodcs_repro::datasets::{drift, mnist_like};
 use orcodcs_repro::tensor::OrcoRng;
@@ -49,6 +54,7 @@ fn main() {
         report.final_round_loss().unwrap_or(f32::NAN),
         report.sim_time_s
     );
+    in_network_encode(&mut experiment, baseline.sample(0));
 
     let mut rng = OrcoRng::from_label("monitoring-drift", 0);
     let scenarios = [
@@ -93,4 +99,38 @@ fn main() {
         network.now_s(),
     );
     std::fs::remove_dir_all(&checkpoint_dir).ok();
+}
+
+/// §III-C on the trained deployment: splits the encoder into per-reading
+/// column shares, folds `frame` along the chain (each device adds its
+/// shares to the partial sum it forwards), finishes the latent at the
+/// aggregator (bias, then σ), and checks it against `encode_frame`.
+fn in_network_encode(experiment: &mut Experiment, frame: &[f32]) {
+    println!("\n== §III-C in-network encode ==");
+    let encoder = experiment.codec().checkpoint().expect("the autoencoder has an encoder");
+    let columns = EncoderColumns::split(&encoder.weight, &encoder.bias);
+    let network = experiment.network().expect("orchestrated deployment");
+    // 64 devices share the frame's 784 readings: device d senses readings
+    // d, d + 64, d + 128, …, and adds their shares when the chain reaches it.
+    let devices = network.devices().len();
+    let order: Vec<usize> = network
+        .world()
+        .chain()
+        .order()
+        .iter()
+        .flat_map(|device| (device.0..columns.num_devices()).step_by(devices))
+        .collect();
+    let partial =
+        columns.chain_partial_sum(frame, &order).expect("the chain visits each reading once");
+    let latent = columns.finish_at_aggregator(&partial);
+    let central = experiment.codec_mut().encode_frame(frame).expect("the frame fits the codec");
+    let gap = latent.iter().zip(&central).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
+    println!(
+        "{} column shares of {} B over a {devices}-device chain; one frame's {}-element latent \
+         is within {gap:.1e} of encode_frame's",
+        columns.num_devices(),
+        columns.column_bytes(),
+        latent.len(),
+    );
+    assert!(gap < 1e-4, "in-network latent strays {gap} from the centralized encode");
 }

@@ -26,14 +26,14 @@ use proptest::prelude::*;
 /// buffers) and through the per-frame loop, asserting bitwise equality of
 /// both stages.
 fn assert_batch_matches_per_frame(codec: &mut dyn Codec, frames: &Matrix) {
-    let mut codes = Matrix::filled(1, 1, f32::NAN);
+    let mut codes = Matrix::from_fn(1, 1, |_, _| f32::NAN);
     codec.encode_batch(frames.as_view(), &mut codes).expect("frames fit the codec");
     assert_eq!(codes.shape(), (frames.rows(), codec.code_len()));
     for r in 0..frames.rows() {
         let code = codec.encode_frame(frames.row(r)).expect("frame width is valid");
         assert_eq!(codes.row(r), &code[..], "{}: encode row {r} diverged", codec.name());
     }
-    let mut recon = Matrix::filled(2, 2, -9.0);
+    let mut recon = Matrix::from_fn(2, 2, |_, _| -9.0);
     codec.decode_batch(codes.as_view(), &mut recon).expect("codes fit the codec");
     assert_eq!(recon.shape(), (frames.rows(), codec.input_dim()));
     for r in 0..frames.rows() {

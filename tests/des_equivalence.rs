@@ -25,11 +25,10 @@ use orcodcs_repro::sim::{MacMode, Scenario, SimParams, SimSpec};
 
 fn report_with(deployment: DeploymentSpec, seed: u64) -> Report {
     let dataset = mnist_like::generate(16, seed);
-    let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike)
-        .with_latent_dim(16)
-        .with_batch_size(8)
-        .with_learning_rate(0.1);
-    let codec = AsymmetricAutoencoder::new(&cfg).expect("valid config");
+    let cfg =
+        OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_batch_size(8);
+    let codec = AsymmetricAutoencoder::new(&OrcoConfig { learning_rate: 0.1, ..cfg })
+        .expect("valid config");
     let mut experiment = ExperimentBuilder::new()
         .dataset(&dataset)
         .codec(codec)

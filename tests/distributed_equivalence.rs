@@ -4,12 +4,13 @@
 //! centralized encoding.
 
 use orcodcs_repro::core::{
-    AsymmetricAutoencoder, Codec, EncoderColumns, Orchestrator, OrcoConfig, SplitModel,
+    AsymmetricAutoencoder, Codec, EncoderCheckpoint, EncoderColumns, Orchestrator, OrcoConfig,
+    SplitModel,
 };
 use orcodcs_repro::datasets::{mnist_like, DatasetKind};
 use orcodcs_repro::nn::Activation;
 use orcodcs_repro::tensor::Matrix;
-use orcodcs_repro::wsn::NetworkConfig;
+use orcodcs_repro::wsn::{DeploymentBackend, NetworkConfig};
 
 fn cfg() -> OrcoConfig {
     OrcoConfig::for_dataset(DatasetKind::MnistLike)
@@ -35,8 +36,10 @@ fn orchestrated_training_is_bit_identical_to_local() {
         let local_loss = local.train_batch_local(dataset.x(), &loss);
         assert_eq!(orch_loss, local_loss, "round {round} losses diverged");
     }
-    assert_eq!(orch.model().encoder_weight(), local.encoder_weight(), "encoder weights diverged");
-    assert_eq!(orch.model().encoder_bias(), local.encoder_bias());
+    let (orch_encoder, local_encoder) = (orch.model().checkpoint(), local.checkpoint());
+    let (orch_encoder, local_encoder) = (orch_encoder.expect("AE"), local_encoder.expect("AE"));
+    assert_eq!(orch_encoder.weight, local_encoder.weight, "encoder weights diverged");
+    assert_eq!(orch_encoder.bias, local_encoder.bias);
 }
 
 #[test]
@@ -51,7 +54,8 @@ fn chain_encoding_matches_centralized_for_trained_encoder() {
         let _ = ae.train_batch_local(dataset.x(), &loss);
     }
 
-    let columns = EncoderColumns::split(ae.encoder_weight(), ae.encoder_bias());
+    let encoder = ae.checkpoint().expect("AE has an encoder checkpoint");
+    let columns = EncoderColumns::split(&encoder.weight, &encoder.bias);
     assert_eq!(columns.num_devices(), 784);
 
     for i in 0..4 {
@@ -60,11 +64,11 @@ fn chain_encoding_matches_centralized_for_trained_encoder() {
         let forward: Vec<usize> = (0..784).collect();
         let reverse: Vec<usize> = (0..784).rev().collect();
         let strided: Vec<usize> = (0..784).map(|k| (k * 97) % 784).collect();
-        let central: Vec<f32> = ae
-            .encoder_weight()
-            .matvec(readings)
+        let mut wx = vec![0.0; 24];
+        encoder.weight.matvec_into(readings, &mut wx);
+        let central: Vec<f32> = wx
             .iter()
-            .zip(ae.encoder_bias().row(0))
+            .zip(encoder.bias.row(0))
             .map(|(s, b)| Activation::Sigmoid.apply(s + b))
             .collect();
         for order in [&forward, &reverse, &strided] {
@@ -81,19 +85,18 @@ fn chain_encoding_matches_centralized_for_trained_encoder() {
 }
 
 #[test]
-fn reassembled_encoder_reproduces_the_original_model() {
+fn restored_encoder_reproduces_the_original_model() {
     let config = cfg();
     let mut ae = AsymmetricAutoencoder::new(&config).expect("valid config");
     let dataset = mnist_like::generate(8, 2);
     let loss = config.loss();
     let _ = ae.train_batch_local(dataset.x(), &loss);
 
-    let columns = EncoderColumns::split(ae.encoder_weight(), ae.encoder_bias());
-    let (w, b) = columns.reassemble();
-
-    // Load the reassembled parts into a fresh autoencoder: encodings match.
+    // Restore the trained encoder into a fresh autoencoder: encodings match.
     let mut fresh = AsymmetricAutoencoder::new(&config).expect("valid config");
-    fresh.set_encoder_parts(w, b);
+    EncoderCheckpoint::capture(ae.halves(), "trained")
+        .restore(fresh.halves_mut())
+        .expect("same shapes, finite weights");
     let (mut original, mut roundtripped) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
     ae.encode_batch(dataset.x().as_view(), &mut original).expect("frames fit the codec");
     fresh.encode_batch(dataset.x().as_view(), &mut roundtripped).expect("frames fit the codec");
@@ -109,7 +112,10 @@ fn distribution_broadcast_reaches_every_device_with_column_bytes() {
             .expect("valid config");
     let _ = orch.train_round(dataset.x()).expect("round");
     orch.network_mut().reset_accounting();
-    let (columns, t) = orch.distribute_encoder().expect("broadcast");
+    let encoder = orch.model().checkpoint().expect("AE has an encoder checkpoint");
+    let columns = EncoderColumns::split(&encoder.weight, &encoder.bias);
+    let t =
+        orch.network_mut().broadcast_encoder_columns(columns.column_bytes()).expect("broadcast");
     assert!(t > 0.0);
     let expected = columns.column_bytes();
     for d in orch.network().devices().to_vec() {

@@ -22,15 +22,14 @@ use orcodcs_repro::wsn::{
 /// scenario on a 12-device cluster.
 fn run_scripted(scenario: Scenario, seed: u64) -> (Report, Vec<orcodcs_repro::wsn::NodeId>) {
     let dataset = mnist_like::generate(16, seed);
-    let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike)
-        .with_latent_dim(16)
-        .with_batch_size(8)
-        .with_learning_rate(0.1);
-    let codec = AsymmetricAutoencoder::new(&cfg).expect("valid config");
+    let cfg =
+        OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_batch_size(8);
+    let codec = AsymmetricAutoencoder::new(&OrcoConfig { learning_rate: 0.1, ..cfg })
+        .expect("valid config");
     let mut experiment = ExperimentBuilder::new()
         .dataset(&dataset)
         .codec(codec)
-        .deployment(DeploymentSpec::EventDriven(SimSpec::with_scenario(scenario)))
+        .deployment(DeploymentSpec::EventDriven(SimSpec { scenario, ..SimSpec::ideal() }))
         .scale(orcodcs_repro::core::ClusterScale::Devices(12))
         .seed(seed)
         .epochs(1)
@@ -66,16 +65,15 @@ fn training_survives_scripted_device_deaths() {
 #[test]
 fn scripted_victims_send_nothing_after_death() {
     let dataset = mnist_like::generate(8, 1);
-    let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike)
-        .with_latent_dim(16)
-        .with_batch_size(8)
-        .with_learning_rate(0.1);
-    let codec = AsymmetricAutoencoder::new(&cfg).expect("valid config");
+    let cfg =
+        OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(16).with_batch_size(8);
+    let codec = AsymmetricAutoencoder::new(&OrcoConfig { learning_rate: 0.1, ..cfg })
+        .expect("valid config");
     let scenario = Scenario::new().kill_at(0.0, 2).kill_at(0.0, 5);
     let mut experiment = ExperimentBuilder::new()
         .dataset(&dataset)
         .codec(codec)
-        .deployment(DeploymentSpec::EventDriven(SimSpec::with_scenario(scenario)))
+        .deployment(DeploymentSpec::EventDriven(SimSpec { scenario, ..SimSpec::ideal() }))
         .scale(orcodcs_repro::core::ClusterScale::Devices(8))
         .seed(1)
         .epochs(1)
@@ -104,7 +102,7 @@ fn death_and_recovery_window_stops_and_resumes_traffic() {
     let scenario = Scenario::new().kill_at(0.4, 1).revive_at(0.9, 1, 2.0);
     let mut des = DesNetwork::new(
         NetworkConfig { num_devices: 6, seed: 2, ..Default::default() },
-        SimSpec::with_scenario(scenario),
+        SimSpec { scenario, ..SimSpec::ideal() },
     );
     let victim = des.devices()[1];
 
@@ -135,7 +133,7 @@ fn killing_every_chain_member_but_one_still_aggregates() {
     let scenario = (1..6).fold(Scenario::new(), |s, device| s.kill_at(0.0, device));
     let mut des = DesNetwork::new(
         NetworkConfig { num_devices: 6, seed: 1, ..Default::default() },
-        SimSpec::with_scenario(scenario),
+        SimSpec { scenario, ..SimSpec::ideal() },
     );
     let all: Vec<_> = des.devices().to_vec();
     let t = des.compressed_aggregation_round(64, 10).expect("single survivor chain");
@@ -152,7 +150,7 @@ fn scripted_lossy_window_retries_and_eventually_delivers() {
     let scenario = Scenario::new().degrade_sensor_link(0.0..1e6, 0.3);
     let mut lossy = DesNetwork::new(
         NetworkConfig { num_devices: 4, seed: 2, ..Default::default() },
-        SimSpec::with_scenario(scenario),
+        SimSpec { scenario, ..SimSpec::ideal() },
     );
     let mut clean = DesNetwork::new(
         NetworkConfig { num_devices: 4, seed: 2, ..Default::default() },

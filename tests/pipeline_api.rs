@@ -121,7 +121,7 @@ fn pipeline_checkpoints_roundtrip_through_disk() {
     // trained encoder exactly.
     let mut fresh = AsymmetricAutoencoder::new(&cfg).expect("valid config");
     loaded.restore(fresh.halves_mut()).expect("shapes match");
-    assert_eq!(fresh.encoder_weight(), &live.weight);
+    assert_eq!(fresh.checkpoint().expect("AE has an encoder checkpoint").weight, live.weight);
 
     // Direct save/load round-trip of the captured checkpoint.
     let solo_dir = tmpdir("solo");
@@ -151,8 +151,8 @@ fn monitor_hook_triggers_retraining_under_drift() {
     let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike)
         .with_latent_dim(16)
         .with_batch_size(16)
-        .with_learning_rate(0.1)
         .with_seed(2);
+    let cfg = OrcoConfig { learning_rate: 0.1, ..cfg };
     let dir = tmpdir("monitor");
     let mut exp = ExperimentBuilder::new()
         .dataset(&dataset)

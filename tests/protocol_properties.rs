@@ -1,7 +1,7 @@
 //! Property-based integration tests over the OrcoDCS protocol and its
 //! substrates, using proptest across crate boundaries.
 
-use orcodcs_repro::core::{EncoderColumns, OrcoConfig};
+use orcodcs_repro::core::{EncoderColumns, OrcoConfig, OrcoError};
 use orcodcs_repro::datasets::DatasetKind;
 use orcodcs_repro::nn::Loss;
 use orcodcs_repro::tensor::{Matrix, OrcoRng};
@@ -18,7 +18,7 @@ proptest! {
         vals in prop::collection::vec(-1.0f32..1.0, 8),
         delta in 0.1f32..5.0,
     ) {
-        let pred = Matrix::row_vector(&vals);
+        let pred = Matrix::from_vec(1, vals.len(), vals.clone()).unwrap();
         let target = Matrix::zeros(1, vals.len());
         let vh = Loss::VectorHuber { delta }.value(&pred, &target);
         prop_assert!(vh >= 0.0);
@@ -33,17 +33,46 @@ proptest! {
         }
     }
 
-    /// Splitting an encoder into device columns and reassembling is the
-    /// identity for any encoder shape.
+    /// Device `i`'s share is column `i` of the encoder, for any encoder
+    /// shape: a frame that reads 1 at device `i` and 0 elsewhere folds to
+    /// exactly that column.
     #[test]
-    fn encoder_split_reassemble_roundtrip(m in 1usize..12, n in 1usize..24, seed in 0u64..500) {
+    fn encoder_split_shares_are_columns(m in 1usize..12, n in 1usize..24, seed in 0u64..500) {
         let mut rng = OrcoRng::from_seed_u64(seed);
         let w = Matrix::from_fn(m, n, |_, _| rng.uniform(-2.0, 2.0));
         let b = Matrix::from_fn(1, m, |_, _| rng.uniform(-1.0, 1.0));
         let cols = EncoderColumns::split(&w, &b);
-        let (w2, b2) = cols.reassemble();
-        prop_assert_eq!(w, w2);
-        prop_assert_eq!(b, b2);
+        let order: Vec<usize> = (0..n).collect();
+        for i in 0..n {
+            let one_hot: Vec<f32> = (0..n).map(|k| if k == i { 1.0 } else { 0.0 }).collect();
+            let share = cols.chain_partial_sum(&one_hot, &order).expect("valid order");
+            prop_assert_eq!(share, w.col(i));
+        }
+    }
+
+    /// A chain order must visit every device exactly once: one that
+    /// repeats a device (and so drops another) or omits one is refused,
+    /// instead of counting a reading twice or not at all.
+    #[test]
+    fn chain_orders_that_repeat_or_omit_a_device_are_refused(
+        n in 2usize..20,
+        seed in 0u64..500,
+    ) {
+        let mut rng = OrcoRng::from_seed_u64(seed);
+        let w = Matrix::from_fn(3, n, |_, _| rng.uniform(-1.0, 1.0));
+        let cols = EncoderColumns::split(&w, &Matrix::zeros(1, 3));
+        let readings: Vec<f32> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut order);
+        let at = (rng.next_u64() as usize) % n;
+        let mut repeated = order.clone();
+        repeated[at] = order[(at + 1) % n];
+        let is_config = |r: Result<Vec<f32>, OrcoError>| matches!(r, Err(OrcoError::Config { .. }));
+        prop_assert!(is_config(cols.chain_partial_sum(&readings, &repeated)), "{:?}", repeated);
+        let mut omitted = order.clone();
+        omitted.remove(at);
+        prop_assert!(is_config(cols.chain_partial_sum(&readings, &omitted)), "{:?}", omitted);
+        prop_assert!(cols.chain_partial_sum(&readings, &order).is_ok());
     }
 
     /// Chain-order invariance: any permutation of devices produces the same
@@ -84,8 +113,9 @@ proptest! {
         let readings: Vec<f32> = (0..n).map(|_| rng.uniform(-3.0, 3.0)).collect();
 
         // Centralized: the aggregator owning the whole encoder.
-        let central: Vec<f32> = w
-            .matvec(&readings)
+        let mut wx = vec![0.0; m];
+        w.matvec_into(&readings, &mut wx);
+        let central: Vec<f32> = wx
             .iter()
             .zip(b.row(0))
             .map(|(s, bias)| Activation::Sigmoid.apply(s + bias))
@@ -162,12 +192,10 @@ proptest! {
         }
     }
 
-    /// Config byte helpers are consistent with dimensions for any latent.
+    /// The compression ratio is `N / M` for any latent.
     #[test]
-    fn config_byte_arithmetic(m in 1usize..2000) {
+    fn config_compression_ratio(m in 1usize..2000) {
         let cfg = OrcoConfig::for_dataset(DatasetKind::MnistLike).with_latent_dim(m);
-        prop_assert_eq!(cfg.latent_bytes(), (m * 4) as u64);
-        prop_assert_eq!(cfg.sample_bytes(), 784 * 4);
         prop_assert!((cfg.compression_ratio() - 784.0 / m as f32).abs() < 1e-3);
     }
 }

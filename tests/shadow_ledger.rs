@@ -45,7 +45,9 @@
 mod shadow;
 
 use orcodcs_repro::baselines::Dcsnet;
-use orcodcs_repro::core::{AsymmetricAutoencoder, Codec, OrcoConfig, SplitModel};
+use orcodcs_repro::core::{
+    AsymmetricAutoencoder, Codec, EncoderCheckpoint, OrcoConfig, SplitModel,
+};
 use orcodcs_repro::datasets::{gtsrb_like, mnist_like, Dataset, DatasetKind};
 use orcodcs_repro::nn::{Activation, Conv2d, Layer, Loss, Workspace};
 use orcodcs_repro::serve::scenarios::{codec_config, uniform_frames};
@@ -268,7 +270,8 @@ fn gauntlet() -> Errors {
 /// `v0` with `donor`'s encoder: what `Codec::with_encoder` stages.
 fn v1_model(v0: &AsymmetricAutoencoder, donor: &AsymmetricAutoencoder) -> AsymmetricAutoencoder {
     let mut v1 = v0.clone();
-    v1.set_encoder_parts(donor.encoder_weight().clone(), donor.encoder_bias().clone());
+    let donated = EncoderCheckpoint::capture(donor.halves(), "donor");
+    donated.restore(v1.halves_mut()).expect("same shapes, finite weights");
     v1
 }
 
@@ -374,10 +377,12 @@ fn worst_product_ratios(a: &Matrix, b: &Matrix, at: &Matrix, bt: &Matrix) -> (f6
     let panels = orcodcs_repro::tensor::Panels::new(bt.as_view());
     let mut packed = Matrix::zeros(a.rows(), bt.rows());
     a.as_view().matmul_panels_into(&panels, packed.as_view_mut());
+    let mut gathered = Matrix::zeros(a.rows(), bt.rows());
+    a.as_view().matmul_t_into(bt.as_view(), gathered.as_view_mut());
     [
         check_product(&a.matmul(b), k, |i, j| (0..k).map(move |kk| (a[(i, kk)], b[(kk, j)]))),
         check_product(&at.t_matmul(b), k, |i, j| (0..k).map(move |kk| (at[(kk, i)], b[(kk, j)]))),
-        check_product(&a.matmul_t(bt), k, |i, j| (0..k).map(move |kk| (a[(i, kk)], bt[(j, kk)]))),
+        check_product(&gathered, k, |i, j| (0..k).map(move |kk| (a[(i, kk)], bt[(j, kk)]))),
         check_product(&packed, k, |i, j| (0..k).map(move |kk| (a[(i, kk)], bt[(j, kk)]))),
     ]
     .into_iter()

@@ -41,12 +41,17 @@ fn results_are_bit_identical_across_thread_counts() {
         parallel::set_threads(1);
         let mm1 = a.matmul(&b);
         let tm1 = at.t_matmul(&b);
-        let mt1 = a.matmul_t(&bt);
+        let matmul_t = || {
+            let mut out = Matrix::zeros(m, n);
+            a.as_view().matmul_t_into(bt.as_view(), out.as_view_mut());
+            out
+        };
+        let mt1 = matmul_t();
         for threads in [2, 4, 8] {
             parallel::set_threads(threads);
             assert_eq!(mm1, a.matmul(&b), "matmul {m}x{k}x{n} diverged at {threads} threads");
             assert_eq!(tm1, at.t_matmul(&b), "t_matmul {m}x{k}x{n} diverged at {threads} threads");
-            assert_eq!(mt1, a.matmul_t(&bt), "matmul_t {m}x{k}x{n} diverged at {threads} threads");
+            assert_eq!(mt1, matmul_t(), "matmul_t {m}x{k}x{n} diverged at {threads} threads");
         }
         parallel::set_threads(0);
     }
