@@ -25,8 +25,6 @@
 //! [`Activation::derivative_from_output`]), so training calls no `exp`
 //! after the forward.
 
-use orco_tensor::Matrix;
-
 /// Element-wise activation function.
 ///
 /// The paper's encoder/decoder mappings (eqs. 1 and 3) are written as
@@ -88,10 +86,10 @@ impl Activation {
 
     /// Applies the activation element-wise in place, with the same bits as
     /// [`Activation::apply`] on each element.
-    pub(crate) fn apply_inplace(self, m: &mut Matrix) {
+    pub(crate) fn apply_inplace(self, values: &mut [f32]) {
         match self {
-            Activation::Sigmoid => sigmoid_inplace(m.as_mut_slice()),
-            _ => m.map_inplace(|v| self.apply(v)),
+            Activation::Sigmoid => sigmoid_inplace(values),
+            _ => values.iter_mut().for_each(|v| *v = self.apply(*v)),
         }
     }
 
@@ -303,9 +301,9 @@ mod tests {
         let batches =
             [in_range.clone(), out_of_range, [&in_range[..100], &[f32::NAN]].concat(), xs];
         for values in batches {
-            let mut m = Matrix::from_vec(1, values.len(), values.clone()).expect("one row");
-            Activation::Sigmoid.apply_inplace(&mut m);
-            let got: Vec<u32> = m.as_slice().iter().map(|v| v.to_bits()).collect();
+            let mut out = values.clone();
+            Activation::Sigmoid.apply_inplace(&mut out);
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, bits_of(Activation::Sigmoid, &values));
         }
     }
@@ -314,9 +312,9 @@ mod tests {
     fn the_derivative_from_the_output_has_the_bits_of_the_one_from_the_input() {
         let xs = sampled_patterns();
         for act in [Activation::Identity, Activation::Sigmoid, Activation::Relu, Activation::Tanh] {
-            let mut out = Matrix::from_vec(1, xs.len(), xs.clone()).expect("one row");
+            let mut out = xs.clone();
             act.apply_inplace(&mut out);
-            for (&x, &y) in xs.iter().zip(out.as_slice()) {
+            for (&x, &y) in xs.iter().zip(&out) {
                 assert_eq!(
                     act.derivative_from_output(y).to_bits(),
                     derivative_from_pre(act, x).to_bits(),

@@ -127,8 +127,8 @@ impl Conv2d {
     /// The forward body. Per sample: `kernels ⊛ sample`
     /// ([`MatView::conv_into`], with the sample's bordered copy in the
     /// front of `patches`) into the sample's output row, and the
-    /// per-channel bias onto it; then an in-place activation over the
-    /// batch. `patches` keeps the lowered sample's `(patch_len, positions)`
+    /// per-channel bias and then the activation onto it, in place.
+    /// `patches` keeps the lowered sample's `(patch_len, positions)`
     /// shape, grown only where the bordered image outsizes it (a 1×1 kernel,
     /// or a stride past the kernel): how the heap is laid out moves
     /// training's speed (ROADMAP item 18). Allocates nothing once `out` and
@@ -149,13 +149,17 @@ impl Conv2d {
             let product = MatViewMut::new(self.out_c, positions, out.row_mut(i))
                 .expect("an output row is out_c * positions long");
             self.kernels.as_view().conv_into(sample, &self.geom, patches.as_mut_slice(), product);
-            for (channel, &b) in out.row_mut(i).chunks_exact_mut(positions).zip(self.bias.row(0)) {
+            let row = out.row_mut(i);
+            for (channel, &b) in row.chunks_exact_mut(positions).zip(self.bias.row(0)) {
                 for v in channel {
                     *v += b;
                 }
             }
+            // While the sample's output is still cached: a pass over the
+            // whole batch afterwards (16 MiB for DCSNet at batch 256) reads
+            // it back from memory. Element-wise, so the same bits.
+            self.activation.apply_inplace(row);
         }
-        self.activation.apply_inplace(out);
     }
 }
 
@@ -407,7 +411,7 @@ mod tests {
                 channel.iter_mut().for_each(|v| *v += b);
             }
         }
-        conv.activation.apply_inplace(&mut out);
+        conv.activation.apply_inplace(out.as_mut_slice());
         out
     }
 

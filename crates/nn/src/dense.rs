@@ -173,7 +173,7 @@ impl Dense {
                 *v += b;
             }
         }
-        self.activation.apply_inplace(out);
+        self.activation.apply_inplace(out.as_mut_slice());
     }
 }
 

@@ -42,12 +42,28 @@
 //!   row of `B` and broadcasts one value of `a` per tile row against it,
 //!   so the accumulators never touch memory inside the panel. A tile of
 //!   fewer rows spans more columns, keeping as many independent chains.
+//! - **The broadcast side packed too.** `gemm` and `direct_conv` first
+//!   gather, per `GEMM_PANEL_K` slice, what each row tile broadcasts into a
+//!   micro-panel on the stack, `R` values a `kk` for a tile of `R` rows,
+//!   the micro-panels of a group of tiles one after the other (Goto & van
+//!   de Geijn, 2008; BLIS, Van Zee & van de Geijn, 2015): `gemm` a group of
+//!   rows of `A` (64 at a full slice's depth, more in a shallower one) before
+//!   any panel of `B`, `direct_conv` a group of 16 channels' kernels. The
+//!   micro-kernel walks its broadcast side with an iterator whose length
+//!   the compiler knows, so its step is loads, broadcasts from memory and
+//!   FMAs with no bounds check: a 4-row dense tile takes 16 instructions a
+//!   `kk` for its 8 FMAs (29 when it indexed `A`'s rows where they lie, a
+//!   bounds check a row and most broadcasts through a register), a 4-row
+//!   convolution tile 23 (~37). `gemm_own_rows` is the exception: a row
+//!   tile of `b` meets at most two panels there, too few to repay a pack,
+//!   so it zips the tile's rows of `b` where they lie into the same
+//!   check-free walk (18 instructions a `kk`).
 //! - **The packed panel.** `B` is copied, one tile wide and up to 256
-//!   rows deep, into a stack panel every row tile of the thread's block
-//!   then reads from L1 — by row segments for `matmul` / `t_matmul`, by
-//!   transposed gather for `matmul_t`. A block of one row tile (4 rows
-//!   or fewer under AVX2) would read a panel once, so it reads a
-//!   row-major `B` where it lies. The gather is the costly pack: it
+//!   rows deep, into a stack panel every row tile of a group then reads
+//!   from L1 — by row segments for `matmul` / `t_matmul`, by transposed
+//!   gather for `matmul_t` — and copied again for the next group of rows.
+//!   A block of one row tile (4 rows or fewer under AVX2) would read a
+//!   panel once, so it reads a row-major `B` where it lies. The gather is the costly pack: it
 //!   visits `Bᵀ` one column at a time, so a one-row `784 → 128` product
 //!   spends most of its time on it. A `Bᵀ` that many products read
 //!   unchanged — a served layer's weight — is gathered once into
@@ -59,8 +75,8 @@
 //!   than `B` has columns. Otherwise — a training forward's `x·Wᵀ` at
 //!   batch 32, a convolution's `∂K = δ·patchesᵀ` at 16 output channels —
 //!   each thread gathers its own rows of `A` instead, two panels (32 rows)
-//!   side by side, streams the rows of `Bᵀ` past both as the broadcast
-//!   side, so a batch-32 forward reads its weight once, and stores each
+//!   side by side, broadcasts the rows of `Bᵀ` where they lie against both,
+//!   so a batch-32 forward reads its weight once, and stores each
 //!   tile transposed (reloading it transposed between panels): `(B·Aᵀ)ᵀ`,
 //!   each term `b·a` for `a·b`, the same bits.
 //! - **Blocks sized to the cache they must stay in.** A shallow product
@@ -71,7 +87,7 @@
 //!   small `B`. Panel-outer over the whole block, every row would take 64
 //!   bytes per panel and be evicted before the next.
 //! - **The convolution reads its image in place.** `conv_into` is
-//!   `kernels · im2col(x)` with no patch matrix and no panel (Dukhan's
+//!   `kernels · im2col(x)` with no patch matrix and no panel of `B` (Dukhan's
 //!   indirect convolution, 2019; Zhang, Franchetti & Low's direct one,
 //!   2018): the sample is copied once into a zero-bordered image — at
 //!   stride `s`, `s × s` phase planes, so every tap reads contiguous
@@ -141,8 +157,8 @@ const _: () = assert!(IMAGE_SLACK >= GEMM_COL_TILE);
 /// parallelize; below this the spawn overhead dominates.
 const GEMM_MIN_ROWS_PER_THREAD: usize = 8;
 
-/// Own-row panels [`gemm_own_rows`] packs side by side before it streams
-/// `B` past them: 2, i.e. 32 rows of `A` (a batch-32 training forward's
+/// Own-row panels [`gemm_own_rows`] packs side by side before it
+/// broadcasts `B` against them: 2, i.e. 32 rows of `A` (a batch-32 training forward's
 /// whole block on one thread) in 32 KB of stack, so such a block reads
 /// `B` once per `GEMM_PANEL_K` slice instead of once per panel.
 const OWN_ROW_GROUP: usize = 2;
@@ -200,71 +216,124 @@ type PanelRow = [TileRow; GEMM_PANEL_STRIPS];
 /// One `kk` of `B` read in place: `GEMM_TILE_STRIPS` strips.
 type WideRow = [TileRow; GEMM_TILE_STRIPS];
 
-/// The left factor as the micro-kernel reads it: the `R` values row tile
-/// `i0..i0 + R` broadcasts at each `kk` of the panel `k0..k0 + kb`.
-trait Lhs: Copy + Sync {
-    fn panel<const R: usize>(
-        self,
-        i0: usize,
-        k0: usize,
-        kb: usize,
-    ) -> impl Iterator<Item = [f32; R]>;
-}
+/// One `kk` of a row tile's micro-panel: the value of `a` each of the
+/// tile's rows broadcasts. A tile of fewer rows leaves the last lanes
+/// unread.
+type TileCol = [f32; GEMM_ROW_TILE];
 
-/// `a` is `m × k`: a tile broadcasts one value of each of its rows
-/// (`matmul`, `matmul_t`).
+/// An unwritten [`TileCol`].
+const TILE_COL: TileCol = [0.0; GEMM_ROW_TILE];
+
+/// Rows of `A` whose micro-panels [`gemm_block`] packs together per full
+/// `GEMM_PANEL_K` slice before it packs any panel of `B`: 64, 64 KiB of
+/// stack, zeroed once a thread's block. A shallower slice fills the same
+/// buffer with more rows (512 at `k = 32`), so `B` is packed once per
+/// buffer of `A` whatever the depth: held at 64 rows, `t_matmul` 784 × 32
+/// × 128 and 144 × 16 × 1024 (a training step's `∂W` and DCSNet's
+/// `∂patches`) read 1.04–1.13× slower. `B` is packed again for each group,
+/// so a taller group packs it less often, but zeroes more: against 128 at
+/// full depth, batch-256 `matmul` products read 0.94–0.96× and 8-row
+/// products 1.03–1.07× (nproc 2, x86-64-v3, in-process A/B).
+const GEMM_ROW_GROUP: usize = 64;
+
+/// Output channels whose kernels [`direct_block`] packs together per tap
+/// slice: 16, 16 KiB of stack, DCSNet's widest layer in one group. Every
+/// sample's convolution zeroes the buffer, and its `1 → 16` layer is only
+/// ~150k FMAs a sample: against 64 channels, the `1 → 16` and `8 → 1`
+/// layers read 1.09× faster (nproc 2, x86-64-v3, in-process A/B).
+const CONV_CHANNEL_GROUP: usize = 16;
+
+/// The broadcast factor `A` as a driver gathers its micro-panels.
 #[derive(Clone, Copy)]
-struct ByRow<'a> {
-    a: &'a [f32],
-    k: usize,
+enum Lhs<'a> {
+    /// `a` is `m × k`: a tile broadcasts one value of each of its rows
+    /// (`matmul`, `matmul_t`, a convolution's kernels).
+    ByRow { a: &'a [f32], k: usize },
+    /// `a` is `k × m`: a tile's values at one `kk` are contiguous,
+    /// `a[kk·m + i0..]` (`t_matmul`).
+    ByCol { a: &'a [f32], m: usize },
 }
 
-impl Lhs for ByRow<'_> {
-    fn panel<const R: usize>(
-        self,
-        i0: usize,
-        k0: usize,
-        kb: usize,
-    ) -> impl Iterator<Item = [f32; R]> {
-        let rows: [&[f32]; R] = std::array::from_fn(|r| &self.a[(i0 + r) * self.k + k0..][..kb]);
-        (0..kb).map(move |kk| rows.map(|row| row[kk]))
+impl<'a> Lhs<'a> {
+    /// The one column of an `m × 1` `A`: at `k = 1` both layouts are `a`.
+    fn only_column(self) -> &'a [f32] {
+        match self {
+            Lhs::ByRow { a, .. } | Lhs::ByCol { a, .. } => a,
+        }
     }
-}
 
-/// `a` is `k × m`: a tile's `R` values at one `kk` are contiguous,
-/// `a[kk·m + i0..][..R]` (`t_matmul`).
-#[derive(Clone, Copy)]
-struct ByCol<'a> {
-    a: &'a [f32],
-    m: usize,
-}
-
-impl Lhs for ByCol<'_> {
-    fn panel<const R: usize>(
-        self,
-        i0: usize,
-        k0: usize,
-        kb: usize,
-    ) -> impl Iterator<Item = [f32; R]> {
-        let (a, m) = (self.a, self.m);
-        (k0..k0 + kb).map(move |kk| *a[kk * m + i0..].first_chunk().expect("tile inside a"))
+    /// Rows `i0..i0 + rows` of `A`, columns `k0..k0 + kb`, as one
+    /// micro-panel per row tile, each `kb` deep and right after the one
+    /// before: `group[(r / GEMM_ROW_TILE)·kb + kk][r % GEMM_ROW_TILE]` is
+    /// `A[i0 + r][k0 + kk]`. Lanes past a short last tile's rows keep what
+    /// they held. Contiguous, so a group's micro-panels share no cache set
+    /// they do not fill (4 KiB apart, a shallow slice's would). Each tile's
+    /// micro-panel is written front to back: `ByRow` reads the tile's rows
+    /// side by side, a transpose the compiler vectorises; `ByCol` copies the
+    /// tile's run of values at each `kk` (written `kk`-outer, a tile's
+    /// micro-panel apart, `t_matmul` 784 × 32 × 128 read 1.07× slower).
+    fn pack(self, group: &mut [TileCol], i0: usize, rows: usize, k0: usize, kb: usize) {
+        let group = &mut group[..rows.div_ceil(GEMM_ROW_TILE) * kb];
+        match self {
+            Lhs::ByRow { a, k } => {
+                for (t, micro) in group.chunks_exact_mut(kb).enumerate() {
+                    let r0 = i0 + t * GEMM_ROW_TILE;
+                    let tile_rows = GEMM_ROW_TILE.min(i0 + rows - r0);
+                    if tile_rows == GEMM_ROW_TILE {
+                        let src: [&[f32]; GEMM_ROW_TILE] =
+                            std::array::from_fn(|r| &a[(r0 + r) * k + k0..][..kb]);
+                        for (kk, col) in micro.iter_mut().enumerate() {
+                            *col = src.map(|row| row[kk]);
+                        }
+                    } else {
+                        for r in 0..tile_rows {
+                            for (col, &v) in micro.iter_mut().zip(&a[(r0 + r) * k + k0..][..kb]) {
+                                col[r] = v;
+                            }
+                        }
+                    }
+                }
+            }
+            Lhs::ByCol { a, m } => {
+                for (t, micro) in group.chunks_exact_mut(kb).enumerate() {
+                    let r0 = i0 + t * GEMM_ROW_TILE;
+                    let tile_rows = GEMM_ROW_TILE.min(i0 + rows - r0);
+                    let src = a[k0 * m + r0..].chunks(m);
+                    if tile_rows == GEMM_ROW_TILE {
+                        for (col, src) in micro.iter_mut().zip(src) {
+                            *col = *src.first_chunk().expect("a whole tile");
+                        }
+                    } else {
+                        for (col, src) in micro.iter_mut().zip(src) {
+                            col[..tile_rows].copy_from_slice(&src[..tile_rows]);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
 /// The micro-kernel: `R` rows × `C` strips of `out` (`o` starts at the
 /// tile's first element, rows `n` apart, `nb` valid columns) over one panel
-/// — at each `kk`, the `R` broadcast values of `a` from `avs` against the
-/// `C` strip rows of `B` from `bvs`. The tile is held in `acc`, `V = R · C`
-/// strip rows (cell `v` is row `v / C`, strip `v % C`) indexed only by
-/// constants, so it lives in registers for the whole panel: the first panel
-/// starts every accumulator at `+0.0`, a later one (`reload`) resumes from
-/// what the panel before it stored. `ZERO_RULE` applies the zero rule on the
-/// rows whose value of `a` is zero. The finished tile is stored, never
-/// added. A `TRANSPOSED` tile is the transpose of its block of `out`: its
-/// row `r` is column `r` of `o`, and its `nb` valid strip lanes are rows of
-/// `o`, `n` apart; only its store and reload differ.
+/// — at each `kk`, the `R` values of `a` that `avs` points at, broadcast
+/// against the `C` strip rows of `B` from `bvs`. `avs` is a packed
+/// micro-panel's [`lanes`] or, in [`gemm_own_rows`], the tile's rows of `b`
+/// zipped: iterators whose zip with a slice's is indexed by one counter, so
+/// a step is loads, broadcasts from memory and FMAs, with no bounds check. The
+/// tile is held in `acc`, `V = R · C` strip rows (cell `v` is row `v / C`,
+/// strip `v % C`) indexed only by constants, so it lives in registers for
+/// the whole panel: the first panel starts every accumulator at `+0.0`, a
+/// later one (`reload`) resumes from what the panel before it stored.
+/// `ZERO_RULE` applies the zero rule on the rows whose value of `a` is
+/// zero. The finished tile is stored, never added. A `TRANSPOSED` tile is
+/// the transpose of its block of `out`: its row `r` is column `r` of `o`,
+/// and its `nb` valid strip lanes are rows of `o`, `n` apart; only its
+/// store and reload differ. `R` is at most `GEMM_ROW_TILE`: the drivers'
+/// taller arms exist only in a build whose tile is taller.
 #[inline(never)]
 fn row_tile<
+    'a,
     'p,
     const R: usize,
     const C: usize,
@@ -272,7 +341,7 @@ fn row_tile<
     const ZERO_RULE: bool,
     const TRANSPOSED: bool,
 >(
-    avs: impl Iterator<Item = [f32; R]>,
+    avs: impl Iterator<Item = [&'a f32; R]>,
     bvs: impl Iterator<Item = &'p [TileRow; C]>,
     reload: bool,
     o: &mut [f32],
@@ -311,7 +380,7 @@ fn row_tile<
     }
     for (av, bv) in avs.zip(bvs) {
         for (v, acc_row) in acc.iter_mut().enumerate() {
-            let (a, b_row) = (av[v / C], &bv[v % C]);
+            let (a, b_row) = (*av[v / C], &bv[v % C]);
             if ZERO_RULE && a == 0.0 {
                 for (x, &b) in acc_row.iter_mut().zip(b_row) {
                     *x = madd_zero_rule(*x, a, b);
@@ -335,6 +404,13 @@ fn row_tile<
             store_row(&mut o[at..], width, acc_row);
         }
     }
+}
+
+/// A micro-panel's first `R` lanes a `kk`, by reference, so
+/// [`row_tile`] broadcasts each from memory.
+#[inline(always)]
+fn lanes<const R: usize>(micro: &[TileCol]) -> impl Iterator<Item = [&f32; R]> {
+    micro.iter().map(|col| std::array::from_fn(|r| &col[r]))
 }
 
 /// The first `nb` values of `src` as a strip row, zero-padded: a
@@ -522,9 +598,12 @@ impl Panels {
 /// rows. Panel-outer over the whole block, a `t_matmul` `∂W = δᵀ·x` of
 /// 512 × 3072 writes 64 bytes to every one of its rows per panel, and no
 /// cache holds them until the next; a slab's rows stay cached across all
-/// its panels, for one re-pack of the small `B` per slab. A `k = 1`
+/// its panels, for one re-pack of the small `B` per slab. A block of one
+/// row tile packs into one micro-panel's buffer, not a group's: zeroing a
+/// whole group's 64 KiB made a one-row `784 → 128` product 1.15× slower. A
+/// `k = 1`
 /// product, an outer product, is one step per output ([`outer`]).
-fn gemm<const ZERO_RULE: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, out: &mut [f32]) {
+fn gemm<const ZERO_RULE: bool>(lhs: Lhs<'_>, rhs: Rhs<'_>, k: usize, n: usize, out: &mut [f32]) {
     if k == 0 {
         // An empty sum: the one product with no panel to store it.
         out.fill(0.0);
@@ -534,7 +613,7 @@ fn gemm<const ZERO_RULE: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, 
         return;
     }
     if k == 1 {
-        outer::<ZERO_RULE>(lhs, rhs.only_row(n), out);
+        outer::<ZERO_RULE>(lhs.only_column(), rhs.only_row(n), out);
         return;
     }
     let shallow = k <= GEMM_PANEL_K && !matches!(rhs, Rhs::Packed(_));
@@ -544,26 +623,38 @@ fn gemm<const ZERO_RULE: bool>(lhs: impl Lhs, rhs: Rhs<'_>, k: usize, n: usize, 
         } else {
             block.len() / n
         };
-        for (s, slab) in block.chunks_mut(slab_rows * n).enumerate() {
-            gemm_block::<ZERO_RULE>(lhs, rhs, k, n, first_row + s * slab_rows, slab);
+        let one_tile = block.len() <= GEMM_ROW_TILE * n;
+        let mut run = |group: &mut [TileCol]| {
+            for (s, slab) in block.chunks_mut(slab_rows * n).enumerate() {
+                gemm_block::<ZERO_RULE>(lhs, rhs, k, n, first_row + s * slab_rows, slab, group);
+            }
+        };
+        if one_tile {
+            run(&mut [TILE_COL; GEMM_PANEL_K]);
+        } else {
+            run(&mut [TILE_COL; GEMM_ROW_GROUP * GEMM_PANEL_K / GEMM_ROW_TILE]);
         }
     });
 }
 
 /// Rows `first_row..` of `out`, `block` (whole rows): per `GEMM_PANEL_K`
-/// rows of `B` (`k` ascending), one packed panel per full tile's width of
-/// columns — packed into the block's stack buffer, or borrowed from
-/// [`Panels`] — and every row tile of the block over it
-/// ([`packed_tiles`]). A block of one row tile takes a row-major `B` in
-/// place instead, `GEMM_TILE_STRIPS` strips at a time ([`in_place_tile`]),
-/// and packs only the columns left over.
+/// rows of `B` (`k` ascending) and group of rows — as many as `group`
+/// holds micro-panels of the slice's depth, [`GEMM_ROW_GROUP`] at full depth
+/// — the group's micro-panels of `A` are packed into `group` ([`Lhs::pack`])
+/// and then, per full tile's width of columns, one panel of `B` — packed
+/// into `panel`, or borrowed from [`Panels`] — and every row tile of the
+/// group over it ([`packed_tiles`]). So `A` is gathered once per slice, and
+/// a `Rows` or `Cols` `B` once per slice and group. A block of one row tile
+/// takes a row-major `B` in place instead, `GEMM_TILE_STRIPS` strips at a
+/// time ([`in_place_tile`]), and packs only the columns left over.
 fn gemm_block<const ZERO_RULE: bool>(
-    lhs: impl Lhs,
+    lhs: Lhs<'_>,
     rhs: Rhs<'_>,
     k: usize,
     n: usize,
     first_row: usize,
     block: &mut [f32],
+    group: &mut [TileCol],
 ) {
     const WIDE: usize = GEMM_TILE_STRIPS * GEMM_COL_TILE;
     let rows = block.len() / n;
@@ -575,26 +666,34 @@ fn gemm_block<const ZERO_RULE: bool>(
     let mut panel = [[[0.0; GEMM_COL_TILE]; GEMM_PANEL_STRIPS]; GEMM_PANEL_K];
     for k0 in (0..k).step_by(GEMM_PANEL_K) {
         let kb = GEMM_PANEL_K.min(k - k0);
-        if let Some(b) = in_place {
-            for j0 in (0..packed_from).step_by(WIDE) {
-                let b_row = move |kk: usize| {
-                    let (strips, _) = b[(k0 + kk) * n + j0..].as_chunks();
-                    strips.first_chunk::<GEMM_TILE_STRIPS>().expect("whole strips")
-                };
-                in_place_tile::<ZERO_RULE>(lhs, b_row, kb, first_row, &mut block[j0..], n, k0);
+        let group_max = group.len() / kb * GEMM_ROW_TILE;
+        for g0 in (0..rows).step_by(group_max) {
+            let group_rows = group_max.min(rows - g0);
+            lhs.pack(group, first_row + g0, group_rows, k0, kb);
+            let block = &mut block[g0 * n..][..group_rows * n];
+            if let Some(b) = in_place {
+                let a = &group[..kb];
+                for j0 in (0..packed_from).step_by(WIDE) {
+                    let b_row = move |kk: usize| {
+                        let (strips, _) = b[(k0 + kk) * n + j0..].as_chunks();
+                        strips.first_chunk::<GEMM_TILE_STRIPS>().expect("whole strips")
+                    };
+                    in_place_tile::<ZERO_RULE>(a, b_row, rows, &mut block[j0..], n, k0);
+                }
             }
-        }
-        for j0 in (packed_from..n).step_by(PANEL_WIDTH) {
-            let cols = j0..n.min(j0 + PANEL_WIDTH);
-            let (o, nb) = (&mut block[j0..], cols.len());
-            let panel = rhs.pack(&mut panel[..kb], k0, cols);
-            // The zero rule drops only a term whose `b` is ±inf or NaN, so
-            // a finite panel takes every term, and only a panel that holds
-            // a non-finite value takes the rule's per-row branches.
-            if ZERO_RULE && has_non_finite(panel) {
-                packed_tiles::<true, false, 1>(lhs, [(panel, nb)], first_row, o, n, k0);
-            } else {
-                packed_tiles::<false, false, 1>(lhs, [(panel, nb)], first_row, o, n, k0);
+            for j0 in (packed_from..n).step_by(PANEL_WIDTH) {
+                let cols = j0..n.min(j0 + PANEL_WIDTH);
+                let (o, nb) = (&mut block[j0..], cols.len());
+                let panel = rhs.pack(&mut panel[..kb], k0, cols);
+                let tiles = (&group[..group_rows.div_ceil(GEMM_ROW_TILE) * kb], kb, group_rows);
+                // The zero rule drops only a term whose `b` is ±inf or NaN,
+                // so a finite panel takes every term, and only a panel that
+                // holds a non-finite value takes the rule's per-row branches.
+                if ZERO_RULE && has_non_finite(panel) {
+                    packed_tiles::<true>(tiles, (panel, nb), o, n, k0);
+                } else {
+                    packed_tiles::<false>(tiles, (panel, nb), o, n, k0);
+                }
             }
         }
     }
@@ -609,14 +708,18 @@ fn gemm_block<const ZERO_RULE: bool>(
 /// block gathers its own rows of `a` by the gather `Rhs::Cols` packs `b`
 /// with, a group of [`OWN_ROW_GROUP`] panels (`PANEL_WIDTH` rows each) at
 /// a time, and streams every row of `b` past the whole group as the
-/// broadcast side — so it reads `b` where it lies, once per group and
-/// `GEMM_PANEL_K` slice, instead of gathering all of it. Each tile is
-/// stored transposed ([`row_tile`]'s `TRANSPOSED`). An element takes the
+/// broadcast side, read where it lies: a row tile's rows of `b`, zipped,
+/// go to [`row_tile`] for each panel of the group, so it reads `b` once per
+/// group and slice instead of gathering all of it. The tile is not packed:
+/// it meets at most [`OWN_ROW_GROUP`] panels, and packing it (a transpose)
+/// cost more than the step it saved — `matmul_t` 16 × 1024 · (144 ×
+/// 1024)ᵀ (DCSNet's 16 → 16 `∂K`) and 32 × 784 · (128 × 784)ᵀ read
+/// 1.10–1.24× slower packed (nproc 2, x86-64-v3, in-process A/B). Each
+/// tile is stored transposed ([`row_tile`]'s `TRANSPOSED`). An element takes the
 /// same terms in the same order, each `b·a` for `a·b` — the same bits,
 /// fused or not — and `matmul_t` has no zero rule to break the symmetry.
 fn gemm_own_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     const GROUP_ROWS: usize = OWN_ROW_GROUP * PANEL_WIDTH;
-    let broadcast = ByRow { a: b, k };
     crate::parallel::for_each_row_block(out, n, PANEL_WIDTH, |first_row, block| {
         let rows = block.len() / n;
         let own = Rhs::Cols { b: &a[first_row * k..][..rows * k], k };
@@ -633,80 +736,98 @@ fn gemm_own_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
                     let nb = own_rows.len();
                     *panel = (own.pack(&mut buffer[..kb], k0, own_rows), nb);
                 }
-                let o = &mut block[g0 * n..];
-                packed_tiles::<false, true, OWN_ROW_GROUP>(broadcast, panels, 0, o, n, k0);
+                for j0 in (0..n).step_by(GEMM_ROW_TILE) {
+                    let row = |r: usize| b[(j0 + r) * k + k0..][..kb].iter();
+                    for (p, (panel, nb)) in panels.into_iter().enumerate() {
+                        if nb == 0 {
+                            break;
+                        }
+                        let o = &mut block[(g0 + p * PANEL_WIDTH) * n + j0..];
+                        macro_rules! tile {
+                            ($r:literal, $avs:expr) => {
+                                row_tile::<
+                                    $r,
+                                    GEMM_PANEL_STRIPS,
+                                    { $r * GEMM_PANEL_STRIPS },
+                                    false,
+                                    true,
+                                >($avs, panel.iter(), k0 > 0, o, n, nb)
+                            };
+                        }
+                        match (n - j0).min(GEMM_ROW_TILE) {
+                            1 => tile!(1, row(0).map(|a| [a])),
+                            2 => tile!(2, row(0).zip(row(1)).map(|(a, b)| [a, b])),
+                            3 => tile!(
+                                3,
+                                row(0).zip(row(1)).zip(row(2)).map(|((a, b), c)| [a, b, c])
+                            ),
+                            _ => tile!(
+                                4,
+                                row(0)
+                                    .zip(row(1))
+                                    .zip(row(2))
+                                    .zip(row(3))
+                                    .map(|(((a, b), c), d)| [a, b, c, d])
+                            ),
+                        }
+                    }
+                }
             }
         }
     });
 }
 
-/// Every row tile of a block (`first_row` its first row of `out`, `o` its
-/// elements from the first panel's first column on) over `P` packed panels
-/// side by side, each with its count `nb` of valid columns (panel `p`
-/// holds columns `p · PANEL_WIDTH..` of `o`; a panel with no valid column
-/// ends the list), the panels' rows starting at `k0`: `GEMM_ROW_TILE` rows at
-/// a time, then the remainder rows as one tile — no padding row is ever
-/// computed — each tile over every panel before the next. Under
-/// `TRANSPOSED` ([`gemm_own_rows`]) the roles swap: `lhs` broadcasts the
-/// rows of `b` (`first_row` is 0), a tile of `R` of them covers `R`
-/// columns of `o`, the tiles run along all `n` columns, and a panel's `nb`
-/// valid columns are rows of `o`. Each `nb` reaches [`row_tile`] as the
-/// caller counted it: bounding it here (`min(PANEL_WIDTH)`) changed how
-/// the compiler built `row_tile`, and the MNIST-like `∂W` products read
-/// 1.02–1.03× slower.
-fn packed_tiles<const ZERO_RULE: bool, const TRANSPOSED: bool, const P: usize>(
-    lhs: impl Lhs,
-    panels: [(&[PanelRow], usize); P],
-    first_row: usize,
+/// Every row tile of a group (`tiles`: the group's micro-panels, each `kb`
+/// deep, and its count of rows; `o` its elements from the panel's first
+/// column on) over one packed panel with `nb` valid columns, the panel's
+/// rows starting at `k0`: `GEMM_ROW_TILE` rows at a time, then the remainder
+/// rows as one tile — no padding row is ever computed. `nb` reaches
+/// [`row_tile`] as the caller counted it: bounding it here
+/// (`min(PANEL_WIDTH)`) changed how the compiler built `row_tile`, and the
+/// MNIST-like `∂W` products read 1.02–1.03× slower.
+fn packed_tiles<const ZERO_RULE: bool>(
+    (group, kb, rows): (&[TileCol], usize, usize),
+    (panel, nb): (&[PanelRow], usize),
     o: &mut [f32],
     n: usize,
     k0: usize,
 ) {
-    // `o` starts inside the block's first row. A step along `rows` moves
-    // `step` elements of `o`, one of the panels' columns `across`.
-    let (rows, step, across) = if TRANSPOSED { (n, 1, n) } else { (o.len().div_ceil(n), n, 1) };
-    for i in (0..rows).step_by(GEMM_ROW_TILE) {
-        let i0 = first_row + i;
-        for (p, (panel, nb)) in panels.into_iter().enumerate() {
-            if P > 1 && nb == 0 {
-                break;
-            }
-            let o = &mut o[i * step + p * PANEL_WIDTH * across..];
-            macro_rules! tile {
-                ($r:literal) => {{
-                    let avs = lhs.panel::<$r>(i0, k0, panel.len());
-                    let bvs = panel.iter();
-                    row_tile::<
-                        $r,
-                        GEMM_PANEL_STRIPS,
-                        { $r * GEMM_PANEL_STRIPS },
-                        ZERO_RULE,
-                        TRANSPOSED,
-                    >(avs, bvs, k0 > 0, o, n, nb);
-                }};
-            }
-            match (rows - i).min(GEMM_ROW_TILE) {
-                1 => tile!(1),
-                2 => tile!(2),
-                3 => tile!(3),
-                _ => tile!(4),
-            }
+    for (t, avs) in group.chunks_exact(kb).enumerate() {
+        let i = t * GEMM_ROW_TILE;
+        let o = &mut o[i * n..];
+        macro_rules! tile {
+            ($r:literal) => {
+                row_tile::<$r, GEMM_PANEL_STRIPS, { $r * GEMM_PANEL_STRIPS }, ZERO_RULE, false>(
+                    lanes(avs),
+                    panel.iter(),
+                    k0 > 0,
+                    o,
+                    n,
+                    nb,
+                )
+            };
+        }
+        match (rows - i).min(GEMM_ROW_TILE) {
+            1 => tile!(1),
+            2 => tile!(2),
+            3 => tile!(3),
+            _ => tile!(4),
         }
     }
 }
 
-/// A block of at most `GEMM_ROW_TILE` rows (`o` its elements from the
-/// group's first column on) over `GEMM_TILE_STRIPS` whole strips of `B`
-/// read in place — `b_row(kk)` is row `k0 + kk`, `kk < kb` — as one tile of
-/// `R` rows × `GEMM_TILE_STRIPS / R` strips at a time, so even one row holds
-/// a full tile's independent accumulators. The zero rule stays on the
-/// per-row branches: scanning `B` for a non-finite value would cost the
-/// pass that reading it in place saves.
+/// A block of `rows ≤ GEMM_ROW_TILE` rows (`o` its elements from the
+/// group's first column on, `a` its one micro-panel) over
+/// `GEMM_TILE_STRIPS` whole strips of `B` read in place — `b_row(kk)` is
+/// row `k0 + kk`, `kk < a.len()` — as one tile of `R` rows ×
+/// `GEMM_TILE_STRIPS / R` strips at a time, so even one row holds a full
+/// tile's independent accumulators. The zero rule stays on the per-row
+/// branches: scanning `B` for a non-finite value would cost the pass that
+/// reading it in place saves.
 fn in_place_tile<'b, const ZERO_RULE: bool>(
-    lhs: impl Lhs,
+    a: &[TileCol],
     b_row: impl Fn(usize) -> &'b WideRow + Copy,
-    kb: usize,
-    first_row: usize,
+    rows: usize,
     o: &mut [f32],
     n: usize,
     k0: usize,
@@ -714,17 +835,22 @@ fn in_place_tile<'b, const ZERO_RULE: bool>(
     macro_rules! tiles {
         ($r:literal, $c:expr) => {
             for s0 in (0..GEMM_TILE_STRIPS).step_by($c) {
-                let avs = lhs.panel::<$r>(first_row, k0, kb);
-                let bvs = (0..kb).map(move |kk| {
+                let bvs = (0..a.len()).map(move |kk| {
                     b_row(kk)[s0..].first_chunk::<{ $c }>().expect("strips inside the row")
                 });
                 let (o, nb) = (&mut o[s0 * GEMM_COL_TILE..], $c * GEMM_COL_TILE);
-                row_tile::<$r, { $c }, { $r * $c }, ZERO_RULE, false>(avs, bvs, k0 > 0, o, n, nb);
+                row_tile::<$r, { $c }, { $r * $c }, ZERO_RULE, false>(
+                    lanes(a),
+                    bvs,
+                    k0 > 0,
+                    o,
+                    n,
+                    nb,
+                );
             }
         };
     }
-    // `o` starts inside the block's first row.
-    match o.len().div_ceil(n) {
+    match rows {
         1 => tiles!(1, GEMM_TILE_STRIPS),
         2 => tiles!(2, GEMM_TILE_STRIPS / 2),
         3 => tiles!(3, 1),
@@ -732,15 +858,14 @@ fn in_place_tile<'b, const ZERO_RULE: bool>(
     }
 }
 
-/// `out[i][j] = a[i]·b[j]`, the product of `k = 1`: `b` the one row of `B`,
-/// each output one step from `+0.0` under the product's zero rule — the
-/// kernel's bits, with no panel to pack and no tile to hold. Row-parallel
-/// like [`gemm`].
-fn outer<const ZERO_RULE: bool>(lhs: impl Lhs, b: &[f32], out: &mut [f32]) {
+/// `out[i][j] = a[i]·b[j]`, the product of `k = 1`: `a` the one column of
+/// `A`, `b` the one row of `B`, each output one step from `+0.0` under the
+/// product's zero rule — the kernel's bits, with no panel to pack and no
+/// tile to hold. Row-parallel like [`gemm`].
+fn outer<const ZERO_RULE: bool>(a: &[f32], b: &[f32], out: &mut [f32]) {
     let n = b.len();
     crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
-        for (i, o) in block.chunks_exact_mut(n).enumerate() {
-            let [a] = lhs.panel::<1>(first_row + i, 0, 1).next().expect("a one-term panel");
+        for (o, &a) in block.chunks_exact_mut(n).zip(&a[first_row..]) {
             if ZERO_RULE && a == 0.0 {
                 for (x, &b) in o.iter_mut().zip(b) {
                     *x = madd_zero_rule(0.0, a, b);
@@ -777,7 +902,7 @@ fn non_finite(v: f32) -> u32 {
 /// Row-parallel over output channels like [`gemm`]; each block is one run
 /// of [`direct_block`].
 fn direct_conv<const ZERO_RULE: bool>(
-    kernels: ByRow<'_>,
+    kernels: Lhs<'_>,
     geom: &Conv2dGeom,
     image: &[f32],
     out: &mut [f32],
@@ -795,17 +920,18 @@ fn direct_conv<const ZERO_RULE: bool>(
 
 /// Output channels `first_row..` of [`direct_conv`]'s `out`, `block`
 /// (whole channels). Per `GEMM_PANEL_K` taps (`k` ascending), a stack
-/// table holds each tap's offset in `image`; for every row tile of
-/// channels, output row `y` and strip of up to `GEMM_COL_TILE` outputs
-/// from `x0`, row `kk` of `B` is then the strip `image[y·cols + x0 +
-/// taps[kk]..]`, read where it lies ([`row_tile`], one strip wide). No
-/// patch matrix is built and no panel is packed; an element takes the
-/// same terms in the same order as `matmul`, from `+0.0`, reloaded
-/// between slices, so the same bits. The table is read, not recomputed:
-/// an iterator that derived each offset from the last ran 1.5–2.0× slower
-/// than im2col and `matmul`.
+/// table holds each tap's offset in `image`; per group of up to
+/// [`CONV_CHANNEL_GROUP`] channels, the group's kernels are packed into
+/// micro-panels ([`Lhs::pack`]); for every row tile of the group, output
+/// row `y` and strip of up to `GEMM_COL_TILE` outputs from `x0`, row `kk`
+/// of `B` is then the strip `image[y·cols + x0 + taps[kk]..]`, read where
+/// it lies ([`row_tile`], one strip wide). No patch matrix is built and no
+/// panel of `B` is packed; an element takes the same terms in the same
+/// order as `matmul`, from `+0.0`, reloaded between slices, so the same
+/// bits. The table is read, not recomputed: an iterator that derived each
+/// offset from the last ran 1.5–2.0× slower than im2col and `matmul`.
 fn direct_block<const ZERO_RULE: bool>(
-    kernels: ByRow<'_>,
+    kernels: Lhs<'_>,
     geom: &Conv2dGeom,
     image: &[f32],
     first_row: usize,
@@ -822,33 +948,46 @@ fn direct_block<const ZERO_RULE: bool>(
         ((c * s + kh % s) * s + kw % s) * rows * cols + kh / s * cols + kw / s
     };
     let mut table = [0; GEMM_PANEL_K];
+    let mut group = [TILE_COL; CONV_CHANNEL_GROUP * GEMM_PANEL_K / GEMM_ROW_TILE];
+    let channels = block.len() / positions;
     for k0 in (0..patch_len).step_by(GEMM_PANEL_K) {
         let kb = GEMM_PANEL_K.min(patch_len - k0);
         for (t, offset) in table[..kb].iter_mut().enumerate() {
             *offset = tap(k0 + t);
         }
         let taps = &table[..kb];
-        let channels = block.len() / positions;
-        for i in (0..channels).step_by(GEMM_ROW_TILE) {
-            for y in 0..oh {
-                for x0 in (0..ow).step_by(GEMM_COL_TILE) {
-                    let (image, nb) = (&image[y * cols + x0..], GEMM_COL_TILE.min(ow - x0));
-                    let o = &mut block[i * positions + y * ow + x0..];
-                    macro_rules! tile {
-                        ($r:literal) => {{
-                            let avs = kernels.panel::<$r>(first_row + i, k0, kb);
-                            let bvs = taps.iter().map(|&offset| {
-                                std::array::from_ref(image[offset..].first_chunk().expect("slack"))
-                            });
-                            let (reload, n) = (k0 > 0, positions);
-                            row_tile::<$r, 1, $r, ZERO_RULE, false>(avs, bvs, reload, o, n, nb);
-                        }};
-                    }
-                    match (channels - i).min(GEMM_ROW_TILE) {
-                        1 => tile!(1),
-                        2 => tile!(2),
-                        3 => tile!(3),
-                        _ => tile!(4),
+        for c0 in (0..channels).step_by(CONV_CHANNEL_GROUP) {
+            let group_rows = CONV_CHANNEL_GROUP.min(channels - c0);
+            kernels.pack(&mut group, first_row + c0, group_rows, k0, kb);
+            let group = &group[..group_rows.div_ceil(GEMM_ROW_TILE) * kb];
+            for (t, avs) in group.chunks_exact(kb).enumerate() {
+                let i = c0 + t * GEMM_ROW_TILE;
+                for y in 0..oh {
+                    for x0 in (0..ow).step_by(GEMM_COL_TILE) {
+                        let (image, nb) = (&image[y * cols + x0..], GEMM_COL_TILE.min(ow - x0));
+                        let o = &mut block[i * positions + y * ow + x0..];
+                        let bvs = taps.iter().map(|&offset| {
+                            std::array::from_ref(image[offset..].first_chunk().expect("slack"))
+                        });
+                        let (reload, n) = (k0 > 0, positions);
+                        macro_rules! tile {
+                            ($r:literal) => {
+                                row_tile::<$r, 1, $r, ZERO_RULE, false>(
+                                    lanes(avs),
+                                    bvs,
+                                    reload,
+                                    o,
+                                    n,
+                                    nb,
+                                )
+                            };
+                        }
+                        match (channels - i).min(GEMM_ROW_TILE) {
+                            1 => tile!(1),
+                            2 => tile!(2),
+                            3 => tile!(3),
+                            _ => tile!(4),
+                        }
                     }
                 }
             }
@@ -1043,7 +1182,7 @@ impl<'a> MatView<'a> {
             other.cols
         );
         let (lhs, rhs) =
-            (ByRow { a: self.data, k: self.cols }, Rhs::Rows { b: other.data, n: other.cols });
+            (Lhs::ByRow { a: self.data, k: self.cols }, Rhs::Rows { b: other.data, n: other.cols });
         gemm::<true>(lhs, rhs, self.cols, other.cols, out.data);
     }
 
@@ -1074,7 +1213,7 @@ impl<'a> MatView<'a> {
             other.cols
         );
         let (lhs, rhs) =
-            (ByCol { a: self.data, m: self.cols }, Rhs::Rows { b: other.data, n: other.cols });
+            (Lhs::ByCol { a: self.data, m: self.cols }, Rhs::Rows { b: other.data, n: other.cols });
         gemm::<true>(lhs, rhs, self.rows, other.cols, out.data);
     }
 
@@ -1110,7 +1249,7 @@ impl<'a> MatView<'a> {
         if (PANEL_WIDTH..n).contains(&m) && k > 1 {
             gemm_own_rows(self.data, other.data, k, n, out.data);
         } else {
-            let (lhs, rhs) = (ByRow { a: self.data, k }, Rhs::Cols { b: other.data, k });
+            let (lhs, rhs) = (Lhs::ByRow { a: self.data, k }, Rhs::Cols { b: other.data, k });
             gemm::<false>(lhs, rhs, k, n, out.data);
         }
     }
@@ -1139,7 +1278,7 @@ impl<'a> MatView<'a> {
             out.cols,
             self.rows
         );
-        gemm::<false>(ByRow { a: self.data, k }, Rhs::Packed(panels), k, n, out.data);
+        gemm::<false>(Lhs::ByRow { a: self.data, k }, Rhs::Packed(panels), k, n, out.data);
     }
 
     /// `out = self · im2col(sample)` without the patch matrix: `self` is a
@@ -1174,7 +1313,7 @@ impl<'a> MatView<'a> {
             geom.out_positions()
         );
         let image = &mut image[..geom.image_len()];
-        let kernels = ByRow { a: self.data, k: self.cols };
+        let kernels = Lhs::ByRow { a: self.data, k: self.cols };
         // The zero rule drops only a term whose pixel is ±inf or NaN, so a
         // finite sample takes every term, as a finite panel does.
         if bordered_copy(sample, geom, image) {
@@ -1414,11 +1553,20 @@ mod tests {
     /// panels ([`OWN_ROW_GROUP`]): `m` one off two panels and three panels
     /// and five rows — two and three groups, a ragged last one — two
     /// slices deep and one more, so a transposed tile reloads across
-    /// groups. The last three are shallow products around
+    /// groups. The next three are shallow products around
     /// [`GEMM_SLAB_MIN_OUT_BYTES`]: an output just over it in slabs, `m`
     /// not a multiple of [`GEMM_SLAB_ROWS`], one a whole panel deep; and
-    /// one just under it.
-    const EDGE_SHAPES: [(usize, usize, usize); 32] = [
+    /// one just under it. The next eight cross [`GEMM_ROW_GROUP`], the rows
+    /// whose micro-panels `gemm_block` packs together: `m` one short of a
+    /// group, a whole one, one past it, and three past two (a short last
+    /// tile in the third group), each `GEMM_PANEL_K + 1` deep, so the
+    /// second slice reloads every group; each with `n` below `m`
+    /// (`matmul_t` gathers `bᵀ`) and just above it (`matmul_t` packs its
+    /// own rows). The last three cross the taller group of a shallow slice
+    /// (`GEMM_ROW_GROUP` rows' micro-panels at full depth fill the buffer
+    /// that a slice of [`SHALLOW_K`] fills with [`SHALLOW_GROUP`] rows): `m`
+    /// one short of it and one past it, `n` below `m` and above it.
+    const EDGE_SHAPES: [(usize, usize, usize); 43] = [
         (64, 128, 784),
         (32, 784, 128),
         (16, 1024, 144),
@@ -1451,7 +1599,25 @@ mod tests {
         (SLAB_OVER, 32, SLAB_COLS),
         (SLAB_OVER, GEMM_PANEL_K, SLAB_COLS),
         (SLAB_OVER - 1, 32, SLAB_COLS),
+        (GEMM_ROW_GROUP - 1, GEMM_PANEL_K + 1, 2 * PANEL_WIDTH + 1),
+        (GEMM_ROW_GROUP - 1, GEMM_PANEL_K + 1, GEMM_ROW_GROUP + 2),
+        (GEMM_ROW_GROUP, GEMM_PANEL_K + 1, 2 * PANEL_WIDTH + 1),
+        (GEMM_ROW_GROUP, GEMM_PANEL_K + 1, GEMM_ROW_GROUP + 3),
+        (GEMM_ROW_GROUP + 1, GEMM_PANEL_K + 1, 2 * PANEL_WIDTH + 1),
+        (GEMM_ROW_GROUP + 1, GEMM_PANEL_K + 1, GEMM_ROW_GROUP + 4),
+        (2 * GEMM_ROW_GROUP + 3, GEMM_PANEL_K + 1, 2 * PANEL_WIDTH + 1),
+        (2 * GEMM_ROW_GROUP + 3, GEMM_PANEL_K + 1, 2 * GEMM_ROW_GROUP + 5),
+        (SHALLOW_GROUP - 1, SHALLOW_K, 2 * PANEL_WIDTH + 1),
+        (SHALLOW_GROUP + 1, SHALLOW_K, 2 * PANEL_WIDTH + 1),
+        (SHALLOW_GROUP + 1, SHALLOW_K, SHALLOW_GROUP + 2),
     ];
+
+    /// Depth of the shallow group rows of [`EDGE_SHAPES`]: a training
+    /// step's `∂W` at batch 32.
+    const SHALLOW_K: usize = 32;
+
+    /// Rows of one group of `gemm_block` at depth [`SHALLOW_K`].
+    const SHALLOW_GROUP: usize = GEMM_ROW_GROUP * GEMM_PANEL_K / SHALLOW_K;
 
     /// Columns of the slab rows of [`EDGE_SHAPES`]: a ragged last panel.
     const SLAB_COLS: usize = 1027;
@@ -1638,11 +1804,15 @@ mod tests {
     }
 
     /// 32 channels at 3×3: a patch of 288 taps spans two table slices, so
-    /// every tile reloads what the first slice stored.
+    /// every tile reloads what the first slice stored. The last three
+    /// output channel counts are one short of [`CONV_CHANNEL_GROUP`], one
+    /// past it and three past two groups (a short last tile in the third),
+    /// so each slice packs every group's kernels again.
     #[test]
     fn the_direct_conv_reloads_across_table_slices() {
+        const G: usize = CONV_CHANNEL_GROUP;
         let mut rng = crate::OrcoRng::from_label("direct-conv-deep", 0);
-        for (stride, out_c) in [(1, 16), (1, 5), (2, 3)] {
+        for (stride, out_c) in [(1, 16), (1, 5), (2, 3), (1, G - 1), (1, G + 1), (1, 2 * G + 3)] {
             let geom = Conv2dGeom::new(32, 9, 18, 3, stride, 1);
             assert!(geom.patch_len() > GEMM_PANEL_K);
             let kernels = conv_kernels(&mut rng, out_c, &geom);
