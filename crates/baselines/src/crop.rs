@@ -150,6 +150,26 @@ mod tests {
         assert!(crop.params().is_empty());
     }
 
+    /// Into an `out` full of NaN, at the output's shape and at a larger
+    /// one, both forward entry points leave the bits a fresh `out` gets.
+    #[test]
+    fn every_output_element_is_written() {
+        let mut crop = Crop2d::new(2, 6, 4);
+        let x = Matrix::from_fn(3, 72, |r, c| ((r * 72 + c) as f32 * 0.21).sin());
+        let fresh = crop.forward(&x, false);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (r, c) in [(3, 32), (5, 35)] {
+            let mut out = Matrix::from_fn(r, c, |_, _| f32::NAN);
+            crop.infer_into(x.as_view(), &mut out, &mut Workspace::default());
+            assert_eq!((out.shape(), bits(&out)), (fresh.shape(), bits(&fresh)), "{r}x{c}");
+            for train in [false, true] {
+                let mut out = Matrix::from_fn(r, c, |_, _| f32::NAN);
+                crop.forward_into(x.as_view(), &mut out, train);
+                assert_eq!((out.shape(), bits(&out)), (fresh.shape(), bits(&fresh)), "{r}x{c}");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "cannot crop")]
     fn rejects_upcrop() {

@@ -178,12 +178,14 @@ impl Codec for Dcsnet {
         self.halves.encode_batch_with(self.name(), ws, frames, out)
     }
 
-    /// One batch pass of the 4-conv-layer decoder stack: the convolutions
-    /// write into the two ping-pong buffers `ws` holds, the crop into
-    /// `out`, and nothing is retained. Each convolution lowers a sample
-    /// into its own workspace in `ws` and multiplies straight into the
-    /// sample's output row, so once `ws` and `out` have grown a decode
-    /// allocates nothing.
+    /// The 4-conv-layer decoder stack, depth-first: a block of rows
+    /// ([`Sequential::block_rows`], 8) goes through every layer before the
+    /// next block starts, the layers ping-ponging between two buffers `ws`
+    /// holds, and the crop's rows are copied into `out` (a batch of one
+    /// block is cropped into `out` directly). Nothing is retained. Each
+    /// convolution copies a sample into its own workspace in `ws` and
+    /// multiplies straight into the sample's output row, so once `ws` and
+    /// `out` have grown a decode allocates nothing.
     fn decode_batch_with(
         &self,
         ws: &mut Workspace,
@@ -277,10 +279,13 @@ mod tests {
     #[test]
     fn batch_decode_matches_the_training_forward() {
         // Cropping (28x28) and identity (32x32) geometry: the inference
-        // path, `forward_into(.., false)`, against `forward(.., true)`.
+        // path, `forward_into(.., false)`, walked in blocks of rows with a
+        // short last one, against the whole-batch `forward(.., true)`.
         for kind in [DatasetKind::MnistLike, DatasetKind::GtsrbLike] {
             let mut net = Dcsnet::new(kind, 3);
-            let codes = Matrix::from_fn(2, DCSNET_LATENT_DIM, |r, c| ((r * 31 + c) as f32).sin());
+            let rows = 2 * net.halves().decoder().block_rows() + 3;
+            let codes =
+                Matrix::from_fn(rows, DCSNET_LATENT_DIM, |r, c| ((r * 31 + c) as f32).sin());
             let reference = net.edge_decode_train(&codes);
             let mut out = Matrix::from_fn(1, 1, |_, _| f32::NAN); // dirty reused buffer
             net.decode_batch(codes.as_view(), &mut out).unwrap();

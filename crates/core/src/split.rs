@@ -98,8 +98,9 @@ impl SplitHalves {
     }
 
     /// The body of `Codec::decode_batch_with` (eq. 3): the decoder stack's
-    /// [`Sequential::infer_into`] over the whole batch, allocation-free
-    /// once `ws` and `out` have grown to size.
+    /// [`Sequential::infer_into`] over the batch — a block of rows at a
+    /// time through a stack of more than one layer — allocation-free once
+    /// `ws` and `out` have grown to size.
     ///
     /// # Errors
     ///

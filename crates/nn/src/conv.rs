@@ -131,8 +131,9 @@ impl Conv2d {
     /// `patches` keeps the lowered sample's `(patch_len, positions)`
     /// shape, grown only where the bordered image outsizes it (a 1×1 kernel,
     /// or a stride past the kernel): how the heap is laid out moves
-    /// training's speed (ROADMAP item 18). Allocates nothing once `out` and
-    /// `patches` have grown to size.
+    /// training's speed (ROADMAP item 18). `conv_into` stores every element
+    /// of a sample's output row, so `out` is resized, not zeroed.
+    /// Allocates nothing once `out` and `patches` have grown to size.
     fn forward_in(&self, x: MatView<'_>, out: &mut Matrix, patches: &mut Matrix) {
         assert_eq!(
             x.cols(),
@@ -142,7 +143,7 @@ impl Conv2d {
             self.geom.input_len()
         );
         let (patch_len, positions) = (self.geom.patch_len(), self.geom.out_positions());
-        out.reset(x.rows(), self.out_c * positions);
+        size_workspace(out, x.rows(), self.out_c * positions);
         let image_cols = self.geom.image_len().div_ceil(patch_len);
         size_workspace(patches, patch_len, positions.max(image_cols));
         for (i, sample) in x.iter_rows().enumerate() {
@@ -270,8 +271,19 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::layer::tests::{
-        assert_backward_into_contract, assert_inference_leaves_the_round_alone, bits_of,
+        assert_backward_into_contract, assert_every_output_is_written,
+        assert_inference_leaves_the_round_alone, bits_of,
     };
+
+    /// Five output channels: a whole row tile and a one-channel tile,
+    /// which spans two strips of the 20-wide rows.
+    #[test]
+    fn every_output_element_is_written() {
+        let mut rng = OrcoRng::from_label("conv-overwrite", 0);
+        let layer = Conv2d::new(2, 6, 20, 5, 3, 1, 1, Activation::Relu, &mut rng);
+        let x = Matrix::from_fn(3, 2 * 6 * 20, |r, c| ((r * 240 + c) as f32 * 0.11).sin());
+        assert_every_output_is_written(&layer, &x);
+    }
 
     #[test]
     fn forward_shape_and_padding() {

@@ -151,7 +151,8 @@ impl Dense {
         self.panels.get_or_init(|| Box::new(Panels::new(self.weight.as_view())))
     }
 
-    /// `out = σ(x·Wᵀ + b)`, `x·Wᵀ` computed by `product` into `out`.
+    /// `out = σ(x·Wᵀ + b)`, `x·Wᵀ` computed by `product` into `out`. Both
+    /// products store every element, so `out` is resized, not zeroed.
     fn affine_into(
         &self,
         x: MatView<'_>,
@@ -165,7 +166,7 @@ impl Dense {
             x.cols(),
             self.weight.cols()
         );
-        out.reset(x.rows(), self.weight.rows());
+        size_workspace(out, x.rows(), self.weight.rows());
         product(x, out.as_view_mut());
         let bias = self.bias.row(0);
         for r in 0..out.rows() {
@@ -276,8 +277,19 @@ impl Layer for Dense {
 mod tests {
     use super::*;
     use crate::layer::tests::{
-        assert_backward_into_contract, assert_inference_leaves_the_round_alone, bits_of,
+        assert_backward_into_contract, assert_every_output_is_written,
+        assert_inference_leaves_the_round_alone, bits_of,
     };
+
+    /// Inference over the panels and the training forward's gathered
+    /// `matmul_t`, each a row-tile remainder and a ragged panel wide.
+    #[test]
+    fn every_output_element_is_written() {
+        let mut rng = OrcoRng::from_label("dense-overwrite", 0);
+        let layer = Dense::new(37, 21, Activation::Sigmoid, &mut rng);
+        let x = Matrix::from_fn(7, 37, |r, c| ((r * 37 + c) as f32 * 0.13).sin());
+        assert_every_output_is_written(&layer, &x);
+    }
 
     #[test]
     fn forward_known_values() {

@@ -165,9 +165,9 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 
-/// Shapes a workspace (or a gradient buffer about to be overwritten whole)
-/// without zeroing it: a no-op once it has the shape, which is every call
-/// after the first at a steady batch size.
+/// Shapes a workspace (or an output or gradient buffer about to be
+/// overwritten whole) without zeroing it: a no-op once it has the shape,
+/// which is every call after the first at a steady batch size.
 pub(crate) fn size_workspace(workspace: &mut Matrix, rows: usize, cols: usize) {
     if workspace.shape() != (rows, cols) {
         workspace.reset(rows, cols);
@@ -198,6 +198,29 @@ pub(crate) mod tests {
         assert_eq!(interleaved.backward(grad), plain.backward(grad), "{}: ∂L/∂input", layer.name());
         for (a, b) in interleaved.params().iter().zip(plain.params()) {
             assert_eq!(a.grad, b.grad, "{}: ∂L/∂params", layer.name());
+        }
+    }
+
+    /// The overwrite contract that lets a forward resize its `out`
+    /// without zeroing it: `infer_into` and `forward_into` in both modes,
+    /// into an `out` full of NaN — at the output's shape, which is kept,
+    /// and at a larger one — leave the shape and bits a fresh `out` gets.
+    pub(crate) fn assert_every_output_is_written(layer: &dyn Layer, x: &Matrix) {
+        let name = layer.name();
+        let fresh = layer.clone_box().forward(x, false);
+        let want = (fresh.shape(), bits_of(&fresh));
+        let (rows, cols) = fresh.shape();
+        for (r, c) in [(rows, cols), (rows + 2, cols + 3)] {
+            let dirty = || Matrix::from_fn(r, c, |_, _| f32::NAN);
+            let mut out = dirty();
+            layer.infer_into(x.as_view(), &mut out, &mut Workspace::default());
+            assert_eq!((out.shape(), bits_of(&out)), want, "{name}: infer_into over {r}x{c}");
+            for train in [false, true] {
+                let mut out = dirty();
+                layer.clone_box().forward_into(x.as_view(), &mut out, train);
+                let got = (out.shape(), bits_of(&out));
+                assert_eq!(got, want, "{name}: forward_into, train {train}, over {r}x{c}");
+            }
         }
     }
 

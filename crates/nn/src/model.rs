@@ -1,6 +1,6 @@
 use orco_tensor::{MatView, Matrix};
 
-use crate::layer::{Layer, Param, Workspace};
+use crate::layer::{size_workspace, Layer, Param, Workspace};
 use crate::loss::Loss;
 use crate::optimizer::Optimizer;
 
@@ -118,13 +118,33 @@ impl Sequential {
         self.layers.iter().map(|l| l.flops_backward()).sum()
     }
 
+    /// Rows of one block of a non-training walk
+    /// ([`infer_into`](Sequential::infer_into), and
+    /// [`forward_into`](Sequential::forward_into) without `train`): as many
+    /// as keep the stack's widest activation within 512 KiB
+    /// (`BLOCK_BYTES`), at least one.
+    #[must_use]
+    pub fn block_rows(&self) -> usize {
+        let widest = self.layers.iter().map(|l| l.output_dim()).max().unwrap_or(1);
+        (BLOCK_BYTES / (widest * size_of::<f32>()).max(1)).max(1)
+    }
+
     /// Runs a borrowed batch through every layer's inference body
-    /// ([`Layer::infer_into`]) on `&self`, the last one writing into the
-    /// caller's `out` (reshaped and fully overwritten) and the ones before
-    /// it ping-ponging between two buffers in `ws`, which also holds each
-    /// layer's workspace. For the layers whose body allocates nothing, as
+    /// ([`Layer::infer_into`]) on `&self` into the caller's `out` (reshaped
+    /// and fully overwritten), the layers handing each other activations
+    /// through two buffers in `ws`, which also holds each layer's
+    /// workspace. For the layers whose body allocates nothing, as
     /// [`crate::Dense`]'s and [`crate::Conv2d`]'s, nothing is allocated
     /// once `ws` and `out` have grown to size.
+    ///
+    /// The walk is depth-first: a batch taller than
+    /// [`block_rows`](Sequential::block_rows) goes through the whole stack
+    /// one block of rows at a time, so what one layer writes is still
+    /// cached when the next reads it, and each block's last activation is
+    /// copied into its rows of `out`. A batch of at most one block, and
+    /// any batch through a one-layer stack, is walked whole, the last
+    /// layer writing `out` itself. Every layer's output row depends only
+    /// on its input row, so the bits are the same either way.
     ///
     /// # Panics
     ///
@@ -136,7 +156,7 @@ impl Sequential {
         });
         scratch.layers.resize_with(self.layers.len(), Workspace::default);
         let ModelScratch { between, layers } = scratch;
-        ping_pong(self.layers.len(), between, x, out, |i, src, dst| {
+        ping_pong(self.layers.len(), self.block_rows(), between, x, out, |i, src, dst| {
             self.layers[i].infer_into(src, dst, &mut layers[i]);
         });
     }
@@ -147,12 +167,17 @@ impl Sequential {
     /// when a [`Sequential::backward_into`] will follow. The values are the
     /// same either way; `false` touches no layer's cache.
     ///
+    /// Without `train` the walk is blocked as `infer_into`'s. Under
+    /// `train` it is whole-batch: each layer keeps the batch's input and
+    /// output for the backward pass, and a block would leave only its own.
+    ///
     /// # Panics
     ///
     /// Panics if the model is empty.
     pub fn forward_into(&mut self, x: MatView<'_>, out: &mut Matrix, train: bool) {
+        let block = if train { usize::MAX } else { self.block_rows() };
         let layers = &mut self.layers;
-        ping_pong(layers.len(), &mut self.between, x, out, |i, src, dst| {
+        ping_pong(layers.len(), block, &mut self.between, x, out, |i, src, dst| {
             layers[i].forward_into(src, dst, train);
         });
     }
@@ -225,15 +250,27 @@ struct ModelScratch {
     layers: Vec<Workspace>,
 }
 
+/// Bytes of the widest activation in one block of a non-training walk
+/// ([`Sequential::block_rows`]): 512 KiB, so a block's input and output
+/// of a layer stay in a 2 MiB L2 together with the layer's own workspace,
+/// as the GEMM's `GEMM_SLAB_MIN_OUT_BYTES` keeps a slab. DCSNet's 16-channel
+/// 32×32 maps are 64 KiB a row, so its decoder walks 8 rows at a time.
+const BLOCK_BYTES: usize = 512 << 10;
+
 /// Runs `x` through `steps` steps, step `i` reading what step `i - 1`
-/// wrote: the first reads `x`, the last writes `out`, and the ones between
-/// ping-pong between the two buffers of `between`.
+/// wrote, `block` rows of `x` at a time: the first step reads the block,
+/// the ones after it ping-pong between the two buffers of `between`, and
+/// the last one's rows land in `out`. A lone step writes `out` itself, and so
+/// does the last step of a batch of at most `block` rows; otherwise each
+/// block's last step writes the free buffer, which is copied into the
+/// block's rows of `out`.
 ///
 /// # Panics
 ///
 /// Panics if there are no steps.
 fn ping_pong(
     steps: usize,
+    block: usize,
     between: &mut [Matrix; 2],
     x: MatView<'_>,
     out: &mut Matrix,
@@ -244,12 +281,23 @@ fn ping_pong(
         return step(0, x, out);
     }
     let [mut src, mut dst] = between.each_mut();
-    step(0, x, dst);
-    for i in 1..last {
+    let rows = x.rows();
+    for start in (0..rows.max(1)).step_by(block) {
+        step(0, x.rows_range(start..rows.min(start.saturating_add(block))), dst);
+        for i in 1..last {
+            std::mem::swap(&mut src, &mut dst);
+            step(i, src.as_view(), dst);
+        }
+        if rows <= block {
+            return step(last, dst.as_view(), out);
+        }
         std::mem::swap(&mut src, &mut dst);
-        step(i, src.as_view(), dst);
+        step(last, src.as_view(), dst);
+        if start == 0 {
+            size_workspace(out, rows, dst.cols());
+        }
+        out.as_mut_slice()[start * dst.cols()..][..dst.len()].copy_from_slice(dst.as_slice());
     }
-    step(last, dst.as_view(), out);
 }
 
 #[cfg(test)]
@@ -376,6 +424,51 @@ mod tests {
         plain.backward_into(grad.as_view(), Some(&mut want));
         assert_eq!(got, want);
         assert_eq!(param_grad_bits(&mut interleaved), param_grad_bits(&mut plain));
+    }
+
+    /// A conv / max-pool / dense stack whose 16-channel 32×32 map is the
+    /// widest activation, so a block is a few rows: at a batch of 1, B − 1,
+    /// B, B + 1 and 2B + 3 rows both non-training walks write the bits of
+    /// the whole-batch training walk, into one dirty `out` and workspace
+    /// reused across the sizes.
+    #[test]
+    fn the_blocked_walk_matches_the_whole_batch_walk() {
+        let mut rng = OrcoRng::from_label("seq-blocked", 0);
+        let mut model = Sequential::new();
+        model.push(Dense::new(6, 1024, Activation::Tanh, &mut rng));
+        model.push(Conv2d::new(1, 32, 32, 16, 3, 1, 1, Activation::Relu, &mut rng));
+        model.push(MaxPool2d::new(16, 32, 32, 2));
+        model.push(Conv2d::new(16, 16, 16, 1, 3, 1, 1, Activation::Sigmoid, &mut rng));
+        model.push(Dense::new(256, 5, Activation::Sigmoid, &mut rng));
+        let block = model.block_rows();
+        assert_eq!(block, BLOCK_BYTES / (16 * 32 * 32 * size_of::<f32>()));
+        assert!(block > 1);
+        let (mut ws, mut out) = (Workspace::default(), Matrix::from_fn(3, 3, |_, _| f32::NAN));
+        for rows in [1, block - 1, block, block + 1, 2 * block + 3] {
+            let x = Matrix::from_fn(rows, 6, |r, c| ((r * 6 + c) as f32 * 0.37).sin());
+            let want = model.forward(&x, true);
+            model.forward_into(x.as_view(), &mut out, false);
+            assert_eq!((out.shape(), bits_of(&out)), (want.shape(), bits_of(&want)), "{rows} rows");
+            model.infer_into(x.as_view(), &mut out, &mut ws);
+            assert_eq!((out.shape(), bits_of(&out)), (want.shape(), bits_of(&want)), "{rows} rows");
+        }
+    }
+
+    /// A one-layer stack hands nothing between layers: at a batch taller
+    /// than its block, its layer writes `out` itself in one walk, and the
+    /// model's two buffers stay empty.
+    #[test]
+    fn a_one_layer_stack_writes_out_itself() {
+        let mut rng = OrcoRng::from_label("seq-one-layer", 0);
+        let mut model = Sequential::new();
+        model.push(Dense::new(3, 300, Activation::Identity, &mut rng));
+        let rows = model.block_rows() + 5;
+        let x = Matrix::from_fn(rows, 3, |r, c| ((r * 3 + c) as f32 * 0.37).sin());
+        let want = model.forward(&x, true);
+        let mut out = Matrix::from_fn(3, 3, |_, _| f32::NAN);
+        model.forward_into(x.as_view(), &mut out, false);
+        assert_eq!((out.shape(), bits_of(&out)), (want.shape(), bits_of(&want)));
+        assert!(model.between.iter().all(|m| m.as_slice().is_empty()));
     }
 
     /// Every parameter gradient of the model, bit for bit, in visiting order.

@@ -151,8 +151,15 @@ impl Layer for MaxPool2d {
 mod tests {
     use super::*;
     use crate::layer::tests::{
-        assert_backward_into_contract, assert_inference_leaves_the_round_alone,
+        assert_backward_into_contract, assert_every_output_is_written,
+        assert_inference_leaves_the_round_alone,
     };
+
+    #[test]
+    fn every_output_element_is_written() {
+        let x = Matrix::from_fn(3, 2 * 4 * 6, |r, c| ((r * 48 + c) as f32 * 0.29).sin());
+        assert_every_output_is_written(&MaxPool2d::new(2, 4, 6, 2), &x);
+    }
 
     #[test]
     fn pools_known_values() {

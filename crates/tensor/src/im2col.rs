@@ -25,9 +25,10 @@ use crate::matrix::Matrix;
 
 /// Floats after the last phase plane of a bordered image
 /// ([`Conv2dGeom::image_len`]): a register tile reads whole strips of
-/// columns, and the strip of a row's last output may run up to 15 floats
-/// past the plane's end. The lanes it reads there are never stored.
-pub(crate) const IMAGE_SLACK: usize = 16;
+/// columns, and the strips of a row's last output — two for a one-channel
+/// tile — may run up to 31 floats past the plane's end. The lanes it reads
+/// there are never stored.
+pub(crate) const IMAGE_SLACK: usize = 32;
 
 /// Geometry of a 2-D convolution: input extent, kernel, stride and padding.
 ///
@@ -117,7 +118,7 @@ impl Conv2dGeom {
     /// Floats of the zero-bordered image [`crate::MatView::conv_into`]
     /// copies a sample into: `in_c · stride²` phase planes, each the
     /// padded rows and columns of one phase of the stride — one plane a
-    /// channel at stride 1 — and 16 floats of slack after them.
+    /// channel at stride 1 — and 32 floats of slack after them.
     #[must_use]
     pub fn image_len(&self) -> usize {
         let (rows, cols) = self.plane_shape();

@@ -150,8 +150,9 @@ const GEMM_PANEL_STRIPS: usize = GEMM_TILE_STRIPS / GEMM_ROW_TILE;
 /// streams past it.
 const GEMM_PANEL_K: usize = 256;
 
-// A bordered image's slack covers the strip of a row's last output.
-const _: () = assert!(IMAGE_SLACK >= GEMM_COL_TILE);
+// A bordered image's slack covers the strips of a row's last output: two
+// for a one-channel tile.
+const _: () = assert!(IMAGE_SLACK >= 2 * GEMM_COL_TILE);
 
 /// Minimum rows a worker thread must own before the GEMM kernels
 /// parallelize; below this the spawn overhead dominates.
@@ -925,11 +926,14 @@ fn direct_conv<const ZERO_RULE: bool>(
 /// micro-panels ([`Lhs::pack`]); for every row tile of the group, output
 /// row `y` and strip of up to `GEMM_COL_TILE` outputs from `x0`, row `kk`
 /// of `B` is then the strip `image[y·cols + x0 + taps[kk]..]`, read where
-/// it lies ([`row_tile`], one strip wide). No patch matrix is built and no
-/// panel of `B` is packed; an element takes the same terms in the same
-/// order as `matmul`, from `+0.0`, reloaded between slices, so the same
-/// bits. The table is read, not recomputed: an iterator that derived each
-/// offset from the last ran 1.5–2.0× slower than im2col and `matmul`.
+/// it lies ([`row_tile`], one strip wide; two for a one-channel tile, whose
+/// one-strip tile held two accumulators: on DCSNet's 8 → 1 layer it read
+/// 1.14–1.22× faster, nproc 2, x86-64-v3, in-process A/B). No patch
+/// matrix is built and no panel of `B` is packed; an element takes the
+/// same terms in the same order as `matmul`, from `+0.0`, reloaded between
+/// slices, so the same bits. The table is read, not recomputed: an
+/// iterator that derived each offset from the last ran 1.5–2.0× slower
+/// than im2col and `matmul`.
 fn direct_block<const ZERO_RULE: bool>(
     kernels: Lhs<'_>,
     geom: &Conv2dGeom,
@@ -962,6 +966,32 @@ fn direct_block<const ZERO_RULE: bool>(
             let group = &group[..group_rows.div_ceil(GEMM_ROW_TILE) * kb];
             for (t, avs) in group.chunks_exact(kb).enumerate() {
                 let i = c0 + t * GEMM_ROW_TILE;
+                let (reload, n) = (k0 > 0, positions);
+                if channels - i == 1 {
+                    // A one-channel tile spans two strips, so it runs four
+                    // accumulator chains, not two, as `in_place_tile`
+                    // widens a short tile; `nb` clamps a narrower row's
+                    // stores.
+                    for y in 0..oh {
+                        for x0 in (0..ow).step_by(2 * GEMM_COL_TILE) {
+                            let image = &image[y * cols + x0..];
+                            let nb = (2 * GEMM_COL_TILE).min(ow - x0);
+                            let o = &mut block[i * positions + y * ow + x0..];
+                            let bvs = taps.iter().map(|&offset| {
+                                image[offset..].as_chunks().0.first_chunk().expect("slack")
+                            });
+                            row_tile::<1, 2, 2, ZERO_RULE, false>(
+                                lanes(avs),
+                                bvs,
+                                reload,
+                                o,
+                                n,
+                                nb,
+                            );
+                        }
+                    }
+                    continue;
+                }
                 for y in 0..oh {
                     for x0 in (0..ow).step_by(GEMM_COL_TILE) {
                         let (image, nb) = (&image[y * cols + x0..], GEMM_COL_TILE.min(ow - x0));
@@ -969,7 +999,6 @@ fn direct_block<const ZERO_RULE: bool>(
                         let bvs = taps.iter().map(|&offset| {
                             std::array::from_ref(image[offset..].first_chunk().expect("slack"))
                         });
-                        let (reload, n) = (k0 > 0, positions);
                         macro_rules! tile {
                             ($r:literal) => {
                                 row_tile::<$r, 1, $r, ZERO_RULE, false>(
@@ -983,7 +1012,6 @@ fn direct_block<const ZERO_RULE: bool>(
                             };
                         }
                         match (channels - i).min(GEMM_ROW_TILE) {
-                            1 => tile!(1),
                             2 => tile!(2),
                             3 => tile!(3),
                             _ => tile!(4),
@@ -1139,7 +1167,7 @@ impl<'a> MatView<'a> {
     ///
     /// Panics if the range end exceeds the number of rows.
     #[must_use]
-    pub(crate) fn rows_range(&self, range: std::ops::Range<usize>) -> MatView<'a> {
+    pub fn rows_range(&self, range: std::ops::Range<usize>) -> MatView<'a> {
         assert!(range.end <= self.rows, "rows_range end {} > rows {}", range.end, self.rows);
         MatView {
             rows: range.len(),
@@ -1779,6 +1807,8 @@ mod tests {
     /// one-strip rows and strips that end on a row — with the output
     /// channels cycling through 1–5, 8, 16 and 17, so every row-tile
     /// remainder and, at 17 over two threads, a block starting mid-tile.
+    /// Then a one-channel tile (1 and 5 output channels), which spans two
+    /// strips, at output widths 16, 17, 32 and 33.
     #[test]
     fn the_direct_conv_matches_im2col_then_matmul_on_every_geometry() {
         const OUT_C: [usize; 8] = [1, 2, 3, 4, 5, 8, 16, 17];
@@ -1798,6 +1828,20 @@ mod tests {
                         check_conv(&kernels, &sample, &geom, "geometry");
                         case += 1;
                     }
+                }
+            }
+        }
+        // A one-channel tile, alone and after a whole one, at one strip, a
+        // strip and a column, two strips, and two strips and a column.
+        for out_c in [1, 5] {
+            for out_w in [16, 17, 32, 33] {
+                for stride in [1, 2] {
+                    let geom = Conv2dGeom::new(2, 4, (out_w - 1) * stride + 1, 3, stride, 1);
+                    assert_eq!(geom.out_w(), out_w);
+                    let kernels = conv_kernels(&mut rng, out_c, &geom);
+                    let sample: Vec<f32> =
+                        (0..geom.input_len()).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                    check_conv(&kernels, &sample, &geom, "one-channel tile");
                 }
             }
         }

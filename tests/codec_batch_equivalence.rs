@@ -11,12 +11,15 @@
 //!   widths;
 //! * the `&self` bodies, run on one shared codec from two threads at once,
 //!   each in its own `Workspace` (one of them left by another backend),
-//!   write what the `&mut self` methods write in the codec's own.
+//!   write what the `&mut self` methods write in the codec's own;
+//! * DCSNet's decoder, walked a block of rows at a time, writes the bits
+//!   of the per-frame loop at every block edge, and the benchmark's
+//!   autoencoder decoders, one layer each, are never blocked.
 
 use orcodcs_repro::baselines::cs::{ClassicalCodec, CsSolver, IstaConfig};
 use orcodcs_repro::baselines::Dcsnet;
 use orcodcs_repro::core::{
-    AsymmetricAutoencoder, Codec, OrcoConfig, OrcoError, TrainSpec, Workspace,
+    AsymmetricAutoencoder, Codec, OrcoConfig, OrcoError, SplitModel, TrainSpec, Workspace,
 };
 use orcodcs_repro::datasets::{gtsrb_like, mnist_like, DatasetKind};
 use orcodcs_repro::tensor::Matrix;
@@ -186,5 +189,39 @@ fn shared_bodies_in_callers_workspaces_match_the_codecs_own() {
             assert_eq!(codes_with, codes, "{}: encode", codec.name());
             assert_eq!(recon_with, recon, "{}: decode", codec.name());
         }
+    }
+}
+
+/// DCSNet's decoder walks a batch taller than its block (`B` rows) one
+/// block at a time: at 1, B − 1, B, B + 1 and 2B + 3 rows, `decode_batch`
+/// (the decoder's own buffers) and `decode_batch_with` (a caller's
+/// workspace, reused across the sizes) write what the per-frame loop does.
+#[test]
+fn dcsnet_blocked_decode_matches_per_frame_at_every_block_edge() {
+    let mut codec = Dcsnet::new(DatasetKind::MnistLike, 11);
+    let block = codec.halves().decoder().block_rows();
+    assert!(block > 1 && 2 * block + 3 < 256, "DCSNet's block is {block} rows");
+    let frames = mnist_like::generate(2 * block + 3, 11);
+    let mut ws = Workspace::default();
+    for rows in [1, block - 1, block, block + 1, 2 * block + 3] {
+        let frames = frames.x().slice_rows(0..rows);
+        assert_batch_matches_per_frame(&mut codec, &frames);
+        let (codes, recon) = round_trip_with(&codec, &mut ws, &frames);
+        for r in 0..rows {
+            let frame = codec.decode_frame(codes.row(r)).expect("code width is valid");
+            assert_eq!(recon.row(r), &frame[..], "{rows} rows: decode_batch_with row {r}");
+        }
+    }
+}
+
+/// Every autoencoder decoder the benchmark runs (the paper's latent width
+/// on both datasets) is one layer, so its decode writes `out` itself in
+/// one walk whatever the batch: the blocked walk never reaches it.
+#[test]
+fn every_benchmark_autoencoder_decoder_is_one_layer() {
+    for kind in [DatasetKind::MnistLike, DatasetKind::GtsrbLike] {
+        let cfg = OrcoConfig::for_dataset(kind).with_latent_dim(kind.paper_latent_dim());
+        let codec = AsymmetricAutoencoder::new(&cfg).unwrap();
+        assert_eq!(codec.halves().decoder().len(), 1, "{kind:?}");
     }
 }

@@ -124,9 +124,9 @@ fn steady_state_autoencoder_codec_allocates_nothing() {
 }
 
 /// The conv stack: four `Conv2d` layers and a crop behind a 1024-wide
-/// dense encoder. Before the layer owned its workspace this made 128
-/// allocator calls a batch (a patch matrix and a product per sample per
-/// layer).
+/// dense encoder, its decode walked a block of rows at a time. Before the
+/// layer owned its workspace this made 128 allocator calls a batch (a
+/// patch matrix and a product per sample per layer).
 #[test]
 fn steady_state_dcsnet_codec_allocates_nothing() {
     const BATCH: usize = 16;
@@ -136,6 +136,7 @@ fn steady_state_dcsnet_codec_allocates_nothing() {
     ];
     for (kind, dataset) in cases {
         let mut codec = Dcsnet::new(kind, 3);
+        assert!(BATCH > codec.halves().decoder().block_rows(), "the decode takes blocks");
         let (warm_up, steady) = warm_up_and_steady_allocations(&mut codec, dataset.x());
         assert!(warm_up > 0);
         assert_eq!(
